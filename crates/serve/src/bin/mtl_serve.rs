@@ -132,6 +132,7 @@ fn stats(args: &[String]) -> Result<ExitCode, String> {
     println!("compile_tape_misses={}", get(compile, "tape_misses"));
     println!("compile_shape_rejected={}", get(compile, "shape_rejected"));
     println!("compile_design_hits={}", get(compile, "design_hits"));
+    println!("compile_evictions={}", get(compile, "evictions"));
     println!("compile_entries={}", get(compile, "entries"));
     println!("active_campaigns={}", get(&stats, "active_campaigns"));
     println!("completed_campaigns={}", get(&stats, "completed_campaigns"));

@@ -105,6 +105,7 @@ pub fn stats_response(artifacts: &ArtifactStats, active: usize, completed: u64) 
     compile.set("tape_misses", artifacts.tape_misses);
     compile.set("shape_rejected", artifacts.shape_rejected);
     compile.set("design_hits", artifacts.design_hits);
+    compile.set("evictions", artifacts.evictions);
     compile.set("entries", artifacts.entries);
     let mut doc = Json::obj();
     doc.set("type", "stats");

@@ -53,15 +53,7 @@ fn u64_field(spec: &Json, key: &str) -> Option<u64> {
 }
 
 pub fn parse_engine(s: &str) -> Result<Engine, String> {
-    match s {
-        "interpreted" => Ok(Engine::Interpreted),
-        "interpreted-opt" => Ok(Engine::InterpretedOpt),
-        "specialized" => Ok(Engine::Specialized),
-        "specialized-opt" => Ok(Engine::SpecializedOpt),
-        "specialized-par" => Ok(Engine::SpecializedPar),
-        "specialized-batch" => Ok(Engine::SpecializedBatch),
-        other => Err(format!("unknown engine \"{other}\"")),
-    }
+    s.parse()
 }
 
 pub fn parse_net_level(s: &str) -> Result<NetLevel, String> {

@@ -59,7 +59,7 @@ impl Default for ServerConfig {
 
 /// The campaign server: a [`Scheduler`] plus the connection front-end.
 /// Cloneable handle semantics via `Arc` — `serve_unix` can run on one
-/// thread while another polls [`Server::stats`] or calls
+/// thread while another polls [`Scheduler::stats`] or calls
 /// [`Server::stop`].
 #[derive(Clone)]
 pub struct Server {

@@ -1,5 +1,6 @@
-//! Shared compiled-artifact cache: elaborated designs and compiled/fused
-//! tapes, keyed by a caller-supplied fingerprint.
+//! Shared compiled-artifact cache: elaborated designs and the staged
+//! compile output of [`crate::compile`], keyed by a caller-supplied
+//! fingerprint.
 //!
 //! A persistent process serving many simulation jobs (the `mtl-serve`
 //! daemon) rebuilds the *same* design over and over: every fault-sweep
@@ -12,77 +13,104 @@
 //!   `FnMut`s drained once per design by [`Design::take_natives`], so a
 //!   design carrying them can serve exactly one simulator. Pure-IR (RTL)
 //!   designs are immutable data and shared freely.
-//! * **Compiled tapes and fused plans** ([`TapeArtifact`]) — the
-//!   `Specialized`/`SpecializedOpt` construction phases `comp` (constant
-//!   folding), `cgen` (tape codegen), and the plan-fusion part of `simc`
+//! * **Compiled stages** ([`Staged`]: per-block tapes, fused plans, batch
+//!   planes) — the construction phases `comp` (constant folding), `cgen`
+//!   (tape codegen, plane lowering) and the plan-fusion part of `simc`
 //!   produce pure data (`Tape`s are just op vectors). These are shared
 //!   even for native-bearing designs: the per-instance state (packed
 //!   nets, sensitivity lists, native closures) is rebuilt cheaply, the
-//!   compilation is not.
+//!   compilation is not. Each stage is built from the one below, so an
+//!   entry holding only per-block tapes (from `Specialized` or
+//!   `SpecializedPar`) still saves `SpecializedOpt` its `comp`/`cgen`.
 //!
 //! The cache key is a caller-supplied 64-bit fingerprint (produced with
 //! `mtl-sweep`'s FNV machinery from whatever parameters generate the
 //! design). **The key must uniquely identify the elaborated design**;
-//! as defense in depth every tape lookup additionally validates a
-//! structural [`shape_of`] digest of the design against the artifact and
+//! as defense in depth every compiled lookup additionally validates a
+//! structural [`shape_of`] digest of the design against the entry and
 //! rejects (recompiles) on mismatch, so a colliding or misused key
 //! degrades to a miss, never to executing tapes against the wrong
-//! design.
+//! design. The cache holds at most [`ArtifactCache::CAPACITY`]
+//! fingerprints and evicts whole entries least-recently-used first.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::sim::Chunk;
-use crate::tape::Tape;
+use crate::batch::BatchProgs;
+use crate::compile::{BlockTapes, Plans};
 use mtl_core::{BlockBody, BlockKind, Design};
 
-/// The shareable output of `Specialized`/`SpecializedOpt` construction:
-/// per-block tapes plus (static mode) the fused schedule plans. Pure
-/// data — safe to execute from any number of simulator instances.
-pub(crate) struct TapeArtifact {
-    pub(crate) tapes: Arc<Vec<Tape>>,
-    pub(crate) comb_plan: Arc<Vec<Chunk>>,
-    pub(crate) seq_plan: Arc<Vec<Chunk>>,
-    /// Structural digest of the design these tapes were compiled from.
-    pub(crate) shape: u64,
-    /// Whether the tape optimizer ran on these tapes. Part of the
-    /// artifact's identity: a lookup requesting the other setting is a
-    /// miss, never a silent mismatch (optimized and unoptimized tapes
-    /// are behaviorally equivalent but differ in ops/registers, and the
-    /// fingerprint must cover what actually executes).
-    pub(crate) optimized: bool,
-    /// Per-pass statistics from the optimizing compile, replayed to
-    /// cache-hit consumers so `--dump-passes` works on reused builds.
-    pub(crate) report: Option<crate::passes::OptReport>,
+/// The stages of one design's artifact, lowest first; an engine names the
+/// highest one it needs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd)]
+pub(crate) enum Layer {
+    /// The elaborated design.
+    Design,
+    /// Per-block tapes (`Specialized`, `SpecializedPar`).
+    Blocks,
+    /// Fused static schedules (`SpecializedOpt`).
+    Plans,
+    /// Bit-plane programs (`SpecializedBatch`).
+    Batch,
 }
 
-/// The shareable output of `SpecializedBatch` construction: the scalar
-/// fused tapes lowered to bit-sliced plane programs. Pure data like
-/// [`TapeArtifact`]; the per-instance plane state is rebuilt per
-/// simulator. Keyed by the same `optimized` flag as the tape layer —
-/// the plane layout mirrors the tape it was lowered from, so the
-/// fingerprint covers what actually executes.
-pub(crate) struct BatchArtifact {
-    pub(crate) progs: Arc<crate::batch::BatchProgs>,
-    /// Structural digest of the design the planes were lowered from.
-    pub(crate) shape: u64,
-    /// Whether the tape optimizer ran before lowering.
-    pub(crate) optimized: bool,
-    /// Pass report replayed to cache-hit consumers (same as the tape
-    /// artifact's).
-    pub(crate) report: Option<crate::passes::OptReport>,
+/// The layered slots of one cache entry — equally what a build starts
+/// from and what it hands back. Each stage is a deterministic function of
+/// the one below it; pure data, safe to execute from any number of
+/// simulators.
+#[derive(Clone, Default)]
+pub(crate) struct Staged {
+    pub(crate) design: Option<Arc<Design>>,
+    pub(crate) blocks: Option<Arc<BlockTapes>>,
+    pub(crate) plans: Option<Arc<Plans>>,
+    pub(crate) batch: Option<Arc<BatchProgs>>,
+}
+
+impl Staged {
+    fn has(&self, layer: Layer) -> bool {
+        match layer {
+            Layer::Design => self.design.is_some(),
+            Layer::Blocks => self.blocks.is_some(),
+            Layer::Plans => self.plans.is_some(),
+            Layer::Batch => self.batch.is_some(),
+        }
+    }
+}
+
+/// The identity of an entry's compiled stages, checked on every compiled
+/// lookup and store.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Guard {
+    /// Structural digest of the design the stages were compiled from.
+    shape: u64,
+    /// Whether the tape optimizer ran. A lookup requesting the other
+    /// setting is a miss, never a silent mismatch (optimized and
+    /// unoptimized tapes are behaviorally equivalent but differ in
+    /// ops/registers, and the fingerprint must cover what actually
+    /// executes).
+    optimized: bool,
+}
+
+impl Guard {
+    pub(crate) fn of(design: &Design, optimized: bool) -> Guard {
+        Guard { shape: shape_of(design), optimized }
+    }
 }
 
 #[derive(Default)]
 struct Entry {
-    design: Option<Arc<Design>>,
-    /// `Specialized` (event-mode) artifact: tapes only, empty plans.
-    event: Option<Arc<TapeArtifact>>,
-    /// `SpecializedOpt` (static-mode) artifact: tapes plus fused plans.
-    fused: Option<Arc<TapeArtifact>>,
-    /// `SpecializedBatch` artifact: the fused plans lowered to planes.
-    batch: Option<Arc<BatchArtifact>>,
+    staged: Staged,
+    /// Set by the first compiled stage stored (first writer wins).
+    guard: Option<Guard>,
+    /// Value of [`Entries::clock`] at the last lookup or store.
+    last_used: u64,
+}
+
+#[derive(Default)]
+struct Entries {
+    map: HashMap<u64, Entry>,
+    clock: u64,
 }
 
 /// Counter snapshot from [`ArtifactCache::stats`].
@@ -102,6 +130,9 @@ pub struct ArtifactStats {
     pub batch_hits: u64,
     /// Batch-plane lookups that lowered fresh.
     pub batch_misses: u64,
+    /// Whole entries dropped, least recently used first, to keep the
+    /// cache within [`ArtifactCache::CAPACITY`] fingerprints.
+    pub evictions: u64,
     /// Distinct fingerprints currently cached.
     pub entries: u64,
 }
@@ -123,16 +154,23 @@ impl ArtifactStats {
 /// sharing rules and [`crate::Sim::build_shared`] for the entry point.
 #[derive(Default)]
 pub struct ArtifactCache {
-    entries: Mutex<HashMap<u64, Entry>>,
+    entries: Mutex<Entries>,
     tape_hits: AtomicU64,
     tape_misses: AtomicU64,
     shape_rejected: AtomicU64,
     design_hits: AtomicU64,
     batch_hits: AtomicU64,
     batch_misses: AtomicU64,
+    evictions: AtomicU64,
 }
 
 impl ArtifactCache {
+    /// Most fingerprints held at once. A daemon sees an open-ended stream
+    /// of keys (every seed of a seeded design is its own design), each
+    /// pinning a design plus its tapes; beyond this many the least
+    /// recently used entry is dropped whole and recompiles on next use.
+    pub const CAPACITY: usize = 64;
+
     pub fn new() -> ArtifactCache {
         ArtifactCache::default()
     }
@@ -146,132 +184,122 @@ impl ArtifactCache {
             design_hits: self.design_hits.load(Ordering::Relaxed),
             batch_hits: self.batch_hits.load(Ordering::Relaxed),
             batch_misses: self.batch_misses.load(Ordering::Relaxed),
-            entries: self.entries.lock().unwrap_or_else(|e| e.into_inner()).len() as u64,
+            evictions: self.evictions.load(Ordering::Relaxed),
+            entries: self.lock().map.len() as u64,
         }
     }
 
     /// Drops every cached entry (counters are kept).
     pub fn clear(&self) {
-        self.entries.lock().unwrap_or_else(|e| e.into_inner()).clear();
+        self.lock().map.clear();
     }
 
-    pub(crate) fn lookup_design(&self, key: u64) -> Option<Arc<Design>> {
-        let found = self
-            .entries
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(&key)
-            .and_then(|e| e.design.clone());
-        if found.is_some() {
-            self.design_hits.fetch_add(1, Ordering::Relaxed);
+    /// Every update leaves the map valid at every step, so a panic in
+    /// another holder does not invalidate it.
+    fn lock(&self) -> std::sync::MutexGuard<'_, Entries> {
+        self.entries.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Returns the stages cached under `key` if they contain `need`, else
+    /// runs `build` on whatever usable stages there are (it fills in the
+    /// rest) and publishes the result. `guard` is the identity of the
+    /// compiled stages; design-only requests, made before there is a
+    /// design to digest, pass `None`.
+    pub(crate) fn get_or_build<E>(
+        &self,
+        key: u64,
+        need: Layer,
+        guard: Option<Guard>,
+        build: impl FnOnce(Staged) -> Result<Staged, E>,
+    ) -> Result<Staged, E> {
+        let have = self.lookup(key, need, guard);
+        if have.has(need) {
+            return Ok(have);
         }
-        found
+        let built = build(have)?;
+        self.store(key, guard, &built);
+        Ok(built)
     }
 
-    /// Caches a freshly elaborated design for reuse — only if it is
-    /// native-free (see the module docs; a native-bearing design can
-    /// serve exactly one simulator).
-    pub(crate) fn store_design(&self, key: u64, design: &Arc<Design>) {
-        let has_native = design.blocks().iter().any(|b| matches!(b.body, BlockBody::Native(..)));
-        if has_native {
+    /// The one lookup: fetches the entry, applies the guard, and counts
+    /// the request against `need`. A shape mismatch (key collision or
+    /// misuse) is counted and degrades to an empty result; so does an
+    /// entry compiled under the other optimizer setting, as a plain miss
+    /// — first-writer-wins keeps the cached one, so a process mixing
+    /// settings under one key forgoes reuse for the minority setting.
+    fn lookup(&self, key: u64, need: Layer, guard: Option<Guard>) -> Staged {
+        let found = {
+            let mut entries = self.lock();
+            entries.clock += 1;
+            let now = entries.clock;
+            entries.map.get_mut(&key).map(|e| {
+                e.last_used = now;
+                (e.staged.clone(), e.guard)
+            })
+        };
+        let have = match (found, guard) {
+            (None, _) => Staged::default(),
+            (Some((staged, cached)), Some(want)) => match cached {
+                Some(c) if c.optimized != want.optimized => Staged::default(),
+                Some(c) if c.shape != want.shape => {
+                    self.shape_rejected.fetch_add(1, Ordering::Relaxed);
+                    return Staged::default();
+                }
+                _ => staged,
+            },
+            (Some((staged, _)), None) => staged,
+        };
+        let tape = |hit| if hit { &self.tape_hits } else { &self.tape_misses };
+        let counter = match need {
+            Layer::Design if have.design.is_some() => &self.design_hits,
+            Layer::Design => return have,
+            Layer::Blocks | Layer::Plans => tape(have.has(need)),
+            Layer::Batch if have.batch.is_some() => &self.batch_hits,
+            Layer::Batch => {
+                // A batch miss falls back to the tape stage it lowers
+                // from, and accounts for that lookup too.
+                tape(have.plans.is_some()).fetch_add(1, Ordering::Relaxed);
+                &self.batch_misses
+            }
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        have
+    }
+
+    /// The one store: merges freshly built stages into the entry, first
+    /// writer winning slot by slot (a concurrent duplicate compile is
+    /// discarded, not an error) and compiled stages only under a matching
+    /// guard. A design is kept only if it is native-free (see the module
+    /// docs; a native-bearing design can serve exactly one simulator).
+    /// Creating an entry beyond [`ArtifactCache::CAPACITY`] evicts the
+    /// least recently used one.
+    fn store(&self, key: u64, guard: Option<Guard>, built: &Staged) {
+        let design = built
+            .design
+            .as_ref()
+            .filter(|d| !d.blocks().iter().any(|b| matches!(b.body, BlockBody::Native(..))));
+        if design.is_none() && guard.is_none() {
             return;
         }
-        self.entries
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .entry(key)
-            .or_default()
-            .design
-            .get_or_insert_with(|| design.clone());
-    }
-
-    /// Looks up the tape artifact for (`key`, engine mode), validating
-    /// its structural shape against `design`. Counts a hit, a miss, or a
-    /// shape rejection (which behaves as a miss).
-    pub(crate) fn lookup_tape(
-        &self,
-        key: u64,
-        event_mode: bool,
-        optimized: bool,
-        design: &Design,
-    ) -> Option<Arc<TapeArtifact>> {
-        let found =
-            {
-                let entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
-                entries.get(&key).and_then(|e| {
-                    if event_mode {
-                        e.event.clone()
-                    } else {
-                        e.fused.clone()
-                    }
-                })
-            };
-        // An artifact compiled under the other optimizer setting is a
-        // plain miss: the caller recompiles (and first-writer-wins keeps
-        // the cached one, so a process mixing settings under one key
-        // simply forgoes reuse for the minority setting).
-        let found = found.filter(|a| a.optimized == optimized);
-        match found {
-            Some(artifact) if artifact.shape == shape_of(design) => {
-                self.tape_hits.fetch_add(1, Ordering::Relaxed);
-                Some(artifact)
-            }
-            Some(_) => {
-                self.shape_rejected.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-            None => {
-                self.tape_misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
+        let mut entries = self.lock();
+        entries.clock += 1;
+        let now = entries.clock;
+        if !entries.map.contains_key(&key) && entries.map.len() >= Self::CAPACITY {
+            let oldest = entries.map.iter().min_by_key(|(_, e)| e.last_used).map(|(&k, _)| k);
+            entries.map.remove(&oldest.expect("a full cache has an oldest entry"));
+            self.evictions.fetch_add(1, Ordering::Relaxed);
         }
-    }
-
-    /// Inserts a freshly compiled artifact (first writer wins; a
-    /// concurrent duplicate compile is discarded, not an error).
-    pub(crate) fn store_tape(&self, key: u64, event_mode: bool, artifact: TapeArtifact) {
-        let mut entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
-        let entry = entries.entry(key).or_default();
-        let slot = if event_mode { &mut entry.event } else { &mut entry.fused };
-        slot.get_or_insert_with(|| Arc::new(artifact));
-    }
-
-    /// Looks up the batch-plane artifact for `key`, with the same
-    /// optimizer-setting filter and structural shape guard as
-    /// [`ArtifactCache::lookup_tape`].
-    pub(crate) fn lookup_batch(
-        &self,
-        key: u64,
-        optimized: bool,
-        design: &Design,
-    ) -> Option<Arc<BatchArtifact>> {
-        let found = self
-            .entries
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(&key)
-            .and_then(|e| e.batch.clone())
-            .filter(|a| a.optimized == optimized);
-        match found {
-            Some(artifact) if artifact.shape == shape_of(design) => {
-                self.batch_hits.fetch_add(1, Ordering::Relaxed);
-                Some(artifact)
-            }
-            Some(_) => {
-                self.shape_rejected.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-            None => {
-                self.batch_misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
+        let entry = entries.map.entry(key).or_default();
+        entry.last_used = now;
+        let slots = &mut entry.staged;
+        if slots.design.is_none() {
+            slots.design = design.cloned();
         }
-    }
-
-    /// Inserts a freshly lowered batch artifact (first writer wins).
-    pub(crate) fn store_batch(&self, key: u64, artifact: BatchArtifact) {
-        let mut entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
-        entries.entry(key).or_default().batch.get_or_insert_with(|| Arc::new(artifact));
+        if guard.is_some_and(|g| *entry.guard.get_or_insert(g) == g) {
+            slots.blocks = slots.blocks.take().or_else(|| built.blocks.clone());
+            slots.plans = slots.plans.take().or_else(|| built.plans.clone());
+            slots.batch = slots.batch.take().or_else(|| built.batch.clone());
+        }
     }
 }
 
@@ -280,7 +308,7 @@ impl ArtifactCache {
 /// read/write arity). Two designs with equal shape and equal cache key
 /// are treated as the same design; the digest exists to catch key
 /// collisions and misuse, not as the primary identity.
-pub(crate) fn shape_of(design: &Design) -> u64 {
+fn shape_of(design: &Design) -> u64 {
     // FNV-1a, matching mtl-sweep's fingerprint hash.
     let mut h: u64 = 0xCBF2_9CE4_8422_2325;
     let mut mix = |v: u64| {
@@ -392,7 +420,7 @@ mod tests {
         let mut first =
             Sim::build_shared(&Counter { width: 8 }, engine, &cfg, &tapes_only, 1).unwrap();
         assert_eq!(run_counter(&mut first, 10), a);
-        tapes_only.entries.lock().unwrap().get_mut(&1).unwrap().design = None;
+        tapes_only.lock().map.get_mut(&1).unwrap().staged.design = None;
         let wide = run_counter(&mut Sim::build(&Counter { width: 16 }, engine).unwrap(), 300);
         let mut other =
             Sim::build_shared(&Counter { width: 16 }, engine, &cfg, &tapes_only, 1).unwrap();

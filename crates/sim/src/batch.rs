@@ -21,10 +21,11 @@
 //! back — slower, but exactly the scalar semantics, so lane-exactness
 //! holds unconditionally.
 //!
-//! Per-lane faults replicate the `Sim` wrapper's forced-settle protocol
-//! (peek → disturb → force → per-block levelized re-settle with re-force)
-//! inside the backend, per lane, so a faulty lane's trace is byte-identical
-//! to a scalar engine running the same injection.
+//! Faults are not this module's business: the `Sim` wrapper runs its one
+//! forced-settle protocol over the lane-addressed primitives below
+//! (`peek_lane`, `force`, `exec_block` on the per-block programs), which
+//! is why a faulty lane's trace is byte-identical to a scalar engine
+//! running the same injection.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -32,11 +33,13 @@ use std::time::Instant;
 use mtl_bits::Bits;
 use mtl_core::Design;
 
+use crate::artifact::Staged;
+use crate::compile::passes::OptReport;
+use crate::compile::{BlockTapes, Chunk, Plans};
 use crate::overheads::Overheads;
-use crate::passes::OptReport;
 use crate::profile::EngineStats;
-use crate::sim::{mask_of, Chunk, EngineImpl, FaultState};
-use crate::tape::{exec_tape_ptr, Op, Tape, TapeMems};
+use crate::sim::EngineImpl;
+use crate::tape::{exec_tape_ptr, mask_of, Op, Tape, TapeMems};
 
 /// Lane capacity of the plane state: one bit per lane in a `u64` word.
 /// Storage is always this wide; [`crate::SimConfig::lanes`] only restricts
@@ -291,10 +294,10 @@ pub(crate) enum BatchProg {
     PerLane { tape: Tape, touched: Vec<u32>, cur_writes: Vec<u32>, next_writes: Vec<u32> },
 }
 
-/// The shareable compile output of batch lowering: plane programs for the
+/// The batch stage of the compiled artifact: plane programs for the
 /// fused comb/seq plans plus one per design block (the per-block programs
-/// drive the levelized forced-settle fault path). Pure data, cached via
-/// [`crate::ArtifactCache`].
+/// serve `exec_block`, i.e. the wrapper's levelized forced-settle fault
+/// path). Pure data, cached via [`crate::ArtifactCache`].
 #[derive(Debug)]
 pub(crate) struct BatchProgs {
     pub(crate) comb: Vec<BatchProg>,
@@ -996,9 +999,6 @@ pub(crate) struct BatchEngine {
     /// Deferred memory writes, per lane (committed at the clock edge).
     pending: Vec<Vec<(u32, u64, u128)>>,
     progs: Arc<BatchProgs>,
-    /// Levelized per-block order for the forced-settle fault path (the
-    /// same order the `Sim` wrapper's scalar injection walk uses).
-    comb_order: Vec<u32>,
     reg_slots: Vec<u32>,
     /// Shared scratch arena for plane programs.
     arena: Vec<u64>,
@@ -1012,96 +1012,59 @@ pub(crate) struct BatchEngine {
     lanes: u32,
     cycles: u64,
     dirty: bool,
-    fault_cleanup: bool,
-    /// Installed per-lane faults: `(lane, fault)`.
-    faults: Vec<(u32, FaultState)>,
-    lane_injected: Vec<u64>,
-    lane_faulted: Vec<u64>,
     track_activity: bool,
     activity: Vec<u64>,
     prof: Option<EngineStats>,
-    optimized: bool,
     opt_report: Option<OptReport>,
 }
 
+/// Plane offset of each net in the packed state (prefix sums of widths)
+/// and the total plane count.
+fn net_offsets(widths: &[u32]) -> (Vec<u32>, u32) {
+    let mut total = 0u32;
+    let mut off = Vec::with_capacity(widths.len());
+    for w in widths {
+        off.push(total);
+        total += w;
+    }
+    (off, total)
+}
+
+/// Lowers the fused plans and the per-block tapes to plane programs.
+pub(crate) fn lower(blocks: &BlockTapes, plans: &Plans) -> BatchProgs {
+    let (widths, mem_widths) = (&blocks.layout.widths, &blocks.layout.mem_widths);
+    let (net_off, _) = net_offsets(widths);
+    let lower_chunk = |c: &Chunk| match c {
+        Chunk::Fused(t) => lower_tape(t, &net_off, widths, mem_widths),
+        Chunk::Native(_) => unreachable!("batch engine rejects native blocks"),
+    };
+    let comb: Vec<BatchProg> = plans.comb.iter().map(lower_chunk).collect();
+    let seq: Vec<BatchProg> = plans.seq.iter().map(lower_chunk).collect();
+    let blocks: Vec<BatchProg> =
+        blocks.tapes.iter().map(|t| lower_tape(t, &net_off, widths, mem_widths)).collect();
+    let mut arena_planes = 0u32;
+    let mut max_regs = 0u32;
+    for prog in comb.iter().chain(&seq).chain(&blocks) {
+        match prog {
+            BatchProg::Planes { arena, .. } => arena_planes = arena_planes.max(*arena),
+            BatchProg::PerLane { tape, .. } => max_regs = max_regs.max(tape.nregs),
+        }
+    }
+    BatchProgs { comb, seq, blocks, arena_planes, max_regs }
+}
+
 impl BatchEngine {
-    /// Lowers a fused tape artifact to plane programs and builds the
-    /// engine. Lowering is charged to `cgen` (it is code generation over
-    /// the already-optimized tapes).
-    pub(crate) fn lower(
-        design: Arc<Design>,
-        artifact: &crate::artifact::TapeArtifact,
-        lanes: u32,
-        o: &mut Overheads,
-    ) -> Self {
-        let widths: Vec<u32> = design.nets().iter().map(|n| n.width).collect();
-        let mem_widths: Vec<u32> = design.mems().iter().map(|m| m.width).collect();
-        let mut net_off = vec![0u32; widths.len()];
-        let mut total = 0u32;
-        for (i, w) in widths.iter().enumerate() {
-            net_off[i] = total;
-            total += w;
-        }
+    /// Allocates the per-instance plane state around a batch-stage
+    /// artifact (no compilation happens here).
+    pub(crate) fn new(design: Arc<Design>, staged: &Staged, lanes: u32, o: &mut Overheads) -> Self {
+        let layout = &staged.blocks.as_ref().expect("batch stage implies block stage").layout;
+        let plans = staged.plans.as_ref().expect("batch stage implies plan stage");
+        let progs = staged.batch.clone().expect("resolved to the batch stage");
 
-        let t0 = Instant::now();
-        let lower_chunk = |c: &Chunk| match c {
-            Chunk::Fused(t) => lower_tape(t, &net_off, &widths, &mem_widths),
-            Chunk::Native(_) => unreachable!("batch engine rejects native blocks"),
-        };
-        let comb: Vec<BatchProg> = artifact.comb_plan.iter().map(lower_chunk).collect();
-        let seq: Vec<BatchProg> = artifact.seq_plan.iter().map(lower_chunk).collect();
-        let blocks: Vec<BatchProg> =
-            artifact.tapes.iter().map(|t| lower_tape(t, &net_off, &widths, &mem_widths)).collect();
-        let mut arena_planes = 0u32;
-        let mut max_regs = 0u32;
-        for prog in comb.iter().chain(&seq).chain(&blocks) {
-            match prog {
-                BatchProg::Planes { arena, .. } => arena_planes = arena_planes.max(*arena),
-                BatchProg::PerLane { tape, .. } => max_regs = max_regs.max(tape.nregs),
-            }
-        }
-        o.cgen += t0.elapsed();
-
-        let progs = Arc::new(BatchProgs { comb, seq, blocks, arena_planes, max_regs });
-        Self::assemble(design, progs, artifact.optimized, artifact.report.clone(), lanes, o)
-    }
-
-    /// Rebuilds an engine from a cached [`crate::artifact::BatchArtifact`]
-    /// — no lowering, only per-instance plane state.
-    pub(crate) fn from_artifact(
-        design: Arc<Design>,
-        artifact: Arc<crate::artifact::BatchArtifact>,
-        lanes: u32,
-        o: &mut Overheads,
-    ) -> Self {
-        Self::assemble(
-            design,
-            artifact.progs.clone(),
-            artifact.optimized,
-            artifact.report.clone(),
-            lanes,
-            o,
-        )
-    }
-
-    fn assemble(
-        design: Arc<Design>,
-        progs: Arc<BatchProgs>,
-        optimized: bool,
-        opt_report: Option<OptReport>,
-        lanes: u32,
-        o: &mut Overheads,
-    ) -> Self {
         // Phase: wrap (plane state allocation).
         let t0 = Instant::now();
-        let widths: Vec<u32> = design.nets().iter().map(|n| n.width).collect();
-        let mem_widths: Vec<u32> = design.mems().iter().map(|m| m.width).collect();
-        let mut net_off = vec![0u32; widths.len()];
-        let mut total = 0u32;
-        for (i, w) in widths.iter().enumerate() {
-            net_off[i] = total;
-            total += w;
-        }
+        let widths = layout.widths.clone();
+        let (net_off, total) = net_offsets(&widths);
         let cur = vec![0u64; total as usize];
         let next = vec![0u64; total as usize];
         let mems: Vec<Vec<u128>> =
@@ -1109,37 +1072,19 @@ impl BatchEngine {
         let nets = widths.len();
         o.wrap += t0.elapsed();
 
-        // Phase: simc (schedule structures).
-        let t0 = Instant::now();
-        let comb_order: Vec<u32> = design
-            .comb_schedule()
-            .expect("design validated at elaboration")
-            .iter()
-            .map(|b| b.index() as u32)
-            .collect();
-        let reg_slots: Vec<u32> = design
-            .nets()
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.is_register)
-            .map(|(i, _)| i as u32)
-            .collect();
-        o.simc += t0.elapsed();
-
         let arena = vec![0u64; progs.arena_planes as usize];
         let max_regs = progs.max_regs as usize;
         Self {
             design,
             widths,
             net_off,
-            mem_widths,
+            mem_widths: layout.mem_widths.clone(),
             cur,
             next,
             mems,
             pending: (0..LANES).map(|_| Vec::new()).collect(),
             progs,
-            comb_order,
-            reg_slots,
+            reg_slots: layout.reg_slots.clone(),
             arena,
             sel_scratch: Vec::new(),
             scratch_cur: vec![0u128; nets],
@@ -1150,25 +1095,10 @@ impl BatchEngine {
             lanes: lanes.clamp(1, LANES),
             cycles: 0,
             dirty: true,
-            fault_cleanup: false,
-            faults: Vec::new(),
-            lane_injected: vec![0; LANES as usize],
-            lane_faulted: vec![0; LANES as usize],
             track_activity: false,
             activity: Vec::new(),
             prof: None,
-            optimized,
-            opt_report,
-        }
-    }
-
-    /// Snapshots the shareable lowering output for [`crate::ArtifactCache`].
-    pub(crate) fn artifact(&self) -> crate::artifact::BatchArtifact {
-        crate::artifact::BatchArtifact {
-            progs: self.progs.clone(),
-            shape: crate::artifact::shape_of(&self.design),
-            optimized: self.optimized,
-            report: self.opt_report.clone(),
+            opt_report: plans.report.clone(),
         }
     }
 
@@ -1252,129 +1182,8 @@ impl BatchEngine {
         }
     }
 
-    /// Clock-edge half of a cycle: sequential programs, register plane
-    /// commit, per-lane memory commit.
-    fn edge_impl(&mut self) {
-        let progs = self.progs.clone();
-        for prog in &progs.seq {
-            self.run_prog(prog);
-        }
-        for i in 0..self.reg_slots.len() {
-            let slot = self.reg_slots[i] as usize;
-            let off = self.net_off[slot] as usize;
-            for p in 0..self.widths[slot] as usize {
-                let c = self.cur[off + p];
-                let n = self.next[off + p];
-                if self.track_activity {
-                    // Lane-0 toggles, matching the scalar engines'
-                    // activity counter on the golden lane.
-                    self.activity[slot] += (c ^ n) & 1;
-                }
-                self.cur[off + p] = n;
-            }
-        }
-        for lane in 0..LANES as usize {
-            if self.pending[lane].is_empty() {
-                continue;
-            }
-            let mut pend = std::mem::take(&mut self.pending[lane]);
-            for &(mem, addr, v) in &pend {
-                self.mems[mem as usize][addr as usize * LANES as usize + lane] = v;
-            }
-            pend.clear();
-            self.pending[lane] = pend;
-        }
-    }
-
-    fn plain_cycle(&mut self) {
-        if self.dirty {
-            self.full_pass();
-        }
-        self.edge_impl();
-        self.full_pass();
-        self.cycles += 1;
-    }
-
     fn gather_cur(&self, slot: u32, lane: u32) -> u128 {
         gather(&self.cur, self.net_off[slot as usize], self.widths[slot as usize], lane as usize)
-    }
-
-    fn force_lane_bits(&mut self, lane: u32, slot: u32, v: u128, also_next: bool) {
-        let s = slot as usize;
-        scatter(&mut self.cur, self.net_off[s], self.widths[s], lane as usize, v);
-        if also_next {
-            scatter(&mut self.next, self.net_off[s], self.widths[s], lane as usize, v);
-        }
-    }
-
-    /// Indices into `faults` of the faults active at `now` (post-edge
-    /// window when `post`).
-    fn active_pairs(&self, now: u64, post: bool) -> Vec<usize> {
-        self.faults
-            .iter()
-            .enumerate()
-            .filter(|(_, (_, f))| if post { f.active_post(now) } else { f.active_pre(now) })
-            .map(|(i, _)| i)
-            .collect()
-    }
-
-    /// The `Sim` wrapper's forced settle, per lane: disturb and force
-    /// each faulted lane, then run the per-block levelized order,
-    /// re-forcing any fault whose driver overwrote it. Executing per
-    /// block (not the fused program) keeps the re-force points identical
-    /// to the scalar wrapper's walk, which is what makes faulty lanes
-    /// byte-identical to scalar faulty traces.
-    fn forced_settle_lanes(&mut self, active: &[usize]) {
-        let mut forced: Vec<u128> = Vec::with_capacity(active.len());
-        for &i in active {
-            let (lane, f) = self.faults[i];
-            let v = self.gather_cur(f.slot, lane);
-            let t = f.apply(v, mask_of(f.width));
-            self.force_lane_bits(lane, f.slot, t, f.is_reg);
-            forced.push(t);
-        }
-        let progs = self.progs.clone();
-        let order = std::mem::take(&mut self.comb_order);
-        for &b in &order {
-            self.run_prog(&progs.blocks[b as usize]);
-            for (k, &i) in active.iter().enumerate() {
-                let (lane, f) = self.faults[i];
-                let v = self.gather_cur(f.slot, lane);
-                if v != forced[k] {
-                    let t = f.apply(v, mask_of(f.width));
-                    self.force_lane_bits(lane, f.slot, t, f.is_reg);
-                    forced[k] = t;
-                }
-            }
-        }
-        self.comb_order = order;
-        self.dirty = false;
-    }
-
-    /// One faulted cycle, mirroring the wrapper's sequencing exactly:
-    /// forced settle, counters, edge, post-edge settle (forced for
-    /// stuck-at faults, full clean wash otherwise), cycle bump.
-    fn faulted_cycle(&mut self, now: u64, pre: &[usize]) {
-        self.forced_settle_lanes(pre);
-        let mut lanes_hit = 0u64;
-        for &i in pre {
-            let (lane, f) = self.faults[i];
-            self.lane_injected[lane as usize] += f.mask.count_ones() as u64;
-            lanes_hit |= 1u64 << lane;
-        }
-        for lane in 0..LANES as usize {
-            self.lane_faulted[lane] += (lanes_hit >> lane) & 1;
-        }
-        self.edge_impl();
-        let post = self.active_pairs(now, true);
-        if post.is_empty() {
-            self.full_pass();
-            self.fault_cleanup = false;
-        } else {
-            self.forced_settle_lanes(&post);
-            self.fault_cleanup = true;
-        }
-        self.cycles += 1;
     }
 }
 
@@ -1414,44 +1223,50 @@ impl EngineImpl for BatchEngine {
     }
 
     fn eval(&mut self) {
-        if self.faults.is_empty() && !self.fault_cleanup {
-            if self.dirty {
-                self.full_pass();
-            }
-            return;
-        }
-        let now = self.cycles;
-        let pre = self.active_pairs(now, false);
-        if !pre.is_empty() {
-            self.forced_settle_lanes(&pre);
-        } else if self.fault_cleanup {
-            self.full_pass();
-            self.fault_cleanup = false;
-        } else if self.dirty {
+        if self.dirty {
             self.full_pass();
         }
     }
 
     fn cycle(&mut self) {
-        if self.faults.is_empty() && !self.fault_cleanup {
-            self.plain_cycle();
-            return;
-        }
-        let now = self.cycles;
-        let pre = self.active_pairs(now, false);
-        if pre.is_empty() {
-            if self.fault_cleanup {
-                self.full_pass();
-                self.fault_cleanup = false;
-            }
-            self.plain_cycle();
-        } else {
-            self.faulted_cycle(now, &pre);
-        }
+        self.eval();
+        self.edge();
+        self.full_pass();
+        self.cycles += 1;
     }
 
+    /// Clock-edge half of a cycle: sequential programs, register plane
+    /// commit, per-lane memory commit.
     fn edge(&mut self) {
-        self.edge_impl();
+        let progs = self.progs.clone();
+        for prog in &progs.seq {
+            self.run_prog(prog);
+        }
+        for i in 0..self.reg_slots.len() {
+            let slot = self.reg_slots[i] as usize;
+            let off = self.net_off[slot] as usize;
+            for p in 0..self.widths[slot] as usize {
+                let c = self.cur[off + p];
+                let n = self.next[off + p];
+                if self.track_activity {
+                    // Lane-0 toggles, matching the scalar engines'
+                    // activity counter on the golden lane.
+                    self.activity[slot] += (c ^ n) & 1;
+                }
+                self.cur[off + p] = n;
+            }
+        }
+        for lane in 0..LANES as usize {
+            if self.pending[lane].is_empty() {
+                continue;
+            }
+            let mut pend = std::mem::take(&mut self.pending[lane]);
+            for &(mem, addr, v) in &pend {
+                self.mems[mem as usize][addr as usize * LANES as usize + lane] = v;
+            }
+            pend.clear();
+            self.pending[lane] = pend;
+        }
     }
 
     fn exec_block(&mut self, b: u32) {
@@ -1459,16 +1274,11 @@ impl EngineImpl for BatchEngine {
         self.run_prog(&progs.blocks[b as usize]);
     }
 
-    fn force(&mut self, slot: u32, v: Bits, also_next: bool) {
-        let val = v.as_u128();
+    fn force(&mut self, lane: u32, slot: u32, v: Bits, also_next: bool) {
         let s = slot as usize;
-        let off = self.net_off[s] as usize;
-        for p in 0..self.widths[s] {
-            let want = mb(val, p);
-            self.cur[off + p as usize] = want;
-            if also_next {
-                self.next[off + p as usize] = want;
-            }
+        scatter(&mut self.cur, self.net_off[s], self.widths[s], lane as usize, v.as_u128());
+        if also_next {
+            scatter(&mut self.next, self.net_off[s], self.widths[s], lane as usize, v.as_u128());
         }
     }
 
@@ -1550,11 +1360,6 @@ impl EngineImpl for BatchEngine {
         Bits::new(self.widths[slot as usize], self.gather_cur(slot, lane))
     }
 
-    fn inject_lane(&mut self, lane: u32, fault: FaultState) {
-        assert!(lane < self.lanes, "lane {lane} out of range ({} lanes)", self.lanes);
-        self.faults.push((lane, fault));
-    }
-
     fn divergence_masks(&self, golden: u32, out: &mut Vec<u64>) -> bool {
         assert!(golden < self.lanes, "golden lane {golden} out of range ({} lanes)", self.lanes);
         let active: u64 = if self.lanes >= LANES { !0 } else { (1u64 << self.lanes) - 1 };
@@ -1574,9 +1379,5 @@ impl EngineImpl for BatchEngine {
             out.push(m);
         }
         any != 0
-    }
-
-    fn lane_fault_totals(&self, lane: u32) -> (u64, u64) {
-        (self.lane_injected[lane as usize], self.lane_faulted[lane as usize])
     }
 }

@@ -1,11 +1,11 @@
 //! The tape optimizer: a pass pipeline over virtual-register tapes.
 //!
-//! [`compile_block`](crate::tape::compile_block) emits straight-line code
+//! The block compiler (`compile_block`) emits straight-line code
 //! with one fresh register per IR node — every `Expr::Read` of the same
 //! signal re-reads the slot, every mask constant is re-materialized, and
 //! whole mux chains are evaluated even when their condition is constant.
-//! The pipeline here runs between compilation and
-//! [`narrow`](crate::tape::narrow)ing (and again over fused tapes, where
+//! The pipeline here runs between compilation and narrowing to physical
+//! registers (and again over fused tapes, where
 //! cross-block redundancy appears), so the `ArtifactCache` fingerprints
 //! cover the optimized artifact.
 //!
@@ -18,7 +18,7 @@
 //! activity, and logical profiles.
 //!
 //! The pipeline opens with one **rename** pass: fused tapes reuse
-//! register numbers across constituent blocks ([`crate::tape::fuse`]
+//! register numbers across constituent blocks (tape fusion
 //! takes the max, not the sum), so block N+1's allocations clobber the
 //! value-numbering facts about block N's results. Rename gives every
 //! redefinition a fresh virtual register (compiled tapes obey
@@ -29,7 +29,7 @@
 //! Passes (one round, in order):
 //!
 //! 1. **const-fold** — forward dataflow of exact register constants;
-//!    pure ops with all-constant operands become [`Op::Const`], using the
+//!    pure ops with all-constant operands become `Op::Const`, using the
 //!    executor's own arithmetic so folded and live evaluation agree
 //!    bit-for-bit.
 //! 2. **cse** — value numbering. `Read`s are keyed per slot and
@@ -48,7 +48,7 @@
 //! 4. **if-convert** — small `Jz` arms/diamonds whose bodies are pure ops
 //!    plus writes become straight-line code: each guarded `Write`,
 //!    `WriteNext`, or `MemWrite` turns into one predicated op
-//!    ([`Op::WriteIf`] / [`Op::WriteNextIf`] / [`Op::MemWriteIf`]), and
+//!    (`Op::WriteIf` / `Op::WriteNextIf` / `Op::MemWriteIf`), and
 //!    already-predicated writes from inner ifs converted in earlier
 //!    rounds conjoin their guards. The predicated ops store nothing on
 //!    the untaken path, so event semantics, the shadow `next` buffer,
@@ -74,11 +74,11 @@
 //!    removed (a conservative positional liveness that is sound because
 //!    tape jumps only go forward).
 //!
-//! Rounds repeat until a fixpoint (bounded by [`MAX_ROUNDS`]); four
+//! Rounds repeat until a fixpoint (bounded by `MAX_ROUNDS`); four
 //! closing passes then run once. **mux-fuse** pairs single-use `Mux`
-//! chains into [`Op::Mux2`] (the one-hot crossbar idiom). **const-hoist**
+//! chains into `Op::Mux2` (the one-hot crossbar idiom). **const-hoist**
 //! moves single-def constants into a run-once prelude
-//! ([`crate::tape::Tape::prelude`]) on jump-free tapes, so engines with
+//! (`Tape::prelude`) on jump-free tapes, so engines with
 //! persistent per-tape register banks stop paying per-cycle dispatches
 //! for cycle-invariant values. **compact** renumbers live registers in
 //! ascending order — which keeps `Select` option ranges consecutive —
@@ -93,7 +93,8 @@
 
 use std::collections::HashMap;
 
-use crate::tape::{mask_of, Op, VReg, VTape};
+use super::codegen::VTape;
+use crate::tape::{mask_of, Op, VReg};
 
 /// Fixpoint bound for the pass loop. Real designs converge in 2–3 rounds;
 /// the bound only guards against a pathological rewrite cycle.
@@ -294,7 +295,7 @@ fn kind_name(op: &Op<VReg>) -> &'static str {
 /// `widths` are net widths indexed by slot and `mem_widths` memory word
 /// widths indexed by memory — the only design facts the passes need
 /// (known-bits of a fresh `Read`/`MemRead`).
-pub(crate) fn optimize(vt: &mut VTape, widths: &[u32], mem_widths: &[u32], rep: &mut OptReport) {
+pub(super) fn optimize(vt: &mut VTape, widths: &[u32], mem_widths: &[u32], rep: &mut OptReport) {
     debug_assert_eq!(rep.passes.len(), PASS_NAMES.len(), "report from OptReport::new()");
     rep.tapes += 1;
     rep.ops_before += vt.ops.len() as u64;
@@ -928,7 +929,7 @@ impl<'a> Facts<'a> {
 /// fresh register, arms never export values through registers, and jumps
 /// only go forward), so a single forward scan finds each use's unique
 /// reaching definition. Per-block tapes are already single-assignment;
-/// the payoff is fused tapes, where [`crate::tape::fuse`] reuses register
+/// the payoff is fused tapes, where tape fusion reuses register
 /// numbers across blocks and every redefinition would otherwise retire
 /// the value-numbering facts CSE needs for cross-block forwarding.
 ///
@@ -2068,8 +2069,8 @@ mod tests {
 
     /// Runs a tape (narrowed) over fresh state and returns `cur`.
     fn run(vt: &VTape, nslots: usize, init: &[(usize, u128)]) -> Vec<u128> {
-        let t = crate::tape::narrow(vt, || "test tape".into());
-        crate::tape::validate(&t, nslots, 0);
+        let t = crate::compile::codegen::narrow(vt, || "test tape".into());
+        crate::compile::codegen::validate(&t, nslots, 0);
         let mut regs = vec![0u128; t.nregs as usize];
         let mut cur = vec![0u128; nslots];
         for &(s, v) in init {
@@ -2249,8 +2250,8 @@ mod tests {
             "jumps survived if-conversion: {:?}",
             o.ops
         );
-        let t = crate::tape::narrow(&o, || "test tape".into());
-        crate::tape::validate(&t, 3, 0);
+        let t = crate::compile::codegen::narrow(&o, || "test tape".into());
+        crate::compile::codegen::validate(&t, 3, 0);
         for taken in [false, true] {
             let mut regs = vec![0u128; t.nregs as usize];
             let mut cur = vec![u128::from(taken), 0, 0];
@@ -2282,17 +2283,17 @@ mod tests {
     #[test]
     fn optimizer_relieves_register_budget() {
         let m = mask_of(8);
-        let n: VReg = crate::tape::REG_BUDGET + 4000;
+        let n: VReg = crate::compile::codegen::REG_BUDGET + 4000;
         let mut ops = vec![Op::Read { dst: 0, slot: 0 }];
         for i in 0..n {
             ops.push(Op::Add { dst: i + 1, a: i, b: i, mask: m });
         }
         ops.push(Op::Write { slot: 1, src: n });
         let raw = vt(ops, n + 1);
-        assert!(raw.nregs > crate::tape::REG_BUDGET, "test must start over budget");
+        assert!(raw.nregs > crate::compile::codegen::REG_BUDGET, "test must start over budget");
         let (o, _) = opt(raw, &[8, 8]);
         assert!(
-            o.nregs <= crate::tape::REG_BUDGET,
+            o.nregs <= crate::compile::codegen::REG_BUDGET,
             "optimizer failed to relieve the register budget: {} regs",
             o.nregs
         );
@@ -2361,8 +2362,8 @@ mod tests {
         let (o, rep) = opt(vt(ops, 3), &[8, 8]);
         assert!(rep.passes[P_HOIST].rewrites > 0, "hoist did not fire: {:?}", o.ops);
         assert!(o.prelude > 0, "no prelude recorded");
-        let t = crate::tape::narrow(&o, || "test tape".into());
-        crate::tape::validate(&t, 2, 0);
+        let t = crate::compile::codegen::narrow(&o, || "test tape".into());
+        crate::compile::codegen::validate(&t, 2, 0);
         let mut regs = vec![0u128; t.nregs as usize];
         crate::tape::exec_prelude(&t, &mut regs);
         let mems: Vec<Vec<u128>> = Vec::new();

@@ -17,11 +17,18 @@
 //!
 //! [`SimConfig::tape_opt`]: crate::SimConfig::tape_opt
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
+use std::time::Instant;
 
 use mtl_bits::Bits;
 use mtl_core::ir::{Expr, Stmt};
-use mtl_core::Design;
+use mtl_core::{BlockBody, BlockKind, Design, NativeFn, SignalId, SignalView};
+
+use crate::compile::{comb_sensitivity, reg_slots};
+use crate::overheads::Overheads;
+use crate::profile::EngineStats;
+use crate::sim::EngineImpl;
 
 /// Value storage for the interpreted backends.
 pub(crate) trait Store {
@@ -337,5 +344,337 @@ pub(crate) fn exec_stmts<S: Store>(
                 pending.push((mem.index() as u32, a % words, d));
             }
         }
+    }
+}
+
+/// The event-driven tree-walking backend, generic over its storage and
+/// sensitivity strategy.
+pub(crate) struct InterpEngine<S: Store, M: SensMap> {
+    design: Arc<Design>,
+    store: S,
+    sens: M,
+    mem_sens: Vec<Vec<u32>>,
+    mems: Vec<Vec<Bits>>,
+    pending: Vec<(u32, u64, Bits)>,
+    natives: Vec<Option<NativeFn>>,
+    queue: VecDeque<u32>,
+    in_queue: Vec<bool>,
+    reg_slots: Vec<u32>,
+    seq_blocks: Vec<u32>,
+    changed: Vec<u32>,
+    cycles: u64,
+    /// Allocate boxed intermediates during evaluation (CPython analog).
+    boxed: bool,
+    track_activity: bool,
+    activity: Vec<u64>,
+    prof: Option<EngineStats>,
+}
+
+struct StoreView<'a, S: Store> {
+    design: &'a Design,
+    store: &'a mut S,
+    changed: &'a mut Vec<u32>,
+    cycles: u64,
+}
+
+impl<S: Store> SignalView for StoreView<'_, S> {
+    fn read(&self, sig: SignalId) -> Bits {
+        self.store.get(self.design.net_of(sig).index() as u32)
+    }
+
+    fn write(&mut self, sig: SignalId, value: Bits) {
+        let slot = self.design.net_of(sig).index() as u32;
+        debug_assert_eq!(self.design.signal(sig).width, value.width());
+        if self.store.set(slot, value) {
+            self.changed.push(slot);
+        }
+    }
+
+    fn write_next(&mut self, sig: SignalId, value: Bits) {
+        let slot = self.design.net_of(sig).index() as u32;
+        debug_assert_eq!(self.design.signal(sig).width, value.width());
+        self.store.set_next(slot, value);
+    }
+
+    fn cycle(&self) -> u64 {
+        self.cycles
+    }
+}
+
+impl<S: Store, M: SensMap> InterpEngine<S, M> {
+    pub(crate) fn new(
+        design: Arc<Design>,
+        natives: Vec<Option<NativeFn>>,
+        boxed: bool,
+        o: &mut Overheads,
+    ) -> Self {
+        let t0 = Instant::now();
+        let store = S::init(&design);
+        let mut sens = M::new(design.nets().len());
+        let mut mem_sens = vec![Vec::new(); design.mems().len()];
+        let mut seq_blocks = Vec::new();
+        let mut queue = VecDeque::new();
+        let mut in_queue = vec![false; design.blocks().len()];
+        for (i, b) in design.blocks().iter().enumerate() {
+            match b.kind {
+                BlockKind::Comb => {
+                    for slot in comb_sensitivity(&design, i as u32) {
+                        sens.insert(slot, i as u32);
+                    }
+                    for &m in &b.mem_reads {
+                        mem_sens[m.index()].push(i as u32);
+                    }
+                    queue.push_back(i as u32);
+                    in_queue[i] = true;
+                }
+                BlockKind::Seq => seq_blocks.push(i as u32),
+            }
+        }
+        let reg_slots = reg_slots(&design);
+        let mems =
+            design.mems().iter().map(|m| vec![Bits::zero(m.width); m.words as usize]).collect();
+        o.simc += t0.elapsed();
+        Self {
+            design,
+            store,
+            sens,
+            mem_sens,
+            mems,
+            pending: Vec::new(),
+            natives,
+            queue,
+            in_queue,
+            reg_slots,
+            seq_blocks,
+            changed: Vec::new(),
+            cycles: 0,
+            boxed,
+            track_activity: false,
+            activity: Vec::new(),
+            prof: None,
+        }
+    }
+
+    fn run_block(&mut self, b: u32) {
+        let design = self.design.clone();
+        let info = &design.blocks()[b as usize];
+        let seq = info.kind == BlockKind::Seq;
+        self.changed.clear();
+        match &info.body {
+            BlockBody::Ir(stmts) => exec_stmts(
+                stmts,
+                &design,
+                &mut self.store,
+                &self.mems,
+                &mut self.pending,
+                &mut self.changed,
+                seq,
+                self.boxed,
+            ),
+            BlockBody::Native(..) => {
+                let mut f = self.natives[b as usize].take().expect("native fn in use");
+                {
+                    let mut view = StoreView {
+                        design: &design,
+                        store: &mut self.store,
+                        changed: &mut self.changed,
+                        cycles: self.cycles,
+                    };
+                    f(&mut view);
+                }
+                self.natives[b as usize] = Some(f);
+            }
+        }
+        let changed = std::mem::take(&mut self.changed);
+        for &slot in &changed {
+            self.wake_readers(slot);
+        }
+        self.changed = changed;
+    }
+
+    fn wake_readers(&mut self, slot: u32) {
+        // The clone of the small reader list models the event objects an
+        // interpreted simulator allocates; it is also what the borrow
+        // checker requires here.
+        let readers: Vec<u32> = self.sens.get(slot).to_vec();
+        for rb in readers {
+            self.enqueue(rb);
+        }
+    }
+
+    fn enqueue(&mut self, b: u32) {
+        if !self.in_queue[b as usize] {
+            self.in_queue[b as usize] = true;
+            self.queue.push_back(b);
+        }
+    }
+
+    fn propagate(&mut self) {
+        if self.prof.is_none() {
+            while let Some(b) = self.queue.pop_front() {
+                self.in_queue[b as usize] = false;
+                self.run_block(b);
+            }
+            return;
+        }
+        let mut pops = 0u64;
+        while let Some(b) = self.queue.pop_front() {
+            self.in_queue[b as usize] = false;
+            let depth = self.queue.len() as u64;
+            let t0 = Instant::now();
+            self.run_block(b);
+            let dt = t0.elapsed().as_nanos() as u64;
+            let p = self.prof.as_mut().expect("profiling enabled");
+            p.queue_depth.record(depth);
+            p.block_nanos[b as usize] += dt;
+            pops += 1;
+        }
+        let p = self.prof.as_mut().expect("profiling enabled");
+        p.settles += 1;
+        p.fixpoint.record(pops);
+    }
+
+    fn run_block_timed(&mut self, b: u32) {
+        let t0 = Instant::now();
+        self.run_block(b);
+        let dt = t0.elapsed().as_nanos() as u64;
+        if let Some(p) = self.prof.as_mut() {
+            p.block_nanos[b as usize] += dt;
+        }
+    }
+}
+
+impl<S: Store, M: SensMap> EngineImpl for InterpEngine<S, M> {
+    fn poke(&mut self, slot: u32, v: Bits) {
+        if self.store.set(slot, v) {
+            self.store.set_next(slot, v);
+            self.wake_readers(slot);
+        }
+    }
+
+    fn peek(&self, slot: u32) -> Bits {
+        self.store.get(slot)
+    }
+
+    fn eval(&mut self) {
+        self.propagate();
+    }
+
+    fn cycle(&mut self) {
+        self.propagate();
+        self.edge();
+        self.propagate();
+        self.cycles += 1;
+    }
+
+    fn edge(&mut self) {
+        let seq = self.seq_blocks.clone();
+        if self.prof.is_some() {
+            for b in seq {
+                self.run_block_timed(b);
+            }
+        } else {
+            for b in seq {
+                self.run_block(b);
+            }
+        }
+        // Commit registers.
+        let regs = std::mem::take(&mut self.reg_slots);
+        for &slot in &regs {
+            if self.track_activity {
+                let delta = (self.store.get(slot).as_u128() ^ self.store.get_next(slot).as_u128())
+                    .count_ones() as u64;
+                self.activity[slot as usize] += delta;
+            }
+            if self.store.commit(slot) {
+                self.wake_readers(slot);
+            }
+        }
+        self.reg_slots = regs;
+        // Commit memories.
+        if !self.pending.is_empty() {
+            let pending = std::mem::take(&mut self.pending);
+            let mut touched: Vec<u32> = Vec::new();
+            for (mem, addr, v) in pending {
+                self.mems[mem as usize][addr as usize] = v;
+                if !touched.contains(&mem) {
+                    touched.push(mem);
+                }
+            }
+            for m in touched {
+                let readers = self.mem_sens[m as usize].clone();
+                for rb in readers {
+                    self.enqueue(rb);
+                }
+            }
+        }
+    }
+
+    fn exec_block(&mut self, b: u32) {
+        if self.prof.is_some() {
+            self.run_block_timed(b);
+        } else {
+            self.run_block(b);
+        }
+    }
+
+    fn force(&mut self, _lane: u32, slot: u32, v: Bits, also_next: bool) {
+        self.store.set(slot, v);
+        if also_next {
+            self.store.set_next(slot, v);
+        }
+    }
+
+    fn settle_full(&mut self) {
+        let blocks = self.design.clone();
+        for (i, b) in blocks.blocks().iter().enumerate() {
+            if b.kind == BlockKind::Comb {
+                self.enqueue(i as u32);
+            }
+        }
+        self.propagate();
+    }
+
+    fn bump_cycles(&mut self) {
+        self.cycles += 1;
+    }
+
+    fn cycles(&self) -> u64 {
+        self.cycles
+    }
+
+    fn peek_mem(&self, mem: usize, addr: u64) -> Bits {
+        self.mems[mem][addr as usize]
+    }
+
+    fn poke_mem(&mut self, mem: usize, addr: u64, v: Bits) {
+        self.mems[mem][addr as usize] = v;
+        let readers = self.mem_sens[mem].clone();
+        for rb in readers {
+            self.enqueue(rb);
+        }
+    }
+
+    fn set_activity(&mut self, on: bool) {
+        self.track_activity = on;
+        if on && self.activity.is_empty() {
+            self.activity = vec![0; self.design.nets().len()];
+        }
+    }
+
+    fn activity(&self) -> &[u64] {
+        &self.activity
+    }
+
+    fn set_profiling(&mut self, on: bool) {
+        if on && self.prof.is_none() {
+            self.prof = Some(EngineStats::new(self.design.blocks().len()));
+        } else if !on {
+            self.prof = None;
+        }
+    }
+
+    fn stats(&self) -> Option<&EngineStats> {
+        self.prof.as_ref()
     }
 }

@@ -2,9 +2,10 @@
 //!
 //! This crate is the analog of PyMTL's `SimulationTool` plus the paper's
 //! SimJIT specializers. A [`Sim`] consumes an elaborated
-//! [`Design`](mtl_core::Design) and simulates it under one of five
-//! [`Engine`]s; the first four reproduce the paper's performance regimes
-//! and the fifth parallelizes the fastest one:
+//! [`Design`](mtl_core::Design) and simulates it under one of six
+//! [`Engine`]s; the first four reproduce the paper's performance regimes,
+//! the fifth parallelizes the fastest one across threads and the sixth
+//! across trial lanes:
 //!
 //! | Engine | Paper analog | Architecture |
 //! |---|---|---|
@@ -16,27 +17,34 @@
 //! | [`Engine::SpecializedBatch`] | word-parallel campaign simulation (e.g. bit-sliced fault/fuzz harnesses) | fused tapes lowered to bit-plane programs; one `u64` word per net bit holds 64 independent trial lanes |
 //!
 //! All engines implement identical simulation semantics; the test suite
-//! checks trace equivalence on randomized designs. Construction overheads
-//! are recorded per phase in [`Overheads`] (the paper's Fig. 16).
+//! checks trace equivalence on randomized designs. The four tape engines
+//! are execution strategies over one staged compile artifact (per-block
+//! tapes → fused plans → batch planes) built by a single pipeline and
+//! shared through the [`ArtifactCache`]; the fault-injection protocol is
+//! stated once, in [`Sim`], over lane-addressed engine primitives.
+//! Construction overheads are recorded per phase in [`Overheads`] (the
+//! paper's Fig. 16).
 //!
 //! Opt-in profiling ([`Sim::enable_profiling`] → [`SimProfile`]) collects
 //! engine-independent logical block-execution counts plus engine-specific
-//! physical timing/queue statistics; see the [`profile`](crate::profile)
+//! physical timing/queue statistics; see the [`profile`]
 //! module docs for the metric split.
 
 mod artifact;
 mod batch;
+mod compile;
 mod interp;
 mod overheads;
 mod par;
-pub mod passes;
 pub mod profile;
 mod sim;
 mod tape;
+mod tape_engine;
 mod vcd;
 
 pub use artifact::{ArtifactCache, ArtifactStats};
 pub use batch::LANES as BATCH_LANES;
+pub use compile::passes;
 pub use overheads::Overheads;
 pub use par::default_threads;
 pub use passes::{OptReport, PassStat};

@@ -41,15 +41,16 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use mtl_bits::Bits;
-use mtl_core::{BlockBody, BlockId, BlockKind, Design, NativeFn};
+use mtl_core::{BlockBody, Design, NativeFn};
 
+use crate::artifact::Staged;
+use crate::compile::passes::OptReport;
+use crate::compile::{fuse_run, ir_runs, Run};
 use crate::overheads::Overheads;
-use crate::passes::{optimize, OptReport};
 use crate::profile::EngineStats;
-use crate::sim::{mask_of, EngineImpl, PackedView};
-use crate::tape::{
-    compile_block, exec_tape_ptr, fold_stmts, fuse, narrow, validate, widen, Op, Tape, TapeMems,
-};
+use crate::sim::EngineImpl;
+use crate::tape::{exec_tape_ptr, mask_of, Op, Tape, TapeMems};
+use crate::tape_engine::PackedView;
 
 /// Default worker-thread count: `MTL_SIM_THREADS` if set (clamped to at
 /// least 1), else available parallelism capped at 8.
@@ -181,9 +182,10 @@ struct Shared {
     cur: Vec<Slot>,
     next: Vec<Slot>,
     mems: Vec<Vec<Slot>>,
-    /// Per-block tapes (empty for native blocks); the profiled path runs
-    /// these so wall time stays attributable per block.
-    block_tapes: Vec<Tape>,
+    /// Per-block tapes (empty for native blocks), shared with every other
+    /// engine built from the same artifact; the profiled path runs these
+    /// so wall time stays attributable per block.
+    block_tapes: Arc<Vec<Tape>>,
     units: Vec<Unit>,
     steps: Vec<Step>,
     /// Dirty flag per unit (meaningful for comb units only). Written by
@@ -506,63 +508,25 @@ pub(crate) struct ParTapeEngine {
 }
 
 impl ParTapeEngine {
+    /// Partitions the block stage of the compiled artifact over `threads`
+    /// workers. The per-block tapes are shared (and cached); the unit
+    /// tapes fused from them depend on the worker count and are built —
+    /// and validated — per instance.
     pub(crate) fn new(
         design: Arc<Design>,
         natives: Vec<Option<NativeFn>>,
         threads: usize,
-        opt: bool,
+        staged: &Staged,
         o: &mut Overheads,
     ) -> Self {
-        // Phase: comp (IR optimization — constant folding).
-        let t0 = Instant::now();
-        let folded: Vec<Option<Vec<mtl_core::Stmt>>> = design
-            .blocks()
-            .iter()
-            .map(|b| match &b.body {
-                BlockBody::Ir(stmts) => Some(fold_stmts(stmts)),
-                _ => None,
-            })
-            .collect();
-        o.comp += t0.elapsed();
-
-        // Width tables, needed by the optimizer (known-bits reasoning)
-        // and the native wrappers.
-        let widths: Vec<u32> = design.nets().iter().map(|n| n.width).collect();
-        let mem_widths: Vec<u32> = design.mems().iter().map(|m| m.width).collect();
-        let mut report = if opt { Some(OptReport::new()) } else { None };
-
-        // Phase: cgen (tape code generation + optimizer pipeline; the
-        // register budget applies to the narrowed, post-compaction tape).
-        let t0 = Instant::now();
-        let block_tapes: Vec<Tape> = design
-            .blocks()
-            .iter()
-            .zip(&folded)
-            .enumerate()
-            .map(|(i, (b, f))| match f {
-                Some(stmts) => {
-                    let mut vt = compile_block(&design, stmts, b.kind);
-                    if let Some(rep) = report.as_mut() {
-                        optimize(&mut vt, &widths, &mem_widths, rep);
-                    }
-                    narrow(&vt, || {
-                        let kind = match b.kind {
-                            BlockKind::Comb => "comb",
-                            BlockKind::Seq => "seq",
-                        };
-                        format!("{kind} block `{}`", design.block_path(BlockId::from_index(i)))
-                    })
-                }
-                None => Tape::default(),
-            })
-            .collect();
-        for t in &block_tapes {
-            validate(t, design.nets().len(), design.mems().len());
-        }
-        o.cgen += t0.elapsed();
+        let blocks = staged.blocks.as_ref().expect("resolved to the block stage");
+        let layout = &blocks.layout;
+        let block_tapes = blocks.tapes.clone();
+        let mut report = blocks.report.clone();
 
         // Phase: wrap (packed state).
         let t0 = Instant::now();
+        let widths = layout.widths.clone();
         let cur = new_slots(widths.len());
         let next = new_slots(widths.len());
         let mems: Vec<Vec<Slot>> =
@@ -571,51 +535,17 @@ impl ParTapeEngine {
 
         // Phase: simc (partitioning + schedule + worker pool).
         let t0 = Instant::now();
-        let comb_order: Vec<u32> = design
-            .comb_schedule()
-            .expect("design validated at elaboration")
-            .iter()
-            .map(|b| b.index() as u32)
-            .collect();
-        let seq_order: Vec<u32> = design.seq_blocks().iter().map(|b| b.index() as u32).collect();
-        let reg_slots: Vec<u32> = design
-            .nets()
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.is_register)
-            .map(|(i, _)| i as u32)
-            .collect();
         let is_ir = |b: u32| matches!(design.blocks()[b as usize].body, BlockBody::Ir(_));
-        let pure_comb = comb_order.iter().all(|&b| is_ir(b));
-
-        // Split a schedule into runs of IR blocks at native boundaries.
-        let runs_of = |order: &[u32]| -> Vec<Result<Vec<u32>, u32>> {
-            let mut items = Vec::new();
-            let mut run = Vec::new();
-            for &b in order {
-                if is_ir(b) {
-                    run.push(b);
-                } else {
-                    if !run.is_empty() {
-                        items.push(Ok(std::mem::take(&mut run)));
-                    }
-                    items.push(Err(b));
-                }
-            }
-            if !run.is_empty() {
-                items.push(Ok(run));
-            }
-            items
-        };
-        let comb_items = runs_of(&comb_order);
-        let seq_items = runs_of(&seq_order);
+        let pure_comb = layout.comb_order.iter().all(|&b| is_ir(b));
+        let comb_items = ir_runs(&design, &layout.comb_order);
+        let seq_items = ir_runs(&design, &layout.seq_order);
 
         // The useful worker count is bounded by the widest run.
         let width_cap = comb_items
             .iter()
-            .filter_map(|i| i.as_ref().ok())
+            .filter_map(Run::ir)
             .map(|run| comb_components(&design, run).len())
-            .chain(seq_items.iter().filter_map(|i| i.as_ref().ok()).map(|run| run.len()))
+            .chain(seq_items.iter().filter_map(Run::ir).map(|run| run.len()))
             .max()
             .unwrap_or(0);
         let nworkers = threads.max(1).min(width_cap.max(1));
@@ -625,25 +555,12 @@ impl ParTapeEngine {
         let tape_cost = |blocks: &[u32]| -> u64 {
             blocks.iter().map(|&b| block_tapes[b as usize].ops.len() as u64).sum()
         };
-        // Re-optimizing the fused unit tape picks up cross-block wins
-        // (CSE/forwarding across block boundaries) the per-block pipeline
-        // cannot see.
-        let mut fuse_blocks = |blocks: &[u32]| -> Tape {
-            let parts: Vec<&Tape> = blocks.iter().map(|&b| &block_tapes[b as usize]).collect();
-            let mut fused = fuse(&parts);
-            if let Some(rep) = report.as_mut() {
-                let mut vt = widen(&fused);
-                optimize(&mut vt, &widths, &mem_widths, rep);
-                fused = narrow(&vt, || "fused unit tape".into());
-            }
-            fused
-        };
-        let mut build_program = |items: Vec<Result<Vec<u32>, u32>>, comb: bool| -> Vec<Item> {
+        let mut build_program = |items: Vec<Run>, comb: bool| -> Vec<Item> {
             let mut program = Vec::new();
             for item in items {
                 match item {
-                    Err(native) => program.push(Item::Native(native)),
-                    Ok(run) => {
+                    Run::Native(native) => program.push(Item::Native(native)),
+                    Run::Ir(run) => {
                         let base = units.len() as u32;
                         let groups: Vec<Vec<u32>> = if comb {
                             comb_components(&design, &run)
@@ -658,10 +575,10 @@ impl ParTapeEngine {
                                 .filter(|g: &Vec<u32>| !g.is_empty())
                                 .collect()
                         };
-                        for blocks in &groups {
+                        for group in &groups {
                             units.push(Unit {
-                                tape: fuse_blocks(blocks),
-                                blocks: blocks.clone(),
+                                tape: fuse_run(blocks, group, &mut report, "fused unit tape"),
+                                blocks: group.clone(),
                                 comb,
                             });
                         }
@@ -697,11 +614,6 @@ impl ParTapeEngine {
         };
         let comb_program = build_program(comb_items, true);
         let seq_program = build_program(seq_items, false);
-        // Range-check the fused unit tapes so the unchecked executor is
-        // sound (per-block tapes were validated above).
-        for u in &units {
-            validate(&u.tape, widths.len(), design.mems().len());
-        }
 
         // Dirty-marking maps over comb units.
         let nslots = widths.len();
@@ -785,12 +697,12 @@ impl ParTapeEngine {
             handles,
             nworkers,
             widths,
-            mem_widths,
+            mem_widths: layout.mem_widths.clone(),
             natives,
             comb_program,
             seq_program,
             pure_comb,
-            reg_slots,
+            reg_slots: layout.reg_slots.clone(),
             slot_readers,
             slot_driver,
             mem_readers,
@@ -1036,7 +948,7 @@ impl EngineImpl for ParTapeEngine {
         }
     }
 
-    fn force(&mut self, slot: u32, v: Bits, also_next: bool) {
+    fn force(&mut self, _lane: u32, slot: u32, v: Bits, also_next: bool) {
         let s = slot as usize;
         let sh = Arc::clone(&self.shared);
         // SAFETY: workers are parked at the barrier between steps.

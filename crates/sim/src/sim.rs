@@ -1,23 +1,22 @@
-//! The [`Sim`] simulation tool and its five engines.
+//! The [`Sim`] simulation tool: the engine-independent API, the logical
+//! profiler and the fault-injection protocol, over an [`EngineImpl`]
+//! backend (one of the six engines of [`Engine`]).
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
 
 use mtl_bits::Bits;
-use mtl_core::{
-    BlockBody, BlockId, BlockKind, Component, Design, ElabError, MemId, NativeFn, SignalId,
-    SignalKind, SignalView,
-};
+use mtl_core::{BlockKind, Component, Design, ElabError, MemId, NativeFn, SignalId, SignalKind};
 
-use crate::artifact::ArtifactCache;
-use crate::interp::{exec_stmts, DenseSens, DenseStore, HashSens, HashStore, SensMap, Store};
+use crate::artifact::{ArtifactCache, Layer, Staged};
+use crate::batch::BatchEngine;
+use crate::compile::passes::OptReport;
+use crate::interp::{DenseSens, DenseStore, HashSens, HashStore, InterpEngine};
 use crate::overheads::Overheads;
-use crate::passes::{optimize, OptReport};
+use crate::par::ParTapeEngine;
 use crate::profile::{EngineStats, SimProfile};
-use crate::tape::{
-    compile_block, exec_tape, exec_tape_body, fold_stmts, fuse, narrow, validate, widen, Tape,
-};
+use crate::tape::mask_of;
+use crate::tape_engine::TapeEngine;
 
 /// Simulation engine selection; see `DESIGN.md` for the mapping onto the
 /// paper's CPython / PyPy / SimJIT / SimJIT+PyPy regimes.
@@ -69,17 +68,31 @@ impl Engine {
     ];
 }
 
+/// The one engine name table, read by both [`Display`](std::fmt::Display)
+/// and [`FromStr`](std::str::FromStr).
+const ENGINE_NAMES: [(Engine, &str); 6] = [
+    (Engine::Interpreted, "interpreted"),
+    (Engine::InterpretedOpt, "interpreted-opt"),
+    (Engine::Specialized, "specialized"),
+    (Engine::SpecializedOpt, "specialized-opt"),
+    (Engine::SpecializedPar, "specialized-par"),
+    (Engine::SpecializedBatch, "specialized-batch"),
+];
+
 impl std::fmt::Display for Engine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
-            Engine::Interpreted => "interpreted",
-            Engine::InterpretedOpt => "interpreted-opt",
-            Engine::Specialized => "specialized",
-            Engine::SpecializedOpt => "specialized-opt",
-            Engine::SpecializedPar => "specialized-par",
-            Engine::SpecializedBatch => "specialized-batch",
-        };
-        write!(f, "{s}")
+        let (_, name) = ENGINE_NAMES.iter().find(|(e, _)| e == self).expect("every engine named");
+        write!(f, "{name}")
+    }
+}
+
+impl std::str::FromStr for Engine {
+    type Err = String;
+
+    /// Parses the exact [`Display`](std::fmt::Display) spelling.
+    fn from_str(s: &str) -> Result<Engine, String> {
+        let found = ENGINE_NAMES.iter().find(|(_, name)| *name == s);
+        found.map(|&(e, _)| e).ok_or_else(|| format!("unknown engine \"{s}\""))
     }
 }
 
@@ -111,7 +124,7 @@ impl SimConfig {
     /// `MTL_TAPE_OPT` is parsed case-insensitively (so `OFF` and `off`
     /// both disable the optimizer) and an unrecognized value prints a
     /// note and leaves the optimizer on — a typo never silently changes
-    /// semantics (the same rule as [`lint_gate`]).
+    /// semantics (the same rule as the `MTL_LINT` gate).
     pub fn tape_opt_enabled(&self) -> bool {
         self.tape_opt.unwrap_or_else(|| match std::env::var("MTL_TAPE_OPT") {
             Err(_) => true,
@@ -158,12 +171,13 @@ pub(crate) trait EngineImpl {
     /// Executes one block serially through the engine's native write
     /// path. Used by the wrapper's levelized injection settle.
     fn exec_block(&mut self, b: u32);
-    /// Overwrites a net's settled value without waking readers or
-    /// marking schedules dirty. With `also_next`, the shadow (`next`)
-    /// copy is overwritten too, so a forced register value survives the
-    /// commit unless a sequential block reassigns it (SEU semantics:
-    /// hold paths keep the flipped bit, update paths overwrite it).
-    fn force(&mut self, slot: u32, v: Bits, also_next: bool);
+    /// Overwrites a net's settled value on one lane (always 0 on the
+    /// scalar engines) without waking readers or marking schedules
+    /// dirty. With `also_next`, the shadow (`next`) copy is overwritten
+    /// too, so a forced register value survives the commit unless a
+    /// sequential block reassigns it (SEU semantics: hold paths keep the
+    /// flipped bit, update paths overwrite it).
+    fn force(&mut self, lane: u32, slot: u32, v: Bits, also_next: bool);
     /// Unconditionally re-evaluates every combinational block (full
     /// settle), washing out any forced values whose faults expired.
     fn settle_full(&mut self);
@@ -178,8 +192,7 @@ pub(crate) trait EngineImpl {
         None
     }
     // Lane (batch-engine) primitives. Scalar engines keep the defaults:
-    // a single lane aliasing the ordinary poke/peek path and no per-lane
-    // fault support.
+    // a single lane aliasing the ordinary poke/peek path.
     /// Active trial lanes this backend simulates (1 for scalar engines).
     fn lane_count(&self) -> u32 {
         1
@@ -194,23 +207,12 @@ pub(crate) trait EngineImpl {
         assert_eq!(lane, 0, "scalar engine has a single lane");
         self.peek(slot)
     }
-    /// Installs a fault on one lane (batch engine only; the batch
-    /// backend applies the same forced-settle protocol as the wrapper,
-    /// per lane, so lanes stay bit-exact with scalar faulty traces).
-    fn inject_lane(&mut self, _lane: u32, _fault: FaultState) {
-        unreachable!("per-lane injection requires Engine::SpecializedBatch");
-    }
     /// Fills `out` with one mask per net: bit `L` set iff lane `L`'s
     /// value of that net differs from lane `golden`'s, restricted to
     /// active lanes. Returns true iff any mask is non-zero; false
     /// (leaving `out` untouched) on engines without lanes.
     fn divergence_masks(&self, _golden: u32, _out: &mut Vec<u64>) -> bool {
         false
-    }
-    /// `(injected_bits, faulted_cycles)` accumulated on one lane by
-    /// per-lane faults (zeros on scalar engines).
-    fn lane_fault_totals(&self, _lane: u32) -> (u64, u64) {
-        (0, 0)
     }
 }
 
@@ -265,34 +267,32 @@ pub struct Injection {
 }
 
 /// An installed fault: the [`Injection`] resolved to a net slot.
-/// `pub(crate)` so the batch backend can run the same wrapper protocol
-/// per lane.
 #[derive(Clone, Copy)]
-pub(crate) struct FaultState {
-    pub(crate) slot: u32,
-    pub(crate) width: u32,
-    pub(crate) is_reg: bool,
-    pub(crate) mask: u128,
-    pub(crate) kind: InjectKind,
-    pub(crate) cycle: u64,
-    pub(crate) duration: u64,
+struct FaultState {
+    slot: u32,
+    width: u32,
+    is_reg: bool,
+    mask: u128,
+    kind: InjectKind,
+    cycle: u64,
+    duration: u64,
 }
 
 impl FaultState {
     /// Whether the fault disturbs the pre-edge settle of `cycle`.
-    pub(crate) fn active_pre(&self, cycle: u64) -> bool {
+    fn active_pre(&self, cycle: u64) -> bool {
         cycle >= self.cycle && cycle - self.cycle < self.duration
     }
 
     /// Whether the fault is still forced after the edge of `cycle`
     /// (stuck-at faults only; a flip is a one-shot disturbance whose
     /// persistence comes from state that latched it).
-    pub(crate) fn active_post(&self, cycle: u64) -> bool {
+    fn active_post(&self, cycle: u64) -> bool {
         self.kind != InjectKind::Flip && self.active_pre(cycle)
     }
 
     /// The forced value given a freshly driven clean value `v`.
-    pub(crate) fn apply(&self, v: u128, width_mask: u128) -> u128 {
+    fn apply(&self, v: u128, width_mask: u128) -> u128 {
         let forced = match self.kind {
             InjectKind::Flip => v ^ self.mask,
             InjectKind::StuckAt0 => v & !self.mask,
@@ -359,20 +359,20 @@ pub struct Sim {
     overheads: Overheads,
     backend: Box<dyn EngineImpl>,
     profile: Option<ProfileState>,
-    /// Installed faults (empty in the common case: the fast paths in
-    /// `cycle`/`run` are untouched unless `inject` was called).
-    faults: Vec<FaultState>,
+    /// Installed faults as `(lane, fault)` pairs (empty in the common
+    /// case: the fast paths in `cycle`/`run` are untouched unless
+    /// `inject` was called). The lane is always 0 on the scalar engines.
+    faults: Vec<(u32, FaultState)>,
     /// Levelized combinational order for the injection settle; computed
     /// once on first `inject`.
     inject_sched: Vec<u32>,
     /// A forced (stuck-at) settle ran and its fault has since expired:
     /// the next settle must be a full pass to wash the forces out.
     fault_cleanup: bool,
-    /// Bits disturbed so far (one count per masked bit per faulted
-    /// cycle).
-    injected_bits: u64,
-    /// Cycles on which at least one fault was active.
-    faulted_cycles: u64,
+    /// Per lane: bits disturbed so far (one count per masked bit per
+    /// faulted cycle) and cycles on which at least one of the lane's
+    /// faults was active.
+    fault_totals: Vec<(u64, u64)>,
 }
 
 /// The `MTL_LINT` gate run at simulator construction.
@@ -382,10 +382,12 @@ pub struct Sim {
 /// * `MTL_LINT=warn` — print every diagnostic to stderr and continue.
 /// * `MTL_LINT=off` or unset — do nothing (zero overhead).
 ///
-/// An unrecognized value prints a note and behaves like `off`, so a typo in
-/// a CI environment never silently changes simulation semantics.
+/// The value is trimmed and matched case-insensitively (the rule
+/// `MTL_TAPE_OPT` and `MTL_SIM_THREADS` follow). An unrecognized value
+/// prints a note and behaves like `off`, so a typo in a CI environment
+/// never silently changes simulation semantics.
 fn lint_gate(design: &Design) {
-    let mode = std::env::var("MTL_LINT").unwrap_or_default();
+    let mode = std::env::var("MTL_LINT").unwrap_or_default().trim().to_ascii_lowercase();
     match mode.as_str() {
         "deny" | "warn" => {}
         "" | "off" => return,
@@ -412,12 +414,7 @@ impl Sim {
     ///
     /// Returns any [`ElabError`] from elaboration.
     pub fn build(top: &dyn Component, engine: Engine) -> Result<Sim, ElabError> {
-        let t0 = Instant::now();
-        let design = mtl_core::elaborate(top)?;
-        let elab = t0.elapsed();
-        let mut sim = Sim::new(design, engine);
-        sim.overheads.elab = elab;
-        Ok(sim)
+        Sim::build_with_config(top, engine, &SimConfig::default())
     }
 
     /// Constructs a simulator from an already-elaborated design.
@@ -428,67 +425,50 @@ impl Sim {
         Sim::with_config(design, engine, &SimConfig::default())
     }
 
-    /// [`Sim::new`] with explicit configuration (currently the
-    /// `SpecializedPar` worker-thread count).
+    /// [`Sim::new`] with explicit configuration: the `SpecializedPar`
+    /// worker-thread count, the tape-optimizer switch and the
+    /// `SpecializedBatch` lane count (see [`SimConfig`]).
     pub fn with_config(design: Design, engine: Engine, cfg: &SimConfig) -> Sim {
         lint_gate(&design);
-        // Take ownership of native closures so the Design can be shared.
-        let natives: Vec<Option<NativeFn>> = design.take_natives();
-        let design = Arc::new(design);
-        let mut overheads = Overheads::default();
-        let backend = Sim::make_backend(&design, natives, engine, cfg, None, &mut overheads);
-        Sim::assemble(design, engine, overheads, backend)
+        Sim::assemble(Arc::new(design), engine, cfg, None, Overheads::default())
     }
 
-    /// Constructs the engine backend, optionally consulting a shared
-    /// [`ArtifactCache`] for the tape engines' compile output. On a tape
-    /// cache hit the `comp`/`cgen` phases (and plan fusion) are skipped;
-    /// on a miss the fresh compile is published back to the cache.
-    /// `SpecializedPar` shards its own tapes differently per thread
-    /// count and the interpreters compile nothing, so only the
-    /// `Specialized`/`SpecializedOpt` engines participate.
+    /// Constructs the engine backend: resolve the artifact stage the
+    /// engine executes — through the shared [`ArtifactCache`] if there is
+    /// one, where reused stages skip their `comp`/`cgen`/plan-fusion
+    /// phases — and hand it to the engine's constructor. The
+    /// interpreters walk the IR and need no artifact.
     fn make_backend(
         design: &Arc<Design>,
         natives: Vec<Option<NativeFn>>,
         engine: Engine,
         cfg: &SimConfig,
         shared: Option<(&ArtifactCache, u64)>,
-        overheads: &mut Overheads,
+        o: &mut Overheads,
     ) -> Box<dyn EngineImpl> {
+        let mut staged =
+            |need| crate::compile::staged(design, cfg.tape_opt_enabled(), need, shared, o);
+        let design = design.clone();
         match engine {
-            Engine::Interpreted => Box::new(InterpEngine::<HashStore, HashSens>::new(
-                design.clone(),
-                natives,
-                true,
-                overheads,
-            )),
-            Engine::InterpretedOpt => Box::new(InterpEngine::<DenseStore, DenseSens>::new(
-                design.clone(),
-                natives,
-                false,
-                overheads,
-            )),
-            Engine::Specialized | Engine::SpecializedOpt => {
-                let event_mode = engine == Engine::Specialized;
-                let opt = cfg.tape_opt_enabled();
-                let reuse = shared.and_then(|(c, k)| c.lookup_tape(k, event_mode, opt, design));
-                let fresh = reuse.is_none();
-                let eng =
-                    TapeEngine::new(design.clone(), natives, event_mode, opt, overheads, reuse);
-                if fresh {
-                    if let Some((cache, key)) = shared {
-                        cache.store_tape(key, event_mode, eng.artifact());
-                    }
-                }
-                Box::new(eng)
+            Engine::Interpreted => {
+                Box::new(InterpEngine::<HashStore, HashSens>::new(design, natives, true, o))
             }
-            Engine::SpecializedPar => Box::new(crate::par::ParTapeEngine::new(
-                design.clone(),
-                natives,
-                cfg.threads.unwrap_or_else(crate::par::default_threads),
-                cfg.tape_opt_enabled(),
-                overheads,
-            )),
+            Engine::InterpretedOpt => {
+                Box::new(InterpEngine::<DenseStore, DenseSens>::new(design, natives, false, o))
+            }
+            Engine::Specialized => {
+                let s = staged(Layer::Blocks);
+                Box::new(TapeEngine::new(design, natives, true, &s, o))
+            }
+            Engine::SpecializedOpt => {
+                let s = staged(Layer::Plans);
+                Box::new(TapeEngine::new(design, natives, false, &s, o))
+            }
+            Engine::SpecializedPar => {
+                let s = staged(Layer::Blocks);
+                let threads = cfg.threads.unwrap_or_else(crate::par::default_threads);
+                Box::new(ParTapeEngine::new(design, natives, threads, &s, o))
+            }
             Engine::SpecializedBatch => {
                 assert!(
                     natives.iter().all(Option::is_none),
@@ -496,39 +476,8 @@ impl Sim {
                      closure is one stateful instance, not 64 lanes. Use an IR-level \
                      (RTL) model or a scalar engine."
                 );
-                let opt = cfg.tape_opt_enabled();
-                let lanes = cfg.batch_lanes();
-                // The batch lowering consumes the scalar fused-tape
-                // artifact, so both layers go through the shared cache:
-                // a batch hit skips everything, a tape hit still skips
-                // comp/cgen and only re-lowers the planes.
-                if let Some(b) = shared.and_then(|(c, k)| c.lookup_batch(k, opt, design)) {
-                    return Box::new(crate::batch::BatchEngine::from_artifact(
-                        design.clone(),
-                        b,
-                        lanes,
-                        overheads,
-                    ));
-                }
-                let reuse = shared.and_then(|(c, k)| c.lookup_tape(k, false, opt, design));
-                let fresh = reuse.is_none();
-                let tape_eng =
-                    TapeEngine::new(design.clone(), natives, false, opt, overheads, reuse);
-                if fresh {
-                    if let Some((cache, key)) = shared {
-                        cache.store_tape(key, false, tape_eng.artifact());
-                    }
-                }
-                let eng = crate::batch::BatchEngine::lower(
-                    design.clone(),
-                    &tape_eng.artifact(),
-                    lanes,
-                    overheads,
-                );
-                if let Some((cache, key)) = shared {
-                    cache.store_batch(key, eng.artifact());
-                }
-                Box::new(eng)
+                let s = staged(Layer::Batch);
+                Box::new(BatchEngine::new(design, &s, cfg.batch_lanes(), o))
             }
         }
     }
@@ -536,9 +485,17 @@ impl Sim {
     fn assemble(
         design: Arc<Design>,
         engine: Engine,
-        overheads: Overheads,
-        backend: Box<dyn EngineImpl>,
+        cfg: &SimConfig,
+        shared: Option<(&ArtifactCache, u64)>,
+        mut overheads: Overheads,
     ) -> Sim {
+        // Take ownership of native closures so the Design can be shared.
+        // A cache-served design was drained by its first simulator; only
+        // native-free designs are cached, so this returns the correct
+        // all-`None` vector for it.
+        let natives: Vec<Option<NativeFn>> = design.take_natives();
+        let backend = Sim::make_backend(&design, natives, engine, cfg, shared, &mut overheads);
+        let fault_totals = vec![(0, 0); backend.lane_count() as usize];
         Sim {
             design,
             engine,
@@ -548,8 +505,7 @@ impl Sim {
             faults: Vec::new(),
             inject_sched: Vec::new(),
             fault_cleanup: false,
-            injected_bits: 0,
-            faulted_cycles: 0,
+            fault_totals,
         }
     }
 
@@ -559,10 +515,10 @@ impl Sim {
     ///
     /// `key` must uniquely identify the *design produced by `top`* —
     /// derive it from the same parameters that configure the component
-    /// (e.g. with [`mtl_sweep`'s] FNV hasher). It should *not* include
-    /// run-varying inputs like seeds or cycle counts, or nothing will
-    /// ever be shared. A wrong key is caught by a structural shape check
-    /// and degrades to a fresh compile.
+    /// (e.g. with `mtl-sweep`'s FNV hasher). It should *not* include
+    /// run-varying inputs like stimulus seeds or cycle counts, or nothing
+    /// will ever be shared. A wrong key is caught by a structural shape
+    /// check and degrades to a fresh compile.
     ///
     /// Reused phases report zero time in [`Sim::overheads`] (`comp`,
     /// `cgen`, and the fused-plan share of `simc` on a tape hit; `elab`
@@ -579,24 +535,14 @@ impl Sim {
         key: u64,
     ) -> Result<Sim, ElabError> {
         let t0 = Instant::now();
-        let design = match cache.lookup_design(key) {
-            Some(design) => design,
-            None => {
-                let design = mtl_core::elaborate(top)?;
-                lint_gate(&design);
-                let design = Arc::new(design);
-                cache.store_design(key, &design);
-                design
-            }
-        };
-        let mut overheads = Overheads { elab: t0.elapsed(), ..Default::default() };
-        // A cache-served design was drained of natives by its first
-        // simulator; only native-free designs are stored, so this
-        // returns the correct all-`None` vector for it.
-        let natives: Vec<Option<NativeFn>> = design.take_natives();
-        let backend =
-            Sim::make_backend(&design, natives, engine, cfg, Some((cache, key)), &mut overheads);
-        Ok(Sim::assemble(design, engine, overheads, backend))
+        let staged = cache.get_or_build(key, Layer::Design, None, |_| {
+            let design = mtl_core::elaborate(top)?;
+            lint_gate(&design);
+            Ok(Staged { design: Some(Arc::new(design)), ..Staged::default() })
+        })?;
+        let design = staged.design.expect("get_or_build returns the requested layer");
+        let overheads = Overheads { elab: t0.elapsed(), ..Default::default() };
+        Ok(Sim::assemble(design, engine, cfg, Some((cache, key)), overheads))
     }
 
     /// [`Sim::build`] with explicit configuration (e.g. a fixed
@@ -686,7 +632,7 @@ impl Sim {
             self.backend.eval();
         } else {
             let now = self.backend.cycles();
-            let pre: Vec<usize> = self.active_faults(now, false);
+            let pre = self.active_faults(now, false);
             if !pre.is_empty() {
                 self.forced_settle(&pre);
             } else if self.fault_cleanup {
@@ -754,17 +700,19 @@ impl Sim {
     }
 
     /// Installs a scheduled fault (transient bit-flip or stuck-at) on a
-    /// net. Multiple faults may be installed, including on the same net;
-    /// they compound in installation order.
+    /// net — on every lane of a batch simulator. Multiple faults may be
+    /// installed, including on the same net; they compound in
+    /// installation order.
     ///
     /// Injection is a post-settle/pre-edge hook: on each active cycle the
     /// wrapper applies the disturbance and re-settles combinational logic
     /// in the design's levelized block order with the disturbed value held
     /// forced, then clocks the edge, then re-settles (stuck-at faults stay
-    /// forced, flips do not). Because the wrapper drives this sequence
-    /// through engine-agnostic primitives in one fixed order, all five
-    /// engines produce byte-identical faulty traces for the same faults —
-    /// a property `mtl-check` asserts differentially.
+    /// forced, flips do not). Because the wrapper drives this one sequence
+    /// through engine-agnostic, lane-addressed primitives in one fixed
+    /// order, all six engines — and every lane of the batch engine —
+    /// produce byte-identical faulty traces for the same faults, a
+    /// property `mtl-check` asserts differentially.
     ///
     /// # Panics
     ///
@@ -774,26 +722,16 @@ impl Sim {
     /// fault expires — drive stimulus through `poke` instead).
     pub fn inject(&mut self, inj: Injection) {
         let fault = self.resolve_fault(inj);
-        if self.backend.lane_count() > 1 {
-            // On the batch engine a wrapper-level fault is a broadcast:
-            // the backend runs the identical forced-settle protocol on
-            // every active lane, so each lane's trace is byte-identical
-            // to a scalar engine with the same injection.
-            for lane in 0..self.backend.lane_count() {
-                self.backend.inject_lane(lane, fault);
-            }
-            return;
+        for lane in 0..self.backend.lane_count() {
+            self.install(lane, fault);
         }
+    }
+
+    fn install(&mut self, lane: u32, fault: FaultState) {
         if self.inject_sched.is_empty() {
-            self.inject_sched = self
-                .design
-                .comb_schedule()
-                .expect("design validated at elaboration")
-                .iter()
-                .map(|b| b.index() as u32)
-                .collect();
+            self.inject_sched = crate::compile::comb_order(&self.design);
         }
-        self.faults.push(fault);
+        self.faults.push((lane, fault));
     }
 
     /// Validates an [`Injection`] and resolves it to a [`FaultState`].
@@ -831,13 +769,13 @@ impl Sim {
     /// golden/reference lane); use [`Sim::lane_fault_totals`] for other
     /// lanes.
     pub fn injected_bits(&self) -> u64 {
-        self.injected_bits + self.backend.lane_fault_totals(0).0
+        self.fault_totals[0].0
     }
 
     /// Cycles simulated so far on which at least one fault was active
     /// (lane 0 on the batch engine).
     pub fn faulted_cycle_count(&self) -> u64 {
-        self.faulted_cycles + self.backend.lane_fault_totals(0).1
+        self.fault_totals[0].1
     }
 
     /// Active trial lanes: 1 on the scalar engines, the configured lane
@@ -875,24 +813,20 @@ impl Sim {
         self.backend.peek_lane(lane, self.design.net_of(sig).index() as u32)
     }
 
-    /// Installs a scheduled fault on one lane of a batch simulator. The
-    /// batch backend applies the wrapper's forced-settle protocol (see
-    /// [`Sim::inject`]) lane by lane, so each faulted lane's trace is
-    /// byte-identical to a scalar engine running that lane's fault set
-    /// alone — the property the fault differential suite asserts.
+    /// Installs a scheduled fault on one lane only (lane 0 is the only
+    /// lane of a scalar engine, where this equals [`Sim::inject`]). The
+    /// wrapper runs the same forced-settle protocol for every `(lane,
+    /// fault)` pair, so each faulted lane's trace is byte-identical to a
+    /// scalar engine running that lane's fault set alone — the property
+    /// the fault differential suite asserts.
     ///
     /// # Panics
     ///
-    /// Panics like [`Sim::inject`], if `lane` is out of range, or if
-    /// this simulator is not running [`Engine::SpecializedBatch`].
+    /// Panics like [`Sim::inject`], or if `lane` is out of range.
     pub fn inject_lane(&mut self, lane: u32, inj: Injection) {
-        assert!(
-            self.backend.lane_count() > 1,
-            "inject_lane requires Engine::SpecializedBatch with more than one lane"
-        );
         assert!(lane < self.backend.lane_count(), "lane {lane} out of range");
         let fault = self.resolve_fault(inj);
-        self.backend.inject_lane(lane, fault);
+        self.install(lane, fault);
     }
 
     /// Fills `out` with one mask per net (indexed by
@@ -907,10 +841,14 @@ impl Sim {
         self.backend.divergence_masks(golden, out)
     }
 
-    /// `(injected_bits, faulted_cycles)` accumulated on one lane by
-    /// per-lane faults (batch engine; zeros on scalar engines).
+    /// `(injected_bits, faulted_cycles)` accumulated on one lane (lane 0
+    /// of a scalar engine is the whole simulator).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane` is out of range.
     pub fn lane_fault_totals(&self, lane: u32) -> (u64, u64) {
-        self.backend.lane_fault_totals(lane)
+        self.fault_totals[lane as usize]
     }
 
     /// Indices of faults active at `now` (post-edge window if `post`).
@@ -918,39 +856,40 @@ impl Sim {
         self.faults
             .iter()
             .enumerate()
-            .filter(|(_, f)| if post { f.active_post(now) } else { f.active_pre(now) })
+            .filter(|(_, (_, f))| if post { f.active_post(now) } else { f.active_pre(now) })
             .map(|(i, _)| i)
             .collect()
     }
 
-    /// Settles combinational logic with the given faults held forced:
-    /// one full pass over the levelized schedule, re-applying each force
-    /// whenever a driver overwrote it with a fresh clean value. A full
-    /// levelized pass makes every combinational net a pure function of
-    /// sequential state, inputs, and forces — all identical across
-    /// engines — so the post-settle state is engine-independent no matter
-    /// what (engine-specific) unsettled state it started from.
+    /// Settles combinational logic with the given faults held forced,
+    /// each on its own lane: one full pass over the levelized schedule,
+    /// block by block, re-applying each force whenever a driver overwrote
+    /// it with a fresh clean value. A full levelized pass makes every
+    /// combinational net a pure function of sequential state, inputs, and
+    /// forces — all identical across engines — so the post-settle state
+    /// is engine-independent no matter what (engine-specific) unsettled
+    /// state it started from.
     fn forced_settle(&mut self, active: &[usize]) {
         let mut forced: Vec<u128> = Vec::with_capacity(active.len());
         for &fi in active {
-            let f = &self.faults[fi];
-            let v = self.backend.peek(f.slot).as_u128();
+            let (lane, f) = self.faults[fi];
+            let v = self.backend.peek_lane(lane, f.slot).as_u128();
             let t = f.apply(v, mask_of(f.width));
-            self.backend.force(f.slot, Bits::new(f.width, t), f.is_reg);
+            self.backend.force(lane, f.slot, Bits::new(f.width, t), f.is_reg);
             forced.push(t);
         }
         let sched = std::mem::take(&mut self.inject_sched);
         for &b in &sched {
             self.backend.exec_block(b);
             for (k, &fi) in active.iter().enumerate() {
-                let f = &self.faults[fi];
-                let v = self.backend.peek(f.slot).as_u128();
+                let (lane, f) = self.faults[fi];
+                let v = self.backend.peek_lane(lane, f.slot).as_u128();
                 if v != forced[k] {
                     // The net's driver ran and wrote a fresh clean value:
                     // recompute the disturbance from it and re-force (a
                     // plain re-XOR would double-apply a flip).
                     let t = f.apply(v, mask_of(f.width));
-                    self.backend.force(f.slot, Bits::new(f.width, t), f.is_reg);
+                    self.backend.force(lane, f.slot, Bits::new(f.width, t), f.is_reg);
                     forced[k] = t;
                 }
             }
@@ -963,9 +902,13 @@ impl Sim {
     /// full clean re-settle otherwise).
     fn faulted_cycle(&mut self, now: u64, pre: &[usize]) {
         self.forced_settle(pre);
-        self.faulted_cycles += 1;
+        let mut lanes_hit = 0u64;
         for &fi in pre {
-            self.injected_bits += self.faults[fi].mask.count_ones() as u64;
+            let (lane, f) = self.faults[fi];
+            let totals = &mut self.fault_totals[lane as usize];
+            totals.0 += f.mask.count_ones() as u64;
+            totals.1 += u64::from(lanes_hit & (1 << lane) == 0);
+            lanes_hit |= 1 << lane;
         }
         self.backend.edge();
         let post = self.active_faults(now, true);
@@ -1143,15 +1086,8 @@ impl Sim {
         for (i, b) in design.blocks().iter().enumerate() {
             match b.kind {
                 BlockKind::Comb => {
-                    let own: Vec<u32> =
-                        b.writes.iter().map(|&w| design.net_of(w).index() as u32).collect();
-                    let mut slots: Vec<u32> = b
-                        .reads
-                        .iter()
-                        .map(|&r| design.net_of(r).index() as u32)
-                        .filter(|s| !own.contains(s))
-                        .chain(own.iter().copied())
-                        .collect();
+                    let mut slots = crate::compile::comb_sensitivity(design, i as u32);
+                    slots.extend(b.writes.iter().map(|&w| design.net_of(w).index() as u32));
                     slots.sort_unstable();
                     slots.dedup();
                     comb_triggers.push((i as u32, slots));
@@ -1200,8 +1136,8 @@ impl Sim {
             engine: self.engine,
             cycles: self.backend.cycles(),
             settles: p.settles,
-            injections: self.injected_bits,
-            faulted_cycles: self.faulted_cycles,
+            injections: self.injected_bits(),
+            faulted_cycles: self.faulted_cycle_count(),
             block_runs: p.block_runs.clone(),
             block_nanos: stats.block_nanos.clone(),
             block_paths,
@@ -1245,1048 +1181,5 @@ impl Sim {
                 p.block_runs[b as usize] += 1;
             }
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Interpreted (event-driven tree-walking) backend
-// ---------------------------------------------------------------------------
-
-struct InterpEngine<S: Store, M: SensMap> {
-    design: Arc<Design>,
-    store: S,
-    sens: M,
-    mem_sens: Vec<Vec<u32>>,
-    mems: Vec<Vec<Bits>>,
-    pending: Vec<(u32, u64, Bits)>,
-    natives: Vec<Option<NativeFn>>,
-    queue: VecDeque<u32>,
-    in_queue: Vec<bool>,
-    reg_slots: Vec<u32>,
-    seq_blocks: Vec<u32>,
-    changed: Vec<u32>,
-    cycles: u64,
-    /// Allocate boxed intermediates during evaluation (CPython analog).
-    boxed: bool,
-    track_activity: bool,
-    activity: Vec<u64>,
-    prof: Option<EngineStats>,
-}
-
-struct StoreView<'a, S: Store> {
-    design: &'a Design,
-    store: &'a mut S,
-    changed: &'a mut Vec<u32>,
-    cycles: u64,
-}
-
-impl<S: Store> SignalView for StoreView<'_, S> {
-    fn read(&self, sig: SignalId) -> Bits {
-        self.store.get(self.design.net_of(sig).index() as u32)
-    }
-
-    fn write(&mut self, sig: SignalId, value: Bits) {
-        let slot = self.design.net_of(sig).index() as u32;
-        debug_assert_eq!(self.design.signal(sig).width, value.width());
-        if self.store.set(slot, value) {
-            self.changed.push(slot);
-        }
-    }
-
-    fn write_next(&mut self, sig: SignalId, value: Bits) {
-        let slot = self.design.net_of(sig).index() as u32;
-        debug_assert_eq!(self.design.signal(sig).width, value.width());
-        self.store.set_next(slot, value);
-    }
-
-    fn cycle(&self) -> u64 {
-        self.cycles
-    }
-}
-
-impl<S: Store, M: SensMap> InterpEngine<S, M> {
-    fn new(
-        design: Arc<Design>,
-        natives: Vec<Option<NativeFn>>,
-        boxed: bool,
-        o: &mut Overheads,
-    ) -> Self {
-        let t0 = Instant::now();
-        let store = S::init(&design);
-        let mut sens = M::new(design.nets().len());
-        let mut mem_sens = vec![Vec::new(); design.mems().len()];
-        let mut seq_blocks = Vec::new();
-        let mut queue = VecDeque::new();
-        let mut in_queue = vec![false; design.blocks().len()];
-        for (i, b) in design.blocks().iter().enumerate() {
-            match b.kind {
-                BlockKind::Comb => {
-                    // Nets the block itself writes are excluded from its
-                    // sensitivity list: statement order inside the block
-                    // resolves those reads, exactly as in the static
-                    // schedule, so all engines agree.
-                    let own: Vec<u32> =
-                        b.writes.iter().map(|&w| design.net_of(w).index() as u32).collect();
-                    let mut seen = Vec::new();
-                    for &r in &b.reads {
-                        let slot = design.net_of(r).index() as u32;
-                        if !seen.contains(&slot) && !own.contains(&slot) {
-                            seen.push(slot);
-                            sens.insert(slot, i as u32);
-                        }
-                    }
-                    for &m in &b.mem_reads {
-                        mem_sens[m.index()].push(i as u32);
-                    }
-                    queue.push_back(i as u32);
-                    in_queue[i] = true;
-                }
-                BlockKind::Seq => seq_blocks.push(i as u32),
-            }
-        }
-        let reg_slots: Vec<u32> = design
-            .nets()
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.is_register)
-            .map(|(i, _)| i as u32)
-            .collect();
-        let mems =
-            design.mems().iter().map(|m| vec![Bits::zero(m.width); m.words as usize]).collect();
-        o.simc += t0.elapsed();
-        Self {
-            design,
-            store,
-            sens,
-            mem_sens,
-            mems,
-            pending: Vec::new(),
-            natives,
-            queue,
-            in_queue,
-            reg_slots,
-            seq_blocks,
-            changed: Vec::new(),
-            cycles: 0,
-            boxed,
-            track_activity: false,
-            activity: Vec::new(),
-            prof: None,
-        }
-    }
-
-    fn run_block(&mut self, b: u32) {
-        let design = self.design.clone();
-        let info = &design.blocks()[b as usize];
-        let seq = info.kind == BlockKind::Seq;
-        self.changed.clear();
-        match &info.body {
-            BlockBody::Ir(stmts) => exec_stmts(
-                stmts,
-                &design,
-                &mut self.store,
-                &self.mems,
-                &mut self.pending,
-                &mut self.changed,
-                seq,
-                self.boxed,
-            ),
-            BlockBody::Native(..) => {
-                let mut f = self.natives[b as usize].take().expect("native fn in use");
-                {
-                    let mut view = StoreView {
-                        design: &design,
-                        store: &mut self.store,
-                        changed: &mut self.changed,
-                        cycles: self.cycles,
-                    };
-                    f(&mut view);
-                }
-                self.natives[b as usize] = Some(f);
-            }
-        }
-        let changed = std::mem::take(&mut self.changed);
-        for &slot in &changed {
-            self.wake_readers(slot);
-        }
-        self.changed = changed;
-    }
-
-    fn wake_readers(&mut self, slot: u32) {
-        // The clone of the small reader list models the event objects an
-        // interpreted simulator allocates; it is also what the borrow
-        // checker requires here.
-        let readers: Vec<u32> = self.sens.get(slot).to_vec();
-        for rb in readers {
-            self.enqueue(rb);
-        }
-    }
-
-    fn enqueue(&mut self, b: u32) {
-        if !self.in_queue[b as usize] {
-            self.in_queue[b as usize] = true;
-            self.queue.push_back(b);
-        }
-    }
-
-    fn propagate(&mut self) {
-        if self.prof.is_none() {
-            while let Some(b) = self.queue.pop_front() {
-                self.in_queue[b as usize] = false;
-                self.run_block(b);
-            }
-            return;
-        }
-        let mut pops = 0u64;
-        while let Some(b) = self.queue.pop_front() {
-            self.in_queue[b as usize] = false;
-            let depth = self.queue.len() as u64;
-            let t0 = Instant::now();
-            self.run_block(b);
-            let dt = t0.elapsed().as_nanos() as u64;
-            let p = self.prof.as_mut().expect("profiling enabled");
-            p.queue_depth.record(depth);
-            p.block_nanos[b as usize] += dt;
-            pops += 1;
-        }
-        let p = self.prof.as_mut().expect("profiling enabled");
-        p.settles += 1;
-        p.fixpoint.record(pops);
-    }
-
-    fn run_block_timed(&mut self, b: u32) {
-        let t0 = Instant::now();
-        self.run_block(b);
-        let dt = t0.elapsed().as_nanos() as u64;
-        if let Some(p) = self.prof.as_mut() {
-            p.block_nanos[b as usize] += dt;
-        }
-    }
-}
-
-impl<S: Store, M: SensMap> EngineImpl for InterpEngine<S, M> {
-    fn poke(&mut self, slot: u32, v: Bits) {
-        if self.store.set(slot, v) {
-            self.store.set_next(slot, v);
-            self.wake_readers(slot);
-        }
-    }
-
-    fn peek(&self, slot: u32) -> Bits {
-        self.store.get(slot)
-    }
-
-    fn eval(&mut self) {
-        self.propagate();
-    }
-
-    fn cycle(&mut self) {
-        self.propagate();
-        self.edge();
-        self.propagate();
-        self.cycles += 1;
-    }
-
-    fn edge(&mut self) {
-        let seq = self.seq_blocks.clone();
-        if self.prof.is_some() {
-            for b in seq {
-                self.run_block_timed(b);
-            }
-        } else {
-            for b in seq {
-                self.run_block(b);
-            }
-        }
-        // Commit registers.
-        let regs = std::mem::take(&mut self.reg_slots);
-        for &slot in &regs {
-            if self.track_activity {
-                let delta = (self.store.get(slot).as_u128() ^ self.store.get_next(slot).as_u128())
-                    .count_ones() as u64;
-                self.activity[slot as usize] += delta;
-            }
-            if self.store.commit(slot) {
-                self.wake_readers(slot);
-            }
-        }
-        self.reg_slots = regs;
-        // Commit memories.
-        if !self.pending.is_empty() {
-            let pending = std::mem::take(&mut self.pending);
-            let mut touched: Vec<u32> = Vec::new();
-            for (mem, addr, v) in pending {
-                self.mems[mem as usize][addr as usize] = v;
-                if !touched.contains(&mem) {
-                    touched.push(mem);
-                }
-            }
-            for m in touched {
-                let readers = self.mem_sens[m as usize].clone();
-                for rb in readers {
-                    self.enqueue(rb);
-                }
-            }
-        }
-    }
-
-    fn exec_block(&mut self, b: u32) {
-        if self.prof.is_some() {
-            self.run_block_timed(b);
-        } else {
-            self.run_block(b);
-        }
-    }
-
-    fn force(&mut self, slot: u32, v: Bits, also_next: bool) {
-        self.store.set(slot, v);
-        if also_next {
-            self.store.set_next(slot, v);
-        }
-    }
-
-    fn settle_full(&mut self) {
-        let blocks = self.design.clone();
-        for (i, b) in blocks.blocks().iter().enumerate() {
-            if b.kind == BlockKind::Comb {
-                self.enqueue(i as u32);
-            }
-        }
-        self.propagate();
-    }
-
-    fn bump_cycles(&mut self) {
-        self.cycles += 1;
-    }
-
-    fn cycles(&self) -> u64 {
-        self.cycles
-    }
-
-    fn peek_mem(&self, mem: usize, addr: u64) -> Bits {
-        self.mems[mem][addr as usize]
-    }
-
-    fn poke_mem(&mut self, mem: usize, addr: u64, v: Bits) {
-        self.mems[mem][addr as usize] = v;
-        let readers = self.mem_sens[mem].clone();
-        for rb in readers {
-            self.enqueue(rb);
-        }
-    }
-
-    fn set_activity(&mut self, on: bool) {
-        self.track_activity = on;
-        if on && self.activity.is_empty() {
-            self.activity = vec![0; self.design.nets().len()];
-        }
-    }
-
-    fn activity(&self) -> &[u64] {
-        &self.activity
-    }
-
-    fn set_profiling(&mut self, on: bool) {
-        if on && self.prof.is_none() {
-            self.prof = Some(EngineStats::new(self.design.blocks().len()));
-        } else if !on {
-            self.prof = None;
-        }
-    }
-
-    fn stats(&self) -> Option<&EngineStats> {
-        self.prof.as_ref()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Specialized (tape VM) backend
-// ---------------------------------------------------------------------------
-
-/// One step of a fused static schedule: either a fused run of tape
-/// blocks or a native block call.
-pub(crate) enum Chunk {
-    Fused(Tape),
-    Native(u32),
-}
-
-pub(crate) struct TapeEngine {
-    design: Arc<Design>,
-    cur: Vec<u128>,
-    next: Vec<u128>,
-    widths: Vec<u32>,
-    mems: Vec<Vec<u128>>,
-    mem_widths: Vec<u32>,
-    pending: Vec<(u32, u64, u128)>,
-    /// Compiled per-block tapes — `Arc` so a persistent server can share
-    /// one compile across many engine instances ([`crate::ArtifactCache`]).
-    tapes: Arc<Vec<Tape>>,
-    natives: Vec<Option<NativeFn>>,
-    seq_order: Vec<u32>,
-    /// Levelized combinational order (also the unfused schedule profiling
-    /// runs so per-block time stays attributable).
-    comb_order: Vec<u32>,
-    /// Fused static schedules (opt mode only); shared like `tapes`.
-    comb_plan: Arc<Vec<Chunk>>,
-    seq_plan: Arc<Vec<Chunk>>,
-    /// Persistent register buffers, one per fused plan chunk (empty for
-    /// native chunks). Each holds its tape's const prelude, installed
-    /// once at build, so `run_plan` executes only the tape body per
-    /// cycle. Engine-local (the shared `Arc` plans carry no state).
-    comb_bank: Vec<Vec<u128>>,
-    seq_bank: Vec<Vec<u128>>,
-    reg_slots: Vec<u32>,
-    regs: Vec<u128>,
-    event_mode: bool,
-    sens: Vec<Vec<u32>>,
-    mem_sens: Vec<Vec<u32>>,
-    queue: VecDeque<u32>,
-    in_queue: Vec<bool>,
-    changed: Vec<u32>,
-    cycles: u64,
-    dirty: bool,
-    track_activity: bool,
-    activity: Vec<u64>,
-    prof: Option<EngineStats>,
-    /// Whether the optimizer pass pipeline ran on this engine's tapes
-    /// (part of the artifact identity published to the cache).
-    optimized: bool,
-    /// Per-pass optimizer statistics (compile-time only; `None` when the
-    /// optimizer is off).
-    opt_report: Option<OptReport>,
-}
-
-pub(crate) struct PackedView<'a> {
-    pub(crate) design: &'a Design,
-    pub(crate) cur: &'a mut [u128],
-    pub(crate) next: &'a mut [u128],
-    pub(crate) widths: &'a [u32],
-    pub(crate) changed: &'a mut Vec<u32>,
-    pub(crate) cycles: u64,
-}
-
-pub(crate) fn mask_of(width: u32) -> u128 {
-    if width >= 128 {
-        u128::MAX
-    } else {
-        (1u128 << width) - 1
-    }
-}
-
-impl SignalView for PackedView<'_> {
-    fn read(&self, sig: SignalId) -> Bits {
-        let slot = self.design.net_of(sig).index();
-        Bits::new(self.widths[slot], self.cur[slot])
-    }
-
-    fn write(&mut self, sig: SignalId, value: Bits) {
-        let slot = self.design.net_of(sig).index();
-        debug_assert_eq!(self.widths[slot], value.width());
-        let v = value.as_u128();
-        if self.cur[slot] != v {
-            self.cur[slot] = v;
-            self.changed.push(slot as u32);
-        }
-    }
-
-    fn write_next(&mut self, sig: SignalId, value: Bits) {
-        let slot = self.design.net_of(sig).index();
-        debug_assert_eq!(self.widths[slot], value.width());
-        self.next[slot] = value.as_u128();
-    }
-
-    fn cycle(&self) -> u64 {
-        self.cycles
-    }
-}
-
-impl TapeEngine {
-    pub(crate) fn new(
-        design: Arc<Design>,
-        natives: Vec<Option<NativeFn>>,
-        event_mode: bool,
-        opt: bool,
-        o: &mut Overheads,
-        reuse: Option<Arc<crate::artifact::TapeArtifact>>,
-    ) -> Self {
-        // With a cached artifact the comp/cgen/fuse phases are skipped
-        // entirely: tapes and plans are pure data, already validated when
-        // first compiled (the cache keys on the optimizer setting, so a
-        // reused artifact matches `opt`). Only the per-instance state
-        // below (packed nets, sensitivity, queue) is rebuilt.
-        type ReusedPlans = (Arc<Vec<Tape>>, Arc<Vec<Chunk>>, Arc<Vec<Chunk>>, Option<OptReport>);
-        let reused: Option<ReusedPlans> = reuse
-            .map(|a| (a.tapes.clone(), a.comb_plan.clone(), a.seq_plan.clone(), a.report.clone()));
-
-        // Width tables, needed both by the optimizer (known-bits
-        // reasoning) and the native wrappers.
-        let widths: Vec<u32> = design.nets().iter().map(|n| n.width).collect();
-        let mem_widths: Vec<u32> = design.mems().iter().map(|m| m.width).collect();
-        let mut report = if opt { Some(OptReport::new()) } else { None };
-
-        let tapes: Arc<Vec<Tape>> = match &reused {
-            Some((tapes, ..)) => tapes.clone(),
-            None => {
-                // Phase: comp (IR optimization — constant folding).
-                let t0 = Instant::now();
-                let folded: Vec<Option<Vec<mtl_core::Stmt>>> = design
-                    .blocks()
-                    .iter()
-                    .map(|b| match &b.body {
-                        BlockBody::Ir(stmts) => Some(fold_stmts(stmts)),
-                        _ => None,
-                    })
-                    .collect();
-                o.comp += t0.elapsed();
-
-                // Phase: cgen (tape code generation + optimizer pipeline;
-                // the register budget applies to the *narrowed* result,
-                // i.e. post-compaction when the optimizer is on).
-                let t0 = Instant::now();
-                let tapes: Vec<Tape> = design
-                    .blocks()
-                    .iter()
-                    .zip(&folded)
-                    .enumerate()
-                    .map(|(i, (b, f))| match f {
-                        Some(stmts) => {
-                            let mut vt = compile_block(&design, stmts, b.kind);
-                            if let Some(rep) = report.as_mut() {
-                                optimize(&mut vt, &widths, &mem_widths, rep);
-                            }
-                            narrow(&vt, || {
-                                let kind = match b.kind {
-                                    BlockKind::Comb => "comb",
-                                    BlockKind::Seq => "seq",
-                                };
-                                format!(
-                                    "{kind} block `{}`",
-                                    design.block_path(BlockId::from_index(i))
-                                )
-                            })
-                        }
-                        None => Tape::default(),
-                    })
-                    .collect();
-                // Range-check every tape once so the executor's unchecked
-                // accesses are sound.
-                for t in &tapes {
-                    validate(t, design.nets().len(), design.mems().len());
-                }
-                o.cgen += t0.elapsed();
-                Arc::new(tapes)
-            }
-        };
-        let max_regs = tapes.iter().map(|t| t.nregs as usize).max().unwrap_or(0);
-
-        // Phase: wrap (packed state).
-        let t0 = Instant::now();
-        let cur = vec![0u128; widths.len()];
-        let next = vec![0u128; widths.len()];
-        let mems: Vec<Vec<u128>> =
-            design.mems().iter().map(|m| vec![0u128; m.words as usize]).collect();
-        o.wrap += t0.elapsed();
-
-        // Phase: simc (schedule + event structures).
-        let t0 = Instant::now();
-        let comb_order: Vec<u32> = design
-            .comb_schedule()
-            .expect("design validated at elaboration")
-            .iter()
-            .map(|b| b.index() as u32)
-            .collect();
-        let seq_order: Vec<u32> = design.seq_blocks().iter().map(|b| b.index() as u32).collect();
-        let reg_slots: Vec<u32> = design
-            .nets()
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.is_register)
-            .map(|(i, _)| i as u32)
-            .collect();
-        let mut sens = vec![Vec::new(); widths.len()];
-        let mut mem_sens = vec![Vec::new(); design.mems().len()];
-        let mut queue = VecDeque::new();
-        let mut in_queue = vec![false; design.blocks().len()];
-        for &b in &comb_order {
-            let info = &design.blocks()[b as usize];
-            let own: Vec<u32> =
-                info.writes.iter().map(|&w| design.net_of(w).index() as u32).collect();
-            let mut seen = Vec::new();
-            for &r in &info.reads {
-                let slot = design.net_of(r).index() as u32;
-                if !seen.contains(&slot) && !own.contains(&slot) {
-                    seen.push(slot);
-                    sens[slot as usize].push(b);
-                }
-            }
-            for &m in &info.mem_reads {
-                mem_sens[m.index()].push(b);
-            }
-            queue.push_back(b);
-            in_queue[b as usize] = true;
-        }
-        // Fuse consecutive tape blocks into mega-tapes for the fully
-        // static schedule (cgen-adjacent work, charged to simc since it
-        // is schedule construction). Re-optimizing the fused tape picks
-        // up cross-block wins (CSE/forwarding across block boundaries)
-        // the per-block pipeline cannot see.
-        let mut fuse_opt = |run: &[&Tape], label: &str| -> Tape {
-            let mut fused = fuse(run);
-            if let Some(rep) = report.as_mut() {
-                let mut vt = widen(&fused);
-                optimize(&mut vt, &widths, &mem_widths, rep);
-                fused = narrow(&vt, || format!("fused {label} schedule"));
-            }
-            fused
-        };
-        let mut build_plan = |order: &[u32], label: &str| -> Vec<Chunk> {
-            let mut plan = Vec::new();
-            let mut run: Vec<&Tape> = Vec::new();
-            for &b in order {
-                if matches!(design.blocks()[b as usize].body, BlockBody::Ir(_)) {
-                    run.push(&tapes[b as usize]);
-                } else {
-                    if !run.is_empty() {
-                        plan.push(Chunk::Fused(fuse_opt(&run, label)));
-                        run.clear();
-                    }
-                    plan.push(Chunk::Native(b));
-                }
-            }
-            if !run.is_empty() {
-                plan.push(Chunk::Fused(fuse_opt(&run, label)));
-            }
-            plan
-        };
-        let (comb_plan, seq_plan) = match &reused {
-            Some((_, comb, seq, _)) => (comb.clone(), seq.clone()),
-            None if event_mode => (Arc::new(Vec::new()), Arc::new(Vec::new())),
-            None => {
-                let plans = (build_plan(&comb_order, "comb"), build_plan(&seq_order, "seq"));
-                for chunk in plans.0.iter().chain(&plans.1) {
-                    if let Chunk::Fused(t) = chunk {
-                        validate(t, widths.len(), mems.len());
-                    }
-                }
-                (Arc::new(plans.0), Arc::new(plans.1))
-            }
-        };
-        let mk_bank = |plan: &[Chunk]| -> Vec<Vec<u128>> {
-            plan.iter()
-                .map(|c| match c {
-                    Chunk::Fused(t) => {
-                        let mut regs = vec![0u128; t.nregs as usize];
-                        crate::tape::exec_prelude(t, &mut regs);
-                        regs
-                    }
-                    Chunk::Native(_) => Vec::new(),
-                })
-                .collect()
-        };
-        let comb_bank = mk_bank(&comb_plan);
-        let seq_bank = mk_bank(&seq_plan);
-        o.simc += t0.elapsed();
-
-        // A cache hit replays the compile-time pass report so the stats
-        // remain observable on reused builds.
-        let opt_report = match &reused {
-            Some((.., rep)) => rep.clone(),
-            None => report,
-        };
-
-        Self {
-            design,
-            cur,
-            next,
-            widths,
-            mems,
-            mem_widths,
-            pending: Vec::new(),
-            tapes,
-            natives,
-            seq_order,
-            comb_order,
-            comb_plan,
-            seq_plan,
-            comb_bank,
-            seq_bank,
-            reg_slots,
-            regs: vec![0u128; max_regs],
-            event_mode,
-            sens,
-            mem_sens,
-            queue,
-            in_queue,
-            changed: Vec::new(),
-            cycles: 0,
-            dirty: true,
-            track_activity: false,
-            activity: Vec::new(),
-            prof: None,
-            optimized: opt,
-            opt_report,
-        }
-    }
-
-    /// Snapshots the shareable compile output (tapes + fused plans) for
-    /// [`crate::ArtifactCache`]; cheap — three `Arc` clones plus the
-    /// shape digest and the (small) pass report.
-    pub(crate) fn artifact(&self) -> crate::artifact::TapeArtifact {
-        crate::artifact::TapeArtifact {
-            tapes: self.tapes.clone(),
-            comb_plan: self.comb_plan.clone(),
-            seq_plan: self.seq_plan.clone(),
-            shape: crate::artifact::shape_of(&self.design),
-            optimized: self.optimized,
-            report: self.opt_report.clone(),
-        }
-    }
-
-    fn run_block<const TRACK: bool>(&mut self, b: u32) {
-        let design = self.design.clone();
-        match &design.blocks()[b as usize].body {
-            BlockBody::Ir(_) => {
-                exec_tape::<TRACK>(
-                    &self.tapes[b as usize],
-                    &mut self.regs,
-                    &mut self.cur,
-                    &mut self.next,
-                    &self.mems,
-                    &mut self.pending,
-                    &mut self.changed,
-                );
-            }
-            BlockBody::Native(..) => {
-                let mut f = self.natives[b as usize].take().expect("native fn in use");
-                {
-                    let mut view = PackedView {
-                        design: &design,
-                        cur: &mut self.cur,
-                        next: &mut self.next,
-                        widths: &self.widths,
-                        changed: &mut self.changed,
-                        cycles: self.cycles,
-                    };
-                    f(&mut view);
-                }
-                self.natives[b as usize] = Some(f);
-                if !TRACK {
-                    self.changed.clear();
-                }
-            }
-        }
-        if TRACK {
-            let changed = std::mem::take(&mut self.changed);
-            for &slot in &changed {
-                self.wake_readers(slot);
-            }
-            let mut changed = changed;
-            changed.clear();
-            self.changed = changed;
-        }
-    }
-
-    fn wake_readers(&mut self, slot: u32) {
-        for i in 0..self.sens[slot as usize].len() {
-            let rb = self.sens[slot as usize][i];
-            if !self.in_queue[rb as usize] {
-                self.in_queue[rb as usize] = true;
-                self.queue.push_back(rb);
-            }
-        }
-    }
-
-    fn propagate_event(&mut self) {
-        if self.prof.is_none() {
-            while let Some(b) = self.queue.pop_front() {
-                self.in_queue[b as usize] = false;
-                self.run_block::<true>(b);
-            }
-            return;
-        }
-        let mut pops = 0u64;
-        while let Some(b) = self.queue.pop_front() {
-            self.in_queue[b as usize] = false;
-            let depth = self.queue.len() as u64;
-            let t0 = Instant::now();
-            self.run_block::<true>(b);
-            let dt = t0.elapsed().as_nanos() as u64;
-            let p = self.prof.as_mut().expect("profiling enabled");
-            p.queue_depth.record(depth);
-            p.block_nanos[b as usize] += dt;
-            pops += 1;
-        }
-        let p = self.prof.as_mut().expect("profiling enabled");
-        p.settles += 1;
-        p.fixpoint.record(pops);
-    }
-
-    fn run_block_timed<const TRACK: bool>(&mut self, b: u32) {
-        let t0 = Instant::now();
-        self.run_block::<TRACK>(b);
-        let dt = t0.elapsed().as_nanos() as u64;
-        if let Some(p) = self.prof.as_mut() {
-            p.block_nanos[b as usize] += dt;
-        }
-    }
-
-    fn full_comb_pass(&mut self) {
-        if self.prof.is_some() {
-            // Profiled static pass: run the same levelized order the fused
-            // plan encodes, but block-by-block, so wall time is
-            // attributable per block.
-            let order = std::mem::take(&mut self.comb_order);
-            for &b in &order {
-                self.run_block_timed::<false>(b);
-            }
-            let pass_blocks = order.len() as u64;
-            self.comb_order = order;
-            let p = self.prof.as_mut().expect("profiling enabled");
-            p.settles += 1;
-            p.fixpoint.record(pass_blocks);
-        } else {
-            let plan = Arc::clone(&self.comb_plan);
-            self.run_plan(&plan, true);
-        }
-        self.dirty = false;
-    }
-
-    fn run_plan(&mut self, plan: &[Chunk], comb: bool) {
-        for (k, chunk) in plan.iter().enumerate() {
-            match chunk {
-                Chunk::Fused(tape) => {
-                    // Each fused chunk owns a persistent buffer holding
-                    // its const prelude, so only the body executes here.
-                    let bank = if comb { &mut self.comb_bank } else { &mut self.seq_bank };
-                    exec_tape_body::<false>(
-                        tape,
-                        &mut bank[k],
-                        &mut self.cur,
-                        &mut self.next,
-                        &self.mems,
-                        &mut self.pending,
-                        &mut self.changed,
-                    )
-                }
-                Chunk::Native(b) => self.run_native(*b),
-            }
-        }
-    }
-
-    fn run_native(&mut self, b: u32) {
-        let design = self.design.clone();
-        let mut f = self.natives[b as usize].take().expect("native fn in use");
-        {
-            let mut view = PackedView {
-                design: &design,
-                cur: &mut self.cur,
-                next: &mut self.next,
-                widths: &self.widths,
-                changed: &mut self.changed,
-                cycles: self.cycles,
-            };
-            f(&mut view);
-        }
-        self.natives[b as usize] = Some(f);
-        self.changed.clear();
-    }
-
-    fn run_seq_blocks(&mut self) {
-        if self.event_mode {
-            let order = std::mem::take(&mut self.seq_order);
-            if self.prof.is_some() {
-                for &b in &order {
-                    self.run_block_timed::<true>(b);
-                }
-            } else {
-                for &b in &order {
-                    // Track combinational-style writes from native
-                    // sequential blocks so misuse behaves identically
-                    // across engines.
-                    self.run_block::<true>(b);
-                }
-            }
-            self.seq_order = order;
-        } else if self.prof.is_some() {
-            let order = std::mem::take(&mut self.seq_order);
-            for &b in &order {
-                self.run_block_timed::<false>(b);
-            }
-            self.seq_order = order;
-        } else {
-            let plan = Arc::clone(&self.seq_plan);
-            self.run_plan(&plan, false);
-        }
-    }
-}
-
-impl EngineImpl for TapeEngine {
-    fn opt_report(&self) -> Option<&OptReport> {
-        self.opt_report.as_ref()
-    }
-
-    fn poke(&mut self, slot: u32, v: Bits) {
-        let val = v.as_u128();
-        if self.cur[slot as usize] != val {
-            self.cur[slot as usize] = val;
-            self.next[slot as usize] = val;
-            if self.event_mode {
-                self.wake_readers(slot);
-            } else {
-                self.dirty = true;
-            }
-        }
-    }
-
-    fn peek(&self, slot: u32) -> Bits {
-        Bits::new(self.widths[slot as usize], self.cur[slot as usize])
-    }
-
-    fn eval(&mut self) {
-        if self.event_mode {
-            self.propagate_event();
-        } else if self.dirty {
-            self.full_comb_pass();
-        }
-    }
-
-    fn cycle(&mut self) {
-        self.eval();
-        self.edge();
-        if self.event_mode {
-            self.propagate_event();
-        } else {
-            self.full_comb_pass();
-        }
-        self.cycles += 1;
-    }
-
-    fn edge(&mut self) {
-        self.run_seq_blocks();
-        if self.event_mode {
-            let regs = std::mem::take(&mut self.reg_slots);
-            for &slot in &regs {
-                let s = slot as usize;
-                if self.cur[s] != self.next[s] {
-                    if self.track_activity {
-                        self.activity[s] += (self.cur[s] ^ self.next[s]).count_ones() as u64;
-                    }
-                    self.cur[s] = self.next[s];
-                    self.wake_readers(slot);
-                }
-            }
-            self.reg_slots = regs;
-        } else if self.track_activity {
-            for &slot in &self.reg_slots {
-                let s = slot as usize;
-                self.activity[s] += (self.cur[s] ^ self.next[s]).count_ones() as u64;
-                self.cur[s] = self.next[s];
-            }
-        } else {
-            for &slot in &self.reg_slots {
-                self.cur[slot as usize] = self.next[slot as usize];
-            }
-        }
-        if !self.pending.is_empty() {
-            let pending = std::mem::take(&mut self.pending);
-            let mut touched: Vec<u32> = Vec::new();
-            for (mem, addr, v) in pending {
-                self.mems[mem as usize][addr as usize] = v;
-                if self.event_mode && !touched.contains(&mem) {
-                    touched.push(mem);
-                }
-            }
-            for m in touched {
-                for i in 0..self.mem_sens[m as usize].len() {
-                    let rb = self.mem_sens[m as usize][i];
-                    if !self.in_queue[rb as usize] {
-                        self.in_queue[rb as usize] = true;
-                        self.queue.push_back(rb);
-                    }
-                }
-            }
-        }
-    }
-
-    fn exec_block(&mut self, b: u32) {
-        if self.event_mode {
-            self.run_block::<true>(b);
-        } else {
-            self.run_block::<false>(b);
-        }
-    }
-
-    fn force(&mut self, slot: u32, v: Bits, also_next: bool) {
-        let s = slot as usize;
-        self.cur[s] = v.as_u128();
-        if also_next {
-            self.next[s] = v.as_u128();
-        }
-    }
-
-    fn settle_full(&mut self) {
-        if self.event_mode {
-            let order = std::mem::take(&mut self.comb_order);
-            for &b in &order {
-                if !self.in_queue[b as usize] {
-                    self.in_queue[b as usize] = true;
-                    self.queue.push_back(b);
-                }
-            }
-            self.comb_order = order;
-            self.propagate_event();
-        } else {
-            self.full_comb_pass();
-        }
-    }
-
-    fn bump_cycles(&mut self) {
-        self.cycles += 1;
-    }
-
-    fn cycles(&self) -> u64 {
-        self.cycles
-    }
-
-    fn peek_mem(&self, mem: usize, addr: u64) -> Bits {
-        Bits::new(self.mem_widths[mem], self.mems[mem][addr as usize])
-    }
-
-    fn poke_mem(&mut self, mem: usize, addr: u64, v: Bits) {
-        self.mems[mem][addr as usize] = v.as_u128() & mask_of(self.mem_widths[mem]);
-        if self.event_mode {
-            for i in 0..self.mem_sens[mem].len() {
-                let rb = self.mem_sens[mem][i];
-                if !self.in_queue[rb as usize] {
-                    self.in_queue[rb as usize] = true;
-                    self.queue.push_back(rb);
-                }
-            }
-        } else {
-            self.dirty = true;
-        }
-    }
-
-    fn set_activity(&mut self, on: bool) {
-        self.track_activity = on;
-        if on && self.activity.is_empty() {
-            self.activity = vec![0; self.widths.len()];
-        }
-    }
-
-    fn activity(&self) -> &[u64] {
-        &self.activity
-    }
-
-    fn set_profiling(&mut self, on: bool) {
-        if on && self.prof.is_none() {
-            self.prof = Some(EngineStats::new(self.design.blocks().len()));
-        } else if !on {
-            self.prof = None;
-        }
-    }
-
-    fn stats(&self) -> Option<&EngineStats> {
-        self.prof.as_ref()
     }
 }

@@ -1,13 +1,12 @@
-//! The tape compiler: lowers IR blocks to a linear bytecode executed by a
-//! straight-line VM over packed `u128` slots.
+//! The tape VM: a linear bytecode executed straight-line over packed
+//! `u128` slots.
 //!
 //! This is the heart of the SimJIT substitution (see `DESIGN.md`): where
 //! PyMTL's SimJIT generates and compiles C++, RustMTL's specializing
 //! engines lower each IR block to a flat three-address tape with
 //! pre-resolved net slots, precomputed masks, and constant-folded operands.
-
-use mtl_core::ir::{BinOp, Expr, Stmt, UnaryOp};
-use mtl_core::{BlockKind, Design, MemId, SignalId};
+//! This module holds the instruction set and the executors;
+//! [`crate::compile`] is the only producer of tapes.
 
 /// A physical register index within an executable tape. Kept at 16 bits so
 /// every hot [`Op`] variant packs into 32 bytes.
@@ -15,7 +14,7 @@ pub(crate) type Reg = u16;
 
 /// A virtual register index used during compilation and optimization.
 /// Emission allocates freely in this space; the optimizer's register
-/// compaction pass renumbers the live survivors, and [`narrow`] checks the
+/// compaction pass renumbers the live survivors, and `narrow` checks the
 /// result against the physical [`Reg`] budget.
 pub(crate) type VReg = u32;
 
@@ -364,602 +363,11 @@ pub(crate) struct Tape {
     pub prelude: u32,
 }
 
-/// A compiled update block in virtual-register form: what [`compile_block`]
-/// emits and what `crate::passes` optimizes. Register indices are unbounded
-/// here; [`narrow`] enforces the physical budget after compaction.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct VTape {
-    pub ops: Vec<Op<VReg>>,
-    pub nregs: u32,
-    /// See [`Tape::prelude`]; set by the const-hoist pass.
-    pub prelude: u32,
-}
-
-/// The physical register budget of an executable tape ([`Reg`] is `u16`).
-pub(crate) const REG_BUDGET: u32 = 1 << 16;
-
-/// Narrows a virtual tape to executable form, enforcing the physical
-/// register budget. `context` names the tape (hierarchical block path and
-/// kind) for the panic message.
-///
-/// # Panics
-///
-/// Panics if the tape needs more than [`REG_BUDGET`] registers.
-pub(crate) fn narrow(vt: &VTape, context: impl Fn() -> String) -> Tape {
-    assert!(
-        vt.nregs <= REG_BUDGET,
-        "tape register budget ({REG_BUDGET}) exceeded in {}: {} registers required; \
-         split the block into smaller update blocks",
-        context(),
-        vt.nregs,
-    );
-    let ops = vt.ops.iter().map(|op| op.map_regs(&mut |r| r as Reg)).collect();
-    Tape { ops, nregs: vt.nregs, prelude: vt.prelude }
-}
-
-/// Widens an executable tape back to virtual-register form (used to
-/// re-optimize fused tapes, where cross-block redundancy appears).
-pub(crate) fn widen(t: &Tape) -> VTape {
-    VTape {
-        ops: t.ops.iter().map(|op| op.map_regs(&mut |r| r as VReg)).collect(),
-        nregs: t.nregs,
-        prelude: t.prelude,
-    }
-}
-
 pub(crate) fn mask_of(width: u32) -> u128 {
     if width >= 128 {
         u128::MAX
     } else {
         (1u128 << width) - 1
-    }
-}
-
-/// Compiles the statements of one IR block into a virtual-register tape.
-///
-/// `slot_of` maps a signal to its packed state slot (its net index).
-/// Emission allocates virtual registers without a budget; the physical
-/// budget is enforced by [`narrow`] — after optimization and register
-/// compaction when the optimizer is on, on the raw emission otherwise.
-pub(crate) fn compile_block(design: &Design, stmts: &[Stmt], kind: BlockKind) -> VTape {
-    let mut c = Compiler { design, ops: Vec::new(), next_reg: 0, seq: kind == BlockKind::Seq };
-    for s in stmts {
-        c.emit_stmt(s);
-    }
-    VTape { ops: c.ops, nregs: c.next_reg, prelude: 0 }
-}
-
-/// Validates that every register and memory index in a tape is in range;
-/// called once at construction so the executor can use unchecked reads.
-pub(crate) fn validate(tape: &Tape, nslots: usize, nmems: usize) {
-    let n = tape.nregs as usize;
-    let reg_ok = |r: Reg| (r as usize) < n;
-    let pre = tape.prelude as usize;
-    assert!(pre <= tape.ops.len(), "prelude {pre} exceeds tape length {}", tape.ops.len());
-    if pre > 0 {
-        // Body execution starts at `prelude`, so the tape must be
-        // straight-line (no jump may target the prelude) and the prefix
-        // must be pure constant loads.
-        assert!(
-            tape.ops[..pre].iter().all(|op| matches!(op, Op::Const { .. })),
-            "prelude contains a non-const op"
-        );
-        assert!(
-            !tape
-                .ops
-                .iter()
-                .any(|op| { matches!(op, Op::Jz { .. } | Op::JneConst { .. } | Op::Jmp { .. }) }),
-            "prelude on a tape with jumps"
-        );
-    }
-    for op in &tape.ops {
-        let ok = match op {
-            Op::Const { dst, .. } => reg_ok(*dst),
-            Op::Read { dst, slot } => reg_ok(*dst) && (*slot as usize) < nslots,
-            Op::Copy { dst, a } => reg_ok(*dst) && reg_ok(*a),
-            Op::Add { dst, a, b, .. }
-            | Op::Sub { dst, a, b, .. }
-            | Op::Mul { dst, a, b, .. }
-            | Op::And { dst, a, b }
-            | Op::Or { dst, a, b }
-            | Op::Xor { dst, a, b }
-            | Op::Shl { dst, a, b, .. }
-            | Op::Shr { dst, a, b, .. }
-            | Op::Sra { dst, a, b, .. }
-            | Op::Eq { dst, a, b }
-            | Op::Ne { dst, a, b }
-            | Op::Lt { dst, a, b }
-            | Op::Ge { dst, a, b }
-            | Op::LtS { dst, a, b, .. }
-            | Op::GeS { dst, a, b, .. }
-            | Op::ShlOr { dst, a, b, .. } => reg_ok(*dst) && reg_ok(*a) && reg_ok(*b),
-            Op::Not { dst, a, .. }
-            | Op::Neg { dst, a, .. }
-            | Op::RedAnd { dst, a, .. }
-            | Op::RedOr { dst, a }
-            | Op::RedXor { dst, a }
-            | Op::Slice { dst, a, .. }
-            | Op::Sext { dst, a, .. } => reg_ok(*dst) && reg_ok(*a),
-            Op::Mux { dst, cond, t, f } => {
-                reg_ok(*dst) && reg_ok(*cond) && reg_ok(*t) && reg_ok(*f)
-            }
-            Op::Mux2 { dst, c1, t1, c2, t2, f } => {
-                reg_ok(*dst)
-                    && reg_ok(*c1)
-                    && reg_ok(*t1)
-                    && reg_ok(*c2)
-                    && reg_ok(*t2)
-                    && reg_ok(*f)
-            }
-            Op::Select { dst, sel, base, n: k } => {
-                reg_ok(*dst) && reg_ok(*sel) && *k >= 1 && (*base as usize + *k as usize) <= n
-            }
-            Op::Write { slot, src } | Op::WriteNext { slot, src } => {
-                reg_ok(*src) && (*slot as usize) < nslots
-            }
-            Op::WriteMasked { slot, src, .. } | Op::WriteNextMasked { slot, src, .. } => {
-                reg_ok(*src) && (*slot as usize) < nslots
-            }
-            Op::WriteIf { slot, cond, src, .. } | Op::WriteNextIf { slot, cond, src, .. } => {
-                reg_ok(*cond) && reg_ok(*src) && (*slot as usize) < nslots
-            }
-            Op::MemRead { dst, mem, addr, words } => {
-                reg_ok(*dst) && reg_ok(*addr) && (*mem as usize) < nmems && *words >= 1
-            }
-            Op::MemWrite { mem, addr, data, words } => {
-                reg_ok(*addr) && reg_ok(*data) && (*mem as usize) < nmems && *words >= 1
-            }
-            Op::MemWriteIf { mem, addr, data, cond, words, .. } => {
-                reg_ok(*addr)
-                    && reg_ok(*data)
-                    && reg_ok(*cond)
-                    && (*mem as usize) < nmems
-                    && *words >= 1
-            }
-            Op::Jz { cond, target } => reg_ok(*cond) && (*target as usize) <= tape.ops.len(),
-            Op::JneConst { a, target, .. } => reg_ok(*a) && (*target as usize) <= tape.ops.len(),
-            Op::Jmp { target } => (*target as usize) <= tape.ops.len(),
-        };
-        assert!(ok, "invalid tape op {op:?}");
-    }
-}
-
-/// Constant-folds a statement list (the "comp" optimization phase, run
-/// before [`compile_block`]).
-pub(crate) fn fold_stmts(stmts: &[Stmt]) -> Vec<Stmt> {
-    stmts.iter().map(fold_stmt).collect()
-}
-
-/// Fuses a run of tapes into one linear program (jump targets are
-/// rebased; virtual registers can be reused across blocks because every
-/// block defines its registers before use). This is how the fully
-/// specialized engine eliminates per-block dispatch — the analog of
-/// SimJIT compiling the whole model into one C++ translation unit.
-pub(crate) fn fuse(tapes: &[&Tape]) -> Tape {
-    let mut ops = Vec::with_capacity(tapes.iter().map(|t| t.ops.len()).sum());
-    let mut nregs = 0u32;
-    for t in tapes {
-        let base = ops.len() as u32;
-        nregs = nregs.max(t.nregs);
-        for op in &t.ops {
-            let mut op = op.clone();
-            match &mut op {
-                Op::Jz { target, .. } | Op::Jmp { target } | Op::JneConst { target, .. } => {
-                    *target += base
-                }
-                _ => {}
-            }
-            ops.push(op);
-        }
-    }
-    Tape { ops, nregs, prelude: 0 }
-}
-
-/// Constant-folds an expression: subtrees with no signal or memory reads
-/// are evaluated at compile time (the "comp" optimization phase).
-///
-/// A single bottom-up pass: each node's constness is derived from its
-/// children's, so the whole fold is O(n) in expression size (an earlier
-/// version re-walked the entire subtree with `collect_reads` at every
-/// recursion level, which was O(n²) on deep expressions).
-pub(crate) fn fold_expr(e: &Expr) -> Expr {
-    fold_expr_const(e).0
-}
-
-/// Folds one node bottom-up, returning the folded node and whether it is a
-/// compile-time constant (no signal or memory reads anywhere below it).
-fn fold_expr_const(e: &Expr) -> (Expr, bool) {
-    // Evaluates a folded, all-constant node: its children are already
-    // `Expr::Const`, so `eval` touches no signal or memory state.
-    fn to_const(folded: Expr) -> (Expr, bool) {
-        let v = folded.eval(&mut |_| unreachable!(), &mut |_, _| unreachable!());
-        (Expr::Const(v), true)
-    }
-    match e {
-        Expr::Const(_) => (e.clone(), true),
-        Expr::Read(_) => (e.clone(), false),
-        Expr::Slice { expr, lo, hi } => {
-            let (a, k) = fold_expr_const(expr);
-            let folded = Expr::Slice { expr: Box::new(a), lo: *lo, hi: *hi };
-            if k {
-                to_const(folded)
-            } else {
-                (folded, false)
-            }
-        }
-        Expr::Concat(parts) => {
-            let mut all = true;
-            let parts: Vec<Expr> = parts
-                .iter()
-                .map(|p| {
-                    let (f, k) = fold_expr_const(p);
-                    all &= k;
-                    f
-                })
-                .collect();
-            let folded = Expr::Concat(parts);
-            if all {
-                to_const(folded)
-            } else {
-                (folded, false)
-            }
-        }
-        Expr::Unary(op, a) => {
-            let (a, k) = fold_expr_const(a);
-            let folded = Expr::Unary(*op, Box::new(a));
-            if k {
-                to_const(folded)
-            } else {
-                (folded, false)
-            }
-        }
-        Expr::Binary(op, a, b) => {
-            let (a, ka) = fold_expr_const(a);
-            let (b, kb) = fold_expr_const(b);
-            let folded = Expr::Binary(*op, Box::new(a), Box::new(b));
-            if ka && kb {
-                to_const(folded)
-            } else {
-                (folded, false)
-            }
-        }
-        Expr::Mux { cond, then_, else_ } => {
-            let (c, kc) = fold_expr_const(cond);
-            let (t, kt) = fold_expr_const(then_);
-            let (f, kf) = fold_expr_const(else_);
-            let folded = Expr::Mux { cond: Box::new(c), then_: Box::new(t), else_: Box::new(f) };
-            if kc && kt && kf {
-                to_const(folded)
-            } else {
-                (folded, false)
-            }
-        }
-        Expr::Select { sel, options } => {
-            let (s, mut all) = fold_expr_const(sel);
-            let options: Vec<Expr> = options
-                .iter()
-                .map(|o| {
-                    let (f, k) = fold_expr_const(o);
-                    all &= k;
-                    f
-                })
-                .collect();
-            let folded = Expr::Select { sel: Box::new(s), options };
-            if all {
-                to_const(folded)
-            } else {
-                (folded, false)
-            }
-        }
-        Expr::Zext(a, w) => {
-            let (a, k) = fold_expr_const(a);
-            let folded = Expr::Zext(Box::new(a), *w);
-            if k {
-                to_const(folded)
-            } else {
-                (folded, false)
-            }
-        }
-        Expr::Sext(a, w) => {
-            let (a, k) = fold_expr_const(a);
-            let folded = Expr::Sext(Box::new(a), *w);
-            if k {
-                to_const(folded)
-            } else {
-                (folded, false)
-            }
-        }
-        Expr::Trunc(a, w) => {
-            let (a, k) = fold_expr_const(a);
-            let folded = Expr::Trunc(Box::new(a), *w);
-            if k {
-                to_const(folded)
-            } else {
-                (folded, false)
-            }
-        }
-        Expr::MemRead { mem, addr } => {
-            let (a, _) = fold_expr_const(addr);
-            (Expr::MemRead { mem: *mem, addr: Box::new(a) }, false)
-        }
-    }
-}
-
-fn fold_stmt(s: &Stmt) -> Stmt {
-    match s {
-        Stmt::Assign(lv, e) => Stmt::Assign(lv.clone(), fold_expr(e)),
-        Stmt::If { cond, then_, else_ } => Stmt::If {
-            cond: fold_expr(cond),
-            then_: then_.iter().map(fold_stmt).collect(),
-            else_: else_.iter().map(fold_stmt).collect(),
-        },
-        Stmt::Switch { subject, arms, default } => Stmt::Switch {
-            subject: fold_expr(subject),
-            arms: arms.iter().map(|(k, body)| (*k, body.iter().map(fold_stmt).collect())).collect(),
-            default: default.iter().map(fold_stmt).collect(),
-        },
-        Stmt::MemWrite { mem, addr, data } => {
-            Stmt::MemWrite { mem: *mem, addr: fold_expr(addr), data: fold_expr(data) }
-        }
-    }
-}
-
-struct Compiler<'a> {
-    design: &'a Design,
-    ops: Vec<Op<VReg>>,
-    next_reg: VReg,
-    seq: bool,
-}
-
-impl Compiler<'_> {
-    fn alloc(&mut self) -> VReg {
-        let r = self.next_reg;
-        // Virtual registers are effectively unbounded; the physical
-        // budget is enforced later by `narrow` (after compaction when
-        // the optimizer runs), where the block can be named.
-        self.next_reg = self.next_reg.checked_add(1).expect("virtual register index overflow");
-        r
-    }
-
-    fn slot_of(&self, sig: SignalId) -> u32 {
-        self.design.net_of(sig).index() as u32
-    }
-
-    fn width_of(&self, sig: SignalId) -> u32 {
-        self.design.signal(sig).width
-    }
-
-    fn mem_index(&self, m: MemId) -> u32 {
-        m.index() as u32
-    }
-
-    fn expr_width(&self, e: &Expr) -> u32 {
-        expr_width(self.design, e)
-    }
-
-    fn emit_stmt(&mut self, s: &Stmt) {
-        match s {
-            Stmt::Assign(lv, e) => {
-                let src = self.emit_expr(e);
-                let slot = self.slot_of(lv.signal);
-                let full = lv.lo == 0 && lv.hi == self.width_of(lv.signal);
-                match (self.seq, full) {
-                    (false, true) => self.ops.push(Op::Write { slot, src }),
-                    (true, true) => self.ops.push(Op::WriteNext { slot, src }),
-                    (false, false) => self.ops.push(Op::WriteMasked {
-                        slot,
-                        src,
-                        lo: lv.lo,
-                        field: mask_of(lv.width()) << lv.lo,
-                    }),
-                    (true, false) => self.ops.push(Op::WriteNextMasked {
-                        slot,
-                        src,
-                        lo: lv.lo,
-                        field: mask_of(lv.width()) << lv.lo,
-                    }),
-                }
-            }
-            Stmt::If { cond, then_, else_ } => {
-                let c = self.emit_expr(cond);
-                let jz_at = self.ops.len();
-                self.ops.push(Op::Jz { cond: c, target: 0 });
-                for s in then_ {
-                    self.emit_stmt(s);
-                }
-                if else_.is_empty() {
-                    let end = self.ops.len() as u32;
-                    self.patch(jz_at, end);
-                } else {
-                    let jmp_at = self.ops.len();
-                    self.ops.push(Op::Jmp { target: 0 });
-                    let else_start = self.ops.len() as u32;
-                    self.patch(jz_at, else_start);
-                    for s in else_ {
-                        self.emit_stmt(s);
-                    }
-                    let end = self.ops.len() as u32;
-                    self.patch(jmp_at, end);
-                }
-            }
-            Stmt::Switch { subject, arms, default } => {
-                let s_reg = self.emit_expr(subject);
-                let mut end_jumps = Vec::new();
-                for (k, body) in arms {
-                    let jne_at = self.ops.len();
-                    self.ops.push(Op::JneConst { a: s_reg, k: k.as_u128(), target: 0 });
-                    for st in body {
-                        self.emit_stmt(st);
-                    }
-                    end_jumps.push(self.ops.len());
-                    self.ops.push(Op::Jmp { target: 0 });
-                    let next_arm = self.ops.len() as u32;
-                    self.patch(jne_at, next_arm);
-                }
-                for st in default {
-                    self.emit_stmt(st);
-                }
-                let end = self.ops.len() as u32;
-                for j in end_jumps {
-                    self.patch(j, end);
-                }
-            }
-            Stmt::MemWrite { mem, addr, data } => {
-                let a = self.emit_expr(addr);
-                let d = self.emit_expr(data);
-                let words = self.design.mem(*mem).words;
-                self.ops.push(Op::MemWrite { mem: self.mem_index(*mem), addr: a, data: d, words });
-            }
-        }
-    }
-
-    fn patch(&mut self, at: usize, target: u32) {
-        match &mut self.ops[at] {
-            Op::Jz { target: t, .. } | Op::JneConst { target: t, .. } | Op::Jmp { target: t } => {
-                *t = target
-            }
-            _ => unreachable!("patching a non-jump op"),
-        }
-    }
-
-    fn emit_expr(&mut self, e: &Expr) -> VReg {
-        match e {
-            Expr::Read(sig) => {
-                let dst = self.alloc();
-                self.ops.push(Op::Read { dst, slot: self.slot_of(*sig) });
-                dst
-            }
-            Expr::Const(c) => {
-                let dst = self.alloc();
-                self.ops.push(Op::Const { dst, val: c.as_u128() });
-                dst
-            }
-            Expr::Slice { expr, lo, hi } => {
-                let a = self.emit_expr(expr);
-                let dst = self.alloc();
-                self.ops.push(Op::Slice { dst, a, lo: *lo, mask: mask_of(hi - lo) });
-                dst
-            }
-            Expr::Concat(parts) => {
-                let mut acc = self.emit_expr(&parts[0]);
-                for p in &parts[1..] {
-                    let b = self.emit_expr(p);
-                    let dst = self.alloc();
-                    self.ops.push(Op::ShlOr { dst, a: acc, b, shift: self.expr_width(p) });
-                    acc = dst;
-                }
-                acc
-            }
-            Expr::Unary(op, inner) => {
-                let a = self.emit_expr(inner);
-                let w = self.expr_width(inner);
-                let dst = self.alloc();
-                let m = mask_of(w);
-                self.ops.push(match op {
-                    UnaryOp::Not => Op::Not { dst, a, mask: m },
-                    UnaryOp::Neg => Op::Neg { dst, a, mask: m },
-                    UnaryOp::ReduceAnd => Op::RedAnd { dst, a, mask: m },
-                    UnaryOp::ReduceOr => Op::RedOr { dst, a },
-                    UnaryOp::ReduceXor => Op::RedXor { dst, a },
-                });
-                dst
-            }
-            Expr::Binary(op, ea, eb) => {
-                let a = self.emit_expr(ea);
-                let b = self.emit_expr(eb);
-                let w = self.expr_width(ea);
-                let m = mask_of(w);
-                let ext = 128 - w;
-                let dst = self.alloc();
-                self.ops.push(match op {
-                    BinOp::Add => Op::Add { dst, a, b, mask: m },
-                    BinOp::Sub => Op::Sub { dst, a, b, mask: m },
-                    BinOp::Mul => Op::Mul { dst, a, b, mask: m },
-                    BinOp::And => Op::And { dst, a, b },
-                    BinOp::Or => Op::Or { dst, a, b },
-                    BinOp::Xor => Op::Xor { dst, a, b },
-                    BinOp::Shl => Op::Shl { dst, a, b, width: w, mask: m },
-                    BinOp::Shr => Op::Shr { dst, a, b, width: w },
-                    BinOp::Sra => Op::Sra { dst, a, b, width: w, mask: m, ext },
-                    BinOp::Eq => Op::Eq { dst, a, b },
-                    BinOp::Ne => Op::Ne { dst, a, b },
-                    BinOp::Lt => Op::Lt { dst, a, b },
-                    BinOp::Ge => Op::Ge { dst, a, b },
-                    BinOp::LtS => Op::LtS { dst, a, b, ext },
-                    BinOp::GeS => Op::GeS { dst, a, b, ext },
-                });
-                dst
-            }
-            Expr::Mux { cond, then_, else_ } => {
-                let c = self.emit_expr(cond);
-                let t = self.emit_expr(then_);
-                let f = self.emit_expr(else_);
-                let dst = self.alloc();
-                self.ops.push(Op::Mux { dst, cond: c, t, f });
-                dst
-            }
-            Expr::Select { sel, options } => {
-                let s = self.emit_expr(sel);
-                let tmp: Vec<VReg> = options.iter().map(|o| self.emit_expr(o)).collect();
-                let base = self.next_reg;
-                for (i, r) in tmp.iter().enumerate() {
-                    let dst = self.alloc();
-                    debug_assert_eq!(dst, base + i as VReg);
-                    self.ops.push(Op::Copy { dst, a: *r });
-                }
-                let dst = self.alloc();
-                self.ops.push(Op::Select { dst, sel: s, base, n: options.len() as u16 });
-                dst
-            }
-            Expr::Zext(inner, _) => self.emit_expr(inner),
-            Expr::Sext(inner, w) => {
-                let a = self.emit_expr(inner);
-                let iw = self.expr_width(inner);
-                let dst = self.alloc();
-                self.ops.push(Op::Sext {
-                    dst,
-                    a,
-                    sign_bit: 1u128 << (iw - 1),
-                    ext_or: mask_of(*w) & !mask_of(iw),
-                });
-                dst
-            }
-            Expr::Trunc(inner, w) => {
-                let a = self.emit_expr(inner);
-                let dst = self.alloc();
-                self.ops.push(Op::Slice { dst, a, lo: 0, mask: mask_of(*w) });
-                dst
-            }
-            Expr::MemRead { mem, addr } => {
-                let a = self.emit_expr(addr);
-                let dst = self.alloc();
-                let words = self.design.mem(*mem).words;
-                self.ops.push(Op::MemRead { dst, mem: self.mem_index(*mem), addr: a, words });
-                dst
-            }
-        }
-    }
-}
-
-/// Computes the width of an IR expression against a design's signal table.
-pub(crate) fn expr_width(design: &Design, e: &Expr) -> u32 {
-    match e {
-        Expr::Read(s) => design.signal(*s).width,
-        Expr::Const(c) => c.width(),
-        Expr::Slice { lo, hi, .. } => hi - lo,
-        Expr::Concat(parts) => parts.iter().map(|p| expr_width(design, p)).sum(),
-        Expr::Unary(op, a) => match op {
-            UnaryOp::Not | UnaryOp::Neg => expr_width(design, a),
-            _ => 1,
-        },
-        Expr::Binary(op, a, _) => match op {
-            BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Ge | BinOp::LtS | BinOp::GeS => 1,
-            _ => expr_width(design, a),
-        },
-        Expr::Mux { then_, .. } => expr_width(design, then_),
-        Expr::Select { options, .. } => expr_width(design, &options[0]),
-        Expr::Zext(_, w) | Expr::Sext(_, w) | Expr::Trunc(_, w) => *w,
-        Expr::MemRead { mem, .. } => design.mem(*mem).width,
     }
 }
 
@@ -970,7 +378,7 @@ pub(crate) fn expr_width(design: &Design, e: &Expr) -> u32 {
 /// engine for sensitivity propagation).
 ///
 /// Uses unchecked indexing in the hot loop; every index is range-checked
-/// once by [`validate`] at simulator construction, which makes the
+/// once by `validate` at simulator construction, which makes the
 /// unchecked accesses sound.
 #[allow(clippy::too_many_arguments)]
 /// Read access to memory columns for the tape executor, so the same
@@ -980,7 +388,7 @@ pub(crate) fn expr_width(design: &Design, e: &Expr) -> u32 {
 pub(crate) trait TapeMems {
     /// # Safety
     ///
-    /// `mem`/`addr` must be in range (guaranteed by [`validate`] plus the
+    /// `mem`/`addr` must be in range (guaranteed by `validate` plus the
     /// per-op `% words` wrap).
     unsafe fn read(&self, mem: usize, addr: usize) -> u128;
 }
@@ -1061,7 +469,7 @@ pub(crate) fn exec_tape<const TRACK: bool>(
 ///
 /// Callers must guarantee, for the duration of the call:
 /// - `cur` and `next` point to arrays covering every net slot the tape
-///   references (ensured by [`validate`]);
+///   references (ensured by `validate`);
 /// - no other thread concurrently writes any slot this tape reads, and
 ///   no other thread concurrently reads or writes any slot this tape
 ///   writes (the parallel engine proves this by partition construction;
@@ -1268,75 +676,5 @@ pub(crate) unsafe fn exec_tape_ptr_from<const TRACK: bool, M: TapeMems + ?Sized>
             }
         }
         pc += 1;
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use mtl_bits::Bits;
-
-    #[test]
-    fn fold_expr_collapses_constant_subtrees() {
-        let e = Expr::k(8, 3) + Expr::k(8, 4);
-        assert_eq!(fold_expr(&e), Expr::Const(Bits::new(8, 7)));
-        // A read prevents folding at the top but folds the const subtree.
-        let sig = SignalId::from_index(0);
-        let e = Expr::Read(sig) + (Expr::k(8, 3) + Expr::k(8, 4));
-        match fold_expr(&e) {
-            Expr::Binary(BinOp::Add, a, b) => {
-                assert_eq!(*a, Expr::Read(sig));
-                assert_eq!(*b, Expr::Const(Bits::new(8, 7)));
-            }
-            other => panic!("unexpected fold result: {other:?}"),
-        }
-    }
-
-    /// Regression for the quadratic fold: the old implementation
-    /// re-evaluated the entire constant subtree at every enclosing node,
-    /// so a deep chain took O(n^2) work. The single bottom-up pass must
-    /// handle a 50k-deep chain in linear time (the bound below is ~1000x
-    /// looser than the rewrite needs and far below what O(n^2) allows).
-    /// Runs on a dedicated big stack: folding recurses once per level.
-    #[test]
-    fn fold_expr_deep_constant_chain_is_linear() {
-        std::thread::Builder::new()
-            .stack_size(256 << 20)
-            .spawn(|| {
-                const DEPTH: u128 = 50_000;
-                let mut e = Expr::k(32, 1);
-                for _ in 0..DEPTH {
-                    e = e + Expr::k(32, 1);
-                }
-                let start = std::time::Instant::now();
-                let folded = fold_expr(&e);
-                assert!(
-                    start.elapsed() < std::time::Duration::from_secs(20),
-                    "deep fold took {:?} — quadratic regression",
-                    start.elapsed()
-                );
-                assert_eq!(folded, Expr::Const(Bits::new(32, DEPTH + 1)));
-            })
-            .expect("spawn big-stack fold thread")
-            .join()
-            .expect("deep fold panicked");
-    }
-
-    /// The register-budget panic must name the offending block (its
-    /// hierarchical path and kind) so an over-budget design is debuggable
-    /// without bisecting the elaboration.
-    #[test]
-    fn register_budget_panic_names_the_block() {
-        let vt = VTape { ops: Vec::new(), nregs: REG_BUDGET + 123, prelude: 0 };
-        let err = std::panic::catch_unwind(|| narrow(&vt, || "top.routers[3].queue (seq)".into()))
-            .expect_err("narrow must panic over budget");
-        let msg = err
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
-            .expect("panic payload is a string");
-        assert!(msg.contains("register budget"), "message: {msg}");
-        assert!(msg.contains("top.routers[3].queue (seq)"), "message: {msg}");
-        assert!(msg.contains(&(REG_BUDGET + 123).to_string()), "message: {msg}");
     }
 }

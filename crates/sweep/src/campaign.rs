@@ -4,7 +4,7 @@
 //! The executor honors `RUSTMTL_JOBS` (or the machine's available
 //! parallelism) and runs jobs on scoped worker threads pulling from a
 //! shared queue. Each job is isolated with `catch_unwind` plus an
-//! optional [`JobBudget`]: the soft part is a cooperative deadline, the
+//! optional [`JobBudget`](crate::JobBudget): the soft part is a cooperative deadline, the
 //! hard part a watchdog that abandons a genuinely hung attempt and
 //! records it as `timed_out` — so one pathological configuration
 //! degrades to a report entry instead of killing (or hanging) the

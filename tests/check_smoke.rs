@@ -294,11 +294,15 @@ fn mtl_lint_gate_denies_and_warns() {
         }
     }
 
-    std::env::set_var("MTL_LINT", "deny");
-    let denied = std::panic::catch_unwind(|| {
-        Sim::new(elaborate_unchecked(&TwoDrivers), Engine::Interpreted)
-    });
-    assert!(denied.is_err(), "MTL_LINT=deny must reject an error-class design");
+    // Trimmed and case-insensitive, like the other `MTL_*` variables: a
+    // shouted or padded `deny` must not quietly switch the gate off.
+    for value in ["deny", "DENY", " deny"] {
+        std::env::set_var("MTL_LINT", value);
+        let denied = std::panic::catch_unwind(|| {
+            Sim::new(elaborate_unchecked(&TwoDrivers), Engine::Interpreted)
+        });
+        assert!(denied.is_err(), "MTL_LINT={value:?} must reject an error-class design");
+    }
 
     std::env::set_var("MTL_LINT", "warn");
     let warned = std::panic::catch_unwind(|| {

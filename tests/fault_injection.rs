@@ -175,9 +175,13 @@ fn const_driven_nets_perturb_all_engine_configs_identically() {
 
     let mut traces: Vec<(String, Vec<Vec<rustmtl::bits::Bits>>)> = Vec::new();
     let mut k_trace: Option<Vec<u128>> = None;
+    // Every scalar engine, plus a batch simulator configured with a
+    // single lane: the wrapper's one fault protocol drives them all.
+    let configs =
+        Engine::ALL.map(|e| (e, None)).into_iter().chain([(Engine::SpecializedBatch, Some(1))]);
     for opt in [true, false] {
-        for engine in Engine::ALL {
-            let cfg = SimConfig { tape_opt: Some(opt), ..SimConfig::default() };
+        for (engine, lanes) in configs.clone() {
+            let cfg = SimConfig { tape_opt: Some(opt), lanes, ..SimConfig::default() };
             let mut sim = Sim::build_with_config(&ConstDriven, engine, &cfg).expect("elaborates");
             plan.apply(&mut sim).expect("plan resolves");
             sim.reset();
@@ -195,6 +199,11 @@ fn const_driven_nets_perturb_all_engine_configs_identically() {
                 );
                 ks.push(sim.peek(k).as_u128());
             }
+            // The fault counters have one home: lane 0 *is* the scalar
+            // simulator. Four single-bit faults over 3 + 3 + 2 + 1 cycles
+            // disturb 9 bits on the 5 distinct cycles 3, 4, 5, 8 and 9.
+            assert_eq!(sim.lane_fault_totals(0), (9, 5), "{engine}/opt={opt}");
+            assert_eq!((sim.injected_bits(), sim.faulted_cycle_count()), (9, 5), "{engine}");
             traces.push((format!("{engine}/opt={opt}"), trace));
             k_trace.get_or_insert(ks);
         }

@@ -275,3 +275,22 @@ fn dynamic_energy_scales_with_activity() {
     assert_eq!(e_idle, 0.0, "a gated counter burns no dynamic energy");
     assert!(e_busy > 0.0);
 }
+
+/// `Display` and `FromStr` read one name table: every engine (the
+/// opt-in `SpecializedBatch`, absent from `Engine::ALL`, included) parses
+/// back from its printed name, and nothing else parses.
+#[test]
+fn engine_names_round_trip() {
+    let engines = [
+        Engine::Interpreted,
+        Engine::InterpretedOpt,
+        Engine::Specialized,
+        Engine::SpecializedOpt,
+        Engine::SpecializedPar,
+        Engine::SpecializedBatch,
+    ];
+    for engine in engines {
+        assert_eq!(engine.to_string().parse::<Engine>(), Ok(engine));
+    }
+    assert_eq!("Specialized".parse::<Engine>(), Err("unknown engine \"Specialized\"".to_string()));
+}
