@@ -37,6 +37,18 @@ impl std::fmt::Display for XcelLevel {
     }
 }
 
+impl std::str::FromStr for XcelLevel {
+    type Err = String;
+
+    /// Parses the [`Display`](std::fmt::Display) spelling, ignoring
+    /// ASCII case.
+    fn from_str(s: &str) -> Result<XcelLevel, String> {
+        let all = [XcelLevel::Fl, XcelLevel::Cl, XcelLevel::Rtl];
+        let found = all.into_iter().find(|l| l.to_string().eq_ignore_ascii_case(s));
+        found.ok_or_else(|| format!("unknown xcel level \"{s}\""))
+    }
+}
+
 /// All accelerator levels, for matrix sweeps.
 pub const XCEL_LEVELS: [XcelLevel; 3] = [XcelLevel::Fl, XcelLevel::Cl, XcelLevel::Rtl];
 

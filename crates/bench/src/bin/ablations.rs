@@ -11,7 +11,7 @@
 use std::time::Duration;
 
 use mtl_accel::{mvmult_data, mvmult_scalar_program, MvMultLayout, Tile, TileConfig, XcelLevel};
-use mtl_bench::{banner, write_bench_report};
+use mtl_bench::{banner, write_bench_report, Args};
 use mtl_core::{Component, Ctx};
 use mtl_net::{MeshNetworkStructural, NetStats, TrafficGen};
 use mtl_proc::{CacheLevel, MngrAdapter, ProcLevel, TestMemory};
@@ -22,6 +22,7 @@ const BUFFER_DEPTHS: [usize; 4] = [1, 2, 4, 8];
 const CACHE_LINES: [u64; 4] = [4, 16, 64, 128];
 
 fn main() {
+    Args::parse(&[], &[]);
     banner("Ablations: processor pipeline, buffer depth, cache size", "design choices");
 
     let mut campaign = Campaign::new("ablations")

@@ -43,11 +43,11 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use mtl_bench::{banner, has_flag, write_bench_json};
+use mtl_bench::{banner, write_bench_json, Args};
 use mtl_chaos::ChaosPlan;
 use mtl_serve::{campaign_from_spec, Client, Server, ServerConfig, SpecDefaults};
 use mtl_sim::ArtifactCache;
-use mtl_sweep::{CampaignReport, Json};
+use mtl_sweep::{canonical_json, CampaignReport, Json};
 
 const SEED: u64 = 0xC4A0_5EED;
 
@@ -438,50 +438,15 @@ fn artifact_poison(root: &Path, s: &Scale) -> Row {
 
 /// Spins up an in-process server over a Unix socket in `dir`.
 fn start_server(dir: &Path, workers: usize) -> (Server, PathBuf, std::thread::JoinHandle<()>) {
-    let server = Server::new(ServerConfig {
+    let cfg = ServerConfig {
         workers,
         cache_dir: Some(dir.join("cache")),
         journal_dir: Some(dir.join("journals")),
         orphan_grace: Duration::from_millis(250),
-    });
-    let socket = dir.join("serve.sock");
-    let handle = {
-        let server = server.clone();
-        let socket = socket.clone();
-        std::thread::spawn(move || server.serve_unix(&socket).expect("serve_unix binds"))
     };
-    for _ in 0..300 {
-        if socket.exists() {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    let socket = dir.join("serve.sock");
+    let (server, handle) = Server::spawn_unix(cfg, &socket).expect("server binds its socket");
     (server, socket, handle)
-}
-
-/// The deterministic slice of a *server-side* campaign report: job
-/// names, seeds, fingerprints, outcomes, and det metrics — the same
-/// fields [`CampaignReport::to_canonical_json`] keeps.
-fn server_canonical(report: &Json) -> String {
-    let mut doc = Json::obj();
-    doc.set("campaign", report.get("campaign").cloned().unwrap_or(Json::Null));
-    let jobs: Vec<Json> = report
-        .get("jobs")
-        .and_then(Json::as_arr)
-        .unwrap_or(&[])
-        .iter()
-        .map(|j| {
-            let mut o = Json::obj();
-            for key in ["name", "seed", "fingerprint", "outcome", "metrics", "error"] {
-                if let Some(v) = j.get(key) {
-                    o.set(key, v.clone());
-                }
-            }
-            o
-        })
-        .collect();
-    doc.set("jobs", Json::Arr(jobs));
-    doc.to_pretty()
 }
 
 fn wait_until(timeout: Duration, mut done: impl FnMut() -> bool) -> bool {
@@ -540,8 +505,8 @@ fn serve_reset(root: &Path, s: &Scale) -> Row {
     handle.join().unwrap();
 
     assert_eq!(
-        server_canonical(&clean),
-        server_canonical(&resumed),
+        canonical_json(&clean).to_pretty(),
+        canonical_json(&resumed).to_pretty(),
         "serve-reset: resumed campaign must be byte-identical to the undisturbed baseline"
     );
     println!("  serve-reset: byte-identical after resubmission");
@@ -662,7 +627,7 @@ fn serve_shutdown(root: &Path, s: &Scale) -> Row {
 
 fn main() {
     banner("Chaos campaign: infrastructure-fault injection", "DESIGN.md §14, BENCH_chaos");
-    let smoke = has_flag("--smoke");
+    let smoke = Args::parse(&["--smoke"], &[]).flag("--smoke");
     let s = Scale::new(smoke);
 
     let root = std::env::temp_dir().join(format!("rustmtl_chaos_{}", std::process::id()));

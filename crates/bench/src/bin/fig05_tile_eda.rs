@@ -11,11 +11,12 @@ use mtl_accel::{
     mvmult_data, mvmult_scalar_program, mvmult_xcel_program, run_tile, MvMultLayout, Tile,
     TileConfig, XcelLevel,
 };
-use mtl_bench::banner;
+use mtl_bench::{banner, Args};
 use mtl_proc::{CacheLevel, ProcLevel};
 use mtl_sim::Engine;
 
 fn main() {
+    Args::parse(&[], &[]);
     banner("Figure 5(b): RTL tile area / timing / net speedup", "Fig. 5(b)");
     let config = TileConfig { proc: ProcLevel::Rtl, cache: CacheLevel::Rtl, xcel: XcelLevel::Rtl };
     // Use the largest supported caches for the area analysis; the paper's

@@ -23,7 +23,7 @@
 use std::time::{Duration, Instant};
 
 use mtl_accel::{mvmult_data, mvmult_xcel_program, run_tile_profiled, MvMultLayout, TileConfig};
-use mtl_bench::{banner, has_flag, profile_json, write_bench_report, PROFILE_TOP_N};
+use mtl_bench::{banner, profile_json, write_bench_report, Args, PROFILE_TOP_N};
 use mtl_proc::{CacheLevel, Iss, ProcLevel};
 use mtl_sim::Engine;
 use mtl_sweep::{Campaign, CampaignReport, Job, JobMetrics};
@@ -128,8 +128,9 @@ fn tile_job(spec: &Spec, config: TileConfig, engine: Engine) -> Job {
 
 fn main() {
     banner("Figure 13: simulator performance vs level of detail", "Fig. 13");
-    let profile = has_flag("--profile");
-    let spec = if has_flag("--smoke") { Spec::smoke(profile) } else { Spec::full(profile) };
+    let args = Args::parse(&["--profile", "--smoke"], &[]);
+    let profile = args.flag("--profile");
+    let spec = if args.flag("--smoke") { Spec::smoke(profile) } else { Spec::full(profile) };
     if spec.profile {
         println!("(profiling enabled: per-job `profile` sections in the report)");
     }

@@ -23,22 +23,24 @@
 //! Pass `--serve SOCKET` to delegate the engine measurements to a
 //! running `mtl_serve` daemon as `mesh_rate` registry jobs (the
 //! handwritten baseline still runs locally — it is a plain Rust loop
-//! with nothing to compile). The daemon's warm compile cache removes
-//! construction overheads from repeat runs, so the serve-side dotted
-//! curves reflect a persistent-session workflow; the RTL `veri`
-//! translation overhead is only charged in standalone runs.
-//! `--profile` requires in-process simulators and rejects `--serve`.
+//! with nothing to compile). Both modes measure the steady-state rate
+//! with `mtl_sweep::measure_batched`; they differ in what the dotted
+//! curves charge. The in-process jobs exist to measure construction
+//! overheads, so each builds its simulator from scratch (and charges
+//! the RTL `veri` translation); the daemon's warm compile cache zeroes
+//! those overheads on repeat runs, so the serve-side dotted curves
+//! reflect a persistent-session workflow. `--profile` requires
+//! in-process simulators and rejects `--serve`.
 
 use std::time::{Duration, Instant};
 
 use mtl_bench::{
-    banner, has_flag, measure_handwritten_rate, measure_rate_instrumented, mesh_harness,
-    profile_json, rate_metrics, write_bench_json, write_bench_report, PROFILE_TOP_N,
+    banner, measure_handwritten_rate, measure_rate_instrumented, mesh_harness, profile_json,
+    rate_metrics, report_job, submit_spec, write_bench_json, Args, PROFILE_TOP_N,
 };
 use mtl_net::NetLevel;
-use mtl_serve::Client;
 use mtl_sim::Engine;
-use mtl_sweep::{Campaign, CampaignReport, Job, JobMetrics, Json};
+use mtl_sweep::{Campaign, Job, JobMetrics, Json};
 
 const NROUTERS: usize = 64;
 const INJECTION: u32 = 300; // near saturation for the 8x8 mesh
@@ -112,12 +114,17 @@ fn engine_job(level: NetLevel, engine: Engine, profile: bool, smoke: bool) -> Jo
     job
 }
 
-fn handwritten_job(smoke: bool) -> Job {
-    let (min_wall, max_cycles) = if smoke {
+/// The handwritten baseline's measurement window.
+fn handwritten_window(smoke: bool) -> (Duration, u64) {
+    if smoke {
         (Duration::from_millis(60), 200_000)
     } else {
         (Duration::from_millis(500), 20_000_000)
-    };
+    }
+}
+
+fn handwritten_job(smoke: bool) -> Job {
+    let (min_wall, max_cycles) = handwritten_window(smoke);
     Job::new("handwritten", move |_ctx| {
         let rate = measure_handwritten_rate(NROUTERS, INJECTION, min_wall, max_cycles);
         Ok(JobMetrics::new().timing("cycles_per_sec", rate))
@@ -137,29 +144,17 @@ struct Point {
 }
 
 impl Point {
-    fn from_report(report: &CampaignReport, name: &str) -> Option<Point> {
-        let job = report.get(name)?;
-        Some(Point {
-            rate: job.f64("cycles_per_sec")?,
-            overhead_secs: job.f64("overhead_total_secs").unwrap_or(0.0),
-            measured_cycles: job.u64("measured_cycles").unwrap_or(0),
-        })
-    }
-
-    /// The same extraction from a server-side report document, where
-    /// timing metrics live in each job entry's `timing` section.
+    /// Reads one engine job out of a campaign report document. The
+    /// in-process jobs count `measured_cycles` as a deterministic
+    /// metric, the `mesh_rate` kind as timing.
     fn from_json(report: &Json, name: &str) -> Option<Point> {
-        let job = report
-            .get("jobs")?
-            .as_arr()?
-            .iter()
-            .find(|j| j.get("name").and_then(Json::as_str) == Some(name))?;
-        let timing = job.get("timing")?;
-        let f = |key: &str| timing.get(key).and_then(Json::as_f64);
+        let job = report_job(report, name)?;
+        let f = |key: &str| job.get("timing")?.get(key)?.as_f64();
+        let measured = job.get("metrics").and_then(|m| m.get("measured_cycles")?.as_f64());
         Some(Point {
             rate: f("cycles_per_sec")?,
             overhead_secs: f("overhead_total_secs").unwrap_or(0.0),
-            measured_cycles: f("measured_cycles").unwrap_or(0.0) as u64,
+            measured_cycles: measured.or(f("measured_cycles")).unwrap_or(0.0) as u64,
         })
     }
 
@@ -253,43 +248,18 @@ fn serve_spec(smoke: bool) -> Json {
     spec
 }
 
-/// Delegates the engine measurements to a daemon; the handwritten
-/// baseline (a plain Rust loop, nothing to compile or share) runs
-/// locally either way.
-fn run_serve(socket: &str, smoke: bool) -> Result<(), String> {
-    let mut client =
-        Client::connect(socket.as_ref()).map_err(|e| format!("cannot connect to {socket}: {e}"))?;
-    client.hello()?;
-    println!("(serve mode: engine measurements delegated to {socket})");
-    let report = client.submit(&serve_spec(smoke), |event| {
-        let s = |k: &str| event.get(k).and_then(Json::as_str).unwrap_or("?").to_string();
-        let n = |k: &str| event.get(k).and_then(Json::as_u64).unwrap_or(0);
-        println!("  [{}/{}] {}: {}", n("done"), n("total"), s("job"), s("outcome"));
-    })?;
-    let (min_wall, max_cycles) = if smoke {
-        (Duration::from_millis(60), 200_000)
-    } else {
-        (Duration::from_millis(500), 20_000_000)
-    };
-    let handwritten = Some(measure_handwritten_rate(NROUTERS, INJECTION, min_wall, max_cycles));
-    for level in LEVELS {
-        print_level(&|name| Point::from_json(&report, name), level, handwritten);
-    }
-    write_bench_json(&report, "fig14");
-    Ok(())
-}
-
 fn main() {
+    let args = Args::parse(&["--profile", "--smoke", "--dump-passes"], &["--serve"]);
     banner("Figure 14: mesh simulator speedup vs target cycles", "Fig. 14");
-    let profile = has_flag("--profile");
+    let profile = args.flag("--profile");
     if profile {
         println!("(profiling enabled: per-job `profile` sections in the report)");
     }
-    let smoke = has_flag("--smoke");
+    let smoke = args.flag("--smoke");
     if smoke {
         println!("(smoke mode: CI-sized measurement windows)");
     }
-    if has_flag("--dump-passes") {
+    if args.flag("--dump-passes") {
         for level in LEVELS {
             let harness = mesh_harness(level, NROUTERS, INJECTION);
             let sim =
@@ -300,29 +270,31 @@ fn main() {
             }
         }
     }
-    if let Some(socket) = mtl_bench::arg_value("--serve") {
+    let (report, handwritten) = if let Some(socket) = args.value("--serve") {
         if profile {
             eprintln!("fig14_mesh_speedup: --profile needs in-process simulators; drop --serve");
             std::process::exit(2);
         }
-        if let Err(e) = run_serve(&socket, smoke) {
+        let report = submit_spec(socket, &serve_spec(smoke)).unwrap_or_else(|e| {
             eprintln!("fig14_mesh_speedup --serve: {e}");
             std::process::exit(1);
+        });
+        // A plain Rust loop, nothing to compile or share: runs locally.
+        let (min_wall, max_cycles) = handwritten_window(smoke);
+        (report, Some(measure_handwritten_rate(NROUTERS, INJECTION, min_wall, max_cycles)))
+    } else {
+        let mut campaign = Campaign::new("fig14");
+        for level in LEVELS {
+            for engine in Engine::ALL {
+                campaign = campaign.job(engine_job(level, engine, profile, smoke));
+            }
         }
-        return;
-    }
-    let mut campaign = Campaign::new("fig14");
+        let report = campaign.job(handwritten_job(smoke)).run();
+        let handwritten = report.metric("handwritten", "cycles_per_sec");
+        (report.to_json(), handwritten)
+    };
     for level in LEVELS {
-        for engine in Engine::ALL {
-            campaign = campaign.job(engine_job(level, engine, profile, smoke));
-        }
+        print_level(&|name| Point::from_json(&report, name), level, handwritten);
     }
-    campaign = campaign.job(handwritten_job(smoke));
-    let report = campaign.run();
-
-    let handwritten = report.metric("handwritten", "cycles_per_sec");
-    for level in LEVELS {
-        print_level(&|name| Point::from_report(&report, name), level, handwritten);
-    }
-    write_bench_report(&report, "fig14");
+    write_bench_json(&report, "fig14");
 }

@@ -15,7 +15,7 @@
 
 use std::time::Duration;
 
-use mtl_bench::{banner, mesh_rate_job, write_bench_report};
+use mtl_bench::{banner, mesh_rate_job, write_bench_report, Args};
 use mtl_net::NetLevel;
 use mtl_sim::Engine;
 use mtl_sweep::{Campaign, CampaignReport};
@@ -132,7 +132,7 @@ impl SweepSpec {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let smoke = Args::parse(&["--smoke"], &[]).flag("--smoke");
     let spec = if smoke { SweepSpec::smoke() } else { SweepSpec::full() };
     banner("Figure 15: engine speedup vs injection rate", "Fig. 15");
     let report = spec.campaign().run();

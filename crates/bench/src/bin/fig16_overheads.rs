@@ -9,11 +9,12 @@
 
 use std::time::Instant;
 
-use mtl_bench::{banner, mesh_harness, secs};
+use mtl_bench::{banner, mesh_harness, secs, Args};
 use mtl_net::NetLevel;
 use mtl_sim::{Engine, Sim};
 
 fn main() {
+    Args::parse(&[], &[]);
     banner("Figure 16: simulator construction overheads (seconds)", "Fig. 16");
     println!(
         "{:<10} {:>6} {:<16} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8}",

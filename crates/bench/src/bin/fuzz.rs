@@ -38,7 +38,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use mtl_bench::arg_value;
+use mtl_bench::Args;
 use mtl_check::{
     design_seed, fault_fuzz_one, fuzz_one, write_repro_atomic, FaultFuzzConfig, FuzzConfig,
 };
@@ -84,10 +84,13 @@ fn fault_main(seed_arg: Option<u64>, iters_arg: Option<u64>, cycles_arg: Option<
 }
 
 fn main() -> ExitCode {
-    let seed_arg = arg_value("--seed").map(|v| v.parse().expect("--seed takes an integer"));
-    let iters_arg = arg_value("--iters").map(|v| v.parse().expect("--iters takes an integer"));
-    let cycles_arg = arg_value("--cycles").map(|v| v.parse().expect("--cycles takes an integer"));
-    if std::env::args().any(|a| a == "--fault") {
+    let args = Args::parse(
+        &["--fault", "--opt-diff", "--batch"],
+        &["--seed", "--iters", "--cycles", "--lanes", "--repro-dir"],
+    );
+    let (seed_arg, iters_arg, cycles_arg) =
+        (args.parsed("--seed"), args.parsed("--iters"), args.parsed("--cycles"));
+    if args.flag("--fault") {
         return fault_main(seed_arg, iters_arg, cycles_arg);
     }
 
@@ -101,14 +104,11 @@ fn main() -> ExitCode {
     if let Some(v) = cycles_arg {
         cfg.cycles = v;
     }
-    cfg.opt_diff = std::env::args().any(|a| a == "--opt-diff");
-    if std::env::args().any(|a| a == "--batch") {
-        let lanes: u32 = arg_value("--lanes")
-            .map(|v| v.parse().expect("--lanes takes an integer"))
-            .unwrap_or(mtl_sim::BATCH_LANES);
-        cfg.batch_lanes = Some(lanes);
+    cfg.opt_diff = args.flag("--opt-diff");
+    if args.flag("--batch") {
+        cfg.batch_lanes = Some(args.parsed("--lanes").unwrap_or(mtl_sim::BATCH_LANES));
     }
-    let repro_dir = arg_value("--repro-dir").map(PathBuf::from);
+    let repro_dir = args.value("--repro-dir").map(PathBuf::from);
 
     let nengines = if cfg.batch_lanes.is_some() {
         2

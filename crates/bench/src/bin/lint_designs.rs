@@ -12,11 +12,11 @@
 
 use std::process::ExitCode;
 
-use mtl_bench::{design_registry, has_flag};
+use mtl_bench::{design_registry, Args};
 use mtl_check::{elaborate_unchecked, lint, Severity};
 
 fn main() -> ExitCode {
-    let verbose = has_flag("--verbose");
+    let verbose = Args::parse(&["--verbose"], &[]).flag("--verbose");
     let designs = design_registry();
     println!("linting {} example/bench designs", designs.len());
 

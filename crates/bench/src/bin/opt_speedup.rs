@@ -23,7 +23,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use mtl_bench::{
-    banner, has_flag, measure_rate_best_of, mesh_harness, rate_metrics, write_bench_report,
+    banner, measure_rate_best_of, mesh_harness, rate_metrics, write_bench_report, Args,
 };
 use mtl_net::NetLevel;
 use mtl_sim::{Engine, Sim, SimConfig};
@@ -107,12 +107,13 @@ fn main() -> ExitCode {
         "Tape-optimizer speedup: fig14 mesh workload, optimizer off vs on",
         "Fig. 14 RTL config; ROADMAP item 1",
     );
-    let smoke = has_flag("--smoke");
+    let args = Args::parse(&["--smoke", "--dump-passes"], &[]);
+    let smoke = args.flag("--smoke");
     if smoke {
         println!("(smoke mode: CI-sized measurement windows)");
     }
 
-    if has_flag("--dump-passes") {
+    if args.flag("--dump-passes") {
         let harness = mesh_harness(NetLevel::Rtl, NROUTERS, INJECTION);
         let sim = Sim::build(&harness, Engine::SpecializedOpt).expect("elaboration failed");
         match sim.opt_report() {

@@ -10,7 +10,7 @@
 //! (the default): a rerun replays all 16 points from
 //! `target/sweep-cache/` instantly. Results land in `BENCH_patterns.json`.
 
-use mtl_bench::{banner, write_bench_report};
+use mtl_bench::{banner, write_bench_report, Args};
 use mtl_net::{measure_network_pattern, NetLevel, TrafficPattern};
 use mtl_sim::Engine;
 use mtl_sweep::{Campaign, CampaignReport, Job, JobMetrics};
@@ -78,6 +78,7 @@ fn print_table(report: &CampaignReport) {
 }
 
 fn main() {
+    Args::parse(&[], &[]);
     banner("Extension: 8x8 mesh under synthetic traffic patterns", "NoC methodology");
     let mut campaign = Campaign::new("patterns");
     for pattern in PATTERNS {

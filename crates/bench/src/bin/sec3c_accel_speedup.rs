@@ -9,7 +9,7 @@ use mtl_accel::{
     mvmult_data, mvmult_scalar_program, mvmult_xcel_program, run_tile, MvMultLayout, TileConfig,
     XcelLevel,
 };
-use mtl_bench::banner;
+use mtl_bench::{banner, Args};
 use mtl_proc::{CacheLevel, ProcLevel};
 use mtl_sim::Engine;
 
@@ -32,6 +32,7 @@ fn kernel_cycles(config: TileConfig, rows: u32, cols: u32, accel: bool) -> u64 {
 }
 
 fn main() {
+    Args::parse(&[], &[]);
     banner("§III-C: dot-product accelerator speedup (simulated cycles)", "§III-C / Fig. 5");
     println!(
         "{:<10} {:>10} {:>14} {:>14} {:>10}",

@@ -4,11 +4,12 @@
 //! cycles and saturation ≈ 32% injection rate, plus the same curve for
 //! the RTL mesh and the FL ("magic crossbar") reference.
 
-use mtl_bench::banner;
+use mtl_bench::{banner, Args};
 use mtl_net::{measure_network, NetLevel};
 use mtl_sim::Engine;
 
 fn main() {
+    Args::parse(&[], &[]);
     banner("§III-D: 8x8 mesh latency vs injection rate", "§III-D");
     for level in [NetLevel::Fl, NetLevel::Cl, NetLevel::Rtl] {
         println!("\n--- {level} 64-node mesh ---");

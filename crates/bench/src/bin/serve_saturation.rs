@@ -25,7 +25,7 @@
 use std::sync::{mpsc, Arc};
 use std::time::Instant;
 
-use mtl_bench::{arg_value, banner, has_flag, write_bench_json};
+use mtl_bench::{banner, write_bench_json, Args};
 use mtl_serve::{campaign_from_spec, Scheduler, SpecDefaults};
 use mtl_sim::ArtifactCache;
 use mtl_sweep::Json;
@@ -209,16 +209,17 @@ fn series_json(series: Series, jobs: usize, results: &[ConfigResult]) -> Json {
 
 fn main() {
     banner("mtl-serve saturation: worker scaling + compile-cache sharing", "DESIGN.md \u{a7}10");
-    let smoke = has_flag("--smoke");
+    let args = Args::parse(&["--smoke"], &["--jobs", "--cycles", "--sleep-ms"]);
+    let smoke = args.flag("--smoke");
     let (mut jobs, mut cycles, mut sleep_ms) =
         if smoke { (6, 2_000, 30) } else { (16, 40_000, 100) };
-    if let Some(n) = arg_value("--jobs").and_then(|v| v.parse().ok()) {
+    if let Some(n) = args.parsed("--jobs") {
         jobs = n;
     }
-    if let Some(n) = arg_value("--cycles").and_then(|v| v.parse().ok()) {
+    if let Some(n) = args.parsed("--cycles") {
         cycles = n;
     }
-    if let Some(n) = arg_value("--sleep-ms").and_then(|v| v.parse().ok()) {
+    if let Some(n) = args.parsed("--sleep-ms") {
         sleep_ms = n;
     }
     if smoke {

@@ -31,25 +31,23 @@
 //! disagreement exits nonzero. This is the acceptance bar that engine
 //! choice stays a performance knob on hierarchical compositions.
 //!
-//! `--serve SOCKET` runs the same campaign as a thin client of a running
-//! `mtl_serve` daemon (`soc_cycles` jobs from the server registry, which
-//! reproduce this binary's jobs bit for bit): the daemon's shared
-//! compile cache means concurrent sweeps over the same design points
-//! compile each SoC once, and its journal directory owns resume.
-
-use std::time::Duration;
+//! This binary only *declares* the campaign: `Spec::to_json` renders it
+//! as `soc_cycles` jobs of the `mtl-serve` kind catalog, which owns the
+//! job bodies. `--serve SOCKET` runs that same spec on a running
+//! `mtl_serve` daemon instead of in this process — a deployment choice
+//! (shared compile cache, daemon-owned journal directory), not a
+//! different campaign: tables, summary line, `BENCH_*.json` and the exit
+//! code come from the one report document either way.
 
 use mtl_accel::{TileConfig, XcelLevel};
-use mtl_bench::{arg_value, banner, write_bench_json, write_bench_report};
+use mtl_bench::{banner, job_metric, run_spec, summary_count, Args};
 use mtl_net::NetLevel;
 use mtl_proc::{CacheLevel, ProcLevel};
-use mtl_serve::Client;
 use mtl_sim::{Engine, Sim, SimConfig};
-use mtl_soc::{run_soc_compute_on, run_soc_traffic_on, Soc, SocConfig, SocTraffic, TrafficOutcome};
-use mtl_sweep::{Campaign, CampaignReport, Job, JobMetrics, Json};
+use mtl_soc::{run_soc_traffic_on, Soc, SocConfig, SocTraffic, TrafficOutcome};
+use mtl_sweep::Json;
 
-/// One synthetic design point. `Copy` so job closures can rebuild it
-/// inside the worker thread (sims never cross threads).
+/// One synthetic design point.
 #[derive(Debug, Clone, Copy)]
 struct SynPoint {
     tiles: usize,
@@ -64,7 +62,7 @@ impl SynPoint {
     }
 }
 
-/// One compute design point (uniform tile level).
+/// One compute design point (uniform tile level, tornado traffic).
 #[derive(Debug, Clone, Copy)]
 struct CmpPoint {
     tiles: usize,
@@ -86,7 +84,7 @@ struct Spec {
     /// Simulation budget per job, in cycles.
     cycles: u64,
     engine: Engine,
-    watchdog: Duration,
+    watchdog_ms: u64,
 }
 
 /// Uniform tile config at one level.
@@ -121,7 +119,7 @@ impl Spec {
             cmp,
             cycles: 60_000,
             engine: Engine::SpecializedOpt,
-            watchdog: Duration::from_secs(180),
+            watchdog_ms: 180_000,
         }
     }
 
@@ -146,149 +144,52 @@ impl Spec {
             }],
             cycles: 30_000,
             engine: Engine::SpecializedOpt,
-            watchdog: Duration::from_secs(90),
+            watchdog_ms: 90_000,
         }
     }
 
-    fn campaign(&self, journal: &std::path::Path) -> Campaign {
-        let mut campaign = Campaign::new(self.report_name).retry(1).journal(journal);
-        for &p in &self.syn {
-            campaign = campaign.job(self.syn_job(p));
-        }
-        for &p in &self.cmp {
-            campaign = campaign.job(self.cmp_job(p));
-        }
-        campaign
-    }
-
-    fn syn_job(&self, p: SynPoint) -> Job {
-        let (cycles, engine) = (self.cycles, self.engine);
-        Job::new(p.label(), move |_ctx| {
-            let soc = Soc::new(SocConfig::synthetic(p.tiles, p.net, p.pattern).with_limit(p.limit));
-            let sim = Sim::build(&soc, engine).map_err(|e| format!("elaboration failed: {e:?}"))?;
-            let out = run_soc_traffic_on(&soc, sim, cycles);
-            let golden = u64::from(soc.golden_checksum().expect("synthetic workload"));
-            if !out.drained {
-                return Err(format!("workload failed to drain in {cycles} cycles: {out:?}"));
-            }
-            if u64::from(out.checksum) != golden {
-                return Err(format!(
-                    "checksum {:#x} disagrees with host golden {golden:#x}",
-                    out.checksum
-                ));
-            }
-            Ok(JobMetrics::new()
-                .det("cycles", out.cycles)
-                .det("drained", u64::from(out.drained))
-                .det("checksum", u64::from(out.checksum))
-                .det("injected", out.injected)
-                .det("delivered", out.delivered))
-        })
-        .param("workload", "synthetic")
-        .param("tiles", p.tiles)
-        .param("net", p.net)
-        .param("pattern", p.pattern)
-        .param("limit", p.limit)
-        .param("engine", engine)
-        .watchdog(self.watchdog)
-    }
-
-    fn cmp_job(&self, p: CmpPoint) -> Job {
-        let (cycles, engine) = (self.cycles, self.engine);
-        Job::new(p.label(), move |_ctx| {
-            let soc = Soc::new(
-                SocConfig::compute(p.tiles, p.tile, p.net, SocTraffic::Tornado)
-                    .with_accesses(p.accesses),
-            );
-            let sim = Sim::build(&soc, engine).map_err(|e| format!("elaboration failed: {e:?}"))?;
-            let out = run_soc_compute_on(&soc, sim, cycles);
-            if !out.halted {
-                return Err(format!("tiles failed to halt in {cycles} cycles: {out:?}"));
-            }
-            if out.results != soc.expected_results() {
-                return Err(format!(
-                    "results {:x?} disagree with host model {:x?}",
-                    out.results,
-                    soc.expected_results()
-                ));
-            }
-            let result_xor = out.results.iter().fold(0u32, |a, &r| a ^ r);
-            Ok(JobMetrics::new()
-                .det("cycles", out.cycles)
-                .det("halted", u64::from(out.halted))
-                .det("instret", out.instret)
-                .det("result_xor", u64::from(result_xor)))
-        })
-        .param("workload", "compute")
-        .param("tiles", p.tiles)
-        .param("net", p.net)
-        .param("pattern", SocTraffic::Tornado)
-        .param("proc", p.tile.proc)
-        .param("cache", p.tile.cache)
-        .param("xcel", p.tile.xcel)
-        .param("accesses", p.accesses)
-        .param("engine", engine)
-        .watchdog(self.watchdog)
-    }
-
-    /// The equivalent campaign as an `mtl-serve` submission spec, using
-    /// the server's `soc_cycles` registry kind. Field values mirror
-    /// [`Spec::syn_job`]/[`Spec::cmp_job`] exactly; the journal is
-    /// forwarded only when pinned on the command line (otherwise the
-    /// daemon's `--journal-dir` owns placement).
-    fn serve_spec(&self, journal: Option<&str>) -> Json {
+    /// The campaign as a registry spec (DESIGN.md §10). The journal is
+    /// set only when pinned on the command line; otherwise whoever runs
+    /// the spec places it (`target/sweep-journal/` in-process, the
+    /// daemon's `--journal-dir` when served).
+    fn to_json(&self, journal: Option<&str>) -> Json {
         let mut spec = Json::obj();
         spec.set("name", self.report_name).set("retries", 1u32);
         if let Some(path) = journal {
             spec.set("journal", path);
         }
-        let mut jobs: Vec<Json> = Vec::new();
-        for &p in &self.syn {
+        let job = |name: String, workload: &str, tiles: usize, net: NetLevel| {
             let mut j = Json::obj();
             j.set("kind", "soc_cycles")
-                .set("name", p.label())
-                .set("workload", "synthetic")
-                .set("tiles", p.tiles)
-                .set("net", p.net.to_string())
-                .set("pattern", p.pattern.to_string())
-                .set("limit", p.limit)
+                .set("name", name)
+                .set("workload", workload)
+                .set("tiles", tiles)
+                .set("net", net.to_string())
                 .set("cycles", self.cycles)
                 .set("engine", self.engine.to_string())
-                .set("watchdog_ms", self.watchdog.as_millis() as u64);
-            jobs.push(j);
-        }
-        for &p in &self.cmp {
-            let mut j = Json::obj();
-            j.set("kind", "soc_cycles")
-                .set("name", p.label())
-                .set("workload", "compute")
-                .set("tiles", p.tiles)
-                .set("net", p.net.to_string())
-                .set("pattern", SocTraffic::Tornado.to_string())
+                .set("watchdog_ms", self.watchdog_ms);
+            j
+        };
+        let syn = self.syn.iter().map(|p| {
+            let mut j = job(p.label(), "synthetic", p.tiles, p.net);
+            j.set("pattern", p.pattern.to_string()).set("limit", p.limit);
+            j
+        });
+        let cmp = self.cmp.iter().map(|p| {
+            let mut j = job(p.label(), "compute", p.tiles, p.net);
+            j.set("pattern", SocTraffic::Tornado.to_string())
                 .set("proc", p.tile.proc.to_string())
                 .set("cache", p.tile.cache.to_string())
                 .set("xcel", p.tile.xcel.to_string())
-                .set("accesses", p.accesses)
-                .set("cycles", self.cycles)
-                .set("engine", self.engine.to_string())
-                .set("watchdog_ms", self.watchdog.as_millis() as u64);
-            jobs.push(j);
-        }
-        spec.set("jobs", jobs);
+                .set("accesses", p.accesses);
+            j
+        });
+        spec.set("jobs", syn.chain(cmp).collect::<Vec<Json>>());
         spec
     }
 
-    fn print_table(&self, report: &CampaignReport) {
-        self.print_tables_with(&|name, key| report.get(name).and_then(|j| j.u64(key)));
-    }
-
-    fn print_table_json(&self, report: &Json) {
-        self.print_tables_with(&|name, key| {
-            report_job(report, name)?.get("metrics")?.get(key)?.as_u64()
-        });
-    }
-
-    fn print_tables_with(&self, m: &dyn Fn(&str, &str) -> Option<u64>) {
+    fn print_tables(&self, report: &Json) {
+        let m = |name: &str, key: &str| job_metric(report, name, key);
         println!(
             "\n--- synthetic traffic: drain-to-golden, {} engine, {}-cycle budget ---",
             self.engine, self.cycles
@@ -312,9 +213,6 @@ impl Spec {
                 None => println!("{name:<24} (failed)"),
             }
         }
-        if self.cmp.is_empty() {
-            return;
-        }
         println!("\n--- compute tiles: distributed XOR reduction to halt ---");
         println!(
             "{:<24} {:>8} {:>10} {:>9} {:>8}",
@@ -335,46 +233,6 @@ impl Spec {
             }
         }
     }
-}
-
-/// Finds one job entry by name in a server-side campaign report.
-fn report_job<'a>(report: &'a Json, name: &str) -> Option<&'a Json> {
-    report
-        .get("jobs")?
-        .as_arr()?
-        .iter()
-        .find(|j| j.get("name").and_then(Json::as_str) == Some(name))
-}
-
-/// Runs the campaign as a thin client of an `mtl_serve` daemon and
-/// prints the same tables and summary lines as a standalone run.
-fn run_serve(spec: &Spec, socket: &str, journal: Option<&str>) -> Result<(), String> {
-    let mut client =
-        Client::connect(socket.as_ref()).map_err(|e| format!("cannot connect to {socket}: {e}"))?;
-    client.hello()?;
-    println!("(serve mode: campaign submitted to {socket})");
-    let report = client.submit(&spec.serve_spec(journal), |event| {
-        let s = |k: &str| event.get(k).and_then(Json::as_str).unwrap_or("?").to_string();
-        let n = |k: &str| event.get(k).and_then(Json::as_u64).unwrap_or(0);
-        println!("  [{}/{}] {}: {}", n("done"), n("total"), s("job"), s("outcome"));
-    })?;
-    spec.print_table_json(&report);
-    let jobs = report.get("jobs").and_then(Json::as_arr).unwrap_or(&[]);
-    let count = |pred: &dyn Fn(&Json) -> bool| jobs.iter().filter(|j| pred(j)).count();
-    let flag = |j: &Json, k: &str| j.get(k).and_then(Json::as_bool).unwrap_or(false);
-    println!(
-        "\n{} replayed from journal, {} cached, {} executed, {} timed out",
-        count(&|j| flag(j, "replayed")),
-        count(&|j| flag(j, "cached")),
-        count(&|j| j.get("attempts").and_then(Json::as_u64).unwrap_or(0) > 0),
-        count(&|j| j.get("outcome").and_then(Json::as_str) == Some("timed_out")),
-    );
-    write_bench_json(&report, spec.report_name);
-    let failed = count(&|j| j.get("outcome").and_then(Json::as_str) != Some("done"));
-    if failed > 0 {
-        return Err(format!("{failed} job(s) did not succeed"));
-    }
-    Ok(())
 }
 
 /// The CI engine-agreement gate: 16-tile SoCs at CL and RTL must produce
@@ -434,10 +292,10 @@ fn verify_engines() -> u32 {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let spec = if smoke { Spec::smoke() } else { Spec::full() };
+    let args = Args::parse(&["--smoke", "--verify-engines"], &["--serve", "--journal"]);
+    let spec = if args.flag("--smoke") { Spec::smoke() } else { Spec::full() };
     banner("Multi-tile SoC campaign", "DESIGN.md §13, BENCH_soc");
-    if std::env::args().any(|a| a == "--verify-engines") {
+    if args.flag("--verify-engines") {
         let mismatches = verify_engines();
         if mismatches > 0 {
             eprintln!("soc_sweep --verify-engines: {mismatches} configuration(s) disagree");
@@ -445,31 +303,16 @@ fn main() {
         }
         return;
     }
-    if let Some(socket) = arg_value("--serve") {
-        let journal = arg_value("--journal");
-        if let Err(e) = run_serve(&spec, &socket, journal.as_deref()) {
-            eprintln!("soc_sweep --serve: {e}");
+    let campaign = spec.to_json(args.value("--journal"));
+    let failed = run_spec(&campaign, args.value("--serve"), |report| spec.print_tables(report))
+        .map(|report| summary_count(&report, "failed"))
+        .unwrap_or_else(|e| {
+            eprintln!("soc_sweep: {e}");
             std::process::exit(1);
-        }
-        return;
-    }
-    let journal = arg_value("--journal")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| format!("target/sweep-journal/{}.jsonl", spec.report_name).into());
-    let report = spec.campaign(&journal).run();
-    spec.print_table(&report);
-    println!(
-        "\n{} replayed from journal, {} cached, {} executed, {} timed out",
-        report.replayed_count(),
-        report.cached_count(),
-        report.executed_count(),
-        report.timed_out_count(),
-    );
-    write_bench_report(&report, spec.report_name);
+        });
     // Any failed job (non-drain, checksum/result mismatch, timeout) is a
     // campaign failure: the jobs are self-checking, so CI can trust the
     // exit code without parsing the report.
-    let failed = report.failed_count();
     if failed > 0 {
         eprintln!("soc_sweep: {failed} job(s) failed");
         std::process::exit(1);

@@ -308,16 +308,75 @@ pub fn mesh_rate_job_profiled(
 /// How many hot blocks / active nets a `--profile` report attaches.
 pub const PROFILE_TOP_N: usize = 10;
 
-/// Whether a figure binary was invoked with the given flag.
-pub fn has_flag(flag: &str) -> bool {
-    std::env::args().any(|a| a == flag)
+/// A bin's command line, checked against the arguments it declares.
+pub struct Args {
+    usage: String,
+    given: Vec<(String, Option<String>)>,
 }
 
-/// The value following `--flag` on the command line (`--flag VALUE`), if
-/// present.
-pub fn arg_value(flag: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1).cloned())
+impl Args {
+    /// Parses the process's arguments: `flags` are bare switches,
+    /// `values` take one operand. An undeclared argument or a missing
+    /// operand prints the usage line on stderr and exits 2 — a
+    /// misspelt `--smoke` must not run the full campaign.
+    pub fn parse(flags: &[&str], values: &[&str]) -> Args {
+        Args::from_argv(std::env::args(), flags, values).unwrap_or_else(|e| usage_exit(&e))
+    }
+
+    /// [`Args::parse`] over an explicit argument vector (program name
+    /// first), returning the usage error instead of exiting.
+    fn from_argv(
+        mut argv: impl Iterator<Item = String>,
+        flags: &[&str],
+        values: &[&str],
+    ) -> Result<Args, String> {
+        let bin = argv.next().unwrap_or_default();
+        let bin = bin.rsplit('/').next().unwrap_or_default();
+        let flag_usage: String = flags.iter().map(|f| format!(" [{f}]")).collect();
+        let value_usage: String = values.iter().map(|v| format!(" [{v} VALUE]")).collect();
+        let usage = format!("usage: {bin}{flag_usage}{value_usage}");
+        let mut given = Vec::new();
+        while let Some(arg) = argv.next() {
+            if flags.contains(&arg.as_str()) {
+                given.push((arg, None));
+            } else if values.contains(&arg.as_str()) {
+                let value = argv.next().filter(|v| !v.starts_with("--"));
+                let value = value.ok_or_else(|| format!("{arg} needs a value\n{usage}"))?;
+                given.push((arg, Some(value)));
+            } else {
+                return Err(format!("unknown argument {arg}\n{usage}"));
+            }
+        }
+        Ok(Args { usage, given })
+    }
+
+    /// Whether the switch (or option) `name` was given.
+    pub fn flag(&self, name: &str) -> bool {
+        self.given.iter().any(|(n, _)| n == name)
+    }
+
+    /// The operand of `--name VALUE`, if given.
+    pub fn value(&self, name: &str) -> Option<&str> {
+        self.given.iter().find(|(n, _)| n == name).and_then(|(_, v)| v.as_deref())
+    }
+
+    /// The operand of `name` parsed as `T`; an unparsable operand
+    /// prints the usage line and exits 2 rather than being ignored.
+    pub fn parsed<T: std::str::FromStr>(&self, name: &str) -> Option<T> {
+        self.try_parsed(name).unwrap_or_else(|e| usage_exit(&e))
+    }
+
+    /// [`Args::parsed`], returning the usage error instead of exiting.
+    fn try_parsed<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, String> {
+        let parse =
+            |v: &str| v.parse().map_err(|_| format!("{name} cannot take \"{v}\"\n{}", self.usage));
+        self.value(name).map(parse).transpose()
+    }
+}
+
+fn usage_exit(message: &str) -> ! {
+    eprintln!("{message}");
+    std::process::exit(2)
 }
 
 /// Where `BENCH_<name>.json` reports go: `RUSTMTL_BENCH_DIR` if set,
@@ -328,34 +387,114 @@ pub fn bench_report_path(name: &str) -> PathBuf {
     base.join(format!("BENCH_{name}.json"))
 }
 
-/// Writes a campaign report to [`bench_report_path`] and echoes the
-/// location plus failure counts on stdout.
+/// Writes a campaign report to [`bench_report_path`].
 pub fn write_bench_report(report: &mtl_sweep::CampaignReport, name: &str) {
+    write_bench_json(&report.to_json(), name);
+}
+
+/// Writes a report document to [`bench_report_path`] and echoes the
+/// location on stdout — for a campaign report (one with a `summary`)
+/// plus its failure counts.
+pub fn write_bench_json(doc: &Json, name: &str) {
     let path = bench_report_path(name);
-    match report.write_json(&path) {
-        Ok(()) => println!(
-            "\nwrote {} ({} jobs, {} failed, {} cached, {} workers, {:.1}s wall)",
-            path.display(),
-            report.jobs.len(),
-            report.failed_count(),
-            report.cached_count(),
-            report.workers,
-            report.wall.as_secs_f64(),
-        ),
+    let mut counts = String::new();
+    if doc.get("summary").is_some() {
+        counts = format!(
+            " ({} jobs, {} failed, {} cached, {} workers, {:.1}s wall)",
+            summary_count(doc, "jobs"),
+            summary_count(doc, "failed"),
+            summary_count(doc, "cached"),
+            doc.get("workers").and_then(Json::as_u64).unwrap_or(0),
+            doc.get("wall_secs").and_then(Json::as_f64).unwrap_or(0.0),
+        );
+    }
+    match std::fs::write(&path, doc.to_pretty()) {
+        Ok(()) => println!("\nwrote {}{counts}", path.display()),
         Err(e) => eprintln!("failed to write {}: {e}", path.display()),
     }
 }
 
-/// Writes an already-rendered report document to [`bench_report_path`].
-/// The `--serve` client paths use this: the server returns the campaign
-/// report as JSON (the same schema `write_bench_report` produces), so
-/// there is no local `CampaignReport` to serialize.
-pub fn write_bench_json(doc: &Json, name: &str) {
-    let path = bench_report_path(name);
-    match std::fs::write(&path, doc.to_pretty()) {
-        Ok(()) => println!("\nwrote {} (server-side campaign report)", path.display()),
-        Err(e) => eprintln!("failed to write {}: {e}", path.display()),
-    }
+/// One job's entry in a campaign report document.
+pub fn report_job<'a>(report: &'a Json, name: &str) -> Option<&'a Json> {
+    let jobs = report.get("jobs")?.as_arr()?;
+    jobs.iter().find(|j| j.get("name").and_then(Json::as_str) == Some(name))
+}
+
+/// One deterministic metric of one job in a report document.
+pub fn job_metric(report: &Json, name: &str, key: &str) -> Option<u64> {
+    report_job(report, name)?.get("metrics")?.get(key)?.as_u64()
+}
+
+/// One wall-clock metric of one job in a report document.
+pub fn job_timing(report: &Json, name: &str, key: &str) -> Option<f64> {
+    report_job(report, name)?.get("timing")?.get(key)?.as_f64()
+}
+
+/// One counter of a report document's `summary` (`jobs`, `failed` —
+/// every job that did not end `done` — `cached`, `replayed`, …).
+pub fn summary_count(report: &Json, key: &str) -> u64 {
+    report.get("summary").and_then(|s| s.get(key)).and_then(Json::as_u64).unwrap_or(0)
+}
+
+/// Submits a campaign spec to the daemon listening on `socket`, echoing
+/// each finished job, and returns the report document it streams back.
+///
+/// # Errors
+///
+/// Connection and protocol failures, and the daemon's rejection of a
+/// malformed spec.
+pub fn submit_spec(socket: &str, spec: &Json) -> Result<Json, String> {
+    let mut client = mtl_serve::Client::connect(socket.as_ref())
+        .map_err(|e| format!("cannot connect to {socket}: {e}"))?;
+    client.hello()?;
+    println!("(serve mode: campaign submitted to {socket})");
+    client.submit(spec, |event| {
+        let s = |k: &str| event.get(k).and_then(Json::as_str).unwrap_or("?");
+        let n = |k: &str| event.get(k).and_then(Json::as_u64).unwrap_or(0);
+        println!("  [{}/{}] {}: {}", n("done"), n("total"), s("job"), s("outcome"));
+    })
+}
+
+/// Runs a campaign spec (the `mtl-serve` registry's schema, DESIGN.md
+/// §10) and returns its report document. `serve` only chooses where it
+/// runs: in this process, journalling under `target/sweep-journal/`
+/// unless the spec pins a path, or on the daemon at that socket. Either
+/// way the same catalog builds the same jobs, `tables` prints from the
+/// same document, and the run ends with the replay summary line and
+/// `BENCH_<campaign>.json`.
+///
+/// # Errors
+///
+/// A spec the catalog rejects, or a [`submit_spec`] failure.
+pub fn run_spec(
+    spec: &Json,
+    serve: Option<&str>,
+    tables: impl FnOnce(&Json),
+) -> Result<Json, String> {
+    let report = match serve {
+        Some(socket) => submit_spec(socket, spec)?,
+        None => {
+            let defaults = mtl_serve::SpecDefaults {
+                cache_dir: None,
+                journal_dir: Some("target/sweep-journal".into()),
+            };
+            let artifacts = std::sync::Arc::new(mtl_sim::ArtifactCache::new());
+            mtl_serve::campaign_from_spec(spec, &defaults, &artifacts)?.run().to_json()
+        }
+    };
+    tables(&report);
+    let jobs = report.get("jobs").and_then(Json::as_arr).unwrap_or(&[]);
+    let executed =
+        jobs.iter().filter(|j| j.get("attempts").and_then(Json::as_u64).unwrap_or(0) > 0).count();
+    println!(
+        "\n{} replayed from journal, {} cached, {executed} executed, {} timed out",
+        summary_count(&report, "replayed"),
+        summary_count(&report, "cached"),
+        summary_count(&report, "timed_out"),
+    );
+    let name = report.get("campaign").and_then(Json::as_str).unwrap_or("campaign");
+    write_bench_json(&report, name);
+    Ok(report)
 }
 
 /// Formats a duration in seconds with millisecond precision.
@@ -444,4 +583,34 @@ pub fn design_registry() -> Vec<(String, Box<dyn Component>)> {
         ));
     }
     designs
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Args;
+
+    fn args(argv: &[&str]) -> Result<Args, String> {
+        let argv = std::iter::once("bin").chain(argv.iter().copied()).map(String::from);
+        Args::from_argv(argv, &["--smoke"], &["--journal", "--jobs"])
+    }
+
+    #[test]
+    fn declared_arguments_parse() {
+        let a = args(&["--smoke", "--jobs", "3"]).unwrap();
+        assert!(a.flag("--smoke") && a.flag("--jobs") && !a.flag("--journal"));
+        assert_eq!(a.try_parsed::<usize>("--jobs"), Ok(Some(3)));
+        assert_eq!(a.try_parsed::<usize>("--journal"), Ok(None));
+    }
+
+    #[test]
+    fn bad_command_lines_are_usage_errors() {
+        let usage = "usage: bin [--smoke] [--journal VALUE] [--jobs VALUE]";
+        let unknown = args(&["--smoek"]).err().unwrap();
+        assert_eq!(unknown, format!("unknown argument --smoek\n{usage}"));
+        for missing in [&["--journal"][..], &["--journal", "--smoke"]] {
+            assert_eq!(args(missing).err().unwrap(), format!("--journal needs a value\n{usage}"));
+        }
+        let unparsable = args(&["--jobs", "x"]).unwrap().try_parsed::<usize>("--jobs");
+        assert_eq!(unparsable, Err(format!("--jobs cannot take \"x\"\n{usage}")));
+    }
 }

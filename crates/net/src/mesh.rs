@@ -33,6 +33,18 @@ impl std::fmt::Display for NetLevel {
     }
 }
 
+impl std::str::FromStr for NetLevel {
+    type Err = String;
+
+    /// Parses the [`Display`](std::fmt::Display) spelling, ignoring
+    /// ASCII case.
+    fn from_str(s: &str) -> Result<NetLevel, String> {
+        let all = [NetLevel::Fl, NetLevel::Cl, NetLevel::Rtl];
+        let found = all.into_iter().find(|l| l.to_string().eq_ignore_ascii_case(s));
+        found.ok_or_else(|| format!("unknown net level \"{s}\""))
+    }
+}
+
 /// A structural mesh composed of per-node routers supplied by a factory.
 pub struct MeshNetworkStructural {
     nrouters: usize,

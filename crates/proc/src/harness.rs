@@ -39,6 +39,18 @@ impl std::fmt::Display for ProcLevel {
     }
 }
 
+impl std::str::FromStr for ProcLevel {
+    type Err = String;
+
+    /// Parses the [`Display`](std::fmt::Display) spelling, ignoring
+    /// ASCII case.
+    fn from_str(s: &str) -> Result<ProcLevel, String> {
+        let all = [ProcLevel::Fl, ProcLevel::Cl, ProcLevel::Rtl, ProcLevel::PipeRtl];
+        let found = all.into_iter().find(|l| l.to_string().eq_ignore_ascii_case(s));
+        found.ok_or_else(|| format!("unknown proc level \"{s}\""))
+    }
+}
+
 /// Builds a processor of the given level (identical port interfaces).
 pub fn proc_component(level: ProcLevel) -> Box<dyn Component> {
     match level {
@@ -68,6 +80,18 @@ impl std::fmt::Display for CacheLevel {
             CacheLevel::Rtl => "RTL",
         };
         write!(f, "{s}")
+    }
+}
+
+impl std::str::FromStr for CacheLevel {
+    type Err = String;
+
+    /// Parses the [`Display`](std::fmt::Display) spelling, ignoring
+    /// ASCII case.
+    fn from_str(s: &str) -> Result<CacheLevel, String> {
+        let all = [CacheLevel::Fl, CacheLevel::Cl, CacheLevel::Rtl];
+        let found = all.into_iter().find(|l| l.to_string().eq_ignore_ascii_case(s));
+        found.ok_or_else(|| format!("unknown cache level \"{s}\""))
     }
 }
 

@@ -1,9 +1,9 @@
 //! The thin client: connect, submit, stream events, collect the report.
 //!
 //! Used by the `mtl_serve` CLI subcommands and by the benchmark
-//! binaries' `--serve` modes (`fig14_mesh_speedup`, `fault_sweep`),
-//! which delegate their campaigns to a daemon instead of running an
-//! in-process worker pool — gaining the daemon's warm compile cache.
+//! binaries' `--serve` transport (`mtl_bench::submit_spec`), which runs
+//! a campaign spec on a daemon instead of in-process — gaining the
+//! daemon's warm compile cache.
 
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;

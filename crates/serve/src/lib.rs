@@ -14,9 +14,10 @@
 //!   round-robin, with `mtl-sweep`'s full per-job semantics (watchdog,
 //!   retry, result cache, crash-safe journal) intact;
 //! * a **JSONL protocol** ([`protocol`], DESIGN.md §10) over a Unix
-//!   socket or stdio — submissions name job kinds from the server's
-//!   [`registry`] (closures can't cross a socket), and results stream
-//!   back as `job_done` events plus a final report.
+//!   socket or stdio — submissions name job kinds from the
+//!   [`registry`] catalog (closures can't cross a socket; the bench
+//!   bins run the very same specs in-process), and results stream back
+//!   as `job_done` events plus a final report.
 //!
 //! Kill the daemon mid-campaign and restart it: resubmitting the same
 //! campaigns resumes from their journals with zero recompute of
@@ -27,13 +28,9 @@
 //! ```no_run
 //! use mtl_serve::{Client, Server, ServerConfig};
 //!
-//! let server = Server::new(ServerConfig { workers: 2, ..Default::default() });
 //! let sock = std::path::PathBuf::from("/tmp/mtl-serve.sock");
-//! {
-//!     let server = server.clone();
-//!     let sock = sock.clone();
-//!     std::thread::spawn(move || server.serve_unix(&sock));
-//! }
+//! let cfg = ServerConfig { workers: 2, ..Default::default() };
+//! let (server, serving) = Server::spawn_unix(cfg, &sock).unwrap();
 //! let mut client = Client::connect(&sock).unwrap();
 //! client.hello().unwrap();
 //! let spec = mtl_sweep::json::parse(
@@ -43,6 +40,8 @@
 //! .unwrap();
 //! let report = client.submit(&spec, |_event| {}).unwrap();
 //! println!("{}", report.to_pretty());
+//! server.stop();
+//! serving.join().unwrap();
 //! ```
 
 pub mod client;
@@ -53,6 +52,6 @@ pub mod server;
 
 pub use client::Client;
 pub use protocol::PROTO_VERSION;
-pub use registry::{campaign_from_spec, parse_engine, SpecDefaults};
+pub use registry::{campaign_from_spec, SpecDefaults};
 pub use scheduler::{EventSink, Scheduler};
 pub use server::{Server, ServerConfig};

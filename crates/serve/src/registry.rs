@@ -1,14 +1,17 @@
 //! The campaign-spec registry: JSON campaign descriptions → executable
 //! [`Campaign`]s.
 //!
-//! A client cannot ship closures over a socket, so submissions name
-//! *job kinds* from a fixed catalog and the server instantiates the
-//! closures — the same pattern as a build farm's rule registry. Each
-//! sim-building kind derives a **compile key** from the parameters that
-//! shape the elaborated design (level, size — never seeds, trial
-//! counts, or the campaign name) and builds through the server's shared
-//! [`ArtifactCache`], so concurrent campaigns hammering the same design
-//! point compile its tapes once.
+//! A campaign is described once, as a spec that names *job kinds* from
+//! the catalog below, and the catalog instantiates the closures — the
+//! same pattern as a build farm's rule registry. Where the spec runs is
+//! a transport choice: a bench bin calls [`campaign_from_spec`] in its
+//! own process, the daemon calls it on a submission (closures cannot
+//! cross a socket, specs can). Each sim-building kind derives a
+//! **compile key** from the parameters that shape the elaborated design
+//! (level, size — never trial counts, cycle budgets, or the campaign
+//! name) and builds through the caller's shared [`ArtifactCache`], so
+//! jobs and concurrent campaigns hammering the same design point
+//! compile its tapes once.
 //!
 //! Spec shape (see DESIGN.md §10 for the full schema):
 //!
@@ -24,76 +27,202 @@
 //! ```
 
 use std::path::PathBuf;
+use std::str::FromStr;
 use std::sync::Arc;
 use std::time::Duration;
 
 use mtl_accel::{TileConfig, TileHarness, XcelLevel};
-use mtl_fault::{run_diff_batch_shared, run_diff_shared, DiffConfig, FaultPlan, Outcome, PlanSpec};
+use mtl_core::Component;
+use mtl_fault::{
+    run_diff_batch_shared, run_diff_shared, DiffConfig, FaultPlan, FaultReport, Outcome, PlanSpec,
+};
 use mtl_net::{MeshTrafficHarness, MeshTrafficRtlHarness, NetLevel};
 use mtl_proc::{CacheLevel, ProcLevel};
 use mtl_sim::{ArtifactCache, Engine, Sim, SimConfig};
 use mtl_soc::{run_soc_compute_on, run_soc_traffic_on, Soc, SocConfig, SocTraffic};
-use mtl_sweep::{Campaign, Fnv1a, Job, JobMetrics, Json};
+use mtl_sweep::{measure_batched, Campaign, Fnv1a, Job, JobCtx, JobMetrics, Json};
 
-/// Server-side fallbacks applied to specs that don't pin their own
-/// paths: campaigns cache into `cache_dir` and journal into
-/// `journal_dir/<campaign>.jsonl`.
+/// Fallbacks applied to specs that don't pin their own paths: campaigns
+/// cache into `cache_dir` and journal into `journal_dir/<campaign>.jsonl`.
 #[derive(Debug, Clone, Default)]
 pub struct SpecDefaults {
     pub cache_dir: Option<PathBuf>,
     pub journal_dir: Option<PathBuf>,
 }
 
-fn str_field(spec: &Json, key: &str) -> Option<String> {
-    spec.get(key).and_then(Json::as_str).map(str::to_string)
+/// One row of the kind catalog.
+struct Kind {
+    name: &'static str,
+    /// The engine a job runs under when its spec names none; `None` for
+    /// kinds that build no simulator.
+    default_engine: Option<Engine>,
+    /// Spec fields accepted beyond [`COMMON_FIELDS`].
+    fields: &'static [&'static str],
+    build: fn(Fields, &Arc<ArtifactCache>) -> Result<Job, String>,
 }
 
-fn u64_field(spec: &Json, key: &str) -> Option<u64> {
-    spec.get(key).and_then(Json::as_u64)
+/// Fields every kind accepts ([`job_from_spec`] reads them).
+const COMMON_FIELDS: [&str; 5] = ["kind", "name", "watchdog_ms", "budget_ms", "uncacheable"];
+
+/// Largest `nrouters` / `tiles` a spec may ask for: one submission must
+/// not make the daemon elaborate an unbounded design.
+const MAX_NODES: usize = 1024;
+
+const OPT: Option<Engine> = Some(Engine::SpecializedOpt);
+
+/// The catalog: the only place a campaign job body is defined. Bench
+/// bins and the daemon both instantiate jobs from here
+/// (DESIGN.md §10 lists what each kind measures).
+static KINDS: [Kind; 8] = [
+    Kind { name: "sleep_ms", default_engine: None, fields: &["ms"], build: sleep_job },
+    Kind { name: "fail", default_engine: None, fields: &[], build: fail_job },
+    Kind {
+        name: "mesh_cycles",
+        default_engine: OPT,
+        fields: &["level", "nrouters", "injection", "cycles", "engine"],
+        build: mesh_cycles_job,
+    },
+    Kind {
+        name: "tile_cycles",
+        default_engine: OPT,
+        fields: &["proc", "cache", "xcel", "max_cycles", "engine"],
+        build: tile_cycles_job,
+    },
+    Kind {
+        name: "mesh_rate",
+        default_engine: OPT,
+        fields: &["level", "nrouters", "injection", "min_wall_ms", "max_cycles", "engine"],
+        build: mesh_rate_job,
+    },
+    Kind {
+        name: "fault_chunk",
+        default_engine: OPT,
+        fields: &[
+            "dut",
+            "level",
+            "nrouters",
+            "injection",
+            "proc",
+            "cache",
+            "xcel",
+            "chunk",
+            "trials",
+            "cycles",
+            "faults",
+            "engine",
+        ],
+        build: fault_chunk_job,
+    },
+    Kind {
+        name: "fault_batch_chunk",
+        default_engine: Some(Engine::SpecializedBatch),
+        fields: &["nrouters", "injection", "chunk", "trials", "scalar_sample", "cycles", "faults"],
+        build: fault_batch_chunk_job,
+    },
+    Kind {
+        name: "soc_cycles",
+        default_engine: OPT,
+        fields: &[
+            "workload",
+            "tiles",
+            "net",
+            "pattern",
+            "seed",
+            "cycles",
+            "injection",
+            "limit",
+            "proc",
+            "cache",
+            "xcel",
+            "accesses",
+            "engine",
+        ],
+        build: soc_cycles_job,
+    },
+];
+
+fn kind_of(spec: &Json) -> Result<&'static Kind, String> {
+    let kind = str_field(spec, "kind").ok_or("job needs a string \"kind\"")?;
+    KINDS.iter().find(|k| k.name == kind).ok_or_else(|| {
+        let catalog: Vec<&str> = KINDS.iter().map(|k| k.name).collect();
+        format!("unknown job kind \"{kind}\" (catalog: {})", catalog.join(", "))
+    })
 }
 
-pub fn parse_engine(s: &str) -> Result<Engine, String> {
-    s.parse()
+fn str_field<'a>(spec: &'a Json, key: &str) -> Option<&'a str> {
+    spec.get(key).and_then(Json::as_str)
 }
 
-pub fn parse_net_level(s: &str) -> Result<NetLevel, String> {
-    match s.to_ascii_uppercase().as_str() {
-        "FL" => Ok(NetLevel::Fl),
-        "CL" => Ok(NetLevel::Cl),
-        "RTL" => Ok(NetLevel::Rtl),
-        other => Err(format!("unknown net level \"{other}\"")),
+/// A numeric field, if present, converted with range checking.
+fn num_field<T: TryFrom<u64>>(spec: &Json, key: &str) -> Result<Option<T>, String> {
+    let Some(value) = spec.get(key) else { return Ok(None) };
+    let n = value.as_u64().and_then(|n| T::try_from(n).ok());
+    n.map(Some).ok_or_else(|| {
+        format!("\"{key}\" must be a non-negative integer in range, got {}", value.to_compact())
+    })
+}
+
+/// One job spec, read through its kind's row of the catalog.
+#[derive(Clone, Copy)]
+struct Fields<'a> {
+    spec: &'a Json,
+    kind: &'static Kind,
+    name: &'a str,
+}
+
+impl Fields<'_> {
+    /// A job of this kind. `kind` leads its params, and with them its
+    /// result fingerprint.
+    fn job(
+        &self,
+        run: impl Fn(&JobCtx) -> Result<JobMetrics, String> + Send + Sync + 'static,
+    ) -> Job {
+        Job::new(self.name, run).param("kind", self.kind.name)
+    }
+
+    fn str(&self, key: &str) -> Option<&str> {
+        str_field(self.spec, key)
+    }
+
+    fn num<T: TryFrom<u64>>(&self, key: &str, default: T) -> Result<T, String> {
+        Ok(num_field(self.spec, key)?.unwrap_or(default))
+    }
+
+    /// A named field (`level`, `pattern`, `engine`, …) parsed by its
+    /// type's `FromStr`; `default` when absent.
+    fn parsed<T: FromStr<Err = String>>(&self, key: &str, default: T) -> Result<T, String> {
+        self.str(key).map_or(Ok(default), str::parse)
+    }
+
+    fn required<T: FromStr<Err = String>>(&self, key: &str) -> Result<T, String> {
+        let s = self.str(key).ok_or_else(|| format!("{} needs \"{key}\"", self.kind.name))?;
+        s.parse()
+    }
+
+    fn engine(&self) -> Result<Engine, String> {
+        self.parsed("engine", self.kind.default_engine.expect("kind builds simulators"))
+    }
+
+    /// A design size (`nrouters`, `tiles`), capped at [`MAX_NODES`].
+    fn nodes(&self, key: &str, default: usize) -> Result<usize, String> {
+        let n = self.num(key, default)?;
+        if n > MAX_NODES {
+            return Err(format!("\"{key}\" must be at most {MAX_NODES}, got {n}"));
+        }
+        Ok(n)
+    }
+
+    /// An injection rate in permille.
+    fn injection(&self, default: u32) -> Result<u32, String> {
+        let injection = self.num("injection", default)?;
+        if injection == 0 || injection > 1000 {
+            return Err(format!("\"injection\" must be 1..=1000 permille, got {injection}"));
+        }
+        Ok(injection)
     }
 }
 
-pub fn parse_proc_level(s: &str) -> Result<ProcLevel, String> {
-    match s.to_ascii_uppercase().as_str() {
-        "FL" => Ok(ProcLevel::Fl),
-        "CL" => Ok(ProcLevel::Cl),
-        "RTL" => Ok(ProcLevel::Rtl),
-        "RTL-PIPE" => Ok(ProcLevel::PipeRtl),
-        other => Err(format!("unknown proc level \"{other}\"")),
-    }
-}
-
-pub fn parse_cache_level(s: &str) -> Result<CacheLevel, String> {
-    match s.to_ascii_uppercase().as_str() {
-        "FL" => Ok(CacheLevel::Fl),
-        "CL" => Ok(CacheLevel::Cl),
-        "RTL" => Ok(CacheLevel::Rtl),
-        other => Err(format!("unknown cache level \"{other}\"")),
-    }
-}
-
-pub fn parse_xcel_level(s: &str) -> Result<XcelLevel, String> {
-    match s.to_ascii_uppercase().as_str() {
-        "FL" => Ok(XcelLevel::Fl),
-        "CL" => Ok(XcelLevel::Cl),
-        "RTL" => Ok(XcelLevel::Rtl),
-        other => Err(format!("unknown xcel level \"{other}\"")),
-    }
-}
-
-/// Builds a runnable [`Campaign`] from a submitted spec.
+/// Builds a runnable [`Campaign`] from a spec.
 ///
 /// The returned campaign is *not yet prepared* — the scheduler calls
 /// [`Campaign::prepare`] so journal replay and cache probes happen on
@@ -112,20 +241,20 @@ pub fn campaign_from_spec(
     if name.is_empty() || name.contains(['/', '\n']) {
         return Err(format!("campaign name {name:?} must be a non-empty path-safe string"));
     }
-    let mut campaign = Campaign::new(&name);
-    if let Some(seed) = u64_field(spec, "seed") {
+    let mut campaign = Campaign::new(name);
+    if let Some(seed) = num_field(spec, "seed")? {
         campaign = campaign.seed(seed);
     }
-    if let Some(retries) = u64_field(spec, "retries") {
-        campaign = campaign.retry(retries as u32);
+    if let Some(retries) = num_field(spec, "retries")? {
+        campaign = campaign.retry(retries);
     }
-    if let Some(ms) = u64_field(spec, "retry_backoff_ms") {
+    if let Some(ms) = num_field(spec, "retry_backoff_ms")? {
         campaign = campaign.retry_backoff(Duration::from_millis(ms));
     }
     if spec.get("no_cache").and_then(Json::as_bool).unwrap_or(false) {
         campaign = campaign.no_cache();
-    } else if let Some(dir) = str_field(spec, "cache_dir")
-        .or_else(|| defaults.cache_dir.as_ref().map(|d| d.to_string_lossy().into_owned()))
+    } else if let Some(dir) =
+        str_field(spec, "cache_dir").map(PathBuf::from).or_else(|| defaults.cache_dir.clone())
     {
         campaign = campaign.cache_dir(dir);
     }
@@ -149,40 +278,31 @@ pub fn campaign_from_spec(
 }
 
 /// Derives the journal-identity engine string for a spec: the distinct
-/// engines its jobs run under (explicit `engine` fields plus each
-/// kind's default) and the sim-thread budget. Resuming the same
-/// campaign under a different engine or thread count then invalidates
-/// the journal instead of silently replaying results measured
-/// elsewhere. Deliberately derived from the *spec*, not runtime state,
-/// so identical submissions across daemon restarts produce identical
-/// strings (the scheduler pins `MTL_SIM_THREADS` at startup).
+/// engines its jobs run under (explicit `engine` fields, else each
+/// kind's default from the catalog), sorted, plus the sim-thread
+/// budget. Resuming the same campaign under a different engine or
+/// thread count then invalidates the journal instead of silently
+/// replaying results measured elsewhere. Deliberately derived from the
+/// *spec*, not runtime state, so identical submissions across restarts
+/// produce identical strings.
 fn engine_config_of(jobs: &[Json]) -> String {
-    let mut engines: Vec<String> = Vec::new();
-    for job_spec in jobs {
-        let engine = str_field(job_spec, "engine").or_else(|| {
-            match str_field(job_spec, "kind").unwrap_or_default().as_str() {
-                // Kinds that build simulators default to specialized-opt
-                // (see `engine_of`); the batch kind is pinned.
-                "mesh_cycles" | "tile_cycles" | "mesh_rate" | "fault_chunk" | "soc_cycles" => {
-                    Some("specialized-opt".to_string())
-                }
-                "fault_batch_chunk" => Some("specialized-batch".to_string()),
-                _ => None,
-            }
-        });
-        if let Some(engine) = engine {
-            if !engines.contains(&engine) {
-                engines.push(engine);
-            }
-        }
-    }
+    let mut engines: Vec<String> = jobs
+        .iter()
+        .filter_map(|job| {
+            let default = kind_of(job).ok()?.default_engine?;
+            Some(str_field(job, "engine").map_or_else(|| default.to_string(), str::to_string))
+        })
+        .collect();
     engines.sort();
+    engines.dedup();
     // Snapshot the thread budget once per process: `Campaign::run` pins
     // `MTL_SIM_THREADS` lazily mid-run (to a worker-derived value), so a
     // live read here would make the second spec parse of a process see a
     // different string than the first and spuriously invalidate the
     // journal. The daemon pins the variable in `Scheduler::new`, before
-    // any parse, so its snapshot is the pinned value across restarts.
+    // any parse, so its snapshot is the pinned value across restarts; a
+    // bench bin parses before it runs, so its snapshot is the caller's
+    // environment on every invocation of the same command line.
     static THREADS: std::sync::OnceLock<String> = std::sync::OnceLock::new();
     let threads = THREADS
         .get_or_init(|| std::env::var("MTL_SIM_THREADS").unwrap_or_else(|_| "auto".to_string()));
@@ -191,23 +311,23 @@ fn engine_config_of(jobs: &[Json]) -> String {
 
 /// Instantiates one job from the kind catalog.
 fn job_from_spec(spec: &Json, artifacts: &Arc<ArtifactCache>) -> Result<Job, String> {
-    let kind = str_field(spec, "kind").ok_or("job needs a string \"kind\"")?;
+    let kind = kind_of(spec)?;
     let name = str_field(spec, "name").ok_or("job needs a string \"name\"")?;
-    let mut job = match kind.as_str() {
-        "sleep_ms" => sleep_job(&name, spec),
-        "fail" => fail_job(&name),
-        "mesh_cycles" => mesh_cycles_job(&name, spec, artifacts)?,
-        "tile_cycles" => tile_cycles_job(&name, spec, artifacts)?,
-        "mesh_rate" => mesh_rate_job(&name, spec, artifacts)?,
-        "fault_chunk" => fault_chunk_job(&name, spec, artifacts)?,
-        "fault_batch_chunk" => fault_batch_chunk_job(&name, spec, artifacts)?,
-        "soc_cycles" => soc_cycles_job(&name, spec, artifacts)?,
-        other => return Err(format!("unknown job kind \"{other}\"")),
-    };
-    if let Some(ms) = u64_field(spec, "watchdog_ms") {
+    for (key, _) in spec.as_obj().unwrap_or(&[]) {
+        let key = key.as_str();
+        if !COMMON_FIELDS.contains(&key) && !kind.fields.contains(&key) {
+            return Err(format!(
+                "unknown field \"{key}\" for kind {} (accepted: {})",
+                kind.name,
+                kind.fields.join(", ")
+            ));
+        }
+    }
+    let mut job = (kind.build)(Fields { spec, kind, name }, artifacts)?;
+    if let Some(ms) = num_field(spec, "watchdog_ms")? {
         job = job.watchdog(Duration::from_millis(ms));
     }
-    if let Some(ms) = u64_field(spec, "budget_ms") {
+    if let Some(ms) = num_field(spec, "budget_ms")? {
         job = job.budget(Duration::from_millis(ms));
     }
     if spec.get("uncacheable").and_then(Json::as_bool).unwrap_or(false) {
@@ -217,27 +337,19 @@ fn job_from_spec(spec: &Json, artifacts: &Arc<ArtifactCache>) -> Result<Job, Str
 }
 
 /// Test/bench aid: sleeps, then reports how long it was asked to sleep.
-fn sleep_job(name: &str, spec: &Json) -> Job {
-    let ms = u64_field(spec, "ms").unwrap_or(10);
-    Job::new(name, move |_ctx| {
+fn sleep_job(f: Fields, _: &Arc<ArtifactCache>) -> Result<Job, String> {
+    let ms = f.num("ms", 10u64)?;
+    Ok(f.job(move |_ctx| {
         std::thread::sleep(Duration::from_millis(ms));
         Ok(JobMetrics::new().det("slept_ms", ms))
     })
-    .param("kind", "sleep_ms")
-    .param("ms", ms)
+    .param("ms", ms))
 }
 
 /// Test aid: fails deterministically (exercises partial-resume paths —
 /// failures are never journalled, so they re-run after a restart).
-fn fail_job(name: &str) -> Job {
-    Job::new(name, |_ctx| Err("injected failure (kind=fail)".to_string())).param("kind", "fail")
-}
-
-fn engine_of(spec: &Json) -> Result<Engine, String> {
-    match str_field(spec, "engine") {
-        Some(s) => parse_engine(&s),
-        None => Ok(Engine::SpecializedOpt),
-    }
+fn fail_job(f: Fields, _: &Arc<ArtifactCache>) -> Result<Job, String> {
+    Ok(f.job(|_ctx| Err("injected failure (kind=fail)".to_string())))
 }
 
 /// The compile key for a design point: FNV over the parameters that
@@ -252,6 +364,17 @@ fn compile_key(parts: &[&str]) -> u64 {
     h.finish()
 }
 
+fn build_shared(
+    top: &dyn Component,
+    engine: Engine,
+    artifacts: &ArtifactCache,
+    key: u64,
+) -> Result<Sim, String> {
+    Sim::build_shared(top, engine, &SimConfig::default(), artifacts, key)
+        .map_err(|e| format!("elaboration failed: {e:?}"))
+}
+
+#[derive(Clone, Copy)]
 struct MeshParams {
     level: NetLevel,
     nrouters: usize,
@@ -259,14 +382,14 @@ struct MeshParams {
     key: u64,
 }
 
-fn mesh_params(spec: &Json) -> Result<MeshParams, String> {
-    let level = parse_net_level(&str_field(spec, "level").ok_or("mesh job needs \"level\"")?)?;
-    let nrouters = u64_field(spec, "nrouters").unwrap_or(16) as usize;
-    let root = (nrouters as f64).sqrt() as usize;
+fn mesh_params(f: Fields) -> Result<MeshParams, String> {
+    let level: NetLevel = f.required("level")?;
+    let nrouters = f.nodes("nrouters", 16)?;
+    let root = nrouters.isqrt();
     if root * root != nrouters || nrouters == 0 {
         return Err(format!("\"nrouters\" must be a positive perfect square, got {nrouters}"));
     }
-    let injection = u64_field(spec, "injection").unwrap_or(200) as u32;
+    let injection = f.injection(200)?;
     let key =
         compile_key(&["mesh", &level.to_string(), &nrouters.to_string(), &injection.to_string()]);
     Ok(MeshParams { level, nrouters, injection, key })
@@ -275,17 +398,15 @@ fn mesh_params(spec: &Json) -> Result<MeshParams, String> {
 /// Deterministic mesh run: `cycles` cycles of seeded traffic, reporting
 /// the delivery statistics. Cacheable and journalable (the same seed
 /// reproduces the same traffic on every engine).
-fn mesh_cycles_job(name: &str, spec: &Json, artifacts: &Arc<ArtifactCache>) -> Result<Job, String> {
-    let p = mesh_params(spec)?;
-    let cycles = u64_field(spec, "cycles").unwrap_or(200);
-    let engine = engine_of(spec)?;
+fn mesh_cycles_job(f: Fields, artifacts: &Arc<ArtifactCache>) -> Result<Job, String> {
+    let p = mesh_params(f)?;
+    let cycles = f.num("cycles", 200u64)?;
+    let engine = f.engine()?;
     let artifacts = artifacts.clone();
-    let (level, nrouters, injection, key) = (p.level, p.nrouters, p.injection, p.key);
-    Ok(Job::new(name, move |ctx| {
-        let harness = MeshTrafficHarness::new(level, nrouters, injection, ctx.seed);
+    Ok(f.job(move |ctx| {
+        let harness = MeshTrafficHarness::new(p.level, p.nrouters, p.injection, ctx.seed);
         let stats = harness.stats();
-        let mut sim = Sim::build_shared(&harness, engine, &SimConfig::default(), &artifacts, key)
-            .map_err(|e| format!("elaboration failed: {e:?}"))?;
+        let mut sim = build_shared(&harness, engine, &artifacts, p.key)?;
         sim.reset();
         sim.run(cycles);
         let s = stats.lock().map_err(|_| "stats poisoned".to_string())?;
@@ -297,7 +418,6 @@ fn mesh_cycles_job(name: &str, spec: &Json, artifacts: &Arc<ArtifactCache>) -> R
             .det("max_latency", s.max_latency)
             .det("misrouted", s.misrouted))
     })
-    .param("kind", "mesh_cycles")
     .param("level", p.level)
     .param("nrouters", p.nrouters)
     .param("injection", p.injection)
@@ -305,54 +425,46 @@ fn mesh_cycles_job(name: &str, spec: &Json, artifacts: &Arc<ArtifactCache>) -> R
     .param("engine", engine))
 }
 
-struct MeshIrParams {
-    nrouters: usize,
-    injection: u32,
-    key: u64,
-}
-
 /// Parameters for the fully-IR mesh ([`MeshTrafficRtlHarness`]): RTL
 /// routers with LFSR traffic generators in hardware, no native blocks —
 /// the only DUT shape the bit-sliced batch engine accepts. The RTL
 /// router grid needs a power-of-two side, so `nrouters` must be a power
-/// of four.
-fn mesh_ir_params(spec: &Json) -> Result<MeshIrParams, String> {
-    let nrouters = u64_field(spec, "nrouters").unwrap_or(16) as usize;
-    if nrouters == 0 || !nrouters.is_power_of_two() || !nrouters.trailing_zeros().is_multiple_of(2)
-    {
+/// of four. Returns `(nrouters, injection, compile key)`.
+fn mesh_ir_params(f: Fields) -> Result<(usize, u32, u64), String> {
+    let nrouters = f.nodes("nrouters", 16)?;
+    if !nrouters.is_power_of_two() || !nrouters.trailing_zeros().is_multiple_of(2) {
         return Err(format!("\"nrouters\" must be a power of four, got {nrouters}"));
     }
-    let injection = u64_field(spec, "injection").unwrap_or(200) as u32;
+    let injection = f.injection(200)?;
     let key = compile_key(&["mesh-ir", &nrouters.to_string(), &injection.to_string()]);
-    Ok(MeshIrParams { nrouters, injection, key })
+    Ok((nrouters, injection, key))
 }
 
-struct TileParams {
-    config: TileConfig,
-    key: u64,
+fn tile_params(f: Fields) -> Result<(TileConfig, u64), String> {
+    let config = TileConfig {
+        proc: f.required("proc")?,
+        cache: f.required("cache")?,
+        xcel: f.required("xcel")?,
+    };
+    let TileConfig { proc, cache, xcel } = config;
+    Ok((config, compile_key(&["tile", &proc.to_string(), &cache.to_string(), &xcel.to_string()])))
 }
 
-fn tile_params(spec: &Json) -> Result<TileParams, String> {
-    let proc = parse_proc_level(&str_field(spec, "proc").ok_or("tile job needs \"proc\"")?)?;
-    let cache = parse_cache_level(&str_field(spec, "cache").ok_or("tile job needs \"cache\"")?)?;
-    let xcel = parse_xcel_level(&str_field(spec, "xcel").ok_or("tile job needs \"xcel\"")?)?;
-    let config = TileConfig { proc, cache, xcel };
-    let key = compile_key(&["tile", &proc.to_string(), &cache.to_string(), &xcel.to_string()]);
-    Ok(TileParams { config, key })
+/// The tile under test everywhere: a few proc2mngr words keep the
+/// frontend and cache machinery active through the observation window.
+fn tile_harness(config: TileConfig) -> TileHarness {
+    TileHarness::new(config, 1 << 10, vec![3, 1, 4, 1, 5, 9])
 }
 
 /// Deterministic tile run: executes until the processor halts (or
 /// `max_cycles`), reporting cycles and retired instructions.
-fn tile_cycles_job(name: &str, spec: &Json, artifacts: &Arc<ArtifactCache>) -> Result<Job, String> {
-    let p = tile_params(spec)?;
-    let max_cycles = u64_field(spec, "max_cycles").unwrap_or(20_000);
-    let engine = engine_of(spec)?;
+fn tile_cycles_job(f: Fields, artifacts: &Arc<ArtifactCache>) -> Result<Job, String> {
+    let (config, key) = tile_params(f)?;
+    let max_cycles = f.num("max_cycles", 20_000u64)?;
+    let engine = f.engine()?;
     let artifacts = artifacts.clone();
-    let (config, key) = (p.config, p.key);
-    Ok(Job::new(name, move |_ctx| {
-        let harness = TileHarness::new(config, 1 << 10, vec![3, 1, 4, 1, 5, 9]);
-        let mut sim = Sim::build_shared(&harness, engine, &SimConfig::default(), &artifacts, key)
-            .map_err(|e| format!("elaboration failed: {e:?}"))?;
+    Ok(f.job(move |_ctx| {
+        let mut sim = build_shared(&tile_harness(config), engine, &artifacts, key)?;
         sim.reset();
         let mut cycles = 0u64;
         while cycles < max_cycles && sim.peek_port("halted").as_u128() == 0 {
@@ -364,7 +476,6 @@ fn tile_cycles_job(name: &str, spec: &Json, artifacts: &Arc<ArtifactCache>) -> R
             .det("halted", sim.peek_port("halted").as_u128() as u64)
             .det("instret", sim.peek_port("instret").as_u128() as u64))
     })
-    .param("kind", "tile_cycles")
     .param("proc", config.proc)
     .param("cache", config.cache)
     .param("xcel", config.xcel)
@@ -372,140 +483,192 @@ fn tile_cycles_job(name: &str, spec: &Json, artifacts: &Arc<ArtifactCache>) -> R
     .param("engine", engine))
 }
 
-/// Timing measurement: simulate for at least `min_wall_ms`, report
-/// cycles/second. Uncacheable by construction — wall-clock rates are
-/// machine- and load-dependent, so they are timing metrics (excluded
-/// from the canonical report) and never reused.
-fn mesh_rate_job(name: &str, spec: &Json, artifacts: &Arc<ArtifactCache>) -> Result<Job, String> {
-    let p = mesh_params(spec)?;
-    let min_wall = Duration::from_millis(u64_field(spec, "min_wall_ms").unwrap_or(200));
-    let max_cycles = u64_field(spec, "max_cycles").unwrap_or(1_000_000);
-    let engine = engine_of(spec)?;
+/// Timing measurement: the steady-state rate from
+/// [`measure_batched`] — the estimator every local rate in the repo
+/// uses (warm-up excluded, doubling clamped to `max_cycles`, the job's
+/// `budget_ms` deadline honoured between batches). Uncacheable by
+/// construction — wall-clock rates are machine- and load-dependent, so
+/// they are timing metrics (excluded from the canonical report) and
+/// never reused.
+fn mesh_rate_job(f: Fields, artifacts: &Arc<ArtifactCache>) -> Result<Job, String> {
+    let p = mesh_params(f)?;
+    let min_wall = Duration::from_millis(f.num("min_wall_ms", 200u64)?);
+    let max_cycles = f.num("max_cycles", 1_000_000u64)?;
+    if max_cycles == 0 {
+        return Err("\"max_cycles\" must be positive".to_string());
+    }
+    let engine = f.engine()?;
     let artifacts = artifacts.clone();
-    let (level, nrouters, injection, key) = (p.level, p.nrouters, p.injection, p.key);
-    Ok(Job::new(name, move |ctx| {
-        let harness = MeshTrafficHarness::new(level, nrouters, injection, ctx.seed);
-        let mut sim = Sim::build_shared(&harness, engine, &SimConfig::default(), &artifacts, key)
-            .map_err(|e| format!("elaboration failed: {e:?}"))?;
+    Ok(f.job(move |ctx| {
+        let harness = MeshTrafficHarness::new(p.level, p.nrouters, p.injection, ctx.seed);
+        let mut sim = build_shared(&harness, engine, &artifacts, p.key)?;
         sim.reset();
-        let t0 = std::time::Instant::now();
-        let mut cycles = 0u64;
-        let batch = 256u64;
-        while t0.elapsed() < min_wall && cycles < max_cycles {
-            sim.run(batch);
-            cycles += batch;
-        }
-        let rate = cycles as f64 / t0.elapsed().as_secs_f64();
+        let m = measure_batched(|n| sim.run(n), 16, 64, min_wall, max_cycles, ctx.deadline());
         Ok(JobMetrics::new()
-            .timing("cycles_per_sec", rate)
-            .timing("measured_cycles", cycles as f64)
+            .timing("cycles_per_sec", m.rate())
+            .timing("measured_cycles", m.work as f64)
             .timing("overhead_total_secs", sim.overheads().total().as_secs_f64()))
     })
     .uncacheable()
-    .param("kind", "mesh_rate")
     .param("level", p.level)
     .param("nrouters", p.nrouters)
     .param("injection", p.injection)
     .param("engine", engine))
 }
 
-/// One fault-injection chunk, mirroring `fault_sweep`'s job body and
-/// metric keys exactly (so `fault_sweep --serve` prints the same table
-/// from server-side results) — but built through [`run_diff_shared`],
-/// so every trial of every campaign reuses one compile of the design.
-fn fault_chunk_job(name: &str, spec: &Json, artifacts: &Arc<ArtifactCache>) -> Result<Job, String> {
-    let dut = str_field(spec, "dut").ok_or("fault_chunk needs \"dut\" (mesh|mesh-ir|tile)")?;
+/// Running outcome totals of one fault job — the deterministic metrics
+/// both fault kinds report.
+#[derive(Default)]
+struct Tally {
+    masked: u64,
+    silent: u64,
+    detected: u64,
+    /// Trials that diverged at all (silent + detected).
+    diverged: u64,
+    sum_first_div: u64,
+    sum_blast: u64,
+    injected_bits: u64,
+}
+
+impl Tally {
+    fn add(&mut self, r: &FaultReport) {
+        match r.outcome {
+            Outcome::Masked => self.masked += 1,
+            Outcome::Silent => self.silent += 1,
+            Outcome::Detected => self.detected += 1,
+        }
+        if let Some(c) = r.first_divergence {
+            self.diverged += 1;
+            self.sum_first_div += c;
+            self.sum_blast += r.blast_radius.len() as u64;
+        }
+        self.injected_bits += r.injected_bits;
+    }
+
+    fn metrics(&self, trials: u64) -> JobMetrics {
+        JobMetrics::new()
+            .det("trials", trials)
+            .det("masked", self.masked)
+            .det("silent", self.silent)
+            .det("detected", self.detected)
+            .det("diverged", self.diverged)
+            .det("sum_first_divergence", self.sum_first_div)
+            .det("sum_blast_radius", self.sum_blast)
+            .det("injected_bits", self.injected_bits)
+    }
+}
+
+/// What one fault job injects into: the chunk's shape plus the design
+/// point's compile key.
+#[derive(Clone, Copy)]
+struct FaultChunk {
+    chunk: u32,
+    trials: u64,
+    cycles: u64,
+    faults: usize,
+    key: u64,
+}
+
+impl FaultChunk {
+    fn from_spec(f: Fields, default_trials: u64, key: u64) -> Result<FaultChunk, String> {
+        Ok(FaultChunk {
+            chunk: f.num("chunk", 0)?,
+            trials: f.num("trials", default_trials)?,
+            cycles: f.num("cycles", 60)?,
+            faults: f.num("faults", 1)?,
+            key,
+        })
+    }
+
+    /// The chunk's seeded plans, drawn against one probe simulator
+    /// built on `engine` (sharing the cache makes it nearly free after
+    /// the design point's first job).
+    fn plans(
+        &self,
+        top: &dyn Component,
+        seed: u64,
+        engine: Engine,
+        artifacts: &ArtifactCache,
+    ) -> Result<Vec<FaultPlan>, String> {
+        let probe = build_shared(top, engine, artifacts, self.key)?;
+        let window = PlanSpec::new(self.faults, 2, 1 + self.cycles.max(1));
+        let plan = |t| {
+            let seed = mix(seed, (u64::from(self.chunk) << 32) | t);
+            FaultPlan::random(seed, probe.design(), &window)
+        };
+        Ok((0..self.trials).map(plan).collect())
+    }
+
+    /// Runs every plan through scalar [`run_diff_shared`] on `engine`.
+    fn run_scalar(
+        &self,
+        top: &dyn Component,
+        plans: &[FaultPlan],
+        engine: Engine,
+        artifacts: &ArtifactCache,
+    ) -> Result<Tally, String> {
+        let cfg = DiffConfig::new(engine, self.cycles);
+        let mut tally = Tally::default();
+        for plan in plans {
+            tally.add(&run_diff_shared(top, plan, &cfg, artifacts, self.key)?);
+        }
+        Ok(tally)
+    }
+
+    fn params(&self, job: Job, dut: String, engine: Engine) -> Job {
+        job.param("dut", dut)
+            .param("chunk", self.chunk)
+            .param("engine", engine)
+            .param("cycles", self.cycles)
+            .param("faults_per_trial", self.faults)
+    }
+}
+
+/// One fault-injection chunk: `trials` seeded plans, each a
+/// golden-vs-faulted differential run through [`run_diff_shared`], so
+/// every trial of every campaign reuses one compile of the design.
+fn fault_chunk_job(f: Fields, artifacts: &Arc<ArtifactCache>) -> Result<Job, String> {
+    #[derive(Clone, Copy)]
     enum Dut {
-        Mesh(NetLevel, usize, u32),
+        Mesh(MeshParams),
         MeshIr(usize, u32),
         Tile(TileConfig),
     }
-    let (dut, key) = match dut.as_str() {
-        "mesh" => {
-            let p = mesh_params(spec)?;
-            (Dut::Mesh(p.level, p.nrouters, p.injection), p.key)
+    let (dut, label, key) = match f.str("dut") {
+        Some("mesh") => {
+            let p = mesh_params(f)?;
+            (Dut::Mesh(p), format!("mesh{}/{}", p.nrouters, p.level), p.key)
         }
-        "mesh-ir" => {
-            let p = mesh_ir_params(spec)?;
-            (Dut::MeshIr(p.nrouters, p.injection), p.key)
+        Some("mesh-ir") => {
+            let (n, injection, key) = mesh_ir_params(f)?;
+            (Dut::MeshIr(n, injection), format!("mesh{n}/rtl-ir"), key)
         }
-        "tile" => {
-            let p = tile_params(spec)?;
-            (Dut::Tile(p.config), p.key)
+        Some("tile") => {
+            let (config, key) = tile_params(f)?;
+            (Dut::Tile(config), format!("tile/{}", config.proc), key)
         }
-        other => return Err(format!("unknown dut \"{other}\" (expected mesh|mesh-ir|tile)")),
+        other => {
+            return Err(format!("fault_chunk needs \"dut\" (mesh|mesh-ir|tile), got {other:?}"))
+        }
     };
-    let chunk = u64_field(spec, "chunk").unwrap_or(0) as u32;
-    let trials = u64_field(spec, "trials").unwrap_or(2);
-    let cycles = u64_field(spec, "cycles").unwrap_or(60);
-    let faults = u64_field(spec, "faults").unwrap_or(1) as usize;
-    let engine = engine_of(spec)?;
+    let c = FaultChunk::from_spec(f, 2, key)?;
+    let engine = f.engine()?;
     let artifacts = artifacts.clone();
-    let dut_label = match &dut {
-        Dut::Mesh(level, n, _) => format!("mesh{n}/{level}"),
-        Dut::MeshIr(n, _) => format!("mesh{n}/rtl-ir"),
-        Dut::Tile(c) => format!("tile/{}", c.proc),
-    };
-    let job = Job::new(name, move |ctx| {
-        let top: Box<dyn mtl_core::Component> = match &dut {
-            Dut::Mesh(level, n, inj) => Box::new(MeshTrafficHarness::new(*level, *n, *inj, 0xBEEF)),
-            Dut::MeshIr(n, inj) => Box::new(MeshTrafficRtlHarness::new(*n, *inj, 0xBEEF)),
-            Dut::Tile(config) => {
-                Box::new(TileHarness::new(*config, 1 << 10, vec![3, 1, 4, 1, 5, 9]))
+    let job = f.job(move |ctx| {
+        let top: Box<dyn Component> = match dut {
+            Dut::Mesh(p) => {
+                Box::new(MeshTrafficHarness::new(p.level, p.nrouters, p.injection, 0xBEEF))
             }
+            Dut::MeshIr(n, injection) => Box::new(MeshTrafficRtlHarness::new(n, injection, 0xBEEF)),
+            Dut::Tile(config) => Box::new(tile_harness(config)),
         };
-        // One probe elaboration yields the design plans are drawn
-        // against; sharing the cache makes it nearly free after the
-        // first trial of the first campaign.
-        let probe = Sim::build_shared(
-            top.as_ref(),
-            Engine::Interpreted,
-            &SimConfig::default(),
-            &artifacts,
-            key,
-        )
-        .map_err(|e| format!("elaboration failed: {e:?}"))?;
-        let window = PlanSpec::new(faults, 2, 1 + cycles.max(1));
-        let cfg = DiffConfig::new(engine, cycles);
-        let (mut masked, mut silent, mut detected, mut diverged) = (0u64, 0u64, 0u64, 0u64);
-        let (mut sum_first_div, mut sum_blast, mut injected_bits) = (0u64, 0u64, 0u64);
-        for trial in 0..trials {
-            let seed = mix(ctx.seed, (u64::from(chunk) << 32) | trial);
-            let plan = FaultPlan::random(seed, probe.design(), &window);
-            let report = run_diff_shared(top.as_ref(), &plan, &cfg, &artifacts, key)?;
-            match report.outcome {
-                Outcome::Masked => masked += 1,
-                Outcome::Silent => silent += 1,
-                Outcome::Detected => detected += 1,
-            }
-            if let Some(c) = report.first_divergence {
-                diverged += 1;
-                sum_first_div += c;
-                sum_blast += report.blast_radius.len() as u64;
-            }
-            injected_bits += report.injected_bits;
-        }
-        Ok(JobMetrics::new()
-            .det("trials", trials)
-            .det("masked", masked)
-            .det("silent", silent)
-            .det("detected", detected)
-            .det("diverged", diverged)
-            .det("sum_first_divergence", sum_first_div)
-            .det("sum_blast_radius", sum_blast)
-            .det("injected_bits", injected_bits))
-    })
-    .param("kind", "fault_chunk")
-    .param("dut", dut_label)
-    .param("chunk", chunk)
-    .param("engine", engine)
-    .param("cycles", cycles)
-    .param("faults_per_trial", faults);
-    Ok(job)
+        let plans = c.plans(top.as_ref(), ctx.seed, Engine::Interpreted, &artifacts)?;
+        Ok(c.run_scalar(top.as_ref(), &plans, engine, &artifacts)?.metrics(c.trials))
+    });
+    Ok(c.params(job, label, engine))
 }
 
-/// One bit-sliced fault bundle, mirroring `fault_sweep`'s batch job and
-/// metric keys exactly: up to 63 plans share a single
+/// One bit-sliced fault bundle: up to 63 plans share a single
 /// `Engine::SpecializedBatch` pass (lane 0 golden, one plan per faulty
 /// lane) through [`run_diff_batch_shared`], then the leading
 /// `scalar_sample` plans are re-run through scalar [`run_diff_shared`]
@@ -520,124 +683,76 @@ fn fault_chunk_job(name: &str, spec: &Json, artifacts: &Arc<ArtifactCache>) -> R
 /// report is byte-identical to a healthy one. Only the fully-IR mesh
 /// DUT qualifies; native blocks cannot be bit-sliced. Uncacheable: the
 /// speedup metrics are wall-clock rates.
-fn fault_batch_chunk_job(
-    name: &str,
-    spec: &Json,
-    artifacts: &Arc<ArtifactCache>,
-) -> Result<Job, String> {
-    let p = mesh_ir_params(spec)?;
-    let chunk = u64_field(spec, "chunk").unwrap_or(0) as u32;
-    let trials = u64_field(spec, "trials").unwrap_or(15);
-    if trials == 0 || trials > 63 {
+fn fault_batch_chunk_job(f: Fields, artifacts: &Arc<ArtifactCache>) -> Result<Job, String> {
+    let (nrouters, injection, key) = mesh_ir_params(f)?;
+    let c = FaultChunk::from_spec(f, 15, key)?;
+    if c.trials == 0 || c.trials > 63 {
         return Err(format!(
-            "\"trials\" must be 1..=63 (one lane per plan + golden), got {trials}"
+            "\"trials\" must be 1..=63 (one lane per plan + golden), got {}",
+            c.trials
         ));
     }
-    let sample = u64_field(spec, "scalar_sample").unwrap_or(2).min(trials);
-    let cycles = u64_field(spec, "cycles").unwrap_or(60);
-    let faults = u64_field(spec, "faults").unwrap_or(1) as usize;
+    let sample = f.num("scalar_sample", 2u64)?.min(c.trials) as usize;
     let artifacts = artifacts.clone();
-    let (nrouters, injection, key) = (p.nrouters, p.injection, p.key);
-    let job = Job::new(name, move |ctx| {
+    let run = move |ctx: &JobCtx| {
         let top = MeshTrafficRtlHarness::new(nrouters, injection, 0xBEEF);
-        let probe =
-            Sim::build_shared(&top, Engine::Interpreted, &SimConfig::default(), &artifacts, key)
-                .map_err(|e| format!("elaboration failed: {e:?}"))?;
-        let window = PlanSpec::new(faults, 2, 1 + cycles.max(1));
-        let plans: Vec<FaultPlan> = (0..trials)
-            .map(|t| {
-                let seed = mix(ctx.seed, (u64::from(chunk) << 32) | t);
-                FaultPlan::random(seed, probe.design(), &window)
-            })
-            .collect();
-        drop(probe);
-        // Ladder rung: `None`/rung 0 is the preferred batch engine;
-        // lower rungs re-run every plan through the named scalar engine.
-        let scalar_rung = match ctx.engine() {
-            None | Some("specialized-batch") => None,
-            Some(other) => Some(parse_engine(other)?),
-        };
-        let (mut masked, mut silent, mut detected, mut diverged) = (0u64, 0u64, 0u64, 0u64);
-        let (mut sum_first_div, mut sum_blast, mut injected_bits) = (0u64, 0u64, 0u64);
-        let mut tally = |report: &mtl_fault::FaultReport| {
-            match report.outcome {
-                Outcome::Masked => masked += 1,
-                Outcome::Silent => silent += 1,
-                Outcome::Detected => detected += 1,
+        // Ladder rung: rung 0 is the preferred batch engine; lower rungs
+        // re-run every plan through the named scalar engine.
+        let rung = ctx.engine().map_or(Ok(Engine::SpecializedBatch), str::parse)?;
+        // The probe is built on the rung's own engine, so the design
+        // point's one-time compile is in the shared cache before either
+        // timed section: both rates are steady-state (warm-up excluded,
+        // like every rate in the repo), whichever job compiles first.
+        let plans = c.plans(&top, ctx.seed, rung, &artifacts)?;
+        let secs = |t0: std::time::Instant| t0.elapsed().as_secs_f64().max(1e-9);
+        let (tally, batch_rate, scalar_rate) = if rung == Engine::SpecializedBatch {
+            let t0 = std::time::Instant::now();
+            let reports = run_diff_batch_shared(&top, &plans, c.cycles, &artifacts, key)?;
+            let batch_rate = c.trials as f64 / secs(t0);
+            let cfg = DiffConfig::new(Engine::SpecializedOpt, c.cycles);
+            let t1 = std::time::Instant::now();
+            for (i, plan) in plans.iter().enumerate().take(sample) {
+                let scalar = run_diff_shared(&top, plan, &cfg, &artifacts, key)?;
+                let mut lane = reports[i].clone();
+                // Campaign-mode batch reports carry no trace fingerprint.
+                lane.trace_fingerprint = scalar.trace_fingerprint;
+                if lane != scalar {
+                    // The divergence sentinel: a batch-engine bug, not a
+                    // bad configuration. The DEGRADE_PREFIX makes the
+                    // executor descend the ladder.
+                    return Err(format!(
+                        "{}batch lane disagrees with scalar run on trial {i}: \
+                         batch {lane:?} vs scalar {scalar:?}",
+                        mtl_sweep::DEGRADE_PREFIX
+                    ));
+                }
             }
-            if let Some(c) = report.first_divergence {
-                diverged += 1;
-                sum_first_div += c;
-                sum_blast += report.blast_radius.len() as u64;
-            }
-            injected_bits += report.injected_bits;
-        };
-        let (batch_rate, scalar_rate) = if let Some(engine) = scalar_rung {
+            let scalar_rate = sample as f64 / secs(t1);
+            let mut tally = Tally::default();
+            reports.iter().for_each(|r| tally.add(r));
+            (tally, batch_rate, scalar_rate)
+        } else {
             // Degraded rung: scalar differential runs, plan by plan.
             // Outcomes are engine-exact, so the deterministic metrics
-            // below match the batch rung's bit for bit.
-            let cfg = DiffConfig::new(engine, cycles);
+            // match the batch rung's bit for bit.
             let t0 = std::time::Instant::now();
-            for plan in &plans {
-                let report = run_diff_shared(&top, plan, &cfg, &artifacts, key)?;
-                tally(&report);
-            }
-            let rate = trials as f64 / t0.elapsed().as_secs_f64().max(1e-9);
-            (rate, rate)
-        } else {
-            let t0 = std::time::Instant::now();
-            let reports = run_diff_batch_shared(&top, &plans, cycles, &artifacts, key)?;
-            let batch_secs = t0.elapsed().as_secs_f64().max(1e-9);
-            let cfg = DiffConfig::new(Engine::SpecializedOpt, cycles);
-            let t1 = std::time::Instant::now();
-            for (i, plan) in plans.iter().enumerate() {
-                if (i as u64) < sample {
-                    let scalar = run_diff_shared(&top, plan, &cfg, &artifacts, key)?;
-                    let mut lane = reports[i].clone();
-                    // Campaign-mode batch reports carry no trace fingerprint.
-                    lane.trace_fingerprint = scalar.trace_fingerprint;
-                    if lane != scalar {
-                        // The divergence sentinel: a batch-engine bug,
-                        // not a bad configuration. The DEGRADE_PREFIX
-                        // makes the executor descend the ladder.
-                        return Err(format!(
-                            "{}batch lane disagrees with scalar run on trial {i}: \
-                             batch {lane:?} vs scalar {scalar:?}",
-                            mtl_sweep::DEGRADE_PREFIX
-                        ));
-                    }
-                }
-                tally(&reports[i]);
-            }
-            let scalar_secs = t1.elapsed().as_secs_f64().max(1e-9);
-            (trials as f64 / batch_secs, sample as f64 / scalar_secs)
+            let tally = c.run_scalar(&top, &plans, rung, &artifacts)?;
+            let rate = c.trials as f64 / secs(t0);
+            (tally, rate, rate)
         };
-        Ok(JobMetrics::new()
-            .det("trials", trials)
-            .det("masked", masked)
-            .det("silent", silent)
-            .det("detected", detected)
-            .det("diverged", diverged)
-            .det("sum_first_divergence", sum_first_div)
-            .det("sum_blast_radius", sum_blast)
-            .det("injected_bits", injected_bits)
-            .det("scalar_sample", sample)
+        Ok(tally
+            .metrics(c.trials)
+            .det("scalar_sample", sample as u64)
             .timing("batch_trials_per_sec", batch_rate)
             .timing("scalar_trials_per_sec", scalar_rate)
             .timing("batch_speedup", batch_rate / scalar_rate))
-    })
-    .uncacheable()
-    .ladder(["specialized-batch", "specialized-opt", "interpreted"])
-    .repro(move |ctx, error| {
-        batch_chunk_repro(nrouters, injection, chunk, trials, sample, cycles, faults, ctx, error)
-    })
-    .param("kind", "fault_batch_chunk")
-    .param("dut", format!("mesh{nrouters}/rtl-ir"))
-    .param("chunk", chunk)
-    .param("engine", Engine::SpecializedBatch)
-    .param("cycles", cycles)
-    .param("faults_per_trial", faults);
-    Ok(job)
+    };
+    let job = f
+        .job(run)
+        .uncacheable()
+        .ladder(["specialized-batch", "specialized-opt", "interpreted"])
+        .repro(move |ctx, error| batch_chunk_repro(nrouters, injection, &c, sample, ctx, error));
+    Ok(c.params(job, format!("mesh{nrouters}/rtl-ir"), Engine::SpecializedBatch))
 }
 
 /// Generates the quarantine reproducer for a degraded
@@ -645,18 +760,15 @@ fn fault_batch_chunk_job(
 /// DUT, derives the same seeded fault plans, and re-runs the
 /// batch-vs-scalar comparison that failed — everything an engine
 /// maintainer needs to chase the divergence.
-#[allow(clippy::too_many_arguments)]
 fn batch_chunk_repro(
     nrouters: usize,
     injection: u32,
-    chunk: u32,
-    trials: u64,
-    sample: u64,
-    cycles: u64,
-    faults: usize,
-    ctx: &mtl_sweep::JobCtx,
+    c: &FaultChunk,
+    sample: usize,
+    ctx: &JobCtx,
     error: &str,
 ) -> String {
+    let FaultChunk { chunk, trials, cycles, faults, .. } = *c;
     let mut src = String::new();
     src.push_str("//! Auto-written quarantine reproducer (fault_batch_chunk ladder descent).\n");
     src.push_str(&format!(
@@ -709,56 +821,52 @@ fn batch_chunk_repro(
     src
 }
 
-/// Multi-tile SoC run, mirroring `soc_sweep`'s job bodies and metric
-/// keys exactly (so `soc_sweep --serve` prints the same table from
-/// server-side results). Both personalities are self-checking against
-/// the host golden model, so the job is deterministic and cacheable;
-/// the compile key covers every design-shaping parameter — the seed
-/// included, since LFSR seeds and preloaded programs are baked into the
-/// elaborated design.
-fn soc_cycles_job(name: &str, spec: &Json, artifacts: &Arc<ArtifactCache>) -> Result<Job, String> {
-    let workload = str_field(spec, "workload").unwrap_or_else(|| "synthetic".to_string());
-    let tiles = u64_field(spec, "tiles").unwrap_or(4) as usize;
+/// Multi-tile SoC run. Both personalities are self-checking: a workload
+/// that does not finish inside `cycles`, or finishes with a result the
+/// host golden model disagrees with, fails the job. That makes the job
+/// deterministic and cacheable; the compile key covers every
+/// design-shaping parameter — the seed included, since LFSR seeds and
+/// preloaded programs are baked into the elaborated design.
+fn soc_cycles_job(f: Fields, artifacts: &Arc<ArtifactCache>) -> Result<Job, String> {
+    let workload = f.str("workload").unwrap_or("synthetic").to_string();
+    let tiles = f.nodes("tiles", 4)?;
     if tiles < 4 || !tiles.is_power_of_two() || !tiles.trailing_zeros().is_multiple_of(2) {
         return Err(format!("\"tiles\" must be a power of four >= 4, got {tiles}"));
     }
-    let net = parse_net_level(&str_field(spec, "net").ok_or("soc_cycles needs \"net\"")?)?;
-    let pattern_s = str_field(spec, "pattern").unwrap_or_else(|| "uniform".to_string());
-    let pattern = SocTraffic::parse(&pattern_s)
-        .ok_or_else(|| format!("unknown traffic pattern \"{pattern_s}\""))?;
-    let seed = u64_field(spec, "seed").unwrap_or(0xC0DE);
-    let cycles = u64_field(spec, "cycles").unwrap_or(30_000);
-    let engine = engine_of(spec)?;
+    let net: NetLevel = f.required("net")?;
+    let pattern = f.parsed("pattern", SocTraffic::UniformRandom)?;
+    let seed = f.num("seed", 0xC0DEu64)?;
+    let cycles = f.num("cycles", 30_000u64)?;
+    let engine = f.engine()?;
     let artifacts = artifacts.clone();
     let job = match workload.as_str() {
         "synthetic" => {
-            let injection = u64_field(spec, "injection").unwrap_or(300) as u32;
-            let limit = u64_field(spec, "limit").unwrap_or(64) as u32;
-            if injection == 0 || injection > 1000 {
-                return Err(format!("\"injection\" must be 1..=1000 permille, got {injection}"));
-            }
+            let injection = f.injection(300)?;
+            let limit = f.num("limit", 64u32)?;
             let key = compile_key(&[
                 "soc",
                 "synthetic",
                 &tiles.to_string(),
                 &net.to_string(),
-                &pattern_s,
+                &pattern.to_string(),
                 &injection.to_string(),
                 &limit.to_string(),
                 &seed.to_string(),
             ]);
-            Job::new(name, move |_ctx| {
+            f.job(move |_ctx| {
                 let soc = Soc::new(
                     SocConfig::synthetic(tiles, net, pattern)
                         .with_injection(injection)
                         .with_limit(limit)
                         .with_seed(seed),
                 );
-                let sim = Sim::build_shared(&soc, engine, &SimConfig::default(), &artifacts, key)
-                    .map_err(|e| format!("elaboration failed: {e:?}"))?;
+                let sim = build_shared(&soc, engine, &artifacts, key)?;
                 let out = run_soc_traffic_on(&soc, sim, cycles);
-                let golden = u64::from(soc.golden_checksum().expect("synthetic workload"));
-                if out.drained && u64::from(out.checksum) != golden {
+                if !out.drained {
+                    return Err(format!("workload failed to drain in {cycles} cycles: {out:?}"));
+                }
+                let golden = soc.golden_checksum().expect("synthetic workload");
+                if out.checksum != golden {
                     return Err(format!(
                         "checksum {:#x} disagrees with host golden {golden:#x}",
                         out.checksum
@@ -775,37 +883,39 @@ fn soc_cycles_job(name: &str, spec: &Json, artifacts: &Arc<ArtifactCache>) -> Re
             .param("limit", limit)
         }
         "compute" => {
-            let proc = parse_proc_level(&str_field(spec, "proc").unwrap_or_else(|| "RTL".into()))?;
-            let cache =
-                parse_cache_level(&str_field(spec, "cache").unwrap_or_else(|| "RTL".into()))?;
-            let xcel = parse_xcel_level(&str_field(spec, "xcel").unwrap_or_else(|| "RTL".into()))?;
-            let accesses = u64_field(spec, "accesses").unwrap_or(8) as usize;
+            let config = TileConfig {
+                proc: f.parsed("proc", ProcLevel::Rtl)?,
+                cache: f.parsed("cache", CacheLevel::Rtl)?,
+                xcel: f.parsed("xcel", XcelLevel::Rtl)?,
+            };
+            let accesses = f.num("accesses", 8usize)?;
             if accesses == 0 || accesses > 80 {
                 return Err(format!("\"accesses\" must be 1..=80, got {accesses}"));
             }
-            let config = TileConfig { proc, cache, xcel };
             let key = compile_key(&[
                 "soc",
                 "compute",
                 &tiles.to_string(),
                 &net.to_string(),
-                &pattern_s,
-                &proc.to_string(),
-                &cache.to_string(),
-                &xcel.to_string(),
+                &pattern.to_string(),
+                &config.proc.to_string(),
+                &config.cache.to_string(),
+                &config.xcel.to_string(),
                 &accesses.to_string(),
                 &seed.to_string(),
             ]);
-            Job::new(name, move |_ctx| {
+            f.job(move |_ctx| {
                 let soc = Soc::new(
                     SocConfig::compute(tiles, config, net, pattern)
                         .with_accesses(accesses)
                         .with_seed(seed),
                 );
-                let sim = Sim::build_shared(&soc, engine, &SimConfig::default(), &artifacts, key)
-                    .map_err(|e| format!("elaboration failed: {e:?}"))?;
+                let sim = build_shared(&soc, engine, &artifacts, key)?;
                 let out = run_soc_compute_on(&soc, sim, cycles);
-                if out.halted && out.results != soc.expected_results() {
+                if !out.halted {
+                    return Err(format!("tiles failed to halt in {cycles} cycles: {out:?}"));
+                }
+                if out.results != soc.expected_results() {
                     return Err(format!(
                         "results {:x?} disagree with host model {:x?}",
                         out.results,
@@ -819,15 +929,14 @@ fn soc_cycles_job(name: &str, spec: &Json, artifacts: &Arc<ArtifactCache>) -> Re
                     .det("instret", out.instret)
                     .det("result_xor", u64::from(result_xor)))
             })
-            .param("proc", proc)
-            .param("cache", cache)
-            .param("xcel", xcel)
+            .param("proc", config.proc)
+            .param("cache", config.cache)
+            .param("xcel", config.xcel)
             .param("accesses", accesses)
         }
         other => return Err(format!("unknown workload \"{other}\" (expected synthetic|compute)")),
     };
     Ok(job
-        .param("kind", "soc_cycles")
         .param("workload", workload)
         .param("tiles", tiles)
         .param("net", net)
@@ -836,9 +945,8 @@ fn soc_cycles_job(name: &str, spec: &Json, artifacts: &Arc<ArtifactCache>) -> Re
         .param("engine", engine))
 }
 
-/// SplitMix64 finalizer — the same per-trial seed derivation as
-/// `fault_sweep`, so serve-side fault chunks reproduce the standalone
-/// campaign's plans bit for bit.
+/// SplitMix64 finalizer: decorrelates per-trial plan seeds from the job
+/// seed and trial index.
 fn mix(a: u64, b: u64) -> u64 {
     let mut z = a ^ b.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -888,9 +996,57 @@ mod tests {
             r#"{"name":"a","jobs":[{"kind":"soc_cycles","name":"s","net":"RTL","pattern":"zipf"}]}"#,
             r#"{"name":"a","jobs":[{"kind":"soc_cycles","name":"s","net":"RTL","workload":"mine"}]}"#,
             r#"{"name":"a","jobs":[{"kind":"soc_cycles","name":"s","net":"RTL","injection":0}]}"#,
+            // Unknown keys, wrapping casts, out-of-range rates and sizes.
+            r#"{"name":"a","jobs":[{"kind":"mesh_cycles","name":"m","level":"FL","nrouter":64}]}"#,
+            r#"{"name":"a","jobs":[{"kind":"fault_batch_chunk","name":"b","engine":"interpreted"}]}"#,
+            r#"{"name":"a","jobs":[{"kind":"mesh_cycles","name":"m","level":"FL","injection":4294967496}]}"#,
+            r#"{"name":"a","jobs":[{"kind":"mesh_cycles","name":"m","level":"FL","injection":1001}]}"#,
+            r#"{"name":"a","jobs":[{"kind":"mesh_cycles","name":"m","level":"FL","cycles":"9"}]}"#,
+            r#"{"name":"a","jobs":[{"kind":"mesh_cycles","name":"m","level":"FL","nrouters":4096}]}"#,
+            r#"{"name":"a","jobs":[{"kind":"mesh_rate","name":"m","level":"FL","max_cycles":0}]}"#,
+            r#"{"name":"a","jobs":[{"kind":"soc_cycles","name":"s","net":"RTL","tiles":4096}]}"#,
+            r#"{"name":"a","retries":4294967296,"jobs":[{"kind":"sleep_ms","name":"s"}]}"#,
+            r#"{"name":"a","jobs":[{"kind":"sleep_ms","name":"s","watchdog_ms":"3s"}]}"#,
         ] {
             assert!(campaign_from_spec(&spec(bad), &defaults, &artifacts).is_err(), "{bad}");
         }
+        let err = |text| campaign_from_spec(&spec(text), &defaults, &artifacts).err().unwrap();
+        let unknown_kind = err(r#"{"name":"a","jobs":[{"kind":"warp","name":"s"}]}"#);
+        assert!(unknown_kind.contains("catalog: sleep_ms, fail, mesh_cycles"), "{unknown_kind}");
+        let unknown_field = err(
+            r#"{"name":"a","jobs":[{"kind":"mesh_cycles","name":"m","level":"FL","nrouter":64}]}"#,
+        );
+        assert!(unknown_field.contains("\"nrouter\""), "{unknown_field}");
+        assert!(unknown_field.contains("accepted: level, nrouters, injection"), "{unknown_field}");
+    }
+
+    /// A self-checking SoC job that does not finish inside its cycle
+    /// budget is a failure, never a `done` row with `drained=0`.
+    #[test]
+    fn unfinished_soc_jobs_fail() {
+        let artifacts = Arc::new(ArtifactCache::new());
+        let report = campaign_from_spec(
+            &spec(
+                r#"{"name":"short","no_cache":true,"jobs":[
+                    {"kind":"soc_cycles","name":"syn","net":"RTL","tiles":4,"limit":16,"cycles":8},
+                    {"kind":"soc_cycles","name":"cmp","workload":"compute","net":"RTL",
+                     "accesses":2,"cycles":8},
+                    {"kind":"soc_cycles","name":"ok","net":"RTL","tiles":4,"limit":16,
+                     "cycles":20000}
+                ]}"#,
+            ),
+            &SpecDefaults::default(),
+            &artifacts,
+        )
+        .unwrap()
+        .run();
+        let error = |job: &str| match &report.get(job).unwrap().outcome {
+            mtl_sweep::JobOutcome::Failed { error } => error.clone(),
+            other => panic!("{job} must fail, got {other:?}"),
+        };
+        assert!(error("syn").contains("failed to drain"), "{}", error("syn"));
+        assert!(error("cmp").contains("failed to halt"), "{}", error("cmp"));
+        assert_eq!(report.get("ok").unwrap().u64("drained"), Some(1));
     }
 
     #[test]

@@ -73,6 +73,14 @@ struct Inner {
     orphan_grace: Duration,
 }
 
+/// Binds a non-blocking listener, replacing a stale socket file.
+fn bind(socket: &Path) -> std::io::Result<UnixListener> {
+    let _ = std::fs::remove_file(socket);
+    let listener = UnixListener::bind(socket)?;
+    listener.set_nonblocking(true)?;
+    Ok(listener)
+}
+
 impl Server {
     pub fn new(cfg: ServerConfig) -> Server {
         let workers = if cfg.workers == 0 {
@@ -117,9 +125,31 @@ impl Server {
     /// Returns bind errors; per-connection I/O errors only end that
     /// connection.
     pub fn serve_unix(&self, socket: &Path) -> std::io::Result<()> {
-        let _ = std::fs::remove_file(socket);
-        let listener = UnixListener::bind(socket)?;
-        listener.set_nonblocking(true)?;
+        self.accept_loop(bind(socket)?, socket);
+        Ok(())
+    }
+
+    /// Starts a server on `socket` from a new thread and returns once
+    /// the listener is bound, so a client may connect immediately. Join
+    /// the handle after [`Server::stop`].
+    ///
+    /// # Errors
+    ///
+    /// Returns bind errors.
+    pub fn spawn_unix(
+        cfg: ServerConfig,
+        socket: &Path,
+    ) -> std::io::Result<(Server, std::thread::JoinHandle<()>)> {
+        let server = Server::new(cfg);
+        let listener = bind(socket)?;
+        let handle = {
+            let (server, socket) = (server.clone(), socket.to_path_buf());
+            std::thread::spawn(move || server.accept_loop(listener, &socket))
+        };
+        Ok((server, handle))
+    }
+
+    fn accept_loop(&self, listener: UnixListener, socket: &Path) {
         let mut handlers = Vec::new();
         let mut streams: Vec<UnixStream> = Vec::new();
         while !self.stopping() {
@@ -168,7 +198,6 @@ impl Server {
         for h in handlers {
             let _ = h.join();
         }
-        Ok(())
     }
 
     /// Serves one JSONL conversation on stdin/stdout (the `--stdio`

@@ -53,18 +53,6 @@ impl SocTraffic {
         SocTraffic::Bursty,
         SocTraffic::Trace,
     ];
-
-    /// Parses the lower-case name used by sweeps and job specs.
-    pub fn parse(s: &str) -> Option<SocTraffic> {
-        match s {
-            "uniform" => Some(SocTraffic::UniformRandom),
-            "hotspot" => Some(SocTraffic::Hotspot),
-            "tornado" => Some(SocTraffic::Tornado),
-            "bursty" => Some(SocTraffic::Bursty),
-            "trace" => Some(SocTraffic::Trace),
-            _ => None,
-        }
-    }
 }
 
 impl std::fmt::Display for SocTraffic {
@@ -77,6 +65,17 @@ impl std::fmt::Display for SocTraffic {
             SocTraffic::Trace => "trace",
         };
         write!(f, "{s}")
+    }
+}
+
+impl std::str::FromStr for SocTraffic {
+    type Err = String;
+
+    /// Parses the exact [`Display`](std::fmt::Display) spelling (the
+    /// lower-case name used by sweeps and job specs).
+    fn from_str(s: &str) -> Result<SocTraffic, String> {
+        let found = SocTraffic::ALL.into_iter().find(|p| p.to_string() == s);
+        found.ok_or_else(|| format!("unknown traffic pattern \"{s}\""))
     }
 }
 

@@ -556,7 +556,7 @@ impl CampaignReport {
             summary.set("quarantined", Json::Arr(quarantined));
         }
         doc.set("summary", summary);
-        let jobs: Vec<Json> = self.jobs.iter().map(|j| job_json(j, true)).collect();
+        let jobs: Vec<Json> = self.jobs.iter().map(job_json).collect();
         doc.set("jobs", Json::Arr(jobs));
         doc
     }
@@ -567,11 +567,7 @@ impl CampaignReport {
     /// byte-identical canonical reports; the determinism tests assert
     /// exactly this.
     pub fn to_canonical_json(&self) -> Json {
-        let mut doc = Json::obj();
-        doc.set("campaign", self.campaign.as_str()).set("seed", self.seed);
-        let jobs: Vec<Json> = self.jobs.iter().map(|j| job_json(j, false)).collect();
-        doc.set("jobs", Json::Arr(jobs));
-        doc
+        canonical_json(&self.to_json())
     }
 
     /// Pretty-printed [`CampaignReport::to_json`].
@@ -594,7 +590,31 @@ impl CampaignReport {
     }
 }
 
-fn job_json(job: &JobReport, full: bool) -> Json {
+/// The canonical slice of a report *document* — what
+/// [`CampaignReport::to_json`] renders, or the `report` a daemon
+/// streams back: campaign identity plus each job's name, params, seed,
+/// fingerprint, outcome, deterministic metrics and error. Scheduling-
+/// and failure-path metadata (`summary`, attempts, timing, profile,
+/// engine fallbacks) is left out, so a degraded or resumed run still
+/// matches a clean one.
+pub fn canonical_json(report: &Json) -> Json {
+    let keep = |from: &Json, keys: &[&str]| {
+        let mut out = Json::obj();
+        for &key in keys {
+            if let Some(value) = from.get(key) {
+                out.set(key, value.clone());
+            }
+        }
+        out
+    };
+    let mut doc = keep(report, &["campaign", "seed"]);
+    let jobs = report.get("jobs").and_then(Json::as_arr).unwrap_or(&[]);
+    let job_keys = ["name", "params", "seed", "fingerprint", "outcome", "metrics", "error"];
+    doc.set("jobs", jobs.iter().map(|j| keep(j, &job_keys)).collect::<Vec<Json>>());
+    doc
+}
+
+fn job_json(job: &JobReport) -> Json {
     let mut j = Json::obj();
     j.set("name", job.name.as_str());
     let mut params = Json::obj();
@@ -606,44 +626,31 @@ fn job_json(job: &JobReport, full: bool) -> Json {
     j.set("params", params)
         .set("seed", format!("{:016x}", job.seed))
         .set("fingerprint", format!("{:016x}", job.fingerprint));
+    let attempted = |j: &mut Json| {
+        j.set("attempts", job.attempts).set("wall_secs", job.wall.as_secs_f64());
+    };
     match &job.outcome {
         JobOutcome::Done { metrics, cached } => {
-            j.set("outcome", "done");
-            if full {
-                j.set("cached", *cached)
-                    .set("replayed", job.replayed)
-                    .set("attempts", job.attempts)
-                    .set("wall_secs", job.wall.as_secs_f64());
-            }
+            j.set("outcome", "done").set("cached", *cached).set("replayed", job.replayed);
+            attempted(&mut j);
             let (det, timing, profile) = metrics.to_json();
-            j.set("metrics", det);
-            if full {
-                j.set("timing", timing);
-                // The profile section carries wall-clock data, so like
-                // `timing` it never enters the canonical form.
-                if let Some(profile) = profile {
-                    j.set("profile", profile);
-                }
+            j.set("metrics", det).set("timing", timing);
+            if let Some(profile) = profile {
+                j.set("profile", profile);
             }
         }
         JobOutcome::Failed { error } => {
             j.set("outcome", "failed");
-            if full {
-                j.set("attempts", job.attempts).set("wall_secs", job.wall.as_secs_f64());
-            }
+            attempted(&mut j);
             j.set("error", error.as_str());
         }
         JobOutcome::TimedOut { limit } => {
             j.set("outcome", "timed_out");
-            if full {
-                j.set("attempts", job.attempts).set("wall_secs", job.wall.as_secs_f64());
-            }
+            attempted(&mut j);
             j.set("error", format!("watchdog: no result within {:.3}s", limit.as_secs_f64()));
         }
     }
-    // Engine-ladder degradation is failure-path metadata: full report
-    // only, so a degraded run still matches a clean run canonically.
-    if full && !job.fallbacks.is_empty() {
+    if !job.fallbacks.is_empty() {
         let fallbacks: Vec<Json> = job
             .fallbacks
             .iter()

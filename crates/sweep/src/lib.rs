@@ -47,7 +47,9 @@ pub mod progress;
 pub mod timing;
 
 pub use cache::{fnv1a, job_fingerprint, CacheStats, Fnv1a, ResultCache};
-pub use campaign::{Campaign, CampaignExec, CampaignReport, PendingJob, PreparedCampaign};
+pub use campaign::{
+    canonical_json, Campaign, CampaignExec, CampaignReport, PendingJob, PreparedCampaign,
+};
 pub use chaos::{ChaosGuard, ChaosPolicy, DEGRADE_PREFIX};
 pub use exec::{execute_job, quarantine_dir, RetryPolicy};
 pub use job::{EngineFallback, Job, JobBudget, JobCtx, JobMetrics, JobOutcome, JobReport, Metric};

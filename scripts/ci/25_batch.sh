@@ -10,7 +10,9 @@
 #      its mesh4/rtl-ir batch bundle (batch lane reports are
 #      cross-checked against scalar run_diff inside the job) and
 #      --require-batch-speedup 1.0 turns "the batch engine must not be
-#      slower than the scalar baseline" into the exit code.
+#      slower than the scalar baseline" into the exit code. A gate
+#      value that does not parse must be a usage error (exit 2), never
+#      a silently disabled gate.
 #
 # The (iters, seed) pair is pinned so a red run reproduces locally with
 # exactly these flags.
@@ -26,3 +28,13 @@ RUSTMTL_SWEEP_CACHE=0 RUSTMTL_BENCH_DIR=target \
     cargo run -q -p mtl-bench --release --bin fault_sweep -- \
     --smoke --journal target/sweep-journal/ci_batch_smoke.jsonl \
     --require-batch-speedup 1.0
+
+echo "== batch gate flag: an unparsable threshold is a usage error, not a skipped gate"
+set +e
+target/release/fault_sweep --smoke --require-batch-speedup abc >/dev/null 2>&1
+status=$?
+set -e
+if [ "$status" -ne 2 ]; then
+    echo "expected exit 2 for --require-batch-speedup abc, got exit $status"
+    exit 1
+fi

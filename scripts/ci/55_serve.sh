@@ -7,7 +7,11 @@
 #   (b) kill -9 / restart resume: the daemon is killed mid-run with
 #       both campaigns in flight; a fresh daemon on the same cache and
 #       journal directories must resume both from their journals,
-#       replaying every finished job and recomputing none of them.
+#       replaying every finished job and recomputing none of them;
+#   (c) transport equivalence: fault_sweep --smoke and soc_sweep --smoke
+#       print the same deterministic table rows (taxonomy counts,
+#       checksums, cycles) run in-process and with --serve against the
+#       live daemon — one job catalog, two transports.
 #
 # The in-process variant of these properties (plus protocol and
 # fingerprint-isolation checks) runs in tests/serve_smoke.rs; this
@@ -16,6 +20,7 @@
 ci_stage serve
 
 cargo build -q --release -p mtl-serve --bin mtl_serve
+cargo build -q --release -p mtl-bench --bin fault_sweep --bin soc_sweep
 BIN=target/release/mtl_serve
 
 DIR=$(ci_tmpdir serve)
@@ -112,6 +117,20 @@ done
 for name in ci_a ci_b; do
     n=$(journal_jobs "$DIR/journals/$name.jsonl")
     [ "$n" -eq 8 ] || { echo "FAIL: $name journal has $n job records, want 8"; exit 1; }
+done
+
+echo "== serve: bench bins print the same tables in-process and with --serve"
+# Deterministic columns only: the batch row's rates are wall-clock.
+rows() { awk '/^(mesh|tile)[0-9]*\// { print $1, $2, $3, $4 } /^soc[0-9]/'; }
+for bin in fault_sweep soc_sweep; do
+    RUSTMTL_BENCH_DIR=$DIR target/release/$bin --smoke --serve "$SOCK" \
+        | rows > "$DIR/$bin.served"
+    RUSTMTL_SWEEP_CACHE=0 RUSTMTL_BENCH_DIR=$DIR target/release/$bin --smoke \
+        --journal "$DIR/$bin.jsonl" | rows > "$DIR/$bin.local"
+    [ -s "$DIR/$bin.local" ] || { echo "FAIL: $bin printed no table rows"; exit 1; }
+    diff "$DIR/$bin.local" "$DIR/$bin.served" || {
+        echo "FAIL: $bin --serve disagrees with the in-process run"; exit 1; }
+    echo "   $bin: $(wc -l < "$DIR/$bin.local") rows identical"
 done
 
 "$BIN" shutdown --socket "$SOCK"

@@ -27,13 +27,16 @@
 //!    window, in-flight work journalled), and a server shutdown during
 //!    an in-flight submit surfaces as a clean protocol error, not a
 //!    broken pipe.
+//! 6. **One catalog, two transports** — a spec holding every job kind
+//!    produces the same canonical report run in this process and
+//!    submitted through a socket.
 
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 
-use rustmtl::serve::{protocol, Client, Server, ServerConfig};
-use rustmtl::sweep::{json, Json};
+use rustmtl::serve::{campaign_from_spec, protocol, Client, Server, ServerConfig, SpecDefaults};
+use rustmtl::sweep::{canonical_json, json, Json};
 
 /// A unique scratch directory under the cargo target dir, cleaned first.
 fn scratch_dir(name: &str) -> PathBuf {
@@ -46,26 +49,15 @@ fn scratch_dir(name: &str) -> PathBuf {
 /// Starts a server on `dir`'s socket/cache/journal paths and returns it
 /// with the serving thread (joined after `Server::stop`).
 fn start_server(dir: &Path, workers: usize) -> (Server, PathBuf, std::thread::JoinHandle<()>) {
-    let server = Server::new(ServerConfig {
+    let cfg = ServerConfig {
         workers,
         cache_dir: Some(dir.join("cache")),
         journal_dir: Some(dir.join("journals")),
         // Short grace so disconnect-cancel tests settle quickly.
         orphan_grace: std::time::Duration::from_millis(200),
-    });
-    let socket = dir.join("serve.sock");
-    let handle = {
-        let server = server.clone();
-        let socket = socket.clone();
-        std::thread::spawn(move || server.serve_unix(&socket).expect("serve_unix binds"))
     };
-    // The accept loop needs a beat to bind before clients connect.
-    for _ in 0..200 {
-        if socket.exists() {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(10));
-    }
+    let socket = dir.join("serve.sock");
+    let (server, handle) = Server::spawn_unix(cfg, &socket).expect("server binds its socket");
     (server, socket, handle)
 }
 
@@ -343,4 +335,53 @@ fn campaigns_resume_from_journals_after_a_server_restart() {
 
     server.stop();
     handle.join().unwrap();
+}
+
+#[test]
+fn every_kind_reports_identically_in_process_and_through_a_socket() {
+    let spec = json::parse(
+        r#"{"name":"catalog","seed":11,"no_cache":true,"jobs":[
+            {"kind":"sleep_ms","name":"sleep","ms":1},
+            {"kind":"mesh_cycles","name":"cycles","level":"CL","nrouters":4,"cycles":40},
+            {"kind":"tile_cycles","name":"tile","proc":"FL","cache":"FL","xcel":"FL",
+             "max_cycles":300},
+            {"kind":"mesh_rate","name":"rate","level":"FL","nrouters":4,"min_wall_ms":1,
+             "max_cycles":200},
+            {"kind":"fault_chunk","name":"chunk","dut":"mesh-ir","nrouters":4,"trials":2,
+             "cycles":30},
+            {"kind":"fault_batch_chunk","name":"batch","nrouters":4,"trials":3,
+             "scalar_sample":1,"cycles":20},
+            {"kind":"soc_cycles","name":"soc-syn","net":"RTL","tiles":4,"limit":8,
+             "cycles":5000},
+            {"kind":"soc_cycles","name":"soc-cmp","workload":"compute","net":"CL","proc":"CL",
+             "cache":"CL","xcel":"CL","accesses":2,"cycles":20000}
+        ]}"#,
+    )
+    .unwrap();
+    let artifacts = std::sync::Arc::new(rustmtl::sim::ArtifactCache::new());
+    let build = |spec: &Json| campaign_from_spec(spec, &SpecDefaults::default(), &artifacts);
+
+    // The spec covers the whole catalog (`fail` aside), as the
+    // unknown-kind error lists it: a new kind must join this test.
+    let probe = json::parse(r#"{"name":"probe","jobs":[{"kind":"?","name":"j"}]}"#).unwrap();
+    let error = build(&probe).err().expect("unknown kind is rejected");
+    let listed = error.split("catalog: ").nth(1).expect("error lists the catalog");
+    let mut catalog: Vec<&str> = listed.trim_end_matches(')').split(", ").collect();
+    catalog.retain(|&kind| kind != "fail");
+    let jobs = spec.get("jobs").and_then(Json::as_arr).unwrap();
+    let mut covered: Vec<&str> =
+        jobs.iter().filter_map(|j| j.get("kind").and_then(Json::as_str)).collect();
+    covered.dedup();
+    assert_eq!(covered, catalog);
+
+    let local = build(&spec).expect("spec is valid").run().to_json();
+    assert_eq!(summary_count(&local, "done"), jobs.len() as u64, "{}", local.to_pretty());
+
+    let dir = scratch_dir("serve-catalog");
+    let (server, socket, handle) = start_server(&dir, 2);
+    let served = connect(&socket).submit(&spec, |_| {}).expect("served campaign completes");
+    server.stop();
+    handle.join().unwrap();
+
+    assert_eq!(canonical_json(&local).to_pretty(), canonical_json(&served).to_pretty());
 }
