@@ -14,7 +14,8 @@
 //! plane state ([`BatchEngine::divergence_masks`] via `Sim`).
 //!
 //! The engine lowers the `SpecializedOpt` fused tapes (reusing the whole
-//! optimizer pipeline) into [`POp`] plane programs. Tapes that still
+//! optimizer pipeline) into plane programs: the same [`Op`]s over [`Opd`]
+//! plane ranges instead of scalar registers. Tapes that still
 //! contain jumps after optimization (if-conversion has a size cap) fall
 //! back to a [`BatchProg::PerLane`] program that gathers each lane into
 //! scalar state, runs the ordinary tape executor, and scatters the results
@@ -39,7 +40,7 @@ use crate::compile::{BlockTapes, Chunk, Plans};
 use crate::overheads::Overheads;
 use crate::profile::EngineStats;
 use crate::sim::EngineImpl;
-use crate::tape::{exec_tape_ptr, mask_of, Op, Tape, TapeMems};
+use crate::tape::{exec_tape_ptr, mask_of, Effect, Op, Role, Tape, TapeMems};
 
 /// Lane capacity of the plane state: one bit per lane in a `u64` word.
 /// Storage is always this wide; [`crate::SimConfig::lanes`] only restricts
@@ -47,234 +48,17 @@ use crate::tape::{exec_tape_ptr, mask_of, Op, Tape, TapeMems};
 pub const LANES: u32 = 64;
 
 /// A plane-program operand: an arena plane range holding one tape
-/// register's value, `w` planes wide. `w` is the register's *value width*
-/// at this op point — a static upper bound on the significant bits of the
-/// scalar value (reads past it yield zero planes, which is exactly the
-/// scalar zero-extension).
+/// register's value, `w` planes wide. For a source, `w` is the register's
+/// *value width* at this op point — a static upper bound on the
+/// significant bits of the scalar value (reads past it yield zero planes,
+/// which is exactly the scalar zero-extension); for a destination it is
+/// the result's value width ([`def_width`]). `Select`'s range base is the
+/// exception: its `off` indexes the program's option table, where the
+/// `n` option operands sit consecutively.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Opd {
     off: u32,
     w: u32,
-}
-
-/// One bit-sliced instruction. Register operands are [`Opd`] arena ranges,
-/// net operands are plane offsets into the packed `cur`/`next` state.
-/// `w` on value ops is the destination width in planes.
-#[derive(Debug, Clone)]
-pub(crate) enum POp {
-    Const {
-        dst: u32,
-        w: u32,
-        val: u128,
-    },
-    ReadNet {
-        dst: u32,
-        w: u32,
-        net: u32,
-    },
-    Copy {
-        dst: u32,
-        w: u32,
-        a: Opd,
-    },
-    Add {
-        dst: u32,
-        w: u32,
-        a: Opd,
-        b: Opd,
-        mask: u128,
-    },
-    Sub {
-        dst: u32,
-        w: u32,
-        a: Opd,
-        b: Opd,
-        mask: u128,
-    },
-    And {
-        dst: u32,
-        w: u32,
-        a: Opd,
-        b: Opd,
-    },
-    Or {
-        dst: u32,
-        w: u32,
-        a: Opd,
-        b: Opd,
-    },
-    Xor {
-        dst: u32,
-        w: u32,
-        a: Opd,
-        b: Opd,
-    },
-    Not {
-        dst: u32,
-        w: u32,
-        a: Opd,
-        mask: u128,
-    },
-    Neg {
-        dst: u32,
-        w: u32,
-        a: Opd,
-        mask: u128,
-    },
-    Shl {
-        dst: u32,
-        w: u32,
-        a: Opd,
-        b: Opd,
-        width: u32,
-        mask: u128,
-    },
-    Shr {
-        dst: u32,
-        w: u32,
-        a: Opd,
-        b: Opd,
-        width: u32,
-    },
-    /// `Eq` (`neg = false`) and `Ne` (`neg = true`).
-    Eq {
-        dst: u32,
-        a: Opd,
-        b: Opd,
-        neg: bool,
-    },
-    /// Unsigned `Lt` (`ge = false`) and `Ge` (`ge = true`): an MSB-down
-    /// borrow scan over the operand planes.
-    Lt {
-        dst: u32,
-        a: Opd,
-        b: Opd,
-        ge: bool,
-    },
-    /// Signed compare over `sw` bits: flip the sign plane of both
-    /// operands, then compare unsigned (the classic bias trick).
-    LtS {
-        dst: u32,
-        a: Opd,
-        b: Opd,
-        sw: u32,
-        ge: bool,
-    },
-    RedAnd {
-        dst: u32,
-        a: Opd,
-        mask: u128,
-    },
-    RedOr {
-        dst: u32,
-        a: Opd,
-    },
-    RedXor {
-        dst: u32,
-        a: Opd,
-    },
-    Slice {
-        dst: u32,
-        w: u32,
-        a: Opd,
-        lo: u32,
-        mask: u128,
-    },
-    ShlOr {
-        dst: u32,
-        w: u32,
-        a: Opd,
-        b: Opd,
-        shift: u32,
-    },
-    Mux {
-        dst: u32,
-        w: u32,
-        cond: Opd,
-        t: Opd,
-        f: Opd,
-    },
-    Mux2 {
-        dst: u32,
-        w: u32,
-        c1: Opd,
-        t1: Opd,
-        c2: Opd,
-        t2: Opd,
-        f: Opd,
-    },
-    Select {
-        dst: u32,
-        w: u32,
-        sel: Opd,
-        opts: Box<[Opd]>,
-    },
-    Sext {
-        dst: u32,
-        w: u32,
-        a: Opd,
-        sign_p: u32,
-        ext_or: u128,
-    },
-    /// Multiply has no cheap plane form; gather each lane, use the exact
-    /// scalar formula, scatter back. Rare in RTL datapaths.
-    MulLane {
-        dst: u32,
-        w: u32,
-        a: Opd,
-        b: Opd,
-        mask: u128,
-    },
-    /// Arithmetic right shift, per lane like [`POp::MulLane`].
-    SraLane {
-        dst: u32,
-        w: u32,
-        a: Opd,
-        b: Opd,
-        width: u32,
-        mask: u128,
-        ext: u32,
-    },
-    /// Full net store to `cur` (`next = false`) or the shadow buffer.
-    Write {
-        net: u32,
-        nw: u32,
-        src: Opd,
-        next: bool,
-    },
-    WriteMasked {
-        net: u32,
-        nw: u32,
-        src: Opd,
-        lo: u32,
-        field: u128,
-        next: bool,
-    },
-    /// Predicated store: lanes where the condition (xor `neg`) holds take
-    /// the source planes, others keep the target planes.
-    WriteIf {
-        net: u32,
-        nw: u32,
-        src: Opd,
-        cond: Opd,
-        neg: bool,
-        next: bool,
-    },
-    MemRead {
-        dst: u32,
-        w: u32,
-        mem: u32,
-        addr: Opd,
-        words: u64,
-    },
-    /// Deferred per-lane memory write; `cond` is the `MemWriteIf` guard.
-    MemWrite {
-        mem: u32,
-        addr: Opd,
-        data: Opd,
-        words: u64,
-        cond: Option<(Opd, bool)>,
-    },
 }
 
 /// One lowered tape: either a straight-line plane program or the scalar
@@ -282,7 +66,9 @@ pub(crate) enum POp {
 #[derive(Debug, Clone)]
 pub(crate) enum BatchProg {
     Planes {
-        ops: Vec<POp>,
+        ops: Vec<Op<Opd>>,
+        /// The operands of every `Select`'s options (see [`Opd`]).
+        opts: Vec<Opd>,
         /// Arena planes this program needs.
         arena: u32,
     },
@@ -318,6 +104,10 @@ fn bits(v: u128) -> u32 {
 /// per-register value widths `vw`. `None` for stores and jumps. This is
 /// the single source of truth for width tracking: both lowering passes
 /// call it, so arena sizing and emitted operand widths cannot drift.
+///
+/// This is approximately `bits(approx_bits(op))` of the optimizer's
+/// known-bits analysis (`compile::passes`); the two are kept apart because
+/// folding them would change plane widths.
 fn def_width(op: &Op, vw: &[u32], widths: &[u32], mem_widths: &[u32]) -> Option<(u16, u32)> {
     let v = |r: u16| vw[r as usize];
     Some(match *op {
@@ -367,28 +157,23 @@ fn def_width(op: &Op, vw: &[u32], widths: &[u32], mem_widths: &[u32]) -> Option<
 }
 
 /// Lowers one scalar tape to a batch program.
-fn lower_tape(tape: &Tape, net_off: &[u32], widths: &[u32], mem_widths: &[u32]) -> BatchProg {
-    let jumpy = tape
-        .ops
-        .iter()
-        .any(|op| matches!(op, Op::Jz { .. } | Op::JneConst { .. } | Op::Jmp { .. }));
-    if jumpy {
+fn lower_tape(tape: &Tape, widths: &[u32], mem_widths: &[u32]) -> BatchProg {
+    if tape.has_jumps() {
         let mut touched = Vec::new();
         let mut cur_writes = Vec::new();
         let mut next_writes = Vec::new();
         for op in &tape.ops {
-            match op {
-                Op::Read { slot, .. } => touched.push(*slot),
-                Op::Write { slot, .. }
-                | Op::WriteMasked { slot, .. }
-                | Op::WriteIf { slot, .. } => {
-                    touched.push(*slot);
-                    cur_writes.push(*slot);
+            match op.effect() {
+                Effect::Read { slot } => touched.push(slot),
+                Effect::Write { slot, next: false, .. } => {
+                    touched.push(slot);
+                    cur_writes.push(slot);
                 }
-                Op::WriteNext { slot, .. }
-                | Op::WriteNextMasked { slot, .. }
-                | Op::WriteNextIf { slot, .. } => next_writes.push(*slot),
-                _ => {}
+                Effect::Write { slot, next: true, .. } => next_writes.push(slot),
+                Effect::Pure
+                | Effect::MemRead { .. }
+                | Effect::MemWrite { .. }
+                | Effect::Jump { .. } => {}
             }
         }
         for v in [&mut touched, &mut cur_writes, &mut next_writes] {
@@ -420,151 +205,24 @@ fn lower_tape(tape: &Tape, net_off: &[u32], widths: &[u32], mem_widths: &[u32]) 
     // Pass 2: emit, with source operands at their pre-op widths.
     let mut vw = vec![0u32; n];
     let mut ops = Vec::with_capacity(tape.ops.len());
+    let mut opts = Vec::new();
     for op in &tape.ops {
-        let o = |r: u16| Opd { off: off[r as usize], w: vw[r as usize] };
         let d = def_width(op, &vw, widths, mem_widths);
-        let dst = |r: u16| off[r as usize];
-        let w = d.map(|(_, w)| w).unwrap_or(0);
-        let p = match *op {
-            Op::Const { dst: r, val } => Some(POp::Const { dst: dst(r), w, val }),
-            Op::Read { dst: r, slot } => {
-                Some(POp::ReadNet { dst: dst(r), w, net: net_off[slot as usize] })
+        let o = |r: u16| Opd { off: off[r as usize], w: vw[r as usize] };
+        ops.push(op.map_regs(&mut |role, r| match role {
+            Role::Def => Opd { off: off[r as usize], w: d.expect("a def has a width").1 },
+            Role::Use => o(r),
+            Role::Range(k) => {
+                let first = opts.len() as u32;
+                opts.extend((0..k).map(|i| o(r + i)));
+                Opd { off: first, w: k as u32 }
             }
-            Op::Copy { dst: r, a } => Some(POp::Copy { dst: dst(r), w, a: o(a) }),
-            Op::Add { dst: r, a, b, mask } => {
-                Some(POp::Add { dst: dst(r), w, a: o(a), b: o(b), mask })
-            }
-            Op::Sub { dst: r, a, b, mask } => {
-                Some(POp::Sub { dst: dst(r), w, a: o(a), b: o(b), mask })
-            }
-            Op::Mul { dst: r, a, b, mask } => {
-                Some(POp::MulLane { dst: dst(r), w, a: o(a), b: o(b), mask })
-            }
-            Op::And { dst: r, a, b } => Some(POp::And { dst: dst(r), w, a: o(a), b: o(b) }),
-            Op::Or { dst: r, a, b } => Some(POp::Or { dst: dst(r), w, a: o(a), b: o(b) }),
-            Op::Xor { dst: r, a, b } => Some(POp::Xor { dst: dst(r), w, a: o(a), b: o(b) }),
-            Op::Not { dst: r, a, mask } => Some(POp::Not { dst: dst(r), w, a: o(a), mask }),
-            Op::Neg { dst: r, a, mask } => Some(POp::Neg { dst: dst(r), w, a: o(a), mask }),
-            Op::Shl { dst: r, a, b, width, mask } => {
-                Some(POp::Shl { dst: dst(r), w, a: o(a), b: o(b), width, mask })
-            }
-            Op::Shr { dst: r, a, b, width } => {
-                Some(POp::Shr { dst: dst(r), w, a: o(a), b: o(b), width })
-            }
-            Op::Sra { dst: r, a, b, width, mask, ext } => {
-                Some(POp::SraLane { dst: dst(r), w, a: o(a), b: o(b), width, mask, ext })
-            }
-            Op::Eq { dst: r, a, b } => Some(POp::Eq { dst: dst(r), a: o(a), b: o(b), neg: false }),
-            Op::Ne { dst: r, a, b } => Some(POp::Eq { dst: dst(r), a: o(a), b: o(b), neg: true }),
-            Op::Lt { dst: r, a, b } => Some(POp::Lt { dst: dst(r), a: o(a), b: o(b), ge: false }),
-            Op::Ge { dst: r, a, b } => Some(POp::Lt { dst: dst(r), a: o(a), b: o(b), ge: true }),
-            Op::LtS { dst: r, a, b, ext } => {
-                Some(POp::LtS { dst: dst(r), a: o(a), b: o(b), sw: 128 - ext, ge: false })
-            }
-            Op::GeS { dst: r, a, b, ext } => {
-                Some(POp::LtS { dst: dst(r), a: o(a), b: o(b), sw: 128 - ext, ge: true })
-            }
-            Op::RedAnd { dst: r, a, mask } => Some(POp::RedAnd { dst: dst(r), a: o(a), mask }),
-            Op::RedOr { dst: r, a } => Some(POp::RedOr { dst: dst(r), a: o(a) }),
-            Op::RedXor { dst: r, a } => Some(POp::RedXor { dst: dst(r), a: o(a) }),
-            Op::Slice { dst: r, a, lo, mask } => {
-                Some(POp::Slice { dst: dst(r), w, a: o(a), lo, mask })
-            }
-            Op::ShlOr { dst: r, a, b, shift } => {
-                Some(POp::ShlOr { dst: dst(r), w, a: o(a), b: o(b), shift })
-            }
-            Op::Mux { dst: r, cond, t, f } => {
-                Some(POp::Mux { dst: dst(r), w, cond: o(cond), t: o(t), f: o(f) })
-            }
-            Op::Mux2 { dst: r, c1, t1, c2, t2, f } => Some(POp::Mux2 {
-                dst: dst(r),
-                w,
-                c1: o(c1),
-                t1: o(t1),
-                c2: o(c2),
-                t2: o(t2),
-                f: o(f),
-            }),
-            Op::Select { dst: r, sel, base, n } => {
-                let opts: Box<[Opd]> = (0..n).map(|i| o(base + i)).collect();
-                Some(POp::Select { dst: dst(r), w, sel: o(sel), opts })
-            }
-            Op::Sext { dst: r, a, sign_bit, ext_or } => Some(POp::Sext {
-                dst: dst(r),
-                w,
-                a: o(a),
-                sign_p: sign_bit.trailing_zeros(),
-                ext_or,
-            }),
-            Op::Write { slot, src } => Some(POp::Write {
-                net: net_off[slot as usize],
-                nw: widths[slot as usize],
-                src: o(src),
-                next: false,
-            }),
-            Op::WriteNext { slot, src } => Some(POp::Write {
-                net: net_off[slot as usize],
-                nw: widths[slot as usize],
-                src: o(src),
-                next: true,
-            }),
-            Op::WriteMasked { slot, src, lo, field } => Some(POp::WriteMasked {
-                net: net_off[slot as usize],
-                nw: widths[slot as usize],
-                src: o(src),
-                lo,
-                field,
-                next: false,
-            }),
-            Op::WriteNextMasked { slot, src, lo, field } => Some(POp::WriteMasked {
-                net: net_off[slot as usize],
-                nw: widths[slot as usize],
-                src: o(src),
-                lo,
-                field,
-                next: true,
-            }),
-            Op::WriteIf { slot, cond, src, neg } => Some(POp::WriteIf {
-                net: net_off[slot as usize],
-                nw: widths[slot as usize],
-                src: o(src),
-                cond: o(cond),
-                neg,
-                next: false,
-            }),
-            Op::WriteNextIf { slot, cond, src, neg } => Some(POp::WriteIf {
-                net: net_off[slot as usize],
-                nw: widths[slot as usize],
-                src: o(src),
-                cond: o(cond),
-                neg,
-                next: true,
-            }),
-            Op::MemRead { dst: r, mem, addr, words } => {
-                Some(POp::MemRead { dst: dst(r), w, mem, addr: o(addr), words })
-            }
-            Op::MemWrite { mem, addr, data, words } => {
-                Some(POp::MemWrite { mem, addr: o(addr), data: o(data), words, cond: None })
-            }
-            Op::MemWriteIf { mem, addr, data, cond, words, neg } => Some(POp::MemWrite {
-                mem,
-                addr: o(addr),
-                data: o(data),
-                words,
-                cond: Some((o(cond), neg)),
-            }),
-            Op::Jz { .. } | Op::JneConst { .. } | Op::Jmp { .. } => {
-                unreachable!("jump in a tape lowered to planes")
-            }
-        };
-        if let Some(p) = p {
-            ops.push(p);
-        }
-        if let Some((dstr, nw)) = d {
-            vw[dstr as usize] = nw;
+        }));
+        if let Some((dst, w)) = d {
+            vw[dst as usize] = w;
         }
     }
-    BatchProg::Planes { ops, arena: total }
+    BatchProg::Planes { ops, opts, arena: total }
 }
 
 /// Reads plane `p` of an operand: zero past the value width (scalar
@@ -642,328 +300,23 @@ fn nonzero(arena: &[u64], o: Opd) -> u64 {
     acc
 }
 
-/// Executes a straight-line plane program. `pending` is indexed by lane.
-fn exec_planes(
-    ops: &[POp],
-    arena: &mut [u64],
-    cur: &mut [u64],
-    next: &mut [u64],
-    mems: &[Vec<u128>],
+/// Queues one deferred memory write per lane selected by `take`.
+fn push_mem_writes(
+    arena: &[u64],
     pending: &mut [Vec<(u32, u64, u128)>],
-    sel_scratch: &mut Vec<u64>,
+    take: u64,
+    mem: u32,
+    addr: Opd,
+    data: Opd,
+    words: u64,
 ) {
-    for op in ops {
-        match op {
-            POp::Const { dst, w, val } => {
-                for p in 0..*w {
-                    arena[(dst + p) as usize] = mb(*val, p);
-                }
-            }
-            POp::ReadNet { dst, w, net } => {
-                for p in 0..*w {
-                    arena[(dst + p) as usize] = cur[(net + p) as usize];
-                }
-            }
-            POp::Copy { dst, w, a } => {
-                for p in 0..*w {
-                    arena[(dst + p) as usize] = rd(arena, *a, p);
-                }
-            }
-            POp::Add { dst, w, a, b, mask } => {
-                let mut c = 0u64;
-                for p in 0..*w {
-                    let ap = rd(arena, *a, p);
-                    let bp = rd(arena, *b, p);
-                    let s = ap ^ bp ^ c;
-                    c = (ap & bp) | (c & (ap | bp));
-                    arena[(dst + p) as usize] = s & mb(*mask, p);
-                }
-            }
-            POp::Sub { dst, w, a, b, mask } => {
-                // a + !b + 1; inverting the clamped plane read gives the
-                // infinite-width complement for free.
-                let mut c = !0u64;
-                for p in 0..*w {
-                    let ap = rd(arena, *a, p);
-                    let bp = !rd(arena, *b, p);
-                    let s = ap ^ bp ^ c;
-                    c = (ap & bp) | (c & (ap | bp));
-                    arena[(dst + p) as usize] = s & mb(*mask, p);
-                }
-            }
-            POp::And { dst, w, a, b } => {
-                for p in 0..*w {
-                    arena[(dst + p) as usize] = rd(arena, *a, p) & rd(arena, *b, p);
-                }
-            }
-            POp::Or { dst, w, a, b } => {
-                for p in 0..*w {
-                    arena[(dst + p) as usize] = rd(arena, *a, p) | rd(arena, *b, p);
-                }
-            }
-            POp::Xor { dst, w, a, b } => {
-                for p in 0..*w {
-                    arena[(dst + p) as usize] = rd(arena, *a, p) ^ rd(arena, *b, p);
-                }
-            }
-            POp::Not { dst, w, a, mask } => {
-                for p in 0..*w {
-                    arena[(dst + p) as usize] = !rd(arena, *a, p) & mb(*mask, p);
-                }
-            }
-            POp::Neg { dst, w, a, mask } => {
-                // !a + 1.
-                let mut c = !0u64;
-                for p in 0..*w {
-                    let av = !rd(arena, *a, p);
-                    let s = av ^ c;
-                    c &= av;
-                    arena[(dst + p) as usize] = s & mb(*mask, p);
-                }
-            }
-            POp::Shl { dst, w, a, b, width, mask } => {
-                // Lanes shifting by >= width produce zero (scalar rule);
-                // amounts >= 128 are covered too since width <= 128.
-                let ge = ge_const(arena, *b, *width as u128);
-                let n = *w as usize;
-                let mut buf = [0u64; 128];
-                for p in 0..a.w.min(*w) {
-                    buf[p as usize] = arena[(a.off + p) as usize];
-                }
-                for k in 0..b.w.min(7) {
-                    let sel = rd(arena, *b, k);
-                    if sel == 0 {
-                        continue;
-                    }
-                    let sh = 1usize << k;
-                    for p in (0..n).rev() {
-                        let lo = if p >= sh { buf[p - sh] } else { 0 };
-                        buf[p] = (buf[p] & !sel) | (lo & sel);
-                    }
-                }
-                for p in 0..*w {
-                    arena[(dst + p) as usize] = buf[p as usize] & !ge & mb(*mask, p);
-                }
-            }
-            POp::Shr { dst, w, a, b, width } => {
-                let ge = ge_const(arena, *b, *width as u128);
-                let n = *w as usize;
-                let mut buf = [0u64; 128];
-                for p in 0..a.w.min(*w) {
-                    buf[p as usize] = arena[(a.off + p) as usize];
-                }
-                for k in 0..b.w.min(7) {
-                    let sel = rd(arena, *b, k);
-                    if sel == 0 {
-                        continue;
-                    }
-                    let sh = 1usize << k;
-                    for p in 0..n {
-                        let hi = if p + sh < n { buf[p + sh] } else { 0 };
-                        buf[p] = (buf[p] & !sel) | (hi & sel);
-                    }
-                }
-                for p in 0..*w {
-                    arena[(dst + p) as usize] = buf[p as usize] & !ge;
-                }
-            }
-            POp::Eq { dst, a, b, neg } => {
-                let top = a.w.max(b.w);
-                let mut ne = 0u64;
-                for p in 0..top {
-                    ne |= rd(arena, *a, p) ^ rd(arena, *b, p);
-                }
-                arena[*dst as usize] = if *neg { ne } else { !ne };
-            }
-            POp::Lt { dst, a, b, ge } => {
-                let top = a.w.max(b.w);
-                let mut lt = 0u64;
-                let mut eq = !0u64;
-                for p in (0..top).rev() {
-                    let ap = rd(arena, *a, p);
-                    let bp = rd(arena, *b, p);
-                    lt |= eq & !ap & bp;
-                    eq &= !(ap ^ bp);
-                }
-                arena[*dst as usize] = if *ge { !lt } else { lt };
-            }
-            POp::LtS { dst, a, b, sw, ge } => {
-                let mut lt = 0u64;
-                let mut eq = !0u64;
-                for p in (0..*sw).rev() {
-                    let mut ap = rd(arena, *a, p);
-                    let mut bp = rd(arena, *b, p);
-                    if p == sw - 1 {
-                        ap = !ap;
-                        bp = !bp;
-                    }
-                    lt |= eq & !ap & bp;
-                    eq &= !(ap ^ bp);
-                }
-                arena[*dst as usize] = if *ge { !lt } else { lt };
-            }
-            POp::RedAnd { dst, a, mask } => {
-                let top = a.w.max(bits(*mask));
-                let mut acc = !0u64;
-                for p in 0..top {
-                    let av = rd(arena, *a, p);
-                    acc &= av ^ !mb(*mask, p);
-                }
-                arena[*dst as usize] = acc;
-            }
-            POp::RedOr { dst, a } => {
-                arena[*dst as usize] = nonzero(arena, *a);
-            }
-            POp::RedXor { dst, a } => {
-                let mut acc = 0u64;
-                for p in 0..a.w {
-                    acc ^= arena[(a.off + p) as usize];
-                }
-                arena[*dst as usize] = acc;
-            }
-            POp::Slice { dst, w, a, lo, mask } => {
-                // Ascending is alias-safe for dst == a: reads are at
-                // p + lo >= p, always ahead of the write cursor.
-                for p in 0..*w {
-                    arena[(dst + p) as usize] = rd(arena, *a, p + lo) & mb(*mask, p);
-                }
-            }
-            POp::ShlOr { dst, w, a, b, shift } => {
-                // Descending is alias-safe for dst == a: reads are at
-                // p - shift <= p, always behind the write cursor.
-                for p in (0..*w).rev() {
-                    let av = if p >= *shift { rd(arena, *a, p - shift) } else { 0 };
-                    arena[(dst + p) as usize] = av | rd(arena, *b, p);
-                }
-            }
-            POp::Mux { dst, w, cond, t, f } => {
-                let cz = nonzero(arena, *cond);
-                for p in 0..*w {
-                    arena[(dst + p) as usize] = (rd(arena, *t, p) & cz) | (rd(arena, *f, p) & !cz);
-                }
-            }
-            POp::Mux2 { dst, w, c1, t1, c2, t2, f } => {
-                let cz1 = nonzero(arena, *c1);
-                let cz2 = nonzero(arena, *c2);
-                let s2 = !cz1 & cz2;
-                let s3 = !cz1 & !cz2;
-                for p in 0..*w {
-                    arena[(dst + p) as usize] = (rd(arena, *t1, p) & cz1)
-                        | (rd(arena, *t2, p) & s2)
-                        | (rd(arena, *f, p) & s3);
-                }
-            }
-            POp::Select { dst, w, sel, opts } => {
-                // Per-option lane masks: option i takes lanes where
-                // sel == i; the last option also takes sel >= n-1
-                // (the scalar index clamp).
-                let n = opts.len();
-                sel_scratch.clear();
-                sel_scratch.resize(n, 0);
-                let mut rest = 0u64;
-                for (i, slot) in sel_scratch.iter_mut().enumerate().take(n - 1) {
-                    let ki = i as u128;
-                    if bits(ki) > sel.w {
-                        continue; // unrepresentable in sel's width: no lanes
-                    }
-                    let mut m = !0u64;
-                    for p in 0..sel.w {
-                        m &= rd(arena, *sel, p) ^ !mb(ki, p);
-                    }
-                    *slot = m;
-                    rest |= m;
-                }
-                sel_scratch[n - 1] = !rest;
-                for p in 0..*w {
-                    let mut v = 0u64;
-                    for (i, opt) in opts.iter().enumerate() {
-                        v |= rd(arena, *opt, p) & sel_scratch[i];
-                    }
-                    arena[(dst + p) as usize] = v;
-                }
-            }
-            POp::Sext { dst, w, a, sign_p, ext_or } => {
-                let s = rd(arena, *a, *sign_p);
-                for p in 0..*w {
-                    arena[(dst + p) as usize] = rd(arena, *a, p) | (s & mb(*ext_or, p));
-                }
-            }
-            POp::MulLane { dst, w, a, b, mask } => {
-                let mut vals = [0u128; 64];
-                for (lane, v) in vals.iter_mut().enumerate() {
-                    let av = gather(arena, a.off, a.w, lane);
-                    let bv = gather(arena, b.off, b.w, lane);
-                    *v = av.wrapping_mul(bv) & mask;
-                }
-                scatter_all(arena, *dst, *w, &vals);
-            }
-            POp::SraLane { dst, w, a, b, width, mask, ext } => {
-                let mut vals = [0u128; 64];
-                for (lane, v) in vals.iter_mut().enumerate() {
-                    let av = gather(arena, a.off, a.w, lane);
-                    let bv = gather(arena, b.off, b.w, lane);
-                    let amt = bv.min(*width as u128) as u32;
-                    let x = ((av << ext) as i128) >> ext;
-                    *v = ((x >> amt.min(127)) as u128) & mask;
-                }
-                scatter_all(arena, *dst, *w, &vals);
-            }
-            POp::Write { net, nw, src, next: to_next } => {
-                let tgt: &mut [u64] = if *to_next { next } else { cur };
-                for p in 0..*nw {
-                    tgt[(net + p) as usize] = rd(arena, *src, p);
-                }
-            }
-            POp::WriteMasked { net, nw, src, lo, field, next: to_next } => {
-                let tgt: &mut [u64] = if *to_next { next } else { cur };
-                for p in 0..*nw {
-                    if (field >> p) & 1 != 0 {
-                        tgt[(net + p) as usize] =
-                            if p >= *lo { rd(arena, *src, p - lo) } else { 0 };
-                    }
-                }
-            }
-            POp::WriteIf { net, nw, src, cond, neg, next: to_next } => {
-                let cz = nonzero(arena, *cond);
-                let take = if *neg { !cz } else { cz };
-                let tgt: &mut [u64] = if *to_next { next } else { cur };
-                for p in 0..*nw {
-                    let old = tgt[(net + p) as usize];
-                    tgt[(net + p) as usize] = (rd(arena, *src, p) & take) | (old & !take);
-                }
-            }
-            POp::MemRead { dst, w, mem, addr, words } => {
-                let m = &mems[*mem as usize];
-                let mut vals = [0u128; 64];
-                for (lane, v) in vals.iter_mut().enumerate() {
-                    let a = (gather(arena, addr.off, addr.w.min(64), lane) as u64) % words;
-                    *v = m[a as usize * LANES as usize + lane];
-                }
-                scatter_all(arena, *dst, *w, &vals);
-            }
-            POp::MemWrite { mem, addr, data, words, cond } => {
-                let take = match cond {
-                    None => !0u64,
-                    Some((c, neg)) => {
-                        let cz = nonzero(arena, *c);
-                        if *neg {
-                            !cz
-                        } else {
-                            cz
-                        }
-                    }
-                };
-                if take == 0 {
-                    continue;
-                }
-                for (lane, pend) in pending.iter_mut().enumerate() {
-                    if (take >> lane) & 1 != 0 {
-                        let a = (gather(arena, addr.off, addr.w.min(64), lane) as u64) % words;
-                        let v = gather(arena, data.off, data.w, lane);
-                        pend.push((*mem, a, v));
-                    }
-                }
-            }
+    if take == 0 {
+        return;
+    }
+    for (lane, pend) in pending.iter_mut().enumerate() {
+        if (take >> lane) & 1 != 0 {
+            let a = (gather(arena, addr.off, addr.w.min(64), lane) as u64) % words;
+            pend.push((mem, a, gather(arena, data.off, data.w, lane)));
         }
     }
 }
@@ -1033,15 +386,14 @@ fn net_offsets(widths: &[u32]) -> (Vec<u32>, u32) {
 /// Lowers the fused plans and the per-block tapes to plane programs.
 pub(crate) fn lower(blocks: &BlockTapes, plans: &Plans) -> BatchProgs {
     let (widths, mem_widths) = (&blocks.layout.widths, &blocks.layout.mem_widths);
-    let (net_off, _) = net_offsets(widths);
     let lower_chunk = |c: &Chunk| match c {
-        Chunk::Fused(t) => lower_tape(t, &net_off, widths, mem_widths),
+        Chunk::Fused(t) => lower_tape(t, widths, mem_widths),
         Chunk::Native(_) => unreachable!("batch engine rejects native blocks"),
     };
     let comb: Vec<BatchProg> = plans.comb.iter().map(lower_chunk).collect();
     let seq: Vec<BatchProg> = plans.seq.iter().map(lower_chunk).collect();
     let blocks: Vec<BatchProg> =
-        blocks.tapes.iter().map(|t| lower_tape(t, &net_off, widths, mem_widths)).collect();
+        blocks.tapes.iter().map(|t| lower_tape(t, widths, mem_widths)).collect();
     let mut arena_planes = 0u32;
     let mut max_regs = 0u32;
     for prog in comb.iter().chain(&seq).chain(&blocks) {
@@ -1102,17 +454,341 @@ impl BatchEngine {
         }
     }
 
+    /// Executes a straight-line plane program: each scalar op's plane
+    /// form, over operands lowered by [`lower_tape`].
+    fn exec_planes(&mut self, ops: &[Op<Opd>], opts: &[Opd]) {
+        let Self { arena, cur, next, mems, pending, sel_scratch, net_off, widths, .. } = self;
+        let (cur, next): (&mut [u64], &mut [u64]) = (cur, next);
+        // A store's target planes (first plane, plane count) and buffer.
+        let planes_of = |slot: u32| (net_off[slot as usize], widths[slot as usize]);
+        let to_next = |op: &Op<Opd>| matches!(op.effect(), Effect::Write { next: true, .. });
+        for op in ops {
+            match *op {
+                Op::Const { dst, val } => {
+                    for p in 0..dst.w {
+                        arena[(dst.off + p) as usize] = mb(val, p);
+                    }
+                }
+                Op::Read { dst, slot } => {
+                    let (net, _) = planes_of(slot);
+                    for p in 0..dst.w {
+                        arena[(dst.off + p) as usize] = cur[(net + p) as usize];
+                    }
+                }
+                Op::Copy { dst, a } => {
+                    for p in 0..dst.w {
+                        arena[(dst.off + p) as usize] = rd(arena, a, p);
+                    }
+                }
+                Op::Add { dst, a, b, mask } => {
+                    let mut c = 0u64;
+                    for p in 0..dst.w {
+                        let ap = rd(arena, a, p);
+                        let bp = rd(arena, b, p);
+                        let s = ap ^ bp ^ c;
+                        c = (ap & bp) | (c & (ap | bp));
+                        arena[(dst.off + p) as usize] = s & mb(mask, p);
+                    }
+                }
+                Op::Sub { dst, a, b, mask } => {
+                    // a + !b + 1; inverting the clamped plane read gives the
+                    // infinite-width complement for free.
+                    let mut c = !0u64;
+                    for p in 0..dst.w {
+                        let ap = rd(arena, a, p);
+                        let bp = !rd(arena, b, p);
+                        let s = ap ^ bp ^ c;
+                        c = (ap & bp) | (c & (ap | bp));
+                        arena[(dst.off + p) as usize] = s & mb(mask, p);
+                    }
+                }
+                Op::And { dst, a, b } => {
+                    for p in 0..dst.w {
+                        arena[(dst.off + p) as usize] = rd(arena, a, p) & rd(arena, b, p);
+                    }
+                }
+                Op::Or { dst, a, b } => {
+                    for p in 0..dst.w {
+                        arena[(dst.off + p) as usize] = rd(arena, a, p) | rd(arena, b, p);
+                    }
+                }
+                Op::Xor { dst, a, b } => {
+                    for p in 0..dst.w {
+                        arena[(dst.off + p) as usize] = rd(arena, a, p) ^ rd(arena, b, p);
+                    }
+                }
+                Op::Not { dst, a, mask } => {
+                    for p in 0..dst.w {
+                        arena[(dst.off + p) as usize] = !rd(arena, a, p) & mb(mask, p);
+                    }
+                }
+                Op::Neg { dst, a, mask } => {
+                    // !a + 1.
+                    let mut c = !0u64;
+                    for p in 0..dst.w {
+                        let av = !rd(arena, a, p);
+                        let s = av ^ c;
+                        c &= av;
+                        arena[(dst.off + p) as usize] = s & mb(mask, p);
+                    }
+                }
+                Op::Shl { dst, a, b, width, mask } => {
+                    // Lanes shifting by >= width produce zero (scalar rule);
+                    // amounts >= 128 are covered too since width <= 128.
+                    let ge = ge_const(arena, b, width as u128);
+                    let n = dst.w as usize;
+                    let mut buf = [0u64; 128];
+                    for p in 0..a.w.min(dst.w) {
+                        buf[p as usize] = arena[(a.off + p) as usize];
+                    }
+                    for k in 0..b.w.min(7) {
+                        let sel = rd(arena, b, k);
+                        if sel == 0 {
+                            continue;
+                        }
+                        let sh = 1usize << k;
+                        for p in (0..n).rev() {
+                            let lo = if p >= sh { buf[p - sh] } else { 0 };
+                            buf[p] = (buf[p] & !sel) | (lo & sel);
+                        }
+                    }
+                    for p in 0..dst.w {
+                        arena[(dst.off + p) as usize] = buf[p as usize] & !ge & mb(mask, p);
+                    }
+                }
+                Op::Shr { dst, a, b, width } => {
+                    let ge = ge_const(arena, b, width as u128);
+                    let n = dst.w as usize;
+                    let mut buf = [0u64; 128];
+                    for p in 0..a.w.min(dst.w) {
+                        buf[p as usize] = arena[(a.off + p) as usize];
+                    }
+                    for k in 0..b.w.min(7) {
+                        let sel = rd(arena, b, k);
+                        if sel == 0 {
+                            continue;
+                        }
+                        let sh = 1usize << k;
+                        for p in 0..n {
+                            let hi = if p + sh < n { buf[p + sh] } else { 0 };
+                            buf[p] = (buf[p] & !sel) | (hi & sel);
+                        }
+                    }
+                    for p in 0..dst.w {
+                        arena[(dst.off + p) as usize] = buf[p as usize] & !ge;
+                    }
+                }
+                Op::Eq { dst, a, b } | Op::Ne { dst, a, b } => {
+                    let top = a.w.max(b.w);
+                    let mut ne = 0u64;
+                    for p in 0..top {
+                        ne |= rd(arena, a, p) ^ rd(arena, b, p);
+                    }
+                    arena[dst.off as usize] = if matches!(op, Op::Ne { .. }) { ne } else { !ne };
+                }
+                // Unsigned compare: an MSB-down borrow scan over the
+                // operand planes.
+                Op::Lt { dst, a, b } | Op::Ge { dst, a, b } => {
+                    let top = a.w.max(b.w);
+                    let mut lt = 0u64;
+                    let mut eq = !0u64;
+                    for p in (0..top).rev() {
+                        let ap = rd(arena, a, p);
+                        let bp = rd(arena, b, p);
+                        lt |= eq & !ap & bp;
+                        eq &= !(ap ^ bp);
+                    }
+                    arena[dst.off as usize] = if matches!(op, Op::Ge { .. }) { !lt } else { lt };
+                }
+                // Signed compare over `128 - ext` bits: flip the sign plane
+                // of both operands, then compare unsigned (the classic
+                // bias trick).
+                Op::LtS { dst, a, b, ext } | Op::GeS { dst, a, b, ext } => {
+                    let sw = 128 - ext;
+                    let mut lt = 0u64;
+                    let mut eq = !0u64;
+                    for p in (0..sw).rev() {
+                        let mut ap = rd(arena, a, p);
+                        let mut bp = rd(arena, b, p);
+                        if p == sw - 1 {
+                            ap = !ap;
+                            bp = !bp;
+                        }
+                        lt |= eq & !ap & bp;
+                        eq &= !(ap ^ bp);
+                    }
+                    arena[dst.off as usize] = if matches!(op, Op::GeS { .. }) { !lt } else { lt };
+                }
+                Op::RedAnd { dst, a, mask } => {
+                    let top = a.w.max(bits(mask));
+                    let mut acc = !0u64;
+                    for p in 0..top {
+                        let av = rd(arena, a, p);
+                        acc &= av ^ !mb(mask, p);
+                    }
+                    arena[dst.off as usize] = acc;
+                }
+                Op::RedOr { dst, a } => {
+                    arena[dst.off as usize] = nonzero(arena, a);
+                }
+                Op::RedXor { dst, a } => {
+                    let mut acc = 0u64;
+                    for p in 0..a.w {
+                        acc ^= arena[(a.off + p) as usize];
+                    }
+                    arena[dst.off as usize] = acc;
+                }
+                Op::Slice { dst, a, lo, mask } => {
+                    // Ascending is alias-safe for dst == a: reads are at
+                    // p + lo >= p, always ahead of the write cursor.
+                    for p in 0..dst.w {
+                        arena[(dst.off + p) as usize] = rd(arena, a, p + lo) & mb(mask, p);
+                    }
+                }
+                Op::ShlOr { dst, a, b, shift } => {
+                    // Descending is alias-safe for dst == a: reads are at
+                    // p - shift <= p, always behind the write cursor.
+                    for p in (0..dst.w).rev() {
+                        let av = if p >= shift { rd(arena, a, p - shift) } else { 0 };
+                        arena[(dst.off + p) as usize] = av | rd(arena, b, p);
+                    }
+                }
+                Op::Mux { dst, cond, t, f } => {
+                    let cz = nonzero(arena, cond);
+                    for p in 0..dst.w {
+                        arena[(dst.off + p) as usize] =
+                            (rd(arena, t, p) & cz) | (rd(arena, f, p) & !cz);
+                    }
+                }
+                Op::Mux2 { dst, c1, t1, c2, t2, f } => {
+                    let cz1 = nonzero(arena, c1);
+                    let cz2 = nonzero(arena, c2);
+                    let s2 = !cz1 & cz2;
+                    let s3 = !cz1 & !cz2;
+                    for p in 0..dst.w {
+                        arena[(dst.off + p) as usize] = (rd(arena, t1, p) & cz1)
+                            | (rd(arena, t2, p) & s2)
+                            | (rd(arena, f, p) & s3);
+                    }
+                }
+                Op::Select { dst, sel, base, n } => {
+                    // Per-option lane masks: option i takes lanes where
+                    // sel == i; the last option also takes sel >= n-1
+                    // (the scalar index clamp).
+                    let n = n as usize;
+                    let opts = &opts[base.off as usize..][..n];
+                    sel_scratch.clear();
+                    sel_scratch.resize(n, 0);
+                    let mut rest = 0u64;
+                    for (i, slot) in sel_scratch.iter_mut().enumerate().take(n - 1) {
+                        let ki = i as u128;
+                        if bits(ki) > sel.w {
+                            continue; // unrepresentable in sel's width: no lanes
+                        }
+                        let mut m = !0u64;
+                        for p in 0..sel.w {
+                            m &= rd(arena, sel, p) ^ !mb(ki, p);
+                        }
+                        *slot = m;
+                        rest |= m;
+                    }
+                    sel_scratch[n - 1] = !rest;
+                    for p in 0..dst.w {
+                        let mut v = 0u64;
+                        for (i, opt) in opts.iter().enumerate() {
+                            v |= rd(arena, *opt, p) & sel_scratch[i];
+                        }
+                        arena[(dst.off + p) as usize] = v;
+                    }
+                }
+                Op::Sext { dst, a, sign_bit, ext_or } => {
+                    let s = rd(arena, a, sign_bit.trailing_zeros());
+                    for p in 0..dst.w {
+                        arena[(dst.off + p) as usize] = rd(arena, a, p) | (s & mb(ext_or, p));
+                    }
+                }
+                // Multiply has no cheap plane form; gather each lane, use
+                // the exact scalar formula, scatter back. Rare in RTL
+                // datapaths.
+                Op::Mul { dst, a, b, mask } => {
+                    let mut vals = [0u128; 64];
+                    for (lane, v) in vals.iter_mut().enumerate() {
+                        let av = gather(arena, a.off, a.w, lane);
+                        let bv = gather(arena, b.off, b.w, lane);
+                        *v = av.wrapping_mul(bv) & mask;
+                    }
+                    scatter_all(arena, dst.off, dst.w, &vals);
+                }
+                // Arithmetic right shift, per lane like `Mul`.
+                Op::Sra { dst, a, b, width, mask, ext } => {
+                    let mut vals = [0u128; 64];
+                    for (lane, v) in vals.iter_mut().enumerate() {
+                        let av = gather(arena, a.off, a.w, lane);
+                        let bv = gather(arena, b.off, b.w, lane);
+                        let amt = bv.min(width as u128) as u32;
+                        let x = ((av << ext) as i128) >> ext;
+                        *v = ((x >> amt.min(127)) as u128) & mask;
+                    }
+                    scatter_all(arena, dst.off, dst.w, &vals);
+                }
+                Op::Write { slot, src } | Op::WriteNext { slot, src } => {
+                    let (net, nw) = planes_of(slot);
+                    let tgt = if to_next(op) { &mut *next } else { &mut *cur };
+                    for p in 0..nw {
+                        tgt[(net + p) as usize] = rd(arena, src, p);
+                    }
+                }
+                Op::WriteMasked { slot, src, lo, field }
+                | Op::WriteNextMasked { slot, src, lo, field } => {
+                    let (net, nw) = planes_of(slot);
+                    let tgt = if to_next(op) { &mut *next } else { &mut *cur };
+                    for p in 0..nw {
+                        if (field >> p) & 1 != 0 {
+                            tgt[(net + p) as usize] =
+                                if p >= lo { rd(arena, src, p - lo) } else { 0 };
+                        }
+                    }
+                }
+                // Predicated store: lanes where the condition (xor `neg`)
+                // holds take the source planes, others keep the target
+                // planes.
+                Op::WriteIf { slot, cond, src, neg } | Op::WriteNextIf { slot, cond, src, neg } => {
+                    let (net, nw) = planes_of(slot);
+                    let cz = nonzero(arena, cond);
+                    let take = if neg { !cz } else { cz };
+                    let tgt = if to_next(op) { &mut *next } else { &mut *cur };
+                    for p in 0..nw {
+                        let old = tgt[(net + p) as usize];
+                        tgt[(net + p) as usize] = (rd(arena, src, p) & take) | (old & !take);
+                    }
+                }
+                Op::MemRead { dst, mem, addr, words } => {
+                    let m = &mems[mem as usize];
+                    let mut vals = [0u128; 64];
+                    for (lane, v) in vals.iter_mut().enumerate() {
+                        let a = (gather(arena, addr.off, addr.w.min(64), lane) as u64) % words;
+                        *v = m[a as usize * LANES as usize + lane];
+                    }
+                    scatter_all(arena, dst.off, dst.w, &vals);
+                }
+                Op::MemWrite { mem, addr, data, words } => {
+                    push_mem_writes(arena, pending, !0, mem, addr, data, words);
+                }
+                Op::MemWriteIf { mem, addr, data, cond, words, neg } => {
+                    let cz = nonzero(arena, cond);
+                    let take = if neg { !cz } else { cz };
+                    push_mem_writes(arena, pending, take, mem, addr, data, words);
+                }
+                Op::Jz { .. } | Op::JneConst { .. } | Op::Jmp { .. } => {
+                    unreachable!("jump in a tape lowered to planes")
+                }
+            }
+        }
+    }
+
     fn run_prog(&mut self, prog: &BatchProg) {
         match prog {
-            BatchProg::Planes { ops, .. } => exec_planes(
-                ops,
-                &mut self.arena,
-                &mut self.cur,
-                &mut self.next,
-                &self.mems,
-                &mut self.pending,
-                &mut self.sel_scratch,
-            ),
+            BatchProg::Planes { ops, opts, .. } => self.exec_planes(ops, opts),
             BatchProg::PerLane { tape, touched, cur_writes, next_writes } => {
                 for lane in 0..LANES as usize {
                     for &s in touched {
@@ -1379,5 +1055,181 @@ impl EngineImpl for BatchEngine {
             out.push(m);
         }
         any != 0
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::compile::passes::eval_pure;
+    use crate::compile::{fuse_run, Layout};
+    use crate::tape::{exec_tape, Kind, VReg};
+    use mtl_core::{elaborate, Component, Ctx};
+
+    /// A design that is nothing but the memory the sample ops address.
+    struct OneMem(u32);
+
+    impl Component for OneMem {
+        fn name(&self) -> String {
+            "OneMem".into()
+        }
+
+        fn build(&self, c: &mut Ctx) {
+            c.mem("m", 4, self.0);
+        }
+    }
+
+    /// One lane's state: `cur` and `next` by slot, then the memory words,
+    /// then (after a run) the queued memory writes.
+    type LaneState = (Vec<u128>, Vec<u128>, Vec<u128>, Vec<(u32, u64, u128)>);
+
+    /// The instruction set has five per-op implementations — the scalar
+    /// executor, `eval_pure`, `def_width`, the plane loops and (through
+    /// the scalar executor again) the per-lane fallback. For every kind in
+    /// the table, over narrow, word-sized and wide values with distinct
+    /// operands on all 64 lanes, they must agree.
+    ///
+    /// The op under test sits between loads of slots 0..=5 into `r0..=r5`
+    /// and a store of its result to slot 6; slot 7 is the store target of
+    /// [`Kind::sample`]. Block 0 is that tape (plane program unless the op
+    /// is a jump), block 1 the same behind an untaken `Jz` (per-lane).
+    #[test]
+    fn every_kind_agrees_across_scalar_fold_planes_and_per_lane() {
+        let mut seed = 7u64;
+        let mut rnd = move || {
+            // splitmix64, twice, for 128 random bits.
+            let mut half = || {
+                seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let z = (seed ^ (seed >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                (z ^ (z >> 31)) as u128
+            };
+            half() << 64 | half()
+        };
+        for w in [1, 7, 64, 65, 128] {
+            let design = Arc::new(elaborate(&OneMem(w)).expect("memory-only design"));
+            let mut widths = vec![w; 8];
+            widths[6] = 128;
+            for &kind in Kind::ALL {
+                let mut op = kind.sample(w, 8, &mut rnd);
+                let tape = |prefix: Vec<Op>, op: &Op| {
+                    let mut ops = prefix;
+                    ops.extend((0..6).map(|i| Op::Read { dst: i, slot: i as u32 }));
+                    ops.extend([op.clone(), Op::Write { slot: 6, src: op.def().unwrap_or(1) }]);
+                    Tape { ops, nregs: 8, prelude: 0 }
+                };
+                let plain = tape(Vec::new(), &op);
+                if let Some(target) = op.target_mut() {
+                    *target += 2;
+                }
+                let guard = vec![Op::Const { dst: 7, val: 1 }, Op::Jz { cond: 7, target: 2 }];
+                let tapes = Arc::new(vec![plain, tape(guard, &op)]);
+
+                let layout = Layout {
+                    widths: widths.clone(),
+                    mem_widths: vec![w],
+                    comb_order: Vec::new(),
+                    seq_order: Vec::new(),
+                    reg_slots: Vec::new(),
+                };
+                let blocks = BlockTapes { layout, tapes: tapes.clone(), report: None };
+                // `fuse_run` is the crate's way to `validate`.
+                for b in 0..2 {
+                    fuse_run(&blocks, &[b], &mut None, "sample tape");
+                }
+                let none = || Arc::new(Vec::new());
+                let plans = Plans { comb: none(), seq: none(), report: None };
+                let batch = lower(&blocks, &plans);
+                assert_eq!(
+                    matches!(batch.blocks[0], BatchProg::Planes { .. }),
+                    !tapes[0].has_jumps(),
+                    "{kind:?}: block 0 is a plane program unless the op jumps"
+                );
+                assert!(matches!(batch.blocks[1], BatchProg::PerLane { .. }));
+                let staged = Staged {
+                    design: None,
+                    blocks: Some(Arc::new(blocks)),
+                    plans: Some(Arc::new(plans)),
+                    batch: Some(Arc::new(batch)),
+                };
+                let mut e =
+                    BatchEngine::new(design.clone(), &staged, LANES, &mut Overheads::default());
+
+                for _round in 0..3 {
+                    let value = |rnd: &mut dyn FnMut() -> u128, width: u32| {
+                        let v = match rnd() % 5 {
+                            0 => 0,
+                            1 => 1,
+                            2 => u128::MAX,
+                            3 => rnd() % (2 * width as u128 + 2),
+                            _ => rnd(),
+                        };
+                        v & mask_of(width)
+                    };
+                    let before: Vec<LaneState> = (0..LANES)
+                        .map(|_| {
+                            let cur = widths.iter().map(|&w| value(&mut rnd, w)).collect();
+                            let next = widths.iter().map(|&w| value(&mut rnd, w)).collect();
+                            let mem = (0..4).map(|_| value(&mut rnd, w)).collect();
+                            (cur, next, mem, Vec::new())
+                        })
+                        .collect();
+
+                    let scalar = |tape: &Tape, (cur, next, mem, _): &LaneState| {
+                        let (mut cur, mut next) = (cur.clone(), next.clone());
+                        let mut pending = Vec::new();
+                        exec_tape::<false>(
+                            tape,
+                            &mut [0; 8],
+                            &mut cur,
+                            &mut next,
+                            std::slice::from_ref(mem),
+                            &mut pending,
+                            &mut Vec::new(),
+                        );
+                        (cur, next, mem.clone(), pending)
+                    };
+                    for b in 0..2 {
+                        for (lane, (cur, next, mem, _)) in before.iter().enumerate() {
+                            for s in 0..8 {
+                                let (off, w) = (e.net_off[s], e.widths[s]);
+                                scatter(&mut e.cur, off, w, lane, cur[s]);
+                                scatter(&mut e.next, off, w, lane, next[s]);
+                            }
+                            for (addr, &v) in mem.iter().enumerate() {
+                                e.mems[0][addr * LANES as usize + lane] = v;
+                            }
+                        }
+                        e.exec_block(b);
+                        for (lane, st) in before.iter().enumerate() {
+                            let slots = |planes: &[u64]| -> Vec<u128> {
+                                (0..8)
+                                    .map(|s| gather(planes, e.net_off[s], e.widths[s], lane))
+                                    .collect()
+                            };
+                            let got: LaneState = (
+                                slots(&e.cur),
+                                slots(&e.next),
+                                st.2.clone(),
+                                std::mem::take(&mut e.pending[lane]),
+                            );
+                            let want = scalar(&tapes[b as usize], st);
+                            assert_eq!(got, want, "{kind:?} w={w} block {b} lane {lane}: {op:?}");
+
+                            let folded = eval_pure(&op.map_regs(&mut |_, r| r as VReg), &|r| {
+                                Some(st.0.get(r as usize).copied().unwrap_or(0))
+                            });
+                            match folded {
+                                Some(v) => assert_eq!(v, want.0[6], "{kind:?} w={w}: fold"),
+                                None => assert!(
+                                    op.effect() != Effect::Pure || kind == Kind::Mux2,
+                                    "{kind:?}: a pure op the folder skips"
+                                ),
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 }

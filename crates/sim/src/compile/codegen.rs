@@ -8,18 +8,12 @@
 use mtl_core::ir::{BinOp, Expr, Stmt, UnaryOp};
 use mtl_core::{BlockKind, Design, MemId, SignalId};
 
-use crate::tape::{mask_of, Op, Reg, Tape, VReg};
+use crate::tape::{mask_of, Effect, Op, Reg, Role, Tape, VReg};
 
 /// A compiled update block in virtual-register form: what [`compile_block`]
 /// emits and what [`super::passes`] optimizes. Register indices are unbounded
 /// here; [`narrow`] enforces the physical budget after compaction.
-#[derive(Debug, Clone, Default)]
-pub(super) struct VTape {
-    pub ops: Vec<Op<VReg>>,
-    pub nregs: u32,
-    /// See [`Tape::prelude`]; set by the const-hoist pass.
-    pub prelude: u32,
-}
+pub(super) type VTape = Tape<VReg>;
 
 /// The physical register budget of an executable tape ([`Reg`] is `u16`).
 pub(super) const REG_BUDGET: u32 = 1 << 16;
@@ -39,7 +33,7 @@ pub(super) fn narrow(vt: &VTape, context: impl Fn() -> String) -> Tape {
         context(),
         vt.nregs,
     );
-    let ops = vt.ops.iter().map(|op| op.map_regs(&mut |r| r as Reg)).collect();
+    let ops = vt.ops.iter().map(|op| op.map_regs(&mut |_, r| r as Reg)).collect();
     Tape { ops, nregs: vt.nregs, prelude: vt.prelude }
 }
 
@@ -47,7 +41,7 @@ pub(super) fn narrow(vt: &VTape, context: impl Fn() -> String) -> Tape {
 /// re-optimize fused tapes, where cross-block redundancy appears).
 pub(super) fn widen(t: &Tape) -> VTape {
     VTape {
-        ops: t.ops.iter().map(|op| op.map_regs(&mut |r| r as VReg)).collect(),
+        ops: t.ops.iter().map(|op| op.map_regs(&mut |_, r| r as VReg)).collect(),
         nregs: t.nregs,
         prelude: t.prelude,
     }
@@ -67,11 +61,12 @@ pub(super) fn compile_block(design: &Design, stmts: &[Stmt], kind: BlockKind) ->
     VTape { ops: c.ops, nregs: c.next_reg, prelude: 0 }
 }
 
-/// Validates that every register and memory index in a tape is in range;
-/// called once at construction so the executor can use unchecked reads.
+/// Validates that every register, slot, memory and jump target in a tape
+/// is in range; called once at construction so the executor can use
+/// unchecked reads. Walks the op's declared operand roles and effect, so
+/// an op cannot name state this check does not see.
 pub(super) fn validate(tape: &Tape, nslots: usize, nmems: usize) {
     let n = tape.nregs as usize;
-    let reg_ok = |r: Reg| (r as usize) < n;
     let pre = tape.prelude as usize;
     assert!(pre <= tape.ops.len(), "prelude {pre} exceeds tape length {}", tape.ops.len());
     if pre > 0 {
@@ -82,82 +77,23 @@ pub(super) fn validate(tape: &Tape, nslots: usize, nmems: usize) {
             tape.ops[..pre].iter().all(|op| matches!(op, Op::Const { .. })),
             "prelude contains a non-const op"
         );
-        assert!(
-            !tape
-                .ops
-                .iter()
-                .any(|op| { matches!(op, Op::Jz { .. } | Op::JneConst { .. } | Op::Jmp { .. }) }),
-            "prelude on a tape with jumps"
-        );
+        assert!(!tape.has_jumps(), "prelude on a tape with jumps");
     }
     for op in &tape.ops {
-        let ok = match op {
-            Op::Const { dst, .. } => reg_ok(*dst),
-            Op::Read { dst, slot } => reg_ok(*dst) && (*slot as usize) < nslots,
-            Op::Copy { dst, a } => reg_ok(*dst) && reg_ok(*a),
-            Op::Add { dst, a, b, .. }
-            | Op::Sub { dst, a, b, .. }
-            | Op::Mul { dst, a, b, .. }
-            | Op::And { dst, a, b }
-            | Op::Or { dst, a, b }
-            | Op::Xor { dst, a, b }
-            | Op::Shl { dst, a, b, .. }
-            | Op::Shr { dst, a, b, .. }
-            | Op::Sra { dst, a, b, .. }
-            | Op::Eq { dst, a, b }
-            | Op::Ne { dst, a, b }
-            | Op::Lt { dst, a, b }
-            | Op::Ge { dst, a, b }
-            | Op::LtS { dst, a, b, .. }
-            | Op::GeS { dst, a, b, .. }
-            | Op::ShlOr { dst, a, b, .. } => reg_ok(*dst) && reg_ok(*a) && reg_ok(*b),
-            Op::Not { dst, a, .. }
-            | Op::Neg { dst, a, .. }
-            | Op::RedAnd { dst, a, .. }
-            | Op::RedOr { dst, a }
-            | Op::RedXor { dst, a }
-            | Op::Slice { dst, a, .. }
-            | Op::Sext { dst, a, .. } => reg_ok(*dst) && reg_ok(*a),
-            Op::Mux { dst, cond, t, f } => {
-                reg_ok(*dst) && reg_ok(*cond) && reg_ok(*t) && reg_ok(*f)
+        let mut ok = match op.effect() {
+            Effect::Pure => true,
+            Effect::Read { slot } | Effect::Write { slot, .. } => (slot as usize) < nslots,
+            Effect::MemRead { mem, words } | Effect::MemWrite { mem, words } => {
+                (mem as usize) < nmems && words >= 1
             }
-            Op::Mux2 { dst, c1, t1, c2, t2, f } => {
-                reg_ok(*dst)
-                    && reg_ok(*c1)
-                    && reg_ok(*t1)
-                    && reg_ok(*c2)
-                    && reg_ok(*t2)
-                    && reg_ok(*f)
-            }
-            Op::Select { dst, sel, base, n: k } => {
-                reg_ok(*dst) && reg_ok(*sel) && *k >= 1 && (*base as usize + *k as usize) <= n
-            }
-            Op::Write { slot, src } | Op::WriteNext { slot, src } => {
-                reg_ok(*src) && (*slot as usize) < nslots
-            }
-            Op::WriteMasked { slot, src, .. } | Op::WriteNextMasked { slot, src, .. } => {
-                reg_ok(*src) && (*slot as usize) < nslots
-            }
-            Op::WriteIf { slot, cond, src, .. } | Op::WriteNextIf { slot, cond, src, .. } => {
-                reg_ok(*cond) && reg_ok(*src) && (*slot as usize) < nslots
-            }
-            Op::MemRead { dst, mem, addr, words } => {
-                reg_ok(*dst) && reg_ok(*addr) && (*mem as usize) < nmems && *words >= 1
-            }
-            Op::MemWrite { mem, addr, data, words } => {
-                reg_ok(*addr) && reg_ok(*data) && (*mem as usize) < nmems && *words >= 1
-            }
-            Op::MemWriteIf { mem, addr, data, cond, words, .. } => {
-                reg_ok(*addr)
-                    && reg_ok(*data)
-                    && reg_ok(*cond)
-                    && (*mem as usize) < nmems
-                    && *words >= 1
-            }
-            Op::Jz { cond, target } => reg_ok(*cond) && (*target as usize) <= tape.ops.len(),
-            Op::JneConst { a, target, .. } => reg_ok(*a) && (*target as usize) <= tape.ops.len(),
-            Op::Jmp { target } => (*target as usize) <= tape.ops.len(),
+            Effect::Jump { target, .. } => (target as usize) <= tape.ops.len(),
         };
+        op.for_each_reg(|role, r| {
+            ok &= match role {
+                Role::Def | Role::Use => (r as usize) < n,
+                Role::Range(k) => k >= 1 && r as usize + k as usize <= n,
+            }
+        });
         assert!(ok, "invalid tape op {op:?}");
     }
 }
@@ -181,11 +117,8 @@ pub(super) fn fuse(tapes: &[&Tape]) -> Tape {
         nregs = nregs.max(t.nregs);
         for op in &t.ops {
             let mut op = op.clone();
-            match &mut op {
-                Op::Jz { target, .. } | Op::Jmp { target } | Op::JneConst { target, .. } => {
-                    *target += base
-                }
-                _ => {}
+            if let Some(target) = op.target_mut() {
+                *target += base;
             }
             ops.push(op);
         }
@@ -452,12 +385,7 @@ impl Compiler<'_> {
     }
 
     fn patch(&mut self, at: usize, target: u32) {
-        match &mut self.ops[at] {
-            Op::Jz { target: t, .. } | Op::JneConst { target: t, .. } | Op::Jmp { target: t } => {
-                *t = target
-            }
-            _ => unreachable!("patching a non-jump op"),
-        }
+        *self.ops[at].target_mut().expect("patching a non-jump op") = target;
     }
 
     fn emit_expr(&mut self, e: &Expr) -> VReg {
@@ -673,21 +601,54 @@ mod tests {
     /// `validate` is the one gate between compiled data and the
     /// executors' unchecked indexing: a tape naming a slot, register,
     /// memory or jump target outside its bounds must never reach them.
+    /// Walks every kind's declared roles and effect, so the coverage is
+    /// total by construction.
     #[test]
     fn validate_rejects_corrupted_tapes() {
-        let tape = |ops: Vec<Op>, nregs| Tape { ops, nregs, prelude: 0 };
-        let ok = vec![Op::Read { dst: 0, slot: 3 }, Op::Write { slot: 2, src: 0 }];
-        validate(&tape(ok.clone(), 1), 4, 1);
-        for (what, bad) in [
-            ("read slot", tape(vec![Op::Read { dst: 0, slot: 4 }], 1)),
-            ("write slot", tape(vec![Op::WriteNext { slot: 9, src: 0 }], 1)),
-            ("destination register", tape(ok, 0)),
-            ("source register", tape(vec![Op::Write { slot: 0, src: 1 }], 1)),
-            ("memory", tape(vec![Op::MemRead { dst: 0, mem: 1, addr: 0, words: 4 }], 1)),
-            ("jump target", tape(vec![Op::Jmp { target: 2 }], 0)),
-        ] {
-            let caught = std::panic::catch_unwind(|| validate(&bad, 4, 1));
-            assert!(caught.is_err(), "out-of-range {what} accepted");
+        use crate::tape::Kind;
+        const NREGS: u32 = 7;
+        const NSLOTS: usize = 8;
+        let rejects = |op: &Op, nregs, nslots, nmems| {
+            let tape = Tape { ops: vec![op.clone()], nregs, prelude: 0 };
+            std::panic::catch_unwind(|| validate(&tape, nslots, nmems)).is_err()
+        };
+        let mut n = 0u128;
+        let mut rnd = || {
+            n += 0x9E37_79B9;
+            n
+        };
+        for &kind in Kind::ALL {
+            let op = kind.sample(8, 1, &mut rnd);
+            assert!(!rejects(&op, NREGS, NSLOTS, 1), "{kind:?}: sample must be valid");
+            let mut operands = 0;
+            op.for_each_reg(|_, _| operands += 1);
+            for nth in 0..operands {
+                let mut at = 0;
+                let bad = op.map_regs(&mut |role, r| {
+                    at += 1;
+                    match role {
+                        _ if at - 1 != nth => r,
+                        Role::Def | Role::Use => NREGS as Reg,
+                        Role::Range(k) => NREGS as Reg - k + 1,
+                    }
+                });
+                assert!(rejects(&bad, NREGS, NSLOTS, 1), "{kind:?}: operand {nth} out of range");
+            }
+            let escaped = match op.effect() {
+                Effect::Pure => true,
+                Effect::Read { slot } | Effect::Write { slot, .. } => {
+                    rejects(&op, NREGS, slot as usize, 1)
+                }
+                Effect::MemRead { mem, .. } | Effect::MemWrite { mem, .. } => {
+                    rejects(&op, NREGS, NSLOTS, mem as usize)
+                }
+                Effect::Jump { .. } => {
+                    let mut bad = op.clone();
+                    *bad.target_mut().unwrap() = 2;
+                    rejects(&bad, NREGS, NSLOTS, 1)
+                }
+            };
+            assert!(escaped, "{kind:?}: out-of-range slot/memory/target accepted");
         }
     }
 }

@@ -94,7 +94,7 @@
 use std::collections::HashMap;
 
 use super::codegen::VTape;
-use crate::tape::{mask_of, Op, VReg};
+use crate::tape::{mask_of, Effect, Op, Role, Store, VReg};
 
 /// Fixpoint bound for the pass loop. Real designs converge in 2–3 rounds;
 /// the bound only guards against a pathological rewrite cycle.
@@ -234,59 +234,12 @@ impl OptReport {
             counts.insert(kind, n);
         }
         for op in ops {
-            *counts.entry(kind_name(op)).or_insert(0) += 1;
+            *counts.entry(op.kind().name()).or_insert(0) += 1;
         }
         let mut mix: Vec<(&'static str, u64)> = counts.into_iter().collect();
         // Descending by count, name-tiebroken: deterministic output.
         mix.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
         self.mix = mix;
-    }
-}
-
-/// Stable display name for an op's kind (histogram bucket).
-fn kind_name(op: &Op<VReg>) -> &'static str {
-    match op {
-        Op::Const { .. } => "const",
-        Op::Copy { .. } => "copy",
-        Op::Read { .. } => "read",
-        Op::Write { .. } => "write",
-        Op::WriteMasked { .. } => "write-masked",
-        Op::WriteNext { .. } => "write-next",
-        Op::WriteNextMasked { .. } => "write-next-masked",
-        Op::WriteIf { .. } => "write-if",
-        Op::WriteNextIf { .. } => "write-next-if",
-        Op::MemRead { .. } => "mem-read",
-        Op::MemWrite { .. } => "mem-write",
-        Op::MemWriteIf { .. } => "mem-write-if",
-        Op::Add { .. } => "add",
-        Op::Sub { .. } => "sub",
-        Op::Mul { .. } => "mul",
-        Op::And { .. } => "and",
-        Op::Or { .. } => "or",
-        Op::Xor { .. } => "xor",
-        Op::Not { .. } => "not",
-        Op::Neg { .. } => "neg",
-        Op::Shl { .. } => "shl",
-        Op::Shr { .. } => "shr",
-        Op::Sra { .. } => "sra",
-        Op::Eq { .. } => "eq",
-        Op::Ne { .. } => "ne",
-        Op::Lt { .. } => "lt",
-        Op::Ge { .. } => "ge",
-        Op::LtS { .. } => "lt-s",
-        Op::GeS { .. } => "ge-s",
-        Op::RedAnd { .. } => "red-and",
-        Op::RedOr { .. } => "red-or",
-        Op::RedXor { .. } => "red-xor",
-        Op::Slice { .. } => "slice",
-        Op::ShlOr { .. } => "shl-or",
-        Op::Sext { .. } => "sext",
-        Op::Mux { .. } => "mux",
-        Op::Mux2 { .. } => "mux2",
-        Op::Select { .. } => "select",
-        Op::Jmp { .. } => "jmp",
-        Op::Jz { .. } => "jz",
-        Op::JneConst { .. } => "jne-const",
     }
 }
 
@@ -351,269 +304,41 @@ fn run_pass(
 // Shared analysis helpers
 // ---------------------------------------------------------------------------
 
-/// The register a (pure or read) op defines, if any.
-fn def_of(op: &Op<VReg>) -> Option<VReg> {
-    match *op {
-        Op::Const { dst, .. }
-        | Op::Read { dst, .. }
-        | Op::Copy { dst, .. }
-        | Op::Add { dst, .. }
-        | Op::Sub { dst, .. }
-        | Op::Mul { dst, .. }
-        | Op::And { dst, .. }
-        | Op::Or { dst, .. }
-        | Op::Xor { dst, .. }
-        | Op::Not { dst, .. }
-        | Op::Neg { dst, .. }
-        | Op::Shl { dst, .. }
-        | Op::Shr { dst, .. }
-        | Op::Sra { dst, .. }
-        | Op::Eq { dst, .. }
-        | Op::Ne { dst, .. }
-        | Op::Lt { dst, .. }
-        | Op::Ge { dst, .. }
-        | Op::LtS { dst, .. }
-        | Op::GeS { dst, .. }
-        | Op::RedAnd { dst, .. }
-        | Op::RedOr { dst, .. }
-        | Op::RedXor { dst, .. }
-        | Op::Slice { dst, .. }
-        | Op::ShlOr { dst, .. }
-        | Op::Mux { dst, .. }
-        | Op::Mux2 { dst, .. }
-        | Op::Select { dst, .. }
-        | Op::Sext { dst, .. }
-        | Op::MemRead { dst, .. } => Some(dst),
-        Op::Write { .. }
-        | Op::WriteMasked { .. }
-        | Op::WriteNext { .. }
-        | Op::WriteNextMasked { .. }
-        | Op::WriteIf { .. }
-        | Op::WriteNextIf { .. }
-        | Op::MemWrite { .. }
-        | Op::MemWriteIf { .. }
-        | Op::Jz { .. }
-        | Op::JneConst { .. }
-        | Op::Jmp { .. } => None,
-    }
-}
-
 /// Overwrites the destination register of a defining op (no-op for
-/// effect-only ops). Counterpart of [`def_of`] for the rename pass.
+/// effect-only ops). Counterpart of [`Op::def`] for the rename pass.
 fn set_def(op: &mut Op<VReg>, new: VReg) {
-    match op {
-        Op::Const { dst, .. }
-        | Op::Read { dst, .. }
-        | Op::Copy { dst, .. }
-        | Op::Add { dst, .. }
-        | Op::Sub { dst, .. }
-        | Op::Mul { dst, .. }
-        | Op::And { dst, .. }
-        | Op::Or { dst, .. }
-        | Op::Xor { dst, .. }
-        | Op::Not { dst, .. }
-        | Op::Neg { dst, .. }
-        | Op::Shl { dst, .. }
-        | Op::Shr { dst, .. }
-        | Op::Sra { dst, .. }
-        | Op::Eq { dst, .. }
-        | Op::Ne { dst, .. }
-        | Op::Lt { dst, .. }
-        | Op::Ge { dst, .. }
-        | Op::LtS { dst, .. }
-        | Op::GeS { dst, .. }
-        | Op::RedAnd { dst, .. }
-        | Op::RedOr { dst, .. }
-        | Op::RedXor { dst, .. }
-        | Op::Slice { dst, .. }
-        | Op::ShlOr { dst, .. }
-        | Op::Mux { dst, .. }
-        | Op::Mux2 { dst, .. }
-        | Op::Select { dst, .. }
-        | Op::Sext { dst, .. }
-        | Op::MemRead { dst, .. } => *dst = new,
-        Op::Write { .. }
-        | Op::WriteMasked { .. }
-        | Op::WriteNext { .. }
-        | Op::WriteNextMasked { .. }
-        | Op::WriteIf { .. }
-        | Op::WriteNextIf { .. }
-        | Op::MemWrite { .. }
-        | Op::MemWriteIf { .. }
-        | Op::Jz { .. }
-        | Op::JneConst { .. }
-        | Op::Jmp { .. } => {}
-    }
-}
-
-/// Whether an op has effects beyond defining its destination register
-/// (state writes and control flow must always be kept by DCE).
-fn is_effect(op: &Op<VReg>) -> bool {
-    matches!(
-        op,
-        Op::Write { .. }
-            | Op::WriteMasked { .. }
-            | Op::WriteNext { .. }
-            | Op::WriteNextMasked { .. }
-            | Op::WriteIf { .. }
-            | Op::WriteNextIf { .. }
-            | Op::MemWrite { .. }
-            | Op::MemWriteIf { .. }
-            | Op::Jz { .. }
-            | Op::JneConst { .. }
-            | Op::Jmp { .. }
-    )
+    *op = op.map_regs(&mut |role, r| if role == Role::Def { new } else { r });
 }
 
 /// Visits every register an op uses. `Select` implicitly uses the whole
 /// consecutive range `base..base+n` in addition to its selector.
 fn for_each_use(op: &Op<VReg>, mut f: impl FnMut(VReg)) {
-    match *op {
-        Op::Const { .. } | Op::Read { .. } | Op::Jmp { .. } => {}
-        Op::Copy { a, .. }
-        | Op::Not { a, .. }
-        | Op::Neg { a, .. }
-        | Op::RedAnd { a, .. }
-        | Op::RedOr { a, .. }
-        | Op::RedXor { a, .. }
-        | Op::Slice { a, .. }
-        | Op::Sext { a, .. } => f(a),
-        Op::Add { a, b, .. }
-        | Op::Sub { a, b, .. }
-        | Op::Mul { a, b, .. }
-        | Op::And { a, b, .. }
-        | Op::Or { a, b, .. }
-        | Op::Xor { a, b, .. }
-        | Op::Shl { a, b, .. }
-        | Op::Shr { a, b, .. }
-        | Op::Sra { a, b, .. }
-        | Op::Eq { a, b, .. }
-        | Op::Ne { a, b, .. }
-        | Op::Lt { a, b, .. }
-        | Op::Ge { a, b, .. }
-        | Op::LtS { a, b, .. }
-        | Op::GeS { a, b, .. }
-        | Op::ShlOr { a, b, .. } => {
-            f(a);
-            f(b);
-        }
-        Op::Mux { cond, t, f: fr, .. } => {
-            f(cond);
-            f(t);
-            f(fr);
-        }
-        Op::Mux2 { c1, t1, c2, t2, f: fr, .. } => {
-            f(c1);
-            f(t1);
-            f(c2);
-            f(t2);
-            f(fr);
-        }
-        Op::Select { sel, base, n, .. } => {
-            f(sel);
-            for i in 0..n as VReg {
-                f(base + i);
-            }
-        }
-        Op::Write { src, .. }
-        | Op::WriteMasked { src, .. }
-        | Op::WriteNext { src, .. }
-        | Op::WriteNextMasked { src, .. } => f(src),
-        Op::WriteIf { cond, src, .. } | Op::WriteNextIf { cond, src, .. } => {
-            f(cond);
-            f(src);
-        }
-        Op::MemRead { addr, .. } => f(addr),
-        Op::MemWrite { addr, data, .. } => {
-            f(addr);
-            f(data);
-        }
-        Op::MemWriteIf { addr, data, cond, .. } => {
-            f(addr);
-            f(data);
-            f(cond);
-        }
-        Op::Jz { cond, .. } => f(cond),
-        Op::JneConst { a, .. } => f(a),
-    }
+    op.for_each_reg(|role, r| match role {
+        Role::Def => {}
+        Role::Use => f(r),
+        Role::Range(n) => (r..r + n as VReg).for_each(&mut f),
+    });
 }
 
 /// Rewrites an op's *explicit* register uses through `f`, returning how
 /// many actually changed. `Select`'s implicit operand range must stay
-/// physically consecutive, so only its selector is rewritten.
+/// physically consecutive, so its base is left to the caller.
 fn rewrite_uses(op: &mut Op<VReg>, f: &mut impl FnMut(VReg) -> VReg) -> u64 {
     let mut n = 0;
-    let mut rw = |r: &mut VReg| {
-        let nr = f(*r);
-        if nr != *r {
-            *r = nr;
-            n += 1;
-        }
-    };
-    match op {
-        Op::Const { .. } | Op::Read { .. } | Op::Jmp { .. } => {}
-        Op::Copy { a, .. }
-        | Op::Not { a, .. }
-        | Op::Neg { a, .. }
-        | Op::RedAnd { a, .. }
-        | Op::RedOr { a, .. }
-        | Op::RedXor { a, .. }
-        | Op::Slice { a, .. }
-        | Op::Sext { a, .. } => rw(a),
-        Op::Add { a, b, .. }
-        | Op::Sub { a, b, .. }
-        | Op::Mul { a, b, .. }
-        | Op::And { a, b, .. }
-        | Op::Or { a, b, .. }
-        | Op::Xor { a, b, .. }
-        | Op::Shl { a, b, .. }
-        | Op::Shr { a, b, .. }
-        | Op::Sra { a, b, .. }
-        | Op::Eq { a, b, .. }
-        | Op::Ne { a, b, .. }
-        | Op::Lt { a, b, .. }
-        | Op::Ge { a, b, .. }
-        | Op::LtS { a, b, .. }
-        | Op::GeS { a, b, .. }
-        | Op::ShlOr { a, b, .. } => {
-            rw(a);
-            rw(b);
-        }
-        Op::Mux { cond, t, f: fr, .. } => {
-            rw(cond);
-            rw(t);
-            rw(fr);
-        }
-        Op::Mux2 { c1, t1, c2, t2, f: fr, .. } => {
-            rw(c1);
-            rw(t1);
-            rw(c2);
-            rw(t2);
-            rw(fr);
-        }
-        Op::Select { sel, .. } => rw(sel),
-        Op::Write { src, .. }
-        | Op::WriteMasked { src, .. }
-        | Op::WriteNext { src, .. }
-        | Op::WriteNextMasked { src, .. } => rw(src),
-        Op::WriteIf { cond, src, .. } | Op::WriteNextIf { cond, src, .. } => {
-            rw(cond);
-            rw(src);
-        }
-        Op::MemRead { addr, .. } => rw(addr),
-        Op::MemWrite { addr, data, .. } => {
-            rw(addr);
-            rw(data);
-        }
-        Op::MemWriteIf { addr, data, cond, .. } => {
-            rw(addr);
-            rw(data);
-            rw(cond);
-        }
-        Op::Jz { cond, .. } => rw(cond),
-        Op::JneConst { a, .. } => rw(a),
-    }
+    *op = op.map_regs(&mut |role, r| {
+        let nr = if role == Role::Use { f(r) } else { r };
+        n += u64::from(nr != r);
+        nr
+    });
     n
+}
+
+/// The op's jump target, if it is a jump.
+fn target_of(op: &Op<VReg>) -> Option<u32> {
+    match op.effect() {
+        Effect::Jump { target, .. } => Some(target),
+        _ => None,
+    }
 }
 
 /// `is_leader[i]`: op `i` is a jump target, i.e. execution can join here
@@ -623,13 +348,8 @@ fn rewrite_uses(op: &mut Op<VReg>, f: &mut impl FnMut(VReg) -> VReg) -> u64 {
 /// change by *not* taking a jump.
 fn leaders(ops: &[Op<VReg>]) -> Vec<bool> {
     let mut is_leader = vec![false; ops.len() + 1];
-    for op in ops {
-        match op {
-            Op::Jz { target, .. } | Op::JneConst { target, .. } | Op::Jmp { target } => {
-                is_leader[*target as usize] = true;
-            }
-            _ => {}
-        }
+    for target in ops.iter().filter_map(target_of) {
+        is_leader[target as usize] = true;
     }
     is_leader
 }
@@ -655,11 +375,8 @@ fn sweep(ops: &mut Vec<Op<VReg>>, dead: &[bool]) {
         if dead[i] {
             continue;
         }
-        match &mut op {
-            Op::Jz { target, .. } | Op::JneConst { target, .. } | Op::Jmp { target } => {
-                *target = new_pos[*target as usize];
-            }
-            _ => {}
+        if let Some(target) = op.target_mut() {
+            *target = new_pos[*target as usize];
         }
         ops.push(op);
     }
@@ -668,7 +385,7 @@ fn sweep(ops: &mut Vec<Op<VReg>>, dead: &[bool]) {
 /// Evaluates a pure op whose operands are all known constants, mirroring
 /// the executor's arithmetic exactly (see `exec_tape_ptr`). Returns `None`
 /// for state-touching ops or unknown operands.
-fn eval_pure(op: &Op<VReg>, get: &impl Fn(VReg) -> Option<u128>) -> Option<u128> {
+pub(crate) fn eval_pure(op: &Op<VReg>, get: &impl Fn(VReg) -> Option<u128>) -> Option<u128> {
     Some(match *op {
         Op::Const { val, .. } => val,
         Op::Copy { a, .. } => get(a)?,
@@ -770,8 +487,8 @@ fn below_top(m: u128) -> u128 {
 fn dominators(ops: &[Op<VReg>]) -> Vec<bool> {
     let mut depth_delta = vec![0i32; ops.len() + 1];
     for (i, op) in ops.iter().enumerate() {
-        if let Op::Jz { target, .. } | Op::JneConst { target, .. } | Op::Jmp { target } = op {
-            let t = (*target as usize).min(ops.len());
+        if let Some(target) = target_of(op) {
+            let t = (target as usize).min(ops.len());
             if t > i + 1 {
                 depth_delta[i + 1] += 1;
                 depth_delta[t] -= 1;
@@ -843,7 +560,7 @@ impl<'a> Facts<'a> {
     /// operands). `dominating` marks whether the op's position dominates
     /// everything after it (see [`dominators`]).
     fn step(&mut self, op: &Op<VReg>, dominating: bool) {
-        let Some(dst) = def_of(op) else { return };
+        let Some(dst) = op.def() else { return };
         let v = eval_pure(op, &|r| self.val(r));
         let kb = match v {
             Some(x) => x,
@@ -942,7 +659,7 @@ fn rename(vt: &mut VTape) -> u64 {
     let mut def_count = vec![0u32; n];
     let mut in_range = vec![false; n];
     for op in &vt.ops {
-        if let Some(d) = def_of(op) {
+        if let Some(d) = op.def() {
             def_count[d as usize] += 1;
         }
         if let Op::Select { base, n: k, .. } = *op {
@@ -976,7 +693,7 @@ fn rename(vt: &mut VTape) -> u64 {
             }
             *base = nb;
         }
-        if let Some(d) = def_of(op) {
+        if let Some(d) = op.def() {
             if must(d as usize, &def_count, &in_range) {
                 map[d as usize] = next;
                 set_def(&mut new, next);
@@ -1007,7 +724,7 @@ fn const_fold(vt: &mut VTape, widths: &[u32], mem_widths: &[u32]) -> u64 {
             facts.reset();
         }
         if !matches!(op, Op::Const { .. }) {
-            if let (Some(dst), Some(val)) = (def_of(op), eval_pure(op, &|r| facts.val(r))) {
+            if let (Some(dst), Some(val)) = (op.def(), eval_pure(op, &|r| facts.val(r))) {
                 *op = Op::Const { dst, val };
                 rewrites += 1;
             }
@@ -1021,17 +738,43 @@ fn const_fold(vt: &mut VTape, widths: &[u32], mem_widths: &[u32]) -> u64 {
 /// pure computations over unchanged operands collapse to copies; full
 /// writes forward their source to later reads of the same slot.
 fn cse(vt: &mut VTape) -> u64 {
-    /// Value-number key: registers are paired with their definition
-    /// version so a redefinition retires every key that mentions the old
-    /// value. Immediates ride along verbatim.
+    /// Value-number key: the op with its registers erased (kind plus
+    /// every immediate) and its versioned operands — each use packed as
+    /// `register << 32 | definition version`, so a redefinition retires
+    /// every key that mentions the old value. A `Read` has no uses; its
+    /// slot's store version takes the first place instead. (Packed words
+    /// hash in one write: this table is half the optimizer's run time.)
     #[derive(Hash, PartialEq, Eq)]
-    enum Key {
-        Const(u128),
-        Read(u32, u64),
-        MemRead(u32, (VReg, u32), u64),
-        Un(u8, (VReg, u32), u128, u128, u32),
-        Bin(u8, (VReg, u32), (VReg, u32), u128, u32, u32),
-        Mux((VReg, u32), (VReg, u32), (VReg, u32)),
+    struct Key {
+        op: Op<()>,
+        operands: [u64; 3],
+    }
+
+    /// The register a keyed op defines and its key; `None` for the ops
+    /// value numbering leaves alone: stores and jumps, `Copy` (copy-prop's
+    /// job), `Mux2`, and `Select` (it implicitly uses a register range).
+    fn key_of(op: &Op<VReg>, ver: &[u32], slot_ver: &HashMap<u32, u64>) -> Option<(VReg, Key)> {
+        if matches!(op, Op::Copy { .. } | Op::Mux2 { .. } | Op::Select { .. }) {
+            return None;
+        }
+        let (mut operands, mut n, mut dst) = ([0; 3], 0, None);
+        let erased = op.map_regs(&mut |role, r| match role {
+            Role::Use => {
+                operands[n] = u64::from(r) << 32 | u64::from(ver[r as usize]);
+                n += 1;
+            }
+            Role::Def => dst = Some(r),
+            Role::Range(_) => unreachable!("`Select` is unkeyed"),
+        });
+        let dst = dst?;
+        // Commutative ops canonicalize operand order.
+        if op.kind().commutative() && operands[0] > operands[1] {
+            operands.swap(0, 1);
+        }
+        if let Effect::Read { slot } = op.effect() {
+            operands[0] = *slot_ver.get(&slot).unwrap_or(&0);
+        }
+        Some((dst, Key { op: erased, operands }))
     }
 
     let is_leader = leaders(&vt.ops);
@@ -1052,91 +795,7 @@ fn cse(vt: &mut VTape) -> u64 {
             table.clear();
             last_store.clear();
         }
-        let v = |r: VReg, ver: &[u32]| (r, ver[r as usize]);
-        // Commutative ops canonicalize operand order.
-        let c2 = |a: VReg, b: VReg, ver: &[u32]| {
-            let (ka, kb) = (v(a, ver), v(b, ver));
-            if ka <= kb {
-                (ka, kb)
-            } else {
-                (kb, ka)
-            }
-        };
-        let key = match *op {
-            Op::Const { val, .. } => Some(Key::Const(val)),
-            Op::Read { slot, .. } => Some(Key::Read(slot, *slot_ver.get(&slot).unwrap_or(&0))),
-            Op::MemRead { mem, addr, words, .. } => Some(Key::MemRead(mem, v(addr, &ver), words)),
-            Op::Copy { .. } => None, // copy-prop's job
-            Op::Add { a, b, mask, .. } => {
-                let (x, y) = c2(a, b, &ver);
-                Some(Key::Bin(0, x, y, mask, 0, 0))
-            }
-            Op::Sub { a, b, mask, .. } => Some(Key::Bin(1, v(a, &ver), v(b, &ver), mask, 0, 0)),
-            Op::Mul { a, b, mask, .. } => {
-                let (x, y) = c2(a, b, &ver);
-                Some(Key::Bin(2, x, y, mask, 0, 0))
-            }
-            Op::And { a, b, .. } => {
-                let (x, y) = c2(a, b, &ver);
-                Some(Key::Bin(3, x, y, 0, 0, 0))
-            }
-            Op::Or { a, b, .. } => {
-                let (x, y) = c2(a, b, &ver);
-                Some(Key::Bin(4, x, y, 0, 0, 0))
-            }
-            Op::Xor { a, b, .. } => {
-                let (x, y) = c2(a, b, &ver);
-                Some(Key::Bin(5, x, y, 0, 0, 0))
-            }
-            Op::Shl { a, b, width, mask, .. } => {
-                Some(Key::Bin(6, v(a, &ver), v(b, &ver), mask, width, 0))
-            }
-            Op::Shr { a, b, width, .. } => Some(Key::Bin(7, v(a, &ver), v(b, &ver), 0, width, 0)),
-            Op::Sra { a, b, width, mask, ext, .. } => {
-                Some(Key::Bin(8, v(a, &ver), v(b, &ver), mask, width, ext))
-            }
-            Op::Eq { a, b, .. } => {
-                let (x, y) = c2(a, b, &ver);
-                Some(Key::Bin(9, x, y, 0, 0, 0))
-            }
-            Op::Ne { a, b, .. } => {
-                let (x, y) = c2(a, b, &ver);
-                Some(Key::Bin(10, x, y, 0, 0, 0))
-            }
-            Op::Lt { a, b, .. } => Some(Key::Bin(11, v(a, &ver), v(b, &ver), 0, 0, 0)),
-            Op::Ge { a, b, .. } => Some(Key::Bin(12, v(a, &ver), v(b, &ver), 0, 0, 0)),
-            Op::LtS { a, b, ext, .. } => Some(Key::Bin(13, v(a, &ver), v(b, &ver), 0, 0, ext)),
-            Op::GeS { a, b, ext, .. } => Some(Key::Bin(14, v(a, &ver), v(b, &ver), 0, 0, ext)),
-            Op::ShlOr { a, b, shift, .. } => {
-                Some(Key::Bin(15, v(a, &ver), v(b, &ver), 0, shift, 0))
-            }
-            Op::Not { a, mask, .. } => Some(Key::Un(0, v(a, &ver), mask, 0, 0)),
-            Op::Neg { a, mask, .. } => Some(Key::Un(1, v(a, &ver), mask, 0, 0)),
-            Op::RedAnd { a, mask, .. } => Some(Key::Un(2, v(a, &ver), mask, 0, 0)),
-            Op::RedOr { a, .. } => Some(Key::Un(3, v(a, &ver), 0, 0, 0)),
-            Op::RedXor { a, .. } => Some(Key::Un(4, v(a, &ver), 0, 0, 0)),
-            Op::Slice { a, lo, mask, .. } => Some(Key::Un(5, v(a, &ver), mask, 0, lo)),
-            Op::Sext { a, sign_bit, ext_or, .. } => {
-                Some(Key::Un(6, v(a, &ver), sign_bit, ext_or, 0))
-            }
-            Op::Mux { cond, t, f, .. } => Some(Key::Mux(v(cond, &ver), v(t, &ver), v(f, &ver))),
-            // Created after the fixpoint loop (mux-fuse), so CSE never
-            // sees one; no key needed.
-            Op::Mux2 { .. } => None,
-            // `Select` implicitly uses a register range; leave it alone.
-            Op::Select { .. } => None,
-            Op::Write { .. }
-            | Op::WriteMasked { .. }
-            | Op::WriteNext { .. }
-            | Op::WriteNextMasked { .. }
-            | Op::WriteIf { .. }
-            | Op::WriteNextIf { .. }
-            | Op::MemWrite { .. }
-            | Op::MemWriteIf { .. }
-            | Op::Jz { .. }
-            | Op::JneConst { .. }
-            | Op::Jmp { .. } => None,
-        };
+        let keyed = key_of(op, &ver, &slot_ver);
 
         // Store-to-load forwarding: a full write's source register still
         // holds the slot's value.
@@ -1151,8 +810,7 @@ fn cse(vt: &mut VTape) -> u64 {
             }
         }
 
-        if let Some(key) = key {
-            let dst = def_of(op).expect("keyed ops define a register");
+        if let Some((dst, key)) = keyed {
             if let Some(&(prev, pv)) = table.get(&key).or_else(|| global.get(&key)) {
                 if ver[prev as usize] == pv && prev != dst {
                     *op = Op::Copy { dst, a: prev };
@@ -1171,29 +829,20 @@ fn cse(vt: &mut VTape) -> u64 {
         }
 
         // Non-keyed ops: maintain versions and write-tracking.
-        if let Some(dst) = def_of(op) {
+        if let Some(dst) = op.def() {
             ver[dst as usize] += 1;
         }
-        match *op {
-            Op::Write { slot, src } => {
-                *slot_ver.entry(slot).or_insert(0) += 1;
-                last_store.insert(slot, (src, ver[src as usize]));
-            }
-            Op::WriteMasked { slot, .. } => {
-                *slot_ver.entry(slot).or_insert(0) += 1;
-                last_store.remove(&slot);
-            }
-            // A predicated write may or may not store: `Read` keys must
-            // retire and no forwarding fact survives.
-            Op::WriteIf { slot, .. } => {
-                *slot_ver.entry(slot).or_insert(0) += 1;
-                last_store.remove(&slot);
-            }
-            // `WriteNext`/`WriteNextIf` touch the shadow buffer, not
-            // `cur`: in-tape reads are unaffected. `MemWrite` defers
-            // through `pending`, so it cannot invalidate `MemRead` keys
-            // either.
-            _ => {}
+        // `next`-buffer stores leave in-tape reads alone, and `MemWrite`
+        // defers through `pending`, so it cannot invalidate `MemRead`
+        // keys either.
+        if let Effect::Write { slot, next: false, .. } = op.effect() {
+            *slot_ver.entry(slot).or_insert(0) += 1;
+            match *op {
+                Op::Write { src, .. } => last_store.insert(slot, (src, ver[src as usize])),
+                // A masked or predicated write may or may not store:
+                // `Read` keys must retire and no forwarding fact survives.
+                _ => last_store.remove(&slot),
+            };
         }
     }
     rewrites
@@ -1310,7 +959,7 @@ fn plan_if(ops: &[Op<VReg>], i: usize, end: usize, tcount: &[u32]) -> Option<IfP
             Op::Jmp { target } if idx == end - 1 && *target as usize >= end => {
                 inner_jmp = Some(*target as usize);
             }
-            Op::Jz { .. } | Op::JneConst { .. } | Op::Jmp { .. } => return None,
+            op if target_of(op).is_some() => return None,
             _ => {}
         }
     }
@@ -1324,10 +973,7 @@ fn plan_if(ops: &[Op<VReg>], i: usize, end: usize, tcount: &[u32]) -> Option<IfP
         None => (i + 1..end, end..end, end),
     };
     // The else arm must itself be jump-free.
-    if else_r
-        .clone()
-        .any(|idx| matches!(ops[idx], Op::Jz { .. } | Op::JneConst { .. } | Op::Jmp { .. }))
-    {
+    if else_r.clone().any(|idx| target_of(&ops[idx]).is_some()) {
         return None;
     }
     // No external jump may land inside the converted region. The only
@@ -1346,15 +992,11 @@ fn plan_if(ops: &[Op<VReg>], i: usize, end: usize, tcount: &[u32]) -> Option<IfP
     let mut writes = 0usize;
     for idx in then_r.clone().chain(else_r.clone()) {
         ops_total += 1;
-        match &ops[idx] {
-            Op::Write { .. }
-            | Op::WriteNext { .. }
-            | Op::WriteIf { .. }
-            | Op::WriteNextIf { .. }
-            | Op::MemWrite { .. }
-            | Op::MemWriteIf { .. } => writes += 1,
-            op if def_of(op).is_some() => {}
-            _ => return None,
+        match ops[idx].effect() {
+            Effect::Write { how: Store::Full | Store::Predicated, .. }
+            | Effect::MemWrite { .. } => writes += 1,
+            Effect::Write { how: Store::Masked, .. } | Effect::Jump { .. } => return None,
+            Effect::Pure | Effect::Read { .. } | Effect::MemRead { .. } => {}
         }
     }
     if ops_total > IF_CONVERT_MAX_OPS || writes > IF_CONVERT_MAX_WRITES {
@@ -1382,12 +1024,9 @@ fn if_convert(vt: &mut VTape) -> u64 {
     let mut tcount = vec![0u32; len + 1];
     let mut any_jz = false;
     for op in &vt.ops {
-        match op {
-            Op::Jz { target, .. } | Op::JneConst { target, .. } | Op::Jmp { target } => {
-                tcount[*target as usize] += 1;
-                any_jz |= matches!(op, Op::Jz { .. });
-            }
-            _ => {}
+        if let Some(target) = target_of(op) {
+            tcount[target as usize] += 1;
+            any_jz |= matches!(op, Op::Jz { .. });
         }
     }
     if !any_jz {
@@ -1512,13 +1151,8 @@ fn if_convert(vt: &mut VTape) -> u64 {
         vt.ops = ops;
         return 0;
     }
-    for op in &mut out {
-        match op {
-            Op::Jz { target, .. } | Op::JneConst { target, .. } | Op::Jmp { target } => {
-                *target = new_pos[*target as usize];
-            }
-            _ => {}
-        }
+    for target in out.iter_mut().filter_map(Op::target_mut) {
+        *target = new_pos[*target as usize];
     }
     vt.ops = out;
     vt.nregs = nregs;
@@ -1630,7 +1264,7 @@ fn copy_prop(vt: &mut VTape) -> u64 {
             r
         };
         rewrites += rewrite_uses(op, &mut |r| resolve(r, &copy_of, &ver));
-        if let Some(dst) = def_of(op) {
+        if let Some(dst) = op.def() {
             ver[dst as usize] += 1;
             copy_of[dst as usize] = match *op {
                 Op::Copy { a, .. } if a != dst => Some((a, ver[a as usize])),
@@ -1660,33 +1294,19 @@ fn jump_thread(vt: &mut VTape) -> u64 {
         t
     };
     for i in 0..len {
-        let (threaded, cur) = match vt.ops[i] {
-            Op::Jz { cond: _, target } => (resolve(target, &vt.ops), target),
-            Op::JneConst { target, .. } => (resolve(target, &vt.ops), target),
-            Op::Jmp { target } => (resolve(target, &vt.ops), target),
-            _ => continue,
-        };
+        let Some(cur) = target_of(&vt.ops[i]) else { continue };
+        let threaded = resolve(cur, &vt.ops);
         if threaded != cur {
-            match &mut vt.ops[i] {
-                Op::Jz { target, .. } | Op::JneConst { target, .. } | Op::Jmp { target } => {
-                    *target = threaded;
-                }
-                _ => unreachable!(),
-            }
+            *vt.ops[i].target_mut().expect("a jump") = threaded;
             rewrites += 1;
         }
     }
     let mut dead = vec![false; len];
     // Jumps to the very next op are no-ops.
     for (i, op) in vt.ops.iter().enumerate() {
-        match *op {
-            Op::Jz { target, .. } | Op::JneConst { target, .. } | Op::Jmp { target }
-                if target as usize == i + 1 =>
-            {
-                dead[i] = true;
-                rewrites += 1;
-            }
-            _ => {}
+        if target_of(op) == Some(i as u32 + 1) {
+            dead[i] = true;
+            rewrites += 1;
         }
     }
     // Reachability from entry (tape jumps only go forward, but a plain
@@ -1703,11 +1323,12 @@ fn jump_thread(vt: &mut VTape) -> u64 {
             work.push(i + 1);
             continue;
         }
-        match vt.ops[iu] {
-            Op::Jmp { target } => work.push(target),
-            Op::Jz { target, .. } | Op::JneConst { target, .. } => {
+        match vt.ops[iu].effect() {
+            Effect::Jump { target, cond } => {
                 work.push(target);
-                work.push(i + 1);
+                if cond {
+                    work.push(i + 1);
+                }
             }
             _ => work.push(i + 1),
         }
@@ -1737,37 +1358,28 @@ fn dse(vt: &mut VTape) -> u64 {
             pending_cur.clear();
             pending_next.clear();
         }
-        match *op {
-            Op::Read { slot, .. } => {
+        match op.effect() {
+            Effect::Read { slot } => {
                 pending_cur.remove(&slot);
             }
-            Op::Write { slot, .. } => {
-                if let Some(prev) = pending_cur.insert(slot, i) {
+            Effect::Write { slot, next, how } => {
+                let pending = if next { &mut pending_next } else { &mut pending_cur };
+                if how != Store::Full {
+                    // Read-modify-write / conditional: observes the previous
+                    // value and does not fully define the slot.
+                    pending.remove(&slot);
+                } else if let Some(prev) = pending.insert(slot, i) {
                     dead[prev] = true;
                     rewrites += 1;
                 }
-            }
-            Op::WriteMasked { slot, .. } | Op::WriteIf { slot, .. } => {
-                // Read-modify-write / conditional: observes the previous
-                // value and does not fully define the slot.
-                pending_cur.remove(&slot);
-            }
-            Op::WriteNext { slot, .. } => {
-                if let Some(prev) = pending_next.insert(slot, i) {
-                    dead[prev] = true;
-                    rewrites += 1;
-                }
-            }
-            Op::WriteNextMasked { slot, .. } | Op::WriteNextIf { slot, .. } => {
-                pending_next.remove(&slot);
             }
             // Control flow ends the straight-line segment: along the
             // taken edge the pending store may be the one that settles.
-            Op::Jz { .. } | Op::JneConst { .. } | Op::Jmp { .. } => {
+            Effect::Jump { .. } => {
                 pending_cur.clear();
                 pending_next.clear();
             }
-            _ => {}
+            Effect::Pure | Effect::MemRead { .. } | Effect::MemWrite { .. } => {}
         }
     }
     sweep(&mut vt.ops, &dead);
@@ -1783,24 +1395,18 @@ fn dce(vt: &mut VTape) -> u64 {
     let mut dead = vec![false; vt.ops.len()];
     let mut rewrites = 0;
     for (i, op) in vt.ops.iter().enumerate().rev() {
-        if is_effect(op) {
+        // An op without a def is a store or a jump: always kept.
+        if op.def().is_none_or(|dst| used[dst as usize]) {
             for_each_use(op, |r| used[r as usize] = true);
-        } else if let Some(dst) = def_of(op) {
-            if used[dst as usize] {
-                for_each_use(op, |r| used[r as usize] = true);
-            } else {
-                dead[i] = true;
-                rewrites += 1;
-            }
+        } else {
+            dead[i] = true;
+            rewrites += 1;
         }
     }
     sweep(&mut vt.ops, &dead);
     rewrites
 }
 
-/// Renumbers live registers in ascending order, shrinking `nregs`.
-/// Ascending order keeps `Select`'s implicit `base..base+n` range (every
-/// member of which is marked used) consecutive after renumbering.
 /// Fuses `Mux` chains pairwise into [`Op::Mux2`]: when a mux's false
 /// input is produced by another mux whose only consumer it is, the pair
 /// becomes one two-level op (`dst = c1 ? t1 : (c2 ? t2 : f)`). This is
@@ -1813,9 +1419,7 @@ fn dce(vt: &mut VTape) -> u64 {
 /// mux's operands are re-read at the outer site, which is only sound
 /// when both sites provably execute together with single-def registers.
 fn mux_fuse(vt: &mut VTape) -> u64 {
-    let has_jumps =
-        vt.ops.iter().any(|op| matches!(op, Op::Jz { .. } | Op::JneConst { .. } | Op::Jmp { .. }));
-    if has_jumps {
+    if vt.has_jumps() {
         return 0;
     }
     let n = vt.nregs as usize;
@@ -1824,7 +1428,7 @@ fn mux_fuse(vt: &mut VTape) -> u64 {
     let mut use_count = vec![0u32; n];
     let mut in_range = vec![false; n];
     for (i, op) in vt.ops.iter().enumerate() {
-        if let Some(d) = def_of(op) {
+        if let Some(d) = op.def() {
             let c = &mut def_count[d as usize];
             *c = c.saturating_add(1);
             def_site[d as usize] = i as u32;
@@ -1881,9 +1485,7 @@ fn mux_fuse(vt: &mut VTape) -> u64 {
 /// constant pool. `realloc` pins the prelude destinations so no body op
 /// ever recycles them (the prelude only runs once per buffer lifetime).
 fn hoist_consts(vt: &mut VTape) -> u64 {
-    let has_jumps =
-        vt.ops.iter().any(|op| matches!(op, Op::Jz { .. } | Op::JneConst { .. } | Op::Jmp { .. }));
-    if has_jumps {
+    if vt.has_jumps() {
         // Moving ops would shift jump targets; fully if-converted tapes
         // (the hot fused schedules) are the payoff anyway.
         return 0;
@@ -1893,7 +1495,7 @@ fn hoist_consts(vt: &mut VTape) -> u64 {
     // can bail on pathological `Select` ranges, so re-check here.
     let mut def_count = vec![0u8; vt.nregs as usize];
     for op in &vt.ops {
-        if let Some(d) = def_of(op) {
+        if let Some(d) = op.def() {
             let c = &mut def_count[d as usize];
             *c = c.saturating_add(1);
         }
@@ -1921,11 +1523,14 @@ fn hoist_consts(vt: &mut VTape) -> u64 {
     total as u64
 }
 
+/// Renumbers live registers in ascending order, shrinking `nregs`.
+/// Ascending order keeps `Select`'s implicit `base..base+n` range (every
+/// member of which is marked used) consecutive after renumbering.
 fn compact(vt: &mut VTape) -> u64 {
     let nregs = vt.nregs as usize;
     let mut used = vec![false; nregs];
     for op in &vt.ops {
-        if let Some(d) = def_of(op) {
+        if let Some(d) = op.def() {
             used[d as usize] = true;
         }
         for_each_use(op, |r| used[r as usize] = true);
@@ -1942,7 +1547,7 @@ fn compact(vt: &mut VTape) -> u64 {
         return 0;
     }
     for op in &mut vt.ops {
-        *op = op.map_regs(&mut |r| remap[r as usize]);
+        *op = op.map_regs(&mut |_, r| remap[r as usize]);
     }
     let freed = vt.nregs - next;
     vt.nregs = next;
@@ -1969,7 +1574,7 @@ fn realloc(vt: &mut VTape) -> u64 {
     let mut last = vec![usize::MAX; n];
     let mut pinned = vec![false; n];
     for (i, op) in vt.ops.iter().enumerate() {
-        if let Some(d) = def_of(op) {
+        if let Some(d) = op.def() {
             last[d as usize] = i;
         }
         for_each_use(op, |r| last[r as usize] = i);
@@ -1984,7 +1589,7 @@ fn realloc(vt: &mut VTape) -> u64 {
     // by body defs. Pinning gives them stable numbers and keeps them off
     // the free list.
     for op in &vt.ops[..vt.prelude as usize] {
-        if let Some(d) = def_of(op) {
+        if let Some(d) = op.def() {
             pinned[d as usize] = true;
         }
     }
@@ -2004,7 +1609,7 @@ fn realloc(vt: &mut VTape) -> u64 {
     let mut uses: Vec<VReg> = Vec::new();
     for i in 0..vt.ops.len() {
         let op = &mut vt.ops[i];
-        let old_def = def_of(op);
+        let old_def = op.def();
         uses.clear();
         for_each_use(op, |r| uses.push(r));
         rewrite_uses(op, &mut |r| {
@@ -2059,7 +1664,7 @@ fn realloc(vt: &mut VTape) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tape::{exec_tape, Tape};
+    use crate::tape::exec_tape;
 
     fn opt(mut vt: VTape, widths: &[u32]) -> (VTape, OptReport) {
         let mut rep = OptReport::new();

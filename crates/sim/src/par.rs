@@ -49,7 +49,7 @@ use crate::compile::{fuse_run, ir_runs, Run};
 use crate::overheads::Overheads;
 use crate::profile::EngineStats;
 use crate::sim::EngineImpl;
-use crate::tape::{exec_tape_ptr, mask_of, Op, Tape, TapeMems};
+use crate::tape::{exec_tape_ptr, mask_of, Effect, Tape, TapeMems};
 use crate::tape_engine::PackedView;
 
 /// Default worker-thread count: `MTL_SIM_THREADS` if set (clamped to at
@@ -423,26 +423,27 @@ fn step_shards_independent(units: &[Unit], step: &Step) -> bool {
         };
         for &u in assign {
             for op in &units[u as usize].tape.ops {
-                match op {
-                    Op::Read { slot, .. } => {
-                        s.reads.insert(*slot);
+                match op.effect() {
+                    Effect::Read { slot } => {
+                        s.reads.insert(slot);
                     }
-                    Op::Write { slot, .. } | Op::WriteMasked { slot, .. } => {
-                        if !step.comb {
+                    // Masked and predicated stores count like full ones:
+                    // the guard is about who may touch the slot at all.
+                    Effect::Write { slot, next, .. } => {
+                        // Comb steps store to `cur` only, seq steps to
+                        // `next` only.
+                        if next == step.comb {
                             return false;
                         }
-                        s.cur_writes.insert(*slot);
+                        let writes = if next { &mut s.next_writes } else { &mut s.cur_writes };
+                        writes.insert(slot);
                     }
-                    Op::WriteNext { slot, .. } | Op::WriteNextMasked { slot, .. } => {
-                        if step.comb {
-                            return false;
-                        }
-                        s.next_writes.insert(*slot);
+                    Effect::MemWrite { mem, .. } => {
+                        s.mem_writes.insert(mem);
                     }
-                    Op::MemWrite { mem, .. } => {
-                        s.mem_writes.insert(*mem);
-                    }
-                    _ => {}
+                    // Memory stores are deferred to the commit, so an
+                    // in-step `MemRead` races with nothing.
+                    Effect::Pure | Effect::MemRead { .. } | Effect::Jump { .. } => {}
                 }
             }
         }
@@ -1039,5 +1040,39 @@ impl Drop for ParTapeEngine {
                 let _ = h.join();
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::tape::Op;
+
+    /// Runs the partition guard over a two-shard step, one unit per shard.
+    fn independent(comb: bool, shards: [Vec<Op>; 2]) -> bool {
+        let units: Vec<Unit> = shards
+            .into_iter()
+            .map(|ops| Unit { blocks: Vec::new(), tape: Tape { ops, nregs: 3, prelude: 0 }, comb })
+            .collect();
+        let step = Step { units: vec![0, 1], assign: vec![vec![0], vec![1]], comb };
+        step_shards_independent(&units, &step)
+    }
+
+    /// The predicated stores if-conversion produces are stores: the guard
+    /// `run_step`'s shared-state `unsafe` relies on must see them.
+    #[test]
+    fn partition_guard_sees_predicated_stores() {
+        let read = |slot| Op::Read { dst: 0, slot };
+        let write_if = |slot| Op::WriteIf { slot, cond: 0, src: 1, neg: false };
+        let next_if = |slot| Op::WriteNextIf { slot, cond: 0, src: 1, neg: true };
+        let mem_if = |mem| Op::MemWriteIf { mem, addr: 0, data: 1, cond: 2, words: 4, neg: false };
+
+        assert!(!independent(false, [vec![next_if(3)], vec![next_if(3)]]), "shared next slot");
+        assert!(!independent(true, [vec![write_if(3)], vec![read(3)]]), "cross-shard read");
+        assert!(!independent(false, [vec![mem_if(0)], vec![mem_if(0)]]), "shared memory");
+        assert!(!independent(true, [vec![next_if(3)], vec![]]), "next store in a comb step");
+
+        assert!(independent(false, [vec![next_if(3), mem_if(0)], vec![next_if(4), mem_if(1)]]));
+        assert!(independent(true, [vec![read(5), write_if(3)], vec![read(5), write_if(4)]]));
     }
 }

@@ -9,7 +9,7 @@
 //! [`crate::compile`] is the only producer of tapes.
 
 /// A physical register index within an executable tape. Kept at 16 bits so
-/// every hot [`Op`] variant packs into 32 bytes.
+/// an [`Op`] is 48 bytes (two `u128` immediates plus operands and tag).
 pub(crate) type Reg = u16;
 
 /// A virtual register index used during compilation and optimization.
@@ -22,7 +22,12 @@ pub(crate) type VReg = u32;
 /// (the default) is what the executor runs, `Op<VReg>` is what the
 /// compiler emits and the optimizer transforms. `mask` fields are
 /// precomputed width masks.
-#[derive(Debug, Clone)]
+///
+/// Three facts about the instruction set are declared once, below the
+/// enum, and every consumer derives from them: each register operand's
+/// [`Role`] ([`Op::map_regs`]), each op's [`Effect`] on simulator state
+/// ([`Op::effect`]) and its [`Kind`] (name, commutativity).
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) enum Op<R = Reg> {
     Const {
         dst: R,
@@ -271,85 +276,384 @@ pub(crate) enum Op<R = Reg> {
 }
 
 impl<R: Copy> Op<R> {
-    /// Rebuilds the op with every register index passed through `f`
-    /// (widening, narrowing, and compaction renumbering all route here).
-    pub(crate) fn map_regs<S: Copy>(&self, f: &mut impl FnMut(R) -> S) -> Op<S> {
+    /// Rebuilds the op with every register operand passed through `f`
+    /// together with its [`Role`]. This is the one per-variant listing of
+    /// register operands: renumbering, def/use queries, use rewriting,
+    /// range validation, the CSE key and plane lowering all route here.
+    #[inline]
+    pub(crate) fn map_regs<S>(&self, f: &mut impl FnMut(Role, R) -> S) -> Op<S> {
+        macro_rules! d {
+            ($r:expr) => {
+                f(Role::Def, $r)
+            };
+        }
+        macro_rules! u {
+            ($r:expr) => {
+                f(Role::Use, $r)
+            };
+        }
         match *self {
-            Op::Const { dst, val } => Op::Const { dst: f(dst), val },
-            Op::Read { dst, slot } => Op::Read { dst: f(dst), slot },
-            Op::Copy { dst, a } => Op::Copy { dst: f(dst), a: f(a) },
-            Op::Add { dst, a, b, mask } => Op::Add { dst: f(dst), a: f(a), b: f(b), mask },
-            Op::Sub { dst, a, b, mask } => Op::Sub { dst: f(dst), a: f(a), b: f(b), mask },
-            Op::Mul { dst, a, b, mask } => Op::Mul { dst: f(dst), a: f(a), b: f(b), mask },
-            Op::And { dst, a, b } => Op::And { dst: f(dst), a: f(a), b: f(b) },
-            Op::Or { dst, a, b } => Op::Or { dst: f(dst), a: f(a), b: f(b) },
-            Op::Xor { dst, a, b } => Op::Xor { dst: f(dst), a: f(a), b: f(b) },
-            Op::Not { dst, a, mask } => Op::Not { dst: f(dst), a: f(a), mask },
-            Op::Neg { dst, a, mask } => Op::Neg { dst: f(dst), a: f(a), mask },
+            Op::Const { dst, val } => Op::Const { dst: d!(dst), val },
+            Op::Read { dst, slot } => Op::Read { dst: d!(dst), slot },
+            Op::Copy { dst, a } => Op::Copy { dst: d!(dst), a: u!(a) },
+            Op::Add { dst, a, b, mask } => Op::Add { dst: d!(dst), a: u!(a), b: u!(b), mask },
+            Op::Sub { dst, a, b, mask } => Op::Sub { dst: d!(dst), a: u!(a), b: u!(b), mask },
+            Op::Mul { dst, a, b, mask } => Op::Mul { dst: d!(dst), a: u!(a), b: u!(b), mask },
+            Op::And { dst, a, b } => Op::And { dst: d!(dst), a: u!(a), b: u!(b) },
+            Op::Or { dst, a, b } => Op::Or { dst: d!(dst), a: u!(a), b: u!(b) },
+            Op::Xor { dst, a, b } => Op::Xor { dst: d!(dst), a: u!(a), b: u!(b) },
+            Op::Not { dst, a, mask } => Op::Not { dst: d!(dst), a: u!(a), mask },
+            Op::Neg { dst, a, mask } => Op::Neg { dst: d!(dst), a: u!(a), mask },
             Op::Shl { dst, a, b, width, mask } => {
-                Op::Shl { dst: f(dst), a: f(a), b: f(b), width, mask }
+                Op::Shl { dst: d!(dst), a: u!(a), b: u!(b), width, mask }
             }
-            Op::Shr { dst, a, b, width } => Op::Shr { dst: f(dst), a: f(a), b: f(b), width },
+            Op::Shr { dst, a, b, width } => Op::Shr { dst: d!(dst), a: u!(a), b: u!(b), width },
             Op::Sra { dst, a, b, width, mask, ext } => {
-                Op::Sra { dst: f(dst), a: f(a), b: f(b), width, mask, ext }
+                Op::Sra { dst: d!(dst), a: u!(a), b: u!(b), width, mask, ext }
             }
-            Op::Eq { dst, a, b } => Op::Eq { dst: f(dst), a: f(a), b: f(b) },
-            Op::Ne { dst, a, b } => Op::Ne { dst: f(dst), a: f(a), b: f(b) },
-            Op::Lt { dst, a, b } => Op::Lt { dst: f(dst), a: f(a), b: f(b) },
-            Op::Ge { dst, a, b } => Op::Ge { dst: f(dst), a: f(a), b: f(b) },
-            Op::LtS { dst, a, b, ext } => Op::LtS { dst: f(dst), a: f(a), b: f(b), ext },
-            Op::GeS { dst, a, b, ext } => Op::GeS { dst: f(dst), a: f(a), b: f(b), ext },
-            Op::RedAnd { dst, a, mask } => Op::RedAnd { dst: f(dst), a: f(a), mask },
-            Op::RedOr { dst, a } => Op::RedOr { dst: f(dst), a: f(a) },
-            Op::RedXor { dst, a } => Op::RedXor { dst: f(dst), a: f(a) },
-            Op::Slice { dst, a, lo, mask } => Op::Slice { dst: f(dst), a: f(a), lo, mask },
-            Op::ShlOr { dst, a, b, shift } => Op::ShlOr { dst: f(dst), a: f(a), b: f(b), shift },
+            Op::Eq { dst, a, b } => Op::Eq { dst: d!(dst), a: u!(a), b: u!(b) },
+            Op::Ne { dst, a, b } => Op::Ne { dst: d!(dst), a: u!(a), b: u!(b) },
+            Op::Lt { dst, a, b } => Op::Lt { dst: d!(dst), a: u!(a), b: u!(b) },
+            Op::Ge { dst, a, b } => Op::Ge { dst: d!(dst), a: u!(a), b: u!(b) },
+            Op::LtS { dst, a, b, ext } => Op::LtS { dst: d!(dst), a: u!(a), b: u!(b), ext },
+            Op::GeS { dst, a, b, ext } => Op::GeS { dst: d!(dst), a: u!(a), b: u!(b), ext },
+            Op::RedAnd { dst, a, mask } => Op::RedAnd { dst: d!(dst), a: u!(a), mask },
+            Op::RedOr { dst, a } => Op::RedOr { dst: d!(dst), a: u!(a) },
+            Op::RedXor { dst, a } => Op::RedXor { dst: d!(dst), a: u!(a) },
+            Op::Slice { dst, a, lo, mask } => Op::Slice { dst: d!(dst), a: u!(a), lo, mask },
+            Op::ShlOr { dst, a, b, shift } => Op::ShlOr { dst: d!(dst), a: u!(a), b: u!(b), shift },
             Op::Mux { dst, cond, t, f: fr } => {
-                Op::Mux { dst: f(dst), cond: f(cond), t: f(t), f: f(fr) }
+                Op::Mux { dst: d!(dst), cond: u!(cond), t: u!(t), f: u!(fr) }
             }
             Op::Mux2 { dst, c1, t1, c2, t2, f: fr } => {
-                Op::Mux2 { dst: f(dst), c1: f(c1), t1: f(t1), c2: f(c2), t2: f(t2), f: f(fr) }
+                Op::Mux2 { dst: d!(dst), c1: u!(c1), t1: u!(t1), c2: u!(c2), t2: u!(t2), f: u!(fr) }
             }
             Op::Select { dst, sel, base, n } => {
-                Op::Select { dst: f(dst), sel: f(sel), base: f(base), n }
+                Op::Select { dst: d!(dst), sel: u!(sel), base: f(Role::Range(n), base), n }
             }
             Op::Sext { dst, a, sign_bit, ext_or } => {
-                Op::Sext { dst: f(dst), a: f(a), sign_bit, ext_or }
+                Op::Sext { dst: d!(dst), a: u!(a), sign_bit, ext_or }
             }
-            Op::Write { slot, src } => Op::Write { slot, src: f(src) },
+            Op::Write { slot, src } => Op::Write { slot, src: u!(src) },
             Op::WriteMasked { slot, src, lo, field } => {
-                Op::WriteMasked { slot, src: f(src), lo, field }
+                Op::WriteMasked { slot, src: u!(src), lo, field }
             }
-            Op::WriteNext { slot, src } => Op::WriteNext { slot, src: f(src) },
+            Op::WriteNext { slot, src } => Op::WriteNext { slot, src: u!(src) },
             Op::WriteNextMasked { slot, src, lo, field } => {
-                Op::WriteNextMasked { slot, src: f(src), lo, field }
+                Op::WriteNextMasked { slot, src: u!(src), lo, field }
             }
             Op::WriteIf { slot, cond, src, neg } => {
-                Op::WriteIf { slot, cond: f(cond), src: f(src), neg }
+                Op::WriteIf { slot, cond: u!(cond), src: u!(src), neg }
             }
             Op::WriteNextIf { slot, cond, src, neg } => {
-                Op::WriteNextIf { slot, cond: f(cond), src: f(src), neg }
+                Op::WriteNextIf { slot, cond: u!(cond), src: u!(src), neg }
             }
             Op::MemRead { dst, mem, addr, words } => {
-                Op::MemRead { dst: f(dst), mem, addr: f(addr), words }
+                Op::MemRead { dst: d!(dst), mem, addr: u!(addr), words }
             }
             Op::MemWrite { mem, addr, data, words } => {
-                Op::MemWrite { mem, addr: f(addr), data: f(data), words }
+                Op::MemWrite { mem, addr: u!(addr), data: u!(data), words }
             }
             Op::MemWriteIf { mem, addr, data, cond, words, neg } => {
-                Op::MemWriteIf { mem, addr: f(addr), data: f(data), cond: f(cond), words, neg }
+                Op::MemWriteIf { mem, addr: u!(addr), data: u!(data), cond: u!(cond), words, neg }
             }
-            Op::Jz { cond, target } => Op::Jz { cond: f(cond), target },
-            Op::JneConst { a, k, target } => Op::JneConst { a: f(a), k, target },
+            Op::Jz { cond, target } => Op::Jz { cond: u!(cond), target },
+            Op::JneConst { a, k, target } => Op::JneConst { a: u!(a), k, target },
             Op::Jmp { target } => Op::Jmp { target },
+        }
+    }
+
+    /// Visits every register operand with its [`Role`].
+    #[inline]
+    pub(crate) fn for_each_reg(&self, mut f: impl FnMut(Role, R)) {
+        self.map_regs(&mut |role, r| f(role, r));
+    }
+
+    /// The register this op defines. An op without one (a store or a
+    /// jump) exists only for its [`Effect`] and must never be removed as
+    /// dead.
+    #[inline]
+    pub(crate) fn def(&self) -> Option<R> {
+        let mut def = None;
+        self.for_each_reg(|role, r| {
+            if role == Role::Def {
+                def = Some(r);
+            }
+        });
+        def
+    }
+}
+
+/// What a register operand is to its op; handed to [`Op::map_regs`]'
+/// closure alongside the operand.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Role {
+    /// The destination register.
+    Def,
+    /// A source register.
+    Use,
+    /// `Select`'s option-range base: it names `n` consecutive source
+    /// registers, so it may only be renumbered together with all of them.
+    Range(u16),
+}
+
+/// How a store op updates its target slot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Store {
+    /// Overwrites the whole slot.
+    Full,
+    /// Read-modify-writes a bit field of the slot.
+    Masked,
+    /// Overwrites the whole slot or leaves it untouched.
+    Predicated,
+}
+
+/// What an op does beyond its registers: the one state slot or memory it
+/// touches, or where it transfers control.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Effect {
+    /// Registers only.
+    Pure,
+    /// Loads `cur[slot]`.
+    Read { slot: u32 },
+    /// Stores to `cur[slot]`, or to the shadow `next[slot]` when `next`.
+    Write { slot: u32, next: bool, how: Store },
+    /// Loads a word of memory `mem` (`words` deep).
+    MemRead { mem: u32, words: u64 },
+    /// Queues a (possibly predicated) deferred store to memory `mem`.
+    MemWrite { mem: u32, words: u64 },
+    /// May continue at `target` instead of the next op; always does
+    /// unless `cond`.
+    Jump { target: u32, cond: bool },
+}
+
+impl<R> Op<R> {
+    /// The op's [`Effect`]. Deliberately without a wildcard arm: a new
+    /// variant must say here what state it touches before `validate`,
+    /// the partition guard, the batch scatter sets or the optimizer's
+    /// store/jump reasoning can compile.
+    #[inline]
+    pub(crate) fn effect(&self) -> Effect {
+        match *self {
+            Op::Const { .. }
+            | Op::Copy { .. }
+            | Op::Add { .. }
+            | Op::Sub { .. }
+            | Op::Mul { .. }
+            | Op::And { .. }
+            | Op::Or { .. }
+            | Op::Xor { .. }
+            | Op::Not { .. }
+            | Op::Neg { .. }
+            | Op::Shl { .. }
+            | Op::Shr { .. }
+            | Op::Sra { .. }
+            | Op::Eq { .. }
+            | Op::Ne { .. }
+            | Op::Lt { .. }
+            | Op::Ge { .. }
+            | Op::LtS { .. }
+            | Op::GeS { .. }
+            | Op::RedAnd { .. }
+            | Op::RedOr { .. }
+            | Op::RedXor { .. }
+            | Op::Slice { .. }
+            | Op::ShlOr { .. }
+            | Op::Mux { .. }
+            | Op::Mux2 { .. }
+            | Op::Select { .. }
+            | Op::Sext { .. } => Effect::Pure,
+            Op::Read { slot, .. } => Effect::Read { slot },
+            Op::Write { slot, .. } => Effect::Write { slot, next: false, how: Store::Full },
+            Op::WriteMasked { slot, .. } => Effect::Write { slot, next: false, how: Store::Masked },
+            Op::WriteIf { slot, .. } => Effect::Write { slot, next: false, how: Store::Predicated },
+            Op::WriteNext { slot, .. } => Effect::Write { slot, next: true, how: Store::Full },
+            Op::WriteNextMasked { slot, .. } => {
+                Effect::Write { slot, next: true, how: Store::Masked }
+            }
+            Op::WriteNextIf { slot, .. } => {
+                Effect::Write { slot, next: true, how: Store::Predicated }
+            }
+            Op::MemRead { mem, words, .. } => Effect::MemRead { mem, words },
+            Op::MemWrite { mem, words, .. } | Op::MemWriteIf { mem, words, .. } => {
+                Effect::MemWrite { mem, words }
+            }
+            Op::Jz { target, .. } | Op::JneConst { target, .. } => {
+                Effect::Jump { target, cond: true }
+            }
+            Op::Jmp { target } => Effect::Jump { target, cond: false },
+        }
+    }
+
+    /// The jump target, for rebasing and patching.
+    pub(crate) fn target_mut(&mut self) -> Option<&mut u32> {
+        match self {
+            Op::Jz { target, .. } | Op::JneConst { target, .. } | Op::Jmp { target } => {
+                Some(target)
+            }
+            _ => None,
         }
     }
 }
 
-/// A compiled update block in executable (physical-register) form.
+/// Declares [`Kind`] — an op's variant without its operands — with each
+/// kind's stable display name (the `OptReport::mix` / `--dump-passes`
+/// histogram bucket) and whether its two sources commute.
+macro_rules! kinds {
+    ($($variant:ident $name:literal $commutative:literal,)*) => {
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub(crate) enum Kind {
+            $($variant),*
+        }
+
+        impl Kind {
+            /// Every kind, in [`Op`] declaration order.
+            #[cfg(test)]
+            pub(crate) const ALL: &'static [Kind] = &[$(Kind::$variant),*];
+            const TABLE: &'static [(&'static str, bool)] = &[$(($name, $commutative)),*];
+
+            pub(crate) fn name(self) -> &'static str {
+                Kind::TABLE[self as usize].0
+            }
+
+            pub(crate) fn commutative(self) -> bool {
+                Kind::TABLE[self as usize].1
+            }
+        }
+
+        impl<R> Op<R> {
+            pub(crate) fn kind(&self) -> Kind {
+                match self {
+                    $(Op::$variant { .. } => Kind::$variant),*
+                }
+            }
+        }
+    };
+}
+
+kinds! {
+    Const "const" false,
+    Read "read" false,
+    Copy "copy" false,
+    Add "add" true,
+    Sub "sub" false,
+    Mul "mul" true,
+    And "and" true,
+    Or "or" true,
+    Xor "xor" true,
+    Not "not" false,
+    Neg "neg" false,
+    Shl "shl" false,
+    Shr "shr" false,
+    Sra "sra" false,
+    Eq "eq" true,
+    Ne "ne" true,
+    Lt "lt" false,
+    Ge "ge" false,
+    LtS "lt-s" false,
+    GeS "ge-s" false,
+    RedAnd "red-and" false,
+    RedOr "red-or" false,
+    RedXor "red-xor" false,
+    Slice "slice" false,
+    ShlOr "shl-or" false,
+    Mux "mux" false,
+    Mux2 "mux2" false,
+    Select "select" false,
+    Sext "sext" false,
+    Write "write" false,
+    WriteMasked "write-masked" false,
+    WriteNext "write-next" false,
+    WriteNextMasked "write-next-masked" false,
+    WriteIf "write-if" false,
+    WriteNextIf "write-next-if" false,
+    MemRead "mem-read" false,
+    MemWrite "mem-write" false,
+    MemWriteIf "mem-write-if" false,
+    Jz "jz" false,
+    JneConst "jne-const" false,
+    Jmp "jmp" false,
+}
+
+#[cfg(test)]
+impl Kind {
+    /// A well-formed op of this kind over `w`-bit values, for the tests
+    /// that walk the whole instruction set: sources are `r0..=r4`
+    /// (`Select`'s options `r1..=r3`), the destination `r6`; loads read
+    /// slot 0 / memory 0 (4 words), stores hit slot 7 / memory 0, jumps go
+    /// to `end`. `rnd` supplies the immediates that have a free choice.
+    pub(crate) fn sample(self, w: u32, end: u32, rnd: &mut impl FnMut() -> u128) -> Op {
+        let (dst, a, b, slot, target) = (6, 0, 1, 7, end);
+        let (mem, addr, data, words) = (0, 0, 1, 4);
+        let (mask, width, ext) = (mask_of(w), w, 128 - w);
+        let lo = (rnd() % w as u128) as u32;
+        let field = mask_of(1 + (rnd() % (w - lo) as u128) as u32) << lo;
+        let neg = rnd() % 2 == 1;
+        match self {
+            Kind::Const => Op::Const { dst, val: rnd() & mask },
+            Kind::Read => Op::Read { dst, slot: 0 },
+            Kind::Copy => Op::Copy { dst, a },
+            Kind::Add => Op::Add { dst, a, b, mask },
+            Kind::Sub => Op::Sub { dst, a, b, mask },
+            Kind::Mul => Op::Mul { dst, a, b, mask },
+            Kind::And => Op::And { dst, a, b },
+            Kind::Or => Op::Or { dst, a, b },
+            Kind::Xor => Op::Xor { dst, a, b },
+            Kind::Not => Op::Not { dst, a, mask },
+            Kind::Neg => Op::Neg { dst, a, mask },
+            Kind::Shl => Op::Shl { dst, a, b, width, mask },
+            Kind::Shr => Op::Shr { dst, a, b, width },
+            Kind::Sra => Op::Sra { dst, a, b, width, mask, ext },
+            Kind::Eq => Op::Eq { dst, a, b },
+            Kind::Ne => Op::Ne { dst, a, b },
+            Kind::Lt => Op::Lt { dst, a, b },
+            Kind::Ge => Op::Ge { dst, a, b },
+            Kind::LtS => Op::LtS { dst, a, b, ext },
+            Kind::GeS => Op::GeS { dst, a, b, ext },
+            Kind::RedAnd => Op::RedAnd { dst, a, mask },
+            Kind::RedOr => Op::RedOr { dst, a },
+            Kind::RedXor => Op::RedXor { dst, a },
+            Kind::Slice => Op::Slice { dst, a, lo, mask: mask_of(w - lo) },
+            Kind::ShlOr => Op::ShlOr { dst, a, b, shift: lo },
+            Kind::Mux => Op::Mux { dst, cond: 0, t: 1, f: 2 },
+            Kind::Mux2 => Op::Mux2 { dst, c1: 0, t1: 1, c2: 2, t2: 3, f: 4 },
+            Kind::Select => Op::Select { dst, sel: 0, base: 1, n: 3 },
+            Kind::Sext => Op::Sext { dst, a, sign_bit: 1 << (w - 1), ext_or: !mask },
+            Kind::Write => Op::Write { slot, src: a },
+            Kind::WriteMasked => Op::WriteMasked { slot, src: a, lo, field },
+            Kind::WriteNext => Op::WriteNext { slot, src: a },
+            Kind::WriteNextMasked => Op::WriteNextMasked { slot, src: a, lo, field },
+            Kind::WriteIf => Op::WriteIf { slot, cond: 1, src: a, neg },
+            Kind::WriteNextIf => Op::WriteNextIf { slot, cond: 1, src: a, neg },
+            Kind::MemRead => Op::MemRead { dst, mem, addr, words },
+            Kind::MemWrite => Op::MemWrite { mem, addr, data, words },
+            Kind::MemWriteIf => Op::MemWriteIf { mem, addr, data, cond: 2, words, neg },
+            Kind::Jz => Op::Jz { cond: 0, target },
+            Kind::JneConst => Op::JneConst { a, k: rnd() % 3, target },
+            Kind::Jmp => Op::Jmp { target },
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The layout the executors' dispatch and the plane programs' cache
+    /// footprint were measured at; a change here is a performance change.
+    #[test]
+    fn op_sizes_are_pinned() {
+        assert_eq!(std::mem::size_of::<Op>(), 48);
+        assert_eq!(std::mem::size_of::<Op<crate::batch::Opd>>(), 64);
+    }
+}
+
+/// A compiled update block: `Tape` (physical registers) is what the
+/// executors run, `Tape<VReg>` is what the compiler emits and the
+/// optimizer transforms.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct Tape {
-    pub ops: Vec<Op>,
+pub(crate) struct Tape<R = Reg> {
+    pub ops: Vec<Op<R>>,
     /// Register file size. `u32` (not [`Reg`]) so the full 65536-register
     /// budget is expressible.
     pub nregs: u32,
@@ -363,6 +667,14 @@ pub(crate) struct Tape {
     pub prelude: u32,
 }
 
+impl<R> Tape<R> {
+    /// Whether the tape has any control flow (a jump-free tape executes
+    /// every op, in order, every time).
+    pub(crate) fn has_jumps(&self) -> bool {
+        self.ops.iter().any(|op| matches!(op.effect(), Effect::Jump { .. }))
+    }
+}
+
 pub(crate) fn mask_of(width: u32) -> u128 {
     if width >= 128 {
         u128::MAX
@@ -371,16 +683,6 @@ pub(crate) fn mask_of(width: u32) -> u128 {
     }
 }
 
-/// Executes a tape over the packed state.
-///
-/// When `TRACK` is true, combinational writes that change a slot's value
-/// push the slot index into `changed` (used by the event-driven specialized
-/// engine for sensitivity propagation).
-///
-/// Uses unchecked indexing in the hot loop; every index is range-checked
-/// once by `validate` at simulator construction, which makes the
-/// unchecked accesses sound.
-#[allow(clippy::too_many_arguments)]
 /// Read access to memory columns for the tape executor, so the same
 /// core runs over plain `Vec<u128>` storage (single-threaded engines)
 /// and shared-slot storage (the parallel engine). Mem writes are always
@@ -439,6 +741,14 @@ pub(crate) fn exec_tape_body<const TRACK: bool>(
 }
 
 /// Executes a tape over exclusive (`&mut`) packed state.
+///
+/// When `TRACK` is true, combinational writes that change a slot's value
+/// push the slot index into `changed` (used by the event-driven specialized
+/// engine for sensitivity propagation).
+///
+/// Uses unchecked indexing in the hot loop; every index is range-checked
+/// once by `validate` at simulator construction, which makes the
+/// unchecked accesses sound.
 pub(crate) fn exec_tape<const TRACK: bool>(
     tape: &Tape,
     regs: &mut [u128],

@@ -13,11 +13,13 @@ use std::sync::Arc;
 
 use crate::chaos::{self, StoreFate};
 use crate::job::{Job, JobMetrics};
-use crate::json::{self, Json};
+use crate::record;
 
-/// Bump when the cache entry format or fingerprint inputs change.
-/// (2: added the `check` integrity field.)
-const CACHE_FORMAT: u32 = 2;
+/// Bump when the cache entry format or fingerprint inputs change; the
+/// version is folded into every fingerprint, so entries of another format
+/// are never looked up.
+/// (2: added the `check` integrity field; 3: an entry is one [`record`].)
+const CACHE_FORMAT: u32 = 3;
 
 /// 64-bit FNV-1a over a byte stream.
 #[derive(Debug, Clone, Copy)]
@@ -160,8 +162,8 @@ impl ResultCache {
     ///
     /// A missing file is a silent miss (the normal cold-cache case). A
     /// file that is *present but does not decode* — unparseable,
-    /// truncated, wrong format version, or failing its integrity
-    /// checksum (any bit flip, even one that still parses as JSON) —
+    /// truncated, failing its integrity checksum (any bit flip, even one
+    /// that still parses as JSON), or recording another fingerprint —
     /// is **corrupt**: it is discarded with a warning on stderr and the
     /// probe misses, so the job simply re-executes and rewrites the
     /// entry. Bad cached bytes must never become silent bad results.
@@ -171,15 +173,8 @@ impl ResultCache {
             self.counters.misses.fetch_add(1, Ordering::Relaxed);
             return None;
         };
-        let decoded = json::parse(&text).ok().and_then(|doc| {
-            if doc.get("format").and_then(Json::as_u64) != Some(CACHE_FORMAT as u64) {
-                return None;
-            }
-            if doc.get("check").and_then(Json::as_str) != Some(entry_checksum(&doc).as_str()) {
-                return None;
-            }
-            JobMetrics::from_json(doc.get("metrics"), doc.get("timing"), doc.get("profile"))
-        });
+        let decoded =
+            record::decode(&text).filter(|&(found, _)| found == fingerprint).map(|(_, m)| m);
         match &decoded {
             Some(_) => {
                 self.counters.hits.fetch_add(1, Ordering::Relaxed);
@@ -201,7 +196,7 @@ impl ResultCache {
     ///
     /// An installed [`chaos`] policy can corrupt the store after the
     /// fact (bit flip, truncation) or drop it (simulated ENOSPC); the
-    /// integrity checksum in [`ResultCache::load`] is what turns those
+    /// record's integrity check in [`ResultCache::load`] is what turns those
     /// into harmless re-executions instead of silent bad results.
     pub fn store(&self, fingerprint: u64, job_name: &str, metrics: &JobMetrics) {
         let fate = match chaos::active() {
@@ -211,18 +206,7 @@ impl ResultCache {
         if fate == StoreFate::Enospc {
             return; // the write never lands; later probes simply miss
         }
-        let (det, timing, profile) = metrics.to_json();
-        let mut doc = Json::obj();
-        doc.set("format", CACHE_FORMAT)
-            .set("job", job_name)
-            .set("fingerprint", format!("{fingerprint:016x}"))
-            .set("metrics", det)
-            .set("timing", timing);
-        if let Some(profile) = profile {
-            doc.set("profile", profile);
-        }
-        let check = entry_checksum(&doc);
-        doc.set("check", check);
+        let doc = record::encode(fingerprint, job_name, metrics);
         let path = self.entry_path(fingerprint);
         // Write-then-rename so readers never observe a half-written
         // entry, with a tmp name unique per process *and* per write:
@@ -263,18 +247,6 @@ impl ResultCache {
             }
         }
     }
-}
-
-/// Integrity checksum of an entry: FNV-1a over the compact rendering of
-/// every field except `check` itself. The emitter is byte-stable and the
-/// parser preserves field order, so the checksum survives a
-/// store → parse → re-render round trip; any flipped bit in the payload
-/// changes it.
-fn entry_checksum(doc: &Json) -> String {
-    let fields = doc.as_obj().expect("cache entries are objects");
-    let body =
-        Json::Obj(fields.iter().filter(|(k, _)| k != "check").cloned().collect()).to_compact();
-    format!("{:016x}", fnv1a(&body))
 }
 
 #[cfg(test)]
@@ -327,6 +299,12 @@ mod tests {
         std::fs::write(&path, "{not json").unwrap();
         assert!(cache.load(7).is_none());
         assert!(!path.exists(), "corrupt entry must be removed, not left to warn forever");
+        // A valid record filed under another job's fingerprint is not
+        // that job's result.
+        cache.store(8, "other", &JobMetrics::new().det("v", 1u64));
+        std::fs::copy(dir.join(format!("{:016x}.json", 8u64)), &path).unwrap();
+        assert!(cache.load(7).is_none());
+        assert!(cache.load(8).is_some());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

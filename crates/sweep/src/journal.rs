@@ -29,10 +29,12 @@ use std::sync::Mutex;
 use crate::chaos::{self, WriteFate};
 use crate::job::JobMetrics;
 use crate::json::{self, Json};
+use crate::record;
 
 /// Bump when the journal header or entry layout changes.
-/// Format 2 added the `engine` identity field to the header.
-const JOURNAL_FORMAT: u32 = 2;
+/// Format 2 added the `engine` identity field to the header; format 3
+/// made every entry line a checked [`record`].
+const JOURNAL_FORMAT: u32 = 3;
 
 /// An open, append-mode checkpoint journal.
 #[derive(Debug)]
@@ -55,7 +57,8 @@ impl Journal {
     ///   replay map is empty.
     /// * Matching header: every well-formed entry line is recovered;
     ///   corrupt or truncated lines (a killed writer's torn final line,
-    ///   bit rot) are skipped with a warning on stderr. The file is kept
+    ///   bit rot — anything that fails the record's check) are skipped
+    ///   with a warning on stderr. The file is kept
     ///   and further entries append to it.
     /// * Mismatched or unreadable header: the journal belongs to a
     ///   different campaign/seed/engine/format — it is discarded (with a
@@ -80,7 +83,7 @@ impl Journal {
                         if line.trim().is_empty() {
                             continue;
                         }
-                        match parse_entry(line) {
+                        match record::decode(line) {
                             Some((fingerprint, metrics)) => {
                                 replay.insert(fingerprint, metrics);
                             }
@@ -138,17 +141,7 @@ impl Journal {
     /// duplicate, stale foreign entry, dropped write) to prove resume
     /// tolerates every failure a real filesystem can produce.
     pub fn record(&self, fingerprint: u64, name: &str, metrics: &JobMetrics) {
-        let (det, timing, profile) = metrics.to_json();
-        let mut entry = Json::obj();
-        entry
-            .set("fingerprint", format!("{fingerprint:016x}"))
-            .set("name", name)
-            .set("metrics", det)
-            .set("timing", timing);
-        if let Some(profile) = profile {
-            entry.set("profile", profile);
-        }
-        let line = entry.to_compact();
+        let line = record::encode(fingerprint, name, metrics).to_compact();
         let fate = match chaos::active() {
             Some(policy) => policy.journal_fate(name),
             None => WriteFate::Intact,
@@ -166,13 +159,15 @@ impl Journal {
                 writeln!(file, "{line}").and_then(|()| writeln!(file, "{line}"))
             }
             WriteFate::Stale => {
-                // A foreign fingerprint no job in this campaign owns:
-                // resume must leave it unmatched, not replay it.
-                let stale = format!(
-                    "{{\"fingerprint\":\"{:016x}\",\"name\":\"stale-intruder\",\
-                     \"metrics\":{{\"v\":1}},\"timing\":{{}}}}",
-                    fingerprint ^ 0xDEAD_BEEF_DEAD_BEEF
-                );
+                // A well-formed record under a foreign fingerprint no job
+                // in this campaign owns: resume must leave it unmatched,
+                // not replay it.
+                let stale = record::encode(
+                    fingerprint ^ 0xDEAD_BEEF_DEAD_BEEF,
+                    "stale-intruder",
+                    &JobMetrics::new().det("v", 1u64),
+                )
+                .to_compact();
                 writeln!(file, "{stale}").and_then(|()| writeln!(file, "{line}"))
             }
             WriteFate::Enospc => Err(std::io::Error::other("chaos: simulated ENOSPC")),
@@ -193,13 +188,6 @@ fn header_matches(line: &str, campaign: &str, seed: u64, engine: &str) -> bool {
         && h.get("campaign").and_then(Json::as_str) == Some(campaign)
         && h.get("seed").and_then(Json::as_str) == Some(format!("{seed:016x}").as_str())
         && h.get("engine").and_then(Json::as_str) == Some(engine)
-}
-
-fn parse_entry(line: &str) -> Option<(u64, JobMetrics)> {
-    let doc = json::parse(line).ok()?;
-    let fingerprint = u64::from_str_radix(doc.get("fingerprint")?.as_str()?, 16).ok()?;
-    let metrics = JobMetrics::from_json(doc.get("metrics"), doc.get("timing"), doc.get("profile"))?;
-    Some((fingerprint, metrics))
 }
 
 #[cfg(test)]
@@ -255,6 +243,33 @@ mod tests {
         let (_, replay) = Journal::open(&path, "camp", 7, "").unwrap();
         assert_eq!(replay.len(), 2, "record appended after torn tail is recovered");
         assert!(replay.contains_key(&0xEF));
+        let _ = std::fs::remove_dir_all(path.parent().unwrap());
+    }
+
+    /// Regression: a journal line used to be accepted whenever it parsed,
+    /// so one flipped bit in a digit (`448` → `449`) replayed a wrong
+    /// number into the resumed campaign's report. Wherever the flip
+    /// lands, the line must be skipped — and only that line.
+    #[test]
+    fn bit_flipped_lines_are_skipped_at_every_position() {
+        let path = tmp_journal("bitflip");
+        let (journal, _) = Journal::open(&path, "camp", 7, "").unwrap();
+        journal.record(0xAB, "a", &JobMetrics::new().det("cycles", 448u64).timing("rate", 1.25e6));
+        journal.record(0xCD, "b", &JobMetrics::new().det("cycles", 600u64));
+        drop(journal);
+        let pristine = std::fs::read(&path).unwrap();
+        let line_ends: Vec<usize> = (0..pristine.len()).filter(|&i| pristine[i] == b'\n').collect();
+        assert_eq!(line_ends.len(), 3, "header and two entries");
+
+        for pos in line_ends[0] + 1..line_ends[1] {
+            let mut bytes = pristine.clone();
+            bytes[pos] ^= 0x01;
+            std::fs::write(&path, &bytes).unwrap();
+            let (_, replay) = Journal::open(&path, "camp", 7, "").unwrap();
+            assert!(!replay.contains_key(&0xAB), "flip at byte {pos} must drop the entry");
+            assert_eq!(replay.len(), 1, "flip at byte {pos}: nothing else replays in its place");
+            assert_eq!(replay[&0xCD].get("cycles").unwrap().as_u64(), Some(600));
+        }
         let _ = std::fs::remove_dir_all(path.parent().unwrap());
     }
 

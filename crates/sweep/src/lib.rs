@@ -44,6 +44,7 @@ pub mod job;
 pub mod journal;
 pub mod json;
 pub mod progress;
+mod record;
 pub mod timing;
 
 pub use cache::{fnv1a, job_fingerprint, CacheStats, Fnv1a, ResultCache};

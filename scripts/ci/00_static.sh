@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # CI stage 0 — static checks: formatting, clippy with warnings denied,
-# rustdoc with warnings denied, and a duplicate-dependency gate. Fast, no test execution; this is the
-# first tier of the CI gate.
+# rustdoc with warnings denied, and a duplicate-dependency gate. Fast, no
+# test execution; this is the first tier of the CI gate.
 . "$(dirname "$0")/lib.sh"
 ci_stage static
 
