@@ -51,11 +51,19 @@ pub struct RtlShape {
     pub regs: usize,
     /// Maximum random expression depth.
     pub depth: u32,
+    /// Draw about a quarter of the signal widths from around the 64-bit
+    /// machine word and the 128-bit maximum (63, 64, 65, 100, 128) instead
+    /// of the small range. The tape engines run a tape on `u64` registers
+    /// when every value provably fits and on `u128` otherwise; with this
+    /// on (the default) generated designs keep landing on both sides of
+    /// that boundary, and on it. Off reproduces the original small-width
+    /// family, which the design registry's golden tables pin.
+    pub word_edges: bool,
 }
 
 impl Default for RtlShape {
     fn default() -> Self {
-        RtlShape { inputs: 3, wires: 10, regs: 5, depth: 2 }
+        RtlShape { inputs: 3, wires: 10, regs: 5, depth: 2, word_edges: true }
     }
 }
 
@@ -167,10 +175,18 @@ impl RtlDesc {
 
         // Draw all widths first so expressions can reference any table
         // entry (in particular, wires may feed registers declared later).
+        let mut width = |small: u64| {
+            const WORD_EDGES: [u32; 5] = [63, 64, 65, 100, 128];
+            if shape.word_edges && rng.below(4) == 0 {
+                WORD_EDGES[rng.below(WORD_EDGES.len() as u64) as usize]
+            } else {
+                1 + rng.below(small) as u32
+            }
+        };
         let inputs: Vec<(String, u32)> =
-            (0..shape.inputs).map(|i| (format!("in{i}"), 1 + rng.below(32) as u32)).collect();
-        let wire_widths: Vec<u32> = (0..shape.wires).map(|_| 1 + rng.below(48) as u32).collect();
-        let reg_widths: Vec<u32> = (0..shape.regs).map(|_| 1 + rng.below(32) as u32).collect();
+            (0..shape.inputs).map(|i| (format!("in{i}"), width(32))).collect();
+        let wire_widths: Vec<u32> = (0..shape.wires).map(|_| width(48)).collect();
+        let reg_widths: Vec<u32> = (0..shape.regs).map(|_| width(32)).collect();
 
         let nin = inputs.len();
         let nwires = shape.wires + 1; // + mem_out
@@ -268,8 +284,8 @@ impl RtlDesc {
 ///
 /// `RandomRtl::new(seed)` generates the default shape (3 inputs, 10 wires
 /// plus a memory read port, 5 registers, an 8x16 memory, and a final
-/// xor-fold into a 32-bit `out` port) — the same family of designs the
-/// engine-equivalence suite has always used. `from_desc` builds an
+/// xor-fold into a 32-bit `out` port) — the family of designs the
+/// engine-equivalence suite uses. `from_desc` builds an
 /// arbitrary (e.g. shrunk) descriptor.
 pub struct RandomRtl {
     desc: RtlDesc,

@@ -361,7 +361,8 @@ impl Expr {
                 }
             }
             Expr::Select { sel, options } => {
-                let idx = (sel.eval(read_sig, read_mem).as_u128() as usize).min(options.len() - 1);
+                let sel = sel.eval(read_sig, read_mem).as_u128();
+                let idx = sel.min(options.len() as u128 - 1) as usize;
                 options[idx].eval(read_sig, read_mem)
             }
             Expr::Zext(e, w) => e.eval(read_sig, read_mem).zext(*w),

@@ -6,7 +6,7 @@
 //!
 //! | stage | type | built from | consumers |
 //! |---|---|---|---|
-//! | blocks | [`BlockTapes`] | the design: fold → codegen → optimize → narrow → validate, plus the [`Layout`] tables | `Specialized`, `SpecializedPar`, every later stage |
+//! | blocks | [`BlockTapes`] | the design: fold → codegen → optimize → narrow (registers and word class) → validate, plus the [`Layout`] tables | `Specialized`, `SpecializedPar`, every later stage |
 //! | plans | [`Plans`] | blocks: levelized schedule cut into IR runs at native boundaries, each run fused and re-optimized | `SpecializedOpt`, the batch stage |
 //! | batch | [`BatchProgs`](crate::batch::BatchProgs) | plans + blocks lowered to bit-plane programs | `SpecializedBatch` |
 //!
@@ -29,7 +29,7 @@ use mtl_core::{BlockBody, BlockId, BlockKind, Design};
 use crate::artifact::{ArtifactCache, Guard, Layer, Staged};
 use crate::overheads::Overheads;
 use crate::tape::Tape;
-use codegen::{compile_block, fold_stmts, fuse, narrow, validate, widen};
+use codegen::{compile_block, fold_stmts, fuse, narrow, validate, VTape};
 use passes::{optimize, OptReport};
 
 /// Levelized combinational block order.
@@ -195,11 +195,8 @@ fn compile_blocks(design: &Design, opt: bool, o: &mut Overheads) -> BlockTapes {
         .enumerate()
         .map(|(i, (b, f))| match f {
             Some(stmts) => {
-                let mut vt = compile_block(design, stmts, b.kind);
-                if let Some(rep) = report.as_mut() {
-                    optimize(&mut vt, &widths, &mem_widths, rep);
-                }
-                narrow(&vt, || {
+                let vt = compile_block(design, stmts, b.kind);
+                finish(vt, &widths, &mem_widths, &mut report, || {
                     let kind = match b.kind {
                         BlockKind::Comb => "comb",
                         BlockKind::Seq => "seq",
@@ -210,11 +207,6 @@ fn compile_blocks(design: &Design, opt: bool, o: &mut Overheads) -> BlockTapes {
             None => Tape::default(),
         })
         .collect();
-    // Range-check every tape once so the executors' unchecked accesses
-    // are sound.
-    for t in &tapes {
-        validate(t, widths.len(), mem_widths.len());
-    }
     o.cgen += t0.elapsed();
 
     // Phase: simc (schedules).
@@ -230,6 +222,29 @@ fn compile_blocks(design: &Design, opt: bool, o: &mut Overheads) -> BlockTapes {
     BlockTapes { layout, tapes: Arc::new(tapes), report }
 }
 
+/// The back half of every tape's compilation: optimize (when `report` is
+/// `Some`), narrow to physical registers and a word class, and range-check
+/// — once, so the executors' unchecked accesses are sound. `context` names
+/// the tape if it exceeds the register budget.
+fn finish(
+    mut vt: VTape,
+    widths: &[u32],
+    mem_widths: &[u32],
+    report: &mut Option<OptReport>,
+    context: impl Fn() -> String,
+) -> Tape {
+    if let Some(rep) = report.as_mut() {
+        optimize(&mut vt, widths, mem_widths, rep);
+    }
+    let tape = narrow(&vt, widths, mem_widths, context);
+    validate(&tape, widths.len(), mem_widths.len());
+    if let (Some(rep), Some(ops)) = (report.as_mut(), &tape.narrow) {
+        rep.narrow_tapes += 1;
+        rep.narrow_ops += ops.len() as u64;
+    }
+    tape
+}
+
 /// Fuses the tapes of `run` into one validated tape. With the optimizer
 /// on (`report` is `Some`) the fused tape is re-optimized, which picks up
 /// the cross-block wins (CSE/forwarding across block boundaries) the
@@ -242,15 +257,8 @@ pub(crate) fn fuse_run(
     label: &str,
 ) -> Tape {
     let parts: Vec<&Tape> = run.iter().map(|&b| &blocks.tapes[b as usize]).collect();
-    let mut fused = fuse(&parts);
     let layout = &blocks.layout;
-    if let Some(rep) = report.as_mut() {
-        let mut vt = widen(&fused);
-        optimize(&mut vt, &layout.widths, &layout.mem_widths, rep);
-        fused = narrow(&vt, || label.to_string());
-    }
-    validate(&fused, layout.widths.len(), layout.mem_widths.len());
-    fused
+    finish(fuse(&parts), &layout.widths, &layout.mem_widths, report, || label.to_string())
 }
 
 /// Fuses consecutive tape blocks into mega-tapes for the fully static

@@ -1,6 +1,7 @@
 //! IR → tape code generation: constant folding, the block compiler,
-//! virtual↔physical register conversion, tape fusion and the range check
-//! that makes the unchecked executors in [`crate::tape`] sound.
+//! tape fusion, narrowing to physical registers (with the 64-bit width
+//! classification) and the range check that makes the unchecked executors
+//! in [`crate::tape`] sound.
 //!
 //! Everything here is private to [`crate::compile`], the one module that
 //! turns a `Design` into executable tapes.
@@ -8,6 +9,7 @@
 use mtl_core::ir::{BinOp, Expr, Stmt, UnaryOp};
 use mtl_core::{BlockKind, Design, MemId, SignalId};
 
+use super::passes::def_bits;
 use crate::tape::{mask_of, Effect, Op, Reg, Role, Tape, VReg};
 
 /// A compiled update block in virtual-register form: what [`compile_block`]
@@ -19,13 +21,20 @@ pub(super) type VTape = Tape<VReg>;
 pub(super) const REG_BUDGET: u32 = 1 << 16;
 
 /// Narrows a virtual tape to executable form, enforcing the physical
-/// register budget. `context` names the tape (hierarchical block path and
-/// kind) for the panic message.
+/// register budget, and classifies it: a tape that provably stays within
+/// 64 bits ([`lower`]) also carries its `u64` program, which is what the
+/// executors then run. `context` names the tape (hierarchical block path
+/// and kind) for the panic message.
 ///
 /// # Panics
 ///
 /// Panics if the tape needs more than [`REG_BUDGET`] registers.
-pub(super) fn narrow(vt: &VTape, context: impl Fn() -> String) -> Tape {
+pub(super) fn narrow(
+    vt: &VTape,
+    widths: &[u32],
+    mem_widths: &[u32],
+    context: impl Fn() -> String,
+) -> Tape {
     assert!(
         vt.nregs <= REG_BUDGET,
         "tape register budget ({REG_BUDGET}) exceeded in {}: {} registers required; \
@@ -33,18 +42,54 @@ pub(super) fn narrow(vt: &VTape, context: impl Fn() -> String) -> Tape {
         context(),
         vt.nregs,
     );
-    let ops = vt.ops.iter().map(|op| op.map_regs(&mut |_, r| r as Reg)).collect();
-    Tape { ops, nregs: vt.nregs, prelude: vt.prelude }
+    let ops: Vec<Op> = vt.ops.iter().map(|op| op.map_regs(&mut |_, r| r as Reg)).collect();
+    let narrow = lower(vt, &ops, widths, mem_widths);
+    Tape { ops, nregs: vt.nregs, prelude: vt.prelude, narrow }
 }
 
-/// Widens an executable tape back to virtual-register form (used to
-/// re-optimize fused tapes, where cross-block redundancy appears).
-pub(super) fn widen(t: &Tape) -> VTape {
-    VTape {
-        ops: t.ops.iter().map(|op| op.map_regs(&mut |_, r| r as VReg)).collect(),
-        nregs: t.nregs,
-        prelude: t.prelude,
+/// The `u64` program of a tape (`ops` is `vt` over physical registers),
+/// or `None` if anything it handles may need more than 64 bits. The rule
+/// is per op, so that the `u64` executor computes bit for bit what the
+/// `u128` one does:
+///
+/// - every slot and memory the op touches is at most 64 bits wide (state
+///   crosses the boundary by truncation and zero-extension);
+/// - every immediate fits `u64` and the sign bit of `Sra`/`LtS`/`GeS`
+///   sits inside the low word ([`Op::to_word`] is `None` otherwise);
+/// - every immediate shift count stays below 64 — `width` on
+///   `Shl`/`Shr`/`Sra` (the executor compares the amount against it, and
+///   a `u64` shift by 64..128 is not the `u128` zero; `Zext` emits no op,
+///   so a 100-bit shift over a 40-bit value is legal), `lo`/`shift` on
+///   slices, field stores and `ShlOr`;
+/// - the value it defines may only have its low 64 bits set
+///   ([`def_bits`]). This is judged per *definition*, not per register:
+///   `realloc` reuses a register for unrelated values, and an 80-bit
+///   intermediate between two narrow endpoints must still make the tape
+///   wide.
+fn lower(vt: &VTape, ops: &[Op], widths: &[u32], mem_widths: &[u32]) -> Option<Vec<Op<Reg, u64>>> {
+    let mut low = Vec::with_capacity(ops.len());
+    for op in ops {
+        let state_fits = match op.effect() {
+            Effect::Read { slot } | Effect::Write { slot, .. } => widths[slot as usize] <= 64,
+            Effect::MemRead { mem, .. } | Effect::MemWrite { mem, .. } => {
+                mem_widths[mem as usize] <= 64
+            }
+            Effect::Pure | Effect::Jump { .. } => true,
+        };
+        let counts_fit = match *op {
+            Op::Shl { width, .. } | Op::Shr { width, .. } | Op::Sra { width, .. } => width <= 64,
+            Op::Slice { lo, .. } | Op::WriteMasked { lo, .. } | Op::WriteNextMasked { lo, .. } => {
+                lo < 64
+            }
+            Op::ShlOr { shift, .. } => shift < 64,
+            _ => true,
+        };
+        if !(state_fits && counts_fit) {
+            return None;
+        }
+        low.push(op.to_word::<u64>()?);
     }
+    (def_bits(vt, widths, mem_widths) >> 64 == 0).then_some(low)
 }
 
 /// Compiles the statements of one IR block into a virtual-register tape.
@@ -58,13 +103,13 @@ pub(super) fn compile_block(design: &Design, stmts: &[Stmt], kind: BlockKind) ->
     for s in stmts {
         c.emit_stmt(s);
     }
-    VTape { ops: c.ops, nregs: c.next_reg, prelude: 0 }
+    VTape { ops: c.ops, nregs: c.next_reg, prelude: 0, narrow: None }
 }
 
 /// Validates that every register, slot, memory and jump target in a tape
 /// is in range; called once at construction so the executor can use
 /// unchecked reads. Walks the op's declared operand roles and effect, so
-/// an op cannot name state this check does not see.
+/// an op cannot name state this check does not see — in either word class.
 pub(super) fn validate(tape: &Tape, nslots: usize, nmems: usize) {
     let n = tape.nregs as usize;
     let pre = tape.prelude as usize;
@@ -96,6 +141,15 @@ pub(super) fn validate(tape: &Tape, nslots: usize, nmems: usize) {
         });
         assert!(ok, "invalid tape op {op:?}");
     }
+    if let Some(narrow) = &tape.narrow {
+        // The `u64` executor indexes by the narrow program's operands:
+        // they must be exactly the ones just checked.
+        assert!(
+            narrow.len() == tape.ops.len()
+                && narrow.iter().zip(&tape.ops).all(|(n, op)| n.to_word().as_ref() == Some(op)),
+            "narrow program is not the image of the tape's ops"
+        );
+    }
 }
 
 /// Constant-folds a statement list (the "comp" optimization phase, run
@@ -104,26 +158,27 @@ pub(super) fn fold_stmts(stmts: &[Stmt]) -> Vec<Stmt> {
     stmts.iter().map(fold_stmt).collect()
 }
 
-/// Fuses a run of tapes into one linear program (jump targets are
-/// rebased; virtual registers can be reused across blocks because every
-/// block defines its registers before use). This is how the fully
-/// specialized engine eliminates per-block dispatch — the analog of
-/// SimJIT compiling the whole model into one C++ translation unit.
-pub(super) fn fuse(tapes: &[&Tape]) -> Tape {
+/// Fuses a run of tapes into one linear program in virtual-register form,
+/// ready to re-optimize and [`narrow`] (jump targets are rebased; registers
+/// can be reused across blocks because every block defines its registers
+/// before use). This is how the fully specialized engine eliminates
+/// per-block dispatch — the analog of SimJIT compiling the whole model
+/// into one C++ translation unit.
+pub(super) fn fuse(tapes: &[&Tape]) -> VTape {
     let mut ops = Vec::with_capacity(tapes.iter().map(|t| t.ops.len()).sum());
     let mut nregs = 0u32;
     for t in tapes {
         let base = ops.len() as u32;
         nregs = nregs.max(t.nregs);
         for op in &t.ops {
-            let mut op = op.clone();
+            let mut op = op.map_regs(&mut |_, r| r as VReg);
             if let Some(target) = op.target_mut() {
                 *target += base;
             }
             ops.push(op);
         }
     }
-    Tape { ops, nregs, prelude: 0 }
+    VTape { ops, nregs, prelude: 0, narrow: None }
 }
 
 /// Constant-folds an expression: subtrees with no signal or memory reads
@@ -585,8 +640,9 @@ mod tests {
     /// without bisecting the elaboration.
     #[test]
     fn register_budget_panic_names_the_block() {
-        let vt = VTape { ops: Vec::new(), nregs: REG_BUDGET + 123, prelude: 0 };
-        let err = std::panic::catch_unwind(|| narrow(&vt, || "top.routers[3].queue (seq)".into()))
+        let vt = VTape { nregs: REG_BUDGET + 123, ..VTape::default() };
+        let context = || "top.routers[3].queue (seq)".into();
+        let err = std::panic::catch_unwind(|| narrow(&vt, &[], &[], context))
             .expect_err("narrow must panic over budget");
         let msg = err
             .downcast_ref::<String>()
@@ -596,6 +652,87 @@ mod tests {
         assert!(msg.contains("register budget"), "message: {msg}");
         assert!(msg.contains("top.routers[3].queue (seq)"), "message: {msg}");
         assert!(msg.contains(&(REG_BUDGET + 123).to_string()), "message: {msg}");
+    }
+
+    /// Whether a tape over slots of `widths` bits and memories of
+    /// `mem_widths` bits classifies into the `u64` word class.
+    fn is_narrow(ops: Vec<Op<VReg>>, nregs: u32, widths: &[u32], mem_widths: &[u32]) -> bool {
+        let vt = VTape { ops, nregs, ..VTape::default() };
+        let tape = narrow(&vt, widths, mem_widths, || "class test".into());
+        validate(&tape, widths.len(), mem_widths.len());
+        tape.narrow.is_some()
+    }
+
+    /// The word class is a proof obligation per op, not a guess from the
+    /// widths at a tape's edges: each of these has only <=64-bit slots at
+    /// its endpoints (or a single oversized ingredient) and must still run
+    /// the `u128` executor.
+    #[test]
+    fn wide_values_immediates_and_shift_counts_classify_wide() {
+        let read = |dst, slot| Op::Read { dst, slot };
+        let write = |slot, src| Op::Write { slot, src };
+        let m = mask_of;
+
+        // concat(a:40, b:40)[10..50]: an 80-bit intermediate.
+        let concat_slice = vec![
+            read(0, 0),
+            read(1, 1),
+            Op::ShlOr { dst: 2, a: 0, b: 1, shift: 40 },
+            Op::Slice { dst: 3, a: 2, lo: 10, mask: m(40) },
+            write(2, 3),
+        ];
+        assert!(!is_narrow(concat_slice, 4, &[40, 40, 40], &[]));
+
+        // A 65-bit slot, immediately truncated.
+        let wide_slot =
+            vec![read(0, 0), Op::Slice { dst: 1, a: 0, lo: 0, mask: m(8) }, write(1, 1)];
+        assert!(!is_narrow(wide_slot.clone(), 2, &[65, 8], &[]));
+        assert!(is_narrow(wide_slot, 2, &[64, 8], &[]));
+
+        // A switch arm constant no 64-bit subject can equal.
+        let arm = |k| vec![read(0, 0), Op::JneConst { a: 0, k, target: 3 }, write(1, 0)];
+        assert!(!is_narrow(arm(1 << 64), 1, &[8, 8], &[]));
+        assert!(is_narrow(arm(u64::MAX as u128), 1, &[8, 8], &[]));
+
+        // `zext(x:40, 100) >> n`: `Zext` emits no op, the width stays 100,
+        // and a `u64` shift by 64..100 is not zero.
+        let shr = |width| {
+            vec![read(0, 0), read(1, 1), Op::Shr { dst: 2, a: 0, b: 1, width }, write(2, 2)]
+        };
+        assert!(!is_narrow(shr(100), 3, &[40, 8, 40], &[]));
+        assert!(is_narrow(shr(64), 3, &[40, 8, 40], &[]));
+
+        // A slice whose shift alone leaves the word.
+        let slice = |lo| vec![read(0, 0), Op::Slice { dst: 1, a: 0, lo, mask: 1 }, write(1, 1)];
+        assert!(!is_narrow(slice(64), 2, &[40, 1], &[]));
+        assert!(is_narrow(slice(63), 2, &[40, 1], &[]));
+
+        // Memory words follow the same rule as slots.
+        let mem_read = vec![
+            read(0, 0),
+            Op::MemRead { dst: 1, mem: 0, addr: 0, words: 4 },
+            Op::Slice { dst: 2, a: 1, lo: 0, mask: m(52) },
+            write(1, 2),
+        ];
+        assert!(!is_narrow(mem_read.clone(), 3, &[2, 52], &[65]));
+        assert!(is_narrow(mem_read, 3, &[2, 52], &[52]));
+    }
+
+    /// `realloc` reuses register numbers for unrelated values, so the
+    /// bound must be per definition: `r0` holds a full 64-bit value, dies,
+    /// and then holds a 20-bit one that is shifted left by 8. A
+    /// per-register maximum would call that a 72-bit result.
+    #[test]
+    fn a_reused_register_is_judged_per_definition() {
+        let ops = vec![
+            Op::Read { dst: 0, slot: 0 },
+            Op::Write { slot: 1, src: 0 },
+            Op::Read { dst: 0, slot: 2 },
+            Op::Read { dst: 1, slot: 3 },
+            Op::ShlOr { dst: 2, a: 0, b: 1, shift: 8 },
+            Op::Write { slot: 4, src: 2 },
+        ];
+        assert!(is_narrow(ops, 3, &[64, 64, 20, 8, 28], &[]));
     }
 
     /// `validate` is the one gate between compiled data and the
@@ -609,7 +746,7 @@ mod tests {
         const NREGS: u32 = 7;
         const NSLOTS: usize = 8;
         let rejects = |op: &Op, nregs, nslots, nmems| {
-            let tape = Tape { ops: vec![op.clone()], nregs, prelude: 0 };
+            let tape = Tape { ops: vec![op.clone()], nregs, ..Tape::default() };
             std::panic::catch_unwind(|| validate(&tape, nslots, nmems)).is_err()
         };
         let mut n = 0u128;
@@ -650,5 +787,18 @@ mod tests {
             };
             assert!(escaped, "{kind:?}: out-of-range slot/memory/target accepted");
         }
+        // The `u64` executor indexes by the narrow program's own operands:
+        // one that is not the tape's image must not pass either.
+        let ops = vec![Op::Const { dst: 0, val: 1 }, Op::Write { slot: 0, src: 0 }];
+        let image = |ops: &[Op]| ops.iter().map(|op| op.to_word::<u64>()).collect();
+        let mut tape = Tape { narrow: image(&ops), ops, nregs: 1, ..Tape::default() };
+        validate(&tape, 1, 0);
+        tape.narrow = image(&[tape.ops[0].clone(), Op::Write { slot: 9, src: 0 }]);
+        assert!(std::panic::catch_unwind(|| validate(&tape, 1, 0)).is_err(), "stray narrow op");
+        tape.narrow = image(&tape.ops[..1]);
+        assert!(
+            std::panic::catch_unwind(|| validate(&tape, 1, 0)).is_err(),
+            "short narrow program"
+        );
     }
 }

@@ -141,6 +141,12 @@ pub struct OptReport {
     /// execute — the profile that tells the next pass author where the
     /// remaining time goes.
     pub mix: Vec<(&'static str, u64)>,
+    /// How many of `tapes` classified into the 64-bit word class (every
+    /// value provably fits `u64`), so the engines run them on `u64`
+    /// registers and half-size ops; the rest run the `u128` class.
+    pub narrow_tapes: u64,
+    /// Ops of `ops_after` that belong to those tapes.
+    pub narrow_ops: u64,
 }
 
 const PASS_NAMES: [&str; 14] = [
@@ -225,6 +231,10 @@ impl OptReport {
             }
             out.push('\n');
         }
+        out.push_str(&format!(
+            "  width class: {} of {} tapes narrow ({} of {} ops)\n",
+            self.narrow_tapes, self.tapes, self.narrow_ops, self.ops_after
+        ));
         out
     }
 
@@ -454,10 +464,7 @@ pub(crate) fn eval_pure(op: &Op<VReg>, get: &impl Fn(VReg) -> Option<u128>) -> O
                 get(f)?
             }
         }
-        Op::Select { sel, base, n, .. } => {
-            let idx = (get(sel)? as usize).min(n as usize - 1);
-            get(base + idx as VReg)?
-        }
+        Op::Select { sel, base, n, .. } => get(base + get(sel)?.min(n as u128 - 1) as VReg)?,
         Op::Sext { a, sign_bit, ext_or, .. } => {
             let v = get(a)?;
             if v & sign_bit != 0 {
@@ -621,6 +628,7 @@ impl<'a> Facts<'a> {
                 }
             }
             Op::Mux { t, f, .. } => kb(t) | kb(f),
+            Op::Mux2 { t1, t2, f, .. } => kb(t1) | kb(t2) | kb(f),
             Op::Select { base, n, .. } => (0..n as VReg).fold(0, |acc, i| acc | kb(base + i)),
             Op::Sext { a, sign_bit, ext_or, .. } => {
                 let v = kb(a);
@@ -633,6 +641,27 @@ impl<'a> Facts<'a> {
             _ => u128::MAX,
         }
     }
+}
+
+/// The union, over every definition in the tape, of the bits that may be
+/// one in the value defined there — an upper bound on how wide a register
+/// the tape needs. Per definition, not per register: register numbers are
+/// reused across unrelated values.
+pub(super) fn def_bits(vt: &VTape, widths: &[u32], mem_widths: &[u32]) -> u128 {
+    let is_leader = leaders(&vt.ops);
+    let dominating = dominators(&vt.ops);
+    let mut facts = Facts::new(vt.nregs, widths, mem_widths);
+    let mut all = 0;
+    for (i, op) in vt.ops.iter().enumerate() {
+        if is_leader[i] {
+            facts.reset();
+        }
+        facts.step(op, dominating[i]);
+        if let Some(dst) = op.def() {
+            all |= facts.kb[dst as usize];
+        }
+    }
+    all
 }
 
 // ---------------------------------------------------------------------------
@@ -866,9 +895,9 @@ fn mux_collapse(vt: &mut VTape, widths: &[u32], mem_widths: &[u32]) -> u64 {
                 None if t == f => Some(Op::Copy { dst, a: t }),
                 None => None,
             },
-            Op::Select { dst, sel, base, n } => facts
-                .val(sel)
-                .map(|s| Op::Copy { dst, a: base + (s as usize).min(n as usize - 1) as VReg }),
+            Op::Select { dst, sel, base, n } => {
+                facts.val(sel).map(|s| Op::Copy { dst, a: base + s.min(n as u128 - 1) as VReg })
+            }
             Op::Jz { cond, target } => match facts.val(cond) {
                 Some(0) => Some(Op::Jmp { target }),
                 Some(_) => {
@@ -1674,7 +1703,8 @@ mod tests {
 
     /// Runs a tape (narrowed) over fresh state and returns `cur`.
     fn run(vt: &VTape, nslots: usize, init: &[(usize, u128)]) -> Vec<u128> {
-        let t = crate::compile::codegen::narrow(vt, || "test tape".into());
+        // Slot widths unknown here: assume the widest, i.e. the wide class.
+        let t = crate::compile::codegen::narrow(vt, &vec![128; nslots], &[], || "test".into());
         crate::compile::codegen::validate(&t, nslots, 0);
         let mut regs = vec![0u128; t.nregs as usize];
         let mut cur = vec![0u128; nslots];
@@ -1690,7 +1720,7 @@ mod tests {
     }
 
     fn vt(ops: Vec<Op<VReg>>, nregs: u32) -> VTape {
-        VTape { ops, nregs, prelude: 0 }
+        VTape { ops, nregs, prelude: 0, narrow: None }
     }
 
     #[test]
@@ -1855,7 +1885,7 @@ mod tests {
             "jumps survived if-conversion: {:?}",
             o.ops
         );
-        let t = crate::compile::codegen::narrow(&o, || "test tape".into());
+        let t = crate::compile::codegen::narrow(&o, &[1, 8, 8], &[], || "test tape".into());
         crate::compile::codegen::validate(&t, 3, 0);
         for taken in [false, true] {
             let mut regs = vec![0u128; t.nregs as usize];
@@ -1967,8 +1997,9 @@ mod tests {
         let (o, rep) = opt(vt(ops, 3), &[8, 8]);
         assert!(rep.passes[P_HOIST].rewrites > 0, "hoist did not fire: {:?}", o.ops);
         assert!(o.prelude > 0, "no prelude recorded");
-        let t = crate::compile::codegen::narrow(&o, || "test tape".into());
+        let t = crate::compile::codegen::narrow(&o, &[8, 8], &[], || "test tape".into());
         crate::compile::codegen::validate(&t, 2, 0);
+        assert!(t.narrow.is_some(), "8-bit tape runs the u64 class, prelude included");
         let mut regs = vec![0u128; t.nregs as usize];
         crate::tape::exec_prelude(&t, &mut regs);
         let mems: Vec<Vec<u128>> = Vec::new();

@@ -259,7 +259,7 @@ fn eval_expr_boxed<S: Store>(
         }
         Expr::Select { sel, options } => {
             let s = eval_expr_boxed(sel, design, store, mems);
-            let idx = (s.as_u128() as usize).min(options.len() - 1);
+            let idx = s.as_u128().min(options.len() as u128 - 1) as usize;
             eval_expr_boxed(&options[idx], design, store, mems)
         }
         Expr::Zext(a, w) => {

@@ -1052,7 +1052,11 @@ mod tests {
     fn independent(comb: bool, shards: [Vec<Op>; 2]) -> bool {
         let units: Vec<Unit> = shards
             .into_iter()
-            .map(|ops| Unit { blocks: Vec::new(), tape: Tape { ops, nregs: 3, prelude: 0 }, comb })
+            .map(|ops| Unit {
+                blocks: Vec::new(),
+                tape: Tape { ops, nregs: 3, ..Tape::default() },
+                comb,
+            })
             .collect();
         let step = Step { units: vec![0, 1], assign: vec![vec![0], vec![1]], comb };
         step_shards_independent(&units, &step)

@@ -1,15 +1,24 @@
 //! The tape VM: a linear bytecode executed straight-line over packed
-//! `u128` slots.
+//! state slots.
 //!
 //! This is the heart of the SimJIT substitution (see `DESIGN.md`): where
 //! PyMTL's SimJIT generates and compiles C++, RustMTL's specializing
 //! engines lower each IR block to a flat three-address tape with
 //! pre-resolved net slots, precomputed masks, and constant-folded operands.
-//! This module holds the instruction set and the executors;
+//! This module holds the instruction set and the executor;
 //! [`crate::compile`] is the only producer of tapes.
+//!
+//! State (`cur`, `next`, memories) is always `u128` at a 16-byte stride —
+//! nets are at most 128 bits, and every engine, view and fault hook
+//! addresses the same arrays. What varies is the machine [`Word`] a tape
+//! *computes* on: the instruction set is generic over it, the executor's
+//! per-op `match` is written once, and each tape runs the `u64`
+//! instantiation (8-byte registers, 24-byte ops) when `compile` proved
+//! that all its values fit, the `u128` one (16 and 48 bytes) otherwise.
 
 /// A physical register index within an executable tape. Kept at 16 bits so
-/// an [`Op`] is 48 bytes (two `u128` immediates plus operands and tag).
+/// an [`Op`] is 48 bytes (two `u128` immediates plus operands and tag) and
+/// its `u64` lowering 24.
 pub(crate) type Reg = u16;
 
 /// A virtual register index used during compilation and optimization.
@@ -18,20 +27,23 @@ pub(crate) type Reg = u16;
 /// result against the physical [`Reg`] budget.
 pub(crate) type VReg = u32;
 
-/// One tape instruction, generic over the register index type: `Op<Reg>`
-/// (the default) is what the executor runs, `Op<VReg>` is what the
-/// compiler emits and the optimizer transforms. `mask` fields are
-/// precomputed width masks.
+/// One tape instruction, generic over the register index type `R` and
+/// the machine [`Word`] `W` its immediates are typed as: `Op<Reg>` (the
+/// defaults) is the canonical executable form, `Op<VReg>` is what the
+/// compiler emits and the optimizer transforms, and `Op<Reg, u64>` is the
+/// 64-bit lowering the executor runs when the whole tape provably fits
+/// (see [`Tape::narrow`]). `mask` fields are precomputed width masks.
 ///
 /// Three facts about the instruction set are declared once, below the
-/// enum, and every consumer derives from them: each register operand's
-/// [`Role`] ([`Op::map_regs`]), each op's [`Effect`] on simulator state
+/// enum, and every consumer derives from them: each operand's place —
+/// register operands with their [`Role`], immediates by their `W` type
+/// ([`Op::map`]) — each op's [`Effect`] on simulator state
 /// ([`Op::effect`]) and its [`Kind`] (name, commutativity).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub(crate) enum Op<R = Reg> {
+pub(crate) enum Op<R = Reg, W = u128> {
     Const {
         dst: R,
-        val: u128,
+        val: W,
     },
     Read {
         dst: R,
@@ -45,19 +57,19 @@ pub(crate) enum Op<R = Reg> {
         dst: R,
         a: R,
         b: R,
-        mask: u128,
+        mask: W,
     },
     Sub {
         dst: R,
         a: R,
         b: R,
-        mask: u128,
+        mask: W,
     },
     Mul {
         dst: R,
         a: R,
         b: R,
-        mask: u128,
+        mask: W,
     },
     And {
         dst: R,
@@ -77,19 +89,19 @@ pub(crate) enum Op<R = Reg> {
     Not {
         dst: R,
         a: R,
-        mask: u128,
+        mask: W,
     },
     Neg {
         dst: R,
         a: R,
-        mask: u128,
+        mask: W,
     },
     Shl {
         dst: R,
         a: R,
         b: R,
         width: u32,
-        mask: u128,
+        mask: W,
     },
     Shr {
         dst: R,
@@ -102,7 +114,7 @@ pub(crate) enum Op<R = Reg> {
         a: R,
         b: R,
         width: u32,
-        mask: u128,
+        mask: W,
         ext: u32,
     },
     Eq {
@@ -140,7 +152,7 @@ pub(crate) enum Op<R = Reg> {
     RedAnd {
         dst: R,
         a: R,
-        mask: u128,
+        mask: W,
     },
     RedOr {
         dst: R,
@@ -154,7 +166,7 @@ pub(crate) enum Op<R = Reg> {
         dst: R,
         a: R,
         lo: u32,
-        mask: u128,
+        mask: W,
     },
     /// `dst = (a << shift) | b` — concatenation folding.
     ShlOr {
@@ -191,8 +203,8 @@ pub(crate) enum Op<R = Reg> {
     Sext {
         dst: R,
         a: R,
-        sign_bit: u128,
-        ext_or: u128,
+        sign_bit: W,
+        ext_or: W,
     },
     Write {
         slot: u32,
@@ -202,7 +214,7 @@ pub(crate) enum Op<R = Reg> {
         slot: u32,
         src: R,
         lo: u32,
-        field: u128,
+        field: W,
     },
     WriteNext {
         slot: u32,
@@ -212,7 +224,7 @@ pub(crate) enum Op<R = Reg> {
         slot: u32,
         src: R,
         lo: u32,
-        field: u128,
+        field: W,
     },
     /// Predicated full write: stores `src` to `cur[slot]` when
     /// `(cond != 0) != neg`, otherwise leaves the slot untouched. Never
@@ -267,7 +279,7 @@ pub(crate) enum Op<R = Reg> {
     },
     JneConst {
         a: R,
-        k: u128,
+        k: W,
         target: u32,
     },
     Jmp {
@@ -275,13 +287,19 @@ pub(crate) enum Op<R = Reg> {
     },
 }
 
-impl<R: Copy> Op<R> {
+impl<R: Copy, W: Copy> Op<R, W> {
     /// Rebuilds the op with every register operand passed through `f`
-    /// together with its [`Role`]. This is the one per-variant listing of
-    /// register operands: renumbering, def/use queries, use rewriting,
-    /// range validation, the CSE key and plane lowering all route here.
+    /// together with its [`Role`], and every immediate that holds a
+    /// machine word through `g`. This is the one per-variant listing of
+    /// operands: renumbering, def/use queries, use rewriting, range
+    /// validation, the CSE key, plane lowering and the 64-bit lowering
+    /// ([`Op::to_word`]) all route here.
     #[inline]
-    pub(crate) fn map_regs<S>(&self, f: &mut impl FnMut(Role, R) -> S) -> Op<S> {
+    pub(crate) fn map<S, V>(
+        &self,
+        f: &mut impl FnMut(Role, R) -> S,
+        g: &mut impl FnMut(W) -> V,
+    ) -> Op<S, V> {
         macro_rules! d {
             ($r:expr) => {
                 f(Role::Def, $r)
@@ -293,23 +311,29 @@ impl<R: Copy> Op<R> {
             };
         }
         match *self {
-            Op::Const { dst, val } => Op::Const { dst: d!(dst), val },
+            Op::Const { dst, val } => Op::Const { dst: d!(dst), val: g(val) },
             Op::Read { dst, slot } => Op::Read { dst: d!(dst), slot },
             Op::Copy { dst, a } => Op::Copy { dst: d!(dst), a: u!(a) },
-            Op::Add { dst, a, b, mask } => Op::Add { dst: d!(dst), a: u!(a), b: u!(b), mask },
-            Op::Sub { dst, a, b, mask } => Op::Sub { dst: d!(dst), a: u!(a), b: u!(b), mask },
-            Op::Mul { dst, a, b, mask } => Op::Mul { dst: d!(dst), a: u!(a), b: u!(b), mask },
+            Op::Add { dst, a, b, mask } => {
+                Op::Add { dst: d!(dst), a: u!(a), b: u!(b), mask: g(mask) }
+            }
+            Op::Sub { dst, a, b, mask } => {
+                Op::Sub { dst: d!(dst), a: u!(a), b: u!(b), mask: g(mask) }
+            }
+            Op::Mul { dst, a, b, mask } => {
+                Op::Mul { dst: d!(dst), a: u!(a), b: u!(b), mask: g(mask) }
+            }
             Op::And { dst, a, b } => Op::And { dst: d!(dst), a: u!(a), b: u!(b) },
             Op::Or { dst, a, b } => Op::Or { dst: d!(dst), a: u!(a), b: u!(b) },
             Op::Xor { dst, a, b } => Op::Xor { dst: d!(dst), a: u!(a), b: u!(b) },
-            Op::Not { dst, a, mask } => Op::Not { dst: d!(dst), a: u!(a), mask },
-            Op::Neg { dst, a, mask } => Op::Neg { dst: d!(dst), a: u!(a), mask },
+            Op::Not { dst, a, mask } => Op::Not { dst: d!(dst), a: u!(a), mask: g(mask) },
+            Op::Neg { dst, a, mask } => Op::Neg { dst: d!(dst), a: u!(a), mask: g(mask) },
             Op::Shl { dst, a, b, width, mask } => {
-                Op::Shl { dst: d!(dst), a: u!(a), b: u!(b), width, mask }
+                Op::Shl { dst: d!(dst), a: u!(a), b: u!(b), width, mask: g(mask) }
             }
             Op::Shr { dst, a, b, width } => Op::Shr { dst: d!(dst), a: u!(a), b: u!(b), width },
             Op::Sra { dst, a, b, width, mask, ext } => {
-                Op::Sra { dst: d!(dst), a: u!(a), b: u!(b), width, mask, ext }
+                Op::Sra { dst: d!(dst), a: u!(a), b: u!(b), width, mask: g(mask), ext }
             }
             Op::Eq { dst, a, b } => Op::Eq { dst: d!(dst), a: u!(a), b: u!(b) },
             Op::Ne { dst, a, b } => Op::Ne { dst: d!(dst), a: u!(a), b: u!(b) },
@@ -317,10 +341,12 @@ impl<R: Copy> Op<R> {
             Op::Ge { dst, a, b } => Op::Ge { dst: d!(dst), a: u!(a), b: u!(b) },
             Op::LtS { dst, a, b, ext } => Op::LtS { dst: d!(dst), a: u!(a), b: u!(b), ext },
             Op::GeS { dst, a, b, ext } => Op::GeS { dst: d!(dst), a: u!(a), b: u!(b), ext },
-            Op::RedAnd { dst, a, mask } => Op::RedAnd { dst: d!(dst), a: u!(a), mask },
+            Op::RedAnd { dst, a, mask } => Op::RedAnd { dst: d!(dst), a: u!(a), mask: g(mask) },
             Op::RedOr { dst, a } => Op::RedOr { dst: d!(dst), a: u!(a) },
             Op::RedXor { dst, a } => Op::RedXor { dst: d!(dst), a: u!(a) },
-            Op::Slice { dst, a, lo, mask } => Op::Slice { dst: d!(dst), a: u!(a), lo, mask },
+            Op::Slice { dst, a, lo, mask } => {
+                Op::Slice { dst: d!(dst), a: u!(a), lo, mask: g(mask) }
+            }
             Op::ShlOr { dst, a, b, shift } => Op::ShlOr { dst: d!(dst), a: u!(a), b: u!(b), shift },
             Op::Mux { dst, cond, t, f: fr } => {
                 Op::Mux { dst: d!(dst), cond: u!(cond), t: u!(t), f: u!(fr) }
@@ -332,15 +358,15 @@ impl<R: Copy> Op<R> {
                 Op::Select { dst: d!(dst), sel: u!(sel), base: f(Role::Range(n), base), n }
             }
             Op::Sext { dst, a, sign_bit, ext_or } => {
-                Op::Sext { dst: d!(dst), a: u!(a), sign_bit, ext_or }
+                Op::Sext { dst: d!(dst), a: u!(a), sign_bit: g(sign_bit), ext_or: g(ext_or) }
             }
             Op::Write { slot, src } => Op::Write { slot, src: u!(src) },
             Op::WriteMasked { slot, src, lo, field } => {
-                Op::WriteMasked { slot, src: u!(src), lo, field }
+                Op::WriteMasked { slot, src: u!(src), lo, field: g(field) }
             }
             Op::WriteNext { slot, src } => Op::WriteNext { slot, src: u!(src) },
             Op::WriteNextMasked { slot, src, lo, field } => {
-                Op::WriteNextMasked { slot, src: u!(src), lo, field }
+                Op::WriteNextMasked { slot, src: u!(src), lo, field: g(field) }
             }
             Op::WriteIf { slot, cond, src, neg } => {
                 Op::WriteIf { slot, cond: u!(cond), src: u!(src), neg }
@@ -358,9 +384,15 @@ impl<R: Copy> Op<R> {
                 Op::MemWriteIf { mem, addr: u!(addr), data: u!(data), cond: u!(cond), words, neg }
             }
             Op::Jz { cond, target } => Op::Jz { cond: u!(cond), target },
-            Op::JneConst { a, k, target } => Op::JneConst { a: u!(a), k, target },
+            Op::JneConst { a, k, target } => Op::JneConst { a: u!(a), k: g(k), target },
             Op::Jmp { target } => Op::Jmp { target },
         }
+    }
+
+    /// [`Op::map`] over the register operands alone.
+    #[inline]
+    pub(crate) fn map_regs<S>(&self, f: &mut impl FnMut(Role, R) -> S) -> Op<S, W> {
+        self.map(f, &mut |w| w)
     }
 
     /// Visits every register operand with its [`Role`].
@@ -381,6 +413,107 @@ impl<R: Copy> Op<R> {
             }
         });
         def
+    }
+}
+
+/// The machine word a tape executes on: what registers hold and what
+/// [`Op`] immediates are typed as. `u128` covers every design (nets are
+/// at most 128 bits); `u64` is the class `compile` proves most tapes into,
+/// at half the register footprint and half the op size. The executor body
+/// is written once against this trait.
+pub(crate) trait Word:
+    Copy
+    + Ord
+    + std::ops::BitAnd<Output = Self>
+    + std::ops::BitOr<Output = Self>
+    + std::ops::BitXor<Output = Self>
+    + std::ops::Not<Output = Self>
+    + std::ops::Shl<u32, Output = Self>
+    + std::ops::Shr<u32, Output = Self>
+{
+    const BITS: u32;
+    /// `v as Self`: keeps the low [`Word::BITS`] bits.
+    fn from_u128(v: u128) -> Self;
+    /// `self as u128`: zero-extends.
+    fn to_u128(self) -> u128;
+    fn wrapping_add(self, o: Self) -> Self;
+    fn wrapping_sub(self, o: Self) -> Self;
+    fn wrapping_mul(self, o: Self) -> Self;
+    fn wrapping_neg(self) -> Self;
+    fn count_ones(self) -> u32;
+    /// Arithmetic shift right: the word's top bit is the sign.
+    fn sar(self, n: u32) -> Self;
+    /// Two's-complement `self < o`.
+    fn lt_signed(self, o: Self) -> bool;
+}
+
+macro_rules! word {
+    ($u:ty, $i:ty) => {
+        impl Word for $u {
+            const BITS: u32 = <$u>::BITS;
+            #[inline(always)]
+            fn from_u128(v: u128) -> Self {
+                v as $u
+            }
+            #[inline(always)]
+            fn to_u128(self) -> u128 {
+                self as u128
+            }
+            #[inline(always)]
+            fn wrapping_add(self, o: Self) -> Self {
+                <$u>::wrapping_add(self, o)
+            }
+            #[inline(always)]
+            fn wrapping_sub(self, o: Self) -> Self {
+                <$u>::wrapping_sub(self, o)
+            }
+            #[inline(always)]
+            fn wrapping_mul(self, o: Self) -> Self {
+                <$u>::wrapping_mul(self, o)
+            }
+            #[inline(always)]
+            fn wrapping_neg(self) -> Self {
+                <$u>::wrapping_neg(self)
+            }
+            #[inline(always)]
+            fn count_ones(self) -> u32 {
+                <$u>::count_ones(self)
+            }
+            #[inline(always)]
+            fn sar(self, n: u32) -> Self {
+                (self as $i >> n) as $u
+            }
+            #[inline(always)]
+            fn lt_signed(self, o: Self) -> bool {
+                (self as $i) < (o as $i)
+            }
+        }
+    };
+}
+
+word!(u64, i64);
+word!(u128, i128);
+
+impl<R: Copy, W: Word> Op<R, W> {
+    /// The same op over word `V`, or `None` if it has no equal there: an
+    /// immediate that does not survive the conversion, or a sign position
+    /// outside the word. Immediates convert with `as`; the sign-extension
+    /// counts of `Sra`/`LtS`/`GeS` — distances from the value's sign bit
+    /// to the *word's* top bit — are rebased by the difference in word
+    /// size. Index-preserving: registers, slots and targets are untouched.
+    /// Whether the *values* the op handles fit is the caller's question
+    /// (`compile` answers it).
+    pub(crate) fn to_word<V: Word>(&self) -> Option<Op<R, V>> {
+        let mut exact = true;
+        let mut op = self.map(&mut |_, r| r, &mut |w| {
+            let v = V::from_u128(w.to_u128());
+            exact &= v.to_u128() == w.to_u128();
+            v
+        });
+        if let Op::Sra { ext, .. } | Op::LtS { ext, .. } | Op::GeS { ext, .. } = &mut op {
+            *ext = ext.checked_add(V::BITS)?.checked_sub(W::BITS)?;
+        }
+        exact.then_some(op)
     }
 }
 
@@ -582,10 +715,13 @@ impl Kind {
     /// (`Select`'s options `r1..=r3`), the destination `r6`; loads read
     /// slot 0 / memory 0 (4 words), stores hit slot 7 / memory 0, jumps go
     /// to `end`. `rnd` supplies the immediates that have a free choice.
+    /// Up to 64 bits the op stays within the low machine word (`Sext`
+    /// extends to 64 bits, beyond that to 128), so it lowers to `u64`.
     pub(crate) fn sample(self, w: u32, end: u32, rnd: &mut impl FnMut() -> u128) -> Op {
         let (dst, a, b, slot, target) = (6, 0, 1, 7, end);
         let (mem, addr, data, words) = (0, 0, 1, 4);
         let (mask, width, ext) = (mask_of(w), w, 128 - w);
+        let word = mask_of(if w <= 64 { 64 } else { 128 });
         let lo = (rnd() % w as u128) as u32;
         let field = mask_of(1 + (rnd() % (w - lo) as u128) as u32) << lo;
         let neg = rnd() % 2 == 1;
@@ -618,7 +754,7 @@ impl Kind {
             Kind::Mux => Op::Mux { dst, cond: 0, t: 1, f: 2 },
             Kind::Mux2 => Op::Mux2 { dst, c1: 0, t1: 1, c2: 2, t2: 3, f: 4 },
             Kind::Select => Op::Select { dst, sel: 0, base: 1, n: 3 },
-            Kind::Sext => Op::Sext { dst, a, sign_bit: 1 << (w - 1), ext_or: !mask },
+            Kind::Sext => Op::Sext { dst, a, sign_bit: 1 << (w - 1), ext_or: word & !mask },
             Kind::Write => Op::Write { slot, src: a },
             Kind::WriteMasked => Op::WriteMasked { slot, src: a, lo, field },
             Kind::WriteNext => Op::WriteNext { slot, src: a },
@@ -645,6 +781,7 @@ mod tests {
     fn op_sizes_are_pinned() {
         assert_eq!(std::mem::size_of::<Op>(), 48);
         assert_eq!(std::mem::size_of::<Op<crate::batch::Opd>>(), 64);
+        assert_eq!(std::mem::size_of::<Op<Reg, u64>>(), 24);
     }
 }
 
@@ -665,6 +802,15 @@ pub(crate) struct Tape<R = Reg> {
     /// `ops[prelude..]` each cycle ([`exec_tape_body`]); executing the
     /// whole tape from op 0 with scratch registers is equally correct.
     pub prelude: u32,
+    /// The 64-bit class: `ops` re-typed index for index by
+    /// [`Op::to_word`], present iff `compile` proved that every value the
+    /// tape computes, loads, stores or compares against fits 64 bits. The
+    /// executors run it instead of `ops` — same registers, slots and jump
+    /// targets, so `validate`'s range check of `ops` (which also re-checks
+    /// this correspondence) covers both. Everything that *reads* a tape
+    /// (`validate`, the partition guard, re-optimization, plane lowering)
+    /// reads `ops`.
+    pub narrow: Option<Vec<Op<Reg, u64>>>,
 }
 
 impl<R> Tape<R> {
@@ -702,14 +848,32 @@ impl TapeMems for [Vec<u128>] {
     }
 }
 
+/// Views a `u128` register buffer as `u64` registers: a narrow tape's
+/// `nregs` registers occupy the first half of the bytes the wide class
+/// would use, so any buffer sized for the tape serves either class.
+#[inline(always)]
+fn as_u64s(regs: &mut [u128]) -> &mut [u64] {
+    // SAFETY: `u64` has a smaller alignment than `u128` and no invalid bit
+    // patterns, the length covers exactly the same bytes, and the
+    // exclusive borrow of `regs` is held for the result's lifetime.
+    unsafe { std::slice::from_raw_parts_mut(regs.as_mut_ptr().cast::<u64>(), regs.len() * 2) }
+}
+
 /// Runs a tape's const prelude into a persistent register buffer, once
 /// per buffer lifetime. Pairs with [`exec_tape_body`].
 pub(crate) fn exec_prelude(tape: &Tape, regs: &mut [u128]) {
-    for op in &tape.ops[..tape.prelude as usize] {
-        match op {
-            Op::Const { dst, val } => regs[*dst as usize] = *val,
-            _ => unreachable!("validate: prelude ops are Const"),
+    fn install<W: Word>(prelude: &[Op<Reg, W>], regs: &mut [W]) {
+        for op in prelude {
+            match op {
+                Op::Const { dst, val } => regs[*dst as usize] = *val,
+                _ => unreachable!("validate: prelude ops are Const"),
+            }
         }
+    }
+    let pre = tape.prelude as usize;
+    match &tape.narrow {
+        Some(ops) => install(&ops[..pre], as_u64s(regs)),
+        None => install(&tape.ops[..pre], regs),
     }
 }
 
@@ -727,7 +891,7 @@ pub(crate) fn exec_tape_body<const TRACK: bool>(
     // SAFETY: as for [`exec_tape`]; a nonzero prelude start is sound
     // because `validate` rejects preludes on tapes with jumps.
     unsafe {
-        exec_tape_ptr_from::<TRACK, _>(
+        exec_class::<TRACK, _>(
             tape,
             tape.prelude as usize,
             regs,
@@ -773,7 +937,7 @@ pub(crate) fn exec_tape<const TRACK: bool>(
     }
 }
 
-/// The tape executor core over raw state pointers.
+/// The tape executor over raw state pointers.
 ///
 /// # Safety
 ///
@@ -795,21 +959,62 @@ pub(crate) unsafe fn exec_tape_ptr<const TRACK: bool, M: TapeMems + ?Sized>(
 ) {
     // Executing from op 0 re-runs any prelude into scratch registers;
     // prelude ops are ordinary `Const`s, so this is always correct.
-    unsafe { exec_tape_ptr_from::<TRACK, M>(tape, 0, regs, cur, next, mems, pending, changed) }
+    unsafe { exec_class::<TRACK, M>(tape, 0, regs, cur, next, mems, pending, changed) }
 }
 
-/// [`exec_tape_ptr`] with an explicit start index (`0` or the tape's
-/// prelude length).
+/// Picks the tape's word class, once per call, and runs
+/// [`exec_tape_ptr_from`] at it.
 ///
 /// # Safety
 ///
-/// As for [`exec_tape_ptr`]; additionally `start` must be `0` or
-/// `tape.prelude` on a validated tape (jump-free when `prelude > 0`).
+/// As for [`exec_tape_ptr_from`], on a validated tape.
 #[allow(clippy::too_many_arguments)]
-pub(crate) unsafe fn exec_tape_ptr_from<const TRACK: bool, M: TapeMems + ?Sized>(
+#[inline]
+unsafe fn exec_class<const TRACK: bool, M: TapeMems + ?Sized>(
     tape: &Tape,
     start: usize,
     regs: &mut [u128],
+    cur: *mut u128,
+    next: *mut u128,
+    mems: &M,
+    pending: &mut Vec<(u32, u64, u128)>,
+    changed: &mut Vec<u32>,
+) {
+    unsafe {
+        match &tape.narrow {
+            Some(ops) => exec_tape_ptr_from::<TRACK, u64, M>(
+                ops,
+                start,
+                as_u64s(regs),
+                cur,
+                next,
+                mems,
+                pending,
+                changed,
+            ),
+            None => exec_tape_ptr_from::<TRACK, u128, M>(
+                &tape.ops, start, regs, cur, next, mems, pending, changed,
+            ),
+        }
+    }
+}
+
+/// The executor body: runs `ops[start..]` on registers of word `W`. State
+/// stays `u128` at a 16-byte stride whatever the class — a narrow tape
+/// loads the low half of a slot and stores it back zero-extended, both
+/// exact because every slot it touches is at most 64 bits wide.
+///
+/// # Safety
+///
+/// As for [`exec_tape_ptr`]; additionally `ops` must be the program of a
+/// validated tape at its class (`tape.ops`, or `tape.narrow`'s content),
+/// `regs` must hold at least `tape.nregs` words, and `start` must be `0`
+/// or `tape.prelude` (jump-free when `prelude > 0`).
+#[allow(clippy::too_many_arguments)]
+unsafe fn exec_tape_ptr_from<const TRACK: bool, W: Word, M: TapeMems + ?Sized>(
+    ops: &[Op<Reg, W>],
+    start: usize,
+    regs: &mut [W],
     cur: *mut u128,
     next: *mut u128,
     mems: &M,
@@ -829,58 +1034,77 @@ pub(crate) unsafe fn exec_tape_ptr_from<const TRACK: bool, M: TapeMems + ?Sized>
             unsafe { *regs.get_unchecked_mut(*$i as usize) = v }
         }};
     }
-    let ops = &tape.ops;
+    // A tracked or plain full store of `v` to `cur[slot]`.
+    macro_rules! store {
+        ($slot:expr, $c:expr, $v:expr) => {{
+            let v: u128 = $v;
+            if TRACK {
+                if *$c != v {
+                    *$c = v;
+                    changed.push(*$slot);
+                }
+            } else {
+                *$c = v;
+            }
+        }};
+    }
+    let zero = W::from_u128(0);
+    let flag = |b: bool| W::from_u128(b as u128);
+    // A shift amount or index already known to be below `W::BITS`.
+    let small = |v: W| v.to_u128() as u32;
     let mut pc = start;
     while pc < ops.len() {
         match unsafe { ops.get_unchecked(pc) } {
             Op::Const { dst, val } => w!(dst, *val),
             Op::Read { dst, slot } => {
-                w!(dst, unsafe { *cur.add(*slot as usize) })
+                w!(dst, W::from_u128(unsafe { *cur.add(*slot as usize) }))
             }
             Op::Copy { dst, a } => w!(dst, r!(a)),
-            Op::Add { dst, a, b, mask } => w!(dst, r!(a).wrapping_add(r!(b)) & mask),
-            Op::Sub { dst, a, b, mask } => w!(dst, r!(a).wrapping_sub(r!(b)) & mask),
-            Op::Mul { dst, a, b, mask } => w!(dst, r!(a).wrapping_mul(r!(b)) & mask),
+            Op::Add { dst, a, b, mask } => w!(dst, r!(a).wrapping_add(r!(b)) & *mask),
+            Op::Sub { dst, a, b, mask } => w!(dst, r!(a).wrapping_sub(r!(b)) & *mask),
+            Op::Mul { dst, a, b, mask } => w!(dst, r!(a).wrapping_mul(r!(b)) & *mask),
             Op::And { dst, a, b } => w!(dst, r!(a) & r!(b)),
             Op::Or { dst, a, b } => w!(dst, r!(a) | r!(b)),
             Op::Xor { dst, a, b } => w!(dst, r!(a) ^ r!(b)),
-            Op::Not { dst, a, mask } => w!(dst, !r!(a) & mask),
-            Op::Neg { dst, a, mask } => w!(dst, r!(a).wrapping_neg() & mask),
+            Op::Not { dst, a, mask } => w!(dst, !r!(a) & *mask),
+            Op::Neg { dst, a, mask } => w!(dst, r!(a).wrapping_neg() & *mask),
             Op::Shl { dst, a, b, width, mask } => {
                 let amt = r!(b);
-                w!(dst, if amt >= *width as u128 { 0 } else { (r!(a) << amt) & mask });
+                let over = amt >= W::from_u128(*width as u128);
+                w!(dst, if over { zero } else { (r!(a) << small(amt)) & *mask });
             }
             Op::Shr { dst, a, b, width } => {
                 let amt = r!(b);
-                w!(dst, if amt >= *width as u128 { 0 } else { r!(a) >> amt });
+                let over = amt >= W::from_u128(*width as u128);
+                w!(dst, if over { zero } else { r!(a) >> small(amt) });
             }
             Op::Sra { dst, a, b, width, mask, ext } => {
-                let amt = (r!(b)).min(*width as u128) as u32;
-                let v = (r!(a) << ext) as i128 >> ext;
-                w!(dst, ((v >> amt.min(127)) as u128) & mask);
+                let amt = small(r!(b).min(W::from_u128(*width as u128)));
+                let v = (r!(a) << *ext).sar(*ext);
+                w!(dst, v.sar(amt.min(W::BITS - 1)) & *mask);
             }
-            Op::Eq { dst, a, b } => w!(dst, (r!(a) == r!(b)) as u128),
-            Op::Ne { dst, a, b } => w!(dst, (r!(a) != r!(b)) as u128),
-            Op::Lt { dst, a, b } => w!(dst, (r!(a) < r!(b)) as u128),
-            Op::Ge { dst, a, b } => w!(dst, (r!(a) >= r!(b)) as u128),
+            Op::Eq { dst, a, b } => w!(dst, flag(r!(a) == r!(b))),
+            Op::Ne { dst, a, b } => w!(dst, flag(r!(a) != r!(b))),
+            Op::Lt { dst, a, b } => w!(dst, flag(r!(a) < r!(b))),
+            Op::Ge { dst, a, b } => w!(dst, flag(r!(a) >= r!(b))),
             Op::LtS { dst, a, b, ext } => {
-                w!(dst, (((r!(a) << ext) as i128) < ((r!(b) << ext) as i128)) as u128)
+                w!(dst, flag((r!(a) << *ext).lt_signed(r!(b) << *ext)))
             }
             Op::GeS { dst, a, b, ext } => {
-                w!(dst, (((r!(a) << ext) as i128) >= ((r!(b) << ext) as i128)) as u128)
+                w!(dst, flag(!(r!(a) << *ext).lt_signed(r!(b) << *ext)))
             }
-            Op::RedAnd { dst, a, mask } => w!(dst, (r!(a) == *mask) as u128),
-            Op::RedOr { dst, a } => w!(dst, (r!(a) != 0) as u128),
-            Op::RedXor { dst, a } => w!(dst, (r!(a).count_ones() % 2) as u128),
-            Op::Slice { dst, a, lo, mask } => w!(dst, (r!(a) >> lo) & mask),
-            Op::ShlOr { dst, a, b, shift } => w!(dst, (r!(a) << shift) | r!(b)),
+            Op::RedAnd { dst, a, mask } => w!(dst, flag(r!(a) == *mask)),
+            Op::RedOr { dst, a } => w!(dst, flag(r!(a) != zero)),
+            Op::RedXor { dst, a } => w!(dst, flag(r!(a).count_ones() % 2 == 1)),
+            Op::Slice { dst, a, lo, mask } => w!(dst, (r!(a) >> *lo) & *mask),
+            Op::ShlOr { dst, a, b, shift } => w!(dst, (r!(a) << *shift) | r!(b)),
             Op::Mux { dst, cond, t, f } => {
-                w!(dst, if r!(cond) != 0 { r!(t) } else { r!(f) });
+                w!(dst, if r!(cond) != zero { r!(t) } else { r!(f) });
             }
             Op::Mux2 { dst, c1, t1, c2, t2, f } => {
-                let v = if r!(c1) != 0 {
+                let v = if r!(c1) != zero {
                     r!(t1)
-                } else if r!(c2) != 0 {
+                } else if r!(c2) != zero {
                     r!(t2)
                 } else {
                     r!(f)
@@ -888,88 +1112,67 @@ pub(crate) unsafe fn exec_tape_ptr_from<const TRACK: bool, M: TapeMems + ?Sized>
                 w!(dst, v);
             }
             Op::Select { dst, sel, base, n } => {
-                let idx = (r!(sel) as usize).min(*n as usize - 1);
+                // Clamp the whole selector, then index: a selector with
+                // only high bits set picks the last option.
+                let idx = small(r!(sel).min(W::from_u128(*n as u128 - 1))) as usize;
                 let v = unsafe { *regs.get_unchecked(*base as usize + idx) };
                 w!(dst, v);
             }
             Op::Sext { dst, a, sign_bit, ext_or } => {
                 let v = r!(a);
-                w!(dst, if v & sign_bit != 0 { v | ext_or } else { v });
+                w!(dst, if v & *sign_bit != zero { v | *ext_or } else { v });
             }
             Op::Write { slot, src } => {
-                let s = *slot as usize;
-                let v = r!(src);
-                let c = unsafe { &mut *cur.add(s) };
-                if TRACK {
-                    if *c != v {
-                        *c = v;
-                        changed.push(*slot);
-                    }
-                } else {
-                    *c = v;
-                }
+                let c = unsafe { &mut *cur.add(*slot as usize) };
+                store!(slot, c, r!(src).to_u128());
             }
             Op::WriteMasked { slot, src, lo, field } => {
-                let s = *slot as usize;
-                let c = unsafe { &mut *cur.add(s) };
-                let v = (*c & !field) | ((r!(src) << lo) & field);
-                if TRACK {
-                    if *c != v {
-                        *c = v;
-                        changed.push(*slot);
-                    }
-                } else {
-                    *c = v;
-                }
+                let c = unsafe { &mut *cur.add(*slot as usize) };
+                let field = field.to_u128();
+                let v = (*c & !field) | ((r!(src) << *lo).to_u128() & field);
+                store!(slot, c, v);
             }
             Op::WriteNext { slot, src } => {
-                let v = r!(src);
+                let v = r!(src).to_u128();
                 unsafe { *next.add(*slot as usize) = v };
             }
             Op::WriteNextMasked { slot, src, lo, field } => {
                 let v = r!(src);
                 let n = unsafe { &mut *next.add(*slot as usize) };
-                *n = (*n & !field) | ((v << lo) & field);
+                let field = field.to_u128();
+                *n = (*n & !field) | ((v << *lo).to_u128() & field);
             }
             Op::WriteIf { slot, cond, src, neg } => {
-                let take = (r!(cond) != 0) != *neg;
-                let s = *slot as usize;
-                let c = unsafe { &mut *cur.add(s) };
+                let take = (r!(cond) != zero) != *neg;
+                let c = unsafe { &mut *cur.add(*slot as usize) };
                 // Branchless select: an untaken predicate stores the old
-                // value back, which the tracked path below treats as "no
+                // value back, which the tracked path treats as "no
                 // change" — bit-for-bit the branchy original.
-                let v = if take { r!(src) } else { *c };
-                if TRACK {
-                    if *c != v {
-                        *c = v;
-                        changed.push(*slot);
-                    }
-                } else {
-                    *c = v;
-                }
+                let v = if take { r!(src).to_u128() } else { *c };
+                store!(slot, c, v);
             }
             Op::WriteNextIf { slot, cond, src, neg } => {
-                let take = (r!(cond) != 0) != *neg;
+                let take = (r!(cond) != zero) != *neg;
                 let n = unsafe { &mut *next.add(*slot as usize) };
-                *n = if take { r!(src) } else { *n };
+                *n = if take { r!(src).to_u128() } else { *n };
             }
             Op::MemRead { dst, mem, addr, words } => {
-                let a = (r!(addr) as u64) % words;
+                let a = (r!(addr).to_u128() as u64) % words;
                 let v = unsafe { mems.read(*mem as usize, a as usize) };
-                w!(dst, v);
+                w!(dst, W::from_u128(v));
             }
             Op::MemWrite { mem, addr, data, words } => {
-                let a = (r!(addr) as u64) % words;
-                pending.push((*mem, a, r!(data)));
+                let a = (r!(addr).to_u128() as u64) % words;
+                pending.push((*mem, a, r!(data).to_u128()));
             }
             Op::MemWriteIf { mem, addr, data, cond, words, neg } => {
-                if (r!(cond) != 0) != *neg {
-                    let a = (r!(addr) as u64) % words;
-                    pending.push((*mem, a, r!(data)));
+                if (r!(cond) != zero) != *neg {
+                    let a = (r!(addr).to_u128() as u64) % words;
+                    pending.push((*mem, a, r!(data).to_u128()));
                 }
             }
             Op::Jz { cond, target } => {
-                if r!(cond) == 0 {
+                if r!(cond) == zero {
                     pc = *target as usize;
                     continue;
                 }

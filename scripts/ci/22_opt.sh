@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# CI stage 2.2 — tape optimizer gate. Two checks:
+# CI stage 2.2 — tape optimizer gate. Three checks:
 #
 #   1. Opt-diff differential fuzz: 250 seed-pinned random RTL designs,
 #      each run under every tape engine with the pass pipeline pinned
@@ -10,6 +10,11 @@
 #      optimizer off and on; the run fails if the optimized
 #      specialized-opt rate drops below the unoptimized one (the
 #      pipeline must never pessimize the headline workload).
+#   3. The benchmark's own oracle at full scale: one short
+#      `mesh64_rtl_steady` ledger run, whose last line must say
+#      `"correct":true` — the measured engine agreed with
+#      `interpreted-opt` over 1 000 cycles of the 64-router mesh, not
+#      only at the tiny scale the ledger's unit test uses.
 #
 # The (iters, seed) pair is pinned so a red run reproduces locally with
 # exactly these flags.
@@ -22,3 +27,12 @@ cargo run -p mtl-bench --release --bin fuzz -- --opt-diff --iters 250 --seed 7
 echo "== opt speedup smoke: fig14 mesh, optimizer off vs on"
 RUSTMTL_BENCH_DIR="${RUSTMTL_BENCH_DIR:-target}" \
     cargo run -p mtl-bench --release --bin opt_speedup -- --smoke
+
+echo "== ledger oracle: mesh64_rtl_steady measured engine vs interpreted-opt"
+ledger=$(cargo run --release --quiet --bin perf_ledger -- \
+    --workload mesh64_rtl_steady --seed 1 --seconds 2 --trace 0 | tail -n 1)
+echo "$ledger"
+case "$ledger" in
+    *'"correct":true'*) ;;
+    *) echo "perf_ledger: mesh64_rtl_steady did not report \"correct\":true" >&2; exit 1 ;;
+esac

@@ -253,8 +253,14 @@ fn shrink_minimizes_to_the_predicate_core() {
     if !reads_in0(&desc) {
         // Make the predicate hold on the unshrunk design.
         let mut desc = desc;
+        let from = desc.inputs[0].1;
         let w2 = desc.wires.iter_mut().find(|w| w.name == "w2").unwrap();
-        w2.expr = rustmtl::core::Expr::Read(rustmtl::core::SignalId::from_index(0)).zext(w2.width);
+        let in0 = rustmtl::core::Expr::Read(rustmtl::core::SignalId::from_index(0));
+        w2.expr = match from.cmp(&w2.width) {
+            std::cmp::Ordering::Less => in0.zext(w2.width),
+            std::cmp::Ordering::Equal => in0,
+            std::cmp::Ordering::Greater => in0.trunc(w2.width),
+        };
         run_shrink_assertions(desc, reads_in0);
         return;
     }

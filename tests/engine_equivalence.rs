@@ -468,6 +468,58 @@ fn engines_agree_on_compute_soc() {
     assert_eq!(soc.read_results(), soc.expected_results(), "results must match host model");
 }
 
+/// `(narrow tapes, tapes, narrow ops, ops)` of a build's optimizer report.
+fn width_classes(top: &dyn Component, engine: Engine) -> (u64, u64, u64, u64) {
+    let sim = Sim::build(top, engine).expect("design elaborates");
+    let rep = sim.opt_report().expect("tape engine with the optimizer on");
+    (rep.narrow_tapes, rep.tapes, rep.narrow_ops, rep.ops_after)
+}
+
+/// Which word class a tape runs on is proved per tape from the design,
+/// never configured. The RTL mesh and the synthetic SoC have no net wider
+/// than 64 bits, so every tape — per block, fused, per partition unit —
+/// must run the `u64` class (one that does not is a classification
+/// regression and a third of the hot loop's speed). The compute SoC's
+/// 68/88-bit memory packets cross its routers, so its fused schedules
+/// must stay on `u128`; that they still match the interpreter every cycle
+/// is `engines_agree_on_compute_soc`.
+#[test]
+fn tape_width_classes_follow_the_design() {
+    use rustmtl::net::{MeshTrafficHarness, NetLevel};
+    use rustmtl::soc::{Soc, SocConfig, SocTraffic};
+
+    let mesh = MeshTrafficHarness::new(NetLevel::Rtl, 64, 300, 1);
+    let soc = Soc::new(SocConfig::synthetic(64, NetLevel::Rtl, SocTraffic::Tornado));
+    let all_narrow: [(&dyn Component, Engine); 3] = [
+        (&mesh, Engine::SpecializedOpt),
+        (&soc, Engine::SpecializedOpt),
+        (&soc, Engine::SpecializedPar),
+    ];
+    for (top, engine) in all_narrow {
+        let (narrow_tapes, tapes, narrow_ops, ops) = width_classes(top, engine);
+        assert!(tapes > 0 && ops > 0, "{engine}: tapes were compiled");
+        assert_eq!((narrow_tapes, narrow_ops), (tapes, ops), "{engine}: every tape is narrow");
+    }
+
+    let compute = Soc::new(SocConfig::compute(
+        4,
+        rustmtl::accel::TileConfig {
+            proc: rustmtl::proc::ProcLevel::Rtl,
+            cache: rustmtl::proc::CacheLevel::Rtl,
+            xcel: rustmtl::accel::XcelLevel::Rtl,
+        },
+        NetLevel::Rtl,
+        SocTraffic::UniformRandom,
+    ));
+    // `Specialized` reports the per-block tapes, `SpecializedOpt` those
+    // plus its fused schedules: the difference is the fused tapes.
+    let (block_narrow, blocks, ..) = width_classes(&compute, Engine::Specialized);
+    let (narrow, tapes, ..) = width_classes(&compute, Engine::SpecializedOpt);
+    assert!(block_narrow > 0 && block_narrow < blocks, "compute SoC mixes both classes");
+    let (fused, fused_narrow) = (tapes - blocks, narrow - block_narrow);
+    assert!(fused > 0 && fused_narrow < fused, "a wide net keeps its fused schedule wide");
+}
+
 /// The parallel engine must be cycle-exact with `SpecializedOpt` at
 /// explicit thread counts — fully sequential (1) and sharded (4) —
 /// including the logical profile counters, not just settled values.
