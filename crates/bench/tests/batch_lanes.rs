@@ -10,15 +10,19 @@
 //! * per-lane distinct stimulus across the whole native-free slice of the
 //!   benchmark design registry (partial bundles: `lanes < 64`),
 //! * full 64-lane bundles on randomized RTL,
+//! * the `Switch`-bearing RTL components, whose fused schedules keep jumps
+//!   (divergent lanes under the active-lane mask),
 //! * the unoptimized-tape lowering (`tape_opt: Some(false)`),
 //! * [`Sim::divergence_masks`] flagging exactly the diverged lanes,
 //! * per-lane fault injection versus a scalar faulted run.
 
+use mtl_accel::DotProductRTL;
 use mtl_bench::design_registry;
 use mtl_bits::Bits;
 use mtl_check::RandomRtl;
-use mtl_core::{BlockBody, SignalId, SignalKind};
+use mtl_core::{BlockBody, Component, SignalId, SignalKind};
 use mtl_fault::{FaultPlan, PlanSpec};
+use mtl_proc::{CacheRTL, ProcPipeRTL, ProcRTL};
 use mtl_sim::{Engine, Sim, SimConfig};
 
 /// xorshift64* — deterministic, dependency-free stimulus.
@@ -151,6 +155,38 @@ fn batch_full_bundle_matches_scalar_on_fuzz_seeds() {
             12,
             seed ^ 0xBA7C,
         );
+    }
+}
+
+/// The components whose `Switch` statements survive the optimizer
+/// (if-conversion plans only `Jz`), so their fused comb and seq schedules
+/// reach the batch engine with jumps: random per-lane stimulus sends the
+/// lanes down different arms of the same pass, and each must still match
+/// its scalar twin — on a full bundle and on a partial one.
+#[test]
+fn switch_bearing_components_match_scalar_under_divergent_lanes() {
+    let comps: [(&str, Box<dyn Component>); 4] = [
+        ("DotProductRTL", Box::new(DotProductRTL)),
+        ("ProcRTL", Box::new(ProcRTL)),
+        ("ProcPipeRTL", Box::new(ProcPipeRTL)),
+        ("CacheRTL_16", Box::new(CacheRTL::new(16))),
+    ];
+    for (name, comp) in &comps {
+        for lanes in [64u32, 3] {
+            let cfg = SimConfig { lanes: Some(lanes), ..SimConfig::default() };
+            let mut batch = Sim::build_with_config(&**comp, Engine::SpecializedBatch, &cfg)
+                .expect("elaborates");
+            let mut scalars: Vec<Sim> = (0..lanes)
+                .map(|_| Sim::build(&**comp, Engine::SpecializedOpt).expect("elaborates"))
+                .collect();
+            assert_lanes_match(
+                &format!("{name}/{lanes} lanes"),
+                &mut batch,
+                &mut scalars,
+                24,
+                fnv(name),
+            );
+        }
     }
 }
 

@@ -15,12 +15,11 @@
 //!
 //! The engine lowers the `SpecializedOpt` fused tapes (reusing the whole
 //! optimizer pipeline) into plane programs: the same [`Op`]s over [`Opd`]
-//! plane ranges instead of scalar registers. Tapes that still
-//! contain jumps after optimization (if-conversion has a size cap) fall
-//! back to a [`BatchProg::PerLane`] program that gathers each lane into
-//! scalar state, runs the ordinary tape executor, and scatters the results
-//! back — slower, but exactly the scalar semantics, so lane-exactness
-//! holds unconditionally.
+//! plane ranges instead of scalar registers, jumps included. Lanes that
+//! take a jump (a `Switch` arm the optimizer does not if-convert, every
+//! branch when the optimizer is off) leave the *active-lane mask* and wait
+//! at the target; stores blend under the mask, so each lane sees exactly
+//! the ops its scalar run would execute (see [`BatchEngine::exec_planes`]).
 //!
 //! Faults are not this module's business: the `Sim` wrapper runs its one
 //! forced-settle protocol over the lane-addressed primitives below
@@ -28,6 +27,8 @@
 //! is why a faulty lane's trace is byte-identical to a scalar engine
 //! running the same injection.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -40,7 +41,7 @@ use crate::compile::{BlockTapes, Chunk, Plans};
 use crate::overheads::Overheads;
 use crate::profile::EngineStats;
 use crate::sim::EngineImpl;
-use crate::tape::{exec_tape_ptr, mask_of, Effect, Op, Role, Tape, TapeMems};
+use crate::tape::{mask_of, Effect, Op, Role, Tape};
 
 /// Lane capacity of the plane state: one bit per lane in a `u64` word.
 /// Storage is always this wide; [`crate::SimConfig::lanes`] only restricts
@@ -61,23 +62,15 @@ pub(crate) struct Opd {
     w: u32,
 }
 
-/// One lowered tape: either a straight-line plane program or the scalar
-/// per-lane fallback for tapes that still contain jumps.
+/// One lowered tape: the tape's ops, index for index (jump targets stay
+/// op indices), over arena plane ranges.
 #[derive(Debug, Clone)]
-pub(crate) enum BatchProg {
-    Planes {
-        ops: Vec<Op<Opd>>,
-        /// The operands of every `Select`'s options (see [`Opd`]).
-        opts: Vec<Opd>,
-        /// Arena planes this program needs.
-        arena: u32,
-    },
-    /// Gather each lane's scalar state, run the ordinary tape executor,
-    /// scatter the written slots back. `touched` is every `cur` slot the
-    /// tape reads or may write (a skipped predicated write must scatter
-    /// the *old* value back), `cur_writes`/`next_writes` are the slots to
-    /// scatter after execution.
-    PerLane { tape: Tape, touched: Vec<u32>, cur_writes: Vec<u32>, next_writes: Vec<u32> },
+pub(crate) struct BatchProg {
+    ops: Vec<Op<Opd>>,
+    /// The operands of every `Select`'s options (see [`Opd`]).
+    opts: Vec<Opd>,
+    /// Arena planes this program needs.
+    arena: u32,
 }
 
 /// The batch stage of the compiled artifact: plane programs for the
@@ -91,8 +84,6 @@ pub(crate) struct BatchProgs {
     pub(crate) blocks: Vec<BatchProg>,
     /// Max arena planes over all programs (one shared scratch arena).
     pub(crate) arena_planes: u32,
-    /// Max tape registers over the per-lane fallback programs.
-    pub(crate) max_regs: u32,
 }
 
 /// Significant bits of a constant (`0` for zero).
@@ -157,36 +148,22 @@ fn def_width(op: &Op, vw: &[u32], widths: &[u32], mem_widths: &[u32]) -> Option<
 }
 
 /// Lowers one scalar tape to a batch program.
+///
+/// Widths are tracked in textual order, and [`BatchEngine::exec_planes`]
+/// runs a pure def for every lane whether or not that lane is on the def's
+/// path. Both are right only if each use's latest textual def runs on every
+/// path that reaches the use — which codegen's fresh registers and the
+/// optimizer's positional `realloc` give, and which the emit pass asserts.
+///
+/// # Panics
+///
+/// Panics if a forward jump skips a use's latest textual def and lands at
+/// or before the use (a phi-like register).
 fn lower_tape(tape: &Tape, widths: &[u32], mem_widths: &[u32]) -> BatchProg {
-    if tape.has_jumps() {
-        let mut touched = Vec::new();
-        let mut cur_writes = Vec::new();
-        let mut next_writes = Vec::new();
-        for op in &tape.ops {
-            match op.effect() {
-                Effect::Read { slot } => touched.push(slot),
-                Effect::Write { slot, next: false, .. } => {
-                    touched.push(slot);
-                    cur_writes.push(slot);
-                }
-                Effect::Write { slot, next: true, .. } => next_writes.push(slot),
-                Effect::Pure
-                | Effect::MemRead { .. }
-                | Effect::MemWrite { .. }
-                | Effect::Jump { .. } => {}
-            }
-        }
-        for v in [&mut touched, &mut cur_writes, &mut next_writes] {
-            v.sort_unstable();
-            v.dedup();
-        }
-        return BatchProg::PerLane { tape: tape.clone(), touched, cur_writes, next_writes };
-    }
-
     let n = tape.nregs as usize;
-    // Pass 1: track per-register value widths through the (straight-line)
-    // tape; a register's arena range must fit its widest definition
-    // (compaction reuses registers across widths).
+    // Pass 1: track per-register value widths through the tape; a
+    // register's arena range must fit its widest definition (compaction
+    // reuses registers across widths).
     let mut vw = vec![0u32; n];
     let mut aw = vec![0u32; n];
     for op in &tape.ops {
@@ -203,12 +180,28 @@ fn lower_tape(tape: &Tape, widths: &[u32], mem_widths: &[u32]) -> BatchProg {
     }
 
     // Pass 2: emit, with source operands at their pre-op widths.
+    // `landings` holds the targets of the jumps seen so far that lie ahead;
+    // the nearest one when a register is defined is where lanes that
+    // skipped the def rejoin, so the def is usable only before it.
     let mut vw = vec![0u32; n];
+    let mut usable_before = vec![u32::MAX; n];
+    let mut landings = BinaryHeap::new();
     let mut ops = Vec::with_capacity(tape.ops.len());
     let mut opts = Vec::new();
-    for op in &tape.ops {
+    for (i, op) in tape.ops.iter().enumerate() {
+        let i = i as u32;
+        while landings.peek().is_some_and(|&Reverse(target)| target <= i) {
+            landings.pop();
+        }
         let d = def_width(op, &vw, widths, mem_widths);
-        let o = |r: u16| Opd { off: off[r as usize], w: vw[r as usize] };
+        let o = |r: u16| {
+            assert!(
+                i < usable_before[r as usize],
+                "op {i} ({op:?}) uses r{r}, whose definition a jump to {} skips",
+                usable_before[r as usize]
+            );
+            Opd { off: off[r as usize], w: vw[r as usize] }
+        };
         ops.push(op.map_regs(&mut |role, r| match role {
             Role::Def => Opd { off: off[r as usize], w: d.expect("a def has a width").1 },
             Role::Use => o(r),
@@ -220,9 +213,13 @@ fn lower_tape(tape: &Tape, widths: &[u32], mem_widths: &[u32]) -> BatchProg {
         }));
         if let Some((dst, w)) = d {
             vw[dst as usize] = w;
+            usable_before[dst as usize] = landings.peek().map_or(u32::MAX, |&Reverse(t)| t);
+        }
+        if let Effect::Jump { target, .. } = op.effect() {
+            landings.push(Reverse(target));
         }
     }
-    BatchProg::Planes { ops, opts, arena: total }
+    BatchProg { ops, opts, arena: total }
 }
 
 /// Reads plane `p` of an operand: zero past the value width (scalar
@@ -300,6 +297,16 @@ fn nonzero(arena: &[u64], o: Opd) -> u64 {
     acc
 }
 
+/// Stores `src` to the `(first plane, plane count)` range of `tgt` on the
+/// lanes in `take`.
+#[inline]
+fn blend(tgt: &mut [u64], (net, nw): (u32, u32), arena: &[u64], src: Opd, take: u64) {
+    for p in 0..nw {
+        let old = tgt[(net + p) as usize];
+        tgt[(net + p) as usize] = (rd(arena, src, p) & take) | (old & !take);
+    }
+}
+
 /// Queues one deferred memory write per lane selected by `take`.
 fn push_mem_writes(
     arena: &[u64],
@@ -318,22 +325,6 @@ fn push_mem_writes(
             let a = (gather(arena, addr.off, addr.w.min(64), lane) as u64) % words;
             pend.push((mem, a, gather(arena, data.off, data.w, lane)));
         }
-    }
-}
-
-/// [`TapeMems`] view of the lane-interleaved memory storage
-/// (`mems[mem][addr * 64 + lane]`) for the per-lane fallback executor.
-struct LaneMems<'a> {
-    mems: &'a [Vec<u128>],
-    lane: usize,
-}
-
-impl TapeMems for LaneMems<'_> {
-    #[inline(always)]
-    unsafe fn read(&self, mem: usize, addr: usize) -> u128 {
-        // SAFETY: `addr < words` (validated tape plus the per-op `% words`
-        // wrap) and each memory vec holds `words * LANES` entries.
-        unsafe { *self.mems.get_unchecked(mem).get_unchecked(addr * LANES as usize + self.lane) }
     }
 }
 
@@ -356,12 +347,10 @@ pub(crate) struct BatchEngine {
     /// Shared scratch arena for plane programs.
     arena: Vec<u64>,
     sel_scratch: Vec<u64>,
-    /// Per-lane fallback scratch (slot-indexed scalar state).
-    scratch_cur: Vec<u128>,
-    scratch_next: Vec<u128>,
-    scratch_regs: Vec<u128>,
-    lane_pending: Vec<(u32, u64, u128)>,
-    changed_scratch: Vec<u32>,
+    /// Lanes waiting at each op index of the running program for
+    /// execution to reach the jump target they took; all zero between
+    /// programs.
+    parked: Vec<u64>,
     lanes: u32,
     cycles: u64,
     dirty: bool,
@@ -394,15 +383,9 @@ pub(crate) fn lower(blocks: &BlockTapes, plans: &Plans) -> BatchProgs {
     let seq: Vec<BatchProg> = plans.seq.iter().map(lower_chunk).collect();
     let blocks: Vec<BatchProg> =
         blocks.tapes.iter().map(|t| lower_tape(t, widths, mem_widths)).collect();
-    let mut arena_planes = 0u32;
-    let mut max_regs = 0u32;
-    for prog in comb.iter().chain(&seq).chain(&blocks) {
-        match prog {
-            BatchProg::Planes { arena, .. } => arena_planes = arena_planes.max(*arena),
-            BatchProg::PerLane { tape, .. } => max_regs = max_regs.max(tape.nregs),
-        }
-    }
-    BatchProgs { comb, seq, blocks, arena_planes, max_regs }
+    let arena_planes =
+        comb.iter().chain(&seq).chain(&blocks).map(|prog| prog.arena).max().unwrap_or(0);
+    BatchProgs { comb, seq, blocks, arena_planes }
 }
 
 impl BatchEngine {
@@ -421,11 +404,9 @@ impl BatchEngine {
         let next = vec![0u64; total as usize];
         let mems: Vec<Vec<u128>> =
             design.mems().iter().map(|m| vec![0u128; m.words as usize * LANES as usize]).collect();
-        let nets = widths.len();
         o.wrap += t0.elapsed();
 
         let arena = vec![0u64; progs.arena_planes as usize];
-        let max_regs = progs.max_regs as usize;
         Self {
             design,
             widths,
@@ -439,11 +420,7 @@ impl BatchEngine {
             reg_slots: layout.reg_slots.clone(),
             arena,
             sel_scratch: Vec::new(),
-            scratch_cur: vec![0u128; nets],
-            scratch_next: vec![0u128; nets],
-            scratch_regs: vec![0u128; max_regs],
-            lane_pending: Vec::new(),
-            changed_scratch: Vec::new(),
+            parked: Vec::new(),
             lanes: lanes.clamp(1, LANES),
             cycles: 0,
             dirty: true,
@@ -454,15 +431,35 @@ impl BatchEngine {
         }
     }
 
-    /// Executes a straight-line plane program: each scalar op's plane
-    /// form, over operands lowered by [`lower_tape`].
-    fn exec_planes(&mut self, ops: &[Op<Opd>], opts: &[Opd]) {
-        let Self { arena, cur, next, mems, pending, sel_scratch, net_off, widths, .. } = self;
+    /// Executes a plane program: each scalar op's plane form, over
+    /// operands lowered by [`lower_tape`].
+    ///
+    /// Control flow is an *active-lane mask*. A jump moves the lanes that
+    /// take it from `active` to `parked[target]`, and they rejoin when
+    /// execution reaches the target — jumps are strictly forward
+    /// (`validate`), so one pass in op order visits every target after
+    /// every jump to it. Stores (the only ops with an effect outside the
+    /// arena) blend under `active`; pure ops run for all lanes, which is
+    /// harmless because no lane reads a register on a path that skipped its
+    /// definition ([`lower_tape`] asserts it). A stretch no lane is in is
+    /// skipped.
+    fn exec_planes(&mut self, prog: &BatchProg) {
+        let BatchProg { ops, opts, .. } = prog;
+        let Self { arena, cur, next, mems, pending, sel_scratch, parked, net_off, widths, .. } =
+            self;
         let (cur, next): (&mut [u64], &mut [u64]) = (cur, next);
         // A store's target planes (first plane, plane count) and buffer.
         let planes_of = |slot: u32| (net_off[slot as usize], widths[slot as usize]);
         let to_next = |op: &Op<Opd>| matches!(op.effect(), Effect::Write { next: true, .. });
-        for op in ops {
+        if parked.len() <= ops.len() {
+            parked.resize(ops.len() + 1, 0);
+        }
+        let mut active = !0u64;
+        for (pc, op) in ops.iter().enumerate() {
+            active |= std::mem::take(&mut parked[pc]);
+            if active == 0 {
+                continue;
+            }
             match *op {
                 Op::Const { dst, val } => {
                     for p in 0..dst.w {
@@ -731,36 +728,29 @@ impl BatchEngine {
                     }
                     scatter_all(arena, dst.off, dst.w, &vals);
                 }
+                // Stores: the lanes in `take` get the source planes, the
+                // others keep the target planes.
                 Op::Write { slot, src } | Op::WriteNext { slot, src } => {
-                    let (net, nw) = planes_of(slot);
                     let tgt = if to_next(op) { &mut *next } else { &mut *cur };
-                    for p in 0..nw {
-                        tgt[(net + p) as usize] = rd(arena, src, p);
-                    }
+                    blend(tgt, planes_of(slot), arena, src, active);
                 }
                 Op::WriteMasked { slot, src, lo, field }
                 | Op::WriteNextMasked { slot, src, lo, field } => {
                     let (net, nw) = planes_of(slot);
                     let tgt = if to_next(op) { &mut *next } else { &mut *cur };
-                    for p in 0..nw {
-                        if (field >> p) & 1 != 0 {
-                            tgt[(net + p) as usize] =
-                                if p >= lo { rd(arena, src, p - lo) } else { 0 };
-                        }
+                    for p in (0..nw).filter(|p| (field >> p) & 1 != 0) {
+                        let v = if p >= lo { rd(arena, src, p - lo) } else { 0 };
+                        let old = tgt[(net + p) as usize];
+                        tgt[(net + p) as usize] = (v & active) | (old & !active);
                     }
                 }
-                // Predicated store: lanes where the condition (xor `neg`)
-                // holds take the source planes, others keep the target
-                // planes.
+                // Predicated store: of the active lanes, those where the
+                // condition (xor `neg`) holds.
                 Op::WriteIf { slot, cond, src, neg } | Op::WriteNextIf { slot, cond, src, neg } => {
-                    let (net, nw) = planes_of(slot);
                     let cz = nonzero(arena, cond);
-                    let take = if neg { !cz } else { cz };
+                    let take = active & if neg { !cz } else { cz };
                     let tgt = if to_next(op) { &mut *next } else { &mut *cur };
-                    for p in 0..nw {
-                        let old = tgt[(net + p) as usize];
-                        tgt[(net + p) as usize] = (rd(arena, src, p) & take) | (old & !take);
-                    }
+                    blend(tgt, planes_of(slot), arena, src, take);
                 }
                 Op::MemRead { dst, mem, addr, words } => {
                     let m = &mems[mem as usize];
@@ -772,77 +762,27 @@ impl BatchEngine {
                     scatter_all(arena, dst.off, dst.w, &vals);
                 }
                 Op::MemWrite { mem, addr, data, words } => {
-                    push_mem_writes(arena, pending, !0, mem, addr, data, words);
+                    push_mem_writes(arena, pending, active, mem, addr, data, words);
                 }
                 Op::MemWriteIf { mem, addr, data, cond, words, neg } => {
                     let cz = nonzero(arena, cond);
-                    let take = if neg { !cz } else { cz };
+                    let take = active & if neg { !cz } else { cz };
                     push_mem_writes(arena, pending, take, mem, addr, data, words);
                 }
-                Op::Jz { .. } | Op::JneConst { .. } | Op::Jmp { .. } => {
-                    unreachable!("jump in a tape lowered to planes")
+                Op::Jz { target, .. } | Op::JneConst { target, .. } | Op::Jmp { target } => {
+                    // The lanes that fall through.
+                    let stay = match *op {
+                        Op::Jz { cond, .. } => nonzero(arena, cond),
+                        Op::JneConst { a, k, .. } => !(0..a.w.max(bits(k)))
+                            .fold(0, |ne, p| ne | (rd(arena, a, p) ^ mb(k, p))),
+                        _ => 0,
+                    };
+                    parked[target as usize] |= active & !stay;
+                    active &= stay;
                 }
             }
         }
-    }
-
-    fn run_prog(&mut self, prog: &BatchProg) {
-        match prog {
-            BatchProg::Planes { ops, opts, .. } => self.exec_planes(ops, opts),
-            BatchProg::PerLane { tape, touched, cur_writes, next_writes } => {
-                for lane in 0..LANES as usize {
-                    for &s in touched {
-                        let s = s as usize;
-                        self.scratch_cur[s] =
-                            gather(&self.cur, self.net_off[s], self.widths[s], lane);
-                    }
-                    for &s in next_writes {
-                        let s = s as usize;
-                        self.scratch_next[s] =
-                            gather(&self.next, self.net_off[s], self.widths[s], lane);
-                    }
-                    self.lane_pending.clear();
-                    self.changed_scratch.clear();
-                    let cur_ptr = self.scratch_cur.as_mut_ptr();
-                    let next_ptr = self.scratch_next.as_mut_ptr();
-                    // SAFETY: the scratch buffers cover every net slot a
-                    // validated tape can touch; `LaneMems` addressing is
-                    // in range (see its `read`).
-                    unsafe {
-                        exec_tape_ptr::<false, _>(
-                            tape,
-                            &mut self.scratch_regs,
-                            cur_ptr,
-                            next_ptr,
-                            &LaneMems { mems: &self.mems, lane },
-                            &mut self.lane_pending,
-                            &mut self.changed_scratch,
-                        );
-                    }
-                    for &s in cur_writes {
-                        let s = s as usize;
-                        scatter(
-                            &mut self.cur,
-                            self.net_off[s],
-                            self.widths[s],
-                            lane,
-                            self.scratch_cur[s],
-                        );
-                    }
-                    for &s in next_writes {
-                        let s = s as usize;
-                        scatter(
-                            &mut self.next,
-                            self.net_off[s],
-                            self.widths[s],
-                            lane,
-                            self.scratch_next[s],
-                        );
-                    }
-                    self.pending[lane].append(&mut self.lane_pending);
-                }
-            }
-        }
+        parked[ops.len()] = 0;
     }
 
     /// One unconditional pass over the fused combinational programs
@@ -850,7 +790,7 @@ impl BatchEngine {
     fn full_pass(&mut self) {
         let progs = self.progs.clone();
         for prog in &progs.comb {
-            self.run_prog(prog);
+            self.exec_planes(prog);
         }
         self.dirty = false;
         if let Some(p) = self.prof.as_mut() {
@@ -916,7 +856,7 @@ impl EngineImpl for BatchEngine {
     fn edge(&mut self) {
         let progs = self.progs.clone();
         for prog in &progs.seq {
-            self.run_prog(prog);
+            self.exec_planes(prog);
         }
         for i in 0..self.reg_slots.len() {
             let slot = self.reg_slots[i] as usize;
@@ -947,7 +887,7 @@ impl EngineImpl for BatchEngine {
 
     fn exec_block(&mut self, b: u32) {
         let progs = self.progs.clone();
-        self.run_prog(&progs.blocks[b as usize]);
+        self.exec_planes(&progs.blocks[b as usize]);
     }
 
     fn force(&mut self, lane: u32, slot: u32, v: Bits, also_next: bool) {
@@ -1083,22 +1023,26 @@ mod tests {
     /// then (after a run) the queued memory writes.
     type LaneState = (Vec<u128>, Vec<u128>, Vec<u128>, Vec<(u32, u64, u128)>);
 
-    /// The instruction set has five per-op implementations — the scalar
+    /// The instruction set has four per-op implementations — the scalar
     /// executor (one body, instantiated at `u128` and at `u64`),
-    /// `eval_pure`, `def_width`, the plane loops and (through the scalar
-    /// executor again) the per-lane fallback. For every kind in the table,
-    /// over narrow, word-sized and wide values with distinct operands on
-    /// all 64 lanes, they must agree.
+    /// `eval_pure`, `def_width` and the plane loops. For every kind in the
+    /// table, over narrow, word-sized and wide values with distinct
+    /// operands on all 64 lanes, they must agree — with every lane active
+    /// and under a divergent lane mask.
     ///
     /// The op under test sits between loads of slots 0..=5 into `r0..=r5`
     /// and a store of its result to slot 6; slot 7 is the store target of
-    /// [`Kind::sample`]. Block 0 is that tape (plane program unless the op
-    /// is a jump), block 1 the same behind an untaken `Jz` (per-lane).
+    /// [`Kind::sample`]. Block 0 is that tape, block 1 the same behind a
+    /// `Jz` to the end on slot 8, which is 0 or 1 per lane: the lanes that
+    /// jump must keep their state, the others run the op with part of the
+    /// mask off. In the last round slot 8 is zero everywhere, so block 1
+    /// is skipped with no lane active.
     /// Up to 64 bits both tapes classify into the `u64` class — except a
-    /// `ShlOr` whose result really is wider — which the engine then runs;
-    /// the reference is the same tape with its narrow program removed.
+    /// `ShlOr` whose result really is wider — which the scalar reference
+    /// then runs; the reference is the same tape with its narrow program
+    /// removed.
     #[test]
-    fn every_kind_agrees_across_scalar_fold_planes_and_per_lane() {
+    fn every_kind_agrees_across_scalar_fold_and_planes_under_divergent_lanes() {
         let mut seed = 7u64;
         let mut rnd = move || {
             // splitmix64, twice, for 128 random bits.
@@ -1117,7 +1061,7 @@ mod tests {
                 let really_wider = matches!(op, Op::ShlOr { shift, .. } if w + shift > 64);
                 let narrow = w <= 64 && !really_wider;
                 // The result slot shows every bit the word class can hold.
-                let mut widths = vec![w; 8];
+                let mut widths = vec![w; 9];
                 widths[6] = if narrow { 64 } else { 128 };
                 let tape = |prefix: Vec<Op>, op: &Op| {
                     let mut ops = prefix;
@@ -1129,7 +1073,7 @@ mod tests {
                 if let Some(target) = op.target_mut() {
                     *target += 2;
                 }
-                let guard = vec![Op::Const { dst: 7, val: 1 }, Op::Jz { cond: 7, target: 2 }];
+                let guard = vec![Op::Read { dst: 7, slot: 8 }, Op::Jz { cond: 7, target: 10 }];
                 let raw = Arc::new(vec![plain, tape(guard, &op)]);
 
                 let layout = || Layout {
@@ -1152,12 +1096,6 @@ mod tests {
                 let none = || Arc::new(Vec::new());
                 let plans = Plans { comb: none(), seq: none(), report: None };
                 let batch = lower(&blocks, &plans);
-                assert_eq!(
-                    matches!(batch.blocks[0], BatchProg::Planes { .. }),
-                    !raw[0].has_jumps(),
-                    "{kind:?}: block 0 is a plane program unless the op jumps"
-                );
-                assert!(matches!(batch.blocks[1], BatchProg::PerLane { .. }));
                 let staged = Staged {
                     design: None,
                     blocks: Some(Arc::new(blocks)),
@@ -1167,7 +1105,7 @@ mod tests {
                 let mut e =
                     BatchEngine::new(design.clone(), &staged, LANES, &mut Overheads::default());
 
-                for _round in 0..3 {
+                for round in 0..4 {
                     let value = |rnd: &mut dyn FnMut() -> u128, width: u32| {
                         let v = match rnd() % 6 {
                             0 => 0,
@@ -1183,7 +1121,9 @@ mod tests {
                     };
                     let before: Vec<LaneState> = (0..LANES)
                         .map(|_| {
-                            let cur = widths.iter().map(|&w| value(&mut rnd, w)).collect();
+                            let mut cur: Vec<u128> =
+                                widths.iter().map(|&w| value(&mut rnd, w)).collect();
+                            cur[8] = if round == 3 { 0 } else { rnd() % 2 };
                             let next = widths.iter().map(|&w| value(&mut rnd, w)).collect();
                             let mem = (0..4).map(|_| value(&mut rnd, w)).collect();
                             (cur, next, mem, Vec::new())
@@ -1206,7 +1146,7 @@ mod tests {
                     };
                     for b in 0..2 {
                         for (lane, (cur, next, mem, _)) in before.iter().enumerate() {
-                            for s in 0..8 {
+                            for s in 0..9 {
                                 let (off, w) = (e.net_off[s], e.widths[s]);
                                 scatter(&mut e.cur, off, w, lane, cur[s]);
                                 scatter(&mut e.next, off, w, lane, next[s]);
@@ -1218,7 +1158,7 @@ mod tests {
                         e.exec_block(b);
                         for (lane, st) in before.iter().enumerate() {
                             let slots = |planes: &[u64]| -> Vec<u128> {
-                                (0..8)
+                                (0..9)
                                     .map(|s| gather(planes, e.net_off[s], e.widths[s], lane))
                                     .collect()
                             };
@@ -1230,13 +1170,16 @@ mod tests {
                             );
                             // The wide executor over the canonical ops
                             // is the reference; the classified tape (the
-                            // `u64` instantiation when narrow, and what
-                            // the per-lane fallback ran) must match it.
+                            // `u64` instantiation when narrow) must match
+                            // it.
                             let want = scalar(&raw[b as usize], st);
                             assert_eq!(got, want, "{kind:?} w={w} block {b} lane {lane}: {op:?}");
                             let classed = scalar(&tapes[b as usize], st);
                             assert_eq!(classed, want, "{kind:?} w={w} block {b}: word class");
 
+                            if b == 1 {
+                                continue; // the fold is block 0's question
+                            }
                             let folded = eval_pure(&op.map_regs(&mut |_, r| r as VReg), &|r| {
                                 Some(st.0.get(r as usize).copied().unwrap_or(0))
                             });
@@ -1252,5 +1195,25 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Plane lowering gives a register one arena range and runs pure defs
+    /// for every lane, so a register merged from two arms — legal for the
+    /// scalar executor — cannot be lowered: the later arm's def would
+    /// overwrite the earlier one's on the lanes that took the earlier arm.
+    /// The compiler never emits one (merges go through slots); `lower_tape`
+    /// must refuse rather than miscompute.
+    #[test]
+    #[should_panic(expected = "uses r1, whose definition a jump to 5 skips")]
+    fn lowering_rejects_a_register_merged_from_two_arms() {
+        let ops = vec![
+            Op::Read { dst: 0, slot: 0 },
+            Op::Jz { cond: 0, target: 4 },
+            Op::Const { dst: 1, val: 1 },
+            Op::Jmp { target: 5 },
+            Op::Const { dst: 1, val: 2 },
+            Op::Write { slot: 1, src: 1 },
+        ];
+        lower_tape(&Tape { ops, nregs: 2, ..Tape::default() }, &[1, 2], &[]);
     }
 }

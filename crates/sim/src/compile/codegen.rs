@@ -107,9 +107,10 @@ pub(super) fn compile_block(design: &Design, stmts: &[Stmt], kind: BlockKind) ->
 }
 
 /// Validates that every register, slot, memory and jump target in a tape
-/// is in range; called once at construction so the executor can use
-/// unchecked reads. Walks the op's declared operand roles and effect, so
-/// an op cannot name state this check does not see — in either word class.
+/// is in range, and every jump forward; called once at construction so the
+/// executor can use unchecked reads. Walks the op's declared operand roles
+/// and effect, so an op cannot name state this check does not see — in
+/// either word class.
 pub(super) fn validate(tape: &Tape, nslots: usize, nmems: usize) {
     let n = tape.nregs as usize;
     let pre = tape.prelude as usize;
@@ -124,14 +125,17 @@ pub(super) fn validate(tape: &Tape, nslots: usize, nmems: usize) {
         );
         assert!(!tape.has_jumps(), "prelude on a tape with jumps");
     }
-    for op in &tape.ops {
+    for (i, op) in tape.ops.iter().enumerate() {
         let mut ok = match op.effect() {
             Effect::Pure => true,
             Effect::Read { slot } | Effect::Write { slot, .. } => (slot as usize) < nslots,
             Effect::MemRead { mem, words } | Effect::MemWrite { mem, words } => {
                 (mem as usize) < nmems && words >= 1
             }
-            Effect::Jump { target, .. } => (target as usize) <= tape.ops.len(),
+            // Strictly forward: the scalar executor's termination, the
+            // optimizer's positional liveness and the batch engine's
+            // one-pass lane mask all rest on it.
+            Effect::Jump { target, .. } => i < target as usize && target as usize <= tape.ops.len(),
         };
         op.for_each_reg(|role, r| {
             ok &= match role {
@@ -779,11 +783,13 @@ mod tests {
                 Effect::MemRead { mem, .. } | Effect::MemWrite { mem, .. } => {
                     rejects(&op, NREGS, NSLOTS, mem as usize)
                 }
-                Effect::Jump { .. } => {
+                // Past the end, and back onto itself (the scalar executor
+                // would spin).
+                Effect::Jump { .. } => [2, 0].into_iter().all(|target| {
                     let mut bad = op.clone();
-                    *bad.target_mut().unwrap() = 2;
+                    *bad.target_mut().unwrap() = target;
                     rejects(&bad, NREGS, NSLOTS, 1)
-                }
+                }),
             };
             assert!(escaped, "{kind:?}: out-of-range slot/memory/target accepted");
         }

@@ -206,7 +206,7 @@ struct Shared {
     worker_nanos: Vec<AtomicU64>,
     /// Blocks executed in the current profiled pass.
     pass_blocks: AtomicU64,
-    max_regs: usize,
+    regs_len: usize,
 }
 
 impl Shared {
@@ -319,7 +319,7 @@ fn run_step(shared: &Shared, step: &Step, w: usize, regs: &mut Vec<u128>, change
 }
 
 fn worker_loop(shared: Arc<Shared>, w: usize) {
-    let mut regs = vec![0u128; shared.max_regs];
+    let mut regs = vec![0u128; shared.regs_len];
     let mut changed = Vec::new();
     loop {
         shared.barrier.wait();
@@ -655,7 +655,7 @@ impl ParTapeEngine {
             }
         }
 
-        let max_regs = block_tapes
+        let regs_len = block_tapes
             .iter()
             .map(|t| t.nregs as usize)
             .chain(units.iter().map(|u| u.tape.nregs as usize))
@@ -678,7 +678,7 @@ impl ParTapeEngine {
             block_nanos: (0..nblocks).map(|_| AtomicU64::new(0)).collect(),
             worker_nanos: (0..nworkers).map(|_| AtomicU64::new(0)).collect(),
             pass_blocks: AtomicU64::new(0),
-            max_regs,
+            regs_len,
         });
         let mut handles = Vec::new();
         for w in 1..nworkers {
@@ -711,7 +711,7 @@ impl ParTapeEngine {
             comb_units,
             dirty_global: true,
             cycles: 0,
-            regs: vec![0u128; max_regs],
+            regs: vec![0u128; regs_len],
             changed: Vec::new(),
             track_activity: false,
             activity: Vec::new(),

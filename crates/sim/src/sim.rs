@@ -44,8 +44,10 @@ pub enum Engine {
     /// Bit-sliced batch engine: the `SpecializedOpt` tapes lowered to a
     /// plane evaluator where each net bit is one `u64` word holding that
     /// bit across 64 independent trial lanes, so one pass over the tape
-    /// advances 64 fault/fuzz trials at once. Lane-exact with
-    /// `SpecializedOpt` per lane (the differential suites assert it).
+    /// advances 64 fault/fuzz trials at once — every tape: where lanes
+    /// branch apart, an active-lane mask keeps each lane to the ops its
+    /// scalar run executes. Lane-exact with `SpecializedOpt` per lane (the
+    /// differential suites assert it).
     /// Per-lane stimulus and faults go through [`Sim::poke_lane`] /
     /// [`Sim::inject_lane`]; divergence against a golden lane is read
     /// with [`Sim::divergence_masks`]. Native blocks are not supported

@@ -563,7 +563,7 @@ pub(crate) enum Effect {
 impl<R> Op<R> {
     /// The op's [`Effect`]. Deliberately without a wildcard arm: a new
     /// variant must say here what state it touches before `validate`,
-    /// the partition guard, the batch scatter sets or the optimizer's
+    /// the partition guard, the plane lowering or the optimizer's
     /// store/jump reasoning can compile.
     #[inline]
     pub(crate) fn effect(&self) -> Effect {

@@ -124,7 +124,7 @@ impl TapeEngine {
             (plans.comb.clone(), plans.seq.clone(), plans.report.clone())
         };
         let tapes = blocks.tapes.clone();
-        let max_regs = tapes.iter().map(|t| t.nregs as usize).max().unwrap_or(0);
+        let regs_len = tapes.iter().map(|t| t.nregs as usize).max().unwrap_or(0);
 
         // Phase: wrap (packed state).
         let t0 = Instant::now();
@@ -185,7 +185,7 @@ impl TapeEngine {
             comb_bank,
             seq_bank,
             reg_slots: layout.reg_slots.clone(),
-            regs: vec![0u128; max_regs],
+            regs: vec![0u128; regs_len],
             event_mode,
             sens,
             mem_sens,

@@ -5,7 +5,11 @@
 #      on one SpecializedBatch simulator (64 lanes, distinct stimulus
 #      per lane) against a scalar Interpreted reference per lane,
 #      comparing every signal of every lane after every cycle. Lane
-#      transposition or plane-program miscompiles fail here.
+#      transposition or plane-program miscompiles fail here. Run twice:
+#      optimized draws if-convert to straight-line plane programs, so
+#      the MTL_TAPE_OPT=0 leg (every seq block keeps its reset branch)
+#      is the one that fuzzes divergent lanes under the active-lane
+#      mask.
 #   2. Batch fault-campaign throughput smoke: fault_sweep --smoke runs
 #      its mesh4/rtl-ir batch bundle (batch lane reports are
 #      cross-checked against scalar run_diff inside the job) and
@@ -21,6 +25,9 @@ ci_stage batch
 
 echo "== batch fuzz: 120 iterations, seed 7, 64 lanes vs interpreted references"
 cargo run -p mtl-bench --release --bin fuzz -- --batch --iters 120 --seed 7
+
+echo "== batch fuzz, optimizer off: the same draws with their jumps kept (lane mask)"
+MTL_TAPE_OPT=0 cargo run -p mtl-bench --release --bin fuzz -- --batch --iters 120 --seed 7
 
 echo "== batch throughput smoke: batch bundle must not lose to scalar run_diff"
 rm -f target/sweep-journal/ci_batch_smoke.jsonl
