@@ -84,16 +84,6 @@ pub(crate) enum Run {
     Native(u32),
 }
 
-impl Run {
-    /// The blocks of an IR run (`None` for a native block).
-    pub(crate) fn ir(&self) -> Option<&[u32]> {
-        match self {
-            Run::Ir(run) => Some(run),
-            Run::Native(_) => None,
-        }
-    }
-}
-
 /// Splits a schedule into [`Run`]s.
 pub(crate) fn ir_runs(design: &Design, order: &[u32]) -> Vec<Run> {
     let mut runs = Vec::new();

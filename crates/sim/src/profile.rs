@@ -114,12 +114,27 @@ pub(crate) struct EngineStats {
     /// Busy wall nanos per partition/worker thread (the parallel engine
     /// only; empty elsewhere).
     pub partition_nanos: Vec<u64>,
+    /// The parallel engine's static plan (empty elsewhere).
+    pub partition_plan: Vec<PlanStep>,
 }
 
 impl EngineStats {
     pub(crate) fn new(nblocks: usize) -> EngineStats {
         EngineStats { block_nanos: vec![0; nblocks], ..EngineStats::default() }
     }
+}
+
+/// One barrier-delimited step of [`Engine::SpecializedPar`]'s static plan:
+/// what every worker is given to do between two barriers.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PlanStep {
+    /// `"comb"` (one stage of a combinational run), `"seq"` (a run of
+    /// sequential blocks) or `"commit"` (the register and memory commit).
+    pub kind: &'static str,
+    /// Schedulable units in the step; registers for the commit.
+    pub units: usize,
+    /// Fused tape ops given to each worker; registers for the commit.
+    pub loads: Vec<u64>,
 }
 
 /// One ranked entry of [`SimProfile::hot_blocks`].
@@ -171,6 +186,11 @@ pub struct SimProfile {
     /// Busy wall nanos per worker thread ([`Engine::SpecializedPar`]
     /// only; empty elsewhere). Balanced partitions show similar values.
     pub partition_nanos: Vec<u64>,
+    /// The static plan behind `partition_nanos`, one entry per step in
+    /// program order: combinational stages, sequential runs, then the
+    /// commit ([`Engine::SpecializedPar`] only; empty elsewhere). A step
+    /// whose `loads` are lopsided is the straggler.
+    pub partition_plan: Vec<PlanStep>,
     /// Register bit-toggle counts per net (the `enable_activity`
     /// counters), indexed by net.
     pub net_activity: Vec<u64>,
@@ -257,6 +277,13 @@ impl SimProfile {
                 self.partition_nanos.len()
             );
         }
+        for (i, step) in self.partition_plan.iter().enumerate() {
+            let _ = writeln!(
+                s,
+                "  step {i:<2} {:<7}{:>6} units   load/worker {:?}",
+                step.kind, step.units, step.loads
+            );
+        }
         let hot = self.hot_blocks(top);
         if !hot.is_empty() {
             let path_w = hot.iter().map(|h| h.path.len()).max().unwrap_or(4).max(4);
@@ -319,6 +346,7 @@ mod tests {
             fixpoint_iters: Hist::new(),
             queue_depth: Hist::new(),
             partition_nanos: Vec::new(),
+            partition_plan: Vec::new(),
             net_activity: vec![0, 4],
             net_paths: vec!["top.x".into(), "top.y".into()],
         };

@@ -34,10 +34,10 @@ pub enum Engine {
     /// Tapes plus a fully static levelized schedule — no event queue at all
     /// (the SimJIT+PyPy analog).
     SpecializedOpt,
-    /// Fused tapes partitioned into independent combinational islands and
-    /// executed on worker threads with double-buffered cross-partition
-    /// (register) nets and a per-cycle barrier; clean partitions are
-    /// skipped. Cycle-exact with `SpecializedOpt` by construction. Thread
+    /// The levelized schedule cut into barrier-delimited stages of
+    /// independent combinational islands, fused per island and executed
+    /// on worker threads with double-buffered cross-partition (register)
+    /// nets committed by their owners; clean islands are skipped. Cycle-exact with `SpecializedOpt` by construction. Thread
     /// count comes from `MTL_SIM_THREADS` (default: available cores,
     /// capped at 8) or [`SimConfig::threads`].
     SpecializedPar,
@@ -1147,6 +1147,7 @@ impl Sim {
             fixpoint_iters: stats.fixpoint.clone(),
             queue_depth: stats.queue_depth.clone(),
             partition_nanos: stats.partition_nanos.clone(),
+            partition_plan: stats.partition_plan.clone(),
             net_activity,
             net_paths,
         })

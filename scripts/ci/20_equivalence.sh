@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # CI stage 2 — engine equivalence: the randomized five-engine agreement
-# suite, re-run with the parallel engine pinned to 1 and 4 worker threads
-# so both the sequential fallback and the sharded path are exercised.
+# suite, re-run with the parallel engine pinned to 1, 2, 3 and 4 worker
+# threads: the sequential path (one stage, one shard), the reference
+# container's core count, an uneven split, and more workers than cores
+# (every barrier then goes through its yield path).
 . "$(dirname "$0")/lib.sh"
 ci_stage equivalence
 
-echo "== equivalence: specialized-par at 1 thread"
-MTL_SIM_THREADS=1 cargo test -q --release --test engine_equivalence
-
-echo "== equivalence: specialized-par at 4 threads"
-MTL_SIM_THREADS=4 cargo test -q --release --test engine_equivalence
+for threads in 1 2 3 4; do
+    echo "== equivalence: specialized-par at $threads thread(s)"
+    MTL_SIM_THREADS=$threads cargo test -q --release --test engine_equivalence
+done

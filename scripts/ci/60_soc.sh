@@ -8,7 +8,12 @@
 #   (b) seed-pinned smoke campaign: soc_sweep --smoke runs synthetic and
 #       compute SoC points through the mtl-sweep orchestration path with
 #       a journal, self-checking every job against the host model, and
-#       writes BENCH_soc_smoke.json.
+#       writes BENCH_soc_smoke.json;
+#   (c) the benchmark's own oracle at full scale: one short
+#       `soc64_rtl_par2` ledger run, whose last line must say
+#       `"correct":true` — specialized-par at 2 threads equalled
+#       specialized-opt over 2 000 cycles of the 64-tile SoC and a bounded
+#       run drained to the golden checksum.
 #
 # The broader per-pattern/per-size correctness surface (FL golden match,
 # compute vs host model, fault-injection determinism, 64-tile engine
@@ -27,5 +32,14 @@ RUSTMTL_BENCH_DIR="${RUSTMTL_BENCH_DIR:-target}" \
     cargo run -p mtl-bench --release --bin soc_sweep -- \
     --smoke --journal "$JOURNAL"
 rm -f "$JOURNAL"
+
+echo "== ledger oracle: soc64_rtl_par2, specialized-par@2 vs specialized-opt"
+ledger=$(cargo run --release --quiet --bin perf_ledger -- \
+    --workload soc64_rtl_par2 --seed 1 --seconds 2 --trace 0 | tail -n 1)
+echo "$ledger"
+case "$ledger" in
+    *'"correct":true'*) ;;
+    *) echo "perf_ledger: soc64_rtl_par2 did not report \"correct\":true" >&2; exit 1 ;;
+esac
 
 echo "== soc stage: OK"

@@ -346,75 +346,116 @@ fn engines_diverge_identically_under_fault_plans() {
     assert!(non_masked > 0, "at least one seeded plan must visibly perturb the design");
 }
 
-/// Engine equivalence on the *composed* SoC, not just random designs: a
-/// 64-tile RTL mesh of traffic-generating tiles is the largest
-/// elaboration in the tree (~15k signals, 64 routers), and the
-/// acceptance bar for `mtl-soc` is that engine choice stays a pure
-/// performance knob on it. Interpreted, SpecializedOpt, and
-/// SpecializedPar at explicit 1 and 4 worker threads must agree on the
-/// architectural ports every cycle and on every net at checkpoints.
-#[test]
-fn engines_agree_on_64_tile_soc() {
-    use rustmtl::net::NetLevel;
-    use rustmtl::soc::{Soc, SocConfig, SocTraffic};
-
-    let soc = Soc::new(SocConfig::synthetic(64, NetLevel::Rtl, SocTraffic::Tornado).with_limit(4));
-    let configs: [(Engine, Option<usize>); 4] = [
-        (Engine::Interpreted, None),
-        (Engine::SpecializedOpt, None),
-        (Engine::SpecializedPar, Some(1)),
-        (Engine::SpecializedPar, Some(4)),
-    ];
-    let mut sims: Vec<Sim> = configs
-        .iter()
-        .map(|&(engine, threads)| {
-            let cfg = SimConfig { threads, ..Default::default() };
-            Sim::build_with_config(&soc, engine, &cfg).expect("64-tile SoC elaborates")
-        })
-        .collect();
+/// Runs `sims` (labelled by `labels`; the first is the reference) in
+/// lockstep: the named top-level ports are compared every cycle, every net
+/// every 40th cycle so debug-mode test time stays bounded.
+fn assert_lockstep(sims: &mut [Sim], labels: &[String], ports: &[&str], cycles: u64) {
     let nsignals = sims[0].design().signals().len();
-    assert!(nsignals > 10_000, "64-tile RTL SoC should be the largest design in the tree");
-    for sim in &mut sims {
-        sim.reset();
-    }
-    let ports = ["checksum", "injected", "delivered"];
-    for cycle in 0..160u64 {
-        for sim in &mut sims {
+    for cycle in 0..cycles {
+        for sim in sims.iter_mut() {
             sim.cycle();
         }
-        // Architectural ports every cycle; the full net sweep is spot
-        // checked so debug-mode test time stays bounded.
         for port in ports {
             let reference = sims[0].peek_port(port);
-            for (ci, sim) in sims.iter().enumerate().skip(1) {
-                assert_eq!(
-                    sim.peek_port(port),
-                    reference,
-                    "{:?}@{:?} diverged on `{port}` at cycle {cycle}",
-                    configs[ci].0,
-                    configs[ci].1
-                );
+            for (sim, label) in sims.iter().zip(labels).skip(1) {
+                assert_eq!(sim.peek_port(port), reference, "{label}: `{port}` at cycle {cycle}");
             }
         }
         if cycle % 40 == 39 {
             for si in 0..nsignals {
                 let sig = rustmtl::core::SignalId::from_index(si);
                 let reference = sims[0].peek(sig);
-                for (ci, sim) in sims.iter().enumerate().skip(1) {
-                    assert_eq!(
-                        sim.peek(sig),
-                        reference,
-                        "{:?}@{:?} diverged on `{}` at cycle {cycle}",
-                        configs[ci].0,
-                        configs[ci].1,
-                        sims[0].design().signal_path(sig)
-                    );
+                for (sim, label) in sims.iter().zip(labels).skip(1) {
+                    let path = || sims[0].design().signal_path(sig);
+                    assert_eq!(sim.peek(sig), reference, "{label}: `{}` at cycle {cycle}", path());
                 }
             }
         }
     }
+}
+
+/// Builds and resets one simulator per `(engine, threads)` configuration.
+fn build_each(top: &dyn Component, configs: &[(Engine, Option<usize>)]) -> (Vec<Sim>, Vec<String>) {
+    let build = |&(engine, threads): &(Engine, Option<usize>)| {
+        let cfg = SimConfig { threads, ..Default::default() };
+        let mut sim = Sim::build_with_config(top, engine, &cfg).expect("design elaborates");
+        sim.reset();
+        sim
+    };
+    let label = |&(engine, threads): &(Engine, Option<usize>)| format!("{engine}@{threads:?}");
+    (configs.iter().map(build).collect(), configs.iter().map(label).collect())
+}
+
+/// Engine equivalence on the *composed* SoC, not just random designs: a
+/// 64-tile RTL mesh of traffic-generating tiles is the largest
+/// elaboration in the tree (~15k signals, 64 routers), and the
+/// acceptance bar for `mtl-soc` is that engine choice stays a pure
+/// performance knob on it. Interpreted, SpecializedOpt, and
+/// SpecializedPar at explicit 1, 2 and 4 worker threads must agree on the
+/// architectural ports every cycle and on every net at checkpoints.
+///
+/// A second leg is where dirty-skipping and cross-stage marking matter:
+/// bursty traffic at a low rate and a small budget gives idle gaps, bursts,
+/// then a drained and fully idle SoC, so clean units really are skipped
+/// and a first-stage unit that wakes up must re-dirty its second-stage
+/// readers. A third runs the RTL mesh harness, whose native traffic blocks
+/// sit between the parallel steps.
+#[test]
+fn engines_agree_on_64_tile_soc() {
+    use rustmtl::net::{MeshTrafficHarness, NetLevel};
+    use rustmtl::soc::{Soc, SocConfig, SocTraffic};
+    let ports = ["checksum", "injected", "delivered"];
+
+    let soc = Soc::new(SocConfig::synthetic(64, NetLevel::Rtl, SocTraffic::Tornado).with_limit(4));
+    let (mut sims, labels) = build_each(
+        &soc,
+        &[
+            (Engine::Interpreted, None),
+            (Engine::SpecializedOpt, None),
+            (Engine::SpecializedPar, Some(1)),
+            (Engine::SpecializedPar, Some(2)),
+            (Engine::SpecializedPar, Some(4)),
+        ],
+    );
+    let nsignals = sims[0].design().signals().len();
+    assert!(nsignals > 10_000, "64-tile RTL SoC should be the largest design in the tree");
+    assert_lockstep(&mut sims, &labels, &ports, 160);
     // The workload must actually have exercised the mesh by now.
     assert!(sims[0].peek_port("injected").as_u64() > 0, "tornado traffic must inject");
+
+    let bursty = SocConfig::synthetic(64, NetLevel::Rtl, SocTraffic::Bursty);
+    let soc = Soc::new(bursty.with_injection(60).with_limit(3));
+    let par = |threads| (Engine::SpecializedPar, Some(threads));
+    let (mut sims, labels) = build_each(&soc, &[(Engine::SpecializedOpt, None), par(2), par(3)]);
+    // The three-thread simulator runs profiled (per-block tapes, same
+    // units, flags and marks), which counts the blocks each pass executed.
+    sims[2].enable_profiling();
+    assert_lockstep(&mut sims, &labels, &ports, 320);
+    let (injected, delivered) = (sims[0].peek_port("injected"), sims[0].peek_port("delivered"));
+    assert_eq!(injected.as_u64(), 64 * 3, "every terminal spent its budget");
+    assert_eq!(delivered, injected, "the SoC drained and went idle");
+    let passes = sims[2].profile().expect("profiling enabled").fixpoint_iters;
+    let (_, quietest, _) = passes.nonzero_buckets()[0];
+    assert!(
+        quietest * 4 < passes.max(),
+        "idle passes must skip clean units: quietest {quietest}, busiest {} blocks",
+        passes.max()
+    );
+
+    let harness = || MeshTrafficHarness::new(NetLevel::Rtl, 64, 300, 5);
+    let (tops, configs) = ([harness(), harness()], [(Engine::SpecializedOpt, None), par(2)]);
+    let mut sims = Vec::new();
+    for (top, config) in tops.iter().zip(&configs) {
+        sims.extend(build_each(top, &[*config]).0);
+    }
+    assert_lockstep(&mut sims, &["opt".into(), "par@2".into()], &[], 120);
+    let counts = |h: &MeshTrafficHarness| {
+        let s = h.stats();
+        let s = s.lock().unwrap();
+        (s.injected, s.received, s.total_latency, s.misrouted)
+    };
+    assert_eq!(counts(&tops[1]), counts(&tops[0]), "native blocks saw the same traffic");
+    assert!(counts(&tops[0]).1 > 0, "the mesh delivered packets");
 }
 
 /// The compute personality (full proc+cache+xcel tiles speaking memory
@@ -521,11 +562,12 @@ fn tape_width_classes_follow_the_design() {
 }
 
 /// The parallel engine must be cycle-exact with `SpecializedOpt` at
-/// explicit thread counts — fully sequential (1) and sharded (4) —
-/// including the logical profile counters, not just settled values.
+/// explicit thread counts — fully sequential (1), sharded (2, 4) and
+/// unevenly sharded (3) — including the logical profile counters and the
+/// activity toggles the split commit counts, not just settled values.
 #[test]
 fn specialized_par_matches_opt_at_explicit_thread_counts() {
-    for threads in [1usize, 4] {
+    for threads in [1usize, 2, 3, 4] {
         for seed in [3u64, 7, 12] {
             let mut opt =
                 Sim::build(&RandomRtl::new(seed), Engine::SpecializedOpt).expect("elaborates");
@@ -578,4 +620,39 @@ fn specialized_par_matches_opt_at_explicit_thread_counts() {
             );
         }
     }
+}
+
+/// The static plan is part of the profile: for the 64-tile synthetic SoC
+/// at two threads every step — both comb stages, the seq run and the
+/// commit — splits its work so that neither worker gets more than 60 % of
+/// it, and `report()` prints one line per step. (Before the staged
+/// partition the comb run was two units of 31 146 and 384 ops.)
+#[test]
+fn partition_plan_balances_every_step_of_the_64_tile_soc() {
+    use rustmtl::net::NetLevel;
+    use rustmtl::soc::{Soc, SocConfig, SocTraffic};
+
+    let soc = Soc::new(SocConfig::synthetic(64, NetLevel::Rtl, SocTraffic::UniformRandom));
+    let cfg = SimConfig { threads: Some(2), ..Default::default() };
+    let mut sim = Sim::build_with_config(&soc, Engine::SpecializedPar, &cfg).expect("elaborates");
+    sim.enable_profiling();
+    let profile = sim.profile().expect("profiling enabled");
+    let plan = &profile.partition_plan;
+    let kinds: Vec<&str> = plan.iter().map(|step| step.kind).collect();
+    assert!(kinds.len() >= 4 && kinds.ends_with(&["seq", "commit"]), "steps: {kinds:?}");
+    assert!(kinds.iter().filter(|&&k| k == "comb").count() >= 2, "one comb stage cannot balance");
+    for (i, step) in plan.iter().enumerate() {
+        let total: u64 = step.loads.iter().sum();
+        let heaviest = *step.loads.iter().max().expect("two workers");
+        assert_eq!(step.loads.len(), 2, "step {i}");
+        assert!(total > 0 && step.units >= 2, "step {i}: {step:?}");
+        assert!(heaviest * 10 <= total * 6, "step {i} gives one worker over 60 %: {step:?}");
+    }
+    let report = profile.report(0);
+    assert_eq!(report.matches("load/worker").count(), plan.len(), "one line per step:\n{report}");
+
+    // Elsewhere there is no plan to print.
+    let mut opt = Sim::build(&soc, Engine::SpecializedOpt).expect("elaborates");
+    opt.enable_profiling();
+    assert!(opt.profile().expect("profiling enabled").partition_plan.is_empty());
 }
