@@ -756,10 +756,10 @@ fn fault_batch_chunk_job(f: Fields, artifacts: &Arc<ArtifactCache>) -> Result<Jo
 }
 
 /// Generates the quarantine reproducer for a degraded
-/// `fault_batch_chunk` job: a standalone program that rebuilds the same
-/// DUT, derives the same seeded fault plans, and re-runs the
-/// batch-vs-scalar comparison that failed — everything an engine
-/// maintainer needs to chase the divergence.
+/// `fault_batch_chunk` job: `examples/fault_batch_repro.rs` — a program
+/// cargo compiles with every test run — with its job block (failing rung,
+/// error, and the constants that pin the DUT and the seeded plans)
+/// filled in from the failing attempt.
 fn batch_chunk_repro(
     nrouters: usize,
     injection: u32,
@@ -768,57 +768,25 @@ fn batch_chunk_repro(
     ctx: &JobCtx,
     error: &str,
 ) -> String {
+    const TEMPLATE: &str = include_str!("../examples/fault_batch_repro.rs");
+    const OPEN: &str = "// >>> job\n";
+    const CLOSE: &str = "// <<< job\n";
+    let (head, rest) = TEMPLATE.split_once(OPEN).expect("the template opens its job block");
+    let (_, tail) = rest.split_once(CLOSE).expect("the template closes its job block");
     let FaultChunk { chunk, trials, cycles, faults, .. } = *c;
-    let mut src = String::new();
-    src.push_str("//! Auto-written quarantine reproducer (fault_batch_chunk ladder descent).\n");
-    src.push_str(&format!(
-        "//! failing engine rung {}: {}\n",
-        ctx.rung(),
-        ctx.engine().unwrap_or("specialized-batch")
-    ));
+    let engine = ctx.engine().unwrap_or("specialized-batch");
+    let mut job = format!("//! failing engine rung {}: {engine}\n", ctx.rung());
     for line in error.lines().take(4) {
-        src.push_str(&format!("//! error: {line}\n"));
+        job.push_str(&format!("//! error: {line}\n"));
     }
-    src.push_str("//! Build inside the rustmtl workspace (std-only, no extra deps).\n\n");
-    src.push_str("use mtl_fault::{run_diff_batch, run_diff, DiffConfig, FaultPlan, PlanSpec};\n");
-    src.push_str("use mtl_net::MeshTrafficRtlHarness;\n");
-    src.push_str("use mtl_sim::{Engine, Sim, SimConfig};\n\n");
-    src.push_str("fn mix(a: u64, b: u64) -> u64 {\n");
-    src.push_str("    let mut z = a ^ b.wrapping_mul(0x9E37_79B9_7F4A_7C15);\n");
-    src.push_str("    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);\n");
-    src.push_str("    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);\n");
-    src.push_str("    z ^ (z >> 31)\n}\n\n");
-    src.push_str("fn main() {\n");
-    src.push_str(&format!(
-        "    let (seed, chunk, trials, sample) = ({:#018x}u64, {chunk}u64, {trials}u64, {sample}u64);\n",
+    job.push_str(&format!(
+        "const SEED: u64 = {:#018x};\nconst CHUNK: u64 = {chunk};\n\
+         const TRIALS: u64 = {trials};\nconst SAMPLE: usize = {sample};\n\
+         const ROUTERS: usize = {nrouters};\nconst INJECTION: u32 = {injection};\n\
+         const FAULTS: usize = {faults};\nconst CYCLES: u64 = {cycles};\n",
         ctx.seed
     ));
-    src.push_str(&format!(
-        "    let top = MeshTrafficRtlHarness::new({nrouters}, {injection}, 0xBEEF);\n"
-    ));
-    src.push_str(
-        "    let probe = Sim::build(&top, Engine::Interpreted, &SimConfig::default()).unwrap();\n",
-    );
-    src.push_str(&format!(
-        "    let window = PlanSpec::new({faults}, 2, 1 + {cycles}u64.max(1));\n"
-    ));
-    src.push_str("    let plans: Vec<FaultPlan> = (0..trials)\n");
-    src.push_str("        .map(|t| FaultPlan::random(mix(seed, (chunk << 32) | t), probe.design(), &window))\n");
-    src.push_str("        .collect();\n");
-    src.push_str("    drop(probe);\n");
-    src.push_str(&format!(
-        "    let reports = run_diff_batch(&top, &plans, {cycles}).expect(\"batch run\");\n"
-    ));
-    src.push_str(&format!("    let cfg = DiffConfig::new(Engine::SpecializedOpt, {cycles});\n"));
-    src.push_str("    for (i, plan) in plans.iter().enumerate().take(sample as usize) {\n");
-    src.push_str("        let scalar = run_diff(&top, plan, &cfg).expect(\"scalar run\");\n");
-    src.push_str("        let mut lane = reports[i].clone();\n");
-    src.push_str("        lane.trace_fingerprint = scalar.trace_fingerprint;\n");
-    src.push_str("        assert_eq!(lane, scalar, \"batch lane {i} diverges from scalar\");\n");
-    src.push_str("    }\n");
-    src.push_str("    println!(\"no divergence reproduced over {} plans\", sample);\n");
-    src.push_str("}\n");
-    src
+    format!("{head}{OPEN}{job}{CLOSE}{tail}")
 }
 
 /// Multi-tile SoC run. Both personalities are self-checking: a workload

@@ -1003,7 +1003,8 @@ mod tests {
     use super::*;
     use crate::compile::passes::eval_pure;
     use crate::compile::{fuse_run, Layout};
-    use crate::tape::{exec_tape, Kind, VReg};
+    use crate::state::PackedState;
+    use crate::tape::{rnd128, Kind, VReg};
     use mtl_core::{elaborate, Component, Ctx};
 
     /// A design that is nothing but the memory the sample ops address.
@@ -1044,16 +1045,7 @@ mod tests {
     #[test]
     fn every_kind_agrees_across_scalar_fold_and_planes_under_divergent_lanes() {
         let mut seed = 7u64;
-        let mut rnd = move || {
-            // splitmix64, twice, for 128 random bits.
-            let mut half = || {
-                seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-                let z = (seed ^ (seed >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-                (z ^ (z >> 31)) as u128
-            };
-            half() << 64 | half()
-        };
+        let mut rnd = move || rnd128(&mut seed);
         for w in [1, 7, 63, 64, 65, 128] {
             let design = Arc::new(elaborate(&OneMem(w)).expect("memory-only design"));
             for &kind in Kind::ALL {
@@ -1076,13 +1068,7 @@ mod tests {
                 let guard = vec![Op::Read { dst: 7, slot: 8 }, Op::Jz { cond: 7, target: 10 }];
                 let raw = Arc::new(vec![plain, tape(guard, &op)]);
 
-                let layout = || Layout {
-                    widths: widths.clone(),
-                    mem_widths: vec![w],
-                    comb_order: Vec::new(),
-                    seq_order: Vec::new(),
-                    reg_slots: Vec::new(),
-                };
+                let layout = || Layout::plain(&widths, &[w], &[]);
                 let raw_blocks = BlockTapes { layout: layout(), tapes: raw.clone(), report: None };
                 // `fuse_run` is the crate's way to classify and `validate`.
                 let tapes: Vec<Tape> =
@@ -1131,17 +1117,15 @@ mod tests {
                         .collect();
 
                     let scalar = |tape: &Tape, (cur, next, mem, _): &LaneState| {
-                        let (mut cur, mut next) = (cur.clone(), next.clone());
+                        let mut state = PackedState::from_widths(&widths, &[(w, 4)], &[]);
+                        state.fill(cur, next);
+                        let mut st = state.exclusive();
+                        for (addr, &v) in mem.iter().enumerate() {
+                            st.poke_mem(0, addr as u64, Bits::new(w, v));
+                        }
                         let mut pending = Vec::new();
-                        exec_tape::<false>(
-                            tape,
-                            &mut [0; 8],
-                            &mut cur,
-                            &mut next,
-                            std::slice::from_ref(mem),
-                            &mut pending,
-                            &mut Vec::new(),
-                        );
+                        st.exec::<false>(tape, 0, &mut [0; 8], &mut pending, &mut Vec::new());
+                        let (cur, next, _) = state.dump();
                         (cur, next, mem.clone(), pending)
                     };
                     for b in 0..2 {

@@ -77,6 +77,20 @@ pub(crate) struct Layout {
     pub(crate) reg_slots: Vec<u32>,
 }
 
+#[cfg(test)]
+impl Layout {
+    /// A layout on plain data, with empty schedules.
+    pub(crate) fn plain(widths: &[u32], mem_widths: &[u32], reg_slots: &[u32]) -> Layout {
+        Layout {
+            widths: widths.to_vec(),
+            mem_widths: mem_widths.to_vec(),
+            comb_order: Vec::new(),
+            seq_order: Vec::new(),
+            reg_slots: reg_slots.to_vec(),
+        }
+    }
+}
+
 /// One item of a levelized schedule cut at native boundaries: a run of
 /// consecutive IR blocks, or a native block that stays a serial point.
 pub(crate) enum Run {

@@ -393,7 +393,7 @@ fn sweep(ops: &mut Vec<Op<VReg>>, dead: &[bool]) {
 }
 
 /// Evaluates a pure op whose operands are all known constants, mirroring
-/// the executor's arithmetic exactly (see `exec_tape_ptr`). Returns `None`
+/// the executor's arithmetic exactly (see `exec_tape_ptr_from`). Returns `None`
 /// for state-touching ops or unknown operands.
 pub(crate) fn eval_pure(op: &Op<VReg>, get: &impl Fn(VReg) -> Option<u128>) -> Option<u128> {
     Some(match *op {
@@ -1506,7 +1506,7 @@ fn mux_fuse(vt: &mut VTape) -> u64 {
 /// records the prefix length in [`VTape::prelude`]. The hoisted consts
 /// are cycle-invariant, so an engine with a persistent per-tape register
 /// buffer installs them once and executes only the body per cycle
-/// (`exec_prelude` / `exec_tape_body`), while engines that share one
+/// (`exec_prelude`, then executing from `tape.prelude`), while engines that share one
 /// scratch buffer across tapes keep executing from op 0 unchanged.
 ///
 /// Runs once after the fixpoint loop: DCE has already removed unused
@@ -1693,7 +1693,7 @@ fn realloc(vt: &mut VTape) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tape::exec_tape;
+    use crate::state::PackedState;
 
     fn opt(mut vt: VTape, widths: &[u32]) -> (VTape, OptReport) {
         let mut rep = OptReport::new();
@@ -1711,12 +1711,10 @@ mod tests {
         for &(s, v) in init {
             cur[s] = v;
         }
-        let mut next = vec![0u128; nslots];
-        let mems: Vec<Vec<u128>> = Vec::new();
-        let mut pending = Vec::new();
-        let mut changed = Vec::new();
-        exec_tape::<false>(&t, &mut regs, &mut cur, &mut next, &mems, &mut pending, &mut changed);
-        cur
+        let mut state = PackedState::from_widths(&vec![128; nslots], &[], &[]);
+        state.fill(&cur, &vec![0; nslots]);
+        state.exclusive().exec::<false>(&t, 0, &mut regs, &mut Vec::new(), &mut Vec::new());
+        state.dump().0
     }
 
     fn vt(ops: Vec<Op<VReg>>, nregs: u32) -> VTape {
@@ -1889,21 +1887,12 @@ mod tests {
         crate::compile::codegen::validate(&t, 3, 0);
         for taken in [false, true] {
             let mut regs = vec![0u128; t.nregs as usize];
-            let mut cur = vec![u128::from(taken), 0, 0];
+            let mut state = PackedState::from_widths(&[1, 8, 8], &[], &[]);
             // Pre-set next[2] to a value cur cannot explain: the untaken
             // path must keep it.
-            let mut next = vec![0u128, 0, 7];
-            let mems: Vec<Vec<u128>> = Vec::new();
-            let (mut pending, mut changed) = (Vec::new(), Vec::new());
-            exec_tape::<false>(
-                &t,
-                &mut regs,
-                &mut cur,
-                &mut next,
-                &mems,
-                &mut pending,
-                &mut changed,
-            );
+            state.fill(&[u128::from(taken), 0, 0], &[0, 0, 7]);
+            state.exclusive().exec::<false>(&t, 0, &mut regs, &mut Vec::new(), &mut Vec::new());
+            let (cur, next, _) = state.dump();
             if taken {
                 assert_eq!((cur[1], next[2]), (5, 9));
             } else {
@@ -1983,8 +1972,8 @@ mod tests {
     }
 
     /// Constants hoist into a prelude whose registers survive body
-    /// execution, so `exec_prelude` + N x `exec_tape_body` over one
-    /// persistent buffer matches N full executions.
+    /// execution, so `exec_prelude` + N x the body (`exec` from
+    /// `tape.prelude`) over one persistent buffer matches N full executions.
     #[test]
     fn const_hoist_prelude_is_cycle_invariant() {
         let m = mask_of(8);
@@ -2002,21 +1991,12 @@ mod tests {
         assert!(t.narrow.is_some(), "8-bit tape runs the u64 class, prelude included");
         let mut regs = vec![0u128; t.nregs as usize];
         crate::tape::exec_prelude(&t, &mut regs);
-        let mems: Vec<Vec<u128>> = Vec::new();
-        let (mut pending, mut changed) = (Vec::new(), Vec::new());
-        let mut next = vec![0u128; 2];
+        let mut state = PackedState::from_widths(&[8, 8], &[], &[]);
         for x in [0u128, 5, 200] {
-            let mut cur = vec![x, 0];
-            crate::tape::exec_tape_body::<false>(
-                &t,
-                &mut regs,
-                &mut cur,
-                &mut next,
-                &mems,
-                &mut pending,
-                &mut changed,
-            );
-            assert_eq!(cur[1], (x + 7) & m, "body run with x={x}");
+            state.fill(&[x, 0], &[0, 0]);
+            let start = t.prelude as usize;
+            state.exclusive().exec::<false>(&t, start, &mut regs, &mut Vec::new(), &mut Vec::new());
+            assert_eq!(state.dump().0[1], (x + 7) & m, "body run with x={x}");
         }
     }
 }

@@ -30,6 +30,10 @@
 //! physical timing/queue statistics; see the [`profile`]
 //! module docs for the metric split.
 
+// Every such block states why it is sound; clippy is run with
+// `-D warnings` (`scripts/ci/00_static.sh`), so this is a gate.
+#![warn(clippy::undocumented_unsafe_blocks)]
+
 mod artifact;
 mod batch;
 mod compile;
@@ -38,6 +42,7 @@ mod overheads;
 mod par;
 pub mod profile;
 mod sim;
+mod state;
 mod tape;
 mod tape_engine;
 mod vcd;

@@ -41,11 +41,14 @@
 //! disjoint from every other shard's read and write sets in the same step
 //! (checked at construction), so results are deterministic and cycle-exact
 //! with [`Engine::SpecializedOpt`] regardless of thread count or timing.
+//! That check and the barrier are this module's half of the sharing
+//! protocol of [`crate::state`], which owns the state and every operation
+//! on it; what is left here is the partition, the step dispatch and the
+//! dirty marks.
 //!
 //! [`Engine::SpecializedPar`]: crate::Engine::SpecializedPar
 //! [`Engine::SpecializedOpt`]: crate::Engine::SpecializedOpt
 
-use std::cell::UnsafeCell;
 use std::collections::HashSet;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -62,26 +65,44 @@ use crate::compile::{fuse_run, ir_runs, Run};
 use crate::overheads::Overheads;
 use crate::profile::{EngineStats, PlanStep};
 use crate::sim::EngineImpl;
-use crate::tape::{exec_tape_ptr, mask_of, Effect, Tape, TapeMems};
-use crate::tape_engine::PackedView;
+use crate::state::{Access, PackedState};
+use crate::tape::{Effect, Tape};
 
-/// Default worker-thread count: `MTL_SIM_THREADS` if set (clamped to at
-/// least 1), else available parallelism capped at 8.
+/// The most workers one simulator runs, whatever `MTL_SIM_THREADS` or
+/// [`SimConfig::threads`](crate::SimConfig::threads) ask for. A step has
+/// one OS thread per shard, so an unbounded request would spawn a thread
+/// per unit of the widest step; 64 is several times any host this
+/// partitioner has been measured on. A constant, not a knob.
+const MAX_THREADS: usize = 64;
+
+/// Default worker-thread count: `MTL_SIM_THREADS` if set, else available
+/// parallelism capped at 8; at least 1 and at most 64.
 pub fn default_threads() -> usize {
-    if let Ok(s) = std::env::var("MTL_SIM_THREADS") {
-        match s.trim().parse::<usize>() {
-            Ok(n) => return n.max(1),
-            Err(_) => {
-                // A typo never silently changes semantics: say what was
-                // ignored rather than quietly falling back.
-                eprintln!(
-                    "mtl-sim: unrecognized MTL_SIM_THREADS={s} \
-                     (expected a positive integer); using default"
-                );
+    resolve_threads(None)
+}
+
+/// The one place a worker count is decided: the explicit request
+/// ([`SimConfig::threads`](crate::SimConfig::threads)) if there is one,
+/// else the environment, else the host — always within
+/// `1..=`[`MAX_THREADS`].
+pub(crate) fn resolve_threads(requested: Option<usize>) -> usize {
+    let from_env = || {
+        if let Ok(s) = std::env::var("MTL_SIM_THREADS") {
+            match s.trim().parse::<usize>() {
+                Ok(n) => return n,
+                Err(_) => {
+                    // A typo never silently changes semantics: say what was
+                    // ignored rather than quietly falling back.
+                    eprintln!(
+                        "mtl-sim: unrecognized MTL_SIM_THREADS={s} \
+                         (expected a positive integer); using default"
+                    );
+                }
             }
         }
-    }
-    available_cores().min(8)
+        available_cores().min(8)
+    };
+    requested.unwrap_or_else(from_env).clamp(1, MAX_THREADS)
 }
 
 fn available_cores() -> usize {
@@ -116,13 +137,16 @@ const LINE: u32 = 64;
 /// The one sharding rule: cuts a sequence of costs (items in slot order)
 /// into at most `k` contiguous pieces of near-equal cost — an item belongs
 /// to the `k`-th of the total its midpoint falls in. Pieces are never
-/// empty, so fewer than `k` come back when there are fewer items.
+/// empty, so fewer than `k` come back when there are fewer items. Any
+/// `k >= 1` is fine: the product is taken in `u128` and saturates, which
+/// keeps the piece index non-decreasing (exact while `total < 2^63`).
 fn cut(costs: &[u64], k: usize) -> Vec<Range<usize>> {
     let total = costs.iter().sum::<u64>().max(1);
     let mut pieces: Vec<Range<usize>> = Vec::new();
-    let (mut before, mut last) = (0u64, usize::MAX);
+    let (mut before, mut last) = (0u64, u128::MAX);
     for (i, &c) in costs.iter().enumerate() {
-        let piece = (((2 * before + c) * k as u64 / (2 * total)) as usize).min(k - 1);
+        let midpoint = 2 * before as u128 + c as u128;
+        let piece = (midpoint.saturating_mul(k as u128) / (2 * total as u128)).min(k as u128 - 1);
         match pieces.last_mut() {
             Some(open) if piece == last => open.end = i + 1,
             _ => pieces.push(i..i + 1),
@@ -281,36 +305,6 @@ fn plan_run(io: &[BlockIo], k: usize) -> Vec<Stage> {
 // Shared state and the step protocol
 // ---------------------------------------------------------------------------
 
-/// One packed net slot shared across worker threads.
-///
-/// Protocol: during a parallel step each slot is written by at most one
-/// thread (shard write sets are disjoint — validated at construction) and
-/// never read by a thread other than its writer in the same step; between
-/// steps only the control thread touches state while workers are parked at
-/// the barrier.
-#[repr(transparent)]
-struct Slot(UnsafeCell<u128>);
-
-// SAFETY: every access follows the protocol above, which rests on
-// `step_shards_independent` (checked for every step at construction) and on
-// the barrier that separates steps.
-unsafe impl Sync for Slot {}
-
-fn new_slots(n: usize) -> Vec<Slot> {
-    (0..n).map(|_| Slot(UnsafeCell::new(0))).collect()
-}
-
-impl TapeMems for [Vec<Slot>] {
-    // SAFETY: (the caller's contract) `mem`/`addr` are in range, which
-    // `validate` established for every tape this engine runs; memory stores
-    // are deferred to the commit step, so an in-step read races with nothing.
-    #[inline(always)]
-    unsafe fn read(&self, mem: usize, addr: usize) -> u128 {
-        // SAFETY: the contract above.
-        unsafe { *self.get_unchecked(mem).get_unchecked(addr).0.get() }
-    }
-}
-
 /// A schedulable unit: one combinational connected component of a stage,
 /// or one worker's shard of a sequential run. Blocks are kept in levelized
 /// / declaration order; `tape` is their fusion.
@@ -442,18 +436,16 @@ impl Barrier {
 
 /// State and schedule shared between the control thread and workers.
 struct Shared {
-    cur: Vec<Slot>,
-    next: Vec<Slot>,
-    mems: Vec<Vec<Slot>>,
+    /// Shared under the protocol of [`crate::state`]: [`run_step`] takes a
+    /// worker's handle for one step, [`Shared::parked`] the control
+    /// thread's between steps.
+    state: PackedState,
     /// Per-block tapes (empty for native blocks), shared with every other
     /// engine built from the same artifact; the profiled path runs these
     /// so wall time stays attributable per block.
     block_tapes: Arc<Vec<Tape>>,
     units: Vec<Unit>,
     steps: Vec<Step>,
-    /// Register slots in ascending order; the commit step's ranges index
-    /// this.
-    reg_slots: Vec<u32>,
     /// Dirty flags of the comb units reading each net slot (minus the unit
     /// that writes it).
     slot_readers: Vec<Vec<u32>>,
@@ -471,11 +463,6 @@ struct Shared {
     /// worker in the commit step. A memory has one writer block, hence one
     /// queue, so per-memory write order is preserved.
     pending: Vec<Mutex<Vec<(u32, u64, u128)>>>,
-    /// Count register bit toggles at the commit.
-    track_activity: AtomicBool,
-    /// Bit-toggle count per net slot; a slot's counter is written only by
-    /// the worker that commits it.
-    activity: Vec<AtomicU64>,
     profiling: AtomicBool,
     /// Per-block wall nanos accumulated by workers while profiling.
     block_nanos: Vec<AtomicU64>,
@@ -487,14 +474,12 @@ struct Shared {
 }
 
 impl Shared {
-    fn cur_ptr(&self) -> *mut u128 {
-        // `Slot` is `repr(transparent)` over `UnsafeCell<u128>`, whose
-        // layout is that of `u128`, so the element stride matches.
-        UnsafeCell::raw_get(self.cur.as_ptr() as *const UnsafeCell<u128>)
-    }
-
-    fn next_ptr(&self) -> *mut u128 {
-        UnsafeCell::raw_get(self.next.as_ptr() as *const UnsafeCell<u128>)
+    /// The control thread's handle on the state between steps.
+    fn parked(&self) -> Access<'_> {
+        // SAFETY: only `ParTapeEngine`'s methods call this, on the control
+        // thread and outside `run_parallel_step`: every worker is parked at
+        // the barrier, so this is the only live handle.
+        unsafe { self.state.shared() }
     }
 
     fn mark(&self, flags: &[u32]) {
@@ -515,89 +500,30 @@ impl Shared {
     }
 }
 
-/// Executes one unit tape against the shared state.
-///
-/// # Safety
-///
-/// The disjointness contract of [`exec_tape_ptr`] must hold.
-// SAFETY: (the caller's contract) the calling thread's step assignment is
-// the only one touching the slots this tape writes — what
-// `step_shards_independent` checked for the step — or every other thread is
-// parked at the barrier.
-unsafe fn exec_unit_tape(
-    tape: &Tape,
-    regs: &mut Vec<u128>,
-    shared: &Shared,
-    pending: &mut Vec<(u32, u64, u128)>,
-    changed: &mut Vec<u32>,
-) {
-    if regs.len() < tape.nregs as usize {
-        regs.resize(tape.nregs as usize, 0);
-    }
-    // SAFETY: slot and memory indices were range-checked by `validate`;
-    // exclusivity is the caller's contract.
-    unsafe {
-        exec_tape_ptr::<false, _>(
-            tape,
-            regs,
-            shared.cur_ptr(),
-            shared.next_ptr(),
-            shared.mems.as_slice(),
-            pending,
-            changed,
-        )
-    }
-}
-
-/// The register and memory commit of one range of `reg_slots`: copies
-/// `next → cur`, marks the readers of what changed, counts activity
-/// toggles, then drains `pending` into memory. The commit step runs it
-/// once per worker on that worker's range and queue; with one worker the
-/// range is all of `reg_slots`.
-fn commit_shard(shared: &Shared, regs: Range<u32>, pending: &mut Vec<(u32, u64, u128)>) {
-    let track = shared.track_activity.load(Ordering::Relaxed);
-    for &slot in &shared.reg_slots[regs.start as usize..regs.end as usize] {
-        let s = slot as usize;
-        let (cur, next) = (shared.cur[s].0.get(), shared.next[s].0.get());
-        // SAFETY: the commit ranges partition `reg_slots` (checked by
-        // `step_shards_independent`), so this thread is the only one
-        // touching register `s` in this step.
-        let (c, n) = unsafe { (*cur, *next) };
-        if track {
-            let toggles = &shared.activity[s];
-            toggles.store(
-                toggles.load(Ordering::Relaxed) + (c ^ n).count_ones() as u64,
-                Ordering::Relaxed,
-            );
-        }
-        if c != n {
-            // SAFETY: as above.
-            unsafe { *cur = n };
-            shared.mark(&shared.slot_readers[s]);
-        }
-    }
-    let mut last = NONE;
-    for (mem, addr, v) in pending.drain(..) {
-        // SAFETY: a memory is written from one worker's units only (the
-        // owner table of `step_shards_independent`), so every store to it
-        // is in this queue, and nothing reads memories during the commit.
-        unsafe { *shared.mems[mem as usize][addr as usize].0.get() = v };
-        if mem != last {
-            shared.mark(&shared.mem_readers[mem as usize]);
-            last = mem;
-        }
-    }
-}
-
 /// Runs worker `w`'s shard of a step. Called by workers and (for shard 0)
 /// by the control thread.
-fn run_step(shared: &Shared, step: &Step, w: usize, regs: &mut Vec<u128>, changed: &mut Vec<u32>) {
+fn run_step(shared: &Shared, step: &Step, w: usize, regs: &mut [u128], changed: &mut Vec<u32>) {
     let profiling = shared.profiling.load(Ordering::Relaxed);
     let t0 = profiling.then(Instant::now);
     let mut pending = shared.pending[w].lock().expect("no step panics holding its queue");
+    // SAFETY: this handle lives for worker `w`'s shard of one step, and
+    // `step_shards_independent` checked every step at construction: comb
+    // and seq shards write disjoint slots that no other shard reads, the
+    // commit's ranges tile `reg_slots`, and a memory's stores are all in
+    // its one owner's queue. A step that failed the check was serialized
+    // onto worker 0. The barrier keeps steps apart.
+    let mut state = unsafe { shared.state.shared() };
     match step.kind {
-        StepKind::Commit => commit_shard(shared, step.assign[w].clone(), &mut pending),
-        _ => run_units(shared, step, w, profiling, regs, &mut pending, changed),
+        // The register and memory commit of this worker's range of
+        // registers and its own queue; with one worker, all of them.
+        StepKind::Commit => {
+            let regs = &step.assign[w];
+            state.commit(regs.start as usize..regs.end as usize, |slot| {
+                shared.mark(&shared.slot_readers[slot as usize])
+            });
+            state.drain(&mut pending, |mem| shared.mark(&shared.mem_readers[mem]));
+        }
+        _ => run_units(shared, &mut state, step, w, regs, &mut pending, changed),
     }
     drop(pending);
     if let Some(t0) = t0 {
@@ -610,13 +536,14 @@ fn run_step(shared: &Shared, step: &Step, w: usize, regs: &mut Vec<u128>, change
 /// tape — or, while profiling, the unit's block tapes one timed call each.
 fn run_units(
     shared: &Shared,
+    state: &mut Access<'_>,
     step: &Step,
     w: usize,
-    profiling: bool,
-    regs: &mut Vec<u128>,
+    regs: &mut [u128],
     pending: &mut Vec<(u32, u64, u128)>,
     changed: &mut Vec<u32>,
 ) {
+    let profiling = shared.profiling.load(Ordering::Relaxed);
     for (i, u) in step.assign[w].clone().enumerate() {
         let unit = &shared.units[u as usize];
         if step.kind == StepKind::Comb {
@@ -630,15 +557,12 @@ fn run_units(
             for &b in &unit.blocks {
                 let bt = Instant::now();
                 let tape = &shared.block_tapes[b as usize];
-                // SAFETY: shard write sets are pairwise disjoint and not
-                // read cross-shard within a step (`step_shards_independent`).
-                unsafe { exec_unit_tape(tape, regs, shared, pending, changed) };
+                state.exec::<false>(tape, 0, regs, pending, changed);
                 shared.block_nanos[b as usize]
                     .fetch_add(bt.elapsed().as_nanos() as u64, Ordering::Relaxed);
             }
         } else {
-            // SAFETY: as above (`step_shards_independent`).
-            unsafe { exec_unit_tape(&unit.tape, regs, shared, pending, changed) };
+            state.exec::<false>(&unit.tape, 0, regs, pending, changed);
         }
     }
 }
@@ -740,8 +664,6 @@ pub(crate) struct ParTapeEngine {
     shared: Arc<Shared>,
     handles: Vec<JoinHandle<()>>,
     nworkers: usize,
-    widths: Vec<u32>,
-    mem_widths: Vec<u32>,
     natives: Vec<Option<NativeFn>>,
     comb_program: Vec<Item>,
     seq_program: Vec<Item>,
@@ -763,8 +685,6 @@ pub(crate) struct ParTapeEngine {
     cycles: u64,
     regs: Vec<u128>,
     changed: Vec<u32>,
-    /// Mirror of `shared.activity`, refreshed after each commit.
-    activity: Vec<u64>,
     prof: Option<EngineStats>,
     /// Per-pass optimizer statistics (compile-time only; `None` when the
     /// optimizer is off).
@@ -790,11 +710,7 @@ impl ParTapeEngine {
 
         // Phase: wrap (packed state).
         let t0 = Instant::now();
-        let widths = layout.widths.clone();
-        let cur = new_slots(widths.len());
-        let next = new_slots(widths.len());
-        let mems: Vec<Vec<Slot>> =
-            design.mems().iter().map(|m| new_slots(m.words as usize)).collect();
+        let state = PackedState::new(layout, design.mems().iter().map(|m| m.words));
         o.wrap += t0.elapsed();
 
         // Phase: simc (partitioning + schedule + worker pool).
@@ -828,7 +744,7 @@ impl ParTapeEngine {
                         cost: block_tapes[b as usize].ops.len() as u64,
                     }
                 });
-                for stage in plan_run(&io.collect::<Vec<_>>(), threads.max(1)) {
+                for stage in plan_run(&io.collect::<Vec<_>>(), threads) {
                     // Seq units carry no dirty flag: one per worker.
                     let stage = if kind == StepKind::Comb { stage } else { stage.fuse_shards() };
                     let base = units.len() as u32;
@@ -854,9 +770,8 @@ impl ParTapeEngine {
         // The useful worker count is bounded by the widest step; the
         // commit is cut for the workers that exist.
         let nworkers = steps.iter().map(|s| s.assign.len()).max().unwrap_or(1);
-        let reg_slots = layout.reg_slots.clone();
         let commit_step = steps.len() as u32;
-        let commit = cut(&vec![1; reg_slots.len()], nworkers);
+        let commit = cut(&vec![1; state.nregs()], nworkers);
         steps.push(Step {
             kind: StepKind::Commit,
             assign: commit.iter().map(|r| r.start as u32..r.end as u32).collect(),
@@ -867,7 +782,7 @@ impl ParTapeEngine {
             step.assign.resize(nworkers, end..end);
         }
         let mut mem_owner = vec![None; design.mems().len()];
-        let nregs = reg_slots.len() as u32;
+        let nregs = state.nregs() as u32;
         if !steps.iter().all(|s| step_shards_independent(&units, s, &mut mem_owner, nregs)) {
             // Should be unreachable (invariants above); degrade to serial
             // execution rather than risk a data race.
@@ -903,7 +818,7 @@ impl ParTapeEngine {
         }
 
         // Dirty-marking maps over comb units (as unit ids first).
-        let nslots = widths.len();
+        let nslots = state.nslots();
         let comb_units = || (0..units.len()).filter(|&u| flag_of[u] != NONE);
         let mut slot_readers: Vec<Vec<u32>> = vec![Vec::new(); nslots];
         let mut slot_driver: Vec<Option<u32>> = vec![None; nslots];
@@ -969,21 +884,16 @@ impl ParTapeEngine {
             .max()
             .unwrap_or(0);
         let shared = Arc::new(Shared {
-            cur,
-            next,
-            mems,
+            state,
             block_tapes,
             units,
             steps,
-            reg_slots,
             slot_readers,
             mem_readers,
             dirty: (0..nflags).map(|_| AtomicBool::new(true)).collect(),
             cmd: AtomicUsize::new(EXIT),
             barrier: Barrier::new(nworkers),
             pending: (0..nworkers).map(|_| Mutex::new(Vec::new())).collect(),
-            track_activity: AtomicBool::new(false),
-            activity: (0..nslots).map(|_| AtomicU64::new(0)).collect(),
             profiling: AtomicBool::new(false),
             block_nanos: (0..nblocks).map(|_| AtomicU64::new(0)).collect(),
             worker_nanos: (0..nworkers).map(|_| AtomicU64::new(0)).collect(),
@@ -1007,8 +917,6 @@ impl ParTapeEngine {
             shared,
             handles,
             nworkers,
-            widths,
-            mem_widths: layout.mem_widths.clone(),
             natives,
             comb_program,
             seq_program,
@@ -1021,7 +929,6 @@ impl ParTapeEngine {
             cycles: 0,
             regs: vec![0u128; regs_len],
             changed: Vec::new(),
-            activity: Vec::new(),
             prof: None,
             opt_report: report,
         }
@@ -1070,39 +977,15 @@ impl ParTapeEngine {
 
     fn run_native(&mut self, b: u32) {
         let t0 = self.prof.is_some().then(Instant::now);
-        let design = Arc::clone(&self.design);
-        let mut f = self.natives[b as usize].take().expect("native fn in use");
-        self.changed.clear();
-        {
-            let sh = &self.shared;
-            // SAFETY: natives run on the control thread with all workers
-            // parked at the barrier, so these are the only live views of
-            // the state.
-            let (cur, next) = unsafe {
-                (
-                    std::slice::from_raw_parts_mut(sh.cur_ptr(), sh.cur.len()),
-                    std::slice::from_raw_parts_mut(sh.next_ptr(), sh.next.len()),
-                )
-            };
-            let mut view = PackedView {
-                design: &design,
-                cur,
-                next,
-                widths: &self.widths,
-                changed: &mut self.changed,
-                cycles: self.cycles,
-            };
-            f(&mut view);
-        }
-        self.natives[b as usize] = Some(f);
+        let f = self.natives[b as usize].as_mut().expect("native block has its closure");
+        self.shared.parked().call_native(&self.design, f, &mut self.changed, self.cycles);
         // Wake combinational readers of whatever the native wrote (this
         // covers sequential natives misusing combinational-style writes;
         // the static engine's unconditional trailing pass absorbs those,
         // the partitioned engine re-runs just the readers).
-        for &slot in &self.changed {
+        for slot in self.changed.drain(..) {
             self.shared.mark(&self.shared.slot_readers[slot as usize]);
         }
-        self.changed.clear();
         if let Some(t0) = t0 {
             let dt = t0.elapsed().as_nanos() as u64;
             self.shared.pass_blocks.fetch_add(1, Ordering::Relaxed);
@@ -1164,15 +1047,8 @@ impl ParTapeEngine {
         self.seq_program = program;
     }
 
-    /// The commit step, then the activity mirror.
     fn commit(&mut self) {
         self.run_parallel_step(self.commit_step);
-        if self.shared.track_activity.load(Ordering::Relaxed) {
-            for &slot in &self.shared.reg_slots {
-                let s = slot as usize;
-                self.activity[s] = self.shared.activity[s].load(Ordering::Relaxed);
-            }
-        }
         if self.prof.is_some() {
             self.fold_profile();
         }
@@ -1185,30 +1061,18 @@ impl EngineImpl for ParTapeEngine {
     }
 
     fn poke(&mut self, slot: u32, v: Bits) {
-        let s = slot as usize;
-        let val = v.as_u128();
         let sh = &self.shared;
-        // SAFETY: workers are parked at the barrier between steps.
-        let changed = unsafe {
-            let changed = *sh.cur[s].0.get() != val;
-            *sh.cur[s].0.get() = val;
-            *sh.next[s].0.get() = val;
-            changed
-        };
-        if changed {
+        if sh.parked().poke(slot, v) {
             self.dirty_global = true;
-            sh.mark(&sh.slot_readers[s]);
+            sh.mark(&sh.slot_readers[slot as usize]);
             // Re-run the driving unit too, so a poked driven net is
             // recomputed from its inputs exactly as a full pass would.
-            sh.mark(self.slot_driver[s].as_slice());
+            sh.mark(self.slot_driver[slot as usize].as_slice());
         }
     }
 
     fn peek(&self, slot: u32) -> Bits {
-        // SAFETY: workers are parked at the barrier between steps, where
-        // peeks happen.
-        let v = unsafe { *self.shared.cur[slot as usize].0.get() };
-        Bits::new(self.widths[slot as usize], v)
+        self.shared.state.peek(slot)
     }
 
     fn eval(&mut self) {
@@ -1231,37 +1095,20 @@ impl EngineImpl for ParTapeEngine {
 
     fn exec_block(&mut self, b: u32) {
         if matches!(self.design.blocks()[b as usize].body, BlockBody::Ir(_)) {
-            let sh = Arc::clone(&self.shared);
+            let sh = &self.shared;
             // Deferred memory writes go to the queue of the block's
             // worker, so one memory's writes stay in one queue.
             let queue = &sh.pending[self.block_worker[b as usize] as usize];
             let mut pending = queue.lock().expect("no step panics holding its queue");
-            // SAFETY: workers are parked at the barrier; the control
-            // thread has exclusive access to the shared state.
-            unsafe {
-                exec_unit_tape(
-                    &sh.block_tapes[b as usize],
-                    &mut self.regs,
-                    &sh,
-                    &mut pending,
-                    &mut self.changed,
-                )
-            };
+            let tape = &sh.block_tapes[b as usize];
+            sh.parked().exec::<false>(tape, 0, &mut self.regs, &mut pending, &mut self.changed);
         } else {
             self.run_native(b);
         }
     }
 
     fn force(&mut self, _lane: u32, slot: u32, v: Bits, also_next: bool) {
-        let s = slot as usize;
-        let sh = &self.shared;
-        // SAFETY: workers are parked at the barrier between steps.
-        unsafe {
-            *sh.cur[s].0.get() = v.as_u128();
-            if also_next {
-                *sh.next[s].0.get() = v.as_u128();
-            }
-        }
+        self.shared.parked().force(slot, v, also_next);
     }
 
     fn settle_full(&mut self) {
@@ -1278,16 +1125,12 @@ impl EngineImpl for ParTapeEngine {
     }
 
     fn peek_mem(&self, mem: usize, addr: u64) -> Bits {
-        // SAFETY: workers are parked at the barrier between steps.
-        let v = unsafe { *self.shared.mems[mem][addr as usize].0.get() };
-        Bits::new(self.mem_widths[mem], v)
+        self.shared.state.peek_mem(mem, addr)
     }
 
     fn poke_mem(&mut self, mem: usize, addr: u64, v: Bits) {
         let sh = &self.shared;
-        let val = v.as_u128() & mask_of(self.mem_widths[mem]);
-        // SAFETY: workers are parked at the barrier between steps.
-        unsafe { *sh.mems[mem][addr as usize].0.get() = val };
+        sh.parked().poke_mem(mem, addr, v);
         self.dirty_global = true;
         sh.mark(&sh.mem_readers[mem]);
         // The writer re-pends its own write so the next commit restores
@@ -1296,14 +1139,11 @@ impl EngineImpl for ParTapeEngine {
     }
 
     fn set_activity(&mut self, on: bool) {
-        self.shared.track_activity.store(on, Ordering::Relaxed);
-        if on && self.activity.is_empty() {
-            self.activity = vec![0; self.widths.len()];
-        }
+        self.shared.state.set_activity(on);
     }
 
     fn activity(&self) -> &[u64] {
-        &self.activity
+        self.shared.state.activity()
     }
 
     fn set_profiling(&mut self, on: bool) {
@@ -1605,7 +1445,8 @@ mod tests {
     #[test]
     fn the_cut_tiles_its_input_in_balanced_contiguous_pieces() {
         // The commit: `reg_slots` positions at cost 1 each.
-        for (n, k) in [(2688, 2), (2688, 3), (7, 4), (3, 4), (1, 2), (0, 2)] {
+        // `usize::MAX` workers: no thread count overflows the arithmetic.
+        for (n, k) in [(2688, 2), (2688, 3), (7, 4), (3, 4), (1, 2), (0, 2), (7, usize::MAX)] {
             let pieces = cut(&vec![1; n], k);
             assert!(pieces.len() <= k && pieces.len() == k.min(n), "{n} over {k}: {pieces:?}");
             let mut at = 0;

@@ -37,9 +37,11 @@ pub enum Engine {
     /// The levelized schedule cut into barrier-delimited stages of
     /// independent combinational islands, fused per island and executed
     /// on worker threads with double-buffered cross-partition (register)
-    /// nets committed by their owners; clean islands are skipped. Cycle-exact with `SpecializedOpt` by construction. Thread
-    /// count comes from `MTL_SIM_THREADS` (default: available cores,
-    /// capped at 8) or [`SimConfig::threads`].
+    /// nets committed by their owners; clean islands are skipped.
+    /// Cycle-exact with `SpecializedOpt` by construction. The thread count
+    /// comes from [`SimConfig::threads`] or `MTL_SIM_THREADS` (default:
+    /// available cores, capped at 8); whatever is asked for, a simulator
+    /// runs at least 1 and at most 64 workers.
     SpecializedPar,
     /// Bit-sliced batch engine: the `SpecializedOpt` tapes lowered to a
     /// plane evaluator where each net bit is one `u64` word holding that
@@ -104,7 +106,9 @@ pub struct SimConfig {
     /// Worker-thread count for [`Engine::SpecializedPar`] (including the
     /// control thread; `1` means fully sequential execution). `None`
     /// defers to the `MTL_SIM_THREADS` environment variable, falling back
-    /// to available parallelism capped at 8. Other engines ignore it.
+    /// to available parallelism capped at 8. Either way the count is
+    /// clamped to `1..=64` — the ceiling is a constant of the engine, not
+    /// a knob. Other engines ignore it.
     pub threads: Option<usize>,
     /// Whether the tape engines run the optimizer pass pipeline
     /// ([`crate::passes`]) over compiled tapes. `None` defers to the
@@ -468,7 +472,7 @@ impl Sim {
             }
             Engine::SpecializedPar => {
                 let s = staged(Layer::Blocks);
-                let threads = cfg.threads.unwrap_or_else(crate::par::default_threads);
+                let threads = crate::par::resolve_threads(cfg.threads);
                 Box::new(ParTapeEngine::new(design, natives, threads, &s, o))
             }
             Engine::SpecializedBatch => {

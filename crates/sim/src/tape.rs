@@ -5,16 +5,19 @@
 //! PyMTL's SimJIT generates and compiles C++, RustMTL's specializing
 //! engines lower each IR block to a flat three-address tape with
 //! pre-resolved net slots, precomputed masks, and constant-folded operands.
-//! This module holds the instruction set and the executor;
-//! [`crate::compile`] is the only producer of tapes.
+//! This module holds the instruction set and the executor body;
+//! [`crate::compile`] is the only producer of tapes, and
+//! [`crate::state`] — which owns the packed state a tape runs against —
+//! the only caller of the body.
 //!
-//! State (`cur`, `next`, memories) is always `u128` at a 16-byte stride —
-//! nets are at most 128 bits, and every engine, view and fault hook
-//! addresses the same arrays. What varies is the machine [`Word`] a tape
-//! *computes* on: the instruction set is generic over it, the executor's
-//! per-op `match` is written once, and each tape runs the `u64`
-//! instantiation (8-byte registers, 24-byte ops) when `compile` proved
-//! that all its values fit, the `u128` one (16 and 48 bytes) otherwise.
+//! State is always `u128` at a 16-byte stride (nets are at most 128
+//! bits). What varies is the machine [`Word`] a tape *computes* on: the
+//! instruction set is generic over it, the executor's per-op `match` is
+//! written once, and each tape runs the `u64` instantiation (8-byte
+//! registers, 24-byte ops) when `compile` proved that all its values fit,
+//! the `u128` one (16 and 48 bytes) otherwise.
+
+use crate::state::Mems;
 
 /// A physical register index within an executable tape. Kept at 16 bits so
 /// an [`Op`] is 48 bytes (two `u128` immediates plus operands and tag) and
@@ -771,6 +774,19 @@ impl Kind {
     }
 }
 
+/// 128 random bits (splitmix64, twice) for the tests that draw operands
+/// for [`Kind::sample`].
+#[cfg(test)]
+pub(crate) fn rnd128(seed: &mut u64) -> u128 {
+    let mut half = || {
+        *seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let z = (*seed ^ (*seed >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        (z ^ (z >> 31)) as u128
+    };
+    half() << 64 | half()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -799,8 +815,8 @@ pub(crate) struct Tape<R = Reg> {
     /// const-hoist pass, which only fires on jump-free tapes). An engine
     /// that keeps a persistent register buffer per tape may run the
     /// prelude once ([`exec_prelude`]) and then execute only
-    /// `ops[prelude..]` each cycle ([`exec_tape_body`]); executing the
-    /// whole tape from op 0 with scratch registers is equally correct.
+    /// `ops[prelude..]` each cycle; executing the whole tape from op 0
+    /// with scratch registers is equally correct.
     pub prelude: u32,
     /// The 64-bit class: `ops` re-typed index for index by
     /// [`Op::to_word`], present iff `compile` proved that every value the
@@ -829,30 +845,11 @@ pub(crate) fn mask_of(width: u32) -> u128 {
     }
 }
 
-/// Read access to memory columns for the tape executor, so the same
-/// core runs over plain `Vec<u128>` storage (single-threaded engines)
-/// and shared-slot storage (the parallel engine). Mem writes are always
-/// deferred through `pending`, so read access is all the executor needs.
-pub(crate) trait TapeMems {
-    /// # Safety
-    ///
-    /// `mem`/`addr` must be in range (guaranteed by `validate` plus the
-    /// per-op `% words` wrap).
-    unsafe fn read(&self, mem: usize, addr: usize) -> u128;
-}
-
-impl TapeMems for [Vec<u128>] {
-    #[inline(always)]
-    unsafe fn read(&self, mem: usize, addr: usize) -> u128 {
-        unsafe { *self.get_unchecked(mem).get_unchecked(addr) }
-    }
-}
-
 /// Views a `u128` register buffer as `u64` registers: a narrow tape's
 /// `nregs` registers occupy the first half of the bytes the wide class
 /// would use, so any buffer sized for the tape serves either class.
 #[inline(always)]
-fn as_u64s(regs: &mut [u128]) -> &mut [u64] {
+pub(crate) fn as_u64s(regs: &mut [u128]) -> &mut [u64] {
     // SAFETY: `u64` has a smaller alignment than `u128` and no invalid bit
     // patterns, the length covers exactly the same bytes, and the
     // exclusive borrow of `regs` is held for the result's lifetime.
@@ -860,7 +857,7 @@ fn as_u64s(regs: &mut [u128]) -> &mut [u64] {
 }
 
 /// Runs a tape's const prelude into a persistent register buffer, once
-/// per buffer lifetime. Pairs with [`exec_tape_body`].
+/// per buffer lifetime; executing from `tape.prelude` then skips it.
 pub(crate) fn exec_prelude(tape: &Tape, regs: &mut [u128]) {
     fn install<W: Word>(prelude: &[Op<Reg, W>], regs: &mut [W]) {
         for op in prelude {
@@ -877,152 +874,45 @@ pub(crate) fn exec_prelude(tape: &Tape, regs: &mut [u128]) {
     }
 }
 
-/// Executes only `ops[prelude..]` of a tape whose prelude was installed
-/// in `regs` by [`exec_prelude`]. `regs` must persist between calls.
-pub(crate) fn exec_tape_body<const TRACK: bool>(
-    tape: &Tape,
-    regs: &mut [u128],
-    cur: &mut [u128],
-    next: &mut [u128],
-    mems: &[Vec<u128>],
-    pending: &mut Vec<(u32, u64, u128)>,
-    changed: &mut Vec<u32>,
-) {
-    // SAFETY: as for [`exec_tape`]; a nonzero prelude start is sound
-    // because `validate` rejects preludes on tapes with jumps.
-    unsafe {
-        exec_class::<TRACK, _>(
-            tape,
-            tape.prelude as usize,
-            regs,
-            cur.as_mut_ptr(),
-            next.as_mut_ptr(),
-            mems,
-            pending,
-            changed,
-        )
-    }
-}
-
-/// Executes a tape over exclusive (`&mut`) packed state.
+/// The executor body: runs `ops[start..]` on registers of word `W`, over
+/// the raw columns of a [`crate::state::PackedState`] — whose
+/// [`exec`](crate::state::Access::exec) is the one caller, and picks the
+/// class. State stays `u128` at a 16-byte stride whatever the class — a
+/// narrow tape loads the low half of a slot and stores it back
+/// zero-extended, both exact because every slot it touches is at most 64
+/// bits wide. When `TRACK`, a store that changes a `cur` slot's value
+/// pushes the slot on `changed` (the event-driven engine's sensitivity
+/// propagation).
 ///
-/// When `TRACK` is true, combinational writes that change a slot's value
-/// push the slot index into `changed` (used by the event-driven specialized
-/// engine for sensitivity propagation).
-///
-/// Uses unchecked indexing in the hot loop; every index is range-checked
-/// once by `validate` at simulator construction, which makes the
-/// unchecked accesses sound.
-pub(crate) fn exec_tape<const TRACK: bool>(
-    tape: &Tape,
-    regs: &mut [u128],
-    cur: &mut [u128],
-    next: &mut [u128],
-    mems: &[Vec<u128>],
-    pending: &mut Vec<(u32, u64, u128)>,
-    changed: &mut Vec<u32>,
-) {
-    // SAFETY: `cur`/`next` are exclusive borrows covering every slot a
-    // validated tape can touch.
-    unsafe {
-        exec_tape_ptr::<TRACK, _>(
-            tape,
-            regs,
-            cur.as_mut_ptr(),
-            next.as_mut_ptr(),
-            mems,
-            pending,
-            changed,
-        )
-    }
-}
-
-/// The tape executor over raw state pointers.
+/// Indexing is unchecked in the hot loop; every index is range-checked
+/// once by `validate` when the tape is built.
 ///
 /// # Safety
 ///
-/// Callers must guarantee, for the duration of the call:
-/// - `cur` and `next` point to arrays covering every net slot the tape
-///   references (ensured by `validate`);
-/// - no other thread concurrently writes any slot this tape reads, and
-///   no other thread concurrently reads or writes any slot this tape
-///   writes (the parallel engine proves this by partition construction;
-///   the single-threaded wrapper has exclusive borrows).
-pub(crate) unsafe fn exec_tape_ptr<const TRACK: bool, M: TapeMems + ?Sized>(
-    tape: &Tape,
-    regs: &mut [u128],
-    cur: *mut u128,
-    next: *mut u128,
-    mems: &M,
-    pending: &mut Vec<(u32, u64, u128)>,
-    changed: &mut Vec<u32>,
-) {
-    // Executing from op 0 re-runs any prelude into scratch registers;
-    // prelude ops are ordinary `Const`s, so this is always correct.
-    unsafe { exec_class::<TRACK, M>(tape, 0, regs, cur, next, mems, pending, changed) }
-}
-
-/// Picks the tape's word class, once per call, and runs
-/// [`exec_tape_ptr_from`] at it.
-///
-/// # Safety
-///
-/// As for [`exec_tape_ptr_from`], on a validated tape.
+/// - `ops` is the program of a validated tape at its class (`tape.ops`, or
+///   `tape.narrow`'s content), `regs` holds at least `tape.nregs` words,
+///   and `start` is `0` or `tape.prelude` (jump-free when `prelude > 0`);
+/// - `cur` and `next` point to columns covering every net slot the tape
+///   references, `mems` to the memories it references (both ensured by
+///   `validate` against the state's dimensions);
+/// - for the duration of the call nothing else writes a slot this tape
+///   reads, and nothing else reads or writes a slot it writes (the
+///   [`crate::state`] protocol).
 #[allow(clippy::too_many_arguments)]
-#[inline]
-unsafe fn exec_class<const TRACK: bool, M: TapeMems + ?Sized>(
-    tape: &Tape,
-    start: usize,
-    regs: &mut [u128],
-    cur: *mut u128,
-    next: *mut u128,
-    mems: &M,
-    pending: &mut Vec<(u32, u64, u128)>,
-    changed: &mut Vec<u32>,
-) {
-    unsafe {
-        match &tape.narrow {
-            Some(ops) => exec_tape_ptr_from::<TRACK, u64, M>(
-                ops,
-                start,
-                as_u64s(regs),
-                cur,
-                next,
-                mems,
-                pending,
-                changed,
-            ),
-            None => exec_tape_ptr_from::<TRACK, u128, M>(
-                &tape.ops, start, regs, cur, next, mems, pending, changed,
-            ),
-        }
-    }
-}
-
-/// The executor body: runs `ops[start..]` on registers of word `W`. State
-/// stays `u128` at a 16-byte stride whatever the class — a narrow tape
-/// loads the low half of a slot and stores it back zero-extended, both
-/// exact because every slot it touches is at most 64 bits wide.
-///
-/// # Safety
-///
-/// As for [`exec_tape_ptr`]; additionally `ops` must be the program of a
-/// validated tape at its class (`tape.ops`, or `tape.narrow`'s content),
-/// `regs` must hold at least `tape.nregs` words, and `start` must be `0`
-/// or `tape.prelude` (jump-free when `prelude > 0`).
-#[allow(clippy::too_many_arguments)]
-unsafe fn exec_tape_ptr_from<const TRACK: bool, W: Word, M: TapeMems + ?Sized>(
+pub(crate) unsafe fn exec_tape_ptr_from<const TRACK: bool, W: Word>(
     ops: &[Op<Reg, W>],
     start: usize,
     regs: &mut [W],
     cur: *mut u128,
     next: *mut u128,
-    mems: &M,
+    mems: &Mems,
     pending: &mut Vec<(u32, u64, u128)>,
     changed: &mut Vec<u32>,
 ) {
     macro_rules! r {
         ($i:expr) => {
+            // SAFETY: `validate` bounded every register operand by
+            // `tape.nregs`, which `regs` covers.
             unsafe { *regs.get_unchecked(*$i as usize) }
         };
     }
@@ -1031,8 +921,18 @@ unsafe fn exec_tape_ptr_from<const TRACK: bool, W: Word, M: TapeMems + ?Sized>(
             // Evaluate the value expression outside the unsafe block so
             // nested register reads keep their own narrow unsafe scope.
             let v = $v;
+            // SAFETY: as for `r!`.
             unsafe { *regs.get_unchecked_mut(*$i as usize) = v }
         }};
+    }
+    // The word of `$slot` in column `$col` (`cur` or `next`), to store to.
+    macro_rules! word_of {
+        ($col:ident, $slot:expr) => {
+            // SAFETY: `validate` bounded every slot operand by the column
+            // length, and by the caller's contract nothing else touches a
+            // slot this tape writes.
+            unsafe { &mut *$col.add(*$slot as usize) }
+        };
     }
     // A tracked or plain full store of `v` to `cur[slot]`.
     macro_rules! store {
@@ -1054,9 +954,12 @@ unsafe fn exec_tape_ptr_from<const TRACK: bool, W: Word, M: TapeMems + ?Sized>(
     let small = |v: W| v.to_u128() as u32;
     let mut pc = start;
     while pc < ops.len() {
+        // SAFETY: `pc < ops.len()`.
         match unsafe { ops.get_unchecked(pc) } {
             Op::Const { dst, val } => w!(dst, *val),
             Op::Read { dst, slot } => {
+                // SAFETY: `validate` bounded `slot` by the column length,
+                // and by the caller's contract nothing else writes it.
                 w!(dst, W::from_u128(unsafe { *cur.add(*slot as usize) }))
             }
             Op::Copy { dst, a } => w!(dst, r!(a)),
@@ -1115,6 +1018,8 @@ unsafe fn exec_tape_ptr_from<const TRACK: bool, W: Word, M: TapeMems + ?Sized>(
                 // Clamp the whole selector, then index: a selector with
                 // only high bits set picks the last option.
                 let idx = small(r!(sel).min(W::from_u128(*n as u128 - 1))) as usize;
+                // SAFETY: `validate` bounded `base + n` by `tape.nregs`,
+                // and `idx < n`.
                 let v = unsafe { *regs.get_unchecked(*base as usize + idx) };
                 w!(dst, v);
             }
@@ -1123,28 +1028,28 @@ unsafe fn exec_tape_ptr_from<const TRACK: bool, W: Word, M: TapeMems + ?Sized>(
                 w!(dst, if v & *sign_bit != zero { v | *ext_or } else { v });
             }
             Op::Write { slot, src } => {
-                let c = unsafe { &mut *cur.add(*slot as usize) };
+                let c = word_of!(cur, slot);
                 store!(slot, c, r!(src).to_u128());
             }
             Op::WriteMasked { slot, src, lo, field } => {
-                let c = unsafe { &mut *cur.add(*slot as usize) };
+                let c = word_of!(cur, slot);
                 let field = field.to_u128();
                 let v = (*c & !field) | ((r!(src) << *lo).to_u128() & field);
                 store!(slot, c, v);
             }
             Op::WriteNext { slot, src } => {
                 let v = r!(src).to_u128();
-                unsafe { *next.add(*slot as usize) = v };
+                *word_of!(next, slot) = v;
             }
             Op::WriteNextMasked { slot, src, lo, field } => {
                 let v = r!(src);
-                let n = unsafe { &mut *next.add(*slot as usize) };
+                let n = word_of!(next, slot);
                 let field = field.to_u128();
                 *n = (*n & !field) | ((v << *lo).to_u128() & field);
             }
             Op::WriteIf { slot, cond, src, neg } => {
                 let take = (r!(cond) != zero) != *neg;
-                let c = unsafe { &mut *cur.add(*slot as usize) };
+                let c = word_of!(cur, slot);
                 // Branchless select: an untaken predicate stores the old
                 // value back, which the tracked path treats as "no
                 // change" — bit-for-bit the branchy original.
@@ -1153,11 +1058,13 @@ unsafe fn exec_tape_ptr_from<const TRACK: bool, W: Word, M: TapeMems + ?Sized>(
             }
             Op::WriteNextIf { slot, cond, src, neg } => {
                 let take = (r!(cond) != zero) != *neg;
-                let n = unsafe { &mut *next.add(*slot as usize) };
+                let n = word_of!(next, slot);
                 *n = if take { r!(src).to_u128() } else { *n };
             }
             Op::MemRead { dst, mem, addr, words } => {
                 let a = (r!(addr).to_u128() as u64) % words;
+                // SAFETY: `validate` bounded `mem`, `a < words`, and the
+                // caller holds the state's `Access`.
                 let v = unsafe { mems.read(*mem as usize, a as usize) };
                 w!(dst, W::from_u128(v));
             }

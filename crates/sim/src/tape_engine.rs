@@ -1,7 +1,9 @@
 //! The tape-VM backends: [`Engine::Specialized`] (per-block tapes behind
 //! an event queue) and [`Engine::SpecializedOpt`] (fused plans, fully
-//! static schedule). Both execute the artifact [`crate::compile`] builds;
-//! this module only adds per-instance state and the dispatch strategy.
+//! static schedule). Both execute the artifact [`crate::compile`] builds
+//! against a [`PackedState`]; this module only adds the dispatch strategy
+//! — who runs when — and what a changed value notifies: the event engine
+//! wakes the slot's readers, the static one marks its schedule dirty.
 //!
 //! [`Engine::Specialized`]: crate::Engine::Specialized
 //! [`Engine::SpecializedOpt`]: crate::Engine::SpecializedOpt
@@ -11,7 +13,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use mtl_bits::Bits;
-use mtl_core::{BlockBody, Design, NativeFn, SignalId, SignalView};
+use mtl_core::{BlockBody, Design, NativeFn};
 
 use crate::artifact::Staged;
 use crate::compile::passes::OptReport;
@@ -19,17 +21,14 @@ use crate::compile::{comb_sensitivity, Chunk};
 use crate::overheads::Overheads;
 use crate::profile::EngineStats;
 use crate::sim::EngineImpl;
-use crate::tape::{exec_tape, exec_tape_body, mask_of, Tape};
+use crate::state::PackedState;
+use crate::tape::{exec_prelude, Tape};
 
 /// The tape-VM backend; `event_mode` selects between the two engines of
 /// the module docs.
 pub(crate) struct TapeEngine {
     design: Arc<Design>,
-    cur: Vec<u128>,
-    next: Vec<u128>,
-    widths: Vec<u32>,
-    mems: Vec<Vec<u128>>,
-    mem_widths: Vec<u32>,
+    state: PackedState,
     pending: Vec<(u32, u64, u128)>,
     /// Compiled per-block tapes — `Arc` so a persistent server can share
     /// one compile across many engine instances ([`crate::ArtifactCache`]).
@@ -48,58 +47,45 @@ pub(crate) struct TapeEngine {
     /// cycle. Engine-local (the shared `Arc` plans carry no state).
     comb_bank: Vec<Vec<u128>>,
     seq_bank: Vec<Vec<u128>>,
-    reg_slots: Vec<u32>,
     regs: Vec<u128>,
     event_mode: bool,
-    sens: Vec<Vec<u32>>,
-    mem_sens: Vec<Vec<u32>>,
-    queue: VecDeque<u32>,
-    in_queue: Vec<bool>,
+    events: Events,
     changed: Vec<u32>,
     cycles: u64,
     dirty: bool,
-    track_activity: bool,
-    activity: Vec<u64>,
     prof: Option<EngineStats>,
     /// Per-pass optimizer statistics (compile-time only; `None` when the
     /// optimizer is off).
     opt_report: Option<OptReport>,
 }
 
-/// The [`SignalView`] native blocks see over packed tape-engine state.
-pub(crate) struct PackedView<'a> {
-    pub(crate) design: &'a Design,
-    pub(crate) cur: &'a mut [u128],
-    pub(crate) next: &'a mut [u128],
-    pub(crate) widths: &'a [u32],
-    pub(crate) changed: &'a mut Vec<u32>,
-    pub(crate) cycles: u64,
+/// The event engine's queue of combinational blocks to re-run, and who
+/// reads what.
+struct Events {
+    sens: Vec<Vec<u32>>,
+    mem_sens: Vec<Vec<u32>>,
+    queue: VecDeque<u32>,
+    in_queue: Vec<bool>,
 }
 
-impl SignalView for PackedView<'_> {
-    fn read(&self, sig: SignalId) -> Bits {
-        let slot = self.design.net_of(sig).index();
-        Bits::new(self.widths[slot], self.cur[slot])
-    }
-
-    fn write(&mut self, sig: SignalId, value: Bits) {
-        let slot = self.design.net_of(sig).index();
-        debug_assert_eq!(self.widths[slot], value.width());
-        let v = value.as_u128();
-        if self.cur[slot] != v {
-            self.cur[slot] = v;
-            self.changed.push(slot as u32);
+impl Events {
+    fn wake(&mut self, b: u32) {
+        if !self.in_queue[b as usize] {
+            self.in_queue[b as usize] = true;
+            self.queue.push_back(b);
         }
     }
 
-    fn write_next(&mut self, sig: SignalId, value: Bits) {
-        let slot = self.design.net_of(sig).index();
-        debug_assert_eq!(self.widths[slot], value.width());
-        self.next[slot] = value.as_u128();
+    fn wake_readers(&mut self, slot: u32) {
+        for i in 0..self.sens[slot as usize].len() {
+            self.wake(self.sens[slot as usize][i]);
+        }
     }
 
-    fn cycle(&self) -> u64 {
-        self.cycles
+    fn wake_mem_readers(&mut self, mem: usize) {
+        for i in 0..self.mem_sens[mem].len() {
+            self.wake(self.mem_sens[mem][i]);
+        }
     }
 }
 
@@ -128,36 +114,33 @@ impl TapeEngine {
 
         // Phase: wrap (packed state).
         let t0 = Instant::now();
-        let widths = layout.widths.clone();
-        let cur = vec![0u128; widths.len()];
-        let next = vec![0u128; widths.len()];
-        let mems: Vec<Vec<u128>> =
-            design.mems().iter().map(|m| vec![0u128; m.words as usize]).collect();
+        let state = PackedState::new(layout, design.mems().iter().map(|m| m.words));
         o.wrap += t0.elapsed();
 
         // Phase: simc (event structures + register banks).
         let t0 = Instant::now();
         let comb_order = layout.comb_order.clone();
-        let mut sens = vec![Vec::new(); widths.len()];
-        let mut mem_sens = vec![Vec::new(); design.mems().len()];
-        let mut queue = VecDeque::new();
-        let mut in_queue = vec![false; design.blocks().len()];
+        let mut events = Events {
+            sens: vec![Vec::new(); state.nslots()],
+            mem_sens: vec![Vec::new(); design.mems().len()],
+            queue: VecDeque::new(),
+            in_queue: vec![false; design.blocks().len()],
+        };
         for &b in &comb_order {
             for slot in comb_sensitivity(&design, b) {
-                sens[slot as usize].push(b);
+                events.sens[slot as usize].push(b);
             }
             for &m in &design.blocks()[b as usize].mem_reads {
-                mem_sens[m.index()].push(b);
+                events.mem_sens[m.index()].push(b);
             }
-            queue.push_back(b);
-            in_queue[b as usize] = true;
+            events.wake(b);
         }
         let mk_bank = |plan: &[Chunk]| -> Vec<Vec<u128>> {
             plan.iter()
                 .map(|c| match c {
                     Chunk::Fused(t) => {
                         let mut regs = vec![0u128; t.nregs as usize];
-                        crate::tape::exec_prelude(t, &mut regs);
+                        exec_prelude(t, &mut regs);
                         regs
                     }
                     Chunk::Native(_) => Vec::new(),
@@ -170,11 +153,7 @@ impl TapeEngine {
 
         Self {
             design,
-            cur,
-            next,
-            widths,
-            mems,
-            mem_widths: layout.mem_widths.clone(),
+            state,
             pending: Vec::new(),
             tapes,
             natives,
@@ -184,89 +163,55 @@ impl TapeEngine {
             seq_plan,
             comb_bank,
             seq_bank,
-            reg_slots: layout.reg_slots.clone(),
             regs: vec![0u128; regs_len],
             event_mode,
-            sens,
-            mem_sens,
-            queue,
-            in_queue,
+            events,
             changed: Vec::new(),
             cycles: 0,
             dirty: true,
-            track_activity: false,
-            activity: Vec::new(),
             prof: None,
             opt_report,
         }
     }
 
+    /// Runs one block from scratch registers. When `TRACK`, the readers of
+    /// every slot it changed are woken.
     fn run_block<const TRACK: bool>(&mut self, b: u32) {
-        let design = self.design.clone();
-        match &design.blocks()[b as usize].body {
-            BlockBody::Ir(_) => {
-                exec_tape::<TRACK>(
-                    &self.tapes[b as usize],
-                    &mut self.regs,
-                    &mut self.cur,
-                    &mut self.next,
-                    &self.mems,
-                    &mut self.pending,
-                    &mut self.changed,
-                );
-            }
+        let mut state = self.state.exclusive();
+        match self.design.blocks()[b as usize].body {
+            BlockBody::Ir(_) => state.exec::<TRACK>(
+                &self.tapes[b as usize],
+                0,
+                &mut self.regs,
+                &mut self.pending,
+                &mut self.changed,
+            ),
             BlockBody::Native(..) => {
-                let mut f = self.natives[b as usize].take().expect("native fn in use");
-                {
-                    let mut view = PackedView {
-                        design: &design,
-                        cur: &mut self.cur,
-                        next: &mut self.next,
-                        widths: &self.widths,
-                        changed: &mut self.changed,
-                        cycles: self.cycles,
-                    };
-                    f(&mut view);
-                }
-                self.natives[b as usize] = Some(f);
-                if !TRACK {
-                    self.changed.clear();
-                }
+                let f = self.natives[b as usize].as_mut().expect("native block has its closure");
+                state.call_native(&self.design, f, &mut self.changed, self.cycles);
             }
         }
         if TRACK {
-            let changed = std::mem::take(&mut self.changed);
-            for &slot in &changed {
-                self.wake_readers(slot);
+            for slot in self.changed.drain(..) {
+                self.events.wake_readers(slot);
             }
-            let mut changed = changed;
-            changed.clear();
-            self.changed = changed;
-        }
-    }
-
-    fn wake_readers(&mut self, slot: u32) {
-        for i in 0..self.sens[slot as usize].len() {
-            let rb = self.sens[slot as usize][i];
-            if !self.in_queue[rb as usize] {
-                self.in_queue[rb as usize] = true;
-                self.queue.push_back(rb);
-            }
+        } else {
+            self.changed.clear();
         }
     }
 
     fn propagate_event(&mut self) {
         if self.prof.is_none() {
-            while let Some(b) = self.queue.pop_front() {
-                self.in_queue[b as usize] = false;
+            while let Some(b) = self.events.queue.pop_front() {
+                self.events.in_queue[b as usize] = false;
                 self.run_block::<true>(b);
             }
             return;
         }
         let mut pops = 0u64;
-        while let Some(b) = self.queue.pop_front() {
-            self.in_queue[b as usize] = false;
-            let depth = self.queue.len() as u64;
+        while let Some(b) = self.events.queue.pop_front() {
+            self.events.in_queue[b as usize] = false;
+            let depth = self.events.queue.len() as u64;
             let t0 = Instant::now();
             self.run_block::<true>(b);
             let dt = t0.elapsed().as_nanos() as u64;
@@ -304,50 +249,38 @@ impl TapeEngine {
             p.settles += 1;
             p.fixpoint.record(pass_blocks);
         } else {
-            let plan = Arc::clone(&self.comb_plan);
-            self.run_plan(&plan, true);
+            self.run_plan(true);
         }
         self.dirty = false;
     }
 
-    fn run_plan(&mut self, plan: &[Chunk], comb: bool) {
-        for (k, chunk) in plan.iter().enumerate() {
+    /// Runs the fused comb or seq schedule. Each fused chunk owns a
+    /// persistent buffer holding its const prelude, so only the body
+    /// executes here.
+    fn run_plan(&mut self, comb: bool) {
+        let (plan, bank) = if comb {
+            (&self.comb_plan, &mut self.comb_bank)
+        } else {
+            (&self.seq_plan, &mut self.seq_bank)
+        };
+        let mut state = self.state.exclusive();
+        for (chunk, regs) in plan.iter().zip(bank) {
             match chunk {
-                Chunk::Fused(tape) => {
-                    // Each fused chunk owns a persistent buffer holding
-                    // its const prelude, so only the body executes here.
-                    let bank = if comb { &mut self.comb_bank } else { &mut self.seq_bank };
-                    exec_tape_body::<false>(
-                        tape,
-                        &mut bank[k],
-                        &mut self.cur,
-                        &mut self.next,
-                        &self.mems,
-                        &mut self.pending,
-                        &mut self.changed,
-                    )
+                Chunk::Fused(tape) => state.exec::<false>(
+                    tape,
+                    tape.prelude as usize,
+                    regs,
+                    &mut self.pending,
+                    &mut self.changed,
+                ),
+                Chunk::Native(b) => {
+                    let f =
+                        self.natives[*b as usize].as_mut().expect("native block has its closure");
+                    state.call_native(&self.design, f, &mut self.changed, self.cycles);
+                    self.changed.clear();
                 }
-                Chunk::Native(b) => self.run_native(*b),
             }
         }
-    }
-
-    fn run_native(&mut self, b: u32) {
-        let design = self.design.clone();
-        let mut f = self.natives[b as usize].take().expect("native fn in use");
-        {
-            let mut view = PackedView {
-                design: &design,
-                cur: &mut self.cur,
-                next: &mut self.next,
-                widths: &self.widths,
-                changed: &mut self.changed,
-                cycles: self.cycles,
-            };
-            f(&mut view);
-        }
-        self.natives[b as usize] = Some(f);
-        self.changed.clear();
     }
 
     fn run_seq_blocks(&mut self) {
@@ -373,8 +306,7 @@ impl TapeEngine {
             }
             self.seq_order = order;
         } else {
-            let plan = Arc::clone(&self.seq_plan);
-            self.run_plan(&plan, false);
+            self.run_plan(false);
         }
     }
 }
@@ -385,12 +317,9 @@ impl EngineImpl for TapeEngine {
     }
 
     fn poke(&mut self, slot: u32, v: Bits) {
-        let val = v.as_u128();
-        if self.cur[slot as usize] != val {
-            self.cur[slot as usize] = val;
-            self.next[slot as usize] = val;
+        if self.state.exclusive().poke(slot, v) {
             if self.event_mode {
-                self.wake_readers(slot);
+                self.events.wake_readers(slot);
             } else {
                 self.dirty = true;
             }
@@ -398,7 +327,7 @@ impl EngineImpl for TapeEngine {
     }
 
     fn peek(&self, slot: u32) -> Bits {
-        Bits::new(self.widths[slot as usize], self.cur[slot as usize])
+        self.state.peek(slot)
     }
 
     fn eval(&mut self) {
@@ -422,48 +351,15 @@ impl EngineImpl for TapeEngine {
 
     fn edge(&mut self) {
         self.run_seq_blocks();
+        let mut state = self.state.exclusive();
+        let regs = 0..state.nregs();
         if self.event_mode {
-            let regs = std::mem::take(&mut self.reg_slots);
-            for &slot in &regs {
-                let s = slot as usize;
-                if self.cur[s] != self.next[s] {
-                    if self.track_activity {
-                        self.activity[s] += (self.cur[s] ^ self.next[s]).count_ones() as u64;
-                    }
-                    self.cur[s] = self.next[s];
-                    self.wake_readers(slot);
-                }
-            }
-            self.reg_slots = regs;
-        } else if self.track_activity {
-            for &slot in &self.reg_slots {
-                let s = slot as usize;
-                self.activity[s] += (self.cur[s] ^ self.next[s]).count_ones() as u64;
-                self.cur[s] = self.next[s];
-            }
+            state.commit(regs, |slot| self.events.wake_readers(slot));
+            state.drain(&mut self.pending, |mem| self.events.wake_mem_readers(mem));
         } else {
-            for &slot in &self.reg_slots {
-                self.cur[slot as usize] = self.next[slot as usize];
-            }
-        }
-        if !self.pending.is_empty() {
-            let pending = std::mem::take(&mut self.pending);
-            let mut touched: Vec<u32> = Vec::new();
-            for (mem, addr, v) in pending {
-                self.mems[mem as usize][addr as usize] = v;
-                if self.event_mode && !touched.contains(&mem) {
-                    touched.push(mem);
-                }
-            }
-            for m in touched {
-                for i in 0..self.mem_sens[m as usize].len() {
-                    let rb = self.mem_sens[m as usize][i];
-                    if !self.in_queue[rb as usize] {
-                        self.in_queue[rb as usize] = true;
-                        self.queue.push_back(rb);
-                    }
-                }
-            }
+            // The static schedule re-runs in full after every edge.
+            state.commit(regs, |_| {});
+            state.drain(&mut self.pending, |_| {});
         }
     }
 
@@ -476,23 +372,14 @@ impl EngineImpl for TapeEngine {
     }
 
     fn force(&mut self, _lane: u32, slot: u32, v: Bits, also_next: bool) {
-        let s = slot as usize;
-        self.cur[s] = v.as_u128();
-        if also_next {
-            self.next[s] = v.as_u128();
-        }
+        self.state.exclusive().force(slot, v, also_next);
     }
 
     fn settle_full(&mut self) {
         if self.event_mode {
-            let order = std::mem::take(&mut self.comb_order);
-            for &b in &order {
-                if !self.in_queue[b as usize] {
-                    self.in_queue[b as usize] = true;
-                    self.queue.push_back(b);
-                }
+            for &b in &self.comb_order {
+                self.events.wake(b);
             }
-            self.comb_order = order;
             self.propagate_event();
         } else {
             self.full_comb_pass();
@@ -508,33 +395,24 @@ impl EngineImpl for TapeEngine {
     }
 
     fn peek_mem(&self, mem: usize, addr: u64) -> Bits {
-        Bits::new(self.mem_widths[mem], self.mems[mem][addr as usize])
+        self.state.peek_mem(mem, addr)
     }
 
     fn poke_mem(&mut self, mem: usize, addr: u64, v: Bits) {
-        self.mems[mem][addr as usize] = v.as_u128() & mask_of(self.mem_widths[mem]);
+        self.state.exclusive().poke_mem(mem, addr, v);
         if self.event_mode {
-            for i in 0..self.mem_sens[mem].len() {
-                let rb = self.mem_sens[mem][i];
-                if !self.in_queue[rb as usize] {
-                    self.in_queue[rb as usize] = true;
-                    self.queue.push_back(rb);
-                }
-            }
+            self.events.wake_mem_readers(mem);
         } else {
             self.dirty = true;
         }
     }
 
     fn set_activity(&mut self, on: bool) {
-        self.track_activity = on;
-        if on && self.activity.is_empty() {
-            self.activity = vec![0; self.widths.len()];
-        }
+        self.state.set_activity(on);
     }
 
     fn activity(&self) -> &[u64] {
-        &self.activity
+        self.state.activity()
     }
 
     fn set_profiling(&mut self, on: bool) {

@@ -87,6 +87,23 @@ fn hung_batch_job_descends_ladder_and_journals_exactly_once() {
     let repro = std::fs::read_to_string(quarantined[0]).expect("reproducer on disk");
     assert!(repro.contains("fn main()"), "reproducer must be a standalone program");
     assert!(repro.contains("run_diff"), "reproducer must re-run the differential");
+    assert!(repro.contains("Sim::build(&top, Engine::Interpreted)"), "`Sim::build` takes two");
+    // It is the example cargo compiles with every test run, with only its
+    // job block filled in — so what was quarantined builds.
+    let split = |text: &str| {
+        let (head, rest) = text.split_once("// >>> job\n").expect("job block opens");
+        let (job, tail) = rest.split_once("// <<< job\n").expect("job block closes");
+        (format!("{head}{tail}"), job.to_string())
+    };
+    let (fixed, job) = split(&repro);
+    let template = include_str!("../crates/serve/examples/fault_batch_repro.rs");
+    assert_eq!(fixed, split(template).0, "only the job block is substituted");
+    let filled = "const CHUNK: u64 = 0;\nconst TRIALS: u64 = 3;\nconst SAMPLE: usize = 1;\n\
+                  const ROUTERS: usize = 4;\nconst INJECTION: u32 = 200;\n\
+                  const FAULTS: usize = 1;\nconst CYCLES: u64 = 10;\n";
+    assert!(job.ends_with(filled), "the spec's parameters:\n{job}");
+    assert!(job.starts_with("//! failing engine rung 0: specialized-batch\n//! error: watchdog:"));
+    assert!(job.contains("\nconst SEED: u64 = 0x"), "the job's derived seed:\n{job}");
 
     // ...and metrics byte-identical to the healthy batch run (the
     // engine-exactness invariant across ladder rungs).

@@ -562,12 +562,14 @@ fn tape_width_classes_follow_the_design() {
 }
 
 /// The parallel engine must be cycle-exact with `SpecializedOpt` at
-/// explicit thread counts — fully sequential (1), sharded (2, 4) and
-/// unevenly sharded (3) — including the logical profile counters and the
-/// activity toggles the split commit counts, not just settled values.
+/// explicit thread counts — fully sequential (1), sharded (2, 4),
+/// unevenly sharded (3) and absurd (`usize::MAX`, which the engine clamps
+/// to its ceiling of 64 instead of overflowing the shard arithmetic) —
+/// including the logical profile counters and the activity toggles the
+/// split commit counts, not just settled values.
 #[test]
 fn specialized_par_matches_opt_at_explicit_thread_counts() {
-    for threads in [1usize, 2, 3, 4] {
+    for threads in [1usize, 2, 3, 4, usize::MAX] {
         for seed in [3u64, 7, 12] {
             let mut opt =
                 Sim::build(&RandomRtl::new(seed), Engine::SpecializedOpt).expect("elaborates");
@@ -614,8 +616,8 @@ fn specialized_par_matches_opt_at_explicit_thread_counts() {
                 "threads={threads} seed={seed}: activity counters"
             );
             assert!(
-                pp.partition_nanos.len() <= threads.max(1),
-                "threads={threads}: at most {threads} workers expected, got {}",
+                pp.partition_nanos.len() <= threads.min(64),
+                "threads={threads}: at most {threads} workers (and never over 64) expected, got {}",
                 pp.partition_nanos.len()
             );
         }

@@ -294,3 +294,101 @@ fn engine_names_round_trip() {
     }
     assert_eq!("Specialized".parse::<Engine>(), Err("unknown engine \"Specialized\"".to_string()));
 }
+
+/// The backdoors and the misuse path the tape engines share one
+/// implementation of (`mtl-sim`'s `state.rs`) — `poke`, `poke_mem`, the
+/// injection `force`, a native's view — each followed by what only the
+/// engine does with it: every tape engine must leave every net and memory
+/// word as the interpreter does.
+#[test]
+fn backdoors_and_native_misuse_agree_net_for_net() {
+    use rustmtl::sim::{InjectKind, Injection, SimConfig};
+
+    struct Backdoors;
+    impl Component for Backdoors {
+        fn name(&self) -> String {
+            "Backdoors".into()
+        }
+        fn build(&self, c: &mut Ctx) {
+            let a = c.in_port("a", 8);
+            let x = c.in_port("x", 8);
+            let y = c.out_port("y", 8);
+            let r = c.wire("r", 8);
+            let q = c.out_port("q", 8);
+            let m = c.mem("m", 4, 8);
+            let rd = c.out_port("rd", 8);
+            let t = c.wire("t", 8);
+            let u = c.out_port("u", 8);
+            c.comb("read_x", |b| b.assign(y, x + a));
+            c.seq("count", |b| b.assign(r, r + a));
+            c.comb("tap", |b| b.assign(q, r.ex()));
+            // A memory with a writer block, read back combinationally.
+            c.seq("store", |b| b.mem_write(m, r.slice(0, 2), r.ex()));
+            c.comb("load", |b| b.assign(rd, m.read(a.slice(0, 2))));
+            // A sequential native that writes combinational-style — and
+            // the same value to the shadow, so the commit sees no change
+            // and only the engine's own tracking re-runs `after`.
+            c.tick_cl("misuse", &[r], &[t], move |v| {
+                let r = v.read(r.id());
+                v.write(t.id(), r);
+                v.write_next(t.id(), r);
+            });
+            c.comb("after", |b| b.assign(u, t + Expr::k(8, 1)));
+        }
+    }
+
+    let configs = [
+        (Engine::InterpretedOpt, None),
+        (Engine::Specialized, None),
+        (Engine::SpecializedOpt, None),
+        (Engine::SpecializedPar, Some(1)),
+        (Engine::SpecializedPar, Some(2)),
+    ];
+    let trace = |(engine, threads): (Engine, Option<usize>)| {
+        let cfg = SimConfig { threads, ..Default::default() };
+        let mut sim = Sim::build_with_config(&Backdoors, engine, &cfg).expect("elaborates");
+        sim.reset();
+        let mem = sim.find_mem("m");
+        let snapshot = |sim: &Sim| -> Vec<Bits> {
+            let nets = (0..sim.design().signals().len())
+                .map(|s| sim.peek(rustmtl::core::SignalId::from_index(s)));
+            nets.chain((0..4).map(|addr| sim.peek_mem(mem, addr))).collect()
+        };
+        let mut steps = Vec::new();
+        // Poke what comb logic reads, then settle without clocking. (A
+        // top-level input that a block also drives does not elaborate.)
+        sim.poke_port("a", b(8, 3));
+        sim.poke_port("x", b(8, 0x55));
+        sim.eval();
+        steps.push(("poke, eval", snapshot(&sim)));
+        // Poke a word of a memory that has a writer block, then clock.
+        sim.poke_mem(mem, 2, b(8, 0xEE));
+        sim.poke_mem(mem, 3, b(8, 0x77));
+        sim.cycle();
+        steps.push(("poke_mem, cycle", snapshot(&sim)));
+        // Flip register bits for one cycle: forced settle, edge, wash.
+        let r = sim.find_signal("r");
+        let now = sim.cycle_count();
+        sim.inject(Injection {
+            sig: r,
+            mask: 0x81,
+            kind: InjectKind::Flip,
+            cycle: now,
+            duration: 1,
+        });
+        sim.cycle();
+        steps.push(("inject, cycle", snapshot(&sim)));
+        for _ in 0..3 {
+            sim.cycle();
+            steps.push(("cycle", snapshot(&sim)));
+        }
+        steps
+    };
+    let want = trace(configs[0]);
+    assert!(want.windows(2).all(|w| w[0].1 != w[1].1), "every step moves something");
+    for config in &configs[1..] {
+        for (got, want) in trace(*config).iter().zip(&want) {
+            assert_eq!(got, want, "{config:?} after `{}`", want.0);
+        }
+    }
+}
