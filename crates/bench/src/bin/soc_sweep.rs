@@ -22,7 +22,9 @@
 //! journal; `--journal PATH` overrides the location). Writes
 //! `BENCH_soc.json` (`BENCH_soc_smoke.json` for `--smoke`).
 //!
-//! `--smoke` runs a 4-tile-only variant used by `scripts/ci/60_soc.sh`.
+//! `--smoke` runs the variant used by `scripts/ci/60_soc.sh`: 4-tile
+//! points plus one 1 024-tile RTL point, the scale the per-block compile
+//! memo is for.
 //!
 //! `--verify-engines` is the CI engine-agreement gate on the *composed*
 //! design: 16-tile SoCs at CL and RTL run under Interpreted,
@@ -40,7 +42,7 @@
 //! code come from the one report document either way.
 
 use mtl_accel::{TileConfig, XcelLevel};
-use mtl_bench::{banner, job_metric, run_spec, summary_count, Args};
+use mtl_bench::{banner, job_metric, job_timing, run_spec, summary_count, Args};
 use mtl_net::NetLevel;
 use mtl_proc::{CacheLevel, ProcLevel};
 use mtl_sim::{Engine, Sim, SimConfig};
@@ -123,7 +125,9 @@ impl Spec {
         }
     }
 
-    /// The CI smoke variant (`scripts/ci/60_soc.sh`): 4-tile points only.
+    /// The CI smoke variant (`scripts/ci/60_soc.sh`): 4-tile points, and
+    /// one 32×32 RTL SoC that must build, drain and match the golden
+    /// checksum inside the smoke budget.
     fn smoke() -> Spec {
         Spec {
             report_name: "soc_smoke",
@@ -135,6 +139,12 @@ impl Spec {
                     limit: 16,
                 },
                 SynPoint { tiles: 4, net: NetLevel::Rtl, pattern: SocTraffic::Tornado, limit: 16 },
+                SynPoint {
+                    tiles: 1024,
+                    net: NetLevel::Rtl,
+                    pattern: SocTraffic::UniformRandom,
+                    limit: 4,
+                },
             ],
             cmp: vec![CmpPoint {
                 tiles: 4,
@@ -213,6 +223,16 @@ impl Spec {
                 None => println!("{name:<24} (failed)"),
             }
         }
+        // Wall clock, so outside the rows `55_serve.sh` compares.
+        let built: Vec<String> = self
+            .syn
+            .iter()
+            .filter_map(|p| {
+                let secs = job_timing(report, &p.label(), "overhead_total_secs")?;
+                Some(format!("{} {secs:.2}", p.label()))
+            })
+            .collect();
+        println!("bring-up seconds (elaborate + compile): {}", built.join(", "));
         println!("\n--- compute tiles: distributed XOR reduction to halt ---");
         println!(
             "{:<24} {:>8} {:>10} {:>9} {:>8}",

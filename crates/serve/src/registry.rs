@@ -829,6 +829,7 @@ fn soc_cycles_job(f: Fields, artifacts: &Arc<ArtifactCache>) -> Result<Job, Stri
                         .with_seed(seed),
                 );
                 let sim = build_shared(&soc, engine, &artifacts, key)?;
+                let overhead = sim.overheads().total().as_secs_f64();
                 let out = run_soc_traffic_on(&soc, sim, cycles);
                 if !out.drained {
                     return Err(format!("workload failed to drain in {cycles} cycles: {out:?}"));
@@ -845,7 +846,8 @@ fn soc_cycles_job(f: Fields, artifacts: &Arc<ArtifactCache>) -> Result<Job, Stri
                     .det("drained", u64::from(out.drained))
                     .det("checksum", u64::from(out.checksum))
                     .det("injected", out.injected)
-                    .det("delivered", out.delivered))
+                    .det("delivered", out.delivered)
+                    .timing("overhead_total_secs", overhead))
             })
             .param("injection", injection)
             .param("limit", limit)

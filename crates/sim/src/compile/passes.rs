@@ -91,10 +91,39 @@
 //! All passes are deterministic: hash maps are used for lookup only,
 //! never iterated, so the optimized tape is a pure function of its input.
 
-use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use super::codegen::VTape;
 use crate::tape::{mask_of, Effect, Op, Role, Store, VReg};
+
+/// The hash map of the compile path. Its keys are this program's own ops
+/// and indices, never outside input, so the hasher is a fixed
+/// multiply-rotate (the build is offline: no `rustc-hash`) instead of
+/// std's keyed SipHash: cheaper on `cse`'s 72-byte keys (EXPERIMENTS.md,
+/// Figure 16), and no process-random state in the compiler.
+pub(super) type FastMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<FastHasher>>;
+
+#[derive(Default)]
+pub(super) struct FastHasher(u64);
+
+impl Hasher for FastHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            let word = u64::from_le_bytes(word);
+            self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517C_C1B7_2722_0A95);
+        }
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        // The table takes its bucket from the low bits and its tag from
+        // the top seven; the multiply leaves the low bits the weakest.
+        self.0.rotate_left(26)
+    }
+}
 
 /// Fixpoint bound for the pass loop. Real designs converge in 2–3 rounds;
 /// the bound only guards against a pathological rewrite cycle.
@@ -124,6 +153,11 @@ pub struct PassStat {
 pub struct OptReport {
     /// Number of tapes optimized (per-block tapes plus fused plan tapes).
     pub tapes: u64,
+    /// Distinct block bodies among the per-block tapes: the optimizer ran
+    /// once per body and every other instance is a relocated copy, so
+    /// `bodies` over the block-stage share of `tapes` is the compile
+    /// memo's miss rate. Later stages carry the value unchanged.
+    pub bodies: u64,
     /// Total pass rounds executed across all tapes.
     pub rounds: u64,
     /// Ops across all tapes before optimization.
@@ -205,8 +239,10 @@ impl OptReport {
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
-            "tape optimizer: {} tapes, {} rounds, ops {} -> {} ({:.1}% removed), regs {} -> {}\n",
+            "tape optimizer: {} tapes ({} bodies), {} rounds, ops {} -> {} ({:.1}% removed), \
+             regs {} -> {}\n",
             self.tapes,
+            self.bodies,
             self.rounds,
             self.ops_before,
             self.ops_after,
@@ -238,13 +274,31 @@ impl OptReport {
         out
     }
 
-    fn record_mix(&mut self, ops: &[Op<VReg>]) {
-        let mut counts: HashMap<&'static str, u64> = HashMap::new();
-        for (kind, n) in self.mix.drain(..) {
-            counts.insert(kind, n);
+    /// Adds `times` copies of `other` — the report of one block body,
+    /// for that many instances of it. Every field is a sum (`mix` a
+    /// histogram); `bodies` is the caller's count and stays.
+    pub(super) fn absorb(&mut self, other: &OptReport, times: u64) {
+        self.tapes += times * other.tapes;
+        self.rounds += times * other.rounds;
+        self.ops_before += times * other.ops_before;
+        self.ops_after += times * other.ops_after;
+        self.regs_before += times * other.regs_before;
+        self.regs_after += times * other.regs_after;
+        self.narrow_tapes += times * other.narrow_tapes;
+        self.narrow_ops += times * other.narrow_ops;
+        for (p, q) in self.passes.iter_mut().zip(&other.passes) {
+            p.ops_before += times * q.ops_before;
+            p.ops_after += times * q.ops_after;
+            p.rewrites += times * q.rewrites;
+            p.regs_reclaimed += times * q.regs_reclaimed;
         }
-        for op in ops {
-            *counts.entry(op.kind().name()).or_insert(0) += 1;
+        self.record_mix(other.mix.iter().map(|&(kind, n)| (kind, times * n)));
+    }
+
+    fn record_mix(&mut self, more: impl Iterator<Item = (&'static str, u64)>) {
+        let mut counts: FastMap<&'static str, u64> = self.mix.drain(..).collect();
+        for (kind, n) in more {
+            *counts.entry(kind).or_insert(0) += n;
         }
         let mut mix: Vec<(&'static str, u64)> = counts.into_iter().collect();
         // Descending by count, name-tiebroken: deterministic output.
@@ -288,7 +342,7 @@ pub(super) fn optimize(vt: &mut VTape, widths: &[u32], mem_widths: &[u32], rep: 
     rep.rounds += rounds;
     rep.ops_after += vt.ops.len() as u64;
     rep.regs_after += vt.nregs as u64;
-    rep.record_mix(&vt.ops);
+    rep.record_mix(vt.ops.iter().map(|op| (op.kind().name(), 1)));
 }
 
 fn run_pass(
@@ -782,7 +836,7 @@ fn cse(vt: &mut VTape) -> u64 {
     /// The register a keyed op defines and its key; `None` for the ops
     /// value numbering leaves alone: stores and jumps, `Copy` (copy-prop's
     /// job), `Mux2`, and `Select` (it implicitly uses a register range).
-    fn key_of(op: &Op<VReg>, ver: &[u32], slot_ver: &HashMap<u32, u64>) -> Option<(VReg, Key)> {
+    fn key_of(op: &Op<VReg>, ver: &[u32], slot_ver: &FastMap<u32, u64>) -> Option<(VReg, Key)> {
         if matches!(op, Op::Copy { .. } | Op::Mux2 { .. } | Op::Select { .. }) {
             return None;
         }
@@ -810,13 +864,13 @@ fn cse(vt: &mut VTape) -> u64 {
     let dominating = dominators(&vt.ops);
     let nregs = vt.nregs as usize;
     let mut ver = vec![0u32; nregs];
-    let mut slot_ver: HashMap<u32, u64> = HashMap::new();
+    let mut slot_ver: FastMap<u32, u64> = FastMap::default();
     // Per slot: the register (and its version) a full `Write` last stored.
-    let mut last_store: HashMap<u32, (VReg, u32)> = HashMap::new();
-    let mut table: HashMap<Key, (VReg, u32)> = HashMap::new();
+    let mut last_store: FastMap<u32, (VReg, u32)> = FastMap::default();
+    let mut table: FastMap<Key, (VReg, u32)> = FastMap::default();
     // Facts from dominating positions; never cleared. Version pairing
     // still retires entries whose registers are redefined anywhere.
-    let mut global: HashMap<Key, (VReg, u32)> = HashMap::new();
+    let mut global: FastMap<Key, (VReg, u32)> = FastMap::default();
     let mut rewrites = 0;
 
     for (i, op) in vt.ops.iter_mut().enumerate() {
@@ -1276,16 +1330,19 @@ fn copy_prop(vt: &mut VTape) -> u64 {
     let is_leader = leaders(&vt.ops);
     let nregs = vt.nregs as usize;
     let mut ver = vec![0u32; nregs];
-    // `dst` currently holds the value `src` held at version `src_ver`.
-    let mut copy_of: Vec<Option<(VReg, u32)>> = vec![None; nregs];
+    // `dst` holds the value `src` held at version `src_ver`, as long as
+    // the entry's epoch is current: a leader forgets every copy by bumping
+    // the epoch (O(1), like `Facts::reset`).
+    let mut copy_of: Vec<Option<(VReg, u32, u32)>> = vec![None; nregs];
+    let mut epoch = 0u32;
     let mut rewrites = 0;
     for (i, op) in vt.ops.iter_mut().enumerate() {
         if is_leader[i] {
-            copy_of.fill(None);
+            epoch += 1;
         }
-        let resolve = |mut r: VReg, copy_of: &[Option<(VReg, u32)>], ver: &[u32]| {
-            while let Some((s, sv)) = copy_of[r as usize] {
-                if ver[s as usize] != sv || s == r {
+        let resolve = |mut r: VReg, copy_of: &[Option<(VReg, u32, u32)>], ver: &[u32]| {
+            while let Some((s, sv, e)) = copy_of[r as usize] {
+                if e != epoch || ver[s as usize] != sv || s == r {
                     break;
                 }
                 r = s;
@@ -1296,7 +1353,7 @@ fn copy_prop(vt: &mut VTape) -> u64 {
         if let Some(dst) = op.def() {
             ver[dst as usize] += 1;
             copy_of[dst as usize] = match *op {
-                Op::Copy { a, .. } if a != dst => Some((a, ver[a as usize])),
+                Op::Copy { a, .. } if a != dst => Some((a, ver[a as usize], epoch)),
                 _ => None,
             };
         }
@@ -1379,8 +1436,8 @@ fn jump_thread(vt: &mut VTape) -> u64 {
 fn dse(vt: &mut VTape) -> u64 {
     let is_leader = leaders(&vt.ops);
     let mut dead = vec![false; vt.ops.len()];
-    let mut pending_cur: HashMap<u32, usize> = HashMap::new();
-    let mut pending_next: HashMap<u32, usize> = HashMap::new();
+    let mut pending_cur: FastMap<u32, usize> = FastMap::default();
+    let mut pending_next: FastMap<u32, usize> = FastMap::default();
     let mut rewrites = 0;
     for (i, op) in vt.ops.iter().enumerate() {
         if is_leader[i] {

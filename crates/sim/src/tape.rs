@@ -39,9 +39,10 @@ pub(crate) type VReg = u32;
 ///
 /// Three facts about the instruction set are declared once, below the
 /// enum, and every consumer derives from them: each operand's place —
-/// register operands with their [`Role`], immediates by their `W` type
-/// ([`Op::map`]) — each op's [`Effect`] on simulator state
-/// ([`Op::effect`]) and its [`Kind`] (name, commutativity).
+/// register operands with their [`Role`], immediates by their `W` type,
+/// the slot or memory index with its [`Table`] ([`Op::map`]) — each op's
+/// [`Effect`] on simulator state ([`Op::effect`]) and its [`Kind`] (name,
+/// commutativity).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) enum Op<R = Reg, W = u128> {
     Const {
@@ -292,16 +293,19 @@ pub(crate) enum Op<R = Reg, W = u128> {
 
 impl<R: Copy, W: Copy> Op<R, W> {
     /// Rebuilds the op with every register operand passed through `f`
-    /// together with its [`Role`], and every immediate that holds a
-    /// machine word through `g`. This is the one per-variant listing of
-    /// operands: renumbering, def/use queries, use rewriting, range
-    /// validation, the CSE key, plane lowering and the 64-bit lowering
-    /// ([`Op::to_word`]) all route here.
+    /// together with its [`Role`], every immediate that holds a machine
+    /// word through `g`, and the net slot or memory index it names through
+    /// `h` together with its [`Table`]. This is the one per-variant listing
+    /// of operands: renumbering, def/use queries, use rewriting, range
+    /// validation, the CSE key, plane lowering, the 64-bit lowering
+    /// ([`Op::to_word`]) and per-instance relocation ([`Op::map_state`])
+    /// all route here.
     #[inline]
     pub(crate) fn map<S, V>(
         &self,
         f: &mut impl FnMut(Role, R) -> S,
         g: &mut impl FnMut(W) -> V,
+        h: &mut impl FnMut(Table, u32) -> u32,
     ) -> Op<S, V> {
         macro_rules! d {
             ($r:expr) => {
@@ -313,9 +317,19 @@ impl<R: Copy, W: Copy> Op<R, W> {
                 f(Role::Use, $r)
             };
         }
+        macro_rules! s {
+            ($i:expr) => {
+                h(Table::Slot, $i)
+            };
+        }
+        macro_rules! m {
+            ($i:expr) => {
+                h(Table::Mem, $i)
+            };
+        }
         match *self {
             Op::Const { dst, val } => Op::Const { dst: d!(dst), val: g(val) },
-            Op::Read { dst, slot } => Op::Read { dst: d!(dst), slot },
+            Op::Read { dst, slot } => Op::Read { dst: d!(dst), slot: s!(slot) },
             Op::Copy { dst, a } => Op::Copy { dst: d!(dst), a: u!(a) },
             Op::Add { dst, a, b, mask } => {
                 Op::Add { dst: d!(dst), a: u!(a), b: u!(b), mask: g(mask) }
@@ -363,29 +377,34 @@ impl<R: Copy, W: Copy> Op<R, W> {
             Op::Sext { dst, a, sign_bit, ext_or } => {
                 Op::Sext { dst: d!(dst), a: u!(a), sign_bit: g(sign_bit), ext_or: g(ext_or) }
             }
-            Op::Write { slot, src } => Op::Write { slot, src: u!(src) },
+            Op::Write { slot, src } => Op::Write { slot: s!(slot), src: u!(src) },
             Op::WriteMasked { slot, src, lo, field } => {
-                Op::WriteMasked { slot, src: u!(src), lo, field: g(field) }
+                Op::WriteMasked { slot: s!(slot), src: u!(src), lo, field: g(field) }
             }
-            Op::WriteNext { slot, src } => Op::WriteNext { slot, src: u!(src) },
+            Op::WriteNext { slot, src } => Op::WriteNext { slot: s!(slot), src: u!(src) },
             Op::WriteNextMasked { slot, src, lo, field } => {
-                Op::WriteNextMasked { slot, src: u!(src), lo, field: g(field) }
+                Op::WriteNextMasked { slot: s!(slot), src: u!(src), lo, field: g(field) }
             }
             Op::WriteIf { slot, cond, src, neg } => {
-                Op::WriteIf { slot, cond: u!(cond), src: u!(src), neg }
+                Op::WriteIf { slot: s!(slot), cond: u!(cond), src: u!(src), neg }
             }
             Op::WriteNextIf { slot, cond, src, neg } => {
-                Op::WriteNextIf { slot, cond: u!(cond), src: u!(src), neg }
+                Op::WriteNextIf { slot: s!(slot), cond: u!(cond), src: u!(src), neg }
             }
             Op::MemRead { dst, mem, addr, words } => {
-                Op::MemRead { dst: d!(dst), mem, addr: u!(addr), words }
+                Op::MemRead { dst: d!(dst), mem: m!(mem), addr: u!(addr), words }
             }
             Op::MemWrite { mem, addr, data, words } => {
-                Op::MemWrite { mem, addr: u!(addr), data: u!(data), words }
+                Op::MemWrite { mem: m!(mem), addr: u!(addr), data: u!(data), words }
             }
-            Op::MemWriteIf { mem, addr, data, cond, words, neg } => {
-                Op::MemWriteIf { mem, addr: u!(addr), data: u!(data), cond: u!(cond), words, neg }
-            }
+            Op::MemWriteIf { mem, addr, data, cond, words, neg } => Op::MemWriteIf {
+                mem: m!(mem),
+                addr: u!(addr),
+                data: u!(data),
+                cond: u!(cond),
+                words,
+                neg,
+            },
             Op::Jz { cond, target } => Op::Jz { cond: u!(cond), target },
             Op::JneConst { a, k, target } => Op::JneConst { a: u!(a), k: g(k), target },
             Op::Jmp { target } => Op::Jmp { target },
@@ -395,7 +414,15 @@ impl<R: Copy, W: Copy> Op<R, W> {
     /// [`Op::map`] over the register operands alone.
     #[inline]
     pub(crate) fn map_regs<S>(&self, f: &mut impl FnMut(Role, R) -> S) -> Op<S, W> {
-        self.map(f, &mut |w| w)
+        self.map(f, &mut |w| w, &mut |_, i| i)
+    }
+
+    /// [`Op::map`] over the state operand alone: how `compile` renumbers a
+    /// block body's slots and memories to instance-independent indices and
+    /// relocates the compiled body back onto each instance's.
+    #[inline]
+    pub(crate) fn map_state(&self, h: &mut impl FnMut(Table, u32) -> u32) -> Op<R, W> {
+        self.map(&mut |_, r| r, &mut |w| w, h)
     }
 
     /// Visits every register operand with its [`Role`].
@@ -508,11 +535,12 @@ impl<R: Copy, W: Word> Op<R, W> {
     /// (`compile` answers it).
     pub(crate) fn to_word<V: Word>(&self) -> Option<Op<R, V>> {
         let mut exact = true;
-        let mut op = self.map(&mut |_, r| r, &mut |w| {
+        let to_v = &mut |w: W| {
             let v = V::from_u128(w.to_u128());
             exact &= v.to_u128() == w.to_u128();
             v
-        });
+        };
+        let mut op = self.map(&mut |_, r| r, to_v, &mut |_, i| i);
         if let Op::Sra { ext, .. } | Op::LtS { ext, .. } | Op::GeS { ext, .. } = &mut op {
             *ext = ext.checked_add(V::BITS)?.checked_sub(W::BITS)?;
         }
@@ -531,6 +559,16 @@ pub(crate) enum Role {
     /// `Select`'s option-range base: it names `n` consecutive source
     /// registers, so it may only be renumbered together with all of them.
     Range(u16),
+}
+
+/// Which state table an op's state operand indexes; handed to
+/// [`Op::map_state`]'s closure alongside the index.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Table {
+    /// A net slot of `cur`/`next`.
+    Slot,
+    /// A memory.
+    Mem,
 }
 
 /// How a store op updates its target slot.
@@ -798,6 +836,46 @@ mod tests {
         assert_eq!(std::mem::size_of::<Op>(), 48);
         assert_eq!(std::mem::size_of::<Op<crate::batch::Opd>>(), 64);
         assert_eq!(std::mem::size_of::<Op<Reg, u64>>(), 24);
+    }
+
+    /// Relocation must move exactly the state an op touches: for every
+    /// kind, in both word classes, [`Op::map_state`] visits the one slot
+    /// or memory [`Op::effect`] reports (and nothing for the rest), the
+    /// identity leaves the op unchanged, and a new index lands where
+    /// `effect` looks for it.
+    #[test]
+    fn map_state_visits_exactly_the_state_effect_reports() {
+        type Seen = Vec<(Table, u32)>;
+        fn visit<W: Copy>(op: &Op<Reg, W>, to: Option<u32>) -> (Seen, Op<Reg, W>) {
+            let mut seen = Vec::new();
+            let moved = op.map_state(&mut |table, i| {
+                seen.push((table, i));
+                to.unwrap_or(i)
+            });
+            (seen, moved)
+        }
+        let state_of = |op: &Op| match op.effect() {
+            Effect::Read { slot } | Effect::Write { slot, .. } => vec![(Table::Slot, slot)],
+            Effect::MemRead { mem, .. } | Effect::MemWrite { mem, .. } => vec![(Table::Mem, mem)],
+            Effect::Pure | Effect::Jump { .. } => vec![],
+        };
+        let mut seed = 3u64;
+        for &kind in Kind::ALL {
+            let op = kind.sample(8, 1, &mut || rnd128(&mut seed));
+            let low = op.to_word::<u64>().expect("8-bit samples lower");
+            let (seen, same) = visit(&op, None);
+            assert_eq!(seen, state_of(&op), "{kind:?}");
+            assert_eq!(same, op, "{kind:?}: identity");
+            assert_eq!(visit(&low, None), (seen.clone(), low.clone()), "{kind:?}: u64 class");
+            let (_, moved) = visit(&op, Some(41));
+            let want: Vec<_> = seen.iter().map(|&(table, _)| (table, 41)).collect();
+            assert_eq!(state_of(&moved), want, "{kind:?}: relocated");
+            assert_eq!(
+                visit(&low, Some(41)).1.to_word::<u128>(),
+                Some(moved),
+                "{kind:?}: u64 relocated"
+            );
+        }
     }
 }
 

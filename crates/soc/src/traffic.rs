@@ -320,13 +320,16 @@ impl Component for SocTrafficGen {
                 reset.ex().mux(Expr::k(16, 0), take.mux(sent.ex() + Expr::k(16, 1), sent.ex())),
             );
 
-            // Deliveries fold payload ⊕ dest ⊕ src into the checksum. The
-            // three fields occupy disjoint bit ranges (seq < 2^16,
-            // src at 16, dest at 24), mirroring `golden_checksum`.
+            // Deliveries fold payload ⊕ dest ⊕ src into the checksum,
+            // mirroring `golden_checksum`'s `u32` arithmetic: seq < 2^16,
+            // src at 16, dest at 24 — disjoint bit ranges up to 256 tiles;
+            // beyond, src reaches into dest's and the dest bits that would
+            // land past bit 31 are dropped, as `(dest as u32) << 24` does.
             let recv_hs = in_.val.ex() & in_.rdy.ex();
             let pay32 = in_.msg.ex().slice(plo, plo + 32);
+            let dw = aw.min(8);
             let mix = pay32
-                ^ placed(in_.msg.ex().slice(dlo, dhi), aw, 24, 32)
+                ^ placed(in_.msg.ex().slice(dlo, dlo + dw), dw, 24, 32)
                 ^ placed(in_.msg.ex().slice(slo, shi), aw, 16, 32);
             b.assign(sum, reset.ex().mux(Expr::k(32, 0), recv_hs.clone().mux(sum ^ mix, sum.ex())));
             b.assign(
@@ -369,5 +372,27 @@ mod tests {
             design.blocks().iter().all(|b| matches!(b.body, mtl_core::BlockBody::Ir(_))),
             "SocTrafficGen must contain no native blocks"
         );
+    }
+
+    /// Above 256 tiles the address fields outgrow the byte the checksum
+    /// gives them: the generator must still elaborate (the fold used to be
+    /// 34 bits wide against the 32-bit sum) and fold a delivery exactly as
+    /// `golden_checksum` does, high dest bits dropped.
+    #[test]
+    fn checksum_fold_matches_the_golden_arithmetic_at_1024_tiles() {
+        use mtl_sim::{Engine, Sim};
+        let g = SocTrafficGen::new(5, 1024, 0, 1, 4, SocTraffic::UniformRandom);
+        let mut sim =
+            Sim::build(&g, Engine::SpecializedOpt).expect("1024-tile generator elaborates");
+        sim.reset();
+        let (dest, src, k) = (0x2A7u32, 0x3C1u32, 3u32);
+        let layout = net_msg_layout(1024, 32);
+        let msg = mtl_net::make_net_msg(&layout, dest.into(), src.into(), 0, k.into());
+        sim.poke_port("in__msg", msg);
+        sim.poke_port("in__val", mtl_bits::b(1, 1));
+        sim.cycle();
+        let golden = k ^ (dest << 24) ^ (src << 16);
+        assert_eq!(sim.peek_port("sum").as_u64(), u64::from(golden));
+        assert_eq!(sim.peek_port("recv").as_u64(), 1);
     }
 }

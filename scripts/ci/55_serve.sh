@@ -11,7 +11,9 @@
 #   (c) transport equivalence: fault_sweep --smoke and soc_sweep --smoke
 #       print the same deterministic table rows (taxonomy counts,
 #       checksums, cycles) run in-process and with --serve against the
-#       live daemon — one job catalog, two transports.
+#       live daemon — one job catalog, two transports. soc_sweep's smoke
+#       set includes the 1 024-tile RTL SoC, so the daemon also builds,
+#       drains and checks a 32×32 design.
 #
 # The in-process variant of these properties (plus protocol and
 # fingerprint-isolation checks) runs in tests/serve_smoke.rs; this
