@@ -239,11 +239,12 @@ impl fmt::Display for FuzzFailure {
         writeln!(f, "  minimized: {}", self.minimized_divergence)?;
         writeln!(
             f,
-            "  minimized design: {} inputs, {} wires, {} regs, mem={}",
+            "  minimized design: {} inputs, {} wires, {} regs, mem={}, x{} instances",
             self.minimized.inputs.len(),
             self.minimized.wires.len(),
             self.minimized.regs.len(),
-            self.minimized.mem_write.is_some()
+            self.minimized.mem_write.is_some(),
+            self.minimized.copies
         )?;
         writeln!(f, "--- reproducer ---\n{}", self.repro)
     }
@@ -261,6 +262,20 @@ pub fn design_seed(base: u64, iter: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// The replication factor the fuzzer gives the design of `seed`
+/// ([`RtlDesc::copies`]): one design in `one_in` becomes 16 to 40 instances
+/// of itself, enough for the static engine to gang every block body the
+/// generator can produce, with and without a partial last lane block. A
+/// function of the seed alone, so a failure still names one `design_seed`.
+fn replication(seed: u64, one_in: u64) -> u32 {
+    let draw = design_seed(seed, 0x6A46);
+    if draw.is_multiple_of(one_in) {
+        16 + (draw >> 8) as u32 % 25
+    } else {
+        1
+    }
 }
 
 /// Runs `desc` under all engine configurations for `cycles` cycles of
@@ -299,9 +314,10 @@ pub fn run_differential_with(
     }
 
     let nsignals = sims[0].design().signals().len();
+    let inputs = desc.top_inputs();
     let mut rng = Rng((desc.seed ^ 0xABCD).max(1));
     for cycle in 0..cycles {
-        for (name, w) in &desc.inputs {
+        for (name, w) in &inputs {
             let v = Bits::new(*w, rng.bits128());
             for sim in &mut sims {
                 sim.poke_port(name, v);
@@ -409,9 +425,10 @@ pub fn run_differential_batch(desc: &RtlDesc, cycles: u64, lanes: u32) -> Option
         sim.reset();
     }
 
+    let inputs = desc.top_inputs();
     let input_sigs: Vec<mtl_core::SignalId> = {
         let design = batch.design();
-        desc.inputs
+        inputs
             .iter()
             .map(|(name, _)| {
                 design
@@ -427,7 +444,7 @@ pub fn run_differential_batch(desc: &RtlDesc, cycles: u64, lanes: u32) -> Option
     let nsignals = batch.design().signals().len();
     let mut rng = Rng((desc.seed ^ 0xABCD).max(1));
     for cycle in 0..cycles {
-        for (k, (name, w)) in desc.inputs.iter().enumerate() {
+        for (k, (name, w)) in inputs.iter().enumerate() {
             for lane in 0..lanes {
                 let v = Bits::new(*w, rng.bits128());
                 batch.poke_lane(lane, input_sigs[k], v);
@@ -467,7 +484,10 @@ fn is_zero_const(e: &Expr) -> bool {
 /// Greedily minimizes `desc` while `diverges` keeps returning `true`.
 ///
 /// Passes, each verified by re-running the predicate (costing one unit of
-/// `budget` per candidate):
+/// `budget` per candidate). First of all, once: un-replicate (`copies`
+/// to 1), or failing that down to one lane block's worth of instances —
+/// a divergence that survives the first is not about replication at all.
+/// Then:
 ///
 /// 1. Drop the memory write path.
 /// 2. Zero out each register's next-state expression.
@@ -489,6 +509,15 @@ pub fn shrink(desc: &RtlDesc, budget: u32, mut diverges: impl FnMut(&RtlDesc) ->
         *left -= 1;
         diverges(cand)
     };
+
+    for copies in [1, 16] {
+        if copies < cur.copies {
+            let cand = RtlDesc { copies, ..cur.clone() };
+            if check(&cand, &mut left, &mut diverges) {
+                cur = cand;
+            }
+        }
+    }
 
     // Coarse passes to fixpoint.
     loop {
@@ -641,7 +670,7 @@ fn collect_garbage(desc: &RtlDesc) -> Option<RtlDesc> {
         .collect();
     let mem_write = desc.mem_write.as_ref().map(|(a, b)| (rewrite(a), rewrite(b)));
 
-    Some(RtlDesc { seed: desc.seed, inputs, wires, regs, mem_write })
+    Some(RtlDesc { seed: desc.seed, inputs, wires, regs, mem_write, copies: desc.copies })
 }
 
 struct SigDefRewrite;
@@ -771,7 +800,10 @@ fn replace_at(e: &Expr, path: &[usize], new: Expr) -> Expr {
 /// Checks one design seed; returns the minimized failure if the engines
 /// disagree.
 pub fn fuzz_one(seed: u64, cfg: &FuzzConfig) -> Option<FuzzFailure> {
-    let desc = RtlDesc::generate(seed, cfg.shape);
+    // One design in four is replicated — one in sixteen against the batch
+    // differential's 64 interpreted references, each as large as the copy.
+    let one_in = if cfg.batch_lanes.is_some() { 16 } else { 4 };
+    let desc = RtlDesc { copies: replication(seed, one_in), ..RtlDesc::generate(seed, cfg.shape) };
     let sels = if cfg.opt_diff { engines_under_test_opt_diff() } else { engines_under_test() };
     let cycles = cfg.cycles;
     let rerun = |cand: &RtlDesc| match cfg.batch_lanes {

@@ -99,6 +99,15 @@ pub struct RtlDesc {
     pub regs: Vec<SigDef>,
     /// Synchronous memory write path: `(addr expr (3b), data expr (16b))`.
     pub mem_write: Option<(Expr, Expr)>,
+    /// How many instances of the design the top holds. `1` (what
+    /// [`RtlDesc::generate`] draws) is the design itself; above that the
+    /// top is a shell that instantiates it as `u0..`, gives every
+    /// instance its own input ports (`u0_in0`, …, see
+    /// [`RtlDesc::top_inputs`]) and xor-folds the instances' `out`s — a
+    /// design that is mostly replication, the way a mesh is mostly
+    /// routers, so engines that treat instances of one block body
+    /// specially meet arbitrary bodies.
+    pub copies: u32,
 }
 
 pub(crate) const MEM_WORDS: u64 = 8;
@@ -244,7 +253,17 @@ impl RtlDesc {
         let waddr = resize(Expr::Read(SignalId::from_index(ai)), aw, MEM_ADDR_BITS, false);
         let wdata = resize(Expr::Read(SignalId::from_index(di)), dw, MEM_WIDTH, false);
 
-        RtlDesc { seed, inputs, wires, regs, mem_write: Some((waddr, wdata)) }
+        RtlDesc { seed, inputs, wires, regs, mem_write: Some((waddr, wdata)), copies: 1 }
+    }
+
+    /// The top-level input ports a testbench drives, `(name, width)`: the
+    /// design's own inputs, or every instance's when it is replicated.
+    pub fn top_inputs(&self) -> Vec<(String, u32)> {
+        if self.copies <= 1 {
+            return self.inputs.clone();
+        }
+        let of = |i: u32| self.inputs.iter().map(move |(name, w)| (format!("u{i}_{name}"), *w));
+        (0..self.copies).flat_map(of).collect()
     }
 
     /// Width of every table entry, in table order.
@@ -343,11 +362,29 @@ fn remap(e: &Expr, table: &[SignalRef], mem: Option<MemRef>) -> Expr {
 
 impl Component for RandomRtl {
     fn name(&self) -> String {
-        format!("RandomRtl_{}", self.desc.seed)
+        match self.desc.copies {
+            0 | 1 => format!("RandomRtl_{}", self.desc.seed),
+            n => format!("RandomRtl_{}x{n}", self.desc.seed),
+        }
     }
 
     fn build(&self, c: &mut Ctx) {
         let d = &self.desc;
+        if d.copies > 1 {
+            let one = RandomRtl::from_desc(RtlDesc { copies: 1, ..d.clone() });
+            let mut acc = Expr::k(32, 0);
+            for i in 0..d.copies {
+                let inst = c.instantiate(&format!("u{i}"), &one);
+                for (name, w) in &d.inputs {
+                    let port = c.in_port(&format!("u{i}_{name}"), *w);
+                    c.connect(port, c.port_of(&inst, name));
+                }
+                acc = acc ^ c.port_of(&inst, "out").ex();
+            }
+            let out = c.out_port("out", 32);
+            c.comb("fold", |b| b.assign(out, acc));
+            return;
+        }
         let reset = c.reset();
 
         // Declare the whole signal table first so expressions can
@@ -560,9 +597,32 @@ pub fn repro_snippet(desc: &RtlDesc, note: &str) -> String {
         s.push_str(&format!("            acc = acc ^ {tap};\n"));
     }
     s.push_str("            b.assign(out, acc);\n        });\n    }\n}\n\n");
+    if desc.copies > 1 {
+        s.push_str(&format!(
+            "// The design under test: {} instances of `Repro`, each with its own inputs.\n\
+             struct ReproTop;\n\nimpl Component for ReproTop {{\n    \
+             fn name(&self) -> String {{ \"ReproTop\".into() }}\n    \
+             fn build(&self, c: &mut Ctx) {{\n        \
+             let mut acc = Expr::k(32, 0);\n        \
+             for i in 0..{} {{\n            \
+             let inst = c.instantiate(&format!(\"u{{i}}\"), &Repro);\n",
+            desc.copies, desc.copies
+        ));
+        for (name, w) in &desc.inputs {
+            s.push_str(&format!(
+                "            let port = c.in_port(&format!(\"u{{i}}_{name}\"), {w});\n            \
+                 c.connect(port, c.port_of(&inst, \"{name}\"));\n"
+            ));
+        }
+        s.push_str(
+            "            acc = acc ^ c.port_of(&inst, \"out\").ex();\n        }\n        \
+             let out = c.out_port(\"out\", 32);\n        \
+             c.comb(\"fold\", |b| b.assign(out, acc));\n    }\n}\n\n",
+        );
+    }
     s.push_str(&format!(
         "// Stimulus: seed the xorshift64* rng with {:#x} ^ 0xABCD; each cycle, for\n\
-         // each input in declaration order, draw lo and hi u64s and poke\n\
+         // each top-level input in declaration order, draw lo and hi u64s and poke\n\
          // Bits::new(width, lo as u128 | (hi as u128) << 64).\n",
         desc.seed
     ));

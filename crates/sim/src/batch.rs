@@ -64,7 +64,7 @@ pub(crate) struct Opd {
 
 /// One lowered tape: the tape's ops, index for index (jump targets stay
 /// op indices), over arena plane ranges.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct BatchProg {
     ops: Vec<Op<Opd>>,
     /// The operands of every `Select`'s options (see [`Opd`]).
@@ -73,17 +73,35 @@ pub(crate) struct BatchProg {
     arena: u32,
 }
 
+/// One step of a lowered plan: a fused chunk's own program, or a design
+/// block's program (a gang member) by index into [`BatchProgs::blocks`].
+#[derive(Debug)]
+pub(crate) enum Step {
+    Fused(BatchProg),
+    Block(u32),
+}
+
 /// The batch stage of the compiled artifact: plane programs for the
 /// fused comb/seq plans plus one per design block (the per-block programs
 /// serve `exec_block`, i.e. the wrapper's levelized forced-settle fault
-/// path). Pure data, cached via [`crate::ArtifactCache`].
+/// path, and the gang members of the plans). Pure data, cached via
+/// [`crate::ArtifactCache`].
 #[derive(Debug)]
 pub(crate) struct BatchProgs {
-    pub(crate) comb: Vec<BatchProg>,
-    pub(crate) seq: Vec<BatchProg>,
+    pub(crate) comb: Vec<Step>,
+    pub(crate) seq: Vec<Step>,
     pub(crate) blocks: Vec<BatchProg>,
     /// Max arena planes over all programs (one shared scratch arena).
     pub(crate) arena_planes: u32,
+}
+
+impl BatchProgs {
+    fn prog<'a>(&'a self, step: &'a Step) -> &'a BatchProg {
+        match step {
+            Step::Fused(prog) => prog,
+            Step::Block(b) => &self.blocks[*b as usize],
+        }
+    }
 }
 
 /// Significant bits of a constant (`0` for zero).
@@ -375,17 +393,20 @@ fn net_offsets(widths: &[u32]) -> (Vec<u32>, u32) {
 /// Lowers the fused plans and the per-block tapes to plane programs.
 pub(crate) fn lower(blocks: &BlockTapes, plans: &Plans) -> BatchProgs {
     let (widths, mem_widths) = (&blocks.layout.widths, &blocks.layout.mem_widths);
-    let lower_chunk = |c: &Chunk| match c {
-        Chunk::Fused(t) => lower_tape(t, widths, mem_widths),
-        Chunk::Native(_) => unreachable!("batch engine rejects native blocks"),
-    };
-    let comb: Vec<BatchProg> = plans.comb.iter().map(lower_chunk).collect();
-    let seq: Vec<BatchProg> = plans.seq.iter().map(lower_chunk).collect();
     let blocks: Vec<BatchProg> =
         blocks.tapes.iter().map(|t| lower_tape(t, widths, mem_widths)).collect();
-    let arena_planes =
-        comb.iter().chain(&seq).chain(&blocks).map(|prog| prog.arena).max().unwrap_or(0);
-    BatchProgs { comb, seq, blocks, arena_planes }
+    // Lanes are trials here, so a gang runs as its members' block programs.
+    let lower_chunk = |c: &Chunk| match c {
+        Chunk::Fused(t) => vec![Step::Fused(lower_tape(t, widths, mem_widths))],
+        Chunk::Gang(g) => g.blocks.iter().map(|&b| Step::Block(b)).collect(),
+        Chunk::Native(_) => unreachable!("batch engine rejects native blocks"),
+    };
+    let comb: Vec<Step> = plans.comb.iter().flat_map(lower_chunk).collect();
+    let seq: Vec<Step> = plans.seq.iter().flat_map(lower_chunk).collect();
+    let mut progs = BatchProgs { comb, seq, blocks, arena_planes: 0 };
+    let steps = progs.comb.iter().chain(&progs.seq).map(|step| progs.prog(step));
+    progs.arena_planes = steps.chain(&progs.blocks).map(|prog| prog.arena).max().unwrap_or(0);
+    progs
 }
 
 impl BatchEngine {
@@ -789,8 +810,8 @@ impl BatchEngine {
     /// (the plane analog of the scalar static engine's full pass).
     fn full_pass(&mut self) {
         let progs = self.progs.clone();
-        for prog in &progs.comb {
-            self.exec_planes(prog);
+        for step in &progs.comb {
+            self.exec_planes(progs.prog(step));
         }
         self.dirty = false;
         if let Some(p) = self.prof.as_mut() {
@@ -855,8 +876,8 @@ impl EngineImpl for BatchEngine {
     /// commit, per-lane memory commit.
     fn edge(&mut self) {
         let progs = self.progs.clone();
-        for prog in &progs.seq {
-            self.exec_planes(prog);
+        for step in &progs.seq {
+            self.exec_planes(progs.prog(step));
         }
         for i in 0..self.reg_slots.len() {
             let slot = self.reg_slots[i] as usize;
@@ -1002,7 +1023,7 @@ impl EngineImpl for BatchEngine {
 mod tests {
     use super::*;
     use crate::compile::passes::eval_pure;
-    use crate::compile::{fuse_run, Layout};
+    use crate::compile::{fuse_run, Gang, Layout};
     use crate::state::PackedState;
     use crate::tape::{rnd128, Kind, VReg};
     use mtl_core::{elaborate, Component, Ctx};
@@ -1024,12 +1045,12 @@ mod tests {
     /// then (after a run) the queued memory writes.
     type LaneState = (Vec<u128>, Vec<u128>, Vec<u128>, Vec<(u32, u64, u128)>);
 
-    /// The instruction set has four per-op implementations — the scalar
-    /// executor (one body, instantiated at `u128` and at `u64`),
-    /// `eval_pure`, `def_width` and the plane loops. For every kind in the
-    /// table, over narrow, word-sized and wide values with distinct
-    /// operands on all 64 lanes, they must agree — with every lane active
-    /// and under a divergent lane mask.
+    /// The instruction set has five per-op implementations — the scalar
+    /// executor (one body, instantiated at `u128` and at `u64`), the lane
+    /// executor (`u64` values, no jumps), `eval_pure`, `def_width` and the
+    /// plane loops. For every kind in the table, over narrow, word-sized and
+    /// wide values with distinct operands on all 64 lanes, they must agree
+    /// — with every lane active and under a divergent lane mask.
     ///
     /// The op under test sits between loads of slots 0..=5 into `r0..=r5`
     /// and a store of its result to slot 6; slot 7 is the store target of
@@ -1069,7 +1090,7 @@ mod tests {
                 let raw = Arc::new(vec![plain, tape(guard, &op)]);
 
                 let layout = || Layout::plain(&widths, &[w], &[]);
-                let raw_blocks = BlockTapes { layout: layout(), tapes: raw.clone(), report: None };
+                let raw_blocks = BlockTapes::plain(layout(), raw.clone());
                 // `fuse_run` is the crate's way to classify and `validate`.
                 let tapes: Vec<Tape> =
                     (0..2).map(|b| fuse_run(&raw_blocks, &[b], &mut None, "sample tape")).collect();
@@ -1078,7 +1099,7 @@ mod tests {
                     assert_eq!(t.narrow.is_some(), narrow, "{kind:?} w={w}: class of {op:?}");
                 }
                 let tapes = Arc::new(tapes);
-                let blocks = BlockTapes { layout: layout(), tapes: tapes.clone(), report: None };
+                let blocks = BlockTapes::plain(layout(), tapes.clone());
                 let none = || Arc::new(Vec::new());
                 let plans = Plans { comb: none(), seq: none(), report: None };
                 let batch = lower(&blocks, &plans);
@@ -1128,6 +1149,47 @@ mod tests {
                         let (cur, next, _) = state.dump();
                         (cur, next, mem.clone(), pending)
                     };
+                    // The lane executor: block 0 as the body of a gang of
+                    // the first `L` lane states, instance `i` on slots
+                    // `9 i..9 i + 9` and memory `i`. Each lane must end
+                    // where the scalar `u64` run of its own state ends,
+                    // its queued stores in program order.
+                    if narrow && !matches!(op.effect(), Effect::Jump { .. }) {
+                        const L: usize = crate::compile::LANES;
+                        let gang = Gang {
+                            body: 0,
+                            blocks: (0..L as u32).collect(),
+                            slots: (0..9 * L).map(|i| ((i % L) * 9 + i / L) as u32).collect(),
+                            mems: (0..L as u32).collect(),
+                        };
+                        let mut state =
+                            PackedState::from_widths(&widths.repeat(L), &vec![(w, 4); L], &[]);
+                        let column = |pick: fn(&LaneState) -> &Vec<u128>| -> Vec<u128> {
+                            before[..L].iter().flat_map(|st| pick(st).clone()).collect()
+                        };
+                        state.fill(&column(|st| &st.0), &column(|st| &st.1));
+                        let mut st = state.exclusive();
+                        for (lane, (_, _, mem, _)) in before[..L].iter().enumerate() {
+                            for (addr, &v) in mem.iter().enumerate() {
+                                st.poke_mem(lane, addr as u64, Bits::new(w, v));
+                            }
+                        }
+                        let mut pending = Vec::new();
+                        st.exec_lanes(&tapes[0], &gang, &mut [[0; L]; 8], &mut pending);
+                        let (cur, next, _) = state.dump();
+                        for (lane, lane_state) in before[..L].iter().enumerate() {
+                            let own = |column: &[u128]| column[9 * lane..][..9].to_vec();
+                            let queued = pending.iter().filter(|store| store.0 == lane as u32);
+                            let got: LaneState = (
+                                own(&cur),
+                                own(&next),
+                                lane_state.2.clone(),
+                                queued.map(|&(_, addr, v)| (0, addr, v)).collect(),
+                            );
+                            let want = scalar(&tapes[0], lane_state);
+                            assert_eq!(got, want, "{kind:?} w={w} lane {lane}: lanes of {op:?}");
+                        }
+                    }
                     for b in 0..2 {
                         for (lane, (cur, next, mem, _)) in before.iter().enumerate() {
                             for s in 0..9 {

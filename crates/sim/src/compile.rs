@@ -7,7 +7,7 @@
 //! | stage | type | built from | consumers |
 //! |---|---|---|---|
 //! | blocks | [`BlockTapes`] | the design: fold → codegen per block, then optimize → narrow (registers and word class) → validate once per distinct [`Body`] and a relocated, validated copy per block; plus the [`Layout`] tables | `Specialized`, `SpecializedPar`, every later stage |
-//! | plans | [`Plans`] | blocks: levelized schedule cut into IR runs at native boundaries, each run fused and re-optimized | `SpecializedOpt`, the batch stage |
+//! | plans | [`Plans`] | blocks: levelized schedule cut into IR runs at native boundaries; per dependency level of a run, [`LANES`] or more instances of one jump-free `u64`-class [`Body`] become a [`Gang`] (the body once, instances as lanes), everything else is fused and re-optimized between gangs | `SpecializedOpt`, the batch stage |
 //! | batch | [`BatchProgs`](crate::batch::BatchProgs) | plans + blocks lowered to bit-plane programs | `SpecializedBatch` |
 //!
 //! [`staged`] resolves the stage an engine needs — through the shared
@@ -25,13 +25,13 @@ use std::convert::Infallible;
 use std::sync::Arc;
 use std::time::Instant;
 
-use mtl_core::{BlockBody, BlockId, BlockKind, Design, Stmt};
+use mtl_core::{BlockBody, BlockId, BlockKind, Design, SignalId, Stmt};
 
 use crate::artifact::{ArtifactCache, Guard, Layer, Staged};
 use crate::overheads::Overheads;
-use crate::tape::{Op, Reg, Tape, VReg};
+use crate::tape::{Effect, Op, Reg, Tape, VReg};
 use codegen::{compile_block, fold_stmts, fuse, narrow, validate, VTape};
-use passes::{optimize, FastMap, OptReport};
+use passes::{optimize, FastMap, OptReport, Refusal};
 
 /// Levelized combinational block order.
 pub(crate) fn comb_order(design: &Design) -> Vec<u32> {
@@ -112,20 +112,151 @@ pub(crate) fn ir_runs(design: &Design, order: &[u32]) -> Vec<Run> {
     runs
 }
 
+/// "No such block / body / writer" in the `u32` index tables below.
+pub(crate) const NONE: u32 = u32::MAX;
+
+/// What a planner knows about one block of a run: the net slots it reads
+/// and writes, and its cost in tape ops. Blocks are given in schedule
+/// order, which is topological: a slot's writer precedes its readers.
+#[derive(Debug, Clone)]
+pub(crate) struct BlockIo {
+    pub(crate) reads: Vec<u32>,
+    pub(crate) writes: Vec<u32>,
+    pub(crate) cost: u64,
+}
+
+/// The blocks of `run` as the planners see them. Sequential blocks read
+/// `cur` and write `next`, so no block of a seq run feeds another: they
+/// are given no reads.
+pub(crate) fn run_io(
+    design: &Design,
+    tapes: &[Tape],
+    run: &[u32],
+    kind: BlockKind,
+) -> Vec<BlockIo> {
+    let slots_of = |signals: &[SignalId]| -> Vec<u32> {
+        signals.iter().map(|&s| design.net_of(s).index() as u32).collect()
+    };
+    let io = run.iter().map(|&b| {
+        let info = &design.blocks()[b as usize];
+        let reads = if kind == BlockKind::Comb { &info.reads[..] } else { &[] };
+        BlockIo {
+            reads: slots_of(reads),
+            writes: slots_of(&info.writes),
+            cost: tapes[b as usize].ops.len() as u64,
+        }
+    });
+    io.collect()
+}
+
+/// The run-local index of the block writing each slot the run names
+/// ([`NONE`]: written outside the run, or not at all).
+pub(crate) fn writers(io: &[BlockIo]) -> Vec<u32> {
+    let slots = io.iter().flat_map(|b| b.reads.iter().chain(&b.writes));
+    let mut writer_of = vec![NONE; slots.max().map_or(0, |&s| s as usize + 1)];
+    for (b, block) in io.iter().enumerate() {
+        for &w in &block.writes {
+            writer_of[w as usize] = b as u32;
+        }
+    }
+    writer_of
+}
+
+/// The dependency level of each block of a run: the longest writer→reader
+/// path that reaches it from the run's inputs (`writer_of` from
+/// [`writers`]). Blocks of one level neither feed nor follow one another,
+/// which is what lets `par` run them on different workers and
+/// [`fuse_plans`] run them as lanes of one [`Gang`].
+pub(crate) fn levels(io: &[BlockIo], writer_of: &[u32]) -> Vec<u32> {
+    let mut level = vec![0u32; io.len()];
+    for (b, block) in io.iter().enumerate() {
+        for &r in &block.reads {
+            let w = writer_of[r as usize];
+            if w != NONE && (w as usize) < b {
+                level[b] = level[b].max(level[w as usize] + 1);
+            }
+        }
+    }
+    level
+}
+
 /// Stage 1: one validated tape per design block (empty for native
 /// blocks). Pure data, shared by every tape engine.
 pub(crate) struct BlockTapes {
     pub(crate) layout: Layout,
     pub(crate) tapes: Arc<Vec<Tape>>,
+    /// The canonical tape of each distinct [`Body`], in order of first
+    /// occurrence: slots and memories numbered locally, optimized,
+    /// narrowed and validated against the body's own tables. `tapes[b]` is
+    /// `bodies[body_of[b]]` relocated through `back[b]`.
+    pub(crate) bodies: Arc<Vec<Tape>>,
+    /// Per block, its body ([`NONE`] for a native block).
+    pub(crate) body_of: Vec<u32>,
+    /// Per block, the global slot (`[0]`) and memory (`[1]`) each local
+    /// index of its body stands for, indexed like
+    /// [`Table`](crate::tape::Table).
+    pub(crate) back: Vec<[Vec<u32>; 2]>,
     /// Per-pass statistics of the per-block optimizer runs; `None` when
     /// the optimizer is off. Later stages extend a copy.
     pub(crate) report: Option<OptReport>,
 }
 
-/// One step of a fused static schedule: a fused run of tape blocks or a
-/// native block call.
+#[cfg(test)]
+impl BlockTapes {
+    /// Hand-built tapes with no body bookkeeping: enough for [`fuse_run`]
+    /// and the batch lowering.
+    pub(crate) fn plain(layout: Layout, tapes: Arc<Vec<Tape>>) -> BlockTapes {
+        BlockTapes {
+            layout,
+            tapes,
+            bodies: Arc::default(),
+            body_of: Vec::new(),
+            back: Vec::new(),
+            report: None,
+        }
+    }
+}
+
+/// How many instances of a body execute per dispatched op: the lane width
+/// of a [`Gang`]. A constant, not a knob — once a dispatch is shared by
+/// this many instances it is no longer the bound: 8 and 16 lanes measure
+/// the same, 32 no better, and at 64 the register bank leaves the L1 cache
+/// (EXPERIMENTS.md, "Execute a body once").
+pub(crate) const LANES: usize = 16;
+
+/// Instances of one block body executed as lanes: the body's canonical
+/// tape runs once per *lane block* of [`LANES`] members, on registers that
+/// hold one value per lane, and reaches each member's state through the
+/// tables.
+pub(crate) struct Gang {
+    /// The shared body, an index into [`BlockTapes::bodies`].
+    pub(crate) body: u32,
+    /// The member blocks in schedule order, a multiple of [`LANES`] of
+    /// them: members `k * LANES..(k + 1) * LANES` are lane block `k`.
+    pub(crate) blocks: Vec<u32>,
+    /// `[(lane_block * nlocal + local) * LANES + lane]`: the global slot
+    /// behind the body's local slot `local` in that member.
+    pub(crate) slots: Vec<u32>,
+    /// The same for memories.
+    pub(crate) mems: Vec<u32>,
+}
+
+impl Gang {
+    /// Per lane block, its rows of `slots` and of `mems`.
+    pub(crate) fn lane_blocks(&self) -> impl Iterator<Item = (&[u32], &[u32])> {
+        let n = self.blocks.len() / LANES;
+        let (slots, mems) = (self.slots.len() / n, self.mems.len() / n);
+        (0..n).map(move |k| (&self.slots[k * slots..][..slots], &self.mems[k * mems..][..mems]))
+    }
+}
+
+/// One step of a fused static schedule: a fused run of tape blocks, a
+/// gang of instances of one body, or a native block call.
 pub(crate) enum Chunk {
     Fused(Tape),
+    /// Boxed so that a schedule of native calls — a CL model's — streams
+    /// chunks no larger than it did before gangs existed.
+    Gang(Box<Gang>),
     Native(u32),
 }
 
@@ -188,27 +319,24 @@ fn compile_blocks(design: &Design, opt: bool, o: &mut Overheads) -> BlockTapes {
     let folded = fold_blocks(design);
     o.comp += t0.elapsed();
 
-    let widths: Vec<u32> = design.nets().iter().map(|n| n.width).collect();
-    let mem_widths: Vec<u32> = design.mems().iter().map(|m| m.width).collect();
-
-    // Phase: cgen (tape code generation + optimizer pipeline; the
-    // register budget applies to the *narrowed* result, i.e.
-    // post-compaction when the optimizer is on).
-    let t0 = Instant::now();
-    let (tapes, report) = block_tapes(design, &folded, &widths, &mem_widths, opt);
-    o.cgen += t0.elapsed();
-
     // Phase: simc (schedules).
     let t0 = Instant::now();
     let layout = Layout {
-        widths,
-        mem_widths,
+        widths: design.nets().iter().map(|n| n.width).collect(),
+        mem_widths: design.mems().iter().map(|m| m.width).collect(),
         comb_order: comb_order(design),
         seq_order: seq_order(design),
         reg_slots: reg_slots(design),
     };
     o.simc += t0.elapsed();
-    BlockTapes { layout, tapes: Arc::new(tapes), report }
+
+    // Phase: cgen (tape code generation + optimizer pipeline; the
+    // register budget applies to the *narrowed* result, i.e.
+    // post-compaction when the optimizer is on).
+    let t0 = Instant::now();
+    let blocks = block_tapes(design, &folded, layout, opt);
+    o.cgen += t0.elapsed();
+    blocks
 }
 
 /// A block's raw tape with its state operands renumbered by first
@@ -225,10 +353,11 @@ struct Body {
     widths: [Vec<u32>; 2],
 }
 
-/// A [`Body`] compiled against its local tables, its optimizer report,
-/// and how many blocks of the design share it.
+/// A [`Body`] compiled against its local tables: its index in
+/// [`BlockTapes::bodies`], its optimizer report, and how many blocks of
+/// the design share it.
 struct Compiled {
-    tape: Tape,
+    body: u32,
     report: Option<OptReport>,
     instances: u64,
 }
@@ -243,20 +372,26 @@ struct Compiled {
 fn block_tapes(
     design: &Design,
     folded: &[Option<Vec<Stmt>>],
-    widths: &[u32],
-    mem_widths: &[u32],
+    layout: Layout,
     opt: bool,
-) -> (Vec<Tape>, Option<OptReport>) {
-    let global = [widths, mem_widths];
+) -> BlockTapes {
+    let global = [&layout.widths[..], &layout.mem_widths[..]];
     let mut memo: FastMap<Body, Compiled> = FastMap::default();
+    let mut bodies: Vec<Tape> = Vec::new();
+    let mut body_of = Vec::with_capacity(folded.len());
+    let mut backs = Vec::with_capacity(folded.len());
     // Per table, the local index + 1 of each global one the current block
     // has named (0: not yet); cleared after every block.
     let mut local = global.map(|t| vec![0u32; t.len()]);
     let tapes = design.blocks().iter().zip(folded).enumerate().map(|(i, (b, f))| {
-        let Some(stmts) = f else { return Tape::default() };
-        let mut vt = compile_block(design, stmts, b.kind);
         // Local index → the global index it stands for in this block.
         let mut back: [Vec<u32>; 2] = Default::default();
+        let Some(stmts) = f else {
+            body_of.push(NONE);
+            backs.push(back);
+            return Tape::default();
+        };
+        let mut vt = compile_block(design, stmts, b.kind);
         for op in &mut vt.ops {
             *op = op.map_state(&mut |t, g| {
                 let (local, back) = (&mut local[t as usize][g as usize], &mut back[t as usize]);
@@ -281,28 +416,30 @@ fn block_tapes(
                 let Body { ops, nregs, widths: [slots, mems] } = miss.key();
                 let vt = VTape { ops: ops.clone(), nregs: *nregs, ..VTape::default() };
                 let mut report = opt.then(OptReport::new);
-                let tape = finish(vt, slots, mems, &mut report, || {
+                bodies.push(finish(vt, slots, mems, &mut report, || {
                     let kind = match b.kind {
                         BlockKind::Comb => "comb",
                         BlockKind::Seq => "seq",
                     };
                     format!("{kind} block `{}`", design.block_path(BlockId::from_index(i)))
-                });
-                miss.insert(Compiled { tape, report, instances: 0 })
+                }));
+                miss.insert(Compiled { body: bodies.len() as u32 - 1, report, instances: 0 })
             }
         };
         compiled.instances += 1;
-        let Tape { ops, nregs, prelude, narrow } = &compiled.tape;
+        let Tape { ops, nregs, prelude, narrow } = &bodies[compiled.body as usize];
         let tape = Tape {
             ops: relocate(ops, &back),
             nregs: *nregs,
             prelude: *prelude,
             narrow: narrow.as_ref().map(|ops| relocate(ops, &back)),
         };
-        validate(&tape, widths.len(), mem_widths.len());
+        validate(&tape, global[0].len(), global[1].len());
+        body_of.push(compiled.body);
+        backs.push(back);
         tape
     });
-    let tapes = tapes.collect();
+    let tapes = Arc::new(tapes.collect());
     let report = opt.then(|| {
         let mut report = OptReport { bodies: memo.len() as u64, ..OptReport::new() };
         // Sums commute, so the map's order does not show.
@@ -311,7 +448,7 @@ fn block_tapes(
         }
         report
     });
-    (tapes, report)
+    BlockTapes { layout, tapes, bodies: Arc::new(bodies), body_of, back: backs, report }
 }
 
 /// `ops` with every local state operand replaced by the global index
@@ -359,22 +496,233 @@ pub(crate) fn fuse_run(
     finish(fuse(&parts), &layout.widths, &layout.mem_widths, report, || label.to_string())
 }
 
-/// Fuses consecutive tape blocks into mega-tapes for the fully static
-/// schedule (charged to simc: it is schedule construction).
+/// Builds the static schedules of `SpecializedOpt` (charged to simc: it
+/// is schedule construction): native blocks stay serial points, and every
+/// run of IR blocks between them is planned by [`plan_run`].
 fn fuse_plans(design: &Design, blocks: &BlockTapes, o: &mut Overheads) -> Plans {
     let t0 = Instant::now();
     let mut report = blocks.report.clone();
-    let mut plan = |order: &[u32], label: &str| -> Arc<Vec<Chunk>> {
-        let chunks = ir_runs(design, order).into_iter().map(|run| match run {
-            Run::Ir(run) => Chunk::Fused(fuse_run(blocks, &run, &mut report, label)),
-            Run::Native(b) => Chunk::Native(b),
-        });
-        Arc::new(chunks.collect())
+    let mut plan = |order: &[u32], kind: BlockKind, label: &str| -> Arc<Vec<Chunk>> {
+        let mut chunks = Vec::new();
+        for run in ir_runs(design, order) {
+            match run {
+                Run::Ir(run) => {
+                    let io = run_io(design, &blocks.tapes, &run, kind);
+                    plan_run(blocks, &run, &io, &mut report, label, &mut chunks);
+                }
+                Run::Native(b) => chunks.push(Chunk::Native(b)),
+            }
+        }
+        Arc::new(chunks)
     };
-    let comb = plan(&blocks.layout.comb_order, "fused comb schedule");
-    let seq = plan(&blocks.layout.seq_order, "fused seq schedule");
+    let comb = plan(&blocks.layout.comb_order, BlockKind::Comb, "fused comb schedule");
+    let seq = plan(&blocks.layout.seq_order, BlockKind::Seq, "fused seq schedule");
     o.simc += t0.elapsed();
     Plans { comb, seq, report }
+}
+
+/// Plans one run of IR blocks (`io` describes them, in `run`'s order),
+/// appending its chunks. The run is walked by dependency level
+/// ([`levels`]); within a level the blocks are grouped by body, groups in
+/// order of first occurrence. A group the admission rule takes
+/// ([`admit`]) becomes a [`Chunk::Gang`]; the tail it leaves and every
+/// other block are *residual*: they collect, level by level, in an open run
+/// that the next gang closes and [`fuse_run`] fuses, in schedule order. A
+/// level's residual joins the open run after the level's gangs — blocks of
+/// one level are independent, so either side is right, and this side closes
+/// the open run once per level. When a gang runs, every block of a lower
+/// level has been emitted, so every chunk sees its inputs settled; and a
+/// run that forms no gang is one whole-run `fuse_run`, the plan it always
+/// was.
+fn plan_run(
+    blocks: &BlockTapes,
+    run: &[u32],
+    io: &[BlockIo],
+    report: &mut Option<OptReport>,
+    label: &str,
+    chunks: &mut Vec<Chunk>,
+) {
+    let level = levels(io, &writers(io));
+    // Blocks are run-local indices from here on: ascending is schedule order.
+    let mut by_level = vec![Vec::new(); level.iter().max().map_or(0, |&l| l as usize + 1)];
+    for (i, &l) in level.iter().enumerate() {
+        by_level[l as usize].push(i as u32);
+    }
+    let ids = |members: &[u32]| -> Vec<u32> { members.iter().map(|&i| run[i as usize]).collect() };
+    // Block-stage ops a cycle executes for `members` (preludes run once).
+    let executed = |members: &[u32]| -> u64 {
+        let tapes = members.iter().map(|&i| &blocks.tapes[run[i as usize] as usize]);
+        tapes.map(|t| t.ops.len() as u64 - t.prelude as u64).sum()
+    };
+    let body_of = |i: u32| blocks.body_of[run[i as usize] as usize];
+    // The residual blocks since the last gang.
+    let mut open: Vec<u32> = Vec::new();
+    let close = |open: &mut Vec<u32>, report: &mut Option<OptReport>, chunks: &mut Vec<Chunk>| {
+        if !open.is_empty() {
+            open.sort_unstable();
+            chunks.push(Chunk::Fused(fuse_run(blocks, &ids(open), report, label)));
+            open.clear();
+        }
+    };
+    // Per body, its group in the level at hand.
+    let mut group_of = vec![NONE; blocks.bodies.len()];
+    for members in by_level {
+        let mut groups: Vec<Vec<u32>> = Vec::new();
+        for i in members {
+            let group = &mut group_of[body_of(i) as usize];
+            if *group == NONE {
+                *group = groups.len() as u32;
+                groups.push(Vec::new());
+            }
+            groups[*group as usize].push(i);
+        }
+        let mut residual: Vec<u32> = Vec::new();
+        for group in groups {
+            let body = body_of(group[0]);
+            group_of[body as usize] = NONE;
+            let mut refuse = |why: Refusal, members: &[u32], report: &mut Option<OptReport>| {
+                if let Some(rep) = report {
+                    rep.refused[why as usize].1 += executed(members);
+                }
+                residual.extend(members);
+            };
+            let (lanes, tail) = match admit(&blocks.bodies[body as usize], group.len()) {
+                Ok(taken) => group.split_at(taken),
+                Err(why) => {
+                    refuse(why, &group, report);
+                    continue;
+                }
+            };
+            refuse(Refusal::Tail, tail, report);
+            let gang = gang_of(blocks, body, ids(lanes));
+            if !lanes_independent(blocks, &gang) {
+                // Unreachable by the invariants the guard names; degrade
+                // to the fused path rather than run lanes that may alias.
+                debug_assert!(false, "gang validation failed");
+                refuse(Refusal::Guard, lanes, report);
+                continue;
+            }
+            if let Some(rep) = report {
+                rep.gangs += 1;
+                rep.gang_lanes += lanes.len() as u64;
+                rep.gang_ops += executed(lanes);
+            }
+            close(&mut open, report, chunks);
+            chunks.push(Chunk::Gang(Box::new(gang)));
+        }
+        open.append(&mut residual);
+    }
+    close(&mut open, report, chunks);
+}
+
+/// The admission rule: of `n` same-level instances of `body`, how many run
+/// as a gang — whole lane blocks, if the lane executor can run the body at
+/// all (`u64` registers, no control flow) — or why none does. Decided by
+/// what the plan stage observes in its input, nothing else.
+fn admit(body: &Tape, n: usize) -> Result<usize, Refusal> {
+    if n < LANES {
+        Err(Refusal::Few)
+    } else if body.has_jumps() {
+        Err(Refusal::Jumps)
+    } else if body.narrow.is_none() {
+        Err(Refusal::Wide)
+    } else {
+        Ok(n - n % LANES)
+    }
+}
+
+/// The gang of `members` (instances of `body`, a multiple of [`LANES`]),
+/// its tables laid out from the members' `back` tables.
+fn gang_of(blocks: &BlockTapes, body: u32, members: Vec<u32>) -> Gang {
+    let table = |t: usize| -> Vec<u32> {
+        let nlocal = blocks.back[members[0] as usize][t].len();
+        let mut rows = Vec::with_capacity(members.len() * nlocal);
+        for lane_block in members.chunks_exact(LANES) {
+            for local in 0..nlocal {
+                rows.extend(lane_block.iter().map(|&b| blocks.back[b as usize][t][local]));
+            }
+        }
+        rows
+    };
+    Gang { body, slots: table(0), mems: table(1), blocks: members }
+}
+
+/// Checks that a gang's lanes are independent and its tables true, from
+/// the members' own tapes — each `validate`d against the design — the way
+/// `par` re-checks the shards of a step. Strict elaboration gives every
+/// net one writer block and the level rule puts a reader after its writer,
+/// so this holds by construction; it is re-checked because the lane
+/// executor interleaves the members op by op:
+///
+/// * the body is one the lane executor runs (`u64` class, no jumps), the
+///   members fill whole lane blocks, and every member *is* that body;
+/// * every table entry is in range and is exactly the slot or memory the
+///   member's relocated tape names at that op, so the lanes touch the
+///   state `validate` saw and nothing else;
+/// * no lane reads or writes a slot, and none writes a memory, that
+///   another lane writes.
+fn lanes_independent(blocks: &BlockTapes, gang: &Gang) -> bool {
+    let (nslots, nmems) = (blocks.layout.widths.len(), blocks.layout.mem_widths.len());
+    let n = gang.blocks.len();
+    let Some(body) = blocks.bodies.get(gang.body as usize) else { return false };
+    let runnable = body.narrow.is_some() && !body.has_jumps();
+    let in_range = gang.slots.iter().all(|&s| (s as usize) < nslots)
+        && gang.mems.iter().all(|&m| (m as usize) < nmems);
+    if !(runnable && in_range && n > 0 && n.is_multiple_of(LANES)) {
+        return false;
+    }
+    // `table`'s entry for index `local` of member `i`.
+    let entry = |table: &[u32], i: usize, local: u32| -> Option<u32> {
+        let nlocal = table.len() / n;
+        let row = (i / LANES * nlocal + local as usize) * LANES;
+        ((local as usize) < nlocal).then(|| table[row + i % LANES])
+    };
+    // The member storing to each `cur` slot (`2 * slot`), `next` slot
+    // (`2 * slot + 1`) and memory.
+    let mut slot_writer = vec![NONE; 2 * nslots];
+    let mut mem_writer = vec![NONE; nmems];
+    for (i, &b) in gang.blocks.iter().enumerate() {
+        let tape = match blocks.tapes.get(b as usize) {
+            Some(tape) if blocks.body_of.get(b as usize) == Some(&gang.body) => tape,
+            _ => return false,
+        };
+        if tape.ops.len() != body.ops.len() {
+            return false;
+        }
+        for (op, local) in tape.ops.iter().zip(&body.ops) {
+            let (named, writer) = match op.effect() {
+                Effect::Pure | Effect::Jump { .. } => continue,
+                Effect::Read { slot } => (slot, None),
+                Effect::Write { slot, next, .. } => {
+                    (slot, Some(&mut slot_writer[2 * slot as usize + next as usize]))
+                }
+                Effect::MemRead { mem, .. } => (mem, None),
+                Effect::MemWrite { mem, .. } => (mem, Some(&mut mem_writer[mem as usize])),
+            };
+            let tabled = match local.effect() {
+                Effect::Read { slot } | Effect::Write { slot, .. } => entry(&gang.slots, i, slot),
+                Effect::MemRead { mem, .. } | Effect::MemWrite { mem, .. } => {
+                    entry(&gang.mems, i, mem)
+                }
+                Effect::Pure | Effect::Jump { .. } => None,
+            };
+            if tabled != Some(named) {
+                return false;
+            }
+            if let Some(writer) = writer {
+                if *writer != NONE && *writer != i as u32 {
+                    return false;
+                }
+                *writer = i as u32;
+            }
+        }
+    }
+    gang.blocks.iter().enumerate().all(|(i, &b)| {
+        blocks.tapes[b as usize].ops.iter().all(|op| match op.effect() {
+            Effect::Read { slot } => [NONE, i as u32].contains(&slot_writer[2 * slot as usize]),
+            _ => true,
+        })
+    })
 }
 
 #[cfg(test)]
@@ -406,8 +754,9 @@ mod tests {
 
     /// Compiles `top`'s blocks through the memo and through the oracle,
     /// optimizer off and on, asserts that every tape field and the whole
-    /// report agree, and returns the tapes with the number of distinct
-    /// bodies.
+    /// report agree — and that every tape is its body relocated through
+    /// its `back` tables — and returns the tapes with the number of
+    /// distinct bodies.
     fn memo_equals_direct(top: &dyn Component) -> (Vec<Tape>, u64) {
         let design = elaborate(top).expect("test design elaborates");
         let folded = fold_blocks(&design);
@@ -417,14 +766,18 @@ mod tests {
         let mut last = None;
         for opt in [false, true] {
             let (want, want_rep) = direct_block_tapes(&design, &folded, &widths, &mem_widths, opt);
-            let (got, got_rep) = block_tapes(&design, &folded, &widths, &mem_widths, opt);
-            assert_eq!(got.len(), want.len());
-            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+            let layout = Layout::plain(&widths, &mem_widths, &[]);
+            let got = block_tapes(&design, &folded, layout, opt);
+            assert_eq!(got.tapes.len(), want.len());
+            for (i, (g, w)) in got.tapes.iter().zip(&want).enumerate() {
                 assert_eq!(fields(g), fields(w), "opt={opt}: tape of block {i}");
+                let body = &got.bodies[got.body_of[i] as usize];
+                assert_eq!(g.ops, relocate(&body.ops, &got.back[i]), "opt={opt}: body of {i}");
             }
-            let bodies = got_rep.as_ref().map_or(0, |r| r.bodies);
-            assert_eq!(got_rep, want_rep.map(|r| OptReport { bodies, ..r }), "opt={opt}");
-            last = Some((got, bodies));
+            let bodies = got.bodies.len() as u64;
+            assert_eq!(got.report.as_ref().map_or(bodies, |r| r.bodies), bodies);
+            assert_eq!(got.report, want_rep.map(|r| OptReport { bodies, ..r }), "opt={opt}");
+            last = Some((got.tapes.to_vec(), bodies));
         }
         last.expect("two rounds")
     }
@@ -608,6 +961,263 @@ mod tests {
             (rom(4, 8), vec!["at"]),
         ]));
         assert_eq!(bodies, 3, "memory width and depth each split the body");
+    }
+
+    /// A jump-free component with every unpredicated kind of state
+    /// operand, so its two blocks are gang material with the optimizer on
+    /// and off.
+    struct Tap;
+
+    impl Component for Tap {
+        fn name(&self) -> String {
+            "Tap".into()
+        }
+
+        fn build(&self, c: &mut Ctx) {
+            let (a, sel) = (c.in_port("a", 8), c.in_port("sel", 2));
+            let q = c.out_port("q", 8);
+            let acc = c.wire("acc", 8);
+            let m = c.mem("m", 4, 8);
+            c.comb("calc", |b| {
+                b.assign(q, acc ^ m.read(sel));
+                b.assign_slice(q, 0, 4, a.slice(0, 4) + Expr::k(4, 3));
+            });
+            c.seq("step", |b| {
+                b.assign(acc, a + acc);
+                b.mem_write(m, sel, a);
+            });
+        }
+    }
+
+    /// `n` taps side by side between two single blocks: `bump` feeds every
+    /// tap's `sel`, `fold` reads every tap's `q`, so the comb run has three
+    /// levels with all `calc` blocks on the middle one. Every tap has its
+    /// own `a` input: the lanes compute different values.
+    struct Row(usize);
+
+    impl Component for Row {
+        fn name(&self) -> String {
+            "Row".into()
+        }
+
+        fn build(&self, c: &mut Ctx) {
+            let sel = c.in_port("sel", 2);
+            let bumped = c.wire("bumped", 2);
+            c.comb("bump", |b| b.assign(bumped, sel + Expr::k(2, 1)));
+            let mut folded = Expr::k(8, 0);
+            for i in 0..self.0 {
+                let tap = c.instantiate(&format!("tap{i}"), &Tap);
+                let a = c.in_port(&format!("a{i}"), 8);
+                c.connect(a, c.port_of(&tap, "a"));
+                c.connect(bumped, c.port_of(&tap, "sel"));
+                folded = folded ^ c.port_of(&tap, "q").ex();
+            }
+            let out = c.out_port("out", 8);
+            c.comb("fold", |b| b.assign(out, folded));
+        }
+    }
+
+    /// The plan stage before gangs — every IR run one [`fuse_run`] — kept
+    /// as the oracle the gang plans must equal in effect.
+    fn all_fused_plans(design: &Design, blocks: &BlockTapes) -> Plans {
+        let mut report = blocks.report.clone();
+        let mut plan = |order: &[u32]| -> Arc<Vec<Chunk>> {
+            let chunks = ir_runs(design, order).into_iter().map(|run| match run {
+                Run::Ir(run) => Chunk::Fused(fuse_run(blocks, &run, &mut report, "oracle")),
+                Run::Native(b) => Chunk::Native(b),
+            });
+            Arc::new(chunks.collect())
+        };
+        let (comb, seq) = (plan(&blocks.layout.comb_order), plan(&blocks.layout.seq_order));
+        Plans { comb, seq, report }
+    }
+
+    /// The shape of a plan: `G<members>` per gang, `F<blocks' worth>` is
+    /// not recoverable from a fused tape, so `F` per fused tape.
+    fn shape(plan: &[Chunk]) -> String {
+        let name = |c: &Chunk| match c {
+            Chunk::Fused(_) => "F".to_string(),
+            Chunk::Gang(g) => format!("G{}", g.blocks.len()),
+            Chunk::Native(_) => "N".to_string(),
+        };
+        plan.iter().map(name).collect::<Vec<_>>().join(" ")
+    }
+
+    /// Below the lane width no gang forms and the plan is the all-fused
+    /// one, tape for tape; at the width each body is one lane block; above
+    /// it the remainder joins the residual, which keeps schedule order
+    /// around the gang. Whatever the shape, the gang plan computes what the
+    /// all-fused plan computes: every net and every memory word, every
+    /// cycle, under stimulus that differs per lane — optimizer off and on.
+    #[test]
+    fn gang_plans_form_by_the_admission_rule_and_equal_the_all_fused_plans() {
+        use crate::sim::EngineImpl;
+        use crate::tape::rnd128;
+        use crate::tape_engine::TapeEngine;
+
+        let fields = |t: &Tape| (t.ops.clone(), t.nregs, t.prelude, t.narrow.clone());
+        for (n, comb, seq, tail) in [
+            (15, "F", "F", false),
+            (16, "F G16 F", "G16", false),
+            (17, "F G16 F", "G16 F", true),
+            (40, "F G32 F", "G32 F", true),
+        ] {
+            for opt in [false, true] {
+                let design = Arc::new(elaborate(&Row(n)).expect("row elaborates"));
+                let o = &mut Overheads::default();
+                let blocks = Arc::new(compile_blocks(&design, opt, o));
+                let gangs = fuse_plans(&design, &blocks, o);
+                let fused = all_fused_plans(&design, &blocks);
+                let at = format!("{n} taps, opt={opt}");
+                assert_eq!(
+                    (shape(&gangs.comb), shape(&gangs.seq)),
+                    (comb.into(), seq.into()),
+                    "{at}"
+                );
+                if let Some(rep) = &gangs.report {
+                    let lanes = (n - n % LANES) as u64;
+                    let counts = (rep.gangs, rep.gang_lanes);
+                    assert_eq!(counts, if n < LANES { (0, 0) } else { (2, 2 * lanes) }, "{at}");
+                    let why =
+                        |reason| rep.refused.iter().find(|r| r.0 == reason).expect("seeded").1;
+                    assert_eq!(why("tail") > 0, tail, "{at}: {:?}", rep.gang_line());
+                    assert!(why("few") > 0, "{at}: `bump` and `fold` are single");
+                    assert_eq!(why("jumps") + why("wide") + why("guard"), 0, "{at}");
+                }
+                if n < LANES {
+                    for (g, f) in gangs
+                        .comb
+                        .iter()
+                        .chain(&*gangs.seq)
+                        .zip(fused.comb.iter().chain(&*fused.seq))
+                    {
+                        match (g, f) {
+                            (Chunk::Fused(g), Chunk::Fused(f)) => {
+                                assert_eq!(fields(g), fields(f), "{at}")
+                            }
+                            _ => panic!("{at}: not a fused plan"),
+                        }
+                    }
+                }
+
+                let mut engines = [gangs, fused].map(|plans| {
+                    let staged = Staged {
+                        design: None,
+                        blocks: Some(blocks.clone()),
+                        plans: Some(Arc::new(plans)),
+                        batch: None,
+                    };
+                    let natives = design.blocks().iter().map(|_| None).collect();
+                    TapeEngine::new(design.clone(), natives, false, &staged, o)
+                });
+                let slot = |port: &str| design.net_of(design.top_port(port)).index() as u32;
+                let mut seed = n as u64;
+                for cycle in 0..60 {
+                    let sel = mtl_bits::Bits::new(2, rnd128(&mut seed));
+                    let a: Vec<_> =
+                        (0..n).map(|_| mtl_bits::Bits::new(8, rnd128(&mut seed))).collect();
+                    for e in &mut engines {
+                        e.poke(slot("sel"), sel);
+                        a.iter().enumerate().for_each(|(i, &v)| e.poke(slot(&format!("a{i}")), v));
+                        e.cycle();
+                    }
+                    let [got, want] = &engines;
+                    for s in 0..design.nets().len() as u32 {
+                        assert_eq!(got.peek(s), want.peek(s), "{at}: net {s} at cycle {cycle}");
+                    }
+                    for (m, mem) in design.mems().iter().enumerate() {
+                        for addr in 0..mem.words {
+                            assert_eq!(
+                                got.peek_mem(m, addr),
+                                want.peek_mem(m, addr),
+                                "{at}: memory {m}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// A hand-built block stage: 16 instances of the body `r0 = cur[s0];
+    /// cur[s1] = r0; m0[r0 % 4] <= r0` (body 0), instance `i` wired to
+    /// slots `2i`, `2i + 1` and memory `i` unless `rewire` says otherwise;
+    /// body 1 is a stranger.
+    fn sixteen(rewire: impl FnOnce(&mut Vec<[Vec<u32>; 2]>)) -> BlockTapes {
+        let body = vec![
+            Op::Read { dst: 0, slot: 0 },
+            Op::Write { slot: 1, src: 0 },
+            Op::MemWrite { mem: 0, addr: 0, data: 0, words: 4 },
+        ];
+        let tape = |ops: Vec<Op>| {
+            let narrow = ops.iter().map(|op| op.to_word()).collect::<Option<Vec<_>>>();
+            Tape { ops, nregs: 1, prelude: 0, narrow }
+        };
+        let mut back = (0..16).map(|i| [vec![2 * i, 2 * i + 1], vec![i]]).collect();
+        rewire(&mut back);
+        let tapes = back.iter().map(|back| tape(relocate(&body, back))).collect();
+        BlockTapes {
+            layout: Layout::plain(&[8; 32], &[8; 16], &[]),
+            tapes: Arc::new(tapes),
+            bodies: Arc::new(vec![tape(body), tape(vec![Op::Const { dst: 0, val: 1 }])]),
+            body_of: vec![0; 16],
+            back,
+            report: None,
+        }
+    }
+
+    /// The guard behind the lane executor, on plain data: a gang laid out
+    /// from independent instances passes; lanes that alias — a slot or a
+    /// memory written by two, a slot one writes and another reads — a table
+    /// entry out of range or not the one the member's tape names, a member
+    /// of another body, a partial lane block and a body the lane executor
+    /// cannot run are each refused.
+    #[test]
+    fn the_guard_refuses_aliasing_lanes_false_tables_and_foreign_members() {
+        let members = || (0..16).collect::<Vec<u32>>();
+        let blocks = sixteen(|_| {});
+        let sound = || gang_of(&blocks, 0, members());
+        assert!(lanes_independent(&blocks, &sound()));
+
+        type Rewire = fn(&mut Vec<[Vec<u32>; 2]>);
+        let aliasing: [(&str, Rewire); 3] = [
+            ("two lanes write slot 1", |back| back[1][0][1] = 1),
+            ("lane 1 reads the slot lane 0 writes", |back| back[1][0][0] = 1),
+            ("two lanes write memory 0", |back| back[1][1][0] = 0),
+        ];
+        for (what, rewire) in aliasing {
+            let blocks = sixteen(rewire);
+            assert!(!lanes_independent(&blocks, &gang_of(&blocks, 0, members())), "{what}");
+        }
+
+        let mut gang = sound();
+        gang.slots[5] = 32;
+        assert!(!lanes_independent(&blocks, &gang), "slot entry out of range");
+        gang.slots[5] = 31;
+        assert!(!lanes_independent(&blocks, &gang), "slot entry the member's tape does not name");
+        let mut gang = sound();
+        gang.mems[2] = 16;
+        assert!(!lanes_independent(&blocks, &gang), "memory entry out of range");
+
+        let mut foreign = sixteen(|_| {});
+        foreign.body_of[3] = 1;
+        assert!(!lanes_independent(&foreign, &gang_of(&foreign, 0, members())), "foreign member");
+        let mut gang = sound();
+        gang.blocks[3] = 16;
+        assert!(!lanes_independent(&blocks, &gang), "member that is no block");
+        assert!(!lanes_independent(&blocks, &gang_of(&blocks, 0, (0..15).collect())), "15 members");
+        assert!(!lanes_independent(&blocks, &Gang { body: 2, ..sound() }), "body that is none");
+
+        let mut unrunnable = sixteen(|_| {});
+        let mut bodies = unrunnable.bodies.to_vec();
+        bodies[0].narrow = None;
+        unrunnable.bodies = Arc::new(bodies);
+        assert!(!lanes_independent(&unrunnable, &gang_of(&unrunnable, 0, members())), "wide body");
+        assert_eq!(admit(&unrunnable.bodies[0], 16), Err(Refusal::Wide));
+        let jumpy = Tape { ops: vec![Op::Jmp { target: 1 }], ..Tape::default() };
+        assert_eq!(admit(&jumpy, 16), Err(Refusal::Jumps));
+        assert_eq!(admit(&jumpy, 15), Err(Refusal::Few));
+        assert_eq!(admit(&blocks.bodies[0], 47), Ok(32));
     }
 
     /// A body over the register budget still panics naming a block of the

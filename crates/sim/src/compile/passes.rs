@@ -181,7 +181,39 @@ pub struct OptReport {
     pub narrow_tapes: u64,
     /// Ops of `ops_after` that belong to those tapes.
     pub narrow_ops: u64,
+    /// Gangs in the static plans: groups of same-level instances of one
+    /// block body that execute as lanes of a single pass over the body
+    /// (zero before the plan stage).
+    pub gangs: u64,
+    /// Member blocks over all gangs.
+    pub gang_lanes: u64,
+    /// The lane-ops a cycle executes: the members' block-stage ops, const
+    /// preludes (which run once) left out. Not part of `ops_after`, which
+    /// past the block stage counts the fused residual only.
+    pub gang_ops: u64,
+    /// Block-stage ops (preludes left out) the plans sent to the fused
+    /// residual, which re-optimizes them, by the first reason their block
+    /// could not join a gang: fewer instances
+    /// at its level than a lane block holds (`few`), a body with control
+    /// flow (`jumps`) or outside the 64-bit class (`wide`), the remainder
+    /// of a gang's last lane block (`tail`), or the independence re-check
+    /// (`guard`, never expected). `jumps` and `wide` size what a wider
+    /// admission rule would gain.
+    pub refused: [(&'static str, u64); 5],
 }
+
+/// Why the plan stage left a block to the fused residual; indexes
+/// [`OptReport::refused`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum Refusal {
+    Few,
+    Jumps,
+    Wide,
+    Tail,
+    Guard,
+}
+
+const REFUSALS: [&str; 5] = ["few", "jumps", "wide", "tail", "guard"];
 
 const PASS_NAMES: [&str; 14] = [
     "rename",
@@ -222,6 +254,7 @@ impl OptReport {
                 .iter()
                 .map(|&name| PassStat { name, ..PassStat::default() })
                 .collect(),
+            refused: REFUSALS.map(|why| (why, 0)),
             ..OptReport::default()
         }
     }
@@ -271,7 +304,27 @@ impl OptReport {
             "  width class: {} of {} tapes narrow ({} of {} ops)\n",
             self.narrow_tapes, self.tapes, self.narrow_ops, self.ops_after
         ));
+        if let Some(line) = self.gang_line() {
+            out.push_str(&format!("  static plans: {line}\n"));
+        }
         out
+    }
+
+    /// What the plan stage ganged and what it did not, as one line (`7
+    /// gangs, 2688 lanes, 56960 lane-ops; residual 3520 ops (few 3520)`);
+    /// `None` for a report with no plan stage behind it.
+    pub fn gang_line(&self) -> Option<String> {
+        let residual: u64 = self.refused.iter().map(|r| r.1).sum();
+        if self.gang_ops + residual == 0 {
+            return None;
+        }
+        let why = self.refused.iter().filter(|r| r.1 > 0);
+        let why: Vec<String> = why.map(|(reason, ops)| format!("{reason} {ops}")).collect();
+        let why = if why.is_empty() { String::new() } else { format!(" ({})", why.join(", ")) };
+        Some(format!(
+            "{} gangs, {} lanes, {} lane-ops; residual {residual} ops{why}",
+            self.gangs, self.gang_lanes, self.gang_ops
+        ))
     }
 
     /// Adds `times` copies of `other` — the report of one block body,

@@ -57,11 +57,11 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use mtl_bits::Bits;
-use mtl_core::{BlockBody, Design, NativeFn, SignalId};
+use mtl_core::{BlockBody, BlockKind, Design, NativeFn, SignalId};
 
 use crate::artifact::Staged;
 use crate::compile::passes::OptReport;
-use crate::compile::{fuse_run, ir_runs, Run};
+use crate::compile::{fuse_run, ir_runs, levels, run_io, writers, BlockIo, Run, NONE};
 use crate::overheads::Overheads;
 use crate::profile::{EngineStats, PlanStep};
 use crate::sim::EngineImpl;
@@ -112,16 +112,6 @@ fn available_cores() -> usize {
 // ---------------------------------------------------------------------------
 // Partitioning (plain data: no `Design`, no tapes)
 // ---------------------------------------------------------------------------
-
-/// What the planner knows about one block of a run: the net slots it reads
-/// and writes, and its cost in tape ops. Blocks are given in schedule
-/// order, which is topological: a slot's writer precedes its readers.
-#[derive(Debug, Clone)]
-struct BlockIo {
-    reads: Vec<u32>,
-    writes: Vec<u32>,
-    cost: u64,
-}
 
 /// What one more stage costs, in tape ops: two barrier waits, the step
 /// dispatch and the clean-step check — about a microsecond.
@@ -181,8 +171,6 @@ impl Stage {
         Stage { shards: (0..units.len()).map(|i| i..i + 1).collect(), units, cost: self.cost }
     }
 }
-
-const NONE: u32 = u32::MAX;
 
 /// Builds the stage holding `members` (run-local block indices, ascending):
 /// its units are the connected components of the writer→reader graph
@@ -248,23 +236,8 @@ fn build_stage(io: &[BlockIo], writer_of: &[u32], members: &[u32], k: usize) -> 
 /// is one stage of whole-run components. Deterministic: ties go to the
 /// earlier pair, and nothing depends on hash order.
 fn plan_run(io: &[BlockIo], k: usize) -> Vec<Stage> {
-    let slots = io.iter().flat_map(|b| b.reads.iter().chain(&b.writes));
-    let mut writer_of = vec![NONE; slots.max().map_or(0, |&s| s as usize + 1)];
-    for (b, block) in io.iter().enumerate() {
-        for &w in &block.writes {
-            writer_of[w as usize] = b as u32;
-        }
-    }
-    // Level = longest path from the run's inputs; writers come first.
-    let mut level = vec![0u32; io.len()];
-    for (b, block) in io.iter().enumerate() {
-        for &r in &block.reads {
-            let w = writer_of[r as usize];
-            if w != NONE && (w as usize) < b {
-                level[b] = level[b].max(level[w as usize] + 1);
-            }
-        }
-    }
+    let writer_of = writers(io);
+    let level = levels(io, &writer_of);
     let nlevels = level.iter().max().map_or(0, |&l| l as usize + 1);
     let mut by_level: Vec<Vec<u32>> = vec![Vec::new(); nlevels];
     for (b, &l) in level.iter().enumerate() {
@@ -733,18 +706,9 @@ impl ParTapeEngine {
                     }
                     Run::Ir(run) => run,
                 };
-                let io = run.iter().map(|&b| {
-                    let info = &design.blocks()[b as usize];
-                    // Sequential blocks read `cur` and write `next`: no
-                    // block of a seq run feeds another.
-                    let reads = if kind == StepKind::Comb { &info.reads[..] } else { &[] };
-                    BlockIo {
-                        reads: slots_of(reads),
-                        writes: slots_of(&info.writes),
-                        cost: block_tapes[b as usize].ops.len() as u64,
-                    }
-                });
-                for stage in plan_run(&io.collect::<Vec<_>>(), threads) {
+                let kind_of = if kind == StepKind::Comb { BlockKind::Comb } else { BlockKind::Seq };
+                let io = run_io(&design, &block_tapes, &run, kind_of);
+                for stage in plan_run(&io, threads) {
                     // Seq units carry no dirty flag: one per worker.
                     let stage = if kind == StepKind::Comb { stage } else { stage.fuse_shards() };
                     let base = units.len() as u32;

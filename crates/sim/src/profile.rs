@@ -191,6 +191,10 @@ pub struct SimProfile {
     /// commit ([`Engine::SpecializedPar`] only; empty elsewhere). A step
     /// whose `loads` are lopsided is the straggler.
     pub partition_plan: Vec<PlanStep>,
+    /// What the static plans execute as gangs and what as fused residual
+    /// ([`OptReport::gang_line`](crate::OptReport::gang_line)); `None` for
+    /// an engine without a plan stage, or with the optimizer's report off.
+    pub gang_plan: Option<String>,
     /// Register bit-toggle counts per net (the `enable_activity`
     /// counters), indexed by net.
     pub net_activity: Vec<u64>,
@@ -277,6 +281,9 @@ impl SimProfile {
                 self.partition_nanos.len()
             );
         }
+        if let Some(line) = &self.gang_plan {
+            let _ = writeln!(s, "  static plans:        {line}");
+        }
         for (i, step) in self.partition_plan.iter().enumerate() {
             let _ = writeln!(
                 s,
@@ -347,6 +354,7 @@ mod tests {
             queue_depth: Hist::new(),
             partition_nanos: Vec::new(),
             partition_plan: Vec::new(),
+            gang_plan: None,
             net_activity: vec![0, 4],
             net_paths: vec!["top.x".into(), "top.y".into()],
         };

@@ -1152,6 +1152,7 @@ impl Sim {
             queue_depth: stats.queue_depth.clone(),
             partition_nanos: stats.partition_nanos.clone(),
             partition_plan: stats.partition_plan.clone(),
+            gang_plan: self.backend.opt_report().and_then(OptReport::gang_line),
             net_activity,
             net_paths,
         })

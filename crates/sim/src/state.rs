@@ -39,8 +39,8 @@ use std::sync::OnceLock;
 use mtl_bits::Bits;
 use mtl_core::{Design, NativeFn, SignalId, SignalView};
 
-use crate::compile::Layout;
-use crate::tape::{as_u64s, exec_tape_ptr_from, mask_of, Tape};
+use crate::compile::{Gang, Layout, LANES};
+use crate::tape::{as_u64s, exec_lanes, exec_tape_ptr_from, mask_of, Tape};
 
 type Cell = UnsafeCell<u128>;
 
@@ -231,6 +231,49 @@ impl Access<'_> {
                 ),
             }
         }
+    }
+
+    /// Executes a gang's body for each of its lane blocks; see
+    /// [`exec_lanes`]. `regs` is the gang's register bank, persistent since
+    /// [`crate::tape::broadcast_prelude`] installed the body's prelude.
+    /// Memory stores are queued on `pending`.
+    ///
+    /// Nothing here is unchecked: a table entry out of range panics. What
+    /// the plan stage's guard adds is that the entries are the ones the
+    /// members' validated tapes name, and that the lanes are independent.
+    pub(crate) fn exec_lanes(
+        &mut self,
+        body: &Tape,
+        gang: &Gang,
+        regs: &mut [[u64; LANES]],
+        pending: &mut Vec<(u32, u64, u128)>,
+    ) {
+        let ops = body.narrow.as_ref().expect("a gang's body is in the u64 class");
+        let ops = &ops[body.prelude as usize..];
+        for (slots, mems) in gang.lane_blocks() {
+            exec_lanes(ops, regs, slots, mems, self, pending);
+        }
+    }
+
+    /// The word of `slot` in the `cur` column, or the `next` one.
+    #[inline(always)]
+    pub(crate) fn word(&self, next: bool, slot: u32) -> u128 {
+        let column = if next { &self.0.next } else { &self.0.cur };
+        self.0.load(&column[slot as usize])
+    }
+
+    /// Overwrites [`Access::word`].
+    #[inline(always)]
+    pub(crate) fn set_word(&mut self, next: bool, slot: u32, v: u128) {
+        let state = self.0;
+        let column = if next { &state.next } else { &state.cur };
+        self.store(&column[slot as usize], v);
+    }
+
+    /// Word `addr` of memory `mem`.
+    #[inline(always)]
+    pub(crate) fn mem_word(&self, mem: u32, addr: u64) -> u128 {
+        self.0.load(&self.0.mems.0[mem as usize][addr as usize])
     }
 
     /// The clock edge for `reg_slots[regs]`: copies `next → cur`, counts
@@ -513,7 +556,7 @@ mod tests {
                 widths[6] = if narrow { 64 } else { 128 };
                 let layout = Layout::plain(&widths, &[w], &[]);
                 let raw = Arc::new(vec![Tape { ops, nregs: 8, ..Tape::default() }]);
-                let blocks = BlockTapes { layout, tapes: raw, report: None };
+                let blocks = BlockTapes::plain(layout, raw);
                 // `fuse_run` is the crate's way to classify and `validate`.
                 let tape = fuse_run(&blocks, &[0], &mut None, "sample tape");
                 assert_eq!(tape.narrow.is_some(), narrow, "{kind:?} w={w}: class of {op:?}");

@@ -17,7 +17,7 @@
 //! registers, 24-byte ops) when `compile` proved that all its values fit,
 //! the `u128` one (16 and 48 bytes) otherwise.
 
-use crate::state::Mems;
+use crate::state::{Access, Mems};
 
 /// A physical register index within an executable tape. Kept at 16 bits so
 /// an [`Op`] is 48 bytes (two `u128` immediates plus operands and tag) and
@@ -934,22 +934,38 @@ pub(crate) fn as_u64s(regs: &mut [u128]) -> &mut [u64] {
     unsafe { std::slice::from_raw_parts_mut(regs.as_mut_ptr().cast::<u64>(), regs.len() * 2) }
 }
 
+/// Views a `u128` register buffer as lane registers of `L` `u64` words
+/// each (`L / 2` buffer words a register).
+#[inline(always)]
+pub(crate) fn lane_regs<const L: usize>(regs: &mut [u128]) -> &mut [[u64; L]] {
+    as_u64s(regs).as_chunks_mut().0
+}
+
+/// Installs a const prelude: `splat` turns an immediate into what one
+/// register holds.
+fn install<V: Copy, R>(prelude: &[Op<Reg, V>], regs: &mut [R], splat: impl Fn(V) -> R) {
+    for op in prelude {
+        match op {
+            Op::Const { dst, val } => regs[*dst as usize] = splat(*val),
+            _ => unreachable!("validate: prelude ops are Const"),
+        }
+    }
+}
+
 /// Runs a tape's const prelude into a persistent register buffer, once
 /// per buffer lifetime; executing from `tape.prelude` then skips it.
 pub(crate) fn exec_prelude(tape: &Tape, regs: &mut [u128]) {
-    fn install<W: Word>(prelude: &[Op<Reg, W>], regs: &mut [W]) {
-        for op in prelude {
-            match op {
-                Op::Const { dst, val } => regs[*dst as usize] = *val,
-                _ => unreachable!("validate: prelude ops are Const"),
-            }
-        }
-    }
     let pre = tape.prelude as usize;
     match &tape.narrow {
-        Some(ops) => install(&ops[..pre], as_u64s(regs)),
-        None => install(&tape.ops[..pre], regs),
+        Some(ops) => install(&ops[..pre], as_u64s(regs), |v| v),
+        None => install(&tape.ops[..pre], regs, |v| v),
     }
+}
+
+/// [`exec_prelude`] for a lane register bank: every lane gets the constant.
+pub(crate) fn broadcast_prelude<const L: usize>(tape: &Tape, regs: &mut [[u64; L]]) {
+    let ops = tape.narrow.as_ref().expect("a gang's body is in the u64 class");
+    install(&ops[..tape.prelude as usize], regs, |v| [v; L]);
 }
 
 /// The executor body: runs `ops[start..]` on registers of word `W`, over
@@ -1174,5 +1190,187 @@ pub(crate) unsafe fn exec_tape_ptr_from<const TRACK: bool, W: Word>(
             }
         }
         pc += 1;
+    }
+}
+
+/// The lane executor: runs `ops` — a jump-free `u64`-class program whose
+/// state operands are *local* indices — once for `L` instances at a time.
+/// A register holds one value per lane; local slot `s` of lane `l` is the
+/// state's slot `slots[s * L + l]`, memories likewise through `mems`
+/// (one lane block's rows of a [`Gang`](crate::compile::Gang)'s tables).
+/// Lane by lane this computes exactly what [`exec_tape_ptr_from`] computes
+/// for that instance's relocated tape; across lanes the ops interleave,
+/// which is unobservable because the lanes are independent (the plan
+/// stage's guard). Stores to memory are queued on `pending` in op order,
+/// lanes ascending within an op: per memory, program order.
+///
+/// Everything here is checked indexing. A pure arm computes its result
+/// array from shared borrows of its sources and only then writes the
+/// destination, so it is a fixed-trip-count loop the compiler vectorises
+/// without alias checks; the state arms walk the table row through
+/// [`Access`]'s word accessors.
+pub(crate) fn exec_lanes<const L: usize>(
+    ops: &[Op<Reg, u64>],
+    regs: &mut [[u64; L]],
+    slots: &[u32],
+    mems: &[u32],
+    st: &mut Access<'_>,
+    pending: &mut Vec<(u32, u64, u128)>,
+) {
+    // `regs[dst][l] = $e` for every lane, with `$x` bound to lane `l` of
+    // source register `$r`. The result is complete before the destination
+    // — which may be a source — is written.
+    macro_rules! lanes {
+        ($dst:expr, |$($x:ident = $r:ident),*| $e:expr) => {{
+            $(let $x: &[u64; L] = &regs[*$r as usize];)*
+            let out: [u64; L] = std::array::from_fn(|l| {
+                $(let $x = $x[l];)*
+                $e
+            });
+            regs[*$dst as usize] = out;
+        }};
+    }
+    // The `L` state indices behind local index `$i` of `$table`.
+    macro_rules! row {
+        ($table:ident, $i:expr) => {{
+            let row: &[u32; L] =
+                $table[*$i as usize * L..][..L].try_into().expect("a row holds L entries");
+            row
+        }};
+    }
+    // `$col[slot] = $e` for every lane's slot, with `$old` bound to the
+    // word there and `$x` to the lane's value of source register `$r`.
+    macro_rules! store {
+        ($next:literal, $slot:expr, |$old:ident, $($x:ident = $r:ident),*| $e:expr) => {{
+            $(let $x: &[u64; L] = &regs[*$r as usize];)*
+            let row = row!(slots, $slot);
+            for l in 0..L {
+                $(let $x = $x[l];)*
+                let $old = st.word($next, row[l]);
+                st.set_word($next, row[l], $e);
+            }
+        }};
+    }
+    let flag = |b: bool| b as u64;
+    for op in ops {
+        match op {
+            Op::Const { dst, val } => regs[*dst as usize] = [*val; L],
+            Op::Read { dst, slot } => {
+                let row = row!(slots, slot);
+                let d = &mut regs[*dst as usize];
+                for l in 0..L {
+                    d[l] = st.word(false, row[l]) as u64;
+                }
+            }
+            Op::Copy { dst, a } => regs[*dst as usize] = regs[*a as usize],
+            Op::Add { dst, a, b, mask } => lanes!(dst, |x = a, y = b| x.wrapping_add(y) & *mask),
+            Op::Sub { dst, a, b, mask } => lanes!(dst, |x = a, y = b| x.wrapping_sub(y) & *mask),
+            Op::Mul { dst, a, b, mask } => lanes!(dst, |x = a, y = b| x.wrapping_mul(y) & *mask),
+            Op::And { dst, a, b } => lanes!(dst, |x = a, y = b| x & y),
+            Op::Or { dst, a, b } => lanes!(dst, |x = a, y = b| x | y),
+            Op::Xor { dst, a, b } => lanes!(dst, |x = a, y = b| x ^ y),
+            Op::Not { dst, a, mask } => lanes!(dst, |x = a| !x & *mask),
+            Op::Neg { dst, a, mask } => lanes!(dst, |x = a| x.wrapping_neg() & *mask),
+            Op::Shl { dst, a, b, width, mask } => lanes!(dst, |x = a, amt = b| {
+                if amt >= *width as u64 {
+                    0
+                } else {
+                    (x << amt) & *mask
+                }
+            }),
+            Op::Shr { dst, a, b, width } => {
+                lanes!(dst, |x = a, amt = b| if amt >= *width as u64 { 0 } else { x >> amt })
+            }
+            Op::Sra { dst, a, b, width, mask, ext } => lanes!(dst, |x = a, amt = b| {
+                let amt = amt.min(*width as u64) as u32;
+                (x << *ext).sar(*ext).sar(amt.min(u64::BITS - 1)) & *mask
+            }),
+            Op::Eq { dst, a, b } => lanes!(dst, |x = a, y = b| flag(x == y)),
+            Op::Ne { dst, a, b } => lanes!(dst, |x = a, y = b| flag(x != y)),
+            Op::Lt { dst, a, b } => lanes!(dst, |x = a, y = b| flag(x < y)),
+            Op::Ge { dst, a, b } => lanes!(dst, |x = a, y = b| flag(x >= y)),
+            Op::LtS { dst, a, b, ext } => {
+                lanes!(dst, |x = a, y = b| flag((x << *ext).lt_signed(y << *ext)))
+            }
+            Op::GeS { dst, a, b, ext } => {
+                lanes!(dst, |x = a, y = b| flag(!(x << *ext).lt_signed(y << *ext)))
+            }
+            Op::RedAnd { dst, a, mask } => lanes!(dst, |x = a| flag(x == *mask)),
+            Op::RedOr { dst, a } => lanes!(dst, |x = a| flag(x != 0)),
+            Op::RedXor { dst, a } => lanes!(dst, |x = a| (x.count_ones() % 2) as u64),
+            Op::Slice { dst, a, lo, mask } => lanes!(dst, |x = a| (x >> *lo) & *mask),
+            Op::ShlOr { dst, a, b, shift } => lanes!(dst, |x = a, y = b| (x << *shift) | y),
+            Op::Mux { dst, cond, t, f } => {
+                lanes!(dst, |c = cond, x = t, y = f| if c != 0 { x } else { y })
+            }
+            Op::Mux2 { dst, c1, t1, c2, t2, f } => {
+                lanes!(dst, |p = c1, x = t1, q = c2, y = t2, z = f| {
+                    if p != 0 {
+                        x
+                    } else if q != 0 {
+                        y
+                    } else {
+                        z
+                    }
+                })
+            }
+            Op::Select { dst, sel, base, n } => {
+                // Clamp the whole selector, then index, as the scalar body
+                // does.
+                let sel = &regs[*sel as usize];
+                let picked: [u64; L] = std::array::from_fn(|l| {
+                    regs[*base as usize + sel[l].min(*n as u64 - 1) as usize][l]
+                });
+                regs[*dst as usize] = picked;
+            }
+            Op::Sext { dst, a, sign_bit, ext_or } => {
+                lanes!(dst, |x = a| if x & *sign_bit != 0 { x | *ext_or } else { x })
+            }
+            Op::Write { slot, src } => store!(false, slot, |_old, v = src| v as u128),
+            Op::WriteNext { slot, src } => store!(true, slot, |_old, v = src| v as u128),
+            Op::WriteMasked { slot, src, lo, field } => store!(false, slot, |old, v = src| {
+                (old & !(*field as u128)) | ((v << *lo) & *field) as u128
+            }),
+            Op::WriteNextMasked { slot, src, lo, field } => store!(true, slot, |old, v = src| {
+                (old & !(*field as u128)) | ((v << *lo) & *field) as u128
+            }),
+            Op::WriteIf { slot, cond, src, neg } => store!(false, slot, |old, c = cond, v = src| {
+                if (c != 0) != *neg {
+                    v as u128
+                } else {
+                    old
+                }
+            }),
+            Op::WriteNextIf { slot, cond, src, neg } => {
+                store!(true, slot, |old, c = cond, v = src| {
+                    if (c != 0) != *neg {
+                        v as u128
+                    } else {
+                        old
+                    }
+                })
+            }
+            Op::MemRead { dst, mem, addr, words } => {
+                let row = row!(mems, mem);
+                let addr = &regs[*addr as usize];
+                let read: [u64; L] =
+                    std::array::from_fn(|l| st.mem_word(row[l], addr[l] % words) as u64);
+                regs[*dst as usize] = read;
+            }
+            Op::MemWrite { mem, addr, data, words } => {
+                let row = row!(mems, mem);
+                let (addr, data) = (&regs[*addr as usize], &regs[*data as usize]);
+                pending.extend((0..L).map(|l| (row[l], addr[l] % words, data[l] as u128)));
+            }
+            Op::MemWriteIf { mem, addr, data, cond, words, neg } => {
+                let row = row!(mems, mem);
+                let (addr, data) = (&regs[*addr as usize], &regs[*data as usize]);
+                let take = (0..L).filter(|&l| (regs[*cond as usize][l] != 0) != *neg);
+                pending.extend(take.map(|l| (row[l], addr[l] % words, data[l] as u128)));
+            }
+            Op::Jz { .. } | Op::JneConst { .. } | Op::Jmp { .. } => {
+                unreachable!("a gang's body is jump-free")
+            }
+        }
     }
 }

@@ -17,12 +17,12 @@ use mtl_core::{BlockBody, Design, NativeFn};
 
 use crate::artifact::Staged;
 use crate::compile::passes::OptReport;
-use crate::compile::{comb_sensitivity, Chunk};
+use crate::compile::{comb_sensitivity, Chunk, LANES};
 use crate::overheads::Overheads;
 use crate::profile::EngineStats;
 use crate::sim::EngineImpl;
 use crate::state::PackedState;
-use crate::tape::{exec_prelude, Tape};
+use crate::tape::{broadcast_prelude, exec_prelude, lane_regs, Tape};
 
 /// The tape-VM backend; `event_mode` selects between the two engines of
 /// the module docs.
@@ -33,6 +33,9 @@ pub(crate) struct TapeEngine {
     /// Compiled per-block tapes — `Arc` so a persistent server can share
     /// one compile across many engine instances ([`crate::ArtifactCache`]).
     tapes: Arc<Vec<Tape>>,
+    /// The distinct block bodies the gang chunks of the plans execute
+    /// (opt mode only); shared like `tapes`.
+    bodies: Arc<Vec<Tape>>,
     natives: Vec<Option<NativeFn>>,
     seq_order: Vec<u32>,
     /// Levelized combinational order (also the unfused schedule profiling
@@ -41,10 +44,11 @@ pub(crate) struct TapeEngine {
     /// Fused static schedules (opt mode only); shared like `tapes`.
     comb_plan: Arc<Vec<Chunk>>,
     seq_plan: Arc<Vec<Chunk>>,
-    /// Persistent register buffers, one per fused plan chunk (empty for
-    /// native chunks). Each holds its tape's const prelude, installed
-    /// once at build, so `run_plan` executes only the tape body per
-    /// cycle. Engine-local (the shared `Arc` plans carry no state).
+    /// Persistent register buffers, one per plan chunk (empty for native
+    /// chunks; a gang's holds [`LANES`] words per register, see
+    /// [`lane_regs`]). Each holds its tape's const prelude, installed once
+    /// at build, so `run_plan` executes only the tape body per cycle.
+    /// Engine-local (the shared `Arc` plans carry no state).
     comb_bank: Vec<Vec<u128>>,
     seq_bank: Vec<Vec<u128>>,
     regs: Vec<u128>,
@@ -60,7 +64,8 @@ pub(crate) struct TapeEngine {
 }
 
 /// The event engine's queue of combinational blocks to re-run, and who
-/// reads what.
+/// reads what. Empty in static mode, where nothing reads it.
+#[derive(Default)]
 struct Events {
     sens: Vec<Vec<u32>>,
     mem_sens: Vec<Vec<u32>>,
@@ -109,7 +114,7 @@ impl TapeEngine {
             let plans = staged.plans.as_ref().expect("resolved to the plan stage");
             (plans.comb.clone(), plans.seq.clone(), plans.report.clone())
         };
-        let tapes = blocks.tapes.clone();
+        let (tapes, bodies) = (blocks.tapes.clone(), blocks.bodies.clone());
         let regs_len = tapes.iter().map(|t| t.nregs as usize).max().unwrap_or(0);
 
         // Phase: wrap (packed state).
@@ -120,20 +125,20 @@ impl TapeEngine {
         // Phase: simc (event structures + register banks).
         let t0 = Instant::now();
         let comb_order = layout.comb_order.clone();
-        let mut events = Events {
-            sens: vec![Vec::new(); state.nslots()],
-            mem_sens: vec![Vec::new(); design.mems().len()],
-            queue: VecDeque::new(),
-            in_queue: vec![false; design.blocks().len()],
-        };
-        for &b in &comb_order {
-            for slot in comb_sensitivity(&design, b) {
-                events.sens[slot as usize].push(b);
+        let mut events = Events::default();
+        if event_mode {
+            events.sens = vec![Vec::new(); state.nslots()];
+            events.mem_sens = vec![Vec::new(); design.mems().len()];
+            events.in_queue = vec![false; design.blocks().len()];
+            for &b in &comb_order {
+                for slot in comb_sensitivity(&design, b) {
+                    events.sens[slot as usize].push(b);
+                }
+                for &m in &design.blocks()[b as usize].mem_reads {
+                    events.mem_sens[m.index()].push(b);
+                }
+                events.wake(b);
             }
-            for &m in &design.blocks()[b as usize].mem_reads {
-                events.mem_sens[m.index()].push(b);
-            }
-            events.wake(b);
         }
         let mk_bank = |plan: &[Chunk]| -> Vec<Vec<u128>> {
             plan.iter()
@@ -141,6 +146,13 @@ impl TapeEngine {
                     Chunk::Fused(t) => {
                         let mut regs = vec![0u128; t.nregs as usize];
                         exec_prelude(t, &mut regs);
+                        regs
+                    }
+                    Chunk::Gang(g) => {
+                        // One bank for all lane blocks: they run in turn.
+                        let body = &bodies[g.body as usize];
+                        let mut regs = vec![0u128; body.nregs as usize * LANES / 2];
+                        broadcast_prelude(body, lane_regs::<LANES>(&mut regs));
                         regs
                     }
                     Chunk::Native(_) => Vec::new(),
@@ -156,6 +168,7 @@ impl TapeEngine {
             state,
             pending: Vec::new(),
             tapes,
+            bodies,
             natives,
             seq_order: layout.seq_order.clone(),
             comb_order,
@@ -254,7 +267,7 @@ impl TapeEngine {
         self.dirty = false;
     }
 
-    /// Runs the fused comb or seq schedule. Each fused chunk owns a
+    /// Runs the static comb or seq schedule. Each tape chunk owns a
     /// persistent buffer holding its const prelude, so only the body
     /// executes here.
     fn run_plan(&mut self, comb: bool) {
@@ -272,6 +285,12 @@ impl TapeEngine {
                     regs,
                     &mut self.pending,
                     &mut self.changed,
+                ),
+                Chunk::Gang(gang) => state.exec_lanes(
+                    &self.bodies[gang.body as usize],
+                    gang,
+                    lane_regs(regs),
+                    &mut self.pending,
                 ),
                 Chunk::Native(b) => {
                     let f =

@@ -9,7 +9,9 @@
 #      optimized draws if-convert to straight-line plane programs, so
 #      the MTL_TAPE_OPT=0 leg (every seq block keeps its reset branch)
 #      is the one that fuzzes divergent lanes under the active-lane
-#      mask.
+#      mask. One draw in sixteen is a design instantiated 16–40 times
+#      under a shell, so the plans the batch stage lowers hold gangs
+#      (lowered to their members' block programs).
 #   2. Batch fault-campaign throughput smoke: fault_sweep --smoke runs
 #      its mesh4/rtl-ir batch bundle (batch lane reports are
 #      cross-checked against scalar run_diff inside the job) and

@@ -81,6 +81,33 @@ fn engines_agree_on_random_designs() {
     }
 }
 
+/// A design that is mostly replication: one random design instantiated 16
+/// to 40 times under a shell, every instance with its own stimulus. The
+/// static engine executes such instances as the lanes of one pass over
+/// their shared block body (a *gang*) — here over whatever op kinds the
+/// generator drew, memories included, with whole and partial last lane
+/// blocks — and must still match every other engine on every signal and
+/// every logical profile counter, every cycle, optimizer on and off.
+#[test]
+fn engines_agree_on_replicated_random_designs() {
+    use rustmtl::check::{engines_under_test_opt_diff, run_differential_with, RtlDesc, RtlShape};
+
+    let sels = engines_under_test_opt_diff();
+    for (seed, copies) in [(1, 16), (2, 17), (3, 24), (5, 31), (8, 32), (13, 40)] {
+        let desc = RtlDesc { copies, ..RtlDesc::generate(seed, RtlShape::default()) };
+        let sim = Sim::build(&RandomRtl::from_desc(desc.clone()), Engine::SpecializedOpt)
+            .expect("replicated design elaborates");
+        let rep = sim.opt_report().expect("tape engine with the optimizer on");
+        assert!(rep.gangs > 0, "seed {seed} x{copies}: no gang formed ({:?})", rep.gang_line());
+        assert_eq!(rep.gang_lanes % 16, 0, "seed {seed} x{copies}: gangs hold whole lane blocks");
+        let tail: u64 = rep.refused.iter().filter(|r| r.0 == "tail").map(|r| r.1).sum();
+        assert_eq!(tail > 0, copies % 16 != 0, "seed {seed} x{copies}: {:?}", rep.gang_line());
+        if let Some(divergence) = run_differential_with(&desc, 30, &sels) {
+            panic!("seed {seed} x{copies}: {divergence}");
+        }
+    }
+}
+
 /// Regression for the `reset()` staleness bug: combinational logic that
 /// reads reset directly must be re-settled after deassertion, so peeks
 /// between `reset()` and the next `cycle()` already see reset low.
