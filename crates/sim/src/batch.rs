@@ -36,7 +36,7 @@ use mtl_bits::Bits;
 use mtl_core::Design;
 
 use crate::artifact::Staged;
-use crate::compile::passes::OptReport;
+use crate::compile::passes::{approx_bits, OptReport};
 use crate::compile::{BlockTapes, Chunk, Plans};
 use crate::overheads::Overheads;
 use crate::profile::EngineStats;
@@ -112,57 +112,11 @@ fn bits(v: u128) -> u32 {
 /// The register defined by `op` and its value width, given the current
 /// per-register value widths `vw`. `None` for stores and jumps. This is
 /// the single source of truth for width tracking: both lowering passes
-/// call it, so arena sizing and emitted operand widths cannot drift.
-///
-/// This is approximately `bits(approx_bits(op))` of the optimizer's
-/// known-bits analysis (`compile::passes`); the two are kept apart because
-/// folding them would change plane widths.
+/// call it, so arena sizing and emitted operand widths cannot drift. The
+/// transfer itself is the optimizer's known-bits one, over all-ones masks.
 fn def_width(op: &Op, vw: &[u32], widths: &[u32], mem_widths: &[u32]) -> Option<(u16, u32)> {
-    let v = |r: u16| vw[r as usize];
-    Some(match *op {
-        Op::Const { dst, val } => (dst, bits(val)),
-        Op::Read { dst, slot } => (dst, widths[slot as usize]),
-        Op::Copy { dst, a } => (dst, v(a)),
-        Op::Add { dst, mask, .. }
-        | Op::Sub { dst, mask, .. }
-        | Op::Mul { dst, mask, .. }
-        | Op::Not { dst, mask, .. }
-        | Op::Neg { dst, mask, .. }
-        | Op::Shl { dst, mask, .. }
-        | Op::Sra { dst, mask, .. }
-        | Op::Slice { dst, mask, .. } => (dst, bits(mask)),
-        Op::And { dst, a, b } => (dst, v(a).min(v(b))),
-        Op::Or { dst, a, b } | Op::Xor { dst, a, b } => (dst, v(a).max(v(b))),
-        Op::Shr { dst, a, .. } => (dst, v(a)),
-        Op::Eq { dst, .. }
-        | Op::Ne { dst, .. }
-        | Op::Lt { dst, .. }
-        | Op::Ge { dst, .. }
-        | Op::LtS { dst, .. }
-        | Op::GeS { dst, .. }
-        | Op::RedAnd { dst, .. }
-        | Op::RedOr { dst, .. }
-        | Op::RedXor { dst, .. } => (dst, 1),
-        Op::ShlOr { dst, a, b, shift } => (dst, (v(a) + shift).max(v(b)).min(128)),
-        Op::Mux { dst, t, f, .. } => (dst, v(t).max(v(f))),
-        Op::Mux2 { dst, t1, t2, f, .. } => (dst, v(t1).max(v(t2)).max(v(f))),
-        Op::Select { dst, base, n, .. } => {
-            (dst, (0..n).map(|i| vw[base as usize + i as usize]).max().unwrap_or(0))
-        }
-        Op::Sext { dst, a, ext_or, .. } => (dst, v(a).max(bits(ext_or))),
-        Op::MemRead { dst, mem, .. } => (dst, mem_widths[mem as usize]),
-        Op::Write { .. }
-        | Op::WriteMasked { .. }
-        | Op::WriteNext { .. }
-        | Op::WriteNextMasked { .. }
-        | Op::WriteIf { .. }
-        | Op::WriteNextIf { .. }
-        | Op::MemWrite { .. }
-        | Op::MemWriteIf { .. }
-        | Op::Jz { .. }
-        | Op::JneConst { .. }
-        | Op::Jmp { .. } => return None,
-    })
+    let dst = op.def()?;
+    Some((dst, bits(approx_bits(op, |r| mask_of(vw[r as usize]), widths, mem_widths))))
 }
 
 /// Lowers one scalar tape to a batch program.
@@ -1025,7 +979,7 @@ mod tests {
     use crate::compile::passes::eval_pure;
     use crate::compile::{fuse_run, Gang, Layout};
     use crate::state::PackedState;
-    use crate::tape::{rnd128, Kind, VReg};
+    use crate::tape::{pure, rnd128, Kind, VReg};
     use mtl_core::{elaborate, Component, Ctx};
 
     /// A design that is nothing but the memory the sample ops address.
@@ -1045,12 +999,15 @@ mod tests {
     /// then (after a run) the queued memory writes.
     type LaneState = (Vec<u128>, Vec<u128>, Vec<u128>, Vec<(u32, u64, u128)>);
 
-    /// The instruction set has five per-op implementations — the scalar
-    /// executor (one body, instantiated at `u128` and at `u64`), the lane
-    /// executor (`u64` values, no jumps), `eval_pure`, `def_width` and the
-    /// plane loops. For every kind in the table, over narrow, word-sized and
-    /// wide values with distinct operands on all 64 lanes, they must agree
-    /// — with every lane active and under a divergent lane mask.
+    /// The instruction set has three per-op implementations: `pure` — run
+    /// by the scalar executor (instantiated at `u128` and at `u64`), by the
+    /// lane executor (`[u64; 16]`, no jumps) and by `eval_pure` (words that
+    /// may be unknown) — the width transfer `approx_bits` behind
+    /// `def_width`, and the plane loops. For every kind in the table, over
+    /// narrow, word-sized and wide values with distinct operands on all 64
+    /// lanes, they must agree — with every lane active and under a
+    /// divergent lane mask. Beyond 64 bits, where no executor runs lanes
+    /// yet, `pure` over `[u128; 4]` must equal four scalar runs.
     ///
     /// The op under test sits between loads of slots 0..=5 into `r0..=r5`
     /// and a store of its result to slot 6; slot 7 is the store target of
@@ -1202,6 +1159,7 @@ mod tests {
                             }
                         }
                         e.exec_block(b);
+                        let mut results = Vec::new();
                         for (lane, st) in before.iter().enumerate() {
                             let slots = |planes: &[u64]| -> Vec<u128> {
                                 (0..9)
@@ -1232,9 +1190,20 @@ mod tests {
                             match folded {
                                 Some(v) => assert_eq!(v, want.0[6], "{kind:?} w={w}: fold"),
                                 None => assert!(
-                                    op.effect() != Effect::Pure || kind == Kind::Mux2,
+                                    op.effect() != Effect::Pure,
                                     "{kind:?}: a pure op the folder skips"
                                 ),
+                            }
+                            results.push(want.0[6]);
+                        }
+                        // Wide lanes: four lane states as one `[u128; 4]`
+                        // register file against their four scalar runs.
+                        let wide = if narrow { &[][..] } else { &before[..] };
+                        for (quad, want) in wide.chunks_exact(4).zip(results.chunks_exact(4)) {
+                            let regs = |r: u16| std::array::from_fn(|l| quad[l].0[r as usize]);
+                            if let Some(got) = pure::<_, _, [u128; 4]>(&op, regs) {
+                                let want: [u128; 4] = want.try_into().expect("four results");
+                                assert_eq!(got, (6, want), "{kind:?} w={w}: u128 lanes of {op:?}");
                             }
                         }
                     }

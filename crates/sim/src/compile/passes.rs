@@ -94,7 +94,7 @@
 use std::hash::{BuildHasherDefault, Hasher};
 
 use super::codegen::VTape;
-use crate::tape::{mask_of, Effect, Op, Role, Store, VReg};
+use crate::tape::{mask_of, pure, Effect, Op, Role, Store, VReg};
 
 /// The hash map of the compile path. Its keys are this program's own ops
 /// and indices, never outside input, so the hasher is a fixed
@@ -499,89 +499,23 @@ fn sweep(ops: &mut Vec<Op<VReg>>, dead: &[bool]) {
     }
 }
 
-/// Evaluates a pure op whose operands are all known constants, mirroring
-/// the executor's arithmetic exactly (see `exec_tape_ptr_from`). Returns `None`
-/// for state-touching ops or unknown operands.
+/// Folds a register-only op over what is known of its operands: [`pure`]
+/// where every source is a constant, plus the partial evaluation that is
+/// not arithmetic — a known selector picks its operand whatever the others
+/// are, a known shift by the value's width or more leaves zero whatever is
+/// shifted — and a refusal of the degenerate encodings (a shift distance
+/// of 128 or more) that a real execution would trap on. `None` for
+/// state-touching ops or when the result is unknown.
 pub(crate) fn eval_pure(op: &Op<VReg>, get: &impl Fn(VReg) -> Option<u128>) -> Option<u128> {
-    Some(match *op {
-        Op::Const { val, .. } => val,
-        Op::Copy { a, .. } => get(a)?,
-        Op::Add { a, b, mask, .. } => get(a)?.wrapping_add(get(b)?) & mask,
-        Op::Sub { a, b, mask, .. } => get(a)?.wrapping_sub(get(b)?) & mask,
-        Op::Mul { a, b, mask, .. } => get(a)?.wrapping_mul(get(b)?) & mask,
-        Op::And { a, b, .. } => get(a)? & get(b)?,
-        Op::Or { a, b, .. } => get(a)? | get(b)?,
-        Op::Xor { a, b, .. } => get(a)? ^ get(b)?,
-        Op::Not { a, mask, .. } => !get(a)? & mask,
-        Op::Neg { a, mask, .. } => get(a)?.wrapping_neg() & mask,
-        Op::Shl { a, b, width, mask, .. } => {
-            let amt = get(b)?;
-            if amt >= width as u128 {
-                0
-            } else if amt >= 128 {
-                // Degenerate encoding (width > 128) that a real execution
-                // would trap on; never fold it.
-                return None;
-            } else {
-                (get(a)? << amt) & mask
-            }
-        }
-        Op::Shr { a, b, width, .. } => {
-            let amt = get(b)?;
-            if amt >= width as u128 {
-                0
-            } else {
-                get(a)? >> amt
-            }
-        }
-        Op::Sra { a, b, width, mask, ext, .. } => {
-            let amt = (get(b)?).min(width as u128) as u32;
-            let v = (get(a)? << ext) as i128 >> ext;
-            ((v >> amt.min(127)) as u128) & mask
-        }
-        Op::Eq { a, b, .. } => (get(a)? == get(b)?) as u128,
-        Op::Ne { a, b, .. } => (get(a)? != get(b)?) as u128,
-        Op::Lt { a, b, .. } => (get(a)? < get(b)?) as u128,
-        Op::Ge { a, b, .. } => (get(a)? >= get(b)?) as u128,
-        Op::LtS { a, b, ext, .. } => {
-            (((get(a)? << ext) as i128) < ((get(b)? << ext) as i128)) as u128
-        }
-        Op::GeS { a, b, ext, .. } => {
-            (((get(a)? << ext) as i128) >= ((get(b)? << ext) as i128)) as u128
-        }
-        Op::RedAnd { a, mask, .. } => (get(a)? == mask) as u128,
-        Op::RedOr { a, .. } => (get(a)? != 0) as u128,
-        Op::RedXor { a, .. } => (get(a)?.count_ones() % 2) as u128,
-        Op::Slice { a, lo, mask, .. } => {
-            if lo >= 128 {
-                return None;
-            }
-            (get(a)? >> lo) & mask
-        }
-        Op::ShlOr { a, b, shift, .. } => {
-            if shift >= 128 {
-                return None;
-            }
-            (get(a)? << shift) | get(b)?
-        }
-        Op::Mux { cond, t, f, .. } => {
-            if get(cond)? != 0 {
-                get(t)?
-            } else {
-                get(f)?
-            }
-        }
-        Op::Select { sel, base, n, .. } => get(base + get(sel)?.min(n as u128 - 1) as VReg)?,
-        Op::Sext { a, sign_bit, ext_or, .. } => {
-            let v = get(a)?;
-            if v & sign_bit != 0 {
-                v | ext_or
-            } else {
-                v
-            }
-        }
-        _ => return None,
-    })
+    match *op {
+        Op::Const { val, .. } => Some(val),
+        Op::Mux { cond, t, f, .. } => get(if get(cond)? != 0 { t } else { f }),
+        Op::Select { sel, base, n, .. } => get(base + get(sel)?.min(n as u128 - 1) as VReg),
+        Op::Shl { b, width, .. } | Op::Shr { b, width, .. } if get(b)? >= width as u128 => Some(0),
+        Op::Shl { b, .. } if get(b)? >= 128 => None,
+        Op::Slice { lo: 128.., .. } | Op::ShlOr { shift: 128.., .. } => None,
+        _ => pure(op, get)?.1,
+    }
 }
 
 /// All bits at or below the highest possibly-set bit of `m`.
@@ -618,7 +552,79 @@ fn dominators(ops: &[Op<VReg>]) -> Vec<bool> {
     dom
 }
 
-/// which bits may be one (`kb`). Reset at leaders.
+/// May-be-one bits of an op's result from its operands' may-be-one
+/// bits. Any over-approximation is sound; `u128::MAX` is always legal.
+pub(crate) fn approx_bits<R>(
+    op: &Op<R>,
+    kb: impl Fn(R) -> u128,
+    widths: &[u32],
+    mem_widths: &[u32],
+) -> u128
+where
+    R: Copy + From<u16> + std::ops::Add<Output = R>,
+{
+    match *op {
+        Op::Const { val, .. } => val,
+        Op::Read { slot, .. } => mask_of(widths[slot as usize]),
+        Op::MemRead { mem, .. } => mask_of(mem_widths[mem as usize]),
+        Op::Copy { a, .. } => kb(a),
+        Op::Add { a, b, mask, .. } => {
+            // a + b < 2^(top+2) where `top` bounds both operands.
+            let m = kb(a) | kb(b);
+            if m == 0 {
+                0
+            } else {
+                mask_of((129 - m.leading_zeros()).min(128)) & mask
+            }
+        }
+        Op::Sub { mask, .. } | Op::Mul { mask, .. } | Op::Neg { mask, .. } => mask,
+        Op::Not { mask, .. } => mask,
+        Op::And { a, b, .. } => kb(a) & kb(b),
+        Op::Or { a, b, .. } | Op::Xor { a, b, .. } => kb(a) | kb(b),
+        Op::Shl { mask, .. } => mask,
+        Op::Shr { a, .. } => below_top(kb(a)),
+        Op::Sra { mask, .. } => mask,
+        Op::Eq { .. }
+        | Op::Ne { .. }
+        | Op::Lt { .. }
+        | Op::Ge { .. }
+        | Op::LtS { .. }
+        | Op::GeS { .. }
+        | Op::RedAnd { .. }
+        | Op::RedOr { .. }
+        | Op::RedXor { .. } => 1,
+        Op::Slice { a, lo, mask, .. } => {
+            if lo >= 128 {
+                mask
+            } else {
+                (kb(a) >> lo) & mask
+            }
+        }
+        Op::ShlOr { a, b, shift, .. } => {
+            if shift >= 128 {
+                kb(b)
+            } else {
+                (kb(a) << shift) | kb(b)
+            }
+        }
+        Op::Mux { t, f, .. } => kb(t) | kb(f),
+        Op::Mux2 { t1, t2, f, .. } => kb(t1) | kb(t2) | kb(f),
+        Op::Select { base, n, .. } => (0..n).fold(0, |acc, i| acc | kb(base + R::from(i))),
+        Op::Sext { a, sign_bit, ext_or, .. } => {
+            let v = kb(a);
+            if v & sign_bit != 0 {
+                v | ext_or
+            } else {
+                v
+            }
+        }
+        _ => u128::MAX,
+    }
+}
+
+/// Forward dataflow facts about each register at the current position:
+/// its value when that is a known constant (`kval`), and otherwise which
+/// bits may be one (`kb`). Reset at leaders.
 struct Facts<'a> {
     kval: Vec<Option<u128>>,
     kb: Vec<u128>,
@@ -678,75 +684,12 @@ impl<'a> Facts<'a> {
         let v = eval_pure(op, &|r| self.val(r));
         let kb = match v {
             Some(x) => x,
-            None => self.approx_bits(op),
+            None => approx_bits(op, |r| self.bits(r), self.widths, self.mem_widths),
         };
         self.kval[dst as usize] = v;
         self.kb[dst as usize] = kb;
         self.dom[dst as usize] = dominating;
         self.epoch[dst as usize] = self.cur_epoch;
-    }
-
-    /// May-be-one bits of an op's result from its operands' may-be-one
-    /// bits. Any over-approximation is sound; `u128::MAX` is always legal.
-    fn approx_bits(&self, op: &Op<VReg>) -> u128 {
-        let kb = |r: VReg| self.bits(r);
-        match *op {
-            Op::Const { val, .. } => val,
-            Op::Read { slot, .. } => mask_of(self.widths[slot as usize]),
-            Op::MemRead { mem, .. } => mask_of(self.mem_widths[mem as usize]),
-            Op::Copy { a, .. } => kb(a),
-            Op::Add { a, b, mask, .. } => {
-                // a + b < 2^(top+2) where `top` bounds both operands.
-                let m = kb(a) | kb(b);
-                if m == 0 {
-                    0
-                } else {
-                    mask_of((129 - m.leading_zeros()).min(128)) & mask
-                }
-            }
-            Op::Sub { mask, .. } | Op::Mul { mask, .. } | Op::Neg { mask, .. } => mask,
-            Op::Not { mask, .. } => mask,
-            Op::And { a, b, .. } => kb(a) & kb(b),
-            Op::Or { a, b, .. } | Op::Xor { a, b, .. } => kb(a) | kb(b),
-            Op::Shl { mask, .. } => mask,
-            Op::Shr { a, .. } => below_top(kb(a)),
-            Op::Sra { mask, .. } => mask,
-            Op::Eq { .. }
-            | Op::Ne { .. }
-            | Op::Lt { .. }
-            | Op::Ge { .. }
-            | Op::LtS { .. }
-            | Op::GeS { .. }
-            | Op::RedAnd { .. }
-            | Op::RedOr { .. }
-            | Op::RedXor { .. } => 1,
-            Op::Slice { a, lo, mask, .. } => {
-                if lo >= 128 {
-                    mask
-                } else {
-                    (kb(a) >> lo) & mask
-                }
-            }
-            Op::ShlOr { a, b, shift, .. } => {
-                if shift >= 128 {
-                    kb(b)
-                } else {
-                    (kb(a) << shift) | kb(b)
-                }
-            }
-            Op::Mux { t, f, .. } => kb(t) | kb(f),
-            Op::Mux2 { t1, t2, f, .. } => kb(t1) | kb(t2) | kb(f),
-            Op::Select { base, n, .. } => (0..n as VReg).fold(0, |acc, i| acc | kb(base + i)),
-            Op::Sext { a, sign_bit, ext_or, .. } => {
-                let v = kb(a);
-                if v & sign_bit != 0 {
-                    v | ext_or
-                } else {
-                    v
-                }
-            }
-            _ => u128::MAX,
-        }
     }
 }
 

@@ -12,10 +12,14 @@
 //!
 //! State is always `u128` at a 16-byte stride (nets are at most 128
 //! bits). What varies is the machine [`Word`] a tape *computes* on: the
-//! instruction set is generic over it, the executor's per-op `match` is
-//! written once, and each tape runs the `u64` instantiation (8-byte
-//! registers, 24-byte ops) when `compile` proved that all its values fit,
-//! the `u128` one (16 and 48 bytes) otherwise.
+//! instruction set is generic over it, and each tape runs the `u64`
+//! instantiation (8-byte registers, 24-byte ops) when `compile` proved that
+//! all its values fit, the `u128` one (16 and 48 bytes) otherwise.
+//!
+//! What a register-only op computes is written once, in [`pure`], over a
+//! value [`Shape`]: the scalar executor, the lane executor and the
+//! optimizer's constant folder all run that one `match`, and keep arms of
+//! their own only for the ops that touch state, memory or control flow.
 
 use crate::state::{Access, Mems};
 
@@ -968,6 +972,147 @@ pub(crate) fn broadcast_prelude<const L: usize>(tape: &Tape, regs: &mut [[u64; L
     install(&ops[..tape.prelude as usize], regs, |v| [v; L]);
 }
 
+/// What a register holds while [`pure`] computes on it: one word (the
+/// scalar executor), `L` words (one per lane of [`exec_lanes`]), or a word
+/// that may not be known (the constant folder). A shape lifts an operation
+/// on words to itself.
+pub(crate) trait Shape<W: Word>: Copy {
+    fn map1(self, f: impl Fn(W) -> W) -> Self;
+    fn map2(self, b: Self, f: impl Fn(W, W) -> W) -> Self;
+    fn map3(self, b: Self, c: Self, f: impl Fn(W, W, W) -> W) -> Self;
+}
+
+impl<W: Word> Shape<W> for W {
+    #[inline(always)]
+    fn map1(self, f: impl Fn(W) -> W) -> W {
+        f(self)
+    }
+    #[inline(always)]
+    fn map2(self, b: W, f: impl Fn(W, W) -> W) -> W {
+        f(self, b)
+    }
+    #[inline(always)]
+    fn map3(self, b: W, c: W, f: impl Fn(W, W, W) -> W) -> W {
+        f(self, b, c)
+    }
+}
+
+/// Lane by lane. Each result is complete before the caller stores it —
+/// possibly over a source — so these are fixed-trip-count loops the
+/// compiler vectorises without alias checks.
+impl<W: Word, const L: usize> Shape<W> for [W; L] {
+    #[inline(always)]
+    fn map1(self, f: impl Fn(W) -> W) -> Self {
+        std::array::from_fn(|l| f(self[l]))
+    }
+    #[inline(always)]
+    fn map2(self, b: Self, f: impl Fn(W, W) -> W) -> Self {
+        std::array::from_fn(|l| f(self[l], b[l]))
+    }
+    #[inline(always)]
+    fn map3(self, b: Self, c: Self, f: impl Fn(W, W, W) -> W) -> Self {
+        std::array::from_fn(|l| f(self[l], b[l], c[l]))
+    }
+}
+
+/// Known only when every source is.
+impl<W: Word> Shape<W> for Option<W> {
+    #[inline(always)]
+    fn map1(self, f: impl Fn(W) -> W) -> Self {
+        Some(f(self?))
+    }
+    #[inline(always)]
+    fn map2(self, b: Self, f: impl Fn(W, W) -> W) -> Self {
+        Some(f(self?, b?))
+    }
+    #[inline(always)]
+    fn map3(self, b: Self, c: Self, f: impl Fn(W, W, W) -> W) -> Self {
+        Some(f(self?, b?, c?))
+    }
+}
+
+/// What every register-only op computes: its destination and the value it
+/// puts there, given its sources through `get`. This is the one statement
+/// of these kinds' arithmetic — the scalar executor runs it on words, the
+/// lane executor on `L` words at once, the constant folder on words that
+/// may be unknown. `None` for the ops that are not a function of their
+/// source registers alone and so stay with each executor: state, memory
+/// and jump ops, `Const` (an immediate to splat) and `Select` (a register
+/// read indexed by a value). Deliberately without a wildcard arm, like
+/// [`Op::effect`].
+#[inline(always)]
+pub(crate) fn pure<R: Copy, W: Word, V: Shape<W>>(
+    op: &Op<R, W>,
+    get: impl Fn(R) -> V,
+) -> Option<(R, V)> {
+    let zero = W::from_u128(0);
+    let flag = |b: bool| W::from_u128(b as u128);
+    // A shift amount already known to be below `W::BITS`.
+    let small = |v: W| v.to_u128() as u32;
+    let mux = |c: W, t: W, f: W| if c != zero { t } else { f };
+    // A shift by the value's width or more leaves nothing.
+    let over = |n: W, width: u32| n >= W::from_u128(width as u128);
+    Some(match *op {
+        Op::Copy { dst, a } => (dst, get(a)),
+        Op::Add { dst, a, b, mask } => (dst, get(a).map2(get(b), |x, y| x.wrapping_add(y) & mask)),
+        Op::Sub { dst, a, b, mask } => (dst, get(a).map2(get(b), |x, y| x.wrapping_sub(y) & mask)),
+        Op::Mul { dst, a, b, mask } => (dst, get(a).map2(get(b), |x, y| x.wrapping_mul(y) & mask)),
+        Op::And { dst, a, b } => (dst, get(a).map2(get(b), |x, y| x & y)),
+        Op::Or { dst, a, b } => (dst, get(a).map2(get(b), |x, y| x | y)),
+        Op::Xor { dst, a, b } => (dst, get(a).map2(get(b), |x, y| x ^ y)),
+        Op::Not { dst, a, mask } => (dst, get(a).map1(|x| !x & mask)),
+        Op::Neg { dst, a, mask } => (dst, get(a).map1(|x| x.wrapping_neg() & mask)),
+        Op::Shl { dst, a, b, width, mask } => {
+            let f = |x: W, n: W| if over(n, width) { zero } else { (x << small(n)) & mask };
+            (dst, get(a).map2(get(b), f))
+        }
+        Op::Shr { dst, a, b, width } => {
+            (dst, get(a).map2(get(b), |x, n| if over(n, width) { zero } else { x >> small(n) }))
+        }
+        Op::Sra { dst, a, b, width, mask, ext } => {
+            let amt = |n: W| small(n.min(W::from_u128(width as u128))).min(W::BITS - 1);
+            (dst, get(a).map2(get(b), |x, n| (x << ext).sar(ext).sar(amt(n)) & mask))
+        }
+        Op::Eq { dst, a, b } => (dst, get(a).map2(get(b), |x, y| flag(x == y))),
+        Op::Ne { dst, a, b } => (dst, get(a).map2(get(b), |x, y| flag(x != y))),
+        Op::Lt { dst, a, b } => (dst, get(a).map2(get(b), |x, y| flag(x < y))),
+        Op::Ge { dst, a, b } => (dst, get(a).map2(get(b), |x, y| flag(x >= y))),
+        Op::LtS { dst, a, b, ext } => {
+            (dst, get(a).map2(get(b), |x, y| flag((x << ext).lt_signed(y << ext))))
+        }
+        Op::GeS { dst, a, b, ext } => {
+            (dst, get(a).map2(get(b), |x, y| flag(!(x << ext).lt_signed(y << ext))))
+        }
+        Op::RedAnd { dst, a, mask } => (dst, get(a).map1(|x| flag(x == mask))),
+        Op::RedOr { dst, a } => (dst, get(a).map1(|x| flag(x != zero))),
+        Op::RedXor { dst, a } => (dst, get(a).map1(|x| flag(x.count_ones() % 2 == 1))),
+        Op::Slice { dst, a, lo, mask } => (dst, get(a).map1(|x| (x >> lo) & mask)),
+        Op::ShlOr { dst, a, b, shift } => (dst, get(a).map2(get(b), |x, y| (x << shift) | y)),
+        Op::Mux { dst, cond, t, f } => (dst, get(cond).map3(get(t), get(f), mux)),
+        Op::Mux2 { dst, c1, t1, c2, t2, f } => {
+            (dst, get(c1).map3(get(t1), get(c2).map3(get(t2), get(f), mux), mux))
+        }
+        Op::Sext { dst, a, sign_bit, ext_or } => {
+            (dst, get(a).map1(|x| if x & sign_bit != zero { x | ext_or } else { x }))
+        }
+        Op::Const { .. }
+        | Op::Select { .. }
+        | Op::Read { .. }
+        | Op::Write { .. }
+        | Op::WriteMasked { .. }
+        | Op::WriteNext { .. }
+        | Op::WriteNextMasked { .. }
+        | Op::WriteIf { .. }
+        | Op::WriteNextIf { .. }
+        | Op::MemRead { .. }
+        | Op::MemWrite { .. }
+        | Op::MemWriteIf { .. }
+        | Op::Jz { .. }
+        | Op::JneConst { .. }
+        | Op::Jmp { .. } => return None,
+    })
+}
+
 /// The executor body: runs `ops[start..]` on registers of word `W`, over
 /// the raw columns of a [`crate::state::PackedState`] — whose
 /// [`exec`](crate::state::Access::exec) is the one caller, and picks the
@@ -1043,8 +1188,7 @@ pub(crate) unsafe fn exec_tape_ptr_from<const TRACK: bool, W: Word>(
         }};
     }
     let zero = W::from_u128(0);
-    let flag = |b: bool| W::from_u128(b as u128);
-    // A shift amount or index already known to be below `W::BITS`.
+    // An index already known to be below `W::BITS`.
     let small = |v: W| v.to_u128() as u32;
     let mut pc = start;
     while pc < ops.len() {
@@ -1056,58 +1200,6 @@ pub(crate) unsafe fn exec_tape_ptr_from<const TRACK: bool, W: Word>(
                 // and by the caller's contract nothing else writes it.
                 w!(dst, W::from_u128(unsafe { *cur.add(*slot as usize) }))
             }
-            Op::Copy { dst, a } => w!(dst, r!(a)),
-            Op::Add { dst, a, b, mask } => w!(dst, r!(a).wrapping_add(r!(b)) & *mask),
-            Op::Sub { dst, a, b, mask } => w!(dst, r!(a).wrapping_sub(r!(b)) & *mask),
-            Op::Mul { dst, a, b, mask } => w!(dst, r!(a).wrapping_mul(r!(b)) & *mask),
-            Op::And { dst, a, b } => w!(dst, r!(a) & r!(b)),
-            Op::Or { dst, a, b } => w!(dst, r!(a) | r!(b)),
-            Op::Xor { dst, a, b } => w!(dst, r!(a) ^ r!(b)),
-            Op::Not { dst, a, mask } => w!(dst, !r!(a) & *mask),
-            Op::Neg { dst, a, mask } => w!(dst, r!(a).wrapping_neg() & *mask),
-            Op::Shl { dst, a, b, width, mask } => {
-                let amt = r!(b);
-                let over = amt >= W::from_u128(*width as u128);
-                w!(dst, if over { zero } else { (r!(a) << small(amt)) & *mask });
-            }
-            Op::Shr { dst, a, b, width } => {
-                let amt = r!(b);
-                let over = amt >= W::from_u128(*width as u128);
-                w!(dst, if over { zero } else { r!(a) >> small(amt) });
-            }
-            Op::Sra { dst, a, b, width, mask, ext } => {
-                let amt = small(r!(b).min(W::from_u128(*width as u128)));
-                let v = (r!(a) << *ext).sar(*ext);
-                w!(dst, v.sar(amt.min(W::BITS - 1)) & *mask);
-            }
-            Op::Eq { dst, a, b } => w!(dst, flag(r!(a) == r!(b))),
-            Op::Ne { dst, a, b } => w!(dst, flag(r!(a) != r!(b))),
-            Op::Lt { dst, a, b } => w!(dst, flag(r!(a) < r!(b))),
-            Op::Ge { dst, a, b } => w!(dst, flag(r!(a) >= r!(b))),
-            Op::LtS { dst, a, b, ext } => {
-                w!(dst, flag((r!(a) << *ext).lt_signed(r!(b) << *ext)))
-            }
-            Op::GeS { dst, a, b, ext } => {
-                w!(dst, flag(!(r!(a) << *ext).lt_signed(r!(b) << *ext)))
-            }
-            Op::RedAnd { dst, a, mask } => w!(dst, flag(r!(a) == *mask)),
-            Op::RedOr { dst, a } => w!(dst, flag(r!(a) != zero)),
-            Op::RedXor { dst, a } => w!(dst, flag(r!(a).count_ones() % 2 == 1)),
-            Op::Slice { dst, a, lo, mask } => w!(dst, (r!(a) >> *lo) & *mask),
-            Op::ShlOr { dst, a, b, shift } => w!(dst, (r!(a) << *shift) | r!(b)),
-            Op::Mux { dst, cond, t, f } => {
-                w!(dst, if r!(cond) != zero { r!(t) } else { r!(f) });
-            }
-            Op::Mux2 { dst, c1, t1, c2, t2, f } => {
-                let v = if r!(c1) != zero {
-                    r!(t1)
-                } else if r!(c2) != zero {
-                    r!(t2)
-                } else {
-                    r!(f)
-                };
-                w!(dst, v);
-            }
             Op::Select { dst, sel, base, n } => {
                 // Clamp the whole selector, then index: a selector with
                 // only high bits set picks the last option.
@@ -1116,10 +1208,6 @@ pub(crate) unsafe fn exec_tape_ptr_from<const TRACK: bool, W: Word>(
                 // and `idx < n`.
                 let v = unsafe { *regs.get_unchecked(*base as usize + idx) };
                 w!(dst, v);
-            }
-            Op::Sext { dst, a, sign_bit, ext_or } => {
-                let v = r!(a);
-                w!(dst, if v & *sign_bit != zero { v | *ext_or } else { v });
             }
             Op::Write { slot, src } => {
                 let c = word_of!(cur, slot);
@@ -1188,6 +1276,10 @@ pub(crate) unsafe fn exec_tape_ptr_from<const TRACK: bool, W: Word>(
                 pc = *target as usize;
                 continue;
             }
+            op => match pure(op, |r| r!(&r)) {
+                Some((dst, v)) => w!(&dst, v),
+                None => unreachable!("every op that is not pure has its arm above"),
+            },
         }
         pc += 1;
     }
@@ -1204,11 +1296,9 @@ pub(crate) unsafe fn exec_tape_ptr_from<const TRACK: bool, W: Word>(
 /// stage's guard). Stores to memory are queued on `pending` in op order,
 /// lanes ascending within an op: per memory, program order.
 ///
-/// Everything here is checked indexing. A pure arm computes its result
-/// array from shared borrows of its sources and only then writes the
-/// destination, so it is a fixed-trip-count loop the compiler vectorises
-/// without alias checks; the state arms walk the table row through
-/// [`Access`]'s word accessors.
+/// Everything here is checked indexing. The pure ops are [`pure`] over
+/// `[u64; L]`; the state arms walk the table row through [`Access`]'s word
+/// accessors.
 pub(crate) fn exec_lanes<const L: usize>(
     ops: &[Op<Reg, u64>],
     regs: &mut [[u64; L]],
@@ -1217,19 +1307,6 @@ pub(crate) fn exec_lanes<const L: usize>(
     st: &mut Access<'_>,
     pending: &mut Vec<(u32, u64, u128)>,
 ) {
-    // `regs[dst][l] = $e` for every lane, with `$x` bound to lane `l` of
-    // source register `$r`. The result is complete before the destination
-    // — which may be a source — is written.
-    macro_rules! lanes {
-        ($dst:expr, |$($x:ident = $r:ident),*| $e:expr) => {{
-            $(let $x: &[u64; L] = &regs[*$r as usize];)*
-            let out: [u64; L] = std::array::from_fn(|l| {
-                $(let $x = $x[l];)*
-                $e
-            });
-            regs[*$dst as usize] = out;
-        }};
-    }
     // The `L` state indices behind local index `$i` of `$table`.
     macro_rules! row {
         ($table:ident, $i:expr) => {{
@@ -1251,7 +1328,6 @@ pub(crate) fn exec_lanes<const L: usize>(
             }
         }};
     }
-    let flag = |b: bool| b as u64;
     for op in ops {
         match op {
             Op::Const { dst, val } => regs[*dst as usize] = [*val; L],
@@ -1262,58 +1338,6 @@ pub(crate) fn exec_lanes<const L: usize>(
                     d[l] = st.word(false, row[l]) as u64;
                 }
             }
-            Op::Copy { dst, a } => regs[*dst as usize] = regs[*a as usize],
-            Op::Add { dst, a, b, mask } => lanes!(dst, |x = a, y = b| x.wrapping_add(y) & *mask),
-            Op::Sub { dst, a, b, mask } => lanes!(dst, |x = a, y = b| x.wrapping_sub(y) & *mask),
-            Op::Mul { dst, a, b, mask } => lanes!(dst, |x = a, y = b| x.wrapping_mul(y) & *mask),
-            Op::And { dst, a, b } => lanes!(dst, |x = a, y = b| x & y),
-            Op::Or { dst, a, b } => lanes!(dst, |x = a, y = b| x | y),
-            Op::Xor { dst, a, b } => lanes!(dst, |x = a, y = b| x ^ y),
-            Op::Not { dst, a, mask } => lanes!(dst, |x = a| !x & *mask),
-            Op::Neg { dst, a, mask } => lanes!(dst, |x = a| x.wrapping_neg() & *mask),
-            Op::Shl { dst, a, b, width, mask } => lanes!(dst, |x = a, amt = b| {
-                if amt >= *width as u64 {
-                    0
-                } else {
-                    (x << amt) & *mask
-                }
-            }),
-            Op::Shr { dst, a, b, width } => {
-                lanes!(dst, |x = a, amt = b| if amt >= *width as u64 { 0 } else { x >> amt })
-            }
-            Op::Sra { dst, a, b, width, mask, ext } => lanes!(dst, |x = a, amt = b| {
-                let amt = amt.min(*width as u64) as u32;
-                (x << *ext).sar(*ext).sar(amt.min(u64::BITS - 1)) & *mask
-            }),
-            Op::Eq { dst, a, b } => lanes!(dst, |x = a, y = b| flag(x == y)),
-            Op::Ne { dst, a, b } => lanes!(dst, |x = a, y = b| flag(x != y)),
-            Op::Lt { dst, a, b } => lanes!(dst, |x = a, y = b| flag(x < y)),
-            Op::Ge { dst, a, b } => lanes!(dst, |x = a, y = b| flag(x >= y)),
-            Op::LtS { dst, a, b, ext } => {
-                lanes!(dst, |x = a, y = b| flag((x << *ext).lt_signed(y << *ext)))
-            }
-            Op::GeS { dst, a, b, ext } => {
-                lanes!(dst, |x = a, y = b| flag(!(x << *ext).lt_signed(y << *ext)))
-            }
-            Op::RedAnd { dst, a, mask } => lanes!(dst, |x = a| flag(x == *mask)),
-            Op::RedOr { dst, a } => lanes!(dst, |x = a| flag(x != 0)),
-            Op::RedXor { dst, a } => lanes!(dst, |x = a| (x.count_ones() % 2) as u64),
-            Op::Slice { dst, a, lo, mask } => lanes!(dst, |x = a| (x >> *lo) & *mask),
-            Op::ShlOr { dst, a, b, shift } => lanes!(dst, |x = a, y = b| (x << *shift) | y),
-            Op::Mux { dst, cond, t, f } => {
-                lanes!(dst, |c = cond, x = t, y = f| if c != 0 { x } else { y })
-            }
-            Op::Mux2 { dst, c1, t1, c2, t2, f } => {
-                lanes!(dst, |p = c1, x = t1, q = c2, y = t2, z = f| {
-                    if p != 0 {
-                        x
-                    } else if q != 0 {
-                        y
-                    } else {
-                        z
-                    }
-                })
-            }
             Op::Select { dst, sel, base, n } => {
                 // Clamp the whole selector, then index, as the scalar body
                 // does.
@@ -1322,9 +1346,6 @@ pub(crate) fn exec_lanes<const L: usize>(
                     regs[*base as usize + sel[l].min(*n as u64 - 1) as usize][l]
                 });
                 regs[*dst as usize] = picked;
-            }
-            Op::Sext { dst, a, sign_bit, ext_or } => {
-                lanes!(dst, |x = a| if x & *sign_bit != 0 { x | *ext_or } else { x })
             }
             Op::Write { slot, src } => store!(false, slot, |_old, v = src| v as u128),
             Op::WriteNext { slot, src } => store!(true, slot, |_old, v = src| v as u128),
@@ -1371,6 +1392,10 @@ pub(crate) fn exec_lanes<const L: usize>(
             Op::Jz { .. } | Op::JneConst { .. } | Op::Jmp { .. } => {
                 unreachable!("a gang's body is jump-free")
             }
+            op => match pure(op, |r| regs[r as usize]) {
+                Some((dst, v)) => regs[dst as usize] = v,
+                None => unreachable!("every op that is not pure has its arm above"),
+            },
         }
     }
 }

@@ -8,7 +8,7 @@
 //!
 //! [`translate`]: crate::translate
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 use mtl_bits::Bits;
@@ -288,6 +288,65 @@ struct ParsedModule {
     always: Vec<AlwaysBlock>,
 }
 
+/// Visits every identifier the item mentions, with whether it names a
+/// memory (an indexed base) rather than a signal.
+impl VExpr {
+    fn names(&self, f: &mut impl FnMut(&str, bool)) {
+        match self {
+            VExpr::Ident(name) => f(name, false),
+            VExpr::Lit(_) => {}
+            VExpr::Index { base, index } => {
+                f(base, true);
+                index.names(f);
+            }
+            VExpr::Part { base: a, .. } | VExpr::Unary(_, a) | VExpr::Signed(a) => a.names(f),
+            VExpr::Concat(parts) => parts.iter().for_each(|part| part.names(f)),
+            VExpr::Binary(_, a, b) => {
+                a.names(f);
+                b.names(f);
+            }
+            VExpr::Ternary(c, t, e) => {
+                c.names(f);
+                t.names(f);
+                e.names(f);
+            }
+        }
+    }
+}
+
+impl VLValue {
+    fn names(&self, f: &mut impl FnMut(&str, bool)) {
+        match self {
+            VLValue::Full(name) | VLValue::Part { name, .. } => f(name, false),
+            VLValue::MemIndex { name, index } => {
+                f(name, true);
+                index.names(f);
+            }
+        }
+    }
+}
+
+fn stmt_names(stmts: &[VStmt], f: &mut impl FnMut(&str, bool)) {
+    for stmt in stmts {
+        match stmt {
+            VStmt::Assign(lv, rhs) => {
+                lv.names(f);
+                rhs.names(f);
+            }
+            VStmt::If { cond, then_, else_ } => {
+                cond.names(f);
+                stmt_names(then_, f);
+                stmt_names(else_, f);
+            }
+            VStmt::Case { subject, arms, default } => {
+                subject.names(f);
+                arms.iter().for_each(|(_, body)| stmt_names(body, f));
+                stmt_names(default, f);
+            }
+        }
+    }
+}
+
 /// A parsed collection of Verilog modules that can be re-elaborated as
 /// RustMTL components.
 #[derive(Debug, Clone)]
@@ -381,7 +440,12 @@ fn parse_module(lx: &mut Lexer) -> Result<ParsedModule, ParseVerilogError> {
         always: Vec::new(),
     };
 
+    // Every name an item mentions, whether it is used as a memory, and the
+    // line the item starts on; resolved once all declarations are in.
+    let mut uses: Vec<(String, bool, usize)> = Vec::new();
     loop {
+        let line = lx.line();
+        let mut used = |name: &str, is_mem: bool| uses.push((name.to_string(), is_mem, line));
         if lx.eat_keyword("endmodule") {
             break;
         }
@@ -426,6 +490,8 @@ fn parse_module(lx: &mut Lexer) -> Result<ParsedModule, ParseVerilogError> {
             lx.expect_punct("=")?;
             let rhs = parse_expr(lx)?;
             lx.expect_punct(";")?;
+            lv.names(&mut used);
+            rhs.names(&mut used);
             m.assigns.push((lv, rhs));
         } else if lx.eat_keyword("always") {
             lx.expect_punct("@")?;
@@ -440,6 +506,7 @@ fn parse_module(lx: &mut Lexer) -> Result<ParsedModule, ParseVerilogError> {
             lx.expect_punct(")")?;
             lx.expect_keyword("begin")?;
             let stmts = parse_stmts(lx)?;
+            stmt_names(&stmts, &mut used);
             m.always.push(AlwaysBlock { seq, stmts });
         } else {
             // Module instance: MODNAME instname ( .pin(net), ... );
@@ -460,10 +527,26 @@ fn parse_module(lx: &mut Lexer) -> Result<ParsedModule, ParseVerilogError> {
                 lx.expect_punct("(")?;
                 let net = lx.expect_ident()?;
                 lx.expect_punct(")")?;
+                if pin != "clk" {
+                    used(&net, false);
+                }
                 pins.push((pin, net));
             }
             lx.expect_punct(";")?;
             m.instances.push(InstanceDecl { module, name: iname, pins });
+        }
+    }
+
+    let signals: HashSet<&str> = std::iter::once("reset")
+        .chain(m.ports.iter().map(|p| p.name.as_str()))
+        .chain(m.wires.iter().map(|w| w.name.as_str()))
+        .collect();
+    let mems: HashSet<&str> = m.mems.iter().map(|mem| mem.name.as_str()).collect();
+    for (name, is_mem, line) in &uses {
+        let (table, what) = if *is_mem { (&mems, "memory") } else { (&signals, "signal") };
+        if !table.contains(name.as_str()) {
+            let message = format!("module `{}` uses undeclared {what} `{name}`", m.name);
+            return Err(ParseVerilogError { message, line: *line });
         }
     }
     Ok(m)
@@ -704,19 +787,15 @@ struct NameEnv {
     mems: HashMap<String, MemRef>,
 }
 
+/// `parse_module` resolved every name a module mentions against its
+/// declarations, which `build` enters here: the lookups cannot miss.
 impl NameEnv {
     fn sig(&self, name: &str) -> SignalRef {
-        *self
-            .signals
-            .get(name)
-            .unwrap_or_else(|| panic!("verilog reconstruction: unknown signal `{name}`"))
+        self.signals[name]
     }
 
     fn mem(&self, name: &str) -> MemRef {
-        *self
-            .mems
-            .get(name)
-            .unwrap_or_else(|| panic!("verilog reconstruction: unknown memory `{name}`"))
+        self.mems[name]
     }
 }
 

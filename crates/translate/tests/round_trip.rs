@@ -160,6 +160,28 @@ fn verilog_round_trip_under_reset_mid_run() {
     assert_eq!(a.peek_port("count"), b(5, 3));
 }
 
+/// Parses `translate(dut)` with `name` renamed in its declaration `decl`
+/// alone, so that every use of it is undeclared; the error's text.
+fn parse_with_renamed_declaration(dut: &dyn Component, decl: &str, name: &str) -> String {
+    let verilog = translate(&elaborate(dut).unwrap()).unwrap();
+    assert_eq!(verilog.matches(decl).count(), 1, "`{decl}` in:\n{verilog}");
+    let renamed = verilog.replace(decl, &decl.replace(name, &format!("{name}_renamed")));
+    VerilogLibrary::parse(&renamed).expect_err("a use without a declaration").to_string()
+}
+
+#[test]
+fn undeclared_signal_is_a_parse_error() {
+    let err = parse_with_renamed_declaration(&Counter::new(5), "output reg [4:0] count;", "count");
+    assert!(err.contains("module `Counter_5` uses undeclared signal `count`"), "{err}");
+}
+
+#[test]
+fn undeclared_memory_is_a_parse_error() {
+    let queue = NormalQueue::new(8, 2);
+    let err = parse_with_renamed_declaration(&queue, "reg [7:0] storage [0:1];", "storage");
+    assert!(err.contains("module `NormalQueue_8x2` uses undeclared memory `storage`"), "{err}");
+}
+
 #[test]
 fn untranslatable_designs_are_rejected() {
     let harness = mtl_stdlib::SourceSinkHarness::new(

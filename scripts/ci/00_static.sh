@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI stage 0 — static checks: formatting, clippy with warnings denied,
-# rustdoc with warnings denied, and a duplicate-dependency gate. Fast, no
-# test execution; this is the first tier of the CI gate.
+# rustdoc with warnings denied, a duplicate-dependency gate and the
+# `unsafe` ratchet. Fast, no test execution; this is the first tier of the
+# CI gate.
 . "$(dirname "$0")/lib.sh"
 ci_stage static
 
@@ -27,4 +28,20 @@ if [ -n "$dups" ]; then
     echo "$dups"
     echo "FAIL: duplicate dependency versions in the workspace graph"
     exit 1
+fi
+
+# The simulator's `unsafe` surface only shrinks: every mention under
+# crates/sim/src (blocks, `unsafe fn`s, the macros that expand to them,
+# SAFETY prose and one lint name) counts against the number below, which
+# is the figure ROADMAP quotes.
+echo "== static: unsafe ratchet (crates/sim/src)"
+unsafe_max=26
+unsafe_now=$(grep -ro unsafe crates/sim/src | wc -l)
+if [ "$unsafe_now" -gt "$unsafe_max" ]; then
+    grep -rn unsafe crates/sim/src
+    echo "FAIL: $unsafe_now \`unsafe\` mentions under crates/sim/src, the ratchet allows $unsafe_max"
+    exit 1
+elif [ "$unsafe_now" -lt "$unsafe_max" ]; then
+    echo "note: $unsafe_now \`unsafe\` mentions, below the ratchet's $unsafe_max:" \
+        "lower unsafe_max in $0 (and the figure in ROADMAP.md) to keep the gain"
 fi
