@@ -20,8 +20,8 @@
 //!   even for native-bearing designs: the per-instance state (packed
 //!   nets, sensitivity lists, native closures) is rebuilt cheaply, the
 //!   compilation is not. Each stage is built from the one below, so an
-//!   entry holding only per-block tapes (from `Specialized` or
-//!   `SpecializedPar`) still saves `SpecializedOpt` its `comp`/`cgen`.
+//!   entry holding only per-block tapes (from `Specialized`) still saves
+//!   `SpecializedOpt` and `SpecializedPar` their `comp`/`cgen`.
 //!
 //! The cache key is a caller-supplied 64-bit fingerprint (produced with
 //! `mtl-sweep`'s FNV machinery from whatever parameters generate the
@@ -47,9 +47,9 @@ use mtl_core::{BlockBody, BlockKind, Design};
 pub(crate) enum Layer {
     /// The elaborated design.
     Design,
-    /// Per-block tapes (`Specialized`, `SpecializedPar`).
+    /// Per-block tapes (`Specialized`).
     Blocks,
-    /// Fused static schedules (`SpecializedOpt`).
+    /// Fused static schedules (`SpecializedOpt`, `SpecializedPar`).
     Plans,
     /// Bit-plane programs (`SpecializedBatch`).
     Batch,

@@ -1132,7 +1132,7 @@ mod tests {
                             }
                         }
                         let mut pending = Vec::new();
-                        st.exec_lanes(&tapes[0], &gang, &mut [[0; L]; 8], &mut pending);
+                        st.exec_lanes(&tapes[0], &gang, 0..1, &mut [[0; L]; 8], &mut pending);
                         let (cur, next, _) = state.dump();
                         for (lane, lane_state) in before[..L].iter().enumerate() {
                             let own = |column: &[u128]| column[9 * lane..][..9].to_vec();

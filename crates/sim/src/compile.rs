@@ -6,8 +6,8 @@
 //!
 //! | stage | type | built from | consumers |
 //! |---|---|---|---|
-//! | blocks | [`BlockTapes`] | the design: fold → codegen per block, then optimize → narrow (registers and word class) → validate once per distinct [`Body`] and a relocated, validated copy per block; plus the [`Layout`] tables | `Specialized`, `SpecializedPar`, every later stage |
-//! | plans | [`Plans`] | blocks: levelized schedule cut into IR runs at native boundaries; per dependency level of a run, [`LANES`] or more instances of one jump-free `u64`-class [`Body`] become a [`Gang`] (the body once, instances as lanes), everything else is fused and re-optimized between gangs | `SpecializedOpt`, the batch stage |
+//! | blocks | [`BlockTapes`] | the design: fold → codegen per block, then optimize → narrow (registers and word class) → validate once per distinct [`Body`] and a relocated, validated copy per block; plus the [`Layout`] tables | `Specialized`, every later stage |
+//! | plans | [`Plans`] | blocks: levelized schedule cut into IR runs at native boundaries; per dependency level of a run, [`LANES`] or more instances of one jump-free `u64`-class [`Body`] become a [`Gang`] (the body once, instances as lanes), everything else is fused and re-optimized between gangs | `SpecializedOpt`, `SpecializedPar`, the batch stage |
 //! | batch | [`BatchProgs`](crate::batch::BatchProgs) | plans + blocks lowered to bit-plane programs | `SpecializedBatch` |
 //!
 //! [`staged`] resolves the stage an engine needs — through the shared
@@ -94,13 +94,13 @@ impl Layout {
 
 /// One item of a levelized schedule cut at native boundaries: a run of
 /// consecutive IR blocks, or a native block that stays a serial point.
-pub(crate) enum Run {
+enum Run {
     Ir(Vec<u32>),
     Native(u32),
 }
 
 /// Splits a schedule into [`Run`]s.
-pub(crate) fn ir_runs(design: &Design, order: &[u32]) -> Vec<Run> {
+fn ir_runs(design: &Design, order: &[u32]) -> Vec<Run> {
     let mut runs = Vec::new();
     for &b in order {
         match (&design.blocks()[b as usize].body, runs.last_mut()) {
@@ -113,45 +113,34 @@ pub(crate) fn ir_runs(design: &Design, order: &[u32]) -> Vec<Run> {
 }
 
 /// "No such block / body / writer" in the `u32` index tables below.
-pub(crate) const NONE: u32 = u32::MAX;
+const NONE: u32 = u32::MAX;
 
-/// What a planner knows about one block of a run: the net slots it reads
-/// and writes, and its cost in tape ops. Blocks are given in schedule
-/// order, which is topological: a slot's writer precedes its readers.
-#[derive(Debug, Clone)]
-pub(crate) struct BlockIo {
-    pub(crate) reads: Vec<u32>,
-    pub(crate) writes: Vec<u32>,
-    pub(crate) cost: u64,
+/// What the planner knows about one block of a run: the net slots it reads
+/// and writes. Blocks are given in schedule order, which is topological: a
+/// slot's writer precedes its readers.
+struct BlockIo {
+    reads: Vec<u32>,
+    writes: Vec<u32>,
 }
 
-/// The blocks of `run` as the planners see them. Sequential blocks read
+/// The blocks of `run` as the planner sees them. Sequential blocks read
 /// `cur` and write `next`, so no block of a seq run feeds another: they
 /// are given no reads.
-pub(crate) fn run_io(
-    design: &Design,
-    tapes: &[Tape],
-    run: &[u32],
-    kind: BlockKind,
-) -> Vec<BlockIo> {
+fn run_io(design: &Design, run: &[u32], kind: BlockKind) -> Vec<BlockIo> {
     let slots_of = |signals: &[SignalId]| -> Vec<u32> {
         signals.iter().map(|&s| design.net_of(s).index() as u32).collect()
     };
     let io = run.iter().map(|&b| {
         let info = &design.blocks()[b as usize];
         let reads = if kind == BlockKind::Comb { &info.reads[..] } else { &[] };
-        BlockIo {
-            reads: slots_of(reads),
-            writes: slots_of(&info.writes),
-            cost: tapes[b as usize].ops.len() as u64,
-        }
+        BlockIo { reads: slots_of(reads), writes: slots_of(&info.writes) }
     });
     io.collect()
 }
 
 /// The run-local index of the block writing each slot the run names
 /// ([`NONE`]: written outside the run, or not at all).
-pub(crate) fn writers(io: &[BlockIo]) -> Vec<u32> {
+fn writers(io: &[BlockIo]) -> Vec<u32> {
     let slots = io.iter().flat_map(|b| b.reads.iter().chain(&b.writes));
     let mut writer_of = vec![NONE; slots.max().map_or(0, |&s| s as usize + 1)];
     for (b, block) in io.iter().enumerate() {
@@ -165,9 +154,8 @@ pub(crate) fn writers(io: &[BlockIo]) -> Vec<u32> {
 /// The dependency level of each block of a run: the longest writer→reader
 /// path that reaches it from the run's inputs (`writer_of` from
 /// [`writers`]). Blocks of one level neither feed nor follow one another,
-/// which is what lets `par` run them on different workers and
-/// [`fuse_plans`] run them as lanes of one [`Gang`].
-pub(crate) fn levels(io: &[BlockIo], writer_of: &[u32]) -> Vec<u32> {
+/// which is what lets [`fuse_plans`] run them as lanes of one [`Gang`].
+fn levels(io: &[BlockIo], writer_of: &[u32]) -> Vec<u32> {
     let mut level = vec![0u32; io.len()];
     for (b, block) in io.iter().enumerate() {
         for &r in &block.reads {
@@ -260,7 +248,8 @@ pub(crate) enum Chunk {
     Native(u32),
 }
 
-/// Stage 2: the fully static schedules of `SpecializedOpt`.
+/// Stage 2: the fully static schedules of `SpecializedOpt` and
+/// `SpecializedPar`.
 pub(crate) struct Plans {
     pub(crate) comb: Arc<Vec<Chunk>>,
     pub(crate) seq: Arc<Vec<Chunk>>,
@@ -496,7 +485,7 @@ pub(crate) fn fuse_run(
     finish(fuse(&parts), &layout.widths, &layout.mem_widths, report, || label.to_string())
 }
 
-/// Builds the static schedules of `SpecializedOpt` (charged to simc: it
+/// Builds the static schedules of the plan stage (charged to simc: it
 /// is schedule construction): native blocks stay serial points, and every
 /// run of IR blocks between them is planned by [`plan_run`].
 fn fuse_plans(design: &Design, blocks: &BlockTapes, o: &mut Overheads) -> Plans {
@@ -507,7 +496,7 @@ fn fuse_plans(design: &Design, blocks: &BlockTapes, o: &mut Overheads) -> Plans 
         for run in ir_runs(design, order) {
             match run {
                 Run::Ir(run) => {
-                    let io = run_io(design, &blocks.tapes, &run, kind);
+                    let io = run_io(design, &run, kind);
                     plan_run(blocks, &run, &io, &mut report, label, &mut chunks);
                 }
                 Run::Native(b) => chunks.push(Chunk::Native(b)),
@@ -648,11 +637,12 @@ fn gang_of(blocks: &BlockTapes, body: u32, members: Vec<u32>) -> Gang {
 }
 
 /// Checks that a gang's lanes are independent and its tables true, from
-/// the members' own tapes — each `validate`d against the design — the way
-/// `par` re-checks the shards of a step. Strict elaboration gives every
-/// net one writer block and the level rule puts a reader after its writer,
-/// so this holds by construction; it is re-checked because the lane
-/// executor interleaves the members op by op:
+/// the members' own tapes — each `validate`d against the design. Strict
+/// elaboration gives every net one writer block and the level rule puts a
+/// reader after its writer, so this holds by construction; it is
+/// re-checked because the lane executor interleaves the members op by op,
+/// and because a pooled engine runs the lane blocks of a gang on different
+/// threads ([`crate::state`]'s sharing protocol rests on the last point):
 ///
 /// * the body is one the lane executor runs (`u64` class, no jumps), the
 ///   members fill whole lane blocks, and every member *is* that body;
@@ -1108,7 +1098,7 @@ mod tests {
                         batch: None,
                     };
                     let natives = design.blocks().iter().map(|_| None).collect();
-                    TapeEngine::new(design.clone(), natives, false, &staged, o)
+                    TapeEngine::new(design.clone(), natives, false, 1, &staged, o)
                 });
                 let slot = |port: &str| design.net_of(design.top_port(port)).index() as u32;
                 let mut seed = n as u64;

@@ -66,11 +66,7 @@
 //!    never rewritten, only its selector.
 //! 7. **jump-thread** — `Jmp`-to-`Jmp` chains are shortcut, jumps to the
 //!    next op are dropped, and unreachable ops are removed.
-//! 8. **dse** — a full `Write` (or `WriteNext`) overwritten by a later
-//!    full write to the same slot within the same straight-line segment,
-//!    with no intervening read of that slot, is dead. Masked writes
-//!    read-modify-write and therefore both break and end kill chains.
-//! 9. **dce** — pure ops whose destination is never used later are
+//! 8. **dce** — pure ops whose destination is never used later are
 //!    removed (a conservative positional liveness that is sound because
 //!    tape jumps only go forward).
 //!
@@ -215,7 +211,7 @@ pub(super) enum Refusal {
 
 const REFUSALS: [&str; 5] = ["few", "jumps", "wide", "tail", "guard"];
 
-const PASS_NAMES: [&str; 14] = [
+const PASS_NAMES: [&str; 13] = [
     "rename",
     "const-fold",
     "cse",
@@ -224,7 +220,6 @@ const PASS_NAMES: [&str; 14] = [
     "width-narrow",
     "copy-prop",
     "jump-thread",
-    "dse",
     "dce",
     "mux-fuse",
     "const-hoist",
@@ -239,12 +234,11 @@ const P_IF_CONVERT: usize = 4;
 const P_WIDTH_NARROW: usize = 5;
 const P_COPY_PROP: usize = 6;
 const P_JUMP_THREAD: usize = 7;
-const P_DSE: usize = 8;
-const P_DCE: usize = 9;
-const P_MUX_FUSE: usize = 10;
-const P_HOIST: usize = 11;
-const P_COMPACT: usize = 12;
-const P_REALLOC: usize = 13;
+const P_DCE: usize = 8;
+const P_MUX_FUSE: usize = 9;
+const P_HOIST: usize = 10;
+const P_COMPACT: usize = 11;
+const P_REALLOC: usize = 12;
 
 impl OptReport {
     /// An empty report with every pass row pre-seeded in pipeline order.
@@ -382,7 +376,6 @@ pub(super) fn optimize(vt: &mut VTape, widths: &[u32], mem_widths: &[u32], rep: 
         changed += run_pass(rep, P_WIDTH_NARROW, vt, |vt| width_narrow(vt, widths, mem_widths));
         changed += run_pass(rep, P_COPY_PROP, vt, copy_prop);
         changed += run_pass(rep, P_JUMP_THREAD, vt, jump_thread);
-        changed += run_pass(rep, P_DSE, vt, dse);
         changed += run_pass(rep, P_DCE, vt, dce);
         if changed == 0 || rounds >= MAX_ROUNDS {
             break;
@@ -1425,49 +1418,6 @@ fn jump_thread(vt: &mut VTape) -> u64 {
     rewrites
 }
 
-/// Dead-store elimination: a full write overwritten by a later full write
-/// to the same slot within one straight-line segment, with no intervening
-/// read of that slot, never settles — remove it. `cur`-writes and
-/// `next`-writes are tracked independently (they hit different buffers).
-fn dse(vt: &mut VTape) -> u64 {
-    let is_leader = leaders(&vt.ops);
-    let mut dead = vec![false; vt.ops.len()];
-    let mut pending_cur: FastMap<u32, usize> = FastMap::default();
-    let mut pending_next: FastMap<u32, usize> = FastMap::default();
-    let mut rewrites = 0;
-    for (i, op) in vt.ops.iter().enumerate() {
-        if is_leader[i] {
-            pending_cur.clear();
-            pending_next.clear();
-        }
-        match op.effect() {
-            Effect::Read { slot } => {
-                pending_cur.remove(&slot);
-            }
-            Effect::Write { slot, next, how } => {
-                let pending = if next { &mut pending_next } else { &mut pending_cur };
-                if how != Store::Full {
-                    // Read-modify-write / conditional: observes the previous
-                    // value and does not fully define the slot.
-                    pending.remove(&slot);
-                } else if let Some(prev) = pending.insert(slot, i) {
-                    dead[prev] = true;
-                    rewrites += 1;
-                }
-            }
-            // Control flow ends the straight-line segment: along the
-            // taken edge the pending store may be the one that settles.
-            Effect::Jump { .. } => {
-                pending_cur.clear();
-                pending_next.clear();
-            }
-            Effect::Pure | Effect::MemRead { .. } | Effect::MemWrite { .. } => {}
-        }
-    }
-    sweep(&mut vt.ops, &dead);
-    rewrites
-}
-
 /// Removes pure ops whose destination register is never used later.
 /// Positional ("used anywhere after") liveness without kills — sound for
 /// any forward-jump control flow, and one backward scan handles whole
@@ -1803,10 +1753,8 @@ mod tests {
     }
 
     #[test]
-    fn store_to_load_forwarding_and_dse() {
-        // write s1 = r0; r1 = read s1 (forwards to r0); write s1 = r1+1
-        // (kills nothing: the read intervened... then an overwritten
-        // write pair on s2).
+    fn store_to_load_forwarding() {
+        // write s1 = r0; r1 = read s1 (forwards to r0); write s2 = r1+1.
         let m = mask_of(8);
         let ops = vec![
             Op::Read { dst: 0, slot: 0 },
@@ -1815,19 +1763,16 @@ mod tests {
             Op::Const { dst: 2, val: 1 },
             Op::Add { dst: 3, a: 1, b: 2, mask: m },
             Op::Write { slot: 2, src: 3 },
-            Op::Write { slot: 2, src: 0 },
         ];
         let before = run(&vt(ops.clone(), 4), 3, &[(0, 9)]);
         let (o, _) = opt(vt(ops, 4), &[8, 8, 8]);
         let after = run(&o, 3, &[(0, 9)]);
         assert_eq!(before, after);
         assert_eq!(after[1], 9);
-        assert_eq!(after[2], 9);
-        // The second read forwarded; the overwritten store died.
+        assert_eq!(after[2], 10);
+        // The second read forwarded.
         let reads = o.ops.iter().filter(|o| matches!(o, Op::Read { .. })).count();
         assert_eq!(reads, 1, "{:?}", o.ops);
-        let writes = o.ops.iter().filter(|o| matches!(o, Op::Write { .. })).count();
-        assert_eq!(writes, 2, "{:?}", o.ops);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! | [`Engine::InterpretedOpt`] | PyPy | event-driven, tree-walking IR, dense pre-resolved storage |
 //! | [`Engine::Specialized`] | SimJIT | IR compiled to a linear tape VM, event-driven dispatch |
 //! | [`Engine::SpecializedOpt`] | SimJIT+PyPy | tape VM plus fully static levelized schedule |
-//! | [`Engine::SpecializedPar`] | multithreaded codegen (e.g. Verilator `--threads`) | the schedule cut into level stages of connected components, fused per component and run on worker threads one barrier-delimited step at a time, with double-buffered register nets committed by their owners |
+//! | [`Engine::SpecializedPar`] | multithreaded codegen (e.g. Verilator `--threads`) | the same static plans, each gang's lane blocks dealt to a pool of worker threads between two barriers; everything else stays on the calling thread |
 //! | [`Engine::SpecializedBatch`] | word-parallel campaign simulation (e.g. bit-sliced fault/fuzz harnesses) | fused tapes lowered to bit-plane programs; one `u64` word per net bit holds 64 independent trial lanes |
 //!
 //! All engines implement identical simulation semantics; the test suite
@@ -53,6 +53,6 @@ pub use compile::passes;
 pub use overheads::Overheads;
 pub use par::default_threads;
 pub use passes::{OptReport, PassStat};
-pub use profile::{Hist, HotBlock, PlanStep, SimProfile};
+pub use profile::{Hist, HotBlock, SimProfile};
 pub use sim::{Engine, InjectKind, Injection, Sim, SimConfig};
 pub use vcd::VcdWriter;

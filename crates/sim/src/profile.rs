@@ -111,30 +111,15 @@ pub(crate) struct EngineStats {
     /// Event-queue depth observed at each pop (empty for the static
     /// schedule, which has no queue).
     pub queue_depth: Hist,
-    /// Busy wall nanos per partition/worker thread (the parallel engine
-    /// only; empty elsewhere).
+    /// Busy wall nanos per worker thread (a pooled engine only; empty
+    /// elsewhere).
     pub partition_nanos: Vec<u64>,
-    /// The parallel engine's static plan (empty elsewhere).
-    pub partition_plan: Vec<PlanStep>,
 }
 
 impl EngineStats {
     pub(crate) fn new(nblocks: usize) -> EngineStats {
         EngineStats { block_nanos: vec![0; nblocks], ..EngineStats::default() }
     }
-}
-
-/// One barrier-delimited step of [`Engine::SpecializedPar`]'s static plan:
-/// what every worker is given to do between two barriers.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PlanStep {
-    /// `"comb"` (one stage of a combinational run), `"seq"` (a run of
-    /// sequential blocks) or `"commit"` (the register and memory commit).
-    pub kind: &'static str,
-    /// Schedulable units in the step; registers for the commit.
-    pub units: usize,
-    /// Fused tape ops given to each worker; registers for the commit.
-    pub loads: Vec<u64>,
 }
 
 /// One ranked entry of [`SimProfile::hot_blocks`].
@@ -171,7 +156,13 @@ pub struct SimProfile {
     /// block.
     pub block_runs: Vec<u64>,
     /// Cumulative wall time per block in nanoseconds (engine-specific),
-    /// indexed like `block_runs`.
+    /// indexed like `block_runs`. A pooled [`Engine::SpecializedPar`]
+    /// simulator profiles the plan it runs unprofiled, where only native
+    /// blocks are timed one by one: a gang's wall time is credited to its
+    /// member blocks in equal parts, and the fused tapes' to the remaining
+    /// blocks of the schedule in proportion to their tape lengths. Every
+    /// other simulator — a pool-less `SpecializedPar` one included — times
+    /// each block on its own.
     pub block_nanos: Vec<u64>,
     /// Hierarchical path per block, indexed like `block_runs`.
     pub block_paths: Vec<String>,
@@ -183,14 +174,12 @@ pub struct SimProfile {
     /// [`Engine::SpecializedOpt`] and [`Engine::SpecializedPar`], which
     /// run without a queue).
     pub queue_depth: Hist,
-    /// Busy wall nanos per worker thread ([`Engine::SpecializedPar`]
-    /// only; empty elsewhere). Balanced partitions show similar values.
+    /// Wall nanos each worker thread spent on its shares of the gangs,
+    /// the calling thread first ([`Engine::SpecializedPar`] with a worker
+    /// pool only; empty elsewhere, and empty too for a `SpecializedPar`
+    /// simulator that spawned no thread). A balanced deal shows similar
+    /// values.
     pub partition_nanos: Vec<u64>,
-    /// The static plan behind `partition_nanos`, one entry per step in
-    /// program order: combinational stages, sequential runs, then the
-    /// commit ([`Engine::SpecializedPar`] only; empty elsewhere). A step
-    /// whose `loads` are lopsided is the straggler.
-    pub partition_plan: Vec<PlanStep>,
     /// What the static plans execute as gangs and what as fused residual
     /// ([`OptReport::gang_line`](crate::OptReport::gang_line)); `None` for
     /// an engine without a plan stage, or with the optimizer's report off.
@@ -284,13 +273,6 @@ impl SimProfile {
         if let Some(line) = &self.gang_plan {
             let _ = writeln!(s, "  static plans:        {line}");
         }
-        for (i, step) in self.partition_plan.iter().enumerate() {
-            let _ = writeln!(
-                s,
-                "  step {i:<2} {:<7}{:>6} units   load/worker {:?}",
-                step.kind, step.units, step.loads
-            );
-        }
         let hot = self.hot_blocks(top);
         if !hot.is_empty() {
             let path_w = hot.iter().map(|h| h.path.len()).max().unwrap_or(4).max(4);
@@ -353,7 +335,6 @@ mod tests {
             fixpoint_iters: Hist::new(),
             queue_depth: Hist::new(),
             partition_nanos: Vec::new(),
-            partition_plan: Vec::new(),
             gang_plan: None,
             net_activity: vec![0, 4],
             net_paths: vec!["top.x".into(), "top.y".into()],

@@ -13,7 +13,6 @@ use crate::batch::BatchEngine;
 use crate::compile::passes::OptReport;
 use crate::interp::{DenseSens, DenseStore, HashSens, HashStore, InterpEngine};
 use crate::overheads::Overheads;
-use crate::par::ParTapeEngine;
 use crate::profile::{EngineStats, SimProfile};
 use crate::tape::mask_of;
 use crate::tape_engine::TapeEngine;
@@ -34,14 +33,16 @@ pub enum Engine {
     /// Tapes plus a fully static levelized schedule — no event queue at all
     /// (the SimJIT+PyPy analog).
     SpecializedOpt,
-    /// The levelized schedule cut into barrier-delimited stages of
-    /// independent combinational islands, fused per island and executed
-    /// on worker threads with double-buffered cross-partition (register)
-    /// nets committed by their owners; clean islands are skipped.
-    /// Cycle-exact with `SpecializedOpt` by construction. The thread count
-    /// comes from [`SimConfig::threads`] or `MTL_SIM_THREADS` (default:
-    /// available cores, capped at 8); whatever is asked for, a simulator
-    /// runs at least 1 and at most 64 workers.
+    /// `SpecializedOpt`'s plans with each gang's lane blocks dealt to a
+    /// pool of worker threads, one barrier before the gang and one after;
+    /// fused tapes, native blocks and the commit stay on the calling
+    /// thread. Cycle-exact with `SpecializedOpt` by construction: the
+    /// lanes of a gang are independent, so it does not matter which thread
+    /// runs which. The thread count comes from [`SimConfig::threads`] or
+    /// `MTL_SIM_THREADS` (default: available cores, capped at 8) and is
+    /// clamped to `1..=64`; a simulator asked for one thread, or whose
+    /// plans hold no gang of two or more lane blocks, spawns no thread and
+    /// simply is `SpecializedOpt`.
     SpecializedPar,
     /// Bit-sliced batch engine: the `SpecializedOpt` tapes lowered to a
     /// plane evaluator where each net bit is one `u64` word holding that
@@ -104,11 +105,12 @@ impl std::str::FromStr for Engine {
 #[derive(Debug, Clone, Default)]
 pub struct SimConfig {
     /// Worker-thread count for [`Engine::SpecializedPar`] (including the
-    /// control thread; `1` means fully sequential execution). `None`
-    /// defers to the `MTL_SIM_THREADS` environment variable, falling back
-    /// to available parallelism capped at 8. Either way the count is
-    /// clamped to `1..=64` — the ceiling is a constant of the engine, not
-    /// a knob. Other engines ignore it.
+    /// calling thread; `1` means no pool: the engine then runs exactly as
+    /// [`Engine::SpecializedOpt`]). `None` defers to the `MTL_SIM_THREADS`
+    /// environment variable, falling back to available parallelism capped
+    /// at 8. Either way the count is clamped to `1..=64` — the ceiling is
+    /// a constant of the engine, not a knob — and no more workers run than
+    /// the widest gang has lane blocks. Other engines ignore it.
     pub threads: Option<usize>,
     /// Whether the tape engines run the optimizer pass pipeline
     /// ([`crate::passes`]) over compiled tapes. `None` defers to the
@@ -464,16 +466,16 @@ impl Sim {
             }
             Engine::Specialized => {
                 let s = staged(Layer::Blocks);
-                Box::new(TapeEngine::new(design, natives, true, &s, o))
+                Box::new(TapeEngine::new(design, natives, true, 1, &s, o))
             }
             Engine::SpecializedOpt => {
                 let s = staged(Layer::Plans);
-                Box::new(TapeEngine::new(design, natives, false, &s, o))
+                Box::new(TapeEngine::new(design, natives, false, 1, &s, o))
             }
             Engine::SpecializedPar => {
-                let s = staged(Layer::Blocks);
+                let s = staged(Layer::Plans);
                 let threads = crate::par::resolve_threads(cfg.threads);
-                Box::new(ParTapeEngine::new(design, natives, threads, &s, o))
+                Box::new(TapeEngine::new(design, natives, false, threads, &s, o))
             }
             Engine::SpecializedBatch => {
                 assert!(
@@ -1151,7 +1153,6 @@ impl Sim {
             fixpoint_iters: stats.fixpoint.clone(),
             queue_depth: stats.queue_depth.clone(),
             partition_nanos: stats.partition_nanos.clone(),
-            partition_plan: stats.partition_plan.clone(),
             gang_plan: self.backend.opt_report().and_then(OptReport::gang_line),
             net_activity,
             net_paths,

@@ -10,16 +10,17 @@
 //! change of layout (per-partition banks, `u64` banks for fully narrow
 //! designs, base-relative slots) or a checked mode is a change here.
 //!
-//! **Protocol.** The words are interior-mutable so that the workers of
-//! [`crate::par`] can share one state. What keeps that free of data races
-//! is stated here once:
+//! **Protocol.** The words are interior-mutable so that the workers a
+//! [`crate::par`] pool gives a `specialized-par` simulator can share one
+//! state. What keeps that free of data races is stated here once:
 //!
-//! * *within a step* a slot has at most one writer, and no reader other
-//!   than its writer — `validate` bounds every index a tape holds, and
-//!   `step_shards_independent` proves the shards of a step disjoint;
-//!   memories are only read (stores are queued, and drained by the
-//!   memory's one owner);
-//! * *between steps* only the control thread touches state — the workers
+//! * *within a gang* — the one step the workers run, each a contiguous
+//!   share of the gang's lane blocks — a slot has at most one writer, and
+//!   no reader other than its writer: the plan stage's `lanes_independent`
+//!   proved exactly that of every lane of the gang, and bounded every
+//!   table entry; memories are only read (stores are queued, and drained
+//!   by the control thread);
+//! * *between gangs* only the control thread touches state — the workers
 //!   are parked at the barrier.
 //!
 //! Every mutation is a safe method of an [`Access`] handle, so the only
@@ -77,8 +78,7 @@ pub(crate) struct PackedState {
     mems: Mems,
     widths: Vec<u32>,
     mem_widths: Vec<u32>,
-    /// Register slots in ascending order; [`Access::commit`] ranges index
-    /// this.
+    /// Register slots in ascending order: what [`Access::commit`] copies.
     reg_slots: Vec<u32>,
     /// Count register bit toggles at the commit.
     track_activity: AtomicBool,
@@ -137,11 +137,6 @@ impl PackedState {
 
     pub(crate) fn nslots(&self) -> usize {
         self.widths.len()
-    }
-
-    /// How many registers [`Access::commit`] ranges over.
-    pub(crate) fn nregs(&self) -> usize {
-        self.reg_slots.len()
     }
 
     pub(crate) fn peek(&self, slot: u32) -> Bits {
@@ -233,10 +228,10 @@ impl Access<'_> {
         }
     }
 
-    /// Executes a gang's body for each of its lane blocks; see
-    /// [`exec_lanes`]. `regs` is the gang's register bank, persistent since
-    /// [`crate::tape::broadcast_prelude`] installed the body's prelude.
-    /// Memory stores are queued on `pending`.
+    /// Executes a gang's body for its lane blocks `share`; see
+    /// [`exec_lanes`]. `regs` is a register bank of the gang's, persistent
+    /// since [`crate::tape::broadcast_prelude`] installed the body's
+    /// prelude. Memory stores are queued on `pending`.
     ///
     /// Nothing here is unchecked: a table entry out of range panics. What
     /// the plan stage's guard adds is that the entries are the ones the
@@ -245,12 +240,13 @@ impl Access<'_> {
         &mut self,
         body: &Tape,
         gang: &Gang,
+        share: Range<usize>,
         regs: &mut [[u64; LANES]],
         pending: &mut Vec<(u32, u64, u128)>,
     ) {
         let ops = body.narrow.as_ref().expect("a gang's body is in the u64 class");
         let ops = &ops[body.prelude as usize..];
-        for (slots, mems) in gang.lane_blocks() {
+        for (slots, mems) in gang.lane_blocks().skip(share.start).take(share.len()) {
             exec_lanes(ops, regs, slots, mems, self, pending);
         }
     }
@@ -276,19 +272,18 @@ impl Access<'_> {
         self.0.load(&self.0.mems.0[mem as usize][addr as usize])
     }
 
-    /// The clock edge for `reg_slots[regs]`: copies `next → cur`, counts
-    /// the toggled bits when asked to, and reports each slot whose value
-    /// changed to `on_change`. Any tiling of `0..nregs()` commits what one
-    /// whole-range call does. The store is unconditional on purpose: the
+    /// The clock edge: copies every register's `next → cur`, counts the
+    /// toggled bits when asked to, and reports each slot whose value
+    /// changed to `on_change`. The store is unconditional on purpose: the
     /// static engine passes a no-op `on_change`, and a compare-and-branch
     /// per register that guards nothing but the store mispredicts on busy
     /// designs (≈12 % of `mesh64_cl_steady`; EXPERIMENTS.md, "One state
     /// home").
-    pub(crate) fn commit(&mut self, regs: Range<usize>, mut on_change: impl FnMut(u32)) {
+    pub(crate) fn commit(&mut self, mut on_change: impl FnMut(u32)) {
         let state = self.0;
         let tracked = state.track_activity.load(Ordering::Relaxed);
         let toggles = state.activity.get().filter(|_| tracked);
-        for &slot in &state.reg_slots[regs] {
+        for &slot in &state.reg_slots {
             let s = slot as usize;
             let (c, n) = (state.load(&state.cur[s]), state.load(&state.next[s]));
             self.store(&state.cur[s], n);
@@ -456,26 +451,16 @@ mod tests {
         state
     }
 
-    /// The parallel engine commits `reg_slots` as one range per worker: any
-    /// tiling must move the same values, report the same slots and count
-    /// the same toggles as the single-threaded engines' whole-range commit.
+    /// The commit moves every register and nothing else, reports exactly
+    /// the slots whose value changed and counts their toggled bits.
     #[test]
-    fn any_tiling_of_the_register_ranges_commits_what_the_whole_range_does() {
-        type Committed = ((Vec<u128>, Vec<u128>, Vec<Vec<u128>>), Vec<u32>, Vec<u64>);
-        let commit = |tiling: &[Range<usize>]| -> Committed {
-            let mut state = edge_state();
-            let mut reported = Vec::new();
-            // Pieces in any order: nothing depends on which worker is first.
-            for piece in tiling.iter().rev() {
-                state.exclusive().commit(piece.clone(), |slot| reported.push(slot));
-            }
-            reported.sort_unstable();
-            let toggles = state.activity().to_vec();
-            (state.dump(), reported, toggles)
-        };
-        let (before, _, _) = edge_state().dump();
-        let whole = commit(std::slice::from_ref(&(0..5)));
-        let ((cur, next, _), reported, toggles) = &whole;
+    fn the_commit_moves_reports_and_counts_the_registers_that_change() {
+        let mut state = edge_state();
+        let (before, ..) = state.dump();
+        let mut reported = Vec::new();
+        state.exclusive().commit(|slot| reported.push(slot));
+        let toggles = state.activity().to_vec();
+        let (cur, next, _) = state.dump();
         for s in 0..8 {
             let is_reg = [1, 2, 4, 5, 7].contains(&s);
             assert_eq!(cur[s], if is_reg { next[s] } else { before[s] }, "slot {s}");
@@ -483,11 +468,7 @@ mod tests {
             assert_eq!(reported.contains(&(s as u32)), changed, "slot {s} reported");
             assert_eq!(toggles[s], if changed { 8 } else { 0 }, "slot {s} toggles");
         }
-        assert_eq!(reported, &[1, 4, 7]);
-        for tiling in [vec![0..2, 2..5], vec![0..1, 1..4, 4..5], vec![0..0, 0..5], vec![0..5, 5..5]]
-        {
-            assert_eq!(commit(&tiling), whole, "{tiling:?}");
-        }
+        assert_eq!(reported, [1, 4, 7]);
     }
 
     /// Counting off: the commit still moves values, the counters stand.
@@ -496,7 +477,7 @@ mod tests {
         let mut state = edge_state();
         assert!(PackedState::from_widths(&[1], &[], &[]).activity().is_empty());
         state.set_activity(false);
-        state.exclusive().commit(0..5, |_| {});
+        state.exclusive().commit(|_| {});
         assert_eq!(state.activity(), [0; 8]);
         let (cur, next, _) = state.dump();
         assert!([1, 2, 4, 5, 7].iter().all(|&s| cur[s] == next[s]));
@@ -527,10 +508,10 @@ mod tests {
         assert!(!st.poke(0, Bits::new(8, 0xAB)));
         st.force(1, Bits::new(8, 0x11), false);
         assert_eq!((st.peek(0), st.peek(1)), (Bits::new(8, 0xAB), Bits::new(8, 0x11)));
-        st.commit(0..1, |_| {});
+        st.commit(|_| {});
         assert_eq!(st.peek(1), Bits::new(8, 0), "the shadow was not forced");
         st.force(1, Bits::new(8, 0x22), true);
-        st.commit(0..1, |_| panic!("cur and next agree"));
+        st.commit(|_| panic!("cur and next agree"));
         st.poke_mem(0, 1, Bits::new(4, 0xF));
         assert_eq!(state.dump(), (vec![0xAB, 0x22], vec![0xAB, 0x22], vec![vec![0, 0xF]]));
     }

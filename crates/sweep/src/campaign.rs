@@ -17,7 +17,6 @@
 
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -272,12 +271,6 @@ impl Campaign {
         for report in prepared.slots.iter().flatten() {
             progress.job_done(&report.name, false, true);
         }
-        // Crash-the-campaign hook for the resume smoke test: the process
-        // exits (as if killed) after N *freshly executed* jobs complete
-        // and reach the journal.
-        let exit_after: Option<usize> =
-            std::env::var("RUSTMTL_SWEEP_EXIT_AFTER").ok().and_then(|v| v.trim().parse().ok());
-        let executed = AtomicUsize::new(0);
         let exec = prepared.exec();
         let state = Mutex::new(prepared);
 
@@ -289,13 +282,6 @@ impl Campaign {
             let report = exec.run(pending);
             progress.job_done(&report.name, !report.outcome.is_done(), false);
             state.lock().unwrap_or_else(|e| e.into_inner()).complete(index, report);
-            if let Some(n) = exit_after {
-                if executed.fetch_add(1, Ordering::SeqCst) + 1 >= n {
-                    // Simulated kill: journalled state is on disk, the
-                    // rest of the campaign dies with the process.
-                    std::process::exit(99);
-                }
-            }
         };
         if workers <= 1 {
             // Single-thread fallback: run inline, no thread machinery.

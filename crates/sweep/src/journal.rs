@@ -39,8 +39,14 @@ const JOURNAL_FORMAT: u32 = 3;
 /// An open, append-mode checkpoint journal.
 #[derive(Debug)]
 pub struct Journal {
-    file: Mutex<File>,
+    /// The file, and how many records this process has appended to it.
+    file: Mutex<(File, usize)>,
     path: PathBuf,
+    /// Crash hook for the resume smoke test: with
+    /// `RUSTMTL_SWEEP_EXIT_AFTER=N` the process exits with status 99, as
+    /// if killed, the moment its `N`th record is on disk — under the
+    /// append lock, so exactly `N` records are.
+    exit_after: Option<usize>,
 }
 
 /// Completed jobs recovered from an existing journal, keyed by job
@@ -131,7 +137,12 @@ impl Journal {
             writeln!(file, "{}", header.to_compact()).ok()?;
             file.flush().ok()?;
         }
-        Some((Journal { file: Mutex::new(file), path: path.to_path_buf() }, replay))
+        let exit_after =
+            std::env::var("RUSTMTL_SWEEP_EXIT_AFTER").ok().and_then(|v| v.trim().parse().ok());
+        Some((
+            Journal { file: Mutex::new((file, 0)), path: path.to_path_buf(), exit_after },
+            replay,
+        ))
     }
 
     /// Appends one completed job. Flushed immediately — a checkpoint that
@@ -146,7 +157,8 @@ impl Journal {
             Some(policy) => policy.journal_fate(name),
             None => WriteFate::Intact,
         };
-        let mut file = self.file.lock().unwrap_or_else(|e| e.into_inner());
+        let mut guard = self.file.lock().unwrap_or_else(|e| e.into_inner());
+        let (file, appended) = &mut *guard;
         let wrote = match fate {
             WriteFate::Intact => writeln!(file, "{line}"),
             WriteFate::Torn => {
@@ -177,6 +189,13 @@ impl Journal {
                 "mtl-sweep: failed to append to journal {} (resume would recompute this job)",
                 self.path.display()
             );
+            return;
+        }
+        *appended += 1;
+        if Some(*appended) == self.exit_after {
+            // Simulated kill: the journalled state is on disk, the rest
+            // of the campaign dies with the process.
+            std::process::exit(99);
         }
     }
 }

@@ -17,9 +17,10 @@
 #       lanes, and the fused stage re-optimizes only the residual);
 #   (c) the benchmark's own oracle at full scale: one short
 #       `soc64_rtl_par2` ledger run, whose last line must say
-#       `"correct":true` — specialized-par at 2 threads equalled
-#       specialized-opt over 2 000 cycles of the 64-tile SoC and a bounded
-#       run drained to the golden checksum.
+#       `"correct":true` — specialized-par at 2 threads (the plans of
+#       specialized-opt, each gang's lane blocks dealt to two workers)
+#       equalled specialized-opt over 2 000 cycles of the 64-tile SoC and
+#       a bounded run drained to the golden checksum.
 #
 # The broader per-pattern/per-size correctness surface (FL golden match,
 # compute vs host model, fault-injection determinism, 64-tile engine

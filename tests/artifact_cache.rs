@@ -1,6 +1,6 @@
 //! The shared compile cache (`ArtifactCache`) through the public API:
-//! the parallel engine reuses the per-block tape stage, and the cache
-//! stays bounded under an open-ended stream of fingerprints.
+//! the parallel engine reuses the plan stage `specialized-opt` builds, and
+//! the cache stays bounded under an open-ended stream of fingerprints.
 
 use std::time::Duration;
 
@@ -11,11 +11,12 @@ use rustmtl::sim::{ArtifactCache, SimConfig};
 use rustmtl::soc::{Soc, SocConfig, SocTraffic};
 use rustmtl::stdlib::Counter;
 
-/// `SpecializedPar` builds through `build_shared` resolve the same block
-/// stage as every other tape engine: one counted tape lookup per build, no
-/// `comp`/`cgen` on a hit, the same optimizer report (unit fusion included)
-/// and a trace that is cycle-exact with an uncached build, whatever the
-/// worker count the per-instance unit fusion was done for.
+/// `SpecializedPar` builds through `build_shared` resolve the same plan
+/// stage as `SpecializedOpt`: one counted tape lookup per build, no
+/// `comp`/`cgen` on a hit, the same optimizer report and a trace that is
+/// cycle-exact with an uncached build, whatever the worker count — which
+/// is per-instance state (a pool and its register banks), not part of the
+/// artifact.
 #[test]
 fn par_builds_share_block_tapes_and_stay_cycle_exact() {
     let soc =

@@ -375,7 +375,8 @@ fn engines_diverge_identically_under_fault_plans() {
 
 /// Runs `sims` (labelled by `labels`; the first is the reference) in
 /// lockstep: the named top-level ports are compared every cycle, every net
-/// every 40th cycle so debug-mode test time stays bounded.
+/// and every word of every memory every 40th cycle so debug-mode test time
+/// stays bounded.
 fn assert_lockstep(sims: &mut [Sim], labels: &[String], ports: &[&str], cycles: u64) {
     let nsignals = sims[0].design().signals().len();
     for cycle in 0..cycles {
@@ -395,6 +396,16 @@ fn assert_lockstep(sims: &mut [Sim], labels: &[String], ports: &[&str], cycles: 
                 for (sim, label) in sims.iter().zip(labels).skip(1) {
                     let path = || sims[0].design().signal_path(sig);
                     assert_eq!(sim.peek(sig), reference, "{label}: `{}` at cycle {cycle}", path());
+                }
+            }
+            for (mi, mem) in sims[0].design().mems().iter().enumerate() {
+                let id = rustmtl::core::MemId::from_index(mi);
+                for addr in 0..mem.words {
+                    let reference = sims[0].peek_mem(id, addr);
+                    for (sim, label) in sims.iter().zip(labels).skip(1) {
+                        let got = sim.peek_mem(id, addr);
+                        assert_eq!(got, reference, "{label}: `{}`[{addr}] at {cycle}", mem.name);
+                    }
                 }
             }
         }
@@ -418,15 +429,18 @@ fn build_each(top: &dyn Component, configs: &[(Engine, Option<usize>)]) -> (Vec<
 /// elaboration in the tree (~15k signals, 64 routers), and the
 /// acceptance bar for `mtl-soc` is that engine choice stays a pure
 /// performance knob on it. Interpreted, SpecializedOpt, and
-/// SpecializedPar at explicit 1, 2 and 4 worker threads must agree on the
-/// architectural ports every cycle and on every net at checkpoints.
+/// SpecializedPar at explicit 1 (no pool), 2, 4 and 8 worker threads must
+/// agree on the architectural ports every cycle and on every net and
+/// memory word at checkpoints. Three of the SoC's gangs have four lane
+/// blocks, so at eight threads half the workers are dealt an empty share
+/// of them; its ganged queue bodies hold the `mem-write-if`s whose stores
+/// the workers queue locally.
 ///
-/// A second leg is where dirty-skipping and cross-stage marking matter:
-/// bursty traffic at a low rate and a small budget gives idle gaps, bursts,
-/// then a drained and fully idle SoC, so clean units really are skipped
-/// and a first-stage unit that wakes up must re-dirty its second-stage
-/// readers. A third runs the RTL mesh harness, whose native traffic blocks
-/// sit between the parallel steps.
+/// A second leg runs bursty traffic at a low rate and a small budget —
+/// idle gaps, bursts, then a drained and fully idle SoC — with the
+/// three-thread simulator profiled, which runs the same dealt plan timed.
+/// A third runs the RTL mesh harness, whose native traffic blocks sit
+/// between the dealt gangs.
 #[test]
 fn engines_agree_on_64_tile_soc() {
     use rustmtl::net::{MeshTrafficHarness, NetLevel};
@@ -442,6 +456,7 @@ fn engines_agree_on_64_tile_soc() {
             (Engine::SpecializedPar, Some(1)),
             (Engine::SpecializedPar, Some(2)),
             (Engine::SpecializedPar, Some(4)),
+            (Engine::SpecializedPar, Some(8)),
         ],
     );
     let nsignals = sims[0].design().signals().len();
@@ -454,20 +469,15 @@ fn engines_agree_on_64_tile_soc() {
     let soc = Soc::new(bursty.with_injection(60).with_limit(3));
     let par = |threads| (Engine::SpecializedPar, Some(threads));
     let (mut sims, labels) = build_each(&soc, &[(Engine::SpecializedOpt, None), par(2), par(3)]);
-    // The three-thread simulator runs profiled (per-block tapes, same
-    // units, flags and marks), which counts the blocks each pass executed.
     sims[2].enable_profiling();
     assert_lockstep(&mut sims, &labels, &ports, 320);
     let (injected, delivered) = (sims[0].peek_port("injected"), sims[0].peek_port("delivered"));
     assert_eq!(injected.as_u64(), 64 * 3, "every terminal spent its budget");
     assert_eq!(delivered, injected, "the SoC drained and went idle");
-    let passes = sims[2].profile().expect("profiling enabled").fixpoint_iters;
-    let (_, quietest, _) = passes.nonzero_buckets()[0];
-    assert!(
-        quietest * 4 < passes.max(),
-        "idle passes must skip clean units: quietest {quietest}, busiest {} blocks",
-        passes.max()
-    );
+    let profile = sims[2].profile().expect("profiling enabled");
+    assert_eq!(profile.partition_nanos.len(), 3, "three workers, the calling thread included");
+    assert!(profile.partition_nanos.iter().all(|&n| n > 0), "every worker was dealt lane blocks");
+    assert!(profile.block_nanos.iter().sum::<u64>() > 0, "the timed plan credits its blocks");
 
     let harness = || MeshTrafficHarness::new(NetLevel::Rtl, 64, 300, 5);
     let (tops, configs) = ([harness(), harness()], [(Engine::SpecializedOpt, None), par(2)]);
@@ -589,11 +599,10 @@ fn tape_width_classes_follow_the_design() {
 }
 
 /// The parallel engine must be cycle-exact with `SpecializedOpt` at
-/// explicit thread counts — fully sequential (1), sharded (2, 4),
-/// unevenly sharded (3) and absurd (`usize::MAX`, which the engine clamps
-/// to its ceiling of 64 instead of overflowing the shard arithmetic) —
-/// including the logical profile counters and the activity toggles the
-/// split commit counts, not just settled values.
+/// explicit thread counts — none but the caller's (1), even (2, 4), odd
+/// (3) and absurd (`usize::MAX`, which the engine clamps to its ceiling of
+/// 64) — including the logical profile counters and the activity toggles,
+/// not just settled values.
 #[test]
 fn specialized_par_matches_opt_at_explicit_thread_counts() {
     for threads in [1usize, 2, 3, 4, usize::MAX] {
@@ -651,37 +660,33 @@ fn specialized_par_matches_opt_at_explicit_thread_counts() {
     }
 }
 
-/// The static plan is part of the profile: for the 64-tile synthetic SoC
-/// at two threads every step — both comb stages, the seq run and the
-/// commit — splits its work so that neither worker gets more than 60 % of
-/// it, and `report()` prints one line per step. (Before the staged
-/// partition the comb run was two units of 31 146 and 384 ops.)
+/// A worker pool exists to deal the lane blocks of gangs: a simulator whose
+/// plans hold no gang of two lane blocks — a CL mesh, all native blocks,
+/// and a random RTL design, every group too `few` for a lane block — spawns
+/// no thread whatever `threads` says, which shows as an empty
+/// `partition_nanos`. It then is `specialized-opt`, profile included. And
+/// no more workers run than the widest gang has lane blocks: two on the
+/// 4-router RTL mesh (its 40 queues are 32 lanes and a tail).
 #[test]
-fn partition_plan_balances_every_step_of_the_64_tile_soc() {
-    use rustmtl::net::NetLevel;
-    use rustmtl::soc::{Soc, SocConfig, SocTraffic};
+fn a_simulator_spawns_no_worker_it_has_no_lane_block_for() {
+    use rustmtl::net::{MeshTrafficHarness, NetLevel};
 
-    let soc = Soc::new(SocConfig::synthetic(64, NetLevel::Rtl, SocTraffic::UniformRandom));
-    let cfg = SimConfig { threads: Some(2), ..Default::default() };
-    let mut sim = Sim::build_with_config(&soc, Engine::SpecializedPar, &cfg).expect("elaborates");
-    sim.enable_profiling();
-    let profile = sim.profile().expect("profiling enabled");
-    let plan = &profile.partition_plan;
-    let kinds: Vec<&str> = plan.iter().map(|step| step.kind).collect();
-    assert!(kinds.len() >= 4 && kinds.ends_with(&["seq", "commit"]), "steps: {kinds:?}");
-    assert!(kinds.iter().filter(|&&k| k == "comb").count() >= 2, "one comb stage cannot balance");
-    for (i, step) in plan.iter().enumerate() {
-        let total: u64 = step.loads.iter().sum();
-        let heaviest = *step.loads.iter().max().expect("two workers");
-        assert_eq!(step.loads.len(), 2, "step {i}");
-        assert!(total > 0 && step.units >= 2, "step {i}: {step:?}");
-        assert!(heaviest * 10 <= total * 6, "step {i} gives one worker over 60 %: {step:?}");
+    let cl_mesh = MeshTrafficHarness::new(NetLevel::Cl, 64, 300, 5);
+    let rtl_mesh = MeshTrafficHarness::new(NetLevel::Rtl, 4, 300, 5);
+    let tops: [(&dyn Component, &str, usize); 3] = [
+        (&cl_mesh, "CL mesh64", 0),
+        (&RandomRtl::new(3), "random RTL", 0),
+        (&rtl_mesh, "RTL mesh4", 2),
+    ];
+    for (top, name, workers) in tops {
+        let cfg = SimConfig { threads: Some(4), ..Default::default() };
+        let mut sim =
+            Sim::build_with_config(top, Engine::SpecializedPar, &cfg).expect("elaborates");
+        sim.enable_profiling();
+        sim.reset();
+        sim.run(20);
+        let profile = sim.profile().expect("profiling enabled");
+        assert_eq!(profile.partition_nanos.len(), workers, "{name}: {:?}", profile.gang_plan);
+        assert!(profile.block_nanos.iter().sum::<u64>() > 0, "{name}");
     }
-    let report = profile.report(0);
-    assert_eq!(report.matches("load/worker").count(), plan.len(), "one line per step:\n{report}");
-
-    // Elsewhere there is no plan to print.
-    let mut opt = Sim::build(&soc, Engine::SpecializedOpt).expect("elaborates");
-    opt.enable_profiling();
-    assert!(opt.profile().expect("profiling enabled").partition_plan.is_empty());
 }
