@@ -19,7 +19,7 @@
 //!   into a re-execution on the next run.
 //! * `journal-faults`  — appends tear, duplicate, go stale, and hit
 //!   ENOSPC; resume replays what survived and recomputes the rest.
-//! * `engine-ladder`   — the divergence sentinel trips on a bit-sliced
+//! * `engine-ladder`   — the divergence sentinel trips on a batch
 //!   `fault_batch_chunk`; the job descends the engine ladder
 //!   (`specialized-batch → specialized-opt`), writes a compilable
 //!   quarantine reproducer, and still produces identical metrics.
@@ -153,7 +153,7 @@ fn mesh_spec(
     spec
 }
 
-/// One bit-sliced `fault_batch_chunk` job (the laddered kind).
+/// One batch `fault_batch_chunk` job (the laddered kind).
 fn batch_spec(name: &str, trials: u64) -> Json {
     let mut spec = Json::obj();
     spec.set("name", name).set("seed", SEED).set("no_cache", true);
@@ -350,7 +350,7 @@ fn journal_faults(root: &Path, s: &Scale) -> Row {
     row
 }
 
-/// The divergence sentinel trips on a bit-sliced batch job: descend the
+/// The divergence sentinel trips on a batch job: descend the
 /// engine ladder, quarantine a reproducer, produce identical metrics.
 fn engine_ladder(root: &Path, s: &Scale) -> Row {
     let _ = root;

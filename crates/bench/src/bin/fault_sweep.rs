@@ -11,9 +11,9 @@
 //! (how many distinct nets a fault corrupts).
 //!
 //! Alongside the scalar per-trial series, a **batch series** runs the
-//! same taxonomy through the bit-sliced `SpecializedBatch` engine
+//! same taxonomy through the `SpecializedBatch` engine
 //! (`mtl_fault::run_diff_batch_shared`): up to 63 fault plans share one
-//! simulation pass, one trial per 64-bit lane with lane 0 golden. Each
+//! simulator, one trial per lane with lane 0 golden. Each
 //! batch job re-runs its leading plans through scalar
 //! `run_diff_shared` on the same compile cache and degrades down the
 //! engine ladder on any field mismatch, so the throughput claim
@@ -89,7 +89,7 @@ struct Spec {
     watchdog_ms: u64,
     /// Router count of the batch series' DUT: the fully-IR RTL mesh
     /// (LFSR traffic generators in hardware, no native blocks) — the
-    /// only shape the bit-sliced batch engine accepts.
+    /// only shape the batch engine accepts.
     batch_nrouters: usize,
     /// Independent batch bundles.
     batch_chunks: u32,
@@ -261,11 +261,11 @@ impl Spec {
             );
         }
 
-        // The bit-sliced series: outcome taxonomy plus campaign
+        // The batch series: outcome taxonomy plus campaign
         // throughput (trials/sec, batch vs scalar), averaged over the
         // chunks that finished.
         println!(
-            "\n--- batch series: {}-lane bit-sliced differential, {} chunk(s), \
+            "\n--- batch series: {}-lane batch differential, {} chunk(s), \
              scalar baseline specialized-opt ---",
             self.batch_trials + 1,
             self.batch_chunks,
@@ -324,7 +324,7 @@ fn main() {
             eprintln!("fault_sweep: {e}");
             std::process::exit(1);
         });
-    // CI gate (scripts/ci/25_batch.sh): the bit-sliced series must beat
+    // CI gate (scripts/ci/25_batch.sh): the batch series must beat
     // the scalar baseline by at least the given factor.
     if let Some(min) = required_speedup {
         match spec.min_batch_speedup(&report) {

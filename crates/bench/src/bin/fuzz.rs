@@ -28,7 +28,7 @@
 //! (first-divergence cycle, masked/silent/detected classification, blast
 //! radius). Fault-mode defaults: 25 iterations, 20 cycles, 3 faults/plan.
 //!
-//! With `--batch`, runs the bit-sliced batch differential instead: one
+//! With `--batch`, runs the batch differential instead: one
 //! `SpecializedBatch` simulator (`--lanes N` lanes, default 64) against
 //! one scalar `Interpreted` reference per lane, every lane driven with
 //! distinct stimulus, every signal of every lane compared after every
@@ -119,7 +119,7 @@ fn main() -> ExitCode {
     };
     match cfg.batch_lanes {
         Some(lanes) => println!(
-            "differential fuzz (bit-sliced batch): {} iterations, base seed {}, \
+            "differential fuzz (batch lanes): {} iterations, base seed {}, \
              {} cycles/design, {lanes} lanes vs interpreted references",
             cfg.iters, cfg.seed, cfg.cycles,
         ),

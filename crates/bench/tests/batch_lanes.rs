@@ -1,9 +1,9 @@
 //! Lane-correctness guards for [`Engine::SpecializedBatch`].
 //!
-//! The batch engine advances 64 trials per tape pass by holding each net
-//! bit as one `u64` plane word (one bit position per lane). The contract
-//! the rest of the stack builds on — fault campaigns, differential fuzz,
-//! divergence detection — is that **every lane is bit-exact with a scalar
+//! The batch engine holds up to 64 trials in one simulator, each lane its
+//! own packed state run by the static tape engine. The contract the rest
+//! of the stack builds on — fault campaigns, differential fuzz, divergence
+//! detection — is that **every lane is bit-exact with a scalar
 //! `SpecializedOpt` simulator receiving that lane's stimulus and faults
 //! alone**. These tests pin that contract:
 //!
@@ -11,16 +11,17 @@
 //!   benchmark design registry (partial bundles: `lanes < 64`),
 //! * full 64-lane bundles on randomized RTL,
 //! * the `Switch`-bearing RTL components, whose fused schedules keep jumps
-//!   (divergent lanes under the active-lane mask),
-//! * the unoptimized-tape lowering (`tape_opt: Some(false)`),
+//!   (lanes taking different arms),
+//! * unoptimized tapes (`tape_opt: Some(false)`),
 //! * [`Sim::divergence_masks`] flagging exactly the diverged lanes,
-//! * per-lane fault injection versus a scalar faulted run.
+//! * per-lane fault injection versus a scalar faulted run, lane by lane,
+//!   with lanes forced, washing and clean on the same cycle.
 
 use mtl_accel::DotProductRTL;
 use mtl_bench::design_registry;
 use mtl_bits::Bits;
 use mtl_check::RandomRtl;
-use mtl_core::{BlockBody, Component, SignalId, SignalKind};
+use mtl_core::{BlockBody, BlockKind, Component, SignalId, SignalKind};
 use mtl_fault::{FaultPlan, PlanSpec};
 use mtl_proc::{CacheRTL, ProcPipeRTL, ProcRTL};
 use mtl_sim::{Engine, Sim, SimConfig};
@@ -161,8 +162,8 @@ fn batch_full_bundle_matches_scalar_on_fuzz_seeds() {
 /// The components whose `Switch` statements survive the optimizer
 /// (if-conversion plans only `Jz`), so their fused comb and seq schedules
 /// reach the batch engine with jumps: random per-lane stimulus sends the
-/// lanes down different arms of the same pass, and each must still match
-/// its scalar twin — on a full bundle and on a partial one.
+/// lanes down different arms, and each must still match its scalar twin —
+/// on a full bundle and on a partial one.
 #[test]
 fn switch_bearing_components_match_scalar_under_divergent_lanes() {
     let comps: [(&str, Box<dyn Component>); 4] = [
@@ -190,8 +191,8 @@ fn switch_bearing_components_match_scalar_under_divergent_lanes() {
     }
 }
 
-/// The batch lowering consumes whatever tape the optimizer hands it; with
-/// the pass pipeline disabled it must still agree lane-for-lane with an
+/// The batch lanes run whatever tape the optimizer hands them; with the
+/// pass pipeline disabled they must still agree lane-for-lane with an
 /// *optimized* scalar engine (optimization is a performance knob, never a
 /// semantics knob — same rule as the scalar engines).
 #[test]
@@ -216,7 +217,7 @@ fn batch_agrees_with_scalar_when_optimizer_disabled() {
 
 /// `divergence_masks` reports no divergence under broadcast stimulus, and
 /// after one lane receives different stimulus it flags *only* that lane
-/// (never the golden lane's own bit, never inactive lanes).
+/// (never the golden lane's own bit).
 #[test]
 fn divergence_masks_flag_only_diverged_lanes() {
     const LANES: u32 = 8;
@@ -258,63 +259,109 @@ fn divergence_masks_flag_only_diverged_lanes() {
     assert_eq!(any, 1 << ODD, "divergence must land on lane {ODD}");
 }
 
-/// Per-lane fault injection: a fault plan installed on one batch lane
-/// yields a trace byte-identical to a scalar engine running the same
-/// plan, while the batch golden lane stays byte-identical to a clean
-/// scalar run — fault isolation across the plane words.
+/// Per-lane fault injection: the faults installed on a batch lane yield a
+/// trace byte-identical to a scalar engine running the same faults, and
+/// every other lane stays byte-identical to its own scalar twin — fault
+/// isolation across the lanes. Two inputs:
+///
+/// * one lane carrying a random plan, under broadcast stimulus;
+/// * the per-lane protocol: lane 1 holds a combinational net that a
+///   register reads stuck-at through cycles 4–6, so on cycle 7 it washes
+///   its forces out with a full pass while lane 2 — also flipped on cycle
+///   5 — takes the forced settle from cycle 7 on, and lanes 0 and 3 stay
+///   clean. Every lane gets its own stimulus, so a clean lane is dirty
+///   whenever a neighbour takes the forced path; lane 1's stops changing
+///   once it is stuck, so only the wash can re-settle it.
 #[test]
 fn injected_lane_matches_scalar_faulted_run() {
+    use mtl_sim::{InjectKind, Injection};
+
     const LANES: u32 = 4;
-    const FAULTY: u32 = 2;
     for seed in [4u64, 8] {
         let comp = RandomRtl::new(seed);
-        let cfg = SimConfig { lanes: Some(LANES), ..SimConfig::default() };
-        let mut batch =
-            Sim::build_with_config(&comp, Engine::SpecializedBatch, &cfg).expect("elaborates");
-        let mut clean = Sim::build(&comp, Engine::SpecializedOpt).expect("elaborates");
-        let mut faulty = Sim::build(&comp, Engine::SpecializedOpt).expect("elaborates");
-
-        let plan = FaultPlan::random(seed ^ 0xFA17, batch.design(), &PlanSpec::new(3, 2, 9));
-        let injections = plan.to_injections(batch.design()).expect("plan resolves");
-        for inj in &injections {
-            batch.inject_lane(FAULTY, inj.clone());
-            faulty.inject(inj.clone());
-        }
-
-        batch.reset();
-        clean.reset();
-        faulty.reset();
-        let inputs = input_ports(&batch);
-        let nsignals = batch.design().signals().len();
-        let mut rng = Rng(seed.wrapping_mul(0x9E37_79B9) | 1);
-        for cyc in 0..12 {
-            for &(sig, w) in &inputs {
-                let v = rng.bits(w);
-                batch.poke(sig, v.clone()); // broadcast: all lanes same stimulus
-                clean.poke(sig, v.clone());
-                faulty.poke(sig, v);
+        let design = mtl_core::elaborate(&comp).expect("elaborates");
+        let plan = FaultPlan::random(seed ^ 0xFA17, &design, &PlanSpec::new(3, 2, 9));
+        let planned = plan.to_injections(&design).expect("plan resolves");
+        let at = |i: usize, kind, cycle, duration| Injection {
+            mask: 1,
+            kind,
+            cycle,
+            duration,
+            ..planned[i % planned.len()]
+        };
+        // A combinational net a register captures: forces left on it
+        // reach the state unless the next settle washes them out.
+        let latched = design.blocks().iter().filter(|b| b.kind == BlockKind::Seq);
+        let latched = latched.flat_map(|b| b.reads.iter().copied()).find(|&sig| {
+            let net = design.net_of(sig).index();
+            !design.nets()[net].is_register && !design.net_writers()[net].is_empty()
+        });
+        let latched = latched.expect("a register reads a driven combinational net");
+        let width = design.signal(latched).width;
+        let mask = u128::MAX >> (128 - width);
+        let stuck = Injection { sig: latched, mask, ..at(0, InjectKind::StuckAt1, 4, 3) };
+        let offset = vec![
+            vec![],
+            vec![stuck],
+            vec![at(1, InjectKind::Flip, 5, 1), at(2, InjectKind::StuckAt0, 7, 3)],
+            vec![],
+        ];
+        let one_plan = vec![vec![], vec![], planned.clone(), vec![]];
+        for (input, (faults, own_stimulus)) in
+            [(one_plan, false), (offset, true)].iter().enumerate()
+        {
+            let cfg = SimConfig { lanes: Some(LANES), ..SimConfig::default() };
+            let mut batch =
+                Sim::build_with_config(&comp, Engine::SpecializedBatch, &cfg).expect("elaborates");
+            let mut twins: Vec<Sim> = (0..LANES)
+                .map(|_| Sim::build(&comp, Engine::SpecializedOpt).expect("elaborates"))
+                .collect();
+            for (lane, (twin, faults)) in twins.iter_mut().zip(faults).enumerate() {
+                for &inj in faults {
+                    batch.inject_lane(lane as u32, inj);
+                    twin.inject(inj);
+                }
             }
-            batch.cycle();
-            clean.cycle();
-            faulty.cycle();
-            for si in 0..nsignals {
-                let sig = SignalId::from_index(si);
-                assert_eq!(
-                    batch.peek_lane(0, sig),
-                    clean.peek(sig),
-                    "seed {seed} cycle {cyc}: golden lane drifted on `{}`",
-                    batch.design().signal_path(sig)
-                );
-                assert_eq!(
-                    batch.peek_lane(FAULTY, sig),
-                    faulty.peek(sig),
-                    "seed {seed} cycle {cyc}: faulty lane != scalar faulted run on `{}`",
-                    batch.design().signal_path(sig)
-                );
+
+            batch.reset();
+            twins.iter_mut().for_each(Sim::reset);
+            let inputs = input_ports(&batch);
+            let nsignals = batch.design().signals().len();
+            let mut rng = Rng(seed.wrapping_mul(0x9E37_79B9) | 1);
+            for cyc in 0..12 {
+                for &(sig, w) in &inputs {
+                    let broadcast = rng.bits(w);
+                    for (lane, twin) in twins.iter_mut().enumerate() {
+                        let v = if *own_stimulus { rng.bits(w) } else { broadcast };
+                        // The stuck lane holds its inputs once stuck, so
+                        // nothing but the wash re-settles it afterwards.
+                        if *own_stimulus && lane == 1 && batch.cycle_count() >= 4 {
+                            continue;
+                        }
+                        batch.poke_lane(lane as u32, sig, v);
+                        twin.poke(sig, v);
+                    }
+                }
+                batch.cycle();
+                twins.iter_mut().for_each(Sim::cycle);
+                for (lane, twin) in twins.iter().enumerate() {
+                    for sig in (0..nsignals).map(SignalId::from_index) {
+                        assert_eq!(
+                            batch.peek_lane(lane as u32, sig),
+                            twin.peek(sig),
+                            "seed {seed} input {input} cycle {cyc}: lane {lane} != its scalar \
+                             twin on `{}`",
+                            batch.design().signal_path(sig)
+                        );
+                    }
+                }
+            }
+            for (lane, (twin, faults)) in twins.iter().zip(faults).enumerate() {
+                let totals = batch.lane_fault_totals(lane as u32);
+                assert_eq!(totals, twin.lane_fault_totals(0), "seed {seed} input {input}");
+                let injected = totals.0 > 0 && totals.1 > 0;
+                assert_eq!(injected, !faults.is_empty(), "seed {seed} input {input} lane {lane}");
             }
         }
-        let (bits, cycs) = batch.lane_fault_totals(FAULTY);
-        assert!(bits > 0 && cycs > 0, "seed {seed}: lane {FAULTY} recorded no injections");
-        assert_eq!(batch.lane_fault_totals(0), (0, 0), "seed {seed}: golden lane saw faults");
     }
 }

@@ -178,7 +178,7 @@ pub struct FuzzConfig {
     /// Run the optimizer-differential engine set
     /// ([`engines_under_test_opt_diff`]) instead of the default six.
     pub opt_diff: bool,
-    /// Run the bit-sliced batch differential instead
+    /// Run the batch differential instead
     /// ([`run_differential_batch`]): one `SpecializedBatch` simulator
     /// with this many lanes, each lane driven with distinct stimulus and
     /// compared against its own scalar `Interpreted` reference. Clamped
@@ -383,16 +383,15 @@ pub fn run_differential_with(
     None
 }
 
-/// Runs `desc` on one bit-sliced `SpecializedBatch` simulator with
-/// `lanes` lanes against `lanes` scalar `Interpreted` references.
+/// Runs `desc` on one `SpecializedBatch` simulator with `lanes` lanes
+/// against `lanes` scalar `Interpreted` references.
 ///
 /// Unlike [`run_differential`], every lane receives *distinct* stimulus
 /// (rng stream seeded `desc.seed ^ 0xABCD`, drawn lane-major per input),
-/// so lane transposition bugs — a value leaking across plane words —
+/// so lane-addressing bugs — a value reaching the wrong lane's state —
 /// can't hide behind broadcast inputs. Every signal of every lane is
 /// compared against its reference after every cycle. Profile counters
-/// are not compared (the batch engine executes one fused plane program,
-/// not per-lane blocks).
+/// are not compared (the batch engine profiles lane 0 only).
 pub fn run_differential_batch(desc: &RtlDesc, cycles: u64, lanes: u32) -> Option<Divergence> {
     let lanes = lanes.clamp(1, mtl_sim::BATCH_LANES);
     let comp = RandomRtl::from_desc(desc.clone());

@@ -211,16 +211,16 @@ fn run_diff_inner(
     })
 }
 
-/// Runs up to 63 fault plans against one golden run in a *single*
-/// bit-sliced simulation ([`Engine::SpecializedBatch`]): lane 0 carries
-/// the golden trace, lane `1 + i` carries plan `i`, and one pass over the
-/// fused tape advances every trial at once. Divergence is detected with
-/// one lane-masked XOR-reduce over the plane state per cycle
+/// Runs up to 63 fault plans against one golden run in a *single* batch
+/// simulation ([`Engine::SpecializedBatch`]): lane 0 carries the golden
+/// trace, lane `1 + i` carries plan `i`, and one `cycle` advances every
+/// trial. Divergence is detected with one compare of every lane's
+/// settled words against the golden lane's per cycle
 /// ([`Sim::divergence_masks`]) instead of a per-net peek pair per trial,
 /// which is where fault campaigns spend their time.
 ///
-/// Reports match [`run_diff`] field for field — the batch backend runs
-/// the scalar wrapper's forced-settle protocol per lane, so each lane's
+/// Reports match [`run_diff`] field for field — the `Sim` wrapper runs
+/// its forced-settle protocol per lane, so each lane's
 /// trace is byte-identical to a scalar faulted run — **except**
 /// `trace_fingerprint`, which is reported as 0: folding every net value
 /// through FNV per lane would reinstate exactly the per-trial peek loop
@@ -229,7 +229,7 @@ fn run_diff_inner(
 /// wants fingerprint equality too.
 ///
 /// The design must be native-free (an opaque closure is one stateful
-/// instance, not 64 lanes) — RTL-level models qualify.
+/// instance, not one per lane) — RTL-level models qualify.
 ///
 /// # Errors
 ///
@@ -245,8 +245,9 @@ pub fn run_diff_batch(
 
 /// [`run_diff_batch`] through a shared [`mtl_sim::ArtifactCache`] under
 /// `key` (same contract as [`run_diff_shared`]): a campaign hammering one
-/// design point lowers the bit-plane programs once per design, not once
-/// per chunk.
+/// design point compiles its plans once per design, not once per chunk —
+/// and shares that compile with the scalar `specialized-opt` runs of the
+/// same design point.
 ///
 /// # Errors
 ///

@@ -427,7 +427,7 @@ fn mesh_cycles_job(f: Fields, artifacts: &Arc<ArtifactCache>) -> Result<Job, Str
 
 /// Parameters for the fully-IR mesh ([`MeshTrafficRtlHarness`]): RTL
 /// routers with LFSR traffic generators in hardware, no native blocks —
-/// the only DUT shape the bit-sliced batch engine accepts. The RTL
+/// the only DUT shape the batch engine accepts. The RTL
 /// router grid needs a power-of-two side, so `nrouters` must be a power
 /// of four. Returns `(nrouters, injection, compile key)`.
 fn mesh_ir_params(f: Fields) -> Result<(usize, u32, u64), String> {
@@ -668,9 +668,9 @@ fn fault_chunk_job(f: Fields, artifacts: &Arc<ArtifactCache>) -> Result<Job, Str
     Ok(c.params(job, label, engine))
 }
 
-/// One bit-sliced fault bundle: up to 63 plans share a single
-/// `Engine::SpecializedBatch` pass (lane 0 golden, one plan per faulty
-/// lane) through [`run_diff_batch_shared`], then the leading
+/// One batch fault bundle: up to 63 plans share a single
+/// `Engine::SpecializedBatch` simulator (lane 0 golden, one plan per
+/// faulty lane) through [`run_diff_batch_shared`], then the leading
 /// `scalar_sample` plans are re-run through scalar [`run_diff_shared`]
 /// — both as the throughput baseline and as the **online divergence
 /// sentinel**: a field mismatch is reported with the
@@ -681,7 +681,7 @@ fn fault_chunk_job(f: Fields, artifacts: &Arc<ArtifactCache>) -> Result<Job, Str
 /// compute the identical deterministic metrics trial by trial (the
 /// engine-exactness invariant), so a degraded campaign's canonical
 /// report is byte-identical to a healthy one. Only the fully-IR mesh
-/// DUT qualifies; native blocks cannot be bit-sliced. Uncacheable: the
+/// DUT qualifies; native blocks cannot be batched. Uncacheable: the
 /// speedup metrics are wall-clock rates.
 fn fault_batch_chunk_job(f: Fields, artifacts: &Arc<ArtifactCache>) -> Result<Job, String> {
     let (nrouters, injection, key) = mesh_ir_params(f)?;

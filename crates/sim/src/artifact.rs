@@ -13,15 +13,16 @@
 //!   `FnMut`s drained once per design by [`Design::take_natives`], so a
 //!   design carrying them can serve exactly one simulator. Pure-IR (RTL)
 //!   designs are immutable data and shared freely.
-//! * **Compiled stages** ([`Staged`]: per-block tapes, fused plans, batch
-//!   planes) — the construction phases `comp` (constant folding), `cgen`
-//!   (tape codegen, plane lowering) and the plan-fusion part of `simc`
-//!   produce pure data (`Tape`s are just op vectors). These are shared
-//!   even for native-bearing designs: the per-instance state (packed
-//!   nets, sensitivity lists, native closures) is rebuilt cheaply, the
-//!   compilation is not. Each stage is built from the one below, so an
-//!   entry holding only per-block tapes (from `Specialized`) still saves
-//!   `SpecializedOpt` and `SpecializedPar` their `comp`/`cgen`.
+//! * **Compiled stages** ([`Staged`]: per-block tapes, fused plans) — the
+//!   construction phases `comp` (constant folding), `cgen` (tape codegen)
+//!   and the plan-fusion part of `simc` produce pure data (`Tape`s are
+//!   just op vectors). These are shared even for native-bearing designs:
+//!   the per-instance state (packed nets, sensitivity lists, native
+//!   closures) is rebuilt cheaply, the compilation is not. Each stage is
+//!   built from the one below, so an entry holding only per-block tapes
+//!   (from `Specialized`) still saves `SpecializedOpt`, `SpecializedPar`
+//!   and `SpecializedBatch` their `comp`/`cgen`, and those three share the
+//!   plan stage outright.
 //!
 //! The cache key is a caller-supplied 64-bit fingerprint (produced with
 //! `mtl-sweep`'s FNV machinery from whatever parameters generate the
@@ -37,22 +38,20 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::batch::BatchProgs;
 use crate::compile::{BlockTapes, Plans};
 use mtl_core::{BlockBody, BlockKind, Design};
 
 /// The stages of one design's artifact, lowest first; an engine names the
 /// highest one it needs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Layer {
     /// The elaborated design.
     Design,
     /// Per-block tapes (`Specialized`).
     Blocks,
-    /// Fused static schedules (`SpecializedOpt`, `SpecializedPar`).
+    /// Fused static schedules (`SpecializedOpt`, `SpecializedPar`,
+    /// every lane of `SpecializedBatch`).
     Plans,
-    /// Bit-plane programs (`SpecializedBatch`).
-    Batch,
 }
 
 /// The layered slots of one cache entry — equally what a build starts
@@ -64,7 +63,6 @@ pub(crate) struct Staged {
     pub(crate) design: Option<Arc<Design>>,
     pub(crate) blocks: Option<Arc<BlockTapes>>,
     pub(crate) plans: Option<Arc<Plans>>,
-    pub(crate) batch: Option<Arc<BatchProgs>>,
 }
 
 impl Staged {
@@ -73,7 +71,6 @@ impl Staged {
             Layer::Design => self.design.is_some(),
             Layer::Blocks => self.blocks.is_some(),
             Layer::Plans => self.plans.is_some(),
-            Layer::Batch => self.batch.is_some(),
         }
     }
 }
@@ -125,11 +122,6 @@ pub struct ArtifactStats {
     pub shape_rejected: u64,
     /// Elaborations skipped by reusing a cached native-free design.
     pub design_hits: u64,
-    /// Batch-plane lookups satisfied from the cache (tape lowering
-    /// skipped).
-    pub batch_hits: u64,
-    /// Batch-plane lookups that lowered fresh.
-    pub batch_misses: u64,
     /// Whole entries dropped, least recently used first, to keep the
     /// cache within [`ArtifactCache::CAPACITY`] fingerprints.
     pub evictions: u64,
@@ -159,8 +151,6 @@ pub struct ArtifactCache {
     tape_misses: AtomicU64,
     shape_rejected: AtomicU64,
     design_hits: AtomicU64,
-    batch_hits: AtomicU64,
-    batch_misses: AtomicU64,
     evictions: AtomicU64,
 }
 
@@ -182,8 +172,6 @@ impl ArtifactCache {
             tape_misses: self.tape_misses.load(Ordering::Relaxed),
             shape_rejected: self.shape_rejected.load(Ordering::Relaxed),
             design_hits: self.design_hits.load(Ordering::Relaxed),
-            batch_hits: self.batch_hits.load(Ordering::Relaxed),
-            batch_misses: self.batch_misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             entries: self.lock().map.len() as u64,
         }
@@ -249,18 +237,11 @@ impl ArtifactCache {
             },
             (Some((staged, _)), None) => staged,
         };
-        let tape = |hit| if hit { &self.tape_hits } else { &self.tape_misses };
         let counter = match need {
             Layer::Design if have.design.is_some() => &self.design_hits,
             Layer::Design => return have,
-            Layer::Blocks | Layer::Plans => tape(have.has(need)),
-            Layer::Batch if have.batch.is_some() => &self.batch_hits,
-            Layer::Batch => {
-                // A batch miss falls back to the tape stage it lowers
-                // from, and accounts for that lookup too.
-                tape(have.plans.is_some()).fetch_add(1, Ordering::Relaxed);
-                &self.batch_misses
-            }
+            _ if have.has(need) => &self.tape_hits,
+            _ => &self.tape_misses,
         };
         counter.fetch_add(1, Ordering::Relaxed);
         have
@@ -298,7 +279,6 @@ impl ArtifactCache {
         if guard.is_some_and(|g| *entry.guard.get_or_insert(g) == g) {
             slots.blocks = slots.blocks.take().or_else(|| built.blocks.clone());
             slots.plans = slots.plans.take().or_else(|| built.plans.clone());
-            slots.batch = slots.batch.take().or_else(|| built.batch.clone());
         }
     }
 }

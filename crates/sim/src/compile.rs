@@ -1,5 +1,5 @@
-//! The compile pipeline: `Design` → per-block tapes → fused plans → batch
-//! planes, one staged artifact built here and nowhere else.
+//! The compile pipeline: `Design` → per-block tapes → fused plans, one
+//! staged artifact built here and nowhere else.
 //!
 //! Every tape engine is an execution strategy over (a prefix of) the same
 //! stages:
@@ -7,8 +7,7 @@
 //! | stage | type | built from | consumers |
 //! |---|---|---|---|
 //! | blocks | [`BlockTapes`] | the design: fold → codegen per block, then optimize → narrow (registers and word class) → validate once per distinct [`Body`] and a relocated, validated copy per block; plus the [`Layout`] tables | `Specialized`, every later stage |
-//! | plans | [`Plans`] | blocks: levelized schedule cut into IR runs at native boundaries; per dependency level of a run, [`LANES`] or more instances of one jump-free `u64`-class [`Body`] become a [`Gang`] (the body once, instances as lanes), everything else is fused and re-optimized between gangs | `SpecializedOpt`, `SpecializedPar`, the batch stage |
-//! | batch | [`BatchProgs`](crate::batch::BatchProgs) | plans + blocks lowered to bit-plane programs | `SpecializedBatch` |
+//! | plans | [`Plans`] | blocks: levelized schedule cut into IR runs at native boundaries; per dependency level of a run, [`LANES`] or more instances of one jump-free `u64`-class [`Body`] become a [`Gang`] (the body once, instances as lanes), everything else is fused and re-optimized between gangs | `SpecializedOpt`, `SpecializedPar`, every lane of `SpecializedBatch` |
 //!
 //! [`staged`] resolves the stage an engine needs — through the shared
 //! [`ArtifactCache`] when there is one, reusing whatever lower stages the
@@ -191,8 +190,8 @@ pub(crate) struct BlockTapes {
 
 #[cfg(test)]
 impl BlockTapes {
-    /// Hand-built tapes with no body bookkeeping: enough for [`fuse_run`]
-    /// and the batch lowering.
+    /// Hand-built tapes with no body bookkeeping: enough for
+    /// [`fuse_run`].
     pub(crate) fn plain(layout: Layout, tapes: Arc<Vec<Tape>>) -> BlockTapes {
         BlockTapes {
             layout,
@@ -248,8 +247,8 @@ pub(crate) enum Chunk {
     Native(u32),
 }
 
-/// Stage 2: the fully static schedules of `SpecializedOpt` and
-/// `SpecializedPar`.
+/// Stage 2: the fully static schedules of `SpecializedOpt`,
+/// `SpecializedPar` and every lane of `SpecializedBatch`.
 pub(crate) struct Plans {
     pub(crate) comb: Arc<Vec<Chunk>>,
     pub(crate) seq: Arc<Vec<Chunk>>,
@@ -280,14 +279,8 @@ pub(crate) fn staged(
 fn extend(design: &Design, opt: bool, need: Layer, mut have: Staged, o: &mut Overheads) -> Staged {
     let blocks =
         have.blocks.get_or_insert_with(|| Arc::new(compile_blocks(design, opt, o))).clone();
-    if need >= Layer::Plans {
-        let plans = have.plans.get_or_insert_with(|| Arc::new(fuse_plans(design, &blocks, o)));
-        if need == Layer::Batch && have.batch.is_none() {
-            // Lowering is code generation over the already-optimized tapes.
-            let t0 = Instant::now();
-            have.batch = Some(Arc::new(crate::batch::lower(&blocks, plans)));
-            o.cgen += t0.elapsed();
-        }
+    if need == Layer::Plans && have.plans.is_none() {
+        have.plans = Some(Arc::new(fuse_plans(design, &blocks, o)));
     }
     have
 }
@@ -1095,7 +1088,6 @@ mod tests {
                         design: None,
                         blocks: Some(blocks.clone()),
                         plans: Some(Arc::new(plans)),
-                        batch: None,
                     };
                     let natives = design.blocks().iter().map(|_| None).collect();
                     TapeEngine::new(design.clone(), natives, false, 1, &staged, o)

@@ -547,15 +547,12 @@ fn dominators(ops: &[Op<VReg>]) -> Vec<bool> {
 
 /// May-be-one bits of an op's result from its operands' may-be-one
 /// bits. Any over-approximation is sound; `u128::MAX` is always legal.
-pub(crate) fn approx_bits<R>(
-    op: &Op<R>,
-    kb: impl Fn(R) -> u128,
+fn approx_bits(
+    op: &Op<VReg>,
+    kb: impl Fn(VReg) -> u128,
     widths: &[u32],
     mem_widths: &[u32],
-) -> u128
-where
-    R: Copy + From<u16> + std::ops::Add<Output = R>,
-{
+) -> u128 {
     match *op {
         Op::Const { val, .. } => val,
         Op::Read { slot, .. } => mask_of(widths[slot as usize]),
@@ -602,7 +599,7 @@ where
         }
         Op::Mux { t, f, .. } => kb(t) | kb(f),
         Op::Mux2 { t1, t2, f, .. } => kb(t1) | kb(t2) | kb(f),
-        Op::Select { base, n, .. } => (0..n).fold(0, |acc, i| acc | kb(base + R::from(i))),
+        Op::Select { base, n, .. } => (0..n).fold(0, |acc, i| acc | kb(base + VReg::from(i))),
         Op::Sext { a, sign_bit, ext_or, .. } => {
             let v = kb(a);
             if v & sign_bit != 0 {

@@ -610,7 +610,7 @@ impl<S: Store, M: SensMap> EngineImpl for InterpEngine<S, M> {
         }
     }
 
-    fn exec_block(&mut self, b: u32) {
+    fn exec_block(&mut self, _lane: u32, b: u32) {
         if self.prof.is_some() {
             self.run_block_timed(b);
         } else {
@@ -625,7 +625,10 @@ impl<S: Store, M: SensMap> EngineImpl for InterpEngine<S, M> {
         }
     }
 
-    fn settle_full(&mut self) {
+    fn settle(&mut self, _lane: u32, full: bool) {
+        if !full {
+            return self.propagate();
+        }
         let blocks = self.design.clone();
         for (i, b) in blocks.blocks().iter().enumerate() {
             if b.kind == BlockKind::Comb {

@@ -5,7 +5,7 @@
 //! [`Design`](mtl_core::Design) and simulates it under one of six
 //! [`Engine`]s; the first four reproduce the paper's performance regimes,
 //! the fifth parallelizes the fastest one across threads and the sixth
-//! across trial lanes:
+//! runs it over many trial states at once:
 //!
 //! | Engine | Paper analog | Architecture |
 //! |---|---|---|
@@ -14,14 +14,14 @@
 //! | [`Engine::Specialized`] | SimJIT | IR compiled to a linear tape VM, event-driven dispatch |
 //! | [`Engine::SpecializedOpt`] | SimJIT+PyPy | tape VM plus fully static levelized schedule |
 //! | [`Engine::SpecializedPar`] | multithreaded codegen (e.g. Verilator `--threads`) | the same static plans, each gang's lane blocks dealt to a pool of worker threads between two barriers; everything else stays on the calling thread |
-//! | [`Engine::SpecializedBatch`] | word-parallel campaign simulation (e.g. bit-sliced fault/fuzz harnesses) | fused tapes lowered to bit-plane programs; one `u64` word per net bit holds 64 independent trial lanes |
+//! | [`Engine::SpecializedBatch`] | batched campaign simulation (fault/fuzz harnesses running many trials of one design) | up to 64 independent trial lanes in one simulator, each a packed state the static tape engine runs over the one shared plan stage |
 //!
 //! All engines implement identical simulation semantics; the test suite
 //! checks trace equivalence on randomized designs. The four tape engines
 //! are execution strategies over one staged compile artifact (per-block
-//! tapes → fused plans → batch planes) built by a single pipeline and
-//! shared through the [`ArtifactCache`]; the fault-injection protocol is
-//! stated once, in [`Sim`], over lane-addressed engine primitives.
+//! tapes → fused plans) built by a single pipeline and shared through the
+//! [`ArtifactCache`]; the fault-injection protocol is stated once, in
+//! [`Sim`], over lane-addressed engine primitives.
 //! Construction overheads are recorded per phase in [`Overheads`] (the
 //! paper's Fig. 16).
 //!

@@ -9,7 +9,7 @@ use mtl_bits::Bits;
 use mtl_core::{BlockKind, Component, Design, ElabError, MemId, NativeFn, SignalId, SignalKind};
 
 use crate::artifact::{ArtifactCache, Layer, Staged};
-use crate::batch::BatchEngine;
+use crate::batch::LaneEngine;
 use crate::compile::passes::OptReport;
 use crate::interp::{DenseSens, DenseStore, HashSens, HashStore, InterpEngine};
 use crate::overheads::Overheads;
@@ -44,13 +44,10 @@ pub enum Engine {
     /// plans hold no gang of two or more lane blocks, spawns no thread and
     /// simply is `SpecializedOpt`.
     SpecializedPar,
-    /// Bit-sliced batch engine: the `SpecializedOpt` tapes lowered to a
-    /// plane evaluator where each net bit is one `u64` word holding that
-    /// bit across 64 independent trial lanes, so one pass over the tape
-    /// advances 64 fault/fuzz trials at once — every tape: where lanes
-    /// branch apart, an active-lane mask keeps each lane to the ops its
-    /// scalar run executes. Lane-exact with `SpecializedOpt` per lane (the
-    /// differential suites assert it).
+    /// Batch engine: up to 64 independent trial *lanes* in one simulator,
+    /// each a packed state run by the `SpecializedOpt` executor over the
+    /// one plan stage all lanes share. Lane-exact with `SpecializedOpt`
+    /// per lane (the differential suites assert it).
     /// Per-lane stimulus and faults go through [`Sim::poke_lane`] /
     /// [`Sim::inject_lane`]; divergence against a golden lane is read
     /// with [`Sim::divergence_masks`]. Native blocks are not supported
@@ -118,11 +115,10 @@ pub struct SimConfig {
     /// disables), defaulting to enabled. The interpreters compile no
     /// tapes and ignore it.
     pub tape_opt: Option<bool>,
-    /// Active lane count for [`Engine::SpecializedBatch`], clamped to
-    /// `1..=64`. `None` means all 64 lanes. State storage is always 64
-    /// lanes wide (one `u64` plane word per net bit); inactive lanes
-    /// receive the same broadcast stimulus as lane 0 and are excluded
-    /// from [`Sim::divergence_masks`]. Other engines ignore it.
+    /// Lane count for [`Engine::SpecializedBatch`], clamped to `1..=64`.
+    /// `None` means 64 lanes. The simulator holds one packed state per
+    /// lane, so a smaller bundle costs proportionally less memory and
+    /// time. Other engines ignore it.
     pub lanes: Option<u32>,
 }
 
@@ -150,7 +146,7 @@ impl SimConfig {
         })
     }
 
-    /// Resolves [`SimConfig::lanes`] to the active lane count (1..=64).
+    /// Resolves [`SimConfig::lanes`] to the lane count (1..=64).
     pub fn batch_lanes(&self) -> u32 {
         self.lanes.map_or(crate::batch::LANES, |n| n.clamp(1, crate::batch::LANES))
     }
@@ -171,24 +167,29 @@ pub(crate) trait EngineImpl {
     // Fault-injection primitives (see `Sim::inject`). These let the
     // wrapper drive a cycle manually — settle, clock edge, re-settle —
     // with identical sequencing on every engine, which is what makes
-    // faulty traces byte-identical across backends.
+    // faulty traces byte-identical across backends. The lane-addressed
+    // ones name one lane (always 0 on the scalar engines); which lanes a
+    // step visits is the wrapper's decision.
     /// Runs the sequential blocks and commits register/memory shadow
-    /// state (the clock-edge half of `cycle()`), without settling
-    /// combinational logic and without advancing the cycle counter.
+    /// state (the clock-edge half of `cycle()`) on every lane, without
+    /// settling combinational logic and without advancing the cycle
+    /// counter.
     fn edge(&mut self);
-    /// Executes one block serially through the engine's native write
-    /// path. Used by the wrapper's levelized injection settle.
-    fn exec_block(&mut self, b: u32);
-    /// Overwrites a net's settled value on one lane (always 0 on the
-    /// scalar engines) without waking readers or marking schedules
-    /// dirty. With `also_next`, the shadow (`next`) copy is overwritten
-    /// too, so a forced register value survives the commit unless a
-    /// sequential block reassigns it (SEU semantics: hold paths keep the
-    /// flipped bit, update paths overwrite it).
+    /// Executes one block serially on one lane through the engine's
+    /// native write path. Used by the wrapper's levelized injection
+    /// settle.
+    fn exec_block(&mut self, lane: u32, b: u32);
+    /// Overwrites a net's settled value on one lane without waking
+    /// readers or marking schedules dirty. With `also_next`, the shadow
+    /// (`next`) copy is overwritten too, so a forced register value
+    /// survives the commit unless a sequential block reassigns it (SEU
+    /// semantics: hold paths keep the flipped bit, update paths
+    /// overwrite it).
     fn force(&mut self, lane: u32, slot: u32, v: Bits, also_next: bool);
-    /// Unconditionally re-evaluates every combinational block (full
-    /// settle), washing out any forced values whose faults expired.
-    fn settle_full(&mut self);
+    /// Settles one lane: with `full`, unconditionally re-evaluates every
+    /// combinational block (washing out any forced values whose faults
+    /// expired, or settling after an edge); otherwise as `eval` does.
+    fn settle(&mut self, lane: u32, full: bool);
     /// Advances the cycle counter (split out of `cycle()` so the
     /// wrapper's faulted path can bump it after the post-edge settle,
     /// matching the counter's position in the normal path).
@@ -201,7 +202,7 @@ pub(crate) trait EngineImpl {
     }
     // Lane (batch-engine) primitives. Scalar engines keep the defaults:
     // a single lane aliasing the ordinary poke/peek path.
-    /// Active trial lanes this backend simulates (1 for scalar engines).
+    /// Trial lanes this backend simulates (1 for scalar engines).
     fn lane_count(&self) -> u32 {
         1
     }
@@ -216,12 +217,21 @@ pub(crate) trait EngineImpl {
         self.peek(slot)
     }
     /// Fills `out` with one mask per net: bit `L` set iff lane `L`'s
-    /// value of that net differs from lane `golden`'s, restricted to
-    /// active lanes. Returns true iff any mask is non-zero; false
-    /// (leaving `out` untouched) on engines without lanes.
+    /// value of that net differs from lane `golden`'s. Returns true iff
+    /// any mask is non-zero; false (leaving `out` untouched) on engines
+    /// without lanes.
     fn divergence_masks(&self, _golden: u32, _out: &mut Vec<u64>) -> bool {
         false
     }
+}
+
+/// The lanes of a lane mask, lowest first.
+fn each_lane(mut lanes: u64) -> impl Iterator<Item = u32> {
+    std::iter::from_fn(move || {
+        let lane = (lanes != 0).then(|| lanes.trailing_zeros());
+        lanes &= lanes.wrapping_sub(1);
+        lane
+    })
 }
 
 /// The disturbance a scheduled [`Injection`] applies to its target net.
@@ -374,9 +384,10 @@ pub struct Sim {
     /// Levelized combinational order for the injection settle; computed
     /// once on first `inject`.
     inject_sched: Vec<u32>,
-    /// A forced (stuck-at) settle ran and its fault has since expired:
-    /// the next settle must be a full pass to wash the forces out.
-    fault_cleanup: bool,
+    /// Lanes on which a forced (stuck-at) settle ran after the edge: once
+    /// no fault holds such a lane any more, its next settle must be a full
+    /// pass to wash the forces out.
+    fault_cleanup: u64,
     /// Per lane: bits disturbed so far (one count per masked bit per
     /// faulted cycle) and cycles on which at least one of the lane's
     /// faults was active.
@@ -484,8 +495,8 @@ impl Sim {
                      closure is one stateful instance, not 64 lanes. Use an IR-level \
                      (RTL) model or a scalar engine."
                 );
-                let s = staged(Layer::Batch);
-                Box::new(BatchEngine::new(design, &s, cfg.batch_lanes(), o))
+                let s = staged(Layer::Plans);
+                Box::new(LaneEngine::new(design, &s, cfg.batch_lanes(), o))
             }
         }
     }
@@ -512,7 +523,7 @@ impl Sim {
             profile: None,
             faults: Vec::new(),
             inject_sched: Vec::new(),
-            fault_cleanup: false,
+            fault_cleanup: 0,
             fault_totals,
         }
     }
@@ -636,19 +647,12 @@ impl Sim {
     /// the clock. With a fault currently active, the settle holds the
     /// disturbed values forced, so peeks observe the faulty network.
     pub fn eval(&mut self) {
-        if self.faults.is_empty() && !self.fault_cleanup {
+        if self.faults.is_empty() && self.fault_cleanup == 0 {
             self.backend.eval();
         } else {
-            let now = self.backend.cycles();
-            let pre = self.active_faults(now, false);
-            if !pre.is_empty() {
-                self.forced_settle(&pre);
-            } else if self.fault_cleanup {
-                self.backend.settle_full();
-                self.fault_cleanup = false;
-            } else {
-                self.backend.eval();
-            }
+            let pre = self.active_faults(self.backend.cycles(), false);
+            self.settle_unforced(self.lanes_of(&pre));
+            self.forced_settle(&pre);
         }
         self.observe_settle(false);
     }
@@ -658,7 +662,7 @@ impl Sim {
     /// which an installed fault is active take the injection path (see
     /// [`Sim::inject`]); all other cycles are unaffected.
     pub fn cycle(&mut self) {
-        if self.faults.is_empty() && !self.fault_cleanup {
+        if self.faults.is_empty() && self.fault_cleanup == 0 {
             self.backend.cycle();
         } else {
             let now = self.backend.cycles();
@@ -666,9 +670,8 @@ impl Sim {
             if !pre.is_empty() {
                 self.faulted_cycle(now, &pre);
             } else {
-                if self.fault_cleanup {
-                    self.backend.settle_full();
-                    self.fault_cleanup = false;
+                for lane in each_lane(std::mem::take(&mut self.fault_cleanup)) {
+                    self.backend.settle(lane, true);
                 }
                 self.backend.cycle();
             }
@@ -678,7 +681,7 @@ impl Sim {
 
     /// Advances `n` clock cycles.
     pub fn run(&mut self, n: u64) {
-        if self.profile.is_some() || !self.faults.is_empty() || self.fault_cleanup {
+        if self.profile.is_some() || !self.faults.is_empty() || self.fault_cleanup != 0 {
             for _ in 0..n {
                 self.cycle();
             }
@@ -786,8 +789,8 @@ impl Sim {
         self.fault_totals[0].1
     }
 
-    /// Active trial lanes: 1 on the scalar engines, the configured lane
-    /// count (up to 64) on [`Engine::SpecializedBatch`].
+    /// Trial lanes: 1 on the scalar engines, the configured lane count
+    /// (up to 64) on [`Engine::SpecializedBatch`].
     pub fn lane_count(&self) -> u32 {
         self.backend.lane_count()
     }
@@ -839,12 +842,12 @@ impl Sim {
 
     /// Fills `out` with one mask per net (indexed by
     /// [`NetId::index`](mtl_core::NetId::index)): bit `L` is set iff
-    /// lane `L`'s settled value of that net differs from lane `golden`'s,
-    /// restricted to active lanes. Returns `true` iff any lane diverged
-    /// anywhere, `false` (leaving `out` untouched) on scalar engines.
-    /// This is the batch campaign's
-    /// divergence detector: one XOR-and-reduce pass over the plane state
-    /// classifies all lanes at once.
+    /// lane `L`'s settled value of that net differs from lane `golden`'s.
+    /// Returns `true` iff any lane diverged anywhere, `false` (leaving
+    /// `out` untouched) on scalar engines. This is the batch campaign's
+    /// divergence detector: one compare of every lane's settled words
+    /// with the golden lane's classifies all lanes at once, with no
+    /// per-net peek.
     pub fn divergence_masks(&self, golden: u32, out: &mut Vec<u64>) -> bool {
         self.backend.divergence_masks(golden, out)
     }
@@ -869,14 +872,34 @@ impl Sim {
             .collect()
     }
 
-    /// Settles combinational logic with the given faults held forced,
-    /// each on its own lane: one full pass over the levelized schedule,
-    /// block by block, re-applying each force whenever a driver overwrote
-    /// it with a fresh clean value. A full levelized pass makes every
-    /// combinational net a pure function of sequential state, inputs, and
-    /// forces — all identical across engines — so the post-settle state
-    /// is engine-independent no matter what (engine-specific) unsettled
-    /// state it started from.
+    /// Every lane of the simulator, as a lane mask.
+    fn all_lanes(&self) -> u64 {
+        u64::MAX >> (64 - self.backend.lane_count())
+    }
+
+    /// The lanes the faults `active` (indices into `faults`) sit on.
+    fn lanes_of(&self, active: &[usize]) -> u64 {
+        active.iter().fold(0, |lanes, &fi| lanes | 1 << self.faults[fi].0)
+    }
+
+    /// The ordinary settle of every lane outside `forced`: a full pass on a
+    /// lane a forced settle left stale (which washes the forces out), `eval`
+    /// on the others.
+    fn settle_unforced(&mut self, forced: u64) {
+        for lane in each_lane(self.all_lanes() & !forced) {
+            self.backend.settle(lane, self.fault_cleanup >> lane & 1 != 0);
+        }
+        self.fault_cleanup &= forced;
+    }
+
+    /// Settles combinational logic with the given faults held forced, on
+    /// the lanes they sit on and no other: per such lane, one full pass
+    /// over the levelized schedule, block by block, re-applying each force
+    /// whenever a driver overwrote it with a fresh clean value. A full
+    /// levelized pass makes every combinational net a pure function of
+    /// sequential state, inputs, and forces — all identical across engines
+    /// — so the post-settle state is engine-independent no matter what
+    /// (engine-specific) unsettled state it started from.
     fn forced_settle(&mut self, active: &[usize]) {
         let mut forced: Vec<u128> = Vec::with_capacity(active.len());
         for &fi in active {
@@ -887,28 +910,36 @@ impl Sim {
             forced.push(t);
         }
         let sched = std::mem::take(&mut self.inject_sched);
-        for &b in &sched {
-            self.backend.exec_block(b);
-            for (k, &fi) in active.iter().enumerate() {
-                let (lane, f) = self.faults[fi];
-                let v = self.backend.peek_lane(lane, f.slot).as_u128();
-                if v != forced[k] {
-                    // The net's driver ran and wrote a fresh clean value:
-                    // recompute the disturbance from it and re-force (a
-                    // plain re-XOR would double-apply a flip).
-                    let t = f.apply(v, mask_of(f.width));
-                    self.backend.force(lane, f.slot, Bits::new(f.width, t), f.is_reg);
-                    forced[k] = t;
+        for lane in each_lane(self.lanes_of(active)) {
+            for &b in &sched {
+                self.backend.exec_block(lane, b);
+                for (k, &fi) in active.iter().enumerate() {
+                    let (at, f) = self.faults[fi];
+                    if at != lane {
+                        continue;
+                    }
+                    let v = self.backend.peek_lane(lane, f.slot).as_u128();
+                    if v != forced[k] {
+                        // The net's driver ran and wrote a fresh clean
+                        // value: recompute the disturbance from it and
+                        // re-force (a plain re-XOR would double-apply a
+                        // flip).
+                        let t = f.apply(v, mask_of(f.width));
+                        self.backend.force(lane, f.slot, Bits::new(f.width, t), f.is_reg);
+                        forced[k] = t;
+                    }
                 }
             }
         }
         self.inject_sched = sched;
     }
 
-    /// One clock cycle with the faults `pre` active: forced settle,
-    /// clock edge, post-edge settle (forced again for stuck-at faults,
-    /// full clean re-settle otherwise).
+    /// One clock cycle with the faults `pre` active. The lanes they sit on
+    /// take the forced settle, every other lane its ordinary one; then the
+    /// clock edge; then a post-edge settle, forced again on the lanes a
+    /// stuck-at fault still holds and a full clean pass on the rest.
     fn faulted_cycle(&mut self, now: u64, pre: &[usize]) {
+        self.settle_unforced(self.lanes_of(pre));
         self.forced_settle(pre);
         let mut lanes_hit = 0u64;
         for &fi in pre {
@@ -920,18 +951,17 @@ impl Sim {
         }
         self.backend.edge();
         let post = self.active_faults(now, true);
-        if post.is_empty() {
-            // The faults latched whatever state captured them; wash all
-            // forced combinational values back to clean ones. This must
-            // be a full pass on every engine: an event-driven settle
-            // would only re-run blocks downstream of changed registers,
-            // leaving stale faulty values elsewhere.
-            self.backend.settle_full();
-            self.fault_cleanup = false;
-        } else {
-            self.forced_settle(&post);
-            self.fault_cleanup = true;
+        let held = self.lanes_of(&post);
+        // On the lanes no fault holds, the faults latched whatever state
+        // captured them; wash all forced combinational values back to
+        // clean ones. This must be a full pass on every engine: an
+        // event-driven settle would only re-run blocks downstream of
+        // changed registers, leaving stale faulty values elsewhere.
+        for lane in each_lane(self.all_lanes() & !held) {
+            self.backend.settle(lane, true);
         }
+        self.forced_settle(&post);
+        self.fault_cleanup = held;
         self.backend.bump_cycles();
     }
 

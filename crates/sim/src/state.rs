@@ -139,8 +139,13 @@ impl PackedState {
         self.widths.len()
     }
 
+    /// The raw `cur` word of `slot`.
+    pub(crate) fn cur_word(&self, slot: u32) -> u128 {
+        self.load(&self.cur[slot as usize])
+    }
+
     pub(crate) fn peek(&self, slot: u32) -> Bits {
-        Bits::new(self.widths[slot as usize], self.load(&self.cur[slot as usize]))
+        Bits::new(self.widths[slot as usize], self.cur_word(slot))
     }
 
     pub(crate) fn peek_mem(&self, mem: usize, addr: u64) -> Bits {

@@ -301,7 +301,7 @@ impl<R: Copy, W: Copy> Op<R, W> {
     /// word through `g`, and the net slot or memory index it names through
     /// `h` together with its [`Table`]. This is the one per-variant listing
     /// of operands: renumbering, def/use queries, use rewriting, range
-    /// validation, the CSE key, plane lowering, the 64-bit lowering
+    /// validation, the CSE key, the 64-bit lowering
     /// ([`Op::to_word`]) and per-instance relocation ([`Op::map_state`])
     /// all route here.
     #[inline]
@@ -608,7 +608,7 @@ pub(crate) enum Effect {
 impl<R> Op<R> {
     /// The op's [`Effect`]. Deliberately without a wildcard arm: a new
     /// variant must say here what state it touches before `validate`,
-    /// the partition guard, the plane lowering or the optimizer's
+    /// the partition guard or the optimizer's
     /// store/jump reasoning can compile.
     #[inline]
     pub(crate) fn effect(&self) -> Effect {
@@ -833,12 +833,11 @@ pub(crate) fn rnd128(seed: &mut u64) -> u128 {
 mod tests {
     use super::*;
 
-    /// The layout the executors' dispatch and the plane programs' cache
-    /// footprint were measured at; a change here is a performance change.
+    /// The layout the executors' dispatch was measured at; a change here
+    /// is a performance change.
     #[test]
     fn op_sizes_are_pinned() {
         assert_eq!(std::mem::size_of::<Op>(), 48);
-        assert_eq!(std::mem::size_of::<Op<crate::batch::Opd>>(), 64);
         assert_eq!(std::mem::size_of::<Op<Reg, u64>>(), 24);
     }
 
@@ -881,6 +880,192 @@ mod tests {
             );
         }
     }
+
+    /// The instruction set has two per-op implementations: `pure` — run by
+    /// the scalar executor (instantiated at `u128` and at `u64`), by the
+    /// lane executor (`[u64; 16]`, no jumps) and by `eval_pure` (words
+    /// that may be unknown) — and the width transfer `approx_bits` behind
+    /// the word classification. For every kind in the table, over narrow,
+    /// word-sized and wide values with distinct operands in 64 states,
+    /// they must agree. Beyond 64 bits, where no executor runs lanes yet,
+    /// `pure` over `[u128; 4]` must equal four scalar runs.
+    ///
+    /// The op under test sits between loads of slots 0..=5 into `r0..=r5`
+    /// and a store of its result to slot 6; slot 7 is the store target of
+    /// [`Kind::sample`]. Block 0 is that tape, block 1 the same behind a
+    /// `Jz` to the end on slot 8, which is 0 or 1 per state (0 everywhere
+    /// in the last round). Up to 64 bits both tapes classify into the `u64`
+    /// class — except a `ShlOr` whose result really is wider — which the
+    /// scalar reference then runs; the reference is the same tape with its
+    /// narrow program removed.
+    #[test]
+    fn every_kind_agrees_across_scalar_fold_and_lanes() {
+        use std::sync::Arc;
+
+        use mtl_bits::Bits;
+
+        use crate::compile::passes::eval_pure;
+        use crate::compile::{fuse_run, BlockTapes, Gang, Layout, LANES};
+        use crate::state::PackedState;
+
+        /// One state: `cur` and `next` by slot, then the memory words,
+        /// then (after a run) the queued memory writes.
+        type State = (Vec<u128>, Vec<u128>, Vec<u128>, Vec<(u32, u64, u128)>);
+
+        let mut seed = 7u64;
+        let mut rnd = move || rnd128(&mut seed);
+        for w in [1, 7, 63, 64, 65, 128] {
+            for &kind in Kind::ALL {
+                let mut op = kind.sample(w, 8, &mut rnd);
+                let really_wider = matches!(op, Op::ShlOr { shift, .. } if w + shift > 64);
+                let narrow = w <= 64 && !really_wider;
+                // The result slot shows every bit the word class can hold.
+                let mut widths = vec![w; 9];
+                widths[6] = if narrow { 64 } else { 128 };
+                let tape = |prefix: Vec<Op>, op: &Op| {
+                    let mut ops = prefix;
+                    ops.extend((0..6).map(|i| Op::Read { dst: i, slot: i as u32 }));
+                    ops.extend([op.clone(), Op::Write { slot: 6, src: op.def().unwrap_or(1) }]);
+                    Tape { ops, nregs: 8, ..Tape::default() }
+                };
+                let plain = tape(Vec::new(), &op);
+                if let Some(target) = op.target_mut() {
+                    *target += 2;
+                }
+                let guard = vec![Op::Read { dst: 7, slot: 8 }, Op::Jz { cond: 7, target: 10 }];
+                let raw = Arc::new(vec![plain, tape(guard, &op)]);
+
+                let raw_blocks = BlockTapes::plain(Layout::plain(&widths, &[w], &[]), raw.clone());
+                // `fuse_run` is the crate's way to classify and `validate`.
+                let tapes: Vec<Tape> =
+                    (0..2).map(|b| fuse_run(&raw_blocks, &[b], &mut None, "sample tape")).collect();
+                for (t, r) in tapes.iter().zip(raw.iter()) {
+                    assert_eq!(t.ops, r.ops, "{kind:?} w={w}: fusing one tape is the identity");
+                    assert_eq!(t.narrow.is_some(), narrow, "{kind:?} w={w}: class of {op:?}");
+                }
+
+                for round in 0..4 {
+                    let value = |rnd: &mut dyn FnMut() -> u128, width: u32| {
+                        let v = match rnd() % 6 {
+                            0 => 0,
+                            1 => 1,
+                            2 => u128::MAX,
+                            3 => rnd() % (2 * width as u128 + 2),
+                            // Only bits the low machine word cannot see
+                            // (a `Select` selector must clamp, not wrap).
+                            4 => rnd() << 64,
+                            _ => rnd(),
+                        };
+                        v & mask_of(width)
+                    };
+                    let before: Vec<State> = (0..64)
+                        .map(|_| {
+                            let mut cur: Vec<u128> =
+                                widths.iter().map(|&w| value(&mut rnd, w)).collect();
+                            cur[8] = if round == 3 { 0 } else { rnd() % 2 };
+                            let next = widths.iter().map(|&w| value(&mut rnd, w)).collect();
+                            let mem = (0..4).map(|_| value(&mut rnd, w)).collect();
+                            (cur, next, mem, Vec::new())
+                        })
+                        .collect();
+
+                    let scalar = |tape: &Tape, (cur, next, mem, _): &State| {
+                        let mut state = PackedState::from_widths(&widths, &[(w, 4)], &[]);
+                        state.fill(cur, next);
+                        let mut st = state.exclusive();
+                        for (addr, &v) in mem.iter().enumerate() {
+                            st.poke_mem(0, addr as u64, Bits::new(w, v));
+                        }
+                        let mut pending = Vec::new();
+                        st.exec::<false>(tape, 0, &mut [0; 8], &mut pending, &mut Vec::new());
+                        let (cur, next, _) = state.dump();
+                        (cur, next, mem.clone(), pending)
+                    };
+                    // The lane executor: block 0 as the body of a gang of
+                    // the first `LANES` states, instance `i` on slots
+                    // `9 i..9 i + 9` and memory `i`. Each lane must end
+                    // where the scalar `u64` run of its own state ends,
+                    // its queued stores in program order.
+                    if narrow && !matches!(op.effect(), Effect::Jump { .. }) {
+                        let gang = Gang {
+                            body: 0,
+                            blocks: (0..LANES as u32).collect(),
+                            slots: (0..9 * LANES)
+                                .map(|i| ((i % LANES) * 9 + i / LANES) as u32)
+                                .collect(),
+                            mems: (0..LANES as u32).collect(),
+                        };
+                        let mut state = PackedState::from_widths(
+                            &widths.repeat(LANES),
+                            &vec![(w, 4); LANES],
+                            &[],
+                        );
+                        let column = |pick: fn(&State) -> &Vec<u128>| -> Vec<u128> {
+                            before[..LANES].iter().flat_map(|st| pick(st).clone()).collect()
+                        };
+                        state.fill(&column(|st| &st.0), &column(|st| &st.1));
+                        let mut st = state.exclusive();
+                        for (lane, (_, _, mem, _)) in before[..LANES].iter().enumerate() {
+                            for (addr, &v) in mem.iter().enumerate() {
+                                st.poke_mem(lane, addr as u64, Bits::new(w, v));
+                            }
+                        }
+                        let mut pending = Vec::new();
+                        st.exec_lanes(&tapes[0], &gang, 0..1, &mut [[0; LANES]; 8], &mut pending);
+                        let (cur, next, _) = state.dump();
+                        for (lane, lane_state) in before[..LANES].iter().enumerate() {
+                            let own = |column: &[u128]| column[9 * lane..][..9].to_vec();
+                            let queued = pending.iter().filter(|store| store.0 == lane as u32);
+                            let got: State = (
+                                own(&cur),
+                                own(&next),
+                                lane_state.2.clone(),
+                                queued.map(|&(_, addr, v)| (0, addr, v)).collect(),
+                            );
+                            let want = scalar(&tapes[0], lane_state);
+                            assert_eq!(got, want, "{kind:?} w={w} lane {lane}: lanes of {op:?}");
+                        }
+                    }
+                    for b in 0..2 {
+                        let mut results = Vec::new();
+                        for st in &before {
+                            // The wide executor over the canonical ops is
+                            // the reference; the classified tape (the `u64`
+                            // instantiation when narrow) must match it.
+                            let want = scalar(&raw[b], st);
+                            let classed = scalar(&tapes[b], st);
+                            assert_eq!(classed, want, "{kind:?} w={w} block {b}: word class");
+
+                            if b == 1 {
+                                continue; // the fold is block 0's question
+                            }
+                            let folded = eval_pure(&op.map_regs(&mut |_, r| r as VReg), &|r| {
+                                Some(st.0.get(r as usize).copied().unwrap_or(0))
+                            });
+                            match folded {
+                                Some(v) => assert_eq!(v, want.0[6], "{kind:?} w={w}: fold"),
+                                None => assert!(
+                                    op.effect() != Effect::Pure,
+                                    "{kind:?}: a pure op the folder skips"
+                                ),
+                            }
+                            results.push(want.0[6]);
+                        }
+                        // Wide lanes: four states as one `[u128; 4]`
+                        // register file against their four scalar runs.
+                        let wide = if narrow { &[][..] } else { &before[..] };
+                        for (quad, want) in wide.chunks_exact(4).zip(results.chunks_exact(4)) {
+                            let regs = |r: u16| std::array::from_fn(|l| quad[l].0[r as usize]);
+                            if let Some(got) = pure::<_, _, [u128; 4]>(&op, regs) {
+                                let want: [u128; 4] = want.try_into().expect("four results");
+                                assert_eq!(got, (6, want), "{kind:?} w={w}: u128 lanes of {op:?}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// A compiled update block: `Tape` (physical registers) is what the
@@ -906,7 +1091,7 @@ pub(crate) struct Tape<R = Reg> {
     /// executors run it instead of `ops` — same registers, slots and jump
     /// targets, so `validate`'s range check of `ops` (which also re-checks
     /// this correspondence) covers both. Everything that *reads* a tape
-    /// (`validate`, the partition guard, re-optimization, plane lowering)
+    /// (`validate`, the partition guard, re-optimization)
     /// reads `ops`.
     pub narrow: Option<Vec<Op<Reg, u64>>>,
 }

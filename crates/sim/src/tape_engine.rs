@@ -333,6 +333,11 @@ impl TapeEngine {
         }
     }
 
+    /// The raw `cur` word of `slot`.
+    pub(crate) fn cur_word(&self, slot: u32) -> u128 {
+        self.state.cur_word(slot)
+    }
+
     /// Runs one block from scratch registers. When `TRACK`, the readers of
     /// every slot it changed are woken.
     fn run_block<const TRACK: bool>(&mut self, b: u32) {
@@ -588,7 +593,7 @@ impl EngineImpl for TapeEngine {
         }
     }
 
-    fn exec_block(&mut self, b: u32) {
+    fn exec_block(&mut self, _lane: u32, b: u32) {
         if self.event_mode {
             self.run_block::<true>(b);
         } else {
@@ -603,8 +608,10 @@ impl EngineImpl for TapeEngine {
         self.state.access().force(slot, v, also_next);
     }
 
-    fn settle_full(&mut self) {
-        if self.event_mode {
+    fn settle(&mut self, _lane: u32, full: bool) {
+        if !full {
+            self.eval();
+        } else if self.event_mode {
             for &b in &self.comb_order {
                 self.events.wake(b);
             }

@@ -1,17 +1,16 @@
 #!/usr/bin/env bash
-# CI stage 2.5 — bit-sliced batch engine gate. Two checks:
+# CI stage 2.5 — batch engine gate. Two checks:
 #
 #   1. Batch differential fuzz: seed-pinned random RTL designs, each run
 #      on one SpecializedBatch simulator (64 lanes, distinct stimulus
 #      per lane) against a scalar Interpreted reference per lane,
-#      comparing every signal of every lane after every cycle. Lane
-#      transposition or plane-program miscompiles fail here. Run twice:
-#      optimized draws if-convert to straight-line plane programs, so
-#      the MTL_TAPE_OPT=0 leg (every seq block keeps its reset branch)
-#      is the one that fuzzes divergent lanes under the active-lane
-#      mask. One draw in sixteen is a design instantiated 16–40 times
-#      under a shell, so the plans the batch stage lowers hold gangs
-#      (lowered to their members' block programs).
+#      comparing every signal of every lane after every cycle. A value
+#      reaching the wrong lane's state fails here. Run twice: optimized
+#      draws if-convert to straight-line tapes, so the MTL_TAPE_OPT=0
+#      leg (every seq block keeps its reset branch) is the one where
+#      lanes take different arms. One draw in sixteen is a design
+#      instantiated 16–40 times under a shell, so the plans every lane
+#      runs hold gangs.
 #   2. Batch fault-campaign throughput smoke: fault_sweep --smoke runs
 #      its mesh4/rtl-ir batch bundle (batch lane reports are
 #      cross-checked against scalar run_diff inside the job) and

@@ -1,6 +1,7 @@
 //! The shared compile cache (`ArtifactCache`) through the public API:
-//! the parallel engine reuses the plan stage `specialized-opt` builds, and
-//! the cache stays bounded under an open-ended stream of fingerprints.
+//! the parallel and batch engines reuse the plan stage `specialized-opt`
+//! builds, and the cache stays bounded under an open-ended stream of
+//! fingerprints.
 
 use std::time::Duration;
 
@@ -47,6 +48,32 @@ fn par_builds_share_block_tapes_and_stay_cycle_exact() {
                 assert_eq!(shared.peek(sig), fresh.peek(sig), "{threads} threads, cycle {cycle}");
             }
         }
+    }
+}
+
+/// A batch simulator's lanes run the plan stage `specialized-opt` runs, so
+/// the two engines share one cache entry: whichever builds second on a
+/// key is a tape hit that skips `comp` and `cgen`, in either order.
+#[test]
+fn batch_and_opt_builds_share_one_plan_entry() {
+    let cfg = SimConfig { lanes: Some(15), ..SimConfig::default() };
+    for (first, second) in [
+        (Engine::SpecializedOpt, Engine::SpecializedBatch),
+        (Engine::SpecializedBatch, Engine::SpecializedOpt),
+    ] {
+        let cache = ArtifactCache::new();
+        let build = |engine| Sim::build_shared(&Counter::new(9), engine, &cfg, &cache, 3).unwrap();
+        let cold = build(first);
+        assert!(cold.overheads().cgen > Duration::ZERO, "{first} compiles");
+        assert_eq!((cache.stats().tape_misses, cache.stats().tape_hits), (1, 0), "{first}");
+        let mut warm = build(second);
+        assert_eq!((cache.stats().tape_misses, cache.stats().tape_hits), (1, 1), "{second}");
+        assert_eq!(warm.overheads().comp, Duration::ZERO, "{second} after {first}");
+        assert_eq!(warm.overheads().cgen, Duration::ZERO, "{second} after {first}");
+        assert_eq!(warm.opt_report(), cold.opt_report(), "{second} after {first}");
+        let expected =
+            count_after(&mut Sim::build(&Counter::new(9), Engine::SpecializedOpt).unwrap(), 300);
+        assert_eq!(count_after(&mut warm, 300), expected, "{second} after {first}");
     }
 }
 

@@ -3,7 +3,7 @@
 //! Drives the real `mtl-serve` registry jobs under an installed
 //! [`ChaosPlan`] and checks the robustness contract end to end:
 //!
-//! 1. **Watchdog + ladder on the bit-sliced kind** — a hung
+//! 1. **Watchdog + ladder on the batch kind** — a hung
 //!    `fault_batch_chunk` attempt is abandoned by the watchdog, retried
 //!    one rung down the engine ladder on a scalar engine, completes
 //!    with metrics byte-identical to a healthy batch run, quarantines a
@@ -39,7 +39,7 @@ fn run(spec: &Json, journal_dir: &Path) -> CampaignReport {
         .run()
 }
 
-/// One laddered bit-sliced fault bundle with a short watchdog.
+/// One laddered batch fault bundle with a short watchdog.
 fn batch_spec(campaign: &str) -> Json {
     json::parse(&format!(
         r#"{{"name":"{campaign}","seed":7,"no_cache":true,"jobs":[

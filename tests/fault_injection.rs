@@ -224,7 +224,7 @@ fn const_driven_nets_perturb_all_engine_configs_identically() {
     );
 }
 
-/// A bundle of plans through `run_diff_batch_traced` (one bit-sliced
+/// A bundle of plans through `run_diff_batch_traced` (one batch
 /// simulation, one lane per plan) must reproduce the scalar `run_diff`
 /// report for every plan *exactly* — outcome, divergence cycles, blast
 /// radius, injected bits, and the full faulty-trace fingerprint. The
