@@ -358,6 +358,23 @@ impl Design {
         format!("{}.{}", self.module_path(info.module), info.name)
     }
 
+    /// Whether a signal's path [`Design::signal_path`] is `suffix` or ends
+    /// in `.suffix`: the one rule by which a hierarchical suffix names a
+    /// signal (`pc` matches `top.proc.pc`, not `top.proc.xpc`). Walks the
+    /// path's bytes from the leaf upward — the signal name, then `.` and
+    /// each ancestor module's name — and builds no string.
+    pub fn has_path_suffix(&self, sig: SignalId, suffix: &str) -> bool {
+        let info = &self.signals[sig.index()];
+        let ancestors =
+            std::iter::successors(Some(info.module), |m| self.modules[m.index()].parent);
+        let mut path =
+            info.name.bytes().rev().chain(ancestors.flat_map(|m| {
+                [b'.'].into_iter().chain(self.modules[m.index()].name.bytes().rev())
+            }));
+        suffix.bytes().rev().all(|b| path.next() == Some(b))
+            && matches!(path.next(), None | Some(b'.'))
+    }
+
     /// The hierarchical dotted path of a module, e.g. `top.reg_`.
     pub fn module_path(&self, module: ModuleId) -> String {
         let mut parts = Vec::new();

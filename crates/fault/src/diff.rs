@@ -1,6 +1,6 @@
 //! Golden-vs-faulty differential runs and outcome classification.
 
-use mtl_core::{Component, SignalKind};
+use mtl_core::{Component, Design, SignalKind};
 use mtl_sim::{Engine, Sim, SimConfig};
 
 use crate::plan::FaultPlan;
@@ -52,9 +52,11 @@ pub struct FaultReport {
     pub injected_bits: u64,
     /// Cycles observed after reset.
     pub cycles: u64,
-    /// FNV-1a fingerprint of the faulty run's full value trace (every
-    /// net, every cycle). Equal fingerprints across engines mean
-    /// byte-identical faulty traces.
+    /// Fingerprint of the faulty run's full value trace: the 64-bit FNV-1a
+    /// hash over 16 little-endian bytes per probed net value (every net
+    /// with a signal), nets in index order, every cycle of the window.
+    /// Equal fingerprints across engines mean byte-identical faulty
+    /// traces.
     pub trace_fingerprint: u64,
 }
 
@@ -92,11 +94,54 @@ fn build(
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x1000_0000_01b3;
 
-fn fnv_fold(hash: &mut u64, v: u128) {
-    for b in v.to_le_bytes() {
-        *hash ^= u64::from(b);
-        *hash = hash.wrapping_mul(FNV_PRIME);
+/// `FNV_PRIME^k` for `k` in `0..=16`.
+const FNV_PRIME_POW: [u64; 17] = {
+    let mut pow = [1u64; 17];
+    let mut k = 1;
+    while k < 17 {
+        pow[k] = pow[k - 1].wrapping_mul(FNV_PRIME);
+        k += 1;
     }
+    pow
+};
+
+/// One observed net: where its value sits in a [`Sim::net_values`] slice,
+/// how many low bytes its width can set, and whether it surfaces at a
+/// top-level output port (the detection boundary).
+struct Probe {
+    net: usize,
+    bytes: usize,
+    output: bool,
+}
+
+/// The nets a differential run observes, in index order: every net with
+/// a signal (a net without one is unobservable through `peek`).
+fn probes(design: &Design) -> Vec<Probe> {
+    let nets = design.nets().iter().enumerate().filter(|(_, n)| !n.signals.is_empty());
+    nets.map(|(net, n)| Probe {
+        net,
+        bytes: n.width.div_ceil(8) as usize,
+        output: n.signals.iter().any(|&s| {
+            let info = design.signal(s);
+            info.kind == SignalKind::OutPort && info.module == design.top()
+        }),
+    })
+    .collect()
+}
+
+/// Folds one cycle of probed net values into an FNV-1a hash: per net, its
+/// 16 little-endian bytes. A value never sets a byte above its width's
+/// `probe.bytes`, and folding a zero byte is one multiply by the prime, so
+/// the high bytes are folded as one multiply by a power of it.
+fn fold_cycle(hash: &mut u64, probes: &[Probe], values: &[u128]) {
+    let mut h = *hash;
+    for p in probes {
+        for &b in &values[p.net].to_le_bytes()[..p.bytes] {
+            h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+        }
+        h = h.wrapping_mul(FNV_PRIME_POW[16 - p.bytes]);
+    }
+    *hash = h;
 }
 
 /// Runs a golden and a faulted simulation of `top` in lockstep on one
@@ -105,7 +150,11 @@ fn fnv_fold(hash: &mut u64, v: u128) {
 /// Both simulators are reset, the plan is installed on the faulty one,
 /// and both advance `cfg.cycles` cycles; designs drive themselves (the
 /// mesh and tile harnesses generate their own traffic), so no external
-/// stimulus is applied beyond reset. Every net is compared every cycle.
+/// stimulus is applied beyond reset. Every cycle reads both simulators'
+/// net values once ([`Sim::net_values`]) and compares the two slices; the
+/// nets are walked for divergence only on cycles where they differ. The
+/// faulty values are folded into `trace_fingerprint` (see
+/// [`FaultReport::trace_fingerprint`] for its definition).
 ///
 /// # Errors
 ///
@@ -149,39 +198,30 @@ fn run_diff_inner(
     golden.reset();
     faulty.reset();
 
-    let design = golden.design();
-    // One representative signal per net, plus whether the net surfaces
-    // at a top-level output port (the detection boundary).
-    let mut probes: Vec<(usize, mtl_core::SignalId, bool)> = Vec::new();
-    for (i, n) in design.nets().iter().enumerate() {
-        let Some(&sig) = n.signals.first() else { continue };
-        let output = n.signals.iter().any(|&s| {
-            let info = design.signal(s);
-            info.kind == SignalKind::OutPort && info.module == design.top()
-        });
-        probes.push((i, sig, output));
-    }
-
+    let probes = probes(golden.design());
     let mut first_divergence = None;
     let mut detected_at = None;
-    let mut diverged: Vec<bool> = vec![false; design.nets().len()];
+    let mut diverged: Vec<bool> = vec![false; golden.design().nets().len()];
     let mut fingerprint = FNV_OFFSET;
+    let (mut want, mut got) = (Vec::new(), Vec::new());
     for _ in 0..cfg.cycles {
         // The cycle about to be simulated, in `cycle_count` time (the
         // time base fault plans are scheduled in).
         let cycle = faulty.cycle_count();
         golden.cycle();
         faulty.cycle();
-        for &(net, sig, output) in &probes {
-            let f = faulty.peek(sig);
-            fnv_fold(&mut fingerprint, f.as_u128());
-            if f != golden.peek(sig) {
-                first_divergence.get_or_insert(cycle);
-                if output {
-                    detected_at.get_or_insert(cycle);
-                }
-                diverged[net] = true;
+        golden.net_values(0, &mut want);
+        faulty.net_values(0, &mut got);
+        fold_cycle(&mut fingerprint, &probes, &got);
+        if got == want {
+            continue;
+        }
+        for p in probes.iter().filter(|p| got[p.net] != want[p.net]) {
+            first_divergence.get_or_insert(cycle);
+            if p.output {
+                detected_at.get_or_insert(cycle);
             }
+            diverged[p.net] = true;
         }
     }
     let design = golden.design();
@@ -223,8 +263,8 @@ fn run_diff_inner(
 /// its forced-settle protocol per lane, so each lane's
 /// trace is byte-identical to a scalar faulted run — **except**
 /// `trace_fingerprint`, which is reported as 0: folding every net value
-/// through FNV per lane would reinstate exactly the per-trial peek loop
-/// the batch exists to avoid. Campaign tallies never read the
+/// per lane would reinstate exactly the per-trial read-and-fold loop the
+/// batch exists to avoid. Campaign tallies never read the
 /// fingerprint; the test suite uses [`run_diff_batch_traced`] when it
 /// wants fingerprint equality too.
 ///
@@ -262,12 +302,13 @@ pub fn run_diff_batch_shared(
     run_diff_batch_inner(top, plans, cycles, Some((cache, key)), false)
 }
 
-/// [`run_diff_batch`] with real per-lane trace fingerprints: every probe
-/// net is gathered from every lane every cycle and folded through the
-/// same FNV-1a as [`run_diff`], so a lane's report — fingerprint
+/// [`run_diff_batch`] with real per-lane trace fingerprints: every lane's
+/// net values are read every cycle ([`Sim::net_values`]) and folded
+/// exactly as [`run_diff`] folds them, so a lane's report — fingerprint
 /// included — must equal the scalar report for that plan alone. This
-/// deliberately pays the per-trial peek cost the plain batch avoids; it
-/// exists for the batch-vs-scalar differential suite, not for campaigns.
+/// deliberately pays the per-trial read and fold the plain batch avoids;
+/// it exists for the batch-vs-scalar differential suite, not for
+/// campaigns.
 ///
 /// # Errors
 ///
@@ -313,23 +354,11 @@ fn run_diff_batch_inner(
     }
     sim.reset();
 
-    // Same probe set as `run_diff`: one representative signal per net
-    // (nets without signals are unobservable in the scalar diff and are
-    // excluded here too, so classifications match exactly).
-    let mut probes: Vec<(usize, mtl_core::SignalId, bool)> = Vec::new();
-    let nnets = {
-        let design = sim.design();
-        for (i, n) in design.nets().iter().enumerate() {
-            let Some(&sig) = n.signals.first() else { continue };
-            let output = n.signals.iter().any(|&s| {
-                let info = design.signal(s);
-                info.kind == SignalKind::OutPort && info.module == design.top()
-            });
-            probes.push((i, sig, output));
-        }
-        design.nets().len()
-    };
-    let probed: std::collections::HashSet<usize> = probes.iter().map(|&(n, _, _)| n).collect();
+    // Same probe set as `run_diff`, so classifications match exactly.
+    let probes = probes(sim.design());
+    let nnets = sim.design().nets().len();
+    let mut probed = vec![false; nnets];
+    probes.iter().for_each(|p| probed[p.net] = true);
 
     let nlanes = plans.len();
     let mut first_divergence: Vec<Option<u64>> = vec![None; nlanes];
@@ -338,31 +367,31 @@ fn run_diff_batch_inner(
     let mut ever: Vec<u64> = vec![0; nnets];
     let mut fingerprints: Vec<u64> = vec![FNV_OFFSET; nlanes];
     let mut masks: Vec<u64> = Vec::new();
+    let mut values: Vec<u128> = Vec::new();
     for _ in 0..cycles {
         let cycle = sim.cycle_count();
         sim.cycle();
         if sim.divergence_masks(0, &mut masks) {
-            for &(net, _, output) in &probes {
-                let mut m = masks[net] & !1; // golden's own bit is never set
+            for p in &probes {
+                let mut m = masks[p.net] & !1; // golden's own bit is never set
                 if m == 0 {
                     continue;
                 }
-                ever[net] |= m;
+                ever[p.net] |= m;
                 while m != 0 {
                     let lane = m.trailing_zeros() as usize;
                     m &= m - 1;
                     first_divergence[lane - 1].get_or_insert(cycle);
-                    if output {
+                    if p.output {
                         detected_at[lane - 1].get_or_insert(cycle);
                     }
                 }
             }
         }
         if traced {
-            for &(_, sig, _) in &probes {
-                for (i, fp) in fingerprints.iter_mut().enumerate() {
-                    fnv_fold(fp, sim.peek_lane(1 + i as u32, sig).as_u128());
-                }
+            for (i, fp) in fingerprints.iter_mut().enumerate() {
+                sim.net_values(1 + i as u32, &mut values);
+                fold_cycle(fp, &probes, &values);
             }
         }
     }
@@ -374,7 +403,7 @@ fn run_diff_batch_inner(
         let mut blast_radius: Vec<String> = ever
             .iter()
             .enumerate()
-            .filter(|&(n, &m)| m & bit != 0 && probed.contains(&n))
+            .filter(|&(n, &m)| m & bit != 0 && probed[n])
             .map(|(n, _)| design.net_path(mtl_core::NetId::from_index(n)))
             .collect();
         blast_radius.sort();

@@ -108,7 +108,10 @@ impl FaultPlan {
     ///
     /// Panics if the design has no injectable nets for the spec.
     pub fn random(seed: u64, design: &Design, spec: &PlanSpec) -> FaultPlan {
-        let writers = design.net_writers();
+        let mut driven = vec![false; design.nets().len()];
+        for block in design.blocks() {
+            block.writes.iter().for_each(|&w| driven[design.net_of(w).index()] = true);
+        }
         let candidates: Vec<NetId> = design
             .nets()
             .iter()
@@ -119,7 +122,7 @@ impl FaultPlan {
                     && if n.is_register {
                         true
                     } else {
-                        spec.targets == Targets::AnyNet && !writers[*i].is_empty()
+                        spec.targets == Targets::AnyNet && driven[*i]
                     }
             })
             .map(|(i, _)| NetId::from_index(i))
@@ -199,17 +202,10 @@ impl FaultPlan {
 /// Resolves a hierarchical path (full path or path-boundary suffix) to a
 /// signal, erroring on no match or cross-net ambiguity.
 fn resolve_signal(design: &Design, target: &str) -> Result<SignalId, String> {
-    let mut matches: Vec<SignalId> = Vec::new();
-    for i in 0..design.signals().len() {
-        let s = SignalId::from_index(i);
-        let path = design.signal_path(s);
-        if path.ends_with(target)
-            && (path.len() == target.len()
-                || path.as_bytes()[path.len() - target.len() - 1] == b'.')
-        {
-            matches.push(s);
-        }
-    }
+    let matches: Vec<SignalId> = (0..design.signals().len())
+        .map(SignalId::from_index)
+        .filter(|&s| design.has_path_suffix(s, target))
+        .collect();
     match matches.as_slice() {
         [] => Err(format!("fault target `{target}` matches no signal path")),
         [one] => Ok(*one),

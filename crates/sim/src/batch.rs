@@ -10,8 +10,8 @@
 //! register banks per lane — so the engine adds only the addressing:
 //! `poke` broadcasts, `poke_lane`/`peek_lane`/`force`/`exec_block` address
 //! one lane's state, `peek`, `peek_mem`, the activity counters and the
-//! profile read lane 0, and divergence against a golden lane is a compare
-//! of every lane's `cur` words with the golden lane's
+//! profile read lane 0, and divergence against a golden lane is one zip of
+//! every lane's `cur` words with the golden lane's
 //! ([`crate::Sim::divergence_masks`]).
 //!
 //! Faults are not this module's business: the `Sim` wrapper runs its one
@@ -138,16 +138,22 @@ impl EngineImpl for LaneEngine {
         self.lanes[lane as usize].peek(slot)
     }
 
+    fn net_values(&self, lane: u32, out: &mut [u128]) {
+        self.lanes[lane as usize].net_values(0, out);
+    }
+
+    fn comb_order(&self) -> Option<&[u32]> {
+        self.lanes[0].comb_order()
+    }
+
     fn divergence_masks(&self, golden: u32, out: &mut Vec<u64>) -> bool {
-        let golden = &self.lanes[golden as usize];
         out.clear();
         out.resize(self.nets, 0);
+        let golden_state = self.lanes[golden as usize].state();
         let mut any = false;
         for (lane, e) in self.lanes.iter().enumerate() {
-            for (slot, mask) in out.iter_mut().enumerate() {
-                let differs = e.cur_word(slot as u32) != golden.cur_word(slot as u32);
-                *mask |= u64::from(differs) << lane;
-                any |= differs;
+            if lane != golden as usize {
+                any |= e.state().mark_divergence(golden_state, lane as u32, out);
             }
         }
         any

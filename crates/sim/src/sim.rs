@@ -216,6 +216,17 @@ pub(crate) trait EngineImpl {
         assert_eq!(lane, 0, "scalar engine has a single lane");
         self.peek(slot)
     }
+    /// Fills `out` (one entry per net slot) with one lane's net values.
+    fn net_values(&self, lane: u32, out: &mut [u128]) {
+        for (slot, v) in out.iter_mut().enumerate() {
+            *v = self.peek_lane(lane, slot as u32).as_u128();
+        }
+    }
+    /// The levelized combinational block order, if the backend holds one
+    /// (the wrapper's forced settle walks it).
+    fn comb_order(&self) -> Option<&[u32]> {
+        None
+    }
     /// Fills `out` with one mask per net: bit `L` set iff lane `L`'s
     /// value of that net differs from lane `golden`'s. Returns true iff
     /// any mask is non-zero; false (leaving `out` untouched) on engines
@@ -740,29 +751,39 @@ impl Sim {
 
     fn install(&mut self, lane: u32, fault: FaultState) {
         if self.inject_sched.is_empty() {
-            self.inject_sched = crate::compile::comb_order(&self.design);
+            self.inject_sched = match self.backend.comb_order() {
+                Some(order) => order.to_vec(),
+                None => crate::compile::comb_order(&self.design),
+            };
         }
         self.faults.push((lane, fault));
     }
 
     /// Validates an [`Injection`] and resolves it to a [`FaultState`].
     fn resolve_fault(&self, inj: Injection) -> FaultState {
-        let net = self.design.net_of(inj.sig);
+        let design = &self.design;
+        let net = design.net_of(inj.sig);
         let slot = net.index() as u32;
-        let info = &self.design.nets()[net.index()];
-        let path = self.design.signal_path(inj.sig);
-        assert!(inj.mask != 0, "injection on `{path}` has an empty mask");
+        let info = &design.nets()[net.index()];
+        let path = || design.signal_path(inj.sig);
+        assert!(inj.mask != 0, "injection on `{}` has an empty mask", path());
         assert!(
             inj.mask & !mask_of(info.width) == 0,
-            "injection mask {:#x} exceeds the {}-bit width of `{path}`",
+            "injection mask {:#x} exceeds the {}-bit width of `{}`",
             inj.mask,
-            info.width
+            info.width,
+            path()
         );
-        assert!(inj.duration >= 1, "injection on `{path}` has zero duration");
+        assert!(inj.duration >= 1, "injection on `{}` has zero duration", path());
         assert!(
-            info.is_register || !self.design.net_writers()[net.index()].is_empty(),
-            "injection target `{path}` is an undriven non-register net; \
-             poke stimulus instead of injecting faults on inputs"
+            info.is_register
+                || design
+                    .blocks()
+                    .iter()
+                    .any(|b| b.writes.iter().any(|&w| design.net_of(w) == net)),
+            "injection target `{}` is an undriven non-register net; \
+             poke stimulus instead of injecting faults on inputs",
+            path()
         );
         FaultState {
             slot,
@@ -822,6 +843,21 @@ impl Sim {
     pub fn peek_lane(&self, lane: u32, sig: SignalId) -> Bits {
         assert!(lane < self.backend.lane_count(), "lane {lane} out of range");
         self.backend.peek_lane(lane, self.design.net_of(sig).index() as u32)
+    }
+
+    /// Every net's current value on one lane, indexed by
+    /// [`NetId::index`](mtl_core::NetId::index): `out[n]` is what
+    /// [`Sim::peek_lane`] reads on any signal of net `n`, as a `u128`.
+    /// `out` is resized to the net count, so one buffer serves a whole
+    /// run — one bulk read per cycle instead of a `peek` per net.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane` is out of range.
+    pub fn net_values(&self, lane: u32, out: &mut Vec<u128>) {
+        assert!(lane < self.backend.lane_count(), "lane {lane} out of range");
+        out.resize(self.design.nets().len(), 0);
+        self.backend.net_values(lane, out);
     }
 
     /// Installs a scheduled fault on one lane only (lane 0 is the only
@@ -1063,12 +1099,7 @@ impl Sim {
     pub fn find_signal(&self, suffix: &str) -> SignalId {
         let matches: Vec<SignalId> = (0..self.design.signals().len())
             .map(SignalId::from_index)
-            .filter(|&s| {
-                let path = self.design.signal_path(s);
-                path.ends_with(suffix)
-                    && (path.len() == suffix.len()
-                        || path.as_bytes()[path.len() - suffix.len() - 1] == b'.')
-            })
+            .filter(|&s| self.design.has_path_suffix(s, suffix))
             .collect();
         match matches.as_slice() {
             [] => panic!("no signal path ending in component suffix `{suffix}`"),

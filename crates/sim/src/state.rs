@@ -139,13 +139,33 @@ impl PackedState {
         self.widths.len()
     }
 
-    /// The raw `cur` word of `slot`.
-    pub(crate) fn cur_word(&self, slot: u32) -> u128 {
-        self.load(&self.cur[slot as usize])
+    pub(crate) fn peek(&self, slot: u32) -> Bits {
+        Bits::new(self.widths[slot as usize], self.load(&self.cur[slot as usize]))
     }
 
-    pub(crate) fn peek(&self, slot: u32) -> Bits {
-        Bits::new(self.widths[slot as usize], self.cur_word(slot))
+    /// Every slot's settled value, masked to its width, into `out` (one
+    /// entry per slot): [`PackedState::peek`] of them all in one pass.
+    pub(crate) fn cur_values(&self, out: &mut [u128]) {
+        for ((v, cell), &w) in out.iter_mut().zip(&*self.cur).zip(&self.widths) {
+            *v = self.load(cell) & mask_of(w);
+        }
+    }
+
+    /// Sets bit `lane` of `masks[slot]` for every slot whose raw `cur` word
+    /// differs from `golden`'s; returns whether any did.
+    pub(crate) fn mark_divergence(
+        &self,
+        golden: &PackedState,
+        lane: u32,
+        masks: &mut [u64],
+    ) -> bool {
+        let mut any = false;
+        for ((mine, theirs), mask) in self.cur.iter().zip(&*golden.cur).zip(masks) {
+            let differs = self.load(mine) != golden.load(theirs);
+            *mask |= u64::from(differs) << lane;
+            any |= differs;
+        }
+        any
     }
 
     pub(crate) fn peek_mem(&self, mem: usize, addr: u64) -> Bits {

@@ -333,9 +333,9 @@ impl TapeEngine {
         }
     }
 
-    /// The raw `cur` word of `slot`.
-    pub(crate) fn cur_word(&self, slot: u32) -> u128 {
-        self.state.cur_word(slot)
+    /// The packed state, for the batch engine's lane compares.
+    pub(crate) fn state(&self) -> &PackedState {
+        &self.state
     }
 
     /// Runs one block from scratch registers. When `TRACK`, the readers of
@@ -558,6 +558,14 @@ impl EngineImpl for TapeEngine {
 
     fn peek(&self, slot: u32) -> Bits {
         self.state.peek(slot)
+    }
+
+    fn net_values(&self, _lane: u32, out: &mut [u128]) {
+        self.state.cur_values(out);
+    }
+
+    fn comb_order(&self) -> Option<&[u32]> {
+        Some(&self.comb_order)
     }
 
     fn eval(&mut self) {

@@ -5,7 +5,10 @@
 #       random RTL designs must produce byte-identical faulty traces and
 #       identical masked/silent/detected reports on every engine
 #       configuration (all five engines + specialized-par at 1/4
-#       threads);
+#       threads); then the pinned-report test, which holds full
+#       run_diff reports (trace fingerprint included) to literals, so a
+#       change to the fingerprint's fold fails this stage even when every
+#       engine changes alike;
 #   (b) checkpoint/resume smoke: the fault_sweep --smoke campaign is
 #       killed after two of its five jobs (RUSTMTL_SWEEP_EXIT_AFTER)
 #       and restarted; the restart must replay exactly the journalled
@@ -21,6 +24,13 @@ ci_stage fault
 
 echo "== fault fuzz: 15 iterations, seed 7 (7 engine configs must agree)"
 cargo run -p mtl-bench --release --bin fuzz -- --fault --iters 15 --seed 7
+
+echo "== pinned fault reports: the trace fingerprint's definition"
+out=$(cargo test -q --release --test fault_injection -- --exact \
+    pinned_reports_fix_the_trace_fingerprint_definition 2>&1) || {
+    echo "$out"; echo "FAIL: pinned fault reports changed"; exit 1; }
+echo "$out" | grep -q "1 passed" || {
+    echo "$out"; echo "FAIL: the pinned-report test did not run"; exit 1; }
 
 JOURNAL=target/sweep-journal/ci_fault_smoke.jsonl
 rm -f "$JOURNAL"

@@ -18,7 +18,9 @@
 
 use rustmtl::accel::{TileConfig, TileHarness, XcelLevel};
 use rustmtl::core::Component;
-use rustmtl::fault::{engine_agreement, run_diff, DiffConfig, FaultPlan, Outcome, PlanSpec};
+use rustmtl::fault::{
+    engine_agreement, run_diff, DiffConfig, FaultPlan, FaultReport, Outcome, PlanSpec,
+};
 use rustmtl::net::{MeshTrafficHarness, NetLevel};
 use rustmtl::proc::{CacheLevel, ProcLevel};
 use rustmtl::sim::{Engine, Sim};
@@ -272,6 +274,62 @@ fn const_driven_design_passes_engine_agreement() {
         let report =
             engine_agreement(&top, &plan, 12).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         assert!(report.injected_bits > 0, "seed {seed}: plan must disturb something");
+    }
+}
+
+/// One report in one line: every field as is, except the blast radius,
+/// which is its length and the FNV-1a hash of its paths joined by `\n`.
+fn pin(r: &FaultReport) -> String {
+    let mut blast = 0xcbf2_9ce4_8422_2325u64;
+    for b in r.blast_radius.join("\n").bytes() {
+        blast = (blast ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3);
+    }
+    format!(
+        "{} div={:?} det={:?} blast={}/{blast:#018x} bits={} cycles={} fp={:#018x}",
+        r.outcome,
+        r.first_divergence,
+        r.detected_at,
+        r.blast_radius.len(),
+        r.injected_bits,
+        r.cycles,
+        r.trace_fingerprint
+    )
+}
+
+/// Full `run_diff` reports of seeded plans, pinned as literals: nothing
+/// else fixes what `trace_fingerprint` *is* (`engine_agreement` only
+/// compares engines that share one fold). The random RTL design has nets
+/// of 65, 100 and 128 bits, so values of every fold length up to 16 bytes
+/// enter the hash. Each plan runs on a tape engine and on the tree-walking
+/// interpreter, which must both give the pinned report.
+#[test]
+fn pinned_reports_fix_the_trace_fingerprint_definition() {
+    use rustmtl::check::RandomRtl;
+    use rustmtl::net::MeshTrafficRtlHarness;
+
+    let mesh = MeshTrafficRtlHarness::new(4, 200, 0xBEEF);
+    let rtl = RandomRtl::new(10);
+    let design = rustmtl::core::elaborate(&rtl).expect("elaborates");
+    let widths: Vec<u32> = design.nets().iter().map(|n| n.width).collect();
+    assert!([65, 100, 128].iter().all(|w| widths.contains(w)), "wide nets: {widths:?}");
+    let cases: [(&dyn Component, u64, usize, &str); 10] = [
+        (&mesh, 1, 1, "masked div=None det=None blast=0/0xcbf29ce484222325 bits=4 cycles=30 fp=0xc408dfef1f393667"),
+        (&mesh, 2, 3, "silent div=Some(8) det=None blast=1/0x0614890a14b53c0e bits=6 cycles=30 fp=0x193d60f89b42dc23"),
+        (&mesh, 3, 1, "detected div=Some(19) det=Some(24) blast=64/0xa59490ea5b5a6469 bits=1 cycles=30 fp=0x7953abed06c3012f"),
+        (&mesh, 6, 3, "detected div=Some(14) det=Some(22) blast=29/0xd3f3211bb375942f bits=3 cycles=30 fp=0x9450405331f48824"),
+        (&mesh, 8, 1, "detected div=Some(6) det=Some(11) blast=6/0x2c2063f5b4f9cc9c bits=1 cycles=30 fp=0x6b460794a8311ad4"),
+        (&rtl, 1, 3, "silent div=Some(24) det=None blast=3/0x5ead537f74579a09 bits=6 cycles=30 fp=0x88b3ae2bc14c4c2b"),
+        (&rtl, 2, 3, "detected div=Some(4) det=Some(4) blast=5/0x3f99bd4d83dc5e4a bits=6 cycles=30 fp=0x256e458b228b1269"),
+        (&rtl, 3, 1, "masked div=None det=None blast=0/0xcbf29ce484222325 bits=1 cycles=30 fp=0x5236f21cf080c769"),
+        (&rtl, 5, 3, "detected div=Some(3) det=Some(3) blast=6/0x65dc049493d7302f bits=5 cycles=30 fp=0x75aa93428b9e6519"),
+        (&rtl, 6, 3, "detected div=Some(14) det=Some(29) blast=7/0x975e6aefe2e5a860 bits=3 cycles=30 fp=0x1bf55dd9d9190e99"),
+    ];
+    for (top, seed, faults, want) in cases {
+        let plan = draw_plan(top, seed, faults, 30);
+        for engine in [Engine::SpecializedOpt, Engine::Interpreted] {
+            let report = run_diff(top, &plan, &DiffConfig::new(engine, 30)).expect("diff runs");
+            assert_eq!(pin(&report), want, "{} seed {seed} on {engine}", top.name());
+        }
     }
 }
 
