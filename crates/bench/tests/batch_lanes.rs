@@ -15,16 +15,25 @@
 //! * unoptimized tapes (`tape_opt: Some(false)`),
 //! * [`Sim::divergence_masks`] flagging exactly the diverged lanes,
 //! * per-lane fault injection versus a scalar faulted run, lane by lane,
-//!   with lanes forced, washing and clean on the same cycle.
+//!   with lanes forced, washing and clean on the same cycle;
+//! * lanes that follow lane 0 (see `mtl_sim`'s batch module): faults
+//!   installed on every lane, lane 0 included, stuck-at lanes with their
+//!   cleanup pending under broadcast stimulus, and a plan whose lane
+//!   reconverges with lane 0 and is then faulted again — each against
+//!   scalar runs, with [`Sim::divergence_masks`] (where a reconverged lane
+//!   goes back to following lane 0) called every cycle.
 
 use mtl_accel::DotProductRTL;
 use mtl_bench::design_registry;
 use mtl_bits::Bits;
 use mtl_check::RandomRtl;
 use mtl_core::{BlockBody, BlockKind, Component, SignalId, SignalKind};
-use mtl_fault::{FaultPlan, PlanSpec};
+use mtl_fault::{
+    run_diff, run_diff_batch_traced, DiffConfig, Fault, FaultKind, FaultPlan, PlanSpec,
+};
+use mtl_net::MeshTrafficRtlHarness;
 use mtl_proc::{CacheRTL, ProcPipeRTL, ProcRTL};
-use mtl_sim::{Engine, Sim, SimConfig};
+use mtl_sim::{Engine, InjectKind, Injection, Sim, SimConfig};
 
 /// xorshift64* — deterministic, dependency-free stimulus.
 struct Rng(u64);
@@ -238,7 +247,7 @@ fn divergence_masks_flag_only_diverged_lanes() {
             sim.poke(sig, rng.bits(w));
         }
         sim.cycle();
-        assert!(!sim.divergence_masks(0, &mut masks), "clean broadcast run diverged: {masks:?}");
+        assert!(!sim.divergence_masks(&mut masks), "clean broadcast run diverged: {masks:?}");
     }
 
     // Perturb exactly one lane's stimulus.
@@ -250,7 +259,7 @@ fn divergence_masks_flag_only_diverged_lanes() {
         sim.poke_lane(lane, sig, if lane == ODD { flipped.clone() } else { base.clone() });
     }
     sim.cycle();
-    assert!(sim.divergence_masks(0, &mut masks), "perturbed lane not detected");
+    assert!(sim.divergence_masks(&mut masks), "perturbed lane not detected");
     let mut any = 0u64;
     for (net, &m) in masks.iter().enumerate() {
         assert_eq!(m & !(1 << ODD), 0, "net {net}: lanes beyond {ODD} flagged: {m:#x}");
@@ -274,8 +283,6 @@ fn divergence_masks_flag_only_diverged_lanes() {
 ///   once it is stuck, so only the wash can re-settle it.
 #[test]
 fn injected_lane_matches_scalar_faulted_run() {
-    use mtl_sim::{InjectKind, Injection};
-
     const LANES: u32 = 4;
     for seed in [4u64, 8] {
         let comp = RandomRtl::new(seed);
@@ -364,4 +371,162 @@ fn injected_lane_matches_scalar_faulted_run() {
             }
         }
     }
+}
+
+/// Runs `comp` on a batch simulator of `faults.len()` lanes and on one
+/// scalar `SpecializedOpt` twin per lane, installing `everywhere` with
+/// [`Sim::inject`] (every lane of the batch, every twin) and `faults[l]`
+/// on lane `l` alone, then drives broadcast stimulus for `cycles` cycles.
+/// Every cycle it calls [`Sim::divergence_masks`] — so a lane that became
+/// equal to lane 0 follows it again — and asserts every signal of every
+/// lane equals its twin's; at the end, every lane's fault totals.
+fn assert_faulted_lanes_match(
+    name: &str,
+    comp: &dyn Component,
+    everywhere: &[Injection],
+    faults: &[Vec<Injection>],
+    cycles: u64,
+    seed: u64,
+) {
+    let lanes = faults.len() as u32;
+    let cfg = SimConfig { lanes: Some(lanes), ..SimConfig::default() };
+    let mut batch =
+        Sim::build_with_config(comp, Engine::SpecializedBatch, &cfg).expect("elaborates");
+    let mut twins: Vec<Sim> =
+        (0..lanes).map(|_| Sim::build(comp, Engine::SpecializedOpt).expect("elaborates")).collect();
+    for &inj in everywhere {
+        batch.inject(inj);
+        twins.iter_mut().for_each(|t| t.inject(inj));
+    }
+    for (lane, (twin, faults)) in twins.iter_mut().zip(faults).enumerate() {
+        for &inj in faults {
+            batch.inject_lane(lane as u32, inj);
+            twin.inject(inj);
+        }
+    }
+    batch.reset();
+    twins.iter_mut().for_each(Sim::reset);
+    let inputs = input_ports(&batch);
+    let nsignals = batch.design().signals().len();
+    let mut rng = Rng(seed | 1);
+    let mut masks = Vec::new();
+    for cyc in 0..cycles {
+        for &(sig, w) in &inputs {
+            let v = rng.bits(w);
+            batch.poke(sig, v);
+            twins.iter_mut().for_each(|t| t.poke(sig, v));
+        }
+        batch.cycle();
+        twins.iter_mut().for_each(Sim::cycle);
+        batch.divergence_masks(&mut masks);
+        for (lane, twin) in twins.iter().enumerate() {
+            for sig in (0..nsignals).map(SignalId::from_index) {
+                assert_eq!(
+                    batch.peek_lane(lane as u32, sig),
+                    twin.peek(sig),
+                    "{name} cycle {cyc}: lane {lane} != its scalar twin on `{}`",
+                    batch.design().signal_path(sig)
+                );
+            }
+        }
+    }
+    for (lane, twin) in twins.iter().enumerate() {
+        let totals = batch.lane_fault_totals(lane as u32);
+        assert_eq!(totals, twin.lane_fault_totals(0), "{name}: lane {lane} fault totals");
+    }
+}
+
+/// [`Sim::inject`] installs a fault on every lane, lane 0 included, so
+/// its first write forks every lane that follows lane 0; lane 3 carries
+/// one more fault of its own. Every lane matches a scalar run of its
+/// faults.
+#[test]
+fn inject_on_every_lane_matches_scalar() {
+    for seed in [4u64, 8] {
+        let comp = RandomRtl::new(seed);
+        let design = mtl_core::elaborate(&comp).expect("elaborates");
+        let plan = FaultPlan::random(seed ^ 0xA11, &design, &PlanSpec::new(3, 3, 10));
+        let everywhere = plan.to_injections(&design).expect("plan resolves");
+        let own = FaultPlan::random(seed ^ 0x0E3, &design, &PlanSpec::new(1, 6, 8));
+        let mut faults = vec![vec![]; 6];
+        faults[3] = own.to_injections(&design).expect("plan resolves");
+        let name = format!("RandomRtl({seed})");
+        assert_faulted_lanes_match(&name, &comp, &everywhere, &faults, 16, seed);
+    }
+}
+
+/// Stuck-at faults on five of eight lanes, under broadcast stimulus: a
+/// stuck lane is settled forced after the edge and owes a full settle
+/// once its fault expires, whether it still runs its own engine then or
+/// already follows lane 0 again. Each lane matches a scalar run of its
+/// faults.
+#[test]
+fn stuck_at_lanes_with_cleanup_pending_match_scalar() {
+    for seed in [3u64, 9] {
+        let comp = RandomRtl::new(seed);
+        let design = mtl_core::elaborate(&comp).expect("elaborates");
+        let spec = PlanSpec::new(6, 3, 12);
+        let drawn = FaultPlan::random(seed ^ 0x57C, &design, &spec).to_injections(&design);
+        let drawn = drawn.expect("plan resolves");
+        let stuck = |i: usize| {
+            let kind =
+                if i.is_multiple_of(2) { InjectKind::StuckAt0 } else { InjectKind::StuckAt1 };
+            Injection { kind, cycle: 3 + 2 * i as u64, duration: 1 + i as u64 % 3, ..drawn[i] }
+        };
+        let faults: Vec<Vec<Injection>> = (0..8)
+            .map(|lane| if (1..=5).contains(&lane) { vec![stuck(lane - 1)] } else { vec![] })
+            .collect();
+        let name = format!("RandomRtl({seed})");
+        assert_faulted_lanes_match(&name, &comp, &[], &faults, 20, seed ^ 0x5EED);
+    }
+}
+
+/// A comb-net flip at cycle 5, then a stuck-at on the same net at cycle
+/// 150, on the IR mesh4, one plan per driven combinational net of the
+/// first eight routers' worth: a lane whose flip washes out follows lane 0
+/// again until the stuck-at forks it once more. Every lane of the traced
+/// batch equals the scalar `run_diff` of its plan, fingerprint included,
+/// and at least one flip left no trace before cycle 150 (its lane
+/// rejoined).
+#[test]
+fn a_reconverged_lane_rejoins_and_reforks_like_scalar() {
+    let top = MeshTrafficRtlHarness::new(4, 200, 0xBEEF);
+    let design = mtl_core::elaborate(&top).expect("elaborates");
+    let mut driven = vec![false; design.nets().len()];
+    for b in design.blocks() {
+        b.writes.iter().for_each(|&w| driven[design.net_of(w).index()] = true);
+    }
+    let comb = design
+        .nets()
+        .iter()
+        .enumerate()
+        .filter(|&(i, n)| driven[i] && !n.is_register && !n.signals.is_empty());
+    let fault = |target: &str, kind, cycle, duration| Fault {
+        target: target.to_string(),
+        bit: 0,
+        kind,
+        cycle,
+        duration,
+    };
+    let plans: Vec<FaultPlan> = comb
+        .step_by(7)
+        .take(24)
+        .map(|(i, _)| {
+            let target = design.net_path(mtl_core::NetId::from_index(i));
+            FaultPlan::explicit(vec![
+                fault(&target, FaultKind::Flip, 5, 1),
+                fault(&target, FaultKind::StuckAt1, 150, 3),
+            ])
+        })
+        .collect();
+    assert_eq!(plans.len(), 24, "the mesh4 has enough driven combinational nets");
+    let cycles = 200;
+    let batch = run_diff_batch_traced(&top, &plans, cycles).expect("batch diff runs");
+    let cfg = DiffConfig::new(Engine::SpecializedOpt, cycles);
+    for (i, plan) in plans.iter().enumerate() {
+        let scalar = run_diff(&top, plan, &cfg).expect("scalar diff runs");
+        assert_eq!(batch[i], scalar, "plan {i} ({}): batch lane != scalar", plan.summary());
+    }
+    let washed = batch.iter().filter(|r| r.first_divergence.is_none_or(|c| c >= 150)).count();
+    assert!(washed > 0, "no flip washed out before the stuck-at");
 }

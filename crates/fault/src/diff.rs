@@ -371,7 +371,7 @@ fn run_diff_batch_inner(
     for _ in 0..cycles {
         let cycle = sim.cycle_count();
         sim.cycle();
-        if sim.divergence_masks(0, &mut masks) {
+        if sim.divergence_masks(&mut masks) {
             for p in &probes {
                 let mut m = masks[p.net] & !1; // golden's own bit is never set
                 if m == 0 {

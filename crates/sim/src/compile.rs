@@ -409,14 +409,15 @@ fn block_tapes(
             }
         };
         compiled.instances += 1;
-        let Tape { ops, nregs, prelude, narrow } = &bodies[compiled.body as usize];
-        let tape = Tape {
+        let Tape { ops, nregs, prelude, narrow, .. } = &bodies[compiled.body as usize];
+        let mut tape = Tape {
             ops: relocate(ops, &back),
             nregs: *nregs,
             prelude: *prelude,
             narrow: narrow.as_ref().map(|ops| relocate(ops, &back)),
+            defs_first: false,
         };
-        validate(&tape, global[0].len(), global[1].len());
+        validate(&mut tape, global[0].len(), global[1].len());
         body_of.push(compiled.body);
         backs.push(back);
         tape
@@ -453,8 +454,8 @@ fn finish(
     if let Some(rep) = report.as_mut() {
         optimize(&mut vt, widths, mem_widths, rep);
     }
-    let tape = narrow(&vt, widths, mem_widths, context);
-    validate(&tape, widths.len(), mem_widths.len());
+    let mut tape = narrow(&vt, widths, mem_widths, context);
+    validate(&mut tape, widths.len(), mem_widths.len());
     if let (Some(rep), Some(ops)) = (report.as_mut(), &tape.narrow) {
         rep.narrow_tapes += 1;
         rep.narrow_ops += ops.len() as u64;
@@ -745,7 +746,7 @@ mod tests {
         let folded = fold_blocks(&design);
         let widths: Vec<u32> = design.nets().iter().map(|n| n.width).collect();
         let mem_widths: Vec<u32> = design.mems().iter().map(|m| m.width).collect();
-        let fields = |t: &Tape| (t.ops.clone(), t.nregs, t.prelude, t.narrow.clone());
+        let fields = |t: &Tape| (t.ops.clone(), t.nregs, t.prelude, t.narrow.clone(), t.defs_first);
         let mut last = None;
         for opt in [false, true] {
             let (want, want_rep) = direct_block_tapes(&design, &folded, &widths, &mem_widths, opt);
@@ -831,6 +832,34 @@ mod tests {
         assert_eq!(bodies, 4, "calc and step, narrow and wide");
         let narrow = tapes.iter().filter(|t| t.narrow.is_some()).count();
         assert_eq!(narrow, 2 * 10, "the 72-bit cells run the wide class");
+    }
+
+    /// The register argument `fuse` and the batch lanes' rejoin rest on is
+    /// a property of the compiler, and `validate` checks it: every tape
+    /// the stages hand out — block tapes, bodies, fused and gang chunks —
+    /// is `defs_first` exactly when it is jump-free, optimizer on or off.
+    #[test]
+    fn every_jump_free_tape_defines_its_registers_before_use() {
+        let chain = elaborate(&Chain(vec![(8, 10), (72, 9)])).expect("test design elaborates");
+        let sum = elaborate(&Sum).expect("test design elaborates");
+        let mut seen = [0; 2];
+        for (design, opt) in [(&chain, false), (&chain, true), (&sum, false), (&sum, true)] {
+            let staged = staged(design, opt, Layer::Plans, None, &mut Overheads::default());
+            let (blocks, plans) = (staged.blocks.unwrap(), staged.plans.unwrap());
+            let chunks = plans.comb.iter().chain(plans.seq.iter());
+            let chunk_tapes = chunks.filter_map(|c| match c {
+                Chunk::Fused(t) => Some(t),
+                Chunk::Gang(g) => Some(&blocks.bodies[g.body as usize]),
+                Chunk::Native(_) => None,
+            });
+            let tapes: Vec<&Tape> =
+                blocks.tapes.iter().chain(blocks.bodies.iter()).chain(chunk_tapes).collect();
+            for t in tapes {
+                assert_eq!(t.defs_first, !t.has_jumps(), "opt={opt}: {:?}", t.ops);
+                seen[usize::from(t.defs_first)] += 1;
+            }
+        }
+        assert!(seen[0] > 0 && seen[1] > 0, "both kinds of tape occur: {seen:?}");
     }
 
     /// `q = a + b` and a pass-through, whose raw ops carry no width.
@@ -1038,7 +1067,7 @@ mod tests {
         use crate::tape::rnd128;
         use crate::tape_engine::TapeEngine;
 
-        let fields = |t: &Tape| (t.ops.clone(), t.nregs, t.prelude, t.narrow.clone());
+        let fields = |t: &Tape| (t.ops.clone(), t.nregs, t.prelude, t.narrow.clone(), t.defs_first);
         for (n, comb, seq, tail) in [
             (15, "F", "F", false),
             (16, "F G16 F", "G16", false),
@@ -1133,7 +1162,7 @@ mod tests {
         ];
         let tape = |ops: Vec<Op>| {
             let narrow = ops.iter().map(|op| op.to_word()).collect::<Option<Vec<_>>>();
-            Tape { ops, nregs: 1, prelude: 0, narrow }
+            Tape { ops, nregs: 1, narrow, ..Tape::default() }
         };
         let mut back = (0..16).map(|i| [vec![2 * i, 2 * i + 1], vec![i]]).collect();
         rewire(&mut back);

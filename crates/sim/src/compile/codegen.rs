@@ -44,7 +44,7 @@ pub(super) fn narrow(
     );
     let ops: Vec<Op> = vt.ops.iter().map(|op| op.map_regs(&mut |_, r| r as Reg)).collect();
     let narrow = lower(vt, &ops, widths, mem_widths);
-    Tape { ops, nregs: vt.nregs, prelude: vt.prelude, narrow }
+    Tape { ops, nregs: vt.nregs, prelude: vt.prelude, narrow, defs_first: false }
 }
 
 /// The `u64` program of a tape (`ops` is `vt` over physical registers),
@@ -103,15 +103,16 @@ pub(super) fn compile_block(design: &Design, stmts: &[Stmt], kind: BlockKind) ->
     for s in stmts {
         c.emit_stmt(s);
     }
-    VTape { ops: c.ops, nregs: c.next_reg, prelude: 0, narrow: None }
+    VTape { ops: c.ops, nregs: c.next_reg, ..VTape::default() }
 }
 
 /// Validates that every register, slot, memory and jump target in a tape
 /// is in range, and every jump forward; called once at construction so the
 /// executor can use unchecked reads. Walks the op's declared operand roles
 /// and effect, so an op cannot name state this check does not see — in
-/// either word class.
-pub(super) fn validate(tape: &Tape, nslots: usize, nmems: usize) {
+/// either word class. Records [`defs_before_uses`] as
+/// [`Tape::defs_first`].
+pub(super) fn validate(tape: &mut Tape, nslots: usize, nmems: usize) {
     let n = tape.nregs as usize;
     let pre = tape.prelude as usize;
     assert!(pre <= tape.ops.len(), "prelude {pre} exceeds tape length {}", tape.ops.len());
@@ -154,6 +155,41 @@ pub(super) fn validate(tape: &Tape, nslots: usize, nmems: usize) {
             "narrow program is not the image of the tape's ops"
         );
     }
+    tape.defs_first = defs_before_uses(tape);
+}
+
+/// Whether no run of `tape` reads a register before writing it — run from
+/// op 0 on scratch registers, or from `prelude` on a buffer the prelude
+/// was installed into: the tape is jump-free, every register a body op
+/// reads was written earlier in the body or by the prelude, and no body op
+/// writes a prelude register. What a buffer holds outside the prelude's
+/// registers is then dead between runs.
+fn defs_before_uses(tape: &Tape) -> bool {
+    if tape.has_jumps() {
+        return false;
+    }
+    const PRELUDE: u8 = 1;
+    const BODY: u8 = 2;
+    let pre = tape.prelude as usize;
+    let mut written = vec![0u8; tape.nregs as usize];
+    for op in &tape.ops[..pre] {
+        if let Op::Const { dst, .. } = op {
+            written[*dst as usize] = PRELUDE;
+        }
+    }
+    tape.ops[pre..].iter().all(|op| {
+        let (mut ok, mut def) = (true, None);
+        op.for_each_reg(|role, r| match role {
+            Role::Def => def = Some(r as usize),
+            Role::Use => ok &= written[r as usize] != 0,
+            Role::Range(k) => ok &= written[r as usize..][..k as usize].iter().all(|&w| w != 0),
+        });
+        if let Some(r) = def {
+            ok &= written[r] != PRELUDE;
+            written[r] = BODY;
+        }
+        ok
+    })
 }
 
 /// Constant-folds a statement list (the "comp" optimization phase, run
@@ -165,7 +201,8 @@ pub(super) fn fold_stmts(stmts: &[Stmt]) -> Vec<Stmt> {
 /// Fuses a run of tapes into one linear program in virtual-register form,
 /// ready to re-optimize and [`narrow`] (jump targets are rebased; registers
 /// can be reused across blocks because every block defines its registers
-/// before use). This is how the fully specialized engine eliminates
+/// before use — which [`validate`] checks of every jump-free tape and
+/// records as [`Tape::defs_first`]). This is how the fully specialized engine eliminates
 /// per-block dispatch — the analog of SimJIT compiling the whole model
 /// into one C++ translation unit.
 pub(super) fn fuse(tapes: &[&Tape]) -> VTape {
@@ -182,7 +219,7 @@ pub(super) fn fuse(tapes: &[&Tape]) -> VTape {
             ops.push(op);
         }
     }
-    VTape { ops, nregs, prelude: 0, narrow: None }
+    VTape { ops, nregs, ..VTape::default() }
 }
 
 /// Constant-folds an expression: subtrees with no signal or memory reads
@@ -662,8 +699,8 @@ mod tests {
     /// `mem_widths` bits classifies into the `u64` word class.
     fn is_narrow(ops: Vec<Op<VReg>>, nregs: u32, widths: &[u32], mem_widths: &[u32]) -> bool {
         let vt = VTape { ops, nregs, ..VTape::default() };
-        let tape = narrow(&vt, widths, mem_widths, || "class test".into());
-        validate(&tape, widths.len(), mem_widths.len());
+        let mut tape = narrow(&vt, widths, mem_widths, || "class test".into());
+        validate(&mut tape, widths.len(), mem_widths.len());
         tape.narrow.is_some()
     }
 
@@ -739,6 +776,29 @@ mod tests {
         assert!(is_narrow(ops, 3, &[64, 64, 20, 8, 28], &[]));
     }
 
+    /// `defs_first` holds of a jump-free tape whose body reads only what
+    /// the run wrote before it, and of nothing else: a read of an unwritten
+    /// register, a body store to a prelude register, or a jump clears it.
+    #[test]
+    fn validate_records_whether_registers_are_defined_before_use() {
+        let check = |ops: Vec<Op>, prelude: u32| {
+            let mut tape = Tape { ops, nregs: 3, prelude, ..Tape::default() };
+            validate(&mut tape, 2, 0);
+            tape.defs_first
+        };
+        let (k0, k1) = (Op::Const { dst: 0, val: 1 }, Op::Const { dst: 1, val: 2 });
+        let read = |dst| Op::Read { dst, slot: 0 };
+        let write = |src| Op::Write { slot: 1, src };
+        assert!(check(vec![read(2), write(2)], 0));
+        assert!(check(vec![k0.clone(), read(2), write(0), write(2)], 1), "prelude reads");
+        assert!(check(vec![k0.clone(), k1.clone(), write(1)], 1), "a body def, then its use");
+        assert!(!check(vec![write(2)], 0), "a register nothing wrote");
+        assert!(!check(vec![k0.clone(), write(1), read(1)], 1), "read before its def");
+        assert!(!check(vec![k0.clone(), read(0), write(0)], 1), "a body write to the prelude");
+        let jumpy = vec![read(2), Op::Jz { cond: 2, target: 3 }, write(2)];
+        assert!(!check(jumpy, 0), "a tape with jumps");
+    }
+
     /// `validate` is the one gate between compiled data and the
     /// executors' unchecked indexing: a tape naming a slot, register,
     /// memory or jump target outside its bounds must never reach them.
@@ -751,7 +811,7 @@ mod tests {
         const NSLOTS: usize = 8;
         let rejects = |op: &Op, nregs, nslots, nmems| {
             let tape = Tape { ops: vec![op.clone()], nregs, ..Tape::default() };
-            std::panic::catch_unwind(|| validate(&tape, nslots, nmems)).is_err()
+            std::panic::catch_unwind(|| validate(&mut tape.clone(), nslots, nmems)).is_err()
         };
         let mut n = 0u128;
         let mut rnd = || {
@@ -798,12 +858,15 @@ mod tests {
         let ops = vec![Op::Const { dst: 0, val: 1 }, Op::Write { slot: 0, src: 0 }];
         let image = |ops: &[Op]| ops.iter().map(|op| op.to_word::<u64>()).collect();
         let mut tape = Tape { narrow: image(&ops), ops, nregs: 1, ..Tape::default() };
-        validate(&tape, 1, 0);
+        validate(&mut tape, 1, 0);
         tape.narrow = image(&[tape.ops[0].clone(), Op::Write { slot: 9, src: 0 }]);
-        assert!(std::panic::catch_unwind(|| validate(&tape, 1, 0)).is_err(), "stray narrow op");
+        assert!(
+            std::panic::catch_unwind(|| validate(&mut tape.clone(), 1, 0)).is_err(),
+            "stray narrow op"
+        );
         tape.narrow = image(&tape.ops[..1]);
         assert!(
-            std::panic::catch_unwind(|| validate(&tape, 1, 0)).is_err(),
+            std::panic::catch_unwind(|| validate(&mut tape.clone(), 1, 0)).is_err(),
             "short narrow program"
         );
     }

@@ -1704,8 +1704,8 @@ mod tests {
     /// Runs a tape (narrowed) over fresh state and returns `cur`.
     fn run(vt: &VTape, nslots: usize, init: &[(usize, u128)]) -> Vec<u128> {
         // Slot widths unknown here: assume the widest, i.e. the wide class.
-        let t = crate::compile::codegen::narrow(vt, &vec![128; nslots], &[], || "test".into());
-        crate::compile::codegen::validate(&t, nslots, 0);
+        let mut t = crate::compile::codegen::narrow(vt, &vec![128; nslots], &[], || "test".into());
+        crate::compile::codegen::validate(&mut t, nslots, 0);
         let mut regs = vec![0u128; t.nregs as usize];
         let mut cur = vec![0u128; nslots];
         for &(s, v) in init {
@@ -1718,7 +1718,7 @@ mod tests {
     }
 
     fn vt(ops: Vec<Op<VReg>>, nregs: u32) -> VTape {
-        VTape { ops, nregs, prelude: 0, narrow: None }
+        VTape { ops, nregs, ..VTape::default() }
     }
 
     #[test]
@@ -1878,8 +1878,8 @@ mod tests {
             "jumps survived if-conversion: {:?}",
             o.ops
         );
-        let t = crate::compile::codegen::narrow(&o, &[1, 8, 8], &[], || "test tape".into());
-        crate::compile::codegen::validate(&t, 3, 0);
+        let mut t = crate::compile::codegen::narrow(&o, &[1, 8, 8], &[], || "test tape".into());
+        crate::compile::codegen::validate(&mut t, 3, 0);
         for taken in [false, true] {
             let mut regs = vec![0u128; t.nregs as usize];
             let mut state = PackedState::from_widths(&[1, 8, 8], &[], &[]);
@@ -1981,8 +1981,8 @@ mod tests {
         let (o, rep) = opt(vt(ops, 3), &[8, 8]);
         assert!(rep.passes[P_HOIST].rewrites > 0, "hoist did not fire: {:?}", o.ops);
         assert!(o.prelude > 0, "no prelude recorded");
-        let t = crate::compile::codegen::narrow(&o, &[8, 8], &[], || "test tape".into());
-        crate::compile::codegen::validate(&t, 2, 0);
+        let mut t = crate::compile::codegen::narrow(&o, &[8, 8], &[], || "test tape".into());
+        crate::compile::codegen::validate(&mut t, 2, 0);
         assert!(t.narrow.is_some(), "8-bit tape runs the u64 class, prelude included");
         let mut regs = vec![0u128; t.nregs as usize];
         crate::tape::exec_prelude(&t, &mut regs);

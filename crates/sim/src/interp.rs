@@ -625,7 +625,10 @@ impl<S: Store, M: SensMap> EngineImpl for InterpEngine<S, M> {
         }
     }
 
-    fn settle(&mut self, _lane: u32, full: bool) {
+    fn settle(&mut self, lanes: u64, full: bool) {
+        if lanes & 1 == 0 {
+            return;
+        }
         if !full {
             return self.propagate();
         }

@@ -46,10 +46,13 @@ pub enum Engine {
     SpecializedPar,
     /// Batch engine: up to 64 independent trial *lanes* in one simulator,
     /// each a packed state run by the `SpecializedOpt` executor over the
-    /// one plan stage all lanes share. Lane-exact with `SpecializedOpt`
-    /// per lane (the differential suites assert it).
+    /// one plan stage all lanes share. A lane runs only while it differs
+    /// from lane 0: until something treats it differently it follows lane
+    /// 0 and costs nothing, and once it equals lane 0 again in full
+    /// ([`Sim::divergence_masks`] checks) it follows again. Lane-exact
+    /// with `SpecializedOpt` per lane (the differential suites assert it).
     /// Per-lane stimulus and faults go through [`Sim::poke_lane`] /
-    /// [`Sim::inject_lane`]; divergence against a golden lane is read
+    /// [`Sim::inject_lane`]; divergence from lane 0 (the golden lane) is read
     /// with [`Sim::divergence_masks`]. Native blocks are not supported
     /// (a native closure is one stateful instance, not 64).
     SpecializedBatch,
@@ -116,9 +119,10 @@ pub struct SimConfig {
     /// tapes and ignore it.
     pub tape_opt: Option<bool>,
     /// Lane count for [`Engine::SpecializedBatch`], clamped to `1..=64`.
-    /// `None` means 64 lanes. The simulator holds one packed state per
-    /// lane, so a smaller bundle costs proportionally less memory and
-    /// time. Other engines ignore it.
+    /// `None` means 64 lanes. Only lane 0 and the lanes that currently
+    /// differ from it hold a packed state and run (the others follow lane
+    /// 0), so memory and time grow with the lanes a run makes differ, not
+    /// with this count. Other engines ignore it.
     pub lanes: Option<u32>,
 }
 
@@ -168,8 +172,11 @@ pub(crate) trait EngineImpl {
     // wrapper drive a cycle manually — settle, clock edge, re-settle —
     // with identical sequencing on every engine, which is what makes
     // faulty traces byte-identical across backends. The lane-addressed
-    // ones name one lane (always 0 on the scalar engines); which lanes a
-    // step visits is the wrapper's decision.
+    // ones name one lane (always 0 on the scalar engines), except
+    // `settle`, which takes a lane set: one call per step lets the batch
+    // engine keep a lane that follows lane 0 following it whenever both
+    // are in the set (see `crate::batch`). Which lanes a step visits is
+    // the wrapper's decision.
     /// Runs the sequential blocks and commits register/memory shadow
     /// state (the clock-edge half of `cycle()`) on every lane, without
     /// settling combinational logic and without advancing the cycle
@@ -186,10 +193,12 @@ pub(crate) trait EngineImpl {
     /// semantics: hold paths keep the flipped bit, update paths
     /// overwrite it).
     fn force(&mut self, lane: u32, slot: u32, v: Bits, also_next: bool);
-    /// Settles one lane: with `full`, unconditionally re-evaluates every
-    /// combinational block (washing out any forced values whose faults
-    /// expired, or settling after an edge); otherwise as `eval` does.
-    fn settle(&mut self, lane: u32, full: bool);
+    /// Settles the lanes of the mask `lanes` (a scalar engine's one lane
+    /// is bit 0; an empty mask settles nothing): with `full`,
+    /// unconditionally re-evaluates every combinational block (washing out
+    /// any forced values whose faults expired, or settling after an edge);
+    /// otherwise as `eval` does.
+    fn settle(&mut self, lanes: u64, full: bool);
     /// Advances the cycle counter (split out of `cycle()` so the
     /// wrapper's faulted path can bump it after the post-edge settle,
     /// matching the counter's position in the normal path).
@@ -228,16 +237,23 @@ pub(crate) trait EngineImpl {
         None
     }
     /// Fills `out` with one mask per net: bit `L` set iff lane `L`'s
-    /// value of that net differs from lane `golden`'s. Returns true iff
-    /// any mask is non-zero; false (leaving `out` untouched) on engines
-    /// without lanes.
-    fn divergence_masks(&self, _golden: u32, _out: &mut Vec<u64>) -> bool {
+    /// value of that net differs from lane 0's. Returns true iff any mask
+    /// is non-zero; false (leaving `out` untouched) on engines without
+    /// lanes. `&mut`: the batch engine lets a lane found equal to lane 0
+    /// in full follow it again.
+    fn divergence_masks(&mut self, _out: &mut Vec<u64>) -> bool {
         false
+    }
+    /// Lanes the backend runs an engine for (the batch engine runs lane 0
+    /// and every lane that does not follow it).
+    #[cfg(test)]
+    fn running_lanes(&self) -> u32 {
+        self.lane_count()
     }
 }
 
 /// The lanes of a lane mask, lowest first.
-fn each_lane(mut lanes: u64) -> impl Iterator<Item = u32> {
+pub(crate) fn each_lane(mut lanes: u64) -> impl Iterator<Item = u32> {
     std::iter::from_fn(move || {
         let lane = (lanes != 0).then(|| lanes.trailing_zeros());
         lanes &= lanes.wrapping_sub(1);
@@ -681,9 +697,7 @@ impl Sim {
             if !pre.is_empty() {
                 self.faulted_cycle(now, &pre);
             } else {
-                for lane in each_lane(std::mem::take(&mut self.fault_cleanup)) {
-                    self.backend.settle(lane, true);
-                }
+                self.backend.settle(std::mem::take(&mut self.fault_cleanup), true);
                 self.backend.cycle();
             }
         }
@@ -878,14 +892,23 @@ impl Sim {
 
     /// Fills `out` with one mask per net (indexed by
     /// [`NetId::index`](mtl_core::NetId::index)): bit `L` is set iff
-    /// lane `L`'s settled value of that net differs from lane `golden`'s.
-    /// Returns `true` iff any lane diverged anywhere, `false` (leaving
-    /// `out` untouched) on scalar engines. This is the batch campaign's
-    /// divergence detector: one compare of every lane's settled words
-    /// with the golden lane's classifies all lanes at once, with no
-    /// per-net peek.
-    pub fn divergence_masks(&self, golden: u32, out: &mut Vec<u64>) -> bool {
-        self.backend.divergence_masks(golden, out)
+    /// lane `L`'s settled value of that net differs from lane 0's, the
+    /// golden lane. Returns `true` iff any lane diverged anywhere, `false`
+    /// (leaving `out` untouched) on scalar engines. This is the batch
+    /// campaign's divergence detector: one compare of every lane's settled
+    /// words with lane 0's classifies all lanes at once, with no per-net
+    /// peek. It takes `&mut self` because it is also where a lane that has
+    /// become equal to lane 0 in full goes back to following it (see
+    /// [`Engine::SpecializedBatch`]).
+    pub fn divergence_masks(&mut self, out: &mut Vec<u64>) -> bool {
+        self.backend.divergence_masks(out)
+    }
+
+    /// Lanes the backend runs an engine for (see
+    /// [`EngineImpl::running_lanes`]).
+    #[cfg(test)]
+    pub(crate) fn running_lanes(&self) -> u32 {
+        self.backend.running_lanes()
     }
 
     /// `(injected_bits, faulted_cycles)` accumulated on one lane (lane 0
@@ -922,9 +945,9 @@ impl Sim {
     /// lane a forced settle left stale (which washes the forces out), `eval`
     /// on the others.
     fn settle_unforced(&mut self, forced: u64) {
-        for lane in each_lane(self.all_lanes() & !forced) {
-            self.backend.settle(lane, self.fault_cleanup >> lane & 1 != 0);
-        }
+        let unforced = self.all_lanes() & !forced;
+        self.backend.settle(unforced & self.fault_cleanup, true);
+        self.backend.settle(unforced & !self.fault_cleanup, false);
         self.fault_cleanup &= forced;
     }
 
@@ -993,9 +1016,7 @@ impl Sim {
         // clean ones. This must be a full pass on every engine: an
         // event-driven settle would only re-run blocks downstream of
         // changed registers, leaving stale faulty values elsewhere.
-        for lane in each_lane(self.all_lanes() & !held) {
-            self.backend.settle(lane, true);
-        }
+        self.backend.settle(self.all_lanes() & !held, true);
         self.forced_settle(&post);
         self.fault_cleanup = held;
         self.backend.bump_cycles();

@@ -110,6 +110,34 @@ impl PackedState {
         }
     }
 
+    /// A copy of every word — `cur`, `next` and the memories — over the
+    /// same tables, toggle counting off and no counts: the state a batch
+    /// lane starts from when it stops following lane 0.
+    pub(crate) fn fork(&self) -> PackedState {
+        let copy = |column: &[Cell]| column.iter().map(|c| UnsafeCell::new(self.load(c))).collect();
+        PackedState {
+            cur: copy(&self.cur),
+            next: copy(&self.next),
+            mems: Mems(self.mems.0.iter().map(|m| copy(m)).collect()),
+            widths: self.widths.clone(),
+            mem_widths: self.mem_widths.clone(),
+            reg_slots: self.reg_slots.clone(),
+            track_activity: AtomicBool::new(false),
+            activity: OnceLock::new(),
+        }
+    }
+
+    /// Whether every word of `self` — `cur`, `next` and the memories —
+    /// equals `other`'s (two states of one layout).
+    pub(crate) fn same_as(&self, other: &PackedState) -> bool {
+        let same = |a: &[Cell], b: &[Cell]| {
+            a.len() == b.len() && a.iter().zip(b).all(|(x, y)| self.load(x) == other.load(y))
+        };
+        same(&self.cur, &other.cur)
+            && same(&self.next, &other.next)
+            && self.mems.0.iter().zip(&other.mems.0).all(|(a, b)| same(a, b))
+    }
+
     /// A handle by exclusivity: nobody else can reach the state while it
     /// lives.
     pub(crate) fn exclusive(&mut self) -> Access<'_> {

@@ -1094,6 +1094,11 @@ pub(crate) struct Tape<R = Reg> {
     /// (`validate`, the partition guard, re-optimization)
     /// reads `ops`.
     pub narrow: Option<Vec<Op<Reg, u64>>>,
+    /// Whether `validate` proved that no run of the tape reads a register
+    /// the run did not write first (see `codegen::defs_before_uses`): a
+    /// persistent buffer's registers outside the prelude are then dead
+    /// between runs. `false` until validated, and on every tape with jumps.
+    pub defs_first: bool,
 }
 
 impl<R> Tape<R> {

@@ -338,6 +338,69 @@ impl TapeEngine {
         &self.state
     }
 
+    /// A second engine over the same artifact in the same state: `cur`,
+    /// `next`, memories, register banks, scratch registers, queued stores,
+    /// cycle count and dirty flag are copied; profiling and toggle counting
+    /// start off. This is how a batch lane stops following lane 0, so only
+    /// the engines a lane can be are forkable: static, pool-less and
+    /// native-free.
+    pub(crate) fn fork(&self) -> TapeEngine {
+        assert!(
+            !self.event_mode && self.pool.is_none() && self.natives.iter().all(Option::is_none),
+            "only a static, pool-less, native-free tape engine forks"
+        );
+        TapeEngine {
+            design: Arc::clone(&self.design),
+            state: Home::Own(self.state.fork()),
+            pool: None,
+            pending: self.pending.clone(),
+            tapes: Arc::clone(&self.tapes),
+            bodies: Arc::clone(&self.bodies),
+            natives: self.natives.iter().map(|_| None).collect(),
+            seq_order: self.seq_order.clone(),
+            comb_order: self.comb_order.clone(),
+            comb_plan: Arc::clone(&self.comb_plan),
+            seq_plan: Arc::clone(&self.seq_plan),
+            comb_bank: self.comb_bank.clone(),
+            seq_bank: self.seq_bank.clone(),
+            regs: self.regs.clone(),
+            event_mode: false,
+            events: Events::default(),
+            changed: Vec::new(),
+            cycles: self.cycles,
+            dirty: self.dirty,
+            prof: None,
+            opt_report: None,
+        }
+    }
+
+    /// Whether `other`, an engine over the same artifact, is in the same
+    /// state: every packed word, the queued stores, the cycle count, the
+    /// dirty flag, and each register buffer some run may read before
+    /// writing — a plan chunk's bank unless its tape is
+    /// [`Tape::defs_first`], the scratch registers unless every block tape
+    /// is. Two engines that agree here compute the same from here on.
+    pub(crate) fn same_as(&self, other: &TapeEngine) -> bool {
+        let live = |chunk: &Chunk| match chunk {
+            Chunk::Fused(tape) => !tape.defs_first,
+            Chunk::Gang(gang) => !self.bodies[gang.body as usize].defs_first,
+            Chunk::Native(_) => false,
+        };
+        let banks_agree = |plan: &[Chunk], mine: &[Vec<u128>], theirs: &[Vec<u128>]| {
+            plan.iter().zip(mine).zip(theirs).all(|((chunk, a), b)| !live(chunk) || a == b)
+        };
+        let blocks = self.design.blocks().iter().zip(self.tapes.iter());
+        let scratch_live =
+            blocks.filter(|(b, _)| matches!(b.body, BlockBody::Ir(_))).any(|(_, t)| !t.defs_first);
+        self.cycles == other.cycles
+            && self.dirty == other.dirty
+            && self.pending == other.pending
+            && self.state.same_as(&other.state)
+            && banks_agree(&self.comb_plan, &self.comb_bank, &other.comb_bank)
+            && banks_agree(&self.seq_plan, &self.seq_bank, &other.seq_bank)
+            && (!scratch_live || self.regs == other.regs)
+    }
+
     /// Runs one block from scratch registers. When `TRACK`, the readers of
     /// every slot it changed are woken.
     fn run_block<const TRACK: bool>(&mut self, b: u32) {
@@ -616,7 +679,10 @@ impl EngineImpl for TapeEngine {
         self.state.access().force(slot, v, also_next);
     }
 
-    fn settle(&mut self, _lane: u32, full: bool) {
+    fn settle(&mut self, lanes: u64, full: bool) {
+        if lanes & 1 == 0 {
+            return;
+        }
         if !full {
             self.eval();
         } else if self.event_mode {

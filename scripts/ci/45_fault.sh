@@ -8,7 +8,11 @@
 #       threads); then the pinned-report test, which holds full
 #       run_diff reports (trace fingerprint included) to literals, so a
 #       change to the fingerprint's fold fails this stage even when every
-#       engine changes alike;
+#       engine changes alike; then the full-bundle batch differential:
+#       63 seeded plans on each of four IR mesh configurations, every
+#       batch lane's report (traced: fingerprint included) equal to the
+#       scalar run_diff of its plan — the lanes that follow lane 0, fork
+#       off it and rejoin it are all checked here;
 #   (b) checkpoint/resume smoke: the fault_sweep --smoke campaign is
 #       killed after two of its five jobs (RUSTMTL_SWEEP_EXIT_AFTER)
 #       and restarted; the restart must replay exactly the journalled
@@ -31,6 +35,13 @@ out=$(cargo test -q --release --test fault_injection -- --exact \
     echo "$out"; echo "FAIL: pinned fault reports changed"; exit 1; }
 echo "$out" | grep -q "1 passed" || {
     echo "$out"; echo "FAIL: the pinned-report test did not run"; exit 1; }
+
+echo "== batch differential: four 63-plan mesh bundles, every lane against scalar run_diff"
+out=$(cargo test -q --release --test fault_injection -- --exact \
+    full_batch_bundles_match_scalar_on_four_mesh_configurations 2>&1) || {
+    echo "$out"; echo "FAIL: a batch lane's report differs from scalar run_diff"; exit 1; }
+echo "$out" | grep -q "1 passed" || {
+    echo "$out"; echo "FAIL: the batch differential did not run"; exit 1; }
 
 JOURNAL=target/sweep-journal/ci_fault_smoke.jsonl
 rm -f "$JOURNAL"

@@ -262,6 +262,44 @@ fn batch_fault_reports_match_scalar_reports() {
     }
 }
 
+/// The batch differential over full bundles: 63 seeded plans on each of
+/// four IR mesh configurations (routers / window / faults per plan:
+/// 16/200/2, 4/60/3, 16/120/1, 4/200/4), traced batch against scalar
+/// `run_diff` field for field — fingerprint included — and the untraced
+/// batch against the traced one but for its zero fingerprint. Most lanes
+/// follow the golden lane until their first fault, many rejoin it after a
+/// fault washes out, and some are faulted again after rejoining, so this
+/// is where a lane that follows, forks or rejoins at the wrong time shows.
+#[test]
+fn full_batch_bundles_match_scalar_on_four_mesh_configurations() {
+    use rustmtl::fault::{run_diff_batch, run_diff_batch_traced, run_diff_shared};
+    use rustmtl::net::MeshTrafficRtlHarness;
+
+    // The scalar runs share one compile per design point.
+    let cache = rustmtl::sim::ArtifactCache::new();
+    for (routers, cycles, faults) in [(16, 200, 2), (4, 60, 3), (16, 120, 1), (4, 200, 4)] {
+        let top = MeshTrafficRtlHarness::new(routers, 200, 0xBEEF);
+        let design = rustmtl::core::elaborate(&top).expect("elaborates");
+        let window = PlanSpec::new(faults, 2, cycles);
+        let seed = (routers as u64) << 32 | cycles << 8 | faults as u64;
+        let plans: Vec<FaultPlan> =
+            (0..63).map(|i| FaultPlan::random(seed + i, &design, &window)).collect();
+        let at = format!("mesh{routers}/{cycles}/{faults}");
+        let traced = run_diff_batch_traced(&top, &plans, cycles).expect("batch diff runs");
+        let plain = run_diff_batch(&top, &plans, cycles).expect("batch diff runs");
+        let cfg = DiffConfig::new(Engine::SpecializedOpt, cycles);
+        for (i, plan) in plans.iter().enumerate() {
+            let scalar = run_diff_shared(&top, plan, &cfg, &cache, routers as u64)
+                .expect("scalar diff runs");
+            assert_eq!(traced[i], scalar, "{at} plan {i}: traced batch lane != scalar report");
+            let untraced =
+                FaultReport { trace_fingerprint: scalar.trace_fingerprint, ..plain[i].clone() };
+            assert_eq!(plain[i].trace_fingerprint, 0, "{at} plan {i}: campaign mode fingerprint");
+            assert_eq!(untraced, scalar, "{at} plan {i}: batch lane != scalar report");
+        }
+    }
+}
+
 /// The same const-driven design through the full `engine_agreement`
 /// harness (fingerprint + classification agreement across every engine
 /// configuration) under a seeded plan — the campaign-level view of the
