@@ -2,6 +2,7 @@
 //! profiler and the fault-injection protocol, over an [`EngineImpl`]
 //! backend (one of the six engines of [`Engine`]).
 
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -183,8 +184,8 @@ pub(crate) trait EngineImpl {
     /// counter.
     fn edge(&mut self);
     /// Executes one block serially on one lane through the engine's
-    /// native write path. Used by the wrapper's levelized injection
-    /// settle.
+    /// native write path. Used by the wrapper's forced settle, which runs
+    /// the blocks of a forced net's fan-out cone this way.
     fn exec_block(&mut self, lane: u32, b: u32);
     /// Overwrites a net's settled value on one lane without waking
     /// readers or marking schedules dirty. With `also_next`, the shadow
@@ -232,7 +233,7 @@ pub(crate) trait EngineImpl {
         }
     }
     /// The levelized combinational block order, if the backend holds one
-    /// (the wrapper's forced settle walks it).
+    /// (the wrapper's forced settle walks fan-out cones in its order).
     fn comb_order(&self) -> Option<&[u32]> {
         None
     }
@@ -368,6 +369,109 @@ struct ProfileState {
     settles: u64,
 }
 
+/// The forced settle's schedule and fan-out cones, built on the first
+/// `inject`. Blocks are named by their position in `sched`, so a cone in
+/// ascending order is a walk in schedule order.
+struct Cones {
+    /// Levelized combinational order (the backend's, or the design's).
+    sched: Vec<u32>,
+    /// Per net, the schedule positions of the comb blocks reading it:
+    /// `readers[reader_start[n]..reader_start[n + 1]]`.
+    reader_start: Vec<u32>,
+    readers: Vec<u32>,
+    /// The cone of each net a fault was installed on.
+    cones: HashMap<u32, Cone>,
+}
+
+/// What a force on one net can reach within a settle.
+struct Cone {
+    /// Schedule positions, ascending: the net's comb readers and comb
+    /// driver, closed under "reads a net a cone block writes".
+    blocks: Vec<u32>,
+    /// The nets the cone's blocks write, ascending.
+    writes: Vec<u32>,
+}
+
+impl Cones {
+    fn new(design: &Design, sched: Vec<u32>) -> Cones {
+        let nets = design.nets().len();
+        // Each block's reads as net slots, in schedule order. A net read
+        // through two aliases lists its reader twice, which the closure
+        // in `install` absorbs.
+        let reads = || {
+            let blocks = sched.iter().map(|&b| &design.blocks()[b as usize].reads);
+            blocks.enumerate().flat_map(|(pos, reads)| {
+                reads.iter().map(move |&s| (pos as u32, design.net_of(s).index()))
+            })
+        };
+        let mut reader_start = vec![0u32; nets + 1];
+        for (_, n) in reads() {
+            reader_start[n + 1] += 1;
+        }
+        for n in 0..nets {
+            reader_start[n + 1] += reader_start[n];
+        }
+        let mut fill = reader_start.clone();
+        let mut readers = vec![0u32; reader_start[nets] as usize];
+        for (pos, n) in reads() {
+            readers[fill[n] as usize] = pos;
+            fill[n] += 1;
+        }
+        Cones { sched, reader_start, readers, cones: HashMap::new() }
+    }
+
+    fn readers(&self, net: u32) -> &[u32] {
+        let (lo, hi) = (self.reader_start[net as usize], self.reader_start[net as usize + 1]);
+        &self.readers[lo as usize..hi as usize]
+    }
+
+    /// The cone of a force on `net`, computed once per net.
+    fn install(&mut self, design: &Design, net: u32) {
+        if self.cones.contains_key(&net) {
+            return;
+        }
+        let mut inside = vec![false; self.sched.len()];
+        let driver = design.nets()[net as usize]
+            .driver
+            .filter(|d| design.blocks()[d.index()].kind == BlockKind::Comb)
+            .and_then(|d| self.sched.iter().position(|&b| b as usize == d.index()));
+        let mut stack: Vec<u32> = self.readers(net).to_vec();
+        stack.extend(driver.map(|pos| pos as u32));
+        let (mut blocks, mut writes) = (Vec::new(), Vec::new());
+        while let Some(pos) = stack.pop() {
+            if std::mem::replace(&mut inside[pos as usize], true) {
+                continue;
+            }
+            blocks.push(pos);
+            for &w in &design.blocks()[self.sched[pos as usize] as usize].writes {
+                let w = design.net_of(w).index() as u32;
+                writes.push(w);
+                stack.extend(self.readers(w).iter().filter(|&&r| !inside[r as usize]));
+            }
+        }
+        blocks.sort_unstable();
+        writes.sort_unstable();
+        writes.dedup();
+        self.cones.insert(net, Cone { blocks, writes });
+    }
+
+    /// The union of the cones of `nets` (each installed) as `(blocks,
+    /// writes)`, both ascending.
+    fn merged(&self, nets: impl Iterator<Item = u32>) -> (Vec<u32>, Vec<u32>) {
+        let (mut blocks, mut writes) = (Vec::new(), Vec::new());
+        for n in nets {
+            let cone = &self.cones[&n];
+            blocks.extend_from_slice(&cone.blocks);
+            writes.extend_from_slice(&cone.writes);
+        }
+        for v in [&mut blocks, &mut writes] {
+            v.sort_unstable();
+            v.dedup();
+        }
+        (blocks, writes)
+    }
+}
+
 /// A constructed simulator for an elaborated design.
 ///
 /// `Sim` is the analog of PyMTL's `SimulationTool`: it consumes a
@@ -408,9 +512,13 @@ pub struct Sim {
     /// case: the fast paths in `cycle`/`run` are untouched unless
     /// `inject` was called). The lane is always 0 on the scalar engines.
     faults: Vec<(u32, FaultState)>,
-    /// Levelized combinational order for the injection settle; computed
-    /// once on first `inject`.
-    inject_sched: Vec<u32>,
+    /// The forced settle's schedule and cone tables; built on the first
+    /// `inject`.
+    cones: Option<Cones>,
+    /// Whether `forced_settle` runs the whole-schedule walk it replaced,
+    /// the oracle its cone walk is held to.
+    #[cfg(test)]
+    walk_oracle: bool,
     /// Lanes on which a forced (stuck-at) settle ran after the edge: once
     /// no fault holds such a lane any more, its next settle must be a full
     /// pass to wash the forces out.
@@ -549,7 +657,9 @@ impl Sim {
             backend,
             profile: None,
             faults: Vec::new(),
-            inject_sched: Vec::new(),
+            cones: None,
+            #[cfg(test)]
+            walk_oracle: false,
             fault_cleanup: 0,
             fault_totals,
         }
@@ -742,13 +852,15 @@ impl Sim {
     ///
     /// Injection is a post-settle/pre-edge hook: on each active cycle the
     /// wrapper applies the disturbance and re-settles combinational logic
-    /// in the design's levelized block order with the disturbed value held
-    /// forced, then clocks the edge, then re-settles (stuck-at faults stay
-    /// forced, flips do not). Because the wrapper drives this one sequence
-    /// through engine-agnostic, lane-addressed primitives in one fixed
-    /// order, all six engines — and every lane of the batch engine —
-    /// produce byte-identical faulty traces for the same faults, a
-    /// property `mtl-check` asserts differentially.
+    /// with the disturbed value held forced — to the state one pass over
+    /// the design's levelized block order would reach, computed as one
+    /// ordinary settle plus a walk of the forced nets' fan-out cone — then
+    /// clocks the edge, then re-settles (stuck-at faults stay forced, flips
+    /// do not). Because the wrapper drives this one sequence through
+    /// engine-agnostic, lane-addressed primitives in one fixed order, all
+    /// six engines — and every lane of the batch engine — produce
+    /// byte-identical faulty traces for the same faults, a property
+    /// `mtl-check` asserts differentially.
     ///
     /// # Panics
     ///
@@ -764,12 +876,16 @@ impl Sim {
     }
 
     fn install(&mut self, lane: u32, fault: FaultState) {
-        if self.inject_sched.is_empty() {
-            self.inject_sched = match self.backend.comb_order() {
+        let design = &self.design;
+        let backend = &self.backend;
+        let cones = self.cones.get_or_insert_with(|| {
+            let sched = match backend.comb_order() {
                 Some(order) => order.to_vec(),
-                None => crate::compile::comb_order(&self.design),
+                None => crate::compile::comb_order(design),
             };
-        }
+            Cones::new(design, sched)
+        });
+        cones.install(design, fault.slot);
         self.faults.push((lane, fault));
     }
 
@@ -952,15 +1068,84 @@ impl Sim {
     }
 
     /// Settles combinational logic with the given faults held forced, on
-    /// the lanes they sit on and no other: per such lane, one full pass
-    /// over the levelized schedule, block by block, re-applying each force
-    /// whenever a driver overwrote it with a fresh clean value. A full
-    /// levelized pass makes every combinational net a pure function of
+    /// the lanes they sit on and no other. The result is that of one pass
+    /// over the levelized schedule, block by block, that re-applies each
+    /// force whenever a driver overwrote it with a fresh clean value. A
+    /// full levelized pass makes every combinational net a pure function of
     /// sequential state, inputs, and forces — all identical across engines
     /// — so the post-settle state is engine-independent no matter what
     /// (engine-specific) unsettled state it started from.
+    ///
+    /// Only the blocks a force can reach need that walk: the cone of the
+    /// forced nets (see [`Cone`]). Per lane, after the initial forces, the
+    /// words the cone writes are saved, an ordinary full settle runs (the
+    /// fused plan on the static engines), the saved words are put back, and
+    /// the cone's blocks run in schedule order with the re-force rule. A
+    /// block outside every cone reads nothing a cone block writes, so the
+    /// settle gives it the walk's value; putting the saved words back hands
+    /// each cone block the outputs the walk would find, a path that assigns
+    /// nothing included. A native block in a cone runs twice, as an
+    /// event-driven settle may run it twice.
     fn forced_settle(&mut self, active: &[usize]) {
-        let mut forced: Vec<u128> = Vec::with_capacity(active.len());
+        let lanes = self.lanes_of(active);
+        if lanes == 0 {
+            return;
+        }
+        #[cfg(test)]
+        if self.walk_oracle {
+            return self.forced_settle_walk(active);
+        }
+        let mut forced = self.force_initial(active);
+        let cones = self.cones.as_ref().expect("a fault was installed");
+        let len = cones.sched.len() as u32;
+        let mut walks = Vec::new();
+        for lane in each_lane(lanes) {
+            let mine = self.faults_on(lane, active);
+            let (cone, writes) = cones.merged(mine.iter().map(|&k| self.faults[active[k]].1.slot));
+            let blocks: Vec<(u32, u32)> =
+                cone.into_iter().map(|pos| (pos, cones.sched[pos as usize])).collect();
+            let saved: Vec<(u32, Bits)> =
+                writes.iter().map(|&slot| (slot, self.backend.peek_lane(lane, slot))).collect();
+            walks.push((lane, mine, blocks, saved));
+        }
+        self.backend.settle(lanes, true);
+        for (lane, mine, blocks, saved) in walks {
+            for (slot, v) in saved {
+                if self.backend.peek_lane(lane, slot) != v {
+                    self.backend.force(lane, slot, v, false);
+                }
+            }
+            // The walk checks the forces after every block, `next..pos`
+            // being the checks since the last cone block ran. Only a cone
+            // block writes a forced net, yet a check after another block
+            // can still re-force: faults that compound on one net disturb
+            // each other's value. Once a check re-forces nothing, none does
+            // until the next cone block runs.
+            let (mut next, mut quiet) = (0, false);
+            for block in blocks.into_iter().map(Some).chain([None]) {
+                let pos = block.map_or(len, |(pos, _)| pos);
+                for _ in next..pos {
+                    if quiet {
+                        break;
+                    }
+                    quiet = !self.reforce(lane, active, &mine, &mut forced);
+                }
+                let Some((_, b)) = block else { break };
+                self.backend.exec_block(lane, b);
+                (next, quiet) = (pos, false);
+            }
+        }
+    }
+
+    /// The indices `k` of the faults `active[k]` that sit on `lane`.
+    fn faults_on(&self, lane: u32, active: &[usize]) -> Vec<usize> {
+        (0..active.len()).filter(|&k| self.faults[active[k]].0 == lane).collect()
+    }
+
+    /// The initial forces of a forced settle, in installation order (so
+    /// faults on one net compound); returns each fault's forced value.
+    fn force_initial(&mut self, active: &[usize]) -> Vec<u128> {
+        let mut forced = Vec::with_capacity(active.len());
         for &fi in active {
             let (lane, f) = self.faults[fi];
             let v = self.backend.peek_lane(lane, f.slot).as_u128();
@@ -968,29 +1153,50 @@ impl Sim {
             self.backend.force(lane, f.slot, Bits::new(f.width, t), f.is_reg);
             forced.push(t);
         }
-        let sched = std::mem::take(&mut self.inject_sched);
-        for lane in each_lane(self.lanes_of(active)) {
-            for &b in &sched {
-                self.backend.exec_block(lane, b);
-                for (k, &fi) in active.iter().enumerate() {
-                    let (at, f) = self.faults[fi];
-                    if at != lane {
-                        continue;
-                    }
-                    let v = self.backend.peek_lane(lane, f.slot).as_u128();
-                    if v != forced[k] {
-                        // The net's driver ran and wrote a fresh clean
-                        // value: recompute the disturbance from it and
-                        // re-force (a plain re-XOR would double-apply a
-                        // flip).
-                        let t = f.apply(v, mask_of(f.width));
-                        self.backend.force(lane, f.slot, Bits::new(f.width, t), f.is_reg);
-                        forced[k] = t;
-                    }
-                }
+        forced
+    }
+
+    /// After a block ran on `lane`: re-forces each fault `active[k]`, for
+    /// `k` in `mine`, whose net no longer holds its forced value. Returns
+    /// whether any was.
+    fn reforce(
+        &mut self,
+        lane: u32,
+        active: &[usize],
+        mine: &[usize],
+        forced: &mut [u128],
+    ) -> bool {
+        let mut any = false;
+        for &k in mine {
+            let f = self.faults[active[k]].1;
+            let v = self.backend.peek_lane(lane, f.slot).as_u128();
+            if v != forced[k] {
+                // The net's driver ran and wrote a fresh clean value:
+                // recompute the disturbance from it and re-force (a plain
+                // re-XOR would double-apply a flip).
+                let t = f.apply(v, mask_of(f.width));
+                self.backend.force(lane, f.slot, Bits::new(f.width, t), f.is_reg);
+                forced[k] = t;
+                any = true;
             }
         }
-        self.inject_sched = sched;
+        any
+    }
+
+    /// The forced settle as one walk over the whole schedule per lane, the
+    /// oracle [`Sim::forced_settle`] must reproduce word for word.
+    #[cfg(test)]
+    fn forced_settle_walk(&mut self, active: &[usize]) {
+        let mut forced = self.force_initial(active);
+        let sched = std::mem::take(&mut self.cones.as_mut().expect("a fault was installed").sched);
+        for lane in each_lane(self.lanes_of(active)) {
+            let mine = self.faults_on(lane, active);
+            for &b in &sched {
+                self.backend.exec_block(lane, b);
+                self.reforce(lane, active, &mine, &mut forced);
+            }
+        }
+        self.cones.as_mut().expect("a fault was installed").sched = sched;
     }
 
     /// One clock cycle with the faults `pre` active. The lanes they sit on
@@ -1274,3 +1480,6 @@ impl Sim {
         }
     }
 }
+
+#[cfg(test)]
+mod tests;

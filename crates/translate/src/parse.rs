@@ -236,6 +236,37 @@ struct MemDecl {
     name: String,
 }
 
+/// A prefix operator of the subset.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum VUnOp {
+    Not,
+    Neg,
+    ReduceAnd,
+    ReduceOr,
+    ReduceXor,
+}
+
+/// An infix operator of the subset: the lexer's punctuation, resolved
+/// once at parse time, so re-elaboration has no spelling left to reject.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum VBinOp {
+    Or,
+    Xor,
+    And,
+    Eq,
+    Ne,
+    Lt,
+    Ge,
+    Le,
+    Gt,
+    Shl,
+    Shr,
+    Sra,
+    Add,
+    Sub,
+    Mul,
+}
+
 #[derive(Debug, Clone)]
 enum VExpr {
     Ident(String),
@@ -243,8 +274,8 @@ enum VExpr {
     Part { base: Box<VExpr>, hi: u64, lo: u64 },
     Index { base: String, index: Box<VExpr> },
     Concat(Vec<VExpr>),
-    Unary(char, Box<VExpr>),
-    Binary(String, Box<VExpr>, Box<VExpr>),
+    Unary(VUnOp, Box<VExpr>),
+    Binary(VBinOp, Box<VExpr>, Box<VExpr>),
     Ternary(Box<VExpr>, Box<VExpr>, Box<VExpr>),
     Signed(Box<VExpr>),
 }
@@ -275,6 +306,8 @@ struct InstanceDecl {
     name: String,
     /// (port name, connected identifier)
     pins: Vec<(String, String)>,
+    /// The source line the instance starts on.
+    line: usize,
 }
 
 #[derive(Debug, Clone)]
@@ -359,6 +392,13 @@ impl VerilogLibrary {
     /// Parses Verilog source (the subset emitted by
     /// [`translate`](crate::translate)).
     ///
+    /// Beyond the syntax, a library that parses holds at least one
+    /// module, every name a module mentions is declared in it, every
+    /// instance names a module of the library and connects only that
+    /// module's ports, and no module contains itself, directly or through
+    /// others. Elaboration relies on all four; a source that breaks one
+    /// is refused here, at its line.
+    ///
     /// # Errors
     ///
     /// Returns a [`ParseVerilogError`] pointing at the offending line.
@@ -371,7 +411,72 @@ impl VerilogLibrary {
             order.push(m.name.clone());
             modules.insert(m.name.clone(), m);
         }
-        Ok(Self { modules, order })
+        if order.is_empty() {
+            return Err(lx.err("no module in source"));
+        }
+        let lib = Self { modules, order };
+        lib.check_instances()?;
+        lib.check_acyclic()?;
+        Ok(lib)
+    }
+
+    /// Every instance names a module of the library and connects only
+    /// its ports (`clk` and the implicit `reset` included).
+    fn check_instances(&self) -> Result<(), ParseVerilogError> {
+        for m in self.order.iter().map(|name| &self.modules[name]) {
+            for inst in &m.instances {
+                let at = |message| Err(ParseVerilogError { message, line: inst.line });
+                let Some(child) = self.modules.get(&inst.module) else {
+                    return at(format!(
+                        "module `{}` instantiates undeclared module `{}` as `{}`",
+                        m.name, inst.module, inst.name
+                    ));
+                };
+                let is_port = |pin: &String| {
+                    pin == "clk" || pin == "reset" || child.ports.iter().any(|p| p.name == *pin)
+                };
+                if let Some((pin, _)) = inst.pins.iter().find(|(pin, _)| !is_port(pin)) {
+                    return at(format!(
+                        "instance `{}` connects `{pin}`, which is not a port of module `{}`",
+                        inst.name, inst.module
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// No module contains itself: a depth-first walk of the instance
+    /// graph, with an explicit stack so a deep hierarchy cannot overflow
+    /// the parser's own.
+    fn check_acyclic(&self) -> Result<(), ParseVerilogError> {
+        let mut done: HashSet<&str> = HashSet::new();
+        for root in &self.order {
+            // (module, index of its next instance to visit)
+            let mut path: Vec<(&str, usize)> = vec![(root.as_str(), 0)];
+            while let Some(&mut (name, ref mut next)) = path.last_mut() {
+                let Some(inst) = self.modules[name].instances.get(*next) else {
+                    done.insert(name);
+                    path.pop();
+                    continue;
+                };
+                *next += 1;
+                let child = inst.module.as_str();
+                if let Some(from) = path.iter().position(|&(m, _)| m == child) {
+                    let cycle: Vec<&str> = path[from..].iter().map(|&(m, _)| m).collect();
+                    let message = format!(
+                        "instance `{}` makes module `{child}` contain itself: {} -> {child}",
+                        inst.name,
+                        cycle.join(" -> ")
+                    );
+                    return Err(ParseVerilogError { message, line: inst.line });
+                }
+                if !done.contains(child) {
+                    path.push((child, 0));
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Names of the parsed modules, in source order (top last).
@@ -396,7 +501,7 @@ impl VerilogLibrary {
 
     /// The last module in the file — by emission convention, the top.
     pub fn top_component(&self) -> VerilogComponent<'_> {
-        self.component(self.order.last().expect("empty library"))
+        self.component(self.order.last().expect("parse rejects a source without modules"))
     }
 }
 
@@ -510,6 +615,7 @@ fn parse_module(lx: &mut Lexer) -> Result<ParsedModule, ParseVerilogError> {
             m.always.push(AlwaysBlock { seq, stmts });
         } else {
             // Module instance: MODNAME instname ( .pin(net), ... );
+            let line = lx.line();
             let module = lx.expect_ident()?;
             let iname = lx.expect_ident()?;
             lx.expect_punct("(")?;
@@ -533,7 +639,7 @@ fn parse_module(lx: &mut Lexer) -> Result<ParsedModule, ParseVerilogError> {
                 pins.push((pin, net));
             }
             lx.expect_punct(";")?;
-            m.instances.push(InstanceDecl { module, name: iname, pins });
+            m.instances.push(InstanceDecl { module, name: iname, pins, line });
         }
     }
 
@@ -654,57 +760,54 @@ fn parse_ternary(lx: &mut Lexer) -> Result<VExpr, ParseVerilogError> {
     }
 }
 
-const BIN_LEVELS: &[&[&str]] = &[
-    &["|"],
-    &["^"],
-    &["&"],
-    &["==", "!="],
-    &["<", ">=", "<=", ">"],
-    &["<<", ">>", ">>>"],
-    &["+", "-"],
-    &["*"],
+/// Infix operators by precedence, loosest first.
+const BIN_LEVELS: &[&[(&str, VBinOp)]] = &[
+    &[("|", VBinOp::Or)],
+    &[("^", VBinOp::Xor)],
+    &[("&", VBinOp::And)],
+    &[("==", VBinOp::Eq), ("!=", VBinOp::Ne)],
+    &[("<", VBinOp::Lt), (">=", VBinOp::Ge), ("<=", VBinOp::Le), (">", VBinOp::Gt)],
+    &[("<<", VBinOp::Shl), (">>", VBinOp::Shr), (">>>", VBinOp::Sra)],
+    &[("+", VBinOp::Add), ("-", VBinOp::Sub)],
+    &[("*", VBinOp::Mul)],
 ];
+
+const UNARY_OPS: &[(&str, VUnOp)] = &[
+    ("~", VUnOp::Not),
+    ("-", VUnOp::Neg),
+    ("&", VUnOp::ReduceAnd),
+    ("|", VUnOp::ReduceOr),
+    ("^", VUnOp::ReduceXor),
+];
+
+/// The operator of `ops` spelled by the next token, if any.
+fn peek_op<T: Copy>(lx: &Lexer, ops: &[(&str, T)]) -> Option<T> {
+    let Tok::Punct(p) = lx.peek() else { return None };
+    ops.iter().find(|(spelling, _)| spelling == p).map(|&(_, op)| op)
+}
 
 fn parse_binary(lx: &mut Lexer, level: usize) -> Result<VExpr, ParseVerilogError> {
     if level >= BIN_LEVELS.len() {
         return parse_unary(lx);
     }
     let mut lhs = parse_binary(lx, level + 1)?;
-    loop {
-        let mut matched = None;
-        if let Tok::Punct(p) = lx.peek() {
-            if BIN_LEVELS[level].contains(p) {
-                matched = Some(p.to_string());
-            }
-        }
-        match matched {
-            Some(op) => {
-                lx.next();
-                let rhs = parse_binary(lx, level + 1)?;
-                lhs = VExpr::Binary(op, Box::new(lhs), Box::new(rhs));
-            }
-            None => return Ok(lhs),
-        }
+    while let Some(op) = peek_op(lx, BIN_LEVELS[level]) {
+        lx.next();
+        let rhs = parse_binary(lx, level + 1)?;
+        lhs = VExpr::Binary(op, Box::new(lhs), Box::new(rhs));
     }
+    Ok(lhs)
 }
 
 fn parse_unary(lx: &mut Lexer) -> Result<VExpr, ParseVerilogError> {
-    for op in ['~', '-', '&', '|', '^'] {
-        let p: &str = match op {
-            '~' => "~",
-            '-' => "-",
-            '&' => "&",
-            '|' => "|",
-            '^' => "^",
-            _ => unreachable!(),
-        };
-        if matches!(lx.peek(), Tok::Punct(q) if *q == p) {
+    match peek_op(lx, UNARY_OPS) {
+        Some(op) => {
             lx.next();
             let inner = parse_unary(lx)?;
-            return Ok(VExpr::Unary(op, Box::new(inner)));
+            Ok(VExpr::Unary(op, Box::new(inner)))
         }
+        None => parse_postfix(lx),
     }
-    parse_postfix(lx)
 }
 
 fn parse_postfix(lx: &mut Lexer) -> Result<VExpr, ParseVerilogError> {
@@ -961,39 +1064,37 @@ fn to_expr(v: &VExpr, env: &NameEnv) -> Expr {
         VExpr::Unary(op, a) => {
             let inner = to_expr(a, env);
             match op {
-                '~' => !inner,
-                '-' => -inner,
-                '&' => inner.reduce_and(),
-                '|' => inner.reduce_or(),
-                '^' => inner.reduce_xor(),
-                _ => unreachable!(),
+                VUnOp::Not => !inner,
+                VUnOp::Neg => -inner,
+                VUnOp::ReduceAnd => inner.reduce_and(),
+                VUnOp::ReduceOr => inner.reduce_or(),
+                VUnOp::ReduceXor => inner.reduce_xor(),
             }
         }
         VExpr::Binary(op, a, b) => {
             let signed = matches!(**a, VExpr::Signed(_)) || matches!(**b, VExpr::Signed(_));
             let lhs = to_expr(strip_signed(a), env);
             let rhs = to_expr(strip_signed(b), env);
-            match (op.as_str(), signed) {
-                ("+", _) => lhs + rhs,
-                ("-", _) => lhs - rhs,
-                ("*", _) => lhs * rhs,
-                ("&", _) => lhs & rhs,
-                ("|", _) => lhs | rhs,
-                ("^", _) => lhs ^ rhs,
-                ("<<", _) => lhs.sll(rhs),
-                (">>", _) => lhs.srl(rhs),
-                (">>>", _) => lhs.sra(rhs),
-                ("==", _) => lhs.eq(rhs),
-                ("!=", _) => lhs.ne(rhs),
-                ("<", false) => lhs.lt(rhs),
-                (">=", false) => lhs.ge(rhs),
-                ("<", true) => lhs.lt_s(rhs),
-                (">=", true) => lhs.ge_s(rhs),
-                ("<=", false) => lhs.le(rhs),
-                (">", false) => lhs.gt(rhs),
-                ("<=", true) => rhs.clone().ge_s(lhs),
-                (">", true) => rhs.lt_s(lhs),
-                (other, _) => panic!("unsupported verilog operator `{other}`"),
+            match (op, signed) {
+                (VBinOp::Add, _) => lhs + rhs,
+                (VBinOp::Sub, _) => lhs - rhs,
+                (VBinOp::Mul, _) => lhs * rhs,
+                (VBinOp::And, _) => lhs & rhs,
+                (VBinOp::Or, _) => lhs | rhs,
+                (VBinOp::Xor, _) => lhs ^ rhs,
+                (VBinOp::Shl, _) => lhs.sll(rhs),
+                (VBinOp::Shr, _) => lhs.srl(rhs),
+                (VBinOp::Sra, _) => lhs.sra(rhs),
+                (VBinOp::Eq, _) => lhs.eq(rhs),
+                (VBinOp::Ne, _) => lhs.ne(rhs),
+                (VBinOp::Lt, false) => lhs.lt(rhs),
+                (VBinOp::Ge, false) => lhs.ge(rhs),
+                (VBinOp::Lt, true) => lhs.lt_s(rhs),
+                (VBinOp::Ge, true) => lhs.ge_s(rhs),
+                (VBinOp::Le, false) => lhs.le(rhs),
+                (VBinOp::Gt, false) => lhs.gt(rhs),
+                (VBinOp::Le, true) => rhs.ge_s(lhs),
+                (VBinOp::Gt, true) => rhs.lt_s(lhs),
             }
         }
         VExpr::Ternary(c, t, f) => to_expr(c, env).mux(to_expr(t, env), to_expr(f, env)),

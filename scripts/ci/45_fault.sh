@@ -12,7 +12,11 @@
 #       63 seeded plans on each of four IR mesh configurations, every
 #       batch lane's report (traced: fingerprint included) equal to the
 #       scalar run_diff of its plan — the lanes that follow lane 0, fork
-#       off it and rejoin it are all checked here;
+#       off it and rejoin it are all checked here; before it, the
+#       cone-settle differential: on every engine and on batch lanes,
+#       random dense plans and hand-built cones, each forced settle (one
+#       full settle, then the forced nets' fan-out cone) must leave the
+#       same words as the block-by-block walk over the whole schedule;
 #   (b) checkpoint/resume smoke: the fault_sweep --smoke campaign is
 #       killed after two of its five jobs (RUSTMTL_SWEEP_EXIT_AFTER)
 #       and restarted; the restart must replay exactly the journalled
@@ -35,6 +39,14 @@ out=$(cargo test -q --release --test fault_injection -- --exact \
     echo "$out"; echo "FAIL: pinned fault reports changed"; exit 1; }
 echo "$out" | grep -q "1 passed" || {
     echo "$out"; echo "FAIL: the pinned-report test did not run"; exit 1; }
+
+echo "== cone settle: every forced settle equals the whole-schedule walk, word for word"
+out=$(cargo test -q --release -p mtl-sim --lib -- --exact \
+    sim::tests::cone_settle_equals_the_walk_on_random_designs \
+    sim::tests::cone_settle_equals_the_walk_on_hand_built_cones 2>&1) || {
+    echo "$out"; echo "FAIL: a forced settle differs from the schedule walk"; exit 1; }
+echo "$out" | grep -q "2 passed" || {
+    echo "$out"; echo "FAIL: the cone-settle differential did not run"; exit 1; }
 
 echo "== batch differential: four 63-plan mesh bundles, every lane against scalar run_diff"
 out=$(cargo test -q --release --test fault_injection -- --exact \
