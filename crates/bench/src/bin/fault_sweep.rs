@@ -2,20 +2,21 @@
 //! the accelerator tile at FL/CL/RTL.
 //!
 //! For each design point this sweep draws seeded random fault plans
-//! (transient bit-flips plus stuck-at faults on injectable nets), runs a
-//! golden-vs-faulted differential simulation per plan, and tallies the
+//! (transient bit-flips plus stuck-at faults on injectable nets), runs
+//! each chunk of plans as one lane set of `mtl_fault::run_diffs` (one
+//! golden simulation, one faulted simulation per plan), and tallies the
 //! outcome taxonomy from `EXPERIMENTS.md`: **masked** (no divergence),
 //! **silent** (internal state corrupted, outputs clean — the SDC risk
 //! class), and **detected** (a top-level output diverged). Alongside the
 //! taxonomy it reports mean first-divergence cycle and mean blast radius
 //! (how many distinct nets a fault corrupts).
 //!
-//! Alongside the scalar per-trial series, a **batch series** runs the
-//! same taxonomy through the `SpecializedBatch` engine
-//! (`mtl_fault::run_diff_batch_shared`): up to 63 fault plans share one
-//! simulator, one trial per lane with lane 0 golden. Each
-//! batch job re-runs its leading plans through scalar
-//! `run_diff_shared` on the same compile cache and degrades down the
+//! Alongside the scalar series, a **batch series** runs the same
+//! taxonomy through the `SpecializedBatch` engine (the same driver's
+//! batch lane set): up to 63 fault plans share one simulator, one trial
+//! per lane with lane 0 golden. Each batch job re-runs its leading plans
+//! as a scalar `specialized-opt` set on the same compile cache and
+//! degrades down the
 //! engine ladder on any field mismatch, so the throughput claim
 //! (`batch_trials_per_sec` / `scalar_trials_per_sec` / `batch_speedup`
 //! timing metrics) is backed by an in-campaign agreement check.

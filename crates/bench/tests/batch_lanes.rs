@@ -28,9 +28,7 @@ use mtl_bench::design_registry;
 use mtl_bits::Bits;
 use mtl_check::RandomRtl;
 use mtl_core::{BlockBody, BlockKind, Component, SignalId, SignalKind};
-use mtl_fault::{
-    run_diff, run_diff_batch_traced, DiffConfig, Fault, FaultKind, FaultPlan, PlanSpec,
-};
+use mtl_fault::{run_diff, run_diffs, DiffConfig, Fault, FaultKind, FaultPlan, PlanSpec};
 use mtl_net::MeshTrafficRtlHarness;
 use mtl_proc::{CacheRTL, ProcPipeRTL, ProcRTL};
 use mtl_sim::{Engine, InjectKind, Injection, Sim, SimConfig};
@@ -521,7 +519,8 @@ fn a_reconverged_lane_rejoins_and_reforks_like_scalar() {
         .collect();
     assert_eq!(plans.len(), 24, "the mesh4 has enough driven combinational nets");
     let cycles = 200;
-    let batch = run_diff_batch_traced(&top, &plans, cycles).expect("batch diff runs");
+    let batch = DiffConfig::new(Engine::SpecializedBatch, cycles);
+    let batch = run_diffs(&top, &plans, &batch, None, true).expect("batch diff runs");
     let cfg = DiffConfig::new(Engine::SpecializedOpt, cycles);
     for (i, plan) in plans.iter().enumerate() {
         let scalar = run_diff(&top, plan, &cfg).expect("scalar diff runs");

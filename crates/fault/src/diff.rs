@@ -1,7 +1,7 @@
 //! Golden-vs-faulty differential runs and outcome classification.
 
-use mtl_core::{Component, Design, SignalKind};
-use mtl_sim::{Engine, Sim, SimConfig};
+use mtl_core::{Component, Design, NetId, SignalKind};
+use mtl_sim::{ArtifactCache, Engine, Sim, SimConfig, BATCH_LANES};
 
 use crate::plan::FaultPlan;
 
@@ -60,10 +60,11 @@ pub struct FaultReport {
     pub trace_fingerprint: u64,
 }
 
-/// Configuration for [`run_diff`].
+/// Configuration for [`run_diffs`].
 #[derive(Debug, Clone, Copy)]
 pub struct DiffConfig {
-    /// Engine both runs use.
+    /// Engine every lane runs on ([`Engine::SpecializedBatch`]: one lane
+    /// simulator for the whole set).
     pub engine: Engine,
     /// `SpecializedPar` worker count (`None`: engine default).
     pub threads: Option<usize>,
@@ -76,19 +77,6 @@ impl DiffConfig {
     pub fn new(engine: Engine, cycles: u64) -> DiffConfig {
         DiffConfig { engine, threads: None, cycles }
     }
-}
-
-fn build(
-    top: &dyn Component,
-    cfg: &DiffConfig,
-    shared: Option<(&mtl_sim::ArtifactCache, u64)>,
-) -> Result<Sim, String> {
-    let sim_cfg = SimConfig { threads: cfg.threads, ..Default::default() };
-    match shared {
-        Some((cache, key)) => Sim::build_shared(top, cfg.engine, &sim_cfg, cache, key),
-        None => Sim::build_with_config(top, cfg.engine, &sim_cfg),
-    }
-    .map_err(|e| format!("elaboration failed: {e:?}"))
 }
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -144,234 +132,185 @@ fn fold_cycle(hash: &mut u64, probes: &[Probe], values: &[u128]) {
     *hash = h;
 }
 
-/// Runs a golden and a faulted simulation of `top` in lockstep on one
-/// engine and classifies the fault's effect.
-///
-/// Both simulators are reset, the plan is installed on the faulty one,
-/// and both advance `cfg.cycles` cycles; designs drive themselves (the
-/// mesh and tile harnesses generate their own traffic), so no external
-/// stimulus is applied beyond reset. Every cycle reads both simulators'
-/// net values once ([`Sim::net_values`]) and compares the two slices; the
-/// nets are walked for divergence only on cycles where they differ. The
-/// faulty values are folded into `trace_fingerprint` (see
-/// [`FaultReport::trace_fingerprint`] for its definition).
-///
-/// # Errors
-///
-/// Returns elaboration failures and unresolvable fault targets.
-pub fn run_diff(
-    top: &dyn Component,
-    plan: &FaultPlan,
-    cfg: &DiffConfig,
-) -> Result<FaultReport, String> {
-    run_diff_inner(top, plan, cfg, None)
+/// The simulators one differential run advances in lockstep: lane 0 is
+/// the golden run and lane `1 + i` runs plan `i`.
+enum Lanes {
+    /// One lane simulator ([`Engine::SpecializedBatch`]) carrying every
+    /// lane; native-free designs only.
+    Batch(Sim),
+    /// A golden simulator and one faulty simulator per plan, on any
+    /// engine (natives allowed).
+    Scalar { golden: Sim, faulty: Vec<Sim> },
 }
 
-/// [`run_diff`] with both simulators built through a shared
-/// [`mtl_sim::ArtifactCache`] under `key`, so a campaign hammering one
-/// design point compiles its tapes once instead of twice per trial. The
-/// key must identify the design `top` elaborates to (not the plan, seed,
-/// or window — those vary per trial and share the same compile).
-///
-/// # Errors
-///
-/// Identical to [`run_diff`].
-pub fn run_diff_shared(
-    top: &dyn Component,
-    plan: &FaultPlan,
-    cfg: &DiffConfig,
-    cache: &mtl_sim::ArtifactCache,
-    key: u64,
-) -> Result<FaultReport, String> {
-    run_diff_inner(top, plan, cfg, Some((cache, key)))
-}
-
-fn run_diff_inner(
-    top: &dyn Component,
-    plan: &FaultPlan,
-    cfg: &DiffConfig,
-    shared: Option<(&mtl_sim::ArtifactCache, u64)>,
-) -> Result<FaultReport, String> {
-    let mut golden = build(top, cfg, shared)?;
-    let mut faulty = build(top, cfg, shared)?;
-    plan.apply(&mut faulty)?;
-    golden.reset();
-    faulty.reset();
-
-    let probes = probes(golden.design());
-    let mut first_divergence = None;
-    let mut detected_at = None;
-    let mut diverged: Vec<bool> = vec![false; golden.design().nets().len()];
-    let mut fingerprint = FNV_OFFSET;
-    let (mut want, mut got) = (Vec::new(), Vec::new());
-    for _ in 0..cfg.cycles {
-        // The cycle about to be simulated, in `cycle_count` time (the
-        // time base fault plans are scheduled in).
-        let cycle = faulty.cycle_count();
-        golden.cycle();
-        faulty.cycle();
-        golden.net_values(0, &mut want);
-        faulty.net_values(0, &mut got);
-        fold_cycle(&mut fingerprint, &probes, &got);
-        if got == want {
-            continue;
-        }
-        for p in probes.iter().filter(|p| got[p.net] != want[p.net]) {
-            first_divergence.get_or_insert(cycle);
-            if p.output {
-                detected_at.get_or_insert(cycle);
+impl Lanes {
+    /// Builds the set for `plans` on `cfg.engine`, installs every plan on
+    /// its lane and resets every simulator.
+    fn build(
+        top: &dyn Component,
+        plans: &[FaultPlan],
+        cfg: &DiffConfig,
+        shared: Option<(&ArtifactCache, u64)>,
+    ) -> Result<Lanes, String> {
+        let sim_cfg = SimConfig {
+            threads: cfg.threads,
+            lanes: Some(1 + plans.len() as u32),
+            ..Default::default()
+        };
+        let build = || {
+            match shared {
+                Some((cache, key)) => Sim::build_shared(top, cfg.engine, &sim_cfg, cache, key),
+                None => Sim::build_with_config(top, cfg.engine, &sim_cfg),
             }
-            diverged[p.net] = true;
+            .map_err(|e| format!("elaboration failed: {e:?}"))
+        };
+        let mut lanes = if cfg.engine == Engine::SpecializedBatch {
+            let mut sim = build()?;
+            for (i, plan) in plans.iter().enumerate() {
+                for inj in plan.to_injections(sim.design())? {
+                    sim.inject_lane(1 + i as u32, inj);
+                }
+            }
+            Lanes::Batch(sim)
+        } else {
+            let golden = build()?;
+            let faulty = plans.iter().map(|plan| {
+                let mut sim = build()?;
+                plan.apply(&mut sim)?;
+                Ok(sim)
+            });
+            Lanes::Scalar { golden, faulty: faulty.collect::<Result<_, String>>()? }
+        };
+        lanes.sims().for_each(Sim::reset);
+        Ok(lanes)
+    }
+
+    fn golden(&self) -> &Sim {
+        match self {
+            Lanes::Batch(sim) | Lanes::Scalar { golden: sim, .. } => sim,
         }
     }
-    let design = golden.design();
-    let mut blast_radius: Vec<String> = diverged
-        .iter()
-        .enumerate()
-        .filter(|(_, &d)| d)
-        .map(|(i, _)| design.net_path(mtl_core::NetId::from_index(i)))
-        .collect();
-    blast_radius.sort();
-    blast_radius.dedup();
-    let outcome = if detected_at.is_some() {
-        Outcome::Detected
-    } else if first_divergence.is_some() {
-        Outcome::Silent
-    } else {
-        Outcome::Masked
-    };
-    Ok(FaultReport {
-        outcome,
-        first_divergence,
-        detected_at,
-        blast_radius,
-        injected_bits: faulty.injected_bits(),
-        cycles: cfg.cycles,
-        trace_fingerprint: fingerprint,
-    })
+
+    fn sims(&mut self) -> impl Iterator<Item = &mut Sim> {
+        let (first, rest): (&mut Sim, &mut [Sim]) = match self {
+            Lanes::Batch(sim) => (sim, &mut []),
+            Lanes::Scalar { golden, faulty } => (golden, faulty),
+        };
+        std::iter::once(first).chain(rest)
+    }
+
+    /// Advances every lane one cycle. Returns `false` when no lane differs
+    /// from golden; otherwise fills `masks` with one mask per net, bit
+    /// `1 + i` set iff plan `i`'s lane differs there. The scalar set reads
+    /// each simulator once into `reads` (lane order), compares each faulty
+    /// read with golden's as one slice, and walks the nets only for the
+    /// reads that differ.
+    fn cycle(&mut self, reads: &mut [Vec<u128>], masks: &mut Vec<u64>) -> bool {
+        self.sims().for_each(Sim::cycle);
+        let (golden, faulty) = match self {
+            Lanes::Batch(sim) => return sim.divergence_masks(masks),
+            Lanes::Scalar { golden, faulty } => (golden, faulty),
+        };
+        let (want, gots) = reads.split_first_mut().expect("one read per lane");
+        golden.net_values(0, want);
+        let mut any = false;
+        for (i, (sim, got)) in faulty.iter().zip(gots).enumerate() {
+            sim.net_values(0, got);
+            if got == want {
+                continue;
+            }
+            if !any {
+                masks.clear();
+                masks.resize(want.len(), 0);
+                any = true;
+            }
+            for ((m, g), w) in masks.iter_mut().zip(got.iter()).zip(want.iter()) {
+                if g != w {
+                    *m |= 2 << i;
+                }
+            }
+        }
+        any
+    }
+
+    /// Plan `i`'s net values this cycle: the scalar set's read, or the
+    /// batch lane read into `reads` now.
+    fn values<'a>(&self, i: usize, reads: &'a mut [Vec<u128>]) -> &'a [u128] {
+        if let Lanes::Batch(sim) = self {
+            sim.net_values(1 + i as u32, &mut reads[1 + i]);
+        }
+        &reads[1 + i]
+    }
+
+    fn injected_bits(&self, i: usize) -> u64 {
+        match self {
+            Lanes::Batch(sim) => sim.lane_fault_totals(1 + i as u32).0,
+            Lanes::Scalar { faulty, .. } => faulty[i].injected_bits(),
+        }
+    }
 }
 
-/// Runs up to 63 fault plans against one golden run in a *single* batch
-/// simulation ([`Engine::SpecializedBatch`]): lane 0 carries the golden
-/// trace, lane `1 + i` carries plan `i`, and one `cycle` advances every
-/// trial. Divergence is detected with one compare of every lane's
-/// settled words against the golden lane's per cycle
-/// ([`Sim::divergence_masks`]) instead of a per-net peek pair per trial,
-/// which is where fault campaigns spend their time.
+/// Runs a golden simulation of `top` and one faulted simulation per plan
+/// in lockstep, and classifies each fault's effect: the one cycle loop
+/// every differential run in the workspace goes through.
 ///
-/// Reports match [`run_diff`] field for field — the `Sim` wrapper runs
-/// its forced-settle protocol per lane, so each lane's
-/// trace is byte-identical to a scalar faulted run — **except**
-/// `trace_fingerprint`, which is reported as 0: folding every net value
-/// per lane would reinstate exactly the per-trial read-and-fold loop the
-/// batch exists to avoid. Campaign tallies never read the
-/// fingerprint; the test suite uses [`run_diff_batch_traced`] when it
-/// wants fingerprint equality too.
+/// `cfg.engine` picks the lane set. [`Engine::SpecializedBatch`] runs one
+/// lane simulator — lane 0 golden, lane `1 + i` plan `i` — whose per-cycle
+/// [`Sim::divergence_masks`] classify every lane with one compare; the
+/// design must be native-free (an opaque closure is one stateful
+/// instance, not one per lane), which RTL-level models are. Every other
+/// engine runs a golden simulator and one faulty simulator per plan
+/// (natives allowed), so the golden trace is simulated once for all of
+/// `plans`. Both sets report field for field what a golden-vs-faulty pair
+/// reports for each plan alone: `Sim` runs its forced-settle protocol per
+/// lane, so every lane's trace is byte-identical to a scalar faulted run.
 ///
-/// The design must be native-free (an opaque closure is one stateful
-/// instance, not one per lane) — RTL-level models qualify.
+/// Designs drive themselves (the mesh and tile harnesses generate their
+/// own traffic), so no stimulus is applied beyond reset. `shared` builds
+/// every simulator through an [`ArtifactCache`] under a key that must
+/// identify the design `top` elaborates to (not the plans, seed or
+/// window), so a campaign hammering one design point compiles it once.
+/// With `traced`, every lane's net values are folded into its
+/// `trace_fingerprint` each cycle (see [`FaultReport::trace_fingerprint`]);
+/// without, the fold is skipped and the fingerprint is 0 — campaign
+/// tallies never read it.
 ///
 /// # Errors
 ///
 /// Returns elaboration failures, unresolvable fault targets, and plan
 /// sets larger than 63 (chunk the campaign instead).
-pub fn run_diff_batch(
+pub fn run_diffs(
     top: &dyn Component,
     plans: &[FaultPlan],
-    cycles: u64,
-) -> Result<Vec<FaultReport>, String> {
-    run_diff_batch_inner(top, plans, cycles, None, false)
-}
-
-/// [`run_diff_batch`] through a shared [`mtl_sim::ArtifactCache`] under
-/// `key` (same contract as [`run_diff_shared`]): a campaign hammering one
-/// design point compiles its plans once per design, not once per chunk —
-/// and shares that compile with the scalar `specialized-opt` runs of the
-/// same design point.
-///
-/// # Errors
-///
-/// Identical to [`run_diff_batch`].
-pub fn run_diff_batch_shared(
-    top: &dyn Component,
-    plans: &[FaultPlan],
-    cycles: u64,
-    cache: &mtl_sim::ArtifactCache,
-    key: u64,
-) -> Result<Vec<FaultReport>, String> {
-    run_diff_batch_inner(top, plans, cycles, Some((cache, key)), false)
-}
-
-/// [`run_diff_batch`] with real per-lane trace fingerprints: every lane's
-/// net values are read every cycle ([`Sim::net_values`]) and folded
-/// exactly as [`run_diff`] folds them, so a lane's report — fingerprint
-/// included — must equal the scalar report for that plan alone. This
-/// deliberately pays the per-trial read and fold the plain batch avoids;
-/// it exists for the batch-vs-scalar differential suite, not for
-/// campaigns.
-///
-/// # Errors
-///
-/// Identical to [`run_diff_batch`].
-pub fn run_diff_batch_traced(
-    top: &dyn Component,
-    plans: &[FaultPlan],
-    cycles: u64,
-) -> Result<Vec<FaultReport>, String> {
-    run_diff_batch_inner(top, plans, cycles, None, true)
-}
-
-fn run_diff_batch_inner(
-    top: &dyn Component,
-    plans: &[FaultPlan],
-    cycles: u64,
-    shared: Option<(&mtl_sim::ArtifactCache, u64)>,
+    cfg: &DiffConfig,
+    shared: Option<(&ArtifactCache, u64)>,
     traced: bool,
 ) -> Result<Vec<FaultReport>, String> {
-    if plans.is_empty() {
+    let n = plans.len();
+    if n == 0 {
         return Ok(Vec::new());
     }
-    if plans.len() > (mtl_sim::BATCH_LANES - 1) as usize {
+    let max = BATCH_LANES as usize - 1;
+    if n > max {
         return Err(format!(
-            "run_diff_batch takes at most {} plans per bundle (got {}); chunk the campaign",
-            mtl_sim::BATCH_LANES - 1,
-            plans.len()
+            "a differential run takes at most {max} plans (got {n}); chunk the campaign"
         ));
     }
-    let lanes = plans.len() as u32 + 1;
-    let sim_cfg = SimConfig { lanes: Some(lanes), ..Default::default() };
-    let mut sim = match shared {
-        Some((cache, key)) => {
-            Sim::build_shared(top, Engine::SpecializedBatch, &sim_cfg, cache, key)
-        }
-        None => Sim::build_with_config(top, Engine::SpecializedBatch, &sim_cfg),
-    }
-    .map_err(|e| format!("elaboration failed: {e:?}"))?;
-    for (i, plan) in plans.iter().enumerate() {
-        for inj in plan.to_injections(sim.design())? {
-            sim.inject_lane(1 + i as u32, inj);
-        }
-    }
-    sim.reset();
-
-    // Same probe set as `run_diff`, so classifications match exactly.
-    let probes = probes(sim.design());
-    let nnets = sim.design().nets().len();
-    let mut probed = vec![false; nnets];
-    probes.iter().for_each(|p| probed[p.net] = true);
-
-    let nlanes = plans.len();
-    let mut first_divergence: Vec<Option<u64>> = vec![None; nlanes];
-    let mut detected_at: Vec<Option<u64>> = vec![None; nlanes];
+    let mut lanes = Lanes::build(top, plans, cfg, shared)?;
+    let probes = probes(lanes.golden().design());
+    let mut first_divergence: Vec<Option<u64>> = vec![None; n];
+    let mut detected_at: Vec<Option<u64>> = vec![None; n];
     // Per net: lanes that ever diverged from golden (bit `1 + i` = plan i).
-    let mut ever: Vec<u64> = vec![0; nnets];
-    let mut fingerprints: Vec<u64> = vec![FNV_OFFSET; nlanes];
+    let mut ever: Vec<u64> = vec![0; lanes.golden().design().nets().len()];
+    // Untraced runs fold nothing and report 0.
+    let mut fingerprints: Vec<u64> = vec![if traced { FNV_OFFSET } else { 0 }; n];
     let mut masks: Vec<u64> = Vec::new();
-    let mut values: Vec<u128> = Vec::new();
-    for _ in 0..cycles {
-        let cycle = sim.cycle_count();
-        sim.cycle();
-        if sim.divergence_masks(&mut masks) {
+    let mut reads: Vec<Vec<u128>> = vec![Vec::new(); 1 + n];
+    for _ in 0..cfg.cycles {
+        // The cycle about to be simulated, in `cycle_count` time (the
+        // time base fault plans are scheduled in).
+        let cycle = lanes.golden().cycle_count();
+        if lanes.cycle(&mut reads, &mut masks) {
             for p in &probes {
                 let mut m = masks[p.net] & !1; // golden's own bit is never set
                 if m == 0 {
@@ -390,21 +329,19 @@ fn run_diff_batch_inner(
         }
         if traced {
             for (i, fp) in fingerprints.iter_mut().enumerate() {
-                sim.net_values(1 + i as u32, &mut values);
-                fold_cycle(fp, &probes, &values);
+                fold_cycle(fp, &probes, lanes.values(i, &mut reads));
             }
         }
     }
 
-    let design = sim.design();
-    let mut reports = Vec::with_capacity(nlanes);
-    for i in 0..nlanes {
-        let bit = 1u64 << (1 + i);
+    let design = lanes.golden().design();
+    let reports = (0..n).map(|i| {
+        let bit = 2u64 << i;
         let mut blast_radius: Vec<String> = ever
             .iter()
             .enumerate()
-            .filter(|&(n, &m)| m & bit != 0 && probed[n])
-            .map(|(n, _)| design.net_path(mtl_core::NetId::from_index(n)))
+            .filter(|&(_, &m)| m & bit != 0)
+            .map(|(net, _)| design.net_path(NetId::from_index(net)))
             .collect();
         blast_radius.sort();
         blast_radius.dedup();
@@ -415,17 +352,78 @@ fn run_diff_batch_inner(
         } else {
             Outcome::Masked
         };
-        reports.push(FaultReport {
+        FaultReport {
             outcome,
             first_divergence: first_divergence[i],
             detected_at: detected_at[i],
             blast_radius,
-            injected_bits: sim.lane_fault_totals(1 + i as u32).0,
-            cycles,
-            trace_fingerprint: if traced { fingerprints[i] } else { 0 },
-        });
-    }
-    Ok(reports)
+            injected_bits: lanes.injected_bits(i),
+            cycles: cfg.cycles,
+            trace_fingerprint: fingerprints[i],
+        }
+    });
+    Ok(reports.collect())
+}
+
+/// One plan through [`run_diffs`], traced: a golden and a faulty
+/// simulation of `top` in lockstep on `cfg.engine`.
+///
+/// # Errors
+///
+/// As [`run_diffs`].
+pub fn run_diff(
+    top: &dyn Component,
+    plan: &FaultPlan,
+    cfg: &DiffConfig,
+) -> Result<FaultReport, String> {
+    Ok(run_diffs(top, std::slice::from_ref(plan), cfg, None, true)?.remove(0))
+}
+
+/// [`run_diff`] built through a shared [`ArtifactCache`] under `key`.
+///
+/// # Errors
+///
+/// As [`run_diffs`].
+pub fn run_diff_shared(
+    top: &dyn Component,
+    plan: &FaultPlan,
+    cfg: &DiffConfig,
+    cache: &ArtifactCache,
+    key: u64,
+) -> Result<FaultReport, String> {
+    Ok(run_diffs(top, std::slice::from_ref(plan), cfg, Some((cache, key)), true)?.remove(0))
+}
+
+/// Up to 63 plans through [`run_diffs`] on one
+/// [`Engine::SpecializedBatch`] simulator, untraced (`trace_fingerprint`
+/// is 0).
+///
+/// # Errors
+///
+/// As [`run_diffs`].
+pub fn run_diff_batch(
+    top: &dyn Component,
+    plans: &[FaultPlan],
+    cycles: u64,
+) -> Result<Vec<FaultReport>, String> {
+    run_diffs(top, plans, &DiffConfig::new(Engine::SpecializedBatch, cycles), None, false)
+}
+
+/// [`run_diff_batch`] built through a shared [`ArtifactCache`] under
+/// `key`.
+///
+/// # Errors
+///
+/// As [`run_diffs`].
+pub fn run_diff_batch_shared(
+    top: &dyn Component,
+    plans: &[FaultPlan],
+    cycles: u64,
+    cache: &ArtifactCache,
+    key: u64,
+) -> Result<Vec<FaultReport>, String> {
+    let cfg = DiffConfig::new(Engine::SpecializedBatch, cycles);
+    run_diffs(top, plans, &cfg, Some((cache, key)), false)
 }
 
 /// The simulator configurations [`engine_agreement`] runs: all five

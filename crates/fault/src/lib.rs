@@ -11,12 +11,17 @@
 //! produce byte-identical faulty traces for the same plan.
 //!
 //! On top of the plan vocabulary this crate provides the differential
-//! runner: [`run_diff`] simulates a golden and a faulted instance in
-//! lockstep and reports the first-divergence cycle, the blast radius
-//! (every net that ever diverged), and a masked / silent / detected
-//! classification (see [`Outcome`]); [`engine_agreement`] repeats the
-//! run on every engine (including `SpecializedPar` at 1 and 4 threads)
-//! and asserts the reports and trace fingerprints agree.
+//! runner, one driver over two lane sets: [`run_diffs`] simulates one
+//! golden run and up to 63 faulted ones in lockstep — lane 0 golden,
+//! lane `1 + i` plan `i`, either as one lane simulator
+//! (`Engine::SpecializedBatch`) or as a golden and one faulty simulator
+//! per plan on any other engine, so a chunk of trials runs its golden
+//! once — and reports, per plan, the first-divergence cycle, the blast
+//! radius (every net that ever diverged), and a masked / silent /
+//! detected classification (see [`Outcome`]). [`run_diff`] is its
+//! one-plan call; [`engine_agreement`] repeats that run on every engine
+//! (including `SpecializedPar` at 1 and 4 threads) and asserts the
+//! reports and trace fingerprints agree.
 //!
 //! ```
 //! use mtl_core::{Component, Ctx, Expr};
@@ -50,7 +55,7 @@ mod plan;
 
 pub use diff::{
     agreement_configs, engine_agreement, run_diff, run_diff_batch, run_diff_batch_shared,
-    run_diff_batch_traced, run_diff_shared, DiffConfig, FaultReport, Outcome,
+    run_diff_shared, run_diffs, DiffConfig, FaultReport, Outcome,
 };
 pub use plan::{Fault, FaultKind, FaultPlan, PlanSpec, Targets};
 

@@ -23,7 +23,7 @@ const FAULTS: usize = 1;
 const CYCLES: u64 = 10;
 // <<< job
 
-use mtl_fault::{run_diff, run_diff_batch, DiffConfig, FaultPlan, PlanSpec};
+use mtl_fault::{run_diffs, DiffConfig, FaultPlan, PlanSpec};
 use mtl_net::MeshTrafficRtlHarness;
 use mtl_sim::{Engine, Sim};
 
@@ -42,13 +42,12 @@ fn main() {
         .map(|t| FaultPlan::random(mix(SEED, (CHUNK << 32) | t), probe.design(), &window))
         .collect();
     drop(probe);
-    let reports = run_diff_batch(&top, &plans, CYCLES).expect("batch run");
-    let cfg = DiffConfig::new(Engine::SpecializedOpt, CYCLES);
-    for (i, plan) in plans.iter().enumerate().take(SAMPLE) {
-        let scalar = run_diff(&top, plan, &cfg).expect("scalar run");
-        let mut lane = reports[i].clone();
-        // Campaign-mode batch reports carry no trace fingerprint.
-        lane.trace_fingerprint = scalar.trace_fingerprint;
+    let run = |engine, plans: &[FaultPlan]| {
+        run_diffs(&top, plans, &DiffConfig::new(engine, CYCLES), None, false).expect("diff run")
+    };
+    let batch = run(Engine::SpecializedBatch, &plans);
+    let scalar = run(Engine::SpecializedOpt, &plans[..SAMPLE]);
+    for (i, (lane, scalar)) in batch.iter().zip(&scalar).enumerate() {
         assert_eq!(lane, scalar, "batch lane {i} diverges from scalar");
     }
     println!("no divergence reproduced over {SAMPLE} plans");

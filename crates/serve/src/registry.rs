@@ -26,6 +26,7 @@
 //!  ]}
 //! ```
 
+use std::ops::RangeInclusive;
 use std::path::PathBuf;
 use std::str::FromStr;
 use std::sync::Arc;
@@ -33,12 +34,10 @@ use std::time::Duration;
 
 use mtl_accel::{TileConfig, TileHarness, XcelLevel};
 use mtl_core::Component;
-use mtl_fault::{
-    run_diff_batch_shared, run_diff_shared, DiffConfig, FaultPlan, FaultReport, Outcome, PlanSpec,
-};
+use mtl_fault::{run_diffs, DiffConfig, FaultPlan, FaultReport, Outcome, PlanSpec};
 use mtl_net::{MeshTrafficHarness, MeshTrafficRtlHarness, NetLevel};
 use mtl_proc::{CacheLevel, ProcLevel};
-use mtl_sim::{ArtifactCache, Engine, Sim, SimConfig};
+use mtl_sim::{ArtifactCache, Engine, Sim, SimConfig, BATCH_LANES};
 use mtl_soc::{run_soc_compute_on, run_soc_traffic_on, Soc, SocConfig, SocTraffic};
 use mtl_sweep::{measure_batched, Campaign, Fnv1a, Job, JobCtx, JobMetrics, Json};
 
@@ -67,6 +66,14 @@ const COMMON_FIELDS: [&str; 5] = ["kind", "name", "watchdog_ms", "budget_ms", "u
 /// Largest `nrouters` / `tiles` a spec may ask for: one submission must
 /// not make the daemon elaborate an unbounded design.
 const MAX_NODES: usize = 1024;
+
+/// Largest `faults` per plan a fault job may ask for: every armed fault
+/// is checked on every cycle of its simulator.
+const MAX_FAULTS: usize = 1024;
+
+/// Largest `cycles` a fault job may ask for, so its plan window
+/// `2..=1 + cycles` cannot overflow.
+const MAX_FAULT_CYCLES: u64 = u32::MAX as u64;
 
 const OPT: Option<Engine> = Some(Engine::SpecializedOpt);
 
@@ -203,22 +210,18 @@ impl Fields<'_> {
         self.parsed("engine", self.kind.default_engine.expect("kind builds simulators"))
     }
 
-    /// A design size (`nrouters`, `tiles`), capped at [`MAX_NODES`].
-    fn nodes(&self, key: &str, default: usize) -> Result<usize, String> {
+    /// A numeric field that must lie in `range`: design sizes, rates and
+    /// fault-job shapes, so no spec line makes a job elaborate, allocate
+    /// or run without limit.
+    fn bounded<T>(&self, key: &str, default: T, range: RangeInclusive<T>) -> Result<T, String>
+    where
+        T: TryFrom<u64> + PartialOrd + std::fmt::Display,
+    {
         let n = self.num(key, default)?;
-        if n > MAX_NODES {
-            return Err(format!("\"{key}\" must be at most {MAX_NODES}, got {n}"));
+        if !range.contains(&n) {
+            return Err(format!("\"{key}\" must be {}..={}, got {n}", range.start(), range.end()));
         }
         Ok(n)
-    }
-
-    /// An injection rate in permille.
-    fn injection(&self, default: u32) -> Result<u32, String> {
-        let injection = self.num("injection", default)?;
-        if injection == 0 || injection > 1000 {
-            return Err(format!("\"injection\" must be 1..=1000 permille, got {injection}"));
-        }
-        Ok(injection)
     }
 }
 
@@ -384,12 +387,12 @@ struct MeshParams {
 
 fn mesh_params(f: Fields) -> Result<MeshParams, String> {
     let level: NetLevel = f.required("level")?;
-    let nrouters = f.nodes("nrouters", 16)?;
+    let nrouters = f.bounded("nrouters", 16, 0..=MAX_NODES)?;
     let root = nrouters.isqrt();
     if root * root != nrouters || nrouters == 0 {
         return Err(format!("\"nrouters\" must be a positive perfect square, got {nrouters}"));
     }
-    let injection = f.injection(200)?;
+    let injection = f.bounded("injection", 200, 1..=1000)?;
     let key =
         compile_key(&["mesh", &level.to_string(), &nrouters.to_string(), &injection.to_string()]);
     Ok(MeshParams { level, nrouters, injection, key })
@@ -431,11 +434,11 @@ fn mesh_cycles_job(f: Fields, artifacts: &Arc<ArtifactCache>) -> Result<Job, Str
 /// router grid needs a power-of-two side, so `nrouters` must be a power
 /// of four. Returns `(nrouters, injection, compile key)`.
 fn mesh_ir_params(f: Fields) -> Result<(usize, u32, u64), String> {
-    let nrouters = f.nodes("nrouters", 16)?;
+    let nrouters = f.bounded("nrouters", 16, 0..=MAX_NODES)?;
     if !nrouters.is_power_of_two() || !nrouters.trailing_zeros().is_multiple_of(2) {
         return Err(format!("\"nrouters\" must be a power of four, got {nrouters}"));
     }
-    let injection = f.injection(200)?;
+    let injection = f.bounded("injection", 200, 1..=1000)?;
     let key = compile_key(&["mesh-ir", &nrouters.to_string(), &injection.to_string()]);
     Ok((nrouters, injection, key))
 }
@@ -531,18 +534,22 @@ struct Tally {
 }
 
 impl Tally {
-    fn add(&mut self, r: &FaultReport) {
-        match r.outcome {
-            Outcome::Masked => self.masked += 1,
-            Outcome::Silent => self.silent += 1,
-            Outcome::Detected => self.detected += 1,
+    fn of(reports: &[FaultReport]) -> Tally {
+        let mut t = Tally::default();
+        for r in reports {
+            match r.outcome {
+                Outcome::Masked => t.masked += 1,
+                Outcome::Silent => t.silent += 1,
+                Outcome::Detected => t.detected += 1,
+            }
+            if let Some(c) = r.first_divergence {
+                t.diverged += 1;
+                t.sum_first_div += c;
+                t.sum_blast += r.blast_radius.len() as u64;
+            }
+            t.injected_bits += r.injected_bits;
         }
-        if let Some(c) = r.first_divergence {
-            self.diverged += 1;
-            self.sum_first_div += c;
-            self.sum_blast += r.blast_radius.len() as u64;
-        }
-        self.injected_bits += r.injected_bits;
+        t
     }
 
     fn metrics(&self, trials: u64) -> JobMetrics {
@@ -570,12 +577,14 @@ struct FaultChunk {
 }
 
 impl FaultChunk {
+    /// Reads the chunk's shape. A chunk is one lane set — golden plus
+    /// one lane per plan — so `trials` is 1..=63.
     fn from_spec(f: Fields, default_trials: u64, key: u64) -> Result<FaultChunk, String> {
         Ok(FaultChunk {
             chunk: f.num("chunk", 0)?,
-            trials: f.num("trials", default_trials)?,
-            cycles: f.num("cycles", 60)?,
-            faults: f.num("faults", 1)?,
+            trials: f.bounded("trials", default_trials, 1..=u64::from(BATCH_LANES) - 1)?,
+            cycles: f.bounded("cycles", 60, 0..=MAX_FAULT_CYCLES)?,
+            faults: f.bounded("faults", 1, 0..=MAX_FAULTS)?,
             key,
         })
     }
@@ -599,20 +608,17 @@ impl FaultChunk {
         Ok((0..self.trials).map(plan).collect())
     }
 
-    /// Runs every plan through scalar [`run_diff_shared`] on `engine`.
-    fn run_scalar(
+    /// Runs `plans` as one untraced lane set on `engine` ([`run_diffs`]):
+    /// one golden run for all of them.
+    fn run(
         &self,
         top: &dyn Component,
         plans: &[FaultPlan],
         engine: Engine,
         artifacts: &ArtifactCache,
-    ) -> Result<Tally, String> {
+    ) -> Result<Vec<FaultReport>, String> {
         let cfg = DiffConfig::new(engine, self.cycles);
-        let mut tally = Tally::default();
-        for plan in plans {
-            tally.add(&run_diff_shared(top, plan, &cfg, artifacts, self.key)?);
-        }
-        Ok(tally)
+        run_diffs(top, plans, &cfg, Some((artifacts, self.key)), false)
     }
 
     fn params(&self, job: Job, dut: String, engine: Engine) -> Job {
@@ -624,9 +630,10 @@ impl FaultChunk {
     }
 }
 
-/// One fault-injection chunk: `trials` seeded plans, each a
-/// golden-vs-faulted differential run through [`run_diff_shared`], so
-/// every trial of every campaign reuses one compile of the design.
+/// One fault-injection chunk: `trials` seeded plans run as one lane set
+/// through [`run_diffs`] — one golden run and one faulted run per plan,
+/// in lockstep — so the chunk simulates its golden once, and every trial
+/// of every campaign reuses one compile of the design.
 fn fault_chunk_job(f: Fields, artifacts: &Arc<ArtifactCache>) -> Result<Job, String> {
     #[derive(Clone, Copy)]
     enum Dut {
@@ -663,41 +670,35 @@ fn fault_chunk_job(f: Fields, artifacts: &Arc<ArtifactCache>) -> Result<Job, Str
             Dut::Tile(config) => Box::new(tile_harness(config)),
         };
         let plans = c.plans(top.as_ref(), ctx.seed, Engine::Interpreted, &artifacts)?;
-        Ok(c.run_scalar(top.as_ref(), &plans, engine, &artifacts)?.metrics(c.trials))
+        Ok(Tally::of(&c.run(top.as_ref(), &plans, engine, &artifacts)?).metrics(c.trials))
     });
     Ok(c.params(job, label, engine))
 }
 
-/// One batch fault bundle: up to 63 plans share a single
-/// `Engine::SpecializedBatch` simulator (lane 0 golden, one plan per
-/// faulty lane) through [`run_diff_batch_shared`], then the leading
-/// `scalar_sample` plans are re-run through scalar [`run_diff_shared`]
-/// — both as the throughput baseline and as the **online divergence
-/// sentinel**: a field mismatch is reported with the
-/// [`DEGRADE_PREFIX`](mtl_sweep::DEGRADE_PREFIX) marker, so the
-/// executor retries one rung down the engine ladder
-/// (`specialized-batch → specialized-opt → interpreted`) instead of
+/// One batch fault bundle: up to 63 plans run as one [`run_diffs`] lane
+/// set per rung of the engine ladder (`specialized-batch →
+/// specialized-opt → interpreted`). On the batch rung the plans share a
+/// single `Engine::SpecializedBatch` simulator (lane 0 golden, one plan
+/// per faulty lane), then the leading `scalar_sample` plans are re-run
+/// as one scalar `specialized-opt` set — both as the throughput baseline
+/// and as the **online divergence sentinel**: a report mismatch is
+/// reported with the [`DEGRADE_PREFIX`](mtl_sweep::DEGRADE_PREFIX)
+/// marker, so the executor retries one rung down the ladder instead of
 /// losing the job, quarantining a reproducer on the way. Scalar rungs
-/// compute the identical deterministic metrics trial by trial (the
-/// engine-exactness invariant), so a degraded campaign's canonical
-/// report is byte-identical to a healthy one. Only the fully-IR mesh
-/// DUT qualifies; native blocks cannot be batched. Uncacheable: the
-/// speedup metrics are wall-clock rates.
+/// compute the identical deterministic metrics (the engine-exactness
+/// invariant), so a degraded campaign's canonical report is
+/// byte-identical to a healthy one. Only the fully-IR mesh DUT
+/// qualifies; native blocks cannot be batched. Uncacheable: the speedup
+/// metrics are wall-clock rates.
 fn fault_batch_chunk_job(f: Fields, artifacts: &Arc<ArtifactCache>) -> Result<Job, String> {
     let (nrouters, injection, key) = mesh_ir_params(f)?;
     let c = FaultChunk::from_spec(f, 15, key)?;
-    if c.trials == 0 || c.trials > 63 {
-        return Err(format!(
-            "\"trials\" must be 1..=63 (one lane per plan + golden), got {}",
-            c.trials
-        ));
-    }
     let sample = f.num("scalar_sample", 2u64)?.min(c.trials) as usize;
     let artifacts = artifacts.clone();
     let run = move |ctx: &JobCtx| {
         let top = MeshTrafficRtlHarness::new(nrouters, injection, 0xBEEF);
         // Ladder rung: rung 0 is the preferred batch engine; lower rungs
-        // re-run every plan through the named scalar engine.
+        // re-run every plan as a scalar set on the named engine.
         let rung = ctx.engine().map_or(Ok(Engine::SpecializedBatch), str::parse)?;
         // The probe is built on the rung's own engine, so the design
         // point's one-time compile is in the shared cache before either
@@ -705,47 +706,33 @@ fn fault_batch_chunk_job(f: Fields, artifacts: &Arc<ArtifactCache>) -> Result<Jo
         // like every rate in the repo), whichever job compiles first.
         let plans = c.plans(&top, ctx.seed, rung, &artifacts)?;
         let secs = |t0: std::time::Instant| t0.elapsed().as_secs_f64().max(1e-9);
-        let (tally, batch_rate, scalar_rate) = if rung == Engine::SpecializedBatch {
-            let t0 = std::time::Instant::now();
-            let reports = run_diff_batch_shared(&top, &plans, c.cycles, &artifacts, key)?;
-            let batch_rate = c.trials as f64 / secs(t0);
-            let cfg = DiffConfig::new(Engine::SpecializedOpt, c.cycles);
+        let t0 = std::time::Instant::now();
+        let reports = c.run(&top, &plans, rung, &artifacts)?;
+        let rate = c.trials as f64 / secs(t0);
+        let mut scalar_rate = rate;
+        if rung == Engine::SpecializedBatch {
             let t1 = std::time::Instant::now();
-            for (i, plan) in plans.iter().enumerate().take(sample) {
-                let scalar = run_diff_shared(&top, plan, &cfg, &artifacts, key)?;
-                let mut lane = reports[i].clone();
-                // Campaign-mode batch reports carry no trace fingerprint.
-                lane.trace_fingerprint = scalar.trace_fingerprint;
-                if lane != scalar {
-                    // The divergence sentinel: a batch-engine bug, not a
-                    // bad configuration. The DEGRADE_PREFIX makes the
-                    // executor descend the ladder.
-                    return Err(format!(
-                        "{}batch lane disagrees with scalar run on trial {i}: \
-                         batch {lane:?} vs scalar {scalar:?}",
-                        mtl_sweep::DEGRADE_PREFIX
-                    ));
-                }
+            let scalar = c.run(&top, &plans[..sample], Engine::SpecializedOpt, &artifacts)?;
+            scalar_rate = sample as f64 / secs(t1);
+            if let Some(i) = (0..sample).find(|&i| reports[i] != scalar[i]) {
+                // The divergence sentinel: a batch-engine bug, not a bad
+                // configuration. The DEGRADE_PREFIX makes the executor
+                // descend the ladder.
+                return Err(format!(
+                    "{}batch lane disagrees with scalar run on trial {i}: \
+                     batch {:?} vs scalar {:?}",
+                    mtl_sweep::DEGRADE_PREFIX,
+                    reports[i],
+                    scalar[i]
+                ));
             }
-            let scalar_rate = sample as f64 / secs(t1);
-            let mut tally = Tally::default();
-            reports.iter().for_each(|r| tally.add(r));
-            (tally, batch_rate, scalar_rate)
-        } else {
-            // Degraded rung: scalar differential runs, plan by plan.
-            // Outcomes are engine-exact, so the deterministic metrics
-            // match the batch rung's bit for bit.
-            let t0 = std::time::Instant::now();
-            let tally = c.run_scalar(&top, &plans, rung, &artifacts)?;
-            let rate = c.trials as f64 / secs(t0);
-            (tally, rate, rate)
-        };
-        Ok(tally
+        }
+        Ok(Tally::of(&reports)
             .metrics(c.trials)
             .det("scalar_sample", sample as u64)
-            .timing("batch_trials_per_sec", batch_rate)
+            .timing("batch_trials_per_sec", rate)
             .timing("scalar_trials_per_sec", scalar_rate)
-            .timing("batch_speedup", batch_rate / scalar_rate))
+            .timing("batch_speedup", rate / scalar_rate))
     };
     let job = f
         .job(run)
@@ -797,7 +784,7 @@ fn batch_chunk_repro(
 /// preloaded programs are baked into the elaborated design.
 fn soc_cycles_job(f: Fields, artifacts: &Arc<ArtifactCache>) -> Result<Job, String> {
     let workload = f.str("workload").unwrap_or("synthetic").to_string();
-    let tiles = f.nodes("tiles", 4)?;
+    let tiles = f.bounded("tiles", 4, 0..=MAX_NODES)?;
     if tiles < 4 || !tiles.is_power_of_two() || !tiles.trailing_zeros().is_multiple_of(2) {
         return Err(format!("\"tiles\" must be a power of four >= 4, got {tiles}"));
     }
@@ -809,7 +796,7 @@ fn soc_cycles_job(f: Fields, artifacts: &Arc<ArtifactCache>) -> Result<Job, Stri
     let artifacts = artifacts.clone();
     let job = match workload.as_str() {
         "synthetic" => {
-            let injection = f.injection(300)?;
+            let injection = f.bounded("injection", 300, 1..=1000)?;
             let limit = f.num("limit", 64u32)?;
             let key = compile_key(&[
                 "soc",
@@ -858,10 +845,7 @@ fn soc_cycles_job(f: Fields, artifacts: &Arc<ArtifactCache>) -> Result<Job, Stri
                 cache: f.parsed("cache", CacheLevel::Rtl)?,
                 xcel: f.parsed("xcel", XcelLevel::Rtl)?,
             };
-            let accesses = f.num("accesses", 8usize)?;
-            if accesses == 0 || accesses > 80 {
-                return Err(format!("\"accesses\" must be 1..=80, got {accesses}"));
-            }
+            let accesses = f.bounded("accesses", 8usize, 1..=80)?;
             let key = compile_key(&[
                 "soc",
                 "compute",
@@ -962,6 +946,14 @@ mod tests {
             r#"{"name":"a","jobs":[{"kind":"fault_chunk","name":"f","dut":"ufo"}]}"#,
             r#"{"name":"a","jobs":[{"kind":"fault_chunk","name":"f","dut":"mesh-ir","nrouters":8}]}"#,
             r#"{"name":"a","jobs":[{"kind":"fault_batch_chunk","name":"b","nrouters":4,"trials":64}]}"#,
+            // Fault-job shapes that would abort or overflow at run time.
+            r#"{"name":"a","jobs":[{"kind":"fault_chunk","name":"f","dut":"mesh-ir","trials":1000000000000}]}"#,
+            r#"{"name":"a","jobs":[{"kind":"fault_chunk","name":"f","dut":"mesh-ir","trials":64}]}"#,
+            r#"{"name":"a","jobs":[{"kind":"fault_chunk","name":"f","dut":"mesh-ir","trials":0}]}"#,
+            r#"{"name":"a","jobs":[{"kind":"fault_chunk","name":"f","dut":"mesh-ir","faults":1000000000000}]}"#,
+            r#"{"name":"a","jobs":[{"kind":"fault_batch_chunk","name":"b","faults":1000000000000}]}"#,
+            r#"{"name":"a","jobs":[{"kind":"fault_chunk","name":"f","dut":"mesh-ir","cycles":18446744073709551615}]}"#,
+            r#"{"name":"a","jobs":[{"kind":"fault_batch_chunk","name":"b","cycles":18446744073709551615}]}"#,
             r#"{"name":"a","jobs":[{"kind":"soc_cycles","name":"s","net":"RTL","tiles":8}]}"#,
             r#"{"name":"a","jobs":[{"kind":"soc_cycles","name":"s","net":"RTL","pattern":"zipf"}]}"#,
             r#"{"name":"a","jobs":[{"kind":"soc_cycles","name":"s","net":"RTL","workload":"mine"}]}"#,
@@ -1017,6 +1009,31 @@ mod tests {
         assert!(error("syn").contains("failed to drain"), "{}", error("syn"));
         assert!(error("cmp").contains("failed to halt"), "{}", error("cmp"));
         assert_eq!(report.get("ok").unwrap().u64("drained"), Some(1));
+    }
+
+    /// A fault chunk is one lane set: its trials share one golden run, so
+    /// a 4-trial job builds a probe, one golden and four faulty
+    /// simulators — every build after the probe's elaboration reuses the
+    /// cached design.
+    #[test]
+    fn a_fault_chunk_runs_its_golden_once() {
+        let artifacts = Arc::new(ArtifactCache::new());
+        let report = campaign_from_spec(
+            &spec(
+                r#"{"name":"g","no_cache":true,"jobs":[
+                    {"kind":"fault_chunk","name":"f","dut":"mesh-ir","nrouters":4,
+                     "trials":4,"cycles":10}
+                ]}"#,
+            ),
+            &SpecDefaults::default(),
+            &artifacts,
+        )
+        .unwrap()
+        .run();
+        assert_eq!(report.get("f").unwrap().u64("trials"), Some(4));
+        let stats = artifacts.stats();
+        assert_eq!(stats.design_hits, 1 + 4, "one golden, four faulty: {stats:?}");
+        assert_eq!(stats.tape_hits + stats.tape_misses, 1 + 4, "{stats:?}");
     }
 
     #[test]

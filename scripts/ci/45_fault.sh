@@ -8,15 +8,20 @@
 #       threads); then the pinned-report test, which holds full
 #       run_diff reports (trace fingerprint included) to literals, so a
 #       change to the fingerprint's fold fails this stage even when every
-#       engine changes alike; then the full-bundle batch differential:
-#       63 seeded plans on each of four IR mesh configurations, every
-#       batch lane's report (traced: fingerprint included) equal to the
-#       scalar run_diff of its plan — the lanes that follow lane 0, fork
-#       off it and rejoin it are all checked here; before it, the
-#       cone-settle differential: on every engine and on batch lanes,
-#       random dense plans and hand-built cones, each forced settle (one
-#       full settle, then the forced nets' fan-out cone) must leave the
-#       same words as the block-by-block walk over the whole schedule;
+#       engine changes alike; then the cone-settle differential: on
+#       every engine and on batch lanes, random dense plans and
+#       hand-built cones, each forced settle (one full settle, then the
+#       forced nets' fan-out cone) must leave the same words as the
+#       block-by-block walk over the whole schedule; then the two lane
+#       sets of the one fault driver (run_diffs): the scalar-set
+#       differential — one golden and N faulty simulators (N = 1, 5, 63;
+#       CL and IR mesh) report exactly what N independent run_diff runs
+#       report — and the full-bundle batch differential: 63 seeded plans
+#       on each of four IR mesh configurations, every batch lane's report
+#       (traced: fingerprint included) equal to the scalar run_diff of
+#       its plan, and the traced 63-plan scalar set equal to the traced
+#       batch — the lanes that follow lane 0, fork off it and rejoin it
+#       are all checked here;
 #   (b) checkpoint/resume smoke: the fault_sweep --smoke campaign is
 #       killed after two of its five jobs (RUSTMTL_SWEEP_EXIT_AFTER)
 #       and restarted; the restart must replay exactly the journalled
@@ -47,6 +52,13 @@ out=$(cargo test -q --release -p mtl-sim --lib -- --exact \
     echo "$out"; echo "FAIL: a forced settle differs from the schedule walk"; exit 1; }
 echo "$out" | grep -q "2 passed" || {
     echo "$out"; echo "FAIL: the cone-settle differential did not run"; exit 1; }
+
+echo "== scalar-set differential: one golden + N faulty simulators equal N run_diff runs"
+out=$(cargo test -q --release --test fault_injection -- --exact \
+    scalar_set_equals_independent_runs 2>&1) || {
+    echo "$out"; echo "FAIL: a scalar lane set's report differs from run_diff"; exit 1; }
+echo "$out" | grep -q "1 passed" || {
+    echo "$out"; echo "FAIL: the scalar-set differential did not run"; exit 1; }
 
 echo "== batch differential: four 63-plan mesh bundles, every lane against scalar run_diff"
 out=$(cargo test -q --release --test fault_injection -- --exact \

@@ -226,7 +226,7 @@ fn const_driven_nets_perturb_all_engine_configs_identically() {
     );
 }
 
-/// A bundle of plans through `run_diff_batch_traced` (one batch
+/// A bundle of plans through a traced batch `run_diffs` (one batch
 /// simulation, one lane per plan) must reproduce the scalar `run_diff`
 /// report for every plan *exactly* — outcome, divergence cycles, blast
 /// radius, injected bits, and the full faulty-trace fingerprint. The
@@ -234,7 +234,7 @@ fn const_driven_nets_perturb_all_engine_configs_identically() {
 /// which it reports as 0 by contract.
 #[test]
 fn batch_fault_reports_match_scalar_reports() {
-    use rustmtl::fault::{run_diff_batch, run_diff_batch_traced};
+    use rustmtl::fault::{run_diff_batch, run_diffs};
     use rustmtl::net::MeshTrafficRtlHarness;
 
     let top = MeshTrafficRtlHarness::new(16, 200, 0xBEEF);
@@ -245,7 +245,8 @@ fn batch_fault_reports_match_scalar_reports() {
     drop(probe);
     let cycles = 25;
 
-    let traced = run_diff_batch_traced(&top, &plans, cycles).expect("batch diff runs");
+    let batch = DiffConfig::new(Engine::SpecializedBatch, cycles);
+    let traced = run_diffs(&top, &plans, &batch, None, true).expect("batch diff runs");
     assert_eq!(traced.len(), plans.len());
     let cfg = DiffConfig::new(Engine::SpecializedOpt, cycles);
     for (i, plan) in plans.iter().enumerate() {
@@ -265,14 +266,16 @@ fn batch_fault_reports_match_scalar_reports() {
 /// The batch differential over full bundles: 63 seeded plans on each of
 /// four IR mesh configurations (routers / window / faults per plan:
 /// 16/200/2, 4/60/3, 16/120/1, 4/200/4), traced batch against scalar
-/// `run_diff` field for field — fingerprint included — and the untraced
-/// batch against the traced one but for its zero fingerprint. Most lanes
+/// `run_diff` field for field — fingerprint included — the untraced
+/// batch against the traced one but for its zero fingerprint, and the
+/// traced 63-plan scalar set (one golden, 63 faulty simulators) against
+/// the traced batch. Most lanes
 /// follow the golden lane until their first fault, many rejoin it after a
 /// fault washes out, and some are faulted again after rejoining, so this
 /// is where a lane that follows, forks or rejoins at the wrong time shows.
 #[test]
 fn full_batch_bundles_match_scalar_on_four_mesh_configurations() {
-    use rustmtl::fault::{run_diff_batch, run_diff_batch_traced, run_diff_shared};
+    use rustmtl::fault::{run_diff_batch, run_diff_shared, run_diffs};
     use rustmtl::net::MeshTrafficRtlHarness;
 
     // The scalar runs share one compile per design point.
@@ -285,9 +288,13 @@ fn full_batch_bundles_match_scalar_on_four_mesh_configurations() {
         let plans: Vec<FaultPlan> =
             (0..63).map(|i| FaultPlan::random(seed + i, &design, &window)).collect();
         let at = format!("mesh{routers}/{cycles}/{faults}");
-        let traced = run_diff_batch_traced(&top, &plans, cycles).expect("batch diff runs");
+        let batch = DiffConfig::new(Engine::SpecializedBatch, cycles);
+        let traced = run_diffs(&top, &plans, &batch, None, true).expect("batch diff runs");
         let plain = run_diff_batch(&top, &plans, cycles).expect("batch diff runs");
         let cfg = DiffConfig::new(Engine::SpecializedOpt, cycles);
+        let set = run_diffs(&top, &plans, &cfg, Some((&cache, routers as u64)), true)
+            .expect("scalar set runs");
+        assert_eq!(set, traced, "{at}: traced scalar set != traced batch");
         for (i, plan) in plans.iter().enumerate() {
             let scalar = run_diff_shared(&top, plan, &cfg, &cache, routers as u64)
                 .expect("scalar diff runs");
@@ -297,6 +304,34 @@ fn full_batch_bundles_match_scalar_on_four_mesh_configurations() {
             assert_eq!(plain[i].trace_fingerprint, 0, "{at} plan {i}: campaign mode fingerprint");
             assert_eq!(untraced, scalar, "{at} plan {i}: batch lane != scalar report");
         }
+    }
+}
+
+/// A scalar lane set — one golden and N faulty simulators through one
+/// `run_diffs` call — reports exactly what N independent `run_diff` runs
+/// report, field for field, fingerprint included: on a design with native
+/// blocks (the CL mesh) and on the IR mesh, for N = 1, 5 and 63.
+#[test]
+fn scalar_set_equals_independent_runs() {
+    use rustmtl::fault::run_diffs;
+    use rustmtl::net::MeshTrafficRtlHarness;
+
+    let ir = MeshTrafficRtlHarness::new(4, 200, 0xBEEF);
+    let cl = MeshTrafficHarness::new(NetLevel::Cl, 4, 200, 0xBEEF);
+    let cycles = 30;
+    let cfg = DiffConfig::new(Engine::SpecializedOpt, cycles);
+    for top in [&cl as &dyn Component, &ir] {
+        let probe = Sim::build(top, Engine::Interpreted).expect("design elaborates");
+        let window = PlanSpec::new(2, 2, cycles);
+        let plans: Vec<FaultPlan> =
+            (0..63).map(|i| FaultPlan::random(0x5E7 + i, probe.design(), &window)).collect();
+        let single: Vec<FaultReport> =
+            plans.iter().map(|plan| run_diff(top, plan, &cfg).expect("diff runs")).collect();
+        for n in [1, 5, 63] {
+            let set = run_diffs(top, &plans[..n], &cfg, None, true).expect("scalar set runs");
+            assert_eq!(set, single[..n], "{} N={n}: scalar set != independent runs", top.name());
+        }
+        assert!(single.iter().any(|r| r.outcome != Outcome::Masked), "{}", top.name());
     }
 }
 
