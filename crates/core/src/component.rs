@@ -1,11 +1,9 @@
 //! The [`Component`] trait and the [`elaborate`] entry point.
 
-use std::collections::HashMap;
-
 use crate::builder::{Ctx, Proto, SignalRef};
 use crate::design::{Design, ElabError, ModuleInfo, NetInfo, SignalKind};
 use crate::ids::{BlockId, ModuleId, NetId, SignalId};
-use crate::typecheck;
+use crate::{shape, typecheck};
 
 /// A hardware component: the analog of a PyMTL `Model` subclass.
 ///
@@ -133,12 +131,12 @@ fn finalize(proto: Proto, reset: SignalId, strict: bool) -> Result<Design, ElabE
     }
 
     // 2. Assign net ids.
-    let mut root_to_net: HashMap<usize, NetId> = HashMap::new();
+    let mut net_of_root: Vec<Option<NetId>> = vec![None; signals.len()];
     let mut nets: Vec<NetInfo> = Vec::new();
     #[allow(clippy::needless_range_loop)]
     for i in 0..signals.len() {
         let root = find(&mut uf, i);
-        let net = *root_to_net.entry(root).or_insert_with(|| {
+        let net = *net_of_root[root].get_or_insert_with(|| {
             let id = NetId::from_index(nets.len());
             nets.push(NetInfo {
                 signals: Vec::new(),
@@ -159,7 +157,8 @@ fn finalize(proto: Proto, reset: SignalId, strict: bool) -> Result<Design, ElabE
         }
     }
 
-    let design = Design {
+    let shapes = shape::assign(&signals, &nets, &mems, &blocks);
+    let mut design = Design {
         modules,
         signals,
         blocks,
@@ -168,8 +167,8 @@ fn finalize(proto: Proto, reset: SignalId, strict: bool) -> Result<Design, ElabE
         connections,
         nets,
         reset,
+        shapes,
     };
-    let mut design = design;
 
     // 3. Driver analysis: at most one writer block per net; note registers.
     let mut driver: Vec<Option<BlockId>> = vec![None; design.nets.len()];
@@ -241,7 +240,7 @@ fn finalize(proto: Proto, reset: SignalId, strict: bool) -> Result<Design, ElabE
         }
     }
 
-    // 5. IR width checking.
+    // 5. IR width checking, once per block shape.
     typecheck::check_design(&design)?;
 
     // 6. Combinational cycle check.

@@ -6,13 +6,13 @@
 //! analyzers) take a `Design` as input; none of them know anything about the
 //! user's component types. This is the paper's "model/tool split".
 
-use std::collections::HashMap;
 use std::fmt;
 
 use mtl_bits::Bits;
 
-use crate::ids::{BlockId, MemId, ModuleId, NetId, SignalId};
+use crate::ids::{BlockId, MemId, ModuleId, NetId, ShapeId, SignalId};
 use crate::ir::Stmt;
+use crate::shape::{ShapeInfo, Shapes};
 use crate::view::SignalView;
 
 /// Direction/kind of a signal relative to its owning module.
@@ -243,6 +243,18 @@ pub struct Design {
     pub(crate) natives: Vec<NativeCell>,
     /// The global reset net's representative signal.
     pub(crate) reset: SignalId,
+    /// Every IR block's shape and operand lists.
+    pub(crate) shapes: Shapes,
+}
+
+/// The combinational dependency graph of a design; see
+/// [`Design::comb_graph`].
+pub(crate) struct CombGraph {
+    /// The nodes: the comb blocks, in block order.
+    pub(crate) blocks: Vec<BlockId>,
+    /// Per node, the nodes it feeds, in order, each once, with the first
+    /// net through which the reader reads it.
+    pub(crate) succ: Vec<Vec<(u32, NetId)>>,
 }
 
 /// An elaborated design is pure data plus claimable native closures, so
@@ -289,10 +301,38 @@ impl Design {
         &self.blocks
     }
 
-    /// Mutable access to blocks (metadata only; native closures live in
-    /// the design's native table, see [`Design::take_natives`]).
-    pub fn blocks_mut(&mut self) -> &mut [BlockInfo] {
-        &mut self.blocks
+    /// The distinct shapes of the IR blocks, indexable by
+    /// [`ShapeId::index`], in order of first occurrence.
+    ///
+    /// Finalization walks every IR block once, renumbering the nets and
+    /// memories it names by first occurrence (in the order the tape code
+    /// generator emits them), and interns the rest: the block kind, the
+    /// statements with each signal replaced by its local net and its own
+    /// width, each local net's width, and each local memory's width and
+    /// depth — everything width checking and compilation read of a block.
+    /// Blocks of one shape are one body wired to different state: they
+    /// type-check alike and compile to one tape. Shapes are keyed on the IR
+    /// as written, so `a + (1 + 1)` and `a + 2` are two.
+    pub fn shapes(&self) -> &[ShapeInfo] {
+        &self.shapes.info
+    }
+
+    /// The shape of a block (`None` for a native block).
+    pub fn block_shape(&self, block: BlockId) -> Option<ShapeId> {
+        let shape = self.shapes.of[block.index()];
+        (shape != crate::shape::NONE).then(|| ShapeId::from_index(shape as usize))
+    }
+
+    /// A block's operand lists: the net (`[0]`) and memory (`[1]`) index
+    /// behind each local index of its shape, in order of first occurrence.
+    /// Empty for a native block.
+    pub fn block_operands(&self, block: BlockId) -> [&[u32]; 2] {
+        let b = block.index();
+        let operands =
+            &self.shapes.operands[self.shapes.at[b] as usize..self.shapes.at[b + 1] as usize];
+        let nets = self.block_shape(block).map_or(0, |s| self.shapes.info[s.index()].nets);
+        let (nets, mems) = operands.split_at(nets as usize);
+        [nets, mems]
     }
 
     /// Claims ownership of all native closures, indexed by block (None
@@ -426,63 +466,71 @@ impl Design {
     /// Returns [`ElabError::CombCycle`] if the combinational dependency
     /// graph is cyclic.
     pub fn comb_schedule(&self) -> Result<Vec<BlockId>, ElabError> {
-        let comb_blocks: Vec<BlockId> = (0..self.blocks.len())
+        let CombGraph { blocks, succ } = self.comb_graph();
+        let mut indegree = vec![0u32; blocks.len()];
+        for &(reader, _) in succ.iter().flatten() {
+            indegree[reader as usize] += 1;
+        }
+        let mut ready: Vec<u32> =
+            (0..blocks.len() as u32).filter(|&i| indegree[i as usize] == 0).collect();
+        let mut order = Vec::with_capacity(blocks.len());
+        let mut done = vec![false; blocks.len()];
+        while let Some(i) = ready.pop() {
+            order.push(blocks[i as usize]);
+            done[i as usize] = true;
+            for &(reader, _) in &succ[i as usize] {
+                let d = &mut indegree[reader as usize];
+                *d -= 1;
+                if *d == 0 {
+                    ready.push(reader);
+                }
+            }
+        }
+        if order.len() != blocks.len() {
+            let stuck = blocks.iter().zip(&done).filter(|(_, &done)| !done);
+            let blocks = stuck.map(|(&b, _)| self.block_path(b)).collect();
+            return Err(ElabError::CombCycle { blocks });
+        }
+        Ok(order)
+    }
+
+    /// The driver→reader graph of the combinational blocks, shared by
+    /// [`Design::comb_schedule`] and the linter. A net's driver is its
+    /// first comb writer in block order (strict elaboration allows only
+    /// one; lenient elaboration keeps the first). Self-edges — a block
+    /// reading a net it also writes — are left out: within-block statement
+    /// order resolves them as long as models define before use, matching
+    /// PyMTL.
+    pub(crate) fn comb_graph(&self) -> CombGraph {
+        let blocks: Vec<BlockId> = (0..self.blocks.len())
             .map(BlockId::from_index)
             .filter(|b| self.blocks[b.index()].kind == BlockKind::Comb)
             .collect();
-
-        // net -> comb block driving it
-        let mut driver_of_net: HashMap<NetId, BlockId> = HashMap::new();
-        for &b in &comb_blocks {
+        const NONE: u32 = u32::MAX;
+        let mut driver = vec![NONE; self.nets.len()];
+        for (i, &b) in blocks.iter().enumerate() {
             for &w in &self.blocks[b.index()].writes {
-                driver_of_net.insert(self.net_of(w), b);
+                let d = &mut driver[self.net_of(w).index()];
+                if *d == NONE {
+                    *d = i as u32;
+                }
             }
         }
-
-        // edges: driver block -> reader block
-        let mut succs: HashMap<BlockId, Vec<BlockId>> = HashMap::new();
-        let mut indegree: HashMap<BlockId, usize> = comb_blocks.iter().map(|&b| (b, 0)).collect();
-        for &b in &comb_blocks {
-            let mut seen = Vec::new();
+        let mut succ: Vec<Vec<(u32, NetId)>> = vec![Vec::new(); blocks.len()];
+        // Per node, the reader its last edge went to: readers are visited
+        // in order, so this keeps each edge once.
+        let mut last = vec![NONE; blocks.len()];
+        for (i, &b) in blocks.iter().enumerate() {
             for &r in &self.blocks[b.index()].reads {
                 let net = self.net_of(r);
-                // Self-edges (a block reading a net it also writes) are
-                // allowed: within-block statement order resolves them as
-                // long as models define before use, matching PyMTL.
-                if let Some(&d) = driver_of_net.get(&net) {
-                    if d != b && !seen.contains(&d) {
-                        seen.push(d);
-                        succs.entry(d).or_default().push(b);
-                        *indegree.get_mut(&b).unwrap() += 1;
-                    }
+                let d = driver[net.index()];
+                if d != NONE && d != i as u32 && last[d as usize] != i as u32 {
+                    last[d as usize] = i as u32;
+                    succ[d as usize].push((i as u32, net));
                 }
             }
         }
-
-        let mut ready: Vec<BlockId> =
-            comb_blocks.iter().copied().filter(|b| indegree[b] == 0).collect();
-        let mut order = Vec::with_capacity(comb_blocks.len());
-        while let Some(b) = ready.pop() {
-            order.push(b);
-            if let Some(ss) = succs.get(&b) {
-                for &s in ss {
-                    let d = indegree.get_mut(&s).unwrap();
-                    *d -= 1;
-                    if *d == 0 {
-                        ready.push(s);
-                    }
-                }
-            }
-        }
-        if order.len() != comb_blocks.len() {
-            let stuck: Vec<String> = comb_blocks
-                .iter()
-                .filter(|b| !order.contains(b))
-                .map(|&b| self.block_path(b))
-                .collect();
-            return Err(ElabError::CombCycle { blocks: stuck });
-        }
-        Ok(order)
+        CombGraph { blocks, succ }
     }
 
     /// The hierarchical path of a block, e.g. `top.reg_.seq_logic`.

@@ -57,6 +57,12 @@ id_type!(
     MemId,
     "mem"
 );
+id_type!(
+    /// Identifies a block shape: IR blocks that are one body wired to
+    /// different state (see [`Design::shapes`](crate::Design::shapes)).
+    ShapeId,
+    "shape"
+);
 
 #[cfg(test)]
 mod tests {

@@ -45,10 +45,12 @@ mod builder;
 mod bundle;
 mod component;
 mod design;
+pub mod hash;
 mod ids;
 pub mod ir;
 mod lint;
 mod msg;
+mod shape;
 mod typecheck;
 mod view;
 
@@ -60,10 +62,11 @@ pub use design::{
     BlockBody, BlockInfo, BlockKind, Design, ElabError, MemInfo, ModuleInfo, NativeFn, NativeLevel,
     NetInfo, SignalInfo, SignalKind,
 };
-pub use ids::{BlockId, MemId, ModuleId, NetId, SignalId};
+pub use ids::{BlockId, MemId, ModuleId, NetId, ShapeId, SignalId};
 pub use ir::{BinOp, Expr, LValue, Stmt, UnaryOp};
 pub use lint::{lint, Diagnostic, LintRule, Severity};
 pub use msg::{Field, MsgLayout};
+pub use shape::ShapeInfo;
 pub use view::SignalView;
 
 // Re-export Bits so model crates only need one import path.

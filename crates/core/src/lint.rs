@@ -25,7 +25,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use crate::design::{BlockKind, Design, SignalKind};
+use crate::design::{BlockKind, CombGraph, Design, SignalKind};
 use crate::ids::{BlockId, NetId};
 
 /// How serious a [`Diagnostic`] is.
@@ -129,38 +129,13 @@ pub fn lint(design: &Design) -> Vec<Diagnostic> {
 /// Self-edges (a block reading a net it also writes) are excluded, matching
 /// [`Design::comb_schedule`], which tolerates them.
 fn comb_cycles(design: &Design, out: &mut Vec<Diagnostic>) {
-    let comb: Vec<BlockId> = (0..design.blocks().len())
-        .map(BlockId::from_index)
-        .filter(|&b| design.block(b).kind == BlockKind::Comb)
-        .collect();
-    if comb.is_empty() {
-        return;
-    }
-    let slot: HashMap<BlockId, usize> = comb.iter().enumerate().map(|(i, &b)| (b, i)).collect();
-
-    // One comb driver per net (first writer, matching lenient elaboration).
-    let mut driver_of_net: HashMap<NetId, BlockId> = HashMap::new();
-    for &b in &comb {
-        for &w in &design.block(b).writes {
-            driver_of_net.entry(design.net_of(w)).or_insert(b);
-        }
-    }
-
-    // Edges driver -> reader, labeled with the net carrying the dependency.
-    let mut succ: Vec<Vec<usize>> = vec![Vec::new(); comb.len()];
-    let mut edge_net: HashMap<(usize, usize), NetId> = HashMap::new();
-    for (bi, &b) in comb.iter().enumerate() {
-        for &r in &design.block(b).reads {
-            let net = design.net_of(r);
-            if let Some(&d) = driver_of_net.get(&net) {
-                let di = slot[&d];
-                if di != bi && !succ[di].contains(&bi) {
-                    succ[di].push(bi);
-                    edge_net.insert((di, bi), net);
-                }
-            }
-        }
-    }
+    let CombGraph { blocks: comb, succ } = design.comb_graph();
+    // The net carrying the edge `node -> next`.
+    let edge_net = |node: usize, next: usize| -> NetId {
+        succ[node].iter().find(|&&(r, _)| r as usize == next).expect("cycle edge").1
+    };
+    let succ: Vec<Vec<usize>> =
+        succ.iter().map(|s| s.iter().map(|&(r, _)| r as usize).collect()).collect();
 
     for scc in tarjan_sccs(&succ) {
         if scc.len() < 2 {
@@ -172,7 +147,7 @@ fn comb_cycles(design: &Design, out: &mut Vec<Diagnostic>) {
         let mut rendered = String::new();
         for (i, &node) in cycle.iter().enumerate() {
             let next = cycle[(i + 1) % cycle.len()];
-            let net = edge_net[&(node, next)];
+            let net = edge_net(node, next);
             blocks.push(design.block_path(comb[node]));
             signals.push(design.net_path(net));
             rendered.push_str(&format!(
@@ -420,5 +395,46 @@ fn unread_outputs(design: &Design, readers: &[Vec<BlockId>], out: &mut Vec<Diagn
             signals: outputs,
             blocks: Vec::new(),
         });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{elaborate_unchecked, Component, Ctx};
+
+    /// `n` has two comb writers, `w1` then `w2`; `r` reads `n` and `w2`
+    /// reads what `r` writes. Through the first writer the graph is the
+    /// chain `w1 -> r -> w2`; through the last it would be the cycle
+    /// `w2 -> r -> w2`.
+    struct LateSecondWriter;
+
+    impl Component for LateSecondWriter {
+        fn name(&self) -> String {
+            "LateSecondWriter".into()
+        }
+
+        fn build(&self, c: &mut Ctx) {
+            let a = c.in_port("a", 8);
+            let (n, m) = (c.wire("n", 8), c.wire("m", 8));
+            c.comb("w1", |b| b.assign(n, a));
+            c.comb("r", |b| b.assign(m, n));
+            c.comb("w2", |b| b.assign(n, m));
+        }
+    }
+
+    /// On a lenient design with two comb writers of a net, the schedule
+    /// and the linter read one graph: both take the first writer, so the
+    /// schedule exists and the linter reports the second driver, not a
+    /// cycle.
+    #[test]
+    fn schedule_and_lint_take_the_first_comb_writer() {
+        let design = elaborate_unchecked(&LateSecondWriter);
+        let order = design.comb_schedule().expect("acyclic through the first writer");
+        let paths: Vec<String> = order.iter().map(|&b| design.block_path(b)).collect();
+        assert_eq!(paths, ["top.w1", "top.r", "top.w2"]);
+        let rules: Vec<LintRule> = lint(&design).iter().map(|d| d.rule).collect();
+        assert!(rules.contains(&LintRule::MultiplyDriven), "{rules:?}");
+        assert!(!rules.contains(&LintRule::CombCycle), "{rules:?}");
     }
 }

@@ -1,0 +1,413 @@
+//! Block shapes: which IR blocks are one body wired to different state
+//! (see [`Design::shapes`](crate::Design::shapes)). What differs per block
+//! is its *operand lists*: the global net and memory behind each local
+//! index of its shape.
+
+use mtl_bits::Bits;
+
+use crate::design::{BlockBody, BlockInfo, BlockKind, MemInfo, NetInfo, SignalInfo};
+use crate::hash::FastMap;
+use crate::ids::{BlockId, MemId, SignalId};
+use crate::ir::{Expr, Stmt};
+
+/// One shape of IR block.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ShapeInfo {
+    /// The shape's first block in block order: the instance the type
+    /// checker checks and a compiler compiles.
+    pub first: BlockId,
+    /// How many distinct nets a block of this shape names: the length of
+    /// the first of its operand lists.
+    pub nets: u32,
+}
+
+/// The shapes of a design's blocks, as [`crate::Design`] stores them.
+#[derive(Debug, Default)]
+pub(crate) struct Shapes {
+    /// Shapes in order of first occurrence.
+    pub(crate) info: Vec<ShapeInfo>,
+    /// Per block, its shape ([`NONE`] for a native block).
+    pub(crate) of: Vec<u32>,
+    /// Per block `b`, its operands are `operands[at[b]..at[b + 1]]`: the
+    /// shape's local nets, then its local memories.
+    pub(crate) at: Vec<u32>,
+    pub(crate) operands: Vec<u32>,
+}
+
+/// "No shape" in [`Shapes::of`].
+pub(crate) const NONE: u32 = u32::MAX;
+
+/// Assigns every block of a finalized design its shape and operand lists.
+pub(crate) fn assign(
+    signals: &[SignalInfo],
+    nets: &[NetInfo],
+    mems: &[MemInfo],
+    blocks: &[BlockInfo],
+) -> Shapes {
+    let mut walk = Walk {
+        signals: signals.iter().map(|s| [s.net.index() as u32, s.width]).collect(),
+        net_widths: nets.iter().map(|n| n.width).collect(),
+        mems,
+        key: Vec::new(),
+        local: [vec![0; nets.len()], vec![0; mems.len()]],
+        named: Default::default(),
+    };
+    let mut interned: FastMap<Box<[u64]>, u32> = FastMap::default();
+    let mut shapes = Shapes {
+        of: Vec::with_capacity(blocks.len()),
+        at: Vec::with_capacity(blocks.len() + 1),
+        ..Shapes::default()
+    };
+    shapes.at.push(0);
+    for (b, block) in blocks.iter().enumerate() {
+        let shape = match &block.body {
+            BlockBody::Ir(stmts) => {
+                walk.block(block.kind, stmts);
+                let next = shapes.info.len() as u32;
+                let shape = match interned.get(&walk.key[..]) {
+                    Some(&shape) => shape,
+                    None => {
+                        interned.insert(walk.key[..].into(), next);
+                        let nets = walk.named[0].len() as u32;
+                        shapes.info.push(ShapeInfo { first: BlockId::from_index(b), nets });
+                        next
+                    }
+                };
+                for (table, named) in walk.local.iter_mut().zip(&mut walk.named) {
+                    named.iter().for_each(|&g| table[g as usize] = 0);
+                    shapes.operands.append(named);
+                }
+                shape
+            }
+            BlockBody::Native(..) => NONE,
+        };
+        shapes.of.push(shape);
+        shapes.at.push(shapes.operands.len() as u32);
+    }
+    shapes
+}
+
+/// Node tags of the interned key: the low byte of a node's first word.
+#[derive(Clone, Copy)]
+enum Tag {
+    Assign,
+    If,
+    Switch,
+    MemWrite,
+    Read,
+    Const,
+    Slice,
+    Concat,
+    Unary,
+    Binary,
+    Mux,
+    Select,
+    Zext,
+    Sext,
+    Trunc,
+    MemRead,
+}
+
+/// The walk over one block at a time: the key it writes and the operands
+/// it names.
+struct Walk<'a> {
+    /// Per signal, its net and width; per net, its width: the two lookups
+    /// of every signal occurrence, packed to stay in cache.
+    signals: Vec<[u32; 2]>,
+    net_widths: Vec<u32>,
+    mems: &'a [MemInfo],
+    /// The block's key: a prefix-free code of its kind and statements,
+    /// one word per node and per list length, plus a node's unbounded
+    /// immediates and constants.
+    key: Vec<u64>,
+    /// Per table (nets, memories), the local index + 1 of each global one
+    /// the block has named (0: not yet); cleared after every block.
+    local: [Vec<u32>; 2],
+    /// Per table, the global index behind each local one.
+    named: [Vec<u32>; 2],
+}
+
+impl Walk<'_> {
+    fn block(&mut self, kind: BlockKind, stmts: &[Stmt]) {
+        self.key.clear();
+        self.key.push(kind as u64);
+        self.stmts(stmts);
+    }
+
+    /// The local index of global `g` in `table`.
+    fn name(&mut self, table: usize, g: u32) -> u32 {
+        let local = &mut self.local[table][g as usize];
+        if *local == 0 {
+            self.named[table].push(g);
+            *local = self.named[table].len() as u32;
+        }
+        *local - 1
+    }
+
+    /// A node's first word: its tag and one 32-bit immediate.
+    fn node(&mut self, tag: Tag, imm: u32) {
+        self.key.push(tag as u64 | u64::from(imm) << 32);
+    }
+
+    /// A signal read or written: its local net, its own width and its
+    /// net's (both at most 128, so a byte each).
+    fn signal(&mut self, sig: SignalId) {
+        let [net, width] = self.signals[sig.index()];
+        let local = self.name(0, net);
+        let widths = u64::from(width) | u64::from(self.net_widths[net as usize]) << 8;
+        self.key.push(Tag::Read as u64 | widths << 8 | u64::from(local) << 32);
+    }
+
+    fn mem(&mut self, mem: MemId) {
+        let local = self.name(1, mem.index() as u32);
+        let info = &self.mems[mem.index()];
+        self.key.extend([u64::from(info.width) | u64::from(local) << 32, info.words]);
+    }
+
+    /// A constant: its width and value, the high word only when nonzero.
+    fn bits(&mut self, v: Bits) {
+        let (lo, hi) = (v.as_u128() as u64, (v.as_u128() >> 64) as u64);
+        self.key.extend([u64::from(v.width()) | u64::from(hi != 0) << 32, lo]);
+        if hi != 0 {
+            self.key.push(hi);
+        }
+    }
+
+    /// Statements and expressions, each node's tag before its operands;
+    /// state in the order the tape code generator emits it (an assignment
+    /// names its target after its value, a memory access its memory after
+    /// its address and data).
+    fn stmts(&mut self, stmts: &[Stmt]) {
+        self.key.push(stmts.len() as u64);
+        for s in stmts {
+            match s {
+                Stmt::Assign(lv, e) => {
+                    self.node(Tag::Assign, lv.lo);
+                    self.key.push(lv.hi.into());
+                    self.expr(e);
+                    self.signal(lv.signal);
+                }
+                Stmt::If { cond, then_, else_ } => {
+                    self.node(Tag::If, 0);
+                    self.expr(cond);
+                    self.stmts(then_);
+                    self.stmts(else_);
+                }
+                Stmt::Switch { subject, arms, default } => {
+                    self.node(Tag::Switch, arms.len() as u32);
+                    self.expr(subject);
+                    for (k, body) in arms {
+                        self.bits(*k);
+                        self.stmts(body);
+                    }
+                    self.stmts(default);
+                }
+                Stmt::MemWrite { mem, addr, data } => {
+                    self.node(Tag::MemWrite, 0);
+                    self.expr(addr);
+                    self.expr(data);
+                    self.mem(*mem);
+                }
+            }
+        }
+    }
+
+    fn expr(&mut self, e: &Expr) {
+        match e {
+            Expr::Read(sig) => self.signal(*sig),
+            Expr::Const(c) => {
+                self.node(Tag::Const, 0);
+                self.bits(*c);
+            }
+            Expr::Slice { expr, lo, hi } => {
+                self.node(Tag::Slice, *lo);
+                self.key.push((*hi).into());
+                self.expr(expr);
+            }
+            Expr::Concat(parts) => {
+                self.node(Tag::Concat, parts.len() as u32);
+                parts.iter().for_each(|p| self.expr(p));
+            }
+            Expr::Unary(op, a) => {
+                self.node(Tag::Unary, *op as u32);
+                self.expr(a);
+            }
+            Expr::Binary(op, a, b) => {
+                self.node(Tag::Binary, *op as u32);
+                self.expr(a);
+                self.expr(b);
+            }
+            Expr::Mux { cond, then_, else_ } => {
+                self.node(Tag::Mux, 0);
+                self.expr(cond);
+                self.expr(then_);
+                self.expr(else_);
+            }
+            Expr::Select { sel, options } => {
+                self.node(Tag::Select, options.len() as u32);
+                self.expr(sel);
+                options.iter().for_each(|o| self.expr(o));
+            }
+            Expr::Zext(a, w) => {
+                self.node(Tag::Zext, *w);
+                self.expr(a);
+            }
+            Expr::Sext(a, w) => {
+                self.node(Tag::Sext, *w);
+                self.expr(a);
+            }
+            Expr::Trunc(a, w) => {
+                self.node(Tag::Trunc, *w);
+                self.expr(a);
+            }
+            Expr::MemRead { mem, addr } => {
+                self.node(Tag::MemRead, 0);
+                self.expr(addr);
+                self.mem(*mem);
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{elaborate, elaborate_unchecked, BlockId, Component, Ctx, Design};
+
+    /// `q = a + b; r = m[sel]` in one block, of every parameter a shape
+    /// depends on.
+    #[derive(Clone, Copy)]
+    struct Cell {
+        width: u32,
+        words: u64,
+        mem_width: u32,
+        seq: bool,
+    }
+
+    const BASE: Cell = Cell { width: 8, words: 4, mem_width: 8, seq: false };
+
+    impl Component for Cell {
+        fn name(&self) -> String {
+            let Cell { width, words, mem_width, seq } = self;
+            format!("Cell_{width}_{words}x{mem_width}_{seq}")
+        }
+
+        fn build(&self, c: &mut Ctx) {
+            let (a, b) = (c.in_port("a", self.width), c.in_port("b", self.width));
+            let sel = c.in_port("sel", 2);
+            let q = c.out_port("q", self.width);
+            let r = c.out_port("r", self.mem_width);
+            let m = c.mem("m", self.words, self.mem_width);
+            let body = |blk: &mut crate::BlockBuilder| {
+                blk.assign(q, a + b);
+                blk.assign(r, m.read(sel));
+            };
+            if self.seq {
+                c.seq("calc", body);
+            } else {
+                c.comb("calc", body);
+            }
+        }
+    }
+
+    /// Cells side by side, `a` and `b` of each wired to the top inputs
+    /// named (one name and width, one net).
+    struct Cells(Vec<(Cell, [&'static str; 2])>);
+
+    impl Component for Cells {
+        fn name(&self) -> String {
+            "Cells".into()
+        }
+
+        fn build(&self, c: &mut Ctx) {
+            let sel = c.in_port("sel", 2);
+            let mut inputs = Vec::new();
+            for (i, (cell, names)) in self.0.iter().enumerate() {
+                let inst = c.instantiate(&format!("u{i}"), cell);
+                c.connect(sel, c.port_of(&inst, "sel"));
+                for (name, port) in names.iter().zip(["a", "b"]) {
+                    let port = c.port_of(&inst, port);
+                    let name = format!("{name}{}", port.width());
+                    let known = inputs.iter().find(|(n, _)| *n == name).map(|&(_, s)| s);
+                    let input = known.unwrap_or_else(|| {
+                        let s = c.in_port(&name, port.width());
+                        inputs.push((name, s));
+                        s
+                    });
+                    c.connect(input, port);
+                }
+                for port in ["q", "r"] {
+                    let out = c.port_of(&inst, port);
+                    let top = c.out_port(&format!("{port}{i}"), out.width());
+                    c.connect(out, top);
+                }
+            }
+        }
+    }
+
+    /// Each cell's one block's shape index.
+    fn shapes(design: &Design) -> Vec<usize> {
+        let blocks = (0..design.blocks().len()).map(BlockId::from_index);
+        blocks.map(|b| design.block_shape(b).expect("an IR block").index()).collect()
+    }
+
+    /// Instances of one component share a shape however they are wired;
+    /// a signal width, two operands on one net, a memory's width, a
+    /// memory's depth and the block kind each split it.
+    #[test]
+    fn a_shape_is_a_body_up_to_its_wiring() {
+        let top = Cells(vec![
+            (BASE, ["x", "y"]),
+            (BASE, ["z", "w"]),
+            (Cell { width: 16, ..BASE }, ["x", "y"]),
+            (BASE, ["x", "x"]),
+            (Cell { mem_width: 16, ..BASE }, ["x", "y"]),
+            (Cell { words: 8, ..BASE }, ["x", "y"]),
+            (Cell { seq: true, ..BASE }, ["x", "y"]),
+            (BASE, ["y", "x"]),
+        ]);
+        let design = elaborate(&top).expect("cells elaborate");
+        assert_eq!(shapes(&design), [0, 0, 1, 2, 3, 4, 5, 0]);
+        let firsts: Vec<usize> = design.shapes().iter().map(|s| s.first.index()).collect();
+        assert_eq!(firsts, [0, 2, 3, 4, 5, 6]);
+
+        // Operands in emission order: `a`, `b`, then `q` (a target after
+        // its value), `sel`, then `r`; the memory on its own list.
+        for (block, inst) in [(0, "u0"), (7, "u7")] {
+            let module = design.module(design.top()).children[block];
+            let net = |port| design.net_of(design.find_port(module, port).unwrap()).index() as u32;
+            let [nets, mems] = design.block_operands(BlockId::from_index(block));
+            assert_eq!(nets, [net("a"), net("b"), net("q"), net("sel"), net("r")], "{inst}");
+            assert_eq!(mems.len(), 1, "{inst}");
+        }
+        let [nets, _] = design.block_operands(BlockId::from_index(3));
+        assert_eq!(nets.len(), 4, "`a` and `b` are one operand");
+        assert_eq!(design.shapes()[0].nets, 5);
+    }
+
+    /// Lenient elaboration assigns the same shapes, and assigns them to a
+    /// design strict elaboration rejects.
+    #[test]
+    fn lenient_designs_carry_shapes() {
+        let top = Cells(vec![(BASE, ["x", "y"]), (Cell { width: 16, ..BASE }, ["x", "y"])]);
+        let strict = elaborate(&top).expect("cells elaborate");
+        let lenient = elaborate_unchecked(&top);
+        assert_eq!(lenient.shapes(), strict.shapes());
+        assert_eq!(shapes(&lenient), shapes(&strict));
+
+        struct TwoDrivers;
+        impl Component for TwoDrivers {
+            fn name(&self) -> String {
+                "TwoDrivers".into()
+            }
+            fn build(&self, c: &mut Ctx) {
+                let (a, q) = (c.in_port("a", 8), c.out_port("q", 8));
+                c.comb("one", |b| b.assign(q, a));
+                c.comb("two", |b| b.assign(q, a));
+            }
+        }
+        assert!(elaborate(&TwoDrivers).is_err());
+        let design = elaborate_unchecked(&TwoDrivers);
+        assert_eq!(shapes(&design), [0, 0]);
+        assert_eq!(design.block_operands(BlockId::from_index(1))[0].len(), 2);
+    }
+}

@@ -4,16 +4,20 @@ use crate::design::{BlockBody, BlockKind, Design, ElabError};
 use crate::ids::{MemId, SignalId};
 use crate::ir::{BinOp, Expr, Stmt};
 
+/// Checks each block shape's first instance. The check reads only what a
+/// shape fixes (widths, constants, the block kind), so every instance
+/// passes or fails alike, and the first failing block in block order — the
+/// one reported — is always the first instance of its shape.
 pub(crate) fn check_design(design: &Design) -> Result<(), ElabError> {
-    for (i, block) in design.blocks().iter().enumerate() {
-        if let BlockBody::Ir(stmts) = &block.body {
-            let ctx = CheckCtx { design, seq: block.kind == BlockKind::Seq };
-            for s in stmts {
-                ctx.check_stmt(s).map_err(|message| ElabError::TypeError {
-                    block: design.block_path(crate::ids::BlockId::from_index(i)),
-                    message,
-                })?;
-            }
+    for shape in design.shapes() {
+        let block = design.block(shape.first);
+        let BlockBody::Ir(stmts) = &block.body else { continue };
+        let ctx = CheckCtx { design, seq: block.kind == BlockKind::Seq };
+        for s in stmts {
+            ctx.check_stmt(s).map_err(|message| ElabError::TypeError {
+                block: design.block_path(shape.first),
+                message,
+            })?;
         }
     }
     Ok(())

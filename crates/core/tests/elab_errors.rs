@@ -217,3 +217,47 @@ fn hierarchical_paths_are_dotted() {
     let reset_net = design.net_of(design.reset());
     assert_eq!(design.net(reset_net).signals.len(), 3, "resets all share one net");
 }
+
+/// `q = a` with `a` of `in_width` bits and `q` of 8: ill-typed unless 8.
+struct Narrowing {
+    in_width: u32,
+}
+impl Component for Narrowing {
+    fn name(&self) -> String {
+        format!("Narrowing_{}", self.in_width)
+    }
+    fn build(&self, c: &mut Ctx) {
+        let a = c.in_port("a", self.in_width);
+        let q = c.out_port("q", 8);
+        c.comb("calc", |b| b.assign(q, a));
+    }
+}
+
+/// A well-typed instance, then two ill-typed instances of one shape, then
+/// an ill-typed instance of another.
+struct TwoBadInstances;
+impl Component for TwoBadInstances {
+    fn name(&self) -> String {
+        "TwoBadInstances".into()
+    }
+    fn build(&self, c: &mut Ctx) {
+        for (i, in_width) in [8, 4, 4, 2].into_iter().enumerate() {
+            c.instantiate(&format!("u{i}"), &Narrowing { in_width });
+        }
+    }
+}
+
+/// The type checker runs once per block shape, yet reports what checking
+/// every block in block order reports: the first ill-typed block, which is
+/// the first instance of its shape.
+#[test]
+fn type_errors_name_the_first_ill_typed_instance() {
+    let err = elaborate(&TwoBadInstances).unwrap_err();
+    assert_eq!(
+        err,
+        ElabError::TypeError {
+            block: "top.u1.calc".into(),
+            message: "assignment width mismatch: target is 8 bits, expression is 4 bits".into(),
+        }
+    );
+}

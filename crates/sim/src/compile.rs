@@ -6,8 +6,8 @@
 //!
 //! | stage | type | built from | consumers |
 //! |---|---|---|---|
-//! | blocks | [`BlockTapes`] | the design: fold → codegen per block, then optimize → narrow (registers and word class) → validate once per distinct [`Body`] and a relocated, validated copy per block; plus the [`Layout`] tables | `Specialized`, every later stage |
-//! | plans | [`Plans`] | blocks: levelized schedule cut into IR runs at native boundaries; per dependency level of a run, [`LANES`] or more instances of one jump-free `u64`-class [`Body`] become a [`Gang`] (the body once, instances as lanes), everything else is fused and re-optimized between gangs | `SpecializedOpt`, `SpecializedPar`, every lane of `SpecializedBatch` |
+//! | blocks | [`BlockTapes`] | the design: per block *shape* (`Design::shapes`), its first instance folded → codegen → optimize → narrow (registers and word class) → validate once, then a relocated, validated copy per block from its operand lists; plus the [`Layout`] tables | `Specialized`, every later stage |
+//! | plans | [`Plans`] | blocks: levelized schedule cut into IR runs at native boundaries; per dependency level of a run, [`LANES`] or more instances of one jump-free `u64`-class body become a [`Gang`] (the body once, instances as lanes), everything else is fused and re-optimized between gangs | `SpecializedOpt`, `SpecializedPar`, every lane of `SpecializedBatch` |
 //!
 //! [`staged`] resolves the stage an engine needs — through the shared
 //! [`ArtifactCache`] when there is one, reusing whatever lower stages the
@@ -19,18 +19,17 @@
 mod codegen;
 pub mod passes;
 
-use std::collections::hash_map::Entry;
 use std::convert::Infallible;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use mtl_core::{BlockBody, BlockId, BlockKind, Design, SignalId, Stmt};
+use mtl_core::{BlockBody, BlockId, BlockKind, Design, SignalId};
 
 use crate::artifact::{ArtifactCache, Guard, Layer, Staged};
 use crate::overheads::Overheads;
-use crate::tape::{Effect, Op, Reg, Tape, VReg};
+use crate::tape::{Effect, Op, Reg, Tape};
 use codegen::{compile_block, fold_stmts, fuse, narrow, validate, VTape};
-use passes::{optimize, FastMap, OptReport, Refusal};
+use passes::{optimize, OptReport, Refusal};
 
 /// Levelized combinational block order.
 pub(crate) fn comb_order(design: &Design) -> Vec<u32> {
@@ -172,15 +171,16 @@ fn levels(io: &[BlockIo], writer_of: &[u32]) -> Vec<u32> {
 pub(crate) struct BlockTapes {
     pub(crate) layout: Layout,
     pub(crate) tapes: Arc<Vec<Tape>>,
-    /// The canonical tape of each distinct [`Body`], in order of first
-    /// occurrence: slots and memories numbered locally, optimized,
-    /// narrowed and validated against the body's own tables. `tapes[b]` is
-    /// `bodies[body_of[b]]` relocated through `back[b]`.
+    /// The canonical tape of each block shape, indexed by shape id (the
+    /// design's shapes are in order of first occurrence): slots and
+    /// memories numbered locally, optimized, narrowed and validated against
+    /// the body's own tables. `tapes[b]` is `bodies[body_of[b]]` relocated
+    /// through `back[b]`.
     pub(crate) bodies: Arc<Vec<Tape>>,
-    /// Per block, its body ([`NONE`] for a native block).
+    /// Per block, its body: its shape id ([`NONE`] for a native block).
     pub(crate) body_of: Vec<u32>,
     /// Per block, the global slot (`[0]`) and memory (`[1]`) each local
-    /// index of its body stands for, indexed like
+    /// index of its body stands for — its operand lists — indexed like
     /// [`Table`](crate::tape::Table).
     pub(crate) back: Vec<[Vec<u32>; 2]>,
     /// Per-pass statistics of the per-block optimizer runs; `None` when
@@ -285,22 +285,7 @@ fn extend(design: &Design, opt: bool, need: Layer, mut have: Staged, o: &mut Ove
     have
 }
 
-/// The constant-folded statements of every IR block (`None` for native
-/// ones), by block index.
-fn fold_blocks(design: &Design) -> Vec<Option<Vec<Stmt>>> {
-    let fold = |b: &mtl_core::BlockInfo| match &b.body {
-        BlockBody::Ir(stmts) => Some(fold_stmts(stmts)),
-        BlockBody::Native(..) => None,
-    };
-    design.blocks().iter().map(fold).collect()
-}
-
 fn compile_blocks(design: &Design, opt: bool, o: &mut Overheads) -> BlockTapes {
-    // Phase: comp (IR optimization — constant folding).
-    let t0 = Instant::now();
-    let folded = fold_blocks(design);
-    o.comp += t0.elapsed();
-
     // Phase: simc (schedules).
     let t0 = Instant::now();
     let layout = Layout {
@@ -312,104 +297,84 @@ fn compile_blocks(design: &Design, opt: bool, o: &mut Overheads) -> BlockTapes {
     };
     o.simc += t0.elapsed();
 
-    // Phase: cgen (tape code generation + optimizer pipeline; the
-    // register budget applies to the *narrowed* result, i.e.
-    // post-compaction when the optimizer is on).
+    // Phases: comp (IR optimization — constant folding, per shape) and
+    // cgen (tape code generation + optimizer pipeline; the register budget
+    // applies to the *narrowed* result, i.e. post-compaction when the
+    // optimizer is on).
     let t0 = Instant::now();
-    let blocks = block_tapes(design, &folded, layout, opt);
-    o.cgen += t0.elapsed();
+    let mut fold = Duration::ZERO;
+    let blocks = block_tapes(design, layout, opt, &mut fold);
+    o.comp += fold;
+    o.cgen += t0.elapsed().saturating_sub(fold);
     blocks
 }
 
-/// A block's raw tape with its state operands renumbered by first
-/// occurrence (slots 0, 1, 2, …; memories likewise), next to the widths
-/// those local indices stand for: everything [`finish`] reads. Instances
-/// of one component differ only in which nets and memories they are wired
-/// to, so they share a `Body` — and a design is mostly instances.
-#[derive(PartialEq, Eq, Hash)]
-struct Body {
-    ops: Vec<Op<VReg>>,
-    nregs: u32,
-    /// Widths of the local slots (`[0]`) and memories (`[1]`), indexed
-    /// like [`Table`](crate::tape::Table).
-    widths: [Vec<u32>; 2],
-}
-
-/// A [`Body`] compiled against its local tables: its index in
-/// [`BlockTapes::bodies`], its optimizer report, and how many blocks of
-/// the design share it.
-struct Compiled {
-    body: u32,
-    report: Option<OptReport>,
-    instances: u64,
-}
-
-/// One tape per block of `design` (`folded` holds the IR blocks'
-/// statements), each distinct [`Body`] compiled once: every instance gets
-/// the body's tape relocated onto its own slots and memories and validated
-/// against the design, and the report counts the body's optimizer run once
-/// per instance. The tapes and the counts are exactly those of compiling
-/// every block on its own, because the optimizer touches a state operand
-/// only by equality and as an index into the width tables.
-fn block_tapes(
-    design: &Design,
-    folded: &[Option<Vec<Stmt>>],
-    layout: Layout,
-    opt: bool,
-) -> BlockTapes {
+/// One tape per block of `design`, each block shape (`Design::shapes`)
+/// compiled once: its first instance is folded (charging `fold`),
+/// code-generated, renumbered onto its operand lists' local indices and
+/// `finish`ed against the widths they stand for; every instance gets that
+/// body relocated onto its own operands and validated against the design,
+/// and the report counts the body's optimizer run once per instance. The
+/// tapes and the counts are exactly those of compiling every block on its
+/// own, because a shape fixes everything the compiler reads of a block
+/// and the optimizer touches a state operand only by equality and as an
+/// index into the width tables.
+fn block_tapes(design: &Design, layout: Layout, opt: bool, fold: &mut Duration) -> BlockTapes {
     let global = [&layout.widths[..], &layout.mem_widths[..]];
-    let mut memo: FastMap<Body, Compiled> = FastMap::default();
-    let mut bodies: Vec<Tape> = Vec::new();
-    let mut body_of = Vec::with_capacity(folded.len());
-    let mut backs = Vec::with_capacity(folded.len());
-    // Per table, the local index + 1 of each global one the current block
-    // has named (0: not yet); cleared after every block.
-    let mut local = global.map(|t| vec![0u32; t.len()]);
-    let tapes = design.blocks().iter().zip(folded).enumerate().map(|(i, (b, f))| {
-        // Local index → the global index it stands for in this block.
-        let mut back: [Vec<u32>; 2] = Default::default();
-        let Some(stmts) = f else {
+    // Per shape, its body's optimizer report and how many blocks share it.
+    let mut shapes: Vec<(Option<OptReport>, u64)> = Vec::with_capacity(design.shapes().len());
+    let mut bodies: Vec<Tape> = Vec::with_capacity(design.shapes().len());
+    let mut body_of = Vec::with_capacity(design.blocks().len());
+    let mut backs = Vec::with_capacity(design.blocks().len());
+    // Per table, the local index of each global one the shape at hand
+    // names ([`NONE`] outside its first instance).
+    let mut local = global.map(|t| vec![NONE; t.len()]);
+    let tapes = design.blocks().iter().enumerate().map(|(i, b)| {
+        let block = BlockId::from_index(i);
+        let back = design.block_operands(block).map(<[u32]>::to_vec);
+        let (Some(shape), BlockBody::Ir(stmts)) = (design.block_shape(block), &b.body) else {
             body_of.push(NONE);
             backs.push(back);
             return Tape::default();
         };
-        let mut vt = compile_block(design, stmts, b.kind);
-        for op in &mut vt.ops {
-            *op = op.map_state(&mut |t, g| {
-                let (local, back) = (&mut local[t as usize][g as usize], &mut back[t as usize]);
-                if *local == 0 {
-                    back.push(g);
-                    *local = back.len() as u32;
-                }
-                *local - 1
-            });
-        }
-        for (t, back) in back.iter().enumerate() {
-            back.iter().for_each(|&g| local[t][g as usize] = 0);
-        }
-        let body = Body {
-            widths: [0, 1].map(|t| back[t].iter().map(|&g| global[t][g as usize]).collect()),
-            ops: vt.ops,
-            nregs: vt.nregs,
-        };
-        let compiled = match memo.entry(body) {
-            Entry::Occupied(hit) => hit.into_mut(),
-            Entry::Vacant(miss) => {
-                let Body { ops, nregs, widths: [slots, mems] } = miss.key();
-                let vt = VTape { ops: ops.clone(), nregs: *nregs, ..VTape::default() };
-                let mut report = opt.then(OptReport::new);
-                bodies.push(finish(vt, slots, mems, &mut report, || {
-                    let kind = match b.kind {
-                        BlockKind::Comb => "comb",
-                        BlockKind::Seq => "seq",
-                    };
-                    format!("{kind} block `{}`", design.block_path(BlockId::from_index(i)))
-                }));
-                miss.insert(Compiled { body: bodies.len() as u32 - 1, report, instances: 0 })
+        if shape.index() == bodies.len() {
+            let t0 = Instant::now();
+            let folded = fold_stmts(stmts);
+            *fold += t0.elapsed();
+            let mut vt = compile_block(design, &folded, b.kind);
+            for (local, back) in local.iter_mut().zip(&back) {
+                back.iter().enumerate().for_each(|(l, &g)| local[g as usize] = l as u32);
             }
-        };
-        compiled.instances += 1;
-        let Tape { ops, nregs, prelude, narrow, .. } = &bodies[compiled.body as usize];
+            // The shape walk names state in emission order, so the local
+            // indices first occur as 0, 1, 2, … (the canonical numbering
+            // of a body), which debug builds check.
+            let mut named = [0; 2];
+            for op in &mut vt.ops {
+                *op = op.map_state(&mut |t, g| {
+                    let (l, n) = (local[t as usize][g as usize], &mut named[t as usize]);
+                    debug_assert!(l <= *n, "shape operands out of emission order");
+                    *n += u32::from(l == *n);
+                    l
+                });
+            }
+            debug_assert_eq!(named.map(|n| n as usize), back.each_ref().map(Vec::len));
+            for (local, back) in local.iter_mut().zip(&back) {
+                back.iter().for_each(|&g| local[g as usize] = NONE);
+            }
+            let [slots, mems] =
+                [0, 1].map(|t| back[t].iter().map(|&g| global[t][g as usize]).collect::<Vec<_>>());
+            let mut report = opt.then(OptReport::new);
+            bodies.push(finish(vt, &slots, &mems, &mut report, || {
+                let kind = match b.kind {
+                    BlockKind::Comb => "comb",
+                    BlockKind::Seq => "seq",
+                };
+                format!("{kind} block `{}`", design.block_path(block))
+            }));
+            shapes.push((report, 0));
+        }
+        shapes[shape.index()].1 += 1;
+        let Tape { ops, nregs, prelude, narrow, .. } = &bodies[shape.index()];
         let mut tape = Tape {
             ops: relocate(ops, &back),
             nregs: *nregs,
@@ -418,15 +383,14 @@ fn block_tapes(
             defs_first: false,
         };
         validate(&mut tape, global[0].len(), global[1].len());
-        body_of.push(compiled.body);
+        body_of.push(shape.index() as u32);
         backs.push(back);
         tape
     });
     let tapes = Arc::new(tapes.collect());
     let report = opt.then(|| {
-        let mut report = OptReport { bodies: memo.len() as u64, ..OptReport::new() };
-        // Sums commute, so the map's order does not show.
-        for (body, n) in memo.values().filter_map(|c| Some((c.report.as_ref()?, c.instances))) {
+        let mut report = OptReport { bodies: shapes.len() as u64, ..OptReport::new() };
+        for (body, n) in shapes.iter().filter_map(|(r, n)| Some((r.as_ref()?, *n))) {
             report.absorb(body, n);
         }
         report
@@ -720,18 +684,17 @@ mod tests {
     /// [`block_tapes`] must reproduce.
     fn direct_block_tapes(
         design: &Design,
-        folded: &[Option<Vec<Stmt>>],
         widths: &[u32],
         mem_widths: &[u32],
         opt: bool,
     ) -> (Vec<Tape>, Option<OptReport>) {
         let mut report = opt.then(OptReport::new);
-        let tapes = design.blocks().iter().zip(folded).map(|(b, f)| match f {
-            Some(stmts) => {
-                let vt = compile_block(design, stmts, b.kind);
+        let tapes = design.blocks().iter().map(|b| match &b.body {
+            BlockBody::Ir(stmts) => {
+                let vt = compile_block(design, &fold_stmts(stmts), b.kind);
                 finish(vt, widths, mem_widths, &mut report, || "oracle".into())
             }
-            None => Tape::default(),
+            BlockBody::Native(..) => Tape::default(),
         });
         (tapes.collect(), report)
     }
@@ -743,22 +706,26 @@ mod tests {
     /// distinct bodies.
     fn memo_equals_direct(top: &dyn Component) -> (Vec<Tape>, u64) {
         let design = elaborate(top).expect("test design elaborates");
-        let folded = fold_blocks(&design);
         let widths: Vec<u32> = design.nets().iter().map(|n| n.width).collect();
         let mem_widths: Vec<u32> = design.mems().iter().map(|m| m.width).collect();
         let fields = |t: &Tape| (t.ops.clone(), t.nregs, t.prelude, t.narrow.clone(), t.defs_first);
         let mut last = None;
         for opt in [false, true] {
-            let (want, want_rep) = direct_block_tapes(&design, &folded, &widths, &mem_widths, opt);
+            let (want, want_rep) = direct_block_tapes(&design, &widths, &mem_widths, opt);
             let layout = Layout::plain(&widths, &mem_widths, &[]);
-            let got = block_tapes(&design, &folded, layout, opt);
+            let got = block_tapes(&design, layout, opt, &mut Duration::default());
             assert_eq!(got.tapes.len(), want.len());
             for (i, (g, w)) in got.tapes.iter().zip(&want).enumerate() {
                 assert_eq!(fields(g), fields(w), "opt={opt}: tape of block {i}");
                 let body = &got.bodies[got.body_of[i] as usize];
                 assert_eq!(g.ops, relocate(&body.ops, &got.back[i]), "opt={opt}: body of {i}");
             }
+            // A body is compiled — folded, code-generated, finished — for
+            // a shape's first instance and never again.
             let bodies = got.bodies.len() as u64;
+            assert_eq!(bodies, design.shapes().len() as u64, "opt={opt}: one body per shape");
+            let shape_of = |i| design.block_shape(BlockId::from_index(i)).map(|s| s.index() as u32);
+            assert!((0..want.len()).all(|i| shape_of(i).unwrap_or(NONE) == got.body_of[i]));
             assert_eq!(got.report.as_ref().map_or(bodies, |r| r.bodies), bodies);
             assert_eq!(got.report, want_rep.map(|r| OptReport { bodies, ..r }), "opt={opt}");
             last = Some((got.tapes.to_vec(), bodies));
@@ -973,6 +940,39 @@ mod tests {
             (rom(4, 8), vec!["at"]),
         ]));
         assert_eq!(bodies, 3, "memory width and depth each split the body");
+    }
+
+    /// `q = a + k` for a constant expression `k`.
+    struct AddK(Expr);
+
+    impl Component for AddK {
+        fn name(&self) -> String {
+            "AddK".into()
+        }
+
+        fn build(&self, c: &mut Ctx) {
+            let (a, q) = (c.in_port("a", 8), c.out_port("q", 8));
+            c.comb("calc", |b| b.assign(q, a + self.0.clone()));
+        }
+    }
+
+    /// Shapes are keyed on the IR as written, before constant folding:
+    /// `a + (1 + 1)` and `a + 2` fold to one tape but are two shapes, so
+    /// two bodies, each compiled once though either would serve both. The
+    /// tapes are still those of compiling each block directly.
+    #[test]
+    fn a_folded_constant_splits_the_shape_not_the_tape() {
+        let add = |k| Box::new(AddK(k)) as Box<dyn Component>;
+        let top = Wired(vec![
+            (add(Expr::k(8, 1) + Expr::k(8, 1)), vec!["x"]),
+            (add(Expr::k(8, 2)), vec!["x"]),
+        ]);
+        let (tapes, bodies) = memo_equals_direct(&top);
+        assert_eq!(bodies, 2, "one shape per spelling of the constant");
+        let design = elaborate(&top).expect("test design elaborates");
+        let blocks = compile_blocks(&design, true, &mut Overheads::default());
+        assert_eq!(blocks.bodies[0].ops, blocks.bodies[1].ops, "one folded body, twice");
+        assert_eq!(tapes[0].ops[..2], tapes[1].ops[..2], "the same read of `x`");
     }
 
     /// A jump-free component with every unpredicated kind of state

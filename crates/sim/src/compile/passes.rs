@@ -87,39 +87,10 @@
 //! All passes are deterministic: hash maps are used for lookup only,
 //! never iterated, so the optimized tape is a pure function of its input.
 
-use std::hash::{BuildHasherDefault, Hasher};
+use mtl_core::hash::FastMap;
 
 use super::codegen::VTape;
 use crate::tape::{mask_of, pure, Effect, Op, Role, Store, VReg};
-
-/// The hash map of the compile path. Its keys are this program's own ops
-/// and indices, never outside input, so the hasher is a fixed
-/// multiply-rotate (the build is offline: no `rustc-hash`) instead of
-/// std's keyed SipHash: cheaper on `cse`'s 72-byte keys (EXPERIMENTS.md,
-/// Figure 16), and no process-random state in the compiler.
-pub(super) type FastMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<FastHasher>>;
-
-#[derive(Default)]
-pub(super) struct FastHasher(u64);
-
-impl Hasher for FastHasher {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            let word = u64::from_le_bytes(word);
-            self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517C_C1B7_2722_0A95);
-        }
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        // The table takes its bucket from the low bits and its tag from
-        // the top seven; the multiply leaves the low bits the weakest.
-        self.0.rotate_left(26)
-    }
-}
 
 /// Fixpoint bound for the pass loop. Real designs converge in 2–3 rounds;
 /// the bound only guards against a pathological rewrite cycle.

@@ -13,12 +13,16 @@ use std::time::Duration;
 pub struct Overheads {
     /// Component elaboration into a `Design`.
     pub elab: Duration,
-    /// IR-to-tape code generation.
+    /// IR-to-tape code generation and the tape optimizer, once per block
+    /// shape, plus relocating each block's copy.
     pub cgen: Duration,
     /// Verilog emission and re-parsing (set by the caller when the
     /// translate-round-trip path is used; zero otherwise).
     pub veri: Duration,
-    /// Tape optimization (constant folding, etc.).
+    /// IR optimization: constant folding of each block shape's first
+    /// instance (the one a shape compiles; every later instance is a
+    /// relocated copy), so Figure 16 keeps a `comp` column. The tape
+    /// optimizer's passes are charged to `cgen`.
     pub comp: Duration,
     /// Signal-view wrapper table construction.
     pub wrap: Duration,

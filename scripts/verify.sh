@@ -5,7 +5,7 @@
 #   stage 0  scripts/ci/00_static.sh        fmt --check, clippy -D warnings, dup-dep check
 #   stage 1  scripts/ci/10_build_test.sh    release build + full test suite
 #   stage 2  scripts/ci/20_equivalence.sh   engine equivalence at 1/2/3/4 threads
-#   stage 2.2 scripts/ci/22_opt.sh          optimizer opt-diff fuzz + A/B speedup smoke
+#   stage 2.2 scripts/ci/22_opt.sh          block-shape tests + optimizer opt-diff fuzz + A/B speedup smoke
 #   stage 2.5 scripts/ci/25_batch.sh        batch-lane fuzz (optimizer on and off) + batch-vs-scalar throughput
 #   stage 3  scripts/ci/30_lint_designs.sh  design lint over every design
 #   stage 4  scripts/ci/40_fuzz.sh          differential fuzz, 25 iters, seed 7
