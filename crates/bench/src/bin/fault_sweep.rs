@@ -47,7 +47,7 @@
 //! from the one report document either way.
 
 use mtl_accel::XcelLevel;
-use mtl_bench::{banner, job_metric, job_timing, run_spec, Args};
+use mtl_bench::{banner, job_metric, job_timing, run_spec, Args, JOURNAL_DIR};
 use mtl_net::NetLevel;
 use mtl_proc::{CacheLevel, ProcLevel};
 use mtl_sim::Engine;
@@ -320,11 +320,13 @@ fn main() {
     let required_speedup: Option<f64> = args.parsed("--require-batch-speedup");
     banner("Fault-injection resilience campaign", "EXPERIMENTS.md, fault taxonomy");
     let campaign = spec.to_json(args.value("--journal"));
-    let report = run_spec(&campaign, args.value("--serve"), |report| spec.print_tables(report))
-        .unwrap_or_else(|e| {
-            eprintln!("fault_sweep: {e}");
-            std::process::exit(1);
-        });
+    let report = run_spec(&campaign, args.value("--serve"), Some(JOURNAL_DIR), |report| {
+        spec.print_tables(report)
+    })
+    .unwrap_or_else(|e| {
+        eprintln!("fault_sweep: {e}");
+        std::process::exit(1);
+    });
     // CI gate (scripts/ci/25_batch.sh): the batch series must beat
     // the scalar baseline by at least the given factor.
     if let Some(min) = required_speedup {

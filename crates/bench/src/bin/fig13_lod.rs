@@ -23,8 +23,9 @@
 use std::time::{Duration, Instant};
 
 use mtl_accel::{mvmult_data, mvmult_xcel_program, run_tile_profiled, MvMultLayout, TileConfig};
-use mtl_bench::{banner, profile_json, write_bench_report, Args, PROFILE_TOP_N};
+use mtl_bench::{banner, write_bench_report, Args};
 use mtl_proc::{CacheLevel, Iss, ProcLevel};
+use mtl_serve::{profile_json, PROFILE_TOP_N};
 use mtl_sim::Engine;
 use mtl_sweep::{Campaign, CampaignReport, Job, JobMetrics};
 

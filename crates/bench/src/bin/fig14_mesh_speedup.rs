@@ -10,37 +10,28 @@
 //! baselines.
 //!
 //! The 16 measurements (3 levels × 5 engines + the handwritten baseline)
-//! run as an `mtl-sweep` campaign and land in `BENCH_fig14.json`. The
-//! `specialized-par` series records its worker-thread count (resolved
-//! from `MTL_SIM_THREADS` / available parallelism) in its job params.
-//! Pass `--profile` to enable simulation profiling in every engine job
-//! and attach the hottest blocks to each job's `profile` report section;
-//! pass `--smoke` for a fast CI-sized run (same campaign shape, much
-//! smaller measurement windows); pass `--dump-passes` to print the tape
-//! optimizer's per-pass statistics table for each level's mesh compile
-//! before measuring (see DESIGN.md §11).
+//! are `mesh_rate` and `handwritten_rate` jobs of the `mtl-serve` kind
+//! catalog (DESIGN.md §10): this binary declares them as a spec, prints
+//! its tables from the report `mtl_bench::run_spec` returns, and writes
+//! it to `BENCH_fig14.json`. Every engine job builds its simulator cold,
+//! so the dotted curves charge the full construction overheads; rates
+//! are wall clock, so the campaign neither caches nor journals and every
+//! run measures afresh. Pass `--profile` to enable simulation profiling
+//! in every engine job and attach the hottest blocks to each job's
+//! `profile` report section; pass `--smoke` for a fast CI-sized run
+//! (same campaign shape, much smaller measurement windows); pass
+//! `--dump-passes` to print the tape optimizer's per-pass statistics
+//! table for each level's mesh compile before measuring (see DESIGN.md
+//! §11).
 //!
-//! Pass `--serve SOCKET` to delegate the engine measurements to a
-//! running `mtl_serve` daemon as `mesh_rate` registry jobs (the
-//! handwritten baseline still runs locally — it is a plain Rust loop
-//! with nothing to compile). Both modes measure the steady-state rate
-//! with `mtl_sweep::measure_batched`; they differ in what the dotted
-//! curves charge. The in-process jobs exist to measure construction
-//! overheads, so each builds its simulator from scratch (and charges
-//! the RTL `veri` translation); the daemon's warm compile cache zeroes
-//! those overheads on repeat runs, so the serve-side dotted curves
-//! reflect a persistent-session workflow. `--profile` requires
-//! in-process simulators and rejects `--serve`.
+//! Pass `--serve SOCKET` to run the same spec on a running `mtl_serve`
+//! daemon: the same jobs, measured the same way, on the daemon's
+//! workers.
 
-use std::time::{Duration, Instant};
-
-use mtl_bench::{
-    banner, measure_handwritten_rate, measure_rate_instrumented, mesh_harness, profile_json,
-    rate_metrics, report_job, submit_spec, write_bench_json, Args, PROFILE_TOP_N,
-};
+use mtl_bench::{banner, job_timing, mesh_harness, run_spec, Args};
 use mtl_net::NetLevel;
 use mtl_sim::Engine;
-use mtl_sweep::{Campaign, Job, JobMetrics, Json};
+use mtl_sweep::Json;
 
 const NROUTERS: usize = 64;
 const INJECTION: u32 = 300; // near saturation for the 8x8 mesh
@@ -51,88 +42,20 @@ fn job_name(level: NetLevel, engine: Engine) -> String {
     format!("{level}/{engine}")
 }
 
-/// Per-engine measurement window — interpreted engines are slow; cap
-/// their measurement burden. Shared by the in-process jobs and the
-/// `--serve` spec so both modes measure the same way.
-fn measurement_window(engine: Engine, smoke: bool) -> (Duration, u64) {
+/// Measurement window `(min_wall_ms, max_cycles)` of one engine, or of
+/// the handwritten baseline (`None`) — interpreted engines are slow; cap
+/// their measurement burden.
+fn measurement_window(engine: Option<Engine>, smoke: bool) -> (u64, u64) {
     match (engine, smoke) {
-        (Engine::Interpreted, false) => (Duration::from_millis(1500), 20_000),
-        (Engine::InterpretedOpt, false) => (Duration::from_millis(1200), 50_000),
-        (_, false) => (Duration::from_millis(800), 2_000_000),
-        (Engine::Interpreted, true) => (Duration::from_millis(60), 1_000),
-        (Engine::InterpretedOpt, true) => (Duration::from_millis(60), 3_000),
-        (_, true) => (Duration::from_millis(60), 50_000),
+        (Some(Engine::Interpreted), false) => (1500, 20_000),
+        (Some(Engine::InterpretedOpt), false) => (1200, 50_000),
+        (Some(_), false) => (800, 2_000_000),
+        (None, false) => (500, 20_000_000),
+        (Some(Engine::Interpreted), true) => (60, 1_000),
+        (Some(Engine::InterpretedOpt), true) => (60, 3_000),
+        (Some(_), true) => (60, 50_000),
+        (None, true) => (60, 200_000),
     }
-}
-
-fn engine_job(level: NetLevel, engine: Engine, profile: bool, smoke: bool) -> Job {
-    let (min_wall, max_cycles) = measurement_window(engine, smoke);
-    let mut job = Job::new(job_name(level, engine), move |ctx| {
-        let harness = mesh_harness(level, NROUTERS, INJECTION);
-        let (mut m, prof) = measure_rate_instrumented(
-            &harness,
-            engine,
-            min_wall,
-            max_cycles,
-            ctx.deadline(),
-            profile,
-        );
-        // The RTL specialization path includes Verilog translation +
-        // re-parse ("veri"); charge it for the specialized engines on
-        // RTL models, mirroring SimJIT-RTL's pipeline.
-        if level == NetLevel::Rtl && matches!(engine, Engine::Specialized | Engine::SpecializedOpt)
-        {
-            let t0 = Instant::now();
-            let design = mtl_core::elaborate(&*mtl_net::network(level, NROUTERS, 32))
-                .map_err(|e| format!("elaboration for veri overhead: {e:?}"))?;
-            if let Ok(v) = mtl_translate::translate(&design) {
-                let _ = mtl_translate::VerilogLibrary::parse(&v)
-                    .map_err(|e| format!("emitted Verilog failed to reparse: {e}"))?;
-            }
-            m.overheads.veri = t0.elapsed();
-        }
-        let mut metrics = rate_metrics(&m);
-        if let Some(p) = prof {
-            metrics = metrics.with_profile(profile_json(&p, PROFILE_TOP_N));
-        }
-        Ok(metrics)
-    })
-    .param("level", level)
-    .param("engine", engine)
-    .param("nrouters", NROUTERS)
-    .param("injection_permille", INJECTION)
-    .budget(Duration::from_secs(if smoke { 20 } else { 60 }))
-    .uncacheable();
-    // The parallel engine's rate depends on its worker count; record it
-    // so the series is interpretable without knowing the machine.
-    if engine == Engine::SpecializedPar {
-        job = job.param("threads", mtl_sim::default_threads());
-    }
-    if profile {
-        job = job.expects_profile();
-    }
-    job
-}
-
-/// The handwritten baseline's measurement window.
-fn handwritten_window(smoke: bool) -> (Duration, u64) {
-    if smoke {
-        (Duration::from_millis(60), 200_000)
-    } else {
-        (Duration::from_millis(500), 20_000_000)
-    }
-}
-
-fn handwritten_job(smoke: bool) -> Job {
-    let (min_wall, max_cycles) = handwritten_window(smoke);
-    Job::new("handwritten", move |_ctx| {
-        let rate = measure_handwritten_rate(NROUTERS, INJECTION, min_wall, max_cycles);
-        Ok(JobMetrics::new().timing("cycles_per_sec", rate))
-    })
-    .param("nrouters", NROUTERS)
-    .param("injection_permille", INJECTION)
-    .budget(Duration::from_secs(30))
-    .uncacheable()
 }
 
 /// Rate + overhead for one engine, reconstructed from the report.
@@ -144,17 +67,13 @@ struct Point {
 }
 
 impl Point {
-    /// Reads one engine job out of a campaign report document. The
-    /// in-process jobs count `measured_cycles` as a deterministic
-    /// metric, the `mesh_rate` kind as timing.
+    /// Reads one engine job out of a campaign report document.
     fn from_json(report: &Json, name: &str) -> Option<Point> {
-        let job = report_job(report, name)?;
-        let f = |key: &str| job.get("timing")?.get(key)?.as_f64();
-        let measured = job.get("metrics").and_then(|m| m.get("measured_cycles")?.as_f64());
+        let f = |key: &str| job_timing(report, name, key);
         Some(Point {
             rate: f("cycles_per_sec")?,
             overhead_secs: f("overhead_total_secs").unwrap_or(0.0),
-            measured_cycles: measured.or(f("measured_cycles")).unwrap_or(0.0) as u64,
+            measured_cycles: f("measured_cycles").unwrap_or(0.0) as u64,
         })
     }
 
@@ -167,11 +86,11 @@ impl Point {
     }
 }
 
-fn print_level(lookup: &dyn Fn(&str) -> Option<Point>, level: NetLevel, handwritten: Option<f64>) {
+fn print_level(report: &Json, level: NetLevel, handwritten: Option<f64>) {
     println!("\n--- {level} {NROUTERS}-node mesh (injection {INJECTION}/1000) ---");
     let mut points: Vec<(Engine, Option<Point>)> = Vec::new();
     for engine in Engine::ALL {
-        let point = lookup(&job_name(level, engine));
+        let point = Point::from_json(report, &job_name(level, engine));
         match &point {
             Some(p) => println!(
                 "  {engine:18} rate {:>12.0} cyc/s   overheads {:.3}s (measured over {} cycles)",
@@ -221,30 +140,35 @@ fn print_level(lookup: &dyn Fn(&str) -> Option<Point>, level: NetLevel, handwrit
     }
 }
 
-/// The engine measurements as an `mtl-serve` submission: one
-/// `mesh_rate` registry job per (level, engine), with the same
-/// measurement windows as the in-process campaign.
-fn serve_spec(smoke: bool) -> Json {
-    let mut spec = Json::obj();
-    spec.set("name", "fig14").set("no_cache", true);
+/// The campaign as a registry spec: one `mesh_rate` job per (level,
+/// engine) and one `handwritten_rate` job.
+fn spec(smoke: bool, profile: bool) -> Json {
+    let job = |kind: &str, name: String, engine: Option<Engine>| {
+        let (min_wall_ms, max_cycles) = measurement_window(engine, smoke);
+        let mut j = Json::obj();
+        j.set("kind", kind)
+            .set("name", name)
+            .set("nrouters", NROUTERS)
+            .set("injection", INJECTION)
+            .set("min_wall_ms", min_wall_ms)
+            .set("max_cycles", max_cycles)
+            .set("budget_ms", if smoke { 20_000u64 } else { 60_000 });
+        j
+    };
     let mut jobs: Vec<Json> = Vec::new();
     for level in LEVELS {
         for engine in Engine::ALL {
-            let (min_wall, max_cycles) = measurement_window(engine, smoke);
-            let mut j = Json::obj();
-            j.set("kind", "mesh_rate")
-                .set("name", job_name(level, engine))
-                .set("level", level.to_string())
-                .set("nrouters", NROUTERS)
-                .set("injection", INJECTION)
-                .set("engine", engine.to_string())
-                .set("min_wall_ms", min_wall.as_millis() as u64)
-                .set("max_cycles", max_cycles)
-                .set("budget_ms", if smoke { 20_000u64 } else { 60_000 });
+            let mut j = job("mesh_rate", job_name(level, engine), Some(engine));
+            j.set("level", level.to_string()).set("engine", engine.to_string());
+            if profile {
+                j.set("profile", true);
+            }
             jobs.push(j);
         }
     }
-    spec.set("jobs", jobs);
+    jobs.push(job("handwritten_rate", "handwritten".to_string(), None));
+    let mut spec = Json::obj();
+    spec.set("name", "fig14").set("no_cache", true).set("jobs", jobs);
     spec
 }
 
@@ -270,31 +194,14 @@ fn main() {
             }
         }
     }
-    let (report, handwritten) = if let Some(socket) = args.value("--serve") {
-        if profile {
-            eprintln!("fig14_mesh_speedup: --profile needs in-process simulators; drop --serve");
-            std::process::exit(2);
-        }
-        let report = submit_spec(socket, &serve_spec(smoke)).unwrap_or_else(|e| {
-            eprintln!("fig14_mesh_speedup --serve: {e}");
-            std::process::exit(1);
-        });
-        // A plain Rust loop, nothing to compile or share: runs locally.
-        let (min_wall, max_cycles) = handwritten_window(smoke);
-        (report, Some(measure_handwritten_rate(NROUTERS, INJECTION, min_wall, max_cycles)))
-    } else {
-        let mut campaign = Campaign::new("fig14");
+    let tables = |report: &Json| {
+        let handwritten = job_timing(report, "handwritten", "cycles_per_sec");
         for level in LEVELS {
-            for engine in Engine::ALL {
-                campaign = campaign.job(engine_job(level, engine, profile, smoke));
-            }
+            print_level(report, level, handwritten);
         }
-        let report = campaign.job(handwritten_job(smoke)).run();
-        let handwritten = report.metric("handwritten", "cycles_per_sec");
-        (report.to_json(), handwritten)
     };
-    for level in LEVELS {
-        print_level(&|name| Point::from_json(&report, name), level, handwritten);
+    if let Err(e) = run_spec(&spec(smoke, profile), args.value("--serve"), None, tables) {
+        eprintln!("fig14_mesh_speedup: {e}");
+        std::process::exit(1);
     }
-    write_bench_json(&report, "fig14");
 }

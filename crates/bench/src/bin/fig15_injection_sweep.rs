@@ -6,19 +6,20 @@
 //! fraction of time is spent in specialized code and speedups grow until
 //! the network saturates (the paper's Figure 15 shape).
 //!
-//! The 48 measurement points (2 levels × 6 rates × 4 engines) are
-//! independent sims, so they run as an `mtl-sweep` campaign: sharded
-//! across worker threads (`RUSTMTL_JOBS`), panic-isolated, and reported
-//! to `BENCH_fig15.json` alongside the stdout table. `--smoke` runs a
-//! tiny 16-node / 2-engine / 2-rate variant (< 2s) used by
-//! `scripts/verify.sh` to exercise the orchestration path.
+//! The 60 measurement points (2 levels × 6 rates × 5 engines) are
+//! independent sims, declared as `mesh_rate` jobs of the `mtl-serve`
+//! kind catalog (DESIGN.md §10) and run through `mtl_bench::run_spec`:
+//! sharded across worker threads (`RUSTMTL_JOBS`), panic-isolated, and
+//! reported to `BENCH_fig15.json` alongside the stdout table. Rates are
+//! wall clock, so the campaign neither caches nor journals: every run
+//! measures every point. `--smoke` runs a tiny 16-node / 2-engine /
+//! 2-rate variant (< 2s) used by `scripts/verify.sh` to exercise the
+//! orchestration path.
 
-use std::time::Duration;
-
-use mtl_bench::{banner, mesh_rate_job, write_bench_report, Args};
+use mtl_bench::{banner, job_timing, run_spec, Args};
 use mtl_net::NetLevel;
 use mtl_sim::Engine;
-use mtl_sweep::{Campaign, CampaignReport};
+use mtl_sweep::Json;
 
 const RATES: [u32; 6] = [20, 80, 160, 240, 320, 400];
 const SMOKE_RATES: [u32; 2] = [100, 300];
@@ -62,10 +63,10 @@ impl SweepSpec {
         format!("{level}/inj{inj:03}/{engine}")
     }
 
-    /// Per-point measurement windows, matching the original serial
-    /// methodology: interpreted engines get longer walls but tight cycle
-    /// caps; specialized engines the reverse.
-    fn windows(&self, level: NetLevel, engine: Engine) -> (Duration, u64) {
+    /// Per-point measurement windows `(min_wall_ms, max_cycles)`:
+    /// interpreted engines get longer walls but tight cycle caps;
+    /// specialized engines the reverse.
+    fn window(&self, level: NetLevel, engine: Engine) -> (u64, u64) {
         let (wall_slow_ms, cap_slow, wall_fast_ms, cap_fast) = match level {
             NetLevel::Rtl => (900, 600, 500, 60_000),
             _ => (700, 8_000, 400, 400_000),
@@ -74,37 +75,42 @@ impl SweepSpec {
             Engine::Interpreted | Engine::InterpretedOpt => (wall_slow_ms, cap_slow),
             _ => (wall_fast_ms, cap_fast),
         };
-        (Duration::from_millis(ms * self.wall_permille / 1000), cap)
+        (ms * self.wall_permille / 1000, cap)
     }
 
-    fn campaign(&self) -> Campaign {
-        let mut campaign = Campaign::new(self.report_name);
+    /// The sweep as a registry spec: one `mesh_rate` job per point.
+    fn to_json(&self) -> Json {
+        let mut jobs: Vec<Json> = Vec::new();
         for &level in &self.levels {
             for &inj in &self.rates {
                 for &engine in &self.engines {
-                    let (min_wall, max_cycles) = self.windows(level, engine);
-                    campaign = campaign.job(
-                        mesh_rate_job(
-                            Self::job_name(level, inj, engine),
-                            level,
-                            self.nrouters,
-                            inj,
-                            engine,
-                            min_wall,
-                            max_cycles,
-                        )
+                    let (min_wall_ms, max_cycles) = self.window(level, engine);
+                    let mut j = Json::obj();
+                    j.set("kind", "mesh_rate")
+                        .set("name", Self::job_name(level, inj, engine))
+                        .set("level", level.to_string())
+                        .set("nrouters", self.nrouters)
+                        .set("injection", inj)
+                        .set("engine", engine.to_string())
+                        .set("min_wall_ms", min_wall_ms)
+                        .set("max_cycles", max_cycles)
                         // One pathological point must not stall the
                         // sweep: measurement windows are < 1s, so 30s
                         // means something is badly wrong.
-                        .budget(Duration::from_secs(30)),
-                    );
+                        .set("budget_ms", 30_000u64);
+                    jobs.push(j);
                 }
             }
         }
-        campaign
+        let mut spec = Json::obj();
+        spec.set("name", self.report_name).set("no_cache", true).set("jobs", jobs);
+        spec
     }
 
-    fn print_tables(&self, report: &CampaignReport) {
+    fn print_tables(&self, report: &Json) {
+        let rate = |level, inj, engine| {
+            job_timing(report, &Self::job_name(level, inj, engine), "cycles_per_sec")
+        };
         let baseline = self.engines[0];
         for &level in &self.levels {
             println!("\n--- {level} {}-node mesh, 100K-cycle workload profile ---", self.nrouters);
@@ -114,14 +120,11 @@ impl SweepSpec {
             }
             println!();
             for &inj in &self.rates {
-                let base = report.metric(&Self::job_name(level, inj, baseline), "cycles_per_sec");
+                let base = rate(level, inj, baseline);
                 print!("{inj:>10}");
                 for &engine in &self.engines[1..] {
-                    let rate = report.metric(&Self::job_name(level, inj, engine), "cycles_per_sec");
-                    match (base, rate) {
-                        (Some(b), Some(r)) if b > 0.0 => {
-                            print!(" {:>15.1}x", r / b)
-                        }
+                    match (base, rate(level, inj, engine)) {
+                        (Some(b), Some(r)) if b > 0.0 => print!(" {:>15.1}x", r / b),
                         _ => print!(" {:>16}", "failed"),
                     }
                 }
@@ -131,11 +134,45 @@ impl SweepSpec {
     }
 }
 
+/// Runs the sweep in this process and prints its tables. No journal:
+/// a finished run's rates must never stand in for a new measurement.
+fn run(spec: &SweepSpec) -> Json {
+    run_spec(&spec.to_json(), None, None, |report| spec.print_tables(report)).unwrap_or_else(|e| {
+        eprintln!("fig15_injection_sweep: {e}");
+        std::process::exit(1);
+    })
+}
+
 fn main() {
     let smoke = Args::parse(&["--smoke"], &[]).flag("--smoke");
     let spec = if smoke { SweepSpec::smoke() } else { SweepSpec::full() };
     banner("Figure 15: engine speedup vs injection rate", "Fig. 15");
-    let report = spec.campaign().run();
-    spec.print_tables(&report);
-    write_bench_report(&report, spec.report_name);
+    run(&spec);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mtl_bench::summary_count;
+
+    /// Rates are wall clock: running the same sweep twice measures every
+    /// point twice, and replays nothing from a journal.
+    #[test]
+    fn every_run_measures_every_point() {
+        let dir = std::env::temp_dir().join(format!("fig15-rerun-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        std::env::set_var("RUSTMTL_BENCH_DIR", &dir);
+        let spec = SweepSpec::smoke();
+        for pass in 0..2 {
+            let report = run(&spec);
+            let jobs = report.get("jobs").and_then(Json::as_arr).unwrap();
+            assert_eq!(jobs.len(), 4, "pass {pass}");
+            assert_eq!(summary_count(&report, "replayed"), 0, "pass {pass}");
+            assert_eq!(summary_count(&report, "done"), 4, "pass {pass}");
+            let executed =
+                jobs.iter().filter(|j| j.get("attempts").and_then(Json::as_u64) == Some(1));
+            assert_eq!(executed.count(), 4, "pass {pass}: every job executes");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -5,10 +5,12 @@
 //! The paper's SimJIT argument is that compiling models down lets a real
 //! compiler optimize them; our tape engines historically executed the
 //! bytecode as-written. This benchmark records what the `mtl-sim` pass
-//! pipeline (`crates/sim/src/passes.rs`) buys on the flagship RTL
-//! workload: steady-state rate with and without the optimizer, the
+//! pipeline (`crates/sim/src/compile/passes.rs`) buys on the flagship
+//! RTL workload: steady-state rate with and without the optimizer, the
 //! speedup ratio, and the compile-time op/register reductions, all
-//! landing in `BENCH_opt.json`.
+//! landing in `BENCH_opt.json`. Each measurement is a `mesh_rate` job of
+//! the `mtl-serve` kind catalog (DESIGN.md §10) with `tape_opt` pinned;
+//! every point runs as several jobs and the table takes the fastest.
 //!
 //! Usage:
 //!   cargo run -p mtl-bench --release --bin opt_speedup [--smoke] [--dump-passes]
@@ -20,37 +22,34 @@
 //! prints the per-pass statistics table for the RTL mesh compile.
 
 use std::process::ExitCode;
-use std::time::Duration;
 
-use mtl_bench::{
-    banner, measure_rate_best_of, mesh_harness, rate_metrics, write_bench_report, Args,
-};
+use mtl_bench::{banner, job_timing, mesh_harness, run_spec, Args};
 use mtl_net::NetLevel;
-use mtl_sim::{Engine, Sim, SimConfig};
-use mtl_sweep::{Campaign, CampaignReport};
+use mtl_sim::{Engine, Sim};
+use mtl_sweep::Json;
 
 const NROUTERS: usize = 64;
 const INJECTION: u32 = 300; // near saturation for the 8x8 mesh (fig14 config)
 const LEVELS: [NetLevel; 2] = [NetLevel::Cl, NetLevel::Rtl];
 const ENGINES: [Engine; 3] = [Engine::Specialized, Engine::SpecializedOpt, Engine::SpecializedPar];
 
-fn job_name(level: NetLevel, engine: Engine, opt: bool) -> String {
-    format!("{level}/{engine}{}", if opt { "+opt" } else { "+noopt" })
+fn job_name(level: NetLevel, engine: Engine, opt: bool, rep: usize) -> String {
+    format!("{level}/{engine}{}#{rep}", if opt { "+opt" } else { "+noopt" })
 }
 
-fn window(smoke: bool) -> (Duration, u64) {
+/// The measurement window `(min_wall_ms, max_cycles)` of one job.
+fn window(smoke: bool) -> (u64, u64) {
     if smoke {
-        (Duration::from_millis(60), 50_000)
+        (60, 50_000)
     } else {
-        (Duration::from_millis(800), 2_000_000)
+        (800, 2_000_000)
     }
 }
 
-/// Measurement windows per job; the fastest is reported. Single windows
-/// showed run-to-run spread larger than the optimizer's effect, and
-/// noise is strictly one-sided (it only slows a window down), so
-/// best-of-N applied to both A/B sides is the unbiased low-variance
-/// estimator.
+/// Jobs per point; the fastest is reported. Single windows showed
+/// run-to-run spread larger than the optimizer's effect, and noise is
+/// strictly one-sided (it only slows a window down), so best-of-N
+/// applied to both A/B sides is the unbiased low-variance estimator.
 fn reps(smoke: bool) -> usize {
     if smoke {
         2
@@ -59,53 +58,47 @@ fn reps(smoke: bool) -> usize {
     }
 }
 
-fn ab_job(level: NetLevel, engine: Engine, opt: bool, smoke: bool) -> mtl_sweep::Job {
-    let (min_wall, max_cycles) = window(smoke);
-    let n_reps = reps(smoke);
-    let mut job = mtl_sweep::Job::new(job_name(level, engine, opt), move |ctx| {
-        let harness = mesh_harness(level, NROUTERS, INJECTION);
-        let cfg = SimConfig { tape_opt: Some(opt), ..Default::default() };
-        let (m, report) = measure_rate_best_of(
-            &harness,
-            engine,
-            &cfg,
-            n_reps,
-            min_wall,
-            max_cycles,
-            ctx.deadline(),
-        );
-        let mut metrics = rate_metrics(&m);
-        if let Some(rep) = report {
-            metrics = metrics
-                .det("tape_ops_before", rep.ops_before)
-                .det("tape_ops_after", rep.ops_after)
-                .det("tape_regs_before", rep.regs_before)
-                .det("tape_regs_after", rep.regs_after)
-                .det("opt_rounds", rep.rounds);
+/// The A/B matrix as a registry spec: `reps` `mesh_rate` jobs per
+/// (level, engine, optimizer setting).
+fn spec(smoke: bool) -> Json {
+    let (min_wall_ms, max_cycles) = window(smoke);
+    let mut jobs: Vec<Json> = Vec::new();
+    for level in LEVELS {
+        for engine in ENGINES {
+            for opt in [false, true] {
+                for rep in 0..reps(smoke) {
+                    let mut j = Json::obj();
+                    j.set("kind", "mesh_rate")
+                        .set("name", job_name(level, engine, opt, rep))
+                        .set("level", level.to_string())
+                        .set("nrouters", NROUTERS)
+                        .set("injection", INJECTION)
+                        .set("engine", engine.to_string())
+                        .set("tape_opt", opt)
+                        .set("min_wall_ms", min_wall_ms)
+                        .set("max_cycles", max_cycles)
+                        .set("budget_ms", if smoke { 30_000u64 } else { 90_000 });
+                    jobs.push(j);
+                }
+            }
         }
-        Ok(metrics)
-    })
-    .param("level", level)
-    .param("engine", engine)
-    .param("tape_opt", opt)
-    .param("nrouters", NROUTERS)
-    .param("injection_permille", INJECTION)
-    .budget(Duration::from_secs(if smoke { 30 } else { 90 }))
-    .uncacheable();
-    if engine == Engine::SpecializedPar {
-        job = job.param("threads", mtl_sim::default_threads());
     }
-    job
+    let mut spec = Json::obj();
+    spec.set("name", "opt").set("no_cache", true).set("jobs", jobs);
+    spec
 }
 
-fn rate(report: &CampaignReport, name: &str) -> Option<f64> {
-    report.get(name)?.f64("cycles_per_sec")
+/// The fastest of a point's jobs; `None` if any of them failed.
+fn rate(report: &Json, level: NetLevel, engine: Engine, opt: bool, smoke: bool) -> Option<f64> {
+    let rates = (0..reps(smoke))
+        .map(|rep| job_timing(report, &job_name(level, engine, opt, rep), "cycles_per_sec"));
+    rates.collect::<Option<Vec<f64>>>()?.into_iter().reduce(f64::max)
 }
 
 fn main() -> ExitCode {
     banner(
         "Tape-optimizer speedup: fig14 mesh workload, optimizer off vs on",
-        "Fig. 14 RTL config; ROADMAP item 1",
+        "Fig. 14 RTL config",
     );
     let args = Args::parse(&["--smoke", "--dump-passes"], &[]);
     let smoke = args.flag("--smoke");
@@ -122,41 +115,39 @@ fn main() -> ExitCode {
         }
     }
 
-    let mut campaign = Campaign::new("opt");
-    for level in LEVELS {
-        for engine in ENGINES {
-            for opt in [false, true] {
-                campaign = campaign.job(ab_job(level, engine, opt, smoke));
-            }
-        }
-    }
-    let report = campaign.run();
-
     let mut failed = false;
-    for level in LEVELS {
-        println!("\n--- {level} {NROUTERS}-node mesh (injection {INJECTION}/1000) ---");
-        println!("  {:18} {:>14} {:>14} {:>9}", "engine", "noopt cyc/s", "opt cyc/s", "speedup");
-        for engine in ENGINES {
-            let off = rate(&report, &job_name(level, engine, false));
-            let on = rate(&report, &job_name(level, engine, true));
-            match (off, on) {
-                (Some(off), Some(on)) => {
-                    println!("  {engine:18} {off:>14.0} {on:>14.0} {:>8.2}x", on / off);
-                }
-                _ => {
-                    println!("  {engine:18} FAILED (see BENCH_opt.json)");
-                    failed = true;
+    let report = run_spec(&spec(smoke), None, None, |report| {
+        for level in LEVELS {
+            println!("\n--- {level} {NROUTERS}-node mesh (injection {INJECTION}/1000) ---");
+            println!(
+                "  {:18} {:>14} {:>14} {:>9}",
+                "engine", "noopt cyc/s", "opt cyc/s", "speedup"
+            );
+            for engine in ENGINES {
+                let off = rate(report, level, engine, false, smoke);
+                let on = rate(report, level, engine, true, smoke);
+                match (off, on) {
+                    (Some(off), Some(on)) => {
+                        println!("  {engine:18} {off:>14.0} {on:>14.0} {:>8.2}x", on / off);
+                    }
+                    _ => {
+                        println!("  {engine:18} FAILED (see BENCH_opt.json)");
+                        failed = true;
+                    }
                 }
             }
         }
-    }
+    })
+    .unwrap_or_else(|e| {
+        eprintln!("opt_speedup: {e}");
+        std::process::exit(1);
+    });
 
     // The gate: the optimizer must not pessimize the headline RTL
     // configuration (the ≥2x target is tracked in BENCH_opt.json; the
     // hard floor here is "never slower").
-    let gate_off = rate(&report, &job_name(NetLevel::Rtl, Engine::SpecializedOpt, false));
-    let gate_on = rate(&report, &job_name(NetLevel::Rtl, Engine::SpecializedOpt, true));
-    write_bench_report(&report, "opt");
+    let gate_off = rate(&report, NetLevel::Rtl, Engine::SpecializedOpt, false, smoke);
+    let gate_on = rate(&report, NetLevel::Rtl, Engine::SpecializedOpt, true, smoke);
     match (gate_off, gate_on) {
         (Some(off), Some(on)) if on >= off => {
             println!(

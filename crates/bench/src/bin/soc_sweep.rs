@@ -42,7 +42,7 @@
 //! code come from the one report document either way.
 
 use mtl_accel::{TileConfig, XcelLevel};
-use mtl_bench::{banner, job_metric, job_timing, run_spec, summary_count, Args};
+use mtl_bench::{banner, job_metric, job_timing, run_spec, summary_count, Args, JOURNAL_DIR};
 use mtl_net::NetLevel;
 use mtl_proc::{CacheLevel, ProcLevel};
 use mtl_sim::{Engine, Sim, SimConfig};
@@ -324,12 +324,14 @@ fn main() {
         return;
     }
     let campaign = spec.to_json(args.value("--journal"));
-    let failed = run_spec(&campaign, args.value("--serve"), |report| spec.print_tables(report))
-        .map(|report| summary_count(&report, "failed"))
-        .unwrap_or_else(|e| {
-            eprintln!("soc_sweep: {e}");
-            std::process::exit(1);
-        });
+    let failed = run_spec(&campaign, args.value("--serve"), Some(JOURNAL_DIR), |report| {
+        spec.print_tables(report)
+    })
+    .map(|report| summary_count(&report, "failed"))
+    .unwrap_or_else(|e| {
+        eprintln!("soc_sweep: {e}");
+        std::process::exit(1);
+    });
     // Any failed job (non-drain, checksum/result mismatch, timeout) is a
     // campaign failure: the jobs are self-checking, so CI can trust the
     // exit code without parsing the report.

@@ -1,15 +1,15 @@
-//! Shared measurement utilities for the figure-regeneration binaries.
+//! Shared utilities for the figure-regeneration binaries.
 //!
 //! Each binary under `src/bin/` regenerates one table or figure from the
-//! paper's evaluation (see `DESIGN.md` §5 for the index). The figure
-//! binaries declare [`mtl_sweep::Campaign`]s of independent measurement
-//! [`Job`]s; the shared methodology lives here: build a simulator inside
-//! the job, measure its steady-state simulation rate (cycles/second) with
-//! [`mtl_sweep::measure_batched`] (warmup excluded from the timed window,
-//! batch doubling clamped to the cycle cap), and capture its construction
-//! overheads, so speedup-vs-run-length curves can be reported exactly the
-//! way Figure 14 reports them (solid = steady-state rate ratio, dotted =
-//! including one-time overheads).
+//! paper's evaluation (see `DESIGN.md` §5 for the index). The campaign
+//! binaries declare their measurement points as a spec of `mtl-serve`
+//! registry job kinds and print their tables from the report
+//! [`run_spec`] returns; the rate measurement behind Figures 14 and 15
+//! (a cold build, then the steady-state rate from
+//! [`mtl_sweep::measure_batched`] and the construction overheads) is
+//! the registry's `mesh_rate` kind, so speedup-vs-run-length curves can
+//! be reported exactly the way Figure 14 reports them (solid =
+//! steady-state rate ratio, dotted = including one-time overheads).
 //!
 //! Every campaign binary writes a machine-readable `BENCH_<fig>.json`
 //! report (schema in `EXPERIMENTS.md`) next to its stdout tables; set
@@ -20,146 +20,11 @@
 //! contention cancels in the ratios.
 
 use std::path::PathBuf;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use mtl_core::Component;
 use mtl_net::{MeshTrafficHarness, NetLevel};
-use mtl_sim::{Engine, Overheads, Sim, SimConfig, SimProfile};
-use mtl_sweep::{measure_batched, Job, JobCtx, JobMetrics, Json};
-
-/// A measured simulation rate plus its construction overheads.
-#[derive(Debug, Clone, Copy)]
-pub struct RateMeasurement {
-    /// Simulated cycles per wall-clock second, steady state.
-    pub cycles_per_sec: f64,
-    /// One-time construction overheads.
-    pub overheads: Overheads,
-    /// Cycles actually simulated during measurement.
-    pub measured_cycles: u64,
-}
-
-impl RateMeasurement {
-    /// Wall-clock time to simulate `n` target cycles, excluding
-    /// overheads.
-    pub fn sim_time(&self, n: u64) -> f64 {
-        n as f64 / self.cycles_per_sec
-    }
-
-    /// Wall-clock time including one-time overheads.
-    pub fn total_time(&self, n: u64) -> f64 {
-        self.sim_time(n) + self.overheads.total().as_secs_f64()
-    }
-}
-
-/// Builds a simulator for `top` and measures its simulation rate.
-///
-/// Runs a short untimed warmup, restarts the clock, then measures in
-/// doubling batches until at least `min_wall` has elapsed or exactly
-/// `max_cycles` have been simulated (batches are clamped, never
-/// overshooting the cap — short `cap`-bounded RTL measurements execute
-/// precisely the budgeted cycles).
-pub fn measure_rate(
-    top: &dyn Component,
-    engine: Engine,
-    min_wall: Duration,
-    max_cycles: u64,
-) -> RateMeasurement {
-    measure_rate_bounded(top, engine, min_wall, max_cycles, None)
-}
-
-/// [`measure_rate`] with an optional hard deadline (used by campaign jobs
-/// to honor their wall-clock budget cooperatively).
-pub fn measure_rate_bounded(
-    top: &dyn Component,
-    engine: Engine,
-    min_wall: Duration,
-    max_cycles: u64,
-    deadline: Option<Instant>,
-) -> RateMeasurement {
-    measure_rate_instrumented(top, engine, min_wall, max_cycles, deadline, false).0
-}
-
-/// [`measure_rate_bounded`] with optional simulation profiling. With
-/// `profile` set, the returned [`SimProfile`] covers the whole run
-/// (warmup included) — note profiling instrumentation slows the measured
-/// rate, so profiled rates are for explanation, not for headline numbers.
-pub fn measure_rate_instrumented(
-    top: &dyn Component,
-    engine: Engine,
-    min_wall: Duration,
-    max_cycles: u64,
-    deadline: Option<Instant>,
-    profile: bool,
-) -> (RateMeasurement, Option<SimProfile>) {
-    let mut sim = Sim::build(top, engine).expect("elaboration failed");
-    let overheads = *sim.overheads();
-    if profile {
-        sim.enable_profiling();
-    }
-    sim.reset();
-    let m = measure_batched(|n| sim.run(n), 16, 64, min_wall, max_cycles, deadline);
-    let measurement =
-        RateMeasurement { cycles_per_sec: m.rate(), overheads, measured_cycles: m.work };
-    (measurement, sim.profile())
-}
-
-/// [`measure_rate_bounded`] under an explicit [`SimConfig`] (e.g. the
-/// tape optimizer pinned off for A/B comparisons), returning the
-/// simulator's tape-optimizer pass report alongside the measurement so
-/// callers can record compile-time statistics next to the rate.
-pub fn measure_rate_configured(
-    top: &dyn Component,
-    engine: Engine,
-    cfg: &SimConfig,
-    min_wall: Duration,
-    max_cycles: u64,
-    deadline: Option<Instant>,
-) -> (RateMeasurement, Option<mtl_sim::OptReport>) {
-    let mut sim = Sim::build_with_config(top, engine, cfg).expect("elaboration failed");
-    let overheads = *sim.overheads();
-    let report = sim.opt_report().cloned();
-    sim.reset();
-    let m = measure_batched(|n| sim.run(n), 16, 64, min_wall, max_cycles, deadline);
-    let measurement =
-        RateMeasurement { cycles_per_sec: m.rate(), overheads, measured_cycles: m.work };
-    (measurement, report)
-}
-
-/// [`measure_rate_configured`] with best-of-`reps` windows: the sim is
-/// built once, then `reps` independent measurement windows run back to
-/// back and the fastest is reported. Scheduler preemption, frequency
-/// ramps, and cache pollution only ever make a window slower, so the max
-/// is the lowest-noise estimate of the true steady-state rate; applied
-/// identically to both sides of an A/B pair it cancels rather than
-/// biases. Used by `opt_speedup`, where single-window run-to-run spread
-/// exceeded the effect being measured.
-pub fn measure_rate_best_of(
-    top: &dyn Component,
-    engine: Engine,
-    cfg: &SimConfig,
-    reps: usize,
-    min_wall: Duration,
-    max_cycles: u64,
-    deadline: Option<Instant>,
-) -> (RateMeasurement, Option<mtl_sim::OptReport>) {
-    let mut sim = Sim::build_with_config(top, engine, cfg).expect("elaboration failed");
-    let overheads = *sim.overheads();
-    let report = sim.opt_report().cloned();
-    let mut best: Option<RateMeasurement> = None;
-    for _ in 0..reps.max(1) {
-        // Reset per rep (not once up front) so every window starts from
-        // the identical cold settle/dirty-skip state: best-of windows
-        // must be identically distributed or rep 0 measures a different
-        // quantity than reps 1..N.
-        sim.reset();
-        let m = measure_batched(|n| sim.run(n), 16, 64, min_wall, max_cycles, deadline);
-        let cand = RateMeasurement { cycles_per_sec: m.rate(), overheads, measured_cycles: m.work };
-        if best.as_ref().is_none_or(|b| cand.cycles_per_sec > b.cycles_per_sec) {
-            best = Some(cand);
-        }
-    }
-    (best.expect("reps >= 1"), report)
-}
+use mtl_sweep::Json;
 
 /// Builds the standard near-saturation mesh harness used by Figures 14-16.
 pub fn mesh_harness(
@@ -169,144 +34,6 @@ pub fn mesh_harness(
 ) -> MeshTrafficHarness {
     MeshTrafficHarness::new(level, nrouters, injection_permille, 0xBEEF)
 }
-
-/// Measures the hand-written baseline's simulation rate on the same
-/// workload (the paper's hand-coded C++ reference).
-pub fn measure_handwritten_rate(
-    nrouters: usize,
-    injection_permille: u32,
-    min_wall: Duration,
-    max_cycles: u64,
-) -> f64 {
-    let mut mesh = mtl_net::HandwrittenMesh::new(nrouters, injection_permille, 0xBEEF);
-    measure_batched(|n| mesh.run(n), 16, 1024, min_wall, max_cycles, None).rate()
-}
-
-/// Converts a [`RateMeasurement`] into campaign metrics: the simulated
-/// cycle count is deterministic; the rate and construction-overhead
-/// phases are wall-clock timing.
-pub fn rate_metrics(m: &RateMeasurement) -> JobMetrics {
-    JobMetrics::new()
-        .det("measured_cycles", m.measured_cycles)
-        .timing("cycles_per_sec", m.cycles_per_sec)
-        .timing("overhead_elab_secs", m.overheads.elab.as_secs_f64())
-        .timing("overhead_cgen_secs", m.overheads.cgen.as_secs_f64())
-        .timing("overhead_veri_secs", m.overheads.veri.as_secs_f64())
-        .timing("overhead_comp_secs", m.overheads.comp.as_secs_f64())
-        .timing("overhead_wrap_secs", m.overheads.wrap.as_secs_f64())
-        .timing("overhead_total_secs", m.overheads.total().as_secs_f64())
-}
-
-/// Reads the overhead phases back out of job metrics produced by
-/// [`rate_metrics`] (for tables that report total-time speedups).
-pub fn overheads_from_metrics(metrics: &JobMetrics) -> f64 {
-    metrics.f64("overhead_total_secs").unwrap_or(0.0)
-}
-
-/// Renders a [`SimProfile`] as the `profile` section of a per-job report:
-/// summary counters, the `top_n` hottest blocks, histogram summaries, and
-/// the `top_n` most active nets. Schema documented in `EXPERIMENTS.md`.
-pub fn profile_json(p: &SimProfile, top_n: usize) -> Json {
-    let mut j = Json::obj();
-    j.set("engine", p.engine.to_string())
-        .set("cycles", p.cycles)
-        .set("settle_points", p.settles)
-        .set("block_executions", p.total_block_runs());
-    let hot: Vec<Json> = p
-        .hot_blocks(top_n)
-        .into_iter()
-        .map(|h| {
-            let mut o = Json::obj();
-            o.set("path", h.path.as_str()).set("runs", h.runs).set("wall_ns", h.nanos);
-            o
-        })
-        .collect();
-    j.set("hot_blocks", Json::Arr(hot));
-    let hist = |h: &mtl_sim::Hist| {
-        let mut o = Json::obj();
-        o.set("samples", h.samples()).set("mean", h.mean()).set("max", h.max());
-        o
-    };
-    j.set("fixpoint_iters", hist(&p.fixpoint_iters));
-    j.set("queue_depth", hist(&p.queue_depth));
-    let nets: Vec<Json> = p
-        .active_nets(top_n)
-        .into_iter()
-        .map(|(path, toggles)| {
-            let mut o = Json::obj();
-            o.set("path", path.as_str()).set("bit_toggles", toggles);
-            o
-        })
-        .collect();
-    j.set("active_nets", Json::Arr(nets));
-    j
-}
-
-/// A campaign job measuring the simulation rate of a mesh-traffic
-/// harness under one engine — the shared measurement point of Figures
-/// 14 and 15.
-pub fn mesh_rate_job(
-    name: impl Into<String>,
-    level: NetLevel,
-    nrouters: usize,
-    injection_permille: u32,
-    engine: Engine,
-    min_wall: Duration,
-    max_cycles: u64,
-) -> Job {
-    mesh_rate_job_profiled(
-        name,
-        level,
-        nrouters,
-        injection_permille,
-        engine,
-        min_wall,
-        max_cycles,
-        false,
-    )
-}
-
-/// [`mesh_rate_job`] with optional profiling: the job metrics gain a
-/// `profile` section listing the [`PROFILE_TOP_N`] hottest blocks.
-#[allow(clippy::too_many_arguments)]
-pub fn mesh_rate_job_profiled(
-    name: impl Into<String>,
-    level: NetLevel,
-    nrouters: usize,
-    injection_permille: u32,
-    engine: Engine,
-    min_wall: Duration,
-    max_cycles: u64,
-    profile: bool,
-) -> Job {
-    Job::new(name, move |ctx: &JobCtx| {
-        let harness = mesh_harness(level, nrouters, injection_permille);
-        let (m, prof) = measure_rate_instrumented(
-            &harness,
-            engine,
-            min_wall,
-            max_cycles,
-            ctx.deadline(),
-            profile,
-        );
-        let mut metrics = rate_metrics(&m);
-        if let Some(p) = prof {
-            metrics = metrics.with_profile(profile_json(&p, PROFILE_TOP_N));
-        }
-        Ok(metrics)
-    })
-    .param("level", level)
-    .param("nrouters", nrouters)
-    .param("injection_permille", injection_permille)
-    .param("engine", engine)
-    .param("min_wall_ms", min_wall.as_millis())
-    .param("max_cycles", max_cycles)
-    // Rates are wall-clock measurements: caching would freeze them.
-    .uncacheable()
-}
-
-/// How many hot blocks / active nets a `--profile` report attaches.
-pub const PROFILE_TOP_N: usize = 10;
 
 /// A bin's command line, checked against the arguments it declares.
 pub struct Args {
@@ -455,13 +182,18 @@ pub fn submit_spec(socket: &str, spec: &Json) -> Result<Json, String> {
     })
 }
 
+/// Where the resumable campaigns (`fault_sweep`, `soc_sweep`) journal
+/// when run in this process and their spec pins no path.
+pub const JOURNAL_DIR: &str = "target/sweep-journal";
+
 /// Runs a campaign spec (the `mtl-serve` registry's schema, DESIGN.md
 /// §10) and returns its report document. `serve` only chooses where it
-/// runs: in this process, journalling under `target/sweep-journal/`
-/// unless the spec pins a path, or on the daemon at that socket. Either
-/// way the same catalog builds the same jobs, `tables` prints from the
-/// same document, and the run ends with the replay summary line and
-/// `BENCH_<campaign>.json`.
+/// runs: in this process, or on the daemon at that socket. In process,
+/// a campaign journals under `journal_dir` unless the spec pins a path;
+/// with neither, it journals nothing, so a rate campaign measures afresh
+/// on every run. Either way the same catalog builds the same jobs,
+/// `tables` prints from the same document, and the run ends with the
+/// replay summary line and `BENCH_<campaign>.json`.
 ///
 /// # Errors
 ///
@@ -469,6 +201,7 @@ pub fn submit_spec(socket: &str, spec: &Json) -> Result<Json, String> {
 pub fn run_spec(
     spec: &Json,
     serve: Option<&str>,
+    journal_dir: Option<&str>,
     tables: impl FnOnce(&Json),
 ) -> Result<Json, String> {
     let report = match serve {
@@ -476,7 +209,7 @@ pub fn run_spec(
         None => {
             let defaults = mtl_serve::SpecDefaults {
                 cache_dir: None,
-                journal_dir: Some("target/sweep-journal".into()),
+                journal_dir: journal_dir.map(PathBuf::from),
             };
             let artifacts = std::sync::Arc::new(mtl_sim::ArtifactCache::new());
             mtl_serve::campaign_from_spec(spec, &defaults, &artifacts)?.run().to_json()

@@ -52,6 +52,6 @@ pub mod server;
 
 pub use client::Client;
 pub use protocol::PROTO_VERSION;
-pub use registry::{campaign_from_spec, SpecDefaults};
+pub use registry::{campaign_from_spec, profile_json, SpecDefaults, PROFILE_TOP_N};
 pub use scheduler::{EventSink, Scheduler};
 pub use server::{Server, ServerConfig};

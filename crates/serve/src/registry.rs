@@ -37,7 +37,7 @@ use mtl_core::Component;
 use mtl_fault::{run_diffs, DiffConfig, FaultPlan, FaultReport, Outcome, PlanSpec};
 use mtl_net::{MeshTrafficHarness, MeshTrafficRtlHarness, NetLevel};
 use mtl_proc::{CacheLevel, ProcLevel};
-use mtl_sim::{ArtifactCache, Engine, Sim, SimConfig, BATCH_LANES};
+use mtl_sim::{ArtifactCache, Engine, Sim, SimConfig, SimProfile, BATCH_LANES};
 use mtl_soc::{run_soc_compute_on, run_soc_traffic_on, Soc, SocConfig, SocTraffic};
 use mtl_sweep::{measure_batched, Campaign, Fnv1a, Job, JobCtx, JobMetrics, Json};
 
@@ -80,7 +80,7 @@ const OPT: Option<Engine> = Some(Engine::SpecializedOpt);
 /// The catalog: the only place a campaign job body is defined. Bench
 /// bins and the daemon both instantiate jobs from here
 /// (DESIGN.md §10 lists what each kind measures).
-static KINDS: [Kind; 8] = [
+static KINDS: [Kind; 9] = [
     Kind { name: "sleep_ms", default_engine: None, fields: &["ms"], build: sleep_job },
     Kind { name: "fail", default_engine: None, fields: &[], build: fail_job },
     Kind {
@@ -98,8 +98,23 @@ static KINDS: [Kind; 8] = [
     Kind {
         name: "mesh_rate",
         default_engine: OPT,
-        fields: &["level", "nrouters", "injection", "min_wall_ms", "max_cycles", "engine"],
-        build: mesh_rate_job,
+        fields: &[
+            "level",
+            "nrouters",
+            "injection",
+            "min_wall_ms",
+            "max_cycles",
+            "engine",
+            "tape_opt",
+            "profile",
+        ],
+        build: engine_rate_job,
+    },
+    Kind {
+        name: "handwritten_rate",
+        default_engine: None,
+        fields: &["nrouters", "injection", "min_wall_ms", "max_cycles"],
+        build: handwritten_rate_job,
     },
     Kind {
         name: "fault_chunk",
@@ -204,6 +219,15 @@ impl Fields<'_> {
     fn required<T: FromStr<Err = String>>(&self, key: &str) -> Result<T, String> {
         let s = self.str(key).ok_or_else(|| format!("{} needs \"{key}\"", self.kind.name))?;
         s.parse()
+    }
+
+    /// A `true`/`false` field, if present; any other value is an error.
+    fn bool(&self, key: &str) -> Result<Option<bool>, String> {
+        let Some(value) = self.spec.get(key) else { return Ok(None) };
+        let b = value.as_bool().ok_or_else(|| {
+            format!("\"{key}\" must be true or false, got {}", value.to_compact())
+        })?;
+        Ok(Some(b))
     }
 
     fn engine(&self) -> Result<Engine, String> {
@@ -387,15 +411,20 @@ struct MeshParams {
 
 fn mesh_params(f: Fields) -> Result<MeshParams, String> {
     let level: NetLevel = f.required("level")?;
+    let (nrouters, injection) = mesh_size(f)?;
+    let key =
+        compile_key(&["mesh", &level.to_string(), &nrouters.to_string(), &injection.to_string()]);
+    Ok(MeshParams { level, nrouters, injection, key })
+}
+
+/// A mesh's `nrouters` (a positive perfect square) and `injection` rate.
+fn mesh_size(f: Fields) -> Result<(usize, u32), String> {
     let nrouters = f.bounded("nrouters", 16, 0..=MAX_NODES)?;
     let root = nrouters.isqrt();
     if root * root != nrouters || nrouters == 0 {
         return Err(format!("\"nrouters\" must be a positive perfect square, got {nrouters}"));
     }
-    let injection = f.bounded("injection", 200, 1..=1000)?;
-    let key =
-        compile_key(&["mesh", &level.to_string(), &nrouters.to_string(), &injection.to_string()]);
-    Ok(MeshParams { level, nrouters, injection, key })
+    Ok((nrouters, f.bounded("injection", 200, 1..=1000)?))
 }
 
 /// Deterministic mesh run: `cycles` cycles of seeded traffic, reporting
@@ -486,37 +515,133 @@ fn tile_cycles_job(f: Fields, artifacts: &Arc<ArtifactCache>) -> Result<Job, Str
     .param("engine", engine))
 }
 
-/// Timing measurement: the steady-state rate from
-/// [`measure_batched`] — the estimator every local rate in the repo
-/// uses (warm-up excluded, doubling clamped to `max_cycles`, the job's
-/// `budget_ms` deadline honoured between batches). Uncacheable by
-/// construction — wall-clock rates are machine- and load-dependent, so
-/// they are timing metrics (excluded from the canonical report) and
-/// never reused.
-fn mesh_rate_job(f: Fields, artifacts: &Arc<ArtifactCache>) -> Result<Job, String> {
-    let p = mesh_params(f)?;
+/// The traffic seed of every rate measurement and fault DUT: one
+/// workload for the engines and the hand-written baseline alike.
+const TRAFFIC_SEED: u64 = 0xBEEF;
+
+/// A rate job's measurement window: `min_wall_ms` of wall clock or
+/// `max_cycles` simulated cycles, whichever ends first.
+fn rate_window(f: Fields) -> Result<(Duration, u64), String> {
     let min_wall = Duration::from_millis(f.num("min_wall_ms", 200u64)?);
     let max_cycles = f.num("max_cycles", 1_000_000u64)?;
     if max_cycles == 0 {
         return Err("\"max_cycles\" must be positive".to_string());
     }
+    Ok((min_wall, max_cycles))
+}
+
+/// The repo's rate measurement (Figures 14 and 15, the optimizer A/B):
+/// a cold build of the mesh — no shared [`ArtifactCache`], so every
+/// transport charges the full construction overhead — then the
+/// steady-state rate from [`measure_batched`] (warm-up excluded,
+/// doubling clamped to `max_cycles`, the job's `budget_ms` deadline
+/// honoured between batches). `tape_opt` pins the tape optimizer off
+/// or on; `profile` attaches the run's [`SimProfile`] (which slows the
+/// rate it explains). Rates, cycle counts and overheads are timing
+/// metrics, never cached; the optimizer's op and register counts are
+/// deterministic.
+fn engine_rate_job(f: Fields, _: &Arc<ArtifactCache>) -> Result<Job, String> {
+    let p = mesh_params(f)?;
+    let (min_wall, max_cycles) = rate_window(f)?;
     let engine = f.engine()?;
-    let artifacts = artifacts.clone();
+    let tape_opt = f.bool("tape_opt")?;
+    let profile = f.bool("profile")?.unwrap_or(false);
+    let cfg = SimConfig { tape_opt, ..SimConfig::default() };
+    let job = f
+        .job(move |ctx| {
+            let harness = MeshTrafficHarness::new(p.level, p.nrouters, p.injection, TRAFFIC_SEED);
+            let mut sim = Sim::build_with_config(&harness, engine, &cfg)
+                .map_err(|e| format!("elaboration failed: {e:?}"))?;
+            if profile {
+                sim.enable_profiling();
+            }
+            sim.reset();
+            let m = measure_batched(|n| sim.run(n), 16, 64, min_wall, max_cycles, ctx.deadline());
+            let mut metrics = JobMetrics::new();
+            if let Some(r) = sim.opt_report() {
+                metrics = metrics
+                    .det("tape_ops_before", r.ops_before)
+                    .det("tape_ops_after", r.ops_after)
+                    .det("tape_regs_before", r.regs_before)
+                    .det("tape_regs_after", r.regs_after)
+                    .det("opt_rounds", r.rounds);
+            }
+            metrics = metrics
+                .timing("cycles_per_sec", m.rate())
+                .timing("measured_cycles", m.work as f64)
+                .timing("overhead_total_secs", sim.overheads().total().as_secs_f64());
+            if let Some(prof) = sim.profile() {
+                metrics = metrics.with_profile(profile_json(&prof, PROFILE_TOP_N));
+            }
+            Ok(metrics)
+        })
+        .uncacheable()
+        .param("level", p.level)
+        .param("nrouters", p.nrouters)
+        .param("injection", p.injection)
+        .param("engine", engine);
+    let job = match tape_opt {
+        Some(on) => job.param("tape_opt", on),
+        None => job,
+    };
+    Ok(if profile { job.expects_profile() } else { job })
+}
+
+/// The hand-written mesh's rate on the same traffic (the paper's
+/// hand-coded C++ baseline): a plain Rust loop, nothing to compile.
+fn handwritten_rate_job(f: Fields, _: &Arc<ArtifactCache>) -> Result<Job, String> {
+    let (nrouters, injection) = mesh_size(f)?;
+    let (min_wall, max_cycles) = rate_window(f)?;
     Ok(f.job(move |ctx| {
-        let harness = MeshTrafficHarness::new(p.level, p.nrouters, p.injection, ctx.seed);
-        let mut sim = build_shared(&harness, engine, &artifacts, p.key)?;
-        sim.reset();
-        let m = measure_batched(|n| sim.run(n), 16, 64, min_wall, max_cycles, ctx.deadline());
-        Ok(JobMetrics::new()
-            .timing("cycles_per_sec", m.rate())
-            .timing("measured_cycles", m.work as f64)
-            .timing("overhead_total_secs", sim.overheads().total().as_secs_f64()))
+        let mut mesh = mtl_net::HandwrittenMesh::new(nrouters, injection, TRAFFIC_SEED);
+        let m = measure_batched(|n| mesh.run(n), 16, 1024, min_wall, max_cycles, ctx.deadline());
+        Ok(JobMetrics::new().timing("cycles_per_sec", m.rate()))
     })
     .uncacheable()
-    .param("level", p.level)
-    .param("nrouters", p.nrouters)
-    .param("injection", p.injection)
-    .param("engine", engine))
+    .param("nrouters", nrouters)
+    .param("injection", injection))
+}
+
+/// How many hot blocks and active nets a `profile` section lists.
+pub const PROFILE_TOP_N: usize = 10;
+
+/// Renders a [`SimProfile`] as the `profile` section of a per-job report:
+/// summary counters, the `top_n` hottest blocks, histogram summaries, and
+/// the `top_n` most active nets. Schema documented in `EXPERIMENTS.md`.
+pub fn profile_json(p: &SimProfile, top_n: usize) -> Json {
+    let mut j = Json::obj();
+    j.set("engine", p.engine.to_string())
+        .set("cycles", p.cycles)
+        .set("settle_points", p.settles)
+        .set("block_executions", p.total_block_runs());
+    let hot: Vec<Json> = p
+        .hot_blocks(top_n)
+        .into_iter()
+        .map(|h| {
+            let mut o = Json::obj();
+            o.set("path", h.path.as_str()).set("runs", h.runs).set("wall_ns", h.nanos);
+            o
+        })
+        .collect();
+    j.set("hot_blocks", Json::Arr(hot));
+    let hist = |h: &mtl_sim::Hist| {
+        let mut o = Json::obj();
+        o.set("samples", h.samples()).set("mean", h.mean()).set("max", h.max());
+        o
+    };
+    j.set("fixpoint_iters", hist(&p.fixpoint_iters));
+    j.set("queue_depth", hist(&p.queue_depth));
+    let nets: Vec<Json> = p
+        .active_nets(top_n)
+        .into_iter()
+        .map(|(path, toggles)| {
+            let mut o = Json::obj();
+            o.set("path", path.as_str()).set("bit_toggles", toggles);
+            o
+        })
+        .collect();
+    j.set("active_nets", Json::Arr(nets));
+    j
 }
 
 /// Running outcome totals of one fault job — the deterministic metrics
@@ -664,9 +789,11 @@ fn fault_chunk_job(f: Fields, artifacts: &Arc<ArtifactCache>) -> Result<Job, Str
     let job = f.job(move |ctx| {
         let top: Box<dyn Component> = match dut {
             Dut::Mesh(p) => {
-                Box::new(MeshTrafficHarness::new(p.level, p.nrouters, p.injection, 0xBEEF))
+                Box::new(MeshTrafficHarness::new(p.level, p.nrouters, p.injection, TRAFFIC_SEED))
             }
-            Dut::MeshIr(n, injection) => Box::new(MeshTrafficRtlHarness::new(n, injection, 0xBEEF)),
+            Dut::MeshIr(n, injection) => {
+                Box::new(MeshTrafficRtlHarness::new(n, injection, TRAFFIC_SEED))
+            }
             Dut::Tile(config) => Box::new(tile_harness(config)),
         };
         let plans = c.plans(top.as_ref(), ctx.seed, Engine::Interpreted, &artifacts)?;
@@ -696,7 +823,7 @@ fn fault_batch_chunk_job(f: Fields, artifacts: &Arc<ArtifactCache>) -> Result<Jo
     let sample = f.num("scalar_sample", 2u64)?.min(c.trials) as usize;
     let artifacts = artifacts.clone();
     let run = move |ctx: &JobCtx| {
-        let top = MeshTrafficRtlHarness::new(nrouters, injection, 0xBEEF);
+        let top = MeshTrafficRtlHarness::new(nrouters, injection, TRAFFIC_SEED);
         // Ladder rung: rung 0 is the preferred batch engine; lower rungs
         // re-run every plan as a scalar set on the named engine.
         let rung = ctx.engine().map_or(Ok(Engine::SpecializedBatch), str::parse)?;
@@ -924,6 +1051,9 @@ mod tests {
             r#"{"name":"a","seed":7,"no_cache":true,"jobs":[
                 {"kind":"sleep_ms","name":"s1","ms":1},
                 {"kind":"mesh_cycles","name":"m1","level":"FL","nrouters":4,"cycles":5},
+                {"kind":"mesh_rate","name":"r1","level":"RTL","nrouters":4,"tape_opt":false,
+                 "profile":true},
+                {"kind":"handwritten_rate","name":"h1","nrouters":4,"max_cycles":100},
                 {"kind":"fault_chunk","name":"f1","dut":"mesh-ir","nrouters":4,
                  "trials":1,"cycles":5},
                 {"kind":"fault_batch_chunk","name":"b1","nrouters":4,"trials":3,
@@ -966,6 +1096,10 @@ mod tests {
             r#"{"name":"a","jobs":[{"kind":"mesh_cycles","name":"m","level":"FL","cycles":"9"}]}"#,
             r#"{"name":"a","jobs":[{"kind":"mesh_cycles","name":"m","level":"FL","nrouters":4096}]}"#,
             r#"{"name":"a","jobs":[{"kind":"mesh_rate","name":"m","level":"FL","max_cycles":0}]}"#,
+            r#"{"name":"a","jobs":[{"kind":"mesh_rate","name":"m","level":"FL","tape_opt":1}]}"#,
+            r#"{"name":"a","jobs":[{"kind":"mesh_rate","name":"m","level":"FL","profile":"yes"}]}"#,
+            r#"{"name":"a","jobs":[{"kind":"handwritten_rate","name":"h","max_cycles":0}]}"#,
+            r#"{"name":"a","jobs":[{"kind":"handwritten_rate","name":"h","nrouters":8}]}"#,
             r#"{"name":"a","jobs":[{"kind":"soc_cycles","name":"s","net":"RTL","tiles":4096}]}"#,
             r#"{"name":"a","retries":4294967296,"jobs":[{"kind":"sleep_ms","name":"s"}]}"#,
             r#"{"name":"a","jobs":[{"kind":"sleep_ms","name":"s","watchdog_ms":"3s"}]}"#,

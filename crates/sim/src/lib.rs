@@ -51,7 +51,6 @@ pub use artifact::{ArtifactCache, ArtifactStats};
 pub use batch::LANES as BATCH_LANES;
 pub use compile::passes;
 pub use overheads::Overheads;
-pub use par::default_threads;
 pub use passes::{OptReport, PassStat};
 pub use profile::{Hist, HotBlock, SimProfile};
 pub use sim::{Engine, InjectKind, Injection, Sim, SimConfig};

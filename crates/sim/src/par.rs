@@ -26,12 +26,6 @@ use std::thread::JoinHandle;
 /// measured on. A constant, not a knob.
 const MAX_THREADS: usize = 64;
 
-/// Default worker-thread count: `MTL_SIM_THREADS` if set, else available
-/// parallelism capped at 8; at least 1 and at most 64.
-pub fn default_threads() -> usize {
-    resolve_threads(None)
-}
-
 /// The one place a worker count is decided: the explicit request
 /// ([`SimConfig::threads`](crate::SimConfig::threads)) if there is one,
 /// else the environment, else the host — always within

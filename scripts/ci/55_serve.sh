@@ -13,7 +13,10 @@
 #       checksums, cycles) run in-process and with --serve against the
 #       live daemon — one job catalog, two transports. soc_sweep's smoke
 #       set includes the 1 024-tile RTL SoC, so the daemon also builds,
-#       drains and checks a 32×32 design.
+#       drains and checks a 32×32 design. fig14_mesh_speedup --smoke
+#       runs its 16 rate jobs both ways: the rates differ, so the two
+#       BENCH_fig14.json files must agree on each job's name, params
+#       and outcome.
 #
 # The in-process variant of these properties (plus protocol and
 # fingerprint-isolation checks) runs in tests/serve_smoke.rs; this
@@ -22,7 +25,7 @@
 ci_stage serve
 
 cargo build -q --release -p mtl-serve --bin mtl_serve
-cargo build -q --release -p mtl-bench --bin fault_sweep --bin soc_sweep
+cargo build -q --release -p mtl-bench --bin fault_sweep --bin soc_sweep --bin fig14_mesh_speedup
 BIN=target/release/mtl_serve
 
 DIR=$(ci_tmpdir serve)
@@ -134,6 +137,35 @@ for bin in fault_sweep soc_sweep; do
         echo "FAIL: $bin --serve disagrees with the in-process run"; exit 1; }
     echo "   $bin: $(wc -l < "$DIR/$bin.local") rows identical"
 done
+
+echo "== serve: fig14 --smoke declares the same jobs in-process and with --serve"
+# One line per job: its name, params and outcome (rates are wall clock).
+jobs_of() {
+    awk '
+        /^      "name": /             { if (row != "") print row; row = $0 }
+        /^      "params": \{/         { params = 1; next }
+        params && /^      \}/         { params = 0; next }
+        params || /^      "outcome": / { row = row $0 }
+        END                           { if (row != "") print row }
+    ' "$1" | tr -s ' '
+}
+for mode in local served; do
+    mkdir -p "$DIR/fig14-$mode"
+    serve=()
+    [ "$mode" = served ] && serve=(--serve "$SOCK")
+    RUSTMTL_BENCH_DIR=$DIR/fig14-$mode target/release/fig14_mesh_speedup --smoke "${serve[@]}" \
+        > "$DIR/fig14-$mode.out"
+    jobs_of "$DIR/fig14-$mode/BENCH_fig14.json" > "$DIR/fig14.$mode"
+    n=$(wc -l < "$DIR/fig14.$mode")
+    done=$(grep -c '"outcome": "done"' "$DIR/fig14.$mode" || true)
+    [ "$n" -eq 16 ] && [ "$done" -eq 16 ] || {
+        echo "FAIL: fig14 $mode report holds $n jobs, $done done; want 16 and 16"; exit 1; }
+    grep -q '"name": "handwritten"' "$DIR/fig14.$mode" || {
+        echo "FAIL: fig14 $mode report has no handwritten job"; exit 1; }
+done
+diff "$DIR/fig14.local" "$DIR/fig14.served" || {
+    echo "FAIL: fig14 --serve ran other jobs than the in-process run"; exit 1; }
+echo "   fig14_mesh_speedup: 16 jobs, names, params and outcomes identical"
 
 "$BIN" shutdown --socket "$SOCK"
 wait "$DAEMON" 2>/dev/null || true

@@ -347,6 +347,10 @@ fn every_kind_reports_identically_in_process_and_through_a_socket() {
              "max_cycles":300},
             {"kind":"mesh_rate","name":"rate","level":"FL","nrouters":4,"min_wall_ms":1,
              "max_cycles":200},
+            {"kind":"mesh_rate","name":"rate-profiled","level":"RTL","nrouters":4,
+             "min_wall_ms":1,"max_cycles":200,"tape_opt":false,"profile":true},
+            {"kind":"handwritten_rate","name":"handwritten","nrouters":4,"min_wall_ms":1,
+             "max_cycles":200},
             {"kind":"fault_chunk","name":"chunk","dut":"mesh-ir","nrouters":4,"trials":2,
              "cycles":30},
             {"kind":"fault_batch_chunk","name":"batch","nrouters":4,"trials":3,
