@@ -14,7 +14,7 @@
 //! every signal into the single `out` port, and all structural widths
 //! match (there are no structural connections at all).
 
-use mtl_core::{BinOp, Component, Ctx, Expr, MemId, MemRef, SignalId, SignalRef, UnaryOp};
+use mtl_core::{BinOp, Bits, Component, Ctx, Expr, MemId, MemRef, SignalId, SignalRef, UnaryOp};
 
 /// xorshift64* PRNG: tiny, deterministic, and identical across platforms.
 /// The state must be non-zero.
@@ -106,7 +106,9 @@ pub struct RtlDesc {
     /// [`RtlDesc::top_inputs`]) and xor-folds the instances' `out`s — a
     /// design that is mostly replication, the way a mesh is mostly
     /// routers, so engines that treat instances of one block body
-    /// specially meet arbitrary bodies.
+    /// specially meet arbitrary bodies. Like a router's coordinates, one
+    /// literal differs per instance ([`RtlDesc::copy`]), so those bodies
+    /// come with a parameter.
     pub copies: u32,
 }
 
@@ -178,6 +180,21 @@ fn random_expr(rng: &mut Rng, avail: &[(usize, u32)], width: u32, depth: u32) ->
 }
 
 impl RtlDesc {
+    /// Instance `i` of a replicated design: the design itself, but with
+    /// `i` added to its *copy literal* — the first literal (in walk order)
+    /// of the first signal definition, wires before registers, that has
+    /// one — within the literal's width. Instance 0 is the design as
+    /// drawn; a design without a literal is every instance.
+    pub fn copy(&self, i: u32) -> RtlDesc {
+        let mut one = RtlDesc { copies: 1, ..self.clone() };
+        if let Some(k) =
+            one.wires.iter_mut().chain(&mut one.regs).find_map(|d| first_literal(&mut d.expr))
+        {
+            *k = copy_literal(*k, i);
+        }
+        one
+    }
+
     /// Generates a descriptor deterministically from `seed` and `shape`.
     pub fn generate(seed: u64, shape: RtlShape) -> RtlDesc {
         let mut rng = Rng(seed.max(1));
@@ -299,6 +316,39 @@ impl RtlDesc {
     }
 }
 
+/// The first literal of `e` in walk order (a node before its operands,
+/// operands left to right).
+fn first_literal(e: &mut Expr) -> Option<&mut Bits> {
+    match e {
+        Expr::Read(_) => None,
+        Expr::Const(c) => Some(c),
+        Expr::Slice { expr: a, .. }
+        | Expr::Unary(_, a)
+        | Expr::Zext(a, _)
+        | Expr::Sext(a, _)
+        | Expr::Trunc(a, _)
+        | Expr::MemRead { addr: a, .. } => first_literal(a),
+        Expr::Concat(parts) => parts.iter_mut().find_map(first_literal),
+        Expr::Binary(_, a, b) => first_literal(a).or_else(|| first_literal(b)),
+        Expr::Mux { cond, then_, else_ } => {
+            first_literal(cond).or_else(|| first_literal(then_)).or_else(|| first_literal(else_))
+        }
+        Expr::Select { sel, options } => {
+            first_literal(sel).or_else(|| options.iter_mut().find_map(first_literal))
+        }
+    }
+}
+
+/// The copy literal of instance `i`, the design's being `k`.
+fn copy_literal(k: Bits, i: u32) -> Bits {
+    Bits::new(k.width(), k.as_u128().wrapping_add(i.into()))
+}
+
+/// The low `width` bits.
+fn mask(width: u32) -> u128 {
+    u128::MAX >> (128 - width)
+}
+
 /// A random but well-formed RTL component, deterministic per seed.
 ///
 /// `RandomRtl::new(seed)` generates the default shape (3 inputs, 10 wires
@@ -308,17 +358,20 @@ impl RtlDesc {
 /// arbitrary (e.g. shrunk) descriptor.
 pub struct RandomRtl {
     desc: RtlDesc,
+    /// Which instance of a replicated design this is ([`RtlDesc::copy`]);
+    /// `0` for the design itself.
+    copy: u32,
 }
 
 impl RandomRtl {
     /// Generates the default-shape design for `seed`.
     pub fn new(seed: u64) -> RandomRtl {
-        RandomRtl { desc: RtlDesc::generate(seed, RtlShape::default()) }
+        RandomRtl { desc: RtlDesc::generate(seed, RtlShape::default()), copy: 0 }
     }
 
     /// Wraps an explicit descriptor (used by the fuzzer's shrinker).
     pub fn from_desc(desc: RtlDesc) -> RandomRtl {
-        RandomRtl { desc }
+        RandomRtl { desc, copy: 0 }
     }
 
     /// The underlying descriptor.
@@ -362,18 +415,19 @@ fn remap(e: &Expr, table: &[SignalRef], mem: Option<MemRef>) -> Expr {
 
 impl Component for RandomRtl {
     fn name(&self) -> String {
-        match self.desc.copies {
-            0 | 1 => format!("RandomRtl_{}", self.desc.seed),
-            n => format!("RandomRtl_{}x{n}", self.desc.seed),
+        match (self.desc.copies, self.copy) {
+            (0 | 1, 0) => format!("RandomRtl_{}", self.desc.seed),
+            (0 | 1, i) => format!("RandomRtl_{}_copy{i}", self.desc.seed),
+            (n, _) => format!("RandomRtl_{}x{n}", self.desc.seed),
         }
     }
 
     fn build(&self, c: &mut Ctx) {
         let d = &self.desc;
         if d.copies > 1 {
-            let one = RandomRtl::from_desc(RtlDesc { copies: 1, ..d.clone() });
             let mut acc = Expr::k(32, 0);
             for i in 0..d.copies {
+                let one = RandomRtl { desc: d.copy(i), copy: i };
                 let inst = c.instantiate(&format!("u{i}"), &one);
                 for (name, w) in &d.inputs {
                     let port = c.in_port(&format!("u{i}_{name}"), *w);
@@ -474,17 +528,29 @@ pub(crate) fn expr_width(e: &Expr, widths: &[u32]) -> u32 {
 
 /// Renders a symbolic descriptor expression as Rust source using the
 /// builder API (`names` maps table indices to `SignalRef` variable names).
-fn expr_rust(e: &Expr, names: &[String]) -> String {
+/// `copy` counts down to the copy literal ([`RtlDesc::copy`]), if it is in
+/// `e`: that one renders as the instance's own, `self.0`.
+fn expr_rust(e: &Expr, names: &[String], copy: &mut Option<u32>) -> String {
+    let mut rust = |e: &Expr| expr_rust(e, names, copy);
     match e {
         Expr::Read(sig) => format!("{}.ex()", names[sig.index()]),
-        Expr::Const(c) => format!("Expr::k({}, {:#x})", c.width(), c.as_u128()),
-        Expr::Slice { expr, lo, hi } => format!("{}.slice({lo}, {hi})", expr_rust(expr, names)),
+        Expr::Const(c) => match copy {
+            Some(0) => {
+                *copy = None;
+                format!("Expr::k({}, self.0)", c.width())
+            }
+            _ => {
+                *copy = copy.map(|n| n - 1);
+                format!("Expr::k({}, {:#x})", c.width(), c.as_u128())
+            }
+        },
+        Expr::Slice { expr, lo, hi } => format!("{}.slice({lo}, {hi})", rust(expr)),
         Expr::Concat(parts) => {
-            let inner: Vec<String> = parts.iter().map(|p| expr_rust(p, names)).collect();
+            let inner: Vec<String> = parts.iter().map(&mut rust).collect();
             format!("Expr::concat(vec![{}])", inner.join(", "))
         }
         Expr::Unary(op, a) => {
-            let a = expr_rust(a, names);
+            let a = rust(a);
             match op {
                 UnaryOp::Not => format!("(!{a})"),
                 UnaryOp::Neg => format!("(-{a})"),
@@ -494,7 +560,7 @@ fn expr_rust(e: &Expr, names: &[String]) -> String {
             }
         }
         Expr::Binary(op, a, b) => {
-            let (a, b) = (expr_rust(a, names), expr_rust(b, names));
+            let (a, b) = (rust(a), rust(b));
             match op {
                 BinOp::Add => format!("({a} + {b})"),
                 BinOp::Sub => format!("({a} - {b})"),
@@ -513,36 +579,49 @@ fn expr_rust(e: &Expr, names: &[String]) -> String {
                 BinOp::GeS => format!("{a}.ge_s({b})"),
             }
         }
-        Expr::Mux { cond, then_, else_ } => format!(
-            "{}.mux({}, {})",
-            expr_rust(cond, names),
-            expr_rust(then_, names),
-            expr_rust(else_, names)
-        ),
-        Expr::Select { sel, options } => {
-            let inner: Vec<String> = options.iter().map(|o| expr_rust(o, names)).collect();
-            format!("{}.select(vec![{}])", expr_rust(sel, names), inner.join(", "))
+        Expr::Mux { cond, then_, else_ } => {
+            format!("{}.mux({}, {})", rust(cond), rust(then_), rust(else_))
         }
-        Expr::Zext(a, w) => format!("{}.zext({w})", expr_rust(a, names)),
-        Expr::Sext(a, w) => format!("{}.sext({w})", expr_rust(a, names)),
-        Expr::Trunc(a, w) => format!("{}.trunc({w})", expr_rust(a, names)),
-        Expr::MemRead { addr, .. } => format!("m.read({})", expr_rust(addr, names)),
+        Expr::Select { sel, options } => {
+            let sel = rust(sel);
+            let inner: Vec<String> = options.iter().map(&mut rust).collect();
+            format!("{sel}.select(vec![{}])", inner.join(", "))
+        }
+        Expr::Zext(a, w) => format!("{}.zext({w})", rust(a)),
+        Expr::Sext(a, w) => format!("{}.sext({w})", rust(a)),
+        Expr::Trunc(a, w) => format!("{}.trunc({w})", rust(a)),
+        Expr::MemRead { addr, .. } => format!("m.read({})", rust(addr)),
     }
 }
 
 /// Renders a descriptor as a standalone Rust reproducer: a `Component`
 /// impl plus a test that replays the fuzzer's stimulus (each cycle drives
 /// every input with the next two draws of `Rng(seed ^ 0xABCD)`, packed
-/// `lo | hi << 64`) across all engines.
+/// `lo | hi << 64`) across all engines. A replicated design's `Repro`
+/// takes its copy literal ([`RtlDesc::copy`]) as a field, and the top
+/// gives each instance its own.
 pub fn repro_snippet(desc: &RtlDesc, note: &str) -> String {
     let names = desc.table_names();
+    let defs = || desc.wires.iter().chain(&desc.regs);
+    // The definition holding the copy literal, and the literal.
+    let copy = defs()
+        .enumerate()
+        .find_map(|(i, d)| Some((i, *first_literal(&mut d.expr.clone())?)))
+        .filter(|_| desc.copies > 1);
+    let mut def = 0;
+    let mut rust = |e: &Expr| {
+        let mut countdown = copy.and_then(|(at, _)| (at == def).then_some(0));
+        def += 1;
+        expr_rust(e, &names, &mut countdown)
+    };
     let mut s = String::new();
     s.push_str(&format!(
         "// Differential-fuzzer reproducer, minimized from RandomRtl_{} .\n// {}\n",
         desc.seed, note
     ));
     s.push_str("use rustmtl::core::{Component, Ctx, Expr};\n\n");
-    s.push_str("struct Repro;\n\nimpl Component for Repro {\n");
+    let field = if copy.is_some() { "(u128)" } else { "" };
+    s.push_str(&format!("struct Repro{field};\n\nimpl Component for Repro {{\n"));
     s.push_str("    fn name(&self) -> String { \"Repro\".into() }\n");
     s.push_str("    fn build(&self, c: &mut Ctx) {\n");
     if !desc.regs.is_empty() {
@@ -562,7 +641,7 @@ pub fn repro_snippet(desc: &RtlDesc, note: &str) -> String {
             "        c.comb(\"comb_{}\", |b| b.assign({}, {}));\n",
             d.name,
             d.name,
-            expr_rust(&d.expr, &names)
+            rust(&d.expr)
         ));
     }
     for d in &desc.regs {
@@ -573,14 +652,14 @@ pub fn repro_snippet(desc: &RtlDesc, note: &str) -> String {
             d.name,
             d.width,
             d.name,
-            expr_rust(&d.expr, &names)
+            rust(&d.expr)
         ));
     }
     if let Some((addr, data)) = &desc.mem_write {
         s.push_str(&format!(
             "        c.seq(\"mem_seq\", |b| b.mem_write(m, {}, {}));\n",
-            expr_rust(addr, &names),
-            expr_rust(data, &names)
+            expr_rust(addr, &names, &mut None),
+            expr_rust(data, &names, &mut None)
         ));
     }
     s.push_str("        let out = c.out_port(\"out\", 32);\n");
@@ -598,14 +677,24 @@ pub fn repro_snippet(desc: &RtlDesc, note: &str) -> String {
     }
     s.push_str("            b.assign(out, acc);\n        });\n    }\n}\n\n");
     if desc.copies > 1 {
+        // Instance `i`'s copy literal: the design's plus `i`, in its width.
+        let repro = match copy {
+            Some((_, k)) => format!(
+                "Repro({:#x}u128.wrapping_add(i as u128) & {:#x})",
+                k.as_u128(),
+                mask(k.width())
+            ),
+            None => "Repro".into(),
+        };
         s.push_str(&format!(
-            "// The design under test: {} instances of `Repro`, each with its own inputs.\n\
+            "// The design under test: {} instances of `Repro`, each with its own inputs\n\
+             // and its own copy literal.\n\
              struct ReproTop;\n\nimpl Component for ReproTop {{\n    \
              fn name(&self) -> String {{ \"ReproTop\".into() }}\n    \
              fn build(&self, c: &mut Ctx) {{\n        \
              let mut acc = Expr::k(32, 0);\n        \
              for i in 0..{} {{\n            \
-             let inst = c.instantiate(&format!(\"u{{i}}\"), &Repro);\n",
+             let inst = c.instantiate(&format!(\"u{{i}}\"), &{repro});\n",
             desc.copies, desc.copies
         ));
         for (name, w) in &desc.inputs {
@@ -645,6 +734,40 @@ mod tests {
         for seed in 1..=20 {
             mtl_core::elaborate(&RandomRtl::new(seed)).expect("generated design must elaborate");
         }
+    }
+
+    /// The instances of a replicated design differ in one literal: the
+    /// first instance is the design as drawn, instance `i` adds `i` to its
+    /// copy literal, so the literal's block is one shape with a parameter;
+    /// and the reproducer renders it as the `Repro` field the top sets per
+    /// instance.
+    #[test]
+    fn copies_differ_in_their_copy_literal_and_the_reproducer_renders_it() {
+        let desc = RtlDesc { copies: 16, ..RtlDesc::generate(3, RtlShape::default()) };
+        let copy_literal = |d: &RtlDesc| {
+            let mut d = d.clone();
+            d.wires.iter_mut().chain(&mut d.regs).find_map(|d| first_literal(&mut d.expr).copied())
+        };
+        let k = copy_literal(&desc).expect("seed 3 draws a literal");
+        let one = |i| format!("{:?}", desc.copy(i));
+        assert_eq!(one(0), format!("{:?}", RtlDesc { copies: 1, ..desc.clone() }));
+        let k5 = copy_literal(&desc.copy(5)).expect("the copy keeps its literal");
+        assert_eq!(k5, Bits::new(k.width(), k.as_u128() + 5));
+        let mut five = desc.copy(5);
+        let at = five.wires.iter_mut().chain(&mut five.regs);
+        *at.filter_map(|d| first_literal(&mut d.expr)).next().expect("a literal") = k;
+        assert_eq!(format!("{five:?}"), one(0), "only the copy literal differs");
+
+        let design = mtl_core::elaborate(&RandomRtl::from_desc(desc.clone())).expect("elaborates");
+        assert!(design.shapes().iter().any(|s| s.params > 0), "a parameterised shape");
+
+        let snip = repro_snippet(&desc, "test");
+        assert!(snip.contains("struct Repro(u128);"), "{snip}");
+        assert_eq!(snip.matches("self.0").count(), 1, "{snip}");
+        let each = format!("&Repro({:#x}u128.wrapping_add(i as u128)", k.as_u128());
+        assert!(snip.contains(&each), "{snip}");
+        let alone = repro_snippet(&RtlDesc { copies: 1, ..desc }, "test");
+        assert!(alone.contains("struct Repro;") && !alone.contains("self.0"), "{alone}");
     }
 
     #[test]

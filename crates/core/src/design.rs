@@ -308,11 +308,17 @@ impl Design {
     /// memories it names by first occurrence (in the order the tape code
     /// generator emits them), and interns the rest: the block kind, the
     /// statements with each signal replaced by its local net and its own
-    /// width, each local net's width, and each local memory's width and
-    /// depth — everything width checking and compilation read of a block.
-    /// Blocks of one shape are one body wired to different state: they
-    /// type-check alike and compile to one tape. Shapes are keyed on the IR
-    /// as written, so `a + (1 + 1)` and `a + 2` are two.
+    /// width and each literal by its width, each local net's width, and
+    /// each local memory's width and depth — everything width checking and
+    /// compilation read of a block but its literals' values. Blocks of one
+    /// shape are one body wired to different state and fed different
+    /// literals: they type-check alike and compile to one tape. A literal
+    /// position at which some instance's value differs from the first's is
+    /// a *parameter* of the shape ([`Design::shape_params`]; a router's
+    /// coordinates, a generator's id and seed), and each block carries its
+    /// values there ([`Design::block_params`]); every other literal is the
+    /// same in every instance. Shapes are keyed on the IR as written, so
+    /// `a + (1 + 1)` and `a + 2` are two.
     pub fn shapes(&self) -> &[ShapeInfo] {
         &self.shapes.info
     }
@@ -333,6 +339,21 @@ impl Design {
         let nets = self.block_shape(block).map_or(0, |s| self.shapes.info[s.index()].nets);
         let (nets, mems) = operands.split_at(nets as usize);
         [nets, mems]
+    }
+
+    /// A shape's parameters, ascending: the position of each among the
+    /// block's literals (its `Expr::Const` nodes, numbered in the order
+    /// the tape code generator emits them).
+    pub fn shape_params(&self, shape: ShapeId) -> &[u32] {
+        let at = &self.shapes.param_at[shape.index()..][..2];
+        &self.shapes.params[at[0] as usize..at[1] as usize]
+    }
+
+    /// A block's values at its shape's parameters, in the order of
+    /// [`Design::shape_params`]. Empty for a native block.
+    pub fn block_params(&self, block: BlockId) -> &[Bits] {
+        let at = &self.shapes.value_at[block.index()..][..2];
+        &self.shapes.values[at[0] as usize..at[1] as usize]
     }
 
     /// Claims ownership of all native closures, indexed by block (None

@@ -1,7 +1,9 @@
 //! Block shapes: which IR blocks are one body wired to different state
-//! (see [`Design::shapes`](crate::Design::shapes)). What differs per block
-//! is its *operand lists*: the global net and memory behind each local
-//! index of its shape.
+//! and fed different literals (see [`Design::shapes`](crate::Design::shapes)).
+//! What differs per block is its *operand lists*: the global net and memory
+//! behind each local index of its shape, and its values at the shape's
+//! parameters — the literal positions whose value differs among its
+//! instances.
 
 use mtl_bits::Bits;
 
@@ -19,6 +21,9 @@ pub struct ShapeInfo {
     /// How many distinct nets a block of this shape names: the length of
     /// the first of its operand lists.
     pub nets: u32,
+    /// How many of its literals are parameters: positions whose value
+    /// differs among the shape's instances.
+    pub params: u32,
 }
 
 /// The shapes of a design's blocks, as [`crate::Design`] stores them.
@@ -32,6 +37,15 @@ pub(crate) struct Shapes {
     /// shape's local nets, then its local memories.
     pub(crate) at: Vec<u32>,
     pub(crate) operands: Vec<u32>,
+    /// Per shape `s`, its parameters are `params[param_at[s]..param_at[s +
+    /// 1]]`: each one's literal position, the index of its `Expr::Const`
+    /// among the block's in walk order.
+    pub(crate) param_at: Vec<u32>,
+    pub(crate) params: Vec<u32>,
+    /// Per block `b`, its values at its shape's parameters are
+    /// `values[value_at[b]..value_at[b + 1]]`.
+    pub(crate) value_at: Vec<u32>,
+    pub(crate) values: Vec<Bits>,
 }
 
 /// "No shape" in [`Shapes::of`].
@@ -51,6 +65,7 @@ pub(crate) fn assign(
         key: Vec::new(),
         local: [vec![0; nets.len()], vec![0; mems.len()]],
         named: Default::default(),
+        literals: Vec::new(),
     };
     let mut interned: FastMap<Box<[u64]>, u32> = FastMap::default();
     let mut shapes = Shapes {
@@ -59,6 +74,9 @@ pub(crate) fn assign(
         ..Shapes::default()
     };
     shapes.at.push(0);
+    // Per block, its literals are `literals[lit_at[b]..lit_at[b + 1]]`.
+    let mut lit_at = Vec::with_capacity(blocks.len() + 1);
+    lit_at.push(0);
     for (b, block) in blocks.iter().enumerate() {
         let shape = match &block.body {
             BlockBody::Ir(stmts) => {
@@ -69,7 +87,8 @@ pub(crate) fn assign(
                     None => {
                         interned.insert(walk.key[..].into(), next);
                         let nets = walk.named[0].len() as u32;
-                        shapes.info.push(ShapeInfo { first: BlockId::from_index(b), nets });
+                        let first = BlockId::from_index(b);
+                        shapes.info.push(ShapeInfo { first, nets, params: 0 });
                         next
                     }
                 };
@@ -83,8 +102,43 @@ pub(crate) fn assign(
         };
         shapes.of.push(shape);
         shapes.at.push(shapes.operands.len() as u32);
+        lit_at.push(walk.literals.len() as u32);
     }
+    parameters(&mut shapes, &walk.literals, &lit_at);
     shapes
+}
+
+/// Finds each shape's parameters — the literal positions at which some
+/// instance's value differs from the first instance's — and records every
+/// block's values there.
+fn parameters(shapes: &mut Shapes, literals: &[Bits], lit_at: &[u32]) {
+    let lits = |b: usize| &literals[lit_at[b] as usize..lit_at[b + 1] as usize];
+    // Per shape, per literal position, whether it varies.
+    let mut varies: Vec<Vec<bool>> =
+        shapes.info.iter().map(|s| vec![false; lits(s.first.index()).len()]).collect();
+    for (b, &shape) in shapes.of.iter().enumerate().filter(|(_, &s)| s != NONE) {
+        let first = lits(shapes.info[shape as usize].first.index());
+        for ((v, x), y) in varies[shape as usize].iter_mut().zip(lits(b)).zip(first) {
+            *v |= x != y;
+        }
+    }
+    shapes.param_at.push(0);
+    for (info, varies) in shapes.info.iter_mut().zip(&varies) {
+        let at = varies.iter().enumerate().filter(|(_, &v)| v).map(|(pos, _)| pos as u32);
+        shapes.params.extend(at);
+        info.params = shapes.params.len() as u32 - shapes.param_at.last().expect("seeded");
+        shapes.param_at.push(shapes.params.len() as u32);
+    }
+    shapes.value_at.push(0);
+    for (b, &shape) in shapes.of.iter().enumerate() {
+        if shape != NONE {
+            let s = shape as usize;
+            let params =
+                &shapes.params[shapes.param_at[s] as usize..shapes.param_at[s + 1] as usize];
+            shapes.values.extend(params.iter().map(|&pos| lits(b)[pos as usize]));
+        }
+        shapes.value_at.push(shapes.values.len() as u32);
+    }
 }
 
 /// Node tags of the interned key: the low byte of a node's first word.
@@ -118,13 +172,16 @@ struct Walk<'a> {
     mems: &'a [MemInfo],
     /// The block's key: a prefix-free code of its kind and statements,
     /// one word per node and per list length, plus a node's unbounded
-    /// immediates and constants.
+    /// immediates and a `Switch` arm's value. A literal (`Expr::Const`)
+    /// is keyed on its width only; its value goes to `literals`.
     key: Vec<u64>,
     /// Per table (nets, memories), the local index + 1 of each global one
     /// the block has named (0: not yet); cleared after every block.
     local: [Vec<u32>; 2],
     /// Per table, the global index behind each local one.
     named: [Vec<u32>; 2],
+    /// Every block's literals so far, each block's in walk order.
+    literals: Vec<Bits>,
 }
 
 impl Walk<'_> {
@@ -164,7 +221,8 @@ impl Walk<'_> {
         self.key.extend([u64::from(info.width) | u64::from(local) << 32, info.words]);
     }
 
-    /// A constant: its width and value, the high word only when nonzero.
+    /// A `Switch` arm's value: its width and value, the high word only
+    /// when nonzero.
     fn bits(&mut self, v: Bits) {
         let (lo, hi) = (v.as_u128() as u64, (v.as_u128() >> 64) as u64);
         self.key.extend([u64::from(v.width()) | u64::from(hi != 0) << 32, lo]);
@@ -216,8 +274,8 @@ impl Walk<'_> {
         match e {
             Expr::Read(sig) => self.signal(*sig),
             Expr::Const(c) => {
-                self.node(Tag::Const, 0);
-                self.bits(*c);
+                self.node(Tag::Const, c.width());
+                self.literals.push(*c);
             }
             Expr::Slice { expr, lo, hi } => {
                 self.node(Tag::Slice, *lo);
@@ -382,6 +440,77 @@ mod tests {
         let [nets, _] = design.block_operands(BlockId::from_index(3));
         assert_eq!(nets.len(), 4, "`a` and `b` are one operand");
         assert_eq!(design.shapes()[0].nets, 5);
+    }
+
+    /// `q = (a + k0) ^ k1; r = k2 & a`: three literals, the middle one
+    /// `width` bits wide.
+    struct Lit {
+        k: [u128; 3],
+        width: u32,
+    }
+
+    impl Component for Lit {
+        fn name(&self) -> String {
+            let Lit { k: [k0, k1, k2], width } = self;
+            format!("Lit_{k0}_{k1}_{k2}_{width}")
+        }
+
+        fn build(&self, c: &mut Ctx) {
+            let a = c.in_port("a", 8);
+            let (q, r) = (c.out_port("q", 8), c.out_port("r", 8));
+            let [k0, k1, k2] = self.k;
+            c.comb("calc", |b| {
+                let k1 = crate::Expr::k(self.width, k1).trunc(8);
+                b.assign(q, (a + crate::Expr::k(8, k0)) ^ k1);
+                b.assign(r, crate::Expr::k(8, k2) & a);
+            });
+        }
+    }
+
+    /// Instances that differ only in a literal's value share one shape; the
+    /// shape's parameters are exactly the literal positions that vary among
+    /// them (in walk order: `k0`, `k1`, `k2`), and each block carries its
+    /// own values there. A literal's width is keyed like any other width,
+    /// and a shape whose instances agree has no parameter.
+    #[test]
+    fn instances_differing_in_a_literal_share_a_shape_with_that_literal_a_parameter() {
+        struct Lits(Vec<Lit>);
+        impl Component for Lits {
+            fn name(&self) -> String {
+                "Lits".into()
+            }
+            fn build(&self, c: &mut Ctx) {
+                let a = c.in_port("a", 8);
+                for (i, lit) in self.0.iter().enumerate() {
+                    let inst = c.instantiate(&format!("u{i}"), lit);
+                    c.connect(a, c.port_of(&inst, "a"));
+                    for port in ["q", "r"] {
+                        let top = c.out_port(&format!("{port}{i}"), 8);
+                        c.connect(c.port_of(&inst, port), top);
+                    }
+                }
+            }
+        }
+        let lit = |k, width| Lit { k, width };
+        let top = Lits(vec![
+            lit([1, 7, 3], 16),
+            lit([2, 7, 3], 16),
+            lit([1, 7, 9], 16),
+            lit([5, 6, 5], 12),
+            lit([5, 6, 5], 12),
+        ]);
+        let design = elaborate(&top).expect("literal cells elaborate");
+        assert_eq!(shapes(&design), [0, 0, 0, 1, 1], "a literal's width splits the shape");
+        let params: Vec<&[u32]> =
+            (0..2).map(|s| design.shape_params(crate::ShapeId::from_index(s))).collect();
+        assert_eq!(params, [&[0, 2][..], &[]], "k0 and k2 vary in shape 0, nothing in shape 1");
+        assert_eq!(design.shapes().iter().map(|s| s.params).collect::<Vec<_>>(), [2, 0]);
+        let values = |b: usize| -> Vec<u128> {
+            let params = design.block_params(BlockId::from_index(b));
+            params.iter().map(|v| v.as_u128()).collect()
+        };
+        assert_eq!([values(0), values(1), values(2)], [[1, 3], [2, 3], [1, 9]]);
+        assert!(values(3).is_empty() && values(4).is_empty());
     }
 
     /// Lenient elaboration assigns the same shapes, and assigns them to a

@@ -6,7 +6,7 @@
 //!
 //! | stage | type | built from | consumers |
 //! |---|---|---|---|
-//! | blocks | [`BlockTapes`] | the design: per block *shape* (`Design::shapes`), its first instance folded → codegen → optimize → narrow (registers and word class) → validate once, then a relocated, validated copy per block from its operand lists; plus the [`Layout`] tables | `Specialized`, every later stage |
+//! | blocks | [`BlockTapes`] | the design: per block *shape* (`Design::shapes`), its first instance folded → codegen → optimize → narrow (registers and word class) → validate once, its parameters left unknown, then per block a copy relocated onto its operand lists with its parameter values written in, validated; plus the [`Layout`] tables | `Specialized`, every later stage |
 //! | plans | [`Plans`] | blocks: levelized schedule cut into IR runs at native boundaries; per dependency level of a run, [`LANES`] or more instances of one jump-free `u64`-class body become a [`Gang`] (the body once, instances as lanes), everything else is fused and re-optimized between gangs | `SpecializedOpt`, `SpecializedPar`, every lane of `SpecializedBatch` |
 //!
 //! [`staged`] resolves the stage an engine needs — through the shared
@@ -23,11 +23,12 @@ use std::convert::Infallible;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use mtl_bits::Bits;
 use mtl_core::{BlockBody, BlockId, BlockKind, Design, SignalId};
 
 use crate::artifact::{ArtifactCache, Guard, Layer, Staged};
 use crate::overheads::Overheads;
-use crate::tape::{Effect, Op, Reg, Tape};
+use crate::tape::{Effect, Op, Param, Reg, Tape};
 use codegen::{compile_block, fold_stmts, fuse, narrow, validate, VTape};
 use passes::{optimize, OptReport, Refusal};
 
@@ -173,9 +174,11 @@ pub(crate) struct BlockTapes {
     pub(crate) tapes: Arc<Vec<Tape>>,
     /// The canonical tape of each block shape, indexed by shape id (the
     /// design's shapes are in order of first occurrence): slots and
-    /// memories numbered locally, optimized, narrowed and validated against
-    /// the body's own tables. `tapes[b]` is `bodies[body_of[b]]` relocated
-    /// through `back[b]`.
+    /// memories numbered locally, parameters unknown to the optimizer
+    /// ([`Tape::params`]), optimized, narrowed and validated against the
+    /// body's own tables. `tapes[b]` is `bodies[body_of[b]]` relocated
+    /// through `back[b]`, with block `b`'s parameter values in their
+    /// `Const`s.
     pub(crate) bodies: Arc<Vec<Tape>>,
     /// Per block, its body: its shape id ([`NONE`] for a native block).
     pub(crate) body_of: Vec<u32>,
@@ -226,14 +229,29 @@ pub(crate) struct Gang {
     pub(crate) slots: Vec<u32>,
     /// The same for memories.
     pub(crate) mems: Vec<u32>,
+    /// `[(lane_block * nparams + k) * LANES + lane]`: that member's value
+    /// of the body's parameter `k` (`Tape::params[k]`).
+    pub(crate) params: Vec<u64>,
+}
+
+/// One lane block of a [`Gang`]: its rows of the gang's tables.
+pub(crate) struct LaneBlock<'a> {
+    pub(crate) slots: &'a [u32],
+    pub(crate) mems: &'a [u32],
+    pub(crate) params: &'a [u64],
 }
 
 impl Gang {
-    /// Per lane block, its rows of `slots` and of `mems`.
-    pub(crate) fn lane_blocks(&self) -> impl Iterator<Item = (&[u32], &[u32])> {
+    /// Per lane block, its rows of `slots`, `mems` and `params`.
+    pub(crate) fn lane_blocks(&self) -> impl Iterator<Item = LaneBlock<'_>> {
         let n = self.blocks.len() / LANES;
-        let (slots, mems) = (self.slots.len() / n, self.mems.len() / n);
-        (0..n).map(move |k| (&self.slots[k * slots..][..slots], &self.mems[k * mems..][..mems]))
+        let (slots, mems, params) =
+            (self.slots.len() / n, self.mems.len() / n, self.params.len() / n);
+        (0..n).map(move |k| LaneBlock {
+            slots: &self.slots[k * slots..][..slots],
+            mems: &self.mems[k * mems..][..mems],
+            params: &self.params[k * params..][..params],
+        })
     }
 }
 
@@ -311,19 +329,24 @@ fn compile_blocks(design: &Design, opt: bool, o: &mut Overheads) -> BlockTapes {
 
 /// One tape per block of `design`, each block shape (`Design::shapes`)
 /// compiled once: its first instance is folded (charging `fold`),
-/// code-generated, renumbered onto its operand lists' local indices and
+/// code-generated with its parameters (`Design::shape_params`) as values
+/// nothing may fold, renumbered onto its operand lists' local indices and
 /// `finish`ed against the widths they stand for; every instance gets that
-/// body relocated onto its own operands and validated against the design,
-/// and the report counts the body's optimizer run once per instance. The
+/// body relocated onto its own operands, its own parameter values written
+/// in, and validated against the design, and the report counts the body's
+/// optimizer run once per instance. For a shape without parameters the
 /// tapes and the counts are exactly those of compiling every block on its
-/// own, because a shape fixes everything the compiler reads of a block
-/// and the optimizer touches a state operand only by equality and as an
-/// index into the width tables.
+/// own, because a shape fixes everything else the compiler reads of a
+/// block and the optimizer touches a state operand only by equality and
+/// as an index into the width tables; with parameters, each tape computes
+/// what its block's own compilation computes, from the same state.
 fn block_tapes(design: &Design, layout: Layout, opt: bool, fold: &mut Duration) -> BlockTapes {
     let global = [&layout.widths[..], &layout.mem_widths[..]];
     // Per shape, its body's optimizer report and how many blocks share it.
     let mut shapes: Vec<(Option<OptReport>, u64)> = Vec::with_capacity(design.shapes().len());
     let mut bodies: Vec<Tape> = Vec::with_capacity(design.shapes().len());
+    // Per shape, the `Const`s of its body's parameters: `(op, value index)`.
+    let mut sites: Vec<Vec<(usize, u32)>> = Vec::with_capacity(design.shapes().len());
     let mut body_of = Vec::with_capacity(design.blocks().len());
     let mut backs = Vec::with_capacity(design.blocks().len());
     // Per table, the local index of each global one the shape at hand
@@ -339,9 +362,9 @@ fn block_tapes(design: &Design, layout: Layout, opt: bool, fold: &mut Duration) 
         };
         if shape.index() == bodies.len() {
             let t0 = Instant::now();
-            let folded = fold_stmts(stmts);
+            let (folded, params) = fold_stmts(stmts, design.shape_params(shape));
             *fold += t0.elapsed();
-            let mut vt = compile_block(design, &folded, b.kind);
+            let mut vt = compile_block(design, &folded, b.kind, &params);
             for (local, back) in local.iter_mut().zip(&back) {
                 back.iter().enumerate().for_each(|(l, &g)| local[g as usize] = l as u32);
             }
@@ -364,24 +387,20 @@ fn block_tapes(design: &Design, layout: Layout, opt: bool, fold: &mut Duration) 
             let [slots, mems] =
                 [0, 1].map(|t| back[t].iter().map(|&g| global[t][g as usize]).collect::<Vec<_>>());
             let mut report = opt.then(OptReport::new);
-            bodies.push(finish(vt, &slots, &mems, &mut report, || {
+            let body = finish(vt, &slots, &mems, &mut report, || {
                 let kind = match b.kind {
                     BlockKind::Comb => "comb",
                     BlockKind::Seq => "seq",
                 };
                 format!("{kind} block `{}`", design.block_path(block))
-            }));
+            });
+            sites.push(param_sites(&body));
+            bodies.push(body);
             shapes.push((report, 0));
         }
         shapes[shape.index()].1 += 1;
-        let Tape { ops, nregs, prelude, narrow, .. } = &bodies[shape.index()];
-        let mut tape = Tape {
-            ops: relocate(ops, &back),
-            nregs: *nregs,
-            prelude: *prelude,
-            narrow: narrow.as_ref().map(|ops| relocate(ops, &back)),
-            defs_first: false,
-        };
+        let values = design.block_params(block);
+        let mut tape = instance(&bodies[shape.index()], &sites[shape.index()], &back, values);
         validate(&mut tape, global[0].len(), global[1].len());
         body_of.push(shape.index() as u32);
         backs.push(back);
@@ -402,6 +421,42 @@ fn block_tapes(design: &Design, layout: Layout, opt: bool, fold: &mut Duration) 
 /// `back` holds for it.
 fn relocate<W: Copy>(ops: &[Op<Reg, W>], back: &[Vec<u32>; 2]) -> Vec<Op<Reg, W>> {
     ops.iter().map(|op| op.map_state(&mut |t, l| back[t as usize][l as usize])).collect()
+}
+
+/// Where a body loads its parameters: per parameter, the position of the
+/// one `Const` that defines its register (`validate` checked there is
+/// one) and the index of the block value it stands for.
+fn param_sites(body: &Tape) -> Vec<(usize, u32)> {
+    let site = |p: &Param| {
+        let at =
+            body.ops.iter().position(|op| matches!(op, Op::Const { dst, .. } if *dst == p.reg));
+        (at.expect("validated: a parameter's `Const`"), p.index)
+    };
+    body.params.iter().map(site).collect()
+}
+
+/// A block's tape: `body` relocated through `back`, with the block's
+/// parameter values (`Design::block_params`) written into the `Const`s at
+/// the body's parameter `sites`.
+fn instance(body: &Tape, sites: &[(usize, u32)], back: &[Vec<u32>; 2], values: &[Bits]) -> Tape {
+    let Tape { ops, nregs, prelude, narrow, .. } = body;
+    let mut tape = Tape {
+        ops: relocate(ops, back),
+        nregs: *nregs,
+        prelude: *prelude,
+        narrow: narrow.as_ref().map(|ops| relocate(ops, back)),
+        ..Tape::default()
+    };
+    for &(at, index) in sites {
+        let value = values[index as usize].as_u128();
+        let Op::Const { val, .. } = &mut tape.ops[at] else { unreachable!("a site is a Const") };
+        *val = value;
+        if let Some(Op::Const { val, .. }) = tape.narrow.as_mut().map(|ops| &mut ops[at]) {
+            // A narrow body's parameters are at most 64 bits wide.
+            *val = u64::try_from(value).expect("a u64-class parameter");
+        }
+    }
+    tape
 }
 
 /// The back half of every tape's compilation: optimize (when `report` is
@@ -579,19 +634,32 @@ fn admit(body: &Tape, n: usize) -> Result<usize, Refusal> {
 }
 
 /// The gang of `members` (instances of `body`, a multiple of [`LANES`]),
-/// its tables laid out from the members' `back` tables.
+/// its tables laid out from the members' `back` tables and, for the
+/// parameters, from the `Const`s of the members' own tapes.
 fn gang_of(blocks: &BlockTapes, body: u32, members: Vec<u32>) -> Gang {
-    let table = |t: usize| -> Vec<u32> {
+    let table = |t: usize| {
         let nlocal = blocks.back[members[0] as usize][t].len();
-        let mut rows = Vec::with_capacity(members.len() * nlocal);
-        for lane_block in members.chunks_exact(LANES) {
-            for local in 0..nlocal {
-                rows.extend(lane_block.iter().map(|&b| blocks.back[b as usize][t][local]));
-            }
-        }
-        rows
+        lane_rows(&members, nlocal, |b, local| blocks.back[b as usize][t][local])
     };
-    Gang { body, slots: table(0), mems: table(1), blocks: members }
+    let sites = param_sites(&blocks.bodies[body as usize]);
+    let params =
+        lane_rows(&members, sites.len(), |b, k| match blocks.tapes[b as usize].ops[sites[k].0] {
+            Op::Const { val, .. } => val as u64,
+            _ => unreachable!("an instance has its body's `Const`s"),
+        });
+    Gang { body, slots: table(0), mems: table(1), params, blocks: members }
+}
+
+/// `entry(member, local)` for every member and local index, laid out like
+/// a [`Gang`]'s tables: `[(lane_block * nlocal + local) * LANES + lane]`.
+fn lane_rows<T>(members: &[u32], nlocal: usize, entry: impl Fn(u32, usize) -> T) -> Vec<T> {
+    let mut rows = Vec::with_capacity(members.len() * nlocal);
+    for lane_block in members.chunks_exact(LANES) {
+        for local in 0..nlocal {
+            rows.extend(lane_block.iter().map(|&b| entry(b, local)));
+        }
+    }
+    rows
 }
 
 /// Checks that a gang's lanes are independent and its tables true, from
@@ -607,6 +675,9 @@ fn gang_of(blocks: &BlockTapes, body: u32, members: Vec<u32>) -> Gang {
 /// * every table entry is in range and is exactly the slot or memory the
 ///   member's relocated tape names at that op, so the lanes touch the
 ///   state `validate` saw and nothing else;
+/// * every parameter is loaded in the body's prelude — which the lane
+///   executor skips, installing the table's values instead — and each
+///   member's value in the table is the one its relocated tape loads;
 /// * no lane reads or writes a slot, and none writes a memory, that
 ///   another lane writes.
 fn lanes_independent(blocks: &BlockTapes, gang: &Gang) -> bool {
@@ -620,11 +691,16 @@ fn lanes_independent(blocks: &BlockTapes, gang: &Gang) -> bool {
         return false;
     }
     // `table`'s entry for index `local` of member `i`.
-    let entry = |table: &[u32], i: usize, local: u32| -> Option<u32> {
+    fn entry<T: Copy>(table: &[T], n: usize, i: usize, local: u32) -> Option<T> {
         let nlocal = table.len() / n;
         let row = (i / LANES * nlocal + local as usize) * LANES;
         ((local as usize) < nlocal).then(|| table[row + i % LANES])
-    };
+    }
+    let sites = param_sites(body);
+    let preluded = sites.iter().all(|&(at, _)| at < body.prelude as usize);
+    if !(preluded && gang.params.len() == n * sites.len()) {
+        return false;
+    }
     // The member storing to each `cur` slot (`2 * slot`), `next` slot
     // (`2 * slot + 1`) and memory.
     let mut slot_writer = vec![NONE; 2 * nslots];
@@ -648,9 +724,11 @@ fn lanes_independent(blocks: &BlockTapes, gang: &Gang) -> bool {
                 Effect::MemWrite { mem, .. } => (mem, Some(&mut mem_writer[mem as usize])),
             };
             let tabled = match local.effect() {
-                Effect::Read { slot } | Effect::Write { slot, .. } => entry(&gang.slots, i, slot),
+                Effect::Read { slot } | Effect::Write { slot, .. } => {
+                    entry(&gang.slots, n, i, slot)
+                }
                 Effect::MemRead { mem, .. } | Effect::MemWrite { mem, .. } => {
-                    entry(&gang.mems, i, mem)
+                    entry(&gang.mems, n, i, mem)
                 }
                 Effect::Pure | Effect::Jump { .. } => None,
             };
@@ -662,6 +740,13 @@ fn lanes_independent(blocks: &BlockTapes, gang: &Gang) -> bool {
                     return false;
                 }
                 *writer = i as u32;
+            }
+        }
+        for (k, (&(at, _), p)) in sites.iter().zip(&body.params).enumerate() {
+            let tabled = entry(&gang.params, n, i, k as u32).map(u128::from);
+            match tape.ops[at] {
+                Op::Const { dst, val } if dst == p.reg && Some(val) == tabled => {}
+                _ => return false,
             }
         }
     }
@@ -680,8 +765,8 @@ mod tests {
     use mtl_core::{elaborate, Component, Ctx, Expr, SignalRef};
 
     /// The compile path before the memo — every block `finish`ed on its
-    /// own against the design's tables — kept as the oracle
-    /// [`block_tapes`] must reproduce.
+    /// own against the design's tables, every literal a constant — kept
+    /// as the oracle [`block_tapes`] must reproduce.
     fn direct_block_tapes(
         design: &Design,
         widths: &[u32],
@@ -691,7 +776,7 @@ mod tests {
         let mut report = opt.then(OptReport::new);
         let tapes = design.blocks().iter().map(|b| match &b.body {
             BlockBody::Ir(stmts) => {
-                let vt = compile_block(design, &fold_stmts(stmts), b.kind);
+                let vt = compile_block(design, &fold_stmts(stmts, &[]).0, b.kind, &[]);
                 finish(vt, widths, mem_widths, &mut report, || "oracle".into())
             }
             BlockBody::Native(..) => Tape::default(),
@@ -700,15 +785,22 @@ mod tests {
     }
 
     /// Compiles `top`'s blocks through the memo and through the oracle,
-    /// optimizer off and on, asserts that every tape field and the whole
-    /// report agree — and that every tape is its body relocated through
-    /// its `back` tables — and returns the tapes with the number of
-    /// distinct bodies.
+    /// optimizer off and on, and asserts that every tape is its body
+    /// relocated through its `back` tables with its parameter values
+    /// written in, and that it agrees with the oracle's: field for field
+    /// for a shape without parameters (and then the whole report agrees
+    /// too, if no shape has any), and for a parameterised shape in what it
+    /// does — equal writes from equal random states. Returns the tapes with
+    /// the number of distinct bodies.
     fn memo_equals_direct(top: &dyn Component) -> (Vec<Tape>, u64) {
         let design = elaborate(top).expect("test design elaborates");
         let widths: Vec<u32> = design.nets().iter().map(|n| n.width).collect();
         let mem_widths: Vec<u32> = design.mems().iter().map(|m| m.width).collect();
         let fields = |t: &Tape| (t.ops.clone(), t.nregs, t.prelude, t.narrow.clone(), t.defs_first);
+        let parameterised = |i: usize| {
+            let shape = design.block_shape(BlockId::from_index(i));
+            shape.is_some_and(|s| design.shapes()[s.index()].params > 0)
+        };
         let mut last = None;
         for opt in [false, true] {
             let (want, want_rep) = direct_block_tapes(&design, &widths, &mem_widths, opt);
@@ -716,9 +808,16 @@ mod tests {
             let got = block_tapes(&design, layout, opt, &mut Duration::default());
             assert_eq!(got.tapes.len(), want.len());
             for (i, (g, w)) in got.tapes.iter().zip(&want).enumerate() {
-                assert_eq!(fields(g), fields(w), "opt={opt}: tape of block {i}");
+                if parameterised(i) {
+                    same_writes(g, w, &design, &format!("opt={opt}: tape of block {i}"));
+                } else {
+                    assert_eq!(fields(g), fields(w), "opt={opt}: tape of block {i}");
+                }
+                assert!(g.params.is_empty(), "opt={opt}: block {i} runs its own values");
                 let body = &got.bodies[got.body_of[i] as usize];
-                assert_eq!(g.ops, relocate(&body.ops, &got.back[i]), "opt={opt}: body of {i}");
+                let values = design.block_params(BlockId::from_index(i));
+                let relocated = instance(body, &param_sites(body), &got.back[i], values);
+                assert_eq!(g.ops, relocated.ops, "opt={opt}: body of {i}");
             }
             // A body is compiled — folded, code-generated, finished — for
             // a shape's first instance and never again.
@@ -727,21 +826,58 @@ mod tests {
             let shape_of = |i| design.block_shape(BlockId::from_index(i)).map(|s| s.index() as u32);
             assert!((0..want.len()).all(|i| shape_of(i).unwrap_or(NONE) == got.body_of[i]));
             assert_eq!(got.report.as_ref().map_or(bodies, |r| r.bodies), bodies);
-            assert_eq!(got.report, want_rep.map(|r| OptReport { bodies, ..r }), "opt={opt}");
+            if !(0..want.len()).any(parameterised) {
+                assert_eq!(got.report, want_rep.map(|r| OptReport { bodies, ..r }), "opt={opt}");
+            }
             last = Some((got.tapes.to_vec(), bodies));
         }
         last.expect("two rounds")
     }
 
+    /// Runs tapes `a` and `b` from the same random states of `design` —
+    /// every net's `cur` and `next`, every memory word — and asserts that
+    /// they leave the same state behind and queue the same memory writes.
+    fn same_writes(a: &Tape, b: &Tape, design: &Design, what: &str) {
+        use crate::state::PackedState;
+        use crate::tape::{mask_of, rnd128};
+
+        let widths: Vec<u32> = design.nets().iter().map(|n| n.width).collect();
+        let mems: Vec<(u32, u64)> = design.mems().iter().map(|m| (m.width, m.words)).collect();
+        let mut seed = 0x5eed;
+        for _ in 0..64 {
+            let mut random = |w: u32| rnd128(&mut seed) & mask_of(w);
+            let cur: Vec<u128> = widths.iter().map(|&w| random(w)).collect();
+            let next: Vec<u128> = widths.iter().map(|&w| random(w)).collect();
+            let words: Vec<Vec<u128>> =
+                mems.iter().map(|&(w, n)| (0..n).map(|_| random(w)).collect()).collect();
+            let run = |t: &Tape| {
+                let mut state = PackedState::from_widths(&widths, &mems, &[]);
+                state.fill(&cur, &next);
+                let mut st = state.exclusive();
+                for (m, words) in words.iter().enumerate() {
+                    for (addr, &v) in words.iter().enumerate() {
+                        st.poke_mem(m, addr as u64, mtl_bits::Bits::new(mems[m].0, v));
+                    }
+                }
+                let (mut regs, mut pending) = (vec![0; t.nregs as usize], Vec::new());
+                st.exec::<false>(t, 0, &mut regs, &mut pending, &mut Vec::new());
+                (state.dump(), pending)
+            };
+            assert_eq!(run(a), run(b), "{what}");
+        }
+    }
+
     /// A component with every kind of state operand: slot reads, full and
-    /// field writes, a memory read and a memory write, under control flow.
+    /// field writes, a memory read and a memory write, under control flow;
+    /// and a literal `k` in the field write.
     struct Cell {
         width: u32,
+        k: u128,
     }
 
     impl Component for Cell {
         fn name(&self) -> String {
-            format!("Cell_{}", self.width)
+            format!("Cell_{}_{}", self.width, self.k)
         }
 
         fn build(&self, c: &mut Ctx) {
@@ -753,7 +889,7 @@ mod tests {
             let m = c.mem("m", 4, w);
             c.comb("calc", |b| {
                 b.assign(q, acc ^ m.read(sel));
-                b.if_(sel.bit(0), |b| b.assign_slice(q, 0, 4, a.slice(0, 4) + Expr::k(4, 3)));
+                b.if_(sel.bit(0), |b| b.assign_slice(q, 0, 4, a.slice(0, 4) + Expr::k(4, self.k)));
             });
             c.seq("step", |b| {
                 b.switch(sel, |sw| {
@@ -765,8 +901,9 @@ mod tests {
         }
     }
 
-    /// A chain of `Cell`s per width.
-    struct Chain(Vec<(u32, usize)>);
+    /// A chain of `Cell`s per width, `k = 3` in each, or `i % 16` in the
+    /// `i`th where the spec says the literal varies.
+    struct Chain(Vec<(u32, usize, bool)>);
 
     impl Component for Chain {
         fn name(&self) -> String {
@@ -775,10 +912,11 @@ mod tests {
 
         fn build(&self, c: &mut Ctx) {
             let sel = c.in_port("sel", 2);
-            for &(w, n) in &self.0 {
+            for &(w, n, varies) in &self.0 {
                 let mut prev = c.in_port(&format!("a{w}"), w);
                 for i in 0..n {
-                    let cell = c.instantiate(&format!("cell{w}_{i}"), &Cell { width: w });
+                    let k = if varies { i as u128 % 16 } else { 3 };
+                    let cell = c.instantiate(&format!("cell{w}_{i}"), &Cell { width: w, k });
                     c.connect(prev, c.port_of(&cell, "a"));
                     c.connect(sel, c.port_of(&cell, "sel"));
                     prev = c.port_of(&cell, "q");
@@ -791,14 +929,19 @@ mod tests {
 
     /// Ten instances of one component compile as one body per block, and
     /// the relocated tapes and the report are those of compiling each
-    /// instance directly — in both word classes.
+    /// instance directly — in both word classes. Instances that differ in
+    /// a literal compile as the same bodies, and each tape does what its
+    /// instance's own compilation does.
     #[test]
     fn memoised_tapes_and_report_equal_directly_compiled_ones() {
-        let (tapes, bodies) = memo_equals_direct(&Chain(vec![(8, 10), (72, 9)]));
-        assert_eq!(tapes.len(), 2 * 19);
-        assert_eq!(bodies, 4, "calc and step, narrow and wide");
-        let narrow = tapes.iter().filter(|t| t.narrow.is_some()).count();
-        assert_eq!(narrow, 2 * 10, "the 72-bit cells run the wide class");
+        for varies in [false, true] {
+            let (tapes, bodies) =
+                memo_equals_direct(&Chain(vec![(8, 10, varies), (72, 9, varies)]));
+            assert_eq!(tapes.len(), 2 * 19);
+            assert_eq!(bodies, 4, "calc and step, narrow and wide");
+            let narrow = tapes.iter().filter(|t| t.narrow.is_some()).count();
+            assert_eq!(narrow, 2 * 10, "the 72-bit cells run the wide class");
+        }
     }
 
     /// The register argument `fuse` and the batch lanes' rejoin rest on is
@@ -807,7 +950,8 @@ mod tests {
     /// is `defs_first` exactly when it is jump-free, optimizer on or off.
     #[test]
     fn every_jump_free_tape_defines_its_registers_before_use() {
-        let chain = elaborate(&Chain(vec![(8, 10), (72, 9)])).expect("test design elaborates");
+        let chain =
+            elaborate(&Chain(vec![(8, 10, true), (72, 9, false)])).expect("test design elaborates");
         let sum = elaborate(&Sum).expect("test design elaborates");
         let mut seen = [0; 2];
         for (design, opt) in [(&chain, false), (&chain, true), (&sum, false), (&sum, true)] {
@@ -977,12 +1121,12 @@ mod tests {
 
     /// A jump-free component with every unpredicated kind of state
     /// operand, so its two blocks are gang material with the optimizer on
-    /// and off.
-    struct Tap;
+    /// and off; its literal `k` is a parameter where taps differ in it.
+    struct Tap(u128);
 
     impl Component for Tap {
         fn name(&self) -> String {
-            "Tap".into()
+            format!("Tap_{}", self.0)
         }
 
         fn build(&self, c: &mut Ctx) {
@@ -992,7 +1136,7 @@ mod tests {
             let m = c.mem("m", 4, 8);
             c.comb("calc", |b| {
                 b.assign(q, acc ^ m.read(sel));
-                b.assign_slice(q, 0, 4, a.slice(0, 4) + Expr::k(4, 3));
+                b.assign_slice(q, 0, 4, a.slice(0, 4) + Expr::k(4, self.0));
             });
             c.seq("step", |b| {
                 b.assign(acc, a + acc);
@@ -1004,8 +1148,9 @@ mod tests {
     /// `n` taps side by side between two single blocks: `bump` feeds every
     /// tap's `sel`, `fold` reads every tap's `q`, so the comb run has three
     /// levels with all `calc` blocks on the middle one. Every tap has its
-    /// own `a` input: the lanes compute different values.
-    struct Row(usize);
+    /// own `a` input: the lanes compute different values — and, where the
+    /// row says so, its own literal (`i % 16` for tap `i`; 3 otherwise).
+    struct Row(usize, bool);
 
     impl Component for Row {
         fn name(&self) -> String {
@@ -1018,7 +1163,8 @@ mod tests {
             c.comb("bump", |b| b.assign(bumped, sel + Expr::k(2, 1)));
             let mut folded = Expr::k(8, 0);
             for i in 0..self.0 {
-                let tap = c.instantiate(&format!("tap{i}"), &Tap);
+                let k = if self.1 { i as u128 % 16 } else { 3 };
+                let tap = c.instantiate(&format!("tap{i}"), &Tap(k));
                 let a = c.in_port(&format!("a{i}"), 8);
                 c.connect(a, c.port_of(&tap, "a"));
                 c.connect(bumped, c.port_of(&tap, "sel"));
@@ -1060,7 +1206,9 @@ mod tests {
     /// it the remainder joins the residual, which keeps schedule order
     /// around the gang. Whatever the shape, the gang plan computes what the
     /// all-fused plan computes: every net and every memory word, every
-    /// cycle, under stimulus that differs per lane — optimizer off and on.
+    /// cycle, under stimulus that differs per lane — optimizer off and on,
+    /// and with a literal that differs per lane, a parameter each lane
+    /// block loads its own values of.
     #[test]
     fn gang_plans_form_by_the_admission_rule_and_equal_the_all_fused_plans() {
         use crate::sim::EngineImpl;
@@ -1074,13 +1222,18 @@ mod tests {
             (17, "F G16 F", "G16 F", true),
             (40, "F G32 F", "G32 F", true),
         ] {
-            for opt in [false, true] {
-                let design = Arc::new(elaborate(&Row(n)).expect("row elaborates"));
+            for (opt, varies) in [(false, false), (true, false), (false, true), (true, true)] {
+                let design = Arc::new(elaborate(&Row(n, varies)).expect("row elaborates"));
                 let o = &mut Overheads::default();
                 let blocks = Arc::new(compile_blocks(&design, opt, o));
                 let gangs = fuse_plans(&design, &blocks, o);
                 let fused = all_fused_plans(&design, &blocks);
-                let at = format!("{n} taps, opt={opt}");
+                let at = format!("{n} taps, opt={opt}, varies={varies}");
+                let calc = (0..design.blocks().len())
+                    .find(|&b| design.block_path(BlockId::from_index(b)).ends_with("tap0.calc"))
+                    .map(|b| &blocks.bodies[blocks.body_of[b] as usize])
+                    .expect("tap 0 has a `calc` block");
+                assert_eq!(calc.params.len(), usize::from(varies), "{at}: `calc` of tap 0");
                 assert_eq!(
                     (shape(&gangs.comb), shape(&gangs.seq)),
                     (comb.into(), seq.into()),
@@ -1150,27 +1303,33 @@ mod tests {
         }
     }
 
-    /// A hand-built block stage: 16 instances of the body `r0 = cur[s0];
-    /// cur[s1] = r0; m0[r0 % 4] <= r0` (body 0), instance `i` wired to
-    /// slots `2i`, `2i + 1` and memory `i` unless `rewire` says otherwise;
-    /// body 1 is a stranger.
+    /// A hand-built block stage: 16 instances of the body `r1 = k (a
+    /// parameter, the prelude); r0 = cur[s0]; cur[s1] = r0; m0[r0 % 4] <=
+    /// r1` (body 0), instance `i` wired to slots `2i`, `2i + 1` and memory
+    /// `i` unless `rewire` says otherwise, and its `k` is `i`; body 1 is a
+    /// stranger.
     fn sixteen(rewire: impl FnOnce(&mut Vec<[Vec<u32>; 2]>)) -> BlockTapes {
-        let body = vec![
+        let ops = vec![
+            Op::Const { dst: 1, val: 0 },
             Op::Read { dst: 0, slot: 0 },
             Op::Write { slot: 1, src: 0 },
-            Op::MemWrite { mem: 0, addr: 0, data: 0, words: 4 },
+            Op::MemWrite { mem: 0, addr: 0, data: 1, words: 4 },
         ];
         let tape = |ops: Vec<Op>| {
             let narrow = ops.iter().map(|op| op.to_word()).collect::<Option<Vec<_>>>();
-            Tape { ops, nregs: 1, narrow, ..Tape::default() }
+            Tape { ops, nregs: 2, narrow, ..Tape::default() }
         };
+        let params = vec![Param { index: 0, reg: 1, width: 8 }];
+        let body = Tape { prelude: 1, params, ..tape(ops) };
         let mut back = (0..16).map(|i| [vec![2 * i, 2 * i + 1], vec![i]]).collect();
         rewire(&mut back);
-        let tapes = back.iter().map(|back| tape(relocate(&body, back))).collect();
+        let sites = param_sites(&body);
+        let instance = |(i, back)| instance(&body, &sites, back, &[Bits::new(8, i as u128)]);
+        let tapes = back.iter().enumerate().map(instance).collect();
         BlockTapes {
             layout: Layout::plain(&[8; 32], &[8; 16], &[]),
             tapes: Arc::new(tapes),
-            bodies: Arc::new(vec![tape(body), tape(vec![Op::Const { dst: 0, val: 1 }])]),
+            bodies: Arc::new(vec![body, tape(vec![Op::Const { dst: 0, val: 1 }])]),
             body_of: vec![0; 16],
             back,
             report: None,
@@ -1180,9 +1339,11 @@ mod tests {
     /// The guard behind the lane executor, on plain data: a gang laid out
     /// from independent instances passes; lanes that alias — a slot or a
     /// memory written by two, a slot one writes and another reads — a table
-    /// entry out of range or not the one the member's tape names, a member
-    /// of another body, a partial lane block and a body the lane executor
-    /// cannot run are each refused.
+    /// entry out of range or not the one the member's tape names, a
+    /// parameter value not the one the member's tape loads, a parameter
+    /// table of the wrong size or a parameter loaded outside the prelude,
+    /// a member of another body, a partial lane block and a body the lane
+    /// executor cannot run are each refused.
     #[test]
     fn the_guard_refuses_aliasing_lanes_false_tables_and_foreign_members() {
         let members = || (0..16).collect::<Vec<u32>>();
@@ -1209,6 +1370,17 @@ mod tests {
         let mut gang = sound();
         gang.mems[2] = 16;
         assert!(!lanes_independent(&blocks, &gang), "memory entry out of range");
+        assert_eq!(sound().params, (0..16).collect::<Vec<u64>>(), "lane `i` loads `k = i`");
+        let mut gang = sound();
+        gang.params[5] = 4;
+        assert!(!lanes_independent(&blocks, &gang), "parameter value the member does not load");
+        gang.params.pop();
+        assert!(!lanes_independent(&blocks, &gang), "parameter table of 15 values");
+        let mut unloaded = sixteen(|_| {});
+        let mut bodies = unloaded.bodies.to_vec();
+        bodies[0].prelude = 0;
+        unloaded.bodies = Arc::new(bodies);
+        assert!(!lanes_independent(&unloaded, &gang_of(&unloaded, 0, members())), "k in the body");
 
         let mut foreign = sixteen(|_| {});
         foreign.body_of[3] = 1;

@@ -10,7 +10,7 @@ use mtl_core::ir::{BinOp, Expr, Stmt, UnaryOp};
 use mtl_core::{BlockKind, Design, MemId, SignalId};
 
 use super::passes::def_bits;
-use crate::tape::{mask_of, Effect, Op, Reg, Role, Tape, VReg};
+use crate::tape::{mask_of, Effect, Op, Param, Reg, Role, Tape, VReg};
 
 /// A compiled update block in virtual-register form: what [`compile_block`]
 /// emits and what [`super::passes`] optimizes. Register indices are unbounded
@@ -44,7 +44,10 @@ pub(super) fn narrow(
     );
     let ops: Vec<Op> = vt.ops.iter().map(|op| op.map_regs(&mut |_, r| r as Reg)).collect();
     let narrow = lower(vt, &ops, widths, mem_widths);
-    Tape { ops, nregs: vt.nregs, prelude: vt.prelude, narrow, defs_first: false }
+    let params =
+        vt.params.iter().map(|p| Param { index: p.index, reg: p.reg as Reg, width: p.width });
+    let params = params.collect();
+    Tape { ops, nregs: vt.nregs, prelude: vt.prelude, narrow, defs_first: false, params }
 }
 
 /// The `u64` program of a tape (`ops` is `vt` over physical registers),
@@ -94,16 +97,46 @@ fn lower(vt: &VTape, ops: &[Op], widths: &[u32], mem_widths: &[u32]) -> Option<V
 
 /// Compiles the statements of one IR block into a virtual-register tape.
 ///
-/// `slot_of` maps a signal to its packed state slot (its net index).
-/// Emission allocates virtual registers without a budget; the physical
-/// budget is enforced by [`narrow`] — after optimization and register
-/// compaction when the optimizer is on, on the raw emission otherwise.
-pub(super) fn compile_block(design: &Design, stmts: &[Stmt], kind: BlockKind) -> VTape {
-    let mut c = Compiler { design, ops: Vec::new(), next_reg: 0, seq: kind == BlockKind::Seq };
+/// `params` are the positions, among the literals of `stmts` in walk
+/// order, of the body's parameters ([`fold_stmts`] returns them): each is
+/// loaded by a `Const` of its own, and those `Const`s open the tape — its
+/// prelude when the tape is jump-free — so that a gang can load each
+/// lane's values in their place. Emission allocates virtual registers
+/// without a budget; the physical budget is enforced by [`narrow`] — after
+/// optimization and register compaction when the optimizer is on, on the
+/// raw emission otherwise.
+pub(super) fn compile_block(
+    design: &Design,
+    stmts: &[Stmt],
+    kind: BlockKind,
+    params: &[u32],
+) -> VTape {
+    let mut c = Compiler {
+        design,
+        ops: Vec::new(),
+        next_reg: 0,
+        seq: kind == BlockKind::Seq,
+        literal: 0,
+        params,
+        pre: Vec::new(),
+        loaded: Vec::new(),
+    };
     for s in stmts {
         c.emit_stmt(s);
     }
-    VTape { ops: c.ops, nregs: c.next_reg, ..VTape::default() }
+    debug_assert_eq!(c.loaded.len(), params.len(), "a parameter the walk did not meet");
+    let mut vt = VTape { ops: c.pre, nregs: c.next_reg, params: c.loaded, ..VTape::default() };
+    let pre = vt.ops.len() as u32;
+    vt.ops.extend(c.ops.into_iter().map(|mut op| {
+        if let Some(target) = op.target_mut() {
+            *target += pre;
+        }
+        op
+    }));
+    if !vt.has_jumps() {
+        vt.prelude = pre;
+    }
+    vt
 }
 
 /// Validates that every register, slot, memory and jump target in a tape
@@ -145,6 +178,13 @@ pub(super) fn validate(tape: &mut Tape, nslots: usize, nmems: usize) {
             }
         });
         assert!(ok, "invalid tape op {op:?}");
+    }
+    // A parameter's register is defined once, by a `Const`: the one op an
+    // instance's value is written into.
+    for p in &tape.params {
+        let mut defs = tape.ops.iter().filter(|op| op.def() == Some(p.reg));
+        let once = matches!((defs.next(), defs.next()), (Some(Op::Const { .. }), None));
+        assert!(once, "parameter {p:?} is not defined by exactly one `Const`");
     }
     if let Some(narrow) = &tape.narrow {
         // The `u64` executor indexes by the narrow program's operands:
@@ -193,9 +233,14 @@ fn defs_before_uses(tape: &Tape) -> bool {
 }
 
 /// Constant-folds a statement list (the "comp" optimization phase, run
-/// before [`compile_block`]).
-pub(super) fn fold_stmts(stmts: &[Stmt]) -> Vec<Stmt> {
-    stmts.iter().map(fold_stmt).collect()
+/// before [`compile_block`]) whose literals at positions `params` (walk
+/// order, ascending: `Design::shape_params`) are parameters — values that
+/// are not known, so nothing above them folds. Returns the folded list and
+/// the parameters' positions among *its* literals, in the same order.
+pub(super) fn fold_stmts(stmts: &[Stmt], params: &[u32]) -> (Vec<Stmt>, Vec<u32>) {
+    let mut fold = Fold { params, literal: 0, folded: 0, at: Vec::new() };
+    let stmts = stmts.iter().map(|s| fold_stmt(s, &mut fold)).collect();
+    (stmts, fold.at)
 }
 
 /// Fuses a run of tapes into one linear program in virtual-register form,
@@ -222,34 +267,59 @@ pub(super) fn fuse(tapes: &[&Tape]) -> VTape {
     VTape { ops, nregs, ..VTape::default() }
 }
 
+/// The fold of one statement list: which of its literals are parameters,
+/// and where they land among the folded list's literals. Literals are
+/// counted in the order the shape walk and [`compile_block`] visit them.
+struct Fold<'a> {
+    params: &'a [u32],
+    /// Literals of the input, and of the output, met so far.
+    literal: u32,
+    folded: u32,
+    /// Each parameter's position among the output's literals.
+    at: Vec<u32>,
+}
+
 /// Constant-folds an expression: subtrees with no signal or memory reads
-/// are evaluated at compile time (the "comp" optimization phase).
+/// and no parameter are evaluated at compile time (the "comp" optimization
+/// phase).
 ///
 /// A single bottom-up pass: each node's constness is derived from its
 /// children's, so the whole fold is O(n) in expression size (an earlier
 /// version re-walked the entire subtree with `collect_reads` at every
 /// recursion level, which was O(n²) on deep expressions).
-fn fold_expr(e: &Expr) -> Expr {
-    fold_expr_const(e).0
+fn fold_expr(e: &Expr, cx: &mut Fold) -> Expr {
+    fold_expr_const(e, cx).0
 }
 
 /// Folds one node bottom-up, returning the folded node and whether it is a
-/// compile-time constant (no signal or memory reads anywhere below it).
-fn fold_expr_const(e: &Expr) -> (Expr, bool) {
+/// compile-time constant (no signal or memory reads, and no parameter,
+/// anywhere below it).
+fn fold_expr_const(e: &Expr, cx: &mut Fold) -> (Expr, bool) {
+    let start = cx.folded;
     // Evaluates a folded, all-constant node: its children are already
-    // `Expr::Const`, so `eval` touches no signal or memory state.
-    fn to_const(folded: Expr) -> (Expr, bool) {
+    // `Expr::Const`, so `eval` touches no signal or memory state. It is
+    // one literal of the output, however many of the input's it folds.
+    let to_const = |folded: Expr, cx: &mut Fold| {
+        cx.folded = start + 1;
         let v = folded.eval(&mut |_| unreachable!(), &mut |_, _| unreachable!());
         (Expr::Const(v), true)
-    }
+    };
     match e {
-        Expr::Const(_) => (e.clone(), true),
+        Expr::Const(_) => {
+            let param = cx.params.binary_search(&cx.literal).is_ok();
+            if param {
+                cx.at.push(cx.folded);
+            }
+            cx.literal += 1;
+            cx.folded += 1;
+            (e.clone(), !param)
+        }
         Expr::Read(_) => (e.clone(), false),
         Expr::Slice { expr, lo, hi } => {
-            let (a, k) = fold_expr_const(expr);
+            let (a, k) = fold_expr_const(expr, cx);
             let folded = Expr::Slice { expr: Box::new(a), lo: *lo, hi: *hi };
             if k {
-                to_const(folded)
+                to_const(folded, cx)
             } else {
                 (folded, false)
             }
@@ -259,114 +329,113 @@ fn fold_expr_const(e: &Expr) -> (Expr, bool) {
             let parts: Vec<Expr> = parts
                 .iter()
                 .map(|p| {
-                    let (f, k) = fold_expr_const(p);
+                    let (f, k) = fold_expr_const(p, cx);
                     all &= k;
                     f
                 })
                 .collect();
             let folded = Expr::Concat(parts);
             if all {
-                to_const(folded)
+                to_const(folded, cx)
             } else {
                 (folded, false)
             }
         }
         Expr::Unary(op, a) => {
-            let (a, k) = fold_expr_const(a);
+            let (a, k) = fold_expr_const(a, cx);
             let folded = Expr::Unary(*op, Box::new(a));
             if k {
-                to_const(folded)
+                to_const(folded, cx)
             } else {
                 (folded, false)
             }
         }
         Expr::Binary(op, a, b) => {
-            let (a, ka) = fold_expr_const(a);
-            let (b, kb) = fold_expr_const(b);
+            let (a, ka) = fold_expr_const(a, cx);
+            let (b, kb) = fold_expr_const(b, cx);
             let folded = Expr::Binary(*op, Box::new(a), Box::new(b));
             if ka && kb {
-                to_const(folded)
+                to_const(folded, cx)
             } else {
                 (folded, false)
             }
         }
         Expr::Mux { cond, then_, else_ } => {
-            let (c, kc) = fold_expr_const(cond);
-            let (t, kt) = fold_expr_const(then_);
-            let (f, kf) = fold_expr_const(else_);
+            let (c, kc) = fold_expr_const(cond, cx);
+            let (t, kt) = fold_expr_const(then_, cx);
+            let (f, kf) = fold_expr_const(else_, cx);
             let folded = Expr::Mux { cond: Box::new(c), then_: Box::new(t), else_: Box::new(f) };
             if kc && kt && kf {
-                to_const(folded)
+                to_const(folded, cx)
             } else {
                 (folded, false)
             }
         }
         Expr::Select { sel, options } => {
-            let (s, mut all) = fold_expr_const(sel);
+            let (s, mut all) = fold_expr_const(sel, cx);
             let options: Vec<Expr> = options
                 .iter()
                 .map(|o| {
-                    let (f, k) = fold_expr_const(o);
+                    let (f, k) = fold_expr_const(o, cx);
                     all &= k;
                     f
                 })
                 .collect();
             let folded = Expr::Select { sel: Box::new(s), options };
             if all {
-                to_const(folded)
+                to_const(folded, cx)
             } else {
                 (folded, false)
             }
         }
         Expr::Zext(a, w) => {
-            let (a, k) = fold_expr_const(a);
+            let (a, k) = fold_expr_const(a, cx);
             let folded = Expr::Zext(Box::new(a), *w);
             if k {
-                to_const(folded)
+                to_const(folded, cx)
             } else {
                 (folded, false)
             }
         }
         Expr::Sext(a, w) => {
-            let (a, k) = fold_expr_const(a);
+            let (a, k) = fold_expr_const(a, cx);
             let folded = Expr::Sext(Box::new(a), *w);
             if k {
-                to_const(folded)
+                to_const(folded, cx)
             } else {
                 (folded, false)
             }
         }
         Expr::Trunc(a, w) => {
-            let (a, k) = fold_expr_const(a);
+            let (a, k) = fold_expr_const(a, cx);
             let folded = Expr::Trunc(Box::new(a), *w);
             if k {
-                to_const(folded)
+                to_const(folded, cx)
             } else {
                 (folded, false)
             }
         }
         Expr::MemRead { mem, addr } => {
-            let (a, _) = fold_expr_const(addr);
+            let (a, _) = fold_expr_const(addr, cx);
             (Expr::MemRead { mem: *mem, addr: Box::new(a) }, false)
         }
     }
 }
 
-fn fold_stmt(s: &Stmt) -> Stmt {
+fn fold_stmt(s: &Stmt, cx: &mut Fold) -> Stmt {
+    let stmts = |body: &[Stmt], cx: &mut Fold| body.iter().map(|s| fold_stmt(s, cx)).collect();
     match s {
-        Stmt::Assign(lv, e) => Stmt::Assign(lv.clone(), fold_expr(e)),
-        Stmt::If { cond, then_, else_ } => Stmt::If {
-            cond: fold_expr(cond),
-            then_: then_.iter().map(fold_stmt).collect(),
-            else_: else_.iter().map(fold_stmt).collect(),
-        },
+        Stmt::Assign(lv, e) => Stmt::Assign(lv.clone(), fold_expr(e, cx)),
+        Stmt::If { cond, then_, else_ } => {
+            Stmt::If { cond: fold_expr(cond, cx), then_: stmts(then_, cx), else_: stmts(else_, cx) }
+        }
         Stmt::Switch { subject, arms, default } => Stmt::Switch {
-            subject: fold_expr(subject),
-            arms: arms.iter().map(|(k, body)| (*k, body.iter().map(fold_stmt).collect())).collect(),
-            default: default.iter().map(fold_stmt).collect(),
+            subject: fold_expr(subject, cx),
+            arms: arms.iter().map(|(k, body)| (*k, stmts(body, cx))).collect(),
+            default: stmts(default, cx),
         },
         Stmt::MemWrite { mem, addr, data } => {
-            Stmt::MemWrite { mem: *mem, addr: fold_expr(addr), data: fold_expr(data) }
+            Stmt::MemWrite { mem: *mem, addr: fold_expr(addr, cx), data: fold_expr(data, cx) }
         }
     }
 }
@@ -376,6 +445,13 @@ struct Compiler<'a> {
     ops: Vec<Op<VReg>>,
     next_reg: VReg,
     seq: bool,
+    /// Literals emitted so far, and the positions among them of the
+    /// parameters.
+    literal: u32,
+    params: &'a [u32],
+    /// The parameters' `Const`s, which open the tape, and what they load.
+    pre: Vec<Op<VReg>>,
+    loaded: Vec<Param<VReg>>,
 }
 
 impl Compiler<'_> {
@@ -493,7 +569,15 @@ impl Compiler<'_> {
             }
             Expr::Const(c) => {
                 let dst = self.alloc();
-                self.ops.push(Op::Const { dst, val: c.as_u128() });
+                let op = Op::Const { dst, val: c.as_u128() };
+                if self.params.get(self.loaded.len()) == Some(&self.literal) {
+                    let index = self.loaded.len() as u32;
+                    self.loaded.push(Param { index, reg: dst, width: c.width() });
+                    self.pre.push(op);
+                } else {
+                    self.ops.push(op);
+                }
+                self.literal += 1;
                 dst
             }
             Expr::Slice { expr, lo, hi } => {
@@ -630,14 +714,33 @@ mod tests {
     use super::*;
     use mtl_bits::Bits;
 
+    /// The fold of an expression with no parameter.
+    fn fold(e: &Expr) -> Expr {
+        fold_expr(e, &mut Fold { params: &[], literal: 0, folded: 0, at: Vec::new() })
+    }
+
+    /// A parameter is a value the fold does not know: nothing above it
+    /// folds, a constant subtree beside it still does, and the parameter's
+    /// position among the folded literals is what the fold reports.
+    #[test]
+    fn a_parameter_stops_the_fold_above_it() {
+        let k = |v| Expr::k(8, v);
+        // Literals in walk order 0..4; literal 2 is the parameter.
+        let e = (k(1) + k(2)) + (k(3) + k(4));
+        let mut cx = Fold { params: &[2], literal: 0, folded: 0, at: Vec::new() };
+        assert_eq!(fold_expr(&e, &mut cx), k(3) + (k(3) + k(4)));
+        assert_eq!((cx.literal, cx.folded, cx.at), (4, 3, vec![1]));
+        assert_eq!(fold(&e), k(10), "no parameter: all of it folds");
+    }
+
     #[test]
     fn fold_expr_collapses_constant_subtrees() {
         let e = Expr::k(8, 3) + Expr::k(8, 4);
-        assert_eq!(fold_expr(&e), Expr::Const(Bits::new(8, 7)));
+        assert_eq!(fold(&e), Expr::Const(Bits::new(8, 7)));
         // A read prevents folding at the top but folds the const subtree.
         let sig = SignalId::from_index(0);
         let e = Expr::Read(sig) + (Expr::k(8, 3) + Expr::k(8, 4));
-        match fold_expr(&e) {
+        match fold(&e) {
             Expr::Binary(BinOp::Add, a, b) => {
                 assert_eq!(*a, Expr::Read(sig));
                 assert_eq!(*b, Expr::Const(Bits::new(8, 7)));
@@ -663,7 +766,7 @@ mod tests {
                     e = e + Expr::k(32, 1);
                 }
                 let start = std::time::Instant::now();
-                let folded = fold_expr(&e);
+                let folded = fold(&e);
                 assert!(
                     start.elapsed() < std::time::Duration::from_secs(20),
                     "deep fold took {:?} — quadratic regression",

@@ -120,10 +120,14 @@ pub struct PassStat {
 pub struct OptReport {
     /// Number of tapes optimized (per-block tapes plus fused plan tapes).
     pub tapes: u64,
-    /// Distinct block bodies among the per-block tapes: the optimizer ran
-    /// once per body and every other instance is a relocated copy, so
-    /// `bodies` over the block-stage share of `tapes` is the compile
-    /// memo's miss rate. Later stages carry the value unchanged.
+    /// Distinct block bodies among the per-block tapes — one per block
+    /// shape, so instances that differ only in their wiring and in the
+    /// values of their literals (a router's coordinates, a generator's id)
+    /// share one: the optimizer ran once per body, its parameters unknown
+    /// to it, and every other instance is a relocated copy with its own
+    /// values written in, so `bodies` over the block-stage share of
+    /// `tapes` is the compile memo's miss rate. Later stages carry the
+    /// value unchanged.
     pub bodies: u64,
     /// Total pass rounds executed across all tapes.
     pub rounds: u64,
@@ -275,9 +279,12 @@ impl OptReport {
         out
     }
 
-    /// What the plan stage ganged and what it did not, as one line (`7
-    /// gangs, 2688 lanes, 56960 lane-ops; residual 3520 ops (few 3520)`);
-    /// `None` for a report with no plan stage behind it.
+    /// What the plan stage ganged and what it did not, as one line — `8
+    /// gangs, 2752 lanes, 60480 lane-ops; residual 0 ops` for the RTL
+    /// mesh64, `10 gangs, 11520 lanes, 258560 lane-ops; residual 1536 ops
+    /// (few 1536)` for the 256-tile synthetic SoC, whose one `totals`
+    /// block has no lanes to share; `None` for a report with no plan stage
+    /// behind it.
     pub fn gang_line(&self) -> Option<String> {
         let residual: u64 = self.refused.iter().map(|r| r.1).sum();
         if self.gang_ops + residual == 0 {
@@ -335,6 +342,8 @@ pub(super) fn optimize(vt: &mut VTape, widths: &[u32], mem_widths: &[u32], rep: 
     rep.tapes += 1;
     rep.ops_before += vt.ops.len() as u64;
     rep.regs_before += vt.nregs as u64;
+    // The passes keep no prelude; `hoist_consts` lays out the final one.
+    vt.prelude = 0;
     run_pass(rep, P_RENAME, vt, rename);
     let mut rounds = 0;
     loop {
@@ -585,10 +594,14 @@ fn approx_bits(
 
 /// Forward dataflow facts about each register at the current position:
 /// its value when that is a known constant (`kval`), and otherwise which
-/// bits may be one (`kb`). Reset at leaders.
+/// bits may be one (`kb`). Reset at leaders. A parameter's register
+/// (`Tape::params`) is never a known constant: its facts are its width.
 struct Facts<'a> {
     kval: Vec<Option<u128>>,
     kb: Vec<u128>,
+    /// Per register, the width of the parameter it holds (0: none); empty
+    /// when the tape has no parameter.
+    param_width: Vec<u8>,
     /// Facts are valid when their epoch is current ([`Facts::reset`] is
     /// an O(1) epoch bump) or when `dom` marks them as established at a
     /// dominating position (they survive resets: every edge into a later
@@ -601,10 +614,17 @@ struct Facts<'a> {
 }
 
 impl<'a> Facts<'a> {
-    fn new(nregs: u32, widths: &'a [u32], mem_widths: &'a [u32]) -> Facts<'a> {
+    fn new(vt: &VTape, widths: &'a [u32], mem_widths: &'a [u32]) -> Facts<'a> {
+        let nregs = vt.nregs;
+        let mut param_width = Vec::new();
+        if !vt.params.is_empty() {
+            param_width = vec![0; nregs as usize];
+            vt.params.iter().for_each(|p| param_width[p.reg as usize] = p.width as u8);
+        }
         Facts {
             kval: vec![None; nregs as usize],
             kb: vec![u128::MAX; nregs as usize],
+            param_width,
             epoch: vec![0; nregs as usize],
             cur_epoch: 0,
             dom: vec![false; nregs as usize],
@@ -642,10 +662,16 @@ impl<'a> Facts<'a> {
     /// everything after it (see [`dominators`]).
     fn step(&mut self, op: &Op<VReg>, dominating: bool) {
         let Some(dst) = op.def() else { return };
-        let v = eval_pure(op, &|r| self.val(r));
-        let kb = match v {
-            Some(x) => x,
-            None => approx_bits(op, |r| self.bits(r), self.widths, self.mem_widths),
+        let (v, kb) = match self.param_width.get(dst as usize) {
+            Some(&width) if width > 0 => (None, mask_of(width.into())),
+            _ => {
+                let v = eval_pure(op, &|r| self.val(r));
+                let kb = match v {
+                    Some(x) => x,
+                    None => approx_bits(op, |r| self.bits(r), self.widths, self.mem_widths),
+                };
+                (v, kb)
+            }
         };
         self.kval[dst as usize] = v;
         self.kb[dst as usize] = kb;
@@ -661,7 +687,7 @@ impl<'a> Facts<'a> {
 pub(super) fn def_bits(vt: &VTape, widths: &[u32], mem_widths: &[u32]) -> u128 {
     let is_leader = leaders(&vt.ops);
     let dominating = dominators(&vt.ops);
-    let mut facts = Facts::new(vt.nregs, widths, mem_widths);
+    let mut facts = Facts::new(vt, widths, mem_widths);
     let mut all = 0;
     for (i, op) in vt.ops.iter().enumerate() {
         if is_leader[i] {
@@ -748,6 +774,7 @@ fn rename(vt: &mut VTape) -> u64 {
     if !ok {
         return 0;
     }
+    vt.params.iter_mut().for_each(|p| p.reg = map[p.reg as usize]);
     vt.ops = new_ops;
     vt.nregs = next;
     rewrites
@@ -757,7 +784,7 @@ fn rename(vt: &mut VTape) -> u64 {
 fn const_fold(vt: &mut VTape, widths: &[u32], mem_widths: &[u32]) -> u64 {
     let is_leader = leaders(&vt.ops);
     let dominating = dominators(&vt.ops);
-    let mut facts = Facts::new(vt.nregs, widths, mem_widths);
+    let mut facts = Facts::new(vt, widths, mem_widths);
     let mut rewrites = 0;
     for (i, op) in vt.ops.iter_mut().enumerate() {
         if is_leader[i] {
@@ -776,7 +803,9 @@ fn const_fold(vt: &mut VTape, widths: &[u32], mem_widths: &[u32]) -> u64 {
 
 /// Local value numbering: repeated reads, repeated constants, and repeated
 /// pure computations over unchanged operands collapse to copies; full
-/// writes forward their source to later reads of the same slot.
+/// writes forward their source to later reads of the same slot. A
+/// parameter's `Const` is no constant: it is never keyed, so it neither
+/// merges with another nor stands in for one.
 fn cse(vt: &mut VTape) -> u64 {
     /// Value-number key: the op with its registers erased (kind plus
     /// every immediate) and its versioned operands — each use packed as
@@ -829,13 +858,18 @@ fn cse(vt: &mut VTape) -> u64 {
     // still retires entries whose registers are redefined anywhere.
     let mut global: FastMap<Key, (VReg, u32)> = FastMap::default();
     let mut rewrites = 0;
+    let mut param = vec![false; if vt.params.is_empty() { 0 } else { nregs }];
+    vt.params.iter().for_each(|p| param[p.reg as usize] = true);
 
     for (i, op) in vt.ops.iter_mut().enumerate() {
         if is_leader[i] {
             table.clear();
             last_store.clear();
         }
-        let keyed = key_of(op, &ver, &slot_ver);
+        let keyed = match *op {
+            Op::Const { dst, .. } if param.get(dst as usize) == Some(&true) => None,
+            _ => key_of(op, &ver, &slot_ver),
+        };
 
         // Store-to-load forwarding: a full write's source register still
         // holds the slot's value.
@@ -893,7 +927,7 @@ fn cse(vt: &mut VTape) -> u64 {
 fn mux_collapse(vt: &mut VTape, widths: &[u32], mem_widths: &[u32]) -> u64 {
     let is_leader = leaders(&vt.ops);
     let dominating = dominators(&vt.ops);
-    let mut facts = Facts::new(vt.nregs, widths, mem_widths);
+    let mut facts = Facts::new(vt, widths, mem_widths);
     let mut rewrites = 0;
     let mut dead = vec![false; vt.ops.len()];
     for (i, op) in vt.ops.iter_mut().enumerate() {
@@ -1204,7 +1238,7 @@ fn if_convert(vt: &mut VTape) -> u64 {
 fn width_narrow(vt: &mut VTape, widths: &[u32], mem_widths: &[u32]) -> u64 {
     let is_leader = leaders(&vt.ops);
     let dominating = dominators(&vt.ops);
-    let mut facts = Facts::new(vt.nregs, widths, mem_widths);
+    let mut facts = Facts::new(vt, widths, mem_widths);
     let mut rewrites = 0;
     for (i, op) in vt.ops.iter_mut().enumerate() {
         if is_leader[i] {
@@ -1543,12 +1577,15 @@ fn compact(vt: &mut VTape) -> u64 {
             next += 1;
         }
     }
+    // A parameter whose `Const` the passes removed as dead is gone.
+    vt.params.retain(|p| used[p.reg as usize]);
     if next as usize == nregs {
         return 0;
     }
     for op in &mut vt.ops {
         *op = op.map_regs(&mut |_, r| remap[r as usize]);
     }
+    vt.params.iter_mut().for_each(|p| p.reg = remap[p.reg as usize]);
     let freed = vt.nregs - next;
     vt.nregs = next;
     freed as u64
@@ -1587,12 +1624,14 @@ fn realloc(vt: &mut VTape) -> u64 {
     // Prelude constants live for the whole buffer lifetime (they are
     // written once, at init), so their registers must never be recycled
     // by body defs. Pinning gives them stable numbers and keeps them off
-    // the free list.
+    // the free list. A parameter's register is pinned too, wherever its
+    // `Const` sits, so that one op defines it.
     for op in &vt.ops[..vt.prelude as usize] {
         if let Some(d) = op.def() {
             pinned[d as usize] = true;
         }
     }
+    vt.params.iter().for_each(|p| pinned[p.reg as usize] = true);
     let mut map: Vec<VReg> = vec![VReg::MAX; n];
     let mut next: VReg = 0;
     // Pinned registers first, in ascending order: consecutive originals
@@ -1657,6 +1696,7 @@ fn realloc(vt: &mut VTape) -> u64 {
             }
         }
     }
+    vt.params.iter_mut().for_each(|p| p.reg = map[p.reg as usize]);
     vt.nregs = next;
     reused
 }

@@ -284,7 +284,8 @@ impl Access<'_> {
     /// Executes a gang's body for its lane blocks `share`; see
     /// [`exec_lanes`]. `regs` is a register bank of the gang's, persistent
     /// since [`crate::tape::broadcast_prelude`] installed the body's
-    /// prelude. Memory stores are queued on `pending`.
+    /// prelude; each lane block first loads its members' parameter values
+    /// over the prelude's. Memory stores are queued on `pending`.
     ///
     /// Nothing here is unchecked: a table entry out of range panics. What
     /// the plan stage's guard adds is that the entries are the ones the
@@ -299,8 +300,11 @@ impl Access<'_> {
     ) {
         let ops = body.narrow.as_ref().expect("a gang's body is in the u64 class");
         let ops = &ops[body.prelude as usize..];
-        for (slots, mems) in gang.lane_blocks().skip(share.start).take(share.len()) {
-            exec_lanes(ops, regs, slots, mems, self, pending);
+        for rows in gang.lane_blocks().skip(share.start).take(share.len()) {
+            for (p, values) in body.params.iter().zip(rows.params.chunks_exact(LANES)) {
+                regs[p.reg as usize] = values.try_into().expect("a row holds LANES values");
+            }
+            exec_lanes(ops, regs, rows.slots, rows.mems, self, pending);
         }
     }
 

@@ -994,6 +994,7 @@ mod tests {
                                 .map(|i| ((i % LANES) * 9 + i / LANES) as u32)
                                 .collect(),
                             mems: (0..LANES as u32).collect(),
+                            params: Vec::new(),
                         };
                         let mut state = PackedState::from_widths(
                             &widths.repeat(LANES),
@@ -1099,6 +1100,26 @@ pub(crate) struct Tape<R = Reg> {
     /// persistent buffer's registers outside the prelude are then dead
     /// between runs. `false` until validated, and on every tape with jumps.
     pub defs_first: bool,
+    /// A block body's parameters (see [`Param`]); empty on every tape an
+    /// engine executes as it stands — an instance's tape has its values
+    /// in their place.
+    pub params: Vec<Param<R>>,
+}
+
+/// A parameter of a block body: a literal whose value differs among the
+/// instances of its shape (`Design::shape_params`). The body loads it with
+/// one `Const` into a register nothing else defines, placeholder value and
+/// all; the optimizer neither folds nor merges it, knowing only its width,
+/// and pins its register, so that each instance's tape is the body with
+/// its own value written into that `Const`, and a gang loads each lane's.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Param<R = Reg> {
+    /// Which of the block's parameter values (`Design::block_params`) it is.
+    pub index: u32,
+    /// The register its `Const` defines.
+    pub reg: R,
+    /// Its width in bits.
+    pub width: u32,
 }
 
 impl<R> Tape<R> {

@@ -108,6 +108,65 @@ fn engines_agree_on_replicated_random_designs() {
     }
 }
 
+/// The instances of one shape per IR block, and the shapes with
+/// parameters among them, by the path suffix of their first block.
+fn shape_census(design: &rustmtl::core::Design) -> (Vec<usize>, Vec<String>) {
+    use rustmtl::core::BlockId;
+    let mut instances = vec![0; design.shapes().len()];
+    for b in 0..design.blocks().len() {
+        if let Some(shape) = design.block_shape(BlockId::from_index(b)) {
+            instances[shape.index()] += 1;
+        }
+    }
+    let leaf = |s: &rustmtl::core::ShapeInfo| {
+        let path = design.block_path(s.first);
+        path.rsplit('.').next().unwrap_or_default().to_string()
+    };
+    let params = design.shapes().iter().filter(|s| s.params > 0).map(leaf).collect();
+    (instances, params)
+}
+
+/// The RTL 16-router mesh's route blocks are one shape — each router's
+/// coordinates its parameters — and so one gang: no block is left to the
+/// residual for want of lanes (`few` = 0), and every shape, 16 or a
+/// multiple of 16 instances on one level, runs as exactly one gang.
+#[test]
+fn rtl_mesh16_route_blocks_form_one_gang_and_none_is_few() {
+    use rustmtl::net::{MeshTrafficHarness, NetLevel};
+
+    let mesh = MeshTrafficHarness::new(NetLevel::Rtl, 16, 300, 5);
+    let sim = Sim::build(&mesh, Engine::SpecializedOpt).expect("mesh elaborates");
+    let rep = sim.opt_report().expect("tape engine with the optimizer on");
+    let (instances, params) = shape_census(sim.design());
+    assert_eq!(params, ["route_comb"], "only the route blocks bake in a router constant");
+    assert!(instances.iter().all(|n| n % 16 == 0), "{instances:?}");
+    let few = rep.refused.iter().find(|r| r.0 == "few").expect("seeded").1;
+    assert_eq!(few, 0, "{:?}", rep.gang_line());
+    let ir_blocks: usize = instances.iter().sum();
+    assert_eq!((rep.gangs, rep.gang_lanes), (instances.len() as u64, ir_blocks as u64));
+    assert_eq!(rep.bodies, instances.len() as u64);
+}
+
+/// A 16-tile synthetic SoC gangs its per-tile bodies: the traffic
+/// generators' blocks, whose ids and seeds are parameters, run as gangs
+/// beside the routers', and the one block left to the residual is the
+/// single `totals` tally.
+#[test]
+fn synthetic_soc16_gangs_its_per_tile_bodies() {
+    use rustmtl::net::NetLevel;
+    use rustmtl::soc::{Soc, SocConfig, SocTraffic};
+
+    let soc = Soc::new(SocConfig::synthetic(16, NetLevel::Rtl, SocTraffic::UniformRandom));
+    let sim = Sim::build(&soc, Engine::SpecializedOpt).expect("SoC elaborates");
+    let rep = sim.opt_report().expect("tape engine with the optimizer on");
+    let (instances, params) = shape_census(sim.design());
+    assert_eq!(params, ["route_comb", "step"], "routers' coordinates, generators' ids and seeds");
+    assert_eq!(instances.iter().filter(|&&n| n == 1).count(), 1, "{instances:?}: one `totals`");
+    let ir_blocks: usize = instances.iter().sum();
+    let counts = (rep.gangs, rep.gang_lanes);
+    assert_eq!(counts, (instances.len() as u64 - 1, ir_blocks as u64 - 1), "{:?}", rep.gang_line());
+}
+
 /// Regression for the `reset()` staleness bug: combinational logic that
 /// reads reset directly must be re-settled after deassertion, so peeks
 /// between `reset()` and the next `cycle()` already see reset low.
