@@ -9,7 +9,7 @@
 //! simulator plays the role of the paper's hand-coded C++/Verilator
 //! baselines.
 //!
-//! The 16 measurements (3 levels × 5 engines + the handwritten baseline)
+//! The 13 measurements (3 levels × 4 engines + the handwritten baseline)
 //! are `mesh_rate` and `handwritten_rate` jobs of the `mtl-serve` kind
 //! catalog (DESIGN.md §10): this binary declares them as a spec, prints
 //! its tables from the report `mtl_bench::run_spec` returns, and writes
@@ -188,10 +188,8 @@ fn main() {
             let harness = mesh_harness(level, NROUTERS, INJECTION);
             let sim =
                 mtl_sim::Sim::build(&harness, Engine::SpecializedOpt).expect("elaboration failed");
-            match sim.opt_report() {
-                Some(rep) => println!("\n[{level} mesh tape-optimizer passes]\n{}", rep.render()),
-                None => println!("\n[{level}] optimizer disabled via MTL_TAPE_OPT; no report"),
-            }
+            let rep = sim.opt_report().expect("specialized-opt with the optimizer on");
+            println!("\n[{level} mesh tape-optimizer passes]\n{}", rep.render());
         }
     }
     let tables = |report: &Json| {

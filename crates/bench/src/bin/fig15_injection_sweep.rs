@@ -6,7 +6,7 @@
 //! fraction of time is spent in specialized code and speedups grow until
 //! the network saturates (the paper's Figure 15 shape).
 //!
-//! The 60 measurement points (2 levels × 6 rates × 5 engines) are
+//! The 48 measurement points (2 levels × 6 rates × 4 engines) are
 //! independent sims, declared as `mesh_rate` jobs of the `mtl-serve`
 //! kind catalog (DESIGN.md §10) and run through `mtl_bench::run_spec`:
 //! sharded across worker threads (`RUSTMTL_JOBS`), panic-isolated, and

@@ -1,13 +1,12 @@
 //! Figure 16: simulator construction overheads.
 //!
 //! Reports per-phase construction time — elaboration (elab), tape code
-//! generation (cgen), Verilog translation + re-parse (veri, RTL
-//! specialization only), IR optimization (comp), wrapper tables (wrap),
-//! and schedule creation (simc) — for 16- and 64-node CL and RTL meshes
-//! under the interpreted and fully specialized engines, mirroring the
-//! paper's Figure 16 rows.
-
-use std::time::Instant;
+//! generation (cgen), IR optimization (comp), wrapper tables (wrap), and
+//! schedule creation (simc) — for 16- and 64-node CL and RTL meshes under
+//! the interpreted and fully specialized engines, mirroring the paper's
+//! Figure 16 rows. The paper's Verilog translate-and-reparse phase (veri)
+//! has no column: the specialized engines compile the elaborated IR, and
+//! no build here simulates a re-parsed design.
 
 use mtl_bench::{banner, mesh_harness, secs, Args};
 use mtl_net::NetLevel;
@@ -17,32 +16,22 @@ fn main() {
     Args::parse(&[], &[]);
     banner("Figure 16: simulator construction overheads (seconds)", "Fig. 16");
     println!(
-        "{:<10} {:>6} {:<16} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8}",
-        "model", "nodes", "engine", "elab", "cgen", "veri", "comp", "wrap", "simc", "total"
+        "{:<10} {:>6} {:<16} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8}",
+        "model", "nodes", "engine", "elab", "cgen", "comp", "wrap", "simc", "total"
     );
     for level in [NetLevel::Cl, NetLevel::Rtl] {
         for nodes in [16usize, 64] {
             for engine in [Engine::Interpreted, Engine::SpecializedOpt] {
-                let mut sim =
+                let sim =
                     Sim::build(&mesh_harness(level, nodes, 300), engine).expect("mesh elaboration");
-                // The RTL specialization path includes the Verilog
-                // translate-and-reparse step (SimJIT-RTL's "veri" phase).
-                if level == NetLevel::Rtl && engine == Engine::SpecializedOpt {
-                    let t0 = Instant::now();
-                    let design = mtl_core::elaborate(&*mtl_net::network(level, nodes, 32)).unwrap();
-                    let verilog = mtl_translate::translate(&design).unwrap();
-                    let _ = mtl_translate::VerilogLibrary::parse(&verilog).unwrap();
-                    sim.overheads_mut().veri = t0.elapsed();
-                }
                 let o = *sim.overheads();
                 println!(
-                    "{:<10} {:>6} {:<16} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8}",
+                    "{:<10} {:>6} {:<16} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8}",
                     level.to_string(),
                     nodes,
                     engine.to_string(),
                     secs(o.elab),
                     secs(o.cgen),
-                    secs(o.veri),
                     secs(o.comp),
                     secs(o.wrap),
                     secs(o.simc),
@@ -52,7 +41,7 @@ fn main() {
         }
     }
     println!(
-        "\nShape checks: specialized engines pay cgen/comp; the RTL path adds veri;\n\
+        "\nShape checks: specialized engines pay cgen/comp;\n\
          overheads grow with design size; interpreted engines only pay elab+simc."
     );
 }

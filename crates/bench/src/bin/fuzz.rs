@@ -1,9 +1,9 @@
 //! Differential fuzzing front end.
 //!
-//! Runs the `mtl-check` five-engine differential fuzzer (six simulator
-//! configurations: every engine, with specialized-par at 1 and 4 worker
-//! threads) over seed-derived random designs and exits non-zero on the
-//! first minimized mismatch.
+//! Runs the `mtl-check` differential fuzzer (six simulator configurations:
+//! the four engines of `Engine::ALL`, plus specialized-par at 1 and 4
+//! worker threads) over seed-derived random designs and exits non-zero on
+//! the first minimized mismatch.
 //!
 //! Usage:
 //!   cargo run -p mtl-bench --release --bin fuzz -- \
@@ -28,11 +28,11 @@
 //! (first-divergence cycle, masked/silent/detected classification, blast
 //! radius). Fault-mode defaults: 25 iterations, 20 cycles, 3 faults/plan.
 //!
-//! With `--batch`, runs the batch differential instead: one
-//! `SpecializedBatch` simulator (`--lanes N` lanes, default 64) against
-//! one scalar `Interpreted` reference per lane, every lane driven with
-//! distinct stimulus, every signal of every lane compared after every
-//! cycle. Mismatches shrink-minimize like the default mode.
+//! With `--batch`, runs the batch differential instead: two
+//! `SpecializedBatch` simulators, tape optimizer off and on (`--lanes N`
+//! lanes, default 64), against one scalar `Interpreted` reference per
+//! lane, every lane driven with distinct stimulus, every signal of every
+//! lane compared after every cycle. Mismatches shrink-minimize like the default mode.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -57,8 +57,12 @@ fn fault_main(seed_arg: Option<u64>, iters_arg: Option<u64>, cycles_arg: Option<
 
     println!(
         "fault differential: {} designs, base seed {}, {} cycles/design, \
-         {} faults/plan, 7 engine configs",
-        cfg.iters, cfg.seed, cfg.cycles, cfg.faults
+         {} faults/plan, {} engine configs",
+        cfg.iters,
+        cfg.seed,
+        cfg.cycles,
+        cfg.faults,
+        mtl_fault::agreement_configs(cfg.cycles).len()
     );
     let t0 = Instant::now();
     let (mut masked, mut silent, mut detected) = (0u64, 0u64, 0u64);
@@ -111,7 +115,7 @@ fn main() -> ExitCode {
     let repro_dir = args.value("--repro-dir").map(PathBuf::from);
 
     let nengines = if cfg.batch_lanes.is_some() {
-        2
+        3
     } else if cfg.opt_diff {
         mtl_check::engines_under_test_opt_diff().len()
     } else {
@@ -120,7 +124,7 @@ fn main() -> ExitCode {
     match cfg.batch_lanes {
         Some(lanes) => println!(
             "differential fuzz (batch lanes): {} iterations, base seed {}, \
-             {} cycles/design, {lanes} lanes vs interpreted references",
+             {} cycles/design, {lanes} lanes, optimizer off and on, vs interpreted references",
             cfg.iters, cfg.seed, cfg.cycles,
         ),
         None => println!(

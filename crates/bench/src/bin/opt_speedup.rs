@@ -31,7 +31,7 @@ use mtl_sweep::Json;
 const NROUTERS: usize = 64;
 const INJECTION: u32 = 300; // near saturation for the 8x8 mesh (fig14 config)
 const LEVELS: [NetLevel; 2] = [NetLevel::Cl, NetLevel::Rtl];
-const ENGINES: [Engine; 3] = [Engine::Specialized, Engine::SpecializedOpt, Engine::SpecializedPar];
+const ENGINES: [Engine; 2] = [Engine::Specialized, Engine::SpecializedOpt];
 
 fn job_name(level: NetLevel, engine: Engine, opt: bool, rep: usize) -> String {
     format!("{level}/{engine}{}#{rep}", if opt { "+opt" } else { "+noopt" })
@@ -109,10 +109,8 @@ fn main() -> ExitCode {
     if args.flag("--dump-passes") {
         let harness = mesh_harness(NetLevel::Rtl, NROUTERS, INJECTION);
         let sim = Sim::build(&harness, Engine::SpecializedOpt).expect("elaboration failed");
-        match sim.opt_report() {
-            Some(rep) => println!("\n{}", rep.render()),
-            None => println!("\n(optimizer disabled via MTL_TAPE_OPT; no pass report)"),
-        }
+        let rep = sim.opt_report().expect("specialized-opt with the optimizer on");
+        println!("\n{}", rep.render());
     }
 
     let mut failed = false;

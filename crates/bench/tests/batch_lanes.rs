@@ -12,7 +12,7 @@
 //! * full 64-lane bundles on randomized RTL,
 //! * the `Switch`-bearing RTL components, whose fused schedules keep jumps
 //!   (lanes taking different arms),
-//! * unoptimized tapes (`tape_opt: Some(false)`),
+//! * unoptimized tapes (`tape_opt: false`),
 //! * [`Sim::divergence_masks`] flagging exactly the diverged lanes,
 //! * per-lane fault injection versus a scalar faulted run, lane by lane,
 //!   with lanes forced, washing and clean on the same cycle;
@@ -206,7 +206,7 @@ fn switch_bearing_components_match_scalar_under_divergent_lanes() {
 fn batch_agrees_with_scalar_when_optimizer_disabled() {
     for seed in [2u64, 5] {
         let comp = RandomRtl::new(seed);
-        let cfg = SimConfig { lanes: Some(7), tape_opt: Some(false), ..SimConfig::default() };
+        let cfg = SimConfig { lanes: Some(7), tape_opt: false, ..SimConfig::default() };
         let mut batch =
             Sim::build_with_config(&comp, Engine::SpecializedBatch, &cfg).expect("elaborates");
         let mut scalars: Vec<Sim> = (0..7)

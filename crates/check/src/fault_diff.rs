@@ -7,8 +7,8 @@
 //! therefore the identical divergence report (first-divergence cycle,
 //! masked/silent/detected classification, blast radius). Each iteration
 //! runs `mtl_fault::engine_agreement` — golden vs. faulted side-by-side on
-//! all five engines, `SpecializedPar` at 1 and 4 threads — and tallies the
-//! outcome taxonomy.
+//! the four engines of `Engine::ALL` plus `SpecializedPar` at 1 and 4
+//! threads — and tallies the outcome taxonomy.
 
 use std::fmt;
 

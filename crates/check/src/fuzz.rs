@@ -1,13 +1,14 @@
-//! Five-engine differential fuzzer.
+//! Engine differential fuzzer.
 //!
 //! A deterministic, seed-driven loop: each iteration derives a design seed
 //! (splitmix64 over the base seed and the iteration index), generates a
-//! [`RandomRtl`] design, and runs it under **six** simulators — all five
-//! engines, with `SpecializedPar` at both 1 and 4 worker threads — driving
-//! identical random stimulus into every one. After every cycle the settled
-//! value of every signal and the logical profile counters (per-block
-//! execution counts and per-net activity, which are a pure function of the
-//! value trace) are compared against the `Interpreted` reference.
+//! [`RandomRtl`] design, and runs it under **six** simulators — the four
+//! engines of [`Engine::ALL`] plus `SpecializedPar` at 1 and 4 worker
+//! threads — driving identical random stimulus into every one. After every
+//! cycle the settled value of every signal and the logical profile
+//! counters (per-block execution counts and per-net activity, which are a
+//! pure function of the value trace) are compared against the
+//! `Interpreted` reference.
 //!
 //! On a mismatch the failing descriptor is [`shrink`]-minimized — drop the
 //! memory write, zero out register and wire expressions, prune
@@ -33,25 +34,25 @@ pub struct EngineSel {
     pub engine: Engine,
     /// Explicit worker-thread count (`SpecializedPar` only).
     pub threads: Option<usize>,
-    /// Tape-optimizer override for this configuration (`None` defers to
-    /// the environment default; tape-free engines ignore it).
-    pub tape_opt: Option<bool>,
+    /// Whether the tape optimizer runs ([`SimConfig::tape_opt`];
+    /// tape-free engines ignore it).
+    pub tape_opt: bool,
 }
 
-/// The six simulator configurations every design runs under: all five
-/// engines, with `SpecializedPar` pinned to 1 and 4 worker threads.
+/// The six simulator configurations every design runs under: the four
+/// engines of [`Engine::ALL`], plus `SpecializedPar` pinned to 1 and 4
+/// worker threads.
 pub fn engines_under_test() -> Vec<EngineSel> {
     let mut sels: Vec<EngineSel> = Engine::ALL
         .iter()
-        .filter(|&&e| e != Engine::SpecializedPar)
-        .map(|&e| EngineSel { label: e.to_string(), engine: e, threads: None, tape_opt: None })
+        .map(|&e| EngineSel { label: e.to_string(), engine: e, threads: None, tape_opt: true })
         .collect();
     for threads in [1usize, 4] {
         sels.push(EngineSel {
             label: format!("{}@{threads}", Engine::SpecializedPar),
             engine: Engine::SpecializedPar,
             threads: Some(threads),
-            tape_opt: None,
+            tape_opt: true,
         });
     }
     sels
@@ -65,7 +66,7 @@ pub fn engines_under_test() -> Vec<EngineSel> {
 pub fn engines_under_test_opt_diff() -> Vec<EngineSel> {
     let mut sels: Vec<EngineSel> = [Engine::Interpreted, Engine::InterpretedOpt]
         .iter()
-        .map(|&e| EngineSel { label: e.to_string(), engine: e, threads: None, tape_opt: None })
+        .map(|&e| EngineSel { label: e.to_string(), engine: e, threads: None, tape_opt: true })
         .collect();
     for (engine, threads) in [
         (Engine::Specialized, None),
@@ -82,7 +83,7 @@ pub fn engines_under_test_opt_diff() -> Vec<EngineSel> {
                 label: format!("{base}{}", if opt { "+opt" } else { "+noopt" }),
                 engine,
                 threads,
-                tape_opt: Some(opt),
+                tape_opt: opt,
             });
         }
     }
@@ -179,10 +180,10 @@ pub struct FuzzConfig {
     /// ([`engines_under_test_opt_diff`]) instead of the default six.
     pub opt_diff: bool,
     /// Run the batch differential instead
-    /// ([`run_differential_batch`]): one `SpecializedBatch` simulator
-    /// with this many lanes, each lane driven with distinct stimulus and
-    /// compared against its own scalar `Interpreted` reference. Clamped
-    /// to `1..=mtl_sim::BATCH_LANES`.
+    /// ([`run_differential_batch`]): two `SpecializedBatch` simulators
+    /// (optimizer off and on) with this many lanes, each lane driven with
+    /// distinct stimulus and compared against its own scalar
+    /// `Interpreted` reference. Clamped to `1..=mtl_sim::BATCH_LANES`.
     pub batch_lanes: Option<u32>,
 }
 
@@ -383,51 +384,52 @@ pub fn run_differential_with(
     None
 }
 
-/// Runs `desc` on one `SpecializedBatch` simulator with `lanes` lanes
-/// against `lanes` scalar `Interpreted` references.
+/// Runs `desc` on two `SpecializedBatch` simulators with `lanes` lanes,
+/// the tape optimizer off and on, against `lanes` scalar `Interpreted`
+/// references.
 ///
 /// Unlike [`run_differential`], every lane receives *distinct* stimulus
 /// (rng stream seeded `desc.seed ^ 0xABCD`, drawn lane-major per input),
 /// so lane-addressing bugs — a value reaching the wrong lane's state —
-/// can't hide behind broadcast inputs. Every signal of every lane is
-/// compared against its reference after every cycle. Profile counters
-/// are not compared (the batch engine profiles lane 0 only).
+/// can't hide behind broadcast inputs. Both optimizer settings matter:
+/// optimized draws if-convert to straight-line tapes, so the unoptimized
+/// simulator (every seq block keeps its reset branch) is the one whose
+/// lanes take different arms. Every signal of every lane is compared
+/// against its reference after every cycle. Profile counters are not
+/// compared (the batch engine profiles lane 0 only).
 pub fn run_differential_batch(desc: &RtlDesc, cycles: u64, lanes: u32) -> Option<Divergence> {
     let lanes = lanes.clamp(1, mtl_sim::BATCH_LANES);
     let comp = RandomRtl::from_desc(desc.clone());
-    let cfg = SimConfig { threads: None, tape_opt: None, lanes: Some(lanes) };
-    let mut batch = match Sim::build_with_config(&comp, Engine::SpecializedBatch, &cfg) {
-        Ok(sim) => sim,
-        Err(e) => {
-            return Some(Divergence {
-                engine: "specialized-batch".into(),
-                cycle: 0,
-                kind: DivergenceKind::Elab(e.to_string()),
-            })
-        }
+    let elab_failure = |engine: &str, e: mtl_core::ElabError| {
+        Some(Divergence {
+            engine: engine.into(),
+            cycle: 0,
+            kind: DivergenceKind::Elab(e.to_string()),
+        })
     };
+    let mut batches: Vec<(&str, Sim)> = Vec::with_capacity(2);
+    for (label, tape_opt) in [("specialized-batch+noopt", false), ("specialized-batch+opt", true)] {
+        let cfg = SimConfig { threads: None, tape_opt, lanes: Some(lanes) };
+        match Sim::build_with_config(&comp, Engine::SpecializedBatch, &cfg) {
+            Ok(sim) => batches.push((label, sim)),
+            Err(e) => return elab_failure(label, e),
+        }
+    }
     let mut refs: Vec<Sim> = Vec::with_capacity(lanes as usize);
     for _ in 0..lanes {
         match Sim::build(&comp, Engine::Interpreted) {
             Ok(sim) => refs.push(sim),
-            Err(e) => {
-                return Some(Divergence {
-                    engine: "interpreted".into(),
-                    cycle: 0,
-                    kind: DivergenceKind::Elab(e.to_string()),
-                })
-            }
+            Err(e) => return elab_failure("interpreted", e),
         }
     }
-    batch.reset();
-    for sim in &mut refs {
+    for sim in batches.iter_mut().map(|(_, sim)| sim).chain(&mut refs) {
         sim.reset();
     }
 
     let inputs = desc.top_inputs();
-    let input_sigs: Vec<mtl_core::SignalId> = {
-        let design = batch.design();
-        inputs
+    let (input_sigs, nsignals) = {
+        let design = refs[0].design();
+        let sigs: Vec<mtl_core::SignalId> = inputs
             .iter()
             .map(|(name, _)| {
                 design
@@ -438,37 +440,40 @@ pub fn run_differential_batch(desc: &RtlDesc, cycles: u64, lanes: u32) -> Option
                     .map(|(i, _)| mtl_core::SignalId::from_index(i))
                     .expect("generated input port exists at top level")
             })
-            .collect()
+            .collect();
+        (sigs, design.signals().len())
     };
-    let nsignals = batch.design().signals().len();
     let mut rng = Rng((desc.seed ^ 0xABCD).max(1));
     for cycle in 0..cycles {
         for (k, (name, w)) in inputs.iter().enumerate() {
             for lane in 0..lanes {
                 let v = Bits::new(*w, rng.bits128());
-                batch.poke_lane(lane, input_sigs[k], v);
+                for (_, batch) in &mut batches {
+                    batch.poke_lane(lane, input_sigs[k], v);
+                }
                 refs[lane as usize].poke_port(name, v);
             }
         }
-        batch.cycle();
-        for sim in &mut refs {
+        for sim in batches.iter_mut().map(|(_, sim)| sim).chain(&mut refs) {
             sim.cycle();
         }
         for si in 0..nsignals {
             let sig = mtl_core::SignalId::from_index(si);
             for lane in 0..lanes {
                 let expected = refs[lane as usize].peek(sig);
-                let got = batch.peek_lane(lane, sig);
-                if got != expected {
-                    return Some(Divergence {
-                        engine: format!("specialized-batch@lane{lane}"),
-                        cycle,
-                        kind: DivergenceKind::Value {
-                            signal: batch.design().signal_path(sig),
-                            expected,
-                            got,
-                        },
-                    });
+                for (label, batch) in &batches {
+                    let got = batch.peek_lane(lane, sig);
+                    if got != expected {
+                        return Some(Divergence {
+                            engine: format!("{label}@lane{lane}"),
+                            cycle,
+                            kind: DivergenceKind::Value {
+                                signal: batch.design().signal_path(sig),
+                                expected,
+                                got,
+                            },
+                        });
+                    }
                 }
             }
         }
@@ -851,7 +856,7 @@ pub fn fuzz(cfg: &FuzzConfig) -> Result<FuzzSummary, Box<FuzzFailure>> {
         }
     }
     let engines = if cfg.batch_lanes.is_some() {
-        2 // specialized-batch vs its per-lane interpreted references
+        3 // specialized-batch, optimizer off and on, vs per-lane interpreted references
     } else if cfg.opt_diff {
         engines_under_test_opt_diff().len()
     } else {

@@ -1,4 +1,4 @@
-//! Verification tools for RustMTL: the design linter and the five-engine
+//! Verification tools for RustMTL: the design linter and the engine
 //! differential fuzzer.
 //!
 //! The paper's model/tool split makes every analysis a consumer of the
@@ -9,14 +9,13 @@
 //! * **Linter** — [`lint`] reports structured [`Diagnostic`]s (cycles,
 //!   multiple drivers, width mismatches, mixed seq/comb drivers, dead
 //!   interface signals) with exact hierarchical signal paths. The analysis
-//!   itself lives in `mtl-core` (so the simulator's `MTL_LINT` gate can
-//!   call it without a dependency cycle); this crate re-exports it as the
-//!   tool-facing API next to [`elaborate_unchecked`], the lenient
+//!   itself lives in `mtl-core`, next to the IR it walks; this crate
+//!   re-exports it as the tool-facing API next to [`elaborate_unchecked`], the lenient
 //!   elaboration entry point that preserves defective designs for
 //!   diagnosis.
 //! * **Differential fuzzer** — [`fuzz`] generates seeded [`RandomRtl`]
-//!   designs and runs each under all five engines (`SpecializedPar` at 1
-//!   and 4 threads), comparing settled values and logical profile counts
+//!   designs and runs each under the four engines of `Engine::ALL` plus
+//!   `SpecializedPar` at 1 and 4 threads, comparing settled values and logical profile counts
 //!   cycle-by-cycle; mismatches are shrunk ([`shrink`]) and reported as
 //!   ready-to-paste Rust reproducers (written durably with
 //!   [`write_repro_atomic`]).

@@ -66,14 +66,15 @@ pub struct DiffConfig {
     /// Engine every lane runs on ([`Engine::SpecializedBatch`]: one lane
     /// simulator for the whole set).
     pub engine: Engine,
-    /// `SpecializedPar` worker count (`None`: engine default).
+    /// `SpecializedPar` worker count ([`SimConfig::threads`]; `None`:
+    /// one thread, no pool). Other engines ignore it.
     pub threads: Option<usize>,
     /// Observation window: cycles simulated after `reset()`.
     pub cycles: u64,
 }
 
 impl DiffConfig {
-    /// A window of `cycles` on the given engine with default threading.
+    /// A window of `cycles` on the given engine, on one thread.
     pub fn new(engine: Engine, cycles: u64) -> DiffConfig {
         DiffConfig { engine, threads: None, cycles }
     }
@@ -426,10 +427,9 @@ pub fn run_diff_batch_shared(
     run_diffs(top, plans, &cfg, Some((cache, key)), false)
 }
 
-/// The simulator configurations [`engine_agreement`] runs: all five
-/// engines, with `SpecializedPar` additionally pinned to 1 and 4 worker
-/// threads (the partitioned double-buffered paths must agree at every
-/// width).
+/// The simulator configurations [`engine_agreement`] runs: the four
+/// engines of [`Engine::ALL`], plus `SpecializedPar` pinned to 1 and 4
+/// worker threads (the pooled path must agree at every width).
 pub fn agreement_configs(cycles: u64) -> Vec<DiffConfig> {
     let mut cfgs: Vec<DiffConfig> =
         Engine::ALL.iter().map(|&e| DiffConfig::new(e, cycles)).collect();

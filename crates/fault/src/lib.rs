@@ -7,8 +7,8 @@
 //! — schedules transient bit-flips and stuck-at-0/1 faults on named nets
 //! and sequential state at chosen cycles. Injection itself lives in
 //! `mtl-sim` as a post-settle/pre-edge hook ([`mtl_sim::Sim::inject`])
-//! driven through engine-agnostic primitives, so all five engines
-//! produce byte-identical faulty traces for the same plan.
+//! driven through engine-agnostic primitives, so every engine produces
+//! byte-identical faulty traces for the same plan.
 //!
 //! On top of the plan vocabulary this crate provides the differential
 //! runner, one driver over two lane sets: [`run_diffs`] simulates one

@@ -306,12 +306,11 @@ pub fn campaign_from_spec(
 
 /// Derives the journal-identity engine string for a spec: the distinct
 /// engines its jobs run under (explicit `engine` fields, else each
-/// kind's default from the catalog), sorted, plus the sim-thread
-/// budget. Resuming the same campaign under a different engine or
-/// thread count then invalidates the journal instead of silently
-/// replaying results measured elsewhere. Deliberately derived from the
-/// *spec*, not runtime state, so identical submissions across restarts
-/// produce identical strings.
+/// kind's default from the catalog), sorted and joined with `+`.
+/// Resuming the same campaign under a different engine then invalidates
+/// the journal instead of silently replaying results measured
+/// elsewhere. Derived from the *spec* alone, so identical submissions
+/// across restarts produce identical strings.
 fn engine_config_of(jobs: &[Json]) -> String {
     let mut engines: Vec<String> = jobs
         .iter()
@@ -322,18 +321,7 @@ fn engine_config_of(jobs: &[Json]) -> String {
         .collect();
     engines.sort();
     engines.dedup();
-    // Snapshot the thread budget once per process: `Campaign::run` pins
-    // `MTL_SIM_THREADS` lazily mid-run (to a worker-derived value), so a
-    // live read here would make the second spec parse of a process see a
-    // different string than the first and spuriously invalidate the
-    // journal. The daemon pins the variable in `Scheduler::new`, before
-    // any parse, so its snapshot is the pinned value across restarts; a
-    // bench bin parses before it runs, so its snapshot is the caller's
-    // environment on every invocation of the same command line.
-    static THREADS: std::sync::OnceLock<String> = std::sync::OnceLock::new();
-    let threads = THREADS
-        .get_or_init(|| std::env::var("MTL_SIM_THREADS").unwrap_or_else(|_| "auto".to_string()));
-    format!("{} threads={threads}", engines.join("+"))
+    engines.join("+")
 }
 
 /// Instantiates one job from the kind catalog.
@@ -546,7 +534,7 @@ fn engine_rate_job(f: Fields, _: &Arc<ArtifactCache>) -> Result<Job, String> {
     let engine = f.engine()?;
     let tape_opt = f.bool("tape_opt")?;
     let profile = f.bool("profile")?.unwrap_or(false);
-    let cfg = SimConfig { tape_opt, ..SimConfig::default() };
+    let cfg = SimConfig { tape_opt: tape_opt.unwrap_or(true), ..SimConfig::default() };
     let job = f
         .job(move |ctx| {
             let harness = MeshTrafficHarness::new(p.level, p.nrouters, p.injection, TRAFFIC_SEED);

@@ -72,16 +72,8 @@ pub struct Scheduler {
 
 impl Scheduler {
     /// Starts `workers` pool threads sharing `artifacts`.
-    ///
-    /// Like `Campaign::run`, sets `MTL_SIM_THREADS` (if unset) to divide
-    /// the machine among the workers, so jobs building `specialized-par`
-    /// simulators don't oversubscribe.
     pub fn new(workers: usize, artifacts: Arc<ArtifactCache>) -> Scheduler {
         let workers = workers.max(1);
-        if std::env::var_os("MTL_SIM_THREADS").is_none() {
-            let hw = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-            std::env::set_var("MTL_SIM_THREADS", (hw / workers).max(1).to_string());
-        }
         let shared = Arc::new(Shared {
             state: Mutex::new(State::default()),
             work: Condvar::new(),

@@ -6,9 +6,10 @@ use std::time::Duration;
 /// Wall-clock time spent in each simulator-construction phase.
 ///
 /// Mirrors the columns of the paper's Figure 16: elaboration (`elab`), code
-/// generation (`cgen`), Verilog translation + re-parse (`veri`, RTL
-/// specialization only), tape optimization (`comp`), wrapper table
-/// construction (`wrap`), and simulator/schedule creation (`simc`).
+/// generation (`cgen`), tape optimization (`comp`), wrapper table
+/// construction (`wrap`), and simulator/schedule creation (`simc`). The
+/// paper's Verilog translate-and-reparse phase has no field: no build
+/// simulates a re-parsed design.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Overheads {
     /// Component elaboration into a `Design`.
@@ -16,9 +17,6 @@ pub struct Overheads {
     /// IR-to-tape code generation and the tape optimizer, once per block
     /// shape, plus relocating each block's copy.
     pub cgen: Duration,
-    /// Verilog emission and re-parsing (set by the caller when the
-    /// translate-round-trip path is used; zero otherwise).
-    pub veri: Duration,
     /// IR optimization: constant folding of each block shape's first
     /// instance (the one a shape compiles; every later instance is a
     /// relocated copy), so Figure 16 keeps a `comp` column. The tape
@@ -33,7 +31,7 @@ pub struct Overheads {
 impl Overheads {
     /// Total overhead across all phases.
     pub fn total(&self) -> Duration {
-        self.elab + self.cgen + self.veri + self.comp + self.wrap + self.simc
+        self.elab + self.cgen + self.comp + self.wrap + self.simc
     }
 }
 
@@ -41,10 +39,9 @@ impl fmt::Display for Overheads {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "elab {:.3}s cgen {:.3}s veri {:.3}s comp {:.3}s wrap {:.3}s simc {:.3}s total {:.3}s",
+            "elab {:.3}s cgen {:.3}s comp {:.3}s wrap {:.3}s simc {:.3}s total {:.3}s",
             self.elab.as_secs_f64(),
             self.cgen.as_secs_f64(),
-            self.veri.as_secs_f64(),
             self.comp.as_secs_f64(),
             self.wrap.as_secs_f64(),
             self.simc.as_secs_f64(),
@@ -62,12 +59,11 @@ mod tests {
         let o = Overheads {
             elab: Duration::from_millis(1),
             cgen: Duration::from_millis(2),
-            veri: Duration::from_millis(3),
             comp: Duration::from_millis(4),
             wrap: Duration::from_millis(5),
             simc: Duration::from_millis(6),
         };
-        assert_eq!(o.total(), Duration::from_millis(21));
-        assert!(o.to_string().contains("total 0.021s"));
+        assert_eq!(o.total(), Duration::from_millis(18));
+        assert!(o.to_string().contains("total 0.018s"));
     }
 }

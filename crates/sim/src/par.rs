@@ -20,34 +20,17 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-/// The most workers one simulator runs, whatever `MTL_SIM_THREADS` or
-/// [`SimConfig::threads`](crate::SimConfig::threads) ask for: a worker is
+/// The most workers one simulator runs, whatever
+/// [`SimConfig::threads`](crate::SimConfig::threads) asks for: a worker is
 /// an OS thread, and 64 is several times any host this engine has been
 /// measured on. A constant, not a knob.
 const MAX_THREADS: usize = 64;
 
-/// The one place a worker count is decided: the explicit request
-/// ([`SimConfig::threads`](crate::SimConfig::threads)) if there is one,
-/// else the environment, else the host — always within
-/// `1..=`[`MAX_THREADS`].
-pub(crate) fn resolve_threads(requested: Option<usize>) -> usize {
-    let from_env = || {
-        if let Ok(s) = std::env::var("MTL_SIM_THREADS") {
-            match s.trim().parse::<usize>() {
-                Ok(n) => return n,
-                Err(_) => {
-                    // A typo never silently changes semantics: say what was
-                    // ignored rather than quietly falling back.
-                    eprintln!(
-                        "mtl-sim: unrecognized MTL_SIM_THREADS={s} \
-                         (expected a positive integer); using default"
-                    );
-                }
-            }
-        }
-        available_cores().min(8)
-    };
-    requested.unwrap_or_else(from_env).clamp(1, MAX_THREADS)
+/// The one place a worker count is decided:
+/// [`SimConfig::threads`](crate::SimConfig::threads) within
+/// `1..=`[`MAX_THREADS`], and one (no pool) when it names none.
+pub(crate) fn clamp_threads(requested: Option<usize>) -> usize {
+    requested.unwrap_or(1).clamp(1, MAX_THREADS)
 }
 
 fn available_cores() -> usize {

@@ -19,7 +19,9 @@ use crate::tape::mask_of;
 use crate::tape_engine::TapeEngine;
 
 /// Simulation engine selection; see `DESIGN.md` for the mapping onto the
-/// paper's CPython / PyPy / SimJIT / SimJIT+PyPy regimes.
+/// paper's CPython / PyPy / SimJIT / SimJIT+PyPy regimes. Those four are
+/// [`Engine::ALL`]; the other two run `SpecializedOpt`'s plans on a
+/// worker pool or over trial lanes, sized by [`SimConfig`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Engine {
     /// Event-driven tree-walking simulator with hash-map value storage and
@@ -39,11 +41,10 @@ pub enum Engine {
     /// fused tapes, native blocks and the commit stay on the calling
     /// thread. Cycle-exact with `SpecializedOpt` by construction: the
     /// lanes of a gang are independent, so it does not matter which thread
-    /// runs which. The thread count comes from [`SimConfig::threads`] or
-    /// `MTL_SIM_THREADS` (default: available cores, capped at 8) and is
-    /// clamped to `1..=64`; a simulator asked for one thread, or whose
-    /// plans hold no gang of two or more lane blocks, spawns no thread and
-    /// simply is `SpecializedOpt`.
+    /// runs which. The thread count comes from [`SimConfig::threads`]
+    /// alone and is clamped to `1..=64`; a simulator given no count or one
+    /// thread, or whose plans hold no gang of two or more lane blocks,
+    /// spawns no thread and simply is `SpecializedOpt`.
     SpecializedPar,
     /// Batch engine: up to 64 independent trial *lanes* in one simulator,
     /// each a packed state run by the `SpecializedOpt` executor over the
@@ -60,18 +61,14 @@ pub enum Engine {
 }
 
 impl Engine {
-    /// The five scalar engines, in increasing order of specialization.
-    /// [`Engine::SpecializedBatch`] is deliberately excluded: it is
-    /// lane-parallel and opt-in (no native-block support), while every
-    /// `ALL` consumer iterates single-lane engines over arbitrary
-    /// designs.
-    pub const ALL: [Engine; 5] = [
-        Engine::Interpreted,
-        Engine::InterpretedOpt,
-        Engine::Specialized,
-        Engine::SpecializedOpt,
-        Engine::SpecializedPar,
-    ];
+    /// The paper's four engines (CPython, PyPy, SimJIT and SimJIT+PyPy
+    /// analogs), in increasing order of specialization: the set every
+    /// figure and engine-generic test iterates. [`Engine::SpecializedPar`]
+    /// is left out because without an explicit [`SimConfig::threads`] it
+    /// is [`Engine::SpecializedOpt`]; [`Engine::SpecializedBatch`] because
+    /// it is lane-parallel and opt-in (no native-block support).
+    pub const ALL: [Engine; 4] =
+        [Engine::Interpreted, Engine::InterpretedOpt, Engine::Specialized, Engine::SpecializedOpt];
 }
 
 /// The one engine name table, read by both [`Display`](std::fmt::Display)
@@ -102,23 +99,22 @@ impl std::str::FromStr for Engine {
     }
 }
 
-/// Construction-time simulator configuration.
-#[derive(Debug, Clone, Default)]
+/// Construction-time simulator configuration. Every setting that changes
+/// what a simulator computes or how it runs is a field here, visible at
+/// the call site; the simulator reads no environment.
+#[derive(Debug, Clone)]
 pub struct SimConfig {
     /// Worker-thread count for [`Engine::SpecializedPar`] (including the
-    /// calling thread; `1` means no pool: the engine then runs exactly as
-    /// [`Engine::SpecializedOpt`]). `None` defers to the `MTL_SIM_THREADS`
-    /// environment variable, falling back to available parallelism capped
-    /// at 8. Either way the count is clamped to `1..=64` — the ceiling is
-    /// a constant of the engine, not a knob — and no more workers run than
-    /// the widest gang has lane blocks. Other engines ignore it.
+    /// calling thread). `None` or `1` means no pool: the engine then runs
+    /// exactly as [`Engine::SpecializedOpt`]. The count is clamped to
+    /// `1..=64` — the ceiling is a constant of the engine, not a knob —
+    /// and no more workers run than the widest gang has lane blocks.
+    /// Other engines ignore it.
     pub threads: Option<usize>,
     /// Whether the tape engines run the optimizer pass pipeline
-    /// ([`crate::passes`]) over compiled tapes. `None` defers to the
-    /// `MTL_TAPE_OPT` environment variable (`0`/`off`/`false`/`no`
-    /// disables), defaulting to enabled. The interpreters compile no
-    /// tapes and ignore it.
-    pub tape_opt: Option<bool>,
+    /// ([`crate::passes`]) over compiled tapes; on by default. The
+    /// interpreters compile no tapes and ignore it.
+    pub tape_opt: bool,
     /// Lane count for [`Engine::SpecializedBatch`], clamped to `1..=64`.
     /// `None` means 64 lanes. Only lane 0 and the lanes that currently
     /// differ from it hold a packed state and run (the others follow lane
@@ -127,30 +123,13 @@ pub struct SimConfig {
     pub lanes: Option<u32>,
 }
 
-impl SimConfig {
-    /// Resolves [`SimConfig::tape_opt`] against the environment.
-    ///
-    /// `MTL_TAPE_OPT` is parsed case-insensitively (so `OFF` and `off`
-    /// both disable the optimizer) and an unrecognized value prints a
-    /// note and leaves the optimizer on — a typo never silently changes
-    /// semantics (the same rule as the `MTL_LINT` gate).
-    pub fn tape_opt_enabled(&self) -> bool {
-        self.tape_opt.unwrap_or_else(|| match std::env::var("MTL_TAPE_OPT") {
-            Err(_) => true,
-            Ok(s) => match s.trim().to_ascii_lowercase().as_str() {
-                "0" | "off" | "false" | "no" => false,
-                "" | "1" | "on" | "true" | "yes" => true,
-                _ => {
-                    eprintln!(
-                        "mtl-sim: unrecognized MTL_TAPE_OPT={s} \
-                         (expected 0|off|false|no or 1|on|true|yes); optimizer on"
-                    );
-                    true
-                }
-            },
-        })
+impl Default for SimConfig {
+    fn default() -> SimConfig {
+        SimConfig { threads: None, tape_opt: true, lanes: None }
     }
+}
 
+impl SimConfig {
     /// Resolves [`SimConfig::lanes`] to the lane count (1..=64).
     pub fn batch_lanes(&self) -> u32 {
         self.lanes.map_or(crate::batch::LANES, |n| n.clamp(1, crate::batch::LANES))
@@ -529,37 +508,6 @@ pub struct Sim {
     fault_totals: Vec<(u64, u64)>,
 }
 
-/// The `MTL_LINT` gate run at simulator construction.
-///
-/// * `MTL_LINT=deny` — print every diagnostic to stderr and panic if any
-///   has [`Severity::Error`].
-/// * `MTL_LINT=warn` — print every diagnostic to stderr and continue.
-/// * `MTL_LINT=off` or unset — do nothing (zero overhead).
-///
-/// The value is trimmed and matched case-insensitively (the rule
-/// `MTL_TAPE_OPT` and `MTL_SIM_THREADS` follow). An unrecognized value
-/// prints a note and behaves like `off`, so a typo in a CI environment
-/// never silently changes simulation semantics.
-fn lint_gate(design: &Design) {
-    let mode = std::env::var("MTL_LINT").unwrap_or_default().trim().to_ascii_lowercase();
-    match mode.as_str() {
-        "deny" | "warn" => {}
-        "" | "off" => return,
-        other => {
-            eprintln!("mtl-lint: unrecognized MTL_LINT={other} (expected deny|warn|off); lint off");
-            return;
-        }
-    }
-    let diags = mtl_core::lint(design);
-    for d in &diags {
-        eprintln!("mtl-lint: {d}");
-    }
-    if mode == "deny" {
-        let errors = diags.iter().filter(|d| d.severity == mtl_core::Severity::Error).count();
-        assert!(errors == 0, "MTL_LINT=deny: {errors} lint error(s) in design (see stderr)");
-    }
-}
-
 impl Sim {
     /// Elaborates a component and constructs a simulator, recording the
     /// elaboration time in [`Sim::overheads`].
@@ -583,7 +531,6 @@ impl Sim {
     /// worker-thread count, the tape-optimizer switch and the
     /// `SpecializedBatch` lane count (see [`SimConfig`]).
     pub fn with_config(design: Design, engine: Engine, cfg: &SimConfig) -> Sim {
-        lint_gate(&design);
         Sim::assemble(Arc::new(design), engine, cfg, None, Overheads::default())
     }
 
@@ -600,8 +547,7 @@ impl Sim {
         shared: Option<(&ArtifactCache, u64)>,
         o: &mut Overheads,
     ) -> Box<dyn EngineImpl> {
-        let mut staged =
-            |need| crate::compile::staged(design, cfg.tape_opt_enabled(), need, shared, o);
+        let mut staged = |need| crate::compile::staged(design, cfg.tape_opt, need, shared, o);
         let design = design.clone();
         match engine {
             Engine::Interpreted => {
@@ -620,7 +566,7 @@ impl Sim {
             }
             Engine::SpecializedPar => {
                 let s = staged(Layer::Plans);
-                let threads = crate::par::resolve_threads(cfg.threads);
+                let threads = crate::par::clamp_threads(cfg.threads);
                 Box::new(TapeEngine::new(design, natives, false, threads, &s, o))
             }
             Engine::SpecializedBatch => {
@@ -693,7 +639,6 @@ impl Sim {
         let t0 = Instant::now();
         let staged = cache.get_or_build(key, Layer::Design, None, |_| {
             let design = mtl_core::elaborate(top)?;
-            lint_gate(&design);
             Ok(Staged { design: Some(Arc::new(design)), ..Staged::default() })
         })?;
         let design = staged.design.expect("get_or_build returns the requested layer");
@@ -701,8 +646,7 @@ impl Sim {
         Ok(Sim::assemble(design, engine, cfg, Some((cache, key)), overheads))
     }
 
-    /// [`Sim::build`] with explicit configuration (e.g. a fixed
-    /// `SpecializedPar` thread count, independent of `MTL_SIM_THREADS`).
+    /// [`Sim::build`] with explicit configuration (see [`SimConfig`]).
     ///
     /// # Errors
     ///
@@ -733,12 +677,6 @@ impl Sim {
     /// Per-phase construction overheads (the paper's Fig. 16 columns).
     pub fn overheads(&self) -> &Overheads {
         &self.overheads
-    }
-
-    /// Mutable access to the overhead record, so callers can add externally
-    /// measured phases (e.g. the `veri` translate-round-trip time).
-    pub fn overheads_mut(&mut self) -> &mut Overheads {
-        &mut self.overheads
     }
 
     /// Per-pass tape-optimizer statistics from construction (the

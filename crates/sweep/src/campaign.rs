@@ -121,8 +121,8 @@ impl Campaign {
     }
 
     /// Declares the engine configuration this campaign's jobs run under
-    /// (engine kind plus thread/lane count, e.g. `"specialized-batch
-    /// threads=4"`). It becomes part of the checkpoint journal's
+    /// (e.g. `"specialized-batch"`, or several engines joined with `+`).
+    /// It becomes part of the checkpoint journal's
     /// identity header: resuming the same campaign under a *different*
     /// engine config starts the journal over instead of replaying
     /// timing metrics measured on another engine.
@@ -255,17 +255,6 @@ impl Campaign {
     /// watchdog-killed jobs `timed_out` entries.
     pub fn run(self) -> CampaignReport {
         let workers = self.resolve_workers(self.jobs.len());
-        // Nested-parallelism budget: jobs may build `specialized-par`
-        // simulators, which size their thread pools from
-        // `MTL_SIM_THREADS`. With several campaign shards each spawning
-        // its own simulator workers the machine oversubscribes, so unless
-        // the user pinned a count we divide the cores among the shards.
-        // (The variable stays set for the process — deliberate, so every
-        // shard of this and subsequent runs sees the same budget.)
-        if std::env::var_os("MTL_SIM_THREADS").is_none() {
-            let hw = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-            std::env::set_var("MTL_SIM_THREADS", (hw / workers).max(1).to_string());
-        }
         let prepared = self.prepare();
         let progress = Progress::new(prepared.total());
         for report in prepared.slots.iter().flatten() {

@@ -47,18 +47,14 @@ enum Attempt {
 }
 
 /// Runs the closure once with panic isolation and the fault hooks (the
-/// env-var test hooks plus the installed [`chaos`] policy). Runs
+/// env-var hang hook plus the installed [`chaos`] policy). Runs
 /// inline; the caller decides whether to wrap a watchdog around it.
 fn run_attempt_inline(run: &JobFn, name: &str, attempt: u32, ctx: &JobCtx) -> Attempt {
     match catch_unwind(AssertUnwindSafe(|| {
-        // Fault-injection hooks for exercising the robustness paths end
-        // to end (see tests/resilience.rs and scripts/ci/45_fault.sh):
-        // panic or hang any job whose name matches the pattern.
-        if let Ok(pat) = std::env::var("RUSTMTL_SWEEP_INJECT_PANIC") {
-            if !pat.is_empty() && name.contains(&pat) {
-                panic!("injected panic (RUSTMTL_SWEEP_INJECT_PANIC={pat})");
-            }
-        }
+        // Fault-injection hook for exercising the watchdog across process
+        // boundaries (scripts/ci/45_fault.sh): hang any job whose name
+        // matches the pattern. In-process panics come from the chaos
+        // policy's `panic_on`.
         if let Ok(pat) = std::env::var("RUSTMTL_SWEEP_INJECT_HANG") {
             if !pat.is_empty() && name.contains(&pat) {
                 loop {

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # CI stage 0 — static checks: formatting, clippy with warnings denied,
-# rustdoc with warnings denied, a duplicate-dependency gate and the
-# `unsafe` ratchet. Fast, no test execution; this is the first tier of the
+# rustdoc with warnings denied, a duplicate-dependency gate, the `unsafe`
+# ratchet and the environment ratchet. Fast, no test execution; this is the first tier of the
 # CI gate.
 . "$(dirname "$0")/lib.sh"
 ci_stage static
@@ -44,4 +44,13 @@ if [ "$unsafe_now" -gt "$unsafe_max" ]; then
 elif [ "$unsafe_now" -lt "$unsafe_max" ]; then
     echo "note: $unsafe_now \`unsafe\` mentions, below the ratchet's $unsafe_max:" \
         "lower unsafe_max in $0 (and the figure in ROADMAP.md) to keep the gain"
+fi
+
+# A simulator and a design are configured by arguments alone (`SimConfig`,
+# the component's parameters): nothing under mtl-sim or mtl-core reads or
+# writes the process environment. The limit is zero.
+echo "== static: environment ratchet (crates/sim/src, crates/core/src)"
+if grep -rn "std::env" crates/sim/src crates/core/src; then
+    echo "FAIL: \`std::env\` under crates/sim/src or crates/core/src, the ratchet allows none"
+    exit 1
 fi

@@ -2,15 +2,16 @@
 # CI stage 2.5 — batch engine gate. Two checks:
 #
 #   1. Batch differential fuzz: seed-pinned random RTL designs, each run
-#      on one SpecializedBatch simulator (64 lanes, distinct stimulus
-#      per lane) against a scalar Interpreted reference per lane,
-#      comparing every signal of every lane after every cycle. A value
-#      reaching the wrong lane's state fails here. Run twice: optimized
-#      draws if-convert to straight-line tapes, so the MTL_TAPE_OPT=0
-#      leg (every seq block keeps its reset branch) is the one where
-#      lanes take different arms. One draw in sixteen is a design
-#      instantiated 16–40 times under a shell, so the plans every lane
-#      runs hold gangs.
+#      on two SpecializedBatch simulators (64 lanes, distinct stimulus
+#      per lane), tape optimizer off and on, against a scalar
+#      Interpreted reference per lane, comparing every signal of every
+#      lane after every cycle. A value reaching the wrong lane's state
+#      fails here. Both settings matter: optimized draws if-convert to
+#      straight-line tapes, so the unoptimized simulator (every seq
+#      block keeps its reset branch) is the one where lanes take
+#      different arms. One draw in sixteen is a design instantiated
+#      16–40 times under a shell, so the plans every lane runs hold
+#      gangs.
 #   2. Batch fault-campaign throughput smoke: fault_sweep --smoke runs
 #      its mesh4/rtl-ir batch bundle (batch lane reports are
 #      cross-checked against scalar run_diff inside the job) and
@@ -24,11 +25,8 @@
 . "$(dirname "$0")/lib.sh"
 ci_stage batch
 
-echo "== batch fuzz: 120 iterations, seed 7, 64 lanes vs interpreted references"
+echo "== batch fuzz: 120 iterations, seed 7, 64 lanes, optimizer off and on, vs interpreted references"
 cargo run -p mtl-bench --release --bin fuzz -- --batch --iters 120 --seed 7
-
-echo "== batch fuzz, optimizer off: the same draws with their jumps kept (lane mask)"
-MTL_TAPE_OPT=0 cargo run -p mtl-bench --release --bin fuzz -- --batch --iters 120 --seed 7
 
 echo "== batch throughput smoke: batch bundle must not lose to scalar run_diff"
 rm -f target/sweep-journal/ci_batch_smoke.jsonl

@@ -4,8 +4,8 @@
 #   (a) seed-pinned fault-differential fuzz: seeded random fault plans on
 #       random RTL designs must produce byte-identical faulty traces and
 #       identical masked/silent/detected reports on every engine
-#       configuration (all five engines + specialized-par at 1/4
-#       threads); then the pinned-report test, which holds full
+#       configuration (the four engines of Engine::ALL + specialized-par
+#       at 1/4 threads); then the pinned-report test, which holds full
 #       run_diff reports (trace fingerprint included) to literals, so a
 #       change to the fingerprint's fold fails this stage even when every
 #       engine changes alike; then the cone-settle differential: on
@@ -35,7 +35,7 @@
 . "$(dirname "$0")/lib.sh"
 ci_stage fault
 
-echo "== fault fuzz: 15 iterations, seed 7 (7 engine configs must agree)"
+echo "== fault fuzz: 15 iterations, seed 7 (6 engine configs must agree)"
 cargo run -p mtl-bench --release --bin fuzz -- --fault --iters 15 --seed 7
 
 echo "== pinned fault reports: the trace fingerprint's definition"

@@ -13,6 +13,6 @@ echo "== profiled smoke campaign: fig13 --smoke --profile (writes BENCH_fig13.js
 RUSTMTL_BENCH_DIR="${RUSTMTL_BENCH_DIR:-target}" \
     cargo run -p mtl-bench --bin fig13_lod --release -- --smoke --profile
 
-echo "== parallel smoke campaign: fig14 --smoke (all five engine series)"
+echo "== parallel smoke campaign: fig14 --smoke (all four engine series)"
 RUSTMTL_BENCH_DIR="${RUSTMTL_BENCH_DIR:-target}" \
     cargo run -p mtl-bench --bin fig14_mesh_speedup --release -- --smoke

@@ -14,7 +14,7 @@
 #       live daemon — one job catalog, two transports. soc_sweep's smoke
 #       set includes the 1 024-tile RTL SoC, so the daemon also builds,
 #       drains and checks a 32×32 design. fig14_mesh_speedup --smoke
-#       runs its 16 rate jobs both ways: the rates differ, so the two
+#       runs its 13 rate jobs both ways: the rates differ, so the two
 #       BENCH_fig14.json files must agree on each job's name, params
 #       and outcome.
 #
@@ -158,14 +158,14 @@ for mode in local served; do
     jobs_of "$DIR/fig14-$mode/BENCH_fig14.json" > "$DIR/fig14.$mode"
     n=$(wc -l < "$DIR/fig14.$mode")
     done=$(grep -c '"outcome": "done"' "$DIR/fig14.$mode" || true)
-    [ "$n" -eq 16 ] && [ "$done" -eq 16 ] || {
-        echo "FAIL: fig14 $mode report holds $n jobs, $done done; want 16 and 16"; exit 1; }
+    [ "$n" -eq 13 ] && [ "$done" -eq 13 ] || {
+        echo "FAIL: fig14 $mode report holds $n jobs, $done done; want 13 and 13"; exit 1; }
     grep -q '"name": "handwritten"' "$DIR/fig14.$mode" || {
         echo "FAIL: fig14 $mode report has no handwritten job"; exit 1; }
 done
 diff "$DIR/fig14.local" "$DIR/fig14.served" || {
     echo "FAIL: fig14 --serve ran other jobs than the in-process run"; exit 1; }
-echo "   fig14_mesh_speedup: 16 jobs, names, params and outcomes identical"
+echo "   fig14_mesh_speedup: 13 jobs, names, params and outcomes identical"
 
 "$BIN" shutdown --socket "$SOCK"
 wait "$DAEMON" 2>/dev/null || true

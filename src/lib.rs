@@ -15,7 +15,7 @@
 //! * [`eda`] — analytical area/energy/timing estimation
 //! * [`sweep`] — parallel simulation campaigns (sharded execution,
 //!   result caching, JSON reports)
-//! * [`check`] — the design linter and the five-engine differential
+//! * [`check`] — the design linter and the engine differential
 //!   fuzzer (note: `check::lint` is the structural design linter;
 //!   `translate::lint` — also in the prelude — checks Verilog
 //!   translatability)

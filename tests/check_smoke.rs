@@ -1,6 +1,6 @@
 //! mtl-check integration: one minimal offending design per lint rule,
 //! lint-cleanliness of the fuzzer's generator, a differential-fuzz smoke
-//! run, the shrinker's mechanics, and the `MTL_LINT` simulator gate.
+//! run and the shrinker's mechanics.
 
 use rustmtl::check::{
     design_seed, elaborate_unchecked, fuzz, lint, shrink, FuzzConfig, LintRule, RandomRtl, RtlDesc,
@@ -281,44 +281,4 @@ fn run_shrink_assertions(desc: RtlDesc, pred: impl Fn(&RtlDesc) -> bool) {
     assert!(min.inputs.len() <= desc.inputs.len());
     // The survivor still elaborates and simulates.
     Sim::build(&RandomRtl::from_desc(min), Engine::Interpreted).expect("minimized design builds");
-}
-
-/// The `MTL_LINT` gate at `Sim` construction: `deny` panics on an
-/// error-class design, `warn` lets it through, unset stays silent.
-#[test]
-fn mtl_lint_gate_denies_and_warns() {
-    struct TwoDrivers;
-    impl Component for TwoDrivers {
-        fn name(&self) -> String {
-            "TwoDrivers".into()
-        }
-        fn build(&self, c: &mut Ctx) {
-            let a = c.in_port("a", 8);
-            let out = c.out_port("out", 8);
-            c.comb("drv1", |b| b.assign(out, a.ex()));
-            c.comb("drv2", |b| b.assign(out, !a.ex()));
-        }
-    }
-
-    // Trimmed and case-insensitive, like the other `MTL_*` variables: a
-    // shouted or padded `deny` must not quietly switch the gate off.
-    for value in ["deny", "DENY", " deny"] {
-        std::env::set_var("MTL_LINT", value);
-        let denied = std::panic::catch_unwind(|| {
-            Sim::new(elaborate_unchecked(&TwoDrivers), Engine::Interpreted)
-        });
-        assert!(denied.is_err(), "MTL_LINT={value:?} must reject an error-class design");
-    }
-
-    std::env::set_var("MTL_LINT", "warn");
-    let warned = std::panic::catch_unwind(|| {
-        Sim::new(elaborate_unchecked(&TwoDrivers), Engine::Interpreted)
-    });
-    assert!(warned.is_ok(), "MTL_LINT=warn must only report");
-
-    std::env::remove_var("MTL_LINT");
-    let off = std::panic::catch_unwind(|| {
-        Sim::new(elaborate_unchecked(&TwoDrivers), Engine::Interpreted)
-    });
-    assert!(off.is_ok(), "unset MTL_LINT must not lint");
 }

@@ -3,7 +3,7 @@
 //! Drives the `mtl-check` random design generator ([`RandomRtl`]: random
 //! acyclic RTL with random-width signals, random combinational expression
 //! DAGs, random registers and memories) with random inputs, and checks
-//! that all five simulation engines produce bit-identical values on every
+//! that every simulation engine produces bit-identical values on every
 //! net, every cycle. This is the load-bearing property behind the
 //! framework: engine choice is a performance knob, never a semantics
 //! knob. The `fuzz` binary (`crates/bench/src/bin/fuzz.rs`) extends this
@@ -215,7 +215,7 @@ fn reset_resettles_combinational_state_on_every_engine() {
 
 /// Profiler consistency: logical per-block execution counts are a pure
 /// function of the value trace, so identical designs and stimulus must
-/// yield identical (and non-zero) counts on all five engines — even
+/// yield identical (and non-zero) counts on every engine — even
 /// though the physical work each engine does differs wildly.
 #[test]
 fn profiler_block_counts_agree_across_engines() {
@@ -403,8 +403,8 @@ fn zero_width_slice_is_rejected_at_elaboration() {
 
 /// Equivalence must also hold under *perturbation*: a seeded fault plan
 /// injected into a random RTL design makes every engine configuration
-/// (all five engines, plus `SpecializedPar` at 1 and 4 worker threads)
-/// diverge from the golden run *identically* — same faulty-trace
+/// (the four engines of `Engine::ALL`, plus `SpecializedPar` at 1 and 4
+/// worker threads) diverge from the golden run *identically* — same faulty-trace
 /// fingerprint, same first-divergence cycle, same masked/silent/detected
 /// classification, same blast radius. Fault injection stresses the
 /// settle machinery differently from clean simulation (forces are
@@ -573,12 +573,14 @@ fn engines_agree_on_compute_soc() {
         NetLevel::Rtl,
         SocTraffic::UniformRandom,
     ));
-    let engines = [Engine::Interpreted, Engine::SpecializedOpt, Engine::SpecializedPar];
-    let mut sims: Vec<Sim> =
-        engines.iter().map(|&e| Sim::build(&soc, e).expect("compute SoC elaborates")).collect();
-    for sim in &mut sims {
-        sim.reset();
-    }
+    let (mut sims, labels) = build_each(
+        &soc,
+        &[
+            (Engine::Interpreted, None),
+            (Engine::SpecializedOpt, None),
+            (Engine::SpecializedPar, Some(2)),
+        ],
+    );
     let mut halted_at = None;
     for cycle in 0..20_000u64 {
         for sim in &mut sims {
@@ -586,12 +588,11 @@ fn engines_agree_on_compute_soc() {
         }
         for port in ["halted", "instret_total"] {
             let reference = sims[0].peek_port(port);
-            for (ei, sim) in sims.iter().enumerate().skip(1) {
+            for (sim, label) in sims.iter().zip(&labels).skip(1) {
                 assert_eq!(
                     sim.peek_port(port),
                     reference,
-                    "{} diverged on `{port}` at cycle {cycle}",
-                    engines[ei]
+                    "{label} diverged on `{port}` at cycle {cycle}"
                 );
             }
         }
@@ -627,11 +628,8 @@ fn tape_width_classes_follow_the_design() {
 
     let mesh = MeshTrafficHarness::new(NetLevel::Rtl, 64, 300, 1);
     let soc = Soc::new(SocConfig::synthetic(64, NetLevel::Rtl, SocTraffic::Tornado));
-    let all_narrow: [(&dyn Component, Engine); 3] = [
-        (&mesh, Engine::SpecializedOpt),
-        (&soc, Engine::SpecializedOpt),
-        (&soc, Engine::SpecializedPar),
-    ];
+    let all_narrow: [(&dyn Component, Engine); 2] =
+        [(&mesh, Engine::SpecializedOpt), (&soc, Engine::SpecializedOpt)];
     for (top, engine) in all_narrow {
         let (narrow_tapes, tapes, narrow_ops, ops) = width_classes(top, engine);
         assert!(tapes > 0 && ops > 0, "{engine}: tapes were compiled");
@@ -657,15 +655,18 @@ fn tape_width_classes_follow_the_design() {
     assert!(fused > 0 && fused_narrow < fused, "a wide net keeps its fused schedule wide");
 }
 
-/// The parallel engine must be cycle-exact with `SpecializedOpt` at
-/// explicit thread counts — none but the caller's (1), even (2, 4), odd
-/// (3) and absurd (`usize::MAX`, which the engine clamps to its ceiling of
-/// 64) — including the logical profile counters and the activity toggles,
-/// not just settled values.
+/// The parallel engine must be cycle-exact with `SpecializedOpt` on every
+/// random design of `engines_agree_on_random_designs` at explicit thread
+/// counts — none but the caller's (1), even (2, 4, 8), odd (3) and absurd
+/// (`usize::MAX`, which the engine clamps to its ceiling of 64) —
+/// including the logical profile counters and the activity toggles, not
+/// just settled values. One instance of a random design forms no gang, so
+/// these simulators run without a pool whatever the count; the dealt path
+/// runs on the replicated designs and the SoCs below.
 #[test]
 fn specialized_par_matches_opt_at_explicit_thread_counts() {
-    for threads in [1usize, 2, 3, 4, usize::MAX] {
-        for seed in [3u64, 7, 12] {
+    for threads in [1usize, 2, 3, 4, 8, usize::MAX] {
+        for seed in 1u64..=12 {
             let mut opt =
                 Sim::build(&RandomRtl::new(seed), Engine::SpecializedOpt).expect("elaborates");
             let cfg = SimConfig { threads: Some(threads), ..Default::default() };
@@ -678,7 +679,7 @@ fn specialized_par_matches_opt_at_explicit_thread_counts() {
             par.reset();
             let nsignals = opt.design().signals().len();
             let mut rng = Rng(seed ^ 0xFACE);
-            for cycle in 0..30 {
+            for cycle in 0..40 {
                 for i in 0..3 {
                     let name = format!("in{i}");
                     let w = {
@@ -725,22 +726,27 @@ fn specialized_par_matches_opt_at_explicit_thread_counts() {
 /// no thread whatever `threads` says, which shows as an empty
 /// `partition_nanos`. It then is `specialized-opt`, profile included. And
 /// no more workers run than the widest gang has lane blocks: two on the
-/// 4-router RTL mesh (its 40 queues are 32 lanes and a tail).
+/// 4-router RTL mesh (its 40 queues are 32 lanes and a tail). The default
+/// config names no thread count, so it spawns no worker even there, and
+/// it runs the tape optimizer.
 #[test]
 fn a_simulator_spawns_no_worker_it_has_no_lane_block_for() {
     use rustmtl::net::{MeshTrafficHarness, NetLevel};
 
     let cl_mesh = MeshTrafficHarness::new(NetLevel::Cl, 64, 300, 5);
     let rtl_mesh = MeshTrafficHarness::new(NetLevel::Rtl, 4, 300, 5);
-    let tops: [(&dyn Component, &str, usize); 3] = [
-        (&cl_mesh, "CL mesh64", 0),
-        (&RandomRtl::new(3), "random RTL", 0),
-        (&rtl_mesh, "RTL mesh4", 2),
+    let tops: [(&dyn Component, &str, Option<usize>, usize); 4] = [
+        (&cl_mesh, "CL mesh64", Some(4), 0),
+        (&RandomRtl::new(3), "random RTL", Some(4), 0),
+        (&rtl_mesh, "RTL mesh4", Some(4), 2),
+        (&rtl_mesh, "RTL mesh4, default config", None, 0),
     ];
-    for (top, name, workers) in tops {
-        let cfg = SimConfig { threads: Some(4), ..Default::default() };
+    assert!(SimConfig::default().tape_opt, "the optimizer is on by default");
+    for (top, name, threads, workers) in tops {
+        let cfg = SimConfig { threads, ..Default::default() };
         let mut sim =
             Sim::build_with_config(top, Engine::SpecializedPar, &cfg).expect("elaborates");
+        assert!(sim.opt_report().is_some(), "{name}: the optimizer ran");
         sim.enable_profiling();
         sim.reset();
         sim.run(20);

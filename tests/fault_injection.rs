@@ -8,8 +8,8 @@
 //! 1. **Engine independence** — a seeded fault plan perturbs every
 //!    engine configuration identically: same faulty-trace fingerprint,
 //!    same first-divergence cycle, same classification, same blast
-//!    radius (`engine_agreement` over all five engines plus
-//!    `SpecializedPar` at 1 and 4 threads).
+//!    radius (`engine_agreement` over the four engines of `Engine::ALL`
+//!    plus `SpecializedPar` at 1 and 4 threads).
 //! 2. **Seed determinism** — the same seed draws the same plan and
 //!    produces the same report, run to run.
 //! 3. **Taxonomy coverage** — the masked/silent/detected classes from
@@ -183,7 +183,7 @@ fn const_driven_nets_perturb_all_engine_configs_identically() {
         Engine::ALL.map(|e| (e, None)).into_iter().chain([(Engine::SpecializedBatch, Some(1))]);
     for opt in [true, false] {
         for (engine, lanes) in configs.clone() {
-            let cfg = SimConfig { tape_opt: Some(opt), lanes, ..SimConfig::default() };
+            let cfg = SimConfig { tape_opt: opt, lanes, ..SimConfig::default() };
             let mut sim = Sim::build_with_config(&ConstDriven, engine, &cfg).expect("elaborates");
             plan.apply(&mut sim).expect("plan resolves");
             sim.reset();
