@@ -3,14 +3,18 @@
 //! The paper's model/tool split names linters alongside simulation and
 //! translation as first-class consumers of elaborated design instances.
 //! [`lint`] inspects a [`Design`] and reports structured [`Diagnostic`]s
-//! with exact hierarchical signal paths for five rule categories:
+//! with exact hierarchical signal paths for eight rules in five categories:
 //!
 //! * **Combinational cycles** — the full cycle is printed, block by block,
 //!   with the net carrying each dependency edge.
 //! * **Multiply-driven nets** — more than one writer (including the
 //!   implicit `<external>` driver of a top-level input port).
 //! * **Width mismatches** across structural connections.
-//! * **Undriven inputs / unread outputs** — dead interface signals.
+//! * **Dead signals** — an input port nothing drives and an output port
+//!   nothing reads; on a net with no input port, a read nothing drives
+//!   (`undriven-net`), and on a net with no output port, a write nothing
+//!   reads (`unread-net`). A net gets at most one of the last two, and
+//!   neither if a port rule reports it.
 //! * **Mixed drivers** — a net written by both a sequential and a
 //!   combinational block (the "sequential block writes a net also written
 //!   combinationally" hazard).
@@ -57,6 +61,12 @@ pub enum LintRule {
     UndrivenInput,
     /// An output port whose net no block (and no external observer) reads.
     UnreadOutput,
+    /// A net with no input port that is read but has no writer and no
+    /// external driver.
+    UndrivenNet,
+    /// A net with no output port that is written but that no block (and
+    /// no external observer) reads.
+    UnreadNet,
 }
 
 impl fmt::Display for LintRule {
@@ -68,6 +78,8 @@ impl fmt::Display for LintRule {
             LintRule::MixedDrivers => "mixed-drivers",
             LintRule::UndrivenInput => "undriven-input",
             LintRule::UnreadOutput => "unread-output",
+            LintRule::UndrivenNet => "undriven-net",
+            LintRule::UnreadNet => "unread-net",
         };
         f.write_str(s)
     }
@@ -116,8 +128,8 @@ pub fn lint(design: &Design) -> Vec<Diagnostic> {
     multiply_driven(design, &writers, &mut errors);
     width_mismatches(design, &mut errors);
     mixed_drivers(design, &writers, &mut errors);
-    undriven_inputs(design, &writers, &mut warnings);
-    unread_outputs(design, &readers, &mut warnings);
+    undriven_inputs(design, &writers, &readers, &mut warnings);
+    unread_outputs(design, &writers, &readers, &mut warnings);
 
     errors.extend(warnings);
     errors
@@ -341,33 +353,50 @@ fn mixed_drivers(design: &Design, writers: &[Vec<BlockId>], out: &mut Vec<Diagno
     }
 }
 
-fn undriven_inputs(design: &Design, writers: &[Vec<BlockId>], out: &mut Vec<Diagnostic>) {
+/// The hierarchical paths of a net's member signals of `kind`.
+fn members(design: &Design, net: NetId, kind: SignalKind) -> Vec<String> {
+    let signals = &design.net(net).signals;
+    signals
+        .iter()
+        .filter(|&&s| design.signal(s).kind == kind)
+        .map(|&s| design.signal_path(s))
+        .collect()
+}
+
+fn warning(rule: LintRule, signals: Vec<String>, message: String) -> Diagnostic {
+    Diagnostic { rule, severity: Severity::Warning, signals, blocks: Vec::new(), message }
+}
+
+fn undriven_inputs(
+    design: &Design,
+    writers: &[Vec<BlockId>],
+    readers: &[Vec<BlockId>],
+    out: &mut Vec<Diagnostic>,
+) {
     for (ni, ws) in writers.iter().enumerate() {
         let net = NetId::from_index(ni);
         if !ws.is_empty() || design.net_has_top_port(net, SignalKind::InPort) {
             continue;
         }
-        let inputs: Vec<String> = design
-            .net(net)
-            .signals
-            .iter()
-            .filter(|&&s| design.signal(s).kind == SignalKind::InPort)
-            .map(|&s| design.signal_path(s))
-            .collect();
-        if inputs.is_empty() {
-            continue;
+        let inputs = members(design, net, SignalKind::InPort);
+        if !inputs.is_empty() {
+            let message =
+                format!("input `{}` is never driven (stuck at zero)", inputs.join("`, `"));
+            out.push(warning(LintRule::UndrivenInput, inputs, message));
+        } else if !readers[ni].is_empty() {
+            let path = design.net_path(net);
+            let message = format!("net `{path}` is read but never driven (stuck at zero)");
+            out.push(warning(LintRule::UndrivenNet, vec![path], message));
         }
-        out.push(Diagnostic {
-            rule: LintRule::UndrivenInput,
-            severity: Severity::Warning,
-            message: format!("input `{}` is never driven (stuck at zero)", inputs.join("`, `")),
-            signals: inputs,
-            blocks: Vec::new(),
-        });
     }
 }
 
-fn unread_outputs(design: &Design, readers: &[Vec<BlockId>], out: &mut Vec<Diagnostic>) {
+fn unread_outputs(
+    design: &Design,
+    writers: &[Vec<BlockId>],
+    readers: &[Vec<BlockId>],
+    out: &mut Vec<Diagnostic>,
+) {
     for (ni, rs) in readers.iter().enumerate() {
         let net = NetId::from_index(ni);
         // A top-level port of either direction means the net is externally
@@ -378,23 +407,15 @@ fn unread_outputs(design: &Design, readers: &[Vec<BlockId>], out: &mut Vec<Diagn
         {
             continue;
         }
-        let outputs: Vec<String> = design
-            .net(net)
-            .signals
-            .iter()
-            .filter(|&&s| design.signal(s).kind == SignalKind::OutPort)
-            .map(|&s| design.signal_path(s))
-            .collect();
-        if outputs.is_empty() {
-            continue;
+        let outputs = members(design, net, SignalKind::OutPort);
+        if !outputs.is_empty() {
+            let message = format!("output `{}` is never read (dead logic)", outputs.join("`, `"));
+            out.push(warning(LintRule::UnreadOutput, outputs, message));
+        } else if !writers[ni].is_empty() {
+            let path = design.net_path(net);
+            let message = format!("net `{path}` is driven but never read (dead logic)");
+            out.push(warning(LintRule::UnreadNet, vec![path], message));
         }
-        out.push(Diagnostic {
-            rule: LintRule::UnreadOutput,
-            severity: Severity::Warning,
-            message: format!("output `{}` is never read (dead logic)", outputs.join("`, `")),
-            signals: outputs,
-            blocks: Vec::new(),
-        });
     }
 }
 

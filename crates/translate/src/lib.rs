@@ -9,18 +9,15 @@
 //!   that can be re-elaborated and simulated, closing the
 //!   translate-and-re-parse loop the paper closes with Verilator (and
 //!   enabling the `--test-verilog` co-simulation workflow from Figure 4).
-//! * [`lint`] — structural checks (undriven/unread nets, translatability).
 //! * [`to_dot`] — renders the elaborated hierarchy/connectivity as
 //!   Graphviz DOT (an example of a user-written custom tool).
 
 mod emit;
 mod graph;
-mod lint;
 mod parse;
 
 pub use emit::{translate, TranslateError};
 pub use graph::to_dot;
-pub use lint::{lint, LintWarning};
 pub use parse::{ParseVerilogError, VerilogComponent, VerilogLibrary};
 
 use mtl_core::{Design, Expr};

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # CI stage 0 — static checks: formatting, clippy with warnings denied,
 # rustdoc with warnings denied, a duplicate-dependency gate, the `unsafe`
-# ratchet and the environment ratchet. Fast, no test execution; this is the first tier of the
-# CI gate.
+# ratchet and the environment ratchet. Fast, no test execution; this is
+# the first tier of the CI gate.
 . "$(dirname "$0")/lib.sh"
 ci_stage static
 
@@ -13,11 +13,10 @@ echo "== static: cargo clippy --workspace -D warnings"
 cargo clippy --workspace -- -D warnings
 
 # Module moves break intra-doc links silently; rustdoc is the only tool
-# that resolves them (the vendored proptest/criterion stand-ins are not
-# ours to document).
+# that resolves them (the vendored proptest stand-in is not ours to
+# document).
 echo "== static: cargo doc -D warnings"
-RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace \
-    --exclude proptest --exclude criterion
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace --exclude proptest
 
 # The workspace is fully offline (path deps + in-tree vendor/), so two
 # versions of the same crate can only mean a vendoring mistake; fail

@@ -7,7 +7,7 @@
 //!
 //! * [`core`] — components, signals, IR, elaboration (the modeling DSEL)
 //! * [`sim`] — the four simulation engines + VCD
-//! * [`translate`] — Verilog-2001 emission, re-parsing, lint
+//! * [`translate`] — Verilog-2001 emission, re-parsing, DOT rendering
 //! * [`stdlib`] — registers, muxes, queues, arbiters, test harnesses
 //! * [`net`] — the mesh network case study (FL/CL/RTL)
 //! * [`proc`] — the MtlRisc32 processor case study (ISA/ISS/FL/CL/RTL)
@@ -15,10 +15,8 @@
 //! * [`eda`] — analytical area/energy/timing estimation
 //! * [`sweep`] — parallel simulation campaigns (sharded execution,
 //!   result caching, JSON reports)
-//! * [`check`] — the design linter and the engine differential
-//!   fuzzer (note: `check::lint` is the structural design linter;
-//!   `translate::lint` — also in the prelude — checks Verilog
-//!   translatability)
+//! * [`check`] — the design linter (the prelude's [`lint`](prelude::lint))
+//!   and the engine differential fuzzer
 //! * [`fault`] — deterministic fault injection: seeded fault plans,
 //!   golden-vs-faulty differential runs, masked/silent/detected
 //!   classification
@@ -71,7 +69,7 @@ pub use mtl_translate as translate;
 /// The most commonly used items, for `use rustmtl::prelude::*`.
 pub mod prelude {
     pub use mtl_bits::{b, clog2, Bits};
-    pub use mtl_core::{elaborate, Component, Ctx, Expr, MsgLayout, SignalRef};
+    pub use mtl_core::{elaborate, lint, Component, Ctx, Expr, MsgLayout, SignalRef};
     pub use mtl_sim::{Engine, Sim, SimProfile, VcdWriter};
-    pub use mtl_translate::{lint, translate, VerilogLibrary};
+    pub use mtl_translate::{translate, VerilogLibrary};
 }

@@ -8,6 +8,7 @@ use rustmtl::check::{
 };
 use rustmtl::core::{Component, Ctx, Expr};
 use rustmtl::sim::{Engine, Sim};
+use rustmtl::stdlib::MuxReg;
 
 fn rules(diags: &[rustmtl::check::Diagnostic]) -> Vec<LintRule> {
     diags.iter().map(|d| d.rule).collect()
@@ -153,8 +154,9 @@ fn lint_flags_mixed_seq_comb_drivers() {
     assert!(rules(&diags).contains(&LintRule::MultiplyDriven));
 }
 
-/// A child input port nothing drives, and a child output port nothing
-/// reads — the two dead-interface warnings, with exact submodule paths.
+/// A child input port nothing drives, a child output port nothing reads,
+/// a wire read but never driven and a wire driven but never read — the
+/// four dead-signal warnings, each once, with exact paths.
 #[test]
 fn lint_flags_undriven_input_and_unread_output() {
     struct Child;
@@ -174,9 +176,13 @@ fn lint_flags_undriven_input_and_unread_output() {
             "Parent".into()
         }
         fn build(&self, c: &mut Ctx) {
-            let out = c.out_port("out", 1);
+            let a = c.in_port("a", 4);
+            let out = c.out_port("out", 8);
+            let floating = c.wire("floating", 8);
+            let unused = c.wire("unused", 4);
             c.instantiate("child", &Child);
-            c.comb("keepalive", |b| b.assign(out, Expr::k(1, 1)));
+            c.comb("copy", |b| b.assign(out, floating));
+            c.comb("dead", |b| b.assign(unused, a));
         }
     }
     let diags = lint(&elaborate_unchecked(&Parent));
@@ -192,8 +198,28 @@ fn lint_flags_undriven_input_and_unread_output() {
         .expect("unread output must be reported");
     assert_eq!(unread.severity, Severity::Warning);
     assert_eq!(unread.signals, vec!["top.child.unused".to_string()]);
+    let floating = diags
+        .iter()
+        .find(|d| d.rule == LintRule::UndrivenNet)
+        .expect("a wire read but never driven must be reported");
+    assert_eq!(floating.severity, Severity::Warning);
+    assert_eq!(floating.signals, vec!["top.floating".to_string()]);
+    let dead = diags
+        .iter()
+        .find(|d| d.rule == LintRule::UnreadNet)
+        .expect("a wire driven but never read must be reported");
+    assert_eq!(dead.severity, Severity::Warning);
+    assert_eq!(dead.signals, vec!["top.unused".to_string()]);
+    // A net is reported by at most one dead-signal rule.
+    for path in ["top.child.in_", "top.child.unused", "top.floating", "top.unused"] {
+        let hits = diags.iter().filter(|d| d.signals.iter().any(|s| s == path)).count();
+        assert_eq!(hits, 1, "`{path}` in {diags:?}");
+    }
+    assert_eq!(diags.len(), 4, "{diags:?}");
     // Errors sort before warnings (here: no errors at all).
     assert!(diags.iter().all(|d| d.severity == Severity::Warning));
+    // A fully connected structural design lints clean.
+    assert!(lint(&elaborate_unchecked(&MuxReg::default())).is_empty());
 }
 
 /// The fuzzer's generator must be lint-clean by construction: no
