@@ -34,8 +34,7 @@ mod xcel_rtl;
 
 pub use arbiter::MemArbiter;
 pub use tile::{
-    run_tile, run_tile_profiled, xcel_component, Tile, TileConfig, TileHarness, TileRunResult,
-    XcelLevel, XCEL_LEVELS,
+    run_tile, xcel_component, Tile, TileConfig, TileHarness, TileRunResult, XcelLevel, XCEL_LEVELS,
 };
 pub use workload::{
     mvmult_data, mvmult_reference, mvmult_scalar_program, mvmult_xcel_program, MvMultLayout,

@@ -219,20 +219,42 @@ impl Component for Tile {
 pub struct TileHarness {
     /// The tile configuration.
     pub config: TileConfig,
+    /// Cache lines per cache (32 unless the cache-capacity ablation
+    /// sets it).
+    pub cache_nlines: u64,
     mngr: MngrAdapter,
     mem: TestMemory,
 }
 
 impl TileHarness {
-    /// Creates a harness with `mem_words` of memory and fixed manager
-    /// inputs.
+    /// Creates a harness with `mem_words` of memory, fixed manager
+    /// inputs and the tile's 32-line caches.
     pub fn new(config: TileConfig, mem_words: usize, inputs: Vec<u32>) -> Self {
-        Self { config, mngr: MngrAdapter::new(inputs), mem: TestMemory::new(2, mem_words, 2) }
+        let cache_nlines = Tile::new(config).cache_nlines;
+        let mngr = MngrAdapter::new(inputs);
+        Self { config, cache_nlines, mngr, mem: TestMemory::new(2, mem_words, 2) }
+    }
+
+    /// Sets the lines per cache.
+    pub fn with_cache_nlines(mut self, cache_nlines: u64) -> Self {
+        self.cache_nlines = cache_nlines;
+        self
     }
 
     /// Backdoor handle to main memory.
     pub fn mem_handle(&self) -> MemHandle {
         self.mem.handle()
+    }
+
+    /// Writes `words` into main memory at `byte_addr` (before the
+    /// simulator is built).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the words run past the end of memory.
+    pub fn load(&self, byte_addr: u32, words: &[u32]) {
+        let base = (byte_addr / 4) as usize;
+        self.mem.handle().lock().unwrap()[base..base + words.len()].copy_from_slice(words);
     }
 
     /// Handle to collected `proc2mngr` values.
@@ -249,7 +271,8 @@ impl Component for TileHarness {
     fn build(&self, c: &mut Ctx) {
         let halted = c.out_port("halted", 1);
         let instret = c.out_port("instret", 32);
-        let tile = c.instantiate("tile", &Tile::new(self.config));
+        let tile =
+            c.instantiate("tile", &Tile { config: self.config, cache_nlines: self.cache_nlines });
         let mem = c.instantiate("mem", &self.mem);
         let mngr = c.instantiate("mngr", &self.mngr);
 
@@ -273,8 +296,6 @@ pub struct TileRunResult {
     pub instret: u64,
     /// Final memory contents.
     pub mem: Vec<u32>,
-    /// Simulation profile, when requested via [`run_tile_profiled`].
-    pub profile: Option<mtl_sim::SimProfile>,
 }
 
 /// Runs a program on a tile configuration to completion.
@@ -291,39 +312,14 @@ pub fn run_tile(
     max_cycles: u64,
     engine: Engine,
 ) -> TileRunResult {
-    run_tile_profiled(config, program, data, max_cycles, engine, false)
-}
-
-/// [`run_tile`] with optional simulation profiling; when `profile` is
-/// true, the returned [`TileRunResult::profile`] holds the collected
-/// [`SimProfile`](mtl_sim::SimProfile).
-///
-/// # Panics
-///
-/// Panics if the tile does not halt within `max_cycles`.
-pub fn run_tile_profiled(
-    config: TileConfig,
-    program: &[u32],
-    data: &[(u32, &[u32])],
-    max_cycles: u64,
-    engine: Engine,
-    profile: bool,
-) -> TileRunResult {
     let harness = TileHarness::new(config, 1 << 16, vec![]);
+    harness.load(0, program);
+    for &(addr, words) in data {
+        harness.load(addr, words);
+    }
     let mem = harness.mem_handle();
     let outputs = harness.outputs();
-    {
-        let mut m = mem.lock().unwrap();
-        m[..program.len()].copy_from_slice(program);
-        for (addr, words) in data {
-            let base = (*addr / 4) as usize;
-            m[base..base + words.len()].copy_from_slice(words);
-        }
-    }
     let mut sim = Sim::build(&harness, engine).expect("tile elaboration");
-    if profile {
-        sim.enable_profiling();
-    }
     sim.reset();
     let mut cycles = 0;
     while sim.peek_port("halted").is_zero() {
@@ -334,5 +330,5 @@ pub fn run_tile_profiled(
     let instret = sim.peek_port("instret").as_u64();
     let outs = outputs.lock().unwrap().clone();
     let mem_final = mem.lock().unwrap().clone();
-    TileRunResult { outputs: outs, cycles, instret, mem: mem_final, profile: sim.profile() }
+    TileRunResult { outputs: outs, cycles, instret, mem: mem_final }
 }

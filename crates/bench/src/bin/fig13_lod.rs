@@ -8,10 +8,12 @@
 //! Figure 13 (LOD score vs. relative simulator performance).
 //!
 //! The 55 kernel runs (27 configs × 2 engines + the ISS reference) are
-//! independent sims, declared as an `mtl-sweep` campaign: sharded,
-//! panic-isolated, and reported to `BENCH_fig13.json`. Simulated cycle
-//! counts are deterministic metrics; kernel wall-times (and thus the
-//! relative-performance columns) are timing metrics.
+//! `tile_cycles` and `iss_kernel` jobs of the `mtl-serve` kind catalog
+//! (DESIGN.md §10): this binary declares them as a spec, prints its
+//! tables from the report `mtl_bench::run_spec` returns, and writes it to
+//! `BENCH_fig13.json`. Simulated cycle counts are deterministic metrics;
+//! kernel wall-times (and thus the relative-performance columns) are
+//! timing metrics, so the campaign neither caches nor journals.
 //!
 //! Flags:
 //!
@@ -20,34 +22,30 @@
 //! * `--profile` — enable simulation profiling in every tile job and
 //!   attach the hottest blocks to each job's `profile` report section.
 
-use std::time::{Duration, Instant};
-
-use mtl_accel::{mvmult_data, mvmult_xcel_program, run_tile_profiled, MvMultLayout, TileConfig};
-use mtl_bench::{banner, write_bench_report, Args};
-use mtl_proc::{CacheLevel, Iss, ProcLevel};
-use mtl_serve::{profile_json, PROFILE_TOP_N};
+use mtl_accel::{TileConfig, XcelLevel};
+use mtl_bench::{banner, job_metric, job_timing, run_spec, spec_text, Args};
+use mtl_proc::{CacheLevel, ProcLevel};
 use mtl_sim::Engine;
-use mtl_sweep::{Campaign, CampaignReport, Job, JobMetrics};
+use mtl_sweep::Json;
 
-/// Kernel size, configuration list, and profiling mode for one run.
-#[derive(Clone)]
-struct Spec {
+const ENGINES: [Engine; 2] = [Engine::Interpreted, Engine::SpecializedOpt];
+
+/// Kernel size, configuration list and cycle budget for one run.
+struct Sweep {
     rows: u32,
     cols: u32,
     configs: Vec<TileConfig>,
     max_cycles: u64,
-    profile: bool,
 }
 
-impl Spec {
-    fn full(profile: bool) -> Spec {
-        Spec { rows: 8, cols: 16, configs: TileConfig::all(), max_cycles: 5_000_000, profile }
+impl Sweep {
+    fn full() -> Sweep {
+        Sweep { rows: 8, cols: 16, configs: TileConfig::all(), max_cycles: 5_000_000 }
     }
 
-    fn smoke(profile: bool) -> Spec {
-        use mtl_accel::XcelLevel;
+    fn smoke() -> Sweep {
         let uniform = |p, c, x| TileConfig { proc: p, cache: c, xcel: x };
-        Spec {
+        Sweep {
             rows: 4,
             cols: 4,
             configs: vec![
@@ -56,95 +54,52 @@ impl Spec {
                 uniform(ProcLevel::Rtl, CacheLevel::Rtl, XcelLevel::Rtl),
             ],
             max_cycles: 2_000_000,
-            profile,
         }
+    }
+
+    /// The ISS reference and every configuration on both engines.
+    fn spec(&self, profile: bool) -> Json {
+        let Sweep { rows, cols, max_cycles, .. } = *self;
+        let mut jobs = vec![format!(
+            r#"{{"kind":"iss_kernel","name":"iss","rows":{rows},"cols":{cols},"budget_ms":30000}}"#
+        )];
+        for &config in &self.configs {
+            let TileConfig { proc, cache, xcel } = config;
+            for engine in ENGINES {
+                let name = job_name(config, engine);
+                jobs.push(format!(
+                    r#"{{"kind":"tile_cycles","name":"{name}","proc":"{proc}","cache":"{cache}",
+                        "xcel":"{xcel}","rows":{rows},"cols":{cols},"max_cycles":{max_cycles},
+                        "engine":"{engine}","profile":{profile},"budget_ms":120000}}"#
+                ));
+            }
+        }
+        spec_text(r#""name":"fig13","no_cache":true"#, &jobs)
     }
 }
 
-fn iss_job(spec: &Spec) -> Job {
-    let (rows, cols) = (spec.rows, spec.cols);
-    Job::new("iss", move |_ctx| {
-        let layout = MvMultLayout::default();
-        let program = mvmult_xcel_program(rows, cols, layout);
-        let (mat, vec) = mvmult_data(rows, cols);
-        // Median of several runs; the ISS is very fast on this kernel.
-        let mut best = f64::INFINITY;
-        for _ in 0..5 {
-            let mut iss = Iss::new(1 << 16);
-            iss.load(0, &program);
-            iss.load(layout.mat_base, &mat);
-            iss.load(layout.vec_base, &vec);
-            let t0 = Instant::now();
-            let mut reps = 0;
-            while t0.elapsed().as_millis() < 50 {
-                let mut i = iss.clone();
-                i.run(10_000_000);
-                if !i.halted {
-                    return Err("ISS did not halt on the kernel".to_string());
-                }
-                reps += 1;
-            }
-            best = best.min(t0.elapsed().as_secs_f64() / reps as f64);
-        }
-        Ok(JobMetrics::new().timing("kernel_secs", best))
-    })
-    .param("kernel", format!("mvmult {rows}x{cols}"))
-    .budget(Duration::from_secs(30))
-    .uncacheable()
-}
-
-fn engine_short(engine: Engine) -> &'static str {
-    match engine {
+fn job_name(config: TileConfig, engine: Engine) -> String {
+    let short = match engine {
         Engine::Interpreted => "interp",
         _ => "spec",
-    }
-}
-
-fn tile_job(spec: &Spec, config: TileConfig, engine: Engine) -> Job {
-    let (rows, cols) = (spec.rows, spec.cols);
-    let (max_cycles, profile) = (spec.max_cycles, spec.profile);
-    Job::new(format!("{config}/{}", engine_short(engine)), move |_ctx| {
-        let layout = MvMultLayout::default();
-        let program = mvmult_xcel_program(rows, cols, layout);
-        let (mat, vec) = mvmult_data(rows, cols);
-        let data: Vec<(u32, &[u32])> = vec![(layout.mat_base, &mat), (layout.vec_base, &vec)];
-        let t0 = Instant::now();
-        let r = run_tile_profiled(config, &program, &data, max_cycles, engine, profile);
-        let dt = t0.elapsed().as_secs_f64();
-        let mut metrics = JobMetrics::new()
-            .det("cycles", r.cycles)
-            .det("lod", config.lod() as u64)
-            .timing("kernel_secs", dt);
-        if let Some(p) = &r.profile {
-            metrics = metrics.with_profile(profile_json(p, PROFILE_TOP_N));
-        }
-        Ok(metrics)
-    })
-    .param("config", config)
-    .param("lod", config.lod())
-    .param("engine", engine)
-    .budget(Duration::from_secs(120))
-    .uncacheable() // kernel wall-time is the measurement
+    };
+    format!("{config}/{short}")
 }
 
 fn main() {
     banner("Figure 13: simulator performance vs level of detail", "Fig. 13");
     let args = Args::parse(&["--profile", "--smoke"], &[]);
     let profile = args.flag("--profile");
-    let spec = if args.flag("--smoke") { Spec::smoke(profile) } else { Spec::full(profile) };
-    if spec.profile {
+    let sweep = if args.flag("--smoke") { Sweep::smoke() } else { Sweep::full() };
+    if profile {
         println!("(profiling enabled: per-job `profile` sections in the report)");
     }
-
-    let mut campaign = Campaign::new("fig13").job(iss_job(&spec));
-    for &config in &spec.configs {
-        for engine in [Engine::Interpreted, Engine::SpecializedOpt] {
-            campaign = campaign.job(tile_job(&spec, config, engine));
-        }
+    if let Err(e) =
+        run_spec(&sweep.spec(profile), None, None, |report| print_tables(report, &sweep))
+    {
+        eprintln!("fig13_lod: {e}");
+        std::process::exit(1);
     }
-    let report = campaign.run();
-    print_tables(&report, &spec);
-    write_bench_report(&report, "fig13");
 }
 
 /// One printed line of the LOD table.
@@ -156,8 +111,8 @@ struct Row {
     spec: Option<f64>,
 }
 
-fn print_tables(report: &CampaignReport, spec: &Spec) {
-    let Some(t_iss) = report.metric("iss", "kernel_secs") else {
+fn print_tables(report: &Json, sweep: &Sweep) {
+    let Some(t_iss) = job_timing(report, "iss", "kernel_secs") else {
         println!("ISS reference failed; cannot normalize (see BENCH_fig13.json)");
         return;
     };
@@ -168,16 +123,12 @@ fn print_tables(report: &CampaignReport, spec: &Spec) {
         "config <P,C,A>", "LOD", "cycles", "interp perf", "specialized perf"
     );
     let mut rows: Vec<Row> = Vec::new();
-    for &config in &spec.configs {
+    for &config in &sweep.configs {
         let perf = |engine| {
-            report
-                .metric(&format!("{config}/{}", engine_short(engine)), "kernel_secs")
-                .map(|dt| t_iss / dt)
+            job_timing(report, &job_name(config, engine), "kernel_secs").map(|dt| t_iss / dt)
         };
-        let cycles = report
-            .get(&format!("{config}/spec"))
-            .and_then(|j| j.u64("cycles"))
-            .or_else(|| report.get(&format!("{config}/interp")).and_then(|j| j.u64("cycles")))
+        let cycles = job_metric(report, &job_name(config, Engine::SpecializedOpt), "cycles")
+            .or_else(|| job_metric(report, &job_name(config, Engine::Interpreted), "cycles"))
             .unwrap_or(0);
         rows.push(Row {
             config,

@@ -28,8 +28,8 @@
 //! daemon: the same jobs, measured the same way, on the daemon's
 //! workers.
 
-use mtl_bench::{banner, job_timing, mesh_harness, run_spec, Args};
-use mtl_net::NetLevel;
+use mtl_bench::{banner, job_timing, run_spec, Args};
+use mtl_net::{MeshTrafficHarness, NetLevel};
 use mtl_sim::Engine;
 use mtl_sweep::Json;
 
@@ -185,7 +185,7 @@ fn main() {
     }
     if args.flag("--dump-passes") {
         for level in LEVELS {
-            let harness = mesh_harness(level, NROUTERS, INJECTION);
+            let harness = MeshTrafficHarness::new(level, NROUTERS, INJECTION, 0xBEEF);
             let sim =
                 mtl_sim::Sim::build(&harness, Engine::SpecializedOpt).expect("elaboration failed");
             let rep = sim.opt_report().expect("specialized-opt with the optimizer on");

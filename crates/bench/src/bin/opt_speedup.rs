@@ -13,19 +13,19 @@
 //! every point runs as several jobs and the table takes the fastest.
 //!
 //! Usage:
-//!   cargo run -p mtl-bench --release --bin opt_speedup [--smoke] [--dump-passes]
+//!   cargo run -p mtl-bench --release --bin opt_speedup [--smoke]
 //!
 //! `--smoke` shrinks the measurement windows to CI size. In both modes
 //! the binary exits non-zero if the optimized `specialized-opt` RTL rate
 //! falls below the unoptimized one — the pipeline must never be a
-//! pessimization on the headline workload. `--dump-passes` additionally
-//! prints the per-pass statistics table for the RTL mesh compile.
+//! pessimization on the headline workload. The per-pass statistics
+//! table of the mesh compiles is `fig14_mesh_speedup --dump-passes`.
 
 use std::process::ExitCode;
 
-use mtl_bench::{banner, job_timing, mesh_harness, run_spec, Args};
+use mtl_bench::{banner, job_timing, run_spec, Args};
 use mtl_net::NetLevel;
-use mtl_sim::{Engine, Sim};
+use mtl_sim::Engine;
 use mtl_sweep::Json;
 
 const NROUTERS: usize = 64;
@@ -100,17 +100,10 @@ fn main() -> ExitCode {
         "Tape-optimizer speedup: fig14 mesh workload, optimizer off vs on",
         "Fig. 14 RTL config",
     );
-    let args = Args::parse(&["--smoke", "--dump-passes"], &[]);
+    let args = Args::parse(&["--smoke"], &[]);
     let smoke = args.flag("--smoke");
     if smoke {
         println!("(smoke mode: CI-sized measurement windows)");
-    }
-
-    if args.flag("--dump-passes") {
-        let harness = mesh_harness(NetLevel::Rtl, NROUTERS, INJECTION);
-        let sim = Sim::build(&harness, Engine::SpecializedOpt).expect("elaboration failed");
-        let rep = sim.opt_report().expect("specialized-opt with the optimizer on");
-        println!("\n{}", rep.render());
     }
 
     let mut failed = false;

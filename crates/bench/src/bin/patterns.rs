@@ -5,66 +5,51 @@
 //! run: adversarial patterns saturate a minimally-routed mesh far below
 //! uniform random, while neighbor traffic approaches link capacity.
 //!
-//! Every measurement here is a fixed-seed, fixed-window simulation — a
-//! pure function of its parameters — so the campaign jobs stay cacheable
-//! (the default): a rerun replays all 16 points from
-//! `target/sweep-cache/` instantly. Results land in `BENCH_patterns.json`.
+//! Every measurement here is a `mesh_cycles` job of the `mtl-serve` kind
+//! catalog (DESIGN.md §10): a fixed-seed, fixed-window simulation — a
+//! pure function of its parameters — so the jobs stay cacheable: a rerun
+//! replays all 16 points from `target/sweep-cache/` instantly. Results
+//! land in `BENCH_patterns.json`.
 
-use mtl_bench::{banner, write_bench_report, Args};
-use mtl_net::{measure_network_pattern, NetLevel, TrafficPattern};
-use mtl_sim::Engine;
-use mtl_sweep::{Campaign, CampaignReport, Job, JobMetrics};
+use mtl_bench::{banner, mesh_window, run_spec, spec_text, Args};
+use mtl_net::TrafficPattern;
+use mtl_sweep::Json;
 
-const PATTERNS: [TrafficPattern; 4] = [
-    TrafficPattern::UniformRandom,
-    TrafficPattern::Tornado,
-    TrafficPattern::Transpose,
-    TrafficPattern::Neighbor,
-];
 const OFFERED: [u32; 4] = [100, 300, 600, 900];
+const SEED: u64 = 0xC0FFEE;
 
 fn job_name(pattern: TrafficPattern, offered: u32) -> String {
     format!("{pattern:?}/off{offered:03}")
 }
 
-fn pattern_job(pattern: TrafficPattern, offered: u32) -> Job {
-    Job::new(job_name(pattern, offered), move |_ctx| {
-        let m = measure_network_pattern(
-            NetLevel::Cl,
-            64,
-            pattern,
-            offered,
-            400,
-            1600,
-            Engine::SpecializedOpt,
-        );
-        Ok(JobMetrics::new()
-            .det("injected", m.injected)
-            .det("received", m.received)
-            .det("accepted_permille", m.accepted_permille)
-            .det("avg_latency", m.avg_latency))
-    })
-    .param("pattern", format!("{pattern:?}"))
-    .param("offered_permille", offered)
-    .param("level", NetLevel::Cl)
-    .param("nrouters", 64)
-    .param("engine", Engine::SpecializedOpt)
-    .budget(std::time::Duration::from_secs(60))
+fn spec() -> Json {
+    let mut jobs = Vec::new();
+    for pattern in TrafficPattern::ALL {
+        for offered in OFFERED {
+            let name = job_name(pattern, offered);
+            jobs.push(format!(
+                r#"{{"kind":"mesh_cycles","name":"{name}","level":"CL","nrouters":64,
+                    "injection":{offered},"pattern":"{pattern}","warmup":400,"cycles":1600,
+                    "seed":{SEED},"budget_ms":60000}}"#
+            ));
+        }
+    }
+    spec_text(r#""name":"patterns""#, &jobs)
 }
 
-fn print_table(report: &CampaignReport) {
+fn print_table(report: &Json) {
     println!("{:<16} {:>12} {:>14} {:>14}", "pattern", "offered", "accepted", "avg latency");
-    for pattern in PATTERNS {
+    for pattern in TrafficPattern::ALL {
         for offered in OFFERED {
-            match report.get(&job_name(pattern, offered)) {
-                Some(j) if j.outcome.is_done() => println!(
+            match mesh_window(report, &job_name(pattern, offered)) {
+                Some((accepted, latency)) => println!(
                     "{:<16} {:>12} {:>14.1} {:>14.1}",
                     format!("{pattern:?}"),
                     offered,
-                    j.f64("accepted_permille").unwrap_or(f64::NAN),
-                    j.f64("avg_latency").unwrap_or(f64::NAN),
+                    accepted,
+                    latency,
                 ),
-                _ => println!(
+                None => println!(
                     "{:<16} {:>12} {:>14} {:>14}",
                     format!("{pattern:?}"),
                     offered,
@@ -80,13 +65,8 @@ fn print_table(report: &CampaignReport) {
 fn main() {
     Args::parse(&[], &[]);
     banner("Extension: 8x8 mesh under synthetic traffic patterns", "NoC methodology");
-    let mut campaign = Campaign::new("patterns");
-    for pattern in PATTERNS {
-        for offered in OFFERED {
-            campaign = campaign.job(pattern_job(pattern, offered));
-        }
+    if let Err(e) = run_spec(&spec(), None, None, print_table) {
+        eprintln!("patterns: {e}");
+        std::process::exit(1);
     }
-    let report = campaign.run();
-    print_table(&report);
-    write_bench_report(&report, "patterns");
 }

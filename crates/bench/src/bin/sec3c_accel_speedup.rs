@@ -3,58 +3,71 @@
 //! Runs the matrix-vector kernel in scalar (loop-unrolled) and
 //! accelerator-offloaded form on the CL tile (the paper's 2.9x estimate)
 //! and the RTL tile (the cycle-count component of the paper's 2.74x net
-//! speedup).
+//! speedup). Each run is a `tile_cycles` job of the `mtl-serve` kind
+//! catalog (DESIGN.md §10), which fails unless the tile halts with the
+//! host product in memory; the report lands in `BENCH_sec3c.json`.
 
-use mtl_accel::{
-    mvmult_data, mvmult_scalar_program, mvmult_xcel_program, run_tile, MvMultLayout, TileConfig,
-    XcelLevel,
-};
-use mtl_bench::{banner, Args};
-use mtl_proc::{CacheLevel, ProcLevel};
-use mtl_sim::Engine;
+use mtl_bench::{banner, job_metric, run_spec, spec_text, Args};
+use mtl_sweep::Json;
 
-fn kernel_cycles(config: TileConfig, rows: u32, cols: u32, accel: bool) -> u64 {
-    let layout = MvMultLayout::default();
-    let (mat, vec) = mvmult_data(rows, cols);
-    let program = if accel {
-        mvmult_xcel_program(rows, cols, layout)
-    } else {
-        mvmult_scalar_program(rows, cols, layout)
-    };
-    run_tile(
-        config,
-        &program,
-        &[(layout.mat_base, &mat), (layout.vec_base, &vec)],
-        50_000_000,
-        Engine::SpecializedOpt,
-    )
-    .cycles
+const LEVELS: [&str; 2] = ["CL", "RTL"];
+const SIZES: [(u32, u32); 3] = [(8, 16), (16, 32), (32, 64)];
+const KERNELS: [&str; 2] = ["scalar", "xcel"];
+
+fn job_name(level: &str, (rows, cols): (u32, u32), kernel: &str) -> String {
+    format!("{level}/{rows}x{cols}/{kernel}")
+}
+
+/// Both kernels at every size on the uniform CL and RTL tiles.
+fn spec() -> Json {
+    let mut jobs = Vec::new();
+    for level in LEVELS {
+        for (rows, cols) in SIZES {
+            for kernel in KERNELS {
+                let name = job_name(level, (rows, cols), kernel);
+                jobs.push(format!(
+                    r#"{{"kind":"tile_cycles","name":"{name}","proc":"{level}","cache":"{level}",
+                        "xcel":"{level}","kernel":"{kernel}","rows":{rows},"cols":{cols},
+                        "max_cycles":50000000}}"#
+                ));
+            }
+        }
+    }
+    spec_text(r#""name":"sec3c""#, &jobs)
 }
 
 fn main() {
     Args::parse(&[], &[]);
     banner("§III-C: dot-product accelerator speedup (simulated cycles)", "§III-C / Fig. 5");
-    println!(
-        "{:<10} {:>10} {:>14} {:>14} {:>10}",
-        "tile", "kernel", "scalar cyc", "accel cyc", "speedup"
-    );
-    for (config, label) in [
-        (TileConfig { proc: ProcLevel::Cl, cache: CacheLevel::Cl, xcel: XcelLevel::Cl }, "CL"),
-        (TileConfig { proc: ProcLevel::Rtl, cache: CacheLevel::Rtl, xcel: XcelLevel::Rtl }, "RTL"),
-    ] {
-        for (rows, cols) in [(8u32, 16u32), (16, 32), (32, 64)] {
-            let scalar = kernel_cycles(config, rows, cols, false);
-            let accel = kernel_cycles(config, rows, cols, true);
-            println!(
-                "{:<10} {:>7}x{:<3} {:>14} {:>14} {:>9.2}x",
-                label,
-                rows,
-                cols,
-                scalar,
-                accel,
-                scalar as f64 / accel as f64
-            );
+    let tables = |report: &Json| {
+        println!(
+            "{:<10} {:>10} {:>14} {:>14} {:>10}",
+            "tile", "kernel", "scalar cyc", "accel cyc", "speedup"
+        );
+        for level in LEVELS {
+            for size in SIZES {
+                let cycles = |kernel| job_metric(report, &job_name(level, size, kernel), "cycles");
+                let (rows, cols) = size;
+                match (cycles("scalar"), cycles("xcel")) {
+                    (Some(scalar), Some(accel)) => println!(
+                        "{:<10} {:>7}x{:<3} {:>14} {:>14} {:>9.2}x",
+                        level,
+                        rows,
+                        cols,
+                        scalar,
+                        accel,
+                        scalar as f64 / accel as f64
+                    ),
+                    _ => println!("{level:<10} {rows:>7}x{cols:<3} {:>14}", "failed"),
+                }
+            }
         }
+        println!(
+            "\npaper reference: 2.9x (CL estimate), 2.74x net at RTL after cycle-time overhead"
+        );
+    };
+    if let Err(e) = run_spec(&spec(), None, None, tables) {
+        eprintln!("sec3c_accel_speedup: {e}");
+        std::process::exit(1);
     }
-    println!("\npaper reference: 2.9x (CL estimate), 2.74x net at RTL after cycle-time overhead");
 }

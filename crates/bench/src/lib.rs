@@ -1,15 +1,17 @@
 //! Shared utilities for the figure-regeneration binaries.
 //!
 //! Each binary under `src/bin/` regenerates one table or figure from the
-//! paper's evaluation (see `DESIGN.md` §5 for the index). The campaign
+//! paper's evaluation (see `DESIGN.md` §5 for the index). The figure
 //! binaries declare their measurement points as a spec of `mtl-serve`
-//! registry job kinds and print their tables from the report
-//! [`run_spec`] returns; the rate measurement behind Figures 14 and 15
-//! (a cold build, then the steady-state rate from
-//! [`mtl_sweep::measure_batched`] and the construction overheads) is
-//! the registry's `mesh_rate` kind, so speedup-vs-run-length curves can
-//! be reported exactly the way Figure 14 reports them (solid =
-//! steady-state rate ratio, dotted = including one-time overheads).
+//! registry job kinds — the only place a measurement is defined — and
+//! print their tables from the report [`run_spec`] returns: kernel runs
+//! on a tile (`tile_cycles`, `iss_kernel`), mesh latency and throughput
+//! windows (`mesh_cycles`), and the rate measurement behind Figures 14
+//! to 16 (`mesh_rate`: a cold build with its construction phases timed,
+//! then the steady-state rate from [`mtl_sweep::measure_batched`]), so
+//! speedup-vs-run-length curves can be reported exactly the way Figure
+//! 14 reports them (solid = steady-state rate ratio, dotted = including
+//! one-time overheads).
 //!
 //! Every campaign binary writes a machine-readable `BENCH_<fig>.json`
 //! report (schema in `EXPERIMENTS.md`) next to its stdout tables; set
@@ -20,20 +22,10 @@
 //! contention cancels in the ratios.
 
 use std::path::PathBuf;
-use std::time::Duration;
 
 use mtl_core::Component;
-use mtl_net::{MeshTrafficHarness, NetLevel};
+use mtl_net::{MeshTrafficHarness, NetLevel, NetStats};
 use mtl_sweep::Json;
-
-/// Builds the standard near-saturation mesh harness used by Figures 14-16.
-pub fn mesh_harness(
-    level: NetLevel,
-    nrouters: usize,
-    injection_permille: u32,
-) -> MeshTrafficHarness {
-    MeshTrafficHarness::new(level, nrouters, injection_permille, 0xBEEF)
-}
 
 /// A bin's command line, checked against the arguments it declares.
 pub struct Args {
@@ -114,11 +106,6 @@ pub fn bench_report_path(name: &str) -> PathBuf {
     base.join(format!("BENCH_{name}.json"))
 }
 
-/// Writes a campaign report to [`bench_report_path`].
-pub fn write_bench_report(report: &mtl_sweep::CampaignReport, name: &str) {
-    write_bench_json(&report.to_json(), name);
-}
-
 /// Writes a report document to [`bench_report_path`] and echoes the
 /// location on stdout — for a campaign report (one with a `summary`)
 /// plus its failure counts.
@@ -157,6 +144,20 @@ pub fn job_timing(report: &Json, name: &str, key: &str) -> Option<f64> {
     report_job(report, name)?.get("timing")?.get(key)?.as_f64()
 }
 
+/// A `mesh_cycles` job's measurement window in a report document:
+/// `(accepted packets per 1000 cycles per terminal, mean latency in
+/// cycles)`, from its deterministic counts and its `nrouters` param.
+pub fn mesh_window(report: &Json, name: &str) -> Option<(f64, f64)> {
+    let job = report_job(report, name)?;
+    let metric = |key: &str| job.get("metrics")?.get(key)?.as_u64();
+    let nrouters: u64 = job.get("params")?.get("nrouters")?.as_str()?.parse().ok()?;
+    let (cycles, received) = (metric("cycles")?, metric("received")?);
+    let stats =
+        NetStats { received, total_latency: metric("total_latency")?, ..NetStats::default() };
+    let accepted = received as f64 * 1000.0 / (cycles as f64 * nrouters as f64);
+    Some((accepted, stats.avg_latency()))
+}
+
 /// One counter of a report document's `summary` (`jobs`, `failed` —
 /// every job that did not end `done` — `cached`, `replayed`, …).
 pub fn summary_count(report: &Json, key: &str) -> u64 {
@@ -180,6 +181,18 @@ pub fn submit_spec(socket: &str, spec: &Json) -> Result<Json, String> {
         let n = |k: &str| event.get(k).and_then(Json::as_u64).unwrap_or(0);
         println!("  [{}/{}] {}: {}", n("done"), n("total"), s("job"), s("outcome"));
     })
+}
+
+/// Parses a campaign spec written as JSON text: the campaign's own
+/// members (`"name":"sec3c"`, …) and one JSON object per job, in the
+/// schema of DESIGN.md §10.
+///
+/// # Panics
+///
+/// On text that is not JSON, a bug in the calling bin.
+pub fn spec_text(campaign: &str, jobs: &[String]) -> Json {
+    let text = format!("{{{campaign},\"jobs\":[{}]}}", jobs.join(","));
+    mtl_sweep::json::parse(&text).unwrap_or_else(|e| panic!("malformed spec {text}: {e}"))
 }
 
 /// Where the resumable campaigns (`fault_sweep`, `soc_sweep`) journal
@@ -228,11 +241,6 @@ pub fn run_spec(
     let name = report.get("campaign").and_then(Json::as_str).unwrap_or("campaign");
     write_bench_json(&report, name);
     Ok(report)
-}
-
-/// Formats a duration in seconds with millisecond precision.
-pub fn secs(d: Duration) -> String {
-    format!("{:.3}", d.as_secs_f64())
 }
 
 /// Prints a standard header for a figure binary.

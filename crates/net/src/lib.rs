@@ -4,21 +4,29 @@
 //! Provides the FL "magic crossbar" network ([`NetworkFL`], Figure 10),
 //! cycle-level and RTL XY-routed mesh routers ([`RouterCL`],
 //! [`RouterRTL`]), the structural mesh skeleton parameterized by a router
-//! factory ([`MeshNetworkStructural`], Figure 11), a uniform-random
-//! traffic measurement harness ([`MeshTrafficHarness`]), and the
+//! factory ([`MeshNetworkStructural`], Figure 11), a traffic harness
+//! that records delivery statistics ([`MeshTrafficHarness`]), and the
 //! hand-written efficiency-level baseline ([`HandwrittenMesh`]) used by
-//! the Figure 14/15 benchmarks.
+//! the Figure 14/15 benchmarks. The crate holds models only: the bench
+//! measurements over them (latency sweeps, traffic patterns, buffer
+//! depths) are `mtl-serve` registry jobs (`mesh_cycles`, `mesh_rate`).
 //!
 //! # Examples
 //!
-//! Measuring zero-load latency of a 16-node CL mesh:
+//! Measuring the low-load latency of a 16-node CL mesh:
 //!
 //! ```
-//! use mtl_net::{measure_network, NetLevel};
-//! use mtl_sim::Engine;
+//! use mtl_net::{MeshTrafficHarness, NetLevel};
+//! use mtl_sim::{Engine, Sim};
 //!
-//! let m = measure_network(NetLevel::Cl, 16, 10, 200, 500, Engine::SpecializedOpt);
-//! assert!(m.avg_latency > 0.0);
+//! let harness = MeshTrafficHarness::new(NetLevel::Cl, 16, 10, 0xC0FFEE);
+//! let stats = harness.stats();
+//! let mut sim = Sim::build(&harness, Engine::SpecializedOpt).unwrap();
+//! sim.reset();
+//! sim.run(700);
+//! let stats = stats.lock().unwrap();
+//! assert_eq!(stats.misrouted, 0);
+//! assert!(stats.avg_latency() > 0.0);
 //! ```
 
 mod fl;
@@ -36,8 +44,7 @@ pub use msg::{make_net_msg, net_msg_layout};
 pub use router_cl::RouterCL;
 pub use router_rtl::RouterRTL;
 pub use traffic::{
-    measure_network, measure_network_pattern, MeshTrafficHarness, MeshTrafficRtlHarness,
-    NetMeasurement, NetStats, RtlTrafficGen, TrafficGen, TrafficPattern,
+    MeshTrafficHarness, MeshTrafficRtlHarness, NetStats, RtlTrafficGen, TrafficGen, TrafficPattern,
 };
 
 /// Router port index: toward smaller y.

@@ -155,11 +155,19 @@ impl Component for MeshNetworkStructural {
 }
 
 /// Builds a network model of the requested level with a uniform terminal
-/// interface (`in__i` / `out_i` val/rdy bundles).
-pub fn network(level: NetLevel, nrouters: usize, payload_nbits: u32) -> Box<dyn Component> {
+/// interface (`in__i` / `out_i` val/rdy bundles) and `nentries`-deep
+/// router buffers (2 everywhere but the buffer-depth ablation).
+pub fn network(
+    level: NetLevel,
+    nrouters: usize,
+    payload_nbits: u32,
+    nentries: usize,
+) -> Box<dyn Component> {
     match level {
-        NetLevel::Fl => Box::new(NetworkFL::new(nrouters, payload_nbits, 2)),
-        NetLevel::Cl => Box::new(MeshNetworkStructural::cl(nrouters, payload_nbits, 2)),
-        NetLevel::Rtl => Box::new(MeshNetworkStructural::rtl(nrouters, payload_nbits, 2)),
+        NetLevel::Fl => Box::new(NetworkFL::new(nrouters, payload_nbits, nentries)),
+        NetLevel::Cl => Box::new(MeshNetworkStructural::cl(nrouters, payload_nbits, nentries)),
+        NetLevel::Rtl => {
+            Box::new(MeshNetworkStructural::rtl(nrouters, payload_nbits, nentries as u64))
+        }
     }
 }

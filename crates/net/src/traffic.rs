@@ -2,19 +2,18 @@
 //!
 //! Each terminal gets an FL [`TrafficGen`] that injects timestamped
 //! packets at a configurable rate and measures the latency of packets it
-//! receives. All generators share one [`NetStats`] record; measurement
-//! helpers run warmup + measurement phases and report averages, which the
-//! benches use to regenerate the paper's §III-D numbers (zero-load latency
-//! ≈ 13 cycles, saturation ≈ 32% injection for an 8×8 CL mesh).
+//! receives. All generators of a [`MeshTrafficHarness`] share one
+//! [`NetStats`] record; the `mesh_cycles` job kind of `mtl-serve` runs
+//! warmup + measurement windows over it to regenerate the paper's §III-D
+//! numbers (zero-load latency ≈ 13 cycles, saturation ≈ 32% injection
+//! for an 8×8 CL mesh).
 
 use std::sync::{Arc, Mutex};
 
-use mtl_bits::Bits;
-use mtl_core::{Component, Ctx, Expr};
-use mtl_sim::{Engine, Sim};
-
 use crate::mesh::{network, NetLevel};
 use crate::msg::net_msg_layout;
+use mtl_bits::Bits;
+use mtl_core::{Component, Ctx, Expr};
 
 /// Aggregate traffic statistics shared by all terminals of a harness.
 #[derive(Debug, Default, Clone)]
@@ -63,6 +62,14 @@ pub enum TrafficPattern {
 }
 
 impl TrafficPattern {
+    /// Every pattern, in sweep order.
+    pub const ALL: [TrafficPattern; 4] = [
+        TrafficPattern::UniformRandom,
+        TrafficPattern::Tornado,
+        TrafficPattern::Transpose,
+        TrafficPattern::Neighbor,
+    ];
+
     /// The destination terminal for a packet from `src` in a
     /// `side`×`side` mesh (random patterns draw from `draw`).
     pub fn dest(self, src: usize, side: usize, draw: u64) -> usize {
@@ -78,6 +85,29 @@ impl TrafficPattern {
             TrafficPattern::Transpose => y + x * side,
             TrafficPattern::Neighbor => (x + 1) % side + y * side,
         }
+    }
+}
+
+impl std::fmt::Display for TrafficPattern {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let s = match self {
+            TrafficPattern::UniformRandom => "uniform",
+            TrafficPattern::Tornado => "tornado",
+            TrafficPattern::Transpose => "transpose",
+            TrafficPattern::Neighbor => "neighbor",
+        };
+        write!(f, "{s}")
+    }
+}
+
+impl std::str::FromStr for TrafficPattern {
+    type Err = String;
+
+    /// Parses the exact [`Display`](std::fmt::Display) spelling (the
+    /// lower-case name used by job specs).
+    fn from_str(s: &str) -> Result<TrafficPattern, String> {
+        let found = TrafficPattern::ALL.into_iter().find(|p| p.to_string() == s);
+        found.ok_or_else(|| format!("unknown traffic pattern \"{s}\""))
     }
 }
 
@@ -236,6 +266,8 @@ pub struct MeshTrafficHarness {
     pub seed: u64,
     /// Traffic pattern.
     pub pattern: TrafficPattern,
+    /// Entries per router queue (per output queue of the FL crossbar).
+    pub nentries: usize,
     stats: Arc<Mutex<NetStats>>,
 }
 
@@ -249,6 +281,7 @@ impl MeshTrafficHarness {
             injection_permille,
             seed,
             pattern: TrafficPattern::UniformRandom,
+            nentries: 2,
             stats: Arc::new(Mutex::new(NetStats::default())),
         }
     }
@@ -256,6 +289,12 @@ impl MeshTrafficHarness {
     /// Selects the traffic pattern (default: uniform random).
     pub fn with_pattern(mut self, pattern: TrafficPattern) -> Self {
         self.pattern = pattern;
+        self
+    }
+
+    /// Sets the router buffer depth (default: 2).
+    pub fn with_nentries(mut self, nentries: usize) -> Self {
+        self.nentries = nentries;
         self
     }
 
@@ -271,7 +310,7 @@ impl Component for MeshTrafficHarness {
     }
 
     fn build(&self, c: &mut Ctx) {
-        let net = network(self.level, self.nrouters, self.payload_nbits);
+        let net = network(self.level, self.nrouters, self.payload_nbits, self.nentries);
         let net_inst = c.instantiate("net", &*net);
         for i in 0..self.nrouters {
             let gen = TrafficGen::new(
@@ -297,7 +336,7 @@ impl Component for MeshTrafficHarness {
 /// A fully-IR traffic generator: the RTL analog of [`TrafficGen`], with
 /// a Galois LFSR replacing the host PRNG and a one-entry output buffer
 /// replacing the host-side source queue. No native closure, no shared
-/// stats — which makes it simulable on [`Engine::SpecializedBatch`],
+/// stats — which makes it simulable on `Engine::SpecializedBatch`,
 /// where one closure instance cannot stand in for 64 lanes.
 ///
 /// Received packets fold into a 32-bit `sum` output register (payload ⊕
@@ -441,7 +480,7 @@ impl Component for MeshTrafficRtlHarness {
     }
 
     fn build(&self, c: &mut Ctx) {
-        let net = network(NetLevel::Rtl, self.nrouters, self.payload_nbits);
+        let net = network(NetLevel::Rtl, self.nrouters, self.payload_nbits, 2);
         let net_inst = c.instantiate("net", &*net);
         let checksum = c.out_port("checksum", 32);
         let mut sums = Vec::new();
@@ -470,80 +509,40 @@ impl Component for MeshTrafficRtlHarness {
     }
 }
 
-/// Result of one network measurement run.
-#[derive(Debug, Clone, Copy)]
-pub struct NetMeasurement {
-    /// Mean packet latency in cycles over the measurement window.
-    pub avg_latency: f64,
-    /// Accepted throughput in packets per 1000 cycles per terminal.
-    pub accepted_permille: f64,
-    /// Packets injected during measurement.
-    pub injected: u64,
-    /// Packets received during measurement.
-    pub received: u64,
-}
-
-/// Builds, warms up, and measures a mesh under uniform-random traffic.
-///
-/// # Panics
-///
-/// Panics if any packet is misrouted (a correctness bug, not a
-/// measurement condition).
-pub fn measure_network(
-    level: NetLevel,
-    nrouters: usize,
-    injection_permille: u32,
-    warmup: u64,
-    measure: u64,
-    engine: Engine,
-) -> NetMeasurement {
-    measure_network_pattern(
-        level,
-        nrouters,
-        TrafficPattern::UniformRandom,
-        injection_permille,
-        warmup,
-        measure,
-        engine,
-    )
-}
-
-/// [`measure_network`] under an explicit traffic pattern.
-///
-/// # Panics
-///
-/// Panics if any packet is misrouted.
-#[allow(clippy::too_many_arguments)]
-pub fn measure_network_pattern(
-    level: NetLevel,
-    nrouters: usize,
-    pattern: TrafficPattern,
-    injection_permille: u32,
-    warmup: u64,
-    measure: u64,
-    engine: Engine,
-) -> NetMeasurement {
-    let harness = MeshTrafficHarness::new(level, nrouters, injection_permille, 0xC0FFEE)
-        .with_pattern(pattern);
-    let stats = harness.stats();
-    let mut sim = Sim::build(&harness, engine).expect("harness elaboration");
-    sim.reset();
-    sim.run(warmup);
-    stats.lock().unwrap().clear();
-    sim.run(measure);
-    let st = stats.lock().unwrap();
-    assert_eq!(st.misrouted, 0, "misrouted packets detected");
-    NetMeasurement {
-        avg_latency: st.avg_latency(),
-        accepted_permille: st.received as f64 * 1000.0 / (measure as f64 * nrouters as f64),
-        injected: st.injected,
-        received: st.received,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mtl_sim::{Engine, Sim};
+
+    /// What one measurement window saw: the statistics of `cycles` cycles
+    /// after `warmup`, and the accepted throughput in packets per 1000
+    /// cycles per terminal.
+    #[derive(Debug)]
+    struct Window {
+        stats: NetStats,
+        accepted_permille: f64,
+    }
+
+    /// Runs `harness` for `warmup` cycles, clears its statistics and
+    /// measures `cycles` more, as the `mesh_cycles` job kind does.
+    fn measure(harness: MeshTrafficHarness, warmup: u64, cycles: u64, engine: Engine) -> Window {
+        let stats = harness.stats();
+        let mut sim = Sim::build(&harness, engine).expect("harness elaboration");
+        sim.reset();
+        sim.run(warmup);
+        stats.lock().unwrap().clear();
+        sim.run(cycles);
+        let stats = stats.lock().unwrap().clone();
+        assert_eq!(stats.misrouted, 0, "misrouted packets detected");
+        let accepted_permille =
+            stats.received as f64 * 1000.0 / (cycles as f64 * harness.nrouters as f64);
+        Window { stats, accepted_permille }
+    }
+
+    /// Uniform-random traffic on the §III-D sweep's seed.
+    fn uniform(level: NetLevel, nrouters: usize, injection: u32) -> MeshTrafficHarness {
+        MeshTrafficHarness::new(level, nrouters, injection, 0xC0FFEE)
+    }
 
     #[test]
     fn patterns_compute_expected_destinations() {
@@ -557,30 +556,22 @@ mod tests {
         for draw in 0..40 {
             assert!(TrafficPattern::UniformRandom.dest(5, 4, draw) < 16);
         }
+        for pattern in TrafficPattern::ALL {
+            assert_eq!(pattern.to_string().parse(), Ok(pattern));
+        }
+        assert!("Tornado".parse::<TrafficPattern>().is_err());
     }
 
     #[test]
     fn adversarial_patterns_saturate_earlier_than_neighbor() {
         // Classic NoC result: neighbor traffic sustains far more load than
         // transpose on a minimally-routed mesh.
-        let neighbor = measure_network_pattern(
-            NetLevel::Cl,
-            16,
-            TrafficPattern::Neighbor,
-            700,
-            300,
-            1200,
-            Engine::SpecializedOpt,
-        );
-        let transpose = measure_network_pattern(
-            NetLevel::Cl,
-            16,
-            TrafficPattern::Transpose,
-            700,
-            300,
-            1200,
-            Engine::SpecializedOpt,
-        );
+        let window = |pattern| {
+            let harness = uniform(NetLevel::Cl, 16, 700).with_pattern(pattern);
+            measure(harness, 300, 1200, Engine::SpecializedOpt)
+        };
+        let neighbor = window(TrafficPattern::Neighbor);
+        let transpose = window(TrafficPattern::Transpose);
         assert!(
             neighbor.accepted_permille > transpose.accepted_permille * 1.2,
             "neighbor {:?} should beat transpose {:?}",
@@ -591,38 +582,38 @@ mod tests {
 
     #[test]
     fn fl_network_delivers_all_traffic() {
-        let m = measure_network(NetLevel::Fl, 16, 100, 200, 800, Engine::SpecializedOpt);
-        assert!(m.received > 0, "no packets delivered: {m:?}");
+        let m = measure(uniform(NetLevel::Fl, 16, 100), 200, 800, Engine::SpecializedOpt);
+        assert!(m.stats.received > 0, "no packets delivered: {m:?}");
         // FL network is an ideal crossbar: latency is small and load-independent.
-        assert!(m.avg_latency < 10.0, "FL latency too high: {m:?}");
+        assert!(m.stats.avg_latency() < 10.0, "FL latency too high: {m:?}");
     }
 
     #[test]
     fn cl_mesh_low_load_latency_is_moderate() {
-        let m = measure_network(NetLevel::Cl, 16, 20, 300, 1500, Engine::SpecializedOpt);
-        assert!(m.received > 20, "too few packets: {m:?}");
+        let m = measure(uniform(NetLevel::Cl, 16, 20), 300, 1500, Engine::SpecializedOpt);
+        assert!(m.stats.received > 20, "too few packets: {m:?}");
         // 4x4 mesh, ~2 cycles/hop, avg ~2.7 hops: latency should land in
         // the 5-15 cycle band at low load.
-        assert!(m.avg_latency > 3.0 && m.avg_latency < 16.0, "{m:?}");
+        assert!((3.0..16.0).contains(&m.stats.avg_latency()), "{m:?}");
     }
 
     #[test]
     fn rtl_mesh_low_load_latency_matches_cl_band() {
-        let m = measure_network(NetLevel::Rtl, 16, 20, 300, 1500, Engine::SpecializedOpt);
-        assert!(m.received > 20, "too few packets: {m:?}");
-        assert!(m.avg_latency > 3.0 && m.avg_latency < 16.0, "{m:?}");
+        let m = measure(uniform(NetLevel::Rtl, 16, 20), 300, 1500, Engine::SpecializedOpt);
+        assert!(m.stats.received > 20, "too few packets: {m:?}");
+        assert!((3.0..16.0).contains(&m.stats.avg_latency()), "{m:?}");
     }
 
     #[test]
     fn cl_mesh_saturates_under_heavy_load() {
-        let low = measure_network(NetLevel::Cl, 16, 50, 300, 1200, Engine::SpecializedOpt);
-        let high = measure_network(NetLevel::Cl, 16, 900, 300, 1200, Engine::SpecializedOpt);
+        let low = measure(uniform(NetLevel::Cl, 16, 50), 300, 1200, Engine::SpecializedOpt);
+        let high = measure(uniform(NetLevel::Cl, 16, 900), 300, 1200, Engine::SpecializedOpt);
         // Offered 90% is far beyond saturation: accepted throughput must
         // flatten well below offered, and latency must blow up. (A 4x4
         // mesh saturates around 60-70% under uniform-random traffic.)
         assert!(high.accepted_permille < 800.0, "accepted should saturate: {high:?}");
         assert!(
-            high.avg_latency > 2.0 * low.avg_latency,
+            high.stats.avg_latency() > 2.0 * low.stats.avg_latency(),
             "latency should rise steeply: low={low:?} high={high:?}"
         );
     }
@@ -631,8 +622,8 @@ mod tests {
     fn all_engines_agree_on_cl_mesh_delivery_count() {
         let mut counts = Vec::new();
         for engine in Engine::ALL {
-            let m = measure_network(NetLevel::Cl, 4, 100, 100, 400, engine);
-            counts.push((m.injected, m.received));
+            let m = measure(uniform(NetLevel::Cl, 4, 100), 100, 400, engine);
+            counts.push((m.stats.injected, m.stats.received));
         }
         assert!(counts.windows(2).all(|w| w[0] == w[1]), "engines disagree: {counts:?}");
     }

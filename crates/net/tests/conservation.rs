@@ -20,7 +20,7 @@ impl Component for LimitedHarness {
     }
 
     fn build(&self, c: &mut Ctx) {
-        let net = network(self.level, self.nrouters, 32);
+        let net = network(self.level, self.nrouters, 32, 2);
         let net = c.instantiate("net", &*net);
         for i in 0..self.nrouters {
             let gen = TrafficGen::new(i, self.nrouters, 32, 400, 3 + i as u64, self.stats.clone())
@@ -91,7 +91,7 @@ fn full_rtl_mesh_survives_verilog_round_trip() {
 
     // Round trip just the network (generators are native FL and stay
     // outside the translated region).
-    let design = mtl_core::elaborate(&*network(NetLevel::Rtl, 16, 32)).unwrap();
+    let design = mtl_core::elaborate(&*network(NetLevel::Rtl, 16, 32, 2)).unwrap();
     let verilog = mtl_translate::translate(&design).unwrap();
     let lib = mtl_translate::VerilogLibrary::parse(&verilog)
         .unwrap_or_else(|e| panic!("mesh verilog reparse failed: {e}"));

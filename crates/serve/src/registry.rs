@@ -30,13 +30,16 @@ use std::ops::RangeInclusive;
 use std::path::PathBuf;
 use std::str::FromStr;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use mtl_accel::{TileConfig, TileHarness, XcelLevel};
+use mtl_accel::{
+    mvmult_data, mvmult_reference, mvmult_scalar_program, mvmult_xcel_program, MvMultLayout,
+    TileConfig, TileHarness, XcelLevel,
+};
 use mtl_core::Component;
 use mtl_fault::{run_diffs, DiffConfig, FaultPlan, FaultReport, Outcome, PlanSpec};
-use mtl_net::{MeshTrafficHarness, MeshTrafficRtlHarness, NetLevel};
-use mtl_proc::{CacheLevel, ProcLevel};
+use mtl_net::{MeshTrafficHarness, MeshTrafficRtlHarness, NetLevel, TrafficPattern};
+use mtl_proc::{CacheLevel, Iss, ProcLevel};
 use mtl_sim::{ArtifactCache, Engine, Sim, SimConfig, SimProfile, BATCH_LANES};
 use mtl_soc::{run_soc_compute_on, run_soc_traffic_on, Soc, SocConfig, SocTraffic};
 use mtl_sweep::{measure_batched, Campaign, Fnv1a, Job, JobCtx, JobMetrics, Json};
@@ -55,8 +58,8 @@ struct Kind {
     /// The engine a job runs under when its spec names none; `None` for
     /// kinds that build no simulator.
     default_engine: Option<Engine>,
-    /// Spec fields accepted beyond [`COMMON_FIELDS`].
-    fields: &'static [&'static str],
+    /// Spec fields accepted beyond [`COMMON_FIELDS`], space-separated.
+    fields: &'static str,
     build: fn(Fields, &Arc<ArtifactCache>) -> Result<Job, String>,
 }
 
@@ -71,94 +74,69 @@ const MAX_NODES: usize = 1024;
 /// is checked on every cycle of its simulator.
 const MAX_FAULTS: usize = 1024;
 
-/// Largest `cycles` a fault job may ask for, so its plan window
+/// Largest `cycles`, `warmup` or `max_cycles` a job may ask for, so no
+/// spec line runs a simulator without end and a fault job's plan window
 /// `2..=1 + cycles` cannot overflow.
-const MAX_FAULT_CYCLES: u64 = u32::MAX as u64;
+const MAX_CYCLES: u64 = u32::MAX as u64;
+
+/// Deepest router buffer (`nentries`) a mesh job may ask for.
+const MAX_NENTRIES: usize = 64;
 
 const OPT: Option<Engine> = Some(Engine::SpecializedOpt);
 
 /// The catalog: the only place a campaign job body is defined. Bench
 /// bins and the daemon both instantiate jobs from here
 /// (DESIGN.md §10 lists what each kind measures).
-static KINDS: [Kind; 9] = [
-    Kind { name: "sleep_ms", default_engine: None, fields: &["ms"], build: sleep_job },
-    Kind { name: "fail", default_engine: None, fields: &[], build: fail_job },
+static KINDS: [Kind; 10] = [
+    Kind { name: "sleep_ms", default_engine: None, fields: "ms", build: sleep_job },
+    Kind { name: "fail", default_engine: None, fields: "", build: fail_job },
     Kind {
         name: "mesh_cycles",
         default_engine: OPT,
-        fields: &["level", "nrouters", "injection", "cycles", "engine"],
+        fields: "level nrouters injection cycles engine warmup pattern nentries seed",
         build: mesh_cycles_job,
     },
     Kind {
         name: "tile_cycles",
         default_engine: OPT,
-        fields: &["proc", "cache", "xcel", "max_cycles", "engine"],
+        fields: "proc cache xcel kernel rows cols nlines max_cycles profile engine",
         build: tile_cycles_job,
+    },
+    Kind {
+        name: "iss_kernel",
+        default_engine: None,
+        fields: "kernel rows cols",
+        build: iss_kernel_job,
     },
     Kind {
         name: "mesh_rate",
         default_engine: OPT,
-        fields: &[
-            "level",
-            "nrouters",
-            "injection",
-            "min_wall_ms",
-            "max_cycles",
-            "engine",
-            "tape_opt",
-            "profile",
-        ],
+        fields: "level nrouters injection min_wall_ms max_cycles engine tape_opt profile",
         build: engine_rate_job,
     },
     Kind {
         name: "handwritten_rate",
         default_engine: None,
-        fields: &["nrouters", "injection", "min_wall_ms", "max_cycles"],
+        fields: "nrouters injection min_wall_ms max_cycles",
         build: handwritten_rate_job,
     },
     Kind {
         name: "fault_chunk",
         default_engine: OPT,
-        fields: &[
-            "dut",
-            "level",
-            "nrouters",
-            "injection",
-            "proc",
-            "cache",
-            "xcel",
-            "chunk",
-            "trials",
-            "cycles",
-            "faults",
-            "engine",
-        ],
+        fields: "dut level nrouters injection proc cache xcel chunk trials cycles faults engine",
         build: fault_chunk_job,
     },
     Kind {
         name: "fault_batch_chunk",
         default_engine: Some(Engine::SpecializedBatch),
-        fields: &["nrouters", "injection", "chunk", "trials", "scalar_sample", "cycles", "faults"],
+        fields: "nrouters injection chunk trials scalar_sample cycles faults",
         build: fault_batch_chunk_job,
     },
     Kind {
         name: "soc_cycles",
         default_engine: OPT,
-        fields: &[
-            "workload",
-            "tiles",
-            "net",
-            "pattern",
-            "seed",
-            "cycles",
-            "injection",
-            "limit",
-            "proc",
-            "cache",
-            "xcel",
-            "accesses",
-            "engine",
-        ],
+        fields:
+            "workload tiles net pattern seed cycles injection limit proc cache xcel accesses engine",
         build: soc_cycles_job,
     },
 ];
@@ -213,12 +191,31 @@ impl Fields<'_> {
     /// A named field (`level`, `pattern`, `engine`, …) parsed by its
     /// type's `FromStr`; `default` when absent.
     fn parsed<T: FromStr<Err = String>>(&self, key: &str, default: T) -> Result<T, String> {
-        self.str(key).map_or(Ok(default), str::parse)
+        Ok(self.optional(key)?.unwrap_or(default))
+    }
+
+    /// A named field parsed by its type's `FromStr`, if present; a
+    /// value that is not a string is an error.
+    fn optional<T: FromStr<Err = String>>(&self, key: &str) -> Result<Option<T>, String> {
+        let Some(value) = self.spec.get(key) else { return Ok(None) };
+        let s = value
+            .as_str()
+            .ok_or_else(|| format!("\"{key}\" must be a string, got {}", value.to_compact()))?;
+        s.parse().map(Some)
     }
 
     fn required<T: FromStr<Err = String>>(&self, key: &str) -> Result<T, String> {
         let s = self.str(key).ok_or_else(|| format!("{} needs \"{key}\"", self.kind.name))?;
         s.parse()
+    }
+
+    /// A field naming one of `options`; the first when absent.
+    fn choice(&self, key: &str, options: &[&'static str]) -> Result<&'static str, String> {
+        let Some(value) = self.spec.get(key) else { return Ok(options[0]) };
+        let found = options.iter().find(|&&o| value.as_str() == Some(o)).copied();
+        found.ok_or_else(|| {
+            format!("\"{key}\" must be {}, got {}", options.join("|"), value.to_compact())
+        })
     }
 
     /// A `true`/`false` field, if present; any other value is an error.
@@ -241,11 +238,30 @@ impl Fields<'_> {
     where
         T: TryFrom<u64> + PartialOrd + std::fmt::Display,
     {
-        let n = self.num(key, default)?;
+        Ok(self.bounded_opt(key, range)?.unwrap_or(default))
+    }
+
+    /// [`Fields::bounded`] for a field with no default: `None` when
+    /// absent.
+    fn bounded_opt<T>(&self, key: &str, range: RangeInclusive<T>) -> Result<Option<T>, String>
+    where
+        T: TryFrom<u64> + PartialOrd + std::fmt::Display,
+    {
+        let Some(n) = num_field(self.spec, key)? else { return Ok(None) };
         if !range.contains(&n) {
             return Err(format!("\"{key}\" must be {}..={}, got {n}", range.start(), range.end()));
         }
-        Ok(n)
+        Ok(Some(n))
+    }
+}
+
+/// Adds `key` to a job's params only when its spec gave the field, so a
+/// spec that leaves an optional field out keeps the fingerprint it had
+/// before the field existed.
+fn param_if(job: Job, key: &str, value: Option<impl ToString>) -> Job {
+    match value {
+        Some(value) => job.param(key, value),
+        None => job,
     }
 }
 
@@ -330,11 +346,11 @@ fn job_from_spec(spec: &Json, artifacts: &Arc<ArtifactCache>) -> Result<Job, Str
     let name = str_field(spec, "name").ok_or("job needs a string \"name\"")?;
     for (key, _) in spec.as_obj().unwrap_or(&[]) {
         let key = key.as_str();
-        if !COMMON_FIELDS.contains(&key) && !kind.fields.contains(&key) {
+        if !COMMON_FIELDS.contains(&key) && !kind.fields.split_whitespace().any(|f| f == key) {
             return Err(format!(
                 "unknown field \"{key}\" for kind {} (accepted: {})",
                 kind.name,
-                kind.fields.join(", ")
+                kind.fields.replace(' ', ", ")
             ));
         }
     }
@@ -394,15 +410,32 @@ struct MeshParams {
     level: NetLevel,
     nrouters: usize,
     injection: u32,
+    /// Router buffer depth, when the spec sets one (only `mesh_cycles`
+    /// accepts the field).
+    nentries: Option<usize>,
     key: u64,
+}
+
+impl MeshParams {
+    fn harness(&self, seed: u64) -> MeshTrafficHarness {
+        let harness = MeshTrafficHarness::new(self.level, self.nrouters, self.injection, seed);
+        match self.nentries {
+            Some(nentries) => harness.with_nentries(nentries),
+            None => harness,
+        }
+    }
 }
 
 fn mesh_params(f: Fields) -> Result<MeshParams, String> {
     let level: NetLevel = f.required("level")?;
     let (nrouters, injection) = mesh_size(f)?;
+    let nentries = f.bounded_opt("nentries", 1..=MAX_NENTRIES)?;
     let key =
         compile_key(&["mesh", &level.to_string(), &nrouters.to_string(), &injection.to_string()]);
-    Ok(MeshParams { level, nrouters, injection, key })
+    // A mesh with the default buffers keeps the key it had before the
+    // depth became a field.
+    let key = nentries.map_or(key, |n| compile_key(&[&key.to_string(), &n.to_string()]));
+    Ok(MeshParams { level, nrouters, injection, nentries, key })
 }
 
 /// A mesh's `nrouters` (a positive perfect square) and `injection` rate.
@@ -415,34 +448,55 @@ fn mesh_size(f: Fields) -> Result<(usize, u32), String> {
     Ok((nrouters, f.bounded("injection", 200, 1..=1000)?))
 }
 
-/// Deterministic mesh run: `cycles` cycles of seeded traffic, reporting
-/// the delivery statistics. Cacheable and journalable (the same seed
-/// reproduces the same traffic on every engine).
+/// Deterministic mesh run: `warmup` cycles whose statistics are
+/// discarded, then `cycles` cycles of traffic, reporting the delivery
+/// statistics. Traffic follows `pattern` (uniform) and draws from `seed`
+/// (the job's campaign-derived seed when absent); `nentries` sets the
+/// router buffer depth (2). A misrouted packet fails the job. Cacheable
+/// and journalable (the same seed reproduces the same traffic on every
+/// engine).
 fn mesh_cycles_job(f: Fields, artifacts: &Arc<ArtifactCache>) -> Result<Job, String> {
     let p = mesh_params(f)?;
-    let cycles = f.num("cycles", 200u64)?;
+    let warmup = f.bounded_opt("warmup", 0..=MAX_CYCLES)?;
+    let cycles = f.bounded("cycles", 200u64, 0..=MAX_CYCLES)?;
+    let pattern: Option<TrafficPattern> = f.optional("pattern")?;
+    let seed: Option<u64> = num_field(f.spec, "seed")?;
     let engine = f.engine()?;
     let artifacts = artifacts.clone();
-    Ok(f.job(move |ctx| {
-        let harness = MeshTrafficHarness::new(p.level, p.nrouters, p.injection, ctx.seed);
-        let stats = harness.stats();
-        let mut sim = build_shared(&harness, engine, &artifacts, p.key)?;
-        sim.reset();
-        sim.run(cycles);
-        let s = stats.lock().map_err(|_| "stats poisoned".to_string())?;
-        Ok(JobMetrics::new()
-            .det("cycles", cycles)
-            .det("injected", s.injected)
-            .det("received", s.received)
-            .det("total_latency", s.total_latency)
-            .det("max_latency", s.max_latency)
-            .det("misrouted", s.misrouted))
-    })
-    .param("level", p.level)
-    .param("nrouters", p.nrouters)
-    .param("injection", p.injection)
-    .param("cycles", cycles)
-    .param("engine", engine))
+    let job = f
+        .job(move |ctx| {
+            let harness =
+                p.harness(seed.unwrap_or(ctx.seed)).with_pattern(pattern.unwrap_or_default());
+            let stats = harness.stats();
+            let mut sim = build_shared(&harness, engine, &artifacts, p.key)?;
+            sim.reset();
+            let lock = || stats.lock().map_err(|_| "stats poisoned".to_string());
+            if let Some(warmup) = warmup {
+                sim.run(warmup);
+                lock()?.clear();
+            }
+            sim.run(cycles);
+            let s = lock()?;
+            if s.misrouted > 0 {
+                return Err(format!("{} packets reached the wrong terminal", s.misrouted));
+            }
+            Ok(JobMetrics::new()
+                .det("cycles", cycles)
+                .det("injected", s.injected)
+                .det("received", s.received)
+                .det("total_latency", s.total_latency)
+                .det("max_latency", s.max_latency)
+                .det("misrouted", s.misrouted))
+        })
+        .param("level", p.level)
+        .param("nrouters", p.nrouters)
+        .param("injection", p.injection)
+        .param("cycles", cycles)
+        .param("engine", engine);
+    let job = param_if(job, "warmup", warmup);
+    let job = param_if(job, "pattern", pattern);
+    let job = param_if(job, "nentries", p.nentries);
+    Ok(param_if(job, "seed", seed))
 }
 
 /// Parameters for the fully-IR mesh ([`MeshTrafficRtlHarness`]): RTL
@@ -460,47 +514,184 @@ fn mesh_ir_params(f: Fields) -> Result<(usize, u32, u64), String> {
     Ok((nrouters, injection, key))
 }
 
-fn tile_params(f: Fields) -> Result<(TileConfig, u64), String> {
+/// A tile's ⟨P, C, A⟩ and its compile key; `shape` lists whatever else
+/// the caller's harness varies.
+fn tile_params(f: Fields, shape: &[&str]) -> Result<(TileConfig, u64), String> {
     let config = TileConfig {
         proc: f.required("proc")?,
         cache: f.required("cache")?,
         xcel: f.required("xcel")?,
     };
     let TileConfig { proc, cache, xcel } = config;
-    Ok((config, compile_key(&["tile", &proc.to_string(), &cache.to_string(), &xcel.to_string()])))
+    let (proc, cache, xcel) = (proc.to_string(), cache.to_string(), xcel.to_string());
+    let key = compile_key(&[&["tile", &proc, &cache, &xcel], shape].concat());
+    Ok((config, key))
 }
 
-/// The tile under test everywhere: a few proc2mngr words keep the
+/// The fault campaigns' tile DUT: a few proc2mngr words keep the
 /// frontend and cache machinery active through the observation window.
 fn tile_harness(config: TileConfig) -> TileHarness {
     TileHarness::new(config, 1 << 10, vec![3, 1, 4, 1, 5, 9])
 }
 
-/// Deterministic tile run: executes until the processor halts (or
-/// `max_cycles`), reporting cycles and retired instructions.
+/// Words of memory behind a kernel run: room for the largest kernel's
+/// program, matrix, vector and output vector.
+const KERNEL_MEM_WORDS: usize = 1 << 16;
+
+/// The matrix-vector kernel of a `tile_cycles` or `iss_kernel` job, at
+/// the default [`MvMultLayout`].
+#[derive(Clone, Copy)]
+struct Kernel {
+    /// `xcel` or `scalar`.
+    name: &'static str,
+    rows: u32,
+    cols: u32,
+}
+
+impl Kernel {
+    /// Reads `kernel` (`scalar` | `xcel`, default `xcel`), `rows` (8) and
+    /// `cols` (16). The matrix must fit below `vec_base` and the vector
+    /// below `out_base`, and the scalar program's 4× unrolled loop needs
+    /// `cols` a multiple of 4.
+    fn from_spec(f: Fields) -> Result<Kernel, String> {
+        let name = f.choice("kernel", &["xcel", "scalar"])?;
+        let layout = MvMultLayout::default();
+        let max_words = (layout.vec_base - layout.mat_base) / 4;
+        let rows = f.bounded("rows", 8, 1..=max_words)?;
+        let cols = f.bounded("cols", 16, 1..=(layout.out_base - layout.vec_base) / 4)?;
+        if rows * cols > max_words {
+            return Err(format!(
+                "\"rows\"·\"cols\" must be at most {max_words}, got {rows}·{cols}"
+            ));
+        }
+        if name == "scalar" && !cols.is_multiple_of(4) {
+            return Err(format!("the scalar kernel needs \"cols\" a multiple of 4, got {cols}"));
+        }
+        Ok(Kernel { name, rows, cols })
+    }
+
+    /// The program and its inputs, as `(byte address, words)` regions.
+    fn image(&self) -> [(u32, Vec<u32>); 3] {
+        let layout = MvMultLayout::default();
+        let program = if self.name == "scalar" {
+            mvmult_scalar_program(self.rows, self.cols, layout)
+        } else {
+            mvmult_xcel_program(self.rows, self.cols, layout)
+        };
+        let (mat, vec) = mvmult_data(self.rows, self.cols);
+        [(0, program), (layout.mat_base, mat), (layout.vec_base, vec)]
+    }
+
+    /// Checks the output vector a finished run left in `mem` against the
+    /// host product.
+    fn check(&self, mem: &[u32]) -> Result<(), String> {
+        let base = (MvMultLayout::default().out_base / 4) as usize;
+        let out = &mem[base..base + self.rows as usize];
+        let want = mvmult_reference(self.rows, self.cols);
+        if out == want {
+            return Ok(());
+        }
+        Err(format!("output vector {out:x?} disagrees with the host product {want:x?}"))
+    }
+
+    fn params(&self, job: Job) -> Job {
+        job.param("kernel", self.name).param("rows", self.rows).param("cols", self.cols)
+    }
+}
+
+/// Deterministic tile run: the `kernel` on the tile with `nlines`-line
+/// caches until the processor halts, reporting cycles and retired
+/// instructions, and as timing `kernel_secs`, the wall time of build,
+/// reset and run (Figure 13's measure). Fails unless the tile halts
+/// within `max_cycles` and leaves the host product in memory; `profile`
+/// attaches the run's [`SimProfile`].
 fn tile_cycles_job(f: Fields, artifacts: &Arc<ArtifactCache>) -> Result<Job, String> {
-    let (config, key) = tile_params(f)?;
-    let max_cycles = f.num("max_cycles", 20_000u64)?;
+    let nlines = f.bounded("nlines", 32u64, 2..=128)?;
+    if !nlines.is_power_of_two() {
+        return Err(format!("\"nlines\" must be a power of two, got {nlines}"));
+    }
+    let (config, key) = tile_params(f, &[&nlines.to_string(), &KERNEL_MEM_WORDS.to_string()])?;
+    let kernel = Kernel::from_spec(f)?;
+    let max_cycles = f.bounded("max_cycles", 20_000_000, 1..=MAX_CYCLES)?;
+    let profile = f.bool("profile")?.unwrap_or(false);
     let engine = f.engine()?;
     let artifacts = artifacts.clone();
-    Ok(f.job(move |_ctx| {
-        let mut sim = build_shared(&tile_harness(config), engine, &artifacts, key)?;
-        sim.reset();
-        let mut cycles = 0u64;
-        while cycles < max_cycles && sim.peek_port("halted").as_u128() == 0 {
-            sim.cycle();
-            cycles += 1;
+    let job = f
+        .job(move |_ctx| {
+            let image = kernel.image();
+            let t0 = Instant::now();
+            let harness =
+                TileHarness::new(config, KERNEL_MEM_WORDS, vec![]).with_cache_nlines(nlines);
+            for (addr, words) in &image {
+                harness.load(*addr, words);
+            }
+            let mut sim = build_shared(&harness, engine, &artifacts, key)?;
+            if profile {
+                sim.enable_profiling();
+            }
+            sim.reset();
+            let mut cycles = 0u64;
+            while sim.peek_port("halted").is_zero() {
+                if cycles == max_cycles {
+                    return Err(format!("{config} tile did not halt in {max_cycles} cycles"));
+                }
+                sim.cycle();
+                cycles += 1;
+            }
+            let kernel_secs = t0.elapsed().as_secs_f64();
+            kernel.check(&harness.mem_handle().lock().map_err(|_| "memory poisoned")?)?;
+            let mut metrics = JobMetrics::new()
+                .det("cycles", cycles)
+                .det("instret", sim.peek_port("instret").as_u64())
+                .timing("kernel_secs", kernel_secs);
+            if let Some(prof) = sim.profile() {
+                metrics = metrics.with_profile(profile_json(&prof, PROFILE_TOP_N));
+            }
+            Ok(metrics)
+        })
+        .param("proc", config.proc)
+        .param("cache", config.cache)
+        .param("xcel", config.xcel);
+    let job = kernel
+        .params(job)
+        .param("nlines", nlines)
+        .param("max_cycles", max_cycles)
+        .param("engine", engine);
+    Ok(if profile { job.expects_profile() } else { job })
+}
+
+/// The pure instruction-set simulator on the same kernel, Figure 13's
+/// LOD-1 reference: reports `instret` and, as timing, `kernel_secs`, the
+/// best of five 50 ms rounds' mean wall time per run. Fails unless the
+/// ISS halts and leaves the host product in memory. Uncacheable: the
+/// wall time is the measurement.
+fn iss_kernel_job(f: Fields, _: &Arc<ArtifactCache>) -> Result<Job, String> {
+    const MAX_STEPS: u64 = 10_000_000;
+    let kernel = Kernel::from_spec(f)?;
+    let job = f.job(move |_ctx| {
+        let mut iss = Iss::new(KERNEL_MEM_WORDS);
+        for (addr, words) in &kernel.image() {
+            iss.load(*addr, words);
         }
-        Ok(JobMetrics::new()
-            .det("cycles", cycles)
-            .det("halted", sim.peek_port("halted").as_u128() as u64)
-            .det("instret", sim.peek_port("instret").as_u128() as u64))
-    })
-    .param("proc", config.proc)
-    .param("cache", config.cache)
-    .param("xcel", config.xcel)
-    .param("max_cycles", max_cycles)
-    .param("engine", engine))
+        let mut run = iss.clone();
+        run.run(MAX_STEPS);
+        if !run.halted {
+            return Err(format!("the ISS did not halt in {MAX_STEPS} steps"));
+        }
+        kernel.check(&run.mem)?;
+        let mut best = f64::INFINITY;
+        for _ in 0..5 {
+            let t0 = Instant::now();
+            let mut reps = 0;
+            while t0.elapsed() < Duration::from_millis(50) {
+                iss.clone().run(MAX_STEPS);
+                reps += 1;
+            }
+            best = best.min(t0.elapsed().as_secs_f64() / f64::from(reps));
+        }
+        Ok(JobMetrics::new().det("instret", run.instret).timing("kernel_secs", best))
+    });
+    Ok(kernel.params(job.uncacheable()))
 }
 
 /// The traffic seed of every rate measurement and fault DUT: one
@@ -537,7 +728,7 @@ fn engine_rate_job(f: Fields, _: &Arc<ArtifactCache>) -> Result<Job, String> {
     let cfg = SimConfig { tape_opt: tape_opt.unwrap_or(true), ..SimConfig::default() };
     let job = f
         .job(move |ctx| {
-            let harness = MeshTrafficHarness::new(p.level, p.nrouters, p.injection, TRAFFIC_SEED);
+            let harness = p.harness(TRAFFIC_SEED);
             let mut sim = Sim::build_with_config(&harness, engine, &cfg)
                 .map_err(|e| format!("elaboration failed: {e:?}"))?;
             if profile {
@@ -554,10 +745,20 @@ fn engine_rate_job(f: Fields, _: &Arc<ArtifactCache>) -> Result<Job, String> {
                     .det("tape_regs_after", r.regs_after)
                     .det("opt_rounds", r.rounds);
             }
+            let o = *sim.overheads();
             metrics = metrics
                 .timing("cycles_per_sec", m.rate())
                 .timing("measured_cycles", m.work as f64)
-                .timing("overhead_total_secs", sim.overheads().total().as_secs_f64());
+                .timing("overhead_total_secs", o.total().as_secs_f64());
+            for (phase, secs) in [
+                ("elab", o.elab),
+                ("cgen", o.cgen),
+                ("comp", o.comp),
+                ("wrap", o.wrap),
+                ("simc", o.simc),
+            ] {
+                metrics = metrics.timing(format!("{phase}_secs"), secs.as_secs_f64());
+            }
             if let Some(prof) = sim.profile() {
                 metrics = metrics.with_profile(profile_json(&prof, PROFILE_TOP_N));
             }
@@ -568,10 +769,7 @@ fn engine_rate_job(f: Fields, _: &Arc<ArtifactCache>) -> Result<Job, String> {
         .param("nrouters", p.nrouters)
         .param("injection", p.injection)
         .param("engine", engine);
-    let job = match tape_opt {
-        Some(on) => job.param("tape_opt", on),
-        None => job,
-    };
+    let job = param_if(job, "tape_opt", tape_opt);
     Ok(if profile { job.expects_profile() } else { job })
 }
 
@@ -591,12 +789,12 @@ fn handwritten_rate_job(f: Fields, _: &Arc<ArtifactCache>) -> Result<Job, String
 }
 
 /// How many hot blocks and active nets a `profile` section lists.
-pub const PROFILE_TOP_N: usize = 10;
+const PROFILE_TOP_N: usize = 10;
 
 /// Renders a [`SimProfile`] as the `profile` section of a per-job report:
 /// summary counters, the `top_n` hottest blocks, histogram summaries, and
 /// the `top_n` most active nets. Schema documented in `EXPERIMENTS.md`.
-pub fn profile_json(p: &SimProfile, top_n: usize) -> Json {
+fn profile_json(p: &SimProfile, top_n: usize) -> Json {
     let mut j = Json::obj();
     j.set("engine", p.engine.to_string())
         .set("cycles", p.cycles)
@@ -696,7 +894,7 @@ impl FaultChunk {
         Ok(FaultChunk {
             chunk: f.num("chunk", 0)?,
             trials: f.bounded("trials", default_trials, 1..=u64::from(BATCH_LANES) - 1)?,
-            cycles: f.bounded("cycles", 60, 0..=MAX_FAULT_CYCLES)?,
+            cycles: f.bounded("cycles", 60, 0..=MAX_CYCLES)?,
             faults: f.bounded("faults", 1, 0..=MAX_FAULTS)?,
             key,
         })
@@ -764,7 +962,7 @@ fn fault_chunk_job(f: Fields, artifacts: &Arc<ArtifactCache>) -> Result<Job, Str
             (Dut::MeshIr(n, injection), format!("mesh{n}/rtl-ir"), key)
         }
         Some("tile") => {
-            let (config, key) = tile_params(f)?;
+            let (config, key) = tile_params(f, &[])?;
             (Dut::Tile(config), format!("tile/{}", config.proc), key)
         }
         other => {
@@ -776,9 +974,7 @@ fn fault_chunk_job(f: Fields, artifacts: &Arc<ArtifactCache>) -> Result<Job, Str
     let artifacts = artifacts.clone();
     let job = f.job(move |ctx| {
         let top: Box<dyn Component> = match dut {
-            Dut::Mesh(p) => {
-                Box::new(MeshTrafficHarness::new(p.level, p.nrouters, p.injection, TRAFFIC_SEED))
-            }
+            Dut::Mesh(p) => Box::new(p.harness(TRAFFIC_SEED)),
             Dut::MeshIr(n, injection) => {
                 Box::new(MeshTrafficRtlHarness::new(n, injection, TRAFFIC_SEED))
             }
@@ -1039,6 +1235,11 @@ mod tests {
             r#"{"name":"a","seed":7,"no_cache":true,"jobs":[
                 {"kind":"sleep_ms","name":"s1","ms":1},
                 {"kind":"mesh_cycles","name":"m1","level":"FL","nrouters":4,"cycles":5},
+                {"kind":"mesh_cycles","name":"m2","level":"RTL","nrouters":4,"cycles":5,
+                 "warmup":5,"pattern":"tornado","nentries":4,"seed":7},
+                {"kind":"tile_cycles","name":"t1","proc":"CL","cache":"RTL","xcel":"FL",
+                 "kernel":"scalar","rows":64,"cols":64,"nlines":128,"profile":true},
+                {"kind":"iss_kernel","name":"i1","rows":4096,"cols":1},
                 {"kind":"mesh_rate","name":"r1","level":"RTL","nrouters":4,"tape_opt":false,
                  "profile":true},
                 {"kind":"handwritten_rate","name":"h1","nrouters":4,"max_cycles":100},
@@ -1090,6 +1291,33 @@ mod tests {
             r#"{"name":"a","jobs":[{"kind":"handwritten_rate","name":"h","nrouters":8}]}"#,
             r#"{"name":"a","jobs":[{"kind":"soc_cycles","name":"s","net":"RTL","tiles":4096}]}"#,
             r#"{"name":"a","retries":4294967296,"jobs":[{"kind":"sleep_ms","name":"s"}]}"#,
+            // Mesh run shapes: buffer depth, windows, pattern, seed.
+            r#"{"name":"a","jobs":[{"kind":"mesh_cycles","name":"m","level":"CL","nentries":0}]}"#,
+            r#"{"name":"a","jobs":[{"kind":"mesh_cycles","name":"m","level":"CL","nentries":65}]}"#,
+            r#"{"name":"a","jobs":[{"kind":"mesh_cycles","name":"m","level":"CL","warmup":4294967296}]}"#,
+            r#"{"name":"a","jobs":[{"kind":"mesh_cycles","name":"m","level":"CL","cycles":4294967296}]}"#,
+            r#"{"name":"a","jobs":[{"kind":"mesh_cycles","name":"m","level":"CL","pattern":"zipf"}]}"#,
+            r#"{"name":"a","jobs":[{"kind":"mesh_cycles","name":"m","level":"CL","pattern":"Tornado"}]}"#,
+            r#"{"name":"a","jobs":[{"kind":"mesh_cycles","name":"m","level":"CL","pattern":3}]}"#,
+            r#"{"name":"a","jobs":[{"kind":"mesh_cycles","name":"m","level":"CL","seed":-1}]}"#,
+            r#"{"name":"a","jobs":[{"kind":"mesh_rate","name":"m","level":"CL","nentries":4}]}"#,
+            // Kernel runs: cache sizes CacheRTL rejects, kernels that do not
+            // fit the layout or the scalar program's unrolling.
+            r#"{"name":"a","jobs":[{"kind":"tile_cycles","name":"t","proc":"CL","cache":"CL","xcel":"CL","nlines":3}]}"#,
+            r#"{"name":"a","jobs":[{"kind":"tile_cycles","name":"t","proc":"CL","cache":"CL","xcel":"CL","nlines":1}]}"#,
+            r#"{"name":"a","jobs":[{"kind":"tile_cycles","name":"t","proc":"CL","cache":"CL","xcel":"CL","nlines":256}]}"#,
+            r#"{"name":"a","jobs":[{"kind":"tile_cycles","name":"t","proc":"CL","cache":"CL","xcel":"CL","kernel":"vector"}]}"#,
+            r#"{"name":"a","jobs":[{"kind":"tile_cycles","name":"t","proc":"CL","cache":"CL","xcel":"CL","kernel":1}]}"#,
+            r#"{"name":"a","jobs":[{"kind":"tile_cycles","name":"t","proc":"CL","cache":"CL","xcel":"CL","kernel":"scalar","cols":6}]}"#,
+            r#"{"name":"a","jobs":[{"kind":"tile_cycles","name":"t","proc":"CL","cache":"CL","xcel":"CL","rows":65,"cols":64}]}"#,
+            r#"{"name":"a","jobs":[{"kind":"tile_cycles","name":"t","proc":"CL","cache":"CL","xcel":"CL","rows":1,"cols":1025}]}"#,
+            r#"{"name":"a","jobs":[{"kind":"tile_cycles","name":"t","proc":"CL","cache":"CL","xcel":"CL","rows":0}]}"#,
+            r#"{"name":"a","jobs":[{"kind":"tile_cycles","name":"t","proc":"CL","cache":"CL","xcel":"CL","max_cycles":0}]}"#,
+            r#"{"name":"a","jobs":[{"kind":"tile_cycles","name":"t","proc":"CL","cache":"CL","xcel":"CL","profile":"yes"}]}"#,
+            r#"{"name":"a","jobs":[{"kind":"tile_cycles","name":"t","proc":"CL","cache":"CL"}]}"#,
+            r#"{"name":"a","jobs":[{"kind":"iss_kernel","name":"i","kernel":"scalar","cols":2}]}"#,
+            r#"{"name":"a","jobs":[{"kind":"iss_kernel","name":"i","rows":4097,"cols":1}]}"#,
+            r#"{"name":"a","jobs":[{"kind":"iss_kernel","name":"i","engine":"interpreted"}]}"#,
             r#"{"name":"a","jobs":[{"kind":"sleep_ms","name":"s","watchdog_ms":"3s"}]}"#,
         ] {
             assert!(campaign_from_spec(&spec(bad), &defaults, &artifacts).is_err(), "{bad}");
@@ -1131,6 +1359,43 @@ mod tests {
         assert!(error("syn").contains("failed to drain"), "{}", error("syn"));
         assert!(error("cmp").contains("failed to halt"), "{}", error("cmp"));
         assert_eq!(report.get("ok").unwrap().u64("drained"), Some(1));
+    }
+
+    /// `tile_cycles` reproduces the cycle counts `sec3c_accel_speedup`
+    /// and `ablations` printed before they declared specs, and fails a
+    /// tile that does not halt inside `max_cycles`.
+    #[test]
+    fn tile_cycles_pins_the_kernel_cycle_counts() {
+        let artifacts = Arc::new(ArtifactCache::new());
+        let job = |name: &str, level: &str, kernel: &str, extra: &str| {
+            format!(
+                r#"{{"kind":"tile_cycles","name":"{name}","proc":"{level}","cache":"{level}",
+                    "xcel":"{level}","kernel":"{kernel}","rows":8,"cols":16{extra}}}"#
+            )
+        };
+        let jobs = [
+            job("cl/scalar", "CL", "scalar", ""),
+            job("cl/xcel", "CL", "xcel", ""),
+            job("rtl/scalar", "RTL", "scalar", ""),
+            job("rtl/xcel", "RTL", "xcel", ""),
+            job("cl/scalar/nlines4", "CL", "scalar", r#","nlines":4"#),
+            job("short", "CL", "scalar", r#","max_cycles":100"#),
+        ];
+        let text = format!(r#"{{"name":"pin","no_cache":true,"jobs":[{}]}}"#, jobs.join(","));
+        let report =
+            campaign_from_spec(&spec(&text), &SpecDefaults::default(), &artifacts).unwrap().run();
+        let cycles = |job: &str| report.get(job).and_then(|j| j.u64("cycles"));
+        assert_eq!(cycles("cl/scalar"), Some(1_463));
+        assert_eq!(cycles("cl/xcel"), Some(780));
+        assert_eq!(cycles("rtl/scalar"), Some(4_280));
+        assert_eq!(cycles("rtl/xcel"), Some(1_884));
+        assert_eq!(cycles("cl/scalar/nlines4"), Some(3_551));
+        match &report.get("short").unwrap().outcome {
+            mtl_sweep::JobOutcome::Failed { error } => {
+                assert!(error.contains("did not halt in 100 cycles"), "{error}");
+            }
+            other => panic!("an unfinished kernel must fail, got {other:?}"),
+        }
     }
 
     /// A fault chunk is one lane set: its trials share one golden run, so

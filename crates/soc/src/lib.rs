@@ -236,7 +236,7 @@ impl Component for Soc {
         let n = self.config.tiles;
         match self.config.workload {
             SocWorkload::Synthetic { pattern, injection_permille, limit } => {
-                let net = network(self.config.net, n, 32);
+                let net = network(self.config.net, n, 32, 2);
                 let net_inst = c.instantiate("net", &*net);
                 let checksum = c.out_port("checksum", 32);
                 let injected = c.out_port("injected", 32);
@@ -288,7 +288,7 @@ impl Component for Soc {
                 // response), so a 2n-entry FIFO can never fill.
                 let net: Box<dyn Component> = match self.config.net {
                     NetLevel::Fl => Box::new(mtl_net::NetworkFL::new(n, rw, 2 * n)),
-                    level => network(level, n, rw),
+                    level => network(level, n, rw, 2),
                 };
                 let net_inst = c.instantiate("net", &*net);
                 let halted = c.out_port("halted", 1);

@@ -9,17 +9,26 @@
 
 use std::time::Instant;
 
-use rustmtl::net::{measure_network, NetLevel};
+use rustmtl::net::{MeshTrafficHarness, NetLevel};
 use rustmtl::sim::{Engine, Sim};
 
 fn main() {
     for level in [NetLevel::Fl, NetLevel::Cl, NetLevel::Rtl] {
         println!("--- {level} 8x8 mesh ---");
         for inj in [10u32, 150, 300, 400] {
-            let m = measure_network(level, 64, inj, 300, 1500, Engine::SpecializedOpt);
+            // 300 warm-up cycles, then a 1500-cycle measurement window.
+            let harness = MeshTrafficHarness::new(level, 64, inj, 0xC0FFEE);
+            let stats = harness.stats();
+            let mut sim = Sim::build(&harness, Engine::SpecializedOpt).unwrap();
+            sim.reset();
+            sim.run(300);
+            stats.lock().unwrap().clear();
+            sim.run(1500);
+            let stats = stats.lock().unwrap();
             println!(
                 "  injection {inj:3}/1000: accepted {:6.1}/1000, avg latency {:6.1} cycles",
-                m.accepted_permille, m.avg_latency
+                stats.received as f64 * 1000.0 / (1500.0 * 64.0),
+                stats.avg_latency()
             );
         }
     }
@@ -28,7 +37,7 @@ fn main() {
     println!("\n--- engine comparison (16-node CL mesh, 2000 cycles) ---");
     let mut base = None;
     for engine in Engine::ALL {
-        let harness = rustmtl::net::MeshTrafficHarness::new(NetLevel::Cl, 16, 300, 7);
+        let harness = MeshTrafficHarness::new(NetLevel::Cl, 16, 300, 7);
         let mut sim = Sim::build(&harness, engine).unwrap();
         sim.reset();
         let t0 = Instant::now();

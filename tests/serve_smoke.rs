@@ -343,8 +343,11 @@ fn every_kind_reports_identically_in_process_and_through_a_socket() {
         r#"{"name":"catalog","seed":11,"no_cache":true,"jobs":[
             {"kind":"sleep_ms","name":"sleep","ms":1},
             {"kind":"mesh_cycles","name":"cycles","level":"CL","nrouters":4,"cycles":40},
+            {"kind":"mesh_cycles","name":"window","level":"CL","nrouters":4,"warmup":20,
+             "cycles":40,"pattern":"transpose","nentries":4,"seed":7},
             {"kind":"tile_cycles","name":"tile","proc":"FL","cache":"FL","xcel":"FL",
-             "max_cycles":300},
+             "kernel":"scalar","rows":2,"cols":4},
+            {"kind":"iss_kernel","name":"iss","kernel":"scalar","rows":2,"cols":4},
             {"kind":"mesh_rate","name":"rate","level":"FL","nrouters":4,"min_wall_ms":1,
              "max_cycles":200},
             {"kind":"mesh_rate","name":"rate-profiled","level":"RTL","nrouters":4,

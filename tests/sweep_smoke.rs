@@ -13,8 +13,8 @@
 //! 3. **Panic isolation** — one exploding job yields a complete,
 //!    parseable report with that job marked failed, not a dead campaign.
 
-use rustmtl::net::{measure_network_pattern, NetLevel, TrafficPattern};
-use rustmtl::sim::Engine;
+use rustmtl::net::{MeshTrafficHarness, NetLevel, TrafficPattern};
+use rustmtl::sim::{Engine, Sim};
 use rustmtl::sweep::json::parse as parse_json;
 use rustmtl::sweep::{Campaign, CampaignReport, Job, JobMetrics, Json};
 
@@ -23,19 +23,19 @@ use rustmtl::sweep::{Campaign, CampaignReport, Job, JobMetrics, Json};
 /// per point even interpreted).
 fn mesh_job(pattern: TrafficPattern, offered: u32) -> Job {
     Job::new(format!("{pattern:?}/off{offered:03}"), move |_ctx| {
-        let m = measure_network_pattern(
-            NetLevel::Cl,
-            16,
-            pattern,
-            offered,
-            64,
-            256,
-            Engine::SpecializedOpt,
-        );
+        let harness =
+            MeshTrafficHarness::new(NetLevel::Cl, 16, offered, 0xC0FFEE).with_pattern(pattern);
+        let stats = harness.stats();
+        let mut sim = Sim::build(&harness, Engine::SpecializedOpt).map_err(|e| format!("{e:?}"))?;
+        sim.reset();
+        sim.run(64);
+        stats.lock().unwrap().clear();
+        sim.run(256);
+        let m = stats.lock().unwrap();
         Ok(JobMetrics::new()
             .det("injected", m.injected)
             .det("received", m.received)
-            .det("avg_latency", m.avg_latency))
+            .det("avg_latency", m.avg_latency()))
     })
     .param("pattern", format!("{pattern:?}"))
     .param("offered_permille", offered)
