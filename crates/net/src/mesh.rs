@@ -9,7 +9,7 @@ use mtl_core::{Component, Ctx};
 use crate::fl::NetworkFL;
 use crate::router_cl::RouterCL;
 use crate::router_rtl::RouterRTL;
-use crate::{EAST, NORTH, SOUTH, TERM, WEST};
+use crate::{depth_suffix, EAST, NORTH, SOUTH, TERM, WEST};
 
 /// Abstraction level of a network model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -74,7 +74,7 @@ impl MeshNetworkStructural {
     /// A mesh of cycle-level routers.
     pub fn cl(nrouters: usize, payload_nbits: u32, nentries: usize) -> Self {
         Self::new(
-            format!("MeshCL_{nrouters}x{payload_nbits}"),
+            format!("MeshCL_{nrouters}x{payload_nbits}{}", depth_suffix(nentries as u64)),
             nrouters,
             payload_nbits,
             Box::new(move |id| Box::new(RouterCL::new(id, nrouters, payload_nbits, nentries))),
@@ -84,7 +84,7 @@ impl MeshNetworkStructural {
     /// A mesh of RTL routers (side must be a power of two).
     pub fn rtl(nrouters: usize, payload_nbits: u32, nentries: u64) -> Self {
         Self::new(
-            format!("MeshRTL_{nrouters}x{payload_nbits}"),
+            format!("MeshRTL_{nrouters}x{payload_nbits}{}", depth_suffix(nentries)),
             nrouters,
             payload_nbits,
             Box::new(move |id| Box::new(RouterRTL::new(id, nrouters, payload_nbits, nentries))),

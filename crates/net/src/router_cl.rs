@@ -32,7 +32,8 @@ impl RouterCL {
 
 impl Component for RouterCL {
     fn name(&self) -> String {
-        format!("RouterCL_{}_{}x{}", self.id, self.nrouters, self.payload_nbits)
+        let depth = crate::depth_suffix(self.nentries as u64);
+        format!("RouterCL_{}_{}x{}{depth}", self.id, self.nrouters, self.payload_nbits)
     }
 
     fn build(&self, c: &mut Ctx) {

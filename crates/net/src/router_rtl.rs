@@ -36,7 +36,8 @@ impl RouterRTL {
 
 impl Component for RouterRTL {
     fn name(&self) -> String {
-        format!("RouterRTL_{}_{}x{}", self.id, self.nrouters, self.payload_nbits)
+        let depth = crate::depth_suffix(self.nentries);
+        format!("RouterRTL_{}_{}x{}{depth}", self.id, self.nrouters, self.payload_nbits)
     }
 
     fn build(&self, c: &mut Ctx) {

@@ -180,10 +180,6 @@ impl Fields<'_> {
         Job::new(self.name, run).param("kind", self.kind.name)
     }
 
-    fn str(&self, key: &str) -> Option<&str> {
-        str_field(self.spec, key)
-    }
-
     fn num<T: TryFrom<u64>>(&self, key: &str, default: T) -> Result<T, String> {
         Ok(num_field(self.spec, key)?.unwrap_or(default))
     }
@@ -204,9 +200,10 @@ impl Fields<'_> {
         s.parse().map(Some)
     }
 
+    /// A named field parsed by its type's `FromStr`; absent or not a
+    /// string is an error.
     fn required<T: FromStr<Err = String>>(&self, key: &str) -> Result<T, String> {
-        let s = self.str(key).ok_or_else(|| format!("{} needs \"{key}\"", self.kind.name))?;
-        s.parse()
+        self.optional(key)?.ok_or_else(|| format!("{} needs \"{key}\"", self.kind.name))
     }
 
     /// A field naming one of `options`; the first when absent.
@@ -952,21 +949,22 @@ fn fault_chunk_job(f: Fields, artifacts: &Arc<ArtifactCache>) -> Result<Job, Str
         MeshIr(usize, u32),
         Tile(TileConfig),
     }
-    let (dut, label, key) = match f.str("dut") {
-        Some("mesh") => {
+    if f.spec.get("dut").is_none() {
+        return Err("fault_chunk needs \"dut\" (mesh|mesh-ir|tile)".into());
+    }
+    let (dut, label, key) = match f.choice("dut", &["mesh", "mesh-ir", "tile"])? {
+        "mesh" => {
             let p = mesh_params(f)?;
             (Dut::Mesh(p), format!("mesh{}/{}", p.nrouters, p.level), p.key)
         }
-        Some("mesh-ir") => {
+        "mesh-ir" => {
             let (n, injection, key) = mesh_ir_params(f)?;
             (Dut::MeshIr(n, injection), format!("mesh{n}/rtl-ir"), key)
         }
-        Some("tile") => {
+        _ => {
+            // "tile", the last choice.
             let (config, key) = tile_params(f, &[])?;
             (Dut::Tile(config), format!("tile/{}", config.proc), key)
-        }
-        other => {
-            return Err(format!("fault_chunk needs \"dut\" (mesh|mesh-ir|tile), got {other:?}"))
         }
     };
     let c = FaultChunk::from_spec(f, 2, key)?;
@@ -1094,7 +1092,7 @@ fn batch_chunk_repro(
 /// design-shaping parameter — the seed included, since LFSR seeds and
 /// preloaded programs are baked into the elaborated design.
 fn soc_cycles_job(f: Fields, artifacts: &Arc<ArtifactCache>) -> Result<Job, String> {
-    let workload = f.str("workload").unwrap_or("synthetic").to_string();
+    let workload = f.choice("workload", &["synthetic", "compute"])?;
     let tiles = f.bounded("tiles", 4, 0..=MAX_NODES)?;
     if tiles < 4 || !tiles.is_power_of_two() || !tiles.trailing_zeros().is_multiple_of(2) {
         return Err(format!("\"tiles\" must be a power of four >= 4, got {tiles}"));
@@ -1105,7 +1103,7 @@ fn soc_cycles_job(f: Fields, artifacts: &Arc<ArtifactCache>) -> Result<Job, Stri
     let cycles = f.num("cycles", 30_000u64)?;
     let engine = f.engine()?;
     let artifacts = artifacts.clone();
-    let job = match workload.as_str() {
+    let job = match workload {
         "synthetic" => {
             let injection = f.bounded("injection", 300, 1..=1000)?;
             let limit = f.num("limit", 64u32)?;
@@ -1150,7 +1148,8 @@ fn soc_cycles_job(f: Fields, artifacts: &Arc<ArtifactCache>) -> Result<Job, Stri
             .param("injection", injection)
             .param("limit", limit)
         }
-        "compute" => {
+        _ => {
+            // "compute", the other choice.
             let config = TileConfig {
                 proc: f.parsed("proc", ProcLevel::Rtl)?,
                 cache: f.parsed("cache", CacheLevel::Rtl)?,
@@ -1199,7 +1198,6 @@ fn soc_cycles_job(f: Fields, artifacts: &Arc<ArtifactCache>) -> Result<Job, Stri
             .param("xcel", config.xcel)
             .param("accesses", accesses)
         }
-        other => return Err(format!("unknown workload \"{other}\" (expected synthetic|compute)")),
     };
     Ok(job
         .param("workload", workload)
@@ -1276,6 +1274,12 @@ mod tests {
             r#"{"name":"a","jobs":[{"kind":"soc_cycles","name":"s","net":"RTL","tiles":8}]}"#,
             r#"{"name":"a","jobs":[{"kind":"soc_cycles","name":"s","net":"RTL","pattern":"zipf"}]}"#,
             r#"{"name":"a","jobs":[{"kind":"soc_cycles","name":"s","net":"RTL","workload":"mine"}]}"#,
+            // A field of the wrong type is an error, never a default.
+            r#"{"name":"a","jobs":[{"kind":"soc_cycles","name":"s","net":"RTL","workload":3}]}"#,
+            r#"{"name":"a","jobs":[{"kind":"fault_chunk","name":"f","dut":3}]}"#,
+            r#"{"name":"a","jobs":[{"kind":"fault_chunk","name":"f"}]}"#,
+            r#"{"name":"a","jobs":[{"kind":"mesh_cycles","name":"m","level":3}]}"#,
+            r#"{"name":"a","jobs":[{"kind":"soc_cycles","name":"s","net":true}]}"#,
             r#"{"name":"a","jobs":[{"kind":"soc_cycles","name":"s","net":"RTL","injection":0}]}"#,
             // Unknown keys, wrapping casts, out-of-range rates and sizes.
             r#"{"name":"a","jobs":[{"kind":"mesh_cycles","name":"m","level":"FL","nrouter":64}]}"#,
@@ -1330,6 +1334,14 @@ mod tests {
         );
         assert!(unknown_field.contains("\"nrouter\""), "{unknown_field}");
         assert!(unknown_field.contains("accepted: level, nrouters, injection"), "{unknown_field}");
+        let mistyped = err(r#"{"name":"a","jobs":[{"kind":"mesh_cycles","name":"m","level":3}]}"#);
+        assert!(mistyped.contains("\"level\" must be a string, got 3"), "{mistyped}");
+        let workload = err(
+            r#"{"name":"a","jobs":[{"kind":"soc_cycles","name":"s","net":"RTL","workload":3}]}"#,
+        );
+        assert!(workload.contains("\"workload\" must be synthetic|compute, got 3"), "{workload}");
+        let dut = err(r#"{"name":"a","jobs":[{"kind":"fault_chunk","name":"f","dut":3}]}"#);
+        assert!(dut.contains("\"dut\" must be mesh|mesh-ir|tile, got 3"), "{dut}");
     }
 
     /// A self-checking SoC job that does not finish inside its cycle
