@@ -10,11 +10,12 @@ use mtl_bits::Bits;
 
 use crate::component::Component;
 use crate::design::{
-    BlockBody, BlockInfo, BlockKind, MemInfo, ModuleInfo, NativeFn, NativeLevel, SignalInfo,
-    SignalKind,
+    BlockBody, BlockInfo, BlockKind, IrBody, MemInfo, ModuleInfo, NativeFn, NativeLevel,
+    SignalInfo, SignalKind,
 };
+use crate::hash::FastMap;
 use crate::ids::{MemId, ModuleId, NetId, SignalId};
-use crate::ir::{Expr, LValue, Stmt};
+use crate::ir::{Expr, IdOffsets, LValue, Stmt};
 use crate::view::SignalView;
 
 /// A handle to a declared signal, carrying its width for convenient
@@ -189,6 +190,7 @@ impl Instance {
     }
 }
 
+#[derive(Default)]
 pub(crate) struct Proto {
     pub modules: Vec<ModuleInfo>,
     pub signals: Vec<SignalInfo>,
@@ -197,6 +199,138 @@ pub(crate) struct Proto {
     pub natives: Vec<Option<NativeFn>>,
     pub mems: Vec<MemInfo>,
     pub connections: Vec<(SignalId, SignalId)>,
+    /// Per component name instantiated so far, what its first build
+    /// appended to each table, if later instances can be stamped from it.
+    pub firsts: FastMap<String, Option<Span>>,
+}
+
+/// Where a subtree's build starts and ends in each of the proto's tables:
+/// modules, signals, blocks, memories, connections.
+#[derive(Clone, Copy)]
+pub(crate) struct Span {
+    start: [usize; 5],
+    end: [usize; 5],
+}
+
+impl Proto {
+    /// The length of each table, in [`Span`] order.
+    fn marks(&self) -> [usize; 5] {
+        let Proto { modules, signals, blocks, mems, connections, .. } = self;
+        [modules.len(), signals.len(), blocks.len(), mems.len(), connections.len()]
+    }
+
+    /// Whether a first build can be stamped: it has no native block, and
+    /// every id its blocks and connections name is its own.
+    fn stampable(&self, span: Span) -> bool {
+        let own = |t: usize, i: usize| (span.start[t]..span.end[t]).contains(&i);
+        let own_signals = |ids: &[SignalId]| ids.iter().all(|s| own(1, s.index()));
+        let own_mems = |ids: &[MemId]| ids.iter().all(|m| own(3, m.index()));
+        let blocks = span.start[2]..span.end[2];
+        self.natives[blocks.clone()].iter().all(Option::is_none)
+            && self.blocks[blocks].iter().all(|b| {
+                own_signals(&b.reads)
+                    && own_signals(&b.writes)
+                    && own_mems(&b.mem_reads)
+                    && own_mems(&b.mem_writes)
+            })
+            && self.connections[span.start[4]..span.end[4]]
+                .iter()
+                .all(|&(a, b)| own(1, a.index()) && own(1, b.index()))
+    }
+
+    /// Appends a copy of the subtree `first` spans, every id shifted by
+    /// where the copy starts, its root named `name` under `parent`.
+    fn stamp(&mut self, first: Span, name: &str, parent: ModuleId) {
+        let at = self.marks();
+        let by = |t: usize| (at[t] - first.start[t]) as u32;
+        let module = |m: ModuleId| ModuleId(m.0 + by(0));
+        let ids = IdOffsets { signals: by(1), mems: by(3) };
+        let signals = |v: &[SignalId]| v.iter().map(|&s| ids.signal(s)).collect();
+        let mems = |v: &[MemId]| v.iter().map(|&m| ids.mem(m)).collect();
+        let root = first.start[0];
+        for i in first.start[0]..first.end[0] {
+            let m = &self.modules[i];
+            let stamped = ModuleInfo {
+                name: if i == root { name.to_string() } else { m.name.clone() },
+                component: m.component.clone(),
+                parent: if i == root { Some(parent) } else { m.parent.map(module) },
+                children: m.children.iter().map(|&c| module(c)).collect(),
+                ports: signals(&m.ports),
+            };
+            self.modules.push(stamped);
+        }
+        for i in first.start[1]..first.end[1] {
+            let s = &self.signals[i];
+            let stamped = SignalInfo { name: s.name.clone(), module: module(s.module), ..*s };
+            self.signals.push(stamped);
+        }
+        for i in first.start[2]..first.end[2] {
+            let b = &self.blocks[i];
+            let BlockBody::Ir(body) = &b.body else { unreachable!("a stamp has no native") };
+            let stamped = BlockInfo {
+                name: b.name.clone(),
+                module: module(b.module),
+                kind: b.kind,
+                body: BlockBody::Ir(body.offset(ids)),
+                reads: signals(&b.reads),
+                writes: signals(&b.writes),
+                mem_writes: mems(&b.mem_writes),
+                mem_reads: mems(&b.mem_reads),
+            };
+            self.blocks.push(stamped);
+            self.natives.push(None);
+        }
+        for i in first.start[3]..first.end[3] {
+            let m = &self.mems[i];
+            let stamped = MemInfo { name: m.name.clone(), module: module(m.module), ..*m };
+            self.mems.push(stamped);
+        }
+        for i in first.start[4]..first.end[4] {
+            let (a, b) = self.connections[i];
+            self.connections.push((ids.signal(a), ids.signal(b)));
+        }
+    }
+
+    /// Checks a stamp against a build of the same instance (debug builds
+    /// only): `at` is where the build starts, and the stamp replaces it.
+    ///
+    /// # Panics
+    ///
+    /// Panics naming the component if the two differ: its name does not
+    /// determine what its `build` does.
+    #[cfg(debug_assertions)]
+    fn check_stamp(&mut self, at: [usize; 5], first: Span, name: &str, parent: ModuleId) {
+        let built = Proto {
+            modules: self.modules.split_off(at[0]),
+            signals: self.signals.split_off(at[1]),
+            blocks: self.blocks.split_off(at[2]),
+            natives: self.natives.split_off(at[2]),
+            mems: self.mems.split_off(at[3]),
+            connections: self.connections.split_off(at[4]),
+            firsts: FastMap::default(),
+        };
+        self.stamp(first, name, parent);
+        let table = if built.modules[..] != self.modules[at[0]..] {
+            "modules"
+        } else if built.signals[..] != self.signals[at[1]..] {
+            "signals"
+        } else if built.blocks[..] != self.blocks[at[2]..]
+            || built.natives.iter().any(Option::is_some)
+        {
+            "blocks"
+        } else if built.mems[..] != self.mems[at[3]..] {
+            "memories"
+        } else if built.connections[..] != self.connections[at[4]..] {
+            "connections"
+        } else {
+            return;
+        };
+        panic!(
+            "component `{}` builds differently at instance `{name}` ({table} differ): its name must \
+             determine everything its `build` does",
+            self.modules[at[0]].component
+        );
+    }
 }
 
 /// The elaboration context passed to [`Component::build`].
@@ -291,17 +425,51 @@ impl<'a> Ctx<'a> {
     ///
     /// The child's reset port is connected automatically. Returns an
     /// [`Instance`] whose ports can be looked up with [`Ctx::port_of`].
+    ///
+    /// A component name is built once per elaboration: when an earlier
+    /// instance of the same name built no native block and named nothing
+    /// outside its own subtree, this instance is a *stamp* of it — a copy
+    /// of its tables with every id shifted, sharing its IR statements (see
+    /// [`Component::name`]). Debug builds also run `build` and check that
+    /// it agrees with the stamp.
     pub fn instantiate(&mut self, name: &str, component: &dyn Component) -> Instance {
+        let at = self.proto.marks();
+        let child = ModuleId::from_index(at[0]);
+        let component_name = component.name();
+        self.proto.modules[self.module.index()].children.push(child);
+        match self.proto.firsts.get(&component_name) {
+            Some(&Some(first)) => {
+                #[cfg(debug_assertions)]
+                {
+                    self.build_child(name, component_name, component);
+                    self.proto.check_stamp(at, first, name, self.module);
+                }
+                #[cfg(not(debug_assertions))]
+                self.proto.stamp(first, name, self.module);
+            }
+            Some(None) => self.build_child(name, component_name, component),
+            None => {
+                self.build_child(name, component_name.clone(), component);
+                let span = Span { start: at, end: self.proto.marks() };
+                let first = self.proto.stampable(span).then_some(span);
+                self.proto.firsts.insert(component_name, first);
+            }
+        }
+        // A child's first signal is its reset port.
+        let child_reset = SignalId::from_index(at[1]);
+        self.proto.connections.push((self.reset.id, child_reset));
+        Instance { module: child }
+    }
+
+    fn build_child(&mut self, name: &str, component_name: String, component: &dyn Component) {
         let child = ModuleId::from_index(self.proto.modules.len());
         self.proto.modules.push(ModuleInfo {
             name: name.to_string(),
-            component: component.name(),
+            component: component_name,
             parent: Some(self.module),
             children: Vec::new(),
             ports: Vec::new(),
         });
-        self.proto.modules[self.module.index()].children.push(child);
-        let parent_reset = self.reset;
         let mut child_ctx = Ctx {
             proto: self.proto,
             module: child,
@@ -310,8 +478,6 @@ impl<'a> Ctx<'a> {
         let child_reset = child_ctx.in_port("reset", 1);
         child_ctx.reset = child_reset;
         component.build(&mut child_ctx);
-        self.proto.connections.push((parent_reset.id, child_reset.id));
-        Instance { module: child }
     }
 
     /// Looks up a port of a child instance by name.
@@ -367,12 +533,12 @@ impl<'a> Ctx<'a> {
     pub fn comb(&mut self, name: &str, f: impl FnOnce(&mut BlockBuilder)) {
         let mut b = BlockBuilder::new();
         f(&mut b);
-        let stmts = b.finish();
-        let (reads, writes, mem_reads, mem_writes) = analyze(&stmts);
+        let body = IrBody::new(b.finish());
+        let (reads, writes, mem_reads, mem_writes) = analyze(&body);
         self.add_block(
             name,
             BlockKind::Comb,
-            BlockBody::Ir(stmts),
+            BlockBody::Ir(body),
             None,
             reads,
             writes,
@@ -387,12 +553,12 @@ impl<'a> Ctx<'a> {
     pub fn seq(&mut self, name: &str, f: impl FnOnce(&mut BlockBuilder)) {
         let mut b = BlockBuilder::new();
         f(&mut b);
-        let stmts = b.finish();
-        let (reads, writes, mem_reads, mem_writes) = analyze(&stmts);
+        let body = IrBody::new(b.finish());
+        let (reads, writes, mem_reads, mem_writes) = analyze(&body);
         self.add_block(
             name,
             BlockKind::Seq,
-            BlockBody::Ir(stmts),
+            BlockBody::Ir(body),
             None,
             reads,
             writes,
@@ -461,27 +627,29 @@ impl<'a> Ctx<'a> {
     }
 }
 
-fn analyze(stmts: &[Stmt]) -> (Vec<SignalId>, Vec<SignalId>, Vec<MemId>, Vec<MemId>) {
+/// The signals a block reads and writes and the memories it reads and
+/// writes, each sorted and deduplicated.
+pub(crate) fn analyze(body: &IrBody) -> (Vec<SignalId>, Vec<SignalId>, Vec<MemId>, Vec<MemId>) {
     let mut reads = Vec::new();
     let mut writes = Vec::new();
     let mut mem_reads = Vec::new();
     let mut mem_writes = Vec::new();
-    for s in stmts {
+    for s in body.stmts() {
         s.collect_reads(&mut reads);
         s.collect_writes(&mut writes);
         s.collect_mem_reads(&mut mem_reads);
         s.collect_mem_writes(&mut mem_writes);
     }
-    dedup(&mut reads);
-    dedup(&mut writes);
-    dedup(&mut mem_reads);
-    dedup(&mut mem_writes);
-    (reads, writes, mem_reads, mem_writes)
+    let ids = body.ids();
+    let signals = |v: Vec<SignalId>| dedup(v.into_iter().map(|s| ids.signal(s)).collect());
+    let mems = |v: Vec<MemId>| dedup(v.into_iter().map(|m| ids.mem(m)).collect());
+    (signals(reads), signals(writes), mems(mem_reads), mems(mem_writes))
 }
 
-fn dedup<T: Ord + Copy>(v: &mut Vec<T>) {
+fn dedup<T: Ord + Copy>(mut v: Vec<T>) -> Vec<T> {
     v.sort_unstable();
     v.dedup();
+    v
 }
 
 /// Builds the statement list of an IR block.

@@ -36,6 +36,19 @@ use crate::{shape, typecheck};
 pub trait Component {
     /// A unique name for this component *including its parameters* (e.g.
     /// `Register_8`); used for Verilog module names and diagnostics.
+    ///
+    /// The name is the component's identity, and its contract is: **the
+    /// name determines everything [`build`](Component::build) does through
+    /// the [`Ctx`]**, and `build` has no other side effect. Two instances
+    /// of one name in a design must declare the same ports, wires,
+    /// memories, children, connections and blocks, with the same literals.
+    /// The translator emits one Verilog module per name, and elaboration
+    /// builds each name once and stamps its later instances from that
+    /// build (see [`Ctx::instantiate`]); debug builds check every stamp
+    /// against a fresh `build` and panic naming the component if they
+    /// differ. A subtree with a native block is exempt: its closures may
+    /// capture per-instance state, so it is built anew every time (and
+    /// does not translate).
     fn name(&self) -> String;
 
     /// Declares this component's interface and behavior on `c`.
@@ -84,11 +97,7 @@ fn build_proto(top: &dyn Component) -> (Proto, SignalId) {
             children: Vec::new(),
             ports: Vec::new(),
         }],
-        signals: Vec::new(),
-        blocks: Vec::new(),
-        natives: Vec::new(),
-        mems: Vec::new(),
-        connections: Vec::new(),
+        ..Proto::default()
     };
     let mut ctx = Ctx {
         proto: &mut proto,
@@ -102,7 +111,7 @@ fn build_proto(top: &dyn Component) -> (Proto, SignalId) {
 }
 
 fn finalize(proto: Proto, reset: SignalId, strict: bool) -> Result<Design, ElabError> {
-    let Proto { modules, mut signals, blocks, natives, mems, connections } = proto;
+    let Proto { modules, mut signals, blocks, natives, mems, connections, .. } = proto;
 
     // 1. Union-find over connections to form nets.
     let mut uf: Vec<usize> = (0..signals.len()).collect();

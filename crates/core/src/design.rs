@@ -7,11 +7,12 @@
 //! user's component types. This is the paper's "model/tool split".
 
 use std::fmt;
+use std::sync::Arc;
 
 use mtl_bits::Bits;
 
 use crate::ids::{BlockId, MemId, ModuleId, NetId, ShapeId, SignalId};
-use crate::ir::Stmt;
+use crate::ir::{BinOp, Expr, IdOffsets, Stmt, UnaryOp};
 use crate::shape::{ShapeInfo, Shapes};
 use crate::view::SignalView;
 
@@ -27,7 +28,7 @@ pub enum SignalKind {
 }
 
 /// Metadata for one signal in the design.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SignalInfo {
     /// Leaf name within the owning module (e.g. `out`).
     pub name: String,
@@ -42,7 +43,7 @@ pub struct SignalInfo {
 }
 
 /// Metadata for one module instance in the hierarchy.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModuleInfo {
     /// Instance name within the parent (the root is named `top` by default).
     pub name: String,
@@ -58,7 +59,7 @@ pub struct ModuleInfo {
 }
 
 /// Metadata for one memory array.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MemInfo {
     /// Leaf name within the owning module.
     pub name: String,
@@ -107,9 +108,10 @@ pub type NativeFn = Box<dyn FnMut(&mut dyn SignalView) + Send>;
 /// Native closures are stored out-of-band in the [`Design`]'s native
 /// table (index-based storage keyed by block index), so block metadata
 /// stays plain `Send + Sync` data; see [`Design::take_natives`].
+#[derive(PartialEq)]
 pub enum BlockBody {
     /// Translatable IR statements (RTL modeling).
-    Ir(Vec<Stmt>),
+    Ir(IrBody),
     /// An opaque Rust closure (FL/CL modeling) with its abstraction level;
     /// the closure itself lives in the design's native table.
     Native(NativeLevel),
@@ -118,9 +120,70 @@ pub enum BlockBody {
 impl fmt::Debug for BlockBody {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            BlockBody::Ir(stmts) => f.debug_tuple("Ir").field(&stmts.len()).finish(),
+            BlockBody::Ir(body) => f.debug_tuple("Ir").field(&body.stmts().len()).finish(),
             BlockBody::Native(level) => f.debug_tuple("Native").field(level).finish(),
         }
+    }
+}
+
+/// The statements of an IR block, shared among the instances of a
+/// component.
+///
+/// Elaboration builds each component name once and *stamps* its later
+/// instances (see [`Component::name`](crate::Component::name)): a stamped
+/// block holds the first instance's statements, unchanged, and the
+/// [`IdOffsets`] that carry the ids they name to its own. A tool reads
+/// [`IrBody::stmts`] and maps every `SignalId` and `MemId` it meets
+/// through [`IrBody::ids`] (or takes an owned copy with
+/// [`IrBody::to_stmts`]).
+#[derive(Clone)]
+pub struct IrBody {
+    stmts: Arc<Vec<Stmt>>,
+    ids: IdOffsets,
+}
+
+impl IrBody {
+    pub(crate) fn new(stmts: Vec<Stmt>) -> Self {
+        IrBody { stmts: Arc::new(stmts), ids: IdOffsets::default() }
+    }
+
+    /// The statements, naming ids as the component's first instance did.
+    pub fn stmts(&self) -> &[Stmt] {
+        &self.stmts
+    }
+
+    /// The offsets from the ids [`IrBody::stmts`] names to this block's.
+    pub fn ids(&self) -> IdOffsets {
+        self.ids
+    }
+
+    /// An owned copy of the statements, naming this block's own ids.
+    pub fn to_stmts(&self) -> Vec<Stmt> {
+        let mut stmts = self.stmts.to_vec();
+        stmts.iter_mut().for_each(|s| s.offset_ids(self.ids));
+        stmts
+    }
+
+    /// The statements, for editing: a body shared with other instances is
+    /// copied first (with this block's own ids), so they keep theirs.
+    pub fn stmts_mut(&mut self) -> &mut Vec<Stmt> {
+        if Arc::get_mut(&mut self.stmts).is_none() || self.ids != IdOffsets::default() {
+            *self = IrBody::new(self.to_stmts());
+        }
+        Arc::get_mut(&mut self.stmts).expect("an unshared body")
+    }
+
+    /// This body moved `by` further: another stamp of the same statements.
+    pub(crate) fn offset(&self, by: IdOffsets) -> Self {
+        IrBody { stmts: self.stmts.clone(), ids: self.ids.plus(by) }
+    }
+}
+
+/// Equal bodies name the same ids in the same statements, shared or not.
+impl PartialEq for IrBody {
+    fn eq(&self, other: &Self) -> bool {
+        let shared = Arc::ptr_eq(&self.stmts, &other.stmts);
+        (shared && self.ids == other.ids) || self.to_stmts() == other.to_stmts()
     }
 }
 
@@ -148,7 +211,7 @@ impl fmt::Debug for NativeCell {
 }
 
 /// One update block: a unit of concurrent behavior.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub struct BlockInfo {
     /// Block name (unique within its module).
     pub name: String,
@@ -299,6 +362,44 @@ impl Design {
     /// All update blocks, indexable by [`BlockId::index`].
     pub fn blocks(&self) -> &[BlockInfo] {
         &self.blocks
+    }
+
+    /// Edits the blocks in place, then re-derives what finalization
+    /// derived from their statements: each IR block's read lists, every
+    /// block's shape, the width check and the comb schedule.
+    ///
+    /// A stamped block shares its statements with its component's other
+    /// instances; [`IrBody::stmts_mut`] copies them first, so an edit to
+    /// one block leaves its siblings as they were.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`ElabError`] strict elaboration would for the edited
+    /// blocks: an IR type error or a combinational cycle.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an edit changes a block's kind or module, turns it native
+    /// or IR, or changes what it writes: each net's driver was derived
+    /// from them.
+    pub fn blocks_mut(&mut self, edit: impl FnOnce(&mut [BlockInfo])) -> Result<(), ElabError> {
+        let frame = |b: &BlockInfo| {
+            let ir = matches!(b.body, BlockBody::Ir(_));
+            (b.kind, b.module, ir, b.writes.clone(), b.mem_writes.clone())
+        };
+        let before: Vec<_> = self.blocks.iter().map(frame).collect();
+        edit(&mut self.blocks);
+        for (b, before) in self.blocks.iter_mut().zip(before) {
+            if let BlockBody::Ir(body) = &b.body {
+                let (reads, writes, mem_reads, mem_writes) = crate::builder::analyze(body);
+                (b.reads, b.writes, b.mem_reads, b.mem_writes) =
+                    (reads, writes, mem_reads, mem_writes);
+            }
+            assert!(frame(b) == before, "an edit changed what block `{}` drives", b.name);
+        }
+        self.shapes = crate::shape::assign(&self.signals, &self.nets, &self.mems, &self.blocks);
+        crate::typecheck::check_design(self)?;
+        self.comb_schedule().map(drop)
     }
 
     /// The distinct shapes of the IR blocks, indexable by
@@ -593,6 +694,28 @@ impl Design {
             stack.extend(self.modules[m.index()].children.iter().copied());
         }
         max
+    }
+
+    /// The width of a well-typed IR expression of a block whose ids sit
+    /// `ids` from the ones they mean (see [`IrBody::ids`]).
+    pub fn expr_width(&self, ids: IdOffsets, e: &Expr) -> u32 {
+        match e {
+            Expr::Read(s) => self.signal(ids.signal(*s)).width,
+            Expr::Const(c) => c.width(),
+            Expr::Slice { lo, hi, .. } => hi - lo,
+            Expr::Concat(parts) => parts.iter().map(|p| self.expr_width(ids, p)).sum(),
+            Expr::Unary(UnaryOp::Not | UnaryOp::Neg, a) => self.expr_width(ids, a),
+            Expr::Unary(..) => 1,
+            Expr::Binary(
+                BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Ge | BinOp::LtS | BinOp::GeS,
+                ..,
+            ) => 1,
+            Expr::Binary(_, a, _) => self.expr_width(ids, a),
+            Expr::Mux { then_, .. } => self.expr_width(ids, then_),
+            Expr::Select { options, .. } => self.expr_width(ids, &options[0]),
+            Expr::Zext(_, w) | Expr::Sext(_, w) | Expr::Trunc(_, w) => *w,
+            Expr::MemRead { mem, .. } => self.mem(ids.mem(*mem)).width,
+        }
     }
 
     /// Initial (reset) value for a net: all zeros at the net's width.

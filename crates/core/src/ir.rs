@@ -419,6 +419,69 @@ impl std::ops::Neg for Expr {
     }
 }
 
+/// How far a block's statement ids sit from the ids it means: a stamped
+/// block (see [`IrBody`](crate::IrBody)) shares its statements with the
+/// first instance of its component, and adds these offsets to every signal
+/// and memory id they name.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct IdOffsets {
+    /// Added to every signal id.
+    pub signals: u32,
+    /// Added to every memory id.
+    pub mems: u32,
+}
+
+impl IdOffsets {
+    /// The signal a statement's `sig` means.
+    #[inline]
+    pub fn signal(self, sig: SignalId) -> SignalId {
+        SignalId(sig.0 + self.signals)
+    }
+
+    /// The memory a statement's `mem` means.
+    #[inline]
+    pub fn mem(self, mem: MemId) -> MemId {
+        MemId(mem.0 + self.mems)
+    }
+
+    pub(crate) fn plus(self, by: IdOffsets) -> IdOffsets {
+        IdOffsets { signals: self.signals + by.signals, mems: self.mems + by.mems }
+    }
+}
+
+impl Expr {
+    /// Rewrites every id this expression names to the one it means.
+    pub(crate) fn offset_ids(&mut self, by: IdOffsets) {
+        match self {
+            Expr::Read(sig) => *sig = by.signal(*sig),
+            Expr::Const(_) => {}
+            Expr::Slice { expr: e, .. }
+            | Expr::Unary(_, e)
+            | Expr::Zext(e, _)
+            | Expr::Sext(e, _)
+            | Expr::Trunc(e, _) => e.offset_ids(by),
+            Expr::Concat(parts) => parts.iter_mut().for_each(|p| p.offset_ids(by)),
+            Expr::Binary(_, a, b) => {
+                a.offset_ids(by);
+                b.offset_ids(by);
+            }
+            Expr::Mux { cond, then_, else_ } => {
+                cond.offset_ids(by);
+                then_.offset_ids(by);
+                else_.offset_ids(by);
+            }
+            Expr::Select { sel, options } => {
+                sel.offset_ids(by);
+                options.iter_mut().for_each(|o| o.offset_ids(by));
+            }
+            Expr::MemRead { mem, addr } => {
+                *mem = by.mem(*mem);
+                addr.offset_ids(by);
+            }
+        }
+    }
+}
+
 /// The target of an IR assignment: a signal or a bit slice of one.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LValue {
@@ -455,6 +518,30 @@ pub enum Stmt {
 }
 
 impl Stmt {
+    /// Rewrites every id this statement names to the one it means.
+    pub(crate) fn offset_ids(&mut self, by: IdOffsets) {
+        match self {
+            Stmt::Assign(lv, e) => {
+                lv.signal = by.signal(lv.signal);
+                e.offset_ids(by);
+            }
+            Stmt::If { cond, then_, else_ } => {
+                cond.offset_ids(by);
+                then_.iter_mut().chain(else_).for_each(|s| s.offset_ids(by));
+            }
+            Stmt::Switch { subject, arms, default } => {
+                subject.offset_ids(by);
+                let arms = arms.iter_mut().flat_map(|(_, body)| body);
+                arms.chain(default).for_each(|s| s.offset_ids(by));
+            }
+            Stmt::MemWrite { mem, addr, data } => {
+                *mem = by.mem(*mem);
+                addr.offset_ids(by);
+                data.offset_ids(by);
+            }
+        }
+    }
+
     /// Collects signals read by this statement (conditions and right-hand
     /// sides) into `out`.
     pub fn collect_reads(&self, out: &mut Vec<SignalId>) {

@@ -59,11 +59,11 @@ pub use builder::{BlockBuilder, Ctx, Instance, MemRef, SignalRef, SwitchBuilder}
 pub use bundle::{ChildReqResp, InValRdy, OutValRdy, ParentReqResp};
 pub use component::{elaborate, elaborate_unchecked, Component};
 pub use design::{
-    BlockBody, BlockInfo, BlockKind, Design, ElabError, MemInfo, ModuleInfo, NativeFn, NativeLevel,
-    NetInfo, SignalInfo, SignalKind,
+    BlockBody, BlockInfo, BlockKind, Design, ElabError, IrBody, MemInfo, ModuleInfo, NativeFn,
+    NativeLevel, NetInfo, SignalInfo, SignalKind,
 };
 pub use ids::{BlockId, MemId, ModuleId, NetId, ShapeId, SignalId};
-pub use ir::{BinOp, Expr, LValue, Stmt, UnaryOp};
+pub use ir::{BinOp, Expr, IdOffsets, LValue, Stmt, UnaryOp};
 pub use lint::{lint, Diagnostic, LintRule, Severity};
 pub use msg::{Field, MsgLayout};
 pub use shape::ShapeInfo;

@@ -7,10 +7,10 @@
 
 use mtl_bits::Bits;
 
-use crate::design::{BlockBody, BlockInfo, BlockKind, MemInfo, NetInfo, SignalInfo};
+use crate::design::{BlockBody, BlockInfo, BlockKind, IrBody, MemInfo, NetInfo, SignalInfo};
 use crate::hash::FastMap;
 use crate::ids::{BlockId, MemId, SignalId};
-use crate::ir::{Expr, Stmt};
+use crate::ir::{Expr, IdOffsets, Stmt};
 
 /// One shape of IR block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,6 +66,7 @@ pub(crate) fn assign(
         local: [vec![0; nets.len()], vec![0; mems.len()]],
         named: Default::default(),
         literals: Vec::new(),
+        ids: IdOffsets::default(),
     };
     let mut interned: FastMap<Box<[u64]>, u32> = FastMap::default();
     let mut shapes = Shapes {
@@ -79,8 +80,8 @@ pub(crate) fn assign(
     lit_at.push(0);
     for (b, block) in blocks.iter().enumerate() {
         let shape = match &block.body {
-            BlockBody::Ir(stmts) => {
-                walk.block(block.kind, stmts);
+            BlockBody::Ir(body) => {
+                walk.block(block.kind, body);
                 let next = shapes.info.len() as u32;
                 let shape = match interned.get(&walk.key[..]) {
                     Some(&shape) => shape,
@@ -182,13 +183,16 @@ struct Walk<'a> {
     named: [Vec<u32>; 2],
     /// Every block's literals so far, each block's in walk order.
     literals: Vec<Bits>,
+    /// The block's offsets from the ids its statements name.
+    ids: IdOffsets,
 }
 
 impl Walk<'_> {
-    fn block(&mut self, kind: BlockKind, stmts: &[Stmt]) {
+    fn block(&mut self, kind: BlockKind, body: &IrBody) {
         self.key.clear();
         self.key.push(kind as u64);
-        self.stmts(stmts);
+        self.ids = body.ids();
+        self.stmts(body.stmts());
     }
 
     /// The local index of global `g` in `table`.
@@ -209,13 +213,14 @@ impl Walk<'_> {
     /// A signal read or written: its local net, its own width and its
     /// net's (both at most 128, so a byte each).
     fn signal(&mut self, sig: SignalId) {
-        let [net, width] = self.signals[sig.index()];
+        let [net, width] = self.signals[self.ids.signal(sig).index()];
         let local = self.name(0, net);
         let widths = u64::from(width) | u64::from(self.net_widths[net as usize]) << 8;
         self.key.push(Tag::Read as u64 | widths << 8 | u64::from(local) << 32);
     }
 
     fn mem(&mut self, mem: MemId) {
+        let mem = self.ids.mem(mem);
         let local = self.name(1, mem.index() as u32);
         let info = &self.mems[mem.index()];
         self.key.extend([u64::from(info.width) | u64::from(local) << 32, info.words]);

@@ -2,7 +2,7 @@
 
 use crate::design::{BlockBody, BlockKind, Design, ElabError};
 use crate::ids::{MemId, SignalId};
-use crate::ir::{BinOp, Expr, Stmt};
+use crate::ir::{BinOp, Expr, IdOffsets, Stmt};
 
 /// Checks each block shape's first instance. The check reads only what a
 /// shape fixes (widths, constants, the block kind), so every instance
@@ -11,9 +11,9 @@ use crate::ir::{BinOp, Expr, Stmt};
 pub(crate) fn check_design(design: &Design) -> Result<(), ElabError> {
     for shape in design.shapes() {
         let block = design.block(shape.first);
-        let BlockBody::Ir(stmts) = &block.body else { continue };
-        let ctx = CheckCtx { design, seq: block.kind == BlockKind::Seq };
-        for s in stmts {
+        let BlockBody::Ir(body) = &block.body else { continue };
+        let ctx = CheckCtx { design, ids: body.ids(), seq: block.kind == BlockKind::Seq };
+        for s in body.stmts() {
             ctx.check_stmt(s).map_err(|message| ElabError::TypeError {
                 block: design.block_path(shape.first),
                 message,
@@ -25,16 +25,17 @@ pub(crate) fn check_design(design: &Design) -> Result<(), ElabError> {
 
 struct CheckCtx<'a> {
     design: &'a Design,
+    ids: IdOffsets,
     seq: bool,
 }
 
 impl CheckCtx<'_> {
     fn sig_width(&self, s: SignalId) -> u32 {
-        self.design.signal(s).width
+        self.design.signal(self.ids.signal(s)).width
     }
 
     fn mem_width(&self, m: MemId) -> u32 {
-        self.design.mem(m).width
+        self.design.mem(self.ids.mem(m)).width
     }
 
     fn check_stmt(&self, stmt: &Stmt) -> Result<(), String> {

@@ -1,0 +1,203 @@
+//! Stamping: elaboration builds each component name once and copies its
+//! later instances from that build, unless the build has a native block.
+//! Debug builds re-run every stamped `build` and check the copy.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use mtl_core::{elaborate, BlockBody, BlockId, Component, Ctx, Design, ElabError, Expr};
+
+/// `out = in_`, counting its builds; `native` adds a CL block.
+struct Leaf {
+    builds: &'static AtomicUsize,
+    native: bool,
+}
+
+impl Component for Leaf {
+    fn name(&self) -> String {
+        format!("Leaf_{}", self.native)
+    }
+
+    fn build(&self, c: &mut Ctx) {
+        self.builds.fetch_add(1, Ordering::Relaxed);
+        let in_ = c.in_port("in_", 8);
+        let out = c.out_port("out", 8);
+        c.comb("pass", |b| b.assign(out, in_));
+        if self.native {
+            let seen = c.out_port("seen", 1);
+            c.tick_cl("watch", &[in_], &[seen], move |s| {
+                let v = s.read(in_.id()).reduce_or();
+                s.write_next(seen.id(), mtl_core::Bits::from_bool(v));
+            });
+        }
+    }
+}
+
+/// `n` instances of one component side by side, each wired to its own
+/// top-level ports.
+struct Row<'a> {
+    n: usize,
+    child: &'a dyn Component,
+}
+
+impl Component for Row<'_> {
+    fn name(&self) -> String {
+        format!("Row_{}_{}", self.n, self.child.name())
+    }
+
+    fn build(&self, c: &mut Ctx) {
+        for i in 0..self.n {
+            let u = c.instantiate(&format!("u{i}"), self.child);
+            let (in_, out) = (c.in_port(&format!("in{i}"), 8), c.out_port(&format!("out{i}"), 8));
+            c.connect(in_, c.port_of(&u, "in_"));
+            c.connect(c.port_of(&u, "out"), out);
+        }
+    }
+}
+
+/// How many times a stamped instance runs `build`: never in release,
+/// once more for the check in debug.
+const CHECK: usize = if cfg!(debug_assertions) { 1 } else { 0 };
+
+#[test]
+fn a_repeated_component_is_built_once_and_stamped() {
+    static BUILDS: AtomicUsize = AtomicUsize::new(0);
+    let leaf = Leaf { builds: &BUILDS, native: false };
+    let design = elaborate(&Row { n: 4, child: &leaf }).unwrap();
+    assert_eq!(BUILDS.load(Ordering::Relaxed), 1 + 3 * CHECK);
+
+    // The stamps share the first instance's statements, shifted onto
+    // their own signals, and the design reads as four separate builds.
+    let ir = |b: usize| match &design.block(BlockId::from_index(b)).body {
+        BlockBody::Ir(body) => body.clone(),
+        BlockBody::Native(..) => unreachable!(),
+    };
+    assert_eq!(ir(0).ids().signals, 0);
+    for b in 1..4 {
+        assert_eq!(ir(b).stmts(), ir(0).stmts(), "one statement list");
+        assert!(ir(b).ids().signals > 0, "stamp {b} is shifted");
+        let out = design.module(design.top()).children[b];
+        let port = |name| design.find_port(out, name).unwrap();
+        let [stmt] = &ir(b).to_stmts()[..] else { panic!("one statement") };
+        assert_eq!(*stmt, one_assign(port("out"), port("in_")));
+        assert_eq!(design.block_path(BlockId::from_index(b)), format!("top.u{b}.pass"));
+    }
+    let shapes: Vec<_> = (0..4).map(|b| design.block_shape(BlockId::from_index(b))).collect();
+    assert_eq!(shapes, [shapes[0]; 4], "one shape");
+}
+
+fn one_assign(target: mtl_core::SignalId, source: mtl_core::SignalId) -> mtl_core::Stmt {
+    let lv = mtl_core::LValue { signal: target, lo: 0, hi: 8 };
+    mtl_core::Stmt::Assign(lv, Expr::Read(source))
+}
+
+#[test]
+fn a_subtree_with_a_native_block_is_rebuilt() {
+    static NATIVE: AtomicUsize = AtomicUsize::new(0);
+    static INNER: AtomicUsize = AtomicUsize::new(0);
+    let leaf = Leaf { builds: &NATIVE, native: true };
+    elaborate(&Row { n: 4, child: &leaf }).unwrap();
+    assert_eq!(NATIVE.load(Ordering::Relaxed), 4, "never stamped");
+
+    // A native-free child of a rebuilt subtree is still stamped.
+    struct Outer(Leaf, Leaf);
+    impl Component for Outer {
+        fn name(&self) -> String {
+            "Outer".into()
+        }
+        fn build(&self, c: &mut Ctx) {
+            let (in_, out) = (c.in_port("in_", 8), c.out_port("out", 8));
+            let native = c.instantiate("native", &self.0);
+            let pure = c.instantiate("pure", &self.1);
+            c.connect(in_, c.port_of(&native, "in_"));
+            c.connect(in_, c.port_of(&pure, "in_"));
+            c.connect(c.port_of(&pure, "out"), out);
+        }
+    }
+    let native = Leaf { builds: &NATIVE, native: true };
+    let outer = Outer(native, Leaf { builds: &INNER, native: false });
+    elaborate(&Row { n: 3, child: &outer }).unwrap();
+    assert_eq!(INNER.load(Ordering::Relaxed), 1 + 2 * CHECK);
+}
+
+/// Two instances of one name whose builds differ: the name breaks its
+/// contract.
+#[cfg(debug_assertions)]
+#[test]
+#[should_panic(expected = "component `Liar` builds differently at instance `u1`")]
+fn a_name_that_does_not_determine_the_build_panics_naming_it() {
+    struct Liar(u32);
+    impl Component for Liar {
+        fn name(&self) -> String {
+            "Liar".into()
+        }
+        fn build(&self, c: &mut Ctx) {
+            let out = c.out_port("out", 8);
+            c.comb("k", |b| b.assign(out, Expr::k(8, self.0.into())));
+        }
+    }
+    struct Pair;
+    impl Component for Pair {
+        fn name(&self) -> String {
+            "Pair".into()
+        }
+        fn build(&self, c: &mut Ctx) {
+            c.instantiate("u0", &Liar(1));
+            c.instantiate("u1", &Liar(2));
+        }
+    }
+    let _ = elaborate(&Pair);
+}
+
+#[test]
+fn editing_one_stamped_block_leaves_its_siblings() {
+    static BUILDS: AtomicUsize = AtomicUsize::new(0);
+    let leaf = Leaf { builds: &BUILDS, native: false };
+    let mut design = elaborate(&Row { n: 4, child: &leaf }).unwrap();
+    let stmts = |d: &Design, b: usize| match &d.block(BlockId::from_index(b)).body {
+        BlockBody::Ir(body) => body.to_stmts(),
+        BlockBody::Native(..) => unreachable!(),
+    };
+    let before: Vec<_> = (0..4).map(|b| stmts(&design, b)).collect();
+    design
+        .blocks_mut(|blocks| {
+            let BlockBody::Ir(body) = &mut blocks[2].body else { unreachable!() };
+            let mtl_core::Stmt::Assign(_, e) = &mut body.stmts_mut()[0] else { unreachable!() };
+            *e = e.clone() + Expr::k(8, 1);
+        })
+        .unwrap();
+    for b in [0, 1, 3] {
+        assert_eq!(stmts(&design, b), before[b], "sibling {b} unchanged");
+    }
+    let mtl_core::Stmt::Assign(lv, e) = &stmts(&design, 2)[0] else { unreachable!() };
+    let mtl_core::Stmt::Assign(lv0, read) = &before[2][0] else { unreachable!() };
+    assert_eq!((lv, e), (lv0, &(read.clone() + Expr::k(8, 1))));
+    let shape = |b| design.block_shape(BlockId::from_index(b));
+    assert_eq!([shape(0), shape(1), shape(3)], [shape(0); 3]);
+    assert_ne!(shape(2), shape(0), "the edited block has a shape of its own");
+}
+
+/// A width mismatch inside a component stops elaboration at its first
+/// instance, with the same error a build of every instance gives.
+#[test]
+fn a_width_mismatch_in_a_stamped_component_names_its_first_instance() {
+    struct Bad;
+    impl Component for Bad {
+        fn name(&self) -> String {
+            "Bad".into()
+        }
+        fn build(&self, c: &mut Ctx) {
+            let (x, y) = (c.wire("x", 8), c.wire("y", 4));
+            c.connect(x, y);
+            c.in_port("in_", 8);
+            c.out_port("out", 8);
+        }
+    }
+    let err = elaborate(&Row { n: 3, child: &Bad }).unwrap_err();
+    let expected = ElabError::WidthMismatch {
+        a: "top.u0.x".into(),
+        b: "top.u0.y".into(),
+        a_width: 8,
+        b_width: 4,
+    };
+    assert_eq!(err, expected);
+}

@@ -13,8 +13,8 @@
 
 use std::collections::HashMap;
 
-use mtl_core::ir::{BinOp, Expr, Stmt, UnaryOp};
-use mtl_core::{BlockBody, BlockKind, Design, ModuleId, NetId};
+use mtl_core::ir::{BinOp, Expr, IdOffsets, Stmt, UnaryOp};
+use mtl_core::{BlockBody, BlockKind, Design, IrBody, ModuleId, NetId};
 
 /// Error returned when a design cannot be analyzed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -129,8 +129,8 @@ pub fn analyze_with(design: &Design, tech: &TechModel) -> Result<EdaReport, EdaE
     // Logic area per block; register area per register net; memory area.
     let mut block_area = vec![0.0f64; design.blocks().len()];
     for (i, b) in design.blocks().iter().enumerate() {
-        let BlockBody::Ir(stmts) = &b.body else { unreachable!() };
-        block_area[i] = stmts.iter().map(|s| stmt_area(design, s, tech)).sum();
+        let BlockBody::Ir(body) = &b.body else { unreachable!() };
+        block_area[i] = ir_area(design, body, tech);
     }
     let mut reg_area_by_module: HashMap<ModuleId, f64> = HashMap::new();
     for (ni, net) in design.nets().iter().enumerate() {
@@ -230,13 +230,13 @@ pub fn critical_path(design: &Design, exclude_child: Option<&str>) -> Result<f64
         if matches!(info.kind, BlockKind::Seq) || in_excluded(info.module) {
             continue;
         }
-        let BlockBody::Ir(stmts) = &info.body else { continue };
+        let BlockBody::Ir(body) = &info.body else { continue };
         let arrival: f64 = info
             .reads
             .iter()
             .map(|&r| depth_in.get(&design.net_of(r).index()).copied().unwrap_or(0.0))
             .fold(0.0, f64::max);
-        let local: f64 = stmts.iter().map(stmt_depth).fold(0.0, f64::max);
+        let local: f64 = body.stmts().iter().map(stmt_depth).fold(0.0, f64::max);
         let out = arrival + local;
         worst = worst.max(out);
         for &w in &info.writes {
@@ -253,61 +253,66 @@ pub fn critical_path(design: &Design, exclude_child: Option<&str>) -> Result<f64
         if info.kind != BlockKind::Seq || in_excluded(info.module) {
             continue;
         }
-        let BlockBody::Ir(stmts) = &info.body else { continue };
+        let BlockBody::Ir(body) = &info.body else { continue };
         let arrival: f64 = info
             .reads
             .iter()
             .map(|&r| depth_in.get(&design.net_of(r).index()).copied().unwrap_or(0.0))
             .fold(0.0, f64::max);
-        let local: f64 = stmts.iter().map(stmt_depth).fold(0.0, f64::max);
+        let local: f64 = body.stmts().iter().map(stmt_depth).fold(0.0, f64::max);
         worst = worst.max(arrival + local);
     }
     // Register setup + clock-to-q margin.
     Ok(worst + 3.0)
 }
 
-fn stmt_area(design: &Design, s: &Stmt, tech: &TechModel) -> f64 {
+/// The logic area of one IR block.
+fn ir_area(design: &Design, body: &IrBody, tech: &TechModel) -> f64 {
+    body.stmts().iter().map(|s| stmt_area(design, body.ids(), s, tech)).sum()
+}
+
+fn stmt_area(design: &Design, ids: IdOffsets, s: &Stmt, tech: &TechModel) -> f64 {
     match s {
-        Stmt::Assign(_, e) => expr_area(design, e, tech),
+        Stmt::Assign(_, e) => expr_area(design, ids, e, tech),
         Stmt::If { cond, then_, else_ } => {
             // Condition logic + priority mux per assigned bit (approximate
             // by one mux level over the bodies' area).
-            expr_area(design, cond, tech)
-                + then_.iter().map(|s| stmt_area(design, s, tech)).sum::<f64>()
-                + else_.iter().map(|s| stmt_area(design, s, tech)).sum::<f64>()
+            expr_area(design, ids, cond, tech)
+                + then_.iter().map(|s| stmt_area(design, ids, s, tech)).sum::<f64>()
+                + else_.iter().map(|s| stmt_area(design, ids, s, tech)).sum::<f64>()
                 + tech.mux_per_bit * 8.0
         }
         Stmt::Switch { subject, arms, default } => {
-            expr_area(design, subject, tech)
+            expr_area(design, ids, subject, tech)
                 + arms
                     .iter()
                     .flat_map(|(_, body)| body.iter())
-                    .map(|s| stmt_area(design, s, tech))
+                    .map(|s| stmt_area(design, ids, s, tech))
                     .sum::<f64>()
-                + default.iter().map(|s| stmt_area(design, s, tech)).sum::<f64>()
+                + default.iter().map(|s| stmt_area(design, ids, s, tech)).sum::<f64>()
                 + tech.cmp_per_bit * arms.len() as f64
         }
         Stmt::MemWrite { addr, data, .. } => {
-            expr_area(design, addr, tech) + expr_area(design, data, tech)
+            expr_area(design, ids, addr, tech) + expr_area(design, ids, data, tech)
         }
     }
 }
 
-fn expr_area(design: &Design, e: &Expr, tech: &TechModel) -> f64 {
-    let w = |e: &Expr| width(design, e) as f64;
+fn expr_area(design: &Design, ids: IdOffsets, e: &Expr, tech: &TechModel) -> f64 {
+    let w = |e: &Expr| design.expr_width(ids, e) as f64;
     match e {
         Expr::Read(_) | Expr::Const(_) => 0.0,
-        Expr::Slice { expr, .. } => expr_area(design, expr, tech),
-        Expr::Concat(parts) => parts.iter().map(|p| expr_area(design, p, tech)).sum(),
+        Expr::Slice { expr, .. } => expr_area(design, ids, expr, tech),
+        Expr::Concat(parts) => parts.iter().map(|p| expr_area(design, ids, p, tech)).sum(),
         Expr::Unary(op, a) => {
-            let base = expr_area(design, a, tech);
+            let base = expr_area(design, ids, a, tech);
             base + match op {
                 UnaryOp::Not | UnaryOp::Neg => w(a) * tech.logic_per_bit,
                 _ => w(a) * tech.logic_per_bit * 0.5,
             }
         }
         Expr::Binary(op, a, b) => {
-            let base = expr_area(design, a, tech) + expr_area(design, b, tech);
+            let base = expr_area(design, ids, a, tech) + expr_area(design, ids, b, tech);
             base + match op {
                 BinOp::Add | BinOp::Sub => w(a) * tech.add_per_bit,
                 BinOp::Mul => w(a) * w(a) * tech.mul_sq_factor,
@@ -317,39 +322,18 @@ fn expr_area(design: &Design, e: &Expr, tech: &TechModel) -> f64 {
             }
         }
         Expr::Mux { cond, then_, else_ } => {
-            expr_area(design, cond, tech)
-                + expr_area(design, then_, tech)
-                + expr_area(design, else_, tech)
+            expr_area(design, ids, cond, tech)
+                + expr_area(design, ids, then_, tech)
+                + expr_area(design, ids, else_, tech)
                 + w(then_) * tech.mux_per_bit
         }
         Expr::Select { sel, options } => {
-            expr_area(design, sel, tech)
-                + options.iter().map(|o| expr_area(design, o, tech)).sum::<f64>()
+            expr_area(design, ids, sel, tech)
+                + options.iter().map(|o| expr_area(design, ids, o, tech)).sum::<f64>()
                 + w(&options[0]) * tech.mux_per_bit * (options.len() as f64 - 1.0)
         }
-        Expr::Zext(a, _) | Expr::Sext(a, _) | Expr::Trunc(a, _) => expr_area(design, a, tech),
-        Expr::MemRead { addr, .. } => expr_area(design, addr, tech) + 8.0,
-    }
-}
-
-fn width(design: &Design, e: &Expr) -> u32 {
-    match e {
-        Expr::Read(s) => design.signal(*s).width,
-        Expr::Const(c) => c.width(),
-        Expr::Slice { lo, hi, .. } => hi - lo,
-        Expr::Concat(parts) => parts.iter().map(|p| width(design, p)).sum(),
-        Expr::Unary(op, a) => match op {
-            UnaryOp::Not | UnaryOp::Neg => width(design, a),
-            _ => 1,
-        },
-        Expr::Binary(op, a, _) => match op {
-            BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Ge | BinOp::LtS | BinOp::GeS => 1,
-            _ => width(design, a),
-        },
-        Expr::Mux { then_, .. } => width(design, then_),
-        Expr::Select { options, .. } => width(design, &options[0]),
-        Expr::Zext(_, w) | Expr::Sext(_, w) | Expr::Trunc(_, w) => *w,
-        Expr::MemRead { mem, .. } => design.mem(*mem).width,
+        Expr::Zext(a, _) | Expr::Sext(a, _) | Expr::Trunc(a, _) => expr_area(design, ids, a, tech),
+        Expr::MemRead { addr, .. } => expr_area(design, ids, addr, tech) + 8.0,
     }
 }
 
@@ -475,8 +459,8 @@ pub fn dynamic_energy(design: &Design, activity: &[u64], tech: &TechModel) -> f6
     // into that logic on average.
     let mut logic_area = 0.0;
     for b in design.blocks() {
-        if let BlockBody::Ir(stmts) = &b.body {
-            logic_area += stmts.iter().map(|s| stmt_area(design, s, tech)).sum::<f64>();
+        if let BlockBody::Ir(body) = &b.body {
+            logic_area += ir_area(design, body, tech);
         }
     }
     let area_per_bit = tech.reg_per_bit + logic_area / reg_bits;

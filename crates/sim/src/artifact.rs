@@ -310,7 +310,7 @@ fn shape_of(design: &Design) -> u64 {
     for block in design.blocks() {
         mix(matches!(block.kind, BlockKind::Seq) as u64);
         match &block.body {
-            BlockBody::Ir(stmts) => mix(stmts.len() as u64),
+            BlockBody::Ir(body) => mix(body.stmts().len() as u64),
             BlockBody::Native(..) => mix(u64::MAX),
         }
         mix(block.reads.len() as u64);

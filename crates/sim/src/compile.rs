@@ -355,16 +355,16 @@ fn block_tapes(design: &Design, layout: Layout, opt: bool, fold: &mut Duration) 
     let tapes = design.blocks().iter().enumerate().map(|(i, b)| {
         let block = BlockId::from_index(i);
         let back = design.block_operands(block).map(<[u32]>::to_vec);
-        let (Some(shape), BlockBody::Ir(stmts)) = (design.block_shape(block), &b.body) else {
+        let (Some(shape), BlockBody::Ir(body)) = (design.block_shape(block), &b.body) else {
             body_of.push(NONE);
             backs.push(back);
             return Tape::default();
         };
         if shape.index() == bodies.len() {
             let t0 = Instant::now();
-            let (folded, params) = fold_stmts(stmts, design.shape_params(shape));
+            let (folded, params) = fold_stmts(body.stmts(), design.shape_params(shape));
             *fold += t0.elapsed();
-            let mut vt = compile_block(design, &folded, b.kind, &params);
+            let mut vt = compile_block(design, body.ids(), &folded, b.kind, &params);
             for (local, back) in local.iter_mut().zip(&back) {
                 back.iter().enumerate().for_each(|(l, &g)| local[g as usize] = l as u32);
             }
@@ -775,8 +775,9 @@ mod tests {
     ) -> (Vec<Tape>, Option<OptReport>) {
         let mut report = opt.then(OptReport::new);
         let tapes = design.blocks().iter().map(|b| match &b.body {
-            BlockBody::Ir(stmts) => {
-                let vt = compile_block(design, &fold_stmts(stmts, &[]).0, b.kind, &[]);
+            BlockBody::Ir(body) => {
+                let folded = fold_stmts(body.stmts(), &[]).0;
+                let vt = compile_block(design, body.ids(), &folded, b.kind, &[]);
                 finish(vt, widths, mem_widths, &mut report, || "oracle".into())
             }
             BlockBody::Native(..) => Tape::default(),
@@ -1091,7 +1092,7 @@ mod tests {
 
     impl Component for AddK {
         fn name(&self) -> String {
-            "AddK".into()
+            format!("AddK_{:?}", self.0)
         }
 
         fn build(&self, c: &mut Ctx) {

@@ -6,7 +6,7 @@
 //! Everything here is private to [`crate::compile`], the one module that
 //! turns a `Design` into executable tapes.
 
-use mtl_core::ir::{BinOp, Expr, Stmt, UnaryOp};
+use mtl_core::ir::{BinOp, Expr, IdOffsets, Stmt, UnaryOp};
 use mtl_core::{BlockKind, Design, MemId, SignalId};
 
 use super::passes::def_bits;
@@ -107,12 +107,14 @@ fn lower(vt: &VTape, ops: &[Op], widths: &[u32], mem_widths: &[u32]) -> Option<V
 /// raw emission otherwise.
 pub(super) fn compile_block(
     design: &Design,
+    ids: IdOffsets,
     stmts: &[Stmt],
     kind: BlockKind,
     params: &[u32],
 ) -> VTape {
     let mut c = Compiler {
         design,
+        ids,
         ops: Vec::new(),
         next_reg: 0,
         seq: kind == BlockKind::Seq,
@@ -442,6 +444,8 @@ fn fold_stmt(s: &Stmt, cx: &mut Fold) -> Stmt {
 
 struct Compiler<'a> {
     design: &'a Design,
+    /// The block's offsets from the ids its statements name.
+    ids: IdOffsets,
     ops: Vec<Op<VReg>>,
     next_reg: VReg,
     seq: bool,
@@ -465,19 +469,19 @@ impl Compiler<'_> {
     }
 
     fn slot_of(&self, sig: SignalId) -> u32 {
-        self.design.net_of(sig).index() as u32
+        self.design.net_of(self.ids.signal(sig)).index() as u32
     }
 
     fn width_of(&self, sig: SignalId) -> u32 {
-        self.design.signal(sig).width
+        self.design.signal(self.ids.signal(sig)).width
     }
 
     fn mem_index(&self, m: MemId) -> u32 {
-        m.index() as u32
+        self.ids.mem(m).index() as u32
     }
 
     fn expr_width(&self, e: &Expr) -> u32 {
-        expr_width(self.design, e)
+        self.design.expr_width(self.ids, e)
     }
 
     fn emit_stmt(&mut self, s: &Stmt) {
@@ -550,7 +554,7 @@ impl Compiler<'_> {
             Stmt::MemWrite { mem, addr, data } => {
                 let a = self.emit_expr(addr);
                 let d = self.emit_expr(data);
-                let words = self.design.mem(*mem).words;
+                let words = self.design.mem(self.ids.mem(*mem)).words;
                 self.ops.push(Op::MemWrite { mem: self.mem_index(*mem), addr: a, data: d, words });
             }
         }
@@ -679,33 +683,11 @@ impl Compiler<'_> {
             Expr::MemRead { mem, addr } => {
                 let a = self.emit_expr(addr);
                 let dst = self.alloc();
-                let words = self.design.mem(*mem).words;
+                let words = self.design.mem(self.ids.mem(*mem)).words;
                 self.ops.push(Op::MemRead { dst, mem: self.mem_index(*mem), addr: a, words });
                 dst
             }
         }
-    }
-}
-
-/// Computes the width of an IR expression against a design's signal table.
-fn expr_width(design: &Design, e: &Expr) -> u32 {
-    match e {
-        Expr::Read(s) => design.signal(*s).width,
-        Expr::Const(c) => c.width(),
-        Expr::Slice { lo, hi, .. } => hi - lo,
-        Expr::Concat(parts) => parts.iter().map(|p| expr_width(design, p)).sum(),
-        Expr::Unary(op, a) => match op {
-            UnaryOp::Not | UnaryOp::Neg => expr_width(design, a),
-            _ => 1,
-        },
-        Expr::Binary(op, a, _) => match op {
-            BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Ge | BinOp::LtS | BinOp::GeS => 1,
-            _ => expr_width(design, a),
-        },
-        Expr::Mux { then_, .. } => expr_width(design, then_),
-        Expr::Select { options, .. } => expr_width(design, &options[0]),
-        Expr::Zext(_, w) | Expr::Sext(_, w) | Expr::Trunc(_, w) => *w,
-        Expr::MemRead { mem, .. } => design.mem(*mem).width,
     }
 }
 

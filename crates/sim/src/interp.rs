@@ -22,7 +22,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use mtl_bits::Bits;
-use mtl_core::ir::{Expr, Stmt};
+use mtl_core::ir::{Expr, IdOffsets, Stmt};
 use mtl_core::{BlockBody, BlockKind, Design, NativeFn, SignalId, SignalView};
 
 use crate::compile::{comb_sensitivity, reg_slots};
@@ -176,14 +176,17 @@ impl SensMap for DenseSens {
 pub(crate) fn eval_expr<S: Store>(
     e: &Expr,
     design: &Design,
+    ids: IdOffsets,
     store: &S,
     mems: &[Vec<Bits>],
     boxed: bool,
 ) -> Bits {
     if boxed {
-        return *eval_expr_boxed(e, design, store, mems);
+        return *eval_expr_boxed(e, design, ids, store, mems);
     }
-    e.eval(&mut |sig| store.get(design.net_of(sig).index() as u32), &mut |mem, addr| {
+    let slot = |sig| design.net_of(ids.signal(sig)).index() as u32;
+    e.eval(&mut |sig| store.get(slot(sig)), &mut |mem, addr| {
+        let mem = ids.mem(mem);
         let words = design.mem(mem).words;
         mems[mem.index()][(addr % words) as usize]
     })
@@ -197,28 +200,29 @@ pub(crate) fn eval_expr<S: Store>(
 fn eval_expr_boxed<S: Store>(
     e: &Expr,
     design: &Design,
+    ids: IdOffsets,
     store: &S,
     mems: &[Vec<Bits>],
 ) -> Box<Bits> {
     use mtl_core::ir::{BinOp, UnaryOp};
     match e {
-        Expr::Read(sig) => Box::new(store.get(design.net_of(*sig).index() as u32)),
+        Expr::Read(sig) => Box::new(store.get(design.net_of(ids.signal(*sig)).index() as u32)),
         Expr::Const(c) => Box::new(*c),
         Expr::Slice { expr, lo, hi } => {
-            let v = eval_expr_boxed(expr, design, store, mems);
+            let v = eval_expr_boxed(expr, design, ids, store, mems);
             Box::new(v.slice(*lo, *hi))
         }
         Expr::Concat(parts) => {
             let mut it = parts.iter();
-            let mut acc = eval_expr_boxed(it.next().expect("concat"), design, store, mems);
+            let mut acc = eval_expr_boxed(it.next().expect("concat"), design, ids, store, mems);
             for p in it {
-                let rhs = eval_expr_boxed(p, design, store, mems);
+                let rhs = eval_expr_boxed(p, design, ids, store, mems);
                 acc = Box::new(acc.concat(*rhs));
             }
             acc
         }
         Expr::Unary(op, a) => {
-            let v = eval_expr_boxed(a, design, store, mems);
+            let v = eval_expr_boxed(a, design, ids, store, mems);
             Box::new(match op {
                 UnaryOp::Not => !*v,
                 UnaryOp::Neg => -*v,
@@ -228,8 +232,8 @@ fn eval_expr_boxed<S: Store>(
             })
         }
         Expr::Binary(op, a, b) => {
-            let x = eval_expr_boxed(a, design, store, mems);
-            let y = eval_expr_boxed(b, design, store, mems);
+            let x = eval_expr_boxed(a, design, ids, store, mems);
+            let y = eval_expr_boxed(b, design, ids, store, mems);
             let amt = |v: &Bits| v.as_u128().min(u32::MAX as u128) as u32;
             Box::new(match op {
                 BinOp::Add => *x + *y,
@@ -250,33 +254,34 @@ fn eval_expr_boxed<S: Store>(
             })
         }
         Expr::Mux { cond, then_, else_ } => {
-            let c = eval_expr_boxed(cond, design, store, mems);
+            let c = eval_expr_boxed(cond, design, ids, store, mems);
             if c.reduce_or() {
-                eval_expr_boxed(then_, design, store, mems)
+                eval_expr_boxed(then_, design, ids, store, mems)
             } else {
-                eval_expr_boxed(else_, design, store, mems)
+                eval_expr_boxed(else_, design, ids, store, mems)
             }
         }
         Expr::Select { sel, options } => {
-            let s = eval_expr_boxed(sel, design, store, mems);
+            let s = eval_expr_boxed(sel, design, ids, store, mems);
             let idx = s.as_u128().min(options.len() as u128 - 1) as usize;
-            eval_expr_boxed(&options[idx], design, store, mems)
+            eval_expr_boxed(&options[idx], design, ids, store, mems)
         }
         Expr::Zext(a, w) => {
-            let v = eval_expr_boxed(a, design, store, mems);
+            let v = eval_expr_boxed(a, design, ids, store, mems);
             Box::new(v.zext(*w))
         }
         Expr::Sext(a, w) => {
-            let v = eval_expr_boxed(a, design, store, mems);
+            let v = eval_expr_boxed(a, design, ids, store, mems);
             Box::new(v.sext(*w))
         }
         Expr::Trunc(a, w) => {
-            let v = eval_expr_boxed(a, design, store, mems);
+            let v = eval_expr_boxed(a, design, ids, store, mems);
             Box::new(v.trunc(*w))
         }
         Expr::MemRead { mem, addr } => {
-            let a = eval_expr_boxed(addr, design, store, mems);
-            let words = design.mem(*mem).words;
+            let a = eval_expr_boxed(addr, design, ids, store, mems);
+            let mem = ids.mem(*mem);
+            let words = design.mem(mem).words;
             Box::new(mems[mem.index()][(a.as_u64() % words) as usize])
         }
     }
@@ -291,6 +296,7 @@ fn eval_expr_boxed<S: Store>(
 pub(crate) fn exec_stmts<S: Store>(
     stmts: &[Stmt],
     design: &Design,
+    ids: IdOffsets,
     store: &mut S,
     mems: &[Vec<Bits>],
     pending: &mut Vec<(u32, u64, Bits)>,
@@ -301,9 +307,10 @@ pub(crate) fn exec_stmts<S: Store>(
     for s in stmts {
         match s {
             Stmt::Assign(lv, e) => {
-                let v = eval_expr(e, design, store, mems, boxed);
-                let slot = design.net_of(lv.signal).index() as u32;
-                let full_width = design.signal(lv.signal).width;
+                let v = eval_expr(e, design, ids, store, mems, boxed);
+                let target = ids.signal(lv.signal);
+                let slot = design.net_of(target).index() as u32;
+                let full_width = design.signal(target).width;
                 let full = lv.lo == 0 && lv.hi == full_width;
                 if seq {
                     let nv =
@@ -317,30 +324,31 @@ pub(crate) fn exec_stmts<S: Store>(
                 }
             }
             Stmt::If { cond, then_, else_ } => {
-                if eval_expr(cond, design, store, mems, boxed).reduce_or() {
-                    exec_stmts(then_, design, store, mems, pending, changed, seq, boxed);
+                if eval_expr(cond, design, ids, store, mems, boxed).reduce_or() {
+                    exec_stmts(then_, design, ids, store, mems, pending, changed, seq, boxed);
                 } else {
-                    exec_stmts(else_, design, store, mems, pending, changed, seq, boxed);
+                    exec_stmts(else_, design, ids, store, mems, pending, changed, seq, boxed);
                 }
             }
             Stmt::Switch { subject, arms, default } => {
-                let v = eval_expr(subject, design, store, mems, boxed);
+                let v = eval_expr(subject, design, ids, store, mems, boxed);
                 let mut matched = false;
                 for (k, body) in arms {
                     if *k == v {
-                        exec_stmts(body, design, store, mems, pending, changed, seq, boxed);
+                        exec_stmts(body, design, ids, store, mems, pending, changed, seq, boxed);
                         matched = true;
                         break;
                     }
                 }
                 if !matched {
-                    exec_stmts(default, design, store, mems, pending, changed, seq, boxed);
+                    exec_stmts(default, design, ids, store, mems, pending, changed, seq, boxed);
                 }
             }
             Stmt::MemWrite { mem, addr, data } => {
-                let a = eval_expr(addr, design, store, mems, boxed).as_u64();
-                let d = eval_expr(data, design, store, mems, boxed);
-                let words = design.mem(*mem).words;
+                let a = eval_expr(addr, design, ids, store, mems, boxed).as_u64();
+                let d = eval_expr(data, design, ids, store, mems, boxed);
+                let mem = ids.mem(*mem);
+                let words = design.mem(mem).words;
                 pending.push((mem.index() as u32, a % words, d));
             }
         }
@@ -461,9 +469,10 @@ impl<S: Store, M: SensMap> InterpEngine<S, M> {
         let seq = info.kind == BlockKind::Seq;
         self.changed.clear();
         match &info.body {
-            BlockBody::Ir(stmts) => exec_stmts(
-                stmts,
+            BlockBody::Ir(body) => exec_stmts(
+                body.stmts(),
                 &design,
+                body.ids(),
                 &mut self.store,
                 &self.mems,
                 &mut self.pending,

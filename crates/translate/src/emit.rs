@@ -8,7 +8,7 @@
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 
-use mtl_core::ir::{BinOp, Expr, Stmt, UnaryOp};
+use mtl_core::ir::{BinOp, Expr, IdOffsets, Stmt, UnaryOp};
 use mtl_core::{BlockBody, BlockKind, Design, MemId, ModuleId, NetId, SignalId, SignalKind};
 
 /// Error returned when a design cannot be translated to Verilog.
@@ -311,21 +311,22 @@ fn emit_module(design: &Design, m: ModuleId, out: &mut String) -> Result<(), Tra
         if block.module != m {
             continue;
         }
-        let BlockBody::Ir(stmts) = &block.body else { unreachable!("natives rejected") };
+        let BlockBody::Ir(body) = &block.body else { unreachable!("natives rejected") };
+        let ids = body.ids();
         match block.kind {
             BlockKind::Comb => {
                 writeln!(out, "  // {}", block.name).unwrap();
                 writeln!(out, "  always @(*) begin").unwrap();
-                for s in stmts {
-                    emit_stmt(design, &scope, s, false, 2, out);
+                for s in body.stmts() {
+                    emit_stmt(design, &scope, ids, s, false, 2, out);
                 }
                 writeln!(out, "  end").unwrap();
             }
             BlockKind::Seq => {
                 writeln!(out, "  // {}", block.name).unwrap();
                 writeln!(out, "  always @(posedge clk) begin").unwrap();
-                for s in stmts {
-                    emit_stmt(design, &scope, s, true, 2, out);
+                for s in body.stmts() {
+                    emit_stmt(design, &scope, ids, s, true, 2, out);
                 }
                 writeln!(out, "  end").unwrap();
             }
@@ -344,6 +345,7 @@ fn indent(level: usize) -> String {
 fn emit_stmt(
     design: &Design,
     scope: &Scope<'_>,
+    ids: IdOffsets,
     stmt: &Stmt,
     seq: bool,
     level: usize,
@@ -353,9 +355,9 @@ fn emit_stmt(
     let assign_op = if seq { "<=" } else { "=" };
     match stmt {
         Stmt::Assign(lv, e) => {
-            let rhs = emit_expr(design, scope, e);
-            let name = scope.name_of(lv.signal);
-            let w = design.signal(lv.signal).width;
+            let rhs = emit_expr(design, scope, ids, e);
+            let name = scope.name_of(ids.signal(lv.signal));
+            let w = design.signal(ids.signal(lv.signal)).width;
             if lv.lo == 0 && lv.hi == w {
                 writeln!(out, "{ind}{name} {assign_op} {rhs};").unwrap();
             } else if lv.width() == 1 {
@@ -365,44 +367,44 @@ fn emit_stmt(
             }
         }
         Stmt::If { cond, then_, else_ } => {
-            writeln!(out, "{ind}if ({}) begin", emit_expr(design, scope, cond)).unwrap();
+            writeln!(out, "{ind}if ({}) begin", emit_expr(design, scope, ids, cond)).unwrap();
             for s in then_ {
-                emit_stmt(design, scope, s, seq, level + 1, out);
+                emit_stmt(design, scope, ids, s, seq, level + 1, out);
             }
             if else_.is_empty() {
                 writeln!(out, "{ind}end").unwrap();
             } else {
                 writeln!(out, "{ind}end else begin").unwrap();
                 for s in else_ {
-                    emit_stmt(design, scope, s, seq, level + 1, out);
+                    emit_stmt(design, scope, ids, s, seq, level + 1, out);
                 }
                 writeln!(out, "{ind}end").unwrap();
             }
         }
         Stmt::Switch { subject, arms, default } => {
-            writeln!(out, "{ind}case ({})", emit_expr(design, scope, subject)).unwrap();
+            writeln!(out, "{ind}case ({})", emit_expr(design, scope, ids, subject)).unwrap();
             for (k, body) in arms {
                 writeln!(out, "{ind}  {}'h{:x}: begin", k.width(), k).unwrap();
                 for s in body {
-                    emit_stmt(design, scope, s, seq, level + 2, out);
+                    emit_stmt(design, scope, ids, s, seq, level + 2, out);
                 }
                 writeln!(out, "{ind}  end").unwrap();
             }
             writeln!(out, "{ind}  default: begin").unwrap();
             for s in default {
-                emit_stmt(design, scope, s, seq, level + 2, out);
+                emit_stmt(design, scope, ids, s, seq, level + 2, out);
             }
             writeln!(out, "{ind}  end").unwrap();
             writeln!(out, "{ind}endcase").unwrap();
         }
         Stmt::MemWrite { mem, addr, data } => {
-            let m = design.mem(*mem);
+            let m = design.mem(ids.mem(*mem));
             writeln!(
                 out,
                 "{ind}{}[{}] {assign_op} {};",
                 sanitize(&m.name),
-                emit_expr(design, scope, addr),
-                emit_expr(design, scope, data)
+                emit_expr(design, scope, ids, addr),
+                emit_expr(design, scope, ids, data)
             )
             .unwrap();
         }
@@ -429,12 +431,12 @@ fn binop_str(op: BinOp) -> &'static str {
     }
 }
 
-fn emit_expr(design: &Design, scope: &Scope<'_>, e: &Expr) -> String {
+fn emit_expr(design: &Design, scope: &Scope<'_>, ids: IdOffsets, e: &Expr) -> String {
     match e {
-        Expr::Read(sig) => scope.name_of(*sig),
+        Expr::Read(sig) => scope.name_of(ids.signal(*sig)),
         Expr::Const(c) => format!("{}'h{:x}", c.width(), c),
         Expr::Slice { expr, lo, hi } => {
-            let inner = emit_expr(design, scope, expr);
+            let inner = emit_expr(design, scope, ids, expr);
             if hi - lo == 1 {
                 format!("({inner}[{lo}])",)
             } else {
@@ -442,11 +444,12 @@ fn emit_expr(design: &Design, scope: &Scope<'_>, e: &Expr) -> String {
             }
         }
         Expr::Concat(parts) => {
-            let items: Vec<String> = parts.iter().map(|p| emit_expr(design, scope, p)).collect();
+            let items: Vec<String> =
+                parts.iter().map(|p| emit_expr(design, scope, ids, p)).collect();
             format!("{{{}}}", items.join(", "))
         }
         Expr::Unary(op, a) => {
-            let inner = emit_expr(design, scope, a);
+            let inner = emit_expr(design, scope, ids, a);
             match op {
                 UnaryOp::Not => format!("(~{inner})"),
                 UnaryOp::Neg => format!("(-{inner})"),
@@ -456,8 +459,8 @@ fn emit_expr(design: &Design, scope: &Scope<'_>, e: &Expr) -> String {
             }
         }
         Expr::Binary(op, a, b) => {
-            let lhs = emit_expr(design, scope, a);
-            let rhs = emit_expr(design, scope, b);
+            let lhs = emit_expr(design, scope, ids, a);
+            let rhs = emit_expr(design, scope, ids, b);
             match op {
                 BinOp::LtS | BinOp::GeS => {
                     format!("($signed({lhs}) {} $signed({rhs}))", binop_str(*op))
@@ -468,40 +471,40 @@ fn emit_expr(design: &Design, scope: &Scope<'_>, e: &Expr) -> String {
         }
         Expr::Mux { cond, then_, else_ } => format!(
             "({} ? {} : {})",
-            emit_expr(design, scope, cond),
-            emit_expr(design, scope, then_),
-            emit_expr(design, scope, else_)
+            emit_expr(design, scope, ids, cond),
+            emit_expr(design, scope, ids, then_),
+            emit_expr(design, scope, ids, else_)
         ),
         Expr::Select { sel, options } => {
             // Nested ternaries; the last option is the default.
-            let sel_s = emit_expr(design, scope, sel);
-            let mut s = emit_expr(design, scope, options.last().expect("select options"));
-            let sel_w = super::emit_width(design, sel);
+            let sel_s = emit_expr(design, scope, ids, sel);
+            let mut s = emit_expr(design, scope, ids, options.last().expect("select options"));
+            let sel_w = design.expr_width(ids, sel);
             for (i, o) in options.iter().enumerate().rev().skip(1) {
                 s = format!(
                     "(({sel_s} == {sel_w}'h{i:x}) ? {} : {s})",
-                    emit_expr(design, scope, o)
+                    emit_expr(design, scope, ids, o)
                 );
             }
             s
         }
         Expr::Zext(a, w) => {
-            let iw = super::emit_width(design, a);
+            let iw = design.expr_width(ids, a);
             let pad = w - iw;
             if pad == 0 {
-                emit_expr(design, scope, a)
+                emit_expr(design, scope, ids, a)
             } else {
-                format!("{{{pad}'h0, {}}}", emit_expr(design, scope, a))
+                format!("{{{pad}'h0, {}}}", emit_expr(design, scope, ids, a))
             }
         }
         Expr::Sext(a, w) => {
             // Expression-only sign extension: test the sign bit and OR in
             // the extension mask.
-            let iw = super::emit_width(design, a);
+            let iw = design.expr_width(ids, a);
             if *w == iw {
-                return emit_expr(design, scope, a);
+                return emit_expr(design, scope, ids, a);
             }
-            let inner = emit_expr(design, scope, a);
+            let inner = emit_expr(design, scope, ids, a);
             let ext: u128 = (mask(*w)) & !mask(iw);
             format!(
                 "((|(({inner} >> 8'h{:x}) & {iw}'h1)) ? ({{{}'h0, {inner}}} | {w}'h{ext:x}) : {{{}'h0, {inner}}})",
@@ -511,7 +514,7 @@ fn emit_expr(design: &Design, scope: &Scope<'_>, e: &Expr) -> String {
             )
         }
         Expr::Trunc(a, w) => {
-            let inner = emit_expr(design, scope, a);
+            let inner = emit_expr(design, scope, ids, a);
             if *w == 1 {
                 format!("({inner}[0])")
             } else {
@@ -519,8 +522,8 @@ fn emit_expr(design: &Design, scope: &Scope<'_>, e: &Expr) -> String {
             }
         }
         Expr::MemRead { mem, addr } => {
-            let m = design.mem(*mem);
-            format!("{}[{}]", sanitize(&m.name), emit_expr(design, scope, addr))
+            let m = design.mem(ids.mem(*mem));
+            format!("{}[{}]", sanitize(&m.name), emit_expr(design, scope, ids, addr))
         }
     }
 }

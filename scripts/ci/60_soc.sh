@@ -12,9 +12,10 @@
 #       RTL SoC: it must build, drain and match the golden checksum on
 #       specialized-opt — a drained-and-correct gate, not a wall-time one
 #       (the host swings 5–40 %); the table prints its bring-up seconds
-#       for the record (≈2.6 s with the per-block compile memo, ≈1.7 s
-#       since its routers and generators run as gangs: 8 gangs of 44 032
-#       lanes, and the fused stage re-optimizes only the residual);
+#       for the record (0.65–0.78 s on the 2-vCPU reference host with
+#       repeated subtrees stamped at elaboration, against 0.88–1.21 s
+#       for the same runs before; timed beside the campaign's other
+#       points, so it is noisy);
 #   (c) the benchmark's own oracle at full scale: one short
 #       `soc64_rtl_par2` ledger run, whose last line must say
 #       `"correct":true` — specialized-par at 2 threads (the plans of
