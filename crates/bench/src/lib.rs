@@ -330,6 +330,36 @@ pub fn design_registry() -> Vec<(String, Box<dyn Component>)> {
     designs
 }
 
+/// The four designs `perf_ledger`'s `build_sweep` brings up, at full scale
+/// for one seed — the ledger's own construction workload, which the
+/// golden tables over [`design_registry`] pin alongside it.
+pub fn build_sweep_designs(seed: u64) -> Vec<(String, Box<dyn Component>)> {
+    use mtl_accel::{TileConfig, TileHarness, XcelLevel};
+    use mtl_proc::{CacheLevel, ProcLevel};
+    use mtl_soc::{Soc, SocConfig, SocTraffic};
+
+    let tile = TileConfig { proc: ProcLevel::Rtl, cache: CacheLevel::Rtl, xcel: XcelLevel::Rtl };
+    let soc = |config: SocConfig| Box::new(Soc::new(config.with_seed(seed)));
+    vec![
+        (
+            "build_sweep/mesh64".into(),
+            Box::new(MeshTrafficHarness::new(NetLevel::Rtl, 64, 300, seed)),
+        ),
+        (
+            "build_sweep/compute_soc64".into(),
+            soc(SocConfig::compute(64, tile, NetLevel::Rtl, SocTraffic::UniformRandom)),
+        ),
+        (
+            "build_sweep/synthetic_soc256".into(),
+            soc(SocConfig::synthetic(256, NetLevel::Rtl, SocTraffic::UniformRandom)),
+        ),
+        (
+            "build_sweep/tile".into(),
+            Box::new(TileHarness::new(tile, 1 << 12, vec![seed as u32, (seed >> 32) as u32])),
+        ),
+    ]
+}
+
 #[cfg(test)]
 mod tests {
     use super::Args;

@@ -22,39 +22,11 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use mtl_accel::{TileConfig, TileHarness, XcelLevel};
-use mtl_bench::design_registry;
-use mtl_core::{BlockBody, BlockId, Component, Design};
-use mtl_net::{MeshTrafficHarness, NetLevel};
-use mtl_proc::{CacheLevel, ProcLevel};
-use mtl_soc::{Soc, SocConfig, SocTraffic};
+use mtl_bench::{build_sweep_designs, design_registry};
+use mtl_core::{BlockBody, BlockId, Design};
 
 fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/design_digests.txt")
-}
-
-/// `build_sweep`'s design set at full scale, for one seed.
-fn build_sweep_designs(seed: u64) -> Vec<(String, Box<dyn Component>)> {
-    let tile = TileConfig { proc: ProcLevel::Rtl, cache: CacheLevel::Rtl, xcel: XcelLevel::Rtl };
-    let soc = |config: SocConfig| Box::new(Soc::new(config.with_seed(seed)));
-    vec![
-        (
-            "build_sweep/mesh64".into(),
-            Box::new(MeshTrafficHarness::new(NetLevel::Rtl, 64, 300, seed)),
-        ),
-        (
-            "build_sweep/compute_soc64".into(),
-            soc(SocConfig::compute(64, tile, NetLevel::Rtl, SocTraffic::UniformRandom)),
-        ),
-        (
-            "build_sweep/synthetic_soc256".into(),
-            soc(SocConfig::synthetic(256, NetLevel::Rtl, SocTraffic::UniformRandom)),
-        ),
-        (
-            "build_sweep/tile".into(),
-            Box::new(TileHarness::new(tile, 1 << 12, vec![seed as u32, (seed >> 32) as u32])),
-        ),
-    ]
 }
 
 /// FNV-1a, 64-bit.

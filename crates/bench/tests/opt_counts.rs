@@ -1,10 +1,13 @@
-//! Per-design optimizer snapshot over the full design registry.
+//! Per-design optimizer snapshot over the full design registry plus the
+//! four designs `perf_ledger`'s `build_sweep` brings up.
 //!
 //! The pass pipeline is deterministic (`passes::tests::optimizer_is_
 //! deterministic`), so the tape/op/register counts it produces for every
-//! registry design are stable facts worth pinning: an accidental change
-//! to pass ordering, a pass that stops firing, or a compiler change that
-//! alters emission all show up here as a diff against the golden table.
+//! design, and the digest of every optimized tape (`OptReport::digest`),
+//! are stable facts worth pinning: an accidental change to pass ordering,
+//! a pass that stops firing, a pass change that keeps every count but
+//! rewrites a tape, or a compiler change that alters emission all show up
+//! here as a diff against the golden table.
 //!
 //! Regenerate after an intentional change with:
 //!
@@ -15,7 +18,7 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use mtl_bench::design_registry;
+use mtl_bench::{build_sweep_designs, design_registry};
 use mtl_sim::{Engine, Sim};
 
 fn golden_path() -> PathBuf {
@@ -23,15 +26,17 @@ fn golden_path() -> PathBuf {
 }
 
 fn current_table() -> String {
-    let mut out = String::from("# design | tapes | ops before -> after | regs before -> after\n");
-    for (name, design) in design_registry() {
+    let mut out = String::from(
+        "# design | tapes | ops before -> after | regs before -> after | tape digest\n",
+    );
+    for (name, design) in design_registry().into_iter().chain(build_sweep_designs(4)) {
         let sim = Sim::build(design.as_ref(), Engine::SpecializedOpt)
             .unwrap_or_else(|e| panic!("{name}: elaboration failed: {e:?}"));
         let rep = sim.opt_report().unwrap_or_else(|| panic!("{name}: no opt report"));
         writeln!(
             out,
-            "{name} | {} | {} -> {} | {} -> {}",
-            rep.tapes, rep.ops_before, rep.ops_after, rep.regs_before, rep.regs_after
+            "{name} | {} | {} -> {} | {} -> {} | {:016x}",
+            rep.tapes, rep.ops_before, rep.ops_after, rep.regs_before, rep.regs_after, rep.digest
         )
         .unwrap();
     }

@@ -87,7 +87,9 @@
 //! All passes are deterministic: hash maps are used for lookup only,
 //! never iterated, so the optimized tape is a pure function of its input.
 
-use mtl_core::hash::FastMap;
+use std::hash::{Hash, Hasher};
+
+use mtl_core::hash::{FastHasher, FastMap};
 
 use super::codegen::VTape;
 use crate::tape::{mask_of, pure, Effect, Op, Role, Store, VReg};
@@ -171,6 +173,11 @@ pub struct OptReport {
     /// (`guard`, never expected). `jumps` and `wide` size what a wider
     /// admission rule would gain.
     pub refused: [(&'static str, u64); 5],
+    /// The wrapping sum, over every optimized tape, of a hash of its ops,
+    /// `nregs`, prelude and parameters (state operands numbered by first
+    /// occurrence) by the compile path's fixed, unkeyed hasher: a pass
+    /// change that keeps every count but changes a tape moves it.
+    pub digest: u64,
 }
 
 /// Why the plan stage left a block to the fused residual; indexes
@@ -311,6 +318,7 @@ impl OptReport {
         self.regs_after += times * other.regs_after;
         self.narrow_tapes += times * other.narrow_tapes;
         self.narrow_ops += times * other.narrow_ops;
+        self.digest = self.digest.wrapping_add(times.wrapping_mul(other.digest));
         for (p, q) in self.passes.iter_mut().zip(&other.passes) {
             p.ops_before += times * q.ops_before;
             p.ops_after += times * q.ops_after;
@@ -368,7 +376,29 @@ pub(super) fn optimize(vt: &mut VTape, widths: &[u32], mem_widths: &[u32], rep: 
     rep.rounds += rounds;
     rep.ops_after += vt.ops.len() as u64;
     rep.regs_after += vt.nregs as u64;
+    rep.digest = rep.digest.wrapping_add(digest(vt));
     rep.record_mix(vt.ops.iter().map(|op| (op.kind().name(), 1)));
+}
+
+/// An optimized tape's hash ([`FastHasher`]: no process-random state, so
+/// the same in every run): its ops, `nregs`, `prelude` and `params`,
+/// each state operand numbered by its first occurrence in the tape. The
+/// passes touch state only by equality, so a block body compiled on its
+/// local slots and the same block compiled on the design's global ones
+/// hash alike, as their counts already agree.
+fn digest(vt: &VTape) -> u64 {
+    let mut h = FastHasher::default();
+    let mut seen: [FastMap<u32, u32>; 2] = Default::default();
+    for op in &vt.ops {
+        let op = op.map_state(&mut |table, i| {
+            let seen = &mut seen[table as usize];
+            let next = seen.len() as u32;
+            *seen.entry(i).or_insert(next)
+        });
+        op.hash(&mut h);
+    }
+    (vt.nregs, vt.prelude, &vt.params).hash(&mut h);
+    h.finish()
 }
 
 fn run_pass(

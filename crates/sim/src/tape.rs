@@ -1112,7 +1112,7 @@ pub(crate) struct Tape<R = Reg> {
 /// all; the optimizer neither folds nor merges it, knowing only its width,
 /// and pins its register, so that each instance's tape is the body with
 /// its own value written into that `Const`, and a gang loads each lane's.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct Param<R = Reg> {
     /// Which of the block's parameter values (`Design::block_params`) it is.
     pub index: u32,
