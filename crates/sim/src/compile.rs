@@ -317,7 +317,7 @@ fn compile_blocks(design: &Design, opt: bool, o: &mut Overheads) -> BlockTapes {
 
     // Phases: comp (IR optimization — constant folding, per shape) and
     // cgen (tape code generation + optimizer pipeline; the register budget
-    // applies to the *narrowed* result, i.e. post-compaction when the
+    // applies to the *narrowed* result, i.e. post-reallocation when the
     // optimizer is on).
     let t0 = Instant::now();
     let mut fold = Duration::ZERO;

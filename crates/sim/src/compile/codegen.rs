@@ -14,7 +14,7 @@ use crate::tape::{mask_of, Effect, Op, Param, Reg, Role, Tape, VReg};
 
 /// A compiled update block in virtual-register form: what [`compile_block`]
 /// emits and what [`super::passes`] optimizes. Register indices are unbounded
-/// here; [`narrow`] enforces the physical budget after compaction.
+/// here; [`narrow`] enforces the physical budget after reallocation.
 pub(super) type VTape = Tape<VReg>;
 
 /// The physical register budget of an executable tape ([`Reg`] is `u16`).
@@ -103,7 +103,7 @@ fn lower(vt: &VTape, ops: &[Op], widths: &[u32], mem_widths: &[u32]) -> Option<V
 /// prelude when the tape is jump-free — so that a gang can load each
 /// lane's values in their place. Emission allocates virtual registers
 /// without a budget; the physical budget is enforced by [`narrow`] — after
-/// optimization and register compaction when the optimizer is on, on the
+/// optimization and register reallocation when the optimizer is on, on the
 /// raw emission otherwise.
 pub(super) fn compile_block(
     design: &Design,
@@ -462,7 +462,7 @@ impl Compiler<'_> {
     fn alloc(&mut self) -> VReg {
         let r = self.next_reg;
         // Virtual registers are effectively unbounded; the physical
-        // budget is enforced later by `narrow` (after compaction when
+        // budget is enforced later by `narrow` (after reallocation when
         // the optimizer runs), where the block can be named.
         self.next_reg = self.next_reg.checked_add(1).expect("virtual register index overflow");
         r

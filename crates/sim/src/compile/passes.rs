@@ -28,10 +28,18 @@
 //!
 //! Passes (one round, in order):
 //!
-//! 1. **const-fold** — forward dataflow of exact register constants;
-//!    pure ops with all-constant operands become `Op::Const`, using the
-//!    executor's own arithmetic so folded and live evaluation agree
-//!    bit-for-bit.
+//! 1. **fold** — one forward walk of the dataflow facts (exact register
+//!    constants and which bits may be one), rewriting each op by what is
+//!    known of its operands: pure ops with all-constant operands become
+//!    `Op::Const`, using the executor's own arithmetic so folded and live
+//!    evaluation agree bit-for-bit; `Mux` under a constant condition,
+//!    `Select` under a constant selector, `Mux` with identical arms,
+//!    constant-guarded jumps (`Jz`/`JneConst`) and predicated stores
+//!    collapse to copies/`Jmp`/plain stores/fallthrough; and masking that
+//!    cannot clear anything (`Slice` from 0, `And` with a covering
+//!    constant, `Sext` of a value whose sign bit is provably 0, reductions
+//!    of 1-bit values, `x op identity`) becomes a `Copy`, provably-zero
+//!    results constants.
 //! 2. **cse** — value numbering. `Read`s are keyed per slot and
 //!    store-version (a later re-read becomes a `Copy`), full writes
 //!    forward their source register to later reads of the same slot, and
@@ -42,10 +50,7 @@
 //!    *dominating* positions (inside no forward-jump span) live in a
 //!    global table that survives leaders, so value numbering works across
 //!    the whole tape, not just within one straight-line segment.
-//! 3. **mux-collapse** — `Mux` under a constant condition, `Select` under
-//!    a constant selector, `Mux` with identical arms, and constant-guarded
-//!    jumps (`Jz`/`JneConst`) collapse to copies/`Jmp`/fallthrough.
-//! 4. **if-convert** — small `Jz` arms/diamonds whose bodies are pure ops
+//! 3. **if-convert** — small `Jz` arms/diamonds whose bodies are pure ops
 //!    plus writes become straight-line code: each guarded `Write`,
 //!    `WriteNext`, or `MemWrite` turns into one predicated op
 //!    (`Op::WriteIf` / `Op::WriteNextIf` / `Op::MemWriteIf`), and
@@ -56,33 +61,28 @@
 //!    under fault injection, where `force` desynchronizes `cur` from
 //!    `next`. This removes jump dispatch *and* the join leaders that
 //!    force non-dominating dataflow facts to drop.
-//! 5. **width-narrow** — known-bits analysis (which bits *may* be one).
-//!    Masking that cannot clear anything (`Slice` from 0, `And` with a
-//!    covering constant, `Sext` of a value whose sign bit is provably 0,
-//!    reductions of 1-bit values, `x op identity`) becomes a `Copy`;
-//!    provably-zero results become constants.
-//! 6. **copy-prop** — uses are rewritten through (versioned) copy chains
+//! 4. **copy-prop** — uses are rewritten through (versioned) copy chains
 //!    so the copies die; `Select`'s implicit consecutive operand range is
 //!    never rewritten, only its selector.
-//! 7. **jump-thread** — `Jmp`-to-`Jmp` chains are shortcut, jumps to the
+//! 5. **jump-thread** — `Jmp`-to-`Jmp` chains are shortcut, jumps to the
 //!    next op are dropped, and unreachable ops are removed.
-//! 8. **dce** — pure ops whose destination is never used later are
+//! 6. **dce** — pure ops whose destination is never used later are
 //!    removed (a conservative positional liveness that is sound because
 //!    tape jumps only go forward).
 //!
-//! Rounds repeat until a fixpoint (bounded by `MAX_ROUNDS`); four
+//! Rounds repeat until a fixpoint (bounded by `MAX_ROUNDS`); three
 //! closing passes then run once. **mux-fuse** pairs single-use `Mux`
 //! chains into `Op::Mux2` (the one-hot crossbar idiom). **const-hoist**
 //! moves single-def constants into a run-once prelude
 //! (`Tape::prelude`) on jump-free tapes, so engines with
 //! persistent per-tape register banks stop paying per-cycle dispatches
-//! for cycle-invariant values. **compact** renumbers live registers in
-//! ascending order — which keeps `Select` option ranges consecutive —
-//! and **realloc** runs a last-use linear scan that reuses dead
-//! registers (pinning `Select` ranges and prelude destinations),
-//! shrinking the physical register file far below the live-register
-//! count. Together they relieve the `u16` register budget: the budget
-//! applies to the *reallocated* tape.
+//! for cycle-invariant values. **realloc** renumbers the registers with
+//! a last-use linear scan that reuses dead ones (pinning `Select` ranges,
+//! in ascending order so they stay consecutive, prelude destinations and
+//! parameters), shrinking the physical register file far below the
+//! live-register count, and drops a parameter whose `Const` died. That
+//! relieves the `u16` register budget: the budget applies to the
+//! *reallocated* tape.
 //!
 //! All passes are deterministic: hash maps are used for lookup only,
 //! never iterated, so the optimized tape is a pure function of its input.
@@ -94,8 +94,9 @@ use mtl_core::hash::{FastHasher, FastMap};
 use super::codegen::VTape;
 use crate::tape::{mask_of, pure, Effect, Op, Role, Store, VReg};
 
-/// Fixpoint bound for the pass loop. Real designs converge in 2–3 rounds;
-/// the bound only guards against a pathological rewrite cycle.
+/// Fixpoint bound for the pass loop. Most tapes converge in 1–3 rounds;
+/// the slowest, a compute SoC tile's fused sequential run, takes 7. The
+/// bound guards against a pathological rewrite cycle.
 const MAX_ROUNDS: u64 = 8;
 
 /// Per-pass statistics, aggregated over every tape an engine optimizes.
@@ -110,7 +111,7 @@ pub struct PassStat {
     /// Individual rewrites/removals applied (0 means the pass ran but
     /// found nothing).
     pub rewrites: u64,
-    /// Registers reclaimed (compaction only).
+    /// Registers reclaimed (`realloc` only).
     pub regs_reclaimed: u64,
 }
 
@@ -139,7 +140,7 @@ pub struct OptReport {
     pub ops_after: u64,
     /// Sum of register-file sizes before optimization.
     pub regs_before: u64,
-    /// Sum of register-file sizes after compaction.
+    /// Sum of register-file sizes after reallocation.
     pub regs_after: u64,
     /// Per-pass aggregates, in pipeline order.
     pub passes: Vec<PassStat>,
@@ -193,34 +194,28 @@ pub(super) enum Refusal {
 
 const REFUSALS: [&str; 5] = ["few", "jumps", "wide", "tail", "guard"];
 
-const PASS_NAMES: [&str; 13] = [
+const PASS_NAMES: [&str; 10] = [
     "rename",
-    "const-fold",
+    "fold",
     "cse",
-    "mux-collapse",
     "if-convert",
-    "width-narrow",
     "copy-prop",
     "jump-thread",
     "dce",
     "mux-fuse",
     "const-hoist",
-    "compact",
     "realloc",
 ];
 const P_RENAME: usize = 0;
-const P_CONST_FOLD: usize = 1;
+const P_FOLD: usize = 1;
 const P_CSE: usize = 2;
-const P_MUX_COLLAPSE: usize = 3;
-const P_IF_CONVERT: usize = 4;
-const P_WIDTH_NARROW: usize = 5;
-const P_COPY_PROP: usize = 6;
-const P_JUMP_THREAD: usize = 7;
-const P_DCE: usize = 8;
-const P_MUX_FUSE: usize = 9;
-const P_HOIST: usize = 10;
-const P_COMPACT: usize = 11;
-const P_REALLOC: usize = 12;
+const P_IF_CONVERT: usize = 3;
+const P_COPY_PROP: usize = 4;
+const P_JUMP_THREAD: usize = 5;
+const P_DCE: usize = 6;
+const P_MUX_FUSE: usize = 7;
+const P_HOIST: usize = 8;
+const P_REALLOC: usize = 9;
 
 impl OptReport {
     /// An empty report with every pass row pre-seeded in pipeline order.
@@ -357,11 +352,9 @@ pub(super) fn optimize(vt: &mut VTape, widths: &[u32], mem_widths: &[u32], rep: 
     loop {
         rounds += 1;
         let mut changed = 0;
-        changed += run_pass(rep, P_CONST_FOLD, vt, |vt| const_fold(vt, widths, mem_widths));
+        changed += run_pass(rep, P_FOLD, vt, |vt| fold(vt, widths, mem_widths));
         changed += run_pass(rep, P_CSE, vt, cse);
-        changed += run_pass(rep, P_MUX_COLLAPSE, vt, |vt| mux_collapse(vt, widths, mem_widths));
         changed += run_pass(rep, P_IF_CONVERT, vt, if_convert);
-        changed += run_pass(rep, P_WIDTH_NARROW, vt, |vt| width_narrow(vt, widths, mem_widths));
         changed += run_pass(rep, P_COPY_PROP, vt, copy_prop);
         changed += run_pass(rep, P_JUMP_THREAD, vt, jump_thread);
         changed += run_pass(rep, P_DCE, vt, dce);
@@ -371,7 +364,6 @@ pub(super) fn optimize(vt: &mut VTape, widths: &[u32], mem_widths: &[u32], rep: 
     }
     run_pass(rep, P_MUX_FUSE, vt, mux_fuse);
     run_pass(rep, P_HOIST, vt, hoist_consts);
-    run_pass(rep, P_COMPACT, vt, compact);
     run_pass(rep, P_REALLOC, vt, realloc);
     rep.rounds += rounds;
     rep.ops_after += vt.ops.len() as u64;
@@ -810,24 +802,127 @@ fn rename(vt: &mut VTape) -> u64 {
     rewrites
 }
 
-/// Pure ops with all-constant operands become `Op::Const`.
-fn const_fold(vt: &mut VTape, widths: &[u32], mem_widths: &[u32]) -> u64 {
+/// Rewrites each op by what one forward walk of [`Facts`] knows of its
+/// operands, in this order: a pure op whose value is known becomes an
+/// `Op::Const`, through the executor's own arithmetic ([`eval_pure`]); a
+/// `Mux` or `Select` under a known condition (or a `Mux` with identical
+/// arms) becomes a `Copy`, and a jump or predicated store under a known
+/// guard becomes a `Jmp` or plain store, or goes; masking that provably
+/// clears nothing becomes a `Copy`, and a provably degenerate result a
+/// constant (the known-bits rules).
+fn fold(vt: &mut VTape, widths: &[u32], mem_widths: &[u32]) -> u64 {
     let is_leader = leaders(&vt.ops);
     let dominating = dominators(&vt.ops);
     let mut facts = Facts::new(vt, widths, mem_widths);
     let mut rewrites = 0;
+    let mut dead = vec![false; vt.ops.len()];
     for (i, op) in vt.ops.iter_mut().enumerate() {
         if is_leader[i] {
             facts.reset();
         }
-        if !matches!(op, Op::Const { .. }) {
-            if let (Some(dst), Some(val)) = (op.def(), eval_pure(op, &|r| facts.val(r))) {
-                *op = Op::Const { dst, val };
+        let kb = |r: VReg| facts.bits(r);
+        let kv = |r: VReg| facts.val(r);
+        // A jump or store under a guard: `op` when it is known taken,
+        // nothing (and the op goes) when known untaken.
+        let mut guarded = |taken: Option<bool>, op: Op<VReg>| match taken {
+            Some(true) => Some(op),
+            Some(false) => {
+                dead[i] = true;
                 rewrites += 1;
+                None
             }
+            None => None,
+        };
+        let constant = op.def().zip(eval_pure(op, &kv));
+        let new = match *op {
+            Op::Const { .. } => None,
+            _ if constant.is_some() => constant.map(|(dst, val)| Op::Const { dst, val }),
+            Op::Mux { dst, cond, t, f } => match kv(cond) {
+                Some(c) => Some(Op::Copy { dst, a: if c != 0 { t } else { f } }),
+                None if t == f => Some(Op::Copy { dst, a: t }),
+                None => None,
+            },
+            Op::Select { dst, sel, base, n } => {
+                kv(sel).map(|s| Op::Copy { dst, a: base + s.min(n as u128 - 1) as VReg })
+            }
+            Op::Jz { cond, target } => guarded(kv(cond).map(|c| c == 0), Op::Jmp { target }),
+            Op::JneConst { a, k, target } => guarded(kv(a).map(|v| v != k), Op::Jmp { target }),
+            Op::WriteIf { slot, cond, src, neg } => {
+                guarded(kv(cond).map(|c| (c != 0) != neg), Op::Write { slot, src })
+            }
+            Op::WriteNextIf { slot, cond, src, neg } => {
+                guarded(kv(cond).map(|c| (c != 0) != neg), Op::WriteNext { slot, src })
+            }
+            Op::MemWriteIf { mem, addr, data, cond, words, neg } => {
+                guarded(kv(cond).map(|c| (c != 0) != neg), Op::MemWrite { mem, addr, data, words })
+            }
+            Op::Sext { dst, a, sign_bit, .. } if kb(a) & sign_bit == 0 => Some(Op::Copy { dst, a }),
+            Op::Slice { dst, a, lo: 0, mask } if kb(a) & !mask == 0 => Some(Op::Copy { dst, a }),
+            Op::Slice { dst, a, lo, mask } if lo > 0 && lo < 128 && (kb(a) >> lo) & mask == 0 => {
+                Some(Op::Const { dst, val: 0 })
+            }
+            Op::And { dst, a, b } if kb(a) & kb(b) == 0 => Some(Op::Const { dst, val: 0 }),
+            Op::And { dst, a, b } => match (kv(a), kv(b)) {
+                (_, Some(m)) if kb(a) & !m == 0 => Some(Op::Copy { dst, a }),
+                (Some(m), _) if kb(b) & !m == 0 => Some(Op::Copy { dst, a: b }),
+                _ => None,
+            },
+            Op::Or { dst, a, b } => match (kv(a), kv(b)) {
+                (_, Some(0)) => Some(Op::Copy { dst, a }),
+                (Some(0), _) => Some(Op::Copy { dst, a: b }),
+                (_, Some(m)) if kb(a) & !m == 0 => Some(Op::Const { dst, val: m }),
+                (Some(m), _) if kb(b) & !m == 0 => Some(Op::Const { dst, val: m }),
+                _ => None,
+            },
+            Op::Xor { dst, a, b } if a == b => Some(Op::Const { dst, val: 0 }),
+            Op::Xor { dst, a, b } => match (kv(a), kv(b)) {
+                (_, Some(0)) => Some(Op::Copy { dst, a }),
+                (Some(0), _) => Some(Op::Copy { dst, a: b }),
+                _ => None,
+            },
+            Op::Add { dst, a, b, mask } => match (kv(a), kv(b)) {
+                (_, Some(0)) if kb(a) & !mask == 0 => Some(Op::Copy { dst, a }),
+                (Some(0), _) if kb(b) & !mask == 0 => Some(Op::Copy { dst, a: b }),
+                _ => None,
+            },
+            Op::Sub { dst, a, b, .. } if a == b => Some(Op::Const { dst, val: 0 }),
+            Op::Sub { dst, a, b, mask } => match kv(b) {
+                Some(0) if kb(a) & !mask == 0 => Some(Op::Copy { dst, a }),
+                _ => None,
+            },
+            Op::Mul { dst, a, b, mask } => match (kv(a), kv(b)) {
+                (_, Some(1)) if kb(a) & !mask == 0 => Some(Op::Copy { dst, a }),
+                (Some(1), _) if kb(b) & !mask == 0 => Some(Op::Copy { dst, a: b }),
+                (_, Some(0)) | (Some(0), _) => Some(Op::Const { dst, val: 0 }),
+                _ => None,
+            },
+            Op::Shl { dst, a, b, mask, .. } => match kv(b) {
+                Some(0) if kb(a) & !mask == 0 => Some(Op::Copy { dst, a }),
+                _ => None,
+            },
+            Op::Shr { dst, a, b, .. } => match kv(b) {
+                Some(0) => Some(Op::Copy { dst, a }),
+                _ => None,
+            },
+            Op::Eq { dst, a, b } if a == b => Some(Op::Const { dst, val: 1 }),
+            Op::Ne { dst, a, b } if a == b => Some(Op::Const { dst, val: 0 }),
+            Op::Lt { dst, a, b } if a == b => Some(Op::Const { dst, val: 0 }),
+            Op::Ge { dst, a, b } if a == b => Some(Op::Const { dst, val: 1 }),
+            Op::LtS { dst, a, b, .. } if a == b => Some(Op::Const { dst, val: 0 }),
+            Op::GeS { dst, a, b, .. } if a == b => Some(Op::Const { dst, val: 1 }),
+            Op::RedAnd { dst, a, mask } if kb(a) & mask != mask => Some(Op::Const { dst, val: 0 }),
+            Op::RedOr { dst, a } if kb(a) == 0 => Some(Op::Const { dst, val: 0 }),
+            Op::RedOr { dst, a } if kb(a) & !1 == 0 => Some(Op::Copy { dst, a }),
+            Op::RedXor { dst, a } if kb(a) & !1 == 0 => Some(Op::Copy { dst, a }),
+            _ => None,
+        };
+        if let Some(new) = new {
+            *op = new;
+            rewrites += 1;
         }
         facts.step(op, dominating[i]);
     }
+    sweep(&mut vt.ops, &dead);
     rewrites
 }
 
@@ -949,86 +1044,6 @@ fn cse(vt: &mut VTape) -> u64 {
             };
         }
     }
-    rewrites
-}
-
-/// `Mux`/`Select` under constant conditions (or with identical arms) and
-/// constant-guarded jumps collapse.
-fn mux_collapse(vt: &mut VTape, widths: &[u32], mem_widths: &[u32]) -> u64 {
-    let is_leader = leaders(&vt.ops);
-    let dominating = dominators(&vt.ops);
-    let mut facts = Facts::new(vt, widths, mem_widths);
-    let mut rewrites = 0;
-    let mut dead = vec![false; vt.ops.len()];
-    for (i, op) in vt.ops.iter_mut().enumerate() {
-        if is_leader[i] {
-            facts.reset();
-        }
-        let new = match *op {
-            Op::Mux { dst, cond, t, f } => match facts.val(cond) {
-                Some(c) => Some(Op::Copy { dst, a: if c != 0 { t } else { f } }),
-                None if t == f => Some(Op::Copy { dst, a: t }),
-                None => None,
-            },
-            Op::Select { dst, sel, base, n } => {
-                facts.val(sel).map(|s| Op::Copy { dst, a: base + s.min(n as u128 - 1) as VReg })
-            }
-            Op::Jz { cond, target } => match facts.val(cond) {
-                Some(0) => Some(Op::Jmp { target }),
-                Some(_) => {
-                    dead[i] = true;
-                    rewrites += 1;
-                    None
-                }
-                None => None,
-            },
-            Op::JneConst { a, k, target } => match facts.val(a) {
-                Some(v) if v != k => Some(Op::Jmp { target }),
-                Some(_) => {
-                    dead[i] = true;
-                    rewrites += 1;
-                    None
-                }
-                None => None,
-            },
-            // Predicated writes under a known guard become plain writes
-            // (or vanish when provably untaken).
-            Op::WriteIf { slot, cond, src, neg } => match facts.val(cond) {
-                Some(c) if (c != 0) != neg => Some(Op::Write { slot, src }),
-                Some(_) => {
-                    dead[i] = true;
-                    rewrites += 1;
-                    None
-                }
-                None => None,
-            },
-            Op::WriteNextIf { slot, cond, src, neg } => match facts.val(cond) {
-                Some(c) if (c != 0) != neg => Some(Op::WriteNext { slot, src }),
-                Some(_) => {
-                    dead[i] = true;
-                    rewrites += 1;
-                    None
-                }
-                None => None,
-            },
-            Op::MemWriteIf { mem, addr, data, cond, words, neg } => match facts.val(cond) {
-                Some(c) if (c != 0) != neg => Some(Op::MemWrite { mem, addr, data, words }),
-                Some(_) => {
-                    dead[i] = true;
-                    rewrites += 1;
-                    None
-                }
-                None => None,
-            },
-            _ => None,
-        };
-        if let Some(new) = new {
-            *op = new;
-            rewrites += 1;
-        }
-        facts.step(op, dominating[i]);
-    }
-    sweep(&mut vt.ops, &dead);
     rewrites
 }
 
@@ -1260,89 +1275,6 @@ fn if_convert(vt: &mut VTape) -> u64 {
     }
     vt.ops = out;
     vt.nregs = nregs;
-    rewrites
-}
-
-/// Known-bits narrowing: masking/extension that provably changes nothing
-/// becomes a `Copy`; provably-degenerate results become constants.
-fn width_narrow(vt: &mut VTape, widths: &[u32], mem_widths: &[u32]) -> u64 {
-    let is_leader = leaders(&vt.ops);
-    let dominating = dominators(&vt.ops);
-    let mut facts = Facts::new(vt, widths, mem_widths);
-    let mut rewrites = 0;
-    for (i, op) in vt.ops.iter_mut().enumerate() {
-        if is_leader[i] {
-            facts.reset();
-        }
-        let kb = |r: VReg| facts.bits(r);
-        let kv = |r: VReg| facts.val(r);
-        let new = match *op {
-            Op::Sext { dst, a, sign_bit, .. } if kb(a) & sign_bit == 0 => Some(Op::Copy { dst, a }),
-            Op::Slice { dst, a, lo: 0, mask } if kb(a) & !mask == 0 => Some(Op::Copy { dst, a }),
-            Op::Slice { dst, a, lo, mask } if lo > 0 && lo < 128 && (kb(a) >> lo) & mask == 0 => {
-                Some(Op::Const { dst, val: 0 })
-            }
-            Op::And { dst, a, b } if kb(a) & kb(b) == 0 => Some(Op::Const { dst, val: 0 }),
-            Op::And { dst, a, b } => match (kv(a), kv(b)) {
-                (_, Some(m)) if kb(a) & !m == 0 => Some(Op::Copy { dst, a }),
-                (Some(m), _) if kb(b) & !m == 0 => Some(Op::Copy { dst, a: b }),
-                _ => None,
-            },
-            Op::Or { dst, a, b } => match (kv(a), kv(b)) {
-                (_, Some(0)) => Some(Op::Copy { dst, a }),
-                (Some(0), _) => Some(Op::Copy { dst, a: b }),
-                (_, Some(m)) if kb(a) & !m == 0 => Some(Op::Const { dst, val: m }),
-                (Some(m), _) if kb(b) & !m == 0 => Some(Op::Const { dst, val: m }),
-                _ => None,
-            },
-            Op::Xor { dst, a, b } if a == b => Some(Op::Const { dst, val: 0 }),
-            Op::Xor { dst, a, b } => match (kv(a), kv(b)) {
-                (_, Some(0)) => Some(Op::Copy { dst, a }),
-                (Some(0), _) => Some(Op::Copy { dst, a: b }),
-                _ => None,
-            },
-            Op::Add { dst, a, b, mask } => match (kv(a), kv(b)) {
-                (_, Some(0)) if kb(a) & !mask == 0 => Some(Op::Copy { dst, a }),
-                (Some(0), _) if kb(b) & !mask == 0 => Some(Op::Copy { dst, a: b }),
-                _ => None,
-            },
-            Op::Sub { dst, a, b, .. } if a == b => Some(Op::Const { dst, val: 0 }),
-            Op::Sub { dst, a, b, mask } => match kv(b) {
-                Some(0) if kb(a) & !mask == 0 => Some(Op::Copy { dst, a }),
-                _ => None,
-            },
-            Op::Mul { dst, a, b, mask } => match (kv(a), kv(b)) {
-                (_, Some(1)) if kb(a) & !mask == 0 => Some(Op::Copy { dst, a }),
-                (Some(1), _) if kb(b) & !mask == 0 => Some(Op::Copy { dst, a: b }),
-                (_, Some(0)) | (Some(0), _) => Some(Op::Const { dst, val: 0 }),
-                _ => None,
-            },
-            Op::Shl { dst, a, b, mask, .. } => match kv(b) {
-                Some(0) if kb(a) & !mask == 0 => Some(Op::Copy { dst, a }),
-                _ => None,
-            },
-            Op::Shr { dst, a, b, .. } => match kv(b) {
-                Some(0) => Some(Op::Copy { dst, a }),
-                _ => None,
-            },
-            Op::Eq { dst, a, b } if a == b => Some(Op::Const { dst, val: 1 }),
-            Op::Ne { dst, a, b } if a == b => Some(Op::Const { dst, val: 0 }),
-            Op::Lt { dst, a, b } if a == b => Some(Op::Const { dst, val: 0 }),
-            Op::Ge { dst, a, b } if a == b => Some(Op::Const { dst, val: 1 }),
-            Op::LtS { dst, a, b, .. } if a == b => Some(Op::Const { dst, val: 0 }),
-            Op::GeS { dst, a, b, .. } if a == b => Some(Op::Const { dst, val: 1 }),
-            Op::RedAnd { dst, a, mask } if kb(a) & mask != mask => Some(Op::Const { dst, val: 0 }),
-            Op::RedOr { dst, a } if kb(a) == 0 => Some(Op::Const { dst, val: 0 }),
-            Op::RedOr { dst, a } if kb(a) & !1 == 0 => Some(Op::Copy { dst, a }),
-            Op::RedXor { dst, a } if kb(a) & !1 == 0 => Some(Op::Copy { dst, a }),
-            _ => None,
-        };
-        if let Some(new) = new {
-            *op = new;
-            rewrites += 1;
-        }
-        facts.step(op, dominating[i]);
-    }
     rewrites
 }
 
@@ -1587,40 +1519,6 @@ fn hoist_consts(vt: &mut VTape) -> u64 {
     total as u64
 }
 
-/// Renumbers live registers in ascending order, shrinking `nregs`.
-/// Ascending order keeps `Select`'s implicit `base..base+n` range (every
-/// member of which is marked used) consecutive after renumbering.
-fn compact(vt: &mut VTape) -> u64 {
-    let nregs = vt.nregs as usize;
-    let mut used = vec![false; nregs];
-    for op in &vt.ops {
-        if let Some(d) = op.def() {
-            used[d as usize] = true;
-        }
-        for_each_use(op, |r| used[r as usize] = true);
-    }
-    let mut remap = vec![0 as VReg; nregs];
-    let mut next = 0 as VReg;
-    for (i, &u) in used.iter().enumerate() {
-        if u {
-            remap[i] = next;
-            next += 1;
-        }
-    }
-    // A parameter whose `Const` the passes removed as dead is gone.
-    vt.params.retain(|p| used[p.reg as usize]);
-    if next as usize == nregs {
-        return 0;
-    }
-    for op in &mut vt.ops {
-        *op = op.map_regs(&mut |_, r| remap[r as usize]);
-    }
-    vt.params.iter_mut().for_each(|p| p.reg = remap[p.reg as usize]);
-    let freed = vt.nregs - next;
-    vt.nregs = next;
-    freed as u64
-}
-
 /// Last-use linear-scan register reallocation: a register whose final
 /// textual use has passed is recycled for later definitions.
 ///
@@ -1651,6 +1549,8 @@ fn realloc(vt: &mut VTape) -> u64 {
             }
         }
     }
+    // A parameter whose `Const` the passes removed as dead is gone.
+    vt.params.retain(|p| last[p.reg as usize] != usize::MAX);
     // Prelude constants live for the whole buffer lifetime (they are
     // written once, at init), so their registers must never be recycled
     // by body defs. Pinning gives them stable numbers and keeps them off
@@ -1735,6 +1635,7 @@ fn realloc(vt: &mut VTape) -> u64 {
 mod tests {
     use super::*;
     use crate::state::PackedState;
+    use crate::tape::Param;
 
     fn opt(mut vt: VTape, widths: &[u32]) -> (VTape, OptReport) {
         let mut rep = OptReport::new();
@@ -1935,6 +1836,26 @@ mod tests {
                 assert_eq!((cur[1], next[2]), (0, 7));
             }
         }
+    }
+
+    /// A parameter whose `Const` no op reads dies in DCE, and `realloc`
+    /// drops it from `params`; a live one keeps its entry, on the register
+    /// its `Const` now defines.
+    #[test]
+    fn a_dead_parameter_leaves_params() {
+        let ops = vec![
+            Op::Const { dst: 0, val: 0 },
+            Op::Const { dst: 1, val: 0 },
+            Op::Read { dst: 2, slot: 0 },
+            Op::Add { dst: 3, a: 2, b: 1, mask: mask_of(8) },
+            Op::Write { slot: 1, src: 3 },
+        ];
+        let params =
+            vec![Param { index: 0, reg: 0, width: 8 }, Param { index: 1, reg: 1, width: 8 }];
+        let (o, _) = opt(VTape { params, ..vt(ops, 4) }, &[8, 8]);
+        let [live] = o.params[..] else { panic!("one parameter survives: {:?}", o.params) };
+        assert_eq!(live.index, 1);
+        assert!(o.ops.contains(&Op::Const { dst: live.reg, val: 0 }), "{:?}", o.ops);
     }
 
     /// A raw emission that overflows the physical `u16` register budget

@@ -29,8 +29,8 @@ use crate::state::{Access, Mems};
 pub(crate) type Reg = u16;
 
 /// A virtual register index used during compilation and optimization.
-/// Emission allocates freely in this space; the optimizer's register
-/// compaction pass renumbers the live survivors, and `narrow` checks the
+/// Emission allocates freely in this space; the optimizer's `realloc`
+/// pass renumbers the live survivors, and `narrow` checks the
 /// result against the physical [`Reg`] budget.
 pub(crate) type VReg = u32;
 

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# CI stage 2.2 — tape optimizer gate. Four checks:
+# CI stage 2.2 — tape optimizer gate. Five checks:
 #
 #   1. Block shapes: the compile path builds one body per block shape
 #      (IR blocks that are one body wired to different state and fed
@@ -28,6 +28,10 @@
 #      `"correct":true` — the measured engine agreed with
 #      `interpreted-opt` over 1 000 cycles of the 64-router mesh, not
 #      only at the tiny scale the ledger's unit test uses.
+#   5. The optimizer golden: `opt_counts.txt` pins, per registry design
+#      and per `build_sweep` design, the tape, op and register counts
+#      and a digest of every optimized tape, so a pass change that keeps
+#      every count but rewrites a tape fails here.
 #
 # The (iters, seed) pair is pinned so a red run reproduces locally with
 # exactly these flags.
@@ -76,3 +80,9 @@ case "$ledger" in
     *'"correct":true'*) ;;
     *) echo "perf_ledger: mesh64_rtl_steady did not report \"correct\":true" >&2; exit 1 ;;
 esac
+
+echo "== optimizer golden: counts and tape digests of every pinned design"
+out=$(cargo test -q --release -p mtl-bench --test opt_counts 2>&1) || {
+    echo "$out"; echo "FAIL: optimized tapes drifted from golden/opt_counts.txt"; exit 1; }
+echo "$out" | grep -q "1 passed" || {
+    echo "$out"; echo "FAIL: the optimizer golden test did not run"; exit 1; }

@@ -127,7 +127,7 @@ fn taxonomy_classes_all_occur_on_real_designs() {
 }
 
 /// A design built of exactly the nets the tape optimizer's
-/// const-hoist/const-fold passes prey on: a wire driven by a literal
+/// const-hoist/fold passes prey on: a wire driven by a literal
 /// constant, a register re-loaded from a constant every cycle, and
 /// consumers of both. Fault injection must perturb these nets the same
 /// way whether or not the optimizer ran — a hoisted or folded constant
