@@ -371,7 +371,8 @@ impl RtlTrafficGen {
 
 impl Component for RtlTrafficGen {
     fn name(&self) -> String {
-        format!("RtlTrafficGen_{}_{}", self.id, self.nrouters)
+        let Self { id, nrouters, payload_nbits, injection_permille, seed } = self;
+        format!("RtlTrafficGen_{id}_{nrouters}x{payload_nbits}_i{injection_permille}_s{seed:x}")
     }
 
     fn build(&self, c: &mut Ctx) {
@@ -476,7 +477,8 @@ impl MeshTrafficRtlHarness {
 
 impl Component for MeshTrafficRtlHarness {
     fn name(&self) -> String {
-        format!("MeshTrafficRtlHarness_{}", self.nrouters)
+        let Self { nrouters, payload_nbits, injection_permille, seed } = self;
+        format!("MeshTrafficRtlHarness_{nrouters}x{payload_nbits}_i{injection_permille}_s{seed:x}")
     }
 
     fn build(&self, c: &mut Ctx) {

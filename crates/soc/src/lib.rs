@@ -222,9 +222,10 @@ impl Component for Soc {
     fn name(&self) -> String {
         let c = &self.config;
         match c.workload {
-            SocWorkload::Synthetic { pattern, .. } => {
-                format!("Soc_{}t_{}_syn_{}", c.tiles, c.net, pattern)
-            }
+            SocWorkload::Synthetic { pattern, injection_permille, limit } => format!(
+                "Soc_{}t_{}_syn_{pattern}_i{injection_permille}_s{:x}_l{limit}",
+                c.tiles, c.net, c.seed
+            ),
             SocWorkload::Compute { pattern, .. } => format!(
                 "Soc_{}t_{}_cmp_{}_P{}C{}A{}",
                 c.tiles, c.net, pattern, c.tile.proc, c.tile.cache, c.tile.xcel

@@ -202,7 +202,8 @@ impl SocTrafficGen {
 
 impl Component for SocTrafficGen {
     fn name(&self) -> String {
-        format!("SocTrafficGen_{}_{}_{}", self.id, self.ntiles, self.pattern)
+        let Self { id, ntiles, injection_permille, seed, limit, pattern } = self;
+        format!("SocTrafficGen_{id}_{ntiles}_{pattern}_i{injection_permille}_s{seed:x}_l{limit}")
     }
 
     fn build(&self, c: &mut Ctx) {
