@@ -16,6 +16,7 @@ use crate::design::{
 use crate::hash::FastMap;
 use crate::ids::{MemId, ModuleId, NetId, SignalId};
 use crate::ir::{Expr, IdOffsets, LValue, Stmt};
+use crate::shape::NONE;
 use crate::view::SignalView;
 
 /// A handle to a declared signal, carrying its width for convenient
@@ -197,6 +198,9 @@ pub(crate) struct Proto {
     pub blocks: Vec<BlockInfo>,
     /// Native closures parallel to `blocks` (None for IR blocks).
     pub natives: Vec<Option<NativeFn>>,
+    /// Per block, the built block it was stamped from, directly or through
+    /// a stamp of a stamp (`shape::NONE` for a block its `build` made).
+    pub sources: Vec<u32>,
     pub mems: Vec<MemInfo>,
     pub connections: Vec<(SignalId, SignalId)>,
     /// Per component name instantiated so far, what its first build
@@ -279,6 +283,8 @@ impl Proto {
             };
             self.blocks.push(stamped);
             self.natives.push(None);
+            let source = self.sources[i];
+            self.sources.push(if source == NONE { i as u32 } else { source });
         }
         for i in first.start[3]..first.end[3] {
             let m = &self.mems[i];
@@ -305,6 +311,7 @@ impl Proto {
             signals: self.signals.split_off(at[1]),
             blocks: self.blocks.split_off(at[2]),
             natives: self.natives.split_off(at[2]),
+            sources: self.sources.split_off(at[2]),
             mems: self.mems.split_off(at[3]),
             connections: self.connections.split_off(at[4]),
             firsts: FastMap::default(),
@@ -524,6 +531,7 @@ impl<'a> Ctx<'a> {
             mem_reads,
         });
         self.proto.natives.push(native);
+        self.proto.sources.push(NONE);
     }
 
     /// Defines a combinational IR block (the `@s.combinational` analog).

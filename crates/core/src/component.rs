@@ -111,7 +111,7 @@ fn build_proto(top: &dyn Component) -> (Proto, SignalId) {
 }
 
 fn finalize(proto: Proto, reset: SignalId, strict: bool) -> Result<Design, ElabError> {
-    let Proto { modules, mut signals, blocks, natives, mems, connections, .. } = proto;
+    let Proto { modules, mut signals, blocks, natives, mems, connections, sources, .. } = proto;
 
     // 1. Union-find over connections to form nets.
     let mut uf: Vec<usize> = (0..signals.len()).collect();
@@ -166,7 +166,7 @@ fn finalize(proto: Proto, reset: SignalId, strict: bool) -> Result<Design, ElabE
         }
     }
 
-    let shapes = shape::assign(&signals, &nets, &mems, &blocks);
+    let shapes = shape::assign(&signals, &nets, &mems, &blocks, &sources);
     let mut design = Design {
         modules,
         signals,

@@ -397,7 +397,9 @@ impl Design {
             }
             assert!(frame(b) == before, "an edit changed what block `{}` drives", b.name);
         }
-        self.shapes = crate::shape::assign(&self.signals, &self.nets, &self.mems, &self.blocks);
+        // An edit may leave a stamp unlike its source: every block is walked.
+        self.shapes =
+            crate::shape::assign(&self.signals, &self.nets, &self.mems, &self.blocks, &[]);
         crate::typecheck::check_design(self)?;
         self.comb_schedule().map(drop)
     }

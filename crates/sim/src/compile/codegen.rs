@@ -245,13 +245,13 @@ pub(super) fn fold_stmts(stmts: &[Stmt], params: &[u32]) -> (Vec<Stmt>, Vec<u32>
     (stmts, fold.at)
 }
 
-/// Fuses a run of tapes into one linear program in virtual-register form,
-/// ready to re-optimize and [`narrow`] (jump targets are rebased; registers
-/// can be reused across blocks because every block defines its registers
-/// before use — which [`validate`] checks of every jump-free tape and
-/// records as [`Tape::defs_first`]). This is how the fully specialized engine eliminates
-/// per-block dispatch — the analog of SimJIT compiling the whole model
-/// into one C++ translation unit.
+/// Fuses a run of materialised tapes into one linear program in
+/// virtual-register form (jump targets rebased, registers reused across
+/// tapes). The plan stage relocates block bodies straight into the fused
+/// program instead (`compile::fuse_run`); this is the construction it
+/// replaced, kept as the tests' oracle and their way to `finish` a
+/// hand-built tape.
+#[cfg(test)]
 pub(super) fn fuse(tapes: &[&Tape]) -> VTape {
     let mut ops = Vec::with_capacity(tapes.iter().map(|t| t.ops.len()).sum());
     let mut nregs = 0u32;

@@ -489,10 +489,7 @@ impl PackedState {
 
 #[cfg(test)]
 mod tests {
-    use std::sync::Arc;
-
     use super::*;
-    use crate::compile::{fuse_run, BlockTapes};
     use crate::tape::{rnd128, Kind, Op};
 
     /// Registers 1, 2, 4, 5 and 7 of eight slots. Slots 0, 1, 3, 4 and 7
@@ -593,10 +590,7 @@ mod tests {
                 let mut widths = vec![w; 8];
                 widths[6] = if narrow { 64 } else { 128 };
                 let layout = Layout::plain(&widths, &[w], &[]);
-                let raw = Arc::new(vec![Tape { ops, nregs: 8, ..Tape::default() }]);
-                let blocks = BlockTapes::plain(layout, raw);
-                // `fuse_run` is the crate's way to classify and `validate`.
-                let tape = fuse_run(&blocks, &[0], &mut None, "sample tape");
+                let tape = layout.finish_alone(&Tape { ops, nregs: 8, ..Tape::default() });
                 assert_eq!(tape.narrow.is_some(), narrow, "{kind:?} w={w}: class of {op:?}");
 
                 let words = |seed: &mut u64, width: u32| rnd128(seed) & mask_of(width);

@@ -905,7 +905,7 @@ mod tests {
         use mtl_bits::Bits;
 
         use crate::compile::passes::eval_pure;
-        use crate::compile::{fuse_run, BlockTapes, Gang, Layout, LANES};
+        use crate::compile::{Gang, Layout, LANES};
         use crate::state::PackedState;
 
         /// One state: `cur` and `next` by slot, then the memory words,
@@ -935,10 +935,8 @@ mod tests {
                 let guard = vec![Op::Read { dst: 7, slot: 8 }, Op::Jz { cond: 7, target: 10 }];
                 let raw = Arc::new(vec![plain, tape(guard, &op)]);
 
-                let raw_blocks = BlockTapes::plain(Layout::plain(&widths, &[w], &[]), raw.clone());
-                // `fuse_run` is the crate's way to classify and `validate`.
-                let tapes: Vec<Tape> =
-                    (0..2).map(|b| fuse_run(&raw_blocks, &[b], &mut None, "sample tape")).collect();
+                let layout = Layout::plain(&widths, &[w], &[]);
+                let tapes: Vec<Tape> = raw.iter().map(|t| layout.finish_alone(t)).collect();
                 for (t, r) in tapes.iter().zip(raw.iter()) {
                     assert_eq!(t.ops, r.ops, "{kind:?} w={w}: fusing one tape is the identity");
                     assert_eq!(t.narrow.is_some(), narrow, "{kind:?} w={w}: class of {op:?}");

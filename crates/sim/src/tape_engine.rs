@@ -13,7 +13,7 @@
 
 use std::collections::VecDeque;
 use std::ops::Deref;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use mtl_bits::Bits;
@@ -21,7 +21,7 @@ use mtl_core::{BlockBody, Design, NativeFn};
 
 use crate::artifact::Staged;
 use crate::compile::passes::OptReport;
-use crate::compile::{comb_sensitivity, Chunk, Gang, LANES};
+use crate::compile::{comb_sensitivity, BlockTapes, Chunk, Gang, LANES};
 use crate::overheads::Overheads;
 use crate::par::{deal, Pool};
 use crate::profile::EngineStats;
@@ -41,18 +41,21 @@ pub(crate) struct TapeEngine {
     pool: Option<(Pool, Arc<Dealt>)>,
     /// Deferred memory stores of everything the control thread runs.
     pending: Vec<(u32, u64, u128)>,
-    /// Compiled per-block tapes — `Arc` so a persistent server can share
-    /// one compile across many engine instances ([`crate::ArtifactCache`]).
-    tapes: Arc<Vec<Tape>>,
-    /// The distinct block bodies the gang chunks of the plans execute
-    /// (opt mode only); shared like `tapes`.
-    bodies: Arc<Vec<Tape>>,
+    /// The block stage: the distinct block bodies the gang chunks of the
+    /// plans execute — `Arc` so a persistent server can share one compile
+    /// across many engine instances ([`crate::ArtifactCache`]).
+    blocks: Arc<BlockTapes>,
+    /// Per-block tapes for running blocks one at a time: built from
+    /// `blocks` when first needed (the event engine's first settle, a
+    /// static engine's first profiled pass or single-block run) and shared
+    /// with every engine holding the same artifact.
+    singles: Arc<OnceLock<Vec<Tape>>>,
     natives: Vec<Option<NativeFn>>,
     seq_order: Vec<u32>,
     /// Levelized combinational order (also the unfused schedule profiling
     /// runs so per-block time stays attributable).
     comb_order: Vec<u32>,
-    /// Fused static schedules (opt mode only); shared like `tapes`.
+    /// Fused static schedules (opt mode only); shared like `blocks`.
     comb_plan: Arc<Vec<Chunk>>,
     seq_plan: Arc<Vec<Chunk>>,
     /// Persistent register buffers, one per plan chunk (empty for native
@@ -212,12 +215,14 @@ fn gang_bank(gang: &Gang, bodies: &[Tape]) -> Vec<u128> {
     regs
 }
 
-/// Adds `dt` to the `nanos` of `blocks` in proportion to their tape
+/// Adds `dt` to the `nanos` of `members` in proportion to their tape
 /// lengths — in equal parts to the members of a gang, which share a body.
-fn credit(nanos: &mut [u64], tapes: &[Tape], blocks: &[u32], dt: u64) {
-    let len = |b: u32| tapes[b as usize].ops.len() as u64;
-    let total = blocks.iter().map(|&b| len(b)).sum::<u64>().max(1);
-    for &b in blocks {
+fn credit(nanos: &mut [u64], blocks: &BlockTapes, members: &[u32], dt: u64) {
+    let len = |b: u32| {
+        blocks.bodies.get(blocks.body_of[b as usize] as usize).map_or(0, |t| t.ops.len() as u64)
+    };
+    let total = members.iter().map(|&b| len(b)).sum::<u64>().max(1);
+    for &b in members {
         nanos[b as usize] += dt * len(b) / total;
     }
 }
@@ -244,8 +249,8 @@ impl TapeEngine {
             let plans = staged.plans.as_ref().expect("resolved to the plan stage");
             (plans.comb.clone(), plans.seq.clone(), plans.report.clone())
         };
-        let (tapes, bodies) = (blocks.tapes.clone(), blocks.bodies.clone());
-        let regs_len = tapes.iter().map(|t| t.nregs as usize).max().unwrap_or(0);
+        let bodies = &blocks.bodies;
+        let regs_len = bodies.iter().map(|t| t.nregs as usize).max().unwrap_or(0);
 
         // Phase: wrap (packed state).
         let t0 = Instant::now();
@@ -278,7 +283,7 @@ impl TapeEngine {
                         exec_prelude(t, &mut regs);
                         regs
                     }
-                    Chunk::Gang(g) => gang_bank(g, &bodies),
+                    Chunk::Gang(g) => gang_bank(g, bodies),
                     Chunk::Native(_) => Vec::new(),
                 })
                 .collect()
@@ -297,7 +302,7 @@ impl TapeEngine {
             let state = Arc::new(state);
             let dealt = Arc::new(Dealt {
                 state: Arc::clone(&state),
-                bodies: Arc::clone(&bodies),
+                bodies: Arc::clone(bodies),
                 plans: [Arc::clone(&seq_plan), Arc::clone(&comb_plan)],
                 left: (0..workers).map(|_| Mutex::default()).collect(),
             });
@@ -313,8 +318,8 @@ impl TapeEngine {
             state,
             pool,
             pending: Vec::new(),
-            tapes,
-            bodies,
+            blocks: Arc::clone(blocks),
+            singles: Arc::clone(&staged.singles),
             natives,
             seq_order: layout.seq_order.clone(),
             comb_order,
@@ -354,8 +359,8 @@ impl TapeEngine {
             state: Home::Own(self.state.fork()),
             pool: None,
             pending: self.pending.clone(),
-            tapes: Arc::clone(&self.tapes),
-            bodies: Arc::clone(&self.bodies),
+            blocks: Arc::clone(&self.blocks),
+            singles: Arc::clone(&self.singles),
             natives: self.natives.iter().map(|_| None).collect(),
             seq_order: self.seq_order.clone(),
             comb_order: self.comb_order.clone(),
@@ -383,15 +388,14 @@ impl TapeEngine {
     pub(crate) fn same_as(&self, other: &TapeEngine) -> bool {
         let live = |chunk: &Chunk| match chunk {
             Chunk::Fused(tape) => !tape.defs_first,
-            Chunk::Gang(gang) => !self.bodies[gang.body as usize].defs_first,
+            Chunk::Gang(gang) => !self.blocks.bodies[gang.body as usize].defs_first,
             Chunk::Native(_) => false,
         };
         let banks_agree = |plan: &[Chunk], mine: &[Vec<u128>], theirs: &[Vec<u128>]| {
             plan.iter().zip(mine).zip(theirs).all(|((chunk, a), b)| !live(chunk) || a == b)
         };
-        let blocks = self.design.blocks().iter().zip(self.tapes.iter());
-        let scratch_live =
-            blocks.filter(|(b, _)| matches!(b.body, BlockBody::Ir(_))).any(|(_, t)| !t.defs_first);
+        // A block's tape has its body's registers.
+        let scratch_live = self.blocks.bodies.iter().any(|t| !t.defs_first);
         self.cycles == other.cycles
             && self.dirty == other.dirty
             && self.pending == other.pending
@@ -404,10 +408,11 @@ impl TapeEngine {
     /// Runs one block from scratch registers. When `TRACK`, the readers of
     /// every slot it changed are woken.
     fn run_block<const TRACK: bool>(&mut self, b: u32) {
+        let tapes = self.singles.get_or_init(|| self.blocks.tapes(&*self.design));
         let mut state = self.state.access();
         match self.design.blocks()[b as usize].body {
             BlockBody::Ir(_) => state.exec::<TRACK>(
-                &self.tapes[b as usize],
+                &tapes[b as usize],
                 0,
                 &mut self.regs,
                 &mut self.pending,
@@ -512,7 +517,7 @@ impl TapeEngine {
                     &mut self.changed,
                 ),
                 Chunk::Gang(gang) => {
-                    let body = &self.bodies[gang.body as usize];
+                    let body = &self.blocks.bodies[gang.body as usize];
                     let nb = gang.blocks.len() / LANES;
                     let mut own = |n: usize| {
                         let t0 = TIMED.then(Instant::now);
@@ -538,13 +543,13 @@ impl TapeEngine {
                 let dt = t0.elapsed().as_nanos() as u64;
                 match chunk {
                     Chunk::Fused(_) => fused_nanos += dt,
-                    Chunk::Gang(gang) => credit(&mut p.block_nanos, &self.tapes, &gang.blocks, dt),
+                    Chunk::Gang(gang) => credit(&mut p.block_nanos, &self.blocks, &gang.blocks, dt),
                     Chunk::Native(b) => p.block_nanos[*b as usize] += dt,
                 }
             }
         }
         if let (true, Some(p), Some((_, dealt))) = (TIMED, self.prof.as_mut(), &self.pool) {
-            let mut ganged = vec![false; self.tapes.len()];
+            let mut ganged = vec![false; self.design.blocks().len()];
             for chunk in plan.iter() {
                 if let Chunk::Gang(gang) = chunk {
                     gang.blocks.iter().for_each(|&b| ganged[b as usize] = true);
@@ -553,7 +558,7 @@ impl TapeEngine {
             let order = if comb { &self.comb_order } else { &self.seq_order };
             let residual: Vec<u32> =
                 order.iter().copied().filter(|&b| !ganged[b as usize]).collect();
-            credit(&mut p.block_nanos, &self.tapes, &residual, fused_nanos);
+            credit(&mut p.block_nanos, &self.blocks, &residual, fused_nanos);
             p.partition_nanos[0] += own_nanos;
             for (busy, left) in p.partition_nanos.iter_mut().zip(&dealt.left) {
                 let mut left = left.lock().expect("no share panics holding its entry");
@@ -726,6 +731,8 @@ impl EngineImpl for TapeEngine {
 
     fn set_profiling(&mut self, on: bool) {
         if on && self.prof.is_none() {
+            // Built here, not inside the first timed block.
+            self.singles.get_or_init(|| self.blocks.tapes(&*self.design));
             let mut stats = EngineStats::new(self.design.blocks().len());
             let workers = self.pool.as_ref().map_or(0, |(pool, _)| pool.workers());
             stats.partition_nanos = vec![0; workers];
