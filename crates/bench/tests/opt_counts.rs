@@ -33,6 +33,9 @@ fn current_table() -> String {
         let sim = Sim::build(design.as_ref(), Engine::SpecializedOpt)
             .unwrap_or_else(|e| panic!("{name}: elaboration failed: {e:?}"));
         let rep = sim.opt_report().unwrap_or_else(|| panic!("{name}: no opt report"));
+        // A tape stopped at the round cap would be pinned here
+        // under-optimized; none may be.
+        assert_eq!(rep.capped, 0, "{name}: a tape reached the round cap unconverged");
         writeln!(
             out,
             "{name} | {} | {} -> {} | {} -> {} | {:016x}",

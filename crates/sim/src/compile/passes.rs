@@ -134,6 +134,9 @@ pub struct OptReport {
     pub bodies: u64,
     /// Total pass rounds executed across all tapes.
     pub rounds: u64,
+    /// Tapes whose fixpoint loop stopped at `MAX_ROUNDS` with a pass still
+    /// rewriting: optimized less than the pipeline would, had it gone on.
+    pub capped: u64,
     /// Ops across all tapes before optimization.
     pub ops_before: u64,
     /// Ops across all tapes after optimization.
@@ -243,11 +246,12 @@ impl OptReport {
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
-            "tape optimizer: {} tapes ({} bodies), {} rounds, ops {} -> {} ({:.1}% removed), \
-             regs {} -> {}\n",
+            "tape optimizer: {} tapes ({} bodies), {} rounds ({} capped), ops {} -> {} ({:.1}% \
+             removed), regs {} -> {}\n",
             self.tapes,
             self.bodies,
             self.rounds,
+            self.capped,
             self.ops_before,
             self.ops_after,
             self.reduction() * 100.0,
@@ -307,6 +311,7 @@ impl OptReport {
     pub(super) fn absorb(&mut self, other: &OptReport, times: u64) {
         self.tapes += times * other.tapes;
         self.rounds += times * other.rounds;
+        self.capped += times * other.capped;
         self.ops_before += times * other.ops_before;
         self.ops_after += times * other.ops_after;
         self.regs_before += times * other.regs_before;
@@ -358,7 +363,8 @@ pub(super) fn optimize(vt: &mut VTape, widths: &[u32], mem_widths: &[u32], rep: 
         changed += run_pass(rep, P_COPY_PROP, vt, copy_prop);
         changed += run_pass(rep, P_JUMP_THREAD, vt, jump_thread);
         changed += run_pass(rep, P_DCE, vt, dce);
-        if changed == 0 || rounds >= MAX_ROUNDS {
+        if changed == 0 || rounds == MAX_ROUNDS {
+            rep.capped += u64::from(changed > 0);
             break;
         }
     }
