@@ -24,7 +24,9 @@
 //!
 //! `--smoke` runs the variant used by `scripts/ci/60_soc.sh`: 4-tile
 //! points plus one 1 024-tile RTL point, the scale the per-block compile
-//! memo is for.
+//! memo is for. After the campaign it brings that point up once more on
+//! its own and prints the time: the campaign row is timed beside the other
+//! points and replays from the journal on a rerun, this line is neither.
 //!
 //! `--verify-engines` is the CI engine-agreement gate on the *composed*
 //! design: 16-tile SoCs at CL and RTL run under Interpreted,
@@ -255,6 +257,16 @@ impl Spec {
     }
 }
 
+/// The bring-up (elaborate + compile, as the campaign rows'
+/// `overhead_total_secs`) of the spec's 1 024-tile point, built here with
+/// nothing else in flight and never journaled, so every run measures it.
+fn solo_bring_up(spec: &Spec) -> Option<(String, f64)> {
+    let p = spec.syn.iter().find(|p| p.tiles == 1024)?;
+    let soc = Soc::new(SocConfig::synthetic(p.tiles, p.net, p.pattern).with_limit(p.limit));
+    let sim = Sim::build(&soc, spec.engine).expect("the 1 024-tile SoC elaborates");
+    Some((p.label(), sim.overheads().total().as_secs_f64()))
+}
+
 /// The CI engine-agreement gate: 16-tile SoCs at CL and RTL must produce
 /// field-identical outcomes under Interpreted, SpecializedOpt, and
 /// SpecializedPar at 4 explicit worker threads. Returns the number of
@@ -338,5 +350,8 @@ fn main() {
     if failed > 0 {
         eprintln!("soc_sweep: {failed} job(s) failed");
         std::process::exit(1);
+    }
+    if let Some((label, secs)) = solo_bring_up(&spec) {
+        println!("bring-up seconds, {label} alone: {secs:.3}");
     }
 }

@@ -11,11 +11,10 @@
 #       writes BENCH_soc_smoke.json. One point is the 1 024-tile (32×32)
 #       RTL SoC: it must build, drain and match the golden checksum on
 #       specialized-opt — a drained-and-correct gate, not a wall-time one
-#       (the host swings 5–40 %); the table prints its bring-up seconds
-#       for the record (0.65–0.78 s on the 2-vCPU reference host with
-#       repeated subtrees stamped at elaboration, against 0.88–1.21 s
-#       for the same runs before; timed beside the campaign's other
-#       points, so it is noisy);
+#       (the host swings 5–40 %). After the campaign the binary brings
+#       that SoC up once more with nothing else in flight and no journal
+#       to replay from, and this stage prints that line: the figure
+#       ROADMAP item 8 tracks (EXPERIMENTS.md, "Bring-up per body");
 #   (c) the benchmark's own oracle at full scale: one short
 #       `soc64_rtl_par2` ledger run, whose last line must say
 #       `"correct":true` — specialized-par at 2 threads (the plans of
@@ -36,10 +35,13 @@ JOURNAL=target/sweep-journal/ci_soc_smoke.jsonl
 rm -f "$JOURNAL"
 
 echo "== soc: seed-pinned smoke campaign (writes BENCH_soc_smoke.json)"
-RUSTMTL_BENCH_DIR="${RUSTMTL_BENCH_DIR:-target}" \
+smoke=$(RUSTMTL_BENCH_DIR="${RUSTMTL_BENCH_DIR:-target}" \
     cargo run -p mtl-bench --release --bin soc_sweep -- \
-    --smoke --journal "$JOURNAL"
+    --smoke --journal "$JOURNAL")
+echo "$smoke"
 rm -f "$JOURNAL"
+echo "== soc: 1 024-tile bring-up, timed alone"
+echo "$smoke" | grep "alone:" || { echo "soc_sweep printed no solo bring-up" >&2; exit 1; }
 
 echo "== ledger oracle: soc64_rtl_par2, specialized-par@2 vs specialized-opt"
 ledger=$(cargo run --release --quiet --bin perf_ledger -- \
