@@ -415,3 +415,32 @@ fn empty_plans_are_always_masked() {
     assert_eq!(report.outcome, Outcome::Masked);
     assert_eq!(report.injected_bits, 0);
 }
+
+/// The plans `FaultPlan::random` draws on the native-free RTL mesh16
+/// harness with the fault ledger's window (2 faults over cycles 2–201,
+/// any net), pinned as text: a change that adds nets the plans may not
+/// target, or reorders the ones they may, moves a plan here first.
+#[test]
+fn random_plans_on_the_rtl_mesh16_harness_are_pinned() {
+    use rustmtl::net::MeshTrafficRtlHarness;
+
+    let render = |plan: &FaultPlan| {
+        let faults = plan
+            .faults
+            .iter()
+            .map(|f| format!("{} b{} {} @{}+{}", f.target, f.bit, f.kind, f.cycle, f.duration));
+        std::iter::once(plan.summary()).chain(faults).collect::<Vec<_>>().join("; ")
+    };
+    let cases: [(u64, u64, &str); 4] = [
+        (4, 1, "2 fault(s), seed 0x1; top.net.router_13.outq_0.enq_rdy b0 stuck-at-0 @163+4; top.net.router_13.inq_1.deq_ptr b0 flip @122+1"),
+        (4, 2, "2 fault(s), seed 0x2; top.net.router_14.inq_2.deq_rdy b0 stuck-at-1 @51+1; top.net.router_2.in__2_val b0 stuck-at-1 @134+4"),
+        (7, 0xBEEF, "2 fault(s), seed 0xbeef; top.gen_7.lfsr b0 flip @79+1; top.net.router_10.inq_1.enq_ptr b0 stuck-at-1 @27+2"),
+        (21, 0xFA17, "2 fault(s), seed 0xfa17; top.net.router_3.arb_3.prio b2 flip @68+1; top.net.router_0.inq_2.deq_ptr b0 stuck-at-1 @184+1"),
+    ];
+    for (harness_seed, plan_seed, want) in cases {
+        let top = MeshTrafficRtlHarness::new(16, 200, harness_seed);
+        let design = rustmtl::core::elaborate(&top).expect("elaborates");
+        let plan = FaultPlan::random(plan_seed, &design, &PlanSpec::new(2, 2, 201));
+        assert_eq!(render(&plan), want, "harness seed {harness_seed}, plan seed {plan_seed:#x}");
+    }
+}
