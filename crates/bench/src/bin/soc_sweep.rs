@@ -26,7 +26,8 @@
 //! points plus one 1 024-tile RTL point, the scale the per-block compile
 //! memo is for. After the campaign it brings that point up once more on
 //! its own and prints the time: the campaign row is timed beside the other
-//! points and replays from the journal on a rerun, this line is neither.
+//! points and replays from the journal on a rerun, this line is neither, so
+//! the campaign's bring-up line leaves that point out.
 //!
 //! `--verify-engines` is the CI engine-agreement gate on the *composed*
 //! design: 16-tile SoCs at CL and RTL run under Interpreted,
@@ -63,6 +64,12 @@ struct SynPoint {
 impl SynPoint {
     fn label(&self) -> String {
         format!("soc{}/{}/{}", self.tiles, self.net, self.pattern)
+    }
+
+    /// Whether this is the 1 024-tile point whose bring-up is timed alone
+    /// after the campaign (see `solo_bring_up`).
+    fn timed_alone(&self) -> bool {
+        self.tiles == 1024
     }
 }
 
@@ -225,10 +232,12 @@ impl Spec {
                 None => println!("{name:<24} (failed)"),
             }
         }
-        // Wall clock, so outside the rows `55_serve.sh` compares.
+        // Wall clock, so outside the rows `55_serve.sh` compares. The point
+        // `solo_bring_up` times alone is left out: one figure per point.
         let built: Vec<String> = self
             .syn
             .iter()
+            .filter(|p| !p.timed_alone())
             .filter_map(|p| {
                 let secs = job_timing(report, &p.label(), "overhead_total_secs")?;
                 Some(format!("{} {secs:.2}", p.label()))
@@ -261,7 +270,7 @@ impl Spec {
 /// `overhead_total_secs`) of the spec's 1 024-tile point, built here with
 /// nothing else in flight and never journaled, so every run measures it.
 fn solo_bring_up(spec: &Spec) -> Option<(String, f64)> {
-    let p = spec.syn.iter().find(|p| p.tiles == 1024)?;
+    let p = spec.syn.iter().find(|p| p.timed_alone())?;
     let soc = Soc::new(SocConfig::synthetic(p.tiles, p.net, p.pattern).with_limit(p.limit));
     let sim = Sim::build(&soc, spec.engine).expect("the 1 024-tile SoC elaborates");
     Some((p.label(), sim.overheads().total().as_secs_f64()))

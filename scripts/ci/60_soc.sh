@@ -14,7 +14,9 @@
 #       (the host swings 5–40 %). After the campaign the binary brings
 #       that SoC up once more with nothing else in flight and no journal
 #       to replay from, and this stage prints that line: the figure
-#       ROADMAP item 8 tracks (EXPERIMENTS.md, "Bring-up per body");
+#       ROADMAP item 8 tracks (EXPERIMENTS.md, "Bring-up per body"). The
+#       campaign's "bring-up seconds" line lists the other points only,
+#       so each point shows one bring-up time;
 #   (c) the benchmark's own oracle at full scale: one short
 #       `soc64_rtl_par2` ledger run, whose last line must say
 #       `"correct":true` — specialized-par at 2 threads (the plans of
