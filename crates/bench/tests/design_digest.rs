@@ -10,7 +10,7 @@
 //! * an FNV-1a hash of every module's path and component name;
 //! * of every signal's path, kind, width and net;
 //! * of every block's path, kind, shape, operand lists and parameter
-//!   values, and of the memories and raw connections;
+//!   values, and of the memories, raw connections and ties;
 //! * of `translate()`'s output, where the design translates.
 //!
 //! Regenerate after an intentional change with:
@@ -89,6 +89,9 @@ fn digest(design: &Design) -> String {
     for (a, b) in design.connections() {
         blocks.str(&format!("conn {} {}", a.index(), b.index()));
     }
+    for (net, value) in design.ties() {
+        blocks.str(&format!("tie {} {value:#x}", net.index()));
+    }
     let verilog = match mtl_translate::translate(design) {
         Ok(v) => {
             let mut h = Fnv::new();
@@ -98,13 +101,14 @@ fn digest(design: &Design) -> String {
         Err(_) => "-".into(),
     };
     format!(
-        "{} modules {} signals {} nets {} blocks {} mems {} connections {} shapes | modules {modules} | signals {signals} | blocks {blocks} | verilog {verilog}",
+        "{} modules {} signals {} nets {} blocks {} mems {} connections {} ties {} shapes | modules {modules} | signals {signals} | blocks {blocks} | verilog {verilog}",
         design.modules().len(),
         design.signals().len(),
         design.nets().len(),
         design.blocks().len(),
         design.mems().len(),
         design.connections().len(),
+        design.ties().len(),
         design.shapes().len(),
     )
 }
@@ -141,4 +145,23 @@ fn per_design_digests_match_golden() {
          with MTL_BLESS=1 and review the diff",
         path.display()
     );
+}
+
+/// Two designs that differ only in a tie's value digest apart.
+#[test]
+fn a_tie_value_moves_the_digest() {
+    struct Tied(u128);
+    impl mtl_core::Component for Tied {
+        fn name(&self) -> String {
+            "Tied".into()
+        }
+        fn build(&self, c: &mut mtl_core::Ctx) {
+            let w = c.wire("w", 8);
+            let out = c.out_port("out", 8);
+            c.tie(w, self.0);
+            c.comb("pass", |b| b.assign(out, w));
+        }
+    }
+    let digest_of = |v| digest(&mtl_core::elaborate(&Tied(v)).unwrap());
+    assert_ne!(digest_of(1), digest_of(2));
 }

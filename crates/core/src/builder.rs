@@ -203,28 +203,30 @@ pub(crate) struct Proto {
     pub sources: Vec<u32>,
     pub mems: Vec<MemInfo>,
     pub connections: Vec<(SignalId, SignalId)>,
+    /// Constant connections: each signal tied and its value.
+    pub ties: Vec<(SignalId, u128)>,
     /// Per component name instantiated so far, what its first build
     /// appended to each table, if later instances can be stamped from it.
     pub firsts: FastMap<String, Option<Span>>,
 }
 
 /// Where a subtree's build starts and ends in each of the proto's tables:
-/// modules, signals, blocks, memories, connections.
+/// modules, signals, blocks, memories, connections, ties.
 #[derive(Clone, Copy)]
 pub(crate) struct Span {
-    start: [usize; 5],
-    end: [usize; 5],
+    start: [usize; 6],
+    end: [usize; 6],
 }
 
 impl Proto {
     /// The length of each table, in [`Span`] order.
-    fn marks(&self) -> [usize; 5] {
-        let Proto { modules, signals, blocks, mems, connections, .. } = self;
-        [modules.len(), signals.len(), blocks.len(), mems.len(), connections.len()]
+    fn marks(&self) -> [usize; 6] {
+        let Proto { modules, signals, blocks, mems, connections, ties, .. } = self;
+        [modules.len(), signals.len(), blocks.len(), mems.len(), connections.len(), ties.len()]
     }
 
     /// Whether a first build can be stamped: it has no native block, and
-    /// every id its blocks and connections name is its own.
+    /// every id its blocks, connections and ties name is its own.
     fn stampable(&self, span: Span) -> bool {
         let own = |t: usize, i: usize| (span.start[t]..span.end[t]).contains(&i);
         let own_signals = |ids: &[SignalId]| ids.iter().all(|s| own(1, s.index()));
@@ -240,6 +242,7 @@ impl Proto {
             && self.connections[span.start[4]..span.end[4]]
                 .iter()
                 .all(|&(a, b)| own(1, a.index()) && own(1, b.index()))
+            && self.ties[span.start[5]..span.end[5]].iter().all(|&(s, _)| own(1, s.index()))
     }
 
     /// Appends a copy of the subtree `first` spans, every id shifted by
@@ -295,6 +298,10 @@ impl Proto {
             let (a, b) = self.connections[i];
             self.connections.push((ids.signal(a), ids.signal(b)));
         }
+        for i in first.start[5]..first.end[5] {
+            let (s, value) = self.ties[i];
+            self.ties.push((ids.signal(s), value));
+        }
     }
 
     /// Checks a stamp against a build of the same instance (debug builds
@@ -305,7 +312,7 @@ impl Proto {
     /// Panics naming the component if the two differ: its name does not
     /// determine what its `build` does.
     #[cfg(debug_assertions)]
-    fn check_stamp(&mut self, at: [usize; 5], first: Span, name: &str, parent: ModuleId) {
+    fn check_stamp(&mut self, at: [usize; 6], first: Span, name: &str, parent: ModuleId) {
         let built = Proto {
             modules: self.modules.split_off(at[0]),
             signals: self.signals.split_off(at[1]),
@@ -314,6 +321,7 @@ impl Proto {
             sources: self.sources.split_off(at[2]),
             mems: self.mems.split_off(at[3]),
             connections: self.connections.split_off(at[4]),
+            ties: self.ties.split_off(at[5]),
             firsts: FastMap::default(),
         };
         self.stamp(first, name, parent);
@@ -329,6 +337,8 @@ impl Proto {
             "memories"
         } else if built.connections[..] != self.connections[at[4]..] {
             "connections"
+        } else if built.ties[..] != self.ties[at[5]..] {
+            "ties"
         } else {
             return;
         };
@@ -426,6 +436,24 @@ impl<'a> Ctx<'a> {
     /// widths must match (checked during finalization).
     pub fn connect(&mut self, a: SignalRef, b: SignalRef) {
         self.proto.connections.push((a.id, b.id));
+    }
+
+    /// Ties a signal's net to a constant: PyMTL's `s.connect(port, value)`.
+    ///
+    /// A tie is a connection, not a block. The design records it as a
+    /// (net, value) pair ([`Design::ties`](crate::Design::ties)); every
+    /// simulator drives the net to `value` once, when it is built, and
+    /// nothing writes it after, so it holds `value` through `reset` and
+    /// every cycle, and the compiled artifact does not depend on it. A
+    /// parent ties a child's input port to hand that instance a constant
+    /// (a router its coordinates), which keeps the constant out of the
+    /// child's name and lets every instance after the first be a stamp.
+    ///
+    /// Strict elaboration rejects a value wider than the signal, a tie on
+    /// a net that a block writes or that holds a top-level input port, and
+    /// two different ties on one net.
+    pub fn tie(&mut self, signal: SignalRef, value: u128) {
+        self.proto.ties.push((signal.id, value));
     }
 
     /// Instantiates a child component, recursively elaborating it.

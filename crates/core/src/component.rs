@@ -1,5 +1,7 @@
 //! The [`Component`] trait and the [`elaborate`] entry point.
 
+use mtl_bits::Bits;
+
 use crate::builder::{Ctx, Proto, SignalRef};
 use crate::design::{Design, ElabError, ModuleInfo, NetInfo, SignalKind};
 use crate::ids::{BlockId, ModuleId, NetId, SignalId};
@@ -48,7 +50,8 @@ pub trait Component {
     /// against a fresh `build` and panic naming the component if they
     /// differ. A subtree with a native block is exempt: its closures may
     /// capture per-instance state, so it is built anew every time (and
-    /// does not translate).
+    /// does not translate). A constant that differs per instance belongs
+    /// in an input port its parent ties ([`Ctx::tie`]), not in the name.
     fn name(&self) -> String;
 
     /// Declares this component's interface and behavior on `c`.
@@ -111,7 +114,8 @@ fn build_proto(top: &dyn Component) -> (Proto, SignalId) {
 }
 
 fn finalize(proto: Proto, reset: SignalId, strict: bool) -> Result<Design, ElabError> {
-    let Proto { modules, mut signals, blocks, natives, mems, connections, sources, .. } = proto;
+    let Proto { modules, mut signals, blocks, natives, mems, connections, ties, sources, .. } =
+        proto;
 
     // 1. Union-find over connections to form nets.
     let mut uf: Vec<usize> = (0..signals.len()).collect();
@@ -166,6 +170,37 @@ fn finalize(proto: Proto, reset: SignalId, strict: bool) -> Result<Design, ElabE
         }
     }
 
+    // 2b. Ties: each value fits its signal, and a net takes one value.
+    // Lenient elaboration keeps the first value of a net, masked.
+    let mut tied: Vec<(NetId, Bits)> = Vec::with_capacity(ties.len());
+    for &(sig, value) in &ties {
+        let info = &signals[sig.index()];
+        let bits = match Bits::checked_new(info.width, value) {
+            Some(bits) => bits,
+            None if strict => {
+                return Err(ElabError::WidthMismatch {
+                    a: signal_path(&modules, &signals, sig),
+                    b: format!("{value:#x}"),
+                    a_width: info.width,
+                    b_width: 128 - value.leading_zeros(),
+                });
+            }
+            None => Bits::new(info.width, value),
+        };
+        tied.push((info.net, bits));
+    }
+    tied.sort_by_key(|&(net, _)| net);
+    if strict {
+        if let Some(pair) = tied.windows(2).find(|p| p[0].0 == p[1].0 && p[0].1 != p[1].1) {
+            let first = nets[pair[0].0.index()].signals[0];
+            return Err(ElabError::MultipleDrivers {
+                net: signal_path(&modules, &signals, first),
+                blocks: vec![format!("<tie {:#x}>", pair[0].1), format!("<tie {:#x}>", pair[1].1)],
+            });
+        }
+    }
+    tied.dedup_by_key(|&mut (net, _)| net);
+
     let shapes = shape::assign(&signals, &nets, &mems, &blocks, &sources);
     let mut design = Design {
         modules,
@@ -174,9 +209,11 @@ fn finalize(proto: Proto, reset: SignalId, strict: bool) -> Result<Design, ElabE
         natives: natives.into_iter().map(crate::design::NativeCell::new).collect(),
         mems,
         connections,
+        ties: tied,
         nets,
         reset,
         shapes,
+        sources,
     };
 
     // 3. Driver analysis: at most one writer block per net; note registers.
@@ -199,16 +236,30 @@ fn finalize(proto: Proto, reset: SignalId, strict: bool) -> Result<Design, ElabE
             }
         }
     }
-    // Top-level in-ports are externally driven; a block driving such a net
+    // Top-level in-ports are externally driven, and a tied net is driven
+    // by its tie; a block driving either, or a tie on a top-level input,
     // is a conflict.
     let top_ports: Vec<SignalId> = design.modules[0].ports.clone();
     for &p in &top_ports {
         if design.signals[p.index()].kind == SignalKind::InPort && strict {
             let net = design.signals[p.index()].net;
+            let other = match (driver[net.index()], design.tie_of(net)) {
+                (Some(b), _) => design.block_path(b),
+                (None, Some(value)) => format!("<tie {value:#x}>"),
+                (None, None) => continue,
+            };
+            return Err(ElabError::MultipleDrivers {
+                net: design.signal_path(p),
+                blocks: vec!["<external>".to_string(), other],
+            });
+        }
+    }
+    if strict {
+        for &(net, value) in &design.ties {
             if let Some(b) = driver[net.index()] {
                 return Err(ElabError::MultipleDrivers {
-                    net: design.signal_path(p),
-                    blocks: vec!["<external>".to_string(), design.block_path(b)],
+                    net: design.net_path(net),
+                    blocks: vec![format!("<tie {value:#x}>"), design.block_path(b)],
                 });
             }
         }

@@ -240,7 +240,8 @@ pub struct NetInfo {
     /// Common width of all signals in the net.
     pub width: u32,
     /// The block driving the net, if any. Nets without a driving block are
-    /// driven externally (top-level inputs) or hold their initial value.
+    /// driven externally (top-level inputs), tied to a constant
+    /// ([`Design::ties`]) or hold their initial value.
     pub driver: Option<BlockId>,
     /// Whether the net holds sequential (register) state.
     pub is_register: bool,
@@ -300,6 +301,8 @@ pub struct Design {
     pub(crate) blocks: Vec<BlockInfo>,
     pub(crate) mems: Vec<MemInfo>,
     pub(crate) connections: Vec<(SignalId, SignalId)>,
+    /// Tied nets and their values, ascending by net, one entry per net.
+    pub(crate) ties: Vec<(NetId, Bits)>,
     pub(crate) nets: Vec<NetInfo>,
     /// Native closures indexed by block (None for IR blocks), stored
     /// out-of-band so the rest of the design is plain shareable data.
@@ -308,6 +311,9 @@ pub struct Design {
     pub(crate) reset: SignalId,
     /// Every IR block's shape and operand lists.
     pub(crate) shapes: Shapes,
+    /// Per block, the built block elaboration stamped it from
+    /// (`shape::NONE` for a block its `build` made).
+    pub(crate) sources: Vec<u32>,
 }
 
 /// The combinational dependency graph of a design; see
@@ -504,6 +510,28 @@ impl Design {
     /// structural translation).
     pub fn connections(&self) -> &[(SignalId, SignalId)] {
         &self.connections
+    }
+
+    /// The constant connections ([`Ctx::tie`](crate::Ctx::tie)): each tied
+    /// net and its value, ascending by net, one entry per net. No block
+    /// writes a tied net; a simulator drives it once, when it is built.
+    pub fn ties(&self) -> &[(NetId, Bits)] {
+        &self.ties
+    }
+
+    /// The value a net is tied to, if it is tied.
+    pub fn tie_of(&self, net: NetId) -> Option<Bits> {
+        let at = self.ties.binary_search_by_key(&net, |&(n, _)| n).ok()?;
+        Some(self.ties[at].1)
+    }
+
+    /// The block elaboration copied `block` from, if `block` is a stamp:
+    /// the built block of its component's first instance (see
+    /// [`Ctx::instantiate`](crate::Ctx::instantiate)). `None` for a block
+    /// its component's `build` made.
+    pub fn block_source(&self, block: BlockId) -> Option<BlockId> {
+        let source = *self.sources.get(block.index())?;
+        (source != crate::shape::NONE).then(|| BlockId::from_index(source as usize))
     }
 
     /// The net a signal belongs to.

@@ -8,7 +8,8 @@
 //! * **Combinational cycles** — the full cycle is printed, block by block,
 //!   with the net carrying each dependency edge.
 //! * **Multiply-driven nets** — more than one writer (including the
-//!   implicit `<external>` driver of a top-level input port).
+//!   implicit `<external>` driver of a top-level input port and the
+//!   `<tie>` of a net tied to a constant).
 //! * **Width mismatches** across structural connections.
 //! * **Dead signals** — an input port nothing drives and an output port
 //!   nothing reads; on a net with no input port, a read nothing drives
@@ -57,12 +58,13 @@ pub enum LintRule {
     WidthMismatch,
     /// A net written by both sequential and combinational blocks.
     MixedDrivers,
-    /// An input port whose net has no writer and no external driver.
+    /// An input port whose net has no writer, no tie and no external
+    /// driver.
     UndrivenInput,
     /// An output port whose net no block (and no external observer) reads.
     UnreadOutput,
-    /// A net with no input port that is read but has no writer and no
-    /// external driver.
+    /// A net with no input port that is read but has no writer, no tie
+    /// and no external driver.
     UndrivenNet,
     /// A net with no output port that is written but that no block (and
     /// no external observer) reads.
@@ -286,13 +288,17 @@ fn multiply_driven(design: &Design, writers: &[Vec<BlockId>], out: &mut Vec<Diag
     for (ni, ws) in writers.iter().enumerate() {
         let net = NetId::from_index(ni);
         let external = design.net_has_top_port(net, SignalKind::InPort);
-        let total = ws.len() + usize::from(external && !ws.is_empty());
+        let tie = design.tie_of(net);
+        let total = ws.len() + usize::from(external) + usize::from(tie.is_some());
         if total < 2 {
             continue;
         }
         let mut blocks = Vec::new();
         if external {
             blocks.push("<external>".to_string());
+        }
+        if let Some(value) = tie {
+            blocks.push(format!("<tie {value:#x}>"));
         }
         blocks.extend(ws.iter().map(|&b| design.block_path(b)));
         let signals: Vec<String> =
@@ -375,7 +381,10 @@ fn undriven_inputs(
 ) {
     for (ni, ws) in writers.iter().enumerate() {
         let net = NetId::from_index(ni);
-        if !ws.is_empty() || design.net_has_top_port(net, SignalKind::InPort) {
+        if !ws.is_empty()
+            || design.net_has_top_port(net, SignalKind::InPort)
+            || design.tie_of(net).is_some()
+        {
             continue;
         }
         let inputs = members(design, net, SignalKind::InPort);
@@ -411,7 +420,7 @@ fn unread_outputs(
         if !outputs.is_empty() {
             let message = format!("output `{}` is never read (dead logic)", outputs.join("`, `"));
             out.push(warning(LintRule::UnreadOutput, outputs, message));
-        } else if !writers[ni].is_empty() {
+        } else if !writers[ni].is_empty() || design.tie_of(net).is_some() {
             let path = design.net_path(net);
             let message = format!("net `{path}` is driven but never read (dead logic)");
             out.push(warning(LintRule::UnreadNet, vec![path], message));
@@ -457,5 +466,52 @@ mod tests {
         let rules: Vec<LintRule> = lint(&design).iter().map(|d| d.rule).collect();
         assert!(rules.contains(&LintRule::MultiplyDriven), "{rules:?}");
         assert!(!rules.contains(&LintRule::CombCycle), "{rules:?}");
+    }
+
+    /// `u.in_` is tied, and with `written` also written by a block.
+    struct TiedInput {
+        written: bool,
+    }
+
+    struct Pass;
+
+    impl Component for Pass {
+        fn name(&self) -> String {
+            "Pass".into()
+        }
+
+        fn build(&self, c: &mut Ctx) {
+            let (in_, out) = (c.in_port("in_", 4), c.out_port("out", 4));
+            c.comb("pass", |b| b.assign(out, in_));
+        }
+    }
+
+    impl Component for TiedInput {
+        fn name(&self) -> String {
+            format!("TiedInput_{}", self.written)
+        }
+
+        fn build(&self, c: &mut Ctx) {
+            let u = c.instantiate("u", &Pass);
+            let in_ = c.port_of(&u, "in_");
+            c.tie(in_, 1);
+            let out = c.out_port("out", 4);
+            c.connect(c.port_of(&u, "out"), out);
+            if self.written {
+                c.comb("w", |b| b.assign(in_, crate::Expr::k(4, 2)));
+            }
+        }
+    }
+
+    /// A tie drives its net: a tied input is not undriven, and a block
+    /// writing a tied net is a second driver.
+    #[test]
+    fn a_tie_is_a_driver() {
+        let clean = lint(&elaborate_unchecked(&TiedInput { written: false }));
+        assert!(clean.is_empty(), "{clean:?}");
+        let twice = lint(&elaborate_unchecked(&TiedInput { written: true }));
+        let [d] = &twice[..] else { panic!("one finding: {twice:?}") };
+        assert_eq!(d.rule, LintRule::MultiplyDriven);
+        assert_eq!(d.blocks, ["<tie 0x1>", "top.w"]);
     }
 }

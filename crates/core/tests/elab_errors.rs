@@ -261,3 +261,106 @@ fn type_errors_name_the_first_ill_typed_instance() {
         }
     );
 }
+
+/// A parent tying its child's input: `value` to `in_` of `u0`, and, with
+/// `also`, a second value to the same net through `u1`'s input, which the
+/// parent connects to `u0`'s; with `written`, a block of the parent writes
+/// the tied net too.
+struct Tied {
+    value: u128,
+    also: Option<u128>,
+    written: bool,
+}
+
+/// A 4-bit input read into an output.
+struct Sink;
+impl Component for Sink {
+    fn name(&self) -> String {
+        "Sink".into()
+    }
+    fn build(&self, c: &mut Ctx) {
+        let (in_, out) = (c.in_port("in_", 4), c.out_port("out", 4));
+        c.comb("pass", |b| b.assign(out, in_));
+    }
+}
+
+impl Component for Tied {
+    fn name(&self) -> String {
+        format!("Tied_{:x}_{:?}_{}", self.value, self.also, self.written)
+    }
+    fn build(&self, c: &mut Ctx) {
+        let u0 = c.instantiate("u0", &Sink);
+        let in0 = c.port_of(&u0, "in_");
+        c.tie(in0, self.value);
+        if let Some(value) = self.also {
+            let u1 = c.instantiate("u1", &Sink);
+            let in1 = c.port_of(&u1, "in_");
+            c.connect(in0, in1);
+            c.tie(in1, value);
+        }
+        if self.written {
+            c.comb("drive", |b| b.assign(in0, Expr::k(4, 1)));
+        }
+    }
+}
+
+#[test]
+fn a_tie_is_a_driver_that_fits_its_signal() {
+    let design = elaborate(&Tied { value: 0xF, also: Some(0xF), written: false }).unwrap();
+    let net =
+        design.net_of(design.find_port(design.module(design.top()).children[0], "in_").unwrap());
+    assert_eq!(design.ties(), [(net, mtl_core::Bits::new(4, 0xF))], "one entry per net");
+    assert_eq!(design.tie_of(net), Some(mtl_core::Bits::new(4, 0xF)));
+}
+
+#[test]
+fn a_tie_wider_than_its_signal_is_reported() {
+    let err = elaborate(&Tied { value: 0x1F, also: None, written: false }).unwrap_err();
+    let expected = ElabError::WidthMismatch {
+        a: "top.u0.in_".into(),
+        b: "0x1f".into(),
+        a_width: 4,
+        b_width: 5,
+    };
+    assert_eq!(err, expected);
+}
+
+#[test]
+fn a_tie_on_a_net_a_block_writes_is_reported() {
+    let err = elaborate(&Tied { value: 3, also: None, written: true }).unwrap_err();
+    assert_eq!(
+        err,
+        ElabError::MultipleDrivers {
+            net: "top.u0.in_".into(),
+            blocks: vec!["<tie 0x3>".into(), "top.drive".into()],
+        }
+    );
+}
+
+#[test]
+fn two_different_ties_on_one_net_are_reported() {
+    let err = elaborate(&Tied { value: 3, also: Some(5), written: false }).unwrap_err();
+    assert_eq!(
+        err,
+        ElabError::MultipleDrivers {
+            net: "top.u0.in_".into(),
+            blocks: vec!["<tie 0x3>".into(), "<tie 0x5>".into()],
+        }
+    );
+}
+
+#[test]
+fn a_tie_on_a_top_level_input_is_reported() {
+    struct TiesItsInput;
+    impl Component for TiesItsInput {
+        fn name(&self) -> String {
+            "TiesItsInput".into()
+        }
+        fn build(&self, c: &mut Ctx) {
+            let i = c.in_port("i", 4);
+            c.tie(i, 2);
+        }
+    }
+    let err = elaborate(&TiesItsInput).unwrap_err();
+    assert!(err.to_string().contains("<external>, <tie 0x2>"), "{err}");
+}

@@ -201,3 +201,71 @@ fn a_width_mismatch_in_a_stamped_component_names_its_first_instance() {
     };
     assert_eq!(err, expected);
 }
+
+/// `out = in_ + k`, with the addend `k` an input its parent ties.
+struct Biased;
+
+impl Component for Biased {
+    fn name(&self) -> String {
+        "Biased".into()
+    }
+
+    fn build(&self, c: &mut Ctx) {
+        let (in_, k, out) = (c.in_port("in_", 8), c.in_port("k", 8), c.out_port("out", 8));
+        c.comb("add", |b| b.assign(out, in_ + k));
+    }
+}
+
+/// Two [`Biased`] in a chain, tied to `a` and `b`: `out = in_ + a + b`.
+struct Chain(u128, u128);
+
+impl Component for Chain {
+    fn name(&self) -> String {
+        format!("Chain_{}_{}", self.0, self.1)
+    }
+
+    fn build(&self, c: &mut Ctx) {
+        let (in_, out) = (c.in_port("in_", 8), c.out_port("out", 8));
+        let (u0, u1) = (c.instantiate("u0", &Biased), c.instantiate("u1", &Biased));
+        c.tie(c.port_of(&u0, "k"), self.0);
+        c.tie(c.port_of(&u1, "k"), self.1);
+        c.connect(in_, c.port_of(&u0, "in_"));
+        c.connect(c.port_of(&u0, "out"), c.port_of(&u1, "in_"));
+        c.connect(c.port_of(&u1, "out"), out);
+    }
+}
+
+/// A tie is a connection: a component that ties its children is stamped
+/// with its ties shifted onto the stamp's nets, and the stamp simulates
+/// like the component built alone, on every engine.
+#[test]
+fn a_component_with_ties_stamps_them_shifted() {
+    let row = Row { n: 2, child: &Chain(3, 5) };
+    let design = elaborate(&row).unwrap();
+    let k = |chain: usize, unit: usize| {
+        let chain = design.module(design.top()).children[chain];
+        let unit = design.module(chain).children[unit];
+        design.net_of(design.find_port(unit, "k").unwrap())
+    };
+    let bits = |v| mtl_core::Bits::new(8, v);
+    let want = [(k(0, 0), bits(3)), (k(0, 1), bits(5)), (k(1, 0), bits(3)), (k(1, 1), bits(5))];
+    assert_eq!(design.ties(), want, "the second chain's ties, shifted onto its own nets");
+    let sources: Vec<_> = (0..4).map(|b| design.block_source(BlockId::from_index(b))).collect();
+    let first = Some(BlockId::from_index(0));
+    assert_eq!(sources, [None, first, first, first], "one built block, three stamps");
+
+    use mtl_sim::{Engine, Sim};
+    for engine in Engine::ALL {
+        let mut alone = Sim::build(&Chain(3, 5), engine).unwrap();
+        let mut pair = Sim::build(&row, engine).unwrap();
+        for v in [0u128, 10, 250] {
+            alone.poke_port("in_", bits(v));
+            pair.poke_port("in0", bits(v));
+            pair.poke_port("in1", bits(v + 1));
+            alone.eval();
+            pair.eval();
+            assert_eq!(pair.peek_port("out0"), alone.peek_port("out"), "{engine}, in {v}");
+            assert_eq!(pair.peek_port("out1"), bits(v + 9), "{engine}, in {}", v + 1);
+        }
+    }
+}

@@ -54,7 +54,8 @@ pub struct FaultReport {
     pub cycles: u64,
     /// Fingerprint of the faulty run's full value trace: the 64-bit FNV-1a
     /// hash over 16 little-endian bytes per probed net value (every net
-    /// with a signal), nets in index order, every cycle of the window.
+    /// with a signal but the tied ones), nets in index order, every cycle
+    /// of the window.
     /// Equal fingerprints across engines mean byte-identical faulty
     /// traces.
     pub trace_fingerprint: u64,
@@ -104,9 +105,13 @@ struct Probe {
 }
 
 /// The nets a differential run observes, in index order: every net with
-/// a signal (a net without one is unobservable through `peek`).
+/// a signal (a net without one is unobservable through `peek`) that is
+/// not tied (a tied net holds its constant in every run: no plan targets
+/// it and no block writes it).
 fn probes(design: &Design) -> Vec<Probe> {
-    let nets = design.nets().iter().enumerate().filter(|(_, n)| !n.signals.is_empty());
+    let nets = design.nets().iter().enumerate().filter(|&(net, n)| {
+        !n.signals.is_empty() && design.tie_of(NetId::from_index(net)).is_none()
+    });
     nets.map(|(net, n)| Probe {
         net,
         bytes: n.width.div_ceil(8) as usize,

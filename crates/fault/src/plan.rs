@@ -99,8 +99,9 @@ impl FaultPlan {
 
     /// Draws a plan from a seeded RNG over the design's injectable nets:
     /// register nets and (unless [`Targets::State`]) driven combinational
-    /// nets. Undriven non-register nets (top-level inputs) are never
-    /// candidates — they are stimulus, not state. Kinds are drawn 50%
+    /// nets. Undriven non-register nets (top-level inputs, and tied nets,
+    /// which no block writes) are never candidates — they are stimulus
+    /// and constants, not state. Kinds are drawn 50%
     /// transient flip / 25% stuck-at-0 / 25% stuck-at-1; stuck faults
     /// last 1–4 cycles.
     ///

@@ -51,6 +51,9 @@ pub struct MeshNetworkStructural {
     payload_nbits: u32,
     /// Builds router `id`.
     router_factory: Box<dyn Fn(usize) -> Box<dyn Component>>,
+    /// Per router `id`, the input ports the mesh ties and their values
+    /// (an RTL router's coordinates; nothing for a CL router).
+    router_ties: Box<dyn Fn(usize) -> Vec<(&'static str, u128)>>,
     name: String,
 }
 
@@ -68,7 +71,8 @@ impl MeshNetworkStructural {
     ) -> Self {
         let side = (nrouters as f64).sqrt() as usize;
         assert_eq!(side * side, nrouters, "nrouters must be a perfect square");
-        Self { nrouters, payload_nbits, router_factory, name: name.into() }
+        let router_ties = Box::new(|_| Vec::new());
+        Self { nrouters, payload_nbits, router_factory, router_ties, name: name.into() }
     }
 
     /// A mesh of cycle-level routers.
@@ -81,14 +85,19 @@ impl MeshNetworkStructural {
         )
     }
 
-    /// A mesh of RTL routers (side must be a power of two).
+    /// A mesh of RTL routers (side must be a power of two): one router
+    /// component, its coordinates tied per instance.
     pub fn rtl(nrouters: usize, payload_nbits: u32, nentries: u64) -> Self {
-        Self::new(
-            format!("MeshRTL_{nrouters}x{payload_nbits}{}", depth_suffix(nentries)),
-            nrouters,
-            payload_nbits,
-            Box::new(move |id| Box::new(RouterRTL::new(id, nrouters, payload_nbits, nentries))),
-        )
+        let router = move || RouterRTL::new(nrouters, payload_nbits, nentries);
+        Self {
+            router_ties: Box::new(move |id| router().position(id).to_vec()),
+            ..Self::new(
+                format!("MeshRTL_{nrouters}x{payload_nbits}{}", depth_suffix(nentries)),
+                nrouters,
+                payload_nbits,
+                Box::new(move |_| Box::new(router())),
+            )
+        }
     }
 }
 
@@ -110,7 +119,11 @@ impl Component for MeshNetworkStructural {
         let routers: Vec<_> = (0..n)
             .map(|id| {
                 let r = (self.router_factory)(id);
-                c.instantiate(&format!("router_{id}"), &*r)
+                let inst = c.instantiate(&format!("router_{id}"), &*r);
+                for (port, value) in (self.router_ties)(id) {
+                    c.tie(c.port_of(&inst, port), value);
+                }
+                inst
             })
             .collect();
 

@@ -11,33 +11,40 @@ use crate::{EAST, NORTH, NPORTS, SOUTH, TERM, WEST};
 /// A 5-port RTL router for an XY-routed mesh.
 ///
 /// The mesh side length must be a power of two so that destination x/y
-/// coordinates are bit slices of the destination field.
+/// coordinates are bit slices of the destination field. The router's own
+/// coordinates are the `pos_x` and `pos_y` input ports (log2(side) bits
+/// each), which the mesh ties per instance (see [`RouterRTL::position`]):
+/// every router of a mesh is one component, built once and stamped.
 pub struct RouterRTL {
-    id: usize,
     nrouters: usize,
     payload_nbits: u32,
     nentries: u64,
 }
 
 impl RouterRTL {
-    /// Creates router `id` of a √nrouters × √nrouters mesh.
+    /// Creates a router of a √nrouters × √nrouters mesh.
     ///
     /// # Panics
     ///
     /// Panics if `nrouters` is not the square of a power of two.
-    pub fn new(id: usize, nrouters: usize, payload_nbits: u32, nentries: u64) -> Self {
+    pub fn new(nrouters: usize, payload_nbits: u32, nentries: u64) -> Self {
         let side = (nrouters as f64).sqrt() as usize;
         assert_eq!(side * side, nrouters, "nrouters must be a perfect square");
         assert!(side.is_power_of_two(), "RTL mesh side must be a power of two");
-        assert!(id < nrouters);
-        Self { id, nrouters, payload_nbits, nentries }
+        Self { nrouters, payload_nbits, nentries }
+    }
+
+    /// The values of the `pos_x` and `pos_y` ports of router `id`.
+    pub fn position(&self, id: usize) -> [(&'static str, u128); 2] {
+        let side = (self.nrouters as f64).sqrt() as usize;
+        [("pos_x", (id % side) as u128), ("pos_y", (id / side) as u128)]
     }
 }
 
 impl Component for RouterRTL {
     fn name(&self) -> String {
         let depth = crate::depth_suffix(self.nentries);
-        format!("RouterRTL_{}_{}x{}{depth}", self.id, self.nrouters, self.payload_nbits)
+        format!("RouterRTL_{}x{}{depth}", self.nrouters, self.payload_nbits)
     }
 
     fn build(&self, c: &mut Ctx) {
@@ -46,8 +53,6 @@ impl Component for RouterRTL {
         let side = (self.nrouters as f64).sqrt() as usize;
         let log_side = side.trailing_zeros();
         let (dlo, _dhi) = layout.field_range("dest");
-        let my_x = (self.id % side) as u128;
-        let my_y = (self.id / side) as u128;
 
         let ins: Vec<_> = (0..NPORTS).map(|p| c.in_valrdy(&format!("in__{p}"), w)).collect();
         let outs: Vec<_> = (0..NPORTS).map(|p| c.out_valrdy(&format!("out_{p}"), w)).collect();
@@ -93,22 +98,22 @@ impl Component for RouterRTL {
         }
 
         // Route computation per input: a 3-bit output-port index.
+        let (my_x, my_y) = (c.in_port("pos_x", log_side), c.in_port("pos_y", log_side));
         let routes: Vec<_> = (0..NPORTS).map(|p| c.wire(&format!("route_{p}"), 3)).collect();
         c.comb("route_comb", |b| {
             for p in 0..NPORTS {
                 let dest = hol_msg[p].slice(dlo, dlo + 2 * log_side);
                 let dest_x = dest.clone().slice(0, log_side);
                 let dest_y = dest.slice(log_side, 2 * log_side);
-                let kx = |v: u128| Expr::k(log_side, v);
                 let dir = |d: usize| Expr::k(3, d as u128);
-                let route = dest_x.clone().gt(kx(my_x)).mux(
+                let route = dest_x.clone().gt(my_x).mux(
                     dir(EAST),
-                    dest_x.lt(kx(my_x)).mux(
+                    dest_x.lt(my_x).mux(
                         dir(WEST),
                         dest_y
                             .clone()
-                            .gt(kx(my_y))
-                            .mux(dir(SOUTH), dest_y.lt(kx(my_y)).mux(dir(NORTH), dir(TERM))),
+                            .gt(my_y)
+                            .mux(dir(SOUTH), dest_y.lt(my_y).mux(dir(NORTH), dir(TERM))),
                     ),
                 );
                 b.assign(routes[p], route);
@@ -167,14 +172,25 @@ impl Component for RouterRTL {
 mod tests {
     use super::*;
     use crate::msg::make_net_msg;
-    use mtl_bits::b;
+    use mtl_bits::{b, Bits};
     use mtl_sim::{Engine, Sim};
+
+    /// A simulator of router `id` of a 4x4 mesh, its coordinates poked
+    /// into its (top-level) position ports.
+    fn router_at(id: usize) -> Sim {
+        let router = RouterRTL::new(16, 8, 2);
+        let mut sim = Sim::build(&router, Engine::SpecializedOpt).unwrap();
+        for (port, value) in router.position(id) {
+            sim.poke_port(port, Bits::new(2, value));
+        }
+        sim
+    }
 
     #[test]
     fn rtl_router_delivers_and_routes_east_first() {
         let layout = net_msg_layout(16, 8);
         // Router 0 (x=0,y=0) of 4x4: dest 6 (x=2,y=1) must exit EAST.
-        let mut sim = Sim::build(&RouterRTL::new(0, 16, 8, 2), Engine::SpecializedOpt).unwrap();
+        let mut sim = router_at(0);
         sim.reset();
         let msg = make_net_msg(&layout, 6, 0, 9, 0x5A);
         sim.poke_port(&format!("in__{TERM}_msg"), msg);
@@ -202,9 +218,10 @@ mod tests {
 
     #[test]
     fn rtl_router_is_verilog_translatable() {
-        let design = mtl_core::elaborate(&RouterRTL::new(5, 16, 8, 2)).unwrap();
+        let design = mtl_core::elaborate(&RouterRTL::new(16, 8, 2)).unwrap();
         let verilog = mtl_translate::translate(&design).unwrap();
-        assert!(verilog.contains("module RouterRTL_5_16x8"));
+        assert!(verilog.contains("module RouterRTL_16x8 ("));
+        assert!(verilog.contains("input [1:0] pos_x;"), "coordinates are ports");
         // Round-trip: reparse and make sure it still elaborates.
         let lib = mtl_translate::VerilogLibrary::parse(&verilog).unwrap();
         let mut sim = Sim::build(&lib.top_component(), Engine::SpecializedOpt).unwrap();
@@ -217,7 +234,7 @@ mod tests {
         let layout = net_msg_layout(16, 8);
         // Router 5 (x=1,y=1): packets from WEST and TERM both to dest 6
         // (east neighbor) must both eventually leave EAST.
-        let mut sim = Sim::build(&RouterRTL::new(5, 16, 8, 2), Engine::SpecializedOpt).unwrap();
+        let mut sim = router_at(5);
         sim.reset();
         let m1 = make_net_msg(&layout, 6, 4, 1, 0);
         let m2 = make_net_msg(&layout, 6, 5, 2, 0);

@@ -345,34 +345,39 @@ impl Component for MeshTrafficHarness {
 ///
 /// The mesh side must be a power of two (destinations are drawn as raw
 /// LFSR bits).
+///
+/// What differs per terminal is two input ports the parent ties (see
+/// [`RtlTrafficGen::terminal_ties`]): `seed`, the LFSR's reset value, and
+/// `src`, the terminal's own index. Every generator of a harness is then
+/// one component, built once and stamped.
 pub struct RtlTrafficGen {
-    id: usize,
     nrouters: usize,
     payload_nbits: u32,
     injection_permille: u32,
-    seed: u64,
 }
 
 impl RtlTrafficGen {
-    /// Creates the generator for terminal `id`; see [`TrafficGen::new`].
-    pub fn new(
-        id: usize,
-        nrouters: usize,
-        payload_nbits: u32,
-        injection_permille: u32,
-        seed: u64,
-    ) -> Self {
+    /// Creates a generator for a terminal of an `nrouters` mesh; see
+    /// [`TrafficGen::new`].
+    pub fn new(nrouters: usize, payload_nbits: u32, injection_permille: u32) -> Self {
         assert!(injection_permille <= 1000);
         assert!(nrouters.is_power_of_two(), "RTL generator draws destinations as LFSR bits");
         assert!(payload_nbits >= 1);
-        Self { id, nrouters, payload_nbits, injection_permille, seed }
+        Self { nrouters, payload_nbits, injection_permille }
+    }
+
+    /// The values of the `seed` and `src` ports of terminal `id` seeded
+    /// with `seed`: the LFSR's nonzero reset state and the terminal index.
+    pub fn terminal_ties(id: usize, seed: u64) -> [(&'static str, u128); 2] {
+        let seed32 = ((seed ^ (seed >> 32)) as u32 as u128) | 1;
+        [("seed", seed32), ("src", id as u128)]
     }
 }
 
 impl Component for RtlTrafficGen {
     fn name(&self) -> String {
-        let Self { id, nrouters, payload_nbits, injection_permille, seed } = self;
-        format!("RtlTrafficGen_{id}_{nrouters}x{payload_nbits}_i{injection_permille}_s{seed:x}")
+        let Self { nrouters, payload_nbits, injection_permille } = self;
+        format!("RtlTrafficGen_{nrouters}x{payload_nbits}_i{injection_permille}")
     }
 
     fn build(&self, c: &mut Ctx) {
@@ -391,6 +396,7 @@ impl Component for RtlTrafficGen {
         let pend_msg = c.wire("pend_msg", w);
         let pend_val = c.wire("pend_val", 1);
         let sum = c.out_port("sum", 32);
+        let (seed, src) = (c.in_port("seed", 32), c.in_port("src", aw));
 
         // Interface is pure register fanout; the sink side is always
         // ready (a constant-driven net, like the scalar generator).
@@ -402,16 +408,14 @@ impl Component for RtlTrafficGen {
 
         // x^32 + x^22 + x^2 + x + 1 Galois LFSR, shifting right.
         let taps = 0x8020_0003u128;
-        let seed32 = ((self.seed ^ (self.seed >> 32)) as u32 as u128) | 1;
         // 10-bit threshold ~ permille/1000 of 1024.
         let thresh = u128::from(self.injection_permille) * 1024 / 1000;
         let thresh = thresh.min(1023);
-        let id = self.id as u128;
 
         c.seq("step", |b| {
             let step = lfsr.ex().slice(1, 32).zext(32)
                 ^ lfsr.ex().bit(0).mux(Expr::k(32, taps), Expr::k(32, 0));
-            b.assign(lfsr, reset.ex().mux(Expr::k(32, seed32), step));
+            b.assign(lfsr, reset.ex().mux(seed, step));
             b.assign(cyc, reset.ex().mux(Expr::k(pw, 0), cyc + Expr::k(pw, 1)));
 
             // One-entry output buffer: a slot frees when it sends, and an
@@ -422,7 +426,7 @@ impl Component for RtlTrafficGen {
             let take = free & inject;
             let msg = Expr::concat(vec![
                 lfsr.ex().slice(10, 10 + aw), // dest: uniform over 2^aw terminals
-                Expr::k(aw, id),              // src
+                src.ex(),                     // src
                 Expr::k(8, 0),                // opaque
                 cyc.ex(),                     // payload: injection timestamp
             ]);
@@ -486,15 +490,13 @@ impl Component for MeshTrafficRtlHarness {
         let net_inst = c.instantiate("net", &*net);
         let checksum = c.out_port("checksum", 32);
         let mut sums = Vec::new();
+        let gen = RtlTrafficGen::new(self.nrouters, self.payload_nbits, self.injection_permille);
         for i in 0..self.nrouters {
-            let gen = RtlTrafficGen::new(
-                i,
-                self.nrouters,
-                self.payload_nbits,
-                self.injection_permille,
-                self.seed.wrapping_add(i as u64 * 0x1234_5678),
-            );
             let gen_inst = c.instantiate(&format!("gen_{i}"), &gen);
+            let seed = self.seed.wrapping_add(i as u64 * 0x1234_5678);
+            for (port, value) in RtlTrafficGen::terminal_ties(i, seed) {
+                c.tie(c.port_of(&gen_inst, port), value);
+            }
             let gen_out = c.out_valrdy_of(&gen_inst, "out");
             let net_in = c.in_valrdy_of(&net_inst, &format!("in__{i}"));
             c.connect_valrdy(gen_out, net_in);

@@ -1,5 +1,5 @@
 //! Buffer depth is part of a mesh's identity: one design may hold RTL
-//! meshes of different depth, and each keeps its own router modules.
+//! meshes of different depth, and each keeps its own router module.
 
 use std::sync::{Arc, Mutex};
 
@@ -66,12 +66,15 @@ fn meshes_of_different_depth_keep_distinct_routers() {
         let net = design.module(design.top()).children[k];
         design.module(design.module(net).children[0]).component.clone()
     };
-    assert_eq!(router(0), "RouterRTL_0_16x32", "the default depth keeps its old name");
-    assert_eq!(router(1), "RouterRTL_0_16x32_e4");
+    assert_eq!(router(0), "RouterRTL_16x32", "the default depth keeps its old name");
+    assert_eq!(router(1), "RouterRTL_16x32_e4");
     let verilog = mtl_translate::translate(&design).unwrap();
-    assert!(verilog.contains("module RouterRTL_0_16x32 ("), "depth-2 router emitted");
-    assert!(verilog.contains("module RouterRTL_0_16x32_e4 ("), "depth-4 router emitted");
+    assert!(verilog.contains("module RouterRTL_16x32 ("), "depth-2 router emitted");
+    assert!(verilog.contains("module RouterRTL_16x32_e4 ("), "depth-4 router emitted");
     assert!(verilog.contains("module MeshRTL_16x32_e4 ("), "depth-4 mesh emitted");
+    // The coordinates are tied ports, so the 16 routers of a mesh are one
+    // module per buffer depth.
+    assert_eq!(verilog.matches("module RouterRTL_").count(), 2, "one router module per depth");
 
     // Each mesh of the pair simulates cycle-exactly like itself alone,
     // and the two depths behave differently (so the check has teeth).

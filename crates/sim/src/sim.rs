@@ -594,7 +594,12 @@ impl Sim {
         // native-free designs are cached, so this returns the correct
         // all-`None` vector for it.
         let natives: Vec<Option<NativeFn>> = design.take_natives();
-        let backend = Sim::make_backend(&design, natives, engine, cfg, shared, &mut overheads);
+        let mut backend = Sim::make_backend(&design, natives, engine, cfg, shared, &mut overheads);
+        // Ties are connections, not blocks: each tied net takes its value
+        // once, here, and nothing writes it after.
+        for &(net, value) in design.ties() {
+            backend.poke(net.index() as u32, value);
+        }
         let fault_totals = vec![(0, 0); backend.lane_count() as usize];
         Sim {
             design,

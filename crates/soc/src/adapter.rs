@@ -27,24 +27,25 @@ use mtl_core::{Component, Ctx, Expr};
 use mtl_net::net_msg_layout;
 use mtl_proc::{mem_req_layout, mem_resp_layout};
 
-/// Memory-over-network adapter for tile `id` of an `ntiles` SoC.
+/// Memory-over-network adapter for a tile of an `ntiles` SoC. The tile's
+/// index is the `id` input port (log2(ntiles) bits), which the SoC ties
+/// per instance: every adapter of a SoC is one component, built once and
+/// stamped.
 pub struct MemNetAdapter {
-    id: usize,
     ntiles: usize,
 }
 
 impl MemNetAdapter {
-    /// Creates the adapter for tile `id`; `ntiles` must be a power of two.
-    pub fn new(id: usize, ntiles: usize) -> Self {
+    /// Creates an adapter; `ntiles` must be a power of two.
+    pub fn new(ntiles: usize) -> Self {
         assert!(ntiles.is_power_of_two() && ntiles >= 2);
-        assert!(id < ntiles);
-        Self { id, ntiles }
+        Self { ntiles }
     }
 }
 
 impl Component for MemNetAdapter {
     fn name(&self) -> String {
-        format!("MemNetAdapter_{}_{}", self.id, self.ntiles)
+        format!("MemNetAdapter_{}", self.ntiles)
     }
 
     fn build(&self, c: &mut Ctx) {
@@ -61,7 +62,6 @@ impl Component for MemNetAdapter {
         let aw = shi - slo;
         let tb = clog2(self.ntiles as u64);
         assert_eq!(aw, tb, "net address width must match the tile-index width");
-        let id = self.id as u128;
 
         let cpu = c.child_reqresp("cpu", rw, pw);
         let lmem = c.parent_reqresp("lmem", rw, pw);
@@ -69,6 +69,7 @@ impl Component for MemNetAdapter {
         let net_out = c.out_valrdy("net_out", w);
         let net_in = c.in_valrdy("net_in", w);
         let reset = c.reset();
+        let id = c.in_port("id", tb);
 
         // One buffered CPU request, one buffered outbound request packet,
         // one buffered outbound response packet, one remote service slot.
@@ -89,7 +90,7 @@ impl Component for MemNetAdapter {
         // cache above never sees a combinational path back to itself.
         c.comb("route", |b| {
             let home = creq_msg.ex().slice(alo + 2, alo + 2 + tb);
-            let is_local = home.eq(Expr::k(tb, id));
+            let is_local = home.eq(id);
             b.assign(lmem.req.msg, creq_msg);
             b.assign(lmem.req.val, creq_val.ex() & is_local & !disp.ex());
             b.assign(rmem.req.msg, net_in.msg.ex().slice(plo, plo + rw));
@@ -126,7 +127,7 @@ impl Component for MemNetAdapter {
 
         c.seq("state", |b| {
             let home = creq_msg.ex().slice(alo + 2, alo + 2 + tb);
-            let is_local = home.clone().eq(Expr::k(tb, id));
+            let is_local = home.clone().eq(id);
             let creq_take = cpu.req.val.ex() & !creq_val.ex();
             let local_done = creq_val.ex() & is_local.clone() & !disp.ex() & lmem.req.rdy.ex();
             // Requests only use the egress buffer while no response
@@ -153,7 +154,7 @@ impl Component for MemNetAdapter {
             b.assign(creq_msg, creq_take.mux(cpu.req.msg.ex(), creq_msg.ex()));
             let req_pkt = Expr::concat(vec![
                 home,
-                Expr::k(aw, id),
+                id.ex(),
                 Expr::k(8, 0), // opaque bit 0 = 0: request
                 creq_msg.ex(),
             ]);
@@ -170,7 +171,7 @@ impl Component for MemNetAdapter {
             let resp_take = rmem.resp.val.ex() & resp_free;
             let resp_pkt = Expr::concat(vec![
                 rsrc.ex(),
-                Expr::k(aw, id),
+                id.ex(),
                 Expr::k(8, 1), // opaque bit 0 = 1: response
                 rmem.resp.msg.ex().zext(rw),
             ]);

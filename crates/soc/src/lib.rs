@@ -243,16 +243,12 @@ impl Component for Soc {
                 let injected = c.out_port("injected", 32);
                 let delivered = c.out_port("delivered", 32);
                 let (mut sums, mut sents, mut recvs) = (Vec::new(), Vec::new(), Vec::new());
+                let gen = SocTrafficGen::new(n, injection_permille, limit, pattern);
                 for i in 0..n {
-                    let gen = SocTrafficGen::new(
-                        i,
-                        n,
-                        injection_permille,
-                        self.config.seed,
-                        limit,
-                        pattern,
-                    );
                     let gen_inst = c.instantiate(&format!("gen_{i}"), &gen);
+                    for (port, value) in gen.terminal_ties(i, self.config.seed) {
+                        c.tie(c.port_of(&gen_inst, &port), value);
+                    }
                     c.connect_valrdy(
                         c.out_valrdy_of(&gen_inst, "out"),
                         c.in_valrdy_of(&net_inst, &format!("in__{i}")),
@@ -312,7 +308,8 @@ impl Component for Soc {
                         c.instantiate(&format!("tile_{i}"), &Tile::new(self.config.tile));
                     let imem_inst = c.instantiate(&format!("imem_{i}"), &self.imems[i]);
                     let dmem_inst = c.instantiate(&format!("dmem_{i}"), &self.dmems[i]);
-                    let adap_inst = c.instantiate(&format!("adap_{i}"), &MemNetAdapter::new(i, n));
+                    let adap_inst = c.instantiate(&format!("adap_{i}"), &MemNetAdapter::new(n));
+                    c.tie(c.port_of(&adap_inst, "id"), i as u128);
 
                     c.connect_reqresp(
                         c.parent_reqresp_of(&tile_inst, "imem"),

@@ -172,38 +172,59 @@ fn placed(e: Expr, ew: u32, shift: u32, total: u32) -> Expr {
 /// a [`SocTraffic`] pattern and folds deliveries into a `sum` output.
 /// Exposes `sent` (packets accepted into the output buffer) and `recv`
 /// (packets delivered) counters for drain detection.
+///
+/// What differs per terminal is input ports the parent ties (see
+/// [`SocTrafficGen::terminal_ties`]): the two LFSRs' reset values
+/// `rate_seed` and `gen_seed`, the terminal's own index `src`, and the
+/// destinations of the fixed patterns — `tornado_dest`, or the trace ROM
+/// `rom_0` .. `rom_7`. Every generator of a SoC is then one component,
+/// built once and stamped.
 pub struct SocTrafficGen {
-    id: usize,
     ntiles: usize,
     injection_permille: u32,
-    seed: u64,
     limit: u32,
     pattern: SocTraffic,
 }
 
 impl SocTrafficGen {
-    /// Creates the generator for terminal `id` of an `ntiles`-endpoint
-    /// mesh; `seed` is the *base* SoC seed (decorrelated per terminal via
-    /// [`terminal_seed`]).
-    pub fn new(
-        id: usize,
-        ntiles: usize,
-        injection_permille: u32,
-        seed: u64,
-        limit: u32,
-        pattern: SocTraffic,
-    ) -> Self {
+    /// Creates a generator for a terminal of an `ntiles`-endpoint mesh.
+    pub fn new(ntiles: usize, injection_permille: u32, limit: u32, pattern: SocTraffic) -> Self {
         assert!(injection_permille <= 1000);
         assert!(ntiles.is_power_of_two(), "destinations are drawn as LFSR bits");
         assert!(limit > 0 && limit < 1 << 16, "sequence numbers are 16-bit");
-        Self { id, ntiles, injection_permille, seed, limit, pattern }
+        Self { ntiles, injection_permille, limit, pattern }
+    }
+
+    /// The values of terminal `id`'s per-terminal ports under the *base*
+    /// SoC seed `seed` (decorrelated per terminal via [`terminal_seed`]),
+    /// as (port, value) pairs for the parent to tie.
+    pub fn terminal_ties(&self, id: usize, seed: u64) -> Vec<(String, u128)> {
+        let tseed = terminal_seed(seed, id);
+        let mut ties = vec![
+            ("rate_seed".to_string(), lfsr_seed(tseed.wrapping_mul(0x2545_F491_4F6C_DD1D)).into()),
+            ("gen_seed".to_string(), lfsr_seed(tseed).into()),
+            ("src".to_string(), id as u128),
+        ];
+        let side = (self.ntiles as f64).sqrt() as usize;
+        match self.pattern {
+            SocTraffic::Tornado => {
+                let dest = TrafficPattern::Tornado.dest(id, side, 0);
+                ties.push(("tornado_dest".to_string(), dest as u128));
+            }
+            SocTraffic::Trace => {
+                let rom = trace_rom(seed, id, self.ntiles).into_iter().enumerate();
+                ties.extend(rom.map(|(j, dest)| (format!("rom_{j}"), dest as u128)));
+            }
+            SocTraffic::UniformRandom | SocTraffic::Hotspot | SocTraffic::Bursty => {}
+        }
+        ties
     }
 }
 
 impl Component for SocTrafficGen {
     fn name(&self) -> String {
-        let Self { id, ntiles, injection_permille, seed, limit, pattern } = self;
-        format!("SocTrafficGen_{id}_{ntiles}_{pattern}_i{injection_permille}_s{seed:x}_l{limit}")
+        let Self { ntiles, injection_permille, limit, pattern } = self;
+        format!("SocTrafficGen_{ntiles}_{pattern}_i{injection_permille}_l{limit}")
     }
 
     fn build(&self, c: &mut Ctx) {
@@ -226,6 +247,13 @@ impl Component for SocTrafficGen {
         let recv = c.out_port("recv", 16);
         let burst =
             if self.pattern == SocTraffic::Bursty { Some(c.wire("burst", 4)) } else { None };
+        let rate_seed = c.in_port("rate_seed", 32);
+        let gen_seed = c.in_port("gen_seed", 32);
+        let src = c.in_port("src", aw);
+        let tornado_dest =
+            (self.pattern == SocTraffic::Tornado).then(|| c.in_port("tornado_dest", aw));
+        let rom =
+            if self.pattern == SocTraffic::Trace { c.in_ports("rom", 8, aw) } else { Vec::new() };
 
         c.comb("drive", |b| {
             b.assign(out.msg, pend_msg);
@@ -234,23 +262,17 @@ impl Component for SocTrafficGen {
         });
 
         let taps = 0x8020_0003u128;
-        let tseed = terminal_seed(self.seed, self.id);
-        let rate_seed = u128::from(lfsr_seed(tseed.wrapping_mul(0x2545_F491_4F6C_DD1D)));
-        let gen_seed = u128::from(lfsr_seed(tseed));
         // 10-bit threshold ~ permille/1000 of 1024.
         let thresh = (u128::from(self.injection_permille) * 1024 / 1000).min(1023);
-        let id = self.id as u128;
         let limit = u128::from(self.limit);
         let pattern = self.pattern;
-        let side = (self.ntiles as f64).sqrt() as usize;
-        let rom = trace_rom(self.seed, self.id, self.ntiles);
 
         c.seq("step", |b| {
             let step = |l: mtl_core::SignalRef| {
                 l.ex().slice(1, 32).zext(32) ^ l.ex().bit(0).mux(Expr::k(32, taps), Expr::k(32, 0))
             };
             // The rate LFSR runs every cycle: it only shapes timing.
-            b.assign(rate_lfsr, reset.ex().mux(Expr::k(32, rate_seed), step(rate_lfsr)));
+            b.assign(rate_lfsr, reset.ex().mux(rate_seed, step(rate_lfsr)));
             let draw = rate_lfsr.ex().slice(0, 10).lt(Expr::k(10, thresh));
 
             // Injection attempt: direct rate draws, or (bursty) a burst
@@ -280,32 +302,25 @@ impl Component for SocTrafficGen {
             // a pure function of the packet index.
             b.assign(
                 gen_lfsr,
-                reset
-                    .ex()
-                    .mux(Expr::k(32, gen_seed), take.clone().mux(step(gen_lfsr), gen_lfsr.ex())),
+                reset.ex().mux(gen_seed, take.clone().mux(step(gen_lfsr), gen_lfsr.ex())),
             );
             let uniform = gen_lfsr.ex().slice(10, 10 + aw);
             let dest = match pattern {
                 SocTraffic::UniformRandom | SocTraffic::Bursty => uniform,
                 SocTraffic::Hotspot => gen_lfsr.ex().bit(9).mux(Expr::k(aw, 0), uniform),
-                SocTraffic::Tornado => {
-                    Expr::k(aw, TrafficPattern::Tornado.dest(self.id, side, 0) as u128)
-                }
+                SocTraffic::Tornado => tornado_dest.expect("a tornado port").ex(),
                 SocTraffic::Trace => {
                     let idx = sent.ex().slice(0, 3);
-                    let mut acc = Expr::k(aw, rom[7] as u128);
+                    let mut acc = rom[7].ex();
                     for j in (0..7).rev() {
-                        acc = idx
-                            .clone()
-                            .eq(Expr::k(3, j as u128))
-                            .mux(Expr::k(aw, rom[j] as u128), acc);
+                        acc = idx.clone().eq(Expr::k(3, j as u128)).mux(rom[j], acc);
                     }
                     acc
                 }
             };
             let msg = Expr::concat(vec![
                 dest,
-                Expr::k(aw, id),    // src
+                src.ex(),           // src
                 Expr::k(8, 0),      // opaque
                 sent.ex().zext(32), // payload: packet sequence number
             ]);
@@ -367,7 +382,7 @@ mod tests {
 
     #[test]
     fn generator_is_ir_only() {
-        let g = SocTrafficGen::new(0, 16, 500, 99, 32, SocTraffic::Bursty);
+        let g = SocTrafficGen::new(16, 500, 32, SocTraffic::Bursty);
         let design = mtl_core::elaborate(&g).expect("elaborates");
         assert!(
             design.blocks().iter().all(|b| matches!(b.body, mtl_core::BlockBody::Ir(_))),
@@ -382,7 +397,7 @@ mod tests {
     #[test]
     fn checksum_fold_matches_the_golden_arithmetic_at_1024_tiles() {
         use mtl_sim::{Engine, Sim};
-        let g = SocTrafficGen::new(5, 1024, 0, 1, 4, SocTraffic::UniformRandom);
+        let g = SocTrafficGen::new(1024, 0, 4, SocTraffic::UniformRandom);
         let mut sim =
             Sim::build(&g, Engine::SpecializedOpt).expect("1024-tile generator elaborates");
         sim.reset();

@@ -1,7 +1,9 @@
-//! Everything a generator's `build` bakes in is part of its name: one
+//! Everything a generator's `build` bakes in is part of its name, and what
+//! differs per terminal (its seeds and index) is tied by its parent: one
 //! design may hold RTL meshes whose generators differ only in their seed,
 //! or synthetic SoCs that differ only in their packet budget, and each
-//! keeps its own generators instead of being stamped from the first.
+//! keeps its own generators' behaviour — stamped, with its own ties, or
+//! built, under its own name.
 
 use mtl_core::{Component, Ctx};
 use mtl_net::MeshTrafficRtlHarness;

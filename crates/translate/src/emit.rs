@@ -293,6 +293,14 @@ fn emit_module(design: &Design, m: ModuleId, out: &mut String) -> Result<(), Tra
         }
     }
 
+    // Ties, each in the module that names its net highest.
+    for &(net, value) in design.ties() {
+        if let Some(sig) = tie_site(design, net).filter(|&s| tie_home(design, s) == m) {
+            writeln!(out, "  assign {} = {}'h{value:x};", scope.name_of(sig), value.width())
+                .unwrap();
+        }
+    }
+
     // Child instances.
     for &child in &info.children {
         let cinfo = design.module(child);
@@ -336,6 +344,26 @@ fn emit_module(design: &Design, m: ModuleId, out: &mut String) -> Result<(), Tra
     writeln!(out, "endmodule").unwrap();
     writeln!(out).unwrap();
     Ok(())
+}
+
+/// The module whose Verilog holds a signal's tie: a child's input port is
+/// driven from its parent, anything else from its own module.
+fn tie_home(design: &Design, sig: SignalId) -> ModuleId {
+    let info = design.signal(sig);
+    let parent = design.module(info.module).parent;
+    match parent {
+        Some(parent) if info.kind == SignalKind::InPort => parent,
+        _ => info.module,
+    }
+}
+
+/// The member of a tied net whose [`tie_home`] is the shallowest module:
+/// where the `assign` goes, so every instance of the module that ties it
+/// carries it.
+fn tie_site(design: &Design, net: NetId) -> Option<SignalId> {
+    let depth = |m: ModuleId| std::iter::successors(Some(m), |&m| design.module(m).parent).count();
+    let signals = design.net(net).signals.iter().copied();
+    signals.min_by_key(|&s| depth(tie_home(design, s)))
 }
 
 fn indent(level: usize) -> String {

@@ -129,6 +129,20 @@ fn round_trip_multiplier() {
     check_round_trip(&IntPipelinedMultiplier::new(24, 3), 200, 8);
 }
 
+/// The native-free RTL mesh: 16 routers and 16 generators, each kind one
+/// module whose per-instance constants are tied ports.
+#[test]
+fn round_trip_rtl_mesh16_harness() {
+    check_round_trip(&mtl_net::MeshTrafficRtlHarness::new(16, 200, 4), 200, 9);
+}
+
+#[test]
+fn round_trip_synthetic_soc4() {
+    use mtl_soc::{Soc, SocConfig, SocTraffic};
+    let config = SocConfig::synthetic(4, mtl_net::NetLevel::Rtl, SocTraffic::Trace);
+    check_round_trip(&Soc::new(config.with_limit(16)), 300, 10);
+}
+
 #[test]
 fn emitted_verilog_mentions_expected_constructs() {
     let design = elaborate(&NormalQueue::new(8, 2)).unwrap();

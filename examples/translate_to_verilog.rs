@@ -37,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         emit(&RoundRobinArbiter::new(nreqs))?;
     }
     for nrouters in [16usize, 64] {
-        emit(&RouterRTL::new(0, nrouters, 32, 2))?;
+        emit(&RouterRTL::new(nrouters, 32, 2))?;
     }
 
     // Print one artifact in full.

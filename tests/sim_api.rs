@@ -392,3 +392,80 @@ fn backdoors_and_native_misuse_agree_net_for_net() {
         }
     }
 }
+
+/// A child with two tied inputs, an 8-bit `k` and a 100-bit `w`, counting
+/// `acc += k` and exposing both.
+struct TiedLeaf;
+
+impl Component for TiedLeaf {
+    fn name(&self) -> String {
+        "TiedLeaf".into()
+    }
+
+    fn build(&self, c: &mut Ctx) {
+        let (k, w) = (c.in_port("k", 8), c.in_port("w", 100));
+        let (acc, wide) = (c.out_port("acc", 8), c.out_port("wide", 100));
+        let reset = c.reset();
+        c.seq("count", |b| b.assign(acc, reset.mux(Expr::k(8, 0), acc + k)));
+        c.comb("pass", |b| b.assign(wide, w));
+    }
+}
+
+/// Two [`TiedLeaf`]s tied apart, their outputs at the top.
+struct TiedPair;
+
+const TIES: [(u128, u128); 2] = [(3, 1 << 99 | 0xABC), (200, 7)];
+
+impl Component for TiedPair {
+    fn name(&self) -> String {
+        "TiedPair".into()
+    }
+
+    fn build(&self, c: &mut Ctx) {
+        for (i, (k, w)) in TIES.into_iter().enumerate() {
+            let leaf = c.instantiate(&format!("leaf{i}"), &TiedLeaf);
+            c.tie(c.port_of(&leaf, "k"), k);
+            c.tie(c.port_of(&leaf, "w"), w);
+            for port in ["acc", "wide"] {
+                let out = c.port_of(&leaf, port);
+                let top = c.out_port(&format!("{port}{i}"), out.width());
+                c.connect(out, top);
+            }
+        }
+    }
+}
+
+/// Every engine configuration drives the tied nets from the moment it is
+/// built, holds them through `reset`, and computes from them.
+#[test]
+fn every_engine_holds_tied_values_from_build_through_reset() {
+    use rustmtl::sim::SimConfig;
+    let configs = Engine::ALL.into_iter().map(|e| (e, SimConfig::default())).chain([
+        (Engine::SpecializedPar, SimConfig { threads: Some(2), ..SimConfig::default() }),
+        (Engine::SpecializedBatch, SimConfig { lanes: Some(4), ..SimConfig::default() }),
+    ]);
+    for (engine, cfg) in configs {
+        let mut sim = Sim::build_with_config(&TiedPair, engine, &cfg).unwrap();
+        let ties = |sim: &Sim| -> Vec<(u128, u128)> {
+            let lanes = 0..sim.lane_count();
+            let leaf = |i: usize, port: &str| sim.find_signal(&format!("leaf{i}.{port}"));
+            lanes
+                .flat_map(|lane| {
+                    (0..2).map(move |i| {
+                        let peek = |port| sim.peek_lane(lane, leaf(i, port)).as_u128();
+                        (peek("k"), peek("w"))
+                    })
+                })
+                .collect()
+        };
+        let want: Vec<_> = (0..sim.lane_count()).flat_map(|_| TIES).collect();
+        assert_eq!(ties(&sim), want, "{engine}: right after build");
+        sim.reset();
+        assert_eq!(ties(&sim), want, "{engine}: after reset");
+        sim.run(5);
+        assert_eq!(ties(&sim), want, "{engine}: after five cycles");
+        assert_eq!(sim.peek_port("acc0").as_u128(), 15, "{engine}");
+        assert_eq!(sim.peek_port("acc1").as_u128(), 1000 % 256, "{engine}");
+        assert_eq!(sim.peek_port("wide0").as_u128(), TIES[0].1, "{engine}");
+    }
+}
