@@ -41,7 +41,9 @@ use mtl_bits::Bits;
 use mtl_core::{Design, NativeFn, SignalId, SignalView};
 
 use crate::compile::{Gang, Layout, LANES};
-use crate::tape::{as_u64s, exec_lanes, exec_tape_ptr_from, mask_of, Tape};
+use crate::tape::{
+    as_u64s, exec_lanes, exec_tape_ptr_from, lane_regs, mask_of, Op, Reg, Tape, Word,
+};
 
 type Cell = UnsafeCell<u128>;
 
@@ -282,10 +284,13 @@ impl Access<'_> {
     }
 
     /// Executes a gang's body for its lane blocks `share`; see
-    /// [`exec_lanes`]. `regs` is a register bank of the gang's, persistent
-    /// since [`crate::tape::broadcast_prelude`] installed the body's
-    /// prelude; each lane block first loads its members' parameter values
-    /// over the prelude's. Memory stores are queued on `pending`.
+    /// [`exec_lanes`]. `bank` is a register bank of the gang's
+    /// (`tape_engine::gang_bank`), persistent since
+    /// [`crate::tape::broadcast_prelude`] installed the body's prelude,
+    /// viewed at the body's word class: `[u64; LANES]` registers for a
+    /// `u64`-class body, `[u128; LANES]` for the rest. Each lane block
+    /// first loads its members' parameter values over the prelude's.
+    /// Memory stores are queued on `pending`.
     ///
     /// Nothing here is unchecked: a table entry out of range panics. What
     /// the plan stage's guard adds is that the entries are the ones the
@@ -295,14 +300,32 @@ impl Access<'_> {
         body: &Tape,
         gang: &Gang,
         share: Range<usize>,
-        regs: &mut [[u64; LANES]],
+        bank: &mut [u128],
         pending: &mut Vec<(u32, u64, u128)>,
     ) {
-        let ops = body.narrow.as_ref().expect("a gang's body is in the u64 class");
-        let ops = &ops[body.prelude as usize..];
+        let pre = body.prelude as usize;
+        match &body.narrow {
+            Some(ops) => self.run_lanes(&ops[pre..], body, gang, share, lane_regs(bank), pending),
+            None => {
+                let regs = bank.as_chunks_mut().0;
+                self.run_lanes(&body.ops[pre..], body, gang, share, regs, pending)
+            }
+        }
+    }
+
+    /// [`Access::exec_lanes`] at word `W`.
+    fn run_lanes<W: Word>(
+        &mut self,
+        ops: &[Op<Reg, W>],
+        body: &Tape,
+        gang: &Gang,
+        share: Range<usize>,
+        regs: &mut [[W; LANES]],
+        pending: &mut Vec<(u32, u64, u128)>,
+    ) {
         for rows in gang.lane_blocks().skip(share.start).take(share.len()) {
             for (p, values) in body.params.iter().zip(rows.params.chunks_exact(LANES)) {
-                regs[p.reg as usize] = values.try_into().expect("a row holds LANES values");
+                regs[p.reg as usize] = std::array::from_fn(|l| W::from_u128(values[l]));
             }
             exec_lanes(ops, regs, rows.slots, rows.mems, self, pending);
         }

@@ -882,13 +882,14 @@ mod tests {
     }
 
     /// The instruction set has two per-op implementations: `pure` — run by
-    /// the scalar executor (instantiated at `u128` and at `u64`), by the
-    /// lane executor (`[u64; 16]`, no jumps) and by `eval_pure` (words
+    /// the scalar executor and by the lane executor (each instantiated at
+    /// `u128` and at `u64`; lanes run no jumps) and by `eval_pure` (words
     /// that may be unknown) — and the width transfer `approx_bits` behind
     /// the word classification. For every kind in the table, over narrow,
     /// word-sized and wide values with distinct operands in 64 states,
-    /// they must agree. Beyond 64 bits, where no executor runs lanes yet,
-    /// `pure` over `[u128; 4]` must equal four scalar runs.
+    /// they must agree: the lane executor runs the 64 states as four lane
+    /// blocks of one gang, in whichever class the tape classified into,
+    /// and each lane must end where its own scalar run ends.
     ///
     /// The op under test sits between loads of slots 0..=5 into `r0..=r5`
     /// and a store of its result to slot 6; slot 7 is the store target of
@@ -907,6 +908,7 @@ mod tests {
         use crate::compile::passes::eval_pure;
         use crate::compile::{Gang, Layout, LANES};
         use crate::state::PackedState;
+        use crate::tape_engine::gang_bank;
 
         /// One state: `cur` and `next` by slot, then the memory words,
         /// then (after a run) the queued memory writes.
@@ -979,40 +981,42 @@ mod tests {
                         let (cur, next, _) = state.dump();
                         (cur, next, mem.clone(), pending)
                     };
-                    // The lane executor: block 0 as the body of a gang of
-                    // the first `LANES` states, instance `i` on slots
-                    // `9 i..9 i + 9` and memory `i`. Each lane must end
-                    // where the scalar `u64` run of its own state ends,
-                    // its queued stores in program order.
-                    if narrow && !matches!(op.effect(), Effect::Jump { .. }) {
+                    // The lane executor, in the tape's class: block 0 as
+                    // the body of a gang of the 64 states (four lane
+                    // blocks), instance `i` on slots `9 i..9 i + 9` and
+                    // memory `i`. Each lane must end where the scalar run
+                    // of its own state ends, its queued stores in program
+                    // order.
+                    if !matches!(op.effect(), Effect::Jump { .. }) {
+                        let n = before.len();
+                        let slot = |i: usize| {
+                            let (lane_block, local, lane) =
+                                (i / (9 * LANES), i / LANES % 9, i % LANES);
+                            ((lane_block * LANES + lane) * 9 + local) as u32
+                        };
                         let gang = Gang {
                             body: 0,
-                            blocks: (0..LANES as u32).collect(),
-                            slots: (0..9 * LANES)
-                                .map(|i| ((i % LANES) * 9 + i / LANES) as u32)
-                                .collect(),
-                            mems: (0..LANES as u32).collect(),
+                            blocks: (0..n as u32).collect(),
+                            slots: (0..9 * n).map(slot).collect(),
+                            mems: (0..n as u32).collect(),
                             params: Vec::new(),
                         };
-                        let mut state = PackedState::from_widths(
-                            &widths.repeat(LANES),
-                            &vec![(w, 4); LANES],
-                            &[],
-                        );
+                        let mut state =
+                            PackedState::from_widths(&widths.repeat(n), &vec![(w, 4); n], &[]);
                         let column = |pick: fn(&State) -> &Vec<u128>| -> Vec<u128> {
-                            before[..LANES].iter().flat_map(|st| pick(st).clone()).collect()
+                            before.iter().flat_map(|st| pick(st).clone()).collect()
                         };
                         state.fill(&column(|st| &st.0), &column(|st| &st.1));
                         let mut st = state.exclusive();
-                        for (lane, (_, _, mem, _)) in before[..LANES].iter().enumerate() {
+                        for (lane, (_, _, mem, _)) in before.iter().enumerate() {
                             for (addr, &v) in mem.iter().enumerate() {
                                 st.poke_mem(lane, addr as u64, Bits::new(w, v));
                             }
                         }
-                        let mut pending = Vec::new();
-                        st.exec_lanes(&tapes[0], &gang, 0..1, &mut [[0; LANES]; 8], &mut pending);
+                        let (mut bank, mut pending) = (gang_bank(&gang, &tapes), Vec::new());
+                        st.exec_lanes(&tapes[0], &gang, 0..n / LANES, &mut bank, &mut pending);
                         let (cur, next, _) = state.dump();
-                        for (lane, lane_state) in before[..LANES].iter().enumerate() {
+                        for (lane, lane_state) in before.iter().enumerate() {
                             let own = |column: &[u128]| column[9 * lane..][..9].to_vec();
                             let queued = pending.iter().filter(|store| store.0 == lane as u32);
                             let got: State = (
@@ -1026,7 +1030,6 @@ mod tests {
                         }
                     }
                     for b in 0..2 {
-                        let mut results = Vec::new();
                         for st in &before {
                             // The wide executor over the canonical ops is
                             // the reference; the classified tape (the `u64`
@@ -1047,17 +1050,6 @@ mod tests {
                                     op.effect() != Effect::Pure,
                                     "{kind:?}: a pure op the folder skips"
                                 ),
-                            }
-                            results.push(want.0[6]);
-                        }
-                        // Wide lanes: four states as one `[u128; 4]`
-                        // register file against their four scalar runs.
-                        let wide = if narrow { &[][..] } else { &before[..] };
-                        for (quad, want) in wide.chunks_exact(4).zip(results.chunks_exact(4)) {
-                            let regs = |r: u16| std::array::from_fn(|l| quad[l].0[r as usize]);
-                            if let Some(got) = pure::<_, _, [u128; 4]>(&op, regs) {
-                                let want: [u128; 4] = want.try_into().expect("four results");
-                                assert_eq!(got, (6, want), "{kind:?} w={w}: u128 lanes of {op:?}");
                             }
                         }
                     }
@@ -1175,10 +1167,13 @@ pub(crate) fn exec_prelude(tape: &Tape, regs: &mut [u128]) {
     }
 }
 
-/// [`exec_prelude`] for a lane register bank: every lane gets the constant.
-pub(crate) fn broadcast_prelude<const L: usize>(tape: &Tape, regs: &mut [[u64; L]]) {
-    let ops = tape.narrow.as_ref().expect("a gang's body is in the u64 class");
-    install(&ops[..tape.prelude as usize], regs, |v| [v; L]);
+/// [`exec_prelude`] for a lane register bank of either class: every lane
+/// gets the constant.
+pub(crate) fn broadcast_prelude<W: Word, const L: usize>(
+    prelude: &[Op<Reg, W>],
+    regs: &mut [[W; L]],
+) {
+    install(prelude, regs, |v| [v; L]);
 }
 
 /// What a register holds while [`pure`] computes on it: one word (the
@@ -1494,28 +1489,33 @@ pub(crate) unsafe fn exec_tape_ptr_from<const TRACK: bool, W: Word>(
     }
 }
 
-/// The lane executor: runs `ops` — a jump-free `u64`-class program whose
-/// state operands are *local* indices — once for `L` instances at a time.
-/// A register holds one value per lane; local slot `s` of lane `l` is the
-/// state's slot `slots[s * L + l]`, memories likewise through `mems`
-/// (one lane block's rows of a [`Gang`](crate::compile::Gang)'s tables).
-/// Lane by lane this computes exactly what [`exec_tape_ptr_from`] computes
-/// for that instance's relocated tape; across lanes the ops interleave,
-/// which is unobservable because the lanes are independent (the plan
-/// stage's guard). Stores to memory are queued on `pending` in op order,
-/// lanes ascending within an op: per memory, program order.
+/// The lane executor: runs `ops` — a jump-free program of either word
+/// class whose state operands are *local* indices — once for `L`
+/// instances at a time. A register holds one word per lane; local slot
+/// `s` of lane `l` is the state's slot `slots[s * L + l]`, memories
+/// likewise through `mems` (one lane block's rows of a
+/// [`Gang`](crate::compile::Gang)'s tables). Lane by lane this computes
+/// exactly what [`exec_tape_ptr_from`] computes, at the same word, for
+/// that instance's relocated tape; across lanes the ops interleave, which
+/// is unobservable because the lanes are independent (the plan stage's
+/// guard). Stores to memory are queued on `pending` in op order, lanes
+/// ascending within an op: per memory, program order.
 ///
 /// Everything here is checked indexing. The pure ops are [`pure`] over
-/// `[u64; L]`; the state arms walk the table row through [`Access`]'s word
+/// `[W; L]`; the state arms walk the table row through [`Access`]'s word
 /// accessors.
-pub(crate) fn exec_lanes<const L: usize>(
-    ops: &[Op<Reg, u64>],
-    regs: &mut [[u64; L]],
+pub(crate) fn exec_lanes<W: Word, const L: usize>(
+    ops: &[Op<Reg, W>],
+    regs: &mut [[W; L]],
     slots: &[u32],
     mems: &[u32],
     st: &mut Access<'_>,
     pending: &mut Vec<(u32, u64, u128)>,
 ) {
+    let zero = W::from_u128(0);
+    // A memory address: the low machine word of the register, as the
+    // scalar executor takes it.
+    let at = |v: W, words: u64| (v.to_u128() as u64) % words;
     // The `L` state indices behind local index `$i` of `$table`.
     macro_rules! row {
         ($table:ident, $i:expr) => {{
@@ -1528,7 +1528,7 @@ pub(crate) fn exec_lanes<const L: usize>(
     // word there and `$x` to the lane's value of source register `$r`.
     macro_rules! store {
         ($next:literal, $slot:expr, |$old:ident, $($x:ident = $r:ident),*| $e:expr) => {{
-            $(let $x: &[u64; L] = &regs[*$r as usize];)*
+            $(let $x: &[W; L] = &regs[*$r as usize];)*
             let row = row!(slots, $slot);
             for l in 0..L {
                 $(let $x = $x[l];)*
@@ -1544,37 +1544,37 @@ pub(crate) fn exec_lanes<const L: usize>(
                 let row = row!(slots, slot);
                 let d = &mut regs[*dst as usize];
                 for l in 0..L {
-                    d[l] = st.word(false, row[l]) as u64;
+                    d[l] = W::from_u128(st.word(false, row[l]));
                 }
             }
             Op::Select { dst, sel, base, n } => {
                 // Clamp the whole selector, then index, as the scalar body
                 // does.
-                let sel = &regs[*sel as usize];
-                let picked: [u64; L] = std::array::from_fn(|l| {
-                    regs[*base as usize + sel[l].min(*n as u64 - 1) as usize][l]
+                let (sel, last) = (&regs[*sel as usize], W::from_u128(*n as u128 - 1));
+                let picked: [W; L] = std::array::from_fn(|l| {
+                    regs[*base as usize + sel[l].min(last).to_u128() as usize][l]
                 });
                 regs[*dst as usize] = picked;
             }
-            Op::Write { slot, src } => store!(false, slot, |_old, v = src| v as u128),
-            Op::WriteNext { slot, src } => store!(true, slot, |_old, v = src| v as u128),
+            Op::Write { slot, src } => store!(false, slot, |_old, v = src| v.to_u128()),
+            Op::WriteNext { slot, src } => store!(true, slot, |_old, v = src| v.to_u128()),
             Op::WriteMasked { slot, src, lo, field } => store!(false, slot, |old, v = src| {
-                (old & !(*field as u128)) | ((v << *lo) & *field) as u128
+                (old & !field.to_u128()) | ((v << *lo) & *field).to_u128()
             }),
             Op::WriteNextMasked { slot, src, lo, field } => store!(true, slot, |old, v = src| {
-                (old & !(*field as u128)) | ((v << *lo) & *field) as u128
+                (old & !field.to_u128()) | ((v << *lo) & *field).to_u128()
             }),
             Op::WriteIf { slot, cond, src, neg } => store!(false, slot, |old, c = cond, v = src| {
-                if (c != 0) != *neg {
-                    v as u128
+                if (c != zero) != *neg {
+                    v.to_u128()
                 } else {
                     old
                 }
             }),
             Op::WriteNextIf { slot, cond, src, neg } => {
                 store!(true, slot, |old, c = cond, v = src| {
-                    if (c != 0) != *neg {
-                        v as u128
+                    if (c != zero) != *neg {
+                        v.to_u128()
                     } else {
                         old
                     }
@@ -1583,20 +1583,20 @@ pub(crate) fn exec_lanes<const L: usize>(
             Op::MemRead { dst, mem, addr, words } => {
                 let row = row!(mems, mem);
                 let addr = &regs[*addr as usize];
-                let read: [u64; L] =
-                    std::array::from_fn(|l| st.mem_word(row[l], addr[l] % words) as u64);
+                let read: [W; L] =
+                    std::array::from_fn(|l| W::from_u128(st.mem_word(row[l], at(addr[l], *words))));
                 regs[*dst as usize] = read;
             }
             Op::MemWrite { mem, addr, data, words } => {
                 let row = row!(mems, mem);
                 let (addr, data) = (&regs[*addr as usize], &regs[*data as usize]);
-                pending.extend((0..L).map(|l| (row[l], addr[l] % words, data[l] as u128)));
+                pending.extend((0..L).map(|l| (row[l], at(addr[l], *words), data[l].to_u128())));
             }
             Op::MemWriteIf { mem, addr, data, cond, words, neg } => {
                 let row = row!(mems, mem);
                 let (addr, data) = (&regs[*addr as usize], &regs[*data as usize]);
-                let take = (0..L).filter(|&l| (regs[*cond as usize][l] != 0) != *neg);
-                pending.extend(take.map(|l| (row[l], addr[l] % words, data[l] as u128)));
+                let take = (0..L).filter(|&l| (regs[*cond as usize][l] != zero) != *neg);
+                pending.extend(take.map(|l| (row[l], at(addr[l], *words), data[l].to_u128())));
             }
             Op::Jz { .. } | Op::JneConst { .. } | Op::Jmp { .. } => {
                 unreachable!("a gang's body is jump-free")

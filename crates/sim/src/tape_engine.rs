@@ -197,8 +197,7 @@ impl Dealt {
             let mut state = unsafe { self.state.shared() };
             let share = deal(gang.blocks.len() / LANES, w, n);
             let body = &self.bodies[gang.body as usize];
-            let regs = lane_regs(&mut banks[comb][chunk]);
-            state.exec_lanes(body, gang, share, regs, &mut left.stores);
+            state.exec_lanes(body, gang, share, &mut banks[comb][chunk], &mut left.stores);
             if let Some(t0) = t0 {
                 left.busy_nanos += t0.elapsed().as_nanos() as u64;
             }
@@ -207,12 +206,24 @@ impl Dealt {
 }
 
 /// A register bank for `gang`, its body's const prelude installed: one bank
-/// serves all the lane blocks a thread runs, in turn.
-fn gang_bank(gang: &Gang, bodies: &[Tape]) -> Vec<u128> {
+/// serves all the lane blocks a thread runs, in turn. A register is
+/// [`LANES`] words of the body's class, so a `u64`-class body's bank is
+/// half the size of a `u128`-class one's.
+pub(crate) fn gang_bank(gang: &Gang, bodies: &[Tape]) -> Vec<u128> {
     let body = &bodies[gang.body as usize];
-    let mut regs = vec![0u128; body.nregs as usize * LANES / 2];
-    broadcast_prelude(body, lane_regs::<LANES>(&mut regs));
-    regs
+    let (nregs, pre) = (body.nregs as usize, body.prelude as usize);
+    match &body.narrow {
+        Some(ops) => {
+            let mut regs = vec![0u128; nregs * LANES / 2];
+            broadcast_prelude(&ops[..pre], lane_regs::<LANES>(&mut regs));
+            regs
+        }
+        None => {
+            let mut regs = vec![0u128; nregs * LANES];
+            broadcast_prelude::<_, LANES>(&body.ops[..pre], regs.as_chunks_mut().0);
+            regs
+        }
+    }
 }
 
 /// Adds `dt` to the `nanos` of `members` in proportion to their tape
@@ -521,7 +532,6 @@ impl TapeEngine {
                     let nb = gang.blocks.len() / LANES;
                     let mut own = |n: usize| {
                         let t0 = TIMED.then(Instant::now);
-                        let regs = lane_regs(regs);
                         state.exec_lanes(body, gang, deal(nb, 0, n), regs, &mut self.pending);
                         own_nanos += t0.map_or(0, |t0| t0.elapsed().as_nanos() as u64);
                     };
