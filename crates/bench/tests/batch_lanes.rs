@@ -80,7 +80,7 @@ fn assert_lanes_match(name: &str, batch: &mut Sim, scalars: &mut [Sim], cycles: 
         for &(sig, w) in &inputs {
             for lane in 0..lanes {
                 let v = rng.bits(w);
-                batch.poke_lane(lane, sig, v.clone());
+                batch.poke_lane(lane, sig, v);
                 scalars[lane as usize].poke(sig, v);
             }
         }
@@ -144,7 +144,7 @@ fn batch_lanes_match_scalar_over_registry() {
 }
 
 /// Full 64-lane bundles on randomized RTL (random widths incl. 1-bit and
-/// >64-bit signals, registers, memories) — one batch pass versus 64
+/// wider-than-64-bit signals, registers, memories) — one batch pass versus 64
 /// scalar simulators.
 #[test]
 fn batch_full_bundle_matches_scalar_on_fuzz_seeds() {
@@ -251,10 +251,10 @@ fn divergence_masks_flag_only_diverged_lanes() {
     // Perturb exactly one lane's stimulus.
     let (sig, w) = inputs[0];
     let base = rng.bits(w);
-    let flipped = Bits::new(w, base.clone().as_u128() ^ 1);
+    let flipped = Bits::new(w, base.as_u128() ^ 1);
     assert_ne!(base, flipped, "1-bit flip must change the driven value");
     for lane in 0..LANES {
-        sim.poke_lane(lane, sig, if lane == ODD { flipped.clone() } else { base.clone() });
+        sim.poke_lane(lane, sig, if lane == ODD { flipped } else { base });
     }
     sim.cycle();
     assert!(sim.divergence_masks(&mut masks), "perturbed lane not detected");

@@ -385,6 +385,40 @@ fn expr_depth(e: &Expr) -> f64 {
     }
 }
 
+/// Simulation-driven dynamic energy: converts per-net toggle counts (from
+/// [`Sim::net_activity`](../mtl_sim/struct.Sim.html#method.net_activity))
+/// into an energy estimate, replacing the fixed activity factor of
+/// [`analyze`] with measured switching.
+///
+/// `activity[net]` is the accumulated bit-toggle count; the result is
+/// total energy units over the measured window. Registers are charged per
+/// toggle; downstream combinational logic is charged proportionally to
+/// the fan-out area it drives (approximated by the average logic area per
+/// register bit in the design).
+pub fn dynamic_energy(design: &Design, activity: &[u64], tech: &TechModel) -> f64 {
+    let mut reg_bits = 0f64;
+    let mut toggles = 0f64;
+    for (ni, net) in design.nets().iter().enumerate() {
+        if net.is_register {
+            reg_bits += net.width as f64;
+            toggles += activity.get(ni).copied().unwrap_or(0) as f64;
+        }
+    }
+    if reg_bits == 0.0 {
+        return 0.0;
+    }
+    // Total logic area amortized per register bit: each toggle ripples
+    // into that logic on average.
+    let mut logic_area = 0.0;
+    for b in design.blocks() {
+        if let BlockBody::Ir(body) = &b.body {
+            logic_area += ir_area(design, body, tech);
+        }
+    }
+    let area_per_bit = tech.reg_per_bit + logic_area / reg_bits;
+    toggles * area_per_bit * tech.energy_per_ge
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -431,38 +465,4 @@ mod tests {
         let sum: f64 = report.area_by_child.iter().map(|(_, a)| a).sum();
         assert!((sum - report.area).abs() < 1e-9);
     }
-}
-
-/// Simulation-driven dynamic energy: converts per-net toggle counts (from
-/// [`Sim::net_activity`](../mtl_sim/struct.Sim.html#method.net_activity))
-/// into an energy estimate, replacing the fixed activity factor of
-/// [`analyze`] with measured switching.
-///
-/// `activity[net]` is the accumulated bit-toggle count; the result is
-/// total energy units over the measured window. Registers are charged per
-/// toggle; downstream combinational logic is charged proportionally to
-/// the fan-out area it drives (approximated by the average logic area per
-/// register bit in the design).
-pub fn dynamic_energy(design: &Design, activity: &[u64], tech: &TechModel) -> f64 {
-    let mut reg_bits = 0f64;
-    let mut toggles = 0f64;
-    for (ni, net) in design.nets().iter().enumerate() {
-        if net.is_register {
-            reg_bits += net.width as f64;
-            toggles += activity.get(ni).copied().unwrap_or(0) as f64;
-        }
-    }
-    if reg_bits == 0.0 {
-        return 0.0;
-    }
-    // Total logic area amortized per register bit: each toggle ripples
-    // into that logic on average.
-    let mut logic_area = 0.0;
-    for b in design.blocks() {
-        if let BlockBody::Ir(body) = &b.body {
-            logic_area += ir_area(design, body, tech);
-        }
-    }
-    let area_per_bit = tech.reg_per_bit + logic_area / reg_bits;
-    toggles * area_per_bit * tech.energy_per_ge
 }

@@ -200,10 +200,8 @@ mod tests {
                 proxy.xtick(s);
                 // Program: write 3 words, read them back, finish.
                 match phase {
-                    0..=2 => {
-                        if proxy.write(0x100 + 4 * phase as u32, 10 + phase as u32) {
-                            phase += 1;
-                        }
+                    0..=2 if proxy.write(0x100 + 4 * phase as u32, 10 + phase as u32) => {
+                        phase += 1;
                     }
                     3..=5 => {
                         if let Some(v) = proxy.read(0x100 + 4 * (phase as u32 - 3)) {

@@ -9,8 +9,10 @@ ci_stage static
 echo "== static: cargo fmt --check"
 cargo fmt --check
 
-echo "== static: cargo clippy --workspace -D warnings"
-cargo clippy --workspace -- -D warnings
+# `--all-targets` lints tests, examples and bins too, not only the
+# libraries.
+echo "== static: cargo clippy --workspace --all-targets -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 # Module moves break intra-doc links silently; rustdoc is the only tool
 # that resolves them (the vendored proptest stand-in is not ours to

@@ -64,14 +64,14 @@ fn adapter_pipe_preserves_order_under_random_stalls() {
     for _ in 0..600 {
         lfsr = lfsr.wrapping_mul(75) % 65537;
         // Source side: offer the next message with random gaps.
-        if sent < msgs.len() && lfsr % 3 != 0 {
+        if sent < msgs.len() && !lfsr.is_multiple_of(3) {
             sim.poke_port("in__msg", Bits::new(8, msgs[sent] as u128));
             sim.poke_port("in__val", Bits::from_bool(true));
         } else {
             sim.poke_port("in__val", Bits::from_bool(false));
         }
         // Sink side: random backpressure.
-        let rdy = lfsr % 5 != 0;
+        let rdy = !lfsr.is_multiple_of(5);
         sim.poke_port("out_rdy", Bits::from_bool(rdy));
         sim.eval();
         let in_handshake =
