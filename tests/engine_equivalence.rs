@@ -556,9 +556,12 @@ fn engines_agree_on_64_tile_soc() {
 }
 
 /// The compute personality (full proc+cache+xcel tiles speaking memory
-/// packets over the mesh) run in lockstep across engines: shared
-/// `TestMemory` backing is safe exactly because the engines are
-/// cycle-exact — every write lands with identical value and timing.
+/// packets over the mesh) run in lockstep across engines, every net
+/// compared every cycle until the SoC halts: shared `TestMemory` backing
+/// is safe exactly because the engines are cycle-exact — every write
+/// lands with identical value and timing. Its routers' 80-bit queue
+/// bodies run as `u128`-class gangs on `specialized-opt` and, dealt to
+/// two workers, on `specialized-par`.
 #[test]
 fn engines_agree_on_compute_soc() {
     use rustmtl::net::NetLevel;
@@ -582,18 +585,21 @@ fn engines_agree_on_compute_soc() {
             (Engine::SpecializedPar, Some(2)),
         ],
     );
+    let rep = sims[1].opt_report().expect("specialized-opt reports its plans");
+    assert!(rep.wide_gangs > 0, "a u128-class body gangs: {:?}", rep.gang_line());
+    let (mut reference, mut values) = (Vec::new(), Vec::new());
     let mut halted_at = None;
     for cycle in 0..20_000u64 {
         for sim in &mut sims {
             sim.cycle();
         }
-        for port in ["halted", "instret_total"] {
-            let reference = sims[0].peek_port(port);
-            for (sim, label) in sims.iter().zip(&labels).skip(1) {
-                assert_eq!(
-                    sim.peek_port(port),
-                    reference,
-                    "{label} diverged on `{port}` at cycle {cycle}"
+        sims[0].net_values(0, &mut reference);
+        for (sim, label) in sims.iter().zip(&labels).skip(1) {
+            sim.net_values(0, &mut values);
+            if let Some(net) = (0..values.len()).find(|&n| values[n] != reference[n]) {
+                panic!(
+                    "{label} diverged on net {net} at cycle {cycle}: {:#x}, interpreted {:#x}",
+                    values[net], reference[net]
                 );
             }
         }
