@@ -7,13 +7,10 @@ use mtl_proc::{mem_req_layout, mem_resp_layout};
 /// A combinational 2:1 request arbiter with opaque-tagged response
 /// routing. Port 0 (the processor) has priority; responses are routed
 /// back by the opaque field. Fully IR-based.
+#[derive(Hash)]
 pub struct MemArbiter;
 
 impl Component for MemArbiter {
-    fn name(&self) -> String {
-        "MemArbiter".to_string()
-    }
-
     fn build(&self, c: &mut Ctx) {
         let req_l = mem_req_layout();
         let resp_l = mem_resp_layout();

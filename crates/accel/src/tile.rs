@@ -4,7 +4,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use mtl_core::{Component, Ctx};
+use mtl_core::{Component, Ctx, Keyed};
 use mtl_proc::{
     cache_component, proc_component, CacheLevel, MemHandle, MngrAdapter, ProcLevel, TestMemory,
 };
@@ -116,6 +116,7 @@ impl std::fmt::Display for TileConfig {
 
 /// The compute tile: exposed ports are two memory parent bundles
 /// (`imem_*`, `dmem_*`), the manager channels, and `halted`/`instret`.
+#[derive(Hash)]
 pub struct Tile {
     /// The ⟨P, C, A⟩ configuration.
     pub config: TileConfig,
@@ -131,10 +132,6 @@ impl Tile {
 }
 
 impl Component for Tile {
-    fn name(&self) -> String {
-        format!("Tile_{}_{}_{}", self.config.proc, self.config.cache, self.config.xcel)
-    }
-
     fn build(&self, c: &mut Ctx) {
         let req_w = mtl_proc::mem_req_layout().width();
         let resp_w = mtl_proc::mem_resp_layout().width();
@@ -263,11 +260,10 @@ impl TileHarness {
     }
 }
 
-impl Component for TileHarness {
-    fn name(&self) -> String {
-        format!("TileHarness_{}_{}_{}", self.config.proc, self.config.cache, self.config.xcel)
-    }
+/// Keyless: its memory and manager adapter hold shared handles.
+impl Keyed for TileHarness {}
 
+impl Component for TileHarness {
     fn build(&self, c: &mut Ctx) {
         let halted = c.out_port("halted", 1);
         let instret = c.out_port("instret", 32);

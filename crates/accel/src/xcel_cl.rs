@@ -14,13 +14,10 @@ use mtl_proc::{
 
 /// The CL dot-product accelerator (same ports as
 /// [`DotProductFL`](crate::DotProductFL)).
+#[derive(Hash)]
 pub struct DotProductCL;
 
 impl Component for DotProductCL {
-    fn name(&self) -> String {
-        "DotProductCL".to_string()
-    }
-
     fn build(&self, c: &mut Ctx) {
         let xreq_l = xcel_req_layout();
         let xresp_l = xcel_resp_layout();

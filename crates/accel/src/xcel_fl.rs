@@ -18,13 +18,10 @@ use mtl_proc::{
 ///
 /// Ports: `cpu_req/resp` child bundle (the CSR coprocessor interface),
 /// `mem_req/resp` parent bundle.
+#[derive(Hash)]
 pub struct DotProductFL;
 
 impl Component for DotProductFL {
-    fn name(&self) -> String {
-        "DotProductFL".to_string()
-    }
-
     fn build(&self, c: &mut Ctx) {
         let xreq_l = xcel_req_layout();
         let xresp_l = xcel_resp_layout();

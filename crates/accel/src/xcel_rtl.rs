@@ -14,13 +14,10 @@ const RESP: u128 = 5;
 
 /// The RTL dot-product accelerator (same ports as
 /// [`DotProductFL`](crate::DotProductFL)).
+#[derive(Hash)]
 pub struct DotProductRTL;
 
 impl Component for DotProductRTL {
-    fn name(&self) -> String {
-        "DotProductRTL".to_string()
-    }
-
     fn build(&self, c: &mut Ctx) {
         let xreq_l = xcel_req_layout();
         let xresp_l = xcel_resp_layout();

@@ -7,7 +7,8 @@
 //! against the golden table, one line per design:
 //!
 //! * the length of every table;
-//! * an FNV-1a hash of every module's path and component name;
+//! * an FNV-1a hash of every module's path, component label and key
+//!   ordinal (which modules are one component);
 //! * of every signal's path, kind, width and net;
 //! * of every block's path, kind, shape, operand lists and parameter
 //!   values, and of the memories, raw connections and ties;
@@ -55,6 +56,7 @@ fn digest(design: &Design) -> String {
     for (i, m) in design.modules().iter().enumerate() {
         modules.str(&design.module_path(mtl_core::ModuleId::from_index(i)));
         modules.str(&m.component);
+        modules.str(&format!("{:?}", m.key));
     }
     let mut signals = Fnv::new();
     for (i, s) in design.signals().iter().enumerate() {
@@ -150,11 +152,9 @@ fn per_design_digests_match_golden() {
 /// Two designs that differ only in a tie's value digest apart.
 #[test]
 fn a_tie_value_moves_the_digest() {
+    #[derive(Hash)]
     struct Tied(u128);
     impl mtl_core::Component for Tied {
-        fn name(&self) -> String {
-            "Tied".into()
-        }
         fn build(&self, c: &mut mtl_core::Ctx) {
             let w = c.wire("w", 8);
             let out = c.out_port("out", 8);

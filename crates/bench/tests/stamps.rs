@@ -1,23 +1,24 @@
-//! Ties keep per-instance constants out of component names, so every
+//! Ties keep per-instance constants out of component fields, so every
 //! RTL router, memory adapter and traffic generator of a design is one
-//! component: built at its first instance and stamped at every other.
+//! key: built at its first instance and stamped at every other.
 
 use mtl_bench::{build_sweep_designs, design_registry};
 use mtl_core::{BlockId, Component, Design, ModuleId};
 use mtl_net::MeshTrafficRtlHarness;
 
 /// The components whose per-instance constants are tied ports.
-const TIED: [&str; 4] = ["RouterRTL_", "MemNetAdapter_", "SocTrafficGen_", "RtlTrafficGen_"];
+const TIED: [&str; 4] = ["RouterRTL", "MemNetAdapter", "SocTrafficGen", "RtlTrafficGen"];
 
-/// Per tied component name in `design`, how many of its instances its
-/// `build` made: the first one's blocks have no source, and every other
-/// instance's blocks each name one.
-fn built_instances(design: &Design) -> Vec<(String, usize, usize)> {
-    let mut seen: Vec<(String, usize, usize)> = Vec::new();
+/// Per key of a tied component in `design`, its label, how many instances
+/// it has and how many of them its `build` made: the first one's blocks
+/// have no source, and every other instance's blocks each name one.
+fn built_instances(design: &Design) -> Vec<(String, u32, usize, usize)> {
+    let mut seen: Vec<(String, u32, usize, usize)> = Vec::new();
     for (m, info) in design.modules().iter().enumerate() {
-        if !TIED.iter().any(|p| info.component.starts_with(p)) {
+        if !TIED.contains(&info.component.as_str()) {
             continue;
         }
+        let key = info.key.unwrap_or_else(|| panic!("{} is keyed", info.component));
         let blocks: Vec<BlockId> = (0..design.blocks().len())
             .map(BlockId::from_index)
             .filter(|&b| design.block(b).module == ModuleId::from_index(m))
@@ -26,28 +27,28 @@ fn built_instances(design: &Design) -> Vec<(String, usize, usize)> {
         let stamped = blocks.iter().all(|&b| design.block_source(b).is_some());
         let built = blocks.iter().all(|&b| design.block_source(b).is_none());
         assert!(stamped || built, "{}: an instance is built or stamped whole", info.component);
-        match seen.iter_mut().find(|(name, ..)| *name == info.component) {
-            Some((_, instances, builds)) => {
+        match seen.iter_mut().find(|(_, k, ..)| *k == key) {
+            Some((_, _, instances, builds)) => {
                 *instances += 1;
                 *builds += usize::from(built);
             }
-            None => seen.push((info.component.clone(), 1, usize::from(built))),
+            None => seen.push((info.component.clone(), key, 1, usize::from(built))),
         }
     }
     seen
 }
 
-/// Every tied component of `top` is one name per kind, with more than one
+/// Every tied component of `top` is one key per kind, with more than one
 /// instance, built once.
 fn check(name: &str, top: &dyn Component) {
     let design = mtl_core::elaborate(top).unwrap_or_else(|e| panic!("{name}: {e}"));
     let census = built_instances(&design);
     assert!(!census.is_empty(), "{name} holds a tied component");
-    for prefix in TIED {
-        let names = census.iter().filter(|(c, ..)| c.starts_with(prefix)).count();
-        assert!(names <= 1, "{name}: {names} names of {prefix}*, one expected");
+    for kind in TIED {
+        let keys = census.iter().filter(|(c, ..)| c == kind).count();
+        assert!(keys <= 1, "{name}: {keys} keys of {kind}, one expected");
     }
-    for (component, instances, builds) in census {
+    for (component, _, instances, builds) in census {
         assert!(instances > 1, "{name}: {component} has {instances} instance");
         assert_eq!(builds, 1, "{name}: {component} is built once, of {instances} instances");
     }

@@ -33,9 +33,9 @@
 //! use mtl_check::{elaborate_unchecked, lint, LintRule};
 //! use mtl_core::{Component, Ctx};
 //!
+//! #[derive(Hash)]
 //! struct TwoDrivers;
 //! impl Component for TwoDrivers {
-//!     fn name(&self) -> String { "TwoDrivers".into() }
 //!     fn build(&self, c: &mut Ctx) {
 //!         let out = c.out_port("out", 8);
 //!         let a = c.in_port("a", 8);

@@ -69,7 +69,7 @@ impl Default for RtlShape {
 
 /// One generated signal: its leaf name, width, and symbolic driving
 /// expression (`Expr::Read` ids index the descriptor's signal table).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct SigDef {
     /// Leaf name (`w3`, `r1`, `mem_out`).
     pub name: String,
@@ -85,7 +85,7 @@ pub struct SigDef {
 /// `[I, I + W)` (the memory read port `mem_out` is the last wire), and
 /// `regs` occupy `[I + W, I + W + R)`. The design always carries an 8x16
 /// memory `m` when `mem_write` is present.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct RtlDesc {
     /// The seed this descriptor was generated from (kept through shrinking
     /// so the reproducer can name its origin).
@@ -356,22 +356,20 @@ fn mask(width: u32) -> u128 {
 /// xor-fold into a 32-bit `out` port) — the family of designs the
 /// engine-equivalence suite uses. `from_desc` builds an
 /// arbitrary (e.g. shrunk) descriptor.
+#[derive(Hash)]
 pub struct RandomRtl {
     desc: RtlDesc,
-    /// Which instance of a replicated design this is ([`RtlDesc::copy`]);
-    /// `0` for the design itself.
-    copy: u32,
 }
 
 impl RandomRtl {
     /// Generates the default-shape design for `seed`.
     pub fn new(seed: u64) -> RandomRtl {
-        RandomRtl { desc: RtlDesc::generate(seed, RtlShape::default()), copy: 0 }
+        RandomRtl { desc: RtlDesc::generate(seed, RtlShape::default()) }
     }
 
     /// Wraps an explicit descriptor (used by the fuzzer's shrinker).
     pub fn from_desc(desc: RtlDesc) -> RandomRtl {
-        RandomRtl { desc, copy: 0 }
+        RandomRtl { desc }
     }
 
     /// The underlying descriptor.
@@ -414,20 +412,12 @@ fn remap(e: &Expr, table: &[SignalRef], mem: Option<MemRef>) -> Expr {
 }
 
 impl Component for RandomRtl {
-    fn name(&self) -> String {
-        match (self.desc.copies, self.copy) {
-            (0 | 1, 0) => format!("RandomRtl_{}", self.desc.seed),
-            (0 | 1, i) => format!("RandomRtl_{}_copy{i}", self.desc.seed),
-            (n, _) => format!("RandomRtl_{}x{n}", self.desc.seed),
-        }
-    }
-
     fn build(&self, c: &mut Ctx) {
         let d = &self.desc;
         if d.copies > 1 {
             let mut acc = Expr::k(32, 0);
             for i in 0..d.copies {
-                let one = RandomRtl { desc: d.copy(i), copy: i };
+                let one = RandomRtl { desc: d.copy(i) };
                 let inst = c.instantiate(&format!("u{i}"), &one);
                 for (name, w) in &d.inputs {
                     let port = c.in_port(&format!("u{i}_{name}"), *w);
@@ -621,8 +611,7 @@ pub fn repro_snippet(desc: &RtlDesc, note: &str) -> String {
     ));
     s.push_str("use rustmtl::core::{Component, Ctx, Expr};\n\n");
     let field = if copy.is_some() { "(u128)" } else { "" };
-    s.push_str(&format!("struct Repro{field};\n\nimpl Component for Repro {{\n"));
-    s.push_str("    fn name(&self) -> String { \"Repro\".into() }\n");
+    s.push_str(&format!("#[derive(Hash)]\nstruct Repro{field};\n\nimpl Component for Repro {{\n"));
     s.push_str("    fn build(&self, c: &mut Ctx) {\n");
     if !desc.regs.is_empty() {
         s.push_str("        let reset = c.reset();\n");
@@ -689,8 +678,7 @@ pub fn repro_snippet(desc: &RtlDesc, note: &str) -> String {
         s.push_str(&format!(
             "// The design under test: {} instances of `Repro`, each with its own inputs\n\
              // and its own copy literal.\n\
-             struct ReproTop;\n\nimpl Component for ReproTop {{\n    \
-             fn name(&self) -> String {{ \"ReproTop\".into() }}\n    \
+             #[derive(Hash)]\nstruct ReproTop;\n\nimpl Component for ReproTop {{\n    \
              fn build(&self, c: &mut Ctx) {{\n        \
              let mut acc = Expr::k(32, 0);\n        \
              for i in 0..{} {{\n            \

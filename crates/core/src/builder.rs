@@ -8,7 +8,7 @@
 
 use mtl_bits::Bits;
 
-use crate::component::Component;
+use crate::component::{Component, Key};
 use crate::design::{
     BlockBody, BlockInfo, BlockKind, IrBody, MemInfo, ModuleInfo, NativeFn, NativeLevel,
     SignalInfo, SignalKind,
@@ -205,9 +205,10 @@ pub(crate) struct Proto {
     pub connections: Vec<(SignalId, SignalId)>,
     /// Constant connections: each signal tied and its value.
     pub ties: Vec<(SignalId, u128)>,
-    /// Per component name instantiated so far, what its first build
-    /// appended to each table, if later instances can be stamped from it.
-    pub firsts: FastMap<String, Option<Span>>,
+    /// Per key instantiated so far, its ordinal ([`ModuleInfo::key`]) and
+    /// what its first build appended to each table, if later instances can
+    /// be stamped from it.
+    pub firsts: FastMap<Key, (u32, Option<Span>)>,
 }
 
 /// Where a subtree's build starts and ends in each of the proto's tables:
@@ -260,6 +261,7 @@ impl Proto {
             let stamped = ModuleInfo {
                 name: if i == root { name.to_string() } else { m.name.clone() },
                 component: m.component.clone(),
+                key: m.key,
                 parent: if i == root { Some(parent) } else { m.parent.map(module) },
                 children: m.children.iter().map(|&c| module(c)).collect(),
                 ports: signals(&m.ports),
@@ -309,9 +311,8 @@ impl Proto {
     ///
     /// # Panics
     ///
-    /// Panics naming the component if the two differ: its name does not
+    /// Panics naming the component if the two differ: its fields do not
     /// determine what its `build` does.
-    #[cfg(debug_assertions)]
     fn check_stamp(&mut self, at: [usize; 6], first: Span, name: &str, parent: ModuleId) {
         let built = Proto {
             modules: self.modules.split_off(at[0]),
@@ -343,8 +344,8 @@ impl Proto {
             return;
         };
         panic!(
-            "component `{}` builds differently at instance `{name}` ({table} differ): its name must \
-             determine everything its `build` does",
+            "component `{}` builds differently at instance `{name}` ({table} differ): its fields \
+             must determine everything its `build` does",
             self.modules[at[0]].component
         );
     }
@@ -461,33 +462,36 @@ impl<'a> Ctx<'a> {
     /// The child's reset port is connected automatically. Returns an
     /// [`Instance`] whose ports can be looked up with [`Ctx::port_of`].
     ///
-    /// A component name is built once per elaboration: when an earlier
-    /// instance of the same name built no native block and named nothing
-    /// outside its own subtree, this instance is a *stamp* of it — a copy
-    /// of its tables with every id shifted, sharing its IR statements (see
-    /// [`Component::name`]). Debug builds also run `build` and check that
-    /// it agrees with the stamp.
+    /// A component [key](crate::Keyed) is built once per elaboration:
+    /// when an earlier instance of the same key built no native block and
+    /// named nothing outside its own subtree, this instance is a *stamp* of
+    /// it — a copy of its tables with every id shifted, sharing its IR
+    /// statements (see [`Component`]). Debug builds also run `build` and
+    /// check that it agrees with the stamp. A keyless component, and one
+    /// holding a keyless component, is built at every instance.
     pub fn instantiate(&mut self, name: &str, component: &dyn Component) -> Instance {
         let at = self.proto.marks();
         let child = ModuleId::from_index(at[0]);
-        let component_name = component.name();
         self.proto.modules[self.module.index()].children.push(child);
-        match self.proto.firsts.get(&component_name) {
-            Some(&Some(first)) => {
-                #[cfg(debug_assertions)]
-                {
-                    self.build_child(name, component_name, component);
-                    self.proto.check_stamp(at, first, name, self.module);
-                }
-                #[cfg(not(debug_assertions))]
-                self.proto.stamp(first, name, self.module);
+        let key = component.key();
+        match key.as_ref().and_then(|key| self.proto.firsts.get(key)).copied() {
+            Some((key, Some(first))) if cfg!(debug_assertions) => {
+                self.build_child(name, Some(key), component);
+                self.proto.check_stamp(at, first, name, self.module);
             }
-            Some(None) => self.build_child(name, component_name, component),
+            Some((_, Some(first))) => self.proto.stamp(first, name, self.module),
+            Some((key, None)) => self.build_child(name, Some(key), component),
             None => {
-                self.build_child(name, component_name.clone(), component);
+                self.build_child(name, None, component);
                 let span = Span { start: at, end: self.proto.marks() };
-                let first = self.proto.stampable(span).then_some(span);
-                self.proto.firsts.insert(component_name, first);
+                // A component holding a keyless one is keyless too.
+                let below = &self.proto.modules[at[0] + 1..span.end[0]];
+                if let Some(key) = key.filter(|_| below.iter().all(|m| m.key.is_some())) {
+                    let ordinal = self.proto.firsts.len() as u32;
+                    self.proto.modules[at[0]].key = Some(ordinal);
+                    let stamp = self.proto.stampable(span).then_some(span);
+                    self.proto.firsts.insert(key, (ordinal, stamp));
+                }
             }
         }
         // A child's first signal is its reset port.
@@ -496,11 +500,12 @@ impl<'a> Ctx<'a> {
         Instance { module: child }
     }
 
-    fn build_child(&mut self, name: &str, component_name: String, component: &dyn Component) {
+    fn build_child(&mut self, name: &str, key: Option<u32>, component: &dyn Component) {
         let child = ModuleId::from_index(self.proto.modules.len());
         self.proto.modules.push(ModuleInfo {
             name: name.to_string(),
-            component: component_name,
+            component: component.name(),
+            key,
             parent: Some(self.module),
             children: Vec::new(),
             ports: Vec::new(),

@@ -1,4 +1,6 @@
-//! The [`Component`] trait and the [`elaborate`] entry point.
+//! The [`Component`] trait, its [`Key`], and the [`elaborate`] entry point.
+
+use std::hash::{Hash, Hasher};
 
 use mtl_bits::Bits;
 
@@ -15,16 +17,28 @@ use crate::{shape, typecheck};
 /// may run during `build` (loops, helper functions, config structs), which
 /// is what makes components highly parameterizable.
 ///
+/// A component's identity is its value: its type and its fields, read
+/// through a `#[derive(Hash)]` (see [`Keyed`]). Its contract is: **the
+/// fields determine everything [`build`](Component::build) does through
+/// the [`Ctx`]**, and `build` has no other side effect. Elaboration builds
+/// each key once and stamps its later instances from that build (see
+/// [`Ctx::instantiate`]), and the translator emits one Verilog module per
+/// key; debug builds check every stamp against a fresh `build`. A subtree
+/// with a native block is built anew at every instance, since its closures
+/// may capture per-instance state (and it does not translate). A constant
+/// that differs per instance belongs in an input port its parent ties
+/// ([`Ctx::tie`]), not in a field, so that the instances stay one key.
+///
 /// # Examples
 ///
 /// ```
 /// use mtl_core::{Component, Ctx};
 ///
 /// /// A D flip-flop of parameterizable width.
+/// #[derive(Hash)]
 /// struct Register { nbits: u32 }
 ///
 /// impl Component for Register {
-///     fn name(&self) -> String { format!("Register_{}", self.nbits) }
 ///     fn build(&self, c: &mut Ctx) {
 ///         let in_ = c.in_port("in_", self.nbits);
 ///         let out = c.out_port("out", self.nbits);
@@ -33,29 +47,63 @@ use crate::{shape, typecheck};
 /// }
 ///
 /// let design = mtl_core::elaborate(&Register { nbits: 8 }).unwrap();
-/// assert_eq!(design.module(design.top()).component, "Register_8");
+/// assert_eq!(design.module(design.top()).component, "Register");
 /// ```
-pub trait Component {
-    /// A unique name for this component *including its parameters* (e.g.
-    /// `Register_8`); used for Verilog module names and diagnostics.
-    ///
-    /// The name is the component's identity, and its contract is: **the
-    /// name determines everything [`build`](Component::build) does through
-    /// the [`Ctx`]**, and `build` has no other side effect. Two instances
-    /// of one name in a design must declare the same ports, wires,
-    /// memories, children, connections and blocks, with the same literals.
-    /// The translator emits one Verilog module per name, and elaboration
-    /// builds each name once and stamps its later instances from that
-    /// build (see [`Ctx::instantiate`]); debug builds check every stamp
-    /// against a fresh `build` and panic naming the component if they
-    /// differ. A subtree with a native block is exempt: its closures may
-    /// capture per-instance state, so it is built anew every time (and
-    /// does not translate). A constant that differs per instance belongs
-    /// in an input port its parent ties ([`Ctx::tie`]), not in the name.
-    fn name(&self) -> String;
+pub trait Component: Keyed {
+    /// A readable label for diagnostics and Verilog module names: by
+    /// default the type's own name (`Register`). It is not the
+    /// component's identity and need not carry its parameters; the
+    /// translator numbers the modules of one label apart (`Register_1`,
+    /// `Register_2`) when a design holds two keys of it.
+    fn name(&self) -> String {
+        let path = std::any::type_name::<Self>().split('<').next().unwrap_or_default();
+        path.rsplit("::").next().unwrap_or_default().to_string()
+    }
 
     /// Declares this component's interface and behavior on `c`.
     fn build(&self, c: &mut Ctx);
+}
+
+/// What makes two components one: the [`Key`] of every type that derives
+/// `Hash`, and none for a *keyless* type, which says so with an empty
+/// `impl Keyed for T {}`.
+///
+/// A component that cannot derive `Hash` (it holds a closure, a memory
+/// handle or a `dyn Component`) is keyless: elaboration builds each of its
+/// instances, and the translator emits one module per instance of it and
+/// of every component holding it.
+pub trait Keyed {
+    /// This value's key, or `None` for a keyless type.
+    fn key(&self) -> Option<Key> {
+        None
+    }
+}
+
+impl<T: Hash + 'static> Keyed for T {
+    fn key(&self) -> Option<Key> {
+        let mut fields = FieldBytes(Vec::new());
+        self.hash(&mut fields);
+        Some(Key(std::any::TypeId::of::<T>(), fields.0))
+    }
+}
+
+/// A component's identity: its type and every byte its `Hash` writes, so
+/// two keys are equal exactly when the two values are of one type and
+/// hash their fields alike (no digest, so no collision).
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+pub struct Key(std::any::TypeId, Vec<u8>);
+
+/// A [`Hasher`] that keeps what it is fed.
+struct FieldBytes(Vec<u8>);
+
+impl Hasher for FieldBytes {
+    fn write(&mut self, bytes: &[u8]) {
+        self.0.extend_from_slice(bytes);
+    }
+
+    fn finish(&self) -> u64 {
+        unreachable!("a key keeps its bytes and is never finished")
+    }
 }
 
 /// Elaborates a component into a [`Design`].
@@ -96,6 +144,7 @@ fn build_proto(top: &dyn Component) -> (Proto, SignalId) {
         modules: vec![ModuleInfo {
             name: "top".to_string(),
             component: top.name(),
+            key: None,
             parent: None,
             children: Vec::new(),
             ports: Vec::new(),

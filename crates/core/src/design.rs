@@ -47,9 +47,15 @@ pub struct SignalInfo {
 pub struct ModuleInfo {
     /// Instance name within the parent (the root is named `top` by default).
     pub name: String,
-    /// Component type name (used for Verilog module names); includes
-    /// parameters, e.g. `Register_8`.
+    /// The component's label ([`Component::name`](crate::Component::name)),
+    /// e.g. `Register`: diagnostics, and the stem of its Verilog module name.
     pub component: String,
+    /// The component's [key](crate::Keyed), as an ordinal unique to it in
+    /// the design; `None` for a keyless component, for one holding a
+    /// keyless component, and for the top, which has no other instance.
+    /// Two modules with one key were built from equal component values:
+    /// the same hardware.
+    pub key: Option<u32>,
     /// Parent module, if any.
     pub parent: Option<ModuleId>,
     /// Child module instances.
@@ -129,8 +135,8 @@ impl fmt::Debug for BlockBody {
 /// The statements of an IR block, shared among the instances of a
 /// component.
 ///
-/// Elaboration builds each component name once and *stamps* its later
-/// instances (see [`Component::name`](crate::Component::name)): a stamped
+/// Elaboration builds each component key once and *stamps* its later
+/// instances (see [`Keyed`](crate::Keyed)): a stamped
 /// block holds the first instance's statements, unchanged, and the
 /// [`IdOffsets`] that carry the ids they name to its own. A tool reads
 /// [`IrBody::stmts`] and maps every `SignalId` and `MemId` it meets

@@ -69,7 +69,7 @@ pub enum UnaryOp {
 /// Expressions are built with [`BlockBuilder`](crate::BlockBuilder) and the
 /// operator overloads on [`Expr`]; they are pure and read only signal and
 /// memory state.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub enum Expr {
     /// Read the current value of a signal.
     Read(SignalId),

@@ -25,10 +25,10 @@
 //! ```
 //! use mtl_core::{elaborate, Component, Ctx};
 //!
+//! #[derive(Hash)]
 //! struct Register { nbits: u32 }
 //!
 //! impl Component for Register {
-//!     fn name(&self) -> String { format!("Register_{}", self.nbits) }
 //!     fn build(&self, c: &mut Ctx) {
 //!         let in_ = c.in_port("in_", self.nbits);
 //!         let out = c.out_port("out", self.nbits);
@@ -57,7 +57,7 @@ mod view;
 pub use adapters::{InValRdyQueue, OutValRdyQueue};
 pub use builder::{BlockBuilder, Ctx, Instance, MemRef, SignalRef, SwitchBuilder};
 pub use bundle::{ChildReqResp, InValRdy, OutValRdy, ParentReqResp};
-pub use component::{elaborate, elaborate_unchecked, Component};
+pub use component::{elaborate, elaborate_unchecked, Component, Key, Keyed};
 pub use design::{
     BlockBody, BlockInfo, BlockKind, Design, ElabError, IrBody, MemInfo, ModuleInfo, NativeFn,
     NativeLevel, NetInfo, SignalInfo, SignalKind,

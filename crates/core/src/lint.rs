@@ -437,13 +437,10 @@ mod tests {
     /// reads what `r` writes. Through the first writer the graph is the
     /// chain `w1 -> r -> w2`; through the last it would be the cycle
     /// `w2 -> r -> w2`.
+    #[derive(Hash)]
     struct LateSecondWriter;
 
     impl Component for LateSecondWriter {
-        fn name(&self) -> String {
-            "LateSecondWriter".into()
-        }
-
         fn build(&self, c: &mut Ctx) {
             let a = c.in_port("a", 8);
             let (n, m) = (c.wire("n", 8), c.wire("m", 8));
@@ -469,17 +466,15 @@ mod tests {
     }
 
     /// `u.in_` is tied, and with `written` also written by a block.
+    #[derive(Hash)]
     struct TiedInput {
         written: bool,
     }
 
+    #[derive(Hash)]
     struct Pass;
 
     impl Component for Pass {
-        fn name(&self) -> String {
-            "Pass".into()
-        }
-
         fn build(&self, c: &mut Ctx) {
             let (in_, out) = (c.in_port("in_", 4), c.out_port("out", 4));
             c.comb("pass", |b| b.assign(out, in_));
@@ -487,10 +482,6 @@ mod tests {
     }
 
     impl Component for TiedInput {
-        fn name(&self) -> String {
-            format!("TiedInput_{}", self.written)
-        }
-
         fn build(&self, c: &mut Ctx) {
             let u = c.instantiate("u", &Pass);
             let in_ = c.port_of(&u, "in_");

@@ -437,7 +437,7 @@ mod tests {
 
     /// `q = a + b; r = m[sel]` in one block, of every parameter a shape
     /// depends on.
-    #[derive(Clone, Copy)]
+    #[derive(Clone, Copy, Hash)]
     struct Cell {
         width: u32,
         words: u64,
@@ -448,11 +448,6 @@ mod tests {
     const BASE: Cell = Cell { width: 8, words: 4, mem_width: 8, seq: false };
 
     impl Component for Cell {
-        fn name(&self) -> String {
-            let Cell { width, words, mem_width, seq } = self;
-            format!("Cell_{width}_{words}x{mem_width}_{seq}")
-        }
-
         fn build(&self, c: &mut Ctx) {
             let (a, b) = (c.in_port("a", self.width), c.in_port("b", self.width));
             let sel = c.in_port("sel", 2);
@@ -473,13 +468,10 @@ mod tests {
 
     /// Cells side by side, `a` and `b` of each wired to the top inputs
     /// named (one name and width, one net).
+    #[derive(Hash)]
     struct Cells(Vec<(Cell, [&'static str; 2])>);
 
     impl Component for Cells {
-        fn name(&self) -> String {
-            "Cells".into()
-        }
-
         fn build(&self, c: &mut Ctx) {
             let sel = c.in_port("sel", 2);
             let mut inputs = Vec::new();
@@ -570,11 +562,9 @@ mod tests {
         assert_eq!(design.shapes, walked(&design));
 
         /// `u1`'s input `a` joins a 16-bit net under lenient elaboration.
+        #[derive(Hash)]
         struct Widened;
         impl Component for Widened {
-            fn name(&self) -> String {
-                "Widened".into()
-            }
             fn build(&self, c: &mut Ctx) {
                 let wide = c.in_port("wide", 16);
                 for i in 0..3 {
@@ -594,17 +584,13 @@ mod tests {
 
     /// `q = (a + k0) ^ k1; r = k2 & a`: three literals, the middle one
     /// `width` bits wide.
+    #[derive(Hash)]
     struct Lit {
         k: [u128; 3],
         width: u32,
     }
 
     impl Component for Lit {
-        fn name(&self) -> String {
-            let Lit { k: [k0, k1, k2], width } = self;
-            format!("Lit_{k0}_{k1}_{k2}_{width}")
-        }
-
         fn build(&self, c: &mut Ctx) {
             let a = c.in_port("a", 8);
             let (q, r) = (c.out_port("q", 8), c.out_port("r", 8));
@@ -624,11 +610,9 @@ mod tests {
     /// and a shape whose instances agree has no parameter.
     #[test]
     fn instances_differing_in_a_literal_share_a_shape_with_that_literal_a_parameter() {
+        #[derive(Hash)]
         struct Lits(Vec<Lit>);
         impl Component for Lits {
-            fn name(&self) -> String {
-                "Lits".into()
-            }
             fn build(&self, c: &mut Ctx) {
                 let a = c.in_port("a", 8);
                 for (i, lit) in self.0.iter().enumerate() {
@@ -673,11 +657,9 @@ mod tests {
         assert_eq!(lenient.shapes(), strict.shapes());
         assert_eq!(shapes(&lenient), shapes(&strict));
 
+        #[derive(Hash)]
         struct TwoDrivers;
         impl Component for TwoDrivers {
-            fn name(&self) -> String {
-                "TwoDrivers".into()
-            }
             fn build(&self, c: &mut Ctx) {
                 let (a, q) = (c.in_port("a", 8), c.out_port("q", 8));
                 c.comb("one", |b| b.assign(q, a));

@@ -4,11 +4,9 @@
 
 use mtl_core::{elaborate, Component, Ctx, ElabError, Expr};
 
+#[derive(Hash)]
 struct WidthMismatch;
 impl Component for WidthMismatch {
-    fn name(&self) -> String {
-        "WidthMismatch".into()
-    }
     fn build(&self, c: &mut Ctx) {
         let a = c.wire("a", 8);
         let b = c.wire("b", 4);
@@ -28,11 +26,9 @@ fn connect_width_mismatch_is_reported() {
     assert!(err.to_string().contains("cannot connect"));
 }
 
+#[derive(Hash)]
 struct MultiDriver;
 impl Component for MultiDriver {
-    fn name(&self) -> String {
-        "MultiDriver".into()
-    }
     fn build(&self, c: &mut Ctx) {
         let w = c.wire("w", 8);
         c.comb("blk_a", |b| b.assign(w, Expr::k(8, 1)));
@@ -47,11 +43,9 @@ fn multiple_drivers_are_reported() {
     assert!(err.to_string().contains("blk_a") && err.to_string().contains("blk_b"));
 }
 
+#[derive(Hash)]
 struct DriverOnInput;
 impl Component for DriverOnInput {
-    fn name(&self) -> String {
-        "DriverOnInput".into()
-    }
     fn build(&self, c: &mut Ctx) {
         let i = c.in_port("i", 4);
         c.comb("bad", |b| b.assign(i, Expr::k(4, 0)));
@@ -64,11 +58,9 @@ fn driving_a_top_level_input_is_reported() {
     assert!(err.to_string().contains("external"), "{err}");
 }
 
+#[derive(Hash)]
 struct CombLoop;
 impl Component for CombLoop {
-    fn name(&self) -> String {
-        "CombLoop".into()
-    }
     fn build(&self, c: &mut Ctx) {
         let a = c.wire("a", 1);
         let b_ = c.wire("b", 1);
@@ -83,11 +75,9 @@ fn combinational_cycles_are_reported() {
     assert!(matches!(err, ElabError::CombCycle { .. }), "{err}");
 }
 
+#[derive(Hash)]
 struct SelfReadBlock;
 impl Component for SelfReadBlock {
-    fn name(&self) -> String {
-        "SelfReadBlock".into()
-    }
     fn build(&self, c: &mut Ctx) {
         let i = c.in_port("i", 8);
         let t = c.wire("t", 8);
@@ -106,11 +96,9 @@ fn define_before_use_in_one_block_is_legal() {
     assert_eq!(design.blocks().len(), 1);
 }
 
+#[derive(Hash)]
 struct BadWidthExpr;
 impl Component for BadWidthExpr {
-    fn name(&self) -> String {
-        "BadWidthExpr".into()
-    }
     fn build(&self, c: &mut Ctx) {
         let a = c.in_port("a", 8);
         let o = c.out_port("o", 4);
@@ -130,11 +118,9 @@ fn ir_width_errors_are_reported_with_block_path() {
     }
 }
 
+#[derive(Hash)]
 struct MemTwoWriters;
 impl Component for MemTwoWriters {
-    fn name(&self) -> String {
-        "MemTwoWriters".into()
-    }
     fn build(&self, c: &mut Ctx) {
         let m = c.mem("m", 4, 8);
         c.seq("w1", |b| b.mem_write(m, Expr::k(2, 0), Expr::k(8, 1)));
@@ -148,11 +134,9 @@ fn two_memory_writers_are_reported() {
     assert!(matches!(err, ElabError::BadMemUse { .. }), "{err}");
 }
 
+#[derive(Hash)]
 struct CombMemWrite;
 impl Component for CombMemWrite {
-    fn name(&self) -> String {
-        "CombMemWrite".into()
-    }
     fn build(&self, c: &mut Ctx) {
         let m = c.mem("m", 4, 8);
         c.comb("bad", |b| b.mem_write(m, Expr::k(2, 0), Expr::k(8, 1)));
@@ -165,28 +149,22 @@ fn combinational_memory_writes_are_rejected() {
     assert!(err.to_string().contains("sequential"), "{err}");
 }
 
+#[derive(Hash)]
 struct DeepHierarchy;
 impl Component for DeepHierarchy {
-    fn name(&self) -> String {
-        "DeepHierarchy".into()
-    }
     fn build(&self, c: &mut Ctx) {
+        #[derive(Hash)]
         struct Leaf;
         impl Component for Leaf {
-            fn name(&self) -> String {
-                "Leaf".into()
-            }
             fn build(&self, c: &mut Ctx) {
                 let i = c.in_port("i", 4);
                 let o = c.out_port("o", 4);
                 c.comb("inv", |b| b.assign(o, !i.ex()));
             }
         }
+        #[derive(Hash)]
         struct Mid;
         impl Component for Mid {
-            fn name(&self) -> String {
-                "Mid".into()
-            }
             fn build(&self, c: &mut Ctx) {
                 let i = c.in_port("i", 4);
                 let o = c.out_port("o", 4);
@@ -219,13 +197,11 @@ fn hierarchical_paths_are_dotted() {
 }
 
 /// `q = a` with `a` of `in_width` bits and `q` of 8: ill-typed unless 8.
+#[derive(Hash)]
 struct Narrowing {
     in_width: u32,
 }
 impl Component for Narrowing {
-    fn name(&self) -> String {
-        format!("Narrowing_{}", self.in_width)
-    }
     fn build(&self, c: &mut Ctx) {
         let a = c.in_port("a", self.in_width);
         let q = c.out_port("q", 8);
@@ -235,11 +211,9 @@ impl Component for Narrowing {
 
 /// A well-typed instance, then two ill-typed instances of one shape, then
 /// an ill-typed instance of another.
+#[derive(Hash)]
 struct TwoBadInstances;
 impl Component for TwoBadInstances {
-    fn name(&self) -> String {
-        "TwoBadInstances".into()
-    }
     fn build(&self, c: &mut Ctx) {
         for (i, in_width) in [8, 4, 4, 2].into_iter().enumerate() {
             c.instantiate(&format!("u{i}"), &Narrowing { in_width });
@@ -266,6 +240,7 @@ fn type_errors_name_the_first_ill_typed_instance() {
 /// `also`, a second value to the same net through `u1`'s input, which the
 /// parent connects to `u0`'s; with `written`, a block of the parent writes
 /// the tied net too.
+#[derive(Hash)]
 struct Tied {
     value: u128,
     also: Option<u128>,
@@ -273,11 +248,9 @@ struct Tied {
 }
 
 /// A 4-bit input read into an output.
+#[derive(Hash)]
 struct Sink;
 impl Component for Sink {
-    fn name(&self) -> String {
-        "Sink".into()
-    }
     fn build(&self, c: &mut Ctx) {
         let (in_, out) = (c.in_port("in_", 4), c.out_port("out", 4));
         c.comb("pass", |b| b.assign(out, in_));
@@ -285,9 +258,6 @@ impl Component for Sink {
 }
 
 impl Component for Tied {
-    fn name(&self) -> String {
-        format!("Tied_{:x}_{:?}_{}", self.value, self.also, self.written)
-    }
     fn build(&self, c: &mut Ctx) {
         let u0 = c.instantiate("u0", &Sink);
         let in0 = c.port_of(&u0, "in_");
@@ -351,11 +321,9 @@ fn two_different_ties_on_one_net_are_reported() {
 
 #[test]
 fn a_tie_on_a_top_level_input_is_reported() {
+    #[derive(Hash)]
     struct TiesItsInput;
     impl Component for TiesItsInput {
-        fn name(&self) -> String {
-            "TiesItsInput".into()
-        }
         fn build(&self, c: &mut Ctx) {
             let i = c.in_port("i", 4);
             c.tie(i, 2);

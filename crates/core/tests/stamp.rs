@@ -1,10 +1,12 @@
-//! Stamping: elaboration builds each component name once and copies its
-//! later instances from that build, unless the build has a native block.
-//! Debug builds re-run every stamped `build` and check the copy.
+//! Stamping: elaboration builds each component key once and copies its
+//! later instances from that build, unless the build has a native block or
+//! a keyless component. Debug builds re-run every stamped `build` and check
+//! the copy.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::hash::{Hash, Hasher};
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 
-use mtl_core::{elaborate, BlockBody, BlockId, Component, Ctx, Design, ElabError, Expr};
+use mtl_core::{elaborate, BlockBody, BlockId, Component, Ctx, Design, ElabError, Expr, Keyed};
 
 /// `out = in_`, counting its builds; `native` adds a CL block.
 struct Leaf {
@@ -12,11 +14,15 @@ struct Leaf {
     native: bool,
 }
 
-impl Component for Leaf {
-    fn name(&self) -> String {
-        format!("Leaf_{}", self.native)
+/// Keyed by the counter it bumps, by address, and by `native`.
+impl Hash for Leaf {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        std::ptr::hash(self.builds, state);
+        self.native.hash(state);
     }
+}
 
+impl Component for Leaf {
     fn build(&self, c: &mut Ctx) {
         self.builds.fetch_add(1, Ordering::Relaxed);
         let in_ = c.in_port("in_", 8);
@@ -39,11 +45,9 @@ struct Row<'a> {
     child: &'a dyn Component,
 }
 
-impl Component for Row<'_> {
-    fn name(&self) -> String {
-        format!("Row_{}_{}", self.n, self.child.name())
-    }
+impl Keyed for Row<'_> {}
 
+impl Component for Row<'_> {
     fn build(&self, c: &mut Ctx) {
         for i in 0..self.n {
             let u = c.instantiate(&format!("u{i}"), self.child);
@@ -99,11 +103,9 @@ fn a_subtree_with_a_native_block_is_rebuilt() {
     assert_eq!(NATIVE.load(Ordering::Relaxed), 4, "never stamped");
 
     // A native-free child of a rebuilt subtree is still stamped.
+    #[derive(Hash)]
     struct Outer(Leaf, Leaf);
     impl Component for Outer {
-        fn name(&self) -> String {
-            "Outer".into()
-        }
         fn build(&self, c: &mut Ctx) {
             let (in_, out) = (c.in_port("in_", 8), c.out_port("out", 8));
             let native = c.instantiate("native", &self.0);
@@ -119,33 +121,91 @@ fn a_subtree_with_a_native_block_is_rebuilt() {
     assert_eq!(INNER.load(Ordering::Relaxed), 1 + 2 * CHECK);
 }
 
-/// Two instances of one name whose builds differ: the name breaks its
+/// `out = k`, a constant of 8 bits.
+#[derive(Hash)]
+struct Konst(u32);
+
+impl Component for Konst {
+    fn build(&self, c: &mut Ctx) {
+        let out = c.out_port("out", 8);
+        c.comb("k", |b| b.assign(out, Expr::k(8, self.0.into())));
+    }
+}
+
+/// Two components side by side under `u0` and `u1`.
+struct Pair<'a>(&'a dyn Component, &'a dyn Component);
+
+impl Keyed for Pair<'_> {}
+
+impl Component for Pair<'_> {
+    fn build(&self, c: &mut Ctx) {
+        c.instantiate("u0", self.0);
+        c.instantiate("u1", self.1);
+    }
+}
+
+/// Two instances that differ in a field are two keys: each is built, in
+/// debug and release alike, and each keeps its own constant.
+#[test]
+fn instances_differing_in_a_field_are_two_keys_each_built() {
+    let design = elaborate(&Pair(&Konst(1), &Konst(2))).unwrap();
+    let [u0, u1] = design.module(design.top()).children[..] else { panic!("two children") };
+    assert_eq!(design.module(u0).component, "Konst", "the label is the type's name");
+    assert_eq!(design.module(u1).component, "Konst");
+    assert_ne!(design.module(u0).key, design.module(u1).key);
+    let built = |b| design.block_source(BlockId::from_index(b)).is_none();
+    assert!(built(0) && built(1), "neither is a stamp");
+    let design = elaborate(&Pair(&Konst(1), &Konst(1))).unwrap();
+    let [u0, u1] = design.module(design.top()).children[..] else { panic!("two children") };
+    assert_eq!(design.module(u0).key, design.module(u1).key, "equal values are one key");
+    assert_eq!(design.block_source(BlockId::from_index(1)), Some(BlockId::from_index(0)));
+}
+
+/// A keyless component is built at every instance, and so is a keyed one
+/// holding it, which is keyless too; what they hold is still stamped.
+#[test]
+fn a_keyless_component_and_its_holder_are_built_at_every_instance() {
+    #[derive(Hash)]
+    struct Holder;
+    impl Component for Holder {
+        fn build(&self, c: &mut Ctx) {
+            static BUILDS: AtomicUsize = AtomicUsize::new(0);
+            let leaf = Leaf { builds: &BUILDS, native: false };
+            let row = c.instantiate("row", &Row { n: 1, child: &leaf });
+            let (in0, out) = (c.port_of(&row, "in0"), c.out_port("out", 8));
+            c.connect(c.port_of(&row, "out0"), out);
+            c.comb("own", |b| b.assign(in0, Expr::k(8, 3)));
+        }
+    }
+    let design = elaborate(&Pair(&Holder, &Holder)).unwrap();
+    let [u0, u1] = design.module(design.top()).children[..] else { panic!("two children") };
+    let key = |m| design.module(m).key;
+    let row = |m| design.module(m).children[0];
+    assert_eq!([key(u0), key(u1), key(row(u0)), key(row(u1))], [None; 4], "all keyless");
+    // Per holder: its leaf's `pass`, then its own block.
+    let sources: Vec<_> = (0..4).map(|b| design.block_source(BlockId::from_index(b))).collect();
+    let first = Some(BlockId::from_index(0));
+    assert_eq!(sources, [None, None, first, None], "the leaf stamped, the holder built");
+}
+
+/// Two instances of one key whose builds differ: the fields break their
 /// contract.
 #[cfg(debug_assertions)]
 #[test]
-#[should_panic(expected = "component `Liar` builds differently at instance `u1`")]
-fn a_name_that_does_not_determine_the_build_panics_naming_it() {
-    struct Liar(u32);
+#[should_panic(expected = "component `Liar` builds differently at instance `u1` (blocks differ): \
+                           its fields must determine everything its `build` does")]
+fn a_build_its_fields_do_not_determine_panics_naming_it() {
+    static NEXT: AtomicU32 = AtomicU32::new(0);
+    #[derive(Hash)]
+    struct Liar;
     impl Component for Liar {
-        fn name(&self) -> String {
-            "Liar".into()
-        }
         fn build(&self, c: &mut Ctx) {
+            let k = NEXT.fetch_add(1, Ordering::Relaxed);
             let out = c.out_port("out", 8);
-            c.comb("k", |b| b.assign(out, Expr::k(8, self.0.into())));
+            c.comb("k", |b| b.assign(out, Expr::k(8, k.into())));
         }
     }
-    struct Pair;
-    impl Component for Pair {
-        fn name(&self) -> String {
-            "Pair".into()
-        }
-        fn build(&self, c: &mut Ctx) {
-            c.instantiate("u0", &Liar(1));
-            c.instantiate("u1", &Liar(2));
-        }
-    }
-    let _ = elaborate(&Pair);
+    let _ = elaborate(&Pair(&Liar, &Liar));
 }
 
 #[test]
@@ -180,11 +240,9 @@ fn editing_one_stamped_block_leaves_its_siblings() {
 /// instance, with the same error a build of every instance gives.
 #[test]
 fn a_width_mismatch_in_a_stamped_component_names_its_first_instance() {
+    #[derive(Hash)]
     struct Bad;
     impl Component for Bad {
-        fn name(&self) -> String {
-            "Bad".into()
-        }
         fn build(&self, c: &mut Ctx) {
             let (x, y) = (c.wire("x", 8), c.wire("y", 4));
             c.connect(x, y);
@@ -203,13 +261,10 @@ fn a_width_mismatch_in_a_stamped_component_names_its_first_instance() {
 }
 
 /// `out = in_ + k`, with the addend `k` an input its parent ties.
+#[derive(Hash)]
 struct Biased;
 
 impl Component for Biased {
-    fn name(&self) -> String {
-        "Biased".into()
-    }
-
     fn build(&self, c: &mut Ctx) {
         let (in_, k, out) = (c.in_port("in_", 8), c.in_port("k", 8), c.out_port("out", 8));
         c.comb("add", |b| b.assign(out, in_ + k));
@@ -217,13 +272,10 @@ impl Component for Biased {
 }
 
 /// Two [`Biased`] in a chain, tied to `a` and `b`: `out = in_ + a + b`.
+#[derive(Hash)]
 struct Chain(u128, u128);
 
 impl Component for Chain {
-    fn name(&self) -> String {
-        format!("Chain_{}_{}", self.0, self.1)
-    }
-
     fn build(&self, c: &mut Ctx) {
         let (in_, out) = (c.in_port("in_", 8), c.out_port("out", 8));
         let (u0, u1) = (c.instantiate("u0", &Biased), c.instantiate("u1", &Biased));

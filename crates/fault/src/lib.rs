@@ -28,9 +28,9 @@
 //! use mtl_fault::{DiffConfig, Fault, FaultKind, FaultPlan, run_diff};
 //! use mtl_sim::Engine;
 //!
+//! #[derive(Hash)]
 //! struct Counter;
 //! impl Component for Counter {
-//!     fn name(&self) -> String { "Counter".into() }
 //!     fn build(&self, c: &mut Ctx) {
 //!         let out = c.out_port("out", 8);
 //!         let state = c.wire("state", 8);
@@ -67,13 +67,10 @@ mod tests {
     use mtl_sim::{Engine, InjectKind, Injection, Sim};
 
     /// An 8-bit counter feeding a comb mirror and a parity bit.
+    #[derive(Hash)]
     struct Counter;
 
     impl Component for Counter {
-        fn name(&self) -> String {
-            "Counter".into()
-        }
-
         fn build(&self, c: &mut Ctx) {
             let out = c.out_port("out", 8);
             let parity = c.out_port("parity", 1);
@@ -99,13 +96,10 @@ mod tests {
     /// An accumulator whose low nibble is architecturally invisible:
     /// `live` exposes only the high nibble, but the register holds every
     /// bit — a flip in the low nibble persists without ever surfacing.
+    #[derive(Hash)]
     struct DeadNibble;
 
     impl Component for DeadNibble {
-        fn name(&self) -> String {
-            "DeadNibble".into()
-        }
-
         fn build(&self, c: &mut Ctx) {
             let in_ = c.in_port("in_", 8);
             let live = c.out_port("live", 4);

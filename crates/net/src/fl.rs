@@ -13,6 +13,7 @@ use mtl_core::{Component, Ctx};
 use crate::msg::net_msg_layout;
 
 /// The FL "magic crossbar" network with `nrouters` terminals.
+#[derive(Hash)]
 pub struct NetworkFL {
     nrouters: usize,
     payload_nbits: u32,
@@ -35,10 +36,6 @@ impl NetworkFL {
 }
 
 impl Component for NetworkFL {
-    fn name(&self) -> String {
-        format!("NetworkFL_{}x{}", self.nrouters, self.payload_nbits)
-    }
-
     fn build(&self, c: &mut Ctx) {
         let layout = net_msg_layout(self.nrouters, self.payload_nbits);
         let w = layout.width();

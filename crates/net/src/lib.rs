@@ -60,18 +60,6 @@ pub const TERM: usize = 4;
 /// Number of router ports.
 pub const NPORTS: usize = 5;
 
-/// The name suffix of a buffer depth: empty at the default depth of 2, so
-/// every name (and Verilog module) of a default-depth network stays as it
-/// was, and `_e{nentries}` otherwise, so meshes of different depth never
-/// share a module name.
-pub(crate) fn depth_suffix(nentries: u64) -> String {
-    if nentries == 2 {
-        String::new()
-    } else {
-        format!("_e{nentries}")
-    }
-}
-
 /// XY dimension-ordered routing: the output port a packet at router `my`
 /// headed for router `dest` takes, in a `side`×`side` mesh.
 ///

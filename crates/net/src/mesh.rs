@@ -4,12 +4,12 @@
 //! structural code instantiates CL or RTL routers — the paper's key reuse
 //! point: swap the router model, keep the network.
 
-use mtl_core::{Component, Ctx};
+use mtl_core::{Component, Ctx, Keyed};
 
 use crate::fl::NetworkFL;
 use crate::router_cl::RouterCL;
 use crate::router_rtl::RouterRTL;
-use crate::{depth_suffix, EAST, NORTH, SOUTH, TERM, WEST};
+use crate::{EAST, NORTH, SOUTH, TERM, WEST};
 
 /// Abstraction level of a network model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -54,7 +54,6 @@ pub struct MeshNetworkStructural {
     /// Per router `id`, the input ports the mesh ties and their values
     /// (an RTL router's coordinates; nothing for a CL router).
     router_ties: Box<dyn Fn(usize) -> Vec<(&'static str, u128)>>,
-    name: String,
 }
 
 impl MeshNetworkStructural {
@@ -64,7 +63,6 @@ impl MeshNetworkStructural {
     ///
     /// Panics if `nrouters` is not a perfect square.
     pub fn new(
-        name: impl Into<String>,
         nrouters: usize,
         payload_nbits: u32,
         router_factory: Box<dyn Fn(usize) -> Box<dyn Component>>,
@@ -72,13 +70,12 @@ impl MeshNetworkStructural {
         let side = (nrouters as f64).sqrt() as usize;
         assert_eq!(side * side, nrouters, "nrouters must be a perfect square");
         let router_ties = Box::new(|_| Vec::new());
-        Self { nrouters, payload_nbits, router_factory, router_ties, name: name.into() }
+        Self { nrouters, payload_nbits, router_factory, router_ties }
     }
 
     /// A mesh of cycle-level routers.
     pub fn cl(nrouters: usize, payload_nbits: u32, nentries: usize) -> Self {
         Self::new(
-            format!("MeshCL_{nrouters}x{payload_nbits}{}", depth_suffix(nentries as u64)),
             nrouters,
             payload_nbits,
             Box::new(move |id| Box::new(RouterCL::new(id, nrouters, payload_nbits, nentries))),
@@ -91,21 +88,15 @@ impl MeshNetworkStructural {
         let router = move || RouterRTL::new(nrouters, payload_nbits, nentries);
         Self {
             router_ties: Box::new(move |id| router().position(id).to_vec()),
-            ..Self::new(
-                format!("MeshRTL_{nrouters}x{payload_nbits}{}", depth_suffix(nentries)),
-                nrouters,
-                payload_nbits,
-                Box::new(move |_| Box::new(router())),
-            )
+            ..Self::new(nrouters, payload_nbits, Box::new(move |_| Box::new(router())))
         }
     }
 }
 
-impl Component for MeshNetworkStructural {
-    fn name(&self) -> String {
-        self.name.clone()
-    }
+/// Keyless: its routers come from a factory closure.
+impl Keyed for MeshNetworkStructural {}
 
+impl Component for MeshNetworkStructural {
     fn build(&self, c: &mut Ctx) {
         let layout = crate::net_msg_layout(self.nrouters, self.payload_nbits);
         let w = layout.width();

@@ -14,6 +14,7 @@ use crate::{xy_route, NPORTS};
 /// Microarchitecture: per-input elastic buffers, round-robin arbitration
 /// per output, and per-output staging buffers — one packet per output per
 /// cycle, two cycles per hop.
+#[derive(Hash)]
 pub struct RouterCL {
     id: usize,
     nrouters: usize,
@@ -31,11 +32,6 @@ impl RouterCL {
 }
 
 impl Component for RouterCL {
-    fn name(&self) -> String {
-        let depth = crate::depth_suffix(self.nentries as u64);
-        format!("RouterCL_{}_{}x{}{depth}", self.id, self.nrouters, self.payload_nbits)
-    }
-
     fn build(&self, c: &mut Ctx) {
         let layout = net_msg_layout(self.nrouters, self.payload_nbits);
         let w = layout.width();

@@ -15,6 +15,7 @@ use crate::{EAST, NORTH, NPORTS, SOUTH, TERM, WEST};
 /// coordinates are the `pos_x` and `pos_y` input ports (log2(side) bits
 /// each), which the mesh ties per instance (see [`RouterRTL::position`]):
 /// every router of a mesh is one component, built once and stamped.
+#[derive(Hash)]
 pub struct RouterRTL {
     nrouters: usize,
     payload_nbits: u32,
@@ -42,11 +43,6 @@ impl RouterRTL {
 }
 
 impl Component for RouterRTL {
-    fn name(&self) -> String {
-        let depth = crate::depth_suffix(self.nentries);
-        format!("RouterRTL_{}x{}{depth}", self.nrouters, self.payload_nbits)
-    }
-
     fn build(&self, c: &mut Ctx) {
         let layout = net_msg_layout(self.nrouters, self.payload_nbits);
         let w = layout.width();
@@ -220,7 +216,7 @@ mod tests {
     fn rtl_router_is_verilog_translatable() {
         let design = mtl_core::elaborate(&RouterRTL::new(16, 8, 2)).unwrap();
         let verilog = mtl_translate::translate(&design).unwrap();
-        assert!(verilog.contains("module RouterRTL_16x8 ("));
+        assert!(verilog.contains("module RouterRTL ("));
         assert!(verilog.contains("input [1:0] pos_x;"), "coordinates are ports");
         // Round-trip: reparse and make sure it still elaborates.
         let lib = mtl_translate::VerilogLibrary::parse(&verilog).unwrap();

@@ -13,7 +13,7 @@ use std::sync::{Arc, Mutex};
 use crate::mesh::{network, NetLevel};
 use crate::msg::net_msg_layout;
 use mtl_bits::Bits;
-use mtl_core::{Component, Ctx, Expr};
+use mtl_core::{Component, Ctx, Expr, Keyed};
 
 /// Aggregate traffic statistics shared by all terminals of a harness.
 #[derive(Debug, Default, Clone)]
@@ -171,11 +171,10 @@ impl TrafficGen {
     }
 }
 
-impl Component for TrafficGen {
-    fn name(&self) -> String {
-        format!("TrafficGen_{}_{}", self.id, self.nrouters)
-    }
+/// Keyless: it adds to a shared statistics record.
+impl Keyed for TrafficGen {}
 
+impl Component for TrafficGen {
     fn build(&self, c: &mut Ctx) {
         let layout = net_msg_layout(self.nrouters, self.payload_nbits);
         let w = layout.width();
@@ -304,11 +303,10 @@ impl MeshTrafficHarness {
     }
 }
 
-impl Component for MeshTrafficHarness {
-    fn name(&self) -> String {
-        format!("MeshTrafficHarness_{}_{}", self.level, self.nrouters)
-    }
+/// Keyless: it collects statistics in a shared record.
+impl Keyed for MeshTrafficHarness {}
 
+impl Component for MeshTrafficHarness {
     fn build(&self, c: &mut Ctx) {
         let net = network(self.level, self.nrouters, self.payload_nbits, self.nentries);
         let net_inst = c.instantiate("net", &*net);
@@ -350,6 +348,7 @@ impl Component for MeshTrafficHarness {
 /// [`RtlTrafficGen::terminal_ties`]): `seed`, the LFSR's reset value, and
 /// `src`, the terminal's own index. Every generator of a harness is then
 /// one component, built once and stamped.
+#[derive(Hash)]
 pub struct RtlTrafficGen {
     nrouters: usize,
     payload_nbits: u32,
@@ -375,11 +374,6 @@ impl RtlTrafficGen {
 }
 
 impl Component for RtlTrafficGen {
-    fn name(&self) -> String {
-        let Self { nrouters, payload_nbits, injection_permille } = self;
-        format!("RtlTrafficGen_{nrouters}x{payload_nbits}_i{injection_permille}")
-    }
-
     fn build(&self, c: &mut Ctx) {
         let layout = net_msg_layout(self.nrouters, self.payload_nbits);
         let w = layout.width();
@@ -461,6 +455,7 @@ impl Component for RtlTrafficGen {
 /// latency/throughput statistics), while this harness trades the stats
 /// machinery for lane-parallel simulability — `Engine::SpecializedBatch`
 /// runs 64 independent fault trials of it per tape pass.
+#[derive(Hash)]
 pub struct MeshTrafficRtlHarness {
     /// Number of terminals (a perfect square with power-of-two side).
     pub nrouters: usize,
@@ -480,11 +475,6 @@ impl MeshTrafficRtlHarness {
 }
 
 impl Component for MeshTrafficRtlHarness {
-    fn name(&self) -> String {
-        let Self { nrouters, payload_nbits, injection_permille, seed } = self;
-        format!("MeshTrafficRtlHarness_{nrouters}x{payload_nbits}_i{injection_permille}_s{seed:x}")
-    }
-
     fn build(&self, c: &mut Ctx) {
         let net = network(NetLevel::Rtl, self.nrouters, self.payload_nbits, 2);
         let net_inst = c.instantiate("net", &*net);

@@ -3,7 +3,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use mtl_core::{Component, Ctx};
+use mtl_core::{Component, Ctx, Keyed};
 use mtl_net::{network, NetLevel, NetStats, TrafficGen};
 use mtl_sim::{Engine, Sim};
 
@@ -14,11 +14,10 @@ struct LimitedHarness {
     stats: Arc<Mutex<NetStats>>,
 }
 
-impl Component for LimitedHarness {
-    fn name(&self) -> String {
-        format!("LimitedHarness_{}_{}", self.level, self.nrouters)
-    }
+/// Keyless: its generators count into a shared record.
+impl Keyed for LimitedHarness {}
 
+impl Component for LimitedHarness {
     fn build(&self, c: &mut Ctx) {
         let net = network(self.level, self.nrouters, 32, 2);
         let net = c.instantiate("net", &*net);
@@ -100,10 +99,8 @@ fn full_rtl_mesh_survives_verilog_round_trip() {
         net: mtl_translate::VerilogComponent<'a>,
         stats: Arc<Mutex<NetStats>>,
     }
+    impl Keyed for RoundTrip<'_> {}
     impl Component for RoundTrip<'_> {
-        fn name(&self) -> String {
-            "RoundTripMesh".into()
-        }
         fn build(&self, c: &mut Ctx) {
             let net = c.instantiate("net", &self.net);
             for i in 0..16 {

@@ -1,9 +1,9 @@
-//! Buffer depth is part of a mesh's identity: one design may hold RTL
+//! Buffer depth is a field of a router's key: one design may hold RTL
 //! meshes of different depth, and each keeps its own router module.
 
 use std::sync::{Arc, Mutex};
 
-use mtl_core::{Component, Ctx};
+use mtl_core::{Component, Ctx, Keyed};
 use mtl_net::{network, NetLevel, NetStats, TrafficGen};
 use mtl_sim::{Engine, Sim};
 
@@ -16,11 +16,10 @@ struct Meshes {
     stats: Option<Vec<Arc<Mutex<NetStats>>>>,
 }
 
-impl Component for Meshes {
-    fn name(&self) -> String {
-        format!("Meshes_{:?}_{}", self.depths, self.stats.is_some())
-    }
+/// Keyless: its generators count into shared records.
+impl Keyed for Meshes {}
 
+impl Component for Meshes {
     fn build(&self, c: &mut Ctx) {
         for (k, &depth) in self.depths.iter().enumerate() {
             let net =
@@ -64,14 +63,16 @@ fn meshes_of_different_depth_keep_distinct_routers() {
     let design = mtl_core::elaborate(&Meshes { depths: vec![2, 4], stats: None }).unwrap();
     let router = |k: usize| {
         let net = design.module(design.top()).children[k];
-        design.module(design.module(net).children[0]).component.clone()
+        design.module(design.module(net).children[0])
     };
-    assert_eq!(router(0), "RouterRTL_16x32", "the default depth keeps its old name");
-    assert_eq!(router(1), "RouterRTL_16x32_e4");
+    assert_eq!(
+        (router(0).component.as_str(), router(1).component.as_str()),
+        ("RouterRTL", "RouterRTL")
+    );
+    assert_ne!(router(0).key, router(1).key, "the depth is in the router's key");
     let verilog = mtl_translate::translate(&design).unwrap();
-    assert!(verilog.contains("module RouterRTL_16x32 ("), "depth-2 router emitted");
-    assert!(verilog.contains("module RouterRTL_16x32_e4 ("), "depth-4 router emitted");
-    assert!(verilog.contains("module MeshRTL_16x32_e4 ("), "depth-4 mesh emitted");
+    assert!(verilog.contains("module RouterRTL_1 ("), "depth-2 router emitted");
+    assert!(verilog.contains("module RouterRTL_2 ("), "depth-4 router emitted");
     // The coordinates are tied ports, so the 16 routers of a mesh are one
     // module per buffer depth.
     assert_eq!(verilog.matches("module RouterRTL_").count(), 2, "one router module per depth");

@@ -16,6 +16,7 @@ pub const WORDS_PER_LINE: usize = 4;
 /// * Read miss: refills the whole line from memory word by word, then
 ///   responds.
 /// * Writes: write-through, no-allocate (hit updates the line).
+#[derive(Hash)]
 pub struct CacheCL {
     nlines: usize,
 }
@@ -33,10 +34,6 @@ impl CacheCL {
 }
 
 impl Component for CacheCL {
-    fn name(&self) -> String {
-        format!("CacheCL_{}", self.nlines)
-    }
-
     fn build(&self, c: &mut Ctx) {
         let req_l = mem_req_layout();
         let resp_l = mem_resp_layout();

@@ -9,13 +9,10 @@ use mtl_core::{Component, Ctx, InValRdyQueue, OutValRdyQueue};
 use crate::mem_msg::{mem_req_layout, mem_resp_layout};
 
 /// An FL cache: forwards `proc_*` requests to `mem_*` unchanged.
+#[derive(Hash)]
 pub struct CacheFL;
 
 impl Component for CacheFL {
-    fn name(&self) -> String {
-        "CacheFL".to_string()
-    }
-
     fn build(&self, c: &mut Ctx) {
         let req_w = mem_req_layout().width();
         let resp_w = mem_resp_layout().width();

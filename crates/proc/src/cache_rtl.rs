@@ -15,6 +15,7 @@ const WT_ACK: u128 = 5;
 const RESP: u128 = 6;
 
 /// An RTL direct-mapped blocking cache with four-word lines.
+#[derive(Hash)]
 pub struct CacheRTL {
     nlines: u64,
 }
@@ -33,10 +34,6 @@ impl CacheRTL {
 }
 
 impl Component for CacheRTL {
-    fn name(&self) -> String {
-        format!("CacheRTL_{}", self.nlines)
-    }
-
     #[allow(clippy::too_many_lines)]
     fn build(&self, c: &mut Ctx) {
         let req_l = mem_req_layout();

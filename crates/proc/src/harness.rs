@@ -5,7 +5,7 @@
 use std::sync::{Arc, Mutex};
 
 use mtl_bits::Bits;
-use mtl_core::{Component, Ctx};
+use mtl_core::{Component, Ctx, Keyed};
 use mtl_sim::{Engine, Sim};
 
 use crate::proc_cl::ProcCL;
@@ -126,11 +126,10 @@ impl MngrAdapter {
     }
 }
 
-impl Component for MngrAdapter {
-    fn name(&self) -> String {
-        "MngrAdapter".to_string()
-    }
+/// Keyless: it collects outputs in a shared buffer.
+impl Keyed for MngrAdapter {}
 
+impl Component for MngrAdapter {
     fn build(&self, c: &mut Ctx) {
         // `to_proc` drives the processor's mngr2proc input; `from_proc`
         // consumes its proc2mngr output.
@@ -172,7 +171,6 @@ impl Component for MngrAdapter {
 /// Top ports: `halted` (1 bit) and `instret` (32 bits).
 pub struct ProcMemHarness {
     level: ProcLevel,
-    mem_words: usize,
     mngr: MngrAdapter,
     mem: TestMemory,
 }
@@ -182,7 +180,6 @@ impl ProcMemHarness {
     pub fn new(level: ProcLevel, mem_words: usize, mem_latency: u64, inputs: Vec<u32>) -> Self {
         Self {
             level,
-            mem_words,
             mngr: MngrAdapter::new(inputs),
             mem: TestMemory::new(2, mem_words, mem_latency),
         }
@@ -199,11 +196,10 @@ impl ProcMemHarness {
     }
 }
 
-impl Component for ProcMemHarness {
-    fn name(&self) -> String {
-        format!("ProcMemHarness_{}_{}w", self.level, self.mem_words)
-    }
+/// Keyless: its memory and manager adapter hold shared handles.
+impl Keyed for ProcMemHarness {}
 
+impl Component for ProcMemHarness {
     fn build(&self, c: &mut Ctx) {
         let halted = c.out_port("halted", 1);
         let instret = c.out_port("instret", 32);

@@ -149,7 +149,7 @@ const _: fn(Bits) = |_| {};
 mod tests {
     use super::*;
     use crate::test_memory::TestMemory;
-    use mtl_core::{Component, Ctx};
+    use mtl_core::{Component, Ctx, Keyed};
     use mtl_sim::{Engine, Sim};
     use std::sync::{Arc, Mutex};
 
@@ -160,11 +160,8 @@ mod tests {
         mem: TestMemory,
     }
 
+    impl Keyed for ProxyUser {}
     impl Component for ProxyUser {
-        fn name(&self) -> String {
-            "ProxyUser".into()
-        }
-
         fn build(&self, c: &mut Ctx) {
             let done = c.out_port("done", 1);
             let mem = c.instantiate("mem", &self.mem);

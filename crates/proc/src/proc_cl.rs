@@ -21,13 +21,10 @@ const MAX_INFLIGHT_FETCH: usize = 2;
 /// branches flush in-flight fetches (an epoch counter drops stale
 /// responses), which naturally models the branch penalty. Loads block
 /// execution until their response returns, stores retire when accepted.
+#[derive(Hash)]
 pub struct ProcCL;
 
 impl Component for ProcCL {
-    fn name(&self) -> String {
-        "ProcCL".to_string()
-    }
-
     fn build(&self, c: &mut Ctx) {
         let req_l = mem_req_layout();
         let resp_l = mem_resp_layout();

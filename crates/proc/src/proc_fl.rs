@@ -63,13 +63,10 @@ enum S {
 /// Ports: `imem_req/resp`, `dmem_req/resp`, `xcel_req/resp` parent
 /// bundles; `proc2mngr` out and `mngr2proc` in bundles; a 1-bit `halted`
 /// output and a 32-bit `instret` retired-instruction counter.
+#[derive(Hash)]
 pub struct ProcFL;
 
 impl Component for ProcFL {
-    fn name(&self) -> String {
-        "ProcFL".to_string()
-    }
-
     fn build(&self, c: &mut Ctx) {
         let req_l = mem_req_layout();
         let resp_l = mem_resp_layout();

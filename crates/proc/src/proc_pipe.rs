@@ -119,13 +119,10 @@ fn decode(c: &mut Ctx, prefix: &str, instr: SignalRef) -> Decode {
 
 /// The 5-stage pipelined RTL MtlRisc32 processor (same port interface as
 /// [`ProcFL`](crate::ProcFL) / [`ProcRTL`](crate::ProcRTL)).
+#[derive(Hash)]
 pub struct ProcPipeRTL;
 
 impl Component for ProcPipeRTL {
-    fn name(&self) -> String {
-        "ProcPipeRTL".to_string()
-    }
-
     #[allow(clippy::too_many_lines)]
     fn build(&self, c: &mut Ctx) {
         let req_l = mem_req_layout();

@@ -22,13 +22,10 @@ const HALTED: u128 = 5;
 
 /// The RTL MtlRisc32 processor (same interface as
 /// [`ProcFL`](crate::ProcFL)).
+#[derive(Hash)]
 pub struct ProcRTL;
 
 impl Component for ProcRTL {
-    fn name(&self) -> String {
-        "ProcRTL".to_string()
-    }
-
     #[allow(clippy::too_many_lines)]
     fn build(&self, c: &mut Ctx) {
         let req_l = mem_req_layout();

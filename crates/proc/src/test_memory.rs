@@ -4,7 +4,7 @@ use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
 use mtl_bits::Bits;
-use mtl_core::{Component, Ctx};
+use mtl_core::{Component, Ctx, Keyed};
 
 use crate::mem_msg::{mem_req_layout, mem_resp_layout, MEM_WRITE};
 
@@ -39,11 +39,10 @@ impl TestMemory {
     }
 }
 
-impl Component for TestMemory {
-    fn name(&self) -> String {
-        format!("TestMemory_{}p_{}w_{}l", self.nports, self.words, self.latency)
-    }
+/// Keyless: it holds a handle to its contents.
+impl Keyed for TestMemory {}
 
+impl Component for TestMemory {
     fn build(&self, c: &mut Ctx) {
         let req_l = mem_req_layout();
         let resp_l = mem_resp_layout();

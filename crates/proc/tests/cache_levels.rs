@@ -4,7 +4,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use mtl_core::{Component, Ctx};
+use mtl_core::{Component, Ctx, Keyed};
 use mtl_proc::{
     assemble, proc_component, CacheCL, CacheFL, CacheRTL, Iss, MngrAdapter, ProcLevel, TestMemory,
     PROC_LEVELS,
@@ -47,11 +47,10 @@ impl ProcCacheHarness {
     }
 }
 
-impl Component for ProcCacheHarness {
-    fn name(&self) -> String {
-        format!("ProcCacheHarness_{}_{:?}", self.proc_level, self.cache_level)
-    }
+/// Keyless: its memory and manager adapter hold shared handles.
+impl Keyed for ProcCacheHarness {}
 
+impl Component for ProcCacheHarness {
     fn build(&self, c: &mut Ctx) {
         let halted = c.out_port("halted", 1);
 
@@ -187,7 +186,7 @@ fn caches_exploit_locality() {
 fn rtl_cache_translates_to_verilog() {
     let design = mtl_core::elaborate(&CacheRTL::new(16)).unwrap();
     let verilog = mtl_translate::translate(&design).unwrap();
-    assert!(verilog.contains("module CacheRTL_16"));
+    assert!(verilog.contains("module CacheRTL ("));
     let lib = mtl_translate::VerilogLibrary::parse(&verilog).unwrap();
     let mut sim = Sim::build(&lib.top_component(), Engine::SpecializedOpt).unwrap();
     sim.reset();

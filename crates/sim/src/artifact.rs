@@ -338,13 +338,11 @@ mod tests {
 
     /// A pure-IR counter: native-free, so both the design and the tapes
     /// are shareable.
+    #[derive(Hash)]
     struct Counter {
         width: u32,
     }
     impl Component for Counter {
-        fn name(&self) -> String {
-            "Counter".into()
-        }
         fn build(&self, c: &mut Ctx) {
             let en = c.in_port("en", 1);
             let out = c.out_port("out", self.width);

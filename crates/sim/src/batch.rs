@@ -245,13 +245,10 @@ mod tests {
     /// `hi = a | 0x80`, latched into `r` every edge; `q = r ^ 1`. A flip
     /// of `hi` reaches `r` for one cycle and is gone after the next edge,
     /// and a stuck-at-1 on its top bit changes nothing.
+    #[derive(Hash)]
     struct Latch;
 
     impl Component for Latch {
-        fn name(&self) -> String {
-            "Latch".into()
-        }
-
         fn build(&self, c: &mut Ctx) {
             let a = c.in_port("a", 8);
             let q = c.out_port("q", 8);

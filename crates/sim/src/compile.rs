@@ -888,7 +888,7 @@ fn lanes_independent(design: &impl Instances, blocks: &BlockTapes, gang: &Gang) 
 mod tests {
     use super::*;
     use mtl_bits::b as bits;
-    use mtl_core::{elaborate, Component, Ctx, Expr, SignalRef};
+    use mtl_core::{elaborate, Component, Ctx, Expr, Keyed, SignalRef};
 
     /// The compile path before the memo — every block `finish`ed on its
     /// own against the design's tables, every literal a constant — kept
@@ -993,16 +993,13 @@ mod tests {
     /// A component with every kind of state operand: slot reads, full and
     /// field writes, a memory read and a memory write, under control flow;
     /// and a literal `k` in the field write.
+    #[derive(Hash)]
     struct Cell {
         width: u32,
         k: u128,
     }
 
     impl Component for Cell {
-        fn name(&self) -> String {
-            format!("Cell_{}_{}", self.width, self.k)
-        }
-
         fn build(&self, c: &mut Ctx) {
             let w = self.width;
             let a = c.in_port("a", w);
@@ -1026,13 +1023,10 @@ mod tests {
 
     /// A chain of `Cell`s per width, `k = 3` in each, or `i % 16` in the
     /// `i`th where the spec says the literal varies.
+    #[derive(Hash)]
     struct Chain(Vec<(u32, usize, bool)>);
 
     impl Component for Chain {
-        fn name(&self) -> String {
-            "Chain".into()
-        }
-
         fn build(&self, c: &mut Ctx) {
             let sel = c.in_port("sel", 2);
             for &(w, n, varies) in &self.0 {
@@ -1098,13 +1092,10 @@ mod tests {
     }
 
     /// `q = a + b` and a pass-through, whose raw ops carry no width.
+    #[derive(Hash)]
     struct Sum;
 
     impl Component for Sum {
-        fn name(&self) -> String {
-            "Sum".into()
-        }
-
         fn build(&self, c: &mut Ctx) {
             let (a, b) = (c.in_port("a", 8), c.in_port("b", 8));
             let q = c.out_port("q", 8);
@@ -1112,13 +1103,10 @@ mod tests {
         }
     }
 
+    #[derive(Hash)]
     struct Pass(u32);
 
     impl Component for Pass {
-        fn name(&self) -> String {
-            format!("Pass_{}", self.0)
-        }
-
         fn build(&self, c: &mut Ctx) {
             let a = c.in_port("a", self.0);
             let q = c.out_port("q", self.0);
@@ -1128,16 +1116,13 @@ mod tests {
 
     /// `q = zext(m[a], 32)`: `Zext` emits no op, so the memory's width
     /// shows in no operand, its depth only in `words`.
+    #[derive(Hash)]
     struct Rom {
         words: u64,
         width: u32,
     }
 
     impl Component for Rom {
-        fn name(&self) -> String {
-            format!("Rom_{}x{}", self.words, self.width)
-        }
-
         fn build(&self, c: &mut Ctx) {
             let a = c.in_port("a", 3);
             let q = c.out_port("q", 32);
@@ -1150,11 +1135,8 @@ mod tests {
     /// inputs named.
     struct Wired(Vec<(Box<dyn Component>, Vec<&'static str>)>);
 
+    impl Keyed for Wired {}
     impl Component for Wired {
-        fn name(&self) -> String {
-            "Wired".into()
-        }
-
         fn build(&self, c: &mut Ctx) {
             let mut tops: Vec<(&str, SignalRef)> = Vec::new();
             for (i, (child, inputs)) in self.0.iter().enumerate() {
@@ -1211,13 +1193,10 @@ mod tests {
     }
 
     /// `q = a + k` for a constant expression `k`.
+    #[derive(Hash)]
     struct AddK(Expr);
 
     impl Component for AddK {
-        fn name(&self) -> String {
-            format!("AddK_{:?}", self.0)
-        }
-
         fn build(&self, c: &mut Ctx) {
             let (a, q) = (c.in_port("a", 8), c.out_port("q", 8));
             c.comb("calc", |b| b.assign(q, a + self.0.clone()));
@@ -1246,13 +1225,10 @@ mod tests {
     /// A jump-free component with every unpredicated kind of state
     /// operand, so its two blocks are gang material with the optimizer on
     /// and off; its literal `k` is a parameter where taps differ in it.
+    #[derive(Hash)]
     struct Tap(u128);
 
     impl Component for Tap {
-        fn name(&self) -> String {
-            format!("Tap_{}", self.0)
-        }
-
         fn build(&self, c: &mut Ctx) {
             let (a, sel) = (c.in_port("a", 8), c.in_port("sel", 2));
             let q = c.out_port("q", 8);
@@ -1274,13 +1250,10 @@ mod tests {
     /// levels with all `calc` blocks on the middle one. Every tap has its
     /// own `a` input: the lanes compute different values — and, where the
     /// row says so, its own literal (`i % 16` for tap `i`; 3 otherwise).
+    #[derive(Hash)]
     struct Row(usize, bool);
 
     impl Component for Row {
-        fn name(&self) -> String {
-            "Row".into()
-        }
-
         fn build(&self, c: &mut Ctx) {
             let sel = c.in_port("sel", 2);
             let bumped = c.wire("bumped", 2);
@@ -1446,13 +1419,10 @@ mod tests {
     /// `q <= q + k`, then a native block: in a row of stages the seq
     /// schedule is one single-block run per stage, cut apart by the native
     /// blocks, and `k` is a parameter where stages differ in it.
+    #[derive(Hash)]
     struct Stage(u128);
 
     impl Component for Stage {
-        fn name(&self) -> String {
-            format!("Stage_{}", self.0)
-        }
-
         fn build(&self, c: &mut Ctx) {
             let q = c.out_port("q", 8);
             c.seq("step", |b| b.assign(q, q + Expr::k(8, self.0)));
@@ -1460,13 +1430,10 @@ mod tests {
         }
     }
 
+    #[derive(Hash)]
     struct Stages(Vec<u128>);
 
     impl Component for Stages {
-        fn name(&self) -> String {
-            "Stages".into()
-        }
-
         fn build(&self, c: &mut Ctx) {
             for (i, &k) in self.0.iter().enumerate() {
                 let stage = c.instantiate(&format!("s{i}"), &Stage(k));
@@ -1760,11 +1727,9 @@ mod tests {
     /// design: the first instance to present it.
     #[test]
     fn an_over_budget_body_names_its_block() {
+        #[derive(Hash)]
         struct Flat;
         impl Component for Flat {
-            fn name(&self) -> String {
-                "Flat".into()
-            }
             fn build(&self, c: &mut Ctx) {
                 let (a, q) = (c.in_port("a", 8), c.out_port("q", 8));
                 // Three registers a statement, and no optimizer to free them.

@@ -43,6 +43,7 @@ fn fit_sig(s: SignalRef, to: u32) -> Expr {
 /// earlier signals (`w0..`), registers that latch a random signal under a
 /// random enable, and an `out` port folding every wire. Widths straddle
 /// the 64-bit word.
+#[derive(Hash)]
 struct RandomComb {
     seed: u64,
 }
@@ -50,10 +51,6 @@ struct RandomComb {
 const WIDTHS: [u32; 6] = [1, 5, 16, 64, 65, 100];
 
 impl Component for RandomComb {
-    fn name(&self) -> String {
-        format!("RandomComb_{}", self.seed)
-    }
-
     fn build(&self, c: &mut Ctx) {
         let mut rng = Rng(self.seed);
         let mut srcs = vec![c.in_port("a", 8), c.in_port("b", 16)];
@@ -99,13 +96,10 @@ impl Component for RandomComb {
 
 /// `y` is assigned on odd `x` only, so it keeps its old value on the other
 /// path, and it lies in the cone of a force on `x` or on `r`.
+#[derive(Hash)]
 struct PartialAssign;
 
 impl Component for PartialAssign {
-    fn name(&self) -> String {
-        "PartialAssign".into()
-    }
-
     fn build(&self, c: &mut Ctx) {
         let (a, b) = (c.in_port("a", 8), c.in_port("b", 16));
         let out = c.out_port("out", 8);
@@ -119,13 +113,10 @@ impl Component for PartialAssign {
 
 /// `v`'s driver reads `u`, so a force on `v` has its driver inside the
 /// cone of a force on `u`.
+#[derive(Hash)]
 struct ChainedForces;
 
 impl Component for ChainedForces {
-    fn name(&self) -> String {
-        "ChainedForces".into()
-    }
-
     fn build(&self, c: &mut Ctx) {
         let (a, b) = (c.in_port("a", 8), c.in_port("b", 16));
         let out = c.out_port("out", 16);
@@ -139,13 +130,10 @@ impl Component for ChainedForces {
 
 /// A cycle-level design whose native comb block `triple` reads `u`, so it
 /// lies in the cone of a force on `u` or on `r`.
+#[derive(Hash)]
 struct NativeInCone;
 
 impl Component for NativeInCone {
-    fn name(&self) -> String {
-        "NativeInCone".into()
-    }
-
     fn build(&self, c: &mut Ctx) {
         let (a, b) = (c.in_port("a", 8), c.in_port("b", 16));
         let out = c.out_port("out", 16);

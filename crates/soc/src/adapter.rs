@@ -31,6 +31,7 @@ use mtl_proc::{mem_req_layout, mem_resp_layout};
 /// index is the `id` input port (log2(ntiles) bits), which the SoC ties
 /// per instance: every adapter of a SoC is one component, built once and
 /// stamped.
+#[derive(Hash)]
 pub struct MemNetAdapter {
     ntiles: usize,
 }
@@ -44,10 +45,6 @@ impl MemNetAdapter {
 }
 
 impl Component for MemNetAdapter {
-    fn name(&self) -> String {
-        format!("MemNetAdapter_{}", self.ntiles)
-    }
-
     fn build(&self, c: &mut Ctx) {
         let req_layout = mem_req_layout();
         let resp_layout = mem_resp_layout();

@@ -179,6 +179,7 @@ fn placed(e: Expr, ew: u32, shift: u32, total: u32) -> Expr {
 /// destinations of the fixed patterns — `tornado_dest`, or the trace ROM
 /// `rom_0` .. `rom_7`. Every generator of a SoC is then one component,
 /// built once and stamped.
+#[derive(Hash)]
 pub struct SocTrafficGen {
     ntiles: usize,
     injection_permille: u32,
@@ -222,11 +223,6 @@ impl SocTrafficGen {
 }
 
 impl Component for SocTrafficGen {
-    fn name(&self) -> String {
-        let Self { ntiles, injection_permille, limit, pattern } = self;
-        format!("SocTrafficGen_{ntiles}_{pattern}_i{injection_permille}_l{limit}")
-    }
-
     fn build(&self, c: &mut Ctx) {
         let layout = net_msg_layout(self.ntiles, 32);
         let w = layout.width();

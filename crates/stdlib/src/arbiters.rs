@@ -21,7 +21,7 @@ use mtl_core::{clog2, Component, Ctx, Expr};
 /// let g = sim.peek_port("grants").as_u64();
 /// assert!(g == 0b0010 || g == 0b1000);
 /// ```
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Hash)]
 pub struct RoundRobinArbiter {
     nreqs: usize,
 }
@@ -39,10 +39,6 @@ impl RoundRobinArbiter {
 }
 
 impl Component for RoundRobinArbiter {
-    fn name(&self) -> String {
-        format!("RoundRobinArbiter_{}", self.nreqs)
-    }
-
     fn build(&self, c: &mut Ctx) {
         let n = self.nreqs;
         let nw = n as u32;

@@ -19,7 +19,7 @@ use mtl_core::{clog2, Component, Ctx, Expr};
 /// sim.cycle();
 /// assert_eq!(sim.peek_port("out"), b(8, 0x5A));
 /// ```
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Hash)]
 pub struct Register {
     nbits: u32,
 }
@@ -32,10 +32,6 @@ impl Register {
 }
 
 impl Component for Register {
-    fn name(&self) -> String {
-        format!("Register_{}", self.nbits)
-    }
-
     fn build(&self, c: &mut Ctx) {
         let in_ = c.in_port("in_", self.nbits);
         let out = c.out_port("out", self.nbits);
@@ -44,7 +40,7 @@ impl Component for Register {
 }
 
 /// A register with a write-enable input.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Hash)]
 pub struct RegEn {
     nbits: u32,
 }
@@ -57,10 +53,6 @@ impl RegEn {
 }
 
 impl Component for RegEn {
-    fn name(&self) -> String {
-        format!("RegEn_{}", self.nbits)
-    }
-
     fn build(&self, c: &mut Ctx) {
         let in_ = c.in_port("in_", self.nbits);
         let en = c.in_port("en", 1);
@@ -72,7 +64,7 @@ impl Component for RegEn {
 }
 
 /// A register that resets to a configurable value.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct RegRst {
     nbits: u32,
     reset_value: u128,
@@ -87,10 +79,6 @@ impl RegRst {
 }
 
 impl Component for RegRst {
-    fn name(&self) -> String {
-        format!("RegRst_{}_{}", self.nbits, self.reset_value)
-    }
-
     fn build(&self, c: &mut Ctx) {
         let in_ = c.in_port("in_", self.nbits);
         let out = c.out_port("out", self.nbits);
@@ -120,7 +108,7 @@ impl Component for RegRst {
 /// sim.eval();
 /// assert_eq!(sim.peek_port("out"), b(8, 12));
 /// ```
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Hash)]
 pub struct Mux {
     nbits: u32,
     nports: usize,
@@ -139,10 +127,6 @@ impl Mux {
 }
 
 impl Component for Mux {
-    fn name(&self) -> String {
-        format!("Mux_{}x{}", self.nbits, self.nports)
-    }
-
     fn build(&self, c: &mut Ctx) {
         let in_ = c.in_ports("in_", self.nports, self.nbits);
         let sel = c.in_port("sel", clog2(self.nports as u64));
@@ -154,7 +138,7 @@ impl Component for Mux {
 }
 
 /// The paper's `MuxReg`: a mux structurally composed with a register.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Hash)]
 pub struct MuxReg {
     nbits: u32,
     nports: usize,
@@ -175,10 +159,6 @@ impl Default for MuxReg {
 }
 
 impl Component for MuxReg {
-    fn name(&self) -> String {
-        format!("MuxReg_{}x{}", self.nbits, self.nports)
-    }
-
     fn build(&self, c: &mut Ctx) {
         let in_ = c.in_ports("in_", self.nports, self.nbits);
         let sel = c.in_port("sel", clog2(self.nports as u64));
@@ -197,7 +177,7 @@ impl Component for MuxReg {
 }
 
 /// A combinational adder with carry-out.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Hash)]
 pub struct Adder {
     nbits: u32,
 }
@@ -210,10 +190,6 @@ impl Adder {
 }
 
 impl Component for Adder {
-    fn name(&self) -> String {
-        format!("Adder_{}", self.nbits)
-    }
-
     fn build(&self, c: &mut Ctx) {
         let a = c.in_port("a", self.nbits);
         let b_in = c.in_port("b", self.nbits);
@@ -229,7 +205,7 @@ impl Component for Adder {
 }
 
 /// A saturating or wrapping counter with enable and clear.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Hash)]
 pub struct Counter {
     nbits: u32,
 }
@@ -242,10 +218,6 @@ impl Counter {
 }
 
 impl Component for Counter {
-    fn name(&self) -> String {
-        format!("Counter_{}", self.nbits)
-    }
-
     fn build(&self, c: &mut Ctx) {
         let en = c.in_port("en", 1);
         let clear = c.in_port("clear", 1);
@@ -267,7 +239,7 @@ impl Component for Counter {
 
 /// A pipelined integer multiplier (the paper's `IntPipelinedMultiplier`):
 /// `product = op_a * op_b` after `nstages` cycles.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Hash)]
 pub struct IntPipelinedMultiplier {
     nbits: u32,
     nstages: usize,
@@ -287,10 +259,6 @@ impl IntPipelinedMultiplier {
 }
 
 impl Component for IntPipelinedMultiplier {
-    fn name(&self) -> String {
-        format!("IntPipelinedMultiplier_{}x{}", self.nbits, self.nstages)
-    }
-
     fn build(&self, c: &mut Ctx) {
         let op_a = c.in_port("op_a", self.nbits);
         let op_b = c.in_port("op_b", self.nbits);

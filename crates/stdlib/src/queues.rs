@@ -26,7 +26,7 @@ use mtl_core::{clog2, Bits, Component, Ctx, Expr};
 /// assert_eq!(sim.peek_port("deq_val"), b(1, 1));
 /// assert_eq!(sim.peek_port("deq_msg"), b(8, 0x7E));
 /// ```
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Hash)]
 pub struct NormalQueue {
     nbits: u32,
     nentries: u64,
@@ -45,10 +45,6 @@ impl NormalQueue {
 }
 
 impl Component for NormalQueue {
-    fn name(&self) -> String {
-        format!("NormalQueue_{}x{}", self.nbits, self.nentries)
-    }
-
     fn build(&self, c: &mut Ctx) {
         let enq = c.in_valrdy("enq", self.nbits);
         let deq = c.out_valrdy("deq", self.nbits);
@@ -113,7 +109,7 @@ impl Component for NormalQueue {
 
 /// A single-entry bypass queue: an empty queue passes the enqueued message
 /// combinationally to the dequeue side in the same cycle.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Hash)]
 pub struct BypassQueue {
     nbits: u32,
 }
@@ -126,10 +122,6 @@ impl BypassQueue {
 }
 
 impl Component for BypassQueue {
-    fn name(&self) -> String {
-        format!("BypassQueue_{}", self.nbits)
-    }
-
     fn build(&self, c: &mut Ctx) {
         let enq = c.in_valrdy("enq", self.nbits);
         let deq = c.out_valrdy("deq", self.nbits);

@@ -23,7 +23,7 @@ use mtl_core::{clog2, Component, Ctx};
 /// sim.eval();
 /// assert_eq!(sim.peek_port("rdata0"), b(32, 99));
 /// ```
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Hash)]
 pub struct RegisterFile {
     nregs: u64,
     nbits: u32,
@@ -42,10 +42,6 @@ impl RegisterFile {
 }
 
 impl Component for RegisterFile {
-    fn name(&self) -> String {
-        format!("RegisterFile_{}x{}", self.nregs, self.nbits)
-    }
-
     fn build(&self, c: &mut Ctx) {
         let aw = clog2(self.nregs);
         let raddr0 = c.in_port("raddr0", aw);

@@ -20,7 +20,7 @@ use mtl_core::{clog2, Component, Ctx};
 /// assert_eq!(sim.peek_port("out_0"), b(8, 0x22));
 /// assert_eq!(sim.peek_port("out_1"), b(8, 0x11));
 /// ```
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Hash)]
 pub struct Crossbar {
     nbits: u32,
     nports: usize,
@@ -39,10 +39,6 @@ impl Crossbar {
 }
 
 impl Component for Crossbar {
-    fn name(&self) -> String {
-        format!("Crossbar_{}x{}", self.nbits, self.nports)
-    }
-
     fn build(&self, c: &mut Ctx) {
         let in_ = c.in_ports("in_", self.nports, self.nbits);
         let sel_w = clog2(self.nports as u64);

@@ -1,7 +1,7 @@
 //! Verilog-2001 emission from elaborated RTL designs.
 //!
 //! The analog of PyMTL's `TranslationTool`: walks an elaborated
-//! [`Design`], emits one Verilog module per unique component, and renders
+//! [`Design`], emits one Verilog module per component key, and renders
 //! IR blocks as `always` blocks. Only fully translatable designs (IR
 //! blocks and structure, no native FL/CL blocks) can be emitted.
 
@@ -16,7 +16,8 @@ use mtl_core::{BlockBody, BlockKind, Design, MemId, ModuleId, NetId, SignalId, S
 pub enum TranslateError {
     /// The design contains native (FL/CL) blocks, listed by path.
     NativeBlocks(Vec<String>),
-    /// A structural invariant needed for emission was violated.
+    /// A structural invariant needed for emission was violated (two
+    /// modules would get one name).
     Structure(String),
 }
 
@@ -37,14 +38,17 @@ impl std::error::Error for TranslateError {}
 
 /// Translates an elaborated design to Verilog-2001 source.
 ///
-/// Returns one `module` definition per unique component name, leaves
-/// first, with the top-level module last.
+/// Returns one `module` definition per component key, leaves first, with
+/// the top-level module last. A module holding a keyless component (see
+/// [`Keyed`](mtl_core::Keyed)), directly or below, is emitted once per
+/// instance. Each module is named by its component's label, numbered
+/// `_1`, `_2`, ... in emission order when the design holds two of it.
 ///
 /// # Errors
 ///
 /// Returns [`TranslateError::NativeBlocks`] if the design contains FL/CL
-/// native blocks, or [`TranslateError::Structure`] if net orientation
-/// cannot be determined.
+/// native blocks, or [`TranslateError::Structure`] if two modules would
+/// get one name.
 ///
 /// # Examples
 ///
@@ -54,7 +58,7 @@ impl std::error::Error for TranslateError {}
 ///
 /// let design = mtl_core::elaborate(&MuxReg::default()).unwrap();
 /// let verilog = translate(&design).unwrap();
-/// assert!(verilog.contains("module MuxReg_8x4"));
+/// assert!(verilog.contains("module MuxReg"));
 /// assert!(verilog.contains("always @(posedge clk)"));
 /// ```
 pub fn translate(design: &Design) -> Result<String, TranslateError> {
@@ -69,18 +73,46 @@ pub fn translate(design: &Design) -> Result<String, TranslateError> {
         return Err(TranslateError::NativeBlocks(natives));
     }
 
-    // Emit each unique component once, children before parents.
-    let mut emitted: HashSet<String> = HashSet::new();
-    let mut out = String::new();
+    // Emit each identity once, children before parents.
     let mut order: Vec<ModuleId> = Vec::new();
     postorder(design, design.top(), &mut order);
-    for m in order {
-        let comp = &design.module(m).component;
-        if emitted.insert(comp.clone()) {
-            emit_module(design, m, &mut out)?;
+    let (stand_ins, names) = module_names(design, &order);
+    let mut emitted = HashSet::new();
+    let mut out = String::new();
+    for m in order.into_iter().filter(|&m| stand_ins[m.index()] == m) {
+        let name = &names[m.index()];
+        if !emitted.insert(name) {
+            return Err(TranslateError::Structure(format!("two modules named `{name}`")));
         }
+        emit_module(design, m, &names, &mut out);
     }
     Ok(out)
+}
+
+/// Per module, the module whose Verilog stands for it, and its Verilog
+/// name, from `order` (children first). The first module of a key stands
+/// for every later one; a module without a key stands for itself. The
+/// stand-ins of one label are numbered `_1`, `_2`, ... in `order`, if
+/// there are two.
+fn module_names(design: &Design, order: &[ModuleId]) -> (Vec<ModuleId>, Vec<String>) {
+    let n = design.modules().len();
+    let (mut stand_ins, mut ordinals) = (vec![design.top(); n], vec![0; n]);
+    let (mut firsts, mut per_label) = (HashMap::new(), HashMap::<&str, usize>::new());
+    for &m in order {
+        let (i, info) = (m.index(), design.module(m));
+        let stand_in = info.key.map_or(m, |key| *firsts.entry(key).or_insert(m));
+        if stand_in == m {
+            *per_label.entry(&info.component).or_default() += 1;
+            ordinals[i] = per_label[info.component.as_str()];
+        }
+        (stand_ins[i], ordinals[i]) = (stand_in, ordinals[stand_in.index()]);
+    }
+    let names = design.modules().iter().zip(ordinals);
+    let names = names.map(|(info, k)| match per_label[info.component.as_str()] {
+        1 => info.component.clone(),
+        _ => format!("{}_{k}", info.component),
+    });
+    (stand_ins, names.collect())
 }
 
 fn postorder(design: &Design, m: ModuleId, out: &mut Vec<ModuleId>) {
@@ -225,7 +257,7 @@ fn width_decl(width: u32) -> String {
     }
 }
 
-fn emit_module(design: &Design, m: ModuleId, out: &mut String) -> Result<(), TranslateError> {
+fn emit_module(design: &Design, m: ModuleId, names: &[String], out: &mut String) {
     let info = design.module(m);
     let scope = Scope::new(design, m);
 
@@ -234,7 +266,7 @@ fn emit_module(design: &Design, m: ModuleId, out: &mut String) -> Result<(), Tra
     for &p in &info.ports {
         port_names.push(sanitize(&design.signal(p).name));
     }
-    writeln!(out, "module {} (", info.component).unwrap();
+    writeln!(out, "module {} (", names[m.index()]).unwrap();
     writeln!(out, "  {}", port_names.join(", ")).unwrap();
     writeln!(out, ");").unwrap();
     writeln!(out, "  input clk;").unwrap();
@@ -304,7 +336,7 @@ fn emit_module(design: &Design, m: ModuleId, out: &mut String) -> Result<(), Tra
     // Child instances.
     for &child in &info.children {
         let cinfo = design.module(child);
-        writeln!(out, "  {} {} (", cinfo.component, sanitize(&cinfo.name)).unwrap();
+        writeln!(out, "  {} {} (", names[child.index()], sanitize(&cinfo.name)).unwrap();
         let mut pins = vec!["    .clk(clk)".to_string()];
         for &p in &cinfo.ports {
             let pname = sanitize(&design.signal(p).name);
@@ -343,7 +375,6 @@ fn emit_module(design: &Design, m: ModuleId, out: &mut String) -> Result<(), Tra
 
     writeln!(out, "endmodule").unwrap();
     writeln!(out).unwrap();
-    Ok(())
 }
 
 /// The module whose Verilog holds a signal's tie: a child's input port is

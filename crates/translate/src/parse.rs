@@ -12,7 +12,7 @@ use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 use mtl_bits::Bits;
-use mtl_core::{Component, Ctx, Expr, MemRef, SignalRef};
+use mtl_core::{Component, Ctx, Expr, Keyed, MemRef, SignalRef};
 
 /// Error produced while parsing Verilog source.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -902,7 +902,12 @@ impl NameEnv {
     }
 }
 
+/// Keyless: it borrows its library. Every instance is built, and
+/// translating a re-parsed design emits one module per instance.
+impl Keyed for VerilogComponent<'_> {}
+
 impl Component for VerilogComponent<'_> {
+    /// The parsed module's name: data, not a parameter list.
     fn name(&self) -> String {
         self.module.name.clone()
     }

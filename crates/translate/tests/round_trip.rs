@@ -5,10 +5,10 @@
 //! stimulus, comparing outputs cycle by cycle.
 
 use mtl_bits::{b, Bits};
-use mtl_core::{elaborate, Component};
+use mtl_core::{elaborate, Component, Ctx};
 use mtl_sim::{Engine, Sim};
 use mtl_stdlib::{
-    BypassQueue, Counter, IntPipelinedMultiplier, Mux, MuxReg, NormalQueue, RegisterFile,
+    BypassQueue, Counter, IntPipelinedMultiplier, Mux, MuxReg, NormalQueue, Register, RegisterFile,
     RoundRobinArbiter,
 };
 use mtl_translate::{translate, VerilogLibrary};
@@ -147,7 +147,7 @@ fn round_trip_synthetic_soc4() {
 fn emitted_verilog_mentions_expected_constructs() {
     let design = elaborate(&NormalQueue::new(8, 2)).unwrap();
     let v = translate(&design).unwrap();
-    assert!(v.contains("module NormalQueue_8x2"));
+    assert!(v.contains("module NormalQueue ("));
     assert!(v.contains("always @(posedge clk)"));
     assert!(v.contains("always @(*)"));
     assert!(v.contains("reg [7:0] storage [0:1];"));
@@ -186,14 +186,14 @@ fn parse_with_renamed_declaration(dut: &dyn Component, decl: &str, name: &str) -
 #[test]
 fn undeclared_signal_is_a_parse_error() {
     let err = parse_with_renamed_declaration(&Counter::new(5), "output reg [4:0] count;", "count");
-    assert!(err.contains("module `Counter_5` uses undeclared signal `count`"), "{err}");
+    assert!(err.contains("module `Counter` uses undeclared signal `count`"), "{err}");
 }
 
 #[test]
 fn undeclared_memory_is_a_parse_error() {
     let queue = NormalQueue::new(8, 2);
     let err = parse_with_renamed_declaration(&queue, "reg [7:0] storage [0:1];", "storage");
-    assert!(err.contains("module `NormalQueue_8x2` uses undeclared memory `storage`"), "{err}");
+    assert!(err.contains("module `NormalQueue` uses undeclared memory `storage`"), "{err}");
 }
 
 #[test]
@@ -206,4 +206,37 @@ fn untranslatable_designs_are_rejected() {
     let design = elaborate(&harness).unwrap();
     let err = translate(&design).unwrap_err();
     assert!(err.to_string().contains("native blocks"));
+}
+
+/// Registers of the given widths side by side, each on its own ports.
+#[derive(Hash)]
+struct Registers(Vec<u32>);
+
+impl Component for Registers {
+    fn build(&self, c: &mut Ctx) {
+        for (i, &nbits) in self.0.iter().enumerate() {
+            let r = c.instantiate(&format!("u{i}"), &Register::new(nbits));
+            let (in_, out) =
+                (c.in_port(&format!("in{i}"), nbits), c.out_port(&format!("out{i}"), nbits));
+            c.connect(in_, c.port_of(&r, "in_"));
+            c.connect(c.port_of(&r, "out"), out);
+        }
+    }
+}
+
+/// Two keys of one label are two modules, numbered in emission order, and
+/// a later instance of the first key instantiates the first module.
+#[test]
+fn keys_of_one_label_are_numbered_modules() {
+    let top = Registers(vec![8, 16, 8]);
+    let verilog = translate(&elaborate(&top).unwrap()).unwrap();
+    let modules: Vec<_> = verilog.lines().filter(|l| l.starts_with("module ")).collect();
+    assert_eq!(modules, ["module Register_1 (", "module Register_2 (", "module Registers ("]);
+    for (u, module) in [(0, 1), (1, 2), (2, 1)] {
+        assert!(
+            verilog.contains(&format!("  Register_{module} u{u} (")),
+            "u{u} is Register_{module}"
+        );
+    }
+    check_round_trip(&top, 50, 11);
 }

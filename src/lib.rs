@@ -34,9 +34,9 @@
 //! ```
 //! use rustmtl::prelude::*;
 //!
+//! #[derive(Hash)]
 //! struct Register { nbits: u32 }
 //! impl Component for Register {
-//!     fn name(&self) -> String { format!("Register_{}", self.nbits) }
 //!     fn build(&self, c: &mut Ctx) {
 //!         let in_ = c.in_port("in_", self.nbits);
 //!         let out = c.out_port("out", self.nbits);

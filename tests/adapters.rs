@@ -4,7 +4,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use rustmtl::core::{Bits, Component, Ctx, InValRdyQueue, OutValRdyQueue};
+use rustmtl::core::{Bits, Component, Ctx, InValRdyQueue, Keyed, OutValRdyQueue};
 use rustmtl::sim::{Engine, Sim};
 
 /// A component that moves messages from its input bundle to its output
@@ -14,11 +14,10 @@ struct AdapterPipe {
     history: Arc<Mutex<Vec<(usize, usize)>>>,
 }
 
-impl Component for AdapterPipe {
-    fn name(&self) -> String {
-        format!("AdapterPipe_{}", self.capacity)
-    }
+/// Keyless: it records its transfers in a shared history.
+impl Keyed for AdapterPipe {}
 
+impl Component for AdapterPipe {
     fn build(&self, c: &mut Ctx) {
         let in_ = c.in_valrdy("in_", 8);
         let out = c.out_valrdy("out", 8);
@@ -118,11 +117,9 @@ fn adapter_capacity_backpressures_the_producer() {
 #[test]
 #[should_panic(expected = "queue capacity")]
 fn zero_capacity_adapters_are_rejected() {
+    #[derive(Hash)]
     struct Bad;
     impl Component for Bad {
-        fn name(&self) -> String {
-            "Bad".into()
-        }
         fn build(&self, c: &mut Ctx) {
             let in_ = c.in_valrdy("in_", 8);
             let _ = InValRdyQueue::new(in_, 0);

@@ -18,11 +18,9 @@ fn rules(diags: &[rustmtl::check::Diagnostic]) -> Vec<LintRule> {
 /// cycle, block by block, with the nets carrying each edge.
 #[test]
 fn lint_flags_comb_cycle_with_full_cycle_path() {
+    #[derive(Hash)]
     struct Cyclic;
     impl Component for Cyclic {
-        fn name(&self) -> String {
-            "Cyclic".into()
-        }
         fn build(&self, c: &mut Ctx) {
             let a = c.wire("a", 8);
             let b = c.wire("b", 8);
@@ -53,11 +51,9 @@ fn lint_flags_comb_cycle_with_full_cycle_path() {
 /// Two comb blocks assigning the same net.
 #[test]
 fn lint_flags_multiply_driven_net() {
+    #[derive(Hash)]
     struct TwoDrivers;
     impl Component for TwoDrivers {
-        fn name(&self) -> String {
-            "TwoDrivers".into()
-        }
         fn build(&self, c: &mut Ctx) {
             let a = c.in_port("a", 8);
             let out = c.out_port("out", 8);
@@ -80,11 +76,9 @@ fn lint_flags_multiply_driven_net() {
 /// external driver.
 #[test]
 fn lint_flags_block_driving_top_input_as_external_conflict() {
+    #[derive(Hash)]
     struct DrivesInput;
     impl Component for DrivesInput {
-        fn name(&self) -> String {
-            "DrivesInput".into()
-        }
         fn build(&self, c: &mut Ctx) {
             let a = c.in_port("a", 4);
             let out = c.out_port("out", 4);
@@ -104,11 +98,9 @@ fn lint_flags_block_driving_top_input_as_external_conflict() {
 /// A structural connection between signals of different widths.
 #[test]
 fn lint_flags_width_mismatch_across_connection() {
+    #[derive(Hash)]
     struct Mismatched;
     impl Component for Mismatched {
-        fn name(&self) -> String {
-            "Mismatched".into()
-        }
         fn build(&self, c: &mut Ctx) {
             let a = c.in_port("a", 8);
             let out = c.out_port("out", 4);
@@ -128,11 +120,9 @@ fn lint_flags_width_mismatch_across_connection() {
 /// A net written by both a sequential and a combinational block.
 #[test]
 fn lint_flags_mixed_seq_comb_drivers() {
+    #[derive(Hash)]
     struct Mixed;
     impl Component for Mixed {
-        fn name(&self) -> String {
-            "Mixed".into()
-        }
         fn build(&self, c: &mut Ctx) {
             let a = c.in_port("a", 8);
             let w = c.wire("w", 8);
@@ -159,22 +149,18 @@ fn lint_flags_mixed_seq_comb_drivers() {
 /// four dead-signal warnings, each once, with exact paths.
 #[test]
 fn lint_flags_undriven_input_and_unread_output() {
+    #[derive(Hash)]
     struct Child;
     impl Component for Child {
-        fn name(&self) -> String {
-            "Child".into()
-        }
         fn build(&self, c: &mut Ctx) {
             let in_ = c.in_port("in_", 8);
             let unused = c.out_port("unused", 8);
             c.comb("logic", |b| b.assign(unused, in_.ex()));
         }
     }
+    #[derive(Hash)]
     struct Parent;
     impl Component for Parent {
-        fn name(&self) -> String {
-            "Parent".into()
-        }
         fn build(&self, c: &mut Ctx) {
             let a = c.in_port("a", 4);
             let out = c.out_port("out", 8);

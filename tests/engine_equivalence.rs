@@ -173,11 +173,9 @@ fn synthetic_soc16_gangs_its_per_tile_bodies() {
 /// between `reset()` and the next `cycle()` already see reset low.
 #[test]
 fn reset_resettles_combinational_state_on_every_engine() {
+    #[derive(Hash)]
     struct ResetVisible;
     impl Component for ResetVisible {
-        fn name(&self) -> String {
-            "ResetVisible".into()
-        }
         fn build(&self, c: &mut Ctx) {
             let reset = c.reset();
             let count = c.wire("count", 8);
@@ -312,11 +310,9 @@ fn engines_agree_on_wide_widths() {
 #[test]
 fn shift_and_slice_edges_agree_on_all_engines() {
     const W: u32 = 13;
+    #[derive(Hash)]
     struct ShiftEdges;
     impl Component for ShiftEdges {
-        fn name(&self) -> String {
-            "ShiftEdges".into()
-        }
         fn build(&self, c: &mut Ctx) {
             let data = c.in_port("data", W);
             let amt = c.in_port("amt", 8);
@@ -385,11 +381,9 @@ fn shift_and_slice_edges_agree_on_all_engines() {
 /// be rejected at elaboration time on every engine's shared front end.
 #[test]
 fn zero_width_slice_is_rejected_at_elaboration() {
+    #[derive(Hash)]
     struct ZeroSlice;
     impl Component for ZeroSlice {
-        fn name(&self) -> String {
-            "ZeroSlice".into()
-        }
         fn build(&self, c: &mut Ctx) {
             let a = c.in_port("a", 8);
             let out = c.out_port("out", 8);

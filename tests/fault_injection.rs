@@ -132,12 +132,10 @@ fn taxonomy_classes_all_occur_on_real_designs() {
 /// consumers of both. Fault injection must perturb these nets the same
 /// way whether or not the optimizer ran — a hoisted or folded constant
 /// is still a *net* the wrapper forces and washes.
+#[derive(Hash)]
 struct ConstDriven;
 
 impl Component for ConstDriven {
-    fn name(&self) -> String {
-        "ConstDriven".into()
-    }
     fn build(&self, c: &mut rustmtl::core::Ctx) {
         use rustmtl::core::Expr;
         let inp = c.in_port("inp", 8);

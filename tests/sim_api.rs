@@ -76,11 +76,9 @@ fn overheads_are_recorded_per_phase() {
 
 #[test]
 fn eval_settles_combinational_logic_without_clocking() {
+    #[derive(Hash)]
     struct TwoStage;
     impl Component for TwoStage {
-        fn name(&self) -> String {
-            "TwoStage".into()
-        }
         fn build(&self, c: &mut Ctx) {
             let a = c.in_port("a", 8);
             let t = c.wire("t", 8);
@@ -132,11 +130,9 @@ fn find_signal_locates_internal_state() {
 
 #[test]
 fn find_signal_matches_only_on_path_component_boundaries() {
+    #[derive(Hash)]
     struct SuffixTrap;
     impl Component for SuffixTrap {
-        fn name(&self) -> String {
-            "SuffixTrap".into()
-        }
         fn build(&self, c: &mut Ctx) {
             let pc = c.out_port("pc", 8);
             let xpc = c.in_port("xpc", 8);
@@ -152,11 +148,9 @@ fn find_signal_matches_only_on_path_component_boundaries() {
 #[test]
 #[should_panic(expected = "ambiguous")]
 fn find_signal_panics_listing_candidates_on_ambiguity() {
+    #[derive(Hash)]
     struct TwoRegs;
     impl Component for TwoRegs {
-        fn name(&self) -> String {
-            "TwoRegs".into()
-        }
         fn build(&self, c: &mut Ctx) {
             let i = c.in_port("i", 8);
             let a = c.out_port("a", 8);
@@ -304,11 +298,9 @@ fn engine_names_round_trip() {
 fn backdoors_and_native_misuse_agree_net_for_net() {
     use rustmtl::sim::{InjectKind, Injection, SimConfig};
 
+    #[derive(Hash)]
     struct Backdoors;
     impl Component for Backdoors {
-        fn name(&self) -> String {
-            "Backdoors".into()
-        }
         fn build(&self, c: &mut Ctx) {
             let a = c.in_port("a", 8);
             let x = c.in_port("x", 8);
@@ -395,13 +387,10 @@ fn backdoors_and_native_misuse_agree_net_for_net() {
 
 /// A child with two tied inputs, an 8-bit `k` and a 100-bit `w`, counting
 /// `acc += k` and exposing both.
+#[derive(Hash)]
 struct TiedLeaf;
 
 impl Component for TiedLeaf {
-    fn name(&self) -> String {
-        "TiedLeaf".into()
-    }
-
     fn build(&self, c: &mut Ctx) {
         let (k, w) = (c.in_port("k", 8), c.in_port("w", 100));
         let (acc, wide) = (c.out_port("acc", 8), c.out_port("wide", 100));
@@ -412,15 +401,12 @@ impl Component for TiedLeaf {
 }
 
 /// Two [`TiedLeaf`]s tied apart, their outputs at the top.
+#[derive(Hash)]
 struct TiedPair;
 
 const TIES: [(u128, u128); 2] = [(3, 1 << 99 | 0xABC), (200, 7)];
 
 impl Component for TiedPair {
-    fn name(&self) -> String {
-        "TiedPair".into()
-    }
-
     fn build(&self, c: &mut Ctx) {
         for (i, (k, w)) in TIES.into_iter().enumerate() {
             let leaf = c.instantiate(&format!("leaf{i}"), &TiedLeaf);

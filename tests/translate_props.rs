@@ -10,7 +10,7 @@ use rustmtl::translate::{translate, VerilogLibrary};
 
 /// A proptest-generatable expression recipe over three inputs of fixed
 /// widths (8, 16, 32).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 enum Recipe {
     Input(u8),
     Const(u64),
@@ -83,16 +83,13 @@ fn to_expr(r: &Recipe, inputs: &[SignalRef]) -> Expr {
     }
 }
 
+#[derive(Hash)]
 struct OneBlock {
     recipe: Recipe,
     tag: u64,
 }
 
 impl Component for OneBlock {
-    fn name(&self) -> String {
-        format!("OneBlock_{}", self.tag)
-    }
-
     fn build(&self, c: &mut Ctx) {
         let inputs = vec![c.in_port("i0", 8), c.in_port("i1", 16), c.in_port("i2", 32)];
         let out = c.out_port("out", 32);
