@@ -23,6 +23,13 @@
 #       specialized-opt, each gang's lane blocks dealt to two workers)
 #       equalled specialized-opt over 2 000 cycles of the 64-tile SoC and
 #       a bounded run drained to the golden checksum.
+#   (d) component identity in release: the stamping tests of mtl-core,
+#       the pairs of mtl-soc's `names` (meshes, SoCs and tiles that differ
+#       in one field each keep their own behaviour; the Verilog holds one
+#       module per key) and mtl-bench's stamp census. Stage 10 runs them in
+#       debug only, where every stamp is checked against a fresh `build`.
+#       Release stamps without that check, and release is what the
+#       ledger, the figure bins and `mtl-serve` run.
 #
 # The broader per-pattern/per-size correctness surface (FL golden match,
 # compute vs host model, fault-injection determinism, 64-tile engine
@@ -53,5 +60,14 @@ case "$ledger" in
     *'"correct":true'*) ;;
     *) echo "perf_ledger: soc64_rtl_par2 did not report \"correct\":true" >&2; exit 1 ;;
 esac
+
+echo "== soc: component identity, in release"
+for t in "mtl-core stamp 7" "mtl-soc names 4" "mtl-bench stamps 2"; do
+    set -- $t
+    out=$(cargo test -q --release -p "$1" --test "$2" 2>&1) || {
+        echo "$out"; echo "FAIL: $1 --test $2 in release"; exit 1; }
+    echo "$out" | grep -q "$3 passed" || {
+        echo "$out"; echo "FAIL: $1 --test $2 did not run its $3 tests"; exit 1; }
+done
 
 echo "== soc stage: OK"
