@@ -2,7 +2,7 @@
 //!
 //! Runs the `mtl-check` differential fuzzer (six simulator configurations:
 //! the four engines of `Engine::ALL`, plus specialized-par at 1 and 4
-//! worker threads) over seed-derived random designs and exits non-zero on
+//! threads) over seed-derived random designs and exits non-zero on
 //! the first minimized mismatch.
 //!
 //! Usage:

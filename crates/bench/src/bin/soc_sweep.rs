@@ -278,7 +278,7 @@ fn solo_bring_up(spec: &Spec) -> Option<(String, f64)> {
 
 /// The CI engine-agreement gate: 16-tile SoCs at CL and RTL must produce
 /// field-identical outcomes under Interpreted, SpecializedOpt, and
-/// SpecializedPar at 4 explicit worker threads. Returns the number of
+/// SpecializedPar at 4 explicit threads. Returns the number of
 /// disagreeing configurations.
 fn verify_engines() -> u32 {
     let configs: [(Engine, Option<usize>); 3] = [

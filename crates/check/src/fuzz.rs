@@ -3,7 +3,7 @@
 //! A deterministic, seed-driven loop: each iteration derives a design seed
 //! (splitmix64 over the base seed and the iteration index), generates a
 //! [`RandomRtl`] design, and runs it under **six** simulators — the four
-//! engines of [`Engine::ALL`] plus `SpecializedPar` at 1 and 4 worker
+//! engines of [`Engine::ALL`] plus `SpecializedPar` at 1 and 4
 //! threads — driving identical random stimulus into every one. After every
 //! cycle the settled value of every signal and the logical profile
 //! counters (per-block execution counts and per-net activity, which are a
@@ -32,7 +32,8 @@ pub struct EngineSel {
     pub label: String,
     /// The engine.
     pub engine: Engine,
-    /// Explicit worker-thread count (`SpecializedPar` only).
+    /// Explicit thread count, passed on as [`SimConfig::threads`], which
+    /// no engine reads.
     pub threads: Option<usize>,
     /// Whether the tape optimizer runs ([`SimConfig::tape_opt`];
     /// tape-free engines ignore it).
@@ -41,7 +42,7 @@ pub struct EngineSel {
 
 /// The six simulator configurations every design runs under: the four
 /// engines of [`Engine::ALL`], plus `SpecializedPar` pinned to 1 and 4
-/// worker threads.
+/// threads.
 pub fn engines_under_test() -> Vec<EngineSel> {
     let mut sels: Vec<EngineSel> = Engine::ALL
         .iter()

@@ -333,7 +333,7 @@ pub(crate) struct CombGraph {
 }
 
 /// An elaborated design is pure data plus claimable native closures, so
-/// it can be shared across threads (`Arc<Design>`); the parallel engine
+/// it can be shared across threads (`Arc<Design>`); the artifact cache
 /// relies on this. Compile-time check.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}

@@ -67,8 +67,7 @@ pub struct DiffConfig {
     /// Engine every lane runs on ([`Engine::SpecializedBatch`]: one lane
     /// simulator for the whole set).
     pub engine: Engine,
-    /// `SpecializedPar` worker count ([`SimConfig::threads`]; `None`:
-    /// one thread, no pool). Other engines ignore it.
+    /// Passed on as [`SimConfig::threads`], which no engine reads.
     pub threads: Option<usize>,
     /// Observation window: cycles simulated after `reset()`.
     pub cycles: u64,
@@ -434,7 +433,7 @@ pub fn run_diff_batch_shared(
 
 /// The simulator configurations [`engine_agreement`] runs: the four
 /// engines of [`Engine::ALL`], plus `SpecializedPar` pinned to 1 and 4
-/// worker threads (the pooled path must agree at every width).
+/// threads (it builds `SpecializedOpt` whatever the count).
 pub fn agreement_configs(cycles: u64) -> Vec<DiffConfig> {
     let mut cfgs: Vec<DiffConfig> =
         Engine::ALL.iter().map(|&e| DiffConfig::new(e, cycles)).collect();

@@ -72,7 +72,7 @@ impl LaneEngine {
     pub(crate) fn new(design: Arc<Design>, staged: &Staged, lanes: u32, o: &mut Overheads) -> Self {
         let nets = design.nets().len();
         let natives = design.blocks().iter().map(|_| None).collect();
-        let lead = TapeEngine::new(design, natives, false, 1, staged, o);
+        let lead = TapeEngine::new(design, natives, false, staged, o);
         let followers = (1..lanes.clamp(1, LANES)).map(|_| None);
         LaneEngine { lanes: std::iter::once(Some(lead)).chain(followers).collect(), nets }
     }

@@ -321,8 +321,8 @@ pub(crate) enum Chunk {
     Native(u32),
 }
 
-/// Stage 2: the fully static schedules of `SpecializedOpt`,
-/// `SpecializedPar` and every lane of `SpecializedBatch`.
+/// Stage 2: the fully static schedules of `SpecializedOpt` (which
+/// `SpecializedPar` builds too) and every lane of `SpecializedBatch`.
 pub(crate) struct Plans {
     pub(crate) comb: Arc<Vec<Chunk>>,
     pub(crate) seq: Arc<Vec<Chunk>>,
@@ -807,9 +807,7 @@ fn lane_rows<M, T>(members: &[M], nlocal: usize, entry: impl Fn(&M, usize) -> T)
 /// state accesses. Strict elaboration gives every net one writer block and
 /// the level rule puts a reader after its writer, so this holds by
 /// construction; it is re-checked because the lane executor interleaves
-/// the members op by op, and because a pooled engine runs the lane blocks
-/// of a gang on different threads ([`crate::state`]'s sharing protocol
-/// rests on the last point):
+/// the members op by op:
 ///
 /// * the body is one the lane executor runs (no jumps), the members fill
 ///   whole lane blocks, and every member *is* that body;
@@ -1544,7 +1542,7 @@ mod tests {
                         ..Staged::default()
                     };
                     let natives = design.blocks().iter().map(|_| None).collect();
-                    TapeEngine::new(design.clone(), natives, false, 1, &staged, o)
+                    TapeEngine::new(design.clone(), natives, false, &staged, o)
                 });
                 let slot = |port: &str| design.net_of(design.top_port(port)).index() as u32;
                 let mut seed = n as u64;
@@ -1714,7 +1712,7 @@ mod tests {
         state.fill(&cur, &cur);
         let (mut bank, mut pending) =
             (crate::tape_engine::gang_bank(&gang, &wide.bodies), Vec::new());
-        state.exclusive().exec_lanes(&wide.bodies[0], &gang, 0..1, &mut bank, &mut pending);
+        state.exclusive().exec_lanes(&wide.bodies[0], &gang, &mut bank, &mut pending);
         let got = state.dump().0;
         for i in 0..16 {
             assert_eq!(got[2 * i + 1], cur[2 * i], "lane {i} copies its 100-bit slot");

@@ -4,8 +4,8 @@
 //! SimJIT specializers. A [`Sim`] consumes an elaborated
 //! [`Design`](mtl_core::Design) and simulates it under one of six
 //! [`Engine`]s; the first four reproduce the paper's performance regimes,
-//! the fifth parallelizes the fastest one across threads and the sixth
-//! runs it over many trial states at once:
+//! the fifth is another name for the fourth, and the sixth runs the fourth
+//! over many trial states at once:
 //!
 //! | Engine | Paper analog | Architecture |
 //! |---|---|---|
@@ -13,7 +13,7 @@
 //! | [`Engine::InterpretedOpt`] | PyPy | event-driven, tree-walking IR, dense pre-resolved storage |
 //! | [`Engine::Specialized`] | SimJIT | IR compiled to a linear tape VM, event-driven dispatch |
 //! | [`Engine::SpecializedOpt`] | SimJIT+PyPy | tape VM plus fully static levelized schedule |
-//! | [`Engine::SpecializedPar`] | multithreaded codegen (e.g. Verilator `--threads`) | the same static plans, each gang's lane blocks dealt to a pool of worker threads between two barriers; everything else stays on the calling thread |
+//! | [`Engine::SpecializedPar`] | — (its worker pool was retired: one thread per simulator, as the paper's SimJIT+PyPy) | builds exactly `SpecializedOpt`; the name stays until nothing spells it |
 //! | [`Engine::SpecializedBatch`] | batched campaign simulation (fault/fuzz harnesses running many trials of one design) | up to 64 independent trial lanes in one simulator, each a packed state the static tape engine runs over the one shared plan stage |
 //!
 //! All engines implement identical simulation semantics; the test suite
@@ -39,7 +39,6 @@ mod batch;
 mod compile;
 mod interp;
 mod overheads;
-mod par;
 pub mod profile;
 mod sim;
 mod state;

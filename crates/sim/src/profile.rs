@@ -111,9 +111,6 @@ pub(crate) struct EngineStats {
     /// Event-queue depth observed at each pop (empty for the static
     /// schedule, which has no queue).
     pub queue_depth: Hist,
-    /// Busy wall nanos per worker thread (a pooled engine only; empty
-    /// elsewhere).
-    pub partition_nanos: Vec<u64>,
 }
 
 impl EngineStats {
@@ -156,13 +153,8 @@ pub struct SimProfile {
     /// block.
     pub block_runs: Vec<u64>,
     /// Cumulative wall time per block in nanoseconds (engine-specific),
-    /// indexed like `block_runs`. A pooled [`Engine::SpecializedPar`]
-    /// simulator profiles the plan it runs unprofiled, where only native
-    /// blocks are timed one by one: a gang's wall time is credited to its
-    /// member blocks in equal parts, and the fused tapes' to the remaining
-    /// blocks of the schedule in proportion to their tape lengths. Every
-    /// other simulator — a pool-less `SpecializedPar` one included — times
-    /// each block on its own.
+    /// indexed like `block_runs`. Every simulator times each block on its
+    /// own: a profiled static engine runs its schedule block by block.
     pub block_nanos: Vec<u64>,
     /// Hierarchical path per block, indexed like `block_runs`.
     pub block_paths: Vec<String>,
@@ -174,11 +166,10 @@ pub struct SimProfile {
     /// [`Engine::SpecializedOpt`] and [`Engine::SpecializedPar`], which
     /// run without a queue).
     pub queue_depth: Hist,
-    /// Wall nanos each worker thread spent on its shares of the gangs,
-    /// the calling thread first ([`Engine::SpecializedPar`] with a worker
-    /// pool only; empty elsewhere, and empty too for a `SpecializedPar`
-    /// simulator that spawned no thread). A balanced deal shows similar
-    /// values.
+    /// Always empty: every engine runs on the calling thread. It once
+    /// held the busy time of each of [`Engine::SpecializedPar`]'s worker
+    /// threads and is kept only so that the callers that still read it
+    /// compile; it goes with that engine's name (ROADMAP item 2).
     pub partition_nanos: Vec<u64>,
     /// What the static plans execute as gangs and what as fused residual
     /// ([`OptReport::gang_line`](crate::OptReport::gang_line)); `None` for
@@ -260,15 +251,6 @@ impl SimProfile {
             );
         } else {
             let _ = writeln!(s, "  event-queue depth:   (static schedule, no queue)");
-        }
-        if !self.partition_nanos.is_empty() {
-            let parts: Vec<String> = self.partition_nanos.iter().map(|n| n.to_string()).collect();
-            let _ = writeln!(
-                s,
-                "  partition busy ns:   [{}] over {} workers",
-                parts.join(", "),
-                self.partition_nanos.len()
-            );
         }
         if let Some(line) = &self.gang_plan {
             let _ = writeln!(s, "  static plans:        {line}");

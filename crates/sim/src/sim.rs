@@ -20,8 +20,9 @@ use crate::tape_engine::TapeEngine;
 
 /// Simulation engine selection; see `DESIGN.md` for the mapping onto the
 /// paper's CPython / PyPy / SimJIT / SimJIT+PyPy regimes. Those four are
-/// [`Engine::ALL`]; the other two run `SpecializedOpt`'s plans on a
-/// worker pool or over trial lanes, sized by [`SimConfig`].
+/// [`Engine::ALL`]; `SpecializedBatch` runs `SpecializedOpt`'s plans over
+/// trial lanes, sized by [`SimConfig`], and `SpecializedPar` is another
+/// name for `SpecializedOpt`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Engine {
     /// Event-driven tree-walking simulator with hash-map value storage and
@@ -36,15 +37,14 @@ pub enum Engine {
     /// Tapes plus a fully static levelized schedule — no event queue at all
     /// (the SimJIT+PyPy analog).
     SpecializedOpt,
-    /// `SpecializedOpt`'s plans with each gang's lane blocks dealt to a
-    /// pool of worker threads, one barrier before the gang and one after;
-    /// fused tapes, native blocks and the commit stay on the calling
-    /// thread. Cycle-exact with `SpecializedOpt` by construction: the
-    /// lanes of a gang are independent, so it does not matter which thread
-    /// runs which. The thread count comes from [`SimConfig::threads`]
-    /// alone and is clamped to `1..=64`; a simulator given no count or one
-    /// thread, or whose plans hold no gang of two or more lane blocks,
-    /// spawns no thread and simply is `SpecializedOpt`.
+    /// Builds exactly the [`Engine::SpecializedOpt`] engine: the same
+    /// plans on the calling thread, whatever [`SimConfig::threads`] says.
+    /// It once dealt each gang's lane blocks to a pool of worker threads,
+    /// but on a two-core host the two barriers a gang paid made it slower
+    /// than one thread, and campaigns already run one simulator per core.
+    /// Its name is kept only for the callers that still spell it (the
+    /// benchmark harness, journals and result-cache entries that recorded
+    /// `specialized-par`); it goes once nothing names it (ROADMAP item 2).
     SpecializedPar,
     /// Batch engine: up to 64 independent trial *lanes* in one simulator,
     /// each a packed state run by the `SpecializedOpt` executor over the
@@ -64,9 +64,9 @@ impl Engine {
     /// The paper's four engines (CPython, PyPy, SimJIT and SimJIT+PyPy
     /// analogs), in increasing order of specialization: the set every
     /// figure and engine-generic test iterates. [`Engine::SpecializedPar`]
-    /// is left out because without an explicit [`SimConfig::threads`] it
-    /// is [`Engine::SpecializedOpt`]; [`Engine::SpecializedBatch`] because
-    /// it is lane-parallel and opt-in (no native-block support).
+    /// is left out because it is [`Engine::SpecializedOpt`];
+    /// [`Engine::SpecializedBatch`] because it is lane-parallel and opt-in
+    /// (no native-block support).
     pub const ALL: [Engine; 4] =
         [Engine::Interpreted, Engine::InterpretedOpt, Engine::Specialized, Engine::SpecializedOpt];
 }
@@ -104,12 +104,10 @@ impl std::str::FromStr for Engine {
 /// the call site; the simulator reads no environment.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
-    /// Worker-thread count for [`Engine::SpecializedPar`] (including the
-    /// calling thread). `None` or `1` means no pool: the engine then runs
-    /// exactly as [`Engine::SpecializedOpt`]. The count is clamped to
-    /// `1..=64` — the ceiling is a constant of the engine, not a knob —
-    /// and no more workers run than the widest gang has lane blocks.
-    /// Other engines ignore it.
+    /// Read by no engine: every simulator runs on the calling thread.
+    /// It once sized [`Engine::SpecializedPar`]'s worker pool and is kept
+    /// only so that the callers that still set it compile; it goes with
+    /// that engine's name (ROADMAP item 2).
     pub threads: Option<usize>,
     /// Whether the tape engines run the optimizer pass pipeline
     /// ([`crate::passes`]) over compiled tapes; on by default. The
@@ -527,9 +525,8 @@ impl Sim {
         Sim::with_config(design, engine, &SimConfig::default())
     }
 
-    /// [`Sim::new`] with explicit configuration: the `SpecializedPar`
-    /// worker-thread count, the tape-optimizer switch and the
-    /// `SpecializedBatch` lane count (see [`SimConfig`]).
+    /// [`Sim::new`] with explicit configuration: the tape-optimizer switch
+    /// and the `SpecializedBatch` lane count (see [`SimConfig`]).
     pub fn with_config(design: Design, engine: Engine, cfg: &SimConfig) -> Sim {
         Sim::assemble(Arc::new(design), engine, cfg, None, Overheads::default())
     }
@@ -558,16 +555,11 @@ impl Sim {
             }
             Engine::Specialized => {
                 let s = staged(Layer::Blocks);
-                Box::new(TapeEngine::new(design, natives, true, 1, &s, o))
+                Box::new(TapeEngine::new(design, natives, true, &s, o))
             }
-            Engine::SpecializedOpt => {
+            Engine::SpecializedOpt | Engine::SpecializedPar => {
                 let s = staged(Layer::Plans);
-                Box::new(TapeEngine::new(design, natives, false, 1, &s, o))
-            }
-            Engine::SpecializedPar => {
-                let s = staged(Layer::Plans);
-                let threads = crate::par::clamp_threads(cfg.threads);
-                Box::new(TapeEngine::new(design, natives, false, threads, &s, o))
+                Box::new(TapeEngine::new(design, natives, false, &s, o))
             }
             Engine::SpecializedBatch => {
                 assert!(
@@ -1383,7 +1375,7 @@ impl Sim {
             engine_settles: stats.settles,
             fixpoint_iters: stats.fixpoint.clone(),
             queue_depth: stats.queue_depth.clone(),
-            partition_nanos: stats.partition_nanos.clone(),
+            partition_nanos: Vec::new(),
             gang_plan: self.backend.opt_report().and_then(OptReport::gang_line),
             net_activity,
             net_paths,

@@ -10,30 +10,17 @@
 //! change of layout (per-partition banks, `u64` banks for fully narrow
 //! designs, base-relative slots) or a checked mode is a change here.
 //!
-//! **Protocol.** The words are interior-mutable so that the workers a
-//! [`crate::par`] pool gives a `specialized-par` simulator can share one
-//! state. What keeps that free of data races is stated here once:
-//!
-//! * *within a gang* — the one step the workers run, each a contiguous
-//!   share of the gang's lane blocks — a slot has at most one writer, and
-//!   no reader other than its writer: the plan stage's `lanes_independent`
-//!   proved exactly that of every lane of the gang, and bounded every
-//!   table entry; memories are only read (stores are queued, and drained
-//!   by the control thread);
-//! * *between gangs* only the control thread touches state — the workers
-//!   are parked at the barrier.
-//!
-//! Every mutation is a safe method of an [`Access`] handle, so the only
-//! `unsafe` an engine ever writes is *obtaining* a handle through a shared
-//! reference ([`PackedState::shared`]): the caller promises the protocol
-//! for the handle's lifetime. [`PackedState::exclusive`] needs no promise —
-//! a `&mut` has no other party — and is what the single-threaded engines
-//! and the tests use. The readers ([`PackedState::peek`] and friends) take
-//! `&self`: an exclusive handle cannot coexist with that borrow, and a
-//! shared handle's creator has promised there is no foreign reader.
+//! **Protocol.** The words are interior-mutable cells behind raw column
+//! pointers, which is what the scalar executor addresses. Every mutation
+//! is a safe method of an [`Access`] handle, and the one way to obtain a
+//! handle is [`PackedState::exclusive`], which borrows the state `&mut`:
+//! while a handle lives nobody else can reach the words. The readers
+//! ([`PackedState::peek`] and friends) take `&self`, which an exclusive
+//! handle cannot coexist with. Everything runs on the thread that owns
+//! the engine.
 
 use std::cell::UnsafeCell;
-use std::ops::{Deref, Range};
+use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
@@ -89,13 +76,6 @@ pub(crate) struct PackedState {
     activity: OnceLock<Box<[UnsafeCell<u64>]>>,
 }
 
-// SAFETY: the interior-mutable fields (`cur`, `next`, `mems`, `activity`)
-// are only written through an `Access`, whose two sources keep the module
-// docs' protocol — `exclusive` by borrowing, `shared` by its caller's
-// promise. The tables are immutable after construction; `track_activity`
-// is an atomic and `activity`'s allocation a `OnceLock`.
-unsafe impl Sync for PackedState {}
-
 impl PackedState {
     /// Zeroed state for `layout`, with one column of `mem_words[m]` words
     /// per memory.
@@ -140,28 +120,15 @@ impl PackedState {
             && self.mems.0.iter().zip(&other.mems.0).all(|(a, b)| same(a, b))
     }
 
-    /// A handle by exclusivity: nobody else can reach the state while it
-    /// lives.
+    /// The one handle: nobody else can reach the state while it lives.
     pub(crate) fn exclusive(&mut self) -> Access<'_> {
-        Access(self)
-    }
-
-    /// A handle through a shared reference.
-    ///
-    /// # Safety
-    ///
-    /// For the handle's lifetime the caller keeps the module docs'
-    /// protocol: no slot or counter this handle writes is read or written
-    /// through any other path, and none it reads is written through one.
-    pub(crate) unsafe fn shared(&self) -> Access<'_> {
         Access(self)
     }
 
     #[inline(always)]
     fn load(&self, cell: &Cell) -> u128 {
-        // SAFETY: a writer is an `Access`. An exclusive one cannot coexist
-        // with this `&self`; a shared one's creator promised that nothing
-        // it writes is read through another path.
+        // SAFETY: a writer is an `Access`, which borrows the state `&mut`
+        // and so cannot coexist with this `&self`.
         unsafe { *cell.get() }
     }
 
@@ -283,7 +250,7 @@ impl Access<'_> {
         }
     }
 
-    /// Executes a gang's body for its lane blocks `share`; see
+    /// Executes a gang's body for each of its lane blocks in turn; see
     /// [`exec_lanes`]. `bank` is a register bank of the gang's
     /// (`tape_engine::gang_bank`), persistent since
     /// [`crate::tape::broadcast_prelude`] installed the body's prelude,
@@ -299,16 +266,15 @@ impl Access<'_> {
         &mut self,
         body: &Tape,
         gang: &Gang,
-        share: Range<usize>,
         bank: &mut [u128],
         pending: &mut Vec<(u32, u64, u128)>,
     ) {
         let pre = body.prelude as usize;
         match &body.narrow {
-            Some(ops) => self.run_lanes(&ops[pre..], body, gang, share, lane_regs(bank), pending),
+            Some(ops) => self.run_lanes(&ops[pre..], body, gang, lane_regs(bank), pending),
             None => {
                 let regs = bank.as_chunks_mut().0;
-                self.run_lanes(&body.ops[pre..], body, gang, share, regs, pending)
+                self.run_lanes(&body.ops[pre..], body, gang, regs, pending)
             }
         }
     }
@@ -319,11 +285,10 @@ impl Access<'_> {
         ops: &[Op<Reg, W>],
         body: &Tape,
         gang: &Gang,
-        share: Range<usize>,
         regs: &mut [[W; LANES]],
         pending: &mut Vec<(u32, u64, u128)>,
     ) {
-        for rows in gang.lane_blocks().skip(share.start).take(share.len()) {
+        for rows in gang.lane_blocks() {
             for (p, values) in body.params.iter().zip(rows.params.chunks_exact(LANES)) {
                 regs[p.reg as usize] = std::array::from_fn(|l| W::from_u128(values[l]));
             }
@@ -593,12 +558,12 @@ mod tests {
         assert_eq!(state.dump(), (vec![0xAB, 0x22], vec![0xAB, 0x22], vec![vec![0, 0xF]]));
     }
 
-    /// Every op kind, on narrow, word-sized and wide values, through a
-    /// handle obtained either way: the executor sees the same columns, so
-    /// the resulting words and queued stores are the same — and the
-    /// tracked run reports exactly the `cur` slots that differ.
+    /// Every op kind, on narrow, word-sized and wide values, tracked and
+    /// untracked: the resulting words and queued stores are the same, the
+    /// untracked run reports nothing, and the tracked run reports exactly
+    /// the `cur` slots that differ.
     #[test]
-    fn exclusive_and_shared_handles_execute_every_kind_alike() {
+    fn tracked_and_untracked_runs_execute_every_kind_alike() {
         let mut seed = 3u64;
         for w in [1, 7, 64, 65, 128] {
             for &kind in Kind::ALL {
@@ -620,14 +585,12 @@ mod tests {
                 let cur: Vec<u128> = widths.iter().map(|&w| words(&mut seed, w)).collect();
                 let next: Vec<u128> = widths.iter().map(|&w| words(&mut seed, w)).collect();
                 let mem: Vec<u128> = (0..4).map(|_| words(&mut seed, w)).collect();
-                let run = |shared: bool, track: bool| {
+                let run = |track: bool| {
                     let mut state = PackedState::from_widths(&widths, &[(w, 4)], &[]);
                     state.fill(&cur, &next);
                     let (mut pending, mut changed) = (Vec::new(), Vec::new());
                     let mut regs = [0u128; 8];
-                    // SAFETY: `state` is a local no other handle or thread
-                    // can reach.
-                    let mut st = if shared { unsafe { state.shared() } } else { state.exclusive() };
+                    let mut st = state.exclusive();
                     for (addr, &v) in mem.iter().enumerate() {
                         st.poke_mem(0, addr as u64, Bits::new(w, v));
                     }
@@ -638,10 +601,9 @@ mod tests {
                     }
                     (state.dump(), pending, changed)
                 };
-                let want = run(false, false);
-                assert_eq!(run(true, false), want, "{kind:?} w={w}: {op:?}");
+                let want = run(false);
                 assert!(want.2.is_empty(), "{kind:?} w={w}: untracked runs report nothing");
-                let (dump, pending, mut changed) = run(true, true);
+                let (dump, pending, mut changed) = run(true);
                 assert_eq!((&dump, &pending), (&want.0, &want.1), "{kind:?} w={w}: tracked");
                 changed.sort_unstable();
                 let moved = (0..8).filter(|&s| dump.0[s] != cur[s]).map(|s| s as u32);

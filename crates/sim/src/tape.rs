@@ -1014,7 +1014,7 @@ mod tests {
                             }
                         }
                         let (mut bank, mut pending) = (gang_bank(&gang, &tapes), Vec::new());
-                        st.exec_lanes(&tapes[0], &gang, 0..n / LANES, &mut bank, &mut pending);
+                        st.exec_lanes(&tapes[0], &gang, &mut bank, &mut pending);
                         let (cur, next, _) = state.dump();
                         for (lane, lane_state) in before.iter().enumerate() {
                             let own = |column: &[u128]| column[9 * lane..][..9].to_vec();

@@ -12,7 +12,7 @@ use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 use mtl_bits::Bits;
-use mtl_core::{Component, Ctx, Expr, Keyed, MemRef, SignalRef};
+use mtl_core::{Component, Ctx, Expr, Key, Keyed, MemRef, SignalRef};
 
 /// Error produced while parsing Verilog source.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -902,9 +902,23 @@ impl NameEnv {
     }
 }
 
-/// Keyless: it borrows its library. Every instance is built, and
-/// translating a re-parsed design emits one module per instance.
-impl Keyed for VerilogComponent<'_> {}
+/// What a [`VerilogComponent`] builds from: its library and its module's
+/// name. The library is borrowed for the whole elaboration, so no other
+/// library can sit at its address meanwhile.
+#[derive(Hash)]
+struct ModuleKey {
+    lib: usize,
+    module: String,
+}
+
+/// Keyed by library and module, so a re-parsed design stamps its repeated
+/// modules and re-translates to one Verilog module per parsed one.
+impl Keyed for VerilogComponent<'_> {
+    fn key(&self) -> Option<Key> {
+        let lib = std::ptr::from_ref(self.lib) as usize;
+        ModuleKey { lib, module: self.module.name.clone() }.key()
+    }
+}
 
 impl Component for VerilogComponent<'_> {
     /// The parsed module's name: data, not a parameter list.

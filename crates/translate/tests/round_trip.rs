@@ -240,3 +240,37 @@ fn keys_of_one_label_are_numbered_modules() {
     }
     check_round_trip(&top, 50, 11);
 }
+
+/// A re-parsed module is keyed by its library and its name, so the RTL
+/// mesh16's re-parse builds the first instance of each module and stamps
+/// every later one whole (debug builds check each stamp against a fresh
+/// build), and it re-translates to the four modules it was parsed from.
+#[test]
+fn reparsed_rtl_mesh16_stamps_its_repeated_modules() {
+    use mtl_core::{BlockId, ModuleId};
+
+    let modules = |verilog: &str| verilog.lines().filter(|l| l.starts_with("module ")).count();
+    let mesh = mtl_net::network(mtl_net::NetLevel::Rtl, 16, 16, 2);
+    let verilog = translate(&elaborate(&*mesh).unwrap()).unwrap();
+    assert_eq!(modules(&verilog), 4);
+    let lib = VerilogLibrary::parse(&verilog).unwrap();
+    let design = elaborate(&lib.top_component()).unwrap();
+    let mut seen = std::collections::HashSet::new();
+    let mut stamped = 0;
+    for (m, info) in design.modules().iter().enumerate() {
+        // The top is elaborated, not instantiated, so it holds no key.
+        let first = info.key.is_none_or(|key| seen.insert(key));
+        assert_eq!(info.key.is_none(), m == 0, "{} is keyed below the top", info.component);
+        let own = (0..design.blocks().len())
+            .map(BlockId::from_index)
+            .filter(|&b| design.block(b).module == ModuleId::from_index(m));
+        for b in own {
+            let is_stamp = design.block_source(b).is_some();
+            assert_eq!(is_stamp, !first, "{} block {}", info.component, design.block(b).name);
+            stamped += usize::from(is_stamp);
+        }
+    }
+    assert_eq!(seen.len(), 3, "one key per parsed module below the top");
+    assert!(stamped > 0, "later instances are stamps");
+    assert_eq!(modules(&translate(&design).unwrap()), 4);
+}

@@ -5,7 +5,7 @@
 #       random RTL designs must produce byte-identical faulty traces and
 #       identical masked/silent/detected reports on every engine
 #       configuration (the four engines of Engine::ALL + specialized-par
-#       at 1/4 threads); then the pinned-report test, which holds full
+#       at 1/4 threads, which builds specialized-opt either way); then the pinned-report test, which holds full
 #       run_diff reports (trace fingerprint included) to literals, so a
 #       change to the fingerprint's fold fails this stage even when every
 #       engine changes alike; then the cone-settle differential: on

@@ -19,10 +19,10 @@
 #       so each point shows one bring-up time;
 #   (c) the benchmark's own oracle at full scale: one short
 #       `soc64_rtl_par2` ledger run, whose last line must say
-#       `"correct":true` — specialized-par at 2 threads (the plans of
-#       specialized-opt, each gang's lane blocks dealt to two workers)
-#       equalled specialized-opt over 2 000 cycles of the 64-tile SoC and
-#       a bounded run drained to the golden checksum.
+#       `"correct":true` — specialized-par at 2 threads (which builds
+#       specialized-opt on the calling thread; the count is read by no
+#       engine) equalled specialized-opt over 2 000 cycles of the 64-tile
+#       SoC and a bounded run drained to the golden checksum.
 #   (d) component identity in release: the stamping tests of mtl-core,
 #       the pairs of mtl-soc's `names` (meshes, SoCs and tiles that differ
 #       in one field each keep their own behaviour; the Verilog holds one

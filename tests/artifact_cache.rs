@@ -15,9 +15,8 @@ use rustmtl::stdlib::Counter;
 /// `SpecializedPar` builds through `build_shared` resolve the same plan
 /// stage as `SpecializedOpt`: one counted tape lookup per build, no
 /// `comp`/`cgen` on a hit, the same optimizer report and a trace that is
-/// cycle-exact with an uncached build, whatever the worker count — which
-/// is per-instance state (a pool and its register banks), not part of the
-/// artifact.
+/// cycle-exact with an uncached build, whatever the thread count (which
+/// no engine reads).
 #[test]
 fn par_builds_share_block_tapes_and_stay_cycle_exact() {
     let soc =

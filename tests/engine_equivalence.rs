@@ -399,7 +399,7 @@ fn zero_width_slice_is_rejected_at_elaboration() {
 /// Equivalence must also hold under *perturbation*: a seeded fault plan
 /// injected into a random RTL design makes every engine configuration
 /// (the four engines of `Engine::ALL`, plus `SpecializedPar` at 1 and 4
-/// worker threads) diverge from the golden run *identically* — same faulty-trace
+/// threads) diverge from the golden run *identically* — same faulty-trace
 /// fingerprint, same first-divergence cycle, same masked/silent/detected
 /// classification, same blast radius. Fault injection stresses the
 /// settle machinery differently from clean simulation (forces are
@@ -483,18 +483,16 @@ fn build_each(top: &dyn Component, configs: &[(Engine, Option<usize>)]) -> (Vec<
 /// elaboration in the tree (~15k signals, 64 routers), and the
 /// acceptance bar for `mtl-soc` is that engine choice stays a pure
 /// performance knob on it. Interpreted, SpecializedOpt, and
-/// SpecializedPar at explicit 1 (no pool), 2, 4 and 8 worker threads must
-/// agree on the architectural ports every cycle and on every net and
-/// memory word at checkpoints. Three of the SoC's gangs have four lane
-/// blocks, so at eight threads half the workers are dealt an empty share
-/// of them; its ganged queue bodies hold the `mem-write-if`s whose stores
-/// the workers queue locally.
+/// SpecializedPar at explicit 1, 2, 4 and 8 threads must agree on the
+/// architectural ports every cycle and on every net and memory word at
+/// checkpoints. Its ganged queue bodies hold the `mem-write-if`s whose
+/// stores the lane executor queues.
 ///
 /// A second leg runs bursty traffic at a low rate and a small budget —
-/// idle gaps, bursts, then a drained and fully idle SoC — with the
-/// three-thread simulator profiled, which runs the same dealt plan timed.
-/// A third runs the RTL mesh harness, whose native traffic blocks sit
-/// between the dealt gangs.
+/// idle gaps, bursts, then a drained and fully idle SoC — with one
+/// simulator profiled, which runs its schedule block by block. A third
+/// runs the RTL mesh harness, whose native traffic blocks sit between the
+/// gangs.
 #[test]
 fn engines_agree_on_64_tile_soc() {
     use rustmtl::net::{MeshTrafficHarness, NetLevel};
@@ -529,9 +527,7 @@ fn engines_agree_on_64_tile_soc() {
     assert_eq!(injected.as_u64(), 64 * 3, "every terminal spent its budget");
     assert_eq!(delivered, injected, "the SoC drained and went idle");
     let profile = sims[2].profile().expect("profiling enabled");
-    assert_eq!(profile.partition_nanos.len(), 3, "three workers, the calling thread included");
-    assert!(profile.partition_nanos.iter().all(|&n| n > 0), "every worker was dealt lane blocks");
-    assert!(profile.block_nanos.iter().sum::<u64>() > 0, "the timed plan credits its blocks");
+    assert!(profile.block_nanos.iter().sum::<u64>() > 0, "the profiled run times its blocks");
 
     let harness = || MeshTrafficHarness::new(NetLevel::Rtl, 64, 300, 5);
     let (tops, configs) = ([harness(), harness()], [(Engine::SpecializedOpt, None), par(2)]);
@@ -554,8 +550,8 @@ fn engines_agree_on_64_tile_soc() {
 /// compared every cycle until the SoC halts: shared `TestMemory` backing
 /// is safe exactly because the engines are cycle-exact — every write
 /// lands with identical value and timing. Its routers' 80-bit queue
-/// bodies run as `u128`-class gangs on `specialized-opt` and, dealt to
-/// two workers, on `specialized-par`.
+/// bodies run as `u128`-class gangs on `specialized-opt` and
+/// `specialized-par`.
 #[test]
 fn engines_agree_on_compute_soc() {
     use rustmtl::net::NetLevel;
@@ -656,14 +652,11 @@ fn tape_width_classes_follow_the_design() {
     assert!(fused > 0 && fused_narrow < fused, "a wide net keeps its fused schedule wide");
 }
 
-/// The parallel engine must be cycle-exact with `SpecializedOpt` on every
+/// `SpecializedPar` must be cycle-exact with `SpecializedOpt` on every
 /// random design of `engines_agree_on_random_designs` at explicit thread
-/// counts — none but the caller's (1), even (2, 4, 8), odd (3) and absurd
-/// (`usize::MAX`, which the engine clamps to its ceiling of 64) —
-/// including the logical profile counters and the activity toggles, not
-/// just settled values. One instance of a random design forms no gang, so
-/// these simulators run without a pool whatever the count; the dealt path
-/// runs on the replicated designs and the SoCs below.
+/// counts — one, even (2, 4, 8), odd (3) and absurd (`usize::MAX`), none
+/// of which any engine reads — including the logical profile counters and
+/// the activity toggles, not just settled values.
 #[test]
 fn specialized_par_matches_opt_at_explicit_thread_counts() {
     for threads in [1usize, 2, 3, 4, 8, usize::MAX] {
@@ -721,38 +714,40 @@ fn specialized_par_matches_opt_at_explicit_thread_counts() {
     }
 }
 
-/// A worker pool exists to deal the lane blocks of gangs: a simulator whose
-/// plans hold no gang of two lane blocks — a CL mesh, all native blocks,
-/// and a random RTL design, every group too `few` for a lane block — spawns
-/// no thread whatever `threads` says, which shows as an empty
-/// `partition_nanos`. It then is `specialized-opt`, profile included. And
-/// no more workers run than the widest gang has lane blocks: two on the
-/// 4-router RTL mesh (its 40 queues are 32 lanes and a tail). The default
-/// config names no thread count, so it spawns no worker even there, and
-/// it runs the tape optimizer.
+/// `specialized-par` is `specialized-opt` on the calling thread, whatever
+/// `threads` says: at none, one, two, four and eight threads it runs in
+/// lockstep with `specialized-opt` on the 64-tile SoC and on the RTL mesh
+/// — both have gangs of several lane blocks — and a profiled run reports
+/// no per-thread busy time.
 #[test]
-fn a_simulator_spawns_no_worker_it_has_no_lane_block_for() {
-    use rustmtl::net::{MeshTrafficHarness, NetLevel};
+fn specialized_par_is_specialized_opt_at_every_thread_count() {
+    use rustmtl::net::{MeshTrafficRtlHarness, NetLevel};
+    use rustmtl::soc::{Soc, SocConfig, SocTraffic};
 
-    let cl_mesh = MeshTrafficHarness::new(NetLevel::Cl, 64, 300, 5);
-    let rtl_mesh = MeshTrafficHarness::new(NetLevel::Rtl, 4, 300, 5);
-    let tops: [(&dyn Component, &str, Option<usize>, usize); 4] = [
-        (&cl_mesh, "CL mesh64", Some(4), 0),
-        (&RandomRtl::new(3), "random RTL", Some(4), 0),
-        (&rtl_mesh, "RTL mesh4", Some(4), 2),
-        (&rtl_mesh, "RTL mesh4, default config", None, 0),
+    let soc = Soc::new(SocConfig::synthetic(64, NetLevel::Rtl, SocTraffic::Tornado).with_limit(4));
+    let mesh = MeshTrafficRtlHarness::new(16, 300, 5);
+    let tops: [(&dyn Component, &[&str]); 2] =
+        [(&soc, &["checksum", "injected", "delivered"]), (&mesh, &["checksum"])];
+    let par = |threads| (Engine::SpecializedPar, threads);
+    let configs = [
+        (Engine::SpecializedOpt, None),
+        par(None),
+        par(Some(1)),
+        par(Some(2)),
+        par(Some(4)),
+        par(Some(8)),
     ];
-    assert!(SimConfig::default().tape_opt, "the optimizer is on by default");
-    for (top, name, threads, workers) in tops {
-        let cfg = SimConfig { threads, ..Default::default() };
-        let mut sim =
-            Sim::build_with_config(top, Engine::SpecializedPar, &cfg).expect("elaborates");
-        assert!(sim.opt_report().is_some(), "{name}: the optimizer ran");
-        sim.enable_profiling();
-        sim.reset();
-        sim.run(20);
-        let profile = sim.profile().expect("profiling enabled");
-        assert_eq!(profile.partition_nanos.len(), workers, "{name}: {:?}", profile.gang_plan);
-        assert!(profile.block_nanos.iter().sum::<u64>() > 0, "{name}");
+    for (top, ports) in tops {
+        let (mut sims, labels) = build_each(top, &configs);
+        let rep = sims[0].opt_report().expect("specialized-opt reports its plans");
+        assert!(rep.gangs > 0, "{}: the plans gang: {:?}", top.name(), rep.gang_line());
+        assert_lockstep(&mut sims, &labels, ports, 80);
+        for (sim, label) in sims.iter_mut().zip(&labels).skip(1) {
+            sim.enable_profiling();
+            sim.run(5);
+            let profile = sim.profile().expect("profiling enabled");
+            assert!(profile.partition_nanos.is_empty(), "{label}: {:?}", profile.partition_nanos);
+            assert!(profile.block_nanos.iter().sum::<u64>() > 0, "{label}: blocks are timed");
+        }
     }
 }
