@@ -1673,7 +1673,7 @@ mod tests {
         }
         let mut state = PackedState::from_widths(&vec![128; nslots], &[], &[]);
         state.fill(&cur, &vec![0; nslots]);
-        state.exclusive().exec::<false>(&t, 0, &mut regs, &mut Vec::new(), &mut Vec::new());
+        state.exec::<false>(&t, 0, &mut regs, &mut Vec::new(), &mut Vec::new());
         state.dump().0
     }
 
@@ -1846,7 +1846,7 @@ mod tests {
             // Pre-set next[2] to a value cur cannot explain: the untaken
             // path must keep it.
             state.fill(&[u128::from(taken), 0, 0], &[0, 0, 7]);
-            state.exclusive().exec::<false>(&t, 0, &mut regs, &mut Vec::new(), &mut Vec::new());
+            state.exec::<false>(&t, 0, &mut regs, &mut Vec::new(), &mut Vec::new());
             let (cur, next, _) = state.dump();
             if taken {
                 assert_eq!((cur[1], next[2]), (5, 9));
@@ -1970,7 +1970,7 @@ mod tests {
         for x in [0u128, 5, 200] {
             state.fill(&[x, 0], &[0, 0]);
             let start = t.prelude as usize;
-            state.exclusive().exec::<false>(&t, start, &mut regs, &mut Vec::new(), &mut Vec::new());
+            state.exec::<false>(&t, start, &mut regs, &mut Vec::new(), &mut Vec::new());
             assert_eq!(state.dump().0[1], (x + 7) & m, "body run with x={x}");
         }
     }

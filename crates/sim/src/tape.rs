@@ -21,8 +21,6 @@
 //! optimizer's constant folder all run that one `match`, and keep arms of
 //! their own only for the ops that touch state, memory or control flow.
 
-use crate::state::{Access, Mems};
-
 /// A physical register index within an executable tape. Kept at 16 bits so
 /// an [`Op`] is 48 bytes (two `u128` immediates plus operands and tag) and
 /// its `u64` lowering 24.
@@ -972,12 +970,11 @@ mod tests {
                     let scalar = |tape: &Tape, (cur, next, mem, _): &State| {
                         let mut state = PackedState::from_widths(&widths, &[(w, 4)], &[]);
                         state.fill(cur, next);
-                        let mut st = state.exclusive();
                         for (addr, &v) in mem.iter().enumerate() {
-                            st.poke_mem(0, addr as u64, Bits::new(w, v));
+                            state.poke_mem(0, addr as u64, Bits::new(w, v));
                         }
                         let mut pending = Vec::new();
-                        st.exec::<false>(tape, 0, &mut [0; 8], &mut pending, &mut Vec::new());
+                        state.exec::<false>(tape, 0, &mut [0; 8], &mut pending, &mut Vec::new());
                         let (cur, next, _) = state.dump();
                         (cur, next, mem.clone(), pending)
                     };
@@ -1007,14 +1004,13 @@ mod tests {
                             before.iter().flat_map(|st| pick(st).clone()).collect()
                         };
                         state.fill(&column(|st| &st.0), &column(|st| &st.1));
-                        let mut st = state.exclusive();
                         for (lane, (_, _, mem, _)) in before.iter().enumerate() {
                             for (addr, &v) in mem.iter().enumerate() {
-                                st.poke_mem(lane, addr as u64, Bits::new(w, v));
+                                state.poke_mem(lane, addr as u64, Bits::new(w, v));
                             }
                         }
                         let (mut bank, mut pending) = (gang_bank(&gang, &tapes), Vec::new());
-                        st.exec_lanes(&tapes[0], &gang, &mut bank, &mut pending);
+                        state.exec_lanes(&tapes[0], &gang, &mut bank, &mut pending);
                         let (cur, next, _) = state.dump();
                         for (lane, lane_state) in before.iter().enumerate() {
                             let own = |column: &[u128]| column[9 * lane..][..9].to_vec();
@@ -1318,37 +1314,32 @@ pub(crate) fn pure<R: Copy, W: Word, V: Shape<W>>(
 }
 
 /// The executor body: runs `ops[start..]` on registers of word `W`, over
-/// the raw columns of a [`crate::state::PackedState`] — whose
-/// [`exec`](crate::state::Access::exec) is the one caller, and picks the
-/// class. State stays `u128` at a 16-byte stride whatever the class — a
+/// the columns of a [`crate::state::PackedState`] — whose
+/// [`exec`](crate::state::PackedState::exec) is the one caller, and picks
+/// the class. State stays `u128` at a 16-byte stride whatever the class — a
 /// narrow tape loads the low half of a slot and stores it back
 /// zero-extended, both exact because every slot it touches is at most 64
 /// bits wide. When `TRACK`, a store that changes a `cur` slot's value
 /// pushes the slot on `changed` (the event-driven engine's sensitivity
 /// propagation).
 ///
-/// Indexing is unchecked in the hot loop; every index is range-checked
-/// once by `validate` when the tape is built.
+/// Ops and registers are indexed unchecked in the hot loop; every register
+/// index is range-checked once by `validate` when the tape is built. State
+/// slots and memory words are indexed through the slices, checked.
 ///
 /// # Safety
 ///
-/// - `ops` is the program of a validated tape at its class (`tape.ops`, or
-///   `tape.narrow`'s content), `regs` holds at least `tape.nregs` words,
-///   and `start` is `0` or `tape.prelude` (jump-free when `prelude > 0`);
-/// - `cur` and `next` point to columns covering every net slot the tape
-///   references, `mems` to the memories it references (both ensured by
-///   `validate` against the state's dimensions);
-/// - for the duration of the call nothing else writes a slot this tape
-///   reads, and nothing else reads or writes a slot it writes (the
-///   [`crate::state`] protocol).
+/// `ops` is the program of a validated tape at its class (`tape.ops`, or
+/// `tape.narrow`'s content), `regs` holds at least `tape.nregs` words, and
+/// `start` is `0` or `tape.prelude` (jump-free when `prelude > 0`).
 #[allow(clippy::too_many_arguments)]
-pub(crate) unsafe fn exec_tape_ptr_from<const TRACK: bool, W: Word>(
+pub(crate) unsafe fn exec_tape_from<const TRACK: bool, W: Word>(
     ops: &[Op<Reg, W>],
     start: usize,
     regs: &mut [W],
-    cur: *mut u128,
-    next: *mut u128,
-    mems: &Mems,
+    cur: &mut [u128],
+    next: &mut [u128],
+    mems: &[Box<[u128]>],
     pending: &mut Vec<(u32, u64, u128)>,
     changed: &mut Vec<u32>,
 ) {
@@ -1367,15 +1358,6 @@ pub(crate) unsafe fn exec_tape_ptr_from<const TRACK: bool, W: Word>(
             // SAFETY: as for `r!`.
             unsafe { *regs.get_unchecked_mut(*$i as usize) = v }
         }};
-    }
-    // The word of `$slot` in column `$col` (`cur` or `next`), to store to.
-    macro_rules! word_of {
-        ($col:ident, $slot:expr) => {
-            // SAFETY: `validate` bounded every slot operand by the column
-            // length, and by the caller's contract nothing else touches a
-            // slot this tape writes.
-            unsafe { &mut *$col.add(*$slot as usize) }
-        };
     }
     // A tracked or plain full store of `v` to `cur[slot]`.
     macro_rules! store {
@@ -1399,11 +1381,7 @@ pub(crate) unsafe fn exec_tape_ptr_from<const TRACK: bool, W: Word>(
         // SAFETY: `pc < ops.len()`.
         match unsafe { ops.get_unchecked(pc) } {
             Op::Const { dst, val } => w!(dst, *val),
-            Op::Read { dst, slot } => {
-                // SAFETY: `validate` bounded `slot` by the column length,
-                // and by the caller's contract nothing else writes it.
-                w!(dst, W::from_u128(unsafe { *cur.add(*slot as usize) }))
-            }
+            Op::Read { dst, slot } => w!(dst, W::from_u128(cur[*slot as usize])),
             Op::Select { dst, sel, base, n } => {
                 // Clamp the whole selector, then index: a selector with
                 // only high bits set picks the last option.
@@ -1414,28 +1392,28 @@ pub(crate) unsafe fn exec_tape_ptr_from<const TRACK: bool, W: Word>(
                 w!(dst, v);
             }
             Op::Write { slot, src } => {
-                let c = word_of!(cur, slot);
+                let c = &mut cur[*slot as usize];
                 store!(slot, c, r!(src).to_u128());
             }
             Op::WriteMasked { slot, src, lo, field } => {
-                let c = word_of!(cur, slot);
+                let c = &mut cur[*slot as usize];
                 let field = field.to_u128();
                 let v = (*c & !field) | ((r!(src) << *lo).to_u128() & field);
                 store!(slot, c, v);
             }
             Op::WriteNext { slot, src } => {
                 let v = r!(src).to_u128();
-                *word_of!(next, slot) = v;
+                next[*slot as usize] = v;
             }
             Op::WriteNextMasked { slot, src, lo, field } => {
                 let v = r!(src);
-                let n = word_of!(next, slot);
+                let n = &mut next[*slot as usize];
                 let field = field.to_u128();
                 *n = (*n & !field) | ((v << *lo).to_u128() & field);
             }
             Op::WriteIf { slot, cond, src, neg } => {
                 let take = (r!(cond) != zero) != *neg;
-                let c = word_of!(cur, slot);
+                let c = &mut cur[*slot as usize];
                 // Branchless select: an untaken predicate stores the old
                 // value back, which the tracked path treats as "no
                 // change" — bit-for-bit the branchy original.
@@ -1444,15 +1422,12 @@ pub(crate) unsafe fn exec_tape_ptr_from<const TRACK: bool, W: Word>(
             }
             Op::WriteNextIf { slot, cond, src, neg } => {
                 let take = (r!(cond) != zero) != *neg;
-                let n = word_of!(next, slot);
+                let n = &mut next[*slot as usize];
                 *n = if take { r!(src).to_u128() } else { *n };
             }
             Op::MemRead { dst, mem, addr, words } => {
                 let a = (r!(addr).to_u128() as u64) % words;
-                // SAFETY: `validate` bounded `mem`, `a < words`, and the
-                // caller holds the state's `Access`.
-                let v = unsafe { mems.read(*mem as usize, a as usize) };
-                w!(dst, W::from_u128(v));
+                w!(dst, W::from_u128(mems[*mem as usize][a as usize]));
             }
             Op::MemWrite { mem, addr, data, words } => {
                 let a = (r!(addr).to_u128() as u64) % words;
@@ -1495,21 +1470,24 @@ pub(crate) unsafe fn exec_tape_ptr_from<const TRACK: bool, W: Word>(
 /// `s` of lane `l` is the state's slot `slots[s * L + l]`, memories
 /// likewise through `mems` (one lane block's rows of a
 /// [`Gang`](crate::compile::Gang)'s tables). Lane by lane this computes
-/// exactly what [`exec_tape_ptr_from`] computes, at the same word, for
+/// exactly what [`exec_tape_from`] computes, at the same word, for
 /// that instance's relocated tape; across lanes the ops interleave, which
 /// is unobservable because the lanes are independent (the plan stage's
 /// guard). Stores to memory are queued on `pending` in op order, lanes
 /// ascending within an op: per memory, program order.
 ///
 /// Everything here is checked indexing. The pure ops are [`pure`] over
-/// `[W; L]`; the state arms walk the table row through [`Access`]'s word
-/// accessors.
+/// `[W; L]`; the state arms walk the table row into the state's columns
+/// `cur`, `next` and `memory`, the slices [`exec_tape_from`] gets.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn exec_lanes<W: Word, const L: usize>(
     ops: &[Op<Reg, W>],
     regs: &mut [[W; L]],
     slots: &[u32],
     mems: &[u32],
-    st: &mut Access<'_>,
+    cur: &mut [u128],
+    next: &mut [u128],
+    memory: &[Box<[u128]>],
     pending: &mut Vec<(u32, u64, u128)>,
 ) {
     let zero = W::from_u128(0);
@@ -1524,16 +1502,18 @@ pub(crate) fn exec_lanes<W: Word, const L: usize>(
             row
         }};
     }
-    // `$col[slot] = $e` for every lane's slot, with `$old` bound to the
-    // word there and `$x` to the lane's value of source register `$r`.
+    // `$col[slot] = $e` for every lane's slot in column `$col` (`cur` or
+    // `next`), with `$old` bound to the word there and `$x` to the lane's
+    // value of source register `$r`.
     macro_rules! store {
-        ($next:literal, $slot:expr, |$old:ident, $($x:ident = $r:ident),*| $e:expr) => {{
+        ($col:ident, $slot:expr, |$old:ident, $($x:ident = $r:ident),*| $e:expr) => {{
             $(let $x: &[W; L] = &regs[*$r as usize];)*
             let row = row!(slots, $slot);
             for l in 0..L {
                 $(let $x = $x[l];)*
-                let $old = st.word($next, row[l]);
-                st.set_word($next, row[l], $e);
+                let word = &mut $col[row[l] as usize];
+                let $old = *word;
+                *word = $e;
             }
         }};
     }
@@ -1544,7 +1524,7 @@ pub(crate) fn exec_lanes<W: Word, const L: usize>(
                 let row = row!(slots, slot);
                 let d = &mut regs[*dst as usize];
                 for l in 0..L {
-                    d[l] = W::from_u128(st.word(false, row[l]));
+                    d[l] = W::from_u128(cur[row[l] as usize]);
                 }
             }
             Op::Select { dst, sel, base, n } => {
@@ -1556,15 +1536,15 @@ pub(crate) fn exec_lanes<W: Word, const L: usize>(
                 });
                 regs[*dst as usize] = picked;
             }
-            Op::Write { slot, src } => store!(false, slot, |_old, v = src| v.to_u128()),
-            Op::WriteNext { slot, src } => store!(true, slot, |_old, v = src| v.to_u128()),
-            Op::WriteMasked { slot, src, lo, field } => store!(false, slot, |old, v = src| {
+            Op::Write { slot, src } => store!(cur, slot, |_old, v = src| v.to_u128()),
+            Op::WriteNext { slot, src } => store!(next, slot, |_old, v = src| v.to_u128()),
+            Op::WriteMasked { slot, src, lo, field } => store!(cur, slot, |old, v = src| {
                 (old & !field.to_u128()) | ((v << *lo) & *field).to_u128()
             }),
-            Op::WriteNextMasked { slot, src, lo, field } => store!(true, slot, |old, v = src| {
+            Op::WriteNextMasked { slot, src, lo, field } => store!(next, slot, |old, v = src| {
                 (old & !field.to_u128()) | ((v << *lo) & *field).to_u128()
             }),
-            Op::WriteIf { slot, cond, src, neg } => store!(false, slot, |old, c = cond, v = src| {
+            Op::WriteIf { slot, cond, src, neg } => store!(cur, slot, |old, c = cond, v = src| {
                 if (c != zero) != *neg {
                     v.to_u128()
                 } else {
@@ -1572,7 +1552,7 @@ pub(crate) fn exec_lanes<W: Word, const L: usize>(
                 }
             }),
             Op::WriteNextIf { slot, cond, src, neg } => {
-                store!(true, slot, |old, c = cond, v = src| {
+                store!(next, slot, |old, c = cond, v = src| {
                     if (c != zero) != *neg {
                         v.to_u128()
                     } else {
@@ -1583,8 +1563,9 @@ pub(crate) fn exec_lanes<W: Word, const L: usize>(
             Op::MemRead { dst, mem, addr, words } => {
                 let row = row!(mems, mem);
                 let addr = &regs[*addr as usize];
-                let read: [W; L] =
-                    std::array::from_fn(|l| W::from_u128(st.mem_word(row[l], at(addr[l], *words))));
+                let read: [W; L] = std::array::from_fn(|l| {
+                    W::from_u128(memory[row[l] as usize][at(addr[l], *words) as usize])
+                });
                 regs[*dst as usize] = read;
             }
             Op::MemWrite { mem, addr, data, words } => {

@@ -44,10 +44,6 @@ pub(crate) struct TapeEngine {
     /// with every engine holding the same artifact.
     singles: Arc<OnceLock<Vec<Tape>>>,
     natives: Vec<Option<NativeFn>>,
-    seq_order: Vec<u32>,
-    /// Levelized combinational order (also the unfused schedule profiling
-    /// runs so per-block time stays attributable).
-    comb_order: Vec<u32>,
     /// Fused static schedules (opt mode only); shared like `blocks`.
     comb_plan: Arc<Vec<Chunk>>,
     seq_plan: Arc<Vec<Chunk>>,
@@ -152,13 +148,12 @@ impl TapeEngine {
 
         // Phase: simc (event structures + register banks).
         let t0 = Instant::now();
-        let comb_order = layout.comb_order.clone();
         let mut events = Events::default();
         if event_mode {
             events.sens = vec![Vec::new(); state.nslots()];
             events.mem_sens = vec![Vec::new(); design.mems().len()];
             events.in_queue = vec![false; design.blocks().len()];
-            for &b in &comb_order {
+            for &b in &layout.comb_order {
                 for slot in comb_sensitivity(&design, b) {
                     events.sens[slot as usize].push(b);
                 }
@@ -192,8 +187,6 @@ impl TapeEngine {
             blocks: Arc::clone(blocks),
             singles: Arc::clone(&staged.singles),
             natives,
-            seq_order: layout.seq_order.clone(),
-            comb_order,
             comb_plan,
             seq_plan,
             comb_bank,
@@ -231,8 +224,6 @@ impl TapeEngine {
             blocks: Arc::clone(&self.blocks),
             singles: Arc::clone(&self.singles),
             natives: self.natives.iter().map(|_| None).collect(),
-            seq_order: self.seq_order.clone(),
-            comb_order: self.comb_order.clone(),
             comb_plan: Arc::clone(&self.comb_plan),
             seq_plan: Arc::clone(&self.seq_plan),
             comb_bank: self.comb_bank.clone(),
@@ -278,9 +269,8 @@ impl TapeEngine {
     /// every slot it changed are woken.
     fn run_block<const TRACK: bool>(&mut self, b: u32) {
         let tapes = self.singles.get_or_init(|| self.blocks.tapes(&*self.design));
-        let mut state = self.state.exclusive();
         match self.design.blocks()[b as usize].body {
-            BlockBody::Ir(_) => state.exec::<TRACK>(
+            BlockBody::Ir(_) => self.state.exec::<TRACK>(
                 &tapes[b as usize],
                 0,
                 &mut self.regs,
@@ -289,7 +279,7 @@ impl TapeEngine {
             ),
             BlockBody::Native(..) => {
                 let f = self.natives[b as usize].as_mut().expect("native block has its closure");
-                state.call_native(&self.design, f, &mut self.changed, self.cycles);
+                self.state.call_native(&self.design, f, &mut self.changed, self.cycles);
             }
         }
         if TRACK {
@@ -342,14 +332,13 @@ impl TapeEngine {
             // Profiled static pass: run the same levelized order the fused
             // plan encodes, but block-by-block, so wall time is
             // attributable per block.
-            let order = std::mem::take(&mut self.comb_order);
-            for &b in &order {
+            let blocks = Arc::clone(&self.blocks);
+            for &b in &blocks.layout.comb_order {
                 self.run_block_timed::<false>(b);
             }
-            self.comb_order = order;
             let p = self.prof.as_mut().expect("profiling enabled");
             p.settles += 1;
-            p.fixpoint.record(self.comb_order.len() as u64);
+            p.fixpoint.record(blocks.layout.comb_order.len() as u64);
         }
         self.dirty = false;
     }
@@ -363,10 +352,9 @@ impl TapeEngine {
         } else {
             (&self.seq_plan, &mut self.seq_bank)
         };
-        let mut state = self.state.exclusive();
         for (chunk, regs) in plan.iter().zip(bank) {
             match chunk {
-                Chunk::Fused(tape) => state.exec::<false>(
+                Chunk::Fused(tape) => self.state.exec::<false>(
                     tape,
                     tape.prelude as usize,
                     regs,
@@ -375,12 +363,12 @@ impl TapeEngine {
                 ),
                 Chunk::Gang(gang) => {
                     let body = &self.blocks.bodies[gang.body as usize];
-                    state.exec_lanes(body, gang, regs, &mut self.pending);
+                    self.state.exec_lanes(body, gang, regs, &mut self.pending);
                 }
                 Chunk::Native(b) => {
                     let f =
                         self.natives[*b as usize].as_mut().expect("native block has its closure");
-                    state.call_native(&self.design, f, &mut self.changed, self.cycles);
+                    self.state.call_native(&self.design, f, &mut self.changed, self.cycles);
                     self.changed.clear();
                 }
             }
@@ -388,29 +376,19 @@ impl TapeEngine {
     }
 
     fn run_seq_blocks(&mut self) {
-        if self.event_mode {
-            let order = std::mem::take(&mut self.seq_order);
-            if self.prof.is_some() {
-                for &b in &order {
-                    self.run_block_timed::<true>(b);
-                }
-            } else {
-                for &b in &order {
-                    // Track combinational-style writes from native
-                    // sequential blocks so misuse behaves identically
-                    // across engines.
-                    self.run_block::<true>(b);
-                }
-            }
-            self.seq_order = order;
-        } else if self.prof.is_none() {
+        if !self.event_mode && self.prof.is_none() {
             self.run_plan(false);
-        } else {
-            let order = std::mem::take(&mut self.seq_order);
-            for &b in &order {
-                self.run_block_timed::<false>(b);
+            return;
+        }
+        let blocks = Arc::clone(&self.blocks);
+        for &b in &blocks.layout.seq_order {
+            match (self.event_mode, self.prof.is_some()) {
+                (true, true) => self.run_block_timed::<true>(b),
+                // Track combinational-style writes from native sequential
+                // blocks so misuse behaves identically across engines.
+                (true, false) => self.run_block::<true>(b),
+                (false, _) => self.run_block_timed::<false>(b),
             }
-            self.seq_order = order;
         }
     }
 }
@@ -421,7 +399,7 @@ impl EngineImpl for TapeEngine {
     }
 
     fn poke(&mut self, slot: u32, v: Bits) {
-        if self.state.exclusive().poke(slot, v) {
+        if self.state.poke(slot, v) {
             if self.event_mode {
                 self.events.wake_readers(slot);
             } else {
@@ -439,7 +417,7 @@ impl EngineImpl for TapeEngine {
     }
 
     fn comb_order(&self) -> Option<&[u32]> {
-        Some(&self.comb_order)
+        Some(&self.blocks.layout.comb_order)
     }
 
     fn eval(&mut self) {
@@ -463,14 +441,13 @@ impl EngineImpl for TapeEngine {
 
     fn edge(&mut self) {
         self.run_seq_blocks();
-        let mut state = self.state.exclusive();
         if self.event_mode {
-            state.commit(|slot| self.events.wake_readers(slot));
-            state.drain(&mut self.pending, |mem| self.events.wake_mem_readers(mem));
+            self.state.commit(|slot| self.events.wake_readers(slot));
+            self.state.drain(&mut self.pending, |mem| self.events.wake_mem_readers(mem));
         } else {
             // The static schedule re-runs in full after every edge.
-            state.commit(|_| {});
-            state.drain(&mut self.pending, |_| {});
+            self.state.commit(|_| {});
+            self.state.drain(&mut self.pending, |_| {});
         }
     }
 
@@ -483,7 +460,7 @@ impl EngineImpl for TapeEngine {
     }
 
     fn force(&mut self, _lane: u32, slot: u32, v: Bits, also_next: bool) {
-        self.state.exclusive().force(slot, v, also_next);
+        self.state.force(slot, v, also_next);
     }
 
     fn settle(&mut self, lanes: u64, full: bool) {
@@ -493,7 +470,7 @@ impl EngineImpl for TapeEngine {
         if !full {
             self.eval();
         } else if self.event_mode {
-            for &b in &self.comb_order {
+            for &b in &self.blocks.layout.comb_order {
                 self.events.wake(b);
             }
             self.propagate_event();
@@ -515,7 +492,7 @@ impl EngineImpl for TapeEngine {
     }
 
     fn poke_mem(&mut self, mem: usize, addr: u64, v: Bits) {
-        self.state.exclusive().poke_mem(mem, addr, v);
+        self.state.poke_mem(mem, addr, v);
         if self.event_mode {
             self.events.wake_mem_readers(mem);
         } else {

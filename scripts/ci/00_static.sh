@@ -34,9 +34,11 @@ fi
 # The simulator's `unsafe` surface only shrinks: every mention under
 # crates/sim/src (blocks, `unsafe fn`s, the macros that expand to them,
 # SAFETY prose and one lint name) counts against the number below, which
-# is the figure ROADMAP quotes.
+# is the figure ROADMAP quotes. What is left is the executor's unchecked
+# registers and ops and the `u64` register view in tape.rs, the one call
+# into the executor in state.rs, and the lint name in lib.rs.
 echo "== static: unsafe ratchet (crates/sim/src)"
-unsafe_max=20
+unsafe_max=10
 unsafe_now=$(grep -ro unsafe crates/sim/src | wc -l)
 if [ "$unsafe_now" -gt "$unsafe_max" ]; then
     grep -rn unsafe crates/sim/src
